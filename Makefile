@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet race cruzvet bench gobench scale-smoke migrate-smoke ec-smoke trace-demo
+.PHONY: check build test vet race cruzvet bench bench-smoke gobench scale-smoke migrate-smoke ec-smoke trace-demo
 
-check: vet cruzvet build test race
+check: vet cruzvet build test race bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -38,18 +38,28 @@ bench:
 	$(GO) run ./cmd/cruzbench -checkjson bench.tmp.json
 	rm -f bench.tmp.json
 
-# Micro-benchmark smoke: the tracer-overhead guard (trace=false must
-# match the pre-tracing baseline) plus one iteration each of the hot-path
-# micro-benchmarks (dirty-page tracking, event scheduling, pooled TCP
-# bulk transfer) so CI notices when a benchmark rots. No thresholds —
-# timings are informational; allocs/op on the scheduling and TCP
-# benchmarks is the fast-path pooling ablation's headline.
+# Wall-clock benchmarks, one per layer the page path crosses plus the
+# tracer-overhead guard (trace=false must match the pre-tracing
+# baseline). Every one reports MB/s, B/op and allocs/op; B/op and
+# allocs/op repeat exactly and are the numbers to compare across commits
+# (EXPERIMENTS.md appendix A12 holds the last recorded set). No
+# thresholds — host timings are informational.
 gobench:
-	$(GO) test -run XXX -bench=BenchmarkCheckpoint -benchmem .
-	$(GO) test -run XXX -bench=BenchmarkDirtyTracking -benchtime=1x -benchmem ./internal/mem/
-	$(GO) test -run XXX -bench=BenchmarkEngineSchedule -benchtime=1x -benchmem ./internal/sim/
-	$(GO) test -run XXX -bench=BenchmarkTCPBulkTransfer -benchtime=1x -benchmem ./internal/tcpip/
-	$(GO) test -run XXX -bench=BenchmarkMigrationStream -benchtime=1x -benchmem ./internal/ctl/
+	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
+	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage' -benchtime=50x -benchmem ./internal/ckpt/
+	$(GO) test -run XXX -bench=BenchmarkDirtyTracking -benchtime=50x -benchmem ./internal/mem/
+	$(GO) test -run XXX -bench=BenchmarkEngineSchedule -benchtime=100000x -benchmem ./internal/sim/
+	$(GO) test -run XXX -bench=BenchmarkTCPBulkTransfer -benchtime=50x -benchmem ./internal/tcpip/
+	$(GO) test -run XXX -bench=BenchmarkMigrationStream -benchtime=10x -benchmem ./internal/ctl/
+
+# The benchmark under bench/ is a module of its own, so tier-1 neither
+# compiles nor tests it, yet its layer replay drives internals of this
+# one (ckpt.Image.Encode/DecodeImage, ctl.NewConn/Send/Pool, the store's
+# Plan* calls). Vet it and run its smoke test so a signature it depends
+# on cannot drift unnoticed.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Scaling smoke: the A9 flat-vs-tree ablation at reduced workload scale
 # (n = 8/64/256, light slm ring). Exercises the hierarchical

@@ -22,6 +22,14 @@ import (
 // so the check covers ctl.Conn, tcpip.Stack, and fixture pools without
 // a hard package dependency.
 //
+// Ownership also runs the other way. A frame handed to a receive
+// callback — any func(*T, []byte) whose T owns a frame pool, the shape
+// of ctl.Conn's OnFrame — was allocated for that one frame and belongs
+// to the callback, which may keep it for good (an adopting store does).
+// It never came from the pool, so "recycling" it there would hand a
+// buffer somebody still holds to the next sender: putting a callback's
+// payload back, directly or through a releasing helper, is reported.
+//
 // Like spanleak, the check is escape-aware: only buffers bound to a
 // local that never escapes (not stored, returned, aliased, or captured
 // by a closure) are path-checked — queued frames are legitimately put
@@ -44,13 +52,66 @@ func runPoolLeak(pass *Pass) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkPoolLeakFunc(pass, effects, n.Body)
+					checkForeignPut(pass, effects, n.Type, n.Body)
 				}
 			case *ast.FuncLit:
 				checkPoolLeakFunc(pass, effects, n.Body)
+				checkForeignPut(pass, effects, n.Type, n.Body)
 			}
 			return true
 		})
 	}
+}
+
+// checkForeignPut reports a receive callback that returns its payload —
+// a buffer it owns, which never came from the pool — to a pool.
+func checkForeignPut(pass *Pass, effects map[string]*FuncEffects, ft *ast.FuncType, body *ast.BlockStmt) {
+	payload := frameCallbackPayload(pass, ft)
+	if payload == nil {
+		return
+	}
+	uses, _ := collectPoolUses(pass, effects, body, payload, nil)
+	for _, u := range uses {
+		if u.kind == poolUseRelease {
+			pass.Reportf(u.id.Pos(), "received frame %s belongs to the receiver and never came from the %s pool: it must not be returned there",
+				payload.Name(), u.pool)
+		}
+	}
+}
+
+// frameCallbackPayload returns the payload parameter of a function with
+// the receive-callback shape func(c *T, payload []byte), T being a type
+// with a pool put method; nil for any other function.
+func frameCallbackPayload(pass *Pass, ft *ast.FuncType) *types.Var {
+	if ft.Params == nil || len(ft.Params.List) != 2 {
+		return nil
+	}
+	owner, payload := ft.Params.List[0], ft.Params.List[1]
+	if len(owner.Names) > 1 || len(payload.Names) != 1 {
+		return nil
+	}
+	ptr, ok := pass.TypesInfo.TypeOf(owner.Type).(*types.Pointer)
+	if !ok {
+		return nil
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return nil
+	}
+	if sl, ok := pass.TypesInfo.TypeOf(payload.Type).(*types.Slice); !ok || !types.Identical(sl.Elem(), types.Typ[types.Byte]) {
+		return nil
+	}
+	owns := false
+	for i := 0; i < named.NumMethods(); i++ {
+		if _, ok := poolPutNames[named.Method(i).Name()]; ok {
+			owns = true
+		}
+	}
+	if !owns {
+		return nil
+	}
+	v, _ := pass.TypesInfo.Defs[payload.Names[0]].(*types.Var)
+	return v
 }
 
 // poolCall returns (call, pool) if expr is a call to a pool

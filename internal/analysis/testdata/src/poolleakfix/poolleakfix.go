@@ -118,3 +118,35 @@ func (c *conn) OkContent(payload []byte) {
 	copy(b[8:], payload)
 	c.putFrameBuf(b)
 }
+
+// Receive callbacks: a frame handed to func(*conn, []byte) belongs to
+// the callback and never came from the pool. Keeping it, reading it and
+// copying out of it are all fine; putting it "back" is not, directly or
+// through a releasing helper.
+
+func onFrameRecycles(c *conn, payload []byte) {
+	_ = payload[0]
+	c.putFrameBuf(payload) // want `received frame payload belongs to the receiver and never came from the frame pool`
+}
+
+func onFrameRecyclesViaHelper(c *conn, payload []byte) {
+	c.release2(payload) // want `received frame payload belongs to the receiver`
+}
+
+var kept [][]byte
+
+// OkOnFrameKeeps retains the frame: exactly what the ownership rule
+// allows.
+func OkOnFrameKeeps(c *conn, payload []byte) {
+	kept = append(kept, payload)
+}
+
+func (c *conn) install() func(*conn, []byte) {
+	return func(peer *conn, payload []byte) {
+		peer.putFrameBuf(payload[:0]) // want `received frame payload belongs to the receiver`
+	}
+}
+
+// OkHelperShape has a pool owner as receiver, not as first parameter:
+// it is a releasing helper like release above, not a receive callback.
+func (c *conn) OkHelperShape(n int, b []byte) { c.putFrameBuf(b) }

@@ -83,3 +83,26 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeImage measures the read side of every store load and
+// replica adoption: parsing the gob head and pointing the image's pages
+// at the blob. It must not scale with the page bytes.
+func BenchmarkDecodeImage(b *testing.B) {
+	pod := benchPod(b, 512)
+	img, err := Capture(pod, 1, Options{Hashes: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := img.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(img.MemoryBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeImage(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cruz/internal/kernel"
 	"cruz/internal/mem"
@@ -152,7 +153,7 @@ func captureProcess(vpid int, proc *kernel.Process, opts Options, pipeIDs map[*k
 	for n := range fds {
 		nums = append(nums, n)
 	}
-	sortInts(nums)
+	slices.Sort(nums)
 	for _, n := range nums {
 		fd := fds[n]
 		fi := FDImage{Num: n, Kind: fd.Kind()}
@@ -185,12 +186,4 @@ func captureProcess(vpid int, proc *kernel.Process, opts Options, pipeIDs map[*k
 		pi.FDs = append(pi.FDs, fi)
 	}
 	return pi, nil
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -1,0 +1,177 @@
+package ckpt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"cruz/internal/mem"
+)
+
+// gobUint is encoding/gob's unsigned integer encoding: one byte below
+// 128, else the negated byte count followed by the big-endian bytes.
+func gobUint(v uint64) []byte {
+	if v < 128 {
+		return []byte{byte(v)}
+	}
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	i := 0
+	for b[i] == 0 {
+		i++
+	}
+	return append([]byte{byte(-(8 - i))}, b[i:]...)
+}
+
+// readGobUint decodes one gobUint, returning the value and its width.
+func readGobUint(b []byte) (uint64, int) {
+	if b[0] < 128 {
+		return uint64(b[0]), 1
+	}
+	n := int(-int8(b[0]))
+	var v uint64
+	for _, c := range b[1 : 1+n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, 1 + n
+}
+
+// reframe wraps head in the image header and appends pages.
+func reframe(head, pages []byte) []byte {
+	b := binary.BigEndian.AppendUint16(nil, imageMagic)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(head)))
+	return append(append(b, head...), pages...)
+}
+
+// hostileImages returns encoded images damaged in the ways a decoder
+// that slices instead of copying must survive, keyed by what is wrong
+// with each. Every one must make DecodeImage return an error.
+func hostileImages(t testing.TB) map[string][]byte {
+	img := sampleImage()
+	blob, err := img.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	headLen := int(binary.BigEndian.Uint32(blob[2:]))
+	pages := blob[imageHdrSize+headLen:]
+	withHeadLen := func(n uint32) []byte {
+		b := append([]byte(nil), blob...)
+		binary.BigEndian.PutUint32(b[2:], n)
+		return b
+	}
+	out := map[string][]byte{
+		"empty":             {},
+		"header-only":       blob[:imageHdrSize],
+		"bad-magic":         append([]byte{0, 0}, blob[2:]...),
+		"truncated-head":    blob[:imageHdrSize+headLen/2],
+		"truncated-tail":    blob[:len(blob)-mem.PageSize/2],
+		"missing-tail":      blob[:imageHdrSize+headLen],
+		"one-page-short":    blob[:len(blob)-mem.PageSize],
+		"one-page-over":     append(append([]byte(nil), blob...), make([]byte, mem.PageSize)...),
+		"zero-length-head":  reframe(nil, pages),
+		"head-overruns":     withHeadLen(uint32(len(blob))),
+		"head-is-max-u32":   withHeadLen(1<<32 - 1),
+		"garbage-head":      reframe(bytes.Repeat([]byte{0xff}, 64), pages),
+		"pages-inside-head": nil, // filled below
+		"claims-2^31-pages": nil, // filled below
+	}
+
+	// A head that still carries page bytes: the plain gob encoding of the
+	// whole image.
+	whole, err := encodeToBytes(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["pages-inside-head"] = reframe(whole, pages)
+
+	// A head whose first process claims 2^31 pages. PageNums is a gob
+	// slice: a count, then the elements. Give the elements a findable
+	// shape, overwrite the count, and fix the length of the gob message
+	// (the stream's last) that contains it.
+	marked := sampleImage()
+	for i := range marked.Processes[0].Memory.PageNums {
+		marked.Processes[0].Memory.PageNums[i] = 0x1122334455667788
+	}
+	mblob, err := marked.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mhead := mblob[imageHdrSize : imageHdrSize+int(binary.BigEndian.Uint32(mblob[2:]))]
+	elem := gobUint(0x1122334455667788)
+	at := bytes.Index(mhead, append([]byte{2}, elem...))
+	if at < 0 {
+		t.Fatal("PageNums not found in the gob head")
+	}
+	msg := 0 // offset of the last gob message
+	for {
+		n, w := readGobUint(mhead[msg:])
+		if msg+w+int(n) == len(mhead) {
+			break
+		}
+		msg += w + int(n)
+	}
+	n, w := readGobUint(mhead[msg:])
+	count := gobUint(1 << 31)
+	var patched []byte
+	patched = append(patched, mhead[:msg]...)
+	patched = append(patched, gobUint(n+uint64(len(count)-1))...)
+	patched = append(patched, mhead[msg+w:at]...)
+	patched = append(patched, count...)
+	patched = append(patched, mhead[at+1:]...)
+	out["claims-2^31-pages"] = reframe(patched, pages)
+	return out
+}
+
+// TestDecodeImageRejectsHostileBlobs: each damaged blob is an error, and
+// none of them — the one claiming 8 TiB of pages included — makes the
+// decoder allocate in proportion to what the blob claims.
+func TestDecodeImageRejectsHostileBlobs(t *testing.T) {
+	for name, blob := range hostileImages(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		img, err := DecodeImage(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error: %+v", name, img)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoder allocated %d bytes for a %d-byte blob", name, grew, len(blob))
+		}
+	}
+}
+
+// FuzzDecodeImage: arbitrary bytes produce an image or an error, never a
+// panic, and a decoded image is internally consistent — every process
+// owns exactly its pages, inside the blob.
+func FuzzDecodeImage(f *testing.F) {
+	valid, err := sampleImage().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, blob := range hostileImages(f) {
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		img, err := DecodeImage(blob)
+		if err != nil {
+			return
+		}
+		for i := range img.Processes {
+			m := &img.Processes[i].Memory
+			if len(m.PageData) != m.NumPages()*mem.PageSize {
+				t.Fatalf("process %d: %d page bytes for %d pages", i, len(m.PageData), m.NumPages())
+			}
+			for j := 0; j < m.NumPages(); j++ {
+				_ = m.Page(j)
+			}
+			if len(m.PageData) > 0 && !within(m.PageData, blob) {
+				t.Fatalf("process %d: pages outside the blob", i)
+			}
+		}
+		if _, err := img.Encode(); err != nil {
+			t.Fatalf("decoded image does not re-encode: %v", err)
+		}
+	})
+}

@@ -13,8 +13,11 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cruz/internal/ether"
@@ -25,22 +28,27 @@ import (
 )
 
 // encBufPool recycles the scratch buffers behind every gob encode on the
-// capture path (program state, whole images, manifests). Checkpoints are
-// taken repeatedly over a pod's life, so reusing the grown buffer avoids
-// re-paying the append-doubling allocations on every capture.
+// capture path (program state, image heads, manifests). Only small
+// structured state goes through gob — page bytes never do — so the
+// buffers stay a few KB; checkpoints are taken repeatedly over a pod's
+// life, and reusing the grown buffer avoids re-paying the
+// append-doubling allocations on every capture.
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// encodeToBytes gob-encodes v through a pooled buffer and returns a
-// compact copy of the result.
-func encodeToBytes(v any) ([]byte, error) {
+// gobAppend gob-encodes v through a pooled buffer and appends the
+// encoding to dst, grown once to hold it and reserve bytes more.
+func gobAppend(dst []byte, v any, reserve int) ([]byte, error) {
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
 	buf.Reset()
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return nil, err
 	}
-	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
+	return append(slices.Grow(dst, buf.Len()+reserve), buf.Bytes()...), nil
 }
+
+// encodeToBytes gob-encodes v into a buffer sized for it.
+func encodeToBytes(v any) ([]byte, error) { return gobAppend(nil, v, 0) }
 
 // RegisterProgram must be called (once, at init time) for every concrete
 // Program type that will be checkpointed, so its state can travel through
@@ -162,22 +170,95 @@ type Image struct {
 	Pipes     []PipeImage
 }
 
+// An encoded image is a small gob head followed by the raw page bytes:
+//
+//	magic(2) ‖ headLen(4, big-endian) ‖ head ‖ pages
+//
+// head is the gob encoding of the Image with every process's PageData
+// emptied; pages is the processes' PageData back to back, in process
+// order. The head's PageNums are the length table: process i owns the
+// next len(PageNums)·PageSize bytes, and the tail must hold exactly
+// their sum. Page bytes therefore cross Encode with one copy and
+// DecodeImage with none.
+const (
+	imageMagic   = 0xC7A1
+	imageHdrSize = 2 + 4
+)
+
 // Encode serializes the image, returning the byte stream a store writes
 // to disk.
 func (img *Image) Encode() ([]byte, error) {
-	b, err := encodeToBytes(img)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: encode image: %w", err)
-	}
-	return b, nil
+	blob, _, err := img.encode()
+	return blob, err
 }
 
-// DecodeImage parses an encoded image.
+// encode returns the encoded image and the view of it a store keeps: a
+// shallow copy of img whose PageData point into the blob, so the stored
+// image costs its head and the blob is the only copy of the pages.
+func (img *Image) encode() ([]byte, *Image, error) {
+	view := *img
+	view.Processes = append([]ProcImage(nil), img.Processes...)
+	pageBytes := 0
+	for i := range view.Processes {
+		m := &view.Processes[i].Memory
+		if len(m.PageData) != m.NumPages()*mem.PageSize {
+			return nil, nil, fmt.Errorf("ckpt: encode image %s/%d: vpid %d holds %d page bytes for %d pages",
+				img.PodName, img.Seq, view.Processes[i].VPID, len(m.PageData), m.NumPages())
+		}
+		pageBytes += len(m.PageData)
+		m.PageData = nil
+	}
+	var hdr [imageHdrSize]byte
+	blob, err := gobAppend(hdr[:], &view, pageBytes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ckpt: encode image: %w", err)
+	}
+	binary.BigEndian.PutUint16(blob, imageMagic)
+	binary.BigEndian.PutUint32(blob[2:], uint32(len(blob)-imageHdrSize))
+	for i := range img.Processes {
+		blob = append(blob, img.Processes[i].Memory.PageData...)
+	}
+	view.aliasPages(blob[len(blob)-pageBytes:])
+	return blob, &view, nil
+}
+
+// aliasPages points every process's PageData at its share of pages,
+// which must hold exactly the bytes the PageNums call for.
+func (img *Image) aliasPages(pages []byte) {
+	for i := range img.Processes {
+		m := &img.Processes[i].Memory
+		n := m.NumPages() * mem.PageSize
+		m.PageData, pages = pages[:n:n], pages[n:]
+	}
+}
+
+// DecodeImage parses an encoded image. The result's page bytes alias b,
+// which the caller must leave unmodified for as long as the image lives.
 func DecodeImage(b []byte) (*Image, error) {
+	if len(b) < imageHdrSize || binary.BigEndian.Uint16(b) != imageMagic {
+		return nil, errors.New("ckpt: decode image: not an encoded image")
+	}
+	headLen := uint64(binary.BigEndian.Uint32(b[2:]))
+	if headLen == 0 || headLen > uint64(len(b)-imageHdrSize) {
+		return nil, fmt.Errorf("ckpt: decode image: head of %d bytes in a %d-byte blob", headLen, len(b))
+	}
+	head, pages := b[imageHdrSize:imageHdrSize+headLen], b[imageHdrSize+headLen:]
 	var img Image
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&img); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&img); err != nil {
 		return nil, fmt.Errorf("ckpt: decode image: %w", err)
 	}
+	var want uint64
+	for i := range img.Processes {
+		m := &img.Processes[i].Memory
+		if len(m.PageData) != 0 {
+			return nil, errors.New("ckpt: decode image: page bytes inside the head")
+		}
+		want += uint64(m.NumPages()) * mem.PageSize
+	}
+	if want != uint64(len(pages)) {
+		return nil, fmt.Errorf("ckpt: decode image: %d bytes follow a head that lists %d bytes of pages", len(pages), want)
+	}
+	img.aliasPages(pages)
 	return &img, nil
 }
 
@@ -244,7 +325,7 @@ func Merge(base, inc *Image) (*Image, error) {
 			for pn := range pages {
 				pns = append(pns, pn)
 			}
-			sortUint64(pns)
+			slices.Sort(pns)
 			merged.Memory.PageNums = nil
 			merged.Memory.PageHashes = nil
 			merged.Memory.PageData = make([]byte, 0, len(pns)*mem.PageSize)
@@ -258,12 +339,4 @@ func Merge(base, inc *Image) (*Image, error) {
 		out.Processes[i] = merged
 	}
 	return &out, nil
-}
-
-func sortUint64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"cruz/internal/kernel"
 	"cruz/internal/mem"
@@ -194,7 +195,7 @@ func mergeManifests(base, inc *Manifest) (*Manifest, error) {
 			for pn := range pages {
 				pns = append(pns, pn)
 			}
-			sortUint64(pns)
+			slices.Sort(pns)
 			merged.Pages = make([]PageRef, len(pns))
 			for j, pn := range pns {
 				merged.Pages[j] = PageRef{PN: pn, Hash: pages[pn]}

@@ -2,7 +2,7 @@ package ckpt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cruz/internal/mem"
 	"cruz/internal/trace"
@@ -18,8 +18,8 @@ import (
 // Offer describes one stored checkpoint (and its incremental chain) for
 // replication, without any bulk data.
 type Offer struct {
-	Pod   string
-	Seq   int
+	Pod string
+	Seq int
 	// Chain lists the sequence numbers a restore of Seq needs,
 	// newest-first (length 1 for a full checkpoint).
 	Chain []int
@@ -36,7 +36,10 @@ type ChunkData struct {
 }
 
 // Transfer is the delta a replica asked for: encoded images (blob form)
-// or encoded manifests plus missing chunks (dedup form).
+// or encoded manifests plus missing chunks (dedup form). Its byte slices
+// are the sending store's own on the way out and sub-slices of the
+// received frame on the way in; either way they are immutable, and
+// Adopt keeps them as the replica's blobs and chunks without copying.
 type Transfer struct {
 	Pod       string
 	Seq       int
@@ -177,24 +180,16 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 			s.stats.NewChunkBytes += int64(len(cd.Data))
 		}
 	}
-	for _, seq := range sortedSeqs(t.Blobs) {
+	for _, seq := range SortedSeqs(t.Blobs) {
 		blob := t.Blobs[seq]
 		img, err := DecodeImage(blob)
 		if err != nil {
 			done(0, err)
 			return
 		}
-		if s.blobs[t.Pod] == nil {
-			s.blobs[t.Pod] = make(map[int][]byte)
-			s.images[t.Pod] = make(map[int]*Image)
-		}
-		s.blobs[t.Pod][seq] = blob
-		s.images[t.Pod][seq] = img
-		if seq > s.latest[t.Pod] {
-			s.latest[t.Pod] = seq
-		}
+		s.putBlob(t.Pod, seq, blob, img)
 	}
-	for _, seq := range sortedSeqs(t.Manifests) {
+	for _, seq := range SortedSeqs(t.Manifests) {
 		mblob := t.Manifests[seq]
 		m, err := DecodeManifest(mblob)
 		if err != nil {
@@ -238,11 +233,14 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 	})
 }
 
-func sortedSeqs(m map[int][]byte) []int {
+// SortedSeqs returns the sequence numbers keying a Transfer's Blobs or
+// Manifests in ascending order: the order Adopt installs them in and the
+// order the wire lists their bytes in.
+func SortedSeqs(m map[int][]byte) []int {
 	seqs := make([]int, 0, len(m))
 	for seq := range m {
 		seqs = append(seqs, seq)
 	}
-	sort.Ints(seqs)
+	slices.Sort(seqs)
 	return seqs
 }

@@ -20,9 +20,13 @@ var ErrNoImage = errors.New("ckpt: no such image")
 // network path to it is assumed faster than the disk and not modeled
 // separately.
 type Store struct {
-	disk   *kernel.Disk
+	disk *kernel.Disk
+	// Blob-form checkpoints are stored once: blobs holds the encoded
+	// image, immutable from the moment it is registered, and images the
+	// decoded head (chain metadata, Cached) whose page bytes point into
+	// that blob.
 	blobs  map[string]map[int][]byte
-	images map[string]map[int]*Image // decoded metadata (Seq/BaseSeq chain)
+	images map[string]map[int]*Image
 	latest map[string]int
 
 	// Content-addressed half: manifests (metadata + page-hash lists) and
@@ -74,21 +78,12 @@ func (s *Store) Disk() *kernel.Disk { return s.disk }
 // with the encoded size when the write completes. Encoding errors are
 // reported synchronously through done as well.
 func (s *Store) Save(img *Image, done func(size int64, err error)) {
-	blob, err := img.Encode()
+	plan, err := s.PlanSave(img)
 	if err != nil {
 		done(0, err)
 		return
 	}
-	if s.blobs[img.PodName] == nil {
-		s.blobs[img.PodName] = make(map[int][]byte)
-		s.images[img.PodName] = make(map[int]*Image)
-	}
-	s.blobs[img.PodName][img.Seq] = blob
-	s.images[img.PodName][img.Seq] = img
-	if img.Seq > s.latest[img.PodName] {
-		s.latest[img.PodName] = img.Seq
-	}
-	size := int64(len(blob))
+	size := plan.TotalBytes
 	var sp trace.Span
 	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
 		sp = tr.Begin(s.disk.Name(), "ckpt", "store.save",
@@ -106,20 +101,27 @@ func (s *Store) Save(img *Image, done func(size int64, err error)) {
 // to drive the write themselves, in pipelined segments; Save remains the
 // one-call encode-and-write form.
 func (s *Store) PlanSave(img *Image) (*SavePlan, error) {
-	blob, err := img.Encode()
+	blob, view, err := img.encode()
 	if err != nil {
 		return nil, err
 	}
-	if s.blobs[img.PodName] == nil {
-		s.blobs[img.PodName] = make(map[int][]byte)
-		s.images[img.PodName] = make(map[int]*Image)
-	}
-	s.blobs[img.PodName][img.Seq] = blob
-	s.images[img.PodName][img.Seq] = img
-	if img.Seq > s.latest[img.PodName] {
-		s.latest[img.PodName] = img.Seq
-	}
+	s.putBlob(img.PodName, img.Seq, blob, view)
 	return &SavePlan{Pod: img.PodName, Seq: img.Seq, TotalBytes: int64(len(blob))}, nil
+}
+
+// putBlob registers an encoded image and the view decoded from it (or
+// encoded into it): from here on the blob is immutable, and the view's
+// page bytes are the blob's.
+func (s *Store) putBlob(pod string, seq int, blob []byte, view *Image) {
+	if s.blobs[pod] == nil {
+		s.blobs[pod] = make(map[int][]byte)
+		s.images[pod] = make(map[int]*Image)
+	}
+	s.blobs[pod][seq] = blob
+	s.images[pod][seq] = view
+	if seq > s.latest[pod] {
+		s.latest[pod] = seq
+	}
 }
 
 // Discard removes stored checkpoints that were registered but never
@@ -173,8 +175,9 @@ func (s *Store) Discard(pod string, seqs ...int) {
 // no disk traffic modeled. A migration's restore-on-arrival merge uses
 // it: the adopted bytes passed through this daemon's memory moments ago,
 // so folding them into the held image costs CPU, not a read-back of what
-// was just written. Deduplicated (manifest-form) images keep no single
-// decoded representation and report false.
+// was just written. The image's page bytes are the stored blob's and
+// must not be written. Deduplicated (manifest-form) images keep no
+// single decoded representation and report false.
 func (s *Store) Cached(pod string, seq int) (*Image, bool) {
 	img, ok := s.images[pod][seq]
 	return img, ok

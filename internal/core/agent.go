@@ -538,6 +538,19 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 		// chain whose round 0 never ran stays a full save.
 		incremental = baseSeq > 0
 	}
+	if incremental {
+		// An increment needs a base this store can resolve. A pod's
+		// first checkpoint has none (nor has one whose predecessor was
+		// aborted or discarded): capture full instead of chaining to an
+		// image no restore or replication could find.
+		base := baseSeq
+		if base == 0 {
+			base = m.Seq - 1
+		}
+		if !a.store.HasSeq(m.Pod, base) {
+			incremental, baseSeq = false, 0
+		}
+	}
 	if a.tr.Enabled() {
 		name := "quiesce"
 		if op.precopy {

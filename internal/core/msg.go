@@ -15,6 +15,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 
@@ -265,7 +266,9 @@ type GroupReport struct {
 }
 
 // replPayload is the bulk half of replication and fetch messages. Only
-// the fields the message type needs are populated.
+// the fields the message type needs are populated. Its byte slices
+// (ECSet, Blobs, Manifests, Chunks' Data) never pass through gob: they
+// travel raw behind the gob head — see encodeMsg.
 type replPayload struct {
 	// Offer: the chain and (dedup) chunk hashes available.
 	Chain  []int
@@ -305,17 +308,152 @@ type msgSink interface {
 	send(m *wireMsg) error
 }
 
+// bulk lists the payload's byte slices in their wire order: ECSet, the
+// Blobs and the Manifests by ascending sequence, then each chunk's Data.
+// Every slice has an entry, empty or not, so sender and receiver derive
+// the same list from the same maps and chunk count.
+func (p *replPayload) bulk() [][]byte {
+	parts := make([][]byte, 0, 1+len(p.Blobs)+len(p.Manifests)+len(p.Chunks))
+	parts = append(parts, p.ECSet)
+	for _, seq := range ckpt.SortedSeqs(p.Blobs) {
+		parts = append(parts, p.Blobs[seq])
+	}
+	for _, seq := range ckpt.SortedSeqs(p.Manifests) {
+		parts = append(parts, p.Manifests[seq])
+	}
+	for i := range p.Chunks {
+		parts = append(parts, p.Chunks[i].Data)
+	}
+	return parts
+}
+
+// setBulk is bulk's inverse: it installs parts, in bulk's order, as the
+// payload's byte slices.
+func (p *replPayload) setBulk(parts [][]byte) {
+	p.ECSet, parts = parts[0], parts[1:]
+	for _, seq := range ckpt.SortedSeqs(p.Blobs) {
+		p.Blobs[seq], parts = parts[0], parts[1:]
+	}
+	for _, seq := range ckpt.SortedSeqs(p.Manifests) {
+		p.Manifests[seq], parts = parts[0], parts[1:]
+	}
+	for i := range p.Chunks {
+		p.Chunks[i].Data = parts[i]
+	}
+}
+
+// stripped returns a copy of the payload with every bulk slice emptied
+// but still counted: map keys and chunk hashes stay, so the head tells
+// the receiver what the raw tail holds.
+func (p *replPayload) stripped() *replPayload {
+	cp := *p
+	cp.ECSet = nil
+	cp.Blobs = emptied(p.Blobs)
+	cp.Manifests = emptied(p.Manifests)
+	cp.Chunks = make([]ckpt.ChunkData, len(p.Chunks))
+	for i := range p.Chunks {
+		cp.Chunks[i].Hash = p.Chunks[i].Hash
+	}
+	return &cp
+}
+
+func emptied(m map[int][]byte) map[int][]byte {
+	if m == nil {
+		return nil
+	}
+	out := make(map[int][]byte, len(m))
+	for seq := range m {
+		out[seq] = nil
+	}
+	return out
+}
+
+// A frame payload is the gob encoding of one wireMsg and, only when the
+// message carries bulk, a raw tail:
+//
+//	gob(wireMsg, bulk slices emptied) ‖ len[0..n) (4 bytes each, big-endian) ‖ bytes[0] ‖ … ‖ bytes[n-1]
+//
+// in replPayload.bulk's order, n being the count the decoded head
+// implies. gob keeps what it is good at — the small structured fields,
+// and a bulk-free control frame is byte for byte the plain gob encoding
+// of its message — while page bytes cross the codec untouched: the sender
+// hands them to ctl as parts, and the receiver re-attaches them as
+// sub-slices of the frame buffer it now owns.
+
+// encodeMsg writes m's payload head into buf — everything up to the raw
+// bytes — and returns the parts that follow it on the wire (nil for a
+// bulk-free message).
+func encodeMsg(buf *bytes.Buffer, m *wireMsg) ([][]byte, error) {
+	var parts [][]byte
+	if m.Repl != nil {
+		bulk, n := m.Repl.bulk(), 0
+		for _, p := range bulk {
+			n += len(p)
+		}
+		if n > 0 {
+			head := *m
+			head.Repl = m.Repl.stripped()
+			m, parts = &head, bulk
+		}
+	}
+	if err := gob.NewEncoder(buf).Encode(m); err != nil {
+		return nil, fmt.Errorf("core: encode %v: %w", m.Type, err)
+	}
+	for _, p := range parts {
+		buf.Write(binary.BigEndian.AppendUint32(buf.AvailableBuffer(), uint32(len(p))))
+	}
+	return parts, nil
+}
+
+// decodeMsg parses one frame payload. Bulk slices of the result alias
+// payload, which belongs to the message from here on.
+func decodeMsg(payload []byte) (*wireMsg, error) {
+	var m wireMsg
+	// gob reads a bytes.Reader message by message without reading
+	// ahead, so what Decode leaves unread is exactly the raw tail.
+	r := bytes.NewReader(payload)
+	if err := gob.NewDecoder(r).Decode(&m); err != nil {
+		return nil, fmt.Errorf("core: decode frame: %w", err)
+	}
+	tail := payload[len(payload)-r.Len():]
+	if len(tail) == 0 {
+		return &m, nil
+	}
+	if m.Repl == nil {
+		return nil, fmt.Errorf("core: decode frame: %v carries %d raw bytes but no payload to hold them", m.Type, len(tail))
+	}
+	n := 1 + len(m.Repl.Blobs) + len(m.Repl.Manifests) + len(m.Repl.Chunks)
+	if len(tail) < 4*n {
+		return nil, fmt.Errorf("core: decode frame: %v length table of %d entries overruns the frame", m.Type, n)
+	}
+	table, raw := tail[:4*n], tail[4*n:]
+	parts := make([][]byte, n)
+	for i := range parts {
+		size := uint64(binary.BigEndian.Uint32(table[4*i:]))
+		if size > uint64(len(raw)) {
+			return nil, fmt.Errorf("core: decode frame: %v bulk slice %d of %d bytes overruns the frame", m.Type, i, size)
+		}
+		parts[i], raw = raw[:size:size], raw[size:]
+	}
+	if len(raw) != 0 {
+		return nil, fmt.Errorf("core: decode frame: %v has %d bytes beyond its length table", m.Type, len(raw))
+	}
+	m.Repl.setBulk(parts)
+	return &m, nil
+}
+
 // ctlConn is a gob-typed control connection.
 type ctlConn struct {
 	*ctl.Conn
 	onMsg func(*ctlConn, *wireMsg)
 	onErr func(*ctlConn, error)
 
-	// encBuf is the reusable gob staging buffer: SendCtx copies the
-	// payload into its frame, so the buffer is dead as soon as send
-	// returns and one per connection suffices. (Each message still gets
-	// a fresh encoder — frames must be self-contained because the
-	// receiver decodes each one independently.)
+	// encBuf is the reusable staging buffer for payload heads: ctl
+	// copies the head into its frame, so the buffer is dead as soon as
+	// send returns and one per connection suffices. Bulk never enters
+	// it, so it stays a few KB. (Each message still gets a fresh encoder
+	// — frames must be self-contained because the receiver decodes each
+	// one independently.)
 	encBuf bytes.Buffer
 }
 
@@ -329,30 +467,36 @@ func newCtlConn(tc *tcpip.TCPConn, onMsg func(*ctlConn, *wireMsg), onErr func(*c
 	return c
 }
 
-// send encodes and transmits one message.
+// send encodes and transmits one message. Bulk slices go to ctl as
+// parts, uncopied: they are store blobs and chunks, immutable once
+// planned, which is what SendParts asks of them.
 func (c *ctlConn) send(m *wireMsg) error {
 	c.encBuf.Reset()
-	if err := gob.NewEncoder(&c.encBuf).Encode(m); err != nil {
-		return fmt.Errorf("core: encode %v: %w", m.Type, err)
+	parts, err := encodeMsg(&c.encBuf, m)
+	if err != nil {
+		return err
 	}
-	if err := c.Conn.SendTierCtx(c.encBuf.Bytes(), m.ctx, m.tier); err != nil {
+	if err := c.Conn.SendParts(c.encBuf.Bytes(), parts, m.ctx, m.tier); err != nil {
 		return fmt.Errorf("core: send %v: %w", m.Type, err)
 	}
 	return nil
 }
 
-// frame decodes a received payload and dispatches it. The frame header's
-// trace context is captured onto the message here, synchronously, because
+// frame decodes a received payload and dispatches it. The payload buffer
+// is this connection's to keep (ctl allocates one per frame), and a bulk
+// message does keep it: its slices point into the buffer and end up as
+// the adopting store's blobs and chunks. The frame header's trace
+// context is captured onto the message here, synchronously, because
 // handlers defer the actual processing behind daemon-CPU cost and the
 // conn's FrameCtx is only valid during this callback.
 func (c *ctlConn) frame(conn *ctl.Conn, payload []byte) {
-	var m wireMsg
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+	m, err := decodeMsg(payload)
+	if err != nil {
 		if c.onErr != nil {
-			c.onErr(c, fmt.Errorf("core: decode frame: %w", err))
+			c.onErr(c, err)
 		}
 		return
 	}
 	m.ctx = conn.FrameCtx()
-	c.onMsg(c, &m)
+	c.onMsg(c, m)
 }

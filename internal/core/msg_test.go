@@ -1,0 +1,247 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"cruz/internal/ckpt"
+	"cruz/internal/ctl"
+	"cruz/internal/mem"
+	"cruz/internal/sim"
+	"cruz/internal/tcpip"
+)
+
+// payloadOf assembles the frame payload a receiver would see for m.
+func payloadOf(t testing.TB, m *wireMsg) (payload []byte, parts [][]byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	parts, err := encodeMsg(&buf, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append([]byte(nil), buf.Bytes()...)
+	for _, p := range parts {
+		payload = append(payload, p...)
+	}
+	return payload, parts
+}
+
+// TestControlFrameSizesPinned: a bulk-free control frame is the plain gob
+// encoding of its wireMsg, byte for byte. The virtual clock charges wire
+// time per byte, so these sizes are
+// part of the coordination-overhead numbers; a change to wireMsg's or
+// replPayload's field set shows up here first.
+func TestControlFrameSizesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		m    *wireMsg
+		size int
+	}{
+		{&wireMsg{Type: msgPing}, 957},
+		{&wireMsg{Type: msgCheckpoint, Seq: 3, Pod: "slm-0", Incremental: true, Dedup: true, Replicas: 1}, 972},
+		{&wireMsg{Type: msgDone, Seq: 3, Pod: "slm-0", LocalDuration: 91 * sim.Millisecond, ImageBytes: 8 << 20}, 978},
+		{&wireMsg{Type: msgContinue, Seq: 3, Pod: "slm-0"}, 966},
+	} {
+		payload, parts := payloadOf(t, tc.m)
+		if len(payload) != tc.size || parts != nil {
+			t.Errorf("%v frame is %d bytes with %d parts, want %d and none", tc.m.Type, len(payload), len(parts), tc.size)
+		}
+		var plain bytes.Buffer
+		if err := gob.NewEncoder(&plain).Encode(tc.m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(payload, plain.Bytes()) {
+			t.Errorf("%v frame is not the plain gob encoding of the message", tc.m.Type)
+		}
+	}
+}
+
+// bulkMsg is a data message using every bulk field at once.
+func bulkMsg() *wireMsg {
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, mem.PageSize) }
+	return &wireMsg{Type: msgECData, Seq: 9, Pod: "slm-1", Repl: &replPayload{
+		Bytes:     12345,
+		Holder:    2,
+		ECSet:     []byte("shard manifest"),
+		Blobs:     map[int][]byte{9: page('b'), 4: []byte("older blob")},
+		Manifests: map[int][]byte{9: []byte("manifest nine"), 8: nil, 7: []byte("seven")},
+		Chunks: []ckpt.ChunkData{
+			{Hash: mem.PageHash{Lo: 1, Hi: 2}, Data: page('x')},
+			{Hash: mem.PageHash{Lo: 3, Hi: 4}},
+			{Hash: mem.PageHash{Lo: 5, Hi: 6}, Data: page('z')},
+		},
+	}}
+}
+
+// TestBulkFrameRoundTripAliases: bulk travels raw behind the gob head and
+// comes back as sub-slices of the received payload — equal contents, no
+// copy — each fenced off from its neighbour.
+func TestBulkFrameRoundTripAliases(t *testing.T) {
+	m := bulkMsg()
+	payload, parts := payloadOf(t, m)
+	if len(parts) != 1+2+3+3 {
+		t.Fatalf("%d parts, want one per bulk slice (9)", len(parts))
+	}
+	if unsafe.SliceData(parts[1]) != unsafe.SliceData(m.Repl.Blobs[4]) {
+		t.Fatal("parts must be the sender's own slices (ascending sequence), not copies")
+	}
+	var bulk int
+	for _, p := range parts {
+		bulk += len(p)
+	}
+	if head := len(payload) - bulk; head > 2048 {
+		t.Fatalf("head is %d bytes: bulk leaked into gob", head)
+	}
+	got, err := decodeMsg(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
+	for i, p := range got.Repl.bulk() {
+		if !bytes.Equal(p, parts[i]) {
+			t.Fatalf("bulk slice %d differs after the round trip", i)
+		}
+		if len(p) == 0 {
+			continue
+		}
+		if at := uintptr(unsafe.Pointer(unsafe.SliceData(p))); at < lo || at >= lo+uintptr(len(payload)) {
+			t.Fatalf("bulk slice %d was copied out of the frame", i)
+		}
+		if cap(p) != len(p) {
+			t.Fatalf("bulk slice %d can grow %d bytes into its neighbour", i, cap(p)-len(p))
+		}
+	}
+	// Everything else — including which sequences and hashes the empty
+	// slices belong to — survives in the head.
+	want := bulkMsg()
+	got.Repl.setBulk(want.Repl.bulk())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded message differs:\n got %+v %+v\nwant %+v %+v", got, got.Repl, want, want.Repl)
+	}
+}
+
+// hostileFrames returns bulk frame payloads damaged in the ways the tail
+// decoder must reject, keyed by what is wrong with each.
+func hostileFrames(t testing.TB) map[string][]byte {
+	payload, parts := payloadOf(t, bulkMsg())
+	bulk := 0
+	for _, p := range parts {
+		bulk += len(p)
+	}
+	table := len(payload) - bulk - 4*len(parts) // offset of the length table
+	patch := func(entry int, v uint32) []byte {
+		b := append([]byte(nil), payload...)
+		binary.BigEndian.PutUint32(b[table+4*entry:], v)
+		return b
+	}
+	ping, _ := payloadOf(t, &wireMsg{Type: msgPing})
+	return map[string][]byte{
+		"empty":                   {},
+		"truncated-gob":           payload[:table/2],
+		"truncated-table":         payload[:table+6],
+		"truncated-tail":          payload[:len(payload)-100],
+		"trailing-bytes":          append(append([]byte(nil), payload...), 1, 2, 3),
+		"length-overruns-frame":   patch(1, uint32(len(payload))),
+		"length-is-max-u32":       patch(0, 1<<32-1),
+		"lengths-sum-short":       patch(len(parts)-1, 0),
+		"tail-without-repl":       append(append([]byte(nil), ping...), 0, 0, 0, 1, 'x'),
+		"table-overruns-frame":    payload[:table+4*len(parts)-1],
+		"head-only-no-tail-bytes": payload[:table],
+	}
+}
+
+// TestDecodeMsgRejectsHostileFrames: each damaged frame is an error or —
+// for a head cut off cleanly before its tail, which is a well-formed
+// bulk-free message — decodes to exactly what the head says; none
+// allocates beyond a small multiple of its own size.
+func TestDecodeMsgRejectsHostileFrames(t *testing.T) {
+	for name, payload := range hostileFrames(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := decodeMsg(payload)
+		runtime.ReadMemStats(&after)
+		if name == "head-only-no-tail-bytes" {
+			if err != nil || len(m.Repl.Chunks) != 3 || m.Repl.Chunks[0].Data != nil {
+				t.Errorf("%s: got %+v, %v; want the stripped head", name, m, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: decoded without error: %+v", name, m)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoder allocated %d bytes for a %d-byte frame", name, grew, len(payload))
+		}
+	}
+}
+
+// FuzzBulkFrame: arbitrary payload bytes decode to a message or an error,
+// never a panic, and every bulk slice of a decoded message lies inside
+// the payload.
+func FuzzBulkFrame(f *testing.F) {
+	valid, _ := payloadOf(f, bulkMsg())
+	f.Add(valid)
+	small, _ := payloadOf(f, &wireMsg{Type: msgReplDone, Seq: 1, Pod: "p", Repl: &replPayload{Bytes: 7}})
+	f.Add(small)
+	for _, payload := range hostileFrames(f) {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		m, err := decodeMsg(payload)
+		if err != nil || m.Repl == nil {
+			return
+		}
+		total := 0
+		for _, p := range m.Repl.bulk() {
+			total += len(p)
+		}
+		if total > len(payload) {
+			t.Fatalf("decoded %d bulk bytes from a %d-byte payload", total, len(payload))
+		}
+	})
+}
+
+// TestBulkCrossesConnWithOneReceiveCopy sends a data message over a real
+// connection pair and checks the ownership chain end to end: the blob the
+// receiving handler gets is a sub-slice of one frame-sized allocation,
+// and the sender staged nothing but the head.
+func TestBulkCrossesConnWithOneReceiveCopy(t *testing.T) {
+	cl := newCluster(t, 2, 200*sim.Microsecond)
+	l, err := cl.agents[1].kern.Stack().ListenTCP(tcpip.AddrPort{Addr: cl.agents[1].Addr().Addr, Port: 7799}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *wireMsg
+	l.SetNotify(func() {
+		if tc, err := l.Accept(); err == nil {
+			newCtlConn(tc, func(_ *ctlConn, m *wireMsg) { got = m }, nil)
+		}
+	})
+	tc, err := cl.agents[0].kern.Stack().DialTCP(tcpip.AddrPort{}, l.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := newCtlConn(tc, func(*ctlConn, *wireMsg) {}, nil)
+	blob := bytes.Repeat([]byte{0x5a}, 1<<20)
+	m := &wireMsg{Type: msgReplData, Seq: 1, Pod: "p", tier: ctl.TierStream,
+		Repl: &replPayload{Blobs: map[int][]byte{1: blob}, Bytes: int64(len(blob))}}
+	if err := cc.send(m); err != nil {
+		t.Fatal(err)
+	}
+	if cc.encBuf.Len() > 4096 {
+		t.Fatalf("sender staged %d bytes: bulk went through the encode buffer", cc.encBuf.Len())
+	}
+	if !cl.runUntil(func() bool { return got != nil }, 5*sim.Second) {
+		t.Fatal("data message never arrived")
+	}
+	if !bytes.Equal(got.Repl.Blobs[1], blob) {
+		t.Fatal("blob corrupted in transit")
+	}
+	if unsafe.SliceData(m.Repl.Blobs[1]) != unsafe.SliceData(blob) {
+		t.Fatal("send modified the caller's message")
+	}
+}

@@ -16,6 +16,11 @@ func BenchmarkMigrationStream(b *testing.B) {
 	const rounds = 8
 	bulk := make([]byte, 1<<20)
 	ctrl := make([]byte, 128)
+	total := 0
+	for round := 0; round < rounds; round++ {
+		total += len(bulk)>>uint(round) + len(ctrl)
+	}
+	b.SetBytes(int64(total))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

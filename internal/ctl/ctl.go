@@ -7,6 +7,7 @@ package ctl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"cruz/internal/sim"
@@ -21,34 +22,49 @@ import (
 // TCP timing they induce, are identical whether tracing is on or off.
 const frameHeader = 4 + 16
 
+// MaxFrame bounds the payload length a frame header may claim. Pump
+// allocates a frame's buffer as soon as its header is in, so the bound
+// is what keeps a corrupt or hostile length from allocating gigabytes.
+const MaxFrame = 1 << 30
+
+// ErrFrameTooLarge is reported through the error callback when a frame
+// header claims more than MaxFrame bytes; the connection is aborted.
+var ErrFrameTooLarge = errors.New("ctl: frame length exceeds MaxFrame")
+
 // Conn frames byte payloads over a TCP connection: the fixed header
 // above followed by the payload. Incoming frames are delivered to the
-// OnFrame callback. Writes are backpressure-aware: frames that do not
-// fit in the send buffer (bulk data such as checkpoint replication) are
-// queued and drained as TCP acknowledgments open window space, so a full
-// buffer slows the sender down instead of failing the protocol.
+// OnFrame callback, each in a buffer of its own that belongs to the
+// callback from then on. Writes are backpressure-aware: frames that do
+// not fit in the send buffer (bulk data such as checkpoint replication)
+// are queued and drained as TCP acknowledgments open window space, so a
+// full buffer slows the sender down instead of failing the protocol.
 type Conn struct {
 	tc       *tcpip.TCPConn
-	rbuf     []byte
 	wqueue   [numTiers][]wframe // per-tier output queues; a head may be partially written
 	pacer    *Pacer             // paces TierBackground frames; nil = unpaced
 	onFrame  func(*Conn, []byte)
 	onErr    func(*Conn, error)
 	frameCtx trace.SpanContext
 
-	// scratch is the persistent Recv staging buffer (allocated once per
-	// connection instead of per Pump call).
-	scratch []byte
-	// fpool recycles small frame buffers: SendCtx draws from it and
+	// Receive state. The TCP receive ring is the only staging: Pump
+	// reads the fixed header into hdr, allocates the payload buffer at
+	// its exact size, and receives straight into it.
+	hdr    [frameHeader]byte
+	hdrN   int    // header bytes received so far
+	frame  []byte // payload buffer of the frame in progress; nil between frames
+	frameN int    // payload bytes received so far
+
+	// fpool recycles small frame buffers: SendParts draws from it and
 	// drain returns a buffer once its frame is fully inside the TCP send
-	// buffer (which copies). Bulk frames above framePoolBufCap draw from
-	// the large tier lpool instead.
+	// buffer (which copies). Copied payloads above framePoolBufCap draw
+	// from the large tier lpool instead.
 	fpool [][]byte
 	// lpool is the bulk tier: a handful of recycled large buffers,
 	// best-fit matched, with capacities rounded to powers of two so a
-	// stream of similar-size bulk frames (checkpoint replication,
-	// migration rounds) reuses one buffer instead of allocating
-	// megabytes per frame.
+	// stream of similar-size copied bulk frames reuses one buffer
+	// instead of allocating megabytes per frame. Bulk that is immutable
+	// at the sender (store blobs and chunks) bypasses it: SendParts
+	// writes such parts from where they lie.
 	lpool [][]byte
 
 	// Sent and Received count frames, for message-complexity accounting.
@@ -60,15 +76,30 @@ type Conn struct {
 	Pool PoolStats
 }
 
-// wframe is one queued output frame: the full buffer plus how much of it
-// has already entered the TCP send buffer. Keeping the offset separate
-// (rather than re-slicing) preserves the original buffer for recycling.
+// wframe is one queued output frame: a pooled buffer holding the frame
+// header and the copied head of the payload, then the caller's parts,
+// which go to the wire from where they lie. idx and pos say how far the
+// frame has entered the TCP send buffer: piece idx (0 is buf, i is
+// parts[i-1]) from byte pos. Keeping the position separate (rather than
+// re-slicing) preserves the original buffer for recycling.
 type wframe struct {
-	buf []byte
-	off int
+	buf   []byte
+	parts [][]byte
+	size  int // len(buf) plus every part
+	idx   int
+	pos   int
+	sent  int // bytes already inside the TCP send buffer
 	// admitted marks a background frame whose bytes already cleared the
 	// pacer, so a send retry after ErrWouldBlock is not charged twice.
 	admitted bool
+}
+
+// piece returns the unsent remainder of the piece the frame is at.
+func (f *wframe) piece() []byte {
+	if f.idx == 0 {
+		return f.buf[f.pos:]
+	}
+	return f.parts[f.idx-1][f.pos:]
 }
 
 // Tier classifies a frame's scheduling priority on the send path.
@@ -187,17 +218,37 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.SpanContext) error {
 // SendTierCtx transmits one frame on a specific priority tier. Frames on
 // lower tiers overtake queued higher-tier frames at frame boundaries;
 // TierBackground frames are additionally paced when a Pacer is attached.
+// The payload is copied: the caller may reuse it as soon as the call
+// returns.
 func (c *Conn) SendTierCtx(payload []byte, ctx trace.SpanContext, tier Tier) error {
+	return c.SendParts(payload, nil, ctx, tier)
+}
+
+// SendParts transmits one frame whose payload is head followed by every
+// part, in order. head is copied like SendTierCtx's payload. The parts
+// are not: they enter the TCP send buffer straight from the caller's
+// slices as window space opens, so they must not change until the frame
+// has drained — the contract store blobs and chunks, immutable once
+// planned, meet for free. Bulk sent this way crosses the connection
+// with one copy, into the TCP send ring.
+func (c *Conn) SendParts(head []byte, parts [][]byte, ctx trace.SpanContext, tier Tier) error {
 	if err := c.tc.Err(); err != nil {
 		return fmt.Errorf("ctl: send on dead conn: %w", err)
 	}
-	frame := c.getFrameBuf(frameHeader + len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	binary.BigEndian.PutUint64(frame[4:], uint64(ctx.Op))
-	binary.BigEndian.PutUint64(frame[12:], uint64(ctx.Span))
-	copy(frame[frameHeader:], payload)
+	size := len(head)
+	for _, p := range parts {
+		size += len(p)
+	}
+	if size > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+	}
+	buf := c.getFrameBuf(frameHeader + len(head))
+	binary.BigEndian.PutUint32(buf, uint32(size))
+	binary.BigEndian.PutUint64(buf[4:], uint64(ctx.Op))
+	binary.BigEndian.PutUint64(buf[12:], uint64(ctx.Span))
+	copy(buf[frameHeader:], head)
 	c.Sent++
-	c.wqueue[tier] = append(c.wqueue[tier], wframe{buf: frame})
+	c.wqueue[tier] = append(c.wqueue[tier], wframe{buf: buf, parts: parts, size: frameHeader + size})
 	if c.tc.Established() {
 		c.drain()
 	}
@@ -213,7 +264,7 @@ func (c *Conn) QueuedBytes() int {
 	n := 0
 	for t := range c.wqueue {
 		for _, f := range c.wqueue[t] {
-			n += len(f.buf) - f.off
+			n += f.size - f.sent
 		}
 	}
 	return n
@@ -234,7 +285,7 @@ func (c *Conn) queued() bool {
 // pacer tokens to start.
 func (c *Conn) nextTier() (Tier, bool) {
 	for t := Tier(0); t < numTiers; t++ {
-		if len(c.wqueue[t]) > 0 && c.wqueue[t][0].off > 0 {
+		if len(c.wqueue[t]) > 0 && c.wqueue[t][0].sent > 0 {
 			return t, true
 		}
 	}
@@ -244,7 +295,7 @@ func (c *Conn) nextTier() (Tier, bool) {
 		}
 		f := &c.wqueue[t][0]
 		if t == TierBackground && c.pacer != nil && !f.admitted {
-			if !c.pacer.admit(c, int64(len(f.buf))) {
+			if !c.pacer.admit(c, int64(f.size)) {
 				return 0, false
 			}
 			f.admitted = true
@@ -265,23 +316,48 @@ func (c *Conn) drain() {
 			return
 		}
 		f := &c.wqueue[t][0]
-		n, err := c.tc.Send(f.buf[f.off:])
-		if err == tcpip.ErrWouldBlock {
-			c.Blocked++
-			return
-		}
-		if err != nil {
-			// Terminal errors surface through Pump's Err path.
-			return
-		}
-		f.off += n
-		if f.off < len(f.buf) {
-			c.Blocked++
+		if !c.sendFrame(f) {
 			return
 		}
 		c.putFrameBuf(f.buf)
+		c.wqueue[t][0] = wframe{} // drop the part references with the frame
 		c.wqueue[t] = c.wqueue[t][1:]
 	}
+}
+
+// sendFrame moves as much of f as fits into the TCP send buffer and
+// reports whether the whole frame is in. A frame of several pieces is
+// sent corked, so TCP packetizes the pieces exactly as it would the one
+// contiguous buffer they stand for: full segments flow as they form and
+// the sub-MSS tail waits for the uncork at the end.
+func (c *Conn) sendFrame(f *wframe) bool {
+	if len(f.parts) > 0 {
+		defer c.tc.SetCork(c.tc.Cork())
+		c.tc.SetCork(true)
+	}
+	for f.idx <= len(f.parts) {
+		p := f.piece()
+		if len(p) == 0 {
+			f.idx, f.pos = f.idx+1, 0
+			continue
+		}
+		n, err := c.tc.Send(p)
+		if err == tcpip.ErrWouldBlock {
+			c.Blocked++
+			return false
+		}
+		if err != nil {
+			// Terminal errors surface through Pump's Err path.
+			return false
+		}
+		f.pos += n
+		f.sent += n
+		if n < len(p) {
+			c.Blocked++
+			return false
+		}
+	}
+	return true
 }
 
 // Pump drains readable bytes, dispatches complete frames, and flushes
@@ -298,30 +374,46 @@ func (c *Conn) Pump() {
 	if c.tc.Established() && c.queued() {
 		c.drain()
 	}
-	if c.scratch == nil {
-		c.scratch = make([]byte, 4096)
-	}
+	// Recv reports ErrWouldBlock once the receive ring is empty (and EOF
+	// or the terminal error at end of stream); any of them ends the loop
+	// with the frame in progress kept for the next call.
 	for {
-		n, err := c.tc.Recv(c.scratch, false)
-		if err != nil || n == 0 {
-			break
+		if c.frame == nil {
+			n, err := c.tc.Recv(c.hdr[c.hdrN:], false)
+			if err != nil {
+				return
+			}
+			if c.hdrN += n; c.hdrN < frameHeader {
+				continue
+			}
+			size := binary.BigEndian.Uint32(c.hdr[:])
+			if size > MaxFrame {
+				// The stream cannot be resynchronised. Abort without
+				// re-entering Pump, so the cause is reported once.
+				c.tc.SetNotify(nil)
+				c.tc.Abort()
+				if c.onErr != nil {
+					c.onErr(c, fmt.Errorf("%w: header claims %d bytes", ErrFrameTooLarge, size))
+				}
+				return
+			}
+			c.frame, c.frameN = make([]byte, size), 0
 		}
-		c.rbuf = append(c.rbuf, c.scratch[:n]...)
-	}
-	for {
-		if len(c.rbuf) < frameHeader {
-			return
+		if c.frameN < len(c.frame) {
+			n, err := c.tc.Recv(c.frame[c.frameN:], false)
+			if err != nil {
+				return
+			}
+			if c.frameN += n; c.frameN < len(c.frame) {
+				continue
+			}
 		}
-		size := int(binary.BigEndian.Uint32(c.rbuf))
-		if len(c.rbuf) < frameHeader+size {
-			return
-		}
+		payload := c.frame
+		c.frame, c.hdrN = nil, 0
 		c.frameCtx = trace.SpanContext{
-			Op:   trace.OpID(binary.BigEndian.Uint64(c.rbuf[4:])),
-			Span: trace.SpanID(binary.BigEndian.Uint64(c.rbuf[12:])),
+			Op:   trace.OpID(binary.BigEndian.Uint64(c.hdr[4:])),
+			Span: trace.SpanID(binary.BigEndian.Uint64(c.hdr[12:])),
 		}
-		payload := c.rbuf[frameHeader : frameHeader+size]
-		c.rbuf = c.rbuf[frameHeader+size:]
 		c.Received++
 		c.onFrame(c, payload)
 	}

@@ -1,6 +1,7 @@
 package tcpip
 
 import (
+	"runtime"
 	"testing"
 
 	"cruz/internal/ether"
@@ -80,6 +81,7 @@ func TestSegPoolSurvivesRetransmit(t *testing.T) {
 // allocs/op figure is the pooling ablation's headline.
 func BenchmarkTCPBulkTransfer(b *testing.B) {
 	chunk := pattern(64<<10, 1)
+	b.SetBytes(int64(len(chunk)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,5 +124,53 @@ func BenchmarkTCPBulkTransfer(b *testing.B) {
 				rcvd += n
 			}
 		}
+	}
+}
+
+// TestBulkTransferAllocatesPerSegment guards the ring-buffered queues: on
+// a warmed connection pair, moving 1 MiB allocates a fixed handful of
+// small structs per segment (segment and packet headers, frames, events —
+// the payload buffers come from the pool) and nothing proportional to the
+// bytes moved.
+func TestBulkTransferAllocatesPerSegment(t *testing.T) {
+	tn := newTestNet(t, 2)
+	c, s := tn.connect(0, 1, 9003)
+	data := pattern(1<<20, 5)
+	buf := make([]byte, 16384)
+	move := func() {
+		sent, rcvd := 0, 0
+		for rcvd < len(data) {
+			for sent < len(data) {
+				n, err := c.Send(data[sent:])
+				if err != nil {
+					break
+				}
+				sent += n
+			}
+			tn.run(sim.Millisecond)
+			for {
+				n, err := s.Recv(buf, false)
+				if err != nil {
+					break
+				}
+				rcvd += n
+			}
+		}
+	}
+	move() // warm-up: rings reach their high-water mark, the pool fills
+	segsBefore := c.Stats.SegsSent
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	move()
+	runtime.ReadMemStats(&after)
+	segs := float64(c.Stats.SegsSent - segsBefore)
+	allocs := testing.AllocsPerRun(3, move)
+	bytes := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%.0f segments: %.1f allocations and %.0f bytes allocated per segment", segs, allocs/segs, bytes/segs)
+	if allocs > 16*segs {
+		t.Errorf("%.0f allocations for %.0f segments: more than a fixed handful per segment", allocs, segs)
+	}
+	if bytes > float64(len(data))/2 {
+		t.Errorf("%.0f bytes allocated to move %d: allocation scales with the bytes, not the segments", bytes, len(data))
 	}
 }

@@ -52,8 +52,19 @@ func TestPropertyStreamIntegrityUnderLoss(t *testing.T) {
 // at random moments while traffic flows and asserts the §5.1 consistency
 // result: the restored system delivers the exact original byte stream with
 // no loss, duplication, or reordering — even though every checkpoint
-// discards all in-flight packets.
+// discards all in-flight packets. The receiver reads in random partial
+// amounts and the sender keeps writing into the frozen network, so many
+// captures land while the pending and receive rings are wrapped: the
+// saved buffers must be the linear byte stream regardless.
 func TestPropertyCheckpointAnytimePreservesStream(t *testing.T) {
+	wrappedPending, wrappedRcv := 0, 0
+	defer func() {
+		t.Logf("captures with a wrapped ring: pending %d, rcvQueue %d", wrappedPending, wrappedRcv)
+		if !t.Failed() && (wrappedPending < 4 || wrappedRcv < 4) {
+			t.Errorf("captures with a wrapped ring: pending %d, rcvQueue %d; the traffic no longer exercises them",
+				wrappedPending, wrappedRcv)
+		}
+	}()
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {
@@ -76,11 +87,19 @@ func TestPropertyCheckpointAnytimePreservesStream(t *testing.T) {
 					read += n
 				}
 			}
+			// drainSome reads at most max bytes, leaving a residue at a
+			// moving ring head.
+			drainSome := func(conn *TCPConn, max int) {
+				if n, err := conn.Recv(buf[:max], false); err == nil {
+					gotTotal = append(gotTotal, buf[:n]...)
+					read += n
+				}
+			}
 
 			for round := 0; round < 6; round++ {
 				// Random traffic, partially drained.
-				for i := 0; i < 10; i++ {
-					chunk := pattern(rng.Intn(5000)+1, byte(rng.Intn(256)))
+				for i := 0; i < 40; i++ {
+					chunk := pattern(rng.Intn(9000)+1, byte(rng.Intn(256)))
 					want = append(want, chunk...)
 					pushed += len(chunk)
 					rem := chunk
@@ -88,7 +107,7 @@ func TestPropertyCheckpointAnytimePreservesStream(t *testing.T) {
 						n, err := c.Send(rem)
 						if err == ErrWouldBlock {
 							tn.run(5 * sim.Millisecond)
-							drain(s)
+							drainSome(s, 20000)
 							continue
 						}
 						if err != nil {
@@ -97,15 +116,30 @@ func TestPropertyCheckpointAnytimePreservesStream(t *testing.T) {
 						rem = rem[n:]
 					}
 					tn.run(sim.Duration(rng.Intn(int(2 * sim.Millisecond))))
-					if rng.Intn(3) == 0 {
-						drain(s)
+					if rng.Intn(3) > 0 {
+						drainSome(s, rng.Intn(8000)+1)
 					}
 				}
 
 				// Checkpoint at an arbitrary instant: disable comms,
-				// capture, destroy, restore, re-enable.
+				// capture, destroy, restore, re-enable. The application
+				// is not stopped yet when communication goes down, so it
+				// writes a little more into the void.
 				thaw := freeze(tn, 0, 1)
+				for i := rng.Intn(4); i > 0; i-- {
+					chunk := pattern(rng.Intn(5000)+1, byte(rng.Intn(256)))
+					if n, err := c.Send(chunk); err == nil {
+						want = append(want, chunk[:n]...)
+						pushed += n
+					}
+				}
 				tn.run(sim.Duration(rng.Intn(int(3 * sim.Millisecond))))
+				if c.pending.wrapped() {
+					wrappedPending++
+				}
+				if s.rcvQueue.wrapped() {
+					wrappedRcv++
+				}
 				stC, err := c.CaptureState()
 				if err != nil {
 					t.Fatalf("capture client: %v", err)

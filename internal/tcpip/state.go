@@ -113,12 +113,14 @@ func (c *TCPConn) CaptureState() (*TCPSavedState, error) {
 		copy(data, g.data)
 		st.SendSegments = append(st.SendSegments, SavedSegment{Data: data, FIN: g.fin})
 	}
-	st.SendPending = append([]byte(nil), c.pending...)
+	// The rings linearise into the image: saved buffers carry no trace
+	// of where in its ring a queue happened to sit.
+	st.SendPending = c.pending.AppendTo(nil)
 	// MSG_PEEK semantics: read without consuming. Alternate buffer (from
 	// an earlier restore) concatenates with the live queue.
-	st.RecvData = make([]byte, 0, len(c.altQueue)+len(c.rcvQueue))
+	st.RecvData = make([]byte, 0, len(c.altQueue)+c.rcvQueue.Len())
 	st.RecvData = append(st.RecvData, c.altQueue...)
-	st.RecvData = append(st.RecvData, c.rcvQueue...)
+	st.RecvData = c.rcvQueue.AppendTo(st.RecvData)
 	return st, nil
 }
 
@@ -184,7 +186,7 @@ func (s *Stack) RestoreTCP(st *TCPSavedState) (*TCPConn, error) {
 	}
 	c.noDelay, c.cork = savedNoDelay, savedCork
 	if len(st.SendPending) > 0 {
-		c.pending = append(c.pending, st.SendPending...)
+		c.pending.Write(st.SendPending)
 		c.trySend()
 	}
 	if len(c.segs) > 0 {
@@ -239,7 +241,7 @@ func (c *TCPConn) StreamProgress() (sent, rcvd uint64) {
 	if c.finSent {
 		sent-- // the FIN occupies one sequence number
 	}
-	sent += uint64(len(c.pending))
+	sent += uint64(c.pending.Len())
 	rcvd = uint64(c.rcvNxt - c.irs - 1)
 	if c.rcvClosed {
 		rcvd--
@@ -255,12 +257,12 @@ func (c *TCPConn) StreamProgress() (sent, rcvd uint64) {
 // the application is stopped — the moral equivalent of CoCheck's
 // library-level message buffer.
 func (c *TCPConn) DrainToAlt() int {
-	n := len(c.rcvQueue)
+	n := c.rcvQueue.Len()
 	if n == 0 {
 		return 0
 	}
-	c.altQueue = append(c.altQueue, c.rcvQueue...)
-	c.rcvQueue = nil
+	c.altQueue = c.rcvQueue.AppendTo(c.altQueue)
+	c.rcvQueue.Discard(n)
 	if tr := c.stack.tr; tr.Enabled() {
 		tr.Instant(c.stack.name, "tcp", "drain",
 			trace.Str("conn", c.tuple.String()),

@@ -133,13 +133,15 @@ type TCPConn struct {
 
 	// Send side. Sequence space: sndUna <= sndNxt; segs covers
 	// [sndUna, sndNxt) in packetized form; pending holds accepted bytes
-	// not yet packetized.
+	// not yet packetized. pending and rcvQueue are rings: Send and ingest
+	// copy bytes in, trySend and Recv copy them out, and neither
+	// allocates once the ring has reached the buffer limit.
 	iss       uint32
 	sndUna    uint32
 	sndNxt    uint32
 	sndWnd    uint32
 	segs      []*inflightSeg
-	pending   []byte
+	pending   Ring
 	finQueued bool
 	finSent   bool
 
@@ -151,7 +153,7 @@ type TCPConn struct {
 	// Receive side.
 	irs               uint32
 	rcvNxt            uint32
-	rcvQueue          []byte
+	rcvQueue          Ring
 	rcvClosed         bool // in-order FIN consumed
 	ooo               []oooSeg
 	lastWndAdvertised uint32
@@ -373,16 +375,16 @@ func (c *TCPConn) Cork() bool { return c.cork }
 
 // Readable reports whether Recv would return data or EOF now.
 func (c *TCPConn) Readable() bool {
-	return len(c.altQueue) > 0 || len(c.rcvQueue) > 0 || c.rcvClosed || c.err != nil
+	return len(c.altQueue) > 0 || c.rcvQueue.Len() > 0 || c.rcvClosed || c.err != nil
 }
 
 // ReadableBytes returns the number of buffered readable bytes (restored
 // alternate buffer plus live receive queue).
-func (c *TCPConn) ReadableBytes() int { return len(c.altQueue) + len(c.rcvQueue) }
+func (c *TCPConn) ReadableBytes() int { return len(c.altQueue) + c.rcvQueue.Len() }
 
 // WritableSpace returns the free send-buffer space in bytes.
 func (c *TCPConn) WritableSpace() int {
-	used := int(c.sndNxt-c.sndUna) + len(c.pending)
+	used := int(c.sndNxt-c.sndUna) + c.pending.Len()
 	space := c.params.SndBufLimit - used
 	if space < 0 {
 		return 0
@@ -421,7 +423,7 @@ func (c *TCPConn) Send(b []byte) (int, error) {
 	if n > space {
 		n = space
 	}
-	c.pending = append(c.pending, b[:n]...)
+	c.pending.Write(b[:n])
 	c.trySend()
 	return n, nil
 }
@@ -430,7 +432,7 @@ func (c *TCPConn) Send(b []byte) (int, error) {
 // consumed (MSG_PEEK; the paper's checkpoint uses this to read receive
 // buffers non-destructively). At end of stream it returns (0, io.EOF).
 func (c *TCPConn) Recv(b []byte, peek bool) (int, error) {
-	if len(c.altQueue) == 0 && len(c.rcvQueue) == 0 {
+	if len(c.altQueue) == 0 && c.rcvQueue.Len() == 0 {
 		if c.err != nil {
 			return 0, c.err
 		}
@@ -442,31 +444,16 @@ func (c *TCPConn) Recv(b []byte, peek bool) (int, error) {
 		}
 		return 0, ErrWouldBlock
 	}
-	n := 0
 	// Alternate (restored) buffer drains first, transparently.
-	n += copyFrom(b, c.altQueue)
-	if n < len(b) {
-		n += copyFrom(b[n:], c.rcvQueue)
-	}
+	fromAlt := copy(b, c.altQueue)
+	fromLive := c.rcvQueue.Peek(b[fromAlt:])
 	if peek {
-		return n, nil
-	}
-	fromAlt := n
-	if fromAlt > len(c.altQueue) {
-		fromAlt = len(c.altQueue)
+		return fromAlt + fromLive, nil
 	}
 	c.altQueue = c.altQueue[fromAlt:]
-	fromLive := n - fromAlt
-	c.rcvQueue = c.rcvQueue[fromLive:]
+	c.rcvQueue.Discard(fromLive)
 	c.maybeSendWindowUpdate(fromLive)
-	return n, nil
-}
-
-func copyFrom(dst, src []byte) int {
-	if len(src) == 0 {
-		return 0
-	}
-	return copy(dst, src)
+	return fromAlt + fromLive, nil
 }
 
 // maybeSendWindowUpdate sends a pure ACK when the app's read reopens a
@@ -548,7 +535,7 @@ func (c *TCPConn) wake() {
 
 // rcvWindow returns the advertised receive window.
 func (c *TCPConn) rcvWindow() uint32 {
-	w := c.params.RcvBufLimit - len(c.rcvQueue)
+	w := c.params.RcvBufLimit - c.rcvQueue.Len()
 	if w < 0 {
 		w = 0
 	}
@@ -641,20 +628,14 @@ func (c *TCPConn) trySend() {
 	if !c.Established() && c.state != StateLastAck {
 		return
 	}
-	for len(c.pending) > 0 {
+	for c.pending.Len() > 0 {
 		usable := c.usableWindow()
 		if usable == 0 {
 			c.armPersistIfNeeded()
 			break
 		}
-		n := len(c.pending)
-		if n > c.params.MSS {
-			n = c.params.MSS
-		}
-		if n > usable {
-			n = usable
-		}
-		if n < c.params.MSS && len(c.pending) < c.params.MSS {
+		n := min(c.pending.Len(), c.params.MSS, usable)
+		if n < c.params.MSS && c.pending.Len() < c.params.MSS {
 			// Sub-MSS segment: cork always holds it; Nagle holds it
 			// while anything is in flight.
 			if c.cork {
@@ -665,14 +646,13 @@ func (c *TCPConn) trySend() {
 			}
 		}
 		data := c.stack.getSegBuf(n)
-		copy(data, c.pending)
-		c.pending = c.pending[n:]
+		c.pending.Read(data)
 		g := &inflightSeg{seq: c.sndNxt, data: data}
 		c.segs = append(c.segs, g)
 		c.sndNxt += uint32(n)
 		c.transmitSeg(g)
 	}
-	if c.finQueued && !c.finSent && len(c.pending) == 0 {
+	if c.finQueued && !c.finSent && c.pending.Len() == 0 {
 		g := &inflightSeg{seq: c.sndNxt, fin: true}
 		c.segs = append(c.segs, g)
 		c.sndNxt++
@@ -790,7 +770,7 @@ func (c *TCPConn) pumpRetransmits() {
 
 // armPersistIfNeeded starts the zero-window probe timer.
 func (c *TCPConn) armPersistIfNeeded() {
-	if c.sndWnd != 0 || len(c.pending) == 0 || c.inflightBytes() > 0 {
+	if c.sndWnd != 0 || c.pending.Len() == 0 || c.inflightBytes() > 0 {
 		return
 	}
 	if c.persistTimer != nil {
@@ -798,10 +778,10 @@ func (c *TCPConn) armPersistIfNeeded() {
 	}
 	c.persistTimer = c.stack.engine.Schedule(c.rto, func() {
 		c.persistTimer = nil // fired: the engine recycles it
-		if c.sndWnd == 0 && len(c.pending) > 0 && c.Established() {
+		if c.sndWnd == 0 && c.pending.Len() > 0 && c.Established() {
 			// Probe with one byte of pending data.
-			g := &inflightSeg{seq: c.sndNxt, data: []byte{c.pending[0]}}
-			c.pending = c.pending[1:]
+			g := &inflightSeg{seq: c.sndNxt, data: make([]byte, 1)}
+			c.pending.Read(g.data)
 			c.segs = append(c.segs, g)
 			c.sndNxt++
 			c.transmitSeg(g)
@@ -1116,7 +1096,7 @@ func (c *TCPConn) processData(seg *Segment) {
 func (c *TCPConn) ingest(data []byte, fin bool) {
 	if len(data) > 0 {
 		c.Stats.BytesReceived += uint64(len(data))
-		c.rcvQueue = append(c.rcvQueue, data...)
+		c.rcvQueue.Write(data)
 		c.rcvNxt += uint32(len(data))
 	}
 	if fin && !c.rcvClosed {

@@ -111,7 +111,7 @@ func TestZeroWindowProbeRecovers(t *testing.T) {
 			sent += n
 		}
 		tn.run(10 * sim.Millisecond)
-		if s.rcvWindow() == 0 && c.inflightBytes() == 0 && len(c.pending) > 0 {
+		if s.rcvWindow() == 0 && c.inflightBytes() == 0 && c.pending.Len() > 0 {
 			break
 		}
 	}

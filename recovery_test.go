@@ -202,3 +202,29 @@ func TestRecoveryDeterministicTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstIncrementalCheckpointReplicates is the regression for a first
+// checkpoint taken with Incremental set: it used to chain to sequence 0,
+// which no store holds, so every replication of it failed with "no such
+// image". With no usable base the agent must capture a full image.
+func TestFirstIncrementalCheckpointReplicates(t *testing.T) {
+	cl, err := cruz.New(cruz.Config{Nodes: 3, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, job := deployRing(t, cl, 3)
+	cl.Run(200 * cruz.Millisecond)
+	if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{Incremental: true}); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(2 * cruz.Second)
+	for i, n := range cl.Nodes {
+		if st := n.Agent.Stats; st.Replications != 1 || st.ReplFailures != 0 {
+			t.Errorf("node%d: %d replications, %d failures, want 1 and 0", i, st.Replications, st.ReplFailures)
+		}
+	}
+	// The replicated image restarts: it is a full one.
+	if _, err := cl.Restart(job, 0); err != nil {
+		t.Fatalf("restart from the first checkpoint: %v", err)
+	}
+}
