@@ -1,12 +1,16 @@
 # Developer entry points. `make check` is the extended tier-1 gate
-# (see ROADMAP.md): vet + build + full tests, plus race-detector runs of
+# (see ROADMAP.md): gofmt + vet + build + full tests, plus race-detector runs of
 # the packages with concurrency-sensitive bookkeeping.
 
 GO ?= go
 
-.PHONY: check build test vet race cruzvet bench bench-smoke gobench scale-smoke migrate-smoke ec-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet bench bench-smoke gobench scale-smoke migrate-smoke ec-smoke trace-demo
 
-check: vet cruzvet build test race bench-smoke
+check: fmt vet cruzvet build test race bench-smoke
+
+# gofmt prints the files it would rewrite; any name is a failure.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

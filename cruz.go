@@ -132,7 +132,7 @@ type Config struct {
 	// Replicas is the default number of peer nodes each committed
 	// checkpoint image is streamed to (CheckpointOptions.Replicas
 	// overrides per call). With at least one replica, a failed node's
-	// pods can restart elsewhere with no manual CopyImages.
+	// pods can restart elsewhere.
 	Replicas int
 	// EC switches checkpoint durability from whole-image replication to
 	// Reed-Solomon erasure coding: each dedup checkpoint's chunks are
@@ -616,51 +616,11 @@ func (cl *Cluster) FlushCheckpoint(job *flush.Job) (*flush.Result, error) {
 // FailNode simulates a machine failure: its link goes down and every
 // process on it is killed. With Config.Replicas ≥ 1 and AutoRecover, the
 // coordinator detects the failure and restarts affected jobs on
-// surviving nodes automatically — no CopyImages or MovePod needed. Without
-// replication, pods it hosted can still be restarted manually elsewhere
-// once their images are reachable; see CopyImages.
+// surviving nodes automatically.
 func (cl *Cluster) FailNode(i int) {
 	n := cl.Nodes[i]
 	cl.Switch.SetLinkDown(n.NIC, true)
 	for _, p := range n.Kernel.Processes() {
 		n.Kernel.Signal(p.PID(), kernel.SIGKILL)
 	}
-}
-
-// CopyImages copies every stored checkpoint of a pod from one node's
-// store to another's, modeling retrieval over the network file system
-// (read on the source disk, write on the destination disk).
-func (cl *Cluster) CopyImages(pod string, from, to *Node) error {
-	seq, ok := from.Store.LatestSeq(pod)
-	if !ok {
-		return fmt.Errorf("cruz: no images for pod %s", pod)
-	}
-	var copyErr error
-	done := false
-	from.Store.LoadMerged(pod, seq, func(img *ckpt.Image, err error) {
-		if err != nil {
-			copyErr, done = err, true
-			return
-		}
-		to.Store.Save(img, func(_ int64, serr error) {
-			copyErr, done = serr, true
-		})
-	})
-	if !cl.RunUntil(func() bool { return done }, 10*60*Second) {
-		return errors.New("cruz: image copy timed out")
-	}
-	return copyErr
-}
-
-// MovePod reassigns responsibility for a pod to another node's agent
-// (used with CopyImages to restart a failed node's pod elsewhere). The
-// job must be re-defined afterwards so members point at the new agent.
-func (cl *Cluster) MovePod(pod string, to int) error {
-	ref, ok := cl.pods[pod]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPod, pod)
-	}
-	ref.node = cl.Nodes[to]
-	cl.pods[pod] = ref
-	return nil
 }

@@ -128,43 +128,36 @@ func TestCheckpointRestartViaFacade(t *testing.T) {
 
 func TestNodeFailureRecoveryOnSpareNode(t *testing.T) {
 	// The fault-tolerance story end to end: checkpoint, lose a machine,
-	// restart its pod on a spare node from the (network-FS) image.
-	cl, err := cruz.New(cruz.Config{Nodes: 3})
+	// and its pod restarts — with the whole job, from the replicated image
+	// — on a node that hosted none.
+	cl, err := cruz.New(cruz.Config{Nodes: 3, Spares: 1, Replicas: 1, AutoRecover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ring on nodes 0 and 1; node 2 is the spare.
+	// Ring on nodes 0 and 1; node 2 and the spare stand by.
 	names, job := deployRing(t, cl, 2)
+	worker := func(i int) *slm.Worker { return cl.Pod(names[i]).Process(1).Program().(*slm.Worker) }
 	cl.Run(200 * cruz.Millisecond)
 	if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	stepsAt := cl.Pod(names[1]).Process(1).Program().(*slm.Worker).StepsDone
+	stepsAt := worker(1).StepsDone
+	replicated := func() bool {
+		return cl.Nodes[0].Agent.Stats.Replications == 1 && cl.Nodes[1].Agent.Stats.Replications == 1
+	}
+	if !cl.RunUntil(replicated, 10*cruz.Second) {
+		t.Fatal("replication never completed")
+	}
 
 	cl.FailNode(1)
-	cl.Run(50 * cruz.Millisecond)
-
-	// Surviving pod is destroyed too (a restart is a rollback of the
-	// whole job), its peer's image is fetched to the spare node, and the
-	// job is re-defined with the new placement.
-	cl.Pod(names[0]).Destroy()
-	if err := cl.CopyImages(names[1], cl.Nodes[1], cl.Nodes[2]); err != nil {
+	if !cl.AwaitRecovery(1, 10*cruz.Second) {
+		t.Fatal("automatic recovery never completed")
+	}
+	if err := cl.RecoveryErr(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.MovePod(names[1], 2); err != nil {
-		t.Fatal(err)
-	}
-	job2, err := cl.DefineJob("ring2", names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed the new job's committed state by restarting from the explicit
-	// sequence number of the original checkpoint.
-	if _, err := cl.Restart(job2, 1); err != nil {
-		t.Fatal(err)
-	}
-	w0 := cl.Pod(names[0]).Process(1).Program().(*slm.Worker)
-	w1 := cl.Pod(names[1]).Process(1).Program().(*slm.Worker)
+	// A restart is a rollback of the whole job to the checkpoint.
+	w0, w1 := worker(0), worker(1)
 	if w1.StepsDone > stepsAt+1 || w1.StepsDone+1 < stepsAt {
 		t.Fatalf("restarted steps %d, checkpointed %d", w1.StepsDone, stepsAt)
 	}
@@ -175,8 +168,8 @@ func TestNodeFailureRecoveryOnSpareNode(t *testing.T) {
 	if w1.StepsDone <= stepsAt {
 		t.Fatal("ring stuck after spare-node recovery")
 	}
-	// The migrated pod really lives on node 2 now.
-	if got := cl.PodNode(names[1]); got != cl.Nodes[2] {
+	// The recovered pod really lives on a node that hosted no pod before.
+	if got := cl.PodNode(names[1]); got.Index < 2 {
 		t.Fatalf("pod node = %d", got.Index)
 	}
 }

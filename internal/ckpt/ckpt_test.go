@@ -10,6 +10,7 @@ import (
 	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
+	"cruz/internal/trace"
 	"cruz/internal/zap"
 )
 
@@ -655,7 +656,7 @@ func TestStoreTimingScalesWithImageSize(t *testing.T) {
 
 	// Load round trip.
 	var loaded *Image
-	r.store.LoadLatest("big", func(img *Image, err error) {
+	r.store.LoadLatest("big", trace.SpanContext{}, func(img *Image, err error) {
 		if err != nil {
 			t.Errorf("load: %v", err)
 		}
@@ -693,7 +694,7 @@ func TestStoreLoadMergedChain(t *testing.T) {
 	pod.Destroy()
 
 	var merged *Image
-	r.store.LoadLatest("chain", func(img *Image, err error) {
+	r.store.LoadLatest("chain", trace.SpanContext{}, func(img *Image, err error) {
 		if err != nil {
 			t.Errorf("LoadLatest: %v", err)
 		}
@@ -715,7 +716,7 @@ func TestStoreLoadMergedChain(t *testing.T) {
 func TestStoreMissingImage(t *testing.T) {
 	r := newRig(t, 1)
 	called := false
-	r.store.Load("ghost", 1, func(img *Image, err error) {
+	r.store.Load("ghost", 1, trace.SpanContext{}, func(img *Image, err error) {
 		called = true
 		if !errors.Is(err, ErrNoImage) {
 			t.Errorf("err = %v", err)

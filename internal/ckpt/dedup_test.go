@@ -9,6 +9,7 @@ import (
 	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
+	"cruz/internal/trace"
 	"cruz/internal/zap"
 )
 
@@ -157,7 +158,7 @@ func TestDedupSaveChargesOnlyNewBytes(t *testing.T) {
 	}
 	// Loading the deduplicated checkpoint reproduces the capture exactly.
 	var loaded *Image
-	r.store.Load("dd", 2, func(img *Image, err error) {
+	r.store.Load("dd", 2, trace.SpanContext{}, func(img *Image, err error) {
 		if err != nil {
 			t.Errorf("Load: %v", err)
 		}
@@ -205,7 +206,7 @@ func TestCompactFoldsChainAndFreesChunks(t *testing.T) {
 	loadMerged := func() *Image {
 		t.Helper()
 		var img *Image
-		r.store.LoadMerged("gc", 4, func(i *Image, err error) {
+		r.store.LoadMerged("gc", 4, trace.SpanContext{}, func(i *Image, err error) {
 			if err != nil {
 				t.Errorf("LoadMerged: %v", err)
 			}
@@ -407,7 +408,7 @@ func TestRestorePathsEquivalent(t *testing.T) {
 	load := func(s *Store, seq int) *Image {
 		t.Helper()
 		var img *Image
-		s.LoadMerged("eq", seq, func(i *Image, err error) {
+		s.LoadMerged("eq", seq, trace.SpanContext{}, func(i *Image, err error) {
 			if err != nil {
 				t.Errorf("LoadMerged: %v", err)
 			}
@@ -575,7 +576,7 @@ func TestDedupStoreMissingChain(t *testing.T) {
 	if !done {
 		t.Fatal("save never completed")
 	}
-	r.store.LoadMerged("orphan", 2, func(img *Image, err error) {
+	r.store.LoadMerged("orphan", 2, trace.SpanContext{}, func(img *Image, err error) {
 		if !errors.Is(err, ErrNoImage) {
 			t.Errorf("LoadMerged with missing base = %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"cruz/internal/mem"
 	"cruz/internal/sim"
+	"cruz/internal/trace"
 	"cruz/internal/zap"
 )
 
@@ -238,7 +239,7 @@ func TestECSaveReconstructRestore(t *testing.T) {
 			t.Fatalf("kill %d: expected at least one decoded stripe", kill)
 		}
 		var img *Image
-		target.LoadMerged("ecpod", 2, func(i *Image, err error) {
+		target.LoadMerged("ecpod", 2, trace.SpanContext{}, func(i *Image, err error) {
 			if err != nil {
 				t.Errorf("LoadMerged: %v", err)
 			}

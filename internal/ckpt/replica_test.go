@@ -5,6 +5,7 @@ import (
 
 	"cruz/internal/mem"
 	"cruz/internal/sim"
+	"cruz/internal/trace"
 	"cruz/internal/zap"
 )
 
@@ -88,7 +89,7 @@ func TestReplicaAdoptBlobChain(t *testing.T) {
 
 	// The replica restores like a local checkpoint.
 	var img *Image
-	peer.LoadMerged("p", 3, func(i *Image, err error) {
+	peer.LoadMerged("p", 3, trace.SpanContext{}, func(i *Image, err error) {
 		if err != nil {
 			t.Errorf("LoadMerged on replica: %v", err)
 		}
@@ -143,7 +144,7 @@ func TestReplicaAdoptDedupSendsOnlyMissingChunks(t *testing.T) {
 		t.Fatalf("steady-state transfer shipped %d chunks vs %d initially — dedup not applied", len(tx2.Chunks), len(tx.Chunks))
 	}
 	var img *Image
-	peer.LoadMerged("d", 2, func(i *Image, err error) {
+	peer.LoadMerged("d", 2, trace.SpanContext{}, func(i *Image, err error) {
 		if err != nil {
 			t.Errorf("LoadMerged on dedup replica: %v", err)
 		}

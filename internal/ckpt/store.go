@@ -204,15 +204,10 @@ func (s *Store) Size(pod string, seq int) (int64, error) {
 
 // Load reads and decodes one image through the disk, invoking done when
 // the read completes. Incremental images are returned as-is; use
-// LoadMerged to resolve a chain.
-func (s *Store) Load(pod string, seq int, done func(*Image, error)) {
-	s.LoadCtx(pod, seq, trace.SpanContext{}, done)
-}
-
-// LoadCtx is Load with a trace context: the store.load span becomes a
-// child of the given operation (a migration's restore-on-arrival merge)
-// so the disk read shows up on that op's critical path.
-func (s *Store) LoadCtx(pod string, seq int, ctx trace.SpanContext, done func(*Image, error)) {
+// LoadMerged to resolve a chain. The store.load span becomes a child of
+// ctx (a migration's restore-on-arrival merge; zero = no parent) so the
+// disk read shows up on that op's critical path.
+func (s *Store) Load(pod string, seq int, ctx trace.SpanContext, done func(*Image, error)) {
 	blob, ok := s.blobs[pod][seq]
 	if !ok {
 		if _, mok := s.manifests[pod][seq]; mok {
@@ -237,15 +232,9 @@ func (s *Store) LoadCtx(pod string, seq int, ctx trace.SpanContext, done func(*I
 
 // LoadMerged reads the image at seq and, if it is incremental, every
 // image back to its full base, merging them into one self-contained
-// image. The disk read time covers the whole chain.
-func (s *Store) LoadMerged(pod string, seq int, done func(*Image, error)) {
-	s.LoadMergedCtx(pod, seq, trace.SpanContext{}, done)
-}
-
-// LoadMergedCtx is LoadMerged with a trace context: the store.load span
-// becomes a child of the given operation (restart, recovery fetch) so the
-// disk read shows up on that op's critical path.
-func (s *Store) LoadMergedCtx(pod string, seq int, ctx trace.SpanContext, done func(*Image, error)) {
+// image. The disk read time covers the whole chain; the store.load span
+// becomes a child of ctx (restart, recovery fetch; zero = no parent).
+func (s *Store) LoadMerged(pod string, seq int, ctx trace.SpanContext, done func(*Image, error)) {
 	if _, ok := s.manifests[pod][seq]; ok {
 		s.loadManifest(pod, seq, true, ctx, done)
 		return
@@ -302,17 +291,13 @@ func (s *Store) LoadMergedCtx(pod string, seq int, ctx trace.SpanContext, done f
 	})
 }
 
-// LoadLatest resolves the newest image (merging any incremental chain).
-func (s *Store) LoadLatest(pod string, done func(*Image, error)) {
-	s.LoadLatestCtx(pod, trace.SpanContext{}, done)
-}
-
-// LoadLatestCtx is LoadLatest with a trace context for the load span.
-func (s *Store) LoadLatestCtx(pod string, ctx trace.SpanContext, done func(*Image, error)) {
+// LoadLatest resolves the newest image (merging any incremental chain),
+// its load span a child of ctx.
+func (s *Store) LoadLatest(pod string, ctx trace.SpanContext, done func(*Image, error)) {
 	seq, ok := s.LatestSeq(pod)
 	if !ok {
 		done(nil, fmt.Errorf("%w: %s", ErrNoImage, pod))
 		return
 	}
-	s.LoadMergedCtx(pod, seq, ctx, done)
+	s.LoadMerged(pod, seq, ctx, done)
 }

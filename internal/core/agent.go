@@ -116,9 +116,9 @@ type Agent struct {
 	// control connections.
 	peers     []tcpip.AddrPort
 	peerConns map[tcpip.AddrPort]*ctlConn
-	// coordConn is the connection the latest coordinated op arrived on —
-	// where replication placement reports go.
-	coordConn msgSink
+	// rootConn, on a group leader, is the connection the latest group op
+	// arrived on: the way up for its members' placement reports.
+	rootConn msgSink
 
 	// Stats counts agent activity.
 	Stats AgentStats
@@ -146,13 +146,37 @@ type AgentStats struct {
 	ReconstructedChunks uint64
 }
 
-// agentOp tracks one in-progress checkpoint or restart for a pod. The
-// lifecycle (busy key, timeout, idempotent teardown) lives in the
+// savePhases names the phase spans of one save op.
+type savePhases struct {
+	round, quiesce, drain, capture, write string
+}
+
+var (
+	stopAndCopyPhases = savePhases{quiesce: "quiesce", drain: "drain", capture: "capture", write: "write"}
+	precopyPhases     = savePhases{round: "precopy-round", quiesce: "residual-stop", drain: "drain", capture: "capture", write: "write"}
+	// A migration has no settle window of its own: the freeze runs
+	// straight into the residual's capture.
+	migratePhases = savePhases{round: "migrate-round", quiesce: "migrate-freeze", capture: "residual-capture", write: "residual-stream"}
+)
+
+// agentOp tracks one in-progress checkpoint, migrate-out or restart for a
+// pod. The lifecycle (busy key, timeout, idempotent teardown) lives in the
 // embedded ctl.Op; only the domain state is here.
+//
+// A checkpoint and a migrate-out run the same save loop (runPrecopy ->
+// runStopAndCopy -> imageSaved). What a migration parameterises is data
+// set once when the op starts: the reply a failure is reported with, the
+// phase names, and migrateTo — where every saved image streams before the
+// loop moves on, and where the pod is handed over instead of resumed.
 type agentOp struct {
 	*ctl.Op
+	failType  msgType
+	phases    savePhases
 	optimized bool
 	cow       bool
+	// precopy marks an abortable epoch: live rounds may precede the
+	// freeze, the residual chains on the last of them, and nothing the
+	// epoch saved survives an abort. Every migration is one.
 	precopy   bool
 	stoppedAt sim.Time
 	conn      msgSink
@@ -172,9 +196,9 @@ type agentOp struct {
 	redirty   []func()
 	roundSeqs []int
 
-	// Migration bookkeeping (migrate-out ops): where the rounds stream,
-	// how many pages each round carried (residual last), and the bytes
-	// the delta transfers actually moved. baseQuery holds the deferred
+	// roundPages is how many pages each round carried (residual last).
+	// The rest is migrate-out bookkeeping: where the rounds stream and the
+	// bytes the delta transfers actually moved. baseQuery holds the deferred
 	// <migrate> request while the round-0 base negotiation is in flight.
 	migrateTo  tcpip.AddrPort
 	roundPages []int
@@ -301,31 +325,17 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 		case msgPing:
 			c.send(&wireMsg{Type: msgPong, Seq: m.Seq, Load: a.liveLoad()})
 		case msgReplOffer:
-			a.handleReplOffer(c, m)
+			a.handleOffer(c, m)
 		case msgReplWant:
-			a.handleReplWant(c, m)
+			a.handleWant(c, m)
 		case msgReplData:
-			a.handleReplData(c, m)
+			a.handleData(c, m)
 		case msgReplDone:
-			a.handleReplDone(c, m)
+			a.handleDone(c, m)
 		case msgFetch:
 			a.handleFetch(c, m)
 		case msgFetchPull:
 			a.handleFetchPull(c, m)
-		case msgECOffer:
-			a.handleECOffer(c, m)
-		case msgECWant:
-			a.handleECWant(c, m)
-		case msgECData:
-			a.handleECData(c, m)
-		case msgECDone:
-			a.handleECDone(c, m)
-		case msgECFetch:
-			a.handleECFetch(c, m)
-		case msgECPull:
-			a.handleECPull(c, m)
-		case msgECShards:
-			a.handleECShards(c, m)
 		case msgMigrate:
 			a.startMigrateOut(c, m)
 		case msgMigrateBase:
@@ -367,6 +377,13 @@ func (a *Agent) liveLoad() int {
 // trace context so the error lands in the right span tree.
 func (a *Agent) fail(c msgSink, t msgType, m *wireMsg, err error) {
 	c.send(&wireMsg{Type: t, Seq: m.Seq, Pod: m.Pod, Err: err.Error(), ctx: m.ctx})
+}
+
+// failSave fails a checkpoint or migrate-out op and reports the error with
+// the reply its requester is waiting on.
+func (a *Agent) failSave(c msgSink, m *wireMsg, op *agentOp, err error) {
+	op.Fail(err)
+	a.fail(c, op.failType, m, err)
 }
 
 // beginPodOp registers a checkpoint/restart op for the pod with the
@@ -435,8 +452,10 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 		a.fail(c, msgDone, m, err)
 		return
 	}
-	op.precopy = m.PrecopyRounds > 0
-	a.coordConn = c
+	op.failType, op.phases = msgDone, stopAndCopyPhases
+	if m.PrecopyRounds > 0 {
+		op.precopy, op.phases = true, precopyPhases
+	}
 	a.Stats.Checkpoints++
 	if a.tr.Enabled() {
 		// Adopt the coordinator's op: the local span tree becomes a branch
@@ -457,7 +476,9 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 // communicating — throughout; each round captures a COW snapshot of the
 // pages dirtied since the previous round and streams it to the store as
 // an incremental image chained on baseSeq (0 = this round is the full
-// base of a fresh chain).
+// base of a fresh chain). A migration then streams the round to the
+// destination, and the next round starts only once it is adopted there —
+// the stream is the pacing, exactly like pre-copy against a slow disk.
 func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, round, prevPages, baseSeq int) {
 	if op.Aborted() {
 		return
@@ -487,18 +508,18 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 	// Rounds occupy the sequence block below the residual's m.Seq.
 	seqR := m.Seq - m.PrecopyRounds + round
 	if a.tr.Enabled() {
-		op.phRound = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "precopy-round",
+		op.phRound = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.round,
 			trace.Str("pod", m.Pod), trace.Int("round", int64(round)),
 			trace.Int("pages", int64(candidate)))
 	}
 	lc, err := ckpt.CaptureLive(pod, seqR, ckpt.Options{Incremental: !full, Hashes: m.Dedup, BaseSeq: baseSeq})
 	if err != nil {
-		op.Fail(err)
-		a.fail(c, msgDone, m, err)
+		a.failSave(c, m, op, err)
 		return
 	}
 	op.rounds = append(op.rounds, lc)
 	op.redirty = append(op.redirty, lc.Redirty)
+	op.roundPages = append(op.roundPages, candidate)
 	captureBytes := int64(lc.Pages()) * mem.PageSize
 	// The snapshot is instant; the copy out of it costs CPU while the
 	// pod runs (writes to not-yet-released pages take COW faults — the
@@ -512,15 +533,16 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 				return
 			}
 			if err != nil {
-				op.Fail(err)
-				a.fail(c, msgDone, m, err)
+				a.failSave(c, m, op, err)
 				return
 			}
 			op.roundSeqs = append(op.roundSeqs, seqR)
 			a.streamPlan(m.Pipeline, op, plan.TotalBytes, func() {
-				lc.Release()
-				op.phRound.End(trace.Int("bytes", plan.TotalBytes))
-				a.runPrecopy(c, m, pod, op, round+1, candidate, seqR)
+				a.streamRound(c, m, op, seqR, func() {
+					lc.Release()
+					op.phRound.End(trace.Int("bytes", plan.TotalBytes))
+					a.runPrecopy(c, m, pod, op, round+1, candidate, seqR)
+				})
 			})
 		})
 	})
@@ -529,7 +551,8 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 // runStopAndCopy is the classic freeze-and-save: disable communication,
 // stop the pod, capture, plan, write, report done. Under a pre-copy
 // epoch it saves only the residual dirty set, chained on the last round
-// at baseSeq.
+// at baseSeq. The freeze window (a migration's downtime clock) starts at
+// quiescence, op.stoppedAt.
 func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, baseSeq int) {
 	incremental := m.Incremental
 	if op.precopy {
@@ -552,11 +575,7 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 		}
 	}
 	if a.tr.Enabled() {
-		name := "quiesce"
-		if op.precopy {
-			name = "residual-stop"
-		}
-		op.phQuiesce = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, name, trace.Str("pod", m.Pod))
+		op.phQuiesce = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.quiesce, trace.Str("pod", m.Pod))
 	}
 
 	// Step 1: configure the filter to silently drop all pod traffic.
@@ -584,8 +603,8 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 			// flushing it; the "drain" phase is the settle window between
 			// full quiesce and the start of the state copy (the serialized
 			// in-kernel walk of process and socket structures).
-			if a.tr.Enabled() {
-				op.phDrain = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "drain",
+			if a.tr.Enabled() && op.phases.drain != "" {
+				op.phDrain = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.drain,
 					trace.Str("pod", m.Pod), trace.Str("mode", "drop"))
 			}
 			// The capture window scales with the bytes copied (full:
@@ -599,19 +618,19 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 					captureBytes += int64(as.ResidentBytes())
 				}
 			}
+			op.roundPages = append(op.roundPages, int(captureBytes/mem.PageSize))
 			a.cpu.Do(a.params.CaptureCost+bytesCost(captureBytes, a.params.CaptureBPS), func() {
 				if op.Aborted() {
 					return
 				}
 				op.phDrain.End()
 				if a.tr.Enabled() {
-					op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "capture",
+					op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.capture,
 						trace.Str("pod", m.Pod))
 				}
 				img, err := ckpt.Capture(pod, m.Seq, ckpt.Options{Incremental: incremental, Hashes: m.Dedup, BaseSeq: baseSeq})
 				if err != nil {
-					op.Fail(err)
-					a.fail(c, msgDone, m, err)
+					a.failSave(c, m, op, err)
 					return
 				}
 				op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
@@ -695,16 +714,16 @@ func (a *Agent) planImage(m *wireMsg, op *agentOp, img *ckpt.Image, finishPlan f
 	})
 }
 
-// planAndWrite plans the residual image and drives the remaining disk
-// bytes through writeImage.
+// planAndWrite plans the residual image, drives the remaining disk bytes
+// through streamPlan (then to the destination, for a migration) and
+// completes in imageSaved.
 func (a *Agent) planAndWrite(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, img *ckpt.Image) {
 	a.planImage(m, op, img, func(plan *ckpt.SavePlan, err error) {
 		if op.Aborted() {
 			return
 		}
 		if err != nil {
-			op.Fail(err)
-			a.fail(c, msgDone, m, err)
+			a.failSave(c, m, op, err)
 			return
 		}
 		if op.precopy {
@@ -713,10 +732,12 @@ func (a *Agent) planAndWrite(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, i
 			op.roundSeqs = append(op.roundSeqs, m.Seq)
 		}
 		if a.tr.Enabled() {
-			op.phWrite = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "write",
+			op.phWrite = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.write,
 				trace.Str("pod", m.Pod))
 		}
-		a.writeImage(c, m, pod, op, plan)
+		a.streamPlan(m.Pipeline, op, plan.TotalBytes, func() {
+			a.streamRound(c, m, op, m.Seq, func() { a.imageSaved(c, m, pod, op, plan) })
+		})
 	})
 }
 
@@ -766,47 +787,57 @@ func (a *Agent) streamPlan(pipeline bool, op *agentOp, total int64, complete fun
 	issue()
 }
 
-// writeImage streams the residual plan's bytes and completes the
-// checkpoint: report <done>, kick compaction/replication, finish or hand
-// over to the continue path.
-func (a *Agent) writeImage(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, plan *ckpt.SavePlan) {
+// imageSaved completes the save once the residual is on disk (and, for a
+// migration, in the destination's store). A migration hands the pod over:
+// one agent-to-agent hop keeps the freeze path short. A checkpoint reports
+// <done>, kicks compaction/replication, and finishes or hands over to the
+// continue path.
+func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, plan *ckpt.SavePlan) {
 	total := plan.TotalBytes
-	a.streamPlan(m.Pipeline, op, total, func() {
-		op.saveDone = true
-		op.phWrite.End(trace.Int("bytes", total))
-		// Step 3: send <done>.
-		c.send(&wireMsg{
-			Type:          msgDone,
-			Seq:           m.Seq,
-			Pod:           m.Pod,
-			LocalDuration: a.kern.Engine().Now().Sub(op.Started()),
-			ImageBytes:    total,
-			ctx:           op.span.Context(),
-		})
-		if plan.CompactAfter {
-			// GC off the critical path: fold the incremental chain once
-			// the checkpoint is reported.
-			a.store.Compact(m.Pod, nil)
-		}
-		if op.replicas > 0 || a.ec.Enabled() {
-			// Stream the committed image's durability copies — erasure-
-			// coded shards or full replicas — off the critical path of
-			// the coordinated cycle but inside the checkpoint's span tree.
-			a.startDurability(m.Pod, m.Seq, op.replicas, m.Dedup, c, op.span.Context())
-		}
-		if op.resumed {
-			// COW: the pod resumed before the write finished; the
-			// operation completes here.
-			op.endSpans()
-			op.Finish()
+	op.phWrite.End(trace.Int("bytes", total))
+	if op.migrating() {
+		cc, err := a.peerConn(op.migrateTo)
+		if err != nil {
+			a.failSave(c, m, op, err)
 			return
 		}
-		if !op.phCommit.Active() && a.tr.Enabled() {
-			op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
-				trace.Str("pod", m.Pod))
-		}
-		a.maybeFinishContinue(m.Pod, pod, op)
+		cc.send(&wireMsg{Type: msgMigrateRestore, Seq: m.Seq, Pod: m.Pod,
+			FrozeAt: op.stoppedAt, ctx: op.span.Context()})
+		return
+	}
+	op.saveDone = true
+	// Step 3: send <done>.
+	c.send(&wireMsg{
+		Type:          msgDone,
+		Seq:           m.Seq,
+		Pod:           m.Pod,
+		LocalDuration: a.kern.Engine().Now().Sub(op.Started()),
+		ImageBytes:    total,
+		ctx:           op.span.Context(),
 	})
+	if plan.CompactAfter {
+		// GC off the critical path: fold the incremental chain once
+		// the checkpoint is reported.
+		a.store.Compact(m.Pod, nil)
+	}
+	if op.replicas > 0 || a.ec.Enabled() {
+		// Stream the committed image's durability copies — erasure-
+		// coded shards or full replicas — off the critical path of
+		// the coordinated cycle but inside the checkpoint's span tree.
+		a.startDurability(m.Pod, m.Seq, op.replicas, m.Dedup, c, op.span.Context())
+	}
+	if op.resumed {
+		// COW: the pod resumed before the write finished; the
+		// operation completes here.
+		op.endSpans()
+		op.Finish()
+		return
+	}
+	if !op.phCommit.Active() && a.tr.Enabled() {
+		op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
+			trace.Str("pod", m.Pod))
+	}
+	a.maybeFinishContinue(m.Pod, pod, op)
 }
 
 // handleContinue implements Steps 5-7: resume the pod, re-enable its
@@ -873,7 +904,6 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 		a.fail(c, msgRestartDone, m, err)
 		return
 	}
-	a.coordConn = c
 	op.saveDone = true
 	a.Stats.Restores++
 	if a.tr.Enabled() {
@@ -887,9 +917,9 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 
 	load := func(done func(*ckpt.Image, error)) {
 		if m.Seq > 0 {
-			a.store.LoadMergedCtx(m.Pod, m.Seq, op.span.Context(), done)
+			a.store.LoadMerged(m.Pod, m.Seq, op.span.Context(), done)
 		} else {
-			a.store.LoadLatestCtx(m.Pod, op.span.Context(), done)
+			a.store.LoadLatest(m.Pod, op.span.Context(), done)
 		}
 	}
 	load(func(img *ckpt.Image, err error) {

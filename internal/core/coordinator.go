@@ -215,7 +215,8 @@ type Coordinator struct {
 	// fed by commits, <replicated> reports, and completed fetches.
 	holders map[string]map[int]map[tcpip.AddrPort]bool
 	// ecHolders records which agents hold each erasure-coded shard set's
-	// subsets, by ring position — fed by <ec-holding> reports. Recovery
+	// subsets, by ring position — fed by <replicated> reports of shard
+	// exchanges. Recovery
 	// consults it when no full image survives: any M live positions
 	// reconstruct.
 	ecHolders map[string]map[int]*ecSetHolders
@@ -678,9 +679,6 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 			return
 		case msgReplicated:
 			c.handleReplicated(m)
-			return
-		case msgECHolding:
-			c.handleECHolding(m)
 			return
 		case msgFetchDone:
 			c.handleFetchDone(m)

@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"cruz/internal/ckpt"
 	"cruz/internal/ctl"
-	"cruz/internal/sim"
-	"cruz/internal/tcpip"
 	"cruz/internal/trace"
 )
 
@@ -17,55 +14,20 @@ import (
 // M+R ring peers its rotated shard subset — 1/M of the data plus parity
 // instead of a full copy per replica, so the durable footprint is
 // (M+R)/M of the image where k-way replication pays k. Each holder
-// exchange reuses the offer/want/data delta shape: unchanged stripes
-// dedupe away exactly like unchanged chunks under replication. Shard data
-// travels at ctl.TierBackground, so it yields to foreground control
-// traffic and migration rounds and is paced by the node's token bucket.
+// exchange is the chunk exchange of repl.go opened with a shard set:
+// unchanged stripes dedupe away exactly like unchanged chunks under
+// replication. Shard data travels at ctl.TierBackground, so it yields to
+// foreground control traffic and migration rounds and is paced by the
+// node's token bucket.
 //
 // Recovery composes with the coordinator's registry: when no surviving
 // node holds the full image, the coordinator directs the new home to pull
-// the shard subsets of any M live holders (ec-fetch -> ec-pull ->
-// ec-shards) and reconstruct the missing chunks locally — any R node
-// losses are survivable by construction, because the rotated placement
-// gives every holder exactly one shard per stripe.
-
-// ecKey names one primary->holder shard exchange.
-func ecKey(pod string, seq int, remote tcpip.AddrPort) string {
-	return "ec/" + pod + "/" + strconv.Itoa(seq) + "/" + addrKey(remote)
-}
-
-// ecFetchKey names the reconstruction a recovery target runs for a pod.
-func ecFetchKey(pod string) string { return "ec-fetch/" + pod }
-
-// ecOp is the primary side of one shard exchange with one holder.
-type ecOp struct {
-	*ctl.Op
-	pod     string
-	peer    tcpip.AddrPort
-	conn    *ctlConn
-	coord   msgSink
-	holder  int
-	set     *ckpt.ECSet
-	setBlob []byte
-	span    trace.Span
-}
-
-// ecFetchOp is the recovery target side of a reconstruction: pull shard
-// subsets from M surviving holders, decode, install, report.
-type ecFetchOp struct {
-	*ctl.Op
-	pod       string
-	conn      msgSink       // coordinator connection for the final fetch-done
-	sources   []GroupMember // surviving holders, pulled one at a time
-	next      int           // next source to pull
-	pending   int           // pulls not yet answered
-	adopting  int           // arrival disk writes still in flight
-	set       *ckpt.ECSet
-	manifests map[int][]byte
-	blocks    []ckpt.ChunkData
-	wireBytes int64
-	span      trace.Span
-}
+// the shard subsets of any M live holders (fetch with Sources -> one
+// fetch-pull per holder, each answered with a shard data message) and
+// reconstruct the missing chunks locally — any R node losses are
+// survivable by construction, because the rotated placement gives every
+// holder exactly one shard per stripe. This file holds what only shards
+// need: the encode before distribution and the reconstruct accumulator.
 
 // SetEC configures erasure-coded durability: committed deduplicated
 // checkpoints are striped M+R across the first M+R ring peers instead of
@@ -125,269 +87,37 @@ func (a *Agent) startECDistribute(pod string, seq int, coord msgSink, ctx trace.
 		a.store.Disk().Write(plan.ParityBytes, func() {
 			sp.End()
 			for h := 0; h < plan.Set.Shards(); h++ {
-				a.ecOfferTo(pod, seq, plan.Set, setBlob, h, coord, ctx)
+				a.replicateOn(&replOp{pod: pod, peer: a.peers[h], coord: coord, tier: ctl.TierBackground,
+					set: plan.Set, setBlob: setBlob, holder: h}, seq, ctx)
 			}
 		})
 	})
 }
 
-// ecOfferTo opens one shard exchange: offer the chain and this holder's
-// rotated hash subset; the holder answers with its missing delta.
-func (a *Agent) ecOfferTo(pod string, seq int, set *ckpt.ECSet, setBlob []byte, holder int, coord msgSink, ctx trace.SpanContext) {
-	peer := a.peers[holder]
-	cc, err := a.peerConn(peer)
-	if err != nil {
-		a.Stats.ECFailures++
-		return
-	}
-	o, err := a.table.Begin("ec", ecKey(pod, seq, cc.TCP().RemoteAddr()), seq)
-	if err != nil {
-		return // exchange already in flight
-	}
-	op := &ecOp{Op: o, pod: pod, peer: peer, conn: cc, coord: coord, holder: holder, set: set, setBlob: setBlob}
-	o.Data = op
-	if a.tr.Enabled() {
-		op.span = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.ec-distribute",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
-			trace.Int("holder", int64(holder)))
-	}
-	o.OnFail(func(_ *ctl.Op, err error) {
-		a.Stats.ECFailures++
-		op.span.End(trace.Str("err", err.Error()))
-	})
-	send := func() {
-		cc.send(&wireMsg{Type: msgECOffer, Seq: seq, Pod: pod, ctx: op.span.Context(), Repl: &replPayload{
-			Chain: set.Chain, Dedup: true, Hashes: set.HolderHashes(holder), Holder: holder,
-		}})
-	}
-	o.ArmRetries(a.params.ReplTimeout, 1, func(*ctl.Op) { send() }, ErrReplTimeout)
-	send()
-}
-
-// ecOpFor locates the primary-side exchange a reply on cc belongs to.
-func (a *Agent) ecOpFor(pod string, seq int, cc *ctlConn) *ecOp {
-	if o := a.table.Get(ecKey(pod, seq, cc.TCP().RemoteAddr())); o != nil {
-		if op, ok := o.Data.(*ecOp); ok {
-			return op
-		}
-	}
-	return nil
-}
-
-// handleECOffer is the holder side: answer with the chain manifests and
-// shard blocks this store lacks. Set-membership costs DedupPerChunk per
-// offered hash, as in replication.
-func (a *Agent) handleECOffer(c *ctlConn, m *wireMsg) {
-	if m.Repl == nil {
-		return
-	}
-	offer := &ckpt.Offer{Pod: m.Pod, Seq: m.Seq, Chain: m.Repl.Chain, Dedup: true, Hashes: m.Repl.Hashes}
-	a.cpu.Do(a.params.DedupPerChunk*sim.Duration(len(offer.Hashes)), func() {
-		needSeqs, needHashes := a.store.ECMissingFor(offer)
-		c.send(&wireMsg{Type: msgECWant, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{
-			NeedSeqs: needSeqs, NeedHashes: needHashes, Holder: m.Repl.Holder,
-		}})
-	})
-}
-
-// handleECWant is the primary side: build and ship the shard delta plus
-// the set manifest, at background tier.
-func (a *Agent) handleECWant(c *ctlConn, m *wireMsg) {
-	op := a.ecOpFor(m.Pod, m.Seq, c)
-	if op == nil || m.Repl == nil {
-		return
-	}
-	tx, err := a.store.BuildTransfer(m.Pod, m.Seq, m.Repl.NeedSeqs, m.Repl.NeedHashes)
-	if err != nil {
-		op.Fail(err)
-		return
-	}
-	op.ArmTimeout(a.params.ReplTimeout, ErrReplTimeout)
-	a.cpu.Do(bytesCost(tx.TotalBytes, a.params.EncodeBPS), func() {
-		if !op.Active() {
-			return
-		}
-		op.conn.send(&wireMsg{Type: msgECData, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), tier: ctl.TierBackground, Repl: &replPayload{
-			Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
-			ECSet: op.setBlob, Holder: op.holder,
-		}})
-	})
-}
-
-// handleECData is the holder side: adopt the shard subset (decode CPU,
-// then the disk write) and acknowledge.
-func (a *Agent) handleECData(c *ctlConn, m *wireMsg) {
-	if m.Repl == nil {
-		return
-	}
-	set, err := ckpt.DecodeECSet(m.Repl.ECSet)
-	if err != nil {
-		a.fail(c, msgECDone, m, err)
-		return
-	}
-	holder := m.Repl.Holder
-	manifests := m.Repl.Manifests
-	chunks := m.Repl.Chunks
-	a.cpu.Do(bytesCost(m.Repl.Bytes, a.params.EncodeBPS), func() {
-		a.store.AdoptECShards(set, holder, manifests, chunks, m.ctx, func(n int64, aerr error) {
-			if aerr != nil {
-				a.fail(c, msgECDone, m, aerr)
-				return
-			}
-			c.send(&wireMsg{Type: msgECDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{
-				Bytes: n, Holder: holder,
-			}})
-		})
-	})
-}
-
-// handleECDone is the primary side: the holder has its shards on disk.
-// Report the placement to the coordinator's shard registry.
-func (a *Agent) handleECDone(c *ctlConn, m *wireMsg) {
-	op := a.ecOpFor(m.Pod, m.Seq, c)
-	if op == nil {
-		return
-	}
-	if m.Err != "" {
-		op.Fail(fmt.Errorf("core: ec holder: %s", m.Err))
-		return
-	}
-	var n int64
-	if m.Repl != nil {
-		n = m.Repl.Bytes
-	}
-	a.Stats.ECDistributions++
-	a.Stats.ECShardBytes += n
-	op.span.End(trace.Int("bytes", n))
-	if op.coord != nil {
-		op.coord.send(&wireMsg{Type: msgECHolding, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), Repl: &replPayload{
-			Bytes: n, Holder: op.holder, ECM: op.set.M,
-			PeerIP: op.peer.Addr, PeerPort: op.peer.Port,
-		}})
-	}
-	op.Finish()
-}
-
-// handleECFetch is the recovery reconstruction, target side: the
-// coordinator directs this agent to pull the shard subsets of the given
-// surviving holders and rebuild (pod, seq) before the restart lands here.
-func (a *Agent) handleECFetch(c *ctlConn, m *wireMsg) {
-	if a.store.HasSeq(m.Pod, m.Seq) {
-		c.send(&wireMsg{Type: msgFetchDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: 0}})
-		return
-	}
-	if m.Repl == nil || len(m.Repl.Sources) == 0 {
-		a.fail(c, msgFetchDone, m, ErrUnknownPod)
-		return
-	}
-	o, err := a.table.Begin("ec-fetch", ecFetchKey(m.Pod), m.Seq)
-	if err != nil {
-		a.fail(c, msgFetchDone, m, ErrBusy)
-		return
-	}
-	op := &ecFetchOp{Op: o, pod: m.Pod, conn: c, sources: m.Repl.Sources, pending: len(m.Repl.Sources), manifests: make(map[int][]byte)}
-	o.Data = op
-	if a.tr.Enabled() {
-		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.ec-fetch",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
-			trace.Int("sources", int64(len(m.Repl.Sources))))
-	}
-	mm := *m
-	o.OnFail(func(_ *ctl.Op, err error) {
-		op.span.End(trace.Str("err", err.Error()))
-		a.fail(c, msgFetchDone, &mm, err)
-	})
-	o.ArmTimeout(a.params.ReplTimeout, ErrReplTimeout)
-	// Pull one source at a time. The target's link is the bottleneck
-	// either way, so serial pulls cost no extra network time — but they
-	// stagger the arrivals, so each subset's disk adoption overlaps the
-	// next subset's transfer instead of every write queueing at the end.
-	a.ecPullNext(op)
-}
-
-// ecPullNext issues the pull for op.sources[op.next], if any remain.
-func (a *Agent) ecPullNext(op *ecFetchOp) {
-	if op.next >= len(op.sources) {
-		return
-	}
-	s := op.sources[op.next]
-	op.next++
-	cc, cerr := a.peerConn(s.addrPort())
-	if cerr != nil {
-		op.Fail(cerr)
-		return
-	}
-	cc.send(&wireMsg{Type: msgECPull, Seq: op.Seq, Pod: op.pod, ctx: op.span.Context()})
-}
-
-// handleECPull is the holder side of a reconstruction: serve the shard
-// manifest, the chain manifests, and every shard block this node holds.
-// The reply streams at TierStream — recovery is latency-sensitive, unlike
-// the background distribution that put the shards here.
-func (a *Agent) handleECPull(c *ctlConn, m *wireMsg) {
-	set, manifests, blocks, err := a.store.ECServe(m.Pod, m.Seq)
-	if err != nil {
-		a.fail(c, msgECShards, m, err)
-		return
-	}
-	setBlob, err := set.Encode()
-	if err != nil {
-		a.fail(c, msgECShards, m, err)
-		return
-	}
-	var total int64
-	for _, b := range blocks {
-		total += int64(len(b.Data))
-	}
-	for _, blob := range manifests {
-		total += int64(len(blob))
-	}
-	a.cpu.Do(bytesCost(total, a.params.EncodeBPS), func() {
-		c.send(&wireMsg{Type: msgECShards, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, tier: ctl.TierStream, Repl: &replPayload{
-			ECSet: setBlob, Manifests: manifests, Chunks: blocks, Bytes: total,
-		}})
-	})
-}
-
-// handleECShards is the target side: accumulate one holder's
-// contribution. Each subset's shard blocks go to disk as they arrive —
+// shardsArrived is the fetch target side: accumulate one pulled holder's
+// contribution p. Each subset's shard blocks go to disk as they arrive —
 // they are content-addressed chunks, exactly like the distribute side's
 // adoption — so the disk overlaps the remaining network pulls and the
 // final decode pass only has the parity-recovered bytes left to write.
 // Once every pulled holder has answered and landed, decode and install.
-func (a *Agent) handleECShards(c *ctlConn, m *wireMsg) {
-	o := a.table.Get(ecFetchKey(m.Pod))
-	if o == nil || o.Seq != m.Seq {
-		return
-	}
-	op, ok := o.Data.(*ecFetchOp)
-	if !ok {
-		return
-	}
-	if m.Err != "" {
-		o.Fail(fmt.Errorf("core: ec holder: %s", m.Err))
-		return
-	}
-	if m.Repl == nil {
-		return
-	}
-	if op.set == nil && len(m.Repl.ECSet) > 0 {
-		set, err := ckpt.DecodeECSet(m.Repl.ECSet)
+func (a *Agent) shardsArrived(op *fetchOp, p *replPayload) {
+	if op.set == nil {
+		set, err := ckpt.DecodeECSet(p.ECSet)
 		if err != nil {
-			o.Fail(err)
+			op.Fail(err)
 			return
 		}
 		op.set = set
 	}
-	for seq, blob := range m.Repl.Manifests {
+	for seq, blob := range p.Manifests {
 		op.manifests[seq] = blob
 	}
-	op.blocks = append(op.blocks, m.Repl.Chunks...)
-	op.wireBytes += m.Repl.Bytes
+	op.blocks = append(op.blocks, p.Chunks...)
+	op.wireBytes += p.Bytes
 	op.pending--
-	a.ecPullNext(op)
+	a.pullNext(op)
 	var arrived int64
-	for _, cd := range m.Repl.Chunks {
+	for _, cd := range p.Chunks {
 		arrived += int64(len(cd.Data))
 	}
 	op.adopting++
@@ -408,7 +138,7 @@ func (a *Agent) handleECShards(c *ctlConn, m *wireMsg) {
 // bytes (the directly-arrived blocks hit disk as their subsets landed).
 // The reported LocalDuration is the decode-to-disk window — the
 // reconstruct share of the recovery's MTTR.
-func (a *Agent) finishECReconstruct(op *ecFetchOp) {
+func (a *Agent) finishECReconstruct(op *fetchOp) {
 	if op.set == nil {
 		op.Fail(fmt.Errorf("core: ec reconstruct %s: no shard manifest arrived", op.pod))
 		return

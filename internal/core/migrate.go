@@ -6,7 +6,6 @@ import (
 
 	"cruz/internal/ckpt"
 	"cruz/internal/ctl"
-	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 	"cruz/internal/trace"
@@ -338,7 +337,8 @@ func (c *Coordinator) handleMigrateSrcDone(m *wireMsg) {
 
 // startMigrateOut begins the source half: pre-copy rounds streamed into
 // the destination's store while the pod runs, then the frozen residual
-// and the handover.
+// and the handover — the checkpoint save loop (agent.go) with migrateTo
+// set, so each saved image also crosses to the destination.
 func (a *Agent) startMigrateOut(c msgSink, m *wireMsg) {
 	pod, ok := a.pods[m.Pod]
 	if !ok || pod.Destroyed() {
@@ -354,9 +354,8 @@ func (a *Agent) startMigrateOut(c msgSink, m *wireMsg) {
 		a.fail(c, msgMigrateSrcDone, m, err)
 		return
 	}
-	op.precopy = m.PrecopyRounds > 0
+	op.failType, op.phases, op.precopy = msgMigrateSrcDone, migratePhases, true
 	op.migrateTo = tcpip.AddrPort{Addr: m.Repl.PeerIP, Port: m.Repl.PeerPort}
-	a.coordConn = c
 	a.Stats.MigrationsOut++
 	if a.tr.Enabled() {
 		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-out",
@@ -373,14 +372,13 @@ func (a *Agent) startMigrateOut(c msgSink, m *wireMsg) {
 		if base, ok := a.store.LatestSeq(m.Pod); ok && a.store.HasSeq(m.Pod, base) {
 			cc, cerr := a.peerConn(op.migrateTo)
 			if cerr == nil {
-				op.conn = c
 				op.baseQuery = m
 				cc.send(&wireMsg{Type: msgMigrateBase, Seq: base, Pod: m.Pod, ctx: op.span.Context()})
 				return
 			}
 		}
 	}
-	a.runMigrateRound(c, m, pod, op, 0, 0, 0)
+	a.runPrecopy(c, m, pod, op, 0, 0, 0)
 }
 
 // handleMigrateBase is the destination side of the round-0 base
@@ -415,205 +413,38 @@ func (a *Agent) handleMigrateBaseAck(m *wireMsg) {
 				trace.Str("pod", m.Pod), trace.Int("base", int64(baseSeq)))
 		}
 	}
-	a.runMigrateRound(op.conn, mq, pod, op, 0, 0, baseSeq)
+	a.runPrecopy(op.conn, mq, pod, op, 0, 0, baseSeq)
 }
 
-// runMigrateRound drives one live migration round and recurses, or hands
-// off to the residual freeze once another round is not worth taking. It
-// mirrors runPrecopy with one extra stage: after the round's local save,
-// the image streams to the destination through the delta protocol, and
-// the next round starts only once the destination has adopted it — the
-// stream is the pacing, exactly like pre-copy against a slow disk.
-func (a *Agent) runMigrateRound(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, round, prevPages, baseSeq int) {
-	if op.Aborted() {
-		return
-	}
-	if round == 0 && m.Incremental {
-		if s, ok := a.store.LatestSeq(m.Pod); ok {
-			baseSeq = s
-		}
-	}
-	full := baseSeq == 0
-	candidate := pod.DirtyPages()
-	if full {
-		candidate = pod.ResidentPages()
-	}
-	converged := round >= m.PrecopyRounds ||
-		(m.PrecopyThresholdPages > 0 && candidate <= m.PrecopyThresholdPages) ||
-		(m.PrecopyMinGain > 0 && round > 0 &&
-			float64(candidate) > (1-m.PrecopyMinGain)*float64(prevPages))
-	if converged {
-		a.runMigrateResidual(c, m, pod, op, baseSeq)
-		return
-	}
-	seqR := m.Seq - m.PrecopyRounds + round
-	if a.tr.Enabled() {
-		op.phRound = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "migrate-round",
-			trace.Str("pod", m.Pod), trace.Int("round", int64(round)),
-			trace.Int("pages", int64(candidate)))
-	}
-	lc, err := ckpt.CaptureLive(pod, seqR, ckpt.Options{Incremental: !full, Hashes: m.Dedup, BaseSeq: baseSeq})
-	if err != nil {
-		op.Fail(err)
-		a.fail(c, msgMigrateSrcDone, m, err)
-		return
-	}
-	op.rounds = append(op.rounds, lc)
-	op.redirty = append(op.redirty, lc.Redirty)
-	op.roundPages = append(op.roundPages, candidate)
-	captureBytes := int64(lc.Pages()) * mem.PageSize
-	a.cpu.Do(a.params.CaptureCost+bytesCost(captureBytes, a.params.CaptureBPS), func() {
-		if op.Aborted() {
-			return
-		}
-		a.planImage(m, op, lc.Image, func(plan *ckpt.SavePlan, err error) {
-			if op.Aborted() {
-				return
-			}
-			if err != nil {
-				op.Fail(err)
-				a.fail(c, msgMigrateSrcDone, m, err)
-				return
-			}
-			op.roundSeqs = append(op.roundSeqs, seqR)
-			a.streamPlan(m.Pipeline, op, plan.TotalBytes, func() {
-				a.streamRound(c, m, op, seqR, func() {
-					lc.Release()
-					op.phRound.End(trace.Int("bytes", plan.TotalBytes))
-					a.runMigrateRound(c, m, pod, op, round+1, candidate, seqR)
-				})
-			})
-		})
-	})
-}
+// migrating reports whether the save op is a migrate-out.
+func (op *agentOp) migrating() bool { return op.migrateTo.Port != 0 }
 
-// streamRound pushes the just-saved round image into the destination's
-// store through the offer/want/data delta exchange, invoking next once
-// the destination has adopted it.
+// streamRound pushes the just-saved image into a migration's destination
+// store through the chunk exchange, invoking next once the destination has
+// adopted it. A checkpoint has nowhere to stream: next runs at once.
 func (a *Agent) streamRound(c msgSink, m *wireMsg, op *agentOp, seq int, next func()) {
+	if !op.migrating() {
+		next()
+		return
+	}
 	if op.Aborted() {
 		return
 	}
-	cc, err := a.peerConn(op.migrateTo)
-	if err != nil {
-		op.Fail(err)
-		a.fail(c, msgMigrateSrcDone, m, err)
-		return
-	}
-	ro := a.replicateOn(cc, m.Pod, seq, op.migrateTo, nil, op.span.Context(), ctl.TierStream, func(n int64, rerr error) {
+	ro := a.replicateOn(&replOp{pod: m.Pod, peer: op.migrateTo, tier: ctl.TierStream, onDone: func(n int64, rerr error) {
 		op.stream = nil
 		if op.Aborted() {
 			return
 		}
 		if rerr != nil {
-			op.Fail(rerr)
-			a.fail(c, msgMigrateSrcDone, m, rerr)
+			a.failSave(c, m, op, rerr)
 			return
 		}
 		op.streamed += n
 		next()
-	})
+	}}, seq, op.span.Context())
 	if ro != nil && ro.Active() {
 		op.stream = ro
 	}
-}
-
-// runMigrateResidual is the freeze half: filter, stop, capture the
-// residual dirty set, save and stream it, then hand the pod over. The
-// downtime clock starts at quiescence (op.stoppedAt) and stops when the
-// destination resumes the restored pod.
-func (a *Agent) runMigrateResidual(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, baseSeq int) {
-	incremental := baseSeq > 0
-	if a.tr.Enabled() {
-		op.phQuiesce = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "migrate-freeze",
-			trace.Str("pod", m.Pod))
-	}
-	a.cpu.Do(a.params.FilterCost, func() {
-		if op.Aborted() {
-			return
-		}
-		op.filterID = a.kern.Stack().Filter().AddDropAddr(pod.IP())
-		if a.tr.Enabled() {
-			a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.install", trace.Str("pod", m.Pod))
-		}
-		pod.Stop(func() {
-			if op.Aborted() {
-				return
-			}
-			op.stoppedAt = a.kern.Engine().Now()
-			op.phQuiesce.End()
-			var captureBytes int64
-			for _, vpid := range pod.VPIDs() {
-				as := pod.Process(vpid).Mem()
-				if incremental {
-					captureBytes += int64(as.DirtyBytes())
-				} else {
-					captureBytes += int64(as.ResidentBytes())
-				}
-			}
-			op.roundPages = append(op.roundPages, int(captureBytes/mem.PageSize))
-			a.cpu.Do(a.params.CaptureCost+bytesCost(captureBytes, a.params.CaptureBPS), func() {
-				if op.Aborted() {
-					return
-				}
-				if a.tr.Enabled() {
-					op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "residual-capture",
-						trace.Str("pod", m.Pod))
-				}
-				img, err := ckpt.Capture(pod, m.Seq, ckpt.Options{Incremental: incremental, Hashes: m.Dedup, BaseSeq: baseSeq})
-				if err != nil {
-					op.Fail(err)
-					a.fail(c, msgMigrateSrcDone, m, err)
-					return
-				}
-				op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
-				op.captured = true
-				// The residual's capture cleared dirty bits for pages whose
-				// image vanishes if the migration aborts.
-				op.redirty = append(op.redirty, func() {
-					for i := range img.Processes {
-						pi := &img.Processes[i]
-						if proc := pod.Process(pi.VPID); proc != nil {
-							for _, pn := range pi.Memory.PageNums {
-								proc.Mem().MarkDirty(pn)
-							}
-						}
-					}
-				})
-				a.planImage(m, op, img, func(plan *ckpt.SavePlan, err error) {
-					if op.Aborted() {
-						return
-					}
-					if err != nil {
-						op.Fail(err)
-						a.fail(c, msgMigrateSrcDone, m, err)
-						return
-					}
-					op.roundSeqs = append(op.roundSeqs, m.Seq)
-					if a.tr.Enabled() {
-						op.phWrite = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "residual-stream",
-							trace.Str("pod", m.Pod))
-					}
-					a.streamPlan(m.Pipeline, op, plan.TotalBytes, func() {
-						a.streamRound(c, m, op, m.Seq, func() {
-							op.phWrite.End(trace.Int("bytes", plan.TotalBytes))
-							// Handover: every byte of state is in the
-							// destination's store. One agent-to-agent hop
-							// keeps the freeze path short.
-							cc, cerr := a.peerConn(op.migrateTo)
-							if cerr != nil {
-								op.Fail(cerr)
-								a.fail(c, msgMigrateSrcDone, m, cerr)
-								return
-							}
-							cc.send(&wireMsg{Type: msgMigrateRestore, Seq: m.Seq, Pod: m.Pod,
-								FrozeAt: op.stoppedAt, ctx: op.span.Context()})
-						})
-					})
-				})
-			})
-		})
-	})
 }
 
 // handleMigrateCommit rolls the source forward: the pod is live on the
@@ -783,12 +614,12 @@ func (a *Agent) migrateMerge(op *migrateInOp) {
 		return
 	}
 	if op.held == nil {
-		a.store.LoadMergedCtx(op.pod, seq, op.span.Context(), func(img *ckpt.Image, err error) {
+		a.store.LoadMerged(op.pod, seq, op.span.Context(), func(img *ckpt.Image, err error) {
 			a.mergeDone(op, img, err)
 		})
 		return
 	}
-	a.store.LoadCtx(op.pod, seq, op.span.Context(), func(inc *ckpt.Image, err error) {
+	a.store.Load(op.pod, seq, op.span.Context(), func(inc *ckpt.Image, err error) {
 		if err != nil {
 			a.mergeDone(op, nil, err)
 			return

@@ -45,15 +45,22 @@ const (
 	msgPing
 	msgPong
 
-	// Replication: agent-to-agent checkpoint streaming (offer/want/data
-	// delta exchange) and the agent-to-coordinator placement report.
+	// The chunk exchange: agent-to-agent checkpoint streaming (offer/want/
+	// data/done delta exchange) and the agent-to-coordinator placement
+	// report. Whole-image replication, migration rounds, recovery pulls and
+	// erasure-coded shard distribution all run it; a shard exchange is one
+	// whose offer carries Repl.ECM and whose data carries Repl.ECSet.
 	msgReplOffer
 	msgReplWant
 	msgReplData
 	msgReplDone
 	msgReplicated
 
-	// Recovery: coordinator-directed image fetch onto a new home node.
+	// Recovery: coordinator-directed image fetch onto a new home node
+	// (fetch), which pulls from each source it was given (fetch-pull): one
+	// replica that pushes the chain through the exchange above, or M shard
+	// holders that each answer with their shards as one data message, from
+	// which the new home reconstructs the chain.
 	msgFetch
 	msgFetchPull
 	msgFetchDone
@@ -85,22 +92,6 @@ const (
 	msgGroupDone
 	msgGroupRestartDone
 	msgGroupContDone
-
-	// Erasure-coded durability: the primary streams each holder its
-	// rotated shard subset through the same offer/want/data delta shape
-	// (ec-offer/ec-want/ec-data/ec-done), the holder's adoption is
-	// reported to the coordinator (ec-holding), and recovery pulls the
-	// surviving shard sets — ec-fetch directs the new home node, ec-pull
-	// asks each holder for its shards, ec-shards answers — so the target
-	// can reconstruct any missing chunks from m of m+r shards.
-	msgECOffer
-	msgECWant
-	msgECData
-	msgECDone
-	msgECHolding
-	msgECFetch
-	msgECPull
-	msgECShards
 
 	// Migration round-0 base negotiation: before an opening full round,
 	// the source asks the destination whether it already holds the pod's
@@ -147,15 +138,6 @@ var msgNames = map[msgType]string{
 	msgGroupDone:        "group-done",
 	msgGroupRestartDone: "group-restart-done",
 	msgGroupContDone:    "group-cont-done",
-
-	msgECOffer:   "ec-offer",
-	msgECWant:    "ec-want",
-	msgECData:    "ec-data",
-	msgECDone:    "ec-done",
-	msgECHolding: "ec-holding",
-	msgECFetch:   "ec-fetch",
-	msgECPull:    "ec-pull",
-	msgECShards:  "ec-shards",
 
 	msgMigrateBase:    "migrate-base",
 	msgMigrateBaseAck: "migrate-base-ack",
@@ -288,12 +270,13 @@ type replPayload struct {
 	PeerIP   tcpip.Addr
 	PeerPort uint16
 
-	// EC: the encoded shard manifest, the destination holder's ring
-	// position (which shard of each stripe it stores), and — on ec-fetch
-	// — the surviving holders the reconstructing node must pull from
-	// (Pod field unused). ECM, on ec-holding, is the set's data-shard
-	// count: the coordinator needs it to judge whether enough holders
-	// survive to reconstruct.
+	// Shard exchanges: the encoded shard manifest (data), the destination
+	// holder's ring position — which shard of each stripe it stores — and,
+	// on a fetch that must reconstruct, the surviving holders to pull from
+	// (their Pod field unused). ECM is the set's data-shard count: on an
+	// offer it marks the hashes as a shard subset, on a placement report
+	// the coordinator needs it to judge whether enough holders survive to
+	// reconstruct.
 	ECSet   []byte
 	Holder  int
 	ECM     int

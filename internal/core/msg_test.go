@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -37,6 +42,7 @@ func payloadOf(t testing.TB, m *wireMsg) (payload []byte, parts [][]byte) {
 // part of the coordination-overhead numbers; a change to wireMsg's or
 // replPayload's field set shows up here first.
 func TestControlFrameSizesPinned(t *testing.T) {
+	twoHashes := []mem.PageHash{{Lo: 1, Hi: 2}, {Lo: 3, Hi: 4}}
 	for _, tc := range []struct {
 		m    *wireMsg
 		size int
@@ -45,6 +51,12 @@ func TestControlFrameSizesPinned(t *testing.T) {
 		{&wireMsg{Type: msgCheckpoint, Seq: 3, Pod: "slm-0", Incremental: true, Dedup: true, Replicas: 1}, 972},
 		{&wireMsg{Type: msgDone, Seq: 3, Pod: "slm-0", LocalDuration: 91 * sim.Millisecond, ImageBytes: 8 << 20}, 978},
 		{&wireMsg{Type: msgContinue, Seq: 3, Pod: "slm-0"}, 966},
+		{&wireMsg{Type: msgReplOffer, Seq: 3, Pod: "slm-0", Repl: &replPayload{Chain: []int{3, 2}, Dedup: true, Hashes: twoHashes}}, 992},
+		{&wireMsg{Type: msgFetch, Seq: 3, Pod: "slm-0", Repl: &replPayload{PeerIP: tcpip.Addr{10, 0, 0, 2}, PeerPort: 7077}}, 978},
+		// A shard offer is a replication offer plus its ring position and
+		// the ECM field that marks it: 2 bytes more than the <ec-offer> it
+		// replaced (994), the only frame the exchange fold resized.
+		{&wireMsg{Type: msgReplOffer, Seq: 3, Pod: "slm-0", Repl: &replPayload{Chain: []int{3, 2}, Dedup: true, Hashes: twoHashes, Holder: 2, ECM: 4}}, 996},
 	} {
 		payload, parts := payloadOf(t, tc.m)
 		if len(payload) != tc.size || parts != nil {
@@ -60,10 +72,104 @@ func TestControlFrameSizesPinned(t *testing.T) {
 	}
 }
 
+// caseTypes returns the msgType constants fn switches on or compares
+// m.Type with, each mapped to how many case clauses name it.
+func caseTypes(t *testing.T, files map[string]*ast.File, recv, name string) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	found := false
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Name.Name != name || fn.Recv == nil {
+				continue
+			}
+			star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok || star.X.(*ast.Ident).Name != recv {
+				continue
+			}
+			found = true
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CaseClause:
+					for _, e := range n.List {
+						if id, ok := e.(*ast.Ident); ok && strings.HasPrefix(id.Name, "msg") {
+							out[id.Name]++
+						}
+					}
+				case *ast.BinaryExpr:
+					if id, ok := n.Y.(*ast.Ident); ok && n.Op == token.EQL && strings.HasPrefix(id.Name, "msg") {
+						out[id.Name]++
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !found {
+		t.Fatalf("no method (*%s).%s", recv, name)
+	}
+	return out
+}
+
+// TestEveryMsgTypeNamedAndDispatched walks the msgType const block and the
+// three dispatchers, so a fold cannot orphan a type: every constant has a
+// wire name, and is either a request only Agent.onMsg handles or a reply
+// only Coordinator.onMsg handles — except the replies a group leader
+// aggregates for the root, which Agent.onMsg hands to relayMemberMsg and
+// which must be exactly the types relayMemberMsg knows.
+func TestEveryMsgTypeNamedAndDispatched(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := pkgs["core"].Files
+	var consts []string
+	for _, f := range files {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			vs := gd.Specs[0].(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "msgType" {
+				continue
+			}
+			for _, sp := range gd.Specs {
+				consts = append(consts, sp.(*ast.ValueSpec).Names[0].Name)
+			}
+		}
+	}
+	n := len(consts) + 1
+	if n-1 > 34 || len(msgNames) != n-1 {
+		t.Fatalf("%d msgType constants (want at most 34), %d names", n-1, len(msgNames))
+	}
+	for v := msgType(1); int(v) < n; v++ {
+		if _, ok := msgNames[v]; !ok {
+			t.Errorf("%s (%d) has no wire name", consts[v-1], v)
+		}
+	}
+	agent := caseTypes(t, files, "Agent", "onMsg")
+	root := caseTypes(t, files, "Coordinator", "onMsg")
+	relay := caseTypes(t, files, "Agent", "relayMemberMsg")
+	for _, c := range consts {
+		switch {
+		case agent[c] > 1 || root[c] > 1:
+			t.Errorf("%s is dispatched more than once by one onMsg", c)
+		case agent[c]+root[c] == 0:
+			t.Errorf("%s is dispatched by neither Agent.onMsg nor Coordinator.onMsg", c)
+		case (agent[c] > 0 && root[c] > 0) != (relay[c] > 0):
+			t.Errorf("%s: agent=%d coordinator=%d relay=%d — only the replies a leader relays may reach both",
+				c, agent[c], root[c], relay[c])
+		}
+	}
+}
+
 // bulkMsg is a data message using every bulk field at once.
 func bulkMsg() *wireMsg {
 	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, mem.PageSize) }
-	return &wireMsg{Type: msgECData, Seq: 9, Pod: "slm-1", Repl: &replPayload{
+	return &wireMsg{Type: msgReplData, Seq: 9, Pod: "slm-1", Repl: &replPayload{
 		Bytes:     12345,
 		Holder:    2,
 		ECSet:     []byte("shard manifest"),

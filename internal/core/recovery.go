@@ -333,23 +333,20 @@ func (c *Coordinator) recordCommitHolders(job *Job, seq int) {
 }
 
 // handleReplicated feeds an agent's placement report into the holder
-// registry: a peer now holds the image chain.
+// registry: a peer now holds the image chain — or, when the report
+// carries ECM, the peer at ring position Repl.Holder now stores its shard
+// subset of (pod, seq), and the set decodes from any Repl.ECM holders.
 func (c *Coordinator) handleReplicated(m *wireMsg) {
 	if m.Repl == nil {
 		return
 	}
-	c.addHolder(m.Pod, m.Seq, tcpip.AddrPort{Addr: m.Repl.PeerIP, Port: m.Repl.PeerPort})
-	if c.tr.Enabled() {
-		c.tr.Instant(c.stack.Name(), "core", "replicated",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-	}
-}
-
-// handleECHolding feeds an agent's shard placement report into the EC
-// registry: the peer at ring position Repl.Holder now stores its shard
-// subset of (pod, seq), and the set decodes from any Repl.ECM holders.
-func (c *Coordinator) handleECHolding(m *wireMsg) {
-	if m.Repl == nil {
+	peer := tcpip.AddrPort{Addr: m.Repl.PeerIP, Port: m.Repl.PeerPort}
+	if m.Repl.ECM == 0 {
+		c.addHolder(m.Pod, m.Seq, peer)
+		if c.tr.Enabled() {
+			c.tr.Instant(c.stack.Name(), "core", "replicated",
+				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+		}
 		return
 	}
 	if c.ecHolders[m.Pod] == nil {
@@ -360,7 +357,7 @@ func (c *Coordinator) handleECHolding(m *wireMsg) {
 		set = &ecSetHolders{m: m.Repl.ECM, byPos: make(map[int]tcpip.AddrPort)}
 		c.ecHolders[m.Pod][m.Seq] = set
 	}
-	set.byPos[m.Repl.Holder] = tcpip.AddrPort{Addr: m.Repl.PeerIP, Port: m.Repl.PeerPort}
+	set.byPos[m.Repl.Holder] = peer
 	if c.tr.Enabled() {
 		c.tr.Instant(c.stack.Name(), "core", "ec.holding",
 			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
@@ -575,27 +572,20 @@ func (c *Coordinator) placeRecovery(rec *recoveryOp) {
 				rec.Fail(fmt.Errorf("%w: %s", ErrNotConnected, target))
 				return
 			}
+			from := &replPayload{}
 			if rp.Reconstructed {
-				srcs := rec.ecSources[rp.Pod]
-				members := make([]GroupMember, 0, len(srcs))
-				for _, s := range srcs {
-					members = append(members, GroupMember{IP: s.Addr, Port: s.Port})
+				for _, s := range rec.ecSources[rp.Pod] {
+					from.Sources = append(from.Sources, GroupMember{IP: s.Addr, Port: s.Port})
 				}
-				cc.send(&wireMsg{Type: msgECFetch, Seq: rec.seq, Pod: rp.Pod, Repl: &replPayload{
-					Sources: members,
-				}, ctx: rec.phTransfer.Context()})
-				return
-			}
-			var src *nodeInfo
-			for _, n := range c.nodes {
-				if n.name == rp.From {
-					src = n
-					break
+			} else {
+				for _, n := range c.nodes {
+					if n.name == rp.From {
+						from.PeerIP, from.PeerPort = n.addr.Addr, n.addr.Port
+						break
+					}
 				}
 			}
-			cc.send(&wireMsg{Type: msgFetch, Seq: rec.seq, Pod: rp.Pod, Repl: &replPayload{
-				PeerIP: src.addr.Addr, PeerPort: src.addr.Port,
-			}, ctx: rec.phTransfer.Context()})
+			cc.send(&wireMsg{Type: msgFetch, Seq: rec.seq, Pod: rp.Pod, Repl: from, ctx: rec.phTransfer.Context()})
 		})
 	}
 }

@@ -102,6 +102,7 @@ func (a *Agent) startGroupOp(c *ctlConn, m *wireMsg) {
 	}
 	rop := &relayOp{Op: o, job: m.Job, up: c, members: m.Group, restart: restart}
 	o.Data = rop
+	a.rootConn = c
 	if a.tr.Enabled() {
 		kind := "relay.checkpoint"
 		if restart {
@@ -208,14 +209,18 @@ func (a *Agent) relayMemberFail(rop *relayOp, pod string, err error) {
 // for which no relay is active (late arrivals after an abort) are
 // dropped, as the root drops strays.
 func (a *Agent) relayMemberMsg(m *wireMsg) {
-	rop := a.relayFor(m.Pod, m.Seq)
-	if rop == nil {
-		return
-	}
 	if m.Type == msgReplicated {
 		// Placement reports are root bookkeeping, not votes: forward
 		// verbatim (the member addressed its coordinator, which is us).
-		rop.up.send(m)
+		// Replication runs off the cycle and usually finishes after the
+		// relay op has, so this must not depend on one being open.
+		if a.rootConn != nil {
+			a.rootConn.send(m)
+		}
+		return
+	}
+	rop := a.relayFor(m.Pod, m.Seq)
+	if rop == nil {
 		return
 	}
 	if a.tr.Enabled() {

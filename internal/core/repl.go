@@ -12,24 +12,31 @@ import (
 	"cruz/internal/trace"
 )
 
-// Replication (agent side). After a checkpoint's local save commits, the
-// agent streams the image to k peer agents over the simulated network.
-// The exchange is delta-aware: an offer describes the chain and its
-// distinct chunk hashes, the replica answers with what it is missing, and
+// The chunk exchange (agent side). After a checkpoint's local save
+// commits, the agent streams the image to peer agents over the simulated
+// network. The exchange is delta-aware: an offer describes the chain and
+// its distinct chunk hashes, the peer answers with what it is missing, and
 // only that delta travels — so steady-state replication of a dedup chain
-// costs little more than the manifest. The same exchange serves recovery
-// fetches, with the coordinator telling the new home node which surviving
-// replica to pull from.
+// costs little more than the manifest. Every bulk transfer between agents
+// is this one exchange, parameterised by the replOp that opens it:
+// whole-image replication offers the chain and all its hashes to k peers
+// at background tier; erasure-coded distribution (ec.go) offers the chain
+// and holder h's rotated shard subset to M+R peers and ships the shard
+// manifest with the data; a migration round goes to one peer at stream
+// tier with a completion hook; a recovery fetch is the same exchange
+// pulled by the new home instead of pushed.
 
 // ErrReplTimeout marks a replication or fetch exchange that went silent.
 var ErrReplTimeout = errors.New("core: replication timed out")
 
-// replOp is the initiator side of one replication exchange (this agent
-// pushing one checkpoint to one peer connection).
+// replOp is the initiator side of one exchange (this agent pushing one
+// checkpoint to one peer connection). Callers fill in what they
+// parameterise and hand it to replicateOn.
 type replOp struct {
 	*ctl.Op
 	pod  string
 	peer tcpip.AddrPort // peer's listener endpoint (zero when serving a fetch pull)
+	// conn is the connection the exchange runs on; nil = dial peer.
 	conn *ctlConn
 	// coord, when set, receives the <replicated> placement report the
 	// coordinator's holder registry feeds on.
@@ -40,18 +47,38 @@ type replOp struct {
 	// only once the destination has adopted this one.
 	onDone func(int64, error)
 	// tier is the send-path priority of this exchange's bulk data frame:
-	// TierBackground for durability replication (paced, yields to
-	// everything), TierStream for migration rounds and recovery fetches.
+	// TierBackground for durability copies (paced, yields to everything),
+	// TierStream for migration rounds and recovery fetches.
 	tier ctl.Tier
-	span trace.Span
+	// set, when non-nil, makes this a shard exchange: the offer carries
+	// only ring position holder's shard hashes, and the set manifest
+	// (setBlob, its encoding) travels with the data.
+	set     *ckpt.ECSet
+	setBlob []byte
+	holder  int
+	span    trace.Span
 }
 
 // fetchOp is the target side of a coordinator-directed fetch: this agent
-// pulling a checkpoint it does not hold from a surviving replica.
+// pulling a checkpoint it does not hold from its sources, one at a time.
+// A source holding the chain pushes it through the exchange and the fetch
+// completes on adoption; a source holding only shards answers with them,
+// and once every source has the chain is reconstructed (ec.go).
 type fetchOp struct {
 	*ctl.Op
-	conn *ctlConn // coordinator connection to report <fetch-done> on
-	span trace.Span
+	pod     string
+	conn    msgSink       // coordinator connection to report <fetch-done> on
+	sources []GroupMember // surviving holders to pull
+	next    int           // next source to pull
+	span    trace.Span
+
+	// Reconstruction state: what the shard holders have sent so far.
+	pending   int // pulls not yet answered
+	adopting  int // arrival disk writes still in flight
+	set       *ckpt.ECSet
+	manifests map[int][]byte
+	blocks    []ckpt.ChunkData
+	wireBytes int64
 }
 
 func addrKey(ap tcpip.AddrPort) string {
@@ -94,50 +121,74 @@ func (a *Agent) startReplication(pod string, seq, replicas int, coord msgSink, c
 		n = len(a.peers)
 	}
 	for i := 0; i < n; i++ {
-		peer := a.peers[i]
-		cc, err := a.peerConn(peer)
-		if err != nil {
-			a.Stats.ReplFailures++
-			continue
-		}
-		a.replicateOn(cc, pod, seq, peer, coord, ctx, ctl.TierBackground, nil)
+		a.replicateOn(&replOp{pod: pod, peer: a.peers[i], coord: coord, tier: ctl.TierBackground}, seq, ctx)
 	}
 }
 
-// replicateOn runs one offer/want/data exchange for (pod, seq) over cc.
-// onDone (optional) observes the exchange's completion. It returns the
-// exchange's op (nil if one was already in flight) so callers that pace
-// on the transfer — migration rounds — can cancel it on abort.
-func (a *Agent) replicateOn(cc *ctlConn, pod string, seq int, peer tcpip.AddrPort, coord msgSink, ctx trace.SpanContext, tier ctl.Tier, onDone func(int64, error)) *ctl.Op {
-	o, err := a.table.Begin("replicate", replKey(pod, seq, cc.TCP().RemoteAddr()), seq)
+// replFailed counts one failed exchange.
+func (a *Agent) replFailed(op *replOp) {
+	if op.set != nil {
+		a.Stats.ECFailures++
+	} else {
+		a.Stats.ReplFailures++
+	}
+}
+
+// replicateOn runs one offer/want/data exchange for (op.pod, seq). It
+// returns the exchange's ctl op (nil if it could not start) so callers
+// that pace on the transfer — migration rounds — can cancel it on abort.
+func (a *Agent) replicateOn(op *replOp, seq int, ctx trace.SpanContext) *ctl.Op {
+	if op.conn == nil {
+		cc, err := a.peerConn(op.peer)
+		if err != nil {
+			a.replFailed(op)
+			if op.onDone != nil {
+				op.onDone(0, err)
+			}
+			return nil
+		}
+		op.conn = cc
+	}
+	o, err := a.table.Begin("replicate", replKey(op.pod, seq, op.conn.TCP().RemoteAddr()), seq)
 	if err != nil {
-		if onDone != nil {
-			onDone(0, ErrBusy)
+		if op.onDone != nil {
+			op.onDone(0, ErrBusy)
 		}
 		return nil // this exchange is already in flight
 	}
-	op := &replOp{Op: o, pod: pod, peer: peer, conn: cc, coord: coord, onDone: onDone, tier: tier}
+	op.Op = o
 	o.Data = op
 	if a.tr.Enabled() {
-		op.span = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.replicate",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)))
+		if op.set != nil {
+			op.span = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.ec-distribute",
+				trace.Str("pod", op.pod), trace.Int("seq", int64(seq)),
+				trace.Int("holder", int64(op.holder)))
+		} else {
+			op.span = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.replicate",
+				trace.Str("pod", op.pod), trace.Int("seq", int64(seq)))
+		}
 	}
 	o.OnFail(func(_ *ctl.Op, err error) {
-		a.Stats.ReplFailures++
+		a.replFailed(op)
 		op.span.End(trace.Str("err", err.Error()))
 		if op.onDone != nil {
 			op.onDone(0, err)
 		}
 	})
-	offer, oerr := a.store.ExportOffer(pod, seq)
-	if oerr != nil {
-		o.Fail(oerr)
-		return nil
+	var offer *replPayload
+	if op.set != nil {
+		offer = &replPayload{Chain: op.set.Chain, Dedup: true, Hashes: op.set.HolderHashes(op.holder),
+			Holder: op.holder, ECM: op.set.M}
+	} else {
+		exp, oerr := a.store.ExportOffer(op.pod, seq)
+		if oerr != nil {
+			o.Fail(oerr)
+			return nil
+		}
+		offer = &replPayload{Chain: exp.Chain, Dedup: exp.Dedup, Hashes: exp.Hashes}
 	}
 	send := func() {
-		cc.send(&wireMsg{Type: msgReplOffer, Seq: seq, Pod: pod, ctx: op.span.Context(), Repl: &replPayload{
-			Chain: offer.Chain, Dedup: offer.Dedup, Hashes: offer.Hashes,
-		}})
+		op.conn.send(&wireMsg{Type: msgReplOffer, Seq: seq, Pod: op.pod, ctx: op.span.Context(), Repl: offer})
 	}
 	o.ArmRetries(a.params.ReplTimeout, 1, func(*ctl.Op) { send() }, ErrReplTimeout)
 	send()
@@ -154,27 +205,34 @@ func (a *Agent) replOpFor(pod string, seq int, cc *ctlConn) *replOp {
 	return nil
 }
 
-// handleReplOffer is the replica side: answer with the missing delta.
-// The chunk-set comparison costs DedupPerChunk per offered hash.
-func (a *Agent) handleReplOffer(c *ctlConn, m *wireMsg) {
+// handleOffer is the receiving side: answer with the missing delta — for
+// a shard offer (ECM set), the chain manifests and shard blocks this
+// store lacks. The chunk-set comparison costs DedupPerChunk per offered
+// hash. An offer carrying an error is a source refusing a fetch pull.
+func (a *Agent) handleOffer(c *ctlConn, m *wireMsg) {
 	if m.Err != "" {
 		a.failFetch(m.Pod, m.Seq, fmt.Errorf("%s", m.Err))
 		return
 	}
-	if m.Repl == nil {
+	p := m.Repl
+	if p == nil {
 		return
 	}
-	offer := &ckpt.Offer{Pod: m.Pod, Seq: m.Seq, Chain: m.Repl.Chain, Dedup: m.Repl.Dedup, Hashes: m.Repl.Hashes}
+	offer := &ckpt.Offer{Pod: m.Pod, Seq: m.Seq, Chain: p.Chain, Dedup: p.Dedup, Hashes: p.Hashes}
 	a.cpu.Do(a.params.DedupPerChunk*sim.Duration(len(offer.Hashes)), func() {
-		needSeqs, needHashes := a.store.MissingFor(offer)
-		c.send(&wireMsg{Type: msgReplWant, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{
-			NeedSeqs: needSeqs, NeedHashes: needHashes,
-		}})
+		want := &replPayload{Holder: p.Holder}
+		if p.ECM > 0 {
+			want.NeedSeqs, want.NeedHashes = a.store.ECMissingFor(offer)
+		} else {
+			want.NeedSeqs, want.NeedHashes = a.store.MissingFor(offer)
+		}
+		c.send(&wireMsg{Type: msgReplWant, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: want})
 	})
 }
 
-// handleReplWant is the initiator side: build and ship the delta.
-func (a *Agent) handleReplWant(c *ctlConn, m *wireMsg) {
+// handleWant is the initiator side: build and ship the delta (plus the
+// set manifest, on a shard exchange).
+func (a *Agent) handleWant(c *ctlConn, m *wireMsg) {
 	op := a.replOpFor(m.Pod, m.Seq, c)
 	if op == nil || m.Repl == nil {
 		return
@@ -193,38 +251,62 @@ func (a *Agent) handleReplWant(c *ctlConn, m *wireMsg) {
 		}
 		op.conn.send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), tier: op.tier, Repl: &replPayload{
 			Blobs: tx.Blobs, Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
+			ECSet: op.setBlob, Holder: op.holder,
 		}})
 	})
 }
 
-// handleReplData is the replica side: adopt the delta into the local
-// store (decode CPU, then the disk write), acknowledge, and complete any
-// fetch waiting on it.
-func (a *Agent) handleReplData(c *ctlConn, m *wireMsg) {
-	if m.Repl == nil {
+// handleData is the receiving side: adopt the delta into the local store
+// (decode CPU, then the disk write), acknowledge, and complete any fetch
+// or migration waiting on it. Data carrying a shard manifest is a shard
+// subset: this node's own, to hold — or, while a fetch for (pod, seq) is
+// open here, a pulled holder's contribution to the reconstruction.
+func (a *Agent) handleData(c *ctlConn, m *wireMsg) {
+	p := m.Repl
+	if p == nil {
 		return
 	}
-	tx := &ckpt.Transfer{
-		Pod: m.Pod, Seq: m.Seq,
-		Blobs: m.Repl.Blobs, Manifests: m.Repl.Manifests, Chunks: m.Repl.Chunks,
-		TotalBytes: m.Repl.Bytes, Ctx: m.ctx,
-	}
-	a.cpu.Do(bytesCost(tx.TotalBytes, a.params.EncodeBPS), func() {
-		a.store.Adopt(tx, func(n int64, err error) {
-			if err != nil {
-				a.fail(c, msgReplDone, m, err)
-				a.failFetch(m.Pod, m.Seq, err)
-				return
-			}
-			c.send(&wireMsg{Type: msgReplDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: tx.TotalBytes}})
-			a.finishFetch(m.Pod, m.Seq, tx.TotalBytes)
+	shards := len(p.ECSet) > 0
+	adopted := func(n int64, err error) {
+		if err != nil {
+			a.fail(c, msgReplDone, m, err)
+			a.failFetch(m.Pod, m.Seq, err)
+			return
+		}
+		c.send(&wireMsg{Type: msgReplDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: n, Holder: p.Holder}})
+		if !shards {
+			a.finishFetch(m.Pod, m.Seq, n)
 			a.migrateRoundArrived(m.Pod, m.Seq)
+		}
+	}
+	if !shards {
+		tx := &ckpt.Transfer{
+			Pod: m.Pod, Seq: m.Seq,
+			Blobs: p.Blobs, Manifests: p.Manifests, Chunks: p.Chunks,
+			TotalBytes: p.Bytes, Ctx: m.ctx,
+		}
+		a.cpu.Do(bytesCost(p.Bytes, a.params.EncodeBPS), func() {
+			a.store.Adopt(tx, func(_ int64, err error) { adopted(p.Bytes, err) })
 		})
+		return
+	}
+	if op := a.fetchFor(m.Pod, m.Seq); op != nil {
+		a.shardsArrived(op, p)
+		return
+	}
+	set, err := ckpt.DecodeECSet(p.ECSet)
+	if err != nil {
+		adopted(0, err)
+		return
+	}
+	a.cpu.Do(bytesCost(p.Bytes, a.params.EncodeBPS), func() {
+		a.store.AdoptECShards(set, p.Holder, p.Manifests, p.Chunks, m.ctx, adopted)
 	})
 }
 
-// handleReplDone is the initiator side: the replica holds the image.
-func (a *Agent) handleReplDone(c *ctlConn, m *wireMsg) {
+// handleDone is the initiator side: the peer holds the image (or its
+// shard subset). Report the placement to the coordinator's registry.
+func (a *Agent) handleDone(c *ctlConn, m *wireMsg) {
 	op := a.replOpFor(m.Pod, m.Seq, c)
 	if op == nil {
 		return
@@ -237,13 +319,18 @@ func (a *Agent) handleReplDone(c *ctlConn, m *wireMsg) {
 	if m.Repl != nil {
 		n = m.Repl.Bytes
 	}
-	a.Stats.Replications++
-	a.Stats.ReplBytes += n
+	report := &replPayload{Bytes: n, PeerIP: op.peer.Addr, PeerPort: op.peer.Port}
+	if op.set != nil {
+		a.Stats.ECDistributions++
+		a.Stats.ECShardBytes += n
+		report.Holder, report.ECM = op.holder, op.set.M
+	} else {
+		a.Stats.Replications++
+		a.Stats.ReplBytes += n
+	}
 	op.span.End(trace.Int("bytes", n))
 	if op.coord != nil && op.peer.Port != 0 {
-		op.coord.send(&wireMsg{Type: msgReplicated, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), Repl: &replPayload{
-			Bytes: n, PeerIP: op.peer.Addr, PeerPort: op.peer.Port,
-		}})
+		op.coord.send(&wireMsg{Type: msgReplicated, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), Repl: report})
 	}
 	op.Finish()
 	if op.onDone != nil {
@@ -252,8 +339,9 @@ func (a *Agent) handleReplDone(c *ctlConn, m *wireMsg) {
 }
 
 // handleFetch is the recovery pull, target side: the coordinator directs
-// this agent to fetch (pod, seq) from a surviving replica before the
-// restart lands here.
+// this agent to fetch (pod, seq) before the restart lands here — from one
+// surviving replica, or, when no node holds the image whole, from the
+// shard subsets of the given surviving holders.
 func (a *Agent) handleFetch(c *ctlConn, m *wireMsg) {
 	if a.store.HasSeq(m.Pod, m.Seq) {
 		// Already a replica — transfer cost is zero.
@@ -264,66 +352,116 @@ func (a *Agent) handleFetch(c *ctlConn, m *wireMsg) {
 		a.fail(c, msgFetchDone, m, ErrUnknownPod)
 		return
 	}
-	o, err := a.table.Begin("fetch", "fetch/"+m.Pod, m.Seq)
+	o, err := a.table.Begin("fetch", fetchKey(m.Pod), m.Seq)
 	if err != nil {
 		a.fail(c, msgFetchDone, m, ErrBusy)
 		return
 	}
-	op := &fetchOp{Op: o, conn: c}
+	op := &fetchOp{Op: o, pod: m.Pod, conn: c, sources: m.Repl.Sources, manifests: make(map[int][]byte)}
 	o.Data = op
-	if a.tr.Enabled() {
-		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.fetch",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+	if len(op.sources) > 0 {
+		if a.tr.Enabled() {
+			op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.ec-fetch",
+				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
+				trace.Int("sources", int64(len(op.sources))))
+		}
+	} else {
+		op.sources = []GroupMember{{IP: m.Repl.PeerIP, Port: m.Repl.PeerPort}}
+		if a.tr.Enabled() {
+			op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.fetch",
+				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+		}
 	}
+	op.pending = len(op.sources)
 	o.OnFail(func(_ *ctl.Op, err error) {
 		op.span.End(trace.Str("err", err.Error()))
 		a.fail(c, msgFetchDone, m, err)
 	})
 	o.ArmTimeout(a.params.ReplTimeout, ErrReplTimeout)
-	src := tcpip.AddrPort{Addr: m.Repl.PeerIP, Port: m.Repl.PeerPort}
-	cc, cerr := a.peerConn(src)
-	if cerr != nil {
-		o.Fail(cerr)
-		return
-	}
-	cc.send(&wireMsg{Type: msgFetchPull, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
+	// Pull one source at a time. The target's link is the bottleneck
+	// either way, so serial pulls cost no extra network time — but they
+	// stagger the arrivals, so each shard subset's disk adoption overlaps
+	// the next subset's transfer instead of every write queueing at the end.
+	a.pullNext(op)
 }
 
-// handleFetchPull is the recovery pull, source side: a peer that needs
-// one of our checkpoints; serve it with the normal replication exchange
-// over the inbound connection.
-func (a *Agent) handleFetchPull(c *ctlConn, m *wireMsg) {
-	if !a.store.HasSeq(m.Pod, m.Seq) {
-		a.fail(c, msgReplOffer, m, ckpt.ErrNoImage)
+// pullNext issues the pull for op.sources[op.next], if any remain.
+func (a *Agent) pullNext(op *fetchOp) {
+	if op.next >= len(op.sources) {
 		return
 	}
-	a.replicateOn(c, m.Pod, m.Seq, tcpip.AddrPort{}, nil, m.ctx, ctl.TierStream, nil)
+	s := op.sources[op.next]
+	op.next++
+	cc, cerr := a.peerConn(s.addrPort())
+	if cerr != nil {
+		op.Fail(cerr)
+		return
+	}
+	cc.send(&wireMsg{Type: msgFetchPull, Seq: op.Seq, Pod: op.pod, ctx: op.span.Context()})
+}
+
+// handleFetchPull is the recovery pull, source side: a peer needs one of
+// our checkpoints. Holding the chain, serve it with the normal exchange
+// over the inbound connection. Holding only shards, answer with the shard
+// manifest, the chain manifests and every shard block held, as one data
+// message. Either way the reply streams at TierStream — recovery is
+// latency-sensitive, unlike the background distribution that put the
+// bytes here.
+func (a *Agent) handleFetchPull(c *ctlConn, m *wireMsg) {
+	if a.store.HasSeq(m.Pod, m.Seq) {
+		a.replicateOn(&replOp{pod: m.Pod, conn: c, tier: ctl.TierStream}, m.Seq, m.ctx)
+		return
+	}
+	set, manifests, blocks, err := a.store.ECServe(m.Pod, m.Seq)
+	if err != nil {
+		a.fail(c, msgReplOffer, m, err)
+		return
+	}
+	setBlob, err := set.Encode()
+	if err != nil {
+		a.fail(c, msgReplOffer, m, err)
+		return
+	}
+	var total int64
+	for _, b := range blocks {
+		total += int64(len(b.Data))
+	}
+	for _, blob := range manifests {
+		total += int64(len(blob))
+	}
+	a.cpu.Do(bytesCost(total, a.params.EncodeBPS), func() {
+		c.send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, tier: ctl.TierStream, Repl: &replPayload{
+			ECSet: setBlob, Manifests: manifests, Chunks: blocks, Bytes: total,
+		}})
+	})
+}
+
+func fetchKey(pod string) string { return "fetch/" + pod }
+
+// fetchFor returns the pending fetch for (pod, seq), or nil.
+func (a *Agent) fetchFor(pod string, seq int) *fetchOp {
+	if o := a.table.Get(fetchKey(pod)); o != nil && o.Seq == seq {
+		op, _ := o.Data.(*fetchOp)
+		return op
+	}
+	return nil
 }
 
 // finishFetch completes a pending fetch after the adopted transfer lands.
 func (a *Agent) finishFetch(pod string, seq int, n int64) {
-	o := a.table.Get("fetch/" + pod)
-	if o == nil || o.Seq != seq {
-		return
-	}
-	op, ok := o.Data.(*fetchOp)
-	if !ok {
+	op := a.fetchFor(pod, seq)
+	if op == nil {
 		return
 	}
 	a.Stats.Fetches++
 	op.span.End(trace.Int("bytes", n))
 	op.conn.send(&wireMsg{Type: msgFetchDone, Seq: seq, Pod: pod, ctx: op.span.Context(), Repl: &replPayload{Bytes: n}})
-	o.Finish()
+	op.Finish()
 }
 
 // failFetch fails a pending fetch for (pod, seq), if any.
 func (a *Agent) failFetch(pod string, seq int, err error) {
-	o := a.table.Get("fetch/" + pod)
-	if o == nil || o.Seq != seq {
-		return
+	if op := a.fetchFor(pod, seq); op != nil {
+		op.Fail(err)
 	}
-	if _, ok := o.Data.(*fetchOp); !ok {
-		return
-	}
-	o.Fail(err)
 }

@@ -137,6 +137,35 @@ func TestLiveMigration(t *testing.T) {
 // so after both runs quiesce at the same finite step count, every pod's
 // resident memory must be byte-identical — any page lost, stale or
 // duplicated by the round merge chain shows up here.
+// finalRingState runs a finite-step ring to completion and summarises
+// every worker: steps, fault and a hash of its whole memory.
+func finalRingState(t *testing.T, cl *cruz.Cluster, names []string) string {
+	t.Helper()
+	done := func() bool {
+		for _, n := range names {
+			if !ringWorker(cl, n).Done() {
+				return false
+			}
+		}
+		return true
+	}
+	if !cl.RunUntil(done, 10*cruz.Second) {
+		t.Fatal("ring did not finish its steps")
+	}
+	var b bytes.Buffer
+	for _, n := range names {
+		w := ringWorker(cl, n)
+		mem := cl.Pod(n).Process(1).Mem()
+		h := fnv.New64a()
+		for _, pn := range mem.PageNumbers(false) {
+			h.Write(mem.PageData(pn))
+		}
+		fmt.Fprintf(&b, "%s steps=%d fault=%q pages=%d mem=%016x\n",
+			n, w.StepsDone, w.Fault, mem.ResidentPages(), h.Sum64())
+	}
+	return b.String()
+}
+
 func TestMigrationStateEquivalence(t *testing.T) {
 	run := func(migrate bool) (string, *cruz.MigrationResult) {
 		cl, err := cruz.New(cruz.Config{Nodes: 4, Seed: 42})
@@ -157,29 +186,7 @@ func TestMigrationStateEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		done := func() bool {
-			for _, n := range names {
-				if !ringWorker(cl, n).Done() {
-					return false
-				}
-			}
-			return true
-		}
-		if !cl.RunUntil(done, 10*cruz.Second) {
-			t.Fatal("ring did not finish its steps")
-		}
-		var b bytes.Buffer
-		for _, n := range names {
-			w := ringWorker(cl, n)
-			mem := cl.Pod(n).Process(1).Mem()
-			h := fnv.New64a()
-			for _, pn := range mem.PageNumbers(false) {
-				h.Write(mem.PageData(pn))
-			}
-			fmt.Fprintf(&b, "%s steps=%d fault=%q pages=%d mem=%016x\n",
-				n, w.StepsDone, w.Fault, mem.ResidentPages(), h.Sum64())
-		}
-		return b.String(), res
+		return finalRingState(t, cl, names), res
 	}
 	migrated, res := run(true)
 	if res.Rounds < 1 {
@@ -436,5 +443,46 @@ func TestMigrationReusesReplicatedBase(t *testing.T) {
 	if reused.BytesStreamed*2 >= control.BytesStreamed {
 		t.Fatalf("base reuse saved too little: %d vs control %d bytes",
 			reused.BytesStreamed, control.BytesStreamed)
+	}
+}
+
+// TestIncrementalCheckpointAfterMigrateRestarts: a migration consumes a
+// block of sequence numbers only the migrated pod stores, so the next
+// incremental checkpoint has no base at seq-1 on the other pods. Each agent
+// must fall back to a full capture there (and the migrated pod, re-homed,
+// chains on what its new store holds), so the job still restarts — to the
+// state a run that never checkpointed, migrated or restarted reaches.
+func TestIncrementalCheckpointAfterMigrateRestarts(t *testing.T) {
+	run := func(disturb bool) string {
+		cl, err := cruz.New(cruz.Config{Nodes: 4, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := migrateSlm(4)
+		cfg.Steps = 200
+		cfg.Linger = true
+		names, job := deployRingCfg(t, cl, cfg)
+		cl.Run(100 * cruz.Millisecond)
+		if disturb {
+			if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{Dedup: true}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Migrate(job, names[2], 0, cruz.MigrateOptions{
+				Dedup: true, Precopy: cruz.PrecopyConfig{MaxRounds: 4, DirtyThresholdPages: 8},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{Incremental: true, Dedup: true}); err != nil {
+				t.Fatal(err)
+			}
+			cl.Run(50 * cruz.Millisecond)
+			if _, err := cl.Restart(job, 0); err != nil {
+				t.Fatalf("restart from the post-migration incremental checkpoint: %v", err)
+			}
+		}
+		return finalRingState(t, cl, names)
+	}
+	if disturbed, control := run(true), run(false); disturbed != control {
+		t.Fatalf("restarted run state diverged from control:\nrestarted:\n%scontrol:\n%s", disturbed, control)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"cruz/internal/apps/slm"
 	"cruz/internal/apps/stream"
 	"cruz/internal/batch"
-	"cruz/internal/ckpt"
 	"cruz/internal/sim"
 )
 
@@ -115,28 +114,12 @@ func TestSoakMixedWorkloads(t *testing.T) {
 
 	// Migrate the kvstore pod from node 0 to node 1 while everything
 	// else keeps running.
-	{
-		pod := cl.Pod("db")
-		f := pod.Kernel().Stack().Filter()
-		rule := f.AddDropAddr(pod.IP())
-		stopped := false
-		pod.Stop(func() { stopped = true })
-		if !cl.RunUntil(func() bool { return stopped }, cruz.Second) {
-			t.Fatal("db pod did not quiesce")
-		}
-		img, cerr := ckpt.Capture(pod, 1, ckpt.Options{})
-		if cerr != nil {
-			t.Fatal(cerr)
-		}
-		pod.Destroy()
-		f.RemoveRule(rule)
-		pod2, rerr := ckpt.Restore(cl.Nodes[1].Kernel, img)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		pod2.Resume()
-		cl.Nodes[1].Agent.Manage(pod2)
-		cl.MovePod("db", 1)
+	dbJob, err := cl.DefineJob("db", "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Migrate(dbJob, "db", 1, cruz.MigrateOptions{}); err != nil {
+		t.Fatal(err)
 	}
 	cl.Run(2 * cruz.Second)
 	healthy("after db migration")

@@ -262,3 +262,34 @@ func TestTreeFlatAbortEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestTreePlacementReportsReachRoot: a member's placement report goes to
+// its leader, and replication finishes long after the leader's relay op
+// has — the leader must forward it anyway, or the root's registry never
+// learns of a replica (or a shard) and a later recovery picks the wrong
+// sequence or finds "no surviving replica".
+func TestTreePlacementReportsReachRoot(t *testing.T) {
+	const n = 16
+	for _, ec := range []cruz.ECParams{{}, {M: 4, R: 2}} {
+		cl, err := cruz.New(cruz.Config{Nodes: n, Seed: 1, GroupSize: 4, Replicas: 1, EC: ec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, job := deployWideRing(t, cl, n)
+		cl.Run(100 * cruz.Millisecond)
+		res, err := cl.Checkpoint(job, cruz.CheckpointOptions{Dedup: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Run(5 * cruz.Second)
+		for _, name := range names {
+			if ec.Enabled() {
+				if got := cl.Coordinator.KnownECShards(name, res.Seq); got != ec.M+ec.R {
+					t.Errorf("EC %v: root knows %d shard holders of %s/%d, want %d", ec, got, name, res.Seq, ec.M+ec.R)
+				}
+			} else if got := cl.Coordinator.KnownHolders(name, res.Seq); got != 2 {
+				t.Errorf("root knows %d holders of %s/%d, want 2 (primary + replica)", got, name, res.Seq)
+			}
+		}
+	}
+}
