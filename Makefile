@@ -33,7 +33,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/ckpt/...
+	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/ckpt/... ./internal/gobmemo/...
+	$(GO) test -race -run TestParallelClustersTraceLikeASequentialRun .
 
 # Regenerate the machine-readable benchmark report and fail if the
 # output is not valid BENCH_cruz.json-shaped JSON.
@@ -42,15 +43,17 @@ bench:
 	$(GO) run ./cmd/cruzbench -checkjson bench.tmp.json
 	rm -f bench.tmp.json
 
-# Wall-clock benchmarks, one per layer the page path crosses plus the
+# Wall-clock benchmarks, one per layer the page path crosses, the two gob
+# codecs of the control path (frames, manifests), plus the
 # tracer-overhead guard (trace=false must match the pre-tracing
 # baseline). Every one reports MB/s, B/op and allocs/op; B/op and
 # allocs/op repeat exactly and are the numbers to compare across commits
-# (EXPERIMENTS.md appendix A12 holds the last recorded set). No
+# (EXPERIMENTS.md appendices A12 and A13 hold the last recorded sets). No
 # thresholds — host timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
-	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage' -benchtime=50x -benchmem ./internal/ckpt/
+	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec' -benchtime=50x -benchmem ./internal/ckpt/
+	$(GO) test -run XXX -bench=BenchmarkControlCodec -benchtime=10000x -benchmem ./internal/core/
 	$(GO) test -run XXX -bench=BenchmarkDirtyTracking -benchtime=50x -benchmem ./internal/mem/
 	$(GO) test -run XXX -bench=BenchmarkEngineSchedule -benchtime=100000x -benchmem ./internal/sim/
 	$(GO) test -run XXX -bench=BenchmarkTCPBulkTransfer -benchtime=50x -benchmem ./internal/tcpip/

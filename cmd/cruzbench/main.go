@@ -6,7 +6,7 @@
 //
 //	cruzbench [-exp all|fig5|fig6|overhead|msgs|fig4|restart|incremental|dedup|precopy|migrate|recovery|ec|critpath|scale|phases|none]
 //	          [-scale 1.0] [-ckpts 3] [-maxnodes 8] [-trace] [-json]
-//	          [-checkjson FILE]
+//	          [-checkjson FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // scale 1.0 reproduces the paper's ≈100 MB pod images (slowest); smaller
 // scales preserve every shape result and run faster.
@@ -19,7 +19,9 @@
 // critical-path decomposition of the recovery MTTR and of the replicated
 // checkpoint, and the lease-expiry flight-recorder dump. -json writes
 // every selected experiment's distribution statistics
-// (mean/stddev/percentiles) to BENCH_cruz.json.
+// (mean/stddev/percentiles) to BENCH_cruz.json. -cpuprofile and
+// -memprofile write pprof profiles of the whole run (CPU samples; every
+// allocation up to exit), as the flags of the same names do under bench/.
 package main
 
 import (
@@ -27,13 +29,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"cruz"
 	"cruz/internal/exp"
 	"cruz/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main returning its exit code, so that the deferred profile
+// writers run on every path.
+func run() (code int) {
 	var (
 		which     = flag.String("exp", "all", "experiment: all|fig5|fig6|overhead|msgs|fig4|restart|incremental|dedup|precopy|migrate|recovery|ec|critpath|scale|phases|none")
 		scale     = flag.Float64("scale", 1.0, "workload scale (1.0 = paper's ~100 MB pod images)")
@@ -45,53 +52,92 @@ func main() {
 		jsonFile  = flag.String("jsonfile", "BENCH_cruz.json", "output path for -json")
 		jsonCkpts = flag.Int("jsonckpts", 5, "checkpoints per configuration for -json distributions")
 		checkJSON = flag.String("checkjson", "", "validate an existing -json output file and exit")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProf   = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	)
 	flag.Parse()
+	fail := func(what string, err error) int {
+		fmt.Fprintf(os.Stderr, "cruzbench: %s: %v\n", what, err)
+		return 1
+	}
 
 	if *checkJSON != "" {
 		if err := validateJSON(*checkJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "cruzbench: checkjson: %v\n", err)
-			os.Exit(1)
+			return fail("checkjson", err)
 		}
-		return
+		return 0
 	}
 
-	run := func(name string, fn func() error) {
-		if *which != "all" && *which != name {
-			return
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return fail("cpuprofile", err)
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "cruzbench: %s: %v\n", name, err)
-			os.Exit(1)
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail("cpuprofile", err)
 		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProf != "" {
+		defer func() {
+			if err := writeAllocProfile(*memProf); err != nil {
+				code = fail("memprofile", err)
+			}
+		}()
 	}
 
-	run("fig5", func() error { return fig5(*ckpts, *maxNodes, *scale) })
-	run("fig6", fig6)
-	run("overhead", overhead)
-	run("msgs", func() error { return msgs(*maxNodes, *scale) })
-	run("fig4", func() error { return fig4(*maxNodes, *scale) })
-	run("restart", func() error { return restart(*maxNodes, *scale) })
-	run("incremental", func() error { return incremental(*scale) })
-	run("dedup", func() error { return dedup(*jsonCkpts, *scale) })
-	run("precopy", func() error { return precopy(*ckpts, *scale) })
-	run("migrate", func() error { return migrate(*ckpts, *scale) })
-	run("recovery", func() error { return recovery(*scale) })
-	run("ec", func() error { return ecRun(*scale) })
-	run("critpath", func() error { return critpathRun(*scale) })
-	run("scale", func() error { return scaling(*scale) })
+	for _, e := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"fig5", func() error { return fig5(*ckpts, *maxNodes, *scale) }},
+		{"fig6", fig6},
+		{"overhead", overhead},
+		{"msgs", func() error { return msgs(*maxNodes, *scale) }},
+		{"fig4", func() error { return fig4(*maxNodes, *scale) }},
+		{"restart", func() error { return restart(*maxNodes, *scale) }},
+		{"incremental", func() error { return incremental(*scale) }},
+		{"dedup", func() error { return dedup(*jsonCkpts, *scale) }},
+		{"precopy", func() error { return precopy(*ckpts, *scale) }},
+		{"migrate", func() error { return migrate(*ckpts, *scale) }},
+		{"recovery", func() error { return recovery(*scale) }},
+		{"ec", func() error { return ecRun(*scale) }},
+		{"critpath", func() error { return critpathRun(*scale) }},
+		{"scale", func() error { return scaling(*scale) }},
+	} {
+		if *which != "all" && *which != e.name {
+			continue
+		}
+		if err := e.fn(); err != nil {
+			return fail(e.name, err)
+		}
+	}
 	if *doTrace || *which == "phases" || *which == "all" {
 		if err := phases(*maxNodes, *ckpts, *scale, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cruzbench: phases: %v\n", err)
-			os.Exit(1)
+			return fail("phases", err)
 		}
 	}
 	if *jsonOut {
 		if err := writeJSON(*jsonFile, *maxNodes, *jsonCkpts, *scale); err != nil {
-			fmt.Fprintf(os.Stderr, "cruzbench: json: %v\n", err)
-			os.Exit(1)
+			return fail("json", err)
 		}
 	}
+	return 0
+}
+
+// writeAllocProfile writes every allocation so far, as pprof's "allocs"
+// profile, to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // phases runs the traced checkpoint experiment and prints the per-phase

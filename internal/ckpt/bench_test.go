@@ -106,3 +106,34 @@ func BenchmarkDecodeImage(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkManifestCodec measures a manifest's encode+decode round trip —
+// what every deduplicated save writes and every load, compaction and
+// replica adoption reads back.
+func BenchmarkManifestCodec(b *testing.B) {
+	pod := benchPod(b, 512)
+	img, err := Capture(pod, 1, Options{Hashes: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := manifestFromImage(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := m.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc, err := m.Encode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := DecodeManifest(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"runtime"
@@ -96,7 +94,7 @@ type ECSet struct {
 
 // Encode serializes the shard manifest for the wire.
 func (set *ECSet) Encode() ([]byte, error) {
-	b, err := encodeToBytes(set)
+	b, err := memoAppend(ecSetCodec, nil, set, 0)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode EC set: %w", err)
 	}
@@ -106,7 +104,7 @@ func (set *ECSet) Encode() ([]byte, error) {
 // DecodeECSet parses an encoded shard manifest.
 func DecodeECSet(b []byte) (*ECSet, error) {
 	var set ECSet
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&set); err != nil {
+	if _, err := ecSetCodec.Decode(b, &set); err != nil {
 		return nil, fmt.Errorf("ckpt: decode EC set: %w", err)
 	}
 	return &set, nil

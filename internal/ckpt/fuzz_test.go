@@ -3,9 +3,11 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"cruz/internal/gobmemo/gobmemotest"
 	"cruz/internal/mem"
 )
 
@@ -143,9 +145,14 @@ func TestDecodeImageRejectsHostileBlobs(t *testing.T) {
 
 // FuzzDecodeImage: arbitrary bytes produce an image or an error, never a
 // panic, and a decoded image is internally consistent — every process
-// owns exactly its pages, inside the blob.
+// owns exactly its pages, inside the blob. Whatever they were, a good
+// blob decodes after them as it always did: the head decoder is shared.
 func FuzzDecodeImage(f *testing.F) {
 	valid, err := sampleImage().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, err := DecodeImage(valid)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -153,8 +160,14 @@ func FuzzDecodeImage(f *testing.F) {
 	for _, blob := range hostileImages(f) {
 		f.Add(blob)
 	}
+	for _, in := range gobmemotest.Inputs(f, sampleHead()) {
+		f.Add(reframe(in.Bytes, valid[len(valid)-3*mem.PageSize:]))
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		img, err := DecodeImage(blob)
+		if good, gerr := DecodeImage(valid); gerr != nil || !reflect.DeepEqual(good, want) {
+			t.Fatalf("a good blob decodes to %+v, %v", good, gerr)
+		}
 		if err != nil {
 			return
 		}
@@ -174,4 +187,44 @@ func FuzzDecodeImage(f *testing.F) {
 			t.Fatalf("decoded image does not re-encode: %v", err)
 		}
 	})
+}
+
+// fuzzDecoder is the body of FuzzDecodeManifest and FuzzDecodeECSet:
+// arbitrary bytes decode to a value or an error, never a panic; a decoded
+// value re-encodes; and the good encoding decodes after them to what it
+// always did, the decoder being shared by every store in the process. The
+// seeds — good's encoding and gobmemotest's damaged and hostile variations
+// of it — are also checked in under testdata/fuzz.
+func fuzzDecoder[T any](f *testing.F, good *T, encode func(*T) ([]byte, error), decode func([]byte) (*T, error)) {
+	valid, err := encode(good)
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, err := decode(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, in := range gobmemotest.Inputs(f, good) {
+		f.Add(in.Bytes)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := decode(b)
+		if after, aerr := decode(valid); aerr != nil || !reflect.DeepEqual(after, want) {
+			t.Fatalf("the good encoding decodes to %+v, %v", after, aerr)
+		}
+		if err != nil {
+			return
+		}
+		if _, err := encode(v); err != nil {
+			t.Fatalf("decoded value does not re-encode: %v", err)
+		}
+	})
+}
+
+func FuzzDecodeManifest(f *testing.F) {
+	fuzzDecoder(f, sampleManifest(f), (*Manifest).Encode, DecodeManifest)
+}
+
+func FuzzDecodeECSet(f *testing.F) {
+	fuzzDecoder(f, sampleECSet(), (*ECSet).Encode, DecodeECSet)
 }

@@ -17,38 +17,59 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 
 	"cruz/internal/ether"
+	"cruz/internal/gobmemo"
 	"cruz/internal/kernel"
 	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 )
 
-// encBufPool recycles the scratch buffers behind every gob encode on the
-// capture path (program state, image heads, manifests). Only small
+// encBufPool recycles the staging buffers of the capture path's gob
+// encodes (program state, image heads, manifests, shard sets). Only small
 // structured state goes through gob — page bytes never do — so the
 // buffers stay a few KB; checkpoints are taken repeatedly over a pod's
 // life, and reusing the grown buffer avoids re-paying the
 // append-doubling allocations on every capture.
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// gobAppend gob-encodes v through a pooled buffer and appends the
-// encoding to dst, grown once to hold it and reserve bytes more.
-func gobAppend(dst []byte, v any, reserve int) ([]byte, error) {
+// gobAppend runs encode against a pooled buffer and appends what it wrote
+// to dst, grown once to hold it and reserve bytes more.
+func gobAppend(dst []byte, reserve int, encode func(io.Writer) error) ([]byte, error) {
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
 	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+	if err := encode(buf); err != nil {
 		return nil, err
 	}
 	return append(slices.Grow(dst, buf.Len()+reserve), buf.Bytes()...), nil
 }
 
-// encodeToBytes gob-encodes v into a buffer sized for it.
-func encodeToBytes(v any) ([]byte, error) { return gobAppend(nil, v, 0) }
+// The statically typed encodings — image heads, manifests, shard sets —
+// go through one memoised codec each: gob's type descriptors are built
+// once per process, and the bytes are those of a fresh encoder.
+var (
+	imageCodec    = gobmemo.New[Image]()
+	manifestCodec = gobmemo.New[Manifest]()
+	ecSetCodec    = gobmemo.New[ECSet]()
+)
+
+// memoAppend is gobAppend of v's encoding by its memoised codec.
+func memoAppend[T any](c *gobmemo.Codec[T], dst []byte, v *T, reserve int) ([]byte, error) {
+	return gobAppend(dst, reserve, func(w io.Writer) error { return c.Encode(w, v) })
+}
+
+// encodeToBytes gob-encodes v, with a fresh encoder, into a buffer sized
+// for it. It serves progHolder, whose interface-typed field puts the
+// program's concrete type descriptors among the value's bytes, so that no
+// constant prefix exists to memoise.
+func encodeToBytes(v any) ([]byte, error) {
+	return gobAppend(nil, 0, func(w io.Writer) error { return gob.NewEncoder(w).Encode(v) })
+}
 
 // RegisterProgram must be called (once, at init time) for every concrete
 // Program type that will be checkpointed, so its state can travel through
@@ -209,7 +230,7 @@ func (img *Image) encode() ([]byte, *Image, error) {
 		m.PageData = nil
 	}
 	var hdr [imageHdrSize]byte
-	blob, err := gobAppend(hdr[:], &view, pageBytes)
+	blob, err := memoAppend(imageCodec, hdr[:], &view, pageBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ckpt: encode image: %w", err)
 	}
@@ -244,7 +265,7 @@ func DecodeImage(b []byte) (*Image, error) {
 	}
 	head, pages := b[imageHdrSize:imageHdrSize+headLen], b[imageHdrSize+headLen:]
 	var img Image
-	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&img); err != nil {
+	if _, err := imageCodec.Decode(head, &img); err != nil {
 		return nil, fmt.Errorf("ckpt: decode image: %w", err)
 	}
 	var want uint64

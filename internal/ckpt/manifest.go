@@ -1,8 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -60,7 +58,7 @@ type Manifest struct {
 // Encode serializes the manifest (the only part of a deduplicated save
 // that is always written in full).
 func (m *Manifest) Encode() ([]byte, error) {
-	b, err := encodeToBytes(m)
+	b, err := memoAppend(manifestCodec, nil, m, 0)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode manifest: %w", err)
 	}
@@ -70,7 +68,7 @@ func (m *Manifest) Encode() ([]byte, error) {
 // DecodeManifest parses an encoded manifest.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	var m Manifest
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
+	if _, err := manifestCodec.Decode(b, &m); err != nil {
 		return nil, fmt.Errorf("ckpt: decode manifest: %w", err)
 	}
 	return &m, nil

@@ -16,11 +16,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"cruz/internal/ckpt"
 	"cruz/internal/ctl"
+	"cruz/internal/gobmemo"
 	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
@@ -363,6 +363,13 @@ func emptied(m map[int][]byte) map[int][]byte {
 // hands them to ctl as parts, and the receiver re-attaches them as
 // sub-slices of the frame buffer it now owns.
 
+// wireCodec produces and parses the gob part. Every frame is
+// self-contained — it opens with wireMsg's type descriptors, because the
+// receiver decodes each one independently — but the descriptors are the
+// same bytes in every frame of a process, so the codec builds them, and
+// the decoder state they compile to, once.
+var wireCodec = gobmemo.New[wireMsg]()
+
 // encodeMsg writes m's payload head into buf — everything up to the raw
 // bytes — and returns the parts that follow it on the wire (nil for a
 // bulk-free message).
@@ -379,7 +386,7 @@ func encodeMsg(buf *bytes.Buffer, m *wireMsg) ([][]byte, error) {
 			m, parts = &head, bulk
 		}
 	}
-	if err := gob.NewEncoder(buf).Encode(m); err != nil {
+	if err := wireCodec.Encode(buf, m); err != nil {
 		return nil, fmt.Errorf("core: encode %v: %w", m.Type, err)
 	}
 	for _, p := range parts {
@@ -392,13 +399,12 @@ func encodeMsg(buf *bytes.Buffer, m *wireMsg) ([][]byte, error) {
 // payload, which belongs to the message from here on.
 func decodeMsg(payload []byte) (*wireMsg, error) {
 	var m wireMsg
-	// gob reads a bytes.Reader message by message without reading
-	// ahead, so what Decode leaves unread is exactly the raw tail.
-	r := bytes.NewReader(payload)
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
+	used, err := wireCodec.Decode(payload, &m)
+	if err != nil {
 		return nil, fmt.Errorf("core: decode frame: %w", err)
 	}
-	tail := payload[len(payload)-r.Len():]
+	// What the gob value did not occupy is exactly the raw tail.
+	tail := payload[used:]
 	if len(tail) == 0 {
 		return &m, nil
 	}
@@ -434,9 +440,7 @@ type ctlConn struct {
 	// encBuf is the reusable staging buffer for payload heads: ctl
 	// copies the head into its frame, so the buffer is dead as soon as
 	// send returns and one per connection suffices. Bulk never enters
-	// it, so it stays a few KB. (Each message still gets a fresh encoder
-	// — frames must be self-contained because the receiver decodes each
-	// one independently.)
+	// it, so it stays a few KB.
 	encBuf bytes.Buffer
 }
 

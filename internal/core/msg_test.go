@@ -16,6 +16,7 @@ import (
 
 	"cruz/internal/ckpt"
 	"cruz/internal/ctl"
+	"cruz/internal/gobmemo/gobmemotest"
 	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
@@ -287,10 +288,14 @@ func TestDecodeMsgRejectsHostileFrames(t *testing.T) {
 
 // FuzzBulkFrame: arbitrary payload bytes decode to a message or an error,
 // never a panic, and every bulk slice of a decoded message lies inside
-// the payload.
+// the payload. Whatever they were, a good frame decodes after them as it
+// always did: the decoder state they passed through is shared.
 func FuzzBulkFrame(f *testing.F) {
 	valid, _ := payloadOf(f, bulkMsg())
 	f.Add(valid)
+	for _, in := range gobmemotest.Inputs(f, firstOf(msgReplOffer)) {
+		f.Add(in.Bytes)
+	}
 	small, _ := payloadOf(f, &wireMsg{Type: msgReplDone, Seq: 1, Pod: "p", Repl: &replPayload{Bytes: 7}})
 	f.Add(small)
 	for _, payload := range hostileFrames(f) {
@@ -298,6 +303,7 @@ func FuzzBulkFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := decodeMsg(payload)
+		checkGoodFrameDecodes(t, valid)
 		if err != nil || m.Repl == nil {
 			return
 		}

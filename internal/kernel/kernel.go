@@ -83,7 +83,13 @@ type Kernel struct {
 	nextPID int
 
 	busyCPUs int
-	readyQ   []*Process
+	// readyQ[readyHead:] are the runnable processes, oldest first; the
+	// slots before readyHead are spent and reclaimed by enqueue.
+	readyQ    []*Process
+	readyHead int
+	// dispatchFn is k.dispatch bound once: a method value allocates a
+	// closure each time it is taken, and enqueue schedules one per wakeup.
+	dispatchFn func()
 
 	shms    map[int]*ShmSegment
 	sems    map[int]*Semaphore
@@ -122,6 +128,7 @@ func New(engine *sim.Engine, name string, params Params, stack *tcpip.Stack) *Ke
 		shms:    make(map[int]*ShmSegment),
 		sems:    make(map[int]*Semaphore),
 	}
+	k.dispatchFn = k.dispatch
 	k.disk = &Disk{
 		engine:   engine,
 		name:     name,
@@ -200,17 +207,25 @@ func (k *Kernel) enqueue(p *Process) {
 	}
 	p.state = StateReady
 	p.queued = true
+	if k.readyHead > 0 && len(k.readyQ) == cap(k.readyQ) {
+		// Full, with spent slots at the front: slide the backlog down
+		// instead of growing the array.
+		n := copy(k.readyQ, k.readyQ[k.readyHead:])
+		clear(k.readyQ[n:])
+		k.readyQ, k.readyHead = k.readyQ[:n], 0
+	}
 	k.readyQ = append(k.readyQ, p)
 	// Dispatch from a fresh event so callers (e.g. notify callbacks deep
 	// in the TCP stack) never re-enter program code synchronously.
-	k.engine.Schedule(0, k.dispatch)
+	k.engine.Schedule(0, k.dispatchFn)
 }
 
 // dispatch assigns ready processes to free CPUs.
 func (k *Kernel) dispatch() {
-	for k.busyCPUs < k.params.NumCPUs && len(k.readyQ) > 0 {
-		p := k.readyQ[0]
-		k.readyQ = k.readyQ[1:]
+	for k.busyCPUs < k.params.NumCPUs && k.readyHead < len(k.readyQ) {
+		p := k.readyQ[k.readyHead]
+		k.readyQ[k.readyHead] = nil
+		k.readyHead++
 		p.queued = false
 		if p.state != StateReady {
 			continue

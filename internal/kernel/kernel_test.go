@@ -373,3 +373,33 @@ func TestUserSignalWakesBlockedProcess(t *testing.T) {
 		t.Fatalf("pending = %v", got)
 	}
 }
+
+// TestStepCycleAllocatesOnlyItsCompletion: with more runnable processes
+// than CPUs the ready queue never drains, and every step passes through
+// enqueue and dispatch. A step's only allocation is the closure that
+// completes it — the dispatch event reuses one bound callback and the
+// queue reuses its array. (The steps cost no CPU time, so the clock
+// stands still and the engine's calendar never re-fits, which allocates.)
+func TestStepCycleAllocatesOnlyItsCompletion(t *testing.T) {
+	r := newTestRig(t, 1)
+	k := r.kernels[0]
+	for i := 0; i < 2*k.params.NumCPUs+1; i++ {
+		k.Spawn("spin", &counterProg{Target: 1 << 30}, 0)
+	}
+	cycle := func() {
+		for i := 0; i < 1000; i++ {
+			r.engine.Step()
+		}
+	}
+	cycle() // grow the queue and the engine's event pool
+	const runs = 10
+	before := k.Stats.StepsRun
+	avg := testing.AllocsPerRun(runs, cycle)
+	steps := float64(k.Stats.StepsRun-before) / (runs + 1) // AllocsPerRun warms up once
+	if steps < 300 {
+		t.Fatalf("%.0f steps per run, want at least 300", steps)
+	}
+	if avg > steps {
+		t.Errorf("%.0f allocations over %.0f steps, want at most one per step", avg, steps)
+	}
+}

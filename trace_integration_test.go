@@ -177,3 +177,30 @@ func TestTraceDisabledZeroEvents(t *testing.T) {
 		t.Fatal("tracer appeared mid-run")
 	}
 }
+
+// TestParallelClustersTraceLikeASequentialRun: the memoised gob codecs are
+// process-wide state shared by every cluster in the process, so clusters
+// stepped concurrently pass through the same encoder and decoder — and
+// must not notice: each one's trace is byte-identical to that of the same
+// seed run alone. Dedup and replication put manifests and bulk frames, not
+// only control frames, through the codecs.
+func TestParallelClustersTraceLikeASequentialRun(t *testing.T) {
+	opts := cruz.CheckpointOptions{Dedup: true, Replicas: 1}
+	wantChrome, wantTimeline := tracedCycle(t, 42, opts)
+	type traces struct{ chrome, timeline []byte }
+	got := make([]traces, 4)
+	t.Run("clusters", func(t *testing.T) {
+		for i := range got {
+			i := i
+			t.Run(fmt.Sprint(i), func(t *testing.T) {
+				t.Parallel()
+				got[i].chrome, got[i].timeline = tracedCycle(t, 42, opts)
+			})
+		}
+	})
+	for i, g := range got {
+		if !bytes.Equal(g.chrome, wantChrome) || !bytes.Equal(g.timeline, wantTimeline) {
+			t.Errorf("cluster %d, run alongside %d others, traced differently from a run alone", i, len(got)-1)
+		}
+	}
+}
