@@ -56,6 +56,41 @@ func (r *rig) run(d sim.Duration) {
 	}
 }
 
+// write drives bytes through s's disk — what a caller of the store's
+// Plan* methods still owes it — and waits for them to land.
+func (r *rig) write(s *Store, bytes int64) {
+	r.t.Helper()
+	done := false
+	s.Disk().Write(bytes, func() { done = true })
+	r.run(10 * sim.Second)
+	if !done {
+		r.t.Fatal("store write never completed")
+	}
+}
+
+// saveDeduped plans a deduplicated save of img into s and writes it out.
+func (r *rig) saveDeduped(s *Store, img *Image) *SavePlan {
+	r.t.Helper()
+	plan, err := s.PlanDedupSave(img)
+	if err != nil {
+		r.t.Fatalf("PlanDedupSave: %v", err)
+	}
+	r.write(s, plan.TotalBytes)
+	return plan
+}
+
+// saveEC stripes the stored chain ending at (pod, seq) and writes the
+// parity out.
+func (r *rig) saveEC(s *Store, pod string, seq int, p ECParams) *ECPlan {
+	r.t.Helper()
+	plan, err := s.PlanECSave(pod, seq, p)
+	if err != nil {
+		r.t.Fatalf("PlanECSave(%s/%d): %v", pod, seq, err)
+	}
+	r.write(s, plan.ParityBytes)
+	return plan
+}
+
 func podIP(i int) tcpip.Addr { return tcpip.Addr{10, 0, 1, byte(i + 1)} }
 func podMAC(i int) ether.MAC { return ether.MAC{2, 0, 0, 1, 0, byte(i + 1)} }
 
@@ -725,7 +760,9 @@ func TestStoreMissingImage(t *testing.T) {
 	if !called {
 		t.Fatal("missing-image callback not invoked synchronously")
 	}
-	if _, err := r.store.Size("ghost", 1); !errors.Is(err, ErrNoImage) {
-		t.Fatalf("Size err = %v", err)
+	var latestErr error
+	r.store.LoadLatest("ghost", trace.SpanContext{}, func(_ *Image, err error) { latestErr = err })
+	if !errors.Is(latestErr, ErrNoImage) {
+		t.Fatalf("LoadLatest err = %v", latestErr)
 	}
 }

@@ -24,8 +24,7 @@ func (st SaveStats) TotalBytes() int64 { return st.ManifestBytes + st.NewChunkBy
 
 // SavePlan is the synchronous half of a deduplicated save: the manifest
 // and chunk bookkeeping are done, and TotalBytes of disk writing remain.
-// Agents use it to drive the write themselves (pipelined, in segments);
-// SaveDeduped wraps it in a single write for direct store users.
+// Agents use it to drive the write themselves (pipelined, in segments).
 type SavePlan struct {
 	Pod        string
 	Seq        int
@@ -99,15 +98,7 @@ func (s *Store) PlanDedupSave(img *Image) (*SavePlan, error) {
 	s.stats.NewChunkBytes += plan.Stats.NewChunkBytes
 	s.stats.DedupedBytes += plan.Stats.DedupedBytes
 
-	if s.manifests[img.PodName] == nil {
-		s.manifests[img.PodName] = make(map[int]*Manifest)
-		s.manifestBytes[img.PodName] = make(map[int]int64)
-	}
-	s.manifests[img.PodName][img.Seq] = m
-	s.manifestBytes[img.PodName][img.Seq] = int64(len(mblob))
-	if img.Seq > s.latest[img.PodName] {
-		s.latest[img.PodName] = img.Seq
-	}
+	s.putManifest(img.PodName, img.Seq, m, int64(len(mblob)))
 	plan.TotalBytes = plan.Stats.TotalBytes()
 	if s.autoCompact > 0 {
 		if chain, cerr := s.manifestChain(img.PodName, img.Seq); cerr == nil && len(chain) > s.autoCompact {
@@ -117,26 +108,55 @@ func (s *Store) PlanDedupSave(img *Image) (*SavePlan, error) {
 	return plan, nil
 }
 
-// SaveDeduped is the one-call form of a deduplicated save: plan, then a
-// single disk write of the unique bytes. done receives the completed
-// plan once the write lands.
-func (s *Store) SaveDeduped(img *Image, done func(*SavePlan, error)) {
-	plan, err := s.PlanDedupSave(img)
+// adoptManifest decodes a chain manifest received from another store,
+// takes a chunk reference for each page it lists (the chunks must already
+// be resident) and registers it — the tail of Adopt and ReconstructEC.
+func (s *Store) adoptManifest(pod string, seq int, mblob []byte) error {
+	m, err := DecodeManifest(mblob)
 	if err != nil {
-		done(nil, err)
+		return err
+	}
+	for i := range m.Procs {
+		for _, ref := range m.Procs[i].Pages {
+			e, ok := s.chunks[ref.Hash]
+			if !ok {
+				return fmt.Errorf("ckpt: adopt %s/%d: missing chunk %v", pod, seq, ref.Hash)
+			}
+			e.refs++
+			s.stats.DupChunks++
+		}
+	}
+	s.putManifest(pod, seq, m, int64(len(mblob)))
+	return nil
+}
+
+// putManifest registers a manifest whose chunk references are taken.
+func (s *Store) putManifest(pod string, seq int, m *Manifest, size int64) {
+	if s.manifests[pod] == nil {
+		s.manifests[pod] = make(map[int]*Manifest)
+		s.manifestBytes[pod] = make(map[int]int64)
+	}
+	s.manifests[pod][seq] = m
+	s.manifestBytes[pod][seq] = size
+	if seq > s.latest[pod] {
+		s.latest[pod] = seq
+	}
+}
+
+// dropManifest unregisters a manifest, if stored, and releases its chunk
+// references; chunks nothing else references are freed.
+func (s *Store) dropManifest(pod string, seq int) {
+	m, ok := s.manifests[pod][seq]
+	if !ok {
 		return
 	}
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.Begin(s.disk.Name(), "ckpt", "store.save",
-			trace.Str("pod", img.PodName), trace.Int("seq", int64(img.Seq)),
-			trace.Int("bytes", plan.TotalBytes),
-			trace.Int("deduped_bytes", plan.Stats.DedupedBytes))
+	for i := range m.Procs {
+		for _, ref := range m.Procs[i].Pages {
+			s.releaseChunk(ref.Hash)
+		}
 	}
-	s.disk.Write(plan.TotalBytes, func() {
-		sp.End()
-		done(plan, nil)
-	})
+	delete(s.manifests[pod], seq)
+	delete(s.manifestBytes[pod], seq)
 }
 
 // manifestChain walks seq back to its full base, returning the sequence
@@ -267,23 +287,9 @@ func (s *Store) Compact(pod string, done func(int64, error)) {
 		}
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		old := s.manifests[pod][chain[i]]
-		for j := range old.Procs {
-			for _, ref := range old.Procs[j].Pages {
-				e := s.chunks[ref.Hash]
-				e.refs--
-				if e.refs == 0 {
-					delete(s.chunks, ref.Hash)
-					s.stats.FreedChunks++
-					s.stats.FreedBytes += mem.PageSize
-				}
-			}
-		}
-		delete(s.manifests[pod], chain[i])
-		delete(s.manifestBytes[pod], chain[i])
+		s.dropManifest(pod, chain[i])
 	}
-	s.manifests[pod][seq] = &syn
-	s.manifestBytes[pod][seq] = int64(len(mblob))
+	s.putManifest(pod, seq, &syn, int64(len(mblob)))
 	s.stats.Compactions++
 
 	var sp trace.Span

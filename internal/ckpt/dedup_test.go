@@ -108,21 +108,7 @@ func TestDedupSaveChargesOnlyNewBytes(t *testing.T) {
 	pod.Spawn("w", w)
 	r.run(50 * sim.Millisecond)
 
-	save := func(img *Image) *SavePlan {
-		t.Helper()
-		var plan *SavePlan
-		r.store.SaveDeduped(img, func(p *SavePlan, err error) {
-			if err != nil {
-				t.Errorf("SaveDeduped: %v", err)
-			}
-			plan = p
-		})
-		r.run(10 * sim.Second)
-		if plan == nil {
-			t.Fatal("save never completed")
-		}
-		return plan
-	}
+	save := func(img *Image) *SavePlan { return r.saveDeduped(r.store, img) }
 
 	img1 := r.stopAndCapture(pod, 1, Options{Hashes: true})
 	plan1 := save(img1)
@@ -180,25 +166,11 @@ func TestCompactFoldsChainAndFreesChunks(t *testing.T) {
 	pod.Spawn("w", w)
 	r.run(30 * sim.Millisecond)
 
-	save := func(img *Image) {
-		t.Helper()
-		done := false
-		r.store.SaveDeduped(img, func(_ *SavePlan, err error) {
-			if err != nil {
-				t.Errorf("SaveDeduped: %v", err)
-			}
-			done = true
-		})
-		r.run(10 * sim.Second)
-		if !done {
-			t.Fatal("save never completed")
-		}
-	}
-	save(r.stopAndCapture(pod, 1, Options{Hashes: true}))
+	r.saveDeduped(r.store, r.stopAndCapture(pod, 1, Options{Hashes: true}))
 	for seq := 2; seq <= 4; seq++ {
 		pod.Resume()
 		r.run(5 * sim.Millisecond)
-		save(r.stopAndCapture(pod, seq, Options{Hashes: true, Incremental: true}))
+		r.saveDeduped(r.store, r.stopAndCapture(pod, seq, Options{Hashes: true, Incremental: true}))
 	}
 	finalIter := w.Iter
 	pod.Destroy()
@@ -350,21 +322,6 @@ func TestRestorePathsEquivalent(t *testing.T) {
 		imgs = append(imgs, r.stopAndCapture(pod, seq, Options{Hashes: true, Incremental: true}))
 	}
 
-	saveDeduped := func(s *Store, img *Image) {
-		t.Helper()
-		done := false
-		s.SaveDeduped(img, func(_ *SavePlan, err error) {
-			if err != nil {
-				t.Errorf("SaveDeduped: %v", err)
-			}
-			done = true
-		})
-		r.run(10 * sim.Second)
-		if !done {
-			t.Fatal("dedup save never completed")
-		}
-	}
-
 	// Route E: pre-copy. Unlike routes A-D this chain is built while the
 	// pod RUNS — three live COW rounds captured concurrently with the
 	// echo stream and the heap churn, topped by a residual captured
@@ -384,7 +341,7 @@ func TestRestorePathsEquivalent(t *testing.T) {
 		// must stay out of this round's image (they reappear dirty in
 		// the next round or the residual).
 		pump(2)
-		saveDeduped(pre, lc.Image)
+		r.saveDeduped(pre, lc.Image)
 		lc.Release()
 		baseSeq = 4 + round
 	}
@@ -393,7 +350,7 @@ func TestRestorePathsEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saveDeduped(pre, resid)
+	r.saveDeduped(pre, resid)
 	pod.Destroy()
 
 	// Route A: plain in-memory merge of the chain — the ground truth.
@@ -436,7 +393,7 @@ func TestRestorePathsEquivalent(t *testing.T) {
 	for name, compact := range map[string]bool{"dedup": false, "dedup+compact": true} {
 		s := NewStore(r.kernels[0].Disk())
 		for _, img := range imgs {
-			saveDeduped(s, img)
+			r.saveDeduped(s, img)
 		}
 		if compact {
 			s.Compact("eq", nil)
@@ -453,20 +410,10 @@ func TestRestorePathsEquivalent(t *testing.T) {
 	{
 		src := NewStore(r.kernels[0].Disk())
 		for _, img := range imgs {
-			saveDeduped(src, img)
+			r.saveDeduped(src, img)
 		}
 		p := ECParams{M: 4, R: 2}
-		done := false
-		src.SaveEC("eq", 3, p, func(_ *ECPlan, err error) {
-			if err != nil {
-				t.Errorf("SaveEC: %v", err)
-			}
-			done = true
-		})
-		r.run(10 * sim.Second)
-		if !done {
-			t.Fatal("EC save never completed")
-		}
+		r.saveEC(src, "eq", 3, p)
 		set, ok := src.ECSetFor("eq", 3)
 		if !ok {
 			t.Fatal("EC set not registered")
@@ -565,17 +512,7 @@ func TestDedupStoreMissingChain(t *testing.T) {
 	r.run(10 * sim.Millisecond)
 	img := r.stopAndCapture(pod, 2, Options{Hashes: true, Incremental: true})
 	img.BaseSeq = 1 // base was never saved
-	done := false
-	r.store.SaveDeduped(img, func(_ *SavePlan, err error) {
-		if err != nil {
-			t.Errorf("SaveDeduped: %v", err)
-		}
-		done = true
-	})
-	r.run(10 * sim.Second)
-	if !done {
-		t.Fatal("save never completed")
-	}
+	r.saveDeduped(r.store, img)
 	r.store.LoadMerged("orphan", 2, trace.SpanContext{}, func(img *Image, err error) {
 		if !errors.Is(err, ErrNoImage) {
 			t.Errorf("LoadMerged with missing base = %v", err)

@@ -432,7 +432,7 @@ func ecParallel(n int, fn func(i int)) {
 // ECPlan is the synchronous half of an erasure-coded save: stripes are
 // assembled, parity blocks computed and resident in the chunk table, and
 // the shard manifest registered. ParityBytes of disk writing remain for
-// the caller (SaveEC wraps it in a single write).
+// the caller.
 type ECPlan struct {
 	Pod         string
 	Seq         int
@@ -517,27 +517,6 @@ func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 	}
 	s.ecsets[pod][seq] = set
 	return plan, nil
-}
-
-// SaveEC is the one-call form: plan, then a single disk write of the
-// parity bytes. done receives the completed plan once the write lands.
-func (s *Store) SaveEC(pod string, seq int, p ECParams, done func(*ECPlan, error)) {
-	plan, err := s.PlanECSave(pod, seq, p)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.Begin(s.disk.Name(), "ckpt", "store.save_ec",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
-			trace.Int("stripes", int64(plan.Stripes)),
-			trace.Int("parity_bytes", plan.ParityBytes))
-	}
-	s.disk.Write(plan.ParityBytes, func() {
-		sp.End()
-		done(plan, nil)
-	})
 }
 
 // ECSetFor returns the registered shard manifest for (pod, seq).
@@ -701,23 +680,6 @@ func (s *Store) dropECHeld(pod string, seq int) {
 	}
 }
 
-// ECHeldFor returns this node's held shard set for (pod, seq).
-func (s *Store) ECHeldFor(pod string, seq int) (*ECHeld, bool) {
-	held, ok := s.ecHeld[pod][seq]
-	return held, ok
-}
-
-// ECHeldSeq returns the newest seq this node holds shards for.
-func (s *Store) ECHeldSeq(pod string) (int, bool) {
-	best, found := 0, false
-	for seq := range s.ecHeld[pod] {
-		if !found || seq > best {
-			best, found = seq, true
-		}
-	}
-	return best, found
-}
-
 // ECServe assembles this holder's contribution to a reconstruction: the
 // shard manifest, the chain manifests, and every shard block it holds.
 func (s *Store) ECServe(pod string, seq int) (*ECSet, map[int][]byte, []ChunkData, error) {
@@ -874,28 +836,8 @@ func (s *Store) ReconstructEC(set *ECSet, manifests map[int][]byte, blocks []Chu
 		if !ok {
 			return nil, fmt.Errorf("ckpt: reconstruct %s/%d: missing chain manifest %d", set.Pod, set.Seq, seq)
 		}
-		m, err := DecodeManifest(blob)
-		if err != nil {
+		if err := s.adoptManifest(set.Pod, seq, blob); err != nil {
 			return nil, err
-		}
-		for i := range m.Procs {
-			for _, ref := range m.Procs[i].Pages {
-				e, ok := s.chunks[ref.Hash]
-				if !ok {
-					return nil, fmt.Errorf("ckpt: reconstruct %s/%d: missing chunk %v", set.Pod, seq, ref.Hash)
-				}
-				e.refs++
-				s.stats.DupChunks++
-			}
-		}
-		if s.manifests[set.Pod] == nil {
-			s.manifests[set.Pod] = make(map[int]*Manifest)
-			s.manifestBytes[set.Pod] = make(map[int]int64)
-		}
-		s.manifests[set.Pod][seq] = m
-		s.manifestBytes[set.Pod][seq] = int64(len(blob))
-		if seq > s.latest[set.Pod] {
-			s.latest[set.Pod] = seq
 		}
 		rec.TotalBytes += int64(len(blob))
 	}

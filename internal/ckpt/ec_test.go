@@ -148,25 +148,12 @@ func TestParseECParams(t *testing.T) {
 // into the rig store's dedup form and returns the merged ground truth.
 func ecCaptureChain(t *testing.T, r *rig, pod *zap.Pod) *Image {
 	t.Helper()
-	save := func(img *Image) {
-		done := false
-		r.store.SaveDeduped(img, func(_ *SavePlan, err error) {
-			if err != nil {
-				t.Errorf("SaveDeduped: %v", err)
-			}
-			done = true
-		})
-		r.run(10 * sim.Second)
-		if !done {
-			t.Fatal("dedup save never completed")
-		}
-	}
 	img1 := r.stopAndCapture(pod, 1, Options{Hashes: true})
-	save(img1)
+	r.saveDeduped(r.store, img1)
 	pod.Resume()
 	r.run(30 * sim.Millisecond)
 	img2 := r.stopAndCapture(pod, 2, Options{Hashes: true, Incremental: true})
-	save(img2)
+	r.saveDeduped(r.store, img2)
 	merged, err := Merge(img1, img2)
 	if err != nil {
 		t.Fatal(err)
@@ -183,17 +170,7 @@ func TestECSaveReconstructRestore(t *testing.T) {
 	pod.Destroy()
 
 	p := ECParams{M: 4, R: 2}
-	var plan *ECPlan
-	r.store.SaveEC("ecpod", 2, p, func(pl *ECPlan, err error) {
-		if err != nil {
-			t.Errorf("SaveEC: %v", err)
-		}
-		plan = pl
-	})
-	r.run(10 * sim.Second)
-	if plan == nil {
-		t.Fatal("SaveEC never completed")
-	}
+	plan := r.saveEC(r.store, "ecpod", 2, p)
 	set := plan.Set
 	if set.M != 4 || set.R != 2 || len(set.Chain) != 2 {
 		t.Fatalf("unexpected set shape: %+v", set)
@@ -279,18 +256,7 @@ func TestECCompactKeepsStripeChunks(t *testing.T) {
 	ecCaptureChain(t, r, pod)
 	pod.Destroy()
 
-	var plan *ECPlan
-	r.store.SaveEC("gc", 1, ECParams{M: 4, R: 2}, func(pl *ECPlan, err error) {
-		if err != nil {
-			t.Errorf("SaveEC: %v", err)
-		}
-		plan = pl
-	})
-	r.run(10 * sim.Second)
-	if plan == nil {
-		t.Fatal("SaveEC never completed")
-	}
-	set := plan.Set
+	set := r.saveEC(r.store, "gc", 1, ECParams{M: 4, R: 2}).Set
 
 	// Compact folds seq 1+2 into a synthetic full manifest at seq 2.
 	// Pages overwritten between the captures drop out of the merged
@@ -335,22 +301,8 @@ func TestECSupersedeAndDiscard(t *testing.T) {
 	ecCaptureChain(t, r, pod)
 	pod.Destroy()
 
-	save := func(seq int) *ECSet {
-		var plan *ECPlan
-		r.store.SaveEC("sup", seq, ECParams{M: 2, R: 1}, func(pl *ECPlan, err error) {
-			if err != nil {
-				t.Errorf("SaveEC(%d): %v", seq, err)
-			}
-			plan = pl
-		})
-		r.run(10 * sim.Second)
-		if plan == nil {
-			t.Fatalf("SaveEC(%d) never completed", seq)
-		}
-		return plan.Set
-	}
-	save(1)
-	save(2) // supersedes seq 1
+	r.saveEC(r.store, "sup", 1, ECParams{M: 2, R: 1})
+	r.saveEC(r.store, "sup", 2, ECParams{M: 2, R: 1}) // supersedes seq 1
 	if _, ok := r.store.ECSetFor("sup", 1); ok {
 		t.Fatal("seq-1 EC set not superseded by seq-2 save")
 	}

@@ -203,12 +203,3 @@ func mergeManifests(base, inc *Manifest) (*Manifest, error) {
 	}
 	return &out, nil
 }
-
-// pageRefBytes is the logical page payload a manifest references.
-func (m *Manifest) pageRefBytes() int64 {
-	var n int64
-	for i := range m.Procs {
-		n += int64(len(m.Procs[i].Pages)) * mem.PageSize
-	}
-	return n
-}

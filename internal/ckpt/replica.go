@@ -190,31 +190,9 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 		s.putBlob(t.Pod, seq, blob, img)
 	}
 	for _, seq := range SortedSeqs(t.Manifests) {
-		mblob := t.Manifests[seq]
-		m, err := DecodeManifest(mblob)
-		if err != nil {
+		if err := s.adoptManifest(t.Pod, seq, t.Manifests[seq]); err != nil {
 			done(0, err)
 			return
-		}
-		for i := range m.Procs {
-			for _, ref := range m.Procs[i].Pages {
-				e, ok := s.chunks[ref.Hash]
-				if !ok {
-					done(0, fmt.Errorf("ckpt: adopt %s/%d: missing chunk %v", t.Pod, seq, ref.Hash))
-					return
-				}
-				e.refs++
-				s.stats.DupChunks++
-			}
-		}
-		if s.manifests[t.Pod] == nil {
-			s.manifests[t.Pod] = make(map[int]*Manifest)
-			s.manifestBytes[t.Pod] = make(map[int]int64)
-		}
-		s.manifests[t.Pod][seq] = m
-		s.manifestBytes[t.Pod][seq] = int64(len(mblob))
-		if seq > s.latest[t.Pod] {
-			s.latest[t.Pod] = seq
 		}
 	}
 	if t.TotalBytes <= 0 {

@@ -113,18 +113,7 @@ func TestReplicaAdoptDedupSendsOnlyMissingChunks(t *testing.T) {
 	// runs (disk writes take real virtual time) churns page hashes and
 	// would defeat the steady-state dedup this test measures.
 	save := func(seq int) {
-		img := r.stopAndCapture(pod, seq, Options{Hashes: true})
-		done := false
-		r.store.SaveDeduped(img, func(_ *SavePlan, err error) {
-			if err != nil {
-				t.Errorf("SaveDeduped: %v", err)
-			}
-			done = true
-		})
-		r.run(10 * sim.Second)
-		if !done {
-			t.Fatal("save never completed")
-		}
+		r.saveDeduped(r.store, r.stopAndCapture(pod, seq, Options{Hashes: true}))
 	}
 	save(1)
 	peer := NewStore(r.kernels[1].Disk())

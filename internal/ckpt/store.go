@@ -31,7 +31,7 @@ type Store struct {
 
 	// Content-addressed half: manifests (metadata + page-hash lists) and
 	// the refcounted chunk table they reference. A pod's checkpoints use
-	// either the blob form (Save) or the manifest form (SaveDeduped);
+	// either the blob form (PlanSave) or the manifest form (PlanDedupSave);
 	// Load/LoadMerged resolve whichever form a sequence was stored in.
 	manifests     map[string]map[int]*Manifest
 	manifestBytes map[string]map[int]int64
@@ -134,22 +134,7 @@ func (s *Store) Discard(pod string, seqs ...int) {
 	for _, seq := range seqs {
 		delete(s.blobs[pod], seq)
 		delete(s.images[pod], seq)
-		if m, ok := s.manifests[pod][seq]; ok {
-			for i := range m.Procs {
-				for _, ref := range m.Procs[i].Pages {
-					if e := s.chunks[ref.Hash]; e != nil {
-						e.refs--
-						if e.refs == 0 {
-							delete(s.chunks, ref.Hash)
-							s.stats.FreedChunks++
-							s.stats.FreedBytes += mem.PageSize
-						}
-					}
-				}
-			}
-			delete(s.manifests[pod], seq)
-			delete(s.manifestBytes[pod], seq)
-		}
+		s.dropManifest(pod, seq)
 		s.dropECSet(pod, seq)
 	}
 	// Recompute the pod's latest sequence (max is order-insensitive).
@@ -187,19 +172,6 @@ func (s *Store) Cached(pod string, seq int) (*Image, bool) {
 func (s *Store) LatestSeq(pod string) (int, bool) {
 	seq, ok := s.latest[pod]
 	return seq, ok
-}
-
-// Size returns the encoded size of one stored image. For a deduplicated
-// checkpoint this is the logical size (manifest plus every referenced
-// page), not the unique bytes it cost to store.
-func (s *Store) Size(pod string, seq int) (int64, error) {
-	if blob, ok := s.blobs[pod][seq]; ok {
-		return int64(len(blob)), nil
-	}
-	if m, ok := s.manifests[pod][seq]; ok {
-		return s.manifestBytes[pod][seq] + m.pageRefBytes(), nil
-	}
-	return 0, fmt.Errorf("%w: %s/%d", ErrNoImage, pod, seq)
 }
 
 // Load reads and decodes one image through the disk, invoking done when

@@ -313,6 +313,10 @@ func (a *Agent) acceptLoop() {
 // onMsg dispatches a control message.
 func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 	a.cpu.Do(a.params.MsgCost, func() {
+		if m.Job != "" {
+			a.onRelayMsg(c, m)
+			return
+		}
 		switch m.Type {
 		case msgCheckpoint:
 			a.startCheckpoint(c, m)
@@ -348,12 +352,6 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 			a.handleMigrateRestore(m)
 		case msgMigrateCommit:
 			a.handleMigrateCommit(c, m)
-		case msgGroupCheckpoint, msgGroupRestart:
-			a.startGroupOp(c, m)
-		case msgGroupContinue:
-			a.handleGroupContinue(m)
-		case msgGroupAbort:
-			a.handleGroupAbort(m)
 		case msgCommDisabled, msgDone, msgRestartDone, msgContinueDone, msgReplicated:
 			// Protocol replies arriving at an agent are group members
 			// reporting to their leader (this node) — aggregate them.

@@ -62,14 +62,17 @@ func everyMsg() []*wireMsg {
 		{Type: msgMigrateDone, Seq: seq, Pod: pod, LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20},
 		{Type: msgMigrateCommit, Seq: seq, Pod: pod},
 		{Type: msgMigrateSrcDone, Seq: seq, Pod: pod, RoundPages: []int{2048, 310, 42}, ImageBytes: 9 << 20},
-		{Type: msgGroupCheckpoint, Seq: seq, Job: job, Group: group, Incremental: true, Dedup: true, Replicas: 1},
-		{Type: msgGroupRestart, Seq: seq, Job: job, Group: group},
-		{Type: msgGroupContinue, Seq: seq, Job: job},
-		{Type: msgGroupAbort, Seq: seq, Job: job},
-		{Type: msgGroupDisabled, Seq: seq, Job: job, Reports: reports(0, 0, 0)},
-		{Type: msgGroupDone, Seq: seq, Job: job, Reports: reports(91*sim.Millisecond, 0, 8<<20)},
-		{Type: msgGroupRestartDone, Seq: seq, Job: job, Reports: reports(57*sim.Millisecond, 0, 8<<20)},
-		{Type: msgGroupContDone, Seq: seq, Job: job, Reports: reports(300*sim.Microsecond, 95*sim.Millisecond, 0)},
+		// The same eight as a leader sees them: by job, with its relay list
+		// on the way down and the group's batch on the way up.
+		{Type: msgCheckpoint, Seq: seq, Job: job, Group: group, Incremental: true, Dedup: true, Replicas: 1},
+		{Type: msgRestart, Seq: seq, Job: job, Group: group},
+		{Type: msgContinue, Seq: seq, Job: job},
+		{Type: msgAbort, Seq: seq, Job: job},
+		{Type: msgCommDisabled, Seq: seq, Job: job, Reports: reports(0, 0, 0)},
+		{Type: msgDone, Seq: seq, Job: job, Reports: reports(91*sim.Millisecond, 0, 8<<20)},
+		{Type: msgDone, Seq: seq, Job: job, Pod: pod, Err: ErrUnknownPod.Error()},
+		{Type: msgRestartDone, Seq: seq, Job: job, Reports: reports(57*sim.Millisecond, 0, 8<<20)},
+		{Type: msgContinueDone, Seq: seq, Job: job, Reports: reports(300*sim.Microsecond, 95*sim.Millisecond, 0)},
 		{Type: msgMigrateBase, Seq: seq, Pod: pod},
 		{Type: msgMigrateBaseAck, Seq: seq, Pod: pod, Incremental: true},
 	}

@@ -245,11 +245,17 @@ type coordOp struct {
 	reports    []PodReport
 	msgBase    int
 	span       trace.Span
-	// groups is the op's aggregation tree (nil = flat fan-out). Computed
-	// once per op from the member order and node liveness, so a leader
-	// whose lease expired before the op began is deterministically
-	// replaced by the next live member of its group.
-	groups []coord.Group
+	// dests is who the root speaks to for this op (planDests): every
+	// member, or one leader per group.
+	dests []dest
+}
+
+// dest is one addressee of a fan-out: a member, addressed by Pod, or —
+// when relay is set — the leader of the group that relay lists, addressed
+// by Job. A group with no live member has a relay list and no agent.
+type dest struct {
+	Member
+	relay []GroupMember
 }
 
 // NewCoordinator creates a coordinator on the given node's stack.
@@ -381,28 +387,19 @@ func (c *Coordinator) beginJobOp(kind string, job *Job, seq int, fromRecovery bo
 	// reports the error. This stays a direct fan-out even under the
 	// hierarchical tree — abort is the exceptional path, and sending it
 	// point-to-point preserves the flat protocol's semantics when the
-	// failed party is a leader. Leaders additionally get <group-abort>
-	// so their relay state closes.
+	// failed party is a leader. Leaders additionally get their own, by
+	// job, so their relay state closes.
 	o.OnFail(func(_ *ctl.Op, err error) {
+		to := make([]dest, 0, len(job.Members)+len(op.dests))
 		for _, m := range job.Members {
-			m := m
-			c.cpu.Do(c.params.MsgCost, func() {
-				if cc, cerr := c.connFor(m); cerr == nil {
-					cc.send(&wireMsg{Type: msgAbort, Seq: seq, Pod: m.Pod, ctx: op.span.Context()})
-				}
-			})
+			to = append(to, dest{Member: m})
 		}
-		for _, g := range op.groups {
-			if g.Leader < 0 {
-				continue
+		for _, d := range op.dests {
+			if d.relay != nil {
+				to = append(to, d)
 			}
-			leader := job.Members[g.Leader]
-			c.cpu.Do(c.params.MsgCost, func() {
-				if cc, cerr := c.connFor(leader); cerr == nil {
-					cc.send(&wireMsg{Type: msgGroupAbort, Job: job.Name, Seq: seq, ctx: op.span.Context()})
-				}
-			})
 		}
+		c.fanOut(op, to, false, wireMsg{Type: msgAbort, Seq: seq})
 	})
 	return op, nil
 }
@@ -417,48 +414,81 @@ func (c *Coordinator) memberAlive(m Member) bool {
 	return true
 }
 
-// planGroups computes the op's aggregation tree, or nil for the flat
-// fan-out. Group boundaries depend only on member order and GroupSize;
-// liveness picks each group's leader, so a lease-expired leader is
-// replaced by the next live member of its group — deterministically,
-// with no election traffic.
-func (c *Coordinator) planGroups(job *Job) []coord.Group {
+// planDests decides who the root speaks to for one op — the only place
+// the flat fan-out and the tree differ: every member, or (GroupSize > 1)
+// the leader of each group. Group boundaries depend only on member order
+// and GroupSize; liveness picks each group's leader when the op begins,
+// so a lease-expired leader is replaced by the next live member of its
+// group — deterministically, with no election traffic.
+func (c *Coordinator) planDests(job *Job) []dest {
 	if c.params.GroupSize <= 1 || len(job.Members) <= 1 {
-		return nil
+		dests := make([]dest, len(job.Members))
+		for i, m := range job.Members {
+			dests[i].Member = m
+		}
+		return dests
 	}
-	return coord.Plan(len(job.Members), c.params.GroupSize, func(i int) bool {
+	groups := coord.Plan(len(job.Members), c.params.GroupSize, func(i int) bool {
 		return c.memberAlive(job.Members[i])
 	})
-}
-
-// sendGroupStart fans one <group-checkpoint>/<group-restart> per leader,
-// carrying the group's relay list. A group with no live member fails
-// the op outright — the flat fan-out would have failed on the first
-// dead member's connection the same way.
-func (c *Coordinator) sendGroupStart(op *coordOp, mk func(m Member) *wireMsg) {
-	job := op.job
-	for _, g := range op.groups {
-		if g.Leader < 0 {
-			op.Fail(fmt.Errorf("%w: group of %s has no live member", ErrNotConnected, job.Name))
-			return
+	dests := make([]dest, len(groups))
+	for i, g := range groups {
+		if g.Leader >= 0 {
+			dests[i].Member = job.Members[g.Leader]
 		}
-		leader := job.Members[g.Leader]
-		members := make([]GroupMember, 0, len(g.Members))
 		for _, idx := range g.Members {
 			m := job.Members[idx]
-			members = append(members, GroupMember{Pod: m.Pod, IP: m.Agent.Addr, Port: m.Agent.Port})
+			dests[i].relay = append(dests[i].relay, GroupMember{Pod: m.Pod, IP: m.Agent.Addr, Port: m.Agent.Port})
 		}
-		c.cpu.Do(c.params.MsgCost, func() {
-			cc, err := c.connFor(leader)
-			if err != nil {
-				op.Fail(err)
+	}
+	return dests
+}
+
+// fanOut sends req to each destination in turn on the serialized daemon
+// CPU: by Pod to a member, by Job to a leader. The start of an op
+// (checkpoint, restart) hands each leader its relay list and must reach
+// everyone — an unreachable destination, or a group with no live member
+// to lead it, fails the op as the first dead member's connection fails
+// the flat fan-out; <continue> and <abort> skip whoever is gone.
+func (c *Coordinator) fanOut(op *coordOp, dests []dest, start bool, req wireMsg) {
+	for _, d := range dests {
+		if d.relay != nil && d.Agent == (tcpip.AddrPort{}) {
+			if start {
+				op.Fail(fmt.Errorf("%w: group of %s has no live member", ErrNotConnected, op.job.Name))
 				return
 			}
-			wm := mk(leader)
-			wm.Job = job.Name
-			wm.Group = members
-			cc.send(wm)
+			continue
+		}
+		c.cpu.Do(c.params.MsgCost, func() {
+			cc, err := c.connFor(d.Member)
+			if err != nil {
+				if start {
+					op.Fail(err)
+				}
+				return
+			}
+			m := req
+			m.ctx = op.span.Context()
+			if d.relay == nil {
+				m.Pod = d.Pod
+			} else {
+				m.Job = op.job.Name
+				if start {
+					m.Group = d.relay
+				}
+			}
+			cc.send(&m)
 		})
+	}
+}
+
+// start plans the op's destinations, fans its opening request out to
+// them and arms the silence timeout.
+func (c *Coordinator) start(op *coordOp, req wireMsg) {
+	op.dests = c.planDests(op.job)
+	c.fanOut(op, op.dests, true, req)
+	if c.params.Timeout > 0 {
+		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
 	}
 }
 
@@ -529,46 +559,19 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 		op.Expect("disabled", m.Pod)
 		op.Expect("cont", m.Pod)
 	}
-	mkCkpt := func(m Member) *wireMsg {
-		return &wireMsg{
-			Type:                  msgCheckpoint,
-			Seq:                   seq,
-			Pod:                   m.Pod,
-			ctx:                   op.span.Context(),
-			Incremental:           opts.Incremental,
-			Optimized:             opts.Optimized,
-			COW:                   opts.COW,
-			Dedup:                 opts.Dedup,
-			Pipeline:              opts.Pipeline,
-			Replicas:              opts.Replicas,
-			PrecopyRounds:         opts.Precopy.MaxRounds,
-			PrecopyThresholdPages: opts.Precopy.DirtyThresholdPages,
-			PrecopyMinGain:        opts.Precopy.MinRoundGain,
-		}
-	}
-	if op.groups = c.planGroups(job); op.groups != nil {
-		c.sendGroupStart(op, func(leader Member) *wireMsg {
-			wm := mkCkpt(leader)
-			wm.Type = msgGroupCheckpoint
-			wm.Pod = ""
-			return wm
-		})
-	} else {
-		for _, m := range job.Members {
-			m := m
-			c.cpu.Do(c.params.MsgCost, func() {
-				cc, err := c.connFor(m)
-				if err != nil {
-					op.Fail(err)
-					return
-				}
-				cc.send(mkCkpt(m))
-			})
-		}
-	}
-	if c.params.Timeout > 0 {
-		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
-	}
+	c.start(op, wireMsg{
+		Type:                  msgCheckpoint,
+		Seq:                   seq,
+		Incremental:           opts.Incremental,
+		Optimized:             opts.Optimized,
+		COW:                   opts.COW,
+		Dedup:                 opts.Dedup,
+		Pipeline:              opts.Pipeline,
+		Replicas:              opts.Replicas,
+		PrecopyRounds:         opts.Precopy.MaxRounds,
+		PrecopyThresholdPages: opts.Precopy.DirtyThresholdPages,
+		PrecopyMinGain:        opts.Precopy.MinRoundGain,
+	})
 }
 
 // Restart runs a coordinated restart of the job from checkpoint seq
@@ -626,42 +629,31 @@ func (c *Coordinator) runRestart(job *Job, seq int, fromRecovery bool, parent tr
 		op.Expect("done", m.Pod)
 		op.Expect("cont", m.Pod)
 	}
-	if op.groups = c.planGroups(job); op.groups != nil {
-		c.sendGroupStart(op, func(leader Member) *wireMsg {
-			return &wireMsg{Type: msgGroupRestart, Seq: seq, ctx: op.span.Context()}
-		})
-	} else {
-		for _, m := range job.Members {
-			m := m
-			c.cpu.Do(c.params.MsgCost, func() {
-				cc, err := c.connFor(m)
-				if err != nil {
-					op.Fail(err)
-					return
-				}
-				cc.send(&wireMsg{Type: msgRestart, Seq: seq, Pod: m.Pod, ctx: op.span.Context()})
-			})
-		}
-	}
-	if c.params.Timeout > 0 {
-		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
-	}
+	c.start(op, wireMsg{Type: msgRestart, Seq: seq})
 }
 
-// opForPod locates the active coordinated operation covering a pod
-// report. Table iteration is key-sorted, so resolution is deterministic.
-func (c *Coordinator) opForPod(pod string, seq int) *coordOp {
+// opFor locates the active coordinated operation a reply belongs to: the
+// job's, when a leader names it, else the one covering the member's pod.
+// Table iteration is key-sorted, so resolution is deterministic.
+func (c *Coordinator) opFor(m *wireMsg) *coordOp {
+	if m.Job != "" {
+		if o := c.table.Get(m.Job); o != nil && o.Seq == m.Seq {
+			op, _ := o.Data.(*coordOp)
+			return op
+		}
+		return nil
+	}
 	var found *coordOp
 	c.table.Each(func(o *ctl.Op) {
-		if found != nil || o.Seq != seq {
+		if found != nil || o.Seq != m.Seq {
 			return
 		}
 		op, ok := o.Data.(*coordOp)
 		if !ok {
 			return
 		}
-		for _, m := range op.job.Members {
-			if m.Pod == pod {
+		for _, mem := range op.job.Members {
+			if mem.Pod == m.Pod {
 				found = op
 				return
 			}
@@ -690,69 +682,40 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 			c.handleMigrateSrcDone(m)
 			return
 		}
-		switch m.Type {
-		case msgGroupDisabled, msgGroupDone, msgGroupRestartDone, msgGroupContDone:
-			c.handleGroupMsg(m)
-			return
-		}
-		op := c.opForPod(m.Pod, m.Seq)
+		op := c.opFor(m)
 		if op == nil {
 			return
 		}
+		// A member's own reply is a batch of one; a leader's batch replays
+		// through the identical per-pod arrival logic in the leader's
+		// (deterministic) arrival order. Commit/abort decisions therefore
+		// cannot differ between the two transports.
+		batch := m.Reports
+		if m.Job == "" {
+			batch = []GroupReport{m.report()}
+		}
 		if c.tr.Enabled() {
 			c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
-				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)), trace.Int("batch", int64(len(batch))))
 		}
 		if m.Err != "" {
 			op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
 			return
 		}
-		switch m.Type {
-		case msgCommDisabled:
-			c.arriveDisabled(op, m.Pod)
-		case msgDone, msgRestartDone:
-			c.arriveDone(op, GroupReport{Pod: m.Pod, LocalDuration: m.LocalDuration, ImageBytes: m.ImageBytes})
-		case msgContinueDone:
-			c.arriveCont(op, GroupReport{Pod: m.Pod, LocalDuration: m.LocalDuration, BlockedDuration: m.BlockedDuration})
+		for _, r := range batch {
+			if !op.Active() {
+				return
+			}
+			switch m.Type {
+			case msgCommDisabled:
+				c.arriveDisabled(op, r.Pod)
+			case msgDone, msgRestartDone:
+				c.arriveDone(op, r)
+			case msgContinueDone:
+				c.arriveCont(op, r)
+			}
 		}
 	})
-}
-
-// handleGroupMsg applies a leader's batched aggregate: the identical
-// per-pod arrival logic as the flat fan-out, replayed over the batch in
-// the leader's (deterministic) arrival order. Commit/abort decisions
-// therefore cannot differ between the two transports.
-func (c *Coordinator) handleGroupMsg(m *wireMsg) {
-	o := c.table.Get(m.Job)
-	if o == nil || o.Seq != m.Seq {
-		return
-	}
-	op, ok := o.Data.(*coordOp)
-	if !ok {
-		return
-	}
-	if c.tr.Enabled() {
-		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
-			trace.Str("job", m.Job), trace.Int("seq", int64(m.Seq)),
-			trace.Int("batch", int64(len(m.Reports))))
-	}
-	if m.Err != "" {
-		op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
-		return
-	}
-	for _, r := range m.Reports {
-		if !op.Active() {
-			return
-		}
-		switch m.Type {
-		case msgGroupDisabled:
-			c.arriveDisabled(op, r.Pod)
-		case msgGroupDone, msgGroupRestartDone:
-			c.arriveDone(op, r)
-		case msgGroupContDone:
-			c.arriveCont(op, r)
-		}
-	}
 }
 
 // arriveDisabled handles one pod's <comm-disabled> vote.
@@ -809,29 +772,7 @@ func (c *Coordinator) arriveCont(op *coordOp, r GroupReport) {
 	}
 }
 
-// sendContinue issues Step 3 of Fig. 2 — per leader under the tree,
-// per member flat.
+// sendContinue issues Step 3 of Fig. 2.
 func (c *Coordinator) sendContinue(op *coordOp) {
-	if op.groups != nil {
-		for _, g := range op.groups {
-			if g.Leader < 0 {
-				continue
-			}
-			leader := op.job.Members[g.Leader]
-			c.cpu.Do(c.params.MsgCost, func() {
-				if cc, err := c.connFor(leader); err == nil {
-					cc.send(&wireMsg{Type: msgGroupContinue, Job: op.job.Name, Seq: op.Seq, ctx: op.span.Context()})
-				}
-			})
-		}
-		return
-	}
-	for _, m := range op.job.Members {
-		m := m
-		c.cpu.Do(c.params.MsgCost, func() {
-			if cc, err := c.connFor(m); err == nil {
-				cc.send(&wireMsg{Type: msgContinue, Seq: op.Seq, Pod: m.Pod, ctx: op.span.Context()})
-			}
-		})
-	}
+	c.fanOut(op, op.dests, false, wireMsg{Type: msgContinue, Seq: op.Seq})
 }

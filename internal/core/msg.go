@@ -30,7 +30,13 @@ import (
 // msgType discriminates control messages.
 type msgType int
 
-// Control message types. Names follow Fig. 2.
+// Control message types. Names follow Fig. 2. The first eight are the
+// whole two-phase protocol, flat or hierarchical: a request that names a
+// Pod addresses that pod, one that names a Job addresses the job's relay
+// on the receiving agent — a group leader, which passes the request on to
+// its group by pod and answers with the members' own reply type, their
+// replies batched in Reports, so the root sees O(N/size) messages per
+// protocol phase instead of O(N).
 const (
 	msgCheckpoint msgType = iota + 1
 	msgCommDisabled
@@ -79,20 +85,6 @@ const (
 	msgMigrateCommit
 	msgMigrateSrcDone
 
-	// Hierarchical coordination (two-level tree): the root exchanges
-	// these with group leaders instead of per-pod messages with every
-	// member. Leaders relay the per-pod messages above to their group and
-	// batch the members' replies, so the root sees O(N/size) messages per
-	// protocol phase.
-	msgGroupCheckpoint
-	msgGroupRestart
-	msgGroupContinue
-	msgGroupAbort
-	msgGroupDisabled
-	msgGroupDone
-	msgGroupRestartDone
-	msgGroupContDone
-
 	// Migration round-0 base negotiation: before an opening full round,
 	// the source asks the destination whether it already holds the pod's
 	// replicated checkpoint chain at the source's latest sequence
@@ -129,15 +121,6 @@ var msgNames = map[msgType]string{
 	msgMigrateDone:    "migrate-done",
 	msgMigrateCommit:  "migrate-commit",
 	msgMigrateSrcDone: "migrate-src-done",
-
-	msgGroupCheckpoint:  "group-checkpoint",
-	msgGroupRestart:     "group-restart",
-	msgGroupContinue:    "group-continue",
-	msgGroupAbort:       "group-abort",
-	msgGroupDisabled:    "group-disabled",
-	msgGroupDone:        "group-done",
-	msgGroupRestartDone: "group-restart-done",
-	msgGroupContDone:    "group-cont-done",
 
 	msgMigrateBase:    "migrate-base",
 	msgMigrateBaseAck: "migrate-base-ack",
@@ -199,12 +182,13 @@ type wireMsg struct {
 	FrozeAt    sim.Time
 	RoundPages []int
 
-	// Hierarchical coordination. Job names the coordinated operation a
-	// group message belongs to (group messages address a whole group, so
-	// Pod alone cannot route them). Group is the leader's relay list on
-	// group-checkpoint/group-restart; Reports carries the batched member
-	// replies on the upward aggregates (group-disabled carries pods only,
-	// group-done adds save timings, group-cont-done adds blocked windows).
+	// Hierarchical coordination. Job, set instead of Pod, addresses a
+	// request to the job's relay on a group leader and marks a reply as
+	// that relay's batch. Group is the leader's relay list on checkpoint/
+	// restart; Reports carries the batched member replies (comm-disabled
+	// carries pods only, done/restart-done add save timings, continue-done
+	// adds blocked windows). Flat frames set none of the three, and gob
+	// does not transmit a zero field.
 	Job     string
 	Group   []GroupMember
 	Reports []GroupReport
@@ -245,6 +229,13 @@ type GroupReport struct {
 	LocalDuration   sim.Duration
 	BlockedDuration sim.Duration
 	ImageBytes      int64
+}
+
+// report is the member reply m as one entry of a batch. All four
+// reporting fields are copied; the ones m's type leaves unset are zero
+// and do not travel.
+func (m *wireMsg) report() GroupReport {
+	return GroupReport{Pod: m.Pod, LocalDuration: m.LocalDuration, BlockedDuration: m.BlockedDuration, ImageBytes: m.ImageBytes}
 }
 
 // replPayload is the bulk half of replication and fetch messages. Only

@@ -44,6 +44,7 @@ func payloadOf(t testing.TB, m *wireMsg) (payload []byte, parts [][]byte) {
 // replPayload's field set shows up here first.
 func TestControlFrameSizesPinned(t *testing.T) {
 	twoHashes := []mem.PageHash{{Lo: 1, Hi: 2}, {Lo: 3, Hi: 4}}
+	group := []GroupMember{{Pod: "slm-0", IP: tcpip.Addr{10, 0, 0, 1}, Port: 7077}, {Pod: "slm-1", IP: tcpip.Addr{10, 0, 0, 2}, Port: 7077}}
 	for _, tc := range []struct {
 		m    *wireMsg
 		size int
@@ -58,6 +59,15 @@ func TestControlFrameSizesPinned(t *testing.T) {
 		// the ECM field that marks it: 2 bytes more than the <ec-offer> it
 		// replaced (994), the only frame the exchange fold resized.
 		{&wireMsg{Type: msgReplOffer, Seq: 3, Pod: "slm-0", Repl: &replPayload{Chain: []int{3, 2}, Dedup: true, Hashes: twoHashes, Holder: 2, ECM: 4}}, 996},
+		// The frames the root exchanges with a group leader, at the sizes
+		// of the <group-*> frames they replaced: the same fields under the
+		// flat type.
+		{&wireMsg{Type: msgCheckpoint, Seq: 3, Job: "ring", Group: group, Incremental: true, Dedup: true, Replicas: 1}, 1009},
+		{&wireMsg{Type: msgDone, Seq: 3, Job: "ring", Reports: []GroupReport{
+			{Pod: "slm-0", LocalDuration: 91 * sim.Millisecond, ImageBytes: 8 << 20},
+			{Pod: "slm-1", LocalDuration: 91 * sim.Millisecond, ImageBytes: 8 << 20}}}, 1007},
+		{&wireMsg{Type: msgContinue, Seq: 3, Job: "ring"}, 965},
+		{&wireMsg{Type: msgAbort, Seq: 3, Job: "ring"}, 965},
 	} {
 		payload, parts := payloadOf(t, tc.m)
 		if len(payload) != tc.size || parts != nil {
@@ -114,11 +124,12 @@ func caseTypes(t *testing.T, files map[string]*ast.File, recv, name string) map[
 }
 
 // TestEveryMsgTypeNamedAndDispatched walks the msgType const block and the
-// three dispatchers, so a fold cannot orphan a type: every constant has a
+// two dispatchers, so a fold cannot orphan a type: every constant has a
 // wire name, and is either a request only Agent.onMsg handles or a reply
 // only Coordinator.onMsg handles — except the replies a group leader
-// aggregates for the root, which Agent.onMsg hands to relayMemberMsg and
-// which must be exactly the types relayMemberMsg knows.
+// passes up to the root, which Agent.onMsg hands to relayMemberMsg and
+// which must be exactly the votes relaySets gives a wait-set plus the
+// placement report it forwards verbatim.
 func TestEveryMsgTypeNamedAndDispatched(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
@@ -143,8 +154,8 @@ func TestEveryMsgTypeNamedAndDispatched(t *testing.T) {
 		}
 	}
 	n := len(consts) + 1
-	if n-1 > 34 || len(msgNames) != n-1 {
-		t.Fatalf("%d msgType constants (want at most 34), %d names", n-1, len(msgNames))
+	if n-1 > 26 || len(msgNames) != n-1 {
+		t.Fatalf("%d msgType constants (want at most 26), %d names", n-1, len(msgNames))
 	}
 	for v := msgType(1); int(v) < n; v++ {
 		if _, ok := msgNames[v]; !ok {
@@ -153,16 +164,17 @@ func TestEveryMsgTypeNamedAndDispatched(t *testing.T) {
 	}
 	agent := caseTypes(t, files, "Agent", "onMsg")
 	root := caseTypes(t, files, "Coordinator", "onMsg")
-	relay := caseTypes(t, files, "Agent", "relayMemberMsg")
-	for _, c := range consts {
+	for i, c := range consts {
+		_, relayed := relaySets[msgType(i+1)]
+		relayed = relayed || msgType(i+1) == msgReplicated
 		switch {
 		case agent[c] > 1 || root[c] > 1:
 			t.Errorf("%s is dispatched more than once by one onMsg", c)
 		case agent[c]+root[c] == 0:
 			t.Errorf("%s is dispatched by neither Agent.onMsg nor Coordinator.onMsg", c)
-		case (agent[c] > 0 && root[c] > 0) != (relay[c] > 0):
-			t.Errorf("%s: agent=%d coordinator=%d relay=%d — only the replies a leader relays may reach both",
-				c, agent[c], root[c], relay[c])
+		case (agent[c] > 0 && root[c] > 0) != relayed:
+			t.Errorf("%s: agent=%d coordinator=%d relayed=%v — only the replies a leader relays may reach both",
+				c, agent[c], root[c], relayed)
 		}
 	}
 }

@@ -9,37 +9,42 @@ import (
 
 // Group-leader relay: the agent-side half of hierarchical coordination.
 //
-// Under the two-level tree the root sends one <group-checkpoint> (or
-// <group-restart>) per group to its deterministic leader. The leader
-// relays the per-pod message to every group member — its own pods
-// locally, the rest over agent-to-agent connections — and aggregates
-// the members' replies, sending one batched message upward per protocol
-// phase. The 2PC decision logic stays entirely at the root, which keeps
-// commit/abort semantics identical to the flat fan-out: the leader
-// forwards the first member error immediately, and the root's abort
-// fan-out still reaches every member directly (plus a <group-abort> per
-// leader so the relay state closes).
+// Under the two-level tree the root sends one <checkpoint> (or <restart>)
+// per group to its deterministic leader, naming the job instead of a pod.
+// The leader relays the message to every group member by pod — its own
+// pods locally, the rest over agent-to-agent connections — and aggregates
+// the members' replies, sending one batch upward per protocol phase under
+// the members' own reply type. The 2PC decision logic stays entirely at
+// the root, which keeps commit/abort semantics identical to the flat
+// fan-out: the leader forwards the first member error immediately, and
+// the root's abort fan-out still reaches every member directly (plus one
+// <abort> by job per leader so the relay state closes).
 
 // relayKey is the leader's op-table key for a job's relay. The "grelay/"
 // prefix keeps it clear of pod names and replication keys.
 func relayKey(job string) string { return "grelay/" + job }
 
-// relayOp tracks one group's relay on the leader: the wait-sets mirror
-// the coordinator's ("disabled", "done", "cont" per member pod), the
-// aggregates accumulate in member-reply order (deterministic under the
+// relaySets maps each reply a leader aggregates to the wait-set it
+// clears — the coordinator's own three, per member pod.
+var relaySets = map[msgType]string{
+	msgCommDisabled: "disabled",
+	msgDone:         "done",
+	msgRestartDone:  "done",
+	msgContinueDone: "cont",
+}
+
+// relayOp tracks one group's relay on the leader: one batch per wait-set,
+// accumulating in member-reply order (deterministic under the
 // simulation's total event order).
 type relayOp struct {
 	*ctl.Op
 	job     string
 	up      msgSink // toward the root
 	members []GroupMember
-	restart bool
-
-	disabled []GroupReport // comm-disabled arrivals (pods only)
-	reports  []GroupReport // done / restart-done arrivals
-	contReps []GroupReport // continue-done arrivals
-
-	span trace.Span
+	// failType is the reply that reports a member failure upward.
+	failType msgType
+	batches  map[string][]GroupReport
+	span     trace.Span
 }
 
 // localSink routes a leader-local member's replies into the relay
@@ -86,32 +91,47 @@ func (a *Agent) relayByJob(job string, seq int) *relayOp {
 	return nil
 }
 
-// startGroupOp handles <group-checkpoint>/<group-restart>: begin the
-// relay op, open its span under the root's context, and fan the per-pod
-// message down to every member.
-func (a *Agent) startGroupOp(c *ctlConn, m *wireMsg) {
-	restart := m.Type == msgGroupRestart
-	upDone := msgGroupDone
+// onRelayMsg handles a request that names a job: it addresses this
+// agent as the leader of one of the job's groups.
+func (a *Agent) onRelayMsg(c *ctlConn, m *wireMsg) {
+	switch m.Type {
+	case msgCheckpoint, msgRestart:
+		a.startRelay(c, m)
+	case msgContinue:
+		if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
+			a.relayDown(rop, m)
+		}
+	case msgAbort:
+		// The members' own rollbacks are driven by the root's direct
+		// <abort>s; the leader only has aggregation state to discard.
+		if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
+			rop.Fail(ErrAborted)
+		}
+	}
+}
+
+// startRelay begins the relay op, opens its span under the root's
+// context, and fans the request down to every member.
+func (a *Agent) startRelay(c *ctlConn, m *wireMsg) {
+	restart := m.Type == msgRestart
+	failType := msgDone
 	if restart {
-		upDone = msgGroupRestartDone
+		failType = msgRestartDone
 	}
 	o, err := a.table.Begin("grelay", relayKey(m.Job), m.Seq)
 	if err != nil {
-		c.send(&wireMsg{Type: upDone, Job: m.Job, Seq: m.Seq, Err: ErrBusy.Error(), ctx: m.ctx})
+		c.send(&wireMsg{Type: failType, Job: m.Job, Seq: m.Seq, Err: ErrBusy.Error(), ctx: m.ctx})
 		return
 	}
-	rop := &relayOp{Op: o, job: m.Job, up: c, members: m.Group, restart: restart}
+	rop := &relayOp{Op: o, job: m.Job, up: c, members: m.Group, failType: failType,
+		batches: make(map[string][]GroupReport)}
 	o.Data = rop
 	a.rootConn = c
 	if a.tr.Enabled() {
-		kind := "relay.checkpoint"
-		if restart {
-			kind = "relay.restart"
-		}
 		// The relay span is the extra hop of the tree: it nests under the
 		// root op span and parents every member's agent span, so the
 		// critical path still tiles the root.
-		rop.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", kind,
+		rop.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "relay."+m.Type.String(),
 			trace.Str("job", m.Job), trace.Int("seq", int64(m.Seq)),
 			trace.Int("members", int64(len(m.Group))))
 	}
@@ -134,19 +154,16 @@ func (a *Agent) startGroupOp(c *ctlConn, m *wireMsg) {
 		}
 	}
 
-	// Fan down. The relayed message is the flat protocol's, verbatim,
-	// with the relay span as its context — members cannot tell a leader
-	// from the root.
-	down := msgCheckpoint
-	if restart {
-		down = msgRestart
-	}
-	for _, g := range m.Group {
+	a.relayDown(rop, m)
+}
+
+// relayDown fans a request of the root's down to the group: the message
+// itself, addressed to each member's pod instead of the job and with the
+// relay span as its context — members cannot tell a leader from the root.
+func (a *Agent) relayDown(rop *relayOp, m *wireMsg) {
+	for _, g := range rop.members {
 		mm := *m
-		mm.Type = down
-		mm.Pod = g.Pod
-		mm.Job = ""
-		mm.Group = nil
+		mm.Pod, mm.Job, mm.Group = g.Pod, "", nil
 		mm.ctx = rop.span.Context()
 		a.relaySend(rop, g, &mm)
 	}
@@ -193,12 +210,8 @@ func (a *Agent) relayMemberFail(rop *relayOp, pod string, err error) {
 	if !rop.Active() {
 		return
 	}
-	up := msgGroupDone
-	if rop.restart {
-		up = msgGroupRestartDone
-	}
 	rop.up.send(&wireMsg{
-		Type: up, Job: rop.job, Seq: rop.Seq, Pod: pod,
+		Type: rop.failType, Job: rop.job, Seq: rop.Seq, Pod: pod,
 		Err: err.Error(), ctx: rop.span.Context(),
 	})
 	rop.Fail(fmt.Errorf("%w: pod %s: %v", ErrAgentFailed, pod, err))
@@ -231,78 +244,21 @@ func (a *Agent) relayMemberMsg(m *wireMsg) {
 		a.relayMemberFail(rop, m.Pod, fmt.Errorf("%s", m.Err))
 		return
 	}
-	switch m.Type {
-	case msgCommDisabled:
-		if !rop.Arrive("disabled", m.Pod) {
-			return
-		}
-		rop.disabled = append(rop.disabled, GroupReport{Pod: m.Pod})
-		if rop.Cleared("disabled") {
-			rop.up.send(&wireMsg{
-				Type: msgGroupDisabled, Job: rop.job, Seq: rop.Seq,
-				Reports: rop.disabled, ctx: rop.span.Context(),
-			})
-		}
-	case msgDone, msgRestartDone:
-		if !rop.Arrive("done", m.Pod) {
-			return
-		}
-		rop.reports = append(rop.reports, GroupReport{
-			Pod:           m.Pod,
-			LocalDuration: m.LocalDuration,
-			ImageBytes:    m.ImageBytes,
-		})
-		if rop.Cleared("done") {
-			up := msgGroupDone
-			if rop.restart {
-				up = msgGroupRestartDone
-			}
-			rop.up.send(&wireMsg{
-				Type: up, Job: rop.job, Seq: rop.Seq,
-				Reports: rop.reports, ctx: rop.span.Context(),
-			})
-			if rop.Cleared("cont") {
-				rop.Finish()
-			}
-		}
-	case msgContinueDone:
-		if !rop.Arrive("cont", m.Pod) {
-			return
-		}
-		rop.contReps = append(rop.contReps, GroupReport{
-			Pod:             m.Pod,
-			LocalDuration:   m.LocalDuration,
-			BlockedDuration: m.BlockedDuration,
-		})
-		if rop.Cleared("cont") {
-			rop.up.send(&wireMsg{
-				Type: msgGroupContDone, Job: rop.job, Seq: rop.Seq,
-				Reports: rop.contReps, ctx: rop.span.Context(),
-			})
-			if rop.Cleared("done") {
-				rop.Finish()
-			}
-		}
-	}
-}
-
-// handleGroupContinue fans the root's <continue> down to the group.
-func (a *Agent) handleGroupContinue(m *wireMsg) {
-	rop := a.relayByJob(m.Job, m.Seq)
-	if rop == nil {
+	// One batch per wait-set, sent up under the members' reply type when
+	// the set clears; the relay is done once the votes and the resumes
+	// are both in.
+	set := relaySets[m.Type]
+	if !rop.Arrive(set, m.Pod) {
 		return
 	}
-	for _, g := range rop.members {
-		mm := &wireMsg{Type: msgContinue, Seq: m.Seq, Pod: g.Pod, ctx: rop.span.Context()}
-		a.relaySend(rop, g, mm)
-	}
-}
-
-// handleGroupAbort closes the relay after the root aborted the op. The
-// members' own rollbacks are driven by the root's direct <abort>s; the
-// leader only has aggregation state to discard.
-func (a *Agent) handleGroupAbort(m *wireMsg) {
-	if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
-		rop.Fail(ErrAborted)
+	rop.batches[set] = append(rop.batches[set], m.report())
+	if rop.Cleared(set) {
+		rop.up.send(&wireMsg{
+			Type: m.Type, Job: rop.job, Seq: rop.Seq,
+			Reports: rop.batches[set], ctx: rop.span.Context(),
+		})
+		if rop.Cleared("done") && rop.Cleared("cont") {
+			rop.Finish()
+		}
 	}
 }

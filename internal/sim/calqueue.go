@@ -2,7 +2,7 @@ package sim
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // calQueue is the engine's event queue: a calendar queue (Brown 1988)
@@ -307,7 +307,7 @@ func (q *calQueue) sampleTimes() []int64 {
 	for i := 0; i < len(q.bag); i += stride {
 		ts = append(ts, q.bag[i].at)
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	q.fitbuf = ts[:0]
 	return ts
 }

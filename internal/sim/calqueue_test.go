@@ -222,3 +222,42 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 		t.Fatalf("fired %d, want %d", len(fired), want)
 	}
 }
+
+// TestWarmYearRollAllocatesNothing: once the scratch buffer, the bag and
+// the bucket heaps have reached their working size, rolling the year —
+// sample the bag's times, sort them, re-lay the calendar, migrate — is
+// allocation-free, as calQueue.fitbuf and setLayout promise.
+func TestWarmYearRollAllocatesNothing(t *testing.T) {
+	q := newCalQueue()
+	evs := make([]*Event, 16)
+	for i := range evs {
+		evs[i] = &Event{}
+	}
+	for i := range q.buckets {
+		q.buckets[i] = make([]*Event, 0, len(evs))
+	}
+	var now int64
+	var rolls int
+	cycle := func() {
+		rolls = 0
+		// Everything lands past the calendar's year, in the overflow bag;
+		// the pop that finds the calendar empty rolls the year.
+		for i, ev := range evs {
+			ev.at, ev.seq = Time(q.yearEnd+int64(i)*int64(Millisecond)), uint64(i)
+			q.push(ev, now)
+		}
+		for range evs {
+			if q.calSize == 0 {
+				rolls++
+			}
+			now = int64(q.pop(now).at)
+		}
+	}
+	cycle()
+	if rolls == 0 {
+		t.Fatal("the cycle never rolls the year")
+	}
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Fatalf("a warm queue allocates %.1f times per cycle of %d year rolls, want 0", avg, rolls)
+	}
+}

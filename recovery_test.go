@@ -119,6 +119,58 @@ func TestAutoRecoveryAfterNodeFailure(t *testing.T) {
 	}
 }
 
+// TestTreeRecoveryAfterLeaderFailure is the recovery path under the
+// hierarchical coordinator, losing the node the tree leans on: with groups
+// of four over eight pods, node 4 leads the second group. Detection,
+// placement and the fetch are the root's own; the restart that follows is
+// a tree op whose second group needs a leader that is still alive. It must
+// commit, the ring must advance, nothing may leak, and the next tree
+// checkpoint of the re-homed job must succeed.
+func TestTreeRecoveryAfterLeaderFailure(t *testing.T) {
+	const n, leader = 8, 4
+	cl, names, job := replicatedCluster(t, cruz.Config{
+		Nodes: n, Seed: 9, Replicas: 1, AutoRecover: true, GroupSize: 4,
+	}, n)
+	stepsAt := cl.Pod(names[0]).Process(1).Program().(*slm.Worker).StepsDone
+
+	cl.FailNode(leader)
+	if !cl.AwaitRecovery(1, 10*cruz.Second) {
+		t.Fatal("automatic recovery never completed")
+	}
+	if err := cl.RecoveryErr(); err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	res := cl.Recoveries()[0]
+	if res.Seq != 1 || res.Restart <= 0 || len(res.Pods) != 1 || res.Pods[0].Pod != names[leader] {
+		t.Fatalf("recovery: %+v", res)
+	}
+	if cl.PodNode(names[leader]) == cl.Nodes[leader] {
+		t.Fatal("the leader's pod is still assigned to the dead node")
+	}
+	cl.Run(500 * cruz.Millisecond)
+	for _, name := range names {
+		w := cl.Pod(name).Process(1).Program().(*slm.Worker)
+		if w.Fault != "" || w.StepsDone <= stepsAt {
+			t.Fatalf("pod %s after recovery: fault %q, steps %d (was %d)", name, w.Fault, w.StepsDone, stepsAt)
+		}
+	}
+	if got := cl.Coordinator.OpenOps(); got != 0 {
+		t.Fatalf("coordinator leaked %d ops", got)
+	}
+	for i, node := range cl.Nodes {
+		if got := node.Agent.OpenOps(); i != leader && got != 0 {
+			t.Fatalf("agent %d leaked %d ops", i, got)
+		}
+	}
+	next, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+	if err != nil || next.Seq <= res.Seq {
+		t.Fatalf("post-recovery tree checkpoint: %+v, %v", next, err)
+	}
+	if next.Messages >= 4*n {
+		t.Errorf("post-recovery checkpoint cost the root %d messages: not a tree op (flat is %d)", next.Messages, 4*n)
+	}
+}
+
 // TestFailNodeMidCheckpointAborts: a node failure during the two-phase
 // exchange aborts the checkpoint cleanly — survivors resume, no ops leak,
 // and after automatic recovery the next checkpoint succeeds.

@@ -2,7 +2,9 @@ package cruz_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cruz"
@@ -62,7 +64,8 @@ func deployWideRing(t testing.TB, cl *cruz.Cluster, n int) ([]string, *cruz.Job)
 }
 
 // ckptCycle builds a cluster, runs one checkpoint + crash + restart
-// cycle, and returns the results plus post-restart worker progress.
+// cycle, and returns the results plus post-restart worker progress. An
+// incremental checkpoint is taken as the second of its chain.
 func ckptCycle(t *testing.T, n, groupSize int, seed int64, opts cruz.CheckpointOptions) (*cruz.CheckpointResult, *cruz.RestartResult, int) {
 	t.Helper()
 	cl, err := cruz.New(cruz.Config{Nodes: n, Seed: seed, GroupSize: groupSize})
@@ -71,6 +74,12 @@ func ckptCycle(t *testing.T, n, groupSize int, seed int64, opts cruz.CheckpointO
 	}
 	names, job := deployWideRing(t, cl, n)
 	cl.Run(50 * cruz.Millisecond)
+	if opts.Incremental {
+		if _, err := cl.Checkpoint(job, opts); err != nil {
+			t.Fatal(err)
+		}
+		cl.Run(20 * cruz.Millisecond)
+	}
 	res, err := cl.Checkpoint(job, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +112,8 @@ func TestTreeFlatEquivalence(t *testing.T) {
 		{},
 		{Optimized: true},
 		{COW: true},
+		{COW: true, Precopy: cruz.PrecopyConfig{MaxRounds: 4, DirtyThresholdPages: 32}},
+		{Incremental: true, Dedup: true},
 	} {
 		flatRes, flatR, flatSteps := ckptCycle(t, n, 0, 11, opts)
 		treeRes, treeR, treeSteps := ckptCycle(t, n, coord.GroupSizeFor(n), 11, opts)
@@ -258,6 +269,55 @@ func TestTreeFlatAbortEquivalence(t *testing.T) {
 			}
 			if err == nil {
 				t.Fatalf("%s: no error surfaced for the aborted op", tc.name)
+			}
+		})
+	}
+}
+
+// TestTreeFlatMemberErrorEquivalence: a member that cannot even start its
+// local checkpoint (its pod is gone) fails the op with ErrAgentFailed
+// naming that pod — the same error whether its <done> went straight to the
+// root, through a remote leader, or never left the leader's own node. The
+// abort that follows closes every op on the root, the leaders and the
+// members.
+func TestTreeFlatMemberErrorEquivalence(t *testing.T) {
+	const n = 8
+	size := coord.GroupSizeFor(n) // 3 → leaders 0, 3, 6
+	for _, tc := range []struct {
+		name      string
+		groupSize int
+		gone      int
+	}{
+		{"flat", 0, 3},
+		{"tree/leader-local", size, 3},
+		{"tree/remote-member", size, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := cruz.New(cruz.Config{Nodes: n, Seed: 3, GroupSize: tc.groupSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, job := deployWideRing(t, cl, n)
+			cl.Run(50 * cruz.Millisecond)
+			cl.Pod(names[tc.gone]).Destroy()
+			_, err = cl.Checkpoint(job, cruz.CheckpointOptions{})
+			if !errors.Is(err, core.ErrAgentFailed) || !strings.Contains(err.Error(), "pod "+names[tc.gone]+":") {
+				t.Fatalf("checkpoint error = %v, want ErrAgentFailed naming %s", err, names[tc.gone])
+			}
+			cl.Run(100 * cruz.Millisecond)
+			if got := cl.Coordinator.OpenOps(); got != 0 {
+				t.Errorf("coordinator leaked %d ops", got)
+			}
+			for i, node := range cl.Nodes {
+				if got := node.Agent.OpenOps(); got != 0 {
+					t.Errorf("agent %d leaked %d ops", i, got)
+				}
+				if i != tc.gone && cl.Pod(names[i]).Stopped() {
+					t.Errorf("pod %s still stopped after the abort", names[i])
+				}
+			}
+			if seq, ok := cl.Coordinator.CommittedSeq(job.Name); ok {
+				t.Errorf("aborted checkpoint committed seq %d", seq)
 			}
 		})
 	}
