@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet bench bench-smoke gobench scale-smoke migrate-smoke ec-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff gobench scale-smoke migrate-smoke ec-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -63,10 +63,23 @@ gobench:
 # compiles nor tests it, yet its layer replay drives internals of this
 # one (ckpt.Image.Encode/DecodeImage, ctl.NewConn/Send/Pool, the store's
 # Plan* calls). Vet it and run its smoke test so a signature it depends
-# on cannot drift unnoticed.
+# on cannot drift unnoticed. Whether a change moved a modelled number is
+# `make vdiff` below, on two `bench/run.sh -out` reports.
 bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# The "moves no number" check: `make vdiff A=parent.json B=change.json`
+# prints every virtual-clock metric (end to end and per layer, all
+# workloads) whose value differs between two `bench/run.sh -out` reports
+# of the same -passes and -seed, and fails if there is one. The virtual
+# clock is exact per tree, so any line is an added, removed, resized or
+# reordered message, cpu.Do charge or disk operation.
+VDIFF_Q = .workloads | to_entries[] | .key as $$w | .value | (.end_to_end, .per_layer) | to_entries[] \
+	| select(.value.clock == "v") | "\($$w)/\(.key) \(.value.value)"
+vdiff: SHELL = bash
+vdiff:
+	@diff <(jq -r '$(VDIFF_Q)' $(A)) <(jq -r '$(VDIFF_Q)' $(B))
 
 # Scaling smoke: the A9 flat-vs-tree ablation at reduced workload scale
 # (n = 8/64/256, light slm ring). Exercises the hierarchical

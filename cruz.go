@@ -159,8 +159,10 @@ type Config struct {
 	FlushBaseline bool
 	// Trace enables the deterministic tracing subsystem (internal/trace):
 	// spans, instants, and counters from every layer, exportable as a
-	// timeline or Chrome trace JSON via Cluster.Trace(). Off by default;
-	// when off there is zero overhead beyond a nil check at trace points.
+	// timeline or Chrome trace JSON via Cluster.Trace(). Off by default.
+	// Off is not free: nothing is kept for export and the engine is not
+	// sampled, but trace points still run and their events go to the
+	// flight recorder's bounded per-node rings (see Flight).
 	Trace bool
 	// TraceCapacity bounds the tracer's event ring buffer (0 = default).
 	TraceCapacity int

@@ -46,25 +46,7 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 		return nil, ErrPodNotStopped
 	}
 	kern := pod.Kernel()
-	img := &Image{
-		PodName:     pod.Name(),
-		Seq:         seq,
-		Incremental: opts.Incremental,
-		TakenAt:     kern.Engine().Now(),
-		NextVPID:    pod.NextVPID(),
-		Net: NetImage{
-			IP:        pod.IP(),
-			MAC:       pod.Config().MAC,
-			FakeMAC:   pod.Config().FakeMAC,
-			SharedMAC: pod.SharedMAC(),
-		},
-	}
-	if opts.Incremental {
-		img.BaseSeq = seq - 1
-		if opts.BaseSeq != 0 {
-			img.BaseSeq = opts.BaseSeq
-		}
-	}
+	img := newImage(pod, seq, opts)
 
 	// Pipes are shared objects; assign stable ids as we encounter them.
 	pipeIDs := make(map[*kernel.Pipe]int)
@@ -111,6 +93,54 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 	return img, nil
 }
 
+// newImage starts an image of pod at seq: identity, chain position and
+// network identity, no processes yet.
+func newImage(pod *zap.Pod, seq int, opts Options) *Image {
+	img := &Image{
+		PodName:     pod.Name(),
+		Seq:         seq,
+		Incremental: opts.Incremental,
+		TakenAt:     pod.Kernel().Engine().Now(),
+		NextVPID:    pod.NextVPID(),
+		Net: NetImage{
+			IP:        pod.IP(),
+			MAC:       pod.Config().MAC,
+			FakeMAC:   pod.Config().FakeMAC,
+			SharedMAC: pod.SharedMAC(),
+		},
+	}
+	if opts.Incremental {
+		img.BaseSeq = seq - 1
+		if opts.BaseSeq != 0 {
+			img.BaseSeq = opts.BaseSeq
+		}
+	}
+	return img
+}
+
+// captureMemory copies pages pns of space — a stopped process's address
+// space, or the snapshot of a running one — with their hashes if opts asks
+// for them; hashes that had to be computed count into img.FreshHashes.
+func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Image) MemImage {
+	m := MemImage{
+		Regions:  space.Regions(),
+		PageNums: pns,
+		PageData: make([]byte, 0, len(pns)*mem.PageSize),
+	}
+	for _, pn := range pns {
+		m.PageData = append(m.PageData, space.PageData(pn)...)
+	}
+	if opts.Hashes {
+		m.PageHashes = make([]mem.PageHash, 0, len(pns))
+		before := space.HashComputes()
+		for _, pn := range pns {
+			m.PageHashes = append(m.PageHashes, space.PageHash(pn))
+		}
+		img.FreshHashes += int(space.HashComputes() - before)
+	}
+	return m
+}
+
 // captureProcess saves one process: program state, memory, descriptors,
 // and pending signals.
 func captureProcess(vpid int, proc *kernel.Process, opts Options, pipeIDs map[*kernel.Pipe]int, img *Image) (ProcImage, error) {
@@ -131,21 +161,7 @@ func captureProcess(vpid int, proc *kernel.Process, opts Options, pipeIDs map[*k
 
 	// Virtual memory: regions always, pages full or dirty-only.
 	as := proc.Mem()
-	pi.Memory.Regions = as.Regions()
-	pns := as.PageNumbers(opts.Incremental)
-	pi.Memory.PageNums = pns
-	pi.Memory.PageData = make([]byte, 0, len(pns)*mem.PageSize)
-	for _, pn := range pns {
-		pi.Memory.PageData = append(pi.Memory.PageData, as.PageData(pn)...)
-	}
-	if opts.Hashes {
-		pi.Memory.PageHashes = make([]mem.PageHash, 0, len(pns))
-		before := as.HashComputes()
-		for _, pn := range pns {
-			pi.Memory.PageHashes = append(pi.Memory.PageHashes, as.PageHash(pn))
-		}
-		img.FreshHashes += int(as.HashComputes() - before)
-	}
+	pi.Memory = captureMemory(as, as.PageNumbers(opts.Incremental), opts, img)
 
 	// Descriptors, in fd order for determinism.
 	fds := proc.FDs()

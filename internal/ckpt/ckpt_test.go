@@ -68,6 +68,17 @@ func (r *rig) write(s *Store, bytes int64) {
 	}
 }
 
+// saveBlob plans a blob-form save of img into s and writes it out.
+func (r *rig) saveBlob(s *Store, img *Image) *SavePlan {
+	r.t.Helper()
+	plan, err := s.PlanSave(img)
+	if err != nil {
+		r.t.Fatalf("PlanSave: %v", err)
+	}
+	r.write(s, plan.TotalBytes)
+	return plan
+}
+
 // saveDeduped plans a deduplicated save of img into s and writes it out.
 func (r *rig) saveDeduped(s *Store, img *Image) *SavePlan {
 	r.t.Helper()
@@ -669,14 +680,13 @@ func TestStoreTimingScalesWithImageSize(t *testing.T) {
 	img := r.stopAndCapture(pod, 1, Options{})
 
 	var doneAt sim.Time
-	var gotSize int64
 	start := r.engine.Now()
-	r.store.Save(img, func(size int64, err error) {
-		if err != nil {
-			t.Errorf("save: %v", err)
-		}
-		doneAt, gotSize = r.engine.Now(), size
-	})
+	plan, err := r.store.PlanSave(img)
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	gotSize := plan.TotalBytes
+	r.store.Disk().Write(gotSize, func() { doneAt = r.engine.Now() })
 	r.run(10 * sim.Second)
 	if gotSize < img.MemoryBytes() {
 		t.Fatalf("encoded size %d < memory bytes %d", gotSize, img.MemoryBytes())
@@ -691,7 +701,7 @@ func TestStoreTimingScalesWithImageSize(t *testing.T) {
 
 	// Load round trip.
 	var loaded *Image
-	r.store.LoadLatest("big", trace.SpanContext{}, func(img *Image, err error) {
+	r.store.Load("big", 0, true, trace.SpanContext{}, func(img *Image, err error) {
 		if err != nil {
 			t.Errorf("load: %v", err)
 		}
@@ -710,14 +720,7 @@ func TestStoreLoadMergedChain(t *testing.T) {
 	pod.Spawn("w", w)
 	r.run(20 * sim.Millisecond)
 
-	save := func(img *Image) {
-		saved := false
-		r.store.Save(img, func(int64, error) { saved = true })
-		r.run(10 * sim.Second)
-		if !saved {
-			t.Fatal("save never completed")
-		}
-	}
+	save := func(img *Image) { r.saveBlob(r.store, img) }
 	save(r.stopAndCapture(pod, 1, Options{}))
 	pod.Resume()
 	r.run(10 * sim.Millisecond)
@@ -729,9 +732,9 @@ func TestStoreLoadMergedChain(t *testing.T) {
 	pod.Destroy()
 
 	var merged *Image
-	r.store.LoadLatest("chain", trace.SpanContext{}, func(img *Image, err error) {
+	r.store.Load("chain", 0, true, trace.SpanContext{}, func(img *Image, err error) {
 		if err != nil {
-			t.Errorf("LoadLatest: %v", err)
+			t.Errorf("Load newest: %v", err)
 		}
 		merged = img
 	})
@@ -751,7 +754,7 @@ func TestStoreLoadMergedChain(t *testing.T) {
 func TestStoreMissingImage(t *testing.T) {
 	r := newRig(t, 1)
 	called := false
-	r.store.Load("ghost", 1, trace.SpanContext{}, func(img *Image, err error) {
+	r.store.Load("ghost", 1, false, trace.SpanContext{}, func(img *Image, err error) {
 		called = true
 		if !errors.Is(err, ErrNoImage) {
 			t.Errorf("err = %v", err)
@@ -761,8 +764,8 @@ func TestStoreMissingImage(t *testing.T) {
 		t.Fatal("missing-image callback not invoked synchronously")
 	}
 	var latestErr error
-	r.store.LoadLatest("ghost", trace.SpanContext{}, func(_ *Image, err error) { latestErr = err })
+	r.store.Load("ghost", 0, true, trace.SpanContext{}, func(_ *Image, err error) { latestErr = err })
 	if !errors.Is(latestErr, ErrNoImage) {
-		t.Fatalf("LoadLatest err = %v", latestErr)
+		t.Fatalf("Load newest err = %v", latestErr)
 	}
 }

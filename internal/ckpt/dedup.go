@@ -101,11 +101,35 @@ func (s *Store) PlanDedupSave(img *Image) (*SavePlan, error) {
 	s.putManifest(img.PodName, img.Seq, m, int64(len(mblob)))
 	plan.TotalBytes = plan.Stats.TotalBytes()
 	if s.autoCompact > 0 {
-		if chain, cerr := s.manifestChain(img.PodName, img.Seq); cerr == nil && len(chain) > s.autoCompact {
+		if chain, cerr := s.chain(img.PodName, img.Seq); cerr == nil && len(chain) > s.autoCompact {
 			plan.CompactAfter = true
 		}
 	}
 	return plan, nil
+}
+
+// putChunk makes a block received from another store (or decoded from
+// parity) resident, if it is not already; whoever needs it to stay takes
+// the reference.
+func (s *Store) putChunk(h mem.PageHash, data []byte) {
+	if _, ok := s.chunks[h]; !ok {
+		s.chunks[h] = &chunkEntry{data: data}
+		s.stats.NewChunks++
+		s.stats.NewChunkBytes += int64(len(data))
+	}
+}
+
+func (s *Store) releaseChunk(h mem.PageHash) {
+	e, ok := s.chunks[h]
+	if !ok {
+		return
+	}
+	e.refs--
+	if e.refs == 0 {
+		delete(s.chunks, h)
+		s.stats.FreedChunks++
+		s.stats.FreedBytes += mem.PageSize
+	}
 }
 
 // adoptManifest decodes a chain manifest received from another store,
@@ -130,119 +154,42 @@ func (s *Store) adoptManifest(pod string, seq int, mblob []byte) error {
 	return nil
 }
 
-// putManifest registers a manifest whose chunk references are taken.
+// putManifest registers a manifest whose chunk references are taken. They
+// are taken before whatever the key held lets go of its own, so a chunk
+// both share never touches refcount zero in between.
 func (s *Store) putManifest(pod string, seq int, m *Manifest, size int64) {
-	if s.manifests[pod] == nil {
-		s.manifests[pod] = make(map[int]*Manifest)
-		s.manifestBytes[pod] = make(map[int]int64)
-	}
-	s.manifests[pod][seq] = m
-	s.manifestBytes[pod][seq] = size
-	if seq > s.latest[pod] {
-		s.latest[pod] = seq
-	}
+	e := s.ensure(pod, seq)
+	s.dropManifest(e)
+	e.blob, e.view = nil, nil
+	e.manifest, e.manifestBytes = m, size
 }
 
-// dropManifest unregisters a manifest, if stored, and releases its chunk
-// references; chunks nothing else references are freed.
-func (s *Store) dropManifest(pod string, seq int) {
-	m, ok := s.manifests[pod][seq]
-	if !ok {
+// dropManifest unregisters the entry's manifest, if it has one, and
+// releases its chunk references; chunks nothing else references are freed.
+func (s *Store) dropManifest(e *entry) {
+	if e.manifest == nil {
 		return
 	}
-	for i := range m.Procs {
-		for _, ref := range m.Procs[i].Pages {
-			s.releaseChunk(ref.Hash)
-		}
-	}
-	delete(s.manifests[pod], seq)
-	delete(s.manifestBytes[pod], seq)
+	e.manifest.eachRef(s.releaseChunk)
+	e.manifest, e.manifestBytes = nil, 0
 }
 
-// manifestChain walks seq back to its full base, returning the sequence
-// numbers newest-first.
-func (s *Store) manifestChain(pod string, seq int) ([]int, error) {
-	metas := s.manifests[pod]
-	var chain []int
-	cur := seq
-	for {
-		m, ok := metas[cur]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s/%d (manifest chain from %d)", ErrNoImage, pod, cur, seq)
-		}
-		chain = append(chain, cur)
-		if !m.Incremental {
-			return chain, nil
-		}
-		cur = m.BaseSeq
+// foldManifests merges the manifest chain seqs (newest-first) into one
+// full manifest, base first — metadata only, no page bytes move.
+func (s *Store) foldManifests(pod string, seqs []int) (m *Manifest, err error) {
+	m = s.get(pod, seqs[len(seqs)-1]).manifest
+	for i := len(seqs) - 2; i >= 0 && err == nil; i-- {
+		m, err = mergeManifests(m, s.get(pod, seqs[i]).manifest)
 	}
-}
-
-// mergedManifest folds the chain ending at seq into one full manifest.
-func (s *Store) mergedManifest(pod string, seq int) (*Manifest, []int, error) {
-	chain, err := s.manifestChain(pod, seq)
-	if err != nil {
-		return nil, nil, err
-	}
-	merged := s.manifests[pod][chain[len(chain)-1]]
-	for i := len(chain) - 2; i >= 0; i-- {
-		merged, err = mergeManifests(merged, s.manifests[pod][chain[i]])
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return merged, chain, nil
+	return m, err
 }
 
 // uniqueChunkBytes counts the distinct chunk bytes a restore of m must
 // read: each referenced hash once, however many pages share it.
 func uniqueChunkBytes(m *Manifest) int64 {
 	seen := make(map[mem.PageHash]struct{})
-	for i := range m.Procs {
-		for _, ref := range m.Procs[i].Pages {
-			seen[ref.Hash] = struct{}{}
-		}
-	}
+	m.eachRef(func(h mem.PageHash) { seen[h] = struct{}{} })
 	return int64(len(seen)) * mem.PageSize
-}
-
-// loadManifest resolves a manifest-form checkpoint into an image. With
-// merged set, the whole incremental chain folds first (metadata only)
-// and the disk read covers each chain manifest plus every distinct
-// chunk the final page set needs — not the O(chain) page bytes the blob
-// path re-reads.
-func (s *Store) loadManifest(pod string, seq int, merged bool, ctx trace.SpanContext, done func(*Image, error)) {
-	var (
-		m     *Manifest
-		chain []int
-		err   error
-	)
-	if merged {
-		m, chain, err = s.mergedManifest(pod, seq)
-	} else {
-		m = s.manifests[pod][seq]
-		chain = []int{seq}
-	}
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	var total int64
-	for _, cs := range chain {
-		total += s.manifestBytes[pod][cs]
-	}
-	total += uniqueChunkBytes(m)
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.BeginChild(ctx, s.disk.Name(), "ckpt", "store.load",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
-			trace.Int("bytes", total), trace.Int("chain", int64(len(chain))))
-	}
-	s.disk.Read(total, func() {
-		sp.End()
-		img, ierr := imageFromManifest(m, s.chunkData)
-		done(img, ierr)
-	})
 }
 
 // Compact folds the pod's newest incremental chain into one synthetic
@@ -257,18 +204,19 @@ func (s *Store) Compact(pod string, done func(int64, error)) {
 			done(n, err)
 		}
 	}
-	seq, ok := s.latest[pod]
-	if !ok || s.manifests[pod][seq] == nil {
+	seq, ok := s.LatestSeq(pod)
+	if !ok || s.get(pod, seq).manifest == nil {
 		finish(0, fmt.Errorf("%w: %s (nothing to compact)", ErrNoImage, pod))
 		return
 	}
-	merged, chain, err := s.mergedManifest(pod, seq)
-	if err != nil {
-		finish(0, err)
+	chain, err := s.chain(pod, seq)
+	if err != nil || len(chain) == 1 {
+		finish(0, err) // broken, or already a single full manifest
 		return
 	}
-	if len(chain) == 1 && !s.manifests[pod][seq].Incremental {
-		finish(0, nil) // already a single full manifest
+	merged, err := s.foldManifests(pod, chain)
+	if err != nil {
+		finish(0, err)
 		return
 	}
 	syn := *merged
@@ -281,13 +229,10 @@ func (s *Store) Compact(pod string, done func(int64, error)) {
 
 	// The synthetic manifest takes its own references before the old
 	// chain releases; shared chunks never hit refcount zero in between.
-	for i := range syn.Procs {
-		for _, ref := range syn.Procs[i].Pages {
-			s.chunks[ref.Hash].refs++
-		}
-	}
+	syn.eachRef(func(h mem.PageHash) { s.chunks[h].refs++ })
 	for i := len(chain) - 1; i >= 0; i-- {
-		s.dropManifest(pod, chain[i])
+		s.dropManifest(s.pods[pod][chain[i]])
+		s.prune(pod, chain[i])
 	}
 	s.putManifest(pod, seq, &syn, int64(len(mblob)))
 	s.stats.Compactions++

@@ -144,7 +144,7 @@ func TestDedupSaveChargesOnlyNewBytes(t *testing.T) {
 	}
 	// Loading the deduplicated checkpoint reproduces the capture exactly.
 	var loaded *Image
-	r.store.Load("dd", 2, trace.SpanContext{}, func(img *Image, err error) {
+	r.store.Load("dd", 2, false, trace.SpanContext{}, func(img *Image, err error) {
 		if err != nil {
 			t.Errorf("Load: %v", err)
 		}
@@ -178,9 +178,9 @@ func TestCompactFoldsChainAndFreesChunks(t *testing.T) {
 	loadMerged := func() *Image {
 		t.Helper()
 		var img *Image
-		r.store.LoadMerged("gc", 4, trace.SpanContext{}, func(i *Image, err error) {
+		r.store.Load("gc", 4, true, trace.SpanContext{}, func(i *Image, err error) {
 			if err != nil {
-				t.Errorf("LoadMerged: %v", err)
+				t.Errorf("Load merged: %v", err)
 			}
 			img = i
 		})
@@ -365,9 +365,9 @@ func TestRestorePathsEquivalent(t *testing.T) {
 	load := func(s *Store, seq int) *Image {
 		t.Helper()
 		var img *Image
-		s.LoadMerged("eq", seq, trace.SpanContext{}, func(i *Image, err error) {
+		s.Load("eq", seq, true, trace.SpanContext{}, func(i *Image, err error) {
 			if err != nil {
-				t.Errorf("LoadMerged: %v", err)
+				t.Errorf("Load merged: %v", err)
 			}
 			img = i
 		})
@@ -381,12 +381,7 @@ func TestRestorePathsEquivalent(t *testing.T) {
 
 	blobStore := NewStore(r.kernels[0].Disk())
 	for _, img := range imgs {
-		done := false
-		blobStore.Save(img, func(int64, error) { done = true })
-		r.run(10 * sim.Second)
-		if !done {
-			t.Fatal("blob save never completed")
-		}
+		r.saveBlob(blobStore, img)
 	}
 	routes["blob"] = load(blobStore, 3)
 
@@ -413,19 +408,12 @@ func TestRestorePathsEquivalent(t *testing.T) {
 			r.saveDeduped(src, img)
 		}
 		p := ECParams{M: 4, R: 2}
-		r.saveEC(src, "eq", 3, p)
-		set, ok := src.ECSetFor("eq", 3)
-		if !ok {
-			t.Fatal("EC set not registered")
+		set := r.saveEC(src, "eq", 3, p).Set
+		chain, terr := src.BuildTransfer("eq", 3, set.Chain, nil)
+		if terr != nil {
+			t.Fatal(terr)
 		}
-		manifests := make(map[int][]byte)
-		for _, cs := range set.Chain {
-			blob, merr := src.manifests["eq"][cs].Encode()
-			if merr != nil {
-				t.Fatal(merr)
-			}
-			manifests[cs] = blob
-		}
+		manifests := chain.Manifests
 		var blocks []ChunkData
 		seen := make(map[mem.PageHash]bool)
 		for _, holder := range []int{0, 2, 4, 5} { // holders 1 and 3 lost
@@ -513,9 +501,9 @@ func TestDedupStoreMissingChain(t *testing.T) {
 	img := r.stopAndCapture(pod, 2, Options{Hashes: true, Incremental: true})
 	img.BaseSeq = 1 // base was never saved
 	r.saveDeduped(r.store, img)
-	r.store.LoadMerged("orphan", 2, trace.SpanContext{}, func(img *Image, err error) {
+	r.store.Load("orphan", 2, true, trace.SpanContext{}, func(img *Image, err error) {
 		if !errors.Is(err, ErrNoImage) {
-			t.Errorf("LoadMerged with missing base = %v", err)
+			t.Errorf("merged Load with missing base = %v", err)
 		}
 	})
 	// An image captured without hashes cannot enter the dedup store.

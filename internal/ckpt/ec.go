@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"cruz/internal/mem"
-	"cruz/internal/trace"
 )
 
 // Erasure-coded durability tier: instead of shipping k full replicas of
@@ -101,11 +99,22 @@ func (set *ECSet) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeECSet parses an encoded shard manifest.
+// DecodeECSet parses an encoded shard manifest, rejecting one whose
+// parameters or stripe shapes would index out of range later: the bytes
+// come off the wire.
 func DecodeECSet(b []byte) (*ECSet, error) {
 	var set ECSet
 	if _, err := ecSetCodec.Decode(b, &set); err != nil {
 		return nil, fmt.Errorf("ckpt: decode EC set: %w", err)
+	}
+	if err := (ECParams{M: set.M, R: set.R}).Validate(); err != nil {
+		return nil, fmt.Errorf("ckpt: decode EC set: %w", err)
+	}
+	for i := range set.Stripes {
+		if st := &set.Stripes[i]; len(st.Data) > set.M || len(st.Parity) != set.R {
+			return nil, fmt.Errorf("ckpt: decode EC set: stripe %d holds %d+%d shards of %d+%d",
+				i, len(st.Data), len(st.Parity), set.M, set.R)
+		}
 	}
 	return &set, nil
 }
@@ -156,15 +165,6 @@ func (set *ECSet) DataBytes() int64 {
 	var n int64
 	for i := range set.Stripes {
 		n += int64(len(set.Stripes[i].Data)) * mem.PageSize
-	}
-	return n
-}
-
-// ParityBytes is the parity payload the set adds.
-func (set *ECSet) ParityBytes() int64 {
-	var n int64
-	for i := range set.Stripes {
-		n += int64(len(set.Stripes[i].Parity)) * mem.PageSize
 	}
 	return n
 }
@@ -490,52 +490,45 @@ func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 		for j, blk := range parities[i] {
 			h := mem.HashBlock(blk)
 			set.Stripes[i].Parity[j] = h
-			if e, ok := s.chunks[h]; ok {
-				e.refs++
+			if _, ok := s.chunks[h]; ok {
 				s.stats.DupChunks++
 			} else {
-				s.chunks[h] = &chunkEntry{data: blk, refs: 1}
-				s.stats.NewChunks++
-				s.stats.NewChunkBytes += mem.PageSize
+				s.putChunk(h, blk)
 				plan.ParityBytes += mem.PageSize
 			}
+			s.chunks[h].refs++
 		}
 		for _, h := range set.Stripes[i].Data {
 			s.chunks[h].refs++
 		}
 	}
 
-	if old, ok := s.ecsets[pod]; ok {
-		for oseq := range old {
-			if oseq < seq {
-				s.dropECSet(pod, oseq)
-			}
-		}
-	}
-	if s.ecsets[pod] == nil {
-		s.ecsets[pod] = make(map[int]*ECSet)
-	}
-	s.ecsets[pod][seq] = set
+	s.supersede(pod, seq, s.dropSet)
+	s.ensure(pod, seq).set = set
 	return plan, nil
 }
 
-// ECSetFor returns the registered shard manifest for (pod, seq).
-func (s *Store) ECSetFor(pod string, seq int) (*ECSet, bool) {
-	set, ok := s.ecsets[pod][seq]
-	return set, ok
+// supersede applies drop to every entry of pod up to seq, before a shard
+// set (or held subset) is registered there: it makes the older ones dead
+// weight and replaces one already under seq. The newcomer's references are
+// taken first, so a chunk both cover never touches refcount zero.
+func (s *Store) supersede(pod string, seq int, drop func(*entry)) {
+	for oseq, e := range s.pods[pod] {
+		if oseq <= seq {
+			drop(e)
+			s.prune(pod, oseq)
+		}
+	}
 }
 
-// DropECSet unregisters a shard manifest, releasing its stripe
-// references (parity blocks nothing else references are freed).
-func (s *Store) DropECSet(pod string, seq int) { s.dropECSet(pod, seq) }
-
-func (s *Store) dropECSet(pod string, seq int) {
-	set, ok := s.ecsets[pod][seq]
-	if !ok {
+// dropSet unregisters the entry's shard manifest, if any, releasing its
+// stripe references (parity blocks nothing else references are freed).
+func (s *Store) dropSet(e *entry) {
+	if e.set == nil {
 		return
 	}
-	for i := range set.Stripes {
-		st := &set.Stripes[i]
+	for i := range e.set.Stripes {
+		st := &e.set.Stripes[i]
 		for _, h := range st.Data {
 			s.releaseChunk(h)
 		}
@@ -543,157 +536,80 @@ func (s *Store) dropECSet(pod string, seq int) {
 			s.releaseChunk(h)
 		}
 	}
-	delete(s.ecsets[pod], seq)
-	if len(s.ecsets[pod]) == 0 {
-		delete(s.ecsets, pod)
-	}
+	e.set = nil
 }
 
-func (s *Store) releaseChunk(h mem.PageHash) {
-	e, ok := s.chunks[h]
-	if !ok {
+// dropHeld releases the shard subset the entry holds for another node.
+func (s *Store) dropHeld(e *entry) {
+	if e.held == nil {
 		return
 	}
-	e.refs--
-	if e.refs == 0 {
-		delete(s.chunks, h)
-		s.stats.FreedChunks++
-		s.stats.FreedBytes += mem.PageSize
-	}
-}
-
-// ECHeld records a holder's side of one erasure-coded checkpoint: the
-// shard manifest, this node's ring position (which shard of each stripe
-// it stores), and the raw chain manifests so recovery metadata survives
-// the primary.
-type ECHeld struct {
-	Set       *ECSet
-	Holder    int
-	Manifests map[int][]byte
-}
-
-// ECMissingFor answers a shard offer with the chain manifests and shard
-// blocks this store lacks — the EC analogue of MissingFor, consulting
-// held raw manifests as well as decoded ones so re-offers of an
-// unchanged chain cost nothing.
-func (s *Store) ECMissingFor(o *Offer) (needSeqs []int, needHashes []mem.PageHash) {
-	for _, cs := range o.Chain {
-		if _, ok := s.ecManifests[o.Pod][cs]; ok {
-			continue
-		}
-		if _, ok := s.manifests[o.Pod][cs]; ok {
-			continue
-		}
-		needSeqs = append(needSeqs, cs)
-	}
-	for _, h := range o.Hashes {
-		if _, ok := s.chunks[h]; !ok {
-			needHashes = append(needHashes, h)
-		}
-	}
-	return needSeqs, needHashes
-}
-
-// AdoptECShards installs a holder's shard delta: the shard manifest,
-// this node's ring position, the chain manifests it was missing (kept as
-// raw blobs — a holder stores metadata it cannot fully resolve), and the
-// missing shard blocks. Every block the held set covers takes a chunk
-// reference so the holder's own GC cannot free it. An older held set for
-// the same pod is superseded. done fires once the adopted bytes land on
-// disk.
-func (s *Store) AdoptECShards(set *ECSet, holder int, manifests map[int][]byte, chunks []ChunkData, ctx trace.SpanContext, done func(int64, error)) {
-	var total int64
-	for _, cd := range chunks {
-		if _, ok := s.chunks[cd.Hash]; !ok {
-			s.chunks[cd.Hash] = &chunkEntry{data: cd.Data}
-			s.stats.NewChunks++
-			s.stats.NewChunkBytes += int64(len(cd.Data))
-		}
-		total += int64(len(cd.Data))
-	}
-	want := set.HolderHashes(holder)
-	for _, h := range want {
-		e, ok := s.chunks[h]
-		if !ok {
-			done(0, fmt.Errorf("ckpt: adopt EC %s/%d: missing shard block %v", set.Pod, set.Seq, h))
-			return
-		}
-		e.refs++
-	}
-	if s.ecManifests[set.Pod] == nil {
-		s.ecManifests[set.Pod] = make(map[int][]byte)
-	}
-	for seq, blob := range manifests {
-		s.ecManifests[set.Pod][seq] = blob
-		total += int64(len(blob))
-	}
-	if old, ok := s.ecHeld[set.Pod]; ok {
-		for oseq := range old {
-			if oseq < set.Seq {
-				s.dropECHeld(set.Pod, oseq)
-			}
-		}
-	}
-	if s.ecHeld[set.Pod] == nil {
-		s.ecHeld[set.Pod] = make(map[int]*ECHeld)
-	}
-	held := &ECHeld{Set: set, Holder: holder, Manifests: make(map[int][]byte)}
-	for _, cs := range set.Chain {
-		if blob, ok := s.ecManifests[set.Pod][cs]; ok {
-			held.Manifests[cs] = blob
-		} else if m, ok := s.manifests[set.Pod][cs]; ok {
-			// The chain manifest arrived earlier through ordinary
-			// replication; serve reconstructs from the decoded form.
-			if blob, err := m.Encode(); err == nil {
-				held.Manifests[cs] = blob
-			}
-		}
-	}
-	s.ecHeld[set.Pod][set.Seq] = held
-	if total <= 0 {
-		done(0, nil)
-		return
-	}
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.BeginChild(ctx, s.disk.Name(), "ckpt", "store.adopt_ec",
-			trace.Str("pod", set.Pod), trace.Int("seq", int64(set.Seq)),
-			trace.Int("holder", int64(holder)), trace.Int("bytes", total))
-	}
-	s.disk.Write(total, func() {
-		sp.End()
-		done(total, nil)
-	})
-}
-
-func (s *Store) dropECHeld(pod string, seq int) {
-	held, ok := s.ecHeld[pod][seq]
-	if !ok {
-		return
-	}
-	for _, h := range held.Set.HolderHashes(held.Holder) {
+	for _, h := range e.held.HolderHashes(e.holder) {
 		s.releaseChunk(h)
 	}
-	delete(s.ecHeld[pod], seq)
-	if len(s.ecHeld[pod]) == 0 {
-		delete(s.ecHeld, pod)
-	}
+	e.held = nil
 }
 
-// ECServe assembles this holder's contribution to a reconstruction: the
-// shard manifest, the chain manifests, and every shard block it holds.
-func (s *Store) ECServe(pod string, seq int) (*ECSet, map[int][]byte, []ChunkData, error) {
-	held, ok := s.ecHeld[pod][seq]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: %s/%d (no held shards)", ErrNoImage, pod, seq)
+// adoptShards is the shard half of Adopt: the transfer's chunks are
+// resident; keep the chain manifests it carried as raw blobs (a holder
+// stores metadata it cannot fully resolve) and take a chunk reference on
+// every block ring position t.Holder stores, so the holder's own GC cannot
+// free one. An older held set for the same pod is superseded.
+func (s *Store) adoptShards(t *Transfer) error {
+	set := t.Set
+	if t.Holder < 0 || t.Holder >= set.Shards() {
+		return fmt.Errorf("ckpt: adopt EC %s/%d: holder %d of %d shards", set.Pod, set.Seq, t.Holder, set.Shards())
 	}
-	var blocks []ChunkData
-	for _, h := range held.Set.HolderHashes(held.Holder) {
-		if e, ok := s.chunks[h]; ok {
-			blocks = append(blocks, ChunkData{Hash: h, Data: e.data})
+	want := set.HolderHashes(t.Holder)
+	for _, h := range want {
+		if _, ok := s.chunks[h]; !ok {
+			return fmt.Errorf("ckpt: adopt EC %s/%d: missing shard block %v", set.Pod, set.Seq, h)
 		}
 	}
-	return held.Set, held.Manifests, blocks, nil
+	for _, h := range want {
+		s.chunks[h].refs++
+	}
+	for seq, blob := range t.Manifests {
+		s.ensure(set.Pod, seq).raw = blob
+	}
+	s.supersede(set.Pod, set.Seq, s.dropHeld)
+	e := s.ensure(set.Pod, set.Seq)
+	e.held, e.holder = set, t.Holder
+	return nil
+}
+
+// ECServe assembles this holder's contribution to a reconstruction, as the
+// transfer it would adopt again: the shard manifest, the chain manifests
+// (raw as they arrived, or re-encoded where ordinary replication put the
+// decoded form here first) and every shard block it holds.
+func (s *Store) ECServe(pod string, seq int) (*Transfer, error) {
+	held := s.get(pod, seq)
+	if held.held == nil {
+		return nil, fmt.Errorf("%w: %s/%d (no held shards)", ErrNoImage, pod, seq)
+	}
+	// Never nil: the wire sends an empty map as such, two bytes of frame.
+	t := &Transfer{Pod: pod, Seq: seq, Set: held.held, Holder: held.holder, Manifests: make(map[int][]byte)}
+	for _, cs := range held.held.Chain {
+		e := s.get(pod, cs)
+		blob := e.raw
+		if blob == nil && e.manifest != nil {
+			var err error
+			if blob, err = e.manifest.Encode(); err != nil {
+				return nil, err
+			}
+		}
+		if blob != nil {
+			t.Manifests[cs] = blob
+			t.TotalBytes += int64(len(blob))
+		}
+	}
+	for _, h := range held.held.HolderHashes(held.holder) {
+		if e, ok := s.chunks[h]; ok {
+			t.Chunks = append(t.Chunks, ChunkData{Hash: h, Data: e.data})
+			t.TotalBytes += int64(len(e.data))
+		}
+	}
+	return t, nil
 }
 
 // ECRecovery summarizes a reconstruction: how many chunks had to be
@@ -717,7 +633,7 @@ type ECRecovery struct {
 // it from parity (any M of M+R shards), across the same worker pool as
 // encode. Recovered chunks are verified against their content hash, the
 // chain manifests are installed, and the store is left restart-ready
-// (LoadMerged resolves the chain). The caller charges disk and CPU.
+// (Load resolves the chain). The caller charges disk and CPU.
 func (s *Store) ReconstructEC(set *ECSet, manifests map[int][]byte, blocks []ChunkData) (*ECRecovery, error) {
 	p := ECParams{M: set.M, R: set.R}
 	if err := p.Validate(); err != nil {
@@ -731,10 +647,7 @@ func (s *Store) ReconstructEC(set *ECSet, manifests map[int][]byte, blocks []Chu
 		if d, ok := avail[h]; ok {
 			return d
 		}
-		if e, ok := s.chunks[h]; ok {
-			return e.data
-		}
-		return nil
+		return s.chunkData(h)
 	}
 	enc := ecEncodeMatrix(p)
 	rec := &ECRecovery{}
@@ -820,16 +733,13 @@ func (s *Store) ReconstructEC(set *ECSet, manifests map[int][]byte, blocks []Chu
 			if d == nil {
 				return nil, fmt.Errorf("ckpt: reconstruct %s/%d: chunk %v unresolved", set.Pod, set.Seq, h)
 			}
-			s.chunks[h] = &chunkEntry{data: d}
-			s.stats.NewChunks++
-			s.stats.NewChunkBytes += int64(len(d))
+			s.putChunk(h, d)
 			rec.TotalBytes += int64(len(d))
 		}
 	}
-	seqs := append([]int(nil), set.Chain...)
-	sort.Ints(seqs)
-	for _, seq := range seqs {
-		if _, ok := s.manifests[set.Pod][seq]; ok {
+	for i := len(set.Chain) - 1; i >= 0; i-- { // oldest first
+		seq := set.Chain[i]
+		if s.get(set.Pod, seq).manifest != nil {
 			continue
 		}
 		blob, ok := manifests[seq]

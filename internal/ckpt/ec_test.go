@@ -182,14 +182,11 @@ func TestECSaveReconstructRestore(t *testing.T) {
 	// Simulate distribution: each of the m+r holders takes its rotated
 	// shard subset; no holder's set may contain two shards of a stripe
 	// (guaranteed by rotation) and together they cover everything.
-	manifests := make(map[int][]byte)
-	for _, cs := range set.Chain {
-		blob, err := r.store.manifests["ecpod"][cs].Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		manifests[cs] = blob
+	chain, err := r.store.BuildTransfer("ecpod", 2, set.Chain, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	manifests := chain.Manifests
 	holderBlocks := make([][]ChunkData, set.Shards())
 	for h := 0; h < set.Shards(); h++ {
 		for _, hash := range set.HolderHashes(h) {
@@ -216,9 +213,9 @@ func TestECSaveReconstructRestore(t *testing.T) {
 			t.Fatalf("kill %d: expected at least one decoded stripe", kill)
 		}
 		var img *Image
-		target.LoadMerged("ecpod", 2, trace.SpanContext{}, func(i *Image, err error) {
+		target.Load("ecpod", 2, true, trace.SpanContext{}, func(i *Image, err error) {
 			if err != nil {
-				t.Errorf("LoadMerged: %v", err)
+				t.Errorf("Load merged: %v", err)
 			}
 			img = i
 		})
@@ -247,7 +244,7 @@ func TestECSaveReconstructRestore(t *testing.T) {
 // folds a chain and frees chunks no manifest references — but a chunk
 // covered by a live EC stripe must survive, or reconstruction of the
 // stripe's other chunks breaks. The EC set's stripe-granularity
-// references keep it resident; dropping the set releases it.
+// references keep it resident; discarding the set's sequence releases it.
 func TestECCompactKeepsStripeChunks(t *testing.T) {
 	r := newRig(t, 1)
 	pod, _ := zap.New(r.kernels[0], "gc", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
@@ -276,18 +273,23 @@ func TestECCompactKeepsStripeChunks(t *testing.T) {
 		}
 	}
 
-	// Dropping the set releases the stripe references; chunks only the
-	// folded-away seq-1 manifest needed are now freed.
+	// Seq 1 now holds nothing but the set. Discarding it releases the
+	// stripe references; chunks only the folded-away seq-1 manifest needed
+	// are now freed, and the entry goes with them.
 	before := r.store.ChunkCount()
-	r.store.DropECSet("gc", 1)
+	r.store.Discard("gc", 1)
 	if after := r.store.ChunkCount(); after >= before {
-		t.Fatalf("DropECSet freed nothing (chunks %d -> %d)", before, after)
+		t.Fatalf("dropping the set freed nothing (chunks %d -> %d)", before, after)
+	}
+	if _, ok := r.store.pods["gc"][1]; ok {
+		t.Fatal("an entry with nothing stored under it was left in the catalog")
 	}
 	// Everything the live (compacted) manifest references must remain.
-	for i := range r.store.manifests["gc"][2].Procs {
-		for _, ref := range r.store.manifests["gc"][2].Procs[i].Pages {
+	live := r.store.get("gc", 2).manifest
+	for i := range live.Procs {
+		for _, ref := range live.Procs[i].Pages {
 			if _, ok := r.store.chunks[ref.Hash]; !ok {
-				t.Fatalf("live manifest chunk %v freed by DropECSet", ref.Hash)
+				t.Fatalf("live manifest chunk %v freed with the set", ref.Hash)
 			}
 		}
 	}
@@ -303,15 +305,72 @@ func TestECSupersedeAndDiscard(t *testing.T) {
 
 	r.saveEC(r.store, "sup", 1, ECParams{M: 2, R: 1})
 	r.saveEC(r.store, "sup", 2, ECParams{M: 2, R: 1}) // supersedes seq 1
-	if _, ok := r.store.ECSetFor("sup", 1); ok {
+	if r.store.get("sup", 1).set != nil {
 		t.Fatal("seq-1 EC set not superseded by seq-2 save")
 	}
-	if _, ok := r.store.ECSetFor("sup", 2); !ok {
+	if r.store.get("sup", 2).set == nil {
 		t.Fatal("seq-2 EC set missing")
 	}
-	// Discarding the sequence drops its set and releases references.
+	// Discarding the sequence drops its set and releases references: only
+	// the seq-1 manifest's chunks stay resident, parity included in none.
 	r.store.Discard("sup", 2)
-	if _, ok := r.store.ECSetFor("sup", 2); ok {
+	if r.store.get("sup", 2).set != nil {
 		t.Fatal("Discard left the EC set registered")
+	}
+	want := make(map[mem.PageHash]bool)
+	for _, p := range r.store.get("sup", 1).manifest.Procs {
+		for _, ref := range p.Pages {
+			want[ref.Hash] = true
+		}
+	}
+	if got := r.store.ChunkCount(); got != len(want) {
+		t.Fatalf("%d chunks resident after the discard, want the %d seq 1 references", got, len(want))
+	}
+}
+
+// hostileECSets are shard manifests that gob decodes happily but whose
+// parameters or stripe shapes would later divide by zero (ShardIndex) or
+// index out of range (shardHash). They arrive in repl-data, off the wire.
+func hostileECSets() []*ECSet {
+	h := func(n int) []mem.PageHash { return make([]mem.PageHash, n) }
+	return []*ECSet{
+		{Pod: "p", Seq: 1, Stripes: []ECStripe{{}}},                                           // M+R = 0
+		{Pod: "p", Seq: 1, M: 200, R: 100, Stripes: []ECStripe{{Data: h(1), Parity: h(100)}}}, // past GF(256)
+		{Pod: "p", Seq: 1, M: 2, R: 1, Stripes: []ECStripe{{Data: h(3), Parity: h(1)}}},       // wide stripe
+		{Pod: "p", Seq: 1, M: 2, R: 1, Stripes: []ECStripe{{Data: h(2)}}},                     // no parity
+	}
+}
+
+// TestHostileShardSetsAreRejected: neither a misshapen shard manifest nor
+// an out-of-ring holder position — both travel in repl-data — may panic
+// the agent. DecodeECSet refuses the first; the shard half of Adopt
+// refuses the second (and a zero-shard set handed to it directly), with
+// an error through done and the store untouched.
+func TestHostileShardSetsAreRejected(t *testing.T) {
+	for i, set := range hostileECSets() {
+		blob, err := set.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeECSet(blob); err == nil {
+			t.Errorf("hostile set %d decoded: %+v", i, got)
+		}
+	}
+	r := newRig(t, 1)
+	good := sampleECSet()
+	for _, tc := range []struct {
+		name   string
+		set    *ECSet
+		holder int
+	}{
+		{"zero shards", hostileECSets()[0], 0},        // was: integer divide by zero
+		{"negative holder", good, -1},                 // was: index out of range [-1]
+		{"holder past the ring", good, good.Shards()}, // aliased holder 0
+	} {
+		var got error
+		r.store.Adopt(&Transfer{Pod: "p", Seq: 1, Set: tc.set, Holder: tc.holder, TotalBytes: 1}, func(_ int64, err error) { got = err })
+		if got == nil || len(r.store.pods["p"]) != 0 {
+			t.Errorf("%s: Adopt reported %v and left %d entries", tc.name, got, len(r.store.pods["p"]))
+		}
 	}
 }

@@ -226,5 +226,12 @@ func FuzzDecodeManifest(f *testing.F) {
 }
 
 func FuzzDecodeECSet(f *testing.F) {
+	for _, set := range hostileECSets() {
+		b, err := set.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	fuzzDecoder(f, sampleECSet(), (*ECSet).Encode, DecodeECSet)
 }

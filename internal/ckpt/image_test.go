@@ -102,7 +102,7 @@ func TestStoreKeepsOneFormPerImage(t *testing.T) {
 		if len(pages) == 0 || !bytes.Equal(pages, img.Processes[0].Memory.PageData) {
 			t.Fatalf("%s: cached pages differ from the captured ones", who)
 		}
-		if !within(pages, s.blobs["one"][1]) {
+		if !within(pages, s.get("one", 1).blob) {
 			t.Fatalf("%s: cached image holds its own copy of the pages", who)
 		}
 		if within(pages, img.Processes[0].Memory.PageData) {
@@ -113,7 +113,7 @@ func TestStoreKeepsOneFormPerImage(t *testing.T) {
 	replica := NewStore(r.kernels[0].Disk())
 	adopt(t, r, r.store, replica, "one", 1)
 	check(replica, "replica")
-	if !within(replica.blobs["one"][1], r.store.blobs["one"][1]) {
+	if !within(replica.get("one", 1).blob, r.store.get("one", 1).blob) {
 		t.Fatal("an in-process transfer should hand the replica the very blob, uncopied")
 	}
 }

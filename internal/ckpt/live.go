@@ -44,25 +44,7 @@ type LiveCapture struct {
 // snapshot instant.
 func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 	kern := pod.Kernel()
-	img := &Image{
-		PodName:     pod.Name(),
-		Seq:         seq,
-		Incremental: opts.Incremental,
-		TakenAt:     kern.Engine().Now(),
-		NextVPID:    pod.NextVPID(),
-		Net: NetImage{
-			IP:        pod.IP(),
-			MAC:       pod.Config().MAC,
-			FakeMAC:   pod.Config().FakeMAC,
-			SharedMAC: pod.SharedMAC(),
-		},
-	}
-	if opts.Incremental {
-		img.BaseSeq = seq - 1
-		if opts.BaseSeq != 0 {
-			img.BaseSeq = opts.BaseSeq
-		}
-	}
+	img := newImage(pod, seq, opts)
 	lc := &LiveCapture{Image: img}
 	for _, vpid := range pod.VPIDs() {
 		proc := pod.Process(vpid)
@@ -71,22 +53,9 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 		pns := as.PageNumbers(opts.Incremental)
 		as.ClearDirty()
 
-		pi := ProcImage{VPID: vpid, Name: proc.Name()}
-		pi.Memory.Regions = snap.Regions()
-		pi.Memory.PageNums = pns
-		pi.Memory.PageData = make([]byte, 0, len(pns)*mem.PageSize)
-		for _, pn := range pns {
-			pi.Memory.PageData = append(pi.Memory.PageData, snap.PageData(pn)...)
-		}
-		if opts.Hashes {
-			pi.Memory.PageHashes = make([]mem.PageHash, 0, len(pns))
-			before := snap.HashComputes()
-			for _, pn := range pns {
-				pi.Memory.PageHashes = append(pi.Memory.PageHashes, snap.PageHash(pn))
-			}
-			img.FreshHashes += int(snap.HashComputes() - before)
-		}
-		img.Processes = append(img.Processes, pi)
+		// Which pages: the live space's dirty set. Their bytes: the snapshot's.
+		img.Processes = append(img.Processes, ProcImage{VPID: vpid, Name: proc.Name(),
+			Memory: captureMemory(snap, pns, opts, img)})
 		lc.spaces = append(lc.spaces, as)
 		lc.snaps = append(lc.snaps, snap)
 		lc.pages = append(lc.pages, pns)

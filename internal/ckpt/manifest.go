@@ -55,6 +55,15 @@ type Manifest struct {
 	Pipes    []PipeImage
 }
 
+// eachRef calls fn with the hash of every page reference, in page order.
+func (m *Manifest) eachRef(fn func(mem.PageHash)) {
+	for i := range m.Procs {
+		for _, ref := range m.Procs[i].Pages {
+			fn(ref.Hash)
+		}
+	}
+}
+
 // Encode serializes the manifest (the only part of a deduplicated save
 // that is always written in full).
 func (m *Manifest) Encode() ([]byte, error) {

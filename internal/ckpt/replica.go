@@ -27,6 +27,9 @@ type Offer struct {
 	// distinct page hash the chain references, in deterministic order.
 	Dedup  bool
 	Hashes []mem.PageHash
+	// Shard marks an offer of one holder's shard subset: Hashes are that
+	// holder's blocks, and the receiver will keep the chain manifests raw.
+	Shard bool
 }
 
 // ChunkData pairs a page hash with its bytes on the wire.
@@ -46,7 +49,12 @@ type Transfer struct {
 	Blobs     map[int][]byte
 	Manifests map[int][]byte
 	Chunks    []ChunkData
-	// TotalBytes is what the replica's disk will write on adoption.
+	// Set, when non-nil, makes this a shard subset: Chunks are blocks ring
+	// position Holder stores for the set, Manifests its chain's.
+	Set    *ECSet
+	Holder int
+	// TotalBytes is what the replica's disk will write on adoption: every
+	// blob, manifest and chunk the transfer carries.
 	TotalBytes int64
 	// Ctx is the trace context of the replication exchange this transfer
 	// belongs to; Adopt parents its disk-write span under it. The store is
@@ -54,74 +62,43 @@ type Transfer struct {
 	Ctx trace.SpanContext
 }
 
-// HasSeq reports whether the store holds a usable checkpoint at seq —
-// the image (or manifest) plus, for incrementals, its whole base chain.
-func (s *Store) HasSeq(pod string, seq int) bool {
-	if _, ok := s.manifests[pod][seq]; ok {
-		_, err := s.manifestChain(pod, seq)
-		return err == nil
-	}
-	meta, ok := s.images[pod][seq]
-	for ok {
-		if !meta.Incremental {
-			return true
-		}
-		meta, ok = s.images[pod][meta.BaseSeq]
-	}
-	return false
-}
-
 // ExportOffer describes the checkpoint at (pod, seq) for replication.
 func (s *Store) ExportOffer(pod string, seq int) (*Offer, error) {
-	o := &Offer{Pod: pod, Seq: seq}
-	if _, ok := s.manifests[pod][seq]; ok {
-		chain, err := s.manifestChain(pod, seq)
-		if err != nil {
-			return nil, err
-		}
-		o.Chain = chain
-		o.Dedup = true
-		seen := make(map[mem.PageHash]bool)
-		for _, cs := range chain {
-			m := s.manifests[pod][cs]
-			for i := range m.Procs {
-				for _, ref := range m.Procs[i].Pages {
-					if !seen[ref.Hash] {
-						seen[ref.Hash] = true
-						o.Hashes = append(o.Hashes, ref.Hash)
-					}
-				}
-			}
-		}
+	chain, err := s.chain(pod, seq)
+	if err != nil {
+		return nil, err
+	}
+	o := &Offer{Pod: pod, Seq: seq, Chain: chain, Dedup: s.get(pod, seq).manifest != nil}
+	if !o.Dedup {
 		return o, nil
 	}
-	metas := s.images[pod]
-	cur := seq
-	for {
-		meta, ok := metas[cur]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s/%d (chain from %d)", ErrNoImage, pod, cur, seq)
-		}
-		o.Chain = append(o.Chain, cur)
-		if !meta.Incremental {
-			return o, nil
-		}
-		cur = meta.BaseSeq
+	seen := make(map[mem.PageHash]bool)
+	for _, cs := range chain {
+		s.get(pod, cs).manifest.eachRef(func(h mem.PageHash) {
+			if !seen[h] {
+				seen[h] = true
+				o.Hashes = append(o.Hashes, h)
+			}
+		})
 	}
+	return o, nil
 }
 
-// MissingFor answers an offer with the chain sequences and chunk hashes
-// this store lacks — the delta the sender must ship.
-func (s *Store) MissingFor(o *Offer) (needSeqs []int, needHashes []mem.PageHash) {
+// Missing answers an offer with the chain sequences and chunk hashes this
+// store lacks — the delta the sender must ship. A chain link counts as
+// held only in the offered form; for a shard offer a raw manifest kept
+// from an earlier set serves as well as a decoded one, so re-offers of an
+// unchanged chain cost nothing.
+func (s *Store) Missing(o *Offer) (needSeqs []int, needHashes []mem.PageHash) {
 	for _, cs := range o.Chain {
+		e := s.get(o.Pod, cs)
+		have := e.blob != nil
 		if o.Dedup {
-			if _, ok := s.manifests[o.Pod][cs]; ok {
-				continue
-			}
-		} else if _, ok := s.blobs[o.Pod][cs]; ok {
-			continue
+			have = e.manifest != nil || o.Shard && e.raw != nil
 		}
-		needSeqs = append(needSeqs, cs)
+		if !have {
+			needSeqs = append(needSeqs, cs)
+		}
 	}
 	for _, h := range o.Hashes {
 		if _, ok := s.chunks[h]; !ok {
@@ -135,8 +112,9 @@ func (s *Store) MissingFor(o *Offer) (needSeqs []int, needHashes []mem.PageHash)
 func (s *Store) BuildTransfer(pod string, seq int, needSeqs []int, needHashes []mem.PageHash) (*Transfer, error) {
 	t := &Transfer{Pod: pod, Seq: seq}
 	for _, cs := range needSeqs {
-		if m, ok := s.manifests[pod][cs]; ok {
-			mblob, err := m.Encode()
+		e := s.get(pod, cs)
+		if e.manifest != nil {
+			mblob, err := e.manifest.Encode()
 			if err != nil {
 				return nil, err
 			}
@@ -147,15 +125,14 @@ func (s *Store) BuildTransfer(pod string, seq int, needSeqs []int, needHashes []
 			t.TotalBytes += int64(len(mblob))
 			continue
 		}
-		blob, ok := s.blobs[pod][cs]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s/%d", ErrNoImage, pod, cs)
+		if e.blob == nil {
+			return nil, noImage(pod, cs)
 		}
 		if t.Blobs == nil {
 			t.Blobs = make(map[int][]byte)
 		}
-		t.Blobs[cs] = blob
-		t.TotalBytes += int64(len(blob))
+		t.Blobs[cs] = e.blob
+		t.TotalBytes += int64(len(e.blob))
 	}
 	for _, h := range needHashes {
 		e, ok := s.chunks[h]
@@ -168,32 +145,22 @@ func (s *Store) BuildTransfer(pod string, seq int, needSeqs []int, needHashes []
 	return t, nil
 }
 
-// Adopt installs a received transfer into this store — the replica's
-// half of replication — charging the bytes to the local disk. done fires
-// with the bytes written once the write lands.
+// Adopt installs a received transfer into this store — the replica's half
+// of replication, or a holder's half of shard distribution — charging the
+// sender-declared TotalBytes to the local disk. done fires with the bytes
+// written once the write lands.
 func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
-	// Chunks first so adopted manifests can take references.
+	// Chunks first so adopted manifests and shard sets can take references.
 	for _, cd := range t.Chunks {
-		if _, ok := s.chunks[cd.Hash]; !ok {
-			s.chunks[cd.Hash] = &chunkEntry{data: cd.Data}
-			s.stats.NewChunks++
-			s.stats.NewChunkBytes += int64(len(cd.Data))
-		}
+		s.putChunk(cd.Hash, cd.Data)
 	}
-	for _, seq := range SortedSeqs(t.Blobs) {
-		blob := t.Blobs[seq]
-		img, err := DecodeImage(blob)
-		if err != nil {
-			done(0, err)
-			return
-		}
-		s.putBlob(t.Pod, seq, blob, img)
+	name, install := "store.adopt", s.adoptChain
+	if t.Set != nil {
+		name, install = "store.adopt_ec", s.adoptShards
 	}
-	for _, seq := range SortedSeqs(t.Manifests) {
-		if err := s.adoptManifest(t.Pod, seq, t.Manifests[seq]); err != nil {
-			done(0, err)
-			return
-		}
+	if err := install(t); err != nil {
+		done(0, err)
+		return
 	}
 	if t.TotalBytes <= 0 {
 		done(0, nil)
@@ -201,7 +168,7 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 	}
 	var sp trace.Span
 	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.BeginChild(t.Ctx, s.disk.Name(), "ckpt", "store.adopt",
+		sp = tr.BeginChild(t.Ctx, s.disk.Name(), "ckpt", name,
 			trace.Str("pod", t.Pod), trace.Int("seq", int64(t.Seq)),
 			trace.Int("bytes", t.TotalBytes))
 	}
@@ -209,6 +176,23 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 		sp.End()
 		done(t.TotalBytes, nil)
 	})
+}
+
+// adoptChain registers a transfer's images and manifests, oldest first.
+func (s *Store) adoptChain(t *Transfer) error {
+	for _, seq := range SortedSeqs(t.Blobs) {
+		img, err := DecodeImage(t.Blobs[seq])
+		if err != nil {
+			return err
+		}
+		s.putBlob(t.Pod, seq, t.Blobs[seq], img)
+	}
+	for _, seq := range SortedSeqs(t.Manifests) {
+		if err := s.adoptManifest(t.Pod, seq, t.Manifests[seq]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SortedSeqs returns the sequence numbers keying a Transfer's Blobs or

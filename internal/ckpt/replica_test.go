@@ -16,7 +16,7 @@ func adopt(t *testing.T, r *rig, src, dst *Store, pod string, seq int) *Transfer
 	if err != nil {
 		t.Fatalf("ExportOffer: %v", err)
 	}
-	needSeqs, needHashes := dst.MissingFor(offer)
+	needSeqs, needHashes := dst.Missing(offer)
 	tx, err := src.BuildTransfer(pod, seq, needSeqs, needHashes)
 	if err != nil {
 		t.Fatalf("BuildTransfer: %v", err)
@@ -43,18 +43,7 @@ func TestReplicaAdoptBlobChain(t *testing.T) {
 	r.run(50 * sim.Millisecond)
 
 	save := func(seq int, opts Options) {
-		img := r.stopAndCapture(pod, seq, opts)
-		saved := false
-		r.store.Save(img, func(_ int64, err error) {
-			if err != nil {
-				t.Errorf("Save: %v", err)
-			}
-			saved = true
-		})
-		r.run(10 * sim.Second)
-		if !saved {
-			t.Fatal("save never completed")
-		}
+		r.saveBlob(r.store, r.stopAndCapture(pod, seq, opts))
 		// Resume only after the write lands, so virtual time spent on the
 		// disk does not churn the worker's pages between checkpoints.
 		pod.Resume()
@@ -89,9 +78,9 @@ func TestReplicaAdoptBlobChain(t *testing.T) {
 
 	// The replica restores like a local checkpoint.
 	var img *Image
-	peer.LoadMerged("p", 3, trace.SpanContext{}, func(i *Image, err error) {
+	peer.Load("p", 3, true, trace.SpanContext{}, func(i *Image, err error) {
 		if err != nil {
-			t.Errorf("LoadMerged on replica: %v", err)
+			t.Errorf("merged Load on replica: %v", err)
 		}
 		img = i
 	})
@@ -133,9 +122,9 @@ func TestReplicaAdoptDedupSendsOnlyMissingChunks(t *testing.T) {
 		t.Fatalf("steady-state transfer shipped %d chunks vs %d initially — dedup not applied", len(tx2.Chunks), len(tx.Chunks))
 	}
 	var img *Image
-	peer.LoadMerged("d", 2, trace.SpanContext{}, func(i *Image, err error) {
+	peer.Load("d", 2, true, trace.SpanContext{}, func(i *Image, err error) {
 		if err != nil {
-			t.Errorf("LoadMerged on dedup replica: %v", err)
+			t.Errorf("merged Load on dedup replica: %v", err)
 		}
 		img = i
 	})

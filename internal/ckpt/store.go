@@ -16,38 +16,53 @@ var ErrNoImage = errors.New("ckpt: no such image")
 // holding encoded images (the paper relies on such a file system being
 // reachable from any machine the application may restart on, and notes
 // checkpoint latency "is dominated by the time to write this state to
-// disk"). All Save/Load timing flows through the store's disk; the
+// disk"). All save/load timing flows through the store's disk; the
 // network path to it is assumed faster than the disk and not modeled
 // separately.
+//
+// It is one catalog — an entry per (pod, seq) holding whatever is stored
+// under that key — beside the refcounted, content-addressed chunk table
+// that manifests, shard sets and held shard subsets reference.
 type Store struct {
-	disk *kernel.Disk
-	// Blob-form checkpoints are stored once: blobs holds the encoded
-	// image, immutable from the moment it is registered, and images the
-	// decoded head (chain metadata, Cached) whose page bytes point into
-	// that blob.
-	blobs  map[string]map[int][]byte
-	images map[string]map[int]*Image
-	latest map[string]int
-
-	// Content-addressed half: manifests (metadata + page-hash lists) and
-	// the refcounted chunk table they reference. A pod's checkpoints use
-	// either the blob form (PlanSave) or the manifest form (PlanDedupSave);
-	// Load/LoadMerged resolve whichever form a sequence was stored in.
-	manifests     map[string]map[int]*Manifest
-	manifestBytes map[string]map[int]int64
-	chunks        map[mem.PageHash]*chunkEntry
-	autoCompact   int
-	stats         StoreStats
-
-	// Erasure-coded half: shard manifests registered by PlanECSave (the
-	// primary's view), shard sets held for other nodes' checkpoints, and
-	// raw chain-manifest blobs a holder keeps without resolving. EC sets
-	// hold chunk references at stripe granularity, so a chunk stays
-	// resident while any stripe parity covering it is live.
-	ecsets      map[string]map[int]*ECSet
-	ecHeld      map[string]map[int]*ECHeld
-	ecManifests map[string]map[int][]byte
+	disk        *kernel.Disk
+	pods        map[string]map[int]*entry
+	chunks      map[mem.PageHash]*chunkEntry
+	autoCompact int
+	stats       StoreStats
 }
+
+// entry is everything stored under one (pod, seq). A checkpoint is kept in
+// exactly one form: the blob (PlanSave) with the view decoded from it, or
+// the manifest (PlanDedupSave) whose pages live in the chunk table. A save
+// or adoption under an occupied key replaces what was there. The erasure-
+// coded tier hangs off the same key: the shard manifest this node striped
+// as primary, the shard subset it holds for another node's checkpoint, and
+// a chain manifest a holder keeps as raw bytes because it cannot resolve
+// the chunks behind it.
+type entry struct {
+	// blob is the encoded image, immutable from the moment it is
+	// registered; view is its decoded head (chain metadata, Cached), whose
+	// page bytes point into the blob.
+	blob []byte
+	view *Image
+
+	manifest      *Manifest
+	manifestBytes int64 // encoded size: what a load of it reads
+
+	// set and held take chunk references at stripe granularity, so a chunk
+	// stays resident while any stripe parity covering it is live.
+	set    *ECSet
+	held   *ECSet
+	holder int // ring position held was adopted for
+	// raw outlives the held set it arrived with: a superseding set's chain
+	// usually shares it, and Missing then asks the primary for nothing.
+	raw []byte
+}
+
+// stored reports whether the entry holds a checkpoint, in either form.
+func (e entry) stored() bool { return e.blob != nil || e.manifest != nil }
+
+func (e entry) empty() bool { return !e.stored() && e.set == nil && e.held == nil && e.raw == nil }
 
 type chunkEntry struct {
 	data []byte
@@ -57,16 +72,9 @@ type chunkEntry struct {
 // NewStore creates a store backed by the given disk.
 func NewStore(disk *kernel.Disk) *Store {
 	return &Store{
-		disk:          disk,
-		blobs:         make(map[string]map[int][]byte),
-		images:        make(map[string]map[int]*Image),
-		latest:        make(map[string]int),
-		manifests:     make(map[string]map[int]*Manifest),
-		manifestBytes: make(map[string]map[int]int64),
-		chunks:        make(map[mem.PageHash]*chunkEntry),
-		ecsets:        make(map[string]map[int]*ECSet),
-		ecHeld:        make(map[string]map[int]*ECHeld),
-		ecManifests:   make(map[string]map[int][]byte),
+		disk:   disk,
+		pods:   make(map[string]map[int]*entry),
+		chunks: make(map[mem.PageHash]*chunkEntry),
 	}
 }
 
@@ -74,32 +82,99 @@ func NewStore(disk *kernel.Disk) *Store {
 // it directly).
 func (s *Store) Disk() *kernel.Disk { return s.disk }
 
-// Save encodes the image and writes it through the disk, invoking done
-// with the encoded size when the write completes. Encoding errors are
-// reported synchronously through done as well.
-func (s *Store) Save(img *Image, done func(size int64, err error)) {
-	plan, err := s.PlanSave(img)
-	if err != nil {
-		done(0, err)
-		return
+// get returns a copy of the entry at (pod, seq), zero when nothing is
+// stored there, so readers need no nil check.
+func (s *Store) get(pod string, seq int) entry {
+	if e := s.pods[pod][seq]; e != nil {
+		return *e
 	}
-	size := plan.TotalBytes
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.Begin(s.disk.Name(), "ckpt", "store.save",
-			trace.Str("pod", img.PodName), trace.Int("seq", int64(img.Seq)),
-			trace.Int("bytes", size))
+	return entry{}
+}
+
+// ensure returns the entry at (pod, seq) for writing, creating it.
+func (s *Store) ensure(pod string, seq int) *entry {
+	if s.pods[pod] == nil {
+		s.pods[pod] = make(map[int]*entry)
 	}
-	s.disk.Write(size, func() {
-		sp.End()
-		done(size, nil)
-	})
+	e := s.pods[pod][seq]
+	if e == nil {
+		e = new(entry)
+		s.pods[pod][seq] = e
+	}
+	return e
+}
+
+// prune strikes the entry at (pod, seq) once nothing is stored under it.
+func (s *Store) prune(pod string, seq int) {
+	if e := s.pods[pod][seq]; e != nil && e.empty() {
+		delete(s.pods[pod], seq)
+	}
+}
+
+func noImage(pod string, seq int) error { return fmt.Errorf("%w: %s/%d", ErrNoImage, pod, seq) }
+
+// chain walks the checkpoint at (pod, seq) back to its full base and
+// returns the sequence numbers newest-first. The head fixes the form:
+// chains never mix forms (HasBase is how savers keep it so), so a link
+// stored in the other form is as missing as one never stored.
+func (s *Store) chain(pod string, seq int) ([]int, error) {
+	dedup := s.get(pod, seq).manifest != nil
+	var seqs []int
+	for cur := seq; ; {
+		e := s.get(pod, cur)
+		var incremental bool
+		var base int
+		switch {
+		case dedup && e.manifest != nil:
+			incremental, base = e.manifest.Incremental, e.manifest.BaseSeq
+		case !dedup && e.view != nil:
+			incremental, base = e.view.Incremental, e.view.BaseSeq
+		default:
+			return nil, fmt.Errorf("%w: %s/%d (chain from %d)", ErrNoImage, pod, cur, seq)
+		}
+		seqs = append(seqs, cur)
+		if !incremental {
+			return seqs, nil
+		}
+		if base >= cur {
+			// Bases precede their increments; anything else (a manifest
+			// off the wire can claim it) would walk in circles.
+			return nil, fmt.Errorf("%w: %s/%d names %d as its base", ErrNoImage, pod, cur, base)
+		}
+		cur = base
+	}
+}
+
+// HasSeq reports whether the store holds a usable checkpoint at seq —
+// the image (or manifest) plus, for incrementals, its whole base chain.
+func (s *Store) HasSeq(pod string, seq int) bool {
+	_, err := s.chain(pod, seq)
+	return err == nil
+}
+
+// HasBase reports whether (pod, seq) is a usable base for an incremental
+// save in the given form (dedup: manifest, otherwise blob). An increment
+// chained onto a base of the other form would commit and then fail every
+// replication and restart, so a saver answered no captures full, exactly
+// as it does when the base is missing.
+func (s *Store) HasBase(pod string, seq int, dedup bool) bool {
+	return s.HasSeq(pod, seq) && (s.get(pod, seq).manifest != nil) == dedup
+}
+
+// LatestSeq returns the highest sequence number the pod has a checkpoint
+// (blob or manifest) stored under.
+func (s *Store) LatestSeq(pod string) (latest int, ok bool) {
+	for seq, e := range s.pods[pod] {
+		if e.stored() && (!ok || seq > latest) {
+			latest, ok = seq, true
+		}
+	}
+	return latest, ok
 }
 
 // PlanSave encodes and registers the image without writing it, returning
-// a plan whose TotalBytes the caller still owes the disk. Agents use it
-// to drive the write themselves, in pipelined segments; Save remains the
-// one-call encode-and-write form.
+// a plan whose TotalBytes the caller still owes the disk. Agents drive the
+// write themselves, in pipelined segments.
 func (s *Store) PlanSave(img *Image) (*SavePlan, error) {
 	blob, view, err := img.encode()
 	if err != nil {
@@ -113,46 +188,25 @@ func (s *Store) PlanSave(img *Image) (*SavePlan, error) {
 // encoded into it): from here on the blob is immutable, and the view's
 // page bytes are the blob's.
 func (s *Store) putBlob(pod string, seq int, blob []byte, view *Image) {
-	if s.blobs[pod] == nil {
-		s.blobs[pod] = make(map[int][]byte)
-		s.images[pod] = make(map[int]*Image)
-	}
-	s.blobs[pod][seq] = blob
-	s.images[pod][seq] = view
-	if seq > s.latest[pod] {
-		s.latest[pod] = seq
-	}
+	e := s.ensure(pod, seq)
+	s.dropManifest(e)
+	e.blob, e.view = blob, view
 }
 
 // Discard removes stored checkpoints that were registered but never
 // committed — the pre-copy rounds of an aborted epoch. Manifest-form
 // entries release their chunk references (chunks nothing else references
-// are freed); blob-form entries are simply dropped. Discarding a
-// sequence that was never stored is a no-op, so an abort handler can
-// pass every sequence it planned without tracking which rounds landed.
+// are freed), as does a shard set striped from them; blob-form entries
+// are simply dropped. Discarding a sequence that was never stored is a
+// no-op, so an abort handler can pass every sequence it planned without
+// tracking which rounds landed.
 func (s *Store) Discard(pod string, seqs ...int) {
 	for _, seq := range seqs {
-		delete(s.blobs[pod], seq)
-		delete(s.images[pod], seq)
-		s.dropManifest(pod, seq)
-		s.dropECSet(pod, seq)
-	}
-	// Recompute the pod's latest sequence (max is order-insensitive).
-	maxSeq, found := 0, false
-	for seq := range s.images[pod] {
-		if !found || seq > maxSeq {
-			maxSeq, found = seq, true
-		}
-	}
-	for seq := range s.manifests[pod] {
-		if !found || seq > maxSeq {
-			maxSeq, found = seq, true
-		}
-	}
-	if found {
-		s.latest[pod] = maxSeq
-	} else {
-		delete(s.latest, pod)
+		e := s.ensure(pod, seq) // pruned again below if it was never stored
+		e.blob, e.view = nil, nil
+		s.dropManifest(e)
+		s.dropSet(e)
+		s.prune(pod, seq)
 	}
 }
 
@@ -164,112 +218,82 @@ func (s *Store) Discard(pod string, seqs ...int) {
 // must not be written. Deduplicated (manifest-form) images keep no
 // single decoded representation and report false.
 func (s *Store) Cached(pod string, seq int) (*Image, bool) {
-	img, ok := s.images[pod][seq]
-	return img, ok
+	view := s.get(pod, seq).view
+	return view, view != nil
 }
 
-// LatestSeq returns the highest stored sequence number for a pod.
-func (s *Store) LatestSeq(pod string) (int, bool) {
-	seq, ok := s.latest[pod]
-	return seq, ok
-}
-
-// Load reads and decodes one image through the disk, invoking done when
-// the read completes. Incremental images are returned as-is; use
-// LoadMerged to resolve a chain. The store.load span becomes a child of
-// ctx (a migration's restore-on-arrival merge; zero = no parent) so the
-// disk read shows up on that op's critical path.
-func (s *Store) Load(pod string, seq int, ctx trace.SpanContext, done func(*Image, error)) {
-	blob, ok := s.blobs[pod][seq]
-	if !ok {
-		if _, mok := s.manifests[pod][seq]; mok {
-			s.loadManifest(pod, seq, false, ctx, done)
+// Load reads the checkpoint at (pod, seq) — seq 0 names the pod's newest —
+// through the disk and hands done the decoded image. With merged set, the
+// whole incremental chain is read and folded into one self-contained
+// image; otherwise the one image comes back as stored. The read covers the
+// chain's blobs, or its manifests plus every distinct chunk the resulting
+// page set needs (manifests fold as metadata, so a deduplicated chain does
+// not re-read the O(chain) page bytes a blob chain does). The store.load
+// span becomes a child of ctx (restart, recovery fetch, a migration's
+// restore-on-arrival merge; zero = no parent) so the read shows up on that
+// op's critical path.
+func (s *Store) Load(pod string, seq int, merged bool, ctx trace.SpanContext, done func(*Image, error)) {
+	if seq == 0 {
+		var ok bool
+		if seq, ok = s.LatestSeq(pod); !ok {
+			done(nil, fmt.Errorf("%w: %s", ErrNoImage, pod))
 			return
 		}
-		done(nil, fmt.Errorf("%w: %s/%d", ErrNoImage, pod, seq))
+	}
+	seqs, err := []int{seq}, error(nil)
+	if merged {
+		seqs, err = s.chain(pod, seq)
+	} else if !s.get(pod, seq).stored() {
+		err = noImage(pod, seq)
+	}
+	if err != nil {
+		done(nil, err)
 		return
 	}
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.BeginChild(ctx, s.disk.Name(), "ckpt", "store.load",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
-			trace.Int("bytes", int64(len(blob))))
-	}
-	s.disk.Read(int64(len(blob)), func() {
-		sp.End()
-		img, err := DecodeImage(blob)
-		done(img, err)
-	})
-}
-
-// LoadMerged reads the image at seq and, if it is incremental, every
-// image back to its full base, merging them into one self-contained
-// image. The disk read time covers the whole chain; the store.load span
-// becomes a child of ctx (restart, recovery fetch; zero = no parent).
-func (s *Store) LoadMerged(pod string, seq int, ctx trace.SpanContext, done func(*Image, error)) {
-	if _, ok := s.manifests[pod][seq]; ok {
-		s.loadManifest(pod, seq, true, ctx, done)
-		return
-	}
-	metas := s.images[pod]
-	if metas == nil {
-		done(nil, fmt.Errorf("%w: %s/%d", ErrNoImage, pod, seq))
-		return
-	}
-	// Walk the chain from seq down to the full base.
-	var chain []int
-	var total int64
-	cur := seq
-	for {
-		meta, ok := metas[cur]
-		if !ok {
-			done(nil, fmt.Errorf("%w: %s/%d (chain from %d)", ErrNoImage, pod, cur, seq))
-			return
-		}
-		chain = append(chain, cur)
-		total += int64(len(s.blobs[pod][cur]))
-		if !meta.Incremental {
-			break
-		}
-		cur = meta.BaseSeq
-	}
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.BeginChild(ctx, s.disk.Name(), "ckpt", "store.load",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
-			trace.Int("bytes", total), trace.Int("chain", int64(len(chain))))
-	}
-	s.disk.Read(total, func() {
-		sp.End()
-		// Decode base-first, merging upward.
-		merged, err := DecodeImage(s.blobs[pod][chain[len(chain)-1]])
-		if err != nil {
+	// Size the read. A manifest chain folds here — its distinct chunks are
+	// what the read covers — and a blob chain decodes and merges once the
+	// bytes are read.
+	var (
+		total int64
+		blobs [][]byte
+		m     *Manifest
+	)
+	if s.get(pod, seq).manifest != nil {
+		if m, err = s.foldManifests(pod, seqs); err != nil {
 			done(nil, err)
 			return
 		}
-		for i := len(chain) - 2; i >= 0; i-- {
-			inc, derr := DecodeImage(s.blobs[pod][chain[i]])
-			if derr != nil {
-				done(nil, derr)
-				return
-			}
-			merged, derr = Merge(merged, inc)
-			if derr != nil {
-				done(nil, derr)
-				return
-			}
-		}
-		done(merged, nil)
-	})
-}
-
-// LoadLatest resolves the newest image (merging any incremental chain),
-// its load span a child of ctx.
-func (s *Store) LoadLatest(pod string, ctx trace.SpanContext, done func(*Image, error)) {
-	seq, ok := s.LatestSeq(pod)
-	if !ok {
-		done(nil, fmt.Errorf("%w: %s", ErrNoImage, pod))
-		return
+		total = uniqueChunkBytes(m)
 	}
-	s.LoadMerged(pod, seq, ctx, done)
+	for i := len(seqs) - 1; i >= 0; i-- {
+		e := s.get(pod, seqs[i])
+		blobs = append(blobs, e.blob)
+		total += int64(len(e.blob)) + e.manifestBytes
+	}
+	var sp trace.Span
+	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
+		sp = tr.BeginChild(ctx, s.disk.Name(), "ckpt", "store.load",
+			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
+			trace.Int("bytes", total), trace.Int("chain", int64(len(seqs))))
+	}
+	s.disk.Read(total, func() {
+		sp.End()
+		if m != nil {
+			done(imageFromManifest(m, s.chunkData))
+			return
+		}
+		var img *Image
+		for _, blob := range blobs {
+			inc, err := DecodeImage(blob)
+			if err == nil && img != nil {
+				inc, err = Merge(img, inc)
+			}
+			if err != nil {
+				done(nil, err)
+				return
+			}
+			img = inc
+		}
+		done(img, nil)
+	})
 }

@@ -482,10 +482,10 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 		return
 	}
 	if round == 0 && m.Incremental {
-		// Chain round 0 onto the newest stored checkpoint, if any: the
-		// dirty bits are relative to the last capture, which is exactly
-		// what the store last registered.
-		if s, ok := a.store.LatestSeq(m.Pod); ok {
+		// Chain round 0 onto the newest stored checkpoint, if it is one
+		// this epoch's form can chain onto: the dirty bits are relative to
+		// the last capture, which is exactly what the store last registered.
+		if s, ok := a.store.LatestSeq(m.Pod); ok && a.store.HasBase(m.Pod, s, m.Dedup) {
 			baseSeq = s
 		}
 	}
@@ -560,15 +560,16 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 		incremental = baseSeq > 0
 	}
 	if incremental {
-		// An increment needs a base this store can resolve. A pod's
-		// first checkpoint has none (nor has one whose predecessor was
-		// aborted or discarded): capture full instead of chaining to an
-		// image no restore or replication could find.
+		// An increment needs a base this store can resolve, stored in the
+		// form this save uses. A pod's first checkpoint has none (nor has
+		// one whose predecessor was aborted, discarded, or saved in the
+		// other form): capture full instead of chaining to an image no
+		// restore or replication could find.
 		base := baseSeq
 		if base == 0 {
 			base = m.Seq - 1
 		}
-		if !a.store.HasSeq(m.Pod, base) {
+		if !a.store.HasBase(m.Pod, base, m.Dedup) {
 			incremental, baseSeq = false, 0
 		}
 	}
@@ -913,14 +914,7 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 		op.phQuiesce = a.tr.BeginChild(op.span.Context(), node, trace.PhaseCat, "load", trace.Str("pod", m.Pod))
 	}
 
-	load := func(done func(*ckpt.Image, error)) {
-		if m.Seq > 0 {
-			a.store.LoadMerged(m.Pod, m.Seq, op.span.Context(), done)
-		} else {
-			a.store.LoadLatest(m.Pod, op.span.Context(), done)
-		}
-	}
-	load(func(img *ckpt.Image, err error) {
+	a.store.Load(m.Pod, m.Seq, true, op.span.Context(), func(img *ckpt.Image, err error) {
 		if op.Aborted() {
 			return
 		}
@@ -939,19 +933,11 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			if op.Aborted() {
 				return
 			}
-			op.filterID = a.kern.Stack().Filter().AddDropAddr(img.Net.IP)
-			// The image is loadable: any live instance of the pod on this
-			// node is superseded by the restore.
-			if old := a.pods[m.Pod]; old != nil && !old.Destroyed() {
-				old.Destroy()
-			}
-			pod, rerr := ckpt.Restore(a.kern, img)
-			if rerr != nil {
+			if _, rerr := a.takeOver(m.Pod, img, &op.filterID); rerr != nil {
 				op.Fail(rerr)
 				a.fail(c, msgRestartDone, m, rerr)
 				return
 			}
-			a.pods[m.Pod] = pod
 			op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
 			if a.tr.Enabled() {
 				op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
@@ -967,6 +953,25 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			})
 		})
 	})
+}
+
+// takeOver makes this node the pod's home from a loaded image: install the
+// drop filter for the pod's address first (restored TCP state re-issues
+// its unacknowledged segments immediately, which must not escape before
+// the commit), retire any live instance of the pod here — the image is
+// loadable, so it is superseded — restore, and register the new pod. The
+// filter rule goes into the op's filterID slot before anything can fail, so
+// the op's rollback removes it.
+func (a *Agent) takeOver(name string, img *ckpt.Image, filterID *int) (*zap.Pod, error) {
+	*filterID = a.kern.Stack().Filter().AddDropAddr(img.Net.IP)
+	if old := a.pods[name]; old != nil && !old.Destroyed() {
+		old.Destroy()
+	}
+	pod, err := ckpt.Restore(a.kern, img)
+	if err == nil {
+		a.pods[name] = pod
+	}
+	return pod, err
 }
 
 // handleAbort rolls back an in-progress operation: remove the filter,

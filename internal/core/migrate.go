@@ -366,10 +366,11 @@ func (a *Agent) startMigrateOut(c msgSink, m *wireMsg) {
 	// with a full round, but if the destination already replicates this
 	// pod's newest stored checkpoint — background durability put it
 	// there — round 0 can stream just the delta against that shared
-	// base. One query/ack round trip, off the freeze path (the pod is
-	// still live).
+	// base, provided it is stored in the form the rounds will be (the
+	// destination's replica has the form of the copy here). One query/ack
+	// round trip, off the freeze path (the pod is still live).
 	if !m.Incremental {
-		if base, ok := a.store.LatestSeq(m.Pod); ok && a.store.HasSeq(m.Pod, base) {
+		if base, ok := a.store.LatestSeq(m.Pod); ok && a.store.HasBase(m.Pod, base, m.Dedup) {
 			cc, cerr := a.peerConn(op.migrateTo)
 			if cerr == nil {
 				op.baseQuery = m
@@ -592,48 +593,32 @@ func (a *Agent) migrateMerge(op *migrateInOp) {
 		op.phMerge = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "migrate-merge",
 			trace.Str("pod", op.pod), trace.Int("seq", int64(seq)))
 	}
+	// Folding an increment into the held image is an in-memory page copy
+	// at the capture rate; the first round becomes the held image as is.
+	fold := func(inc *ckpt.Image, err error) {
+		if err != nil || op.held == nil {
+			a.mergeDone(op, inc, err)
+			return
+		}
+		a.cpu.Do(bytesCost(inc.MemoryBytes(), a.params.CaptureBPS), func() {
+			if op.Aborted() {
+				return
+			}
+			merged, merr := ckpt.Merge(op.held, inc)
+			a.mergeDone(op, merged, merr)
+		})
+	}
 	// Fast path: the round was adopted moments ago, so its decoded form
 	// is still in this daemon's memory — fold it at CPU speed instead of
-	// reading back what was just written. The read-back paths below
-	// remain for the cases where the bytes genuinely are not in memory:
-	// deduplicated rounds (chunk reassembly) and a first round whose base
-	// chain the delta protocol skipped because this store already held it
-	// on disk.
+	// reading back what was just written. The read-back remains for the
+	// cases where the bytes genuinely are not in memory: deduplicated
+	// rounds (chunk reassembly) and a first round whose base chain the
+	// delta protocol skipped because this store already held it on disk.
 	if inc, ok := a.store.Cached(op.pod, seq); ok && (op.held != nil || !inc.Incremental) {
-		if op.held == nil {
-			a.mergeDone(op, inc, nil)
-			return
-		}
-		a.cpu.Do(bytesCost(inc.MemoryBytes(), a.params.CaptureBPS), func() {
-			if op.Aborted() {
-				return
-			}
-			merged, merr := ckpt.Merge(op.held, inc)
-			a.mergeDone(op, merged, merr)
-		})
+		fold(inc, nil)
 		return
 	}
-	if op.held == nil {
-		a.store.LoadMerged(op.pod, seq, op.span.Context(), func(img *ckpt.Image, err error) {
-			a.mergeDone(op, img, err)
-		})
-		return
-	}
-	a.store.Load(op.pod, seq, op.span.Context(), func(inc *ckpt.Image, err error) {
-		if err != nil {
-			a.mergeDone(op, nil, err)
-			return
-		}
-		// Folding the increment is an in-memory page copy at the capture
-		// rate.
-		a.cpu.Do(bytesCost(inc.MemoryBytes(), a.params.CaptureBPS), func() {
-			if op.Aborted() {
-				return
-			}
-			merged, merr := ckpt.Merge(op.held, inc)
-			a.mergeDone(op, merged, merr)
-		})
-	})
+	a.store.Load(op.pod, seq, op.held == nil, op.span.Context(), fold)
 }
 
 // mergeDone finishes one pre-merge step and continues: more pending
@@ -701,13 +686,7 @@ func (a *Agent) finishMigrateRestore(op *migrateInOp) {
 		if op.Aborted() {
 			return
 		}
-		// Filter first: restored TCP state re-issues its unacknowledged
-		// segments immediately, which must not escape before the commit.
-		op.filterID = a.kern.Stack().Filter().AddDropAddr(img.Net.IP)
-		if old := a.pods[op.pod]; old != nil && !old.Destroyed() {
-			old.Destroy()
-		}
-		pod, rerr := ckpt.Restore(a.kern, img)
+		pod, rerr := a.takeOver(op.pod, img, &op.filterID)
 		if rerr != nil {
 			op.phRestore.End(trace.Str("err", rerr.Error()))
 			a.fail(op.conn, msgMigrateDone, &wireMsg{Seq: op.Seq, Pod: op.pod, ctx: op.span.Context()}, rerr)
@@ -715,7 +694,6 @@ func (a *Agent) finishMigrateRestore(op *migrateInOp) {
 			return
 		}
 		op.restored = pod
-		a.pods[op.pod] = pod
 		a.cpu.Do(a.params.FilterCost, func() {
 			if op.Aborted() {
 				return

@@ -218,14 +218,10 @@ func (a *Agent) handleOffer(c *ctlConn, m *wireMsg) {
 	if p == nil {
 		return
 	}
-	offer := &ckpt.Offer{Pod: m.Pod, Seq: m.Seq, Chain: p.Chain, Dedup: p.Dedup, Hashes: p.Hashes}
+	offer := &ckpt.Offer{Pod: m.Pod, Seq: m.Seq, Chain: p.Chain, Dedup: p.Dedup, Hashes: p.Hashes, Shard: p.ECM > 0}
 	a.cpu.Do(a.params.DedupPerChunk*sim.Duration(len(offer.Hashes)), func() {
 		want := &replPayload{Holder: p.Holder}
-		if p.ECM > 0 {
-			want.NeedSeqs, want.NeedHashes = a.store.ECMissingFor(offer)
-		} else {
-			want.NeedSeqs, want.NeedHashes = a.store.MissingFor(offer)
-		}
+		want.NeedSeqs, want.NeedHashes = a.store.Missing(offer)
 		c.send(&wireMsg{Type: msgReplWant, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: want})
 	})
 }
@@ -266,42 +262,35 @@ func (a *Agent) handleData(c *ctlConn, m *wireMsg) {
 	if p == nil {
 		return
 	}
-	shards := len(p.ECSet) > 0
-	adopted := func(n int64, err error) {
+	tx := &ckpt.Transfer{
+		Pod: m.Pod, Seq: m.Seq,
+		Blobs: p.Blobs, Manifests: p.Manifests, Chunks: p.Chunks, Holder: p.Holder,
+		TotalBytes: p.Bytes, Ctx: m.ctx,
+	}
+	adopted := func(_ int64, err error) {
 		if err != nil {
 			a.fail(c, msgReplDone, m, err)
 			a.failFetch(m.Pod, m.Seq, err)
 			return
 		}
-		c.send(&wireMsg{Type: msgReplDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: n, Holder: p.Holder}})
-		if !shards {
-			a.finishFetch(m.Pod, m.Seq, n)
+		c.send(&wireMsg{Type: msgReplDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: p.Bytes, Holder: p.Holder}})
+		if tx.Set == nil {
+			a.finishFetch(m.Pod, m.Seq, p.Bytes)
 			a.migrateRoundArrived(m.Pod, m.Seq)
 		}
 	}
-	if !shards {
-		tx := &ckpt.Transfer{
-			Pod: m.Pod, Seq: m.Seq,
-			Blobs: p.Blobs, Manifests: p.Manifests, Chunks: p.Chunks,
-			TotalBytes: p.Bytes, Ctx: m.ctx,
+	if len(p.ECSet) > 0 {
+		if op := a.fetchFor(m.Pod, m.Seq); op != nil {
+			a.shardsArrived(op, p)
+			return
 		}
-		a.cpu.Do(bytesCost(p.Bytes, a.params.EncodeBPS), func() {
-			a.store.Adopt(tx, func(_ int64, err error) { adopted(p.Bytes, err) })
-		})
-		return
+		var err error
+		if tx.Set, err = ckpt.DecodeECSet(p.ECSet); err != nil {
+			adopted(0, err)
+			return
+		}
 	}
-	if op := a.fetchFor(m.Pod, m.Seq); op != nil {
-		a.shardsArrived(op, p)
-		return
-	}
-	set, err := ckpt.DecodeECSet(p.ECSet)
-	if err != nil {
-		adopted(0, err)
-		return
-	}
-	a.cpu.Do(bytesCost(p.Bytes, a.params.EncodeBPS), func() {
-		a.store.AdoptECShards(set, p.Holder, p.Manifests, p.Chunks, m.ctx, adopted)
-	})
+	a.cpu.Do(bytesCost(p.Bytes, a.params.EncodeBPS), func() { a.store.Adopt(tx, adopted) })
 }
 
 // handleDone is the initiator side: the peer holds the image (or its
@@ -412,26 +401,19 @@ func (a *Agent) handleFetchPull(c *ctlConn, m *wireMsg) {
 		a.replicateOn(&replOp{pod: m.Pod, conn: c, tier: ctl.TierStream}, m.Seq, m.ctx)
 		return
 	}
-	set, manifests, blocks, err := a.store.ECServe(m.Pod, m.Seq)
+	tx, err := a.store.ECServe(m.Pod, m.Seq)
 	if err != nil {
 		a.fail(c, msgReplOffer, m, err)
 		return
 	}
-	setBlob, err := set.Encode()
+	setBlob, err := tx.Set.Encode()
 	if err != nil {
 		a.fail(c, msgReplOffer, m, err)
 		return
 	}
-	var total int64
-	for _, b := range blocks {
-		total += int64(len(b.Data))
-	}
-	for _, blob := range manifests {
-		total += int64(len(blob))
-	}
-	a.cpu.Do(bytesCost(total, a.params.EncodeBPS), func() {
+	a.cpu.Do(bytesCost(tx.TotalBytes, a.params.EncodeBPS), func() {
 		c.send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, tier: ctl.TierStream, Repl: &replPayload{
-			ECSet: setBlob, Manifests: manifests, Chunks: blocks, Bytes: total,
+			ECSet: setBlob, Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
 		}})
 	})
 }

@@ -419,7 +419,7 @@ func (a *Agent) saveLocal(op *agentOp) {
 			phWrite = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "write",
 				trace.Str("pod", op.podName))
 		}
-		a.store.Save(img, func(size int64, serr error) {
+		saved := func(size int64, serr error) {
 			phWrite.End(trace.Int("bytes", size))
 			if a.tr.Enabled() && serr == nil {
 				op.phCommit = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "commit",
@@ -440,7 +440,13 @@ func (a *Agent) saveLocal(op *agentOp) {
 			}
 			op.saved = true
 			op.conn.send(msg) //cruzvet:allow errdrop fDone reply on the coordinator's conn; the agent op is complete regardless
-		})
+		}
+		plan, err := a.store.PlanSave(img)
+		if err != nil {
+			saved(0, err)
+			return
+		}
+		a.store.Disk().Write(plan.TotalBytes, func() { saved(plan.TotalBytes, nil) })
 	})
 }
 

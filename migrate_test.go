@@ -486,3 +486,57 @@ func TestIncrementalCheckpointAfterMigrateRestarts(t *testing.T) {
 		t.Fatalf("restarted run state diverged from control:\nrestarted:\n%scontrol:\n%s", disturbed, control)
 	}
 }
+
+// TestMigrationSkipsOtherFormBase is the migration half of the gap-8
+// regression: the round-0 base reuse may only pick a replicated checkpoint
+// stored in the form the rounds will be. Reusing a blob-form base for
+// deduplicated rounds (or the reverse) chained the first round into an
+// image of the other form, and the migration failed outright.
+func TestMigrationSkipsOtherFormBase(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		baseDedup bool
+	}{
+		{"blob base, dedup rounds", false},
+		{"dedup base, blob rounds", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := cruz.New(cruz.Config{Nodes: 3, Seed: 17, Replicas: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, job := deployRingCfg(t, cl, migrateSlm(3))
+			cl.Run(300 * cruz.Millisecond)
+			ck, err := cl.Checkpoint(job, cruz.CheckpointOptions{Dedup: tc.baseDedup})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cl.RunUntil(func() bool { return cl.Coordinator.KnownHolders("wb", ck.Seq) >= 3 }, 10*cruz.Second) {
+				t.Fatal("replication never completed")
+			}
+			if _, err := cl.Migrate(job, "wb", 2, cruz.MigrateOptions{
+				Dedup: !tc.baseDedup, Precopy: cruz.PrecopyConfig{MaxRounds: 4, DirtyThresholdPages: 8},
+			}); err != nil {
+				t.Fatalf("migrate: %v", err)
+			}
+			if node := cl.PodNode("wb"); node == nil || node.Index != 2 {
+				t.Fatalf("pod did not re-home: %+v", node)
+			}
+			cl.Run(100 * cruz.Millisecond)
+			if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{Incremental: true, Dedup: !tc.baseDedup}); err != nil {
+				t.Fatalf("checkpoint after the migration: %v", err)
+			}
+			cl.Run(50 * cruz.Millisecond)
+			if _, err := cl.Restart(job, 0); err != nil {
+				t.Fatalf("restart after the migration: %v", err)
+			}
+			cl.Run(200 * cruz.Millisecond)
+			for _, n := range names {
+				if w := ringWorker(cl, n); w.Fault != "" || w.StepsDone == 0 {
+					t.Fatalf("pod %s after restart: steps=%d fault=%q", n, w.StepsDone, w.Fault)
+				}
+			}
+			migrateOpenOps(t, cl, -1)
+		})
+	}
+}

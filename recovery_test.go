@@ -280,3 +280,55 @@ func TestFirstIncrementalCheckpointReplicates(t *testing.T) {
 		t.Fatalf("restart from the first checkpoint: %v", err)
 	}
 }
+
+// TestCheckpointNeverChainsOntoOtherForm is the gap-8 regression: a pod's
+// chain never mixes stored forms, so an incremental checkpoint whose
+// predecessor was saved in the other form (blob vs deduplicated) has no
+// usable base and must capture full. It used to chain anyway: the
+// checkpoint committed, then every replication of it failed and the job
+// could not restart ("no such image", walking a manifest chain into a blob).
+func TestCheckpointNeverChainsOntoOtherForm(t *testing.T) {
+	blob, dedup := cruz.CheckpointOptions{Incremental: true}, cruz.CheckpointOptions{Incremental: true, Dedup: true}
+	for _, tc := range []struct {
+		name          string
+		first, second cruz.CheckpointOptions
+	}{
+		{"blob then dedup", blob, dedup},
+		{"dedup then blob", dedup, blob},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := cruz.New(cruz.Config{Nodes: 3, Replicas: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, job := deployRing(t, cl, 3)
+			cl.Run(200 * cruz.Millisecond)
+			if _, err := cl.Checkpoint(job, tc.first); err != nil {
+				t.Fatal(err)
+			}
+			cl.Run(200 * cruz.Millisecond)
+			ck, err := cl.Checkpoint(job, tc.second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.Run(2 * cruz.Second)
+			for i, n := range cl.Nodes {
+				offer, err := n.Store.ExportOffer(names[i], ck.Seq)
+				if err != nil || len(offer.Chain) != 1 || offer.Dedup != tc.second.Dedup {
+					t.Errorf("node%d: second checkpoint is %+v (%v), want a full image in its own form", i, offer, err)
+				}
+				if st := n.Agent.Stats; st.Replications != 2 || st.ReplFailures != 0 {
+					t.Errorf("node%d: %d replications, %d failures, want 2 and 0", i, st.Replications, st.ReplFailures)
+				}
+			}
+			if _, err := cl.Restart(job, 0); err != nil {
+				t.Fatalf("restart from the second checkpoint: %v", err)
+			}
+			before := ringWorker(cl, names[0]).StepsDone
+			cl.Run(200 * cruz.Millisecond)
+			if w := ringWorker(cl, names[0]); w.Fault != "" || w.StepsDone <= before {
+				t.Fatalf("ring did not advance after restart: steps %d -> %d, fault %q", before, w.StepsDone, w.Fault)
+			}
+		})
+	}
+}
