@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff gobench scale-smoke migrate-smoke ec-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame gobench scale-smoke migrate-smoke ec-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -64,7 +64,7 @@ gobench:
 # one (ckpt.Image.Encode/DecodeImage, ctl.NewConn/Send/Pool, the store's
 # Plan* calls). Vet it and run its smoke test so a signature it depends
 # on cannot drift unnoticed. Whether a change moved a modelled number is
-# `make vdiff` below, on two `bench/run.sh -out` reports.
+# `make vsame` below (`make vdiff` on two `bench/run.sh -out` reports).
 bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
@@ -80,6 +80,22 @@ VDIFF_Q = .workloads | to_entries[] | .key as $$w | .value | (.end_to_end, .per_
 vdiff: SHELL = bash
 vdiff:
 	@diff <(jq -r '$(VDIFF_Q)' $(A)) <(jq -r '$(VDIFF_Q)' $(B))
+
+# The whole recipe as one command: `make vsame PARENT=<rev> [SEED=n]`
+# clones this repository into a temporary directory, checks PARENT out
+# there, runs `bench/run.sh -passes 2 -seed $(SEED)` on that tree and on the
+# working tree (≈45 s each), and vdiffs the two reports: silence is the
+# pass, any virtual-clock difference a non-zero exit. The temporary
+# directory (under $$TMPDIR) is removed either way.
+SEED ?= 1
+vsame: SHELL = bash
+vsame:
+	@test -n "$(PARENT)" || { echo "usage: make vsame PARENT=<rev> [SEED=n]" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git clone -q . "$$tmp/parent" && git -C "$$tmp/parent" checkout -q $(PARENT) && \
+	bash "$$tmp/parent/bench/run.sh" -passes 2 -seed $(SEED) -out "$$tmp/parent.json" >/dev/null && \
+	bash bench/run.sh -passes 2 -seed $(SEED) -out "$$tmp/change.json" >/dev/null && \
+	$(MAKE) -s vdiff A="$$tmp/parent.json" B="$$tmp/change.json"
 
 # Scaling smoke: the A9 flat-vs-tree ablation at reduced workload scale
 # (n = 8/64/256, light slm ring). Exercises the hierarchical

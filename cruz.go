@@ -466,27 +466,29 @@ func (cl *Cluster) DefineJob(name string, podNames ...string) (*Job, error) {
 	}
 	if cl.cfg.AutoRecover {
 		cl.Coordinator.Watch(job, func(res *RecoveryResult, err error) {
+			// A pod moved by an attempt that a later failure overtook is in no
+			// result's list, so the membership is what says where pods live.
+			cl.rehome(job)
 			if err != nil {
 				cl.recoveryErrs = append(cl.recoveryErrs, err)
 				return
-			}
-			// Re-home the facade's pod bookkeeping to the new nodes.
-			for _, rp := range res.Pods {
-				for _, m := range job.Members {
-					if m.Pod != rp.Pod {
-						continue
-					}
-					if n, ok := cl.nodeByAddr[m.Agent]; ok {
-						ref := cl.pods[rp.Pod]
-						ref.node = n
-						cl.pods[rp.Pod] = ref
-					}
-				}
 			}
 			cl.recoveries = append(cl.recoveries, res)
 		})
 	}
 	return job, nil
+}
+
+// rehome points the facade's pod bookkeeping at the node the job's
+// membership says each pod lives on now.
+func (cl *Cluster) rehome(job *Job) {
+	for _, m := range job.Members {
+		if n, ok := cl.nodeByAddr[m.Agent]; ok {
+			ref := cl.pods[m.Pod]
+			ref.node = n
+			cl.pods[m.Pod] = ref
+		}
+	}
 }
 
 // Recoveries returns every automatic recovery completed so far.
@@ -553,8 +555,7 @@ func (cl *Cluster) Migrate(job *Job, podName string, targetNode int, opts Migrat
 	if targetNode < 0 || targetNode >= len(cl.Nodes) {
 		return nil, fmt.Errorf("cruz: no node %d", targetNode)
 	}
-	ref, ok := cl.pods[podName]
-	if !ok {
+	if _, ok := cl.pods[podName]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownPod, podName)
 	}
 	target := cl.Nodes[targetNode]
@@ -570,8 +571,7 @@ func (cl *Cluster) Migrate(job *Job, podName string, targetNode int, opts Migrat
 	if merr != nil {
 		return nil, merr
 	}
-	ref.node = target
-	cl.pods[podName] = ref
+	cl.rehome(job)
 	return res, nil
 }
 

@@ -28,7 +28,8 @@ import (
 //     or — via the interprocedural summaries — a helper that terminates
 //     it. Ops that escape (stored in a wrapper struct, captured by a
 //     handler closure, returned) are event-driven and exempt; that is
-//     the dominant pattern in core (coordOp, replOp, recoveryOp).
+//     the dominant pattern in core (the coordinator's rootOp; the
+//     agents' agentOp, replOp, fetchOp, migrateInOp, relayOp).
 //
 //  3. Wait-set names passed to op.Expect must have a matching op.Arrive
 //     somewhere in the analyzed tree (whole-program, via package facts

@@ -84,7 +84,7 @@ func OkHelper(tb *ctl.Table) {
 	finishDeep(op)
 }
 
-// wrapper mimics core's coordOp/replOp/recoveryOp: the op escapes into
+// wrapper mimics core's rootOp/agentOp/replOp: the op escapes into
 // a struct and is completed event-driven — the analyzer must be silent.
 type wrapper struct{ op *ctl.Op }
 

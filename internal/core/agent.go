@@ -286,16 +286,6 @@ func (a *Agent) SetPeers(peers []tcpip.AddrPort) { a.peers = peers }
 // recovery tests rely on.
 func (a *Agent) OpenOps() int { return a.table.Len() }
 
-// podOp returns the active checkpoint/restart op for a pod, or nil.
-func (a *Agent) podOp(pod string) *agentOp {
-	if o := a.table.Get(pod); o != nil {
-		if op, ok := o.Data.(*agentOp); ok {
-			return op
-		}
-	}
-	return nil
-}
-
 // acceptLoop accepts coordinator and peer-agent connections.
 func (a *Agent) acceptLoop() {
 	for {
@@ -845,7 +835,7 @@ func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, pla
 // moment its own save is done.
 func (a *Agent) handleContinue(c msgSink, m *wireMsg) {
 	pod, ok := a.pods[m.Pod]
-	op := a.podOp(m.Pod)
+	op := ctl.Find[agentOp](a.table, m.Pod)
 	if !ok || op == nil || op.Seq != m.Seq {
 		a.fail(c, msgContinueDone, m, ErrUnknownPod)
 		return

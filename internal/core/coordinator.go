@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cruz/internal/coord"
 	"cruz/internal/ctl"
@@ -199,6 +200,8 @@ type Coordinator struct {
 	tr     *trace.Tracer
 
 	conns map[tcpip.AddrPort]*ctlConn
+	// table holds one rootOp per job with an operation in flight, under
+	// the job's name.
 	table *ctl.Table
 
 	// committed tracks the last globally committed checkpoint per job —
@@ -211,31 +214,31 @@ type Coordinator struct {
 	nodeByAddr map[tcpip.AddrPort]*nodeInfo
 	watches    []*watch
 	ticker     *sim.Ticker
-	// holders records which agents hold each committed (pod, seq) image —
-	// fed by commits, <replicated> reports, and completed fetches.
-	holders map[string]map[int]map[tcpip.AddrPort]bool
-	// ecHolders records which agents hold each erasure-coded shard set's
-	// subsets, by ring position — fed by <replicated> reports of shard
-	// exchanges. Recovery
-	// consults it when no full image survives: any M live positions
-	// reconstruct.
-	ecHolders map[string]map[int]*ecSetHolders
+	// placed records where every committed (pod, seq) image lives — fed by
+	// commits, <replicated> reports, completed fetches and migrations, and
+	// read through sources.
+	placed map[string]map[int]placement
 }
 
-// ecSetHolders is the shard registry for one erasure-coded (pod, seq):
-// the data-shard count M and each ring position's holder.
-type ecSetHolders struct {
-	m     int
-	byPos map[int]tcpip.AddrPort
-}
-
-// coordOp is one coordinated checkpoint or restart: the lifecycle lives
-// in the embedded ctl.Op (wait-sets "done", "disabled", "cont"), the
-// measurements here.
-type coordOp struct {
+// rootOp is the coordinator's one op record: a checkpoint, restart,
+// recovery or migration of a job, registered under the job's name, so a
+// job runs one operation at a time by construction. The lifecycle lives in
+// the embedded ctl.Op — wait-sets "done", "disabled" and "cont" for the
+// two-phase exchange, "fetch" in front of a recovery's, "restored" and
+// "cleared" for a migration — the measurements here.
+type rootOp struct {
 	*ctl.Op
-	job        *Job
-	restart    bool
+	job  *Job
+	span trace.Span
+	// msgBase is the message count on the op's connections when its
+	// exchange began.
+	msgBase int
+
+	// The two-phase exchange of a checkpoint, a restart or a recovery's
+	// restart: when its fan-out began, who the root speaks to (planDests:
+	// every member, or one leader per group) and what the replies measured.
+	t0         sim.Time
+	dests      []dest
 	opts       CheckpointOptions
 	doneAt     sim.Time
 	maxLocal   sim.Duration
@@ -243,11 +246,29 @@ type coordOp struct {
 	maxBlocked sim.Duration
 	minBlocked sim.Duration
 	reports    []PodReport
-	msgBase    int
-	span       trace.Span
-	// dests is who the root speaks to for this op (planDests): every
-	// member, or one leader per group.
-	dests []dest
+
+	rec *recovery  // the plan in front of a recovery's restart (recovery.go)
+	mig *migration // a migration's parties and report (migrate.go)
+}
+
+// involves reports whether the op depends on the node at addr: a member
+// lives there, a recovery is moving a pod onto it, or it is a migration's
+// destination. Any member's node counts for every kind, a migration
+// included: a job that lost a member is about to roll back as a whole.
+func (op *rootOp) involves(addr tcpip.AddrPort) bool {
+	for _, m := range op.job.Members {
+		if m.Agent == addr {
+			return true
+		}
+	}
+	if op.rec != nil {
+		for _, a := range op.rec.assign {
+			if a == addr {
+				return true
+			}
+		}
+	}
+	return op.mig != nil && op.mig.dst == addr
 }
 
 // dest is one addressee of a fan-out: a member, addressed by Pod, or —
@@ -270,8 +291,7 @@ func NewCoordinator(stack *tcpip.Stack, params CoordinatorParams) *Coordinator {
 		committed:  make(map[string]int),
 		nextSeq:    make(map[string]int),
 		nodeByAddr: make(map[tcpip.AddrPort]*nodeInfo),
-		holders:    make(map[string]map[int]map[tcpip.AddrPort]bool),
-		ecHolders:  make(map[string]map[int]*ecSetHolders),
+		placed:     make(map[string]map[int]placement),
 	}
 }
 
@@ -285,14 +305,22 @@ func (c *Coordinator) CommittedSeq(job string) (int, bool) {
 // leak check recovery tests rely on.
 func (c *Coordinator) OpenOps() int { return c.table.Len() }
 
+// agents returns the distinct agents hosting the job's members, in member
+// order.
+func (j *Job) agents() []tcpip.AddrPort {
+	addrs := make([]tcpip.AddrPort, 0, len(j.Members))
+	for _, m := range j.Members {
+		if !slices.Contains(addrs, m.Agent) {
+			addrs = append(addrs, m.Agent)
+		}
+	}
+	return addrs
+}
+
 // Connect establishes control connections to every agent of the job,
 // invoking done when all are up (or with the first dial error).
 func (c *Coordinator) Connect(job *Job, done func(error)) {
-	addrs := make([]tcpip.AddrPort, 0, len(job.Members))
-	for _, m := range job.Members {
-		addrs = append(addrs, m.Agent)
-	}
-	c.connectAddrs(addrs, done)
+	c.connectAddrs(job.agents(), done)
 }
 
 // connectAddrs dials any not-yet-connected addresses, invoking done when
@@ -345,63 +373,103 @@ func (c *Coordinator) onConnError(addr tcpip.AddrPort, _ error) {
 	delete(c.conns, addr)
 }
 
-// connFor finds the member's control connection.
-func (c *Coordinator) connFor(m Member) (*ctlConn, error) {
-	cc, ok := c.conns[m.Agent]
+// sendTo sends m on the established control connection to addr.
+func (c *Coordinator) sendTo(addr tcpip.AddrPort, m *wireMsg) error {
+	cc, ok := c.conns[addr]
 	if !ok || !cc.TCP().Established() {
-		return nil, fmt.Errorf("%w: %s", ErrNotConnected, m.Agent)
+		return fmt.Errorf("%w: %s", ErrNotConnected, addr)
 	}
-	return cc, nil
+	return cc.send(m)
 }
 
-// msgCount sums message counters across the job's connections.
-func (c *Coordinator) msgCount(job *Job) int {
-	n := 0
-	seen := map[tcpip.AddrPort]bool{}
-	for _, m := range job.Members {
-		if seen[m.Agent] {
-			continue
+// sendOrFail queues m for addr on the serialized daemon CPU. When its turn
+// comes the op must still be active, and fails if addr cannot be reached.
+func (c *Coordinator) sendOrFail(op *rootOp, addr tcpip.AddrPort, m *wireMsg) {
+	c.cpu.Do(c.params.MsgCost, func() {
+		if !op.Active() {
+			return
 		}
-		seen[m.Agent] = true
-		if cc, ok := c.conns[m.Agent]; ok {
+		if err := c.sendTo(addr, m); err != nil {
+			op.Fail(err)
+		}
+	})
+}
+
+// msgCount sums the message counters of the connections to addrs (which
+// are distinct).
+func (c *Coordinator) msgCount(addrs []tcpip.AddrPort) int {
+	n := 0
+	for _, addr := range addrs {
+		if cc, ok := c.conns[addr]; ok {
 			n += cc.Sent + cc.Received
 		}
 	}
 	return n
 }
 
-// beginJobOp registers a coordinated op for the job, rejecting overlap
-// with any other operation on it (including an in-flight recovery —
-// except for the restart that recovery itself drives).
-func (c *Coordinator) beginJobOp(kind string, job *Job, seq int, fromRecovery bool) (*coordOp, error) {
-	if !fromRecovery && c.table.Get(recoveryKey(job.Name)) != nil {
-		return nil, ErrOpInProgress
+// armTimeout aborts the op if it is still open after the configured
+// silence.
+func (c *Coordinator) armTimeout(op *rootOp) {
+	if c.params.Timeout > 0 {
+		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
 	}
+}
+
+// begin registers the job's one operation, rejecting overlap with any
+// other on it. Whatever the kind, failure tells every agent the op opened
+// something on to roll back, before the finish hook reports the error.
+func (c *Coordinator) begin(kind string, job *Job, seq int) (*rootOp, error) {
 	o, err := c.table.Begin(kind, job.Name, seq)
 	if err != nil {
 		return nil, ErrOpInProgress
 	}
-	op := &coordOp{Op: o, job: job, msgBase: c.msgCount(job)}
+	op := &rootOp{Op: o, job: job}
 	o.Data = op
-	// Failure fans <abort> out to every member before the finish hook
-	// reports the error. This stays a direct fan-out even under the
-	// hierarchical tree — abort is the exceptional path, and sending it
-	// point-to-point preserves the flat protocol's semantics when the
-	// failed party is a leader. Leaders additionally get their own, by
-	// job, so their relay state closes.
-	o.OnFail(func(_ *ctl.Op, err error) {
-		to := make([]dest, 0, len(job.Members)+len(op.dests))
-		for _, m := range job.Members {
-			to = append(to, dest{Member: m})
-		}
-		for _, d := range op.dests {
-			if d.relay != nil {
-				to = append(to, d)
-			}
-		}
-		c.fanOut(op, to, false, wireMsg{Type: msgAbort, Seq: seq})
+	o.OnFail(func(*ctl.Op, error) {
+		c.fanOut(op, op.abortDests(), false, wireMsg{Type: msgAbort, Seq: op.Seq})
 	})
 	return op, nil
+}
+
+// takeSeqs begins an op that saves images. Its pre-copy epoch consumes a
+// block of sequence numbers: the live rounds chain through (seq-rounds,
+// seq) and only the residual at seq is ever committed, so an aborted epoch
+// leaves a hole, never a dangling base. The block is taken only if the op
+// began.
+func (c *Coordinator) takeSeqs(kind string, job *Job, rounds int) (*rootOp, error) {
+	seq := c.nextSeq[job.Name] + max(rounds, 0) + 1
+	op, err := c.begin(kind, job, seq)
+	if err == nil {
+		c.nextSeq[job.Name] = seq
+	}
+	return op, err
+}
+
+// abortDests is who must roll back when the op fails. A migration: its
+// source, which rolls the pre-copy epoch back and resumes the pod, and its
+// destination, which discards the adopted rounds. A two-phase exchange:
+// every member, directly even under the hierarchical tree — abort is the
+// exceptional path, and sending it point-to-point preserves the flat
+// protocol's semantics when the failed party is a leader — plus each
+// leader, by job, so its relay state closes. A recovery that has not
+// reached its restart has opened nothing an <abort> closes.
+func (op *rootOp) abortDests() []dest {
+	if mig := op.mig; mig != nil {
+		return []dest{{Member: Member{Pod: mig.pod, Agent: mig.src}}, {Member: Member{Pod: mig.pod, Agent: mig.dst}}}
+	}
+	if op.dests == nil {
+		return nil
+	}
+	to := make([]dest, 0, len(op.job.Members)+len(op.dests))
+	for _, m := range op.job.Members {
+		to = append(to, dest{Member: m})
+	}
+	for _, d := range op.dests {
+		if d.relay != nil {
+			to = append(to, d)
+		}
+	}
+	return to
 }
 
 // memberAlive reports whether a member's node is currently believed
@@ -450,7 +518,7 @@ func (c *Coordinator) planDests(job *Job) []dest {
 // everyone — an unreachable destination, or a group with no live member
 // to lead it, fails the op as the first dead member's connection fails
 // the flat fan-out; <continue> and <abort> skip whoever is gone.
-func (c *Coordinator) fanOut(op *coordOp, dests []dest, start bool, req wireMsg) {
+func (c *Coordinator) fanOut(op *rootOp, dests []dest, start bool, req wireMsg) {
 	for _, d := range dests {
 		if d.relay != nil && d.Agent == (tcpip.AddrPort{}) {
 			if start {
@@ -460,11 +528,11 @@ func (c *Coordinator) fanOut(op *coordOp, dests []dest, start bool, req wireMsg)
 			continue
 		}
 		c.cpu.Do(c.params.MsgCost, func() {
-			cc, err := c.connFor(d.Member)
-			if err != nil {
-				if start {
-					op.Fail(err)
-				}
+			// Never open an op on a node the membership layer has declared
+			// dead: its downed link sent no reset, so the connection still
+			// reads established and the request would vanish unanswered.
+			if n := c.nodeByAddr[d.Agent]; start && n != nil && !n.alive {
+				op.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
 				return
 			}
 			m := req
@@ -477,40 +545,32 @@ func (c *Coordinator) fanOut(op *coordOp, dests []dest, start bool, req wireMsg)
 					m.Group = d.relay
 				}
 			}
-			cc.send(&m)
+			if err := c.sendTo(d.Agent, &m); err != nil && start {
+				op.Fail(err)
+			}
 		})
 	}
 }
 
-// start plans the op's destinations, fans its opening request out to
-// them and arms the silence timeout.
-func (c *Coordinator) start(op *coordOp, req wireMsg) {
+// start begins the op's two-phase exchange: it plans the destinations,
+// fans the opening request out to them and arms the silence timeout.
+func (c *Coordinator) start(op *rootOp, req wireMsg) {
+	op.t0 = c.stack.Engine().Now()
+	op.msgBase = c.msgCount(op.job.agents())
 	op.dests = c.planDests(op.job)
 	c.fanOut(op, op.dests, true, req)
-	if c.params.Timeout > 0 {
-		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
-	}
+	c.armTimeout(op)
 }
 
 // Checkpoint runs one coordinated checkpoint of the job, invoking done
 // with the result.
 func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*CheckpointResult, error)) {
-	// A pre-copy epoch consumes a block of sequence numbers: the live
-	// rounds chain through (seq-MaxRounds, seq) and only the residual at
-	// seq is ever committed, so an aborted epoch leaves a hole, never a
-	// dangling base.
-	stride := 1
-	if opts.Precopy.MaxRounds > 0 {
-		stride = opts.Precopy.MaxRounds + 1
-	}
-	c.nextSeq[job.Name] += stride
-	seq := c.nextSeq[job.Name]
-	op, err := c.beginJobOp("checkpoint", job, seq, false)
+	op, err := c.takeSeqs("checkpoint", job, opts.Precopy.MaxRounds)
 	if err != nil {
-		c.nextSeq[job.Name] -= stride
 		done(nil, err)
 		return
 	}
+	seq := op.Seq
 	op.opts = opts
 	if c.tr.Enabled() {
 		// The op root: every agent span, phase, replication exchange, and
@@ -526,7 +586,10 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 			return
 		}
 		c.committed[job.Name] = seq
-		c.recordCommitHolders(job, seq)
+		// Each member's own agent holds what it just committed.
+		for _, m := range job.Members {
+			c.addHolder(m.Pod, seq, m.Agent)
+		}
 		if c.tr.Enabled() {
 			c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "commit",
 				trace.Str("job", job.Name), trace.Int("seq", int64(seq)))
@@ -535,13 +598,13 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 		now := c.stack.Engine().Now()
 		res := &CheckpointResult{
 			Seq:                seq,
-			Latency:            op.doneAt.Sub(op.Started()),
-			CycleLatency:       now.Sub(op.Started()),
+			Latency:            op.doneAt.Sub(op.t0),
+			CycleLatency:       now.Sub(op.t0),
 			MaxLocalCheckpoint: op.maxLocal,
 			MaxLocalContinue:   op.maxCont,
 			MaxBlocked:         op.maxBlocked,
 			MinBlocked:         op.minBlocked,
-			Messages:           c.msgCount(job) - op.msgBase,
+			Messages:           c.msgCount(job.agents()) - op.msgBase,
 			PerPod:             op.reports,
 		}
 		res.Overhead = res.CycleLatency - res.MaxLocalCheckpoint - res.MaxLocalContinue
@@ -577,23 +640,23 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 // Restart runs a coordinated restart of the job from checkpoint seq
 // (0 = latest committed).
 func (c *Coordinator) Restart(job *Job, seq int, done func(*RestartResult, error)) {
-	c.runRestart(job, seq, false, trace.SpanContext{}, done)
-}
-
-// runRestart is the restart driver; fromRecovery lets an in-flight
-// recovery restart the job past its own table entry, and parent (set by
-// recovery) nests the restart inside the recovery op's span tree instead
-// of opening a fresh root.
-func (c *Coordinator) runRestart(job *Job, seq int, fromRecovery bool, parent trace.SpanContext, done func(*RestartResult, error)) {
 	if seq == 0 {
 		seq = c.committed[job.Name]
 	}
-	op, err := c.beginJobOp("restart", job, seq, fromRecovery)
+	op, err := c.begin("restart", job, seq)
 	if err != nil {
 		done(nil, err)
 		return
 	}
-	op.restart = true
+	c.runRestart(op, trace.SpanContext{}, done)
+}
+
+// runRestart restarts op's job from op.Seq on the op itself: Restart's,
+// just begun, or a recovery's, once its plan has put every image in place
+// — parent then nests the restart inside the recovery's span tree instead
+// of opening a fresh root. The result's clock starts here, at the fan-out.
+func (c *Coordinator) runRestart(op *rootOp, parent trace.SpanContext, done func(*RestartResult, error)) {
+	job, seq := op.job, op.Seq
 	if c.tr.Enabled() {
 		args := []trace.Arg{
 			trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
@@ -615,11 +678,11 @@ func (c *Coordinator) runRestart(job *Job, seq int, fromRecovery bool, parent tr
 		now := c.stack.Engine().Now()
 		res := &RestartResult{
 			Seq:              seq,
-			Latency:          op.doneAt.Sub(op.Started()),
-			CycleLatency:     now.Sub(op.Started()),
+			Latency:          op.doneAt.Sub(op.t0),
+			CycleLatency:     now.Sub(op.t0),
 			MaxLocalRestore:  op.maxLocal,
 			MaxLocalContinue: op.maxCont,
-			Messages:         c.msgCount(job) - op.msgBase,
+			Messages:         c.msgCount(job.agents()) - op.msgBase,
 			PerPod:           op.reports,
 		}
 		res.Overhead = res.CycleLatency - res.MaxLocalRestore - res.MaxLocalContinue
@@ -632,26 +695,22 @@ func (c *Coordinator) runRestart(job *Job, seq int, fromRecovery bool, parent tr
 	c.start(op, wireMsg{Type: msgRestart, Seq: seq})
 }
 
-// opFor locates the active coordinated operation a reply belongs to: the
-// job's, when a leader names it, else the one covering the member's pod.
-// Table iteration is key-sorted, so resolution is deterministic.
-func (c *Coordinator) opFor(m *wireMsg) *coordOp {
+// opFor locates the operation a reply belongs to: the job's, when a leader
+// names it, else the one whose job has the replying pod as a member. Table
+// iteration is key-sorted, so resolution is deterministic.
+func (c *Coordinator) opFor(m *wireMsg) *rootOp {
 	if m.Job != "" {
-		if o := c.table.Get(m.Job); o != nil && o.Seq == m.Seq {
-			op, _ := o.Data.(*coordOp)
+		if op := ctl.Find[rootOp](c.table, m.Job); op != nil && op.Seq == m.Seq {
 			return op
 		}
 		return nil
 	}
-	var found *coordOp
+	var found *rootOp
 	c.table.Each(func(o *ctl.Op) {
 		if found != nil || o.Seq != m.Seq {
 			return
 		}
-		op, ok := o.Data.(*coordOp)
-		if !ok {
-			return
-		}
+		op := o.Data.(*rootOp)
 		for _, mem := range op.job.Members {
 			if mem.Pod == m.Pod {
 				found = op
@@ -672,18 +731,17 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 		case msgReplicated:
 			c.handleReplicated(m)
 			return
-		case msgFetchDone:
-			c.handleFetchDone(m)
-			return
-		case msgMigrateDone:
-			c.handleMigrateDone(m)
-			return
-		case msgMigrateSrcDone:
-			c.handleMigrateSrcDone(m)
-			return
 		}
 		op := c.opFor(m)
 		if op == nil {
+			return
+		}
+		switch m.Type {
+		case msgFetchDone:
+			c.handleFetchDone(op, cc.TCP().RemoteAddr(), m)
+			return
+		case msgMigrateDone, msgMigrateSrcDone:
+			c.handleMigrateReply(op, m)
 			return
 		}
 		// A member's own reply is a batch of one; a leader's batch replays
@@ -720,7 +778,7 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 
 // arriveDisabled handles one pod's <comm-disabled> vote.
 // Fig. 4: all communication disabled -> early continue.
-func (c *Coordinator) arriveDisabled(op *coordOp, pod string) {
+func (c *Coordinator) arriveDisabled(op *rootOp, pod string) {
 	if op.Arrive("disabled", pod) {
 		if (op.opts.Optimized || op.opts.COW) && op.Cleared("disabled") {
 			c.sendContinue(op)
@@ -729,7 +787,7 @@ func (c *Coordinator) arriveDisabled(op *coordOp, pod string) {
 }
 
 // arriveDone handles one pod's <done>/<restart-done> vote and report.
-func (c *Coordinator) arriveDone(op *coordOp, r GroupReport) {
+func (c *Coordinator) arriveDone(op *rootOp, r GroupReport) {
 	if !op.Arrive("done", r.Pod) {
 		return
 	}
@@ -743,7 +801,8 @@ func (c *Coordinator) arriveDone(op *coordOp, r GroupReport) {
 	})
 	if op.Cleared("done") {
 		op.doneAt = c.stack.Engine().Now()
-		if (!op.opts.Optimized && !op.opts.COW) || op.restart {
+		// A restart carries no options: it always continues here.
+		if !op.opts.Optimized && !op.opts.COW {
 			c.sendContinue(op)
 		} else if op.Cleared("cont") {
 			// COW/optimized: continues may have completed before
@@ -754,7 +813,7 @@ func (c *Coordinator) arriveDone(op *coordOp, r GroupReport) {
 }
 
 // arriveCont handles one pod's <continue-done>.
-func (c *Coordinator) arriveCont(op *coordOp, r GroupReport) {
+func (c *Coordinator) arriveCont(op *rootOp, r GroupReport) {
 	if !op.Arrive("cont", r.Pod) {
 		return
 	}
@@ -773,6 +832,6 @@ func (c *Coordinator) arriveCont(op *coordOp, r GroupReport) {
 }
 
 // sendContinue issues Step 3 of Fig. 2.
-func (c *Coordinator) sendContinue(op *coordOp) {
+func (c *Coordinator) sendContinue(op *rootOp) {
 	c.fanOut(op, op.dests, false, wireMsg{Type: msgContinue, Seq: op.Seq})
 }

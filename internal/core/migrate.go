@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cruz/internal/ckpt"
 	"cruz/internal/ctl"
@@ -85,32 +86,16 @@ type MigrationResult struct {
 	Messages int
 }
 
-// migrateOp is the coordinator's view of one in-flight migration.
-type migrateOp struct {
-	*ctl.Op
-	job       *Job
-	pod       string
-	memberIdx int
-	src, dst  tcpip.AddrPort
-	opts      MigrateOptions
+// migration is what a rootOp of kind "migrate" carries: the two parties
+// and what they reported. Wait-set "restored" is the destination's
+// takeover, "cleared" the source's roll-forward.
+type migration struct {
+	pod      string
+	src, dst tcpip.AddrPort
 
 	downtime   sim.Duration
-	imageBytes int64
 	streamed   int64
 	roundPages []int
-	msgBase    int
-	span       trace.Span
-}
-
-// migrateMsgCount sums the message counters on the op's two connections.
-func (c *Coordinator) migrateMsgCount(op *migrateOp) int {
-	n := 0
-	for _, addr := range []tcpip.AddrPort{op.src, op.dst} {
-		if cc, ok := c.conns[addr]; ok {
-			n += cc.Sent + cc.Received
-		}
-	}
-	return n
 }
 
 // Migrate moves one pod of the job to the target node with pre-copy
@@ -119,13 +104,7 @@ func (c *Coordinator) migrateMsgCount(op *migrateOp) int {
 // success the job's member record is re-homed to the target, so later
 // checkpoints and recoveries address the pod there.
 func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts MigrateOptions, done func(*MigrationResult, error)) {
-	idx := -1
-	for i, m := range job.Members {
-		if m.Pod == pod {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(job.Members, func(m Member) bool { return m.Pod == pod })
 	if idx < 0 {
 		done(nil, fmt.Errorf("%w: %s", ErrUnknownPod, pod))
 		return
@@ -135,44 +114,23 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 		done(nil, fmt.Errorf("core: pod %s already lives on %s", pod, addrKey(target)))
 		return
 	}
-	if c.table.Get(recoveryKey(job.Name)) != nil {
-		done(nil, ErrOpInProgress)
-		return
-	}
 	// Like a pre-copy checkpoint, the migration consumes a block of
-	// sequence numbers: rounds chain through (seq-MaxRounds, seq) and
-	// only the residual at seq survives commit.
-	stride := opts.Precopy.MaxRounds + 1
-	c.nextSeq[job.Name] += stride
-	seq := c.nextSeq[job.Name]
-	o, err := c.table.Begin("migrate", job.Name, seq)
+	// sequence numbers; only the residual at seq survives commit.
+	op, err := c.takeSeqs("migrate", job, opts.Precopy.MaxRounds)
 	if err != nil {
-		c.nextSeq[job.Name] -= stride
-		done(nil, ErrOpInProgress)
+		done(nil, err)
 		return
 	}
-	op := &migrateOp{Op: o, job: job, pod: pod, memberIdx: idx, src: src, dst: target, opts: opts}
-	o.Data = op
+	seq, parties := op.Seq, []tcpip.AddrPort{src, target}
+	mig := &migration{pod: pod, src: src, dst: target}
+	op.mig = mig
 	if c.tr.Enabled() {
 		op.span = c.tr.BeginOp(c.stack.Name(), "core", "migrate",
 			trace.Str("job", job.Name), trace.Str("pod", pod),
 			trace.Int("seq", int64(seq)),
 			trace.Str("from", addrKey(src)), trace.Str("to", addrKey(target)))
 	}
-	// Failure before commit fans <abort> to both parties: the source
-	// rolls the pre-copy epoch back and resumes the pod, the destination
-	// discards the adopted rounds.
-	o.OnFail(func(_ *ctl.Op, err error) {
-		for _, addr := range []tcpip.AddrPort{src, target} {
-			addr := addr
-			c.cpu.Do(c.params.MsgCost, func() {
-				if cc, ok := c.conns[addr]; ok && cc.TCP().Established() {
-					cc.send(&wireMsg{Type: msgAbort, Seq: seq, Pod: pod, ctx: op.span.Context()})
-				}
-			})
-		}
-	})
-	o.OnFinish(func(_ *ctl.Op, err error) {
+	op.OnFinish(func(_ *ctl.Op, err error) {
 		if err != nil {
 			op.span.End(trace.Str("err", err.Error()))
 			done(nil, err)
@@ -183,25 +141,22 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 		// target as holder of the migrated image chain.
 		job.Members[idx].Agent = target
 		c.addHolder(pod, seq, target)
-		rounds := len(op.roundPages) - 1
-		if rounds < 0 {
-			rounds = 0
-		}
+		rounds := max(len(mig.roundPages)-1, 0)
 		op.span.End(trace.Int("rounds", int64(rounds)),
-			trace.Int("downtime_us", int64(op.downtime/sim.Microsecond)))
+			trace.Int("downtime_us", int64(mig.downtime/sim.Microsecond)))
 		done(&MigrationResult{
 			Pod: pod, From: src, To: target, Seq: seq,
 			Rounds:        rounds,
-			RoundPages:    op.roundPages,
-			BytesStreamed: op.streamed,
-			Downtime:      op.downtime,
+			RoundPages:    mig.roundPages,
+			BytesStreamed: mig.streamed,
+			Downtime:      mig.downtime,
 			Latency:       c.stack.Engine().Now().Sub(op.Started()),
-			Messages:      c.migrateMsgCount(op) - op.msgBase,
+			Messages:      c.msgCount(parties) - op.msgBase,
 		}, nil)
 	})
 	op.Expect("restored", pod)
 	op.Expect("cleared", pod)
-	c.connectAddrs([]tcpip.AddrPort{src, target}, func(cerr error) {
+	c.connectAddrs(parties, func(cerr error) {
 		if cerr != nil {
 			op.Fail(cerr)
 			return
@@ -209,125 +164,69 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 		if !op.Active() {
 			return
 		}
-		op.msgBase = c.migrateMsgCount(op)
+		op.msgBase = c.msgCount(parties)
 		// Arm the destination first so its migrate-in op exists before
 		// the first round's delta transfer can land.
-		c.cpu.Do(c.params.MsgCost, func() {
-			cc, ok := c.conns[target]
-			if !ok || !cc.TCP().Established() {
-				op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, addrKey(target)))
-				return
-			}
-			cc.send(&wireMsg{Type: msgMigrateTarget, Seq: seq, Pod: pod, ctx: op.span.Context()})
-		})
-		c.cpu.Do(c.params.MsgCost, func() {
-			cc, ok := c.conns[src]
-			if !ok || !cc.TCP().Established() {
-				op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, addrKey(src)))
-				return
-			}
-			cc.send(&wireMsg{
-				Type:                  msgMigrate,
-				Seq:                   seq,
-				Pod:                   pod,
-				ctx:                   op.span.Context(),
-				Incremental:           opts.Incremental,
-				Dedup:                 opts.Dedup,
-				Pipeline:              opts.Pipeline,
-				PrecopyRounds:         opts.Precopy.MaxRounds,
-				PrecopyThresholdPages: opts.Precopy.DirtyThresholdPages,
-				PrecopyMinGain:        opts.Precopy.MinRoundGain,
-				Repl:                  &replPayload{PeerIP: target.Addr, PeerPort: target.Port},
-			})
+		c.sendOrFail(op, target, &wireMsg{Type: msgMigrateTarget, Seq: seq, Pod: pod, ctx: op.span.Context()})
+		c.sendOrFail(op, src, &wireMsg{
+			Type:                  msgMigrate,
+			Seq:                   seq,
+			Pod:                   pod,
+			ctx:                   op.span.Context(),
+			Incremental:           opts.Incremental,
+			Dedup:                 opts.Dedup,
+			Pipeline:              opts.Pipeline,
+			PrecopyRounds:         opts.Precopy.MaxRounds,
+			PrecopyThresholdPages: opts.Precopy.DirtyThresholdPages,
+			PrecopyMinGain:        opts.Precopy.MinRoundGain,
+			Repl:                  &replPayload{PeerIP: target.Addr, PeerPort: target.Port},
 		})
 	})
-	if c.params.Timeout > 0 {
-		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
-	}
+	c.armTimeout(op)
 }
 
 // AbortMigration aborts the job's in-flight migration, if any: both
 // agents roll back and the pod keeps running on the source.
 func (c *Coordinator) AbortMigration(job string) error {
-	o := c.table.Get(job)
-	if o == nil {
+	op := ctl.Find[rootOp](c.table, job)
+	if op == nil || op.mig == nil {
 		return ErrNoMigration
 	}
-	if _, ok := o.Data.(*migrateOp); !ok {
-		return ErrNoMigration
-	}
-	o.Fail(ErrAborted)
+	op.Fail(ErrAborted)
 	return nil
 }
 
-// migrateOpFor locates the in-flight migration a report belongs to.
-func (c *Coordinator) migrateOpFor(pod string, seq int) *migrateOp {
-	var found *migrateOp
-	c.table.Each(func(o *ctl.Op) {
-		if found != nil || o.Seq != seq {
-			return
-		}
-		if op, ok := o.Data.(*migrateOp); ok && op.pod == pod {
-			found = op
-		}
-	})
-	return found
-}
-
-// handleMigrateDone is the commit point: the pod is live on the
-// destination. Record the downtime and tell the source to roll forward.
-func (c *Coordinator) handleMigrateDone(m *wireMsg) {
-	op := c.migrateOpFor(m.Pod, m.Seq)
-	if op == nil {
+// handleMigrateReply takes the two reports of a migration. <migrate-done>
+// is the commit point: the pod is live on the destination, so record the
+// downtime and tell the source to roll forward. <migrate-src-done>
+// completes it: the source destroyed its copy and reported the stream
+// accounting.
+func (c *Coordinator) handleMigrateReply(op *rootOp, m *wireMsg) {
+	mig := op.mig
+	if mig == nil {
 		return
 	}
 	if c.tr.Enabled() {
-		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv.migrate-done",
+		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
 			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 	}
 	if m.Err != "" {
 		op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
 		return
 	}
-	if !op.Arrive("restored", m.Pod) {
-		return
-	}
-	op.downtime = m.BlockedDuration
-	op.imageBytes = m.ImageBytes
-	c.cpu.Do(c.params.MsgCost, func() {
-		if !op.Active() {
-			return
+	if m.Type == msgMigrateDone {
+		if op.Arrive("restored", m.Pod) {
+			mig.downtime = m.BlockedDuration
+			c.sendOrFail(op, mig.src, &wireMsg{Type: msgMigrateCommit, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
 		}
-		cc, ok := c.conns[op.src]
-		if !ok || !cc.TCP().Established() {
-			op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, addrKey(op.src)))
-			return
-		}
-		cc.send(&wireMsg{Type: msgMigrateCommit, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
-	})
-}
-
-// handleMigrateSrcDone completes the migration: the source destroyed its
-// copy and reported the stream accounting.
-func (c *Coordinator) handleMigrateSrcDone(m *wireMsg) {
-	op := c.migrateOpFor(m.Pod, m.Seq)
-	if op == nil {
-		return
-	}
-	if c.tr.Enabled() {
-		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv.migrate-src-done",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-	}
-	if m.Err != "" {
-		op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
 		return
 	}
 	if !op.Arrive("cleared", m.Pod) {
 		return
 	}
-	op.roundPages = m.RoundPages
-	op.streamed = m.ImageBytes
-	if op.Cleared("restored") && op.Cleared("cleared") {
+	mig.roundPages = m.RoundPages
+	mig.streamed = m.ImageBytes
+	if op.Cleared("restored") {
 		op.Finish()
 	}
 }
@@ -394,7 +293,7 @@ func (a *Agent) handleMigrateBase(c *ctlConn, m *wireMsg) {
 // destination holds the queried base, round 0 streams incrementally
 // against it; otherwise the full opening round proceeds as before.
 func (a *Agent) handleMigrateBaseAck(m *wireMsg) {
-	op := a.podOp(m.Pod)
+	op := ctl.Find[agentOp](a.table, m.Pod)
 	if op == nil || op.baseQuery == nil || op.Aborted() {
 		return
 	}
@@ -453,7 +352,7 @@ func (a *Agent) streamRound(c msgSink, m *wireMsg, op *agentOp, seq int, next fu
 // images go away. The round chain now lives (only) in the destination's
 // store, which is exactly where a later restart of the pod will run.
 func (a *Agent) handleMigrateCommit(c msgSink, m *wireMsg) {
-	op := a.podOp(m.Pod)
+	op := ctl.Find[agentOp](a.table, m.Pod)
 	if op == nil || op.Seq != m.Seq {
 		return
 	}
@@ -563,12 +462,8 @@ func (a *Agent) startMigrateIn(c msgSink, m *wireMsg) {
 // migrateRoundArrived hooks each adopted delta transfer: if a migrate-in
 // op is armed for the pod, the round joins the pre-merge queue.
 func (a *Agent) migrateRoundArrived(pod string, seq int) {
-	o := a.table.Get(pod)
-	if o == nil {
-		return
-	}
-	op, ok := o.Data.(*migrateInOp)
-	if !ok || op.Aborted() {
+	op := ctl.Find[migrateInOp](a.table, pod)
+	if op == nil || op.Aborted() {
 		return
 	}
 	op.adopted = append(op.adopted, seq)
@@ -649,12 +544,8 @@ func (a *Agent) mergeDone(op *migrateInOp, img *ckpt.Image, err error) {
 // local store (its adoption acknowledgment is what released the source
 // to send this). Take over as soon as the pre-merge queue drains.
 func (a *Agent) handleMigrateRestore(m *wireMsg) {
-	o := a.table.Get(m.Pod)
-	if o == nil || o.Seq != m.Seq {
-		return
-	}
-	op, ok := o.Data.(*migrateInOp)
-	if !ok || op.Aborted() {
+	op := ctl.Find[migrateInOp](a.table, m.Pod)
+	if op == nil || op.Seq != m.Seq || op.Aborted() {
 		return
 	}
 	op.frozeAt = m.FrozeAt

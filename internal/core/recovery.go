@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cruz/internal/ctl"
 	"cruz/internal/sim"
@@ -87,19 +88,22 @@ type RecoveryResult struct {
 	RestartResult *RestartResult
 }
 
-// recoveryOp tracks one in-flight recovery.
-type recoveryOp struct {
-	*ctl.Op
-	job        *Job
+// recovery is what a rootOp of kind "recovery" carries in front of its
+// restart: the plan (who restarts where), the failure that started it, and
+// the phase clock the result reports.
+type recovery struct {
 	w          *watch
 	failedNode *nodeInfo
-	seq        int
-	assign     map[string]tcpip.AddrPort // failed pod -> new home agent
-	pods       []RecoveredPod
-	ecSources  map[string][]tcpip.AddrPort // reconstructed pod -> shard holders to pull
+	// superseded marks a plan that a later node failure overtook: it closes
+	// its spans and reports nothing — the plan begun in its place answers
+	// for the job.
+	superseded bool
+	// assign is the home each pod of the plan restarts on: a new one for a
+	// pod whose node died, its own for a survivor that must fetch seq*.
+	assign map[string]tcpip.AddrPort
+	pods   []RecoveredPod
 
 	detect        sim.Duration
-	placeStart    sim.Time
 	place         sim.Duration
 	transferStart sim.Time
 	transfer      sim.Duration
@@ -113,29 +117,21 @@ type recoveryOp struct {
 	phRestart  trace.Span
 }
 
-func (rec *recoveryOp) endSpans(args ...trace.Arg) {
+func (rec *recovery) endSpans(args ...trace.Arg) {
 	rec.phPlace.End(args...)
 	rec.phTransfer.End(args...)
 	rec.phRestart.End(args...)
 	rec.span.End(args...)
 }
 
-// involves reports whether the recovery depends on the given node.
-func (rec *recoveryOp) involves(addr tcpip.AddrPort) bool {
-	for _, m := range rec.job.Members {
-		if m.Agent == addr {
-			return true
-		}
-	}
-	for _, a := range rec.assign {
-		if a == addr {
-			return true
-		}
-	}
-	return false
+// placement is where one committed (pod, seq) image lives: the agents
+// holding its chain whole and — when it was erasure-coded — the set's
+// data-shard count M and the holder of each ring position's shard subset.
+type placement struct {
+	whole  map[tcpip.AddrPort]bool
+	m      int
+	shards map[int]tcpip.AddrPort
 }
-
-func recoveryKey(job string) string { return "recovery/" + job }
 
 // RegisterNode makes a node's agent known to the membership layer. Spare
 // nodes host no pods initially and exist to absorb recovered ones.
@@ -201,7 +197,9 @@ func (c *Coordinator) handlePong(cc *ctlConn, m *wireMsg) {
 
 // declareFailed marks the node dead, fails every in-flight operation
 // that depends on it (the agents roll back via <abort> fan-out), and
-// starts recovery for each watched job with a member there.
+// starts recovery for each watched job with a member on a dead node —
+// this one or an earlier one: a recovery the failure overtook is replaced
+// by a plan that knows about both.
 func (c *Coordinator) declareFailed(n *nodeInfo) {
 	n.alive = false
 	if c.tr.Enabled() {
@@ -210,52 +208,48 @@ func (c *Coordinator) declareFailed(n *nodeInfo) {
 	// Lease expiry is a flight-recorder trigger: the dump captures the
 	// heartbeat window that led to the declaration.
 	c.tr.DumpFlight("lease.expiry", "node "+n.name)
-	var victims []*ctl.Op
+	var victims []*rootOp
 	c.table.Each(func(o *ctl.Op) {
-		switch d := o.Data.(type) {
-		case *coordOp:
-			for _, m := range d.job.Members {
-				if m.Agent == n.addr {
-					victims = append(victims, o)
-					break
-				}
-			}
-		case *recoveryOp:
-			if d.involves(n.addr) {
-				victims = append(victims, o)
-			}
-		case *migrateOp:
-			if d.src == n.addr || d.dst == n.addr {
-				victims = append(victims, o)
-			}
+		if op := o.Data.(*rootOp); op.involves(n.addr) {
+			victims = append(victims, op)
 		}
 	})
-	for _, o := range victims {
-		o.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
+	for _, op := range victims {
+		if op.rec != nil {
+			op.rec.superseded = true
+		}
+		op.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
 	}
 	for _, w := range c.watches {
-		for _, m := range w.job.Members {
-			if m.Agent == n.addr {
-				c.startRecovery(w, n)
-				break
-			}
-		}
+		c.startRecovery(w, n)
 	}
 }
 
-// startRecovery begins the detect->place->transfer->restart pipeline.
+// startRecovery begins the detect->place->transfer->restart pipeline for a
+// watched job that has lost a member, unless an operation the failure did
+// not touch holds the job. Detect runs from the last proof of life of the
+// first of its dead member nodes to go silent — the one failed node's,
+// unless this plan replaces one that a second failure overtook.
 func (c *Coordinator) startRecovery(w *watch, failed *nodeInfo) {
-	o, err := c.table.Begin("recovery", recoveryKey(w.job.Name), 0)
+	var first *nodeInfo
+	for _, m := range w.job.Members {
+		if n := c.nodeByAddr[m.Agent]; n != nil && !n.alive && (first == nil || n.lastPong < first.lastPong) {
+			first = n
+		}
+	}
+	if first == nil {
+		return
+	}
+	op, err := c.begin("recovery", w.job, 0)
 	if err != nil {
-		return // recovery for this job already in flight
+		return
 	}
-	now := c.stack.Engine().Now()
-	rec := &recoveryOp{
-		Op: o, job: w.job, w: w, failedNode: failed,
+	rec := &recovery{
+		w: w, failedNode: failed,
 		assign: make(map[string]tcpip.AddrPort),
-		detect: now.Sub(failed.lastPong),
+		detect: c.stack.Engine().Now().Sub(first.lastPong),
 	}
-	o.Data = rec
+	op.rec = rec
 	if c.tr.Enabled() {
 		// The recovery op root. The detect window (last proof of life to
 		// lease expiry) precedes this span, so it rides along as a lead
@@ -267,30 +261,9 @@ func (c *Coordinator) startRecovery(w *watch, failed *nodeInfo) {
 			"recovery.place", trace.Str("job", w.job.Name))
 	}
 	c.tr.DumpFlight("recovery.start", w.job.Name)
-	o.OnFail(func(_ *ctl.Op, err error) {
-		rec.endSpans(trace.Str("err", err.Error()))
-		if rec.w.onRecovery != nil {
-			rec.w.onRecovery(nil, err)
-		}
-	})
-	rec.placeStart = now
-	c.cpu.Do(c.params.MsgCost, func() { c.placeRecovery(rec) })
-}
-
-// holderNodes returns the live registered nodes holding (pod, seq), in
-// registration order (deterministic; the holder set is a map).
-func (c *Coordinator) holderNodes(pod string, seq int) []*nodeInfo {
-	set := c.holders[pod][seq]
-	if len(set) == 0 {
-		return nil
-	}
-	var out []*nodeInfo
-	for _, n := range c.nodes {
-		if n.alive && set[n.addr] {
-			out = append(out, n)
-		}
-	}
-	return out
+	// Until the restart installs its own finish hook only failure ends the op.
+	op.OnFinish(func(_ *ctl.Op, err error) { c.recoveryDone(op, nil, err) })
+	c.cpu.Do(c.params.MsgCost, func() { c.placeRecovery(op) })
 }
 
 // KnownHolders returns how many agents the coordinator records as
@@ -300,42 +273,39 @@ func (c *Coordinator) holderNodes(pod string, seq int) []*nodeInfo {
 // *enqueues* the placement report, one network flight before the
 // registry learns of the copy.
 func (c *Coordinator) KnownHolders(pod string, seq int) int {
-	return len(c.holders[pod][seq])
+	return len(c.placed[pod][seq].whole)
 }
 
 // KnownECShards returns how many ring positions of the erasure-coded
 // shard set for (pod, seq) have reported adoption (same gating role as
 // KnownHolders for EC durability).
 func (c *Coordinator) KnownECShards(pod string, seq int) int {
-	if set := c.ecHolders[pod][seq]; set != nil {
-		return len(set.byPos)
+	return len(c.placed[pod][seq].shards)
+}
+
+// entry returns the registry entry for (pod, seq), filing an empty one on
+// first mention of the image.
+func (c *Coordinator) entry(pod string, seq int) placement {
+	if c.placed[pod] == nil {
+		c.placed[pod] = make(map[int]placement)
 	}
-	return 0
+	p, ok := c.placed[pod][seq]
+	if !ok {
+		p = placement{whole: make(map[tcpip.AddrPort]bool), shards: make(map[int]tcpip.AddrPort)}
+		c.placed[pod][seq] = p
+	}
+	return p
 }
 
 // addHolder records that addr holds the image chain for (pod, seq).
 func (c *Coordinator) addHolder(pod string, seq int, addr tcpip.AddrPort) {
-	if c.holders[pod] == nil {
-		c.holders[pod] = make(map[int]map[tcpip.AddrPort]bool)
-	}
-	if c.holders[pod][seq] == nil {
-		c.holders[pod][seq] = make(map[tcpip.AddrPort]bool)
-	}
-	c.holders[pod][seq][addr] = true
+	c.entry(pod, seq).whole[addr] = true
 }
 
-// recordCommitHolders marks each member's own agent as a holder of the
-// freshly committed checkpoint.
-func (c *Coordinator) recordCommitHolders(job *Job, seq int) {
-	for _, m := range job.Members {
-		c.addHolder(m.Pod, seq, m.Agent)
-	}
-}
-
-// handleReplicated feeds an agent's placement report into the holder
-// registry: a peer now holds the image chain — or, when the report
-// carries ECM, the peer at ring position Repl.Holder now stores its shard
-// subset of (pod, seq), and the set decodes from any Repl.ECM holders.
+// handleReplicated feeds an agent's placement report into the registry: a
+// peer now holds the image chain — or, when the report carries ECM, the
+// peer at ring position Repl.Holder now stores its shard subset of (pod,
+// seq), and the set decodes from any Repl.ECM holders.
 func (c *Coordinator) handleReplicated(m *wireMsg) {
 	if m.Repl == nil {
 		return
@@ -349,15 +319,10 @@ func (c *Coordinator) handleReplicated(m *wireMsg) {
 		}
 		return
 	}
-	if c.ecHolders[m.Pod] == nil {
-		c.ecHolders[m.Pod] = make(map[int]*ecSetHolders)
-	}
-	set := c.ecHolders[m.Pod][m.Seq]
-	if set == nil {
-		set = &ecSetHolders{m: m.Repl.ECM, byPos: make(map[int]tcpip.AddrPort)}
-		c.ecHolders[m.Pod][m.Seq] = set
-	}
-	set.byPos[m.Repl.Holder] = peer
+	p := c.entry(m.Pod, m.Seq)
+	p.m = m.Repl.ECM
+	p.shards[m.Repl.Holder] = peer
+	c.placed[m.Pod][m.Seq] = p
 	if c.tr.Enabled() {
 		c.tr.Instant(c.stack.Name(), "core", "ec.holding",
 			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
@@ -365,79 +330,90 @@ func (c *Coordinator) handleReplicated(m *wireMsg) {
 	}
 }
 
-// ecLiveHolders returns the live shard holders of (pod, seq) in ring-
-// position order (deterministic) plus the set's data-shard count M.
-// Positions are distinct, so any M entries carry M distinct shards per
-// stripe — the decode threshold. M is 0 when no set was registered.
-func (c *Coordinator) ecLiveHolders(pod string, seq int) ([]tcpip.AddrPort, int) {
-	set := c.ecHolders[pod][seq]
-	if set == nil {
-		return nil, 0
-	}
-	maxPos := 0
-	for pos := range set.byPos {
-		if pos > maxPos {
-			maxPos = pos
+// sources is the registry's one reader: where a node at target could get
+// (pod, seq) from, as live registered nodes. whole lists those holding the
+// image chain, in registration order (deterministic; the holder set is a
+// map) — target holds it already if it is among them. Only when there is
+// none does pull name the shard holders target must fetch from to
+// reconstruct it: the first in ring-position order that complete M.
+// Positions are distinct, so any M carry M distinct shards per stripe — the
+// decode threshold — and target's own subset, if it holds one, counts
+// toward M through its local lookup and is not pulled; the fetch protocol
+// needs at least one source all the same. ok reports whether either way
+// exists.
+func (c *Coordinator) sources(pod string, seq int, target tcpip.AddrPort) (whole, pull []*nodeInfo, ok bool) {
+	p := c.placed[pod][seq]
+	for _, n := range c.nodes {
+		if n.alive && p.whole[n.addr] {
+			whole = append(whole, n)
 		}
 	}
-	var out []tcpip.AddrPort
-	for pos := 0; pos <= maxPos; pos++ {
-		addr, ok := set.byPos[pos]
-		if !ok {
+	if len(whole) > 0 || p.m == 0 {
+		return whole, nil, len(whole) > 0
+	}
+	positions := make([]int, 0, len(p.shards))
+	for pos := range p.shards {
+		positions = append(positions, pos)
+	}
+	slices.Sort(positions)
+	need := p.m
+	for _, pos := range positions {
+		n := c.nodeByAddr[p.shards[pos]]
+		if n == nil || !n.alive {
 			continue
 		}
-		if n := c.nodeByAddr[addr]; n != nil && n.alive {
-			out = append(out, addr)
+		if n.addr == target {
+			need--
+			continue
 		}
+		pull = append(pull, n)
 	}
-	return out, set.m
+	need = max(need, 1)
+	if len(pull) < need {
+		return nil, nil, false
+	}
+	return nil, pull[:need], true
 }
 
-// ecRecoverable reports whether (pod, seq) can be rebuilt from shards:
-// at least M of the M+R holders are still alive.
-func (c *Coordinator) ecRecoverable(pod string, seq int) bool {
-	live, m := c.ecLiveHolders(pod, seq)
-	return m > 0 && len(live) >= m
-}
-
-// placeRecovery decides the restore sequence and the new home (and
-// source replica) for every failed pod.
-func (c *Coordinator) placeRecovery(rec *recoveryOp) {
-	if !rec.Active() {
+// placeRecovery decides the restore sequence and, for every pod that
+// cannot restart where it is from what it holds, its home and its source.
+func (c *Coordinator) placeRecovery(op *rootOp) {
+	if !op.Active() {
 		return
 	}
-	job := rec.job
-	var failedPods []string
-	for _, m := range job.Members {
-		if m.Agent == rec.failedNode.addr {
-			failedPods = append(failedPods, m.Pod)
-		}
-	}
-	// seq*: the newest committed checkpoint every failed pod still has a
-	// living holder for — a full replica, or enough live erasure-code
-	// shard holders to decode the chain.
-	seqStar := 0
-	for s := c.committed[job.Name]; s >= 1 && seqStar == 0; s-- {
-		ok := true
-		for _, p := range failedPods {
-			if len(c.holderNodes(p, s)) == 0 && !c.ecRecoverable(p, s) {
-				ok = false
-				break
+	rec, job := op.rec, op.job
+	// seq*: the newest committed checkpoint every member can restart from —
+	// its live home holds it or a living holder can supply it: a full
+	// replica, or enough live erasure-code shard holders to decode the
+	// chain. A member on a node the membership layer never registered is
+	// presumed alive and holding what it committed, as memberAlive presumes.
+	reachable := func(seq int) bool {
+		for _, m := range job.Members {
+			home := c.nodeByAddr[m.Agent]
+			if home == nil {
+				continue
+			}
+			var target tcpip.AddrPort
+			if home.alive {
+				target = home.addr
+			}
+			if _, _, ok := c.sources(m.Pod, seq, target); !ok {
+				return false
 			}
 		}
-		if ok {
-			seqStar = s
-		}
+		return true
 	}
-	if seqStar == 0 {
-		rec.Fail(fmt.Errorf("%w: job %s", ErrNoReplica, job.Name))
+	seqStar := c.committed[job.Name]
+	for seqStar >= 1 && !reachable(seqStar) {
+		seqStar--
+	}
+	if seqStar < 1 {
+		op.Fail(fmt.Errorf("%w: job %s", ErrNoReplica, job.Name))
 		return
 	}
-	rec.seq = seqStar
+	// From here <fetch-done> and <restart-done> find the op by seq*.
+	op.Seq = seqStar
 
-	// Place each failed pod: spread across nodes hosting the fewest pods
-	// of this job, prefer a node already holding the image (free
-	// transfer), then the lightest load, then registration order.
 	jobPodsOn := func(addr tcpip.AddrPort) int {
 		n := 0
 		for _, m := range job.Members {
@@ -451,92 +427,87 @@ func (c *Coordinator) placeRecovery(rec *recoveryOp) {
 		}
 		return n
 	}
-	for _, p := range failedPods {
-		var target *nodeInfo
-		var tScore [3]int
-		for _, n := range c.nodes {
-			if !n.alive {
-				continue
-			}
-			holds := 0
-			if !c.holders[p][seqStar][n.addr] {
-				holds = 1 // needs a transfer
-			}
-			score := [3]int{jobPodsOn(n.addr), holds, n.load}
-			if target == nil || score[0] < tScore[0] ||
-				(score[0] == tScore[0] && (score[1] < tScore[1] ||
-					(score[1] == tScore[1] && score[2] < tScore[2]))) {
-				target, tScore = n, score
-			}
-		}
-		if target == nil {
-			rec.Fail(fmt.Errorf("%w: pod %s", ErrNoTarget, p))
-			return
-		}
-		rec.assign[p] = target.addr
-		holders := c.holderNodes(p, seqStar)
-		if len(holders) == 0 {
-			// No full replica survives: the new home reconstructs from M
-			// live shard holders. The target's own shards (if it is one)
-			// count toward M via its local lookup, so exclude it from the
-			// pull list; positions are distinct, so the first M entries
-			// give M distinct shards per stripe.
-			live, m := c.ecLiveHolders(p, seqStar)
-			need := m
-			var pull []tcpip.AddrPort
-			for _, h := range live {
-				if h == target.addr {
-					need--
-					continue
-				}
-				pull = append(pull, h)
-			}
-			if need < 1 {
-				need = 1 // the fetch protocol needs at least one source
-			}
-			if len(pull) < need {
-				rec.Fail(fmt.Errorf("%w: pod %s (ec shards)", ErrNoReplica, p))
-				return
-			}
-			pull = pull[:need]
-			if rec.ecSources == nil {
-				rec.ecSources = make(map[string][]tcpip.AddrPort)
-			}
-			rec.ecSources[p] = pull
-			from := target.name
-			if n := c.nodeByAddr[pull[0]]; n != nil {
-				from = n.name
-			}
-			rec.pods = append(rec.pods, RecoveredPod{
-				Pod: p, From: from, To: target.name,
-				Transferred: true, Reconstructed: true,
-			})
-			if c.tr.Enabled() {
-				c.tr.InstantCtx(rec.span.Context(), c.stack.Name(), "core", "recovery.placed",
-					trace.Str("pod", p), trace.Str("to", target.name),
-					trace.Str("mode", "reconstruct"), trace.Int("sources", int64(len(pull))))
-			}
+	var fetches []*wireMsg
+	for _, m := range job.Members {
+		home := c.nodeByAddr[m.Agent]
+		if home == nil {
 			continue
 		}
-		// Source: the lightest-loaded surviving holder (registration
-		// order breaks ties); irrelevant when the target already holds.
-		src := holders[0]
-		for _, h := range holders[1:] {
-			if h.load < src.load {
-				src = h
+		whole, _, _ := c.sources(m.Pod, seqStar, tcpip.AddrPort{})
+		target := home
+		if !home.alive {
+			// Place the pod: spread across nodes hosting the fewest pods of
+			// this job, prefer a node already holding the image (free
+			// transfer), then the lightest load, then registration order.
+			target = nil
+			var tScore [3]int
+			for _, n := range c.nodes {
+				if !n.alive {
+					continue
+				}
+				holds := 0
+				if !slices.Contains(whole, n) {
+					holds = 1 // needs a transfer
+				}
+				score := [3]int{jobPodsOn(n.addr), holds, n.load}
+				if target == nil || score[0] < tScore[0] ||
+					(score[0] == tScore[0] && (score[1] < tScore[1] ||
+						(score[1] == tScore[1] && score[2] < tScore[2]))) {
+					target, tScore = n, score
+				}
+			}
+			if target == nil {
+				op.Fail(fmt.Errorf("%w: pod %s", ErrNoTarget, m.Pod))
+				return
 			}
 		}
-		rec.pods = append(rec.pods, RecoveredPod{
-			Pod: p, From: src.name, To: target.name,
-			Transferred: !c.holders[p][seqStar][target.addr],
-		})
-		if c.tr.Enabled() {
-			c.tr.InstantCtx(rec.span.Context(), c.stack.Name(), "core", "recovery.placed",
-				trace.Str("pod", p), trace.Str("to", target.name), trace.Str("from", src.name))
+		holds := slices.Contains(whole, target)
+		if target == home && holds {
+			continue // a survivor that holds seq* restarts where it is
+		}
+		rec.assign[m.Pod] = target.addr
+		rp := RecoveredPod{Pod: m.Pod, To: target.name, Transferred: !holds}
+		from := &replPayload{}
+		if len(whole) > 0 {
+			// Source: the lightest-loaded surviving holder (registration
+			// order breaks ties); irrelevant when the target already holds.
+			src := whole[0]
+			for _, h := range whole[1:] {
+				if h.load < src.load {
+					src = h
+				}
+			}
+			rp.From = src.name
+			from.PeerIP, from.PeerPort = src.addr.Addr, src.addr.Port
+			if c.tr.Enabled() {
+				c.tr.InstantCtx(rec.span.Context(), c.stack.Name(), "core", "recovery.placed",
+					trace.Str("pod", m.Pod), trace.Str("to", target.name), trace.Str("from", src.name))
+			}
+		} else {
+			// No full replica survives: the new home reconstructs from the
+			// shard subsets of M live holders.
+			_, pull, ok := c.sources(m.Pod, seqStar, target.addr)
+			if !ok {
+				op.Fail(fmt.Errorf("%w: pod %s (ec shards)", ErrNoReplica, m.Pod))
+				return
+			}
+			rp.From, rp.Reconstructed = pull[0].name, true
+			for _, n := range pull {
+				from.Sources = append(from.Sources, GroupMember{IP: n.addr.Addr, Port: n.addr.Port})
+			}
+			if c.tr.Enabled() {
+				c.tr.InstantCtx(rec.span.Context(), c.stack.Name(), "core", "recovery.placed",
+					trace.Str("pod", m.Pod), trace.Str("to", target.name),
+					trace.Str("mode", "reconstruct"), trace.Int("sources", int64(len(pull))))
+			}
+		}
+		rec.pods = append(rec.pods, rp)
+		if rp.Transferred {
+			fetches = append(fetches, &wireMsg{Type: msgFetch, Seq: seqStar, Pod: m.Pod, Repl: from})
 		}
 	}
 	now := c.stack.Engine().Now()
-	rec.place = now.Sub(rec.placeStart)
+	rec.place = now.Sub(op.Started())
 	rec.phPlace.End()
 	rec.transferStart = now
 	if c.tr.Enabled() {
@@ -544,76 +515,34 @@ func (c *Coordinator) placeRecovery(rec *recoveryOp) {
 			"recovery.transfer", trace.Str("job", job.Name))
 	}
 
-	// Transfer phase: fetch images onto new homes that lack them.
-	fetches := 0
-	for i, rp := range rec.pods {
-		if !rec.pods[i].Transferred {
-			continue
-		}
-		fetches++
-		rec.Expect("fetch", rp.Pod)
-	}
-	if fetches == 0 {
-		c.startRecoveryRestart(rec)
+	// Transfer phase: fetch images onto the homes that lack them.
+	if len(fetches) == 0 {
+		c.startRecoveryRestart(op)
 		return
 	}
-	for _, rp := range rec.pods {
-		if !rp.Transferred {
-			continue
-		}
-		rp := rp
-		c.cpu.Do(c.params.MsgCost, func() {
-			if !rec.Active() {
-				return
-			}
-			target := rec.assign[rp.Pod]
-			cc, ok := c.conns[target]
-			if !ok || !cc.TCP().Established() {
-				rec.Fail(fmt.Errorf("%w: %s", ErrNotConnected, target))
-				return
-			}
-			from := &replPayload{}
-			if rp.Reconstructed {
-				for _, s := range rec.ecSources[rp.Pod] {
-					from.Sources = append(from.Sources, GroupMember{IP: s.Addr, Port: s.Port})
-				}
-			} else {
-				for _, n := range c.nodes {
-					if n.name == rp.From {
-						from.PeerIP, from.PeerPort = n.addr.Addr, n.addr.Port
-						break
-					}
-				}
-			}
-			cc.send(&wireMsg{Type: msgFetch, Seq: rec.seq, Pod: rp.Pod, Repl: from, ctx: rec.phTransfer.Context()})
-		})
+	for _, fetch := range fetches {
+		op.Expect("fetch", fetch.Pod)
+		fetch.ctx = rec.phTransfer.Context()
+		c.sendOrFail(op, rec.assign[fetch.Pod], fetch)
 	}
 }
 
-// handleFetchDone advances the recovery transfer barrier.
-func (c *Coordinator) handleFetchDone(m *wireMsg) {
-	var rec *recoveryOp
-	c.table.Each(func(o *ctl.Op) {
-		if rec != nil {
-			return
-		}
-		if r, ok := o.Data.(*recoveryOp); ok && r.seq == m.Seq {
-			if _, mine := r.assign[m.Pod]; mine {
-				rec = r
-			}
-		}
-	})
-	if rec == nil {
+// handleFetchDone advances the recovery transfer barrier. Only the home
+// this plan sent the pod's <fetch> to answers for it: a report for the same
+// pod and sequence from elsewhere belongs to a plan this one overtook.
+func (c *Coordinator) handleFetchDone(op *rootOp, from tcpip.AddrPort, m *wireMsg) {
+	rec := op.rec
+	if rec == nil || rec.assign[m.Pod] != from {
 		return
 	}
 	if m.Err != "" {
-		rec.Fail(fmt.Errorf("%w: fetch %s: %s", ErrNodeFailed, m.Pod, m.Err))
+		op.Fail(fmt.Errorf("%w: fetch %s: %s", ErrNodeFailed, m.Pod, m.Err))
 		return
 	}
-	if !rec.Arrive("fetch", m.Pod) {
+	if !op.Arrive("fetch", m.Pod) {
 		return
 	}
-	c.addHolder(m.Pod, m.Seq, rec.assign[m.Pod])
+	c.addHolder(m.Pod, m.Seq, from)
 	if m.Repl != nil {
 		rec.transferBytes += m.Repl.Bytes
 	}
@@ -622,23 +551,23 @@ func (c *Coordinator) handleFetchDone(m *wireMsg) {
 	if m.LocalDuration > rec.reconstruct {
 		rec.reconstruct = m.LocalDuration
 	}
-	if rec.Cleared("fetch") {
-		c.startRecoveryRestart(rec)
+	if op.Cleared("fetch") {
+		c.startRecoveryRestart(op)
 	}
 }
 
-// startRecoveryRestart re-homes the failed members and restarts the
-// whole job from seq*.
-func (c *Coordinator) startRecoveryRestart(rec *recoveryOp) {
+// startRecoveryRestart re-homes the plan's members and restarts the whole
+// job from seq*, on the recovery's own op.
+func (c *Coordinator) startRecoveryRestart(op *rootOp) {
+	rec, job := op.rec, op.job
 	now := c.stack.Engine().Now()
 	rec.transfer = now.Sub(rec.transferStart)
 	rec.phTransfer.End(trace.Int("bytes", rec.transferBytes))
 	rec.restartStart = now
 	if c.tr.Enabled() {
 		rec.phRestart = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
-			"recovery.restart", trace.Str("job", rec.job.Name), trace.Int("seq", int64(rec.seq)))
+			"recovery.restart", trace.Str("job", job.Name), trace.Int("seq", int64(op.Seq)))
 	}
-	job := rec.job
 	for i := range job.Members {
 		if addr, ok := rec.assign[job.Members[i].Pod]; ok {
 			job.Members[i].Agent = addr
@@ -646,41 +575,47 @@ func (c *Coordinator) startRecoveryRestart(rec *recoveryOp) {
 	}
 	// The restart rolls the whole job back to seq*; later checkpoints
 	// (if any) have no surviving copy for the failed pods.
-	if rec.seq < c.committed[job.Name] {
-		c.committed[job.Name] = rec.seq
+	if op.Seq < c.committed[job.Name] {
+		c.committed[job.Name] = op.Seq
 	}
 	c.Connect(job, func(err error) {
 		if err != nil {
-			rec.Fail(err)
-			return
+			op.Fail(err)
+		} else if op.Active() {
+			c.runRestart(op, rec.phRestart.Context(), func(res *RestartResult, err error) { c.recoveryDone(op, res, err) })
 		}
-		c.runRestart(job, rec.seq, true, rec.phRestart.Context(), func(res *RestartResult, err error) {
-			if err != nil {
-				rec.Fail(err)
-				return
-			}
-			end := c.stack.Engine().Now()
-			restartDur := end.Sub(rec.restartStart)
-			result := &RecoveryResult{
-				Job:           job.Name,
-				FailedNode:    rec.failedNode.name,
-				Seq:           rec.seq,
-				Pods:          rec.pods,
-				Detect:        rec.detect,
-				Place:         rec.place,
-				Transfer:      rec.transfer,
-				Restart:       restartDur,
-				MTTR:          rec.detect + rec.place + rec.transfer + restartDur,
-				Reconstruct:   rec.reconstruct,
-				TransferBytes: rec.transferBytes,
-				RestartResult: res,
-			}
-			rec.phRestart.End()
-			rec.span.End(trace.Int("mttr_us", int64(result.MTTR/sim.Microsecond)))
-			rec.Finish()
-			if rec.w.onRecovery != nil {
-				rec.w.onRecovery(result, nil)
-			}
-		})
 	})
+}
+
+// recoveryDone ends a recovery: with the restart's result, or with the
+// error that failed it in whichever phase.
+func (c *Coordinator) recoveryDone(op *rootOp, res *RestartResult, err error) {
+	rec := op.rec
+	if err != nil {
+		rec.endSpans(trace.Str("err", err.Error()))
+		if !rec.superseded && rec.w.onRecovery != nil {
+			rec.w.onRecovery(nil, err)
+		}
+		return
+	}
+	restartDur := c.stack.Engine().Now().Sub(rec.restartStart)
+	result := &RecoveryResult{
+		Job:           op.job.Name,
+		FailedNode:    rec.failedNode.name,
+		Seq:           op.Seq,
+		Pods:          rec.pods,
+		Detect:        rec.detect,
+		Place:         rec.place,
+		Transfer:      rec.transfer,
+		Restart:       restartDur,
+		MTTR:          rec.detect + rec.place + rec.transfer + restartDur,
+		Reconstruct:   rec.reconstruct,
+		TransferBytes: rec.transferBytes,
+		RestartResult: res,
+	}
+	rec.phRestart.End()
+	rec.span.End(trace.Int("mttr_us", int64(result.MTTR/sim.Microsecond)))
+	if rec.w.onRecovery != nil {
+		rec.w.onRecovery(result, nil)
+	}
 }

@@ -81,16 +81,6 @@ func (a *Agent) relayFor(pod string, seq int) *relayOp {
 	return found
 }
 
-// relayByJob finds the active relay op for a job, or nil.
-func (a *Agent) relayByJob(job string, seq int) *relayOp {
-	if o := a.table.Get(relayKey(job)); o != nil && o.Seq == seq {
-		if rop, ok := o.Data.(*relayOp); ok {
-			return rop
-		}
-	}
-	return nil
-}
-
 // onRelayMsg handles a request that names a job: it addresses this
 // agent as the leader of one of the job's groups.
 func (a *Agent) onRelayMsg(c *ctlConn, m *wireMsg) {
@@ -98,13 +88,13 @@ func (a *Agent) onRelayMsg(c *ctlConn, m *wireMsg) {
 	case msgCheckpoint, msgRestart:
 		a.startRelay(c, m)
 	case msgContinue:
-		if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
+		if rop := ctl.Find[relayOp](a.table, relayKey(m.Job)); rop != nil && rop.Seq == m.Seq {
 			a.relayDown(rop, m)
 		}
 	case msgAbort:
 		// The members' own rollbacks are driven by the root's direct
 		// <abort>s; the leader only has aggregation state to discard.
-		if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
+		if rop := ctl.Find[relayOp](a.table, relayKey(m.Job)); rop != nil && rop.Seq == m.Seq {
 			rop.Fail(ErrAborted)
 		}
 	}

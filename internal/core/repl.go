@@ -71,6 +71,9 @@ type fetchOp struct {
 	sources []GroupMember // surviving holders to pull
 	next    int           // next source to pull
 	span    trace.Span
+	// overtaken marks a fetch a newer <fetch> for the pod replaced: the
+	// coordinator dropped the plan that asked for it, so it fails unreported.
+	overtaken bool
 
 	// Reconstruction state: what the shard holders have sent so far.
 	pending   int // pulls not yet answered
@@ -195,16 +198,6 @@ func (a *Agent) replicateOn(op *replOp, seq int, ctx trace.SpanContext) *ctl.Op 
 	return o
 }
 
-// replOpFor locates the initiator-side op a reply on cc belongs to.
-func (a *Agent) replOpFor(pod string, seq int, cc *ctlConn) *replOp {
-	if o := a.table.Get(replKey(pod, seq, cc.TCP().RemoteAddr())); o != nil {
-		if op, ok := o.Data.(*replOp); ok {
-			return op
-		}
-	}
-	return nil
-}
-
 // handleOffer is the receiving side: answer with the missing delta — for
 // a shard offer (ECM set), the chain manifests and shard blocks this
 // store lacks. The chunk-set comparison costs DedupPerChunk per offered
@@ -229,7 +222,7 @@ func (a *Agent) handleOffer(c *ctlConn, m *wireMsg) {
 // handleWant is the initiator side: build and ship the delta (plus the
 // set manifest, on a shard exchange).
 func (a *Agent) handleWant(c *ctlConn, m *wireMsg) {
-	op := a.replOpFor(m.Pod, m.Seq, c)
+	op := ctl.Find[replOp](a.table, replKey(m.Pod, m.Seq, c.TCP().RemoteAddr()))
 	if op == nil || m.Repl == nil {
 		return
 	}
@@ -280,7 +273,7 @@ func (a *Agent) handleData(c *ctlConn, m *wireMsg) {
 		}
 	}
 	if len(p.ECSet) > 0 {
-		if op := a.fetchFor(m.Pod, m.Seq); op != nil {
+		if op := ctl.Find[fetchOp](a.table, fetchKey(m.Pod)); op != nil && op.Seq == m.Seq {
 			a.shardsArrived(op, p)
 			return
 		}
@@ -296,7 +289,7 @@ func (a *Agent) handleData(c *ctlConn, m *wireMsg) {
 // handleDone is the initiator side: the peer holds the image (or its
 // shard subset). Report the placement to the coordinator's registry.
 func (a *Agent) handleDone(c *ctlConn, m *wireMsg) {
-	op := a.replOpFor(m.Pod, m.Seq, c)
+	op := ctl.Find[replOp](a.table, replKey(m.Pod, m.Seq, c.TCP().RemoteAddr()))
 	if op == nil {
 		return
 	}
@@ -332,6 +325,13 @@ func (a *Agent) handleDone(c *ctlConn, m *wireMsg) {
 // surviving replica, or, when no node holds the image whole, from the
 // shard subsets of the given surviving holders.
 func (a *Agent) handleFetch(c *ctlConn, m *wireMsg) {
+	// A second <fetch> for the pod comes from the plan that overtook the
+	// first one's, and replaces it: the open fetch may be waiting out
+	// ReplTimeout on a source that is now dead.
+	if old := ctl.Find[fetchOp](a.table, fetchKey(m.Pod)); old != nil {
+		old.overtaken = true
+		old.Fail(ErrAborted)
+	}
 	if a.store.HasSeq(m.Pod, m.Seq) {
 		// Already a replica — transfer cost is zero.
 		c.send(&wireMsg{Type: msgFetchDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: 0}})
@@ -364,7 +364,9 @@ func (a *Agent) handleFetch(c *ctlConn, m *wireMsg) {
 	op.pending = len(op.sources)
 	o.OnFail(func(_ *ctl.Op, err error) {
 		op.span.End(trace.Str("err", err.Error()))
-		a.fail(c, msgFetchDone, m, err)
+		if !op.overtaken {
+			a.fail(c, msgFetchDone, m, err)
+		}
 	})
 	o.ArmTimeout(a.params.ReplTimeout, ErrReplTimeout)
 	// Pull one source at a time. The target's link is the bottleneck
@@ -420,19 +422,10 @@ func (a *Agent) handleFetchPull(c *ctlConn, m *wireMsg) {
 
 func fetchKey(pod string) string { return "fetch/" + pod }
 
-// fetchFor returns the pending fetch for (pod, seq), or nil.
-func (a *Agent) fetchFor(pod string, seq int) *fetchOp {
-	if o := a.table.Get(fetchKey(pod)); o != nil && o.Seq == seq {
-		op, _ := o.Data.(*fetchOp)
-		return op
-	}
-	return nil
-}
-
 // finishFetch completes a pending fetch after the adopted transfer lands.
 func (a *Agent) finishFetch(pod string, seq int, n int64) {
-	op := a.fetchFor(pod, seq)
-	if op == nil {
+	op := ctl.Find[fetchOp](a.table, fetchKey(pod))
+	if op == nil || op.Seq != seq {
 		return
 	}
 	a.Stats.Fetches++
@@ -443,7 +436,7 @@ func (a *Agent) finishFetch(pod string, seq int, n int64) {
 
 // failFetch fails a pending fetch for (pod, seq), if any.
 func (a *Agent) failFetch(pod string, seq int, err error) {
-	if op := a.fetchFor(pod, seq); op != nil {
+	if op := ctl.Find[fetchOp](a.table, fetchKey(pod)); op != nil && op.Seq == seq {
 		op.Fail(err)
 	}
 }

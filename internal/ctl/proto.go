@@ -50,6 +50,17 @@ func (t *Table) Begin(kind, key string, seq int) (*Op, error) {
 // Get returns the active op under key, or nil.
 func (t *Table) Get(key string) *Op { return t.ops[key] }
 
+// Find returns the owner's record for the active op under key — what its
+// Data holds — or nil when the key is free or held by another kind of op.
+func Find[T any](t *Table, key string) *T {
+	if o := t.ops[key]; o != nil {
+		if d, ok := o.Data.(*T); ok {
+			return d
+		}
+	}
+	return nil
+}
+
 // Len returns the number of active ops (the leak check for abort paths).
 func (t *Table) Len() int { return len(t.ops) }
 
