@@ -44,12 +44,13 @@ bench:
 	rm -f bench.tmp.json
 
 # Wall-clock benchmarks, one per layer the page path crosses, the two gob
-# codecs of the control path (frames, manifests), plus the
-# tracer-overhead guard (trace=false must match the pre-tracing
-# baseline). Every one reports MB/s, B/op and allocs/op; B/op and
-# allocs/op repeat exactly and are the numbers to compare across commits
-# (EXPERIMENTS.md appendices A12 and A13 hold the last recorded sets). No
-# thresholds — host timings are informational.
+# codecs of the control path (frames, manifests), the per-frame and
+# per-step paths of the substrate (switch forwarding, the kernel's step
+# cycle), plus the tracer-overhead guard (trace=false must match the
+# pre-tracing baseline). Every one reports B/op and allocs/op, which
+# repeat exactly and are the numbers to compare across commits
+# (EXPERIMENTS.md appendices A12, A13 and A18 hold the last recorded
+# sets). No thresholds — host timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
 	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec' -benchtime=50x -benchmem ./internal/ckpt/
@@ -57,6 +58,8 @@ gobench:
 	$(GO) test -run XXX -bench=BenchmarkDirtyTracking -benchtime=50x -benchmem ./internal/mem/
 	$(GO) test -run XXX -bench=BenchmarkEngineSchedule -benchtime=100000x -benchmem ./internal/sim/
 	$(GO) test -run XXX -bench=BenchmarkTCPBulkTransfer -benchtime=50x -benchmem ./internal/tcpip/
+	$(GO) test -run XXX -bench=BenchmarkSwitchForward -benchtime=100000x -benchmem ./internal/ether/
+	$(GO) test -run XXX -bench=BenchmarkStepCycle -benchtime=100000x -benchmem ./internal/kernel/
 	$(GO) test -run XXX -bench=BenchmarkMigrationStream -benchtime=10x -benchmem ./internal/ctl/
 
 # The benchmark under bench/ is a module of its own, so tier-1 neither

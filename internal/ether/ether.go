@@ -187,8 +187,8 @@ func (n *NIC) Send(f Frame) error {
 	n.txFree = done
 	n.Stats.TxFrames++
 	n.Stats.TxBytes += uint64(size)
-	p := n.port
-	n.engine.ScheduleAt(done.Add(cfg.Latency), func() { p.sw.forward(p, f) })
+	n.port.toSwitch.Push(f)
+	n.engine.ScheduleAt(done.Add(cfg.Latency), n.port.arriveFn)
 	return nil
 }
 
@@ -216,7 +216,24 @@ type port struct {
 	// dropRate in [0,1] models a faulty cable; used by failure-injection
 	// tests.
 	dropRate float64
+
+	// toSwitch and toNIC are the frames on this port's cable, oldest
+	// first: sent by the NIC and not yet at the switch, and clocked out
+	// by the switch and not yet at the NIC. Each frame's arrival is one
+	// engine event running arriveFn or deliverFn, bound once at Attach,
+	// which takes the head of its queue. That head is the arriving frame:
+	// a transmit clock (NIC.txFree, port.txFree) never runs backwards and
+	// cfg is fixed, so arrivals on one wire are scheduled at
+	// non-decreasing times and fire in push order (DESIGN §4.11).
+	toSwitch, toNIC     sim.Queue[Frame]
+	arriveFn, deliverFn func()
 }
+
+// arrive hands the oldest frame on the NIC-to-switch wire to the switch.
+func (p *port) arrive() { p.sw.forward(p, p.toSwitch.Pop()) }
+
+// deliverHead hands the oldest frame on the switch-to-NIC wire to the NIC.
+func (p *port) deliverHead() { p.nic.deliver(p.toNIC.Pop()) }
 
 // Switch is a store-and-forward learning Ethernet switch.
 type Switch struct {
@@ -243,6 +260,7 @@ func NewSwitch(engine *sim.Engine) *Switch {
 // configuration.
 func (s *Switch) Attach(n *NIC, cfg LinkConfig) {
 	p := &port{sw: s, nic: n, cfg: cfg}
+	p.arriveFn, p.deliverFn = p.arrive, p.deliverHead
 	s.ports = append(s.ports, p)
 	n.port = p
 }
@@ -326,8 +344,8 @@ func (s *Switch) transmit(out *port, f Frame) {
 	}
 	done := start.Add(out.cfg.serialization(size))
 	out.txFree = done
-	nic := out.nic
-	s.engine.ScheduleAt(done.Add(out.cfg.Latency), func() { nic.deliver(f) })
+	out.toNIC.Push(f)
+	s.engine.ScheduleAt(done.Add(out.cfg.Latency), out.deliverFn)
 }
 
 // ForgetMAC drops a learned table entry, forcing the next frame to that

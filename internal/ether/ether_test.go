@@ -233,3 +233,356 @@ func TestMACString(t *testing.T) {
 		t.Fatal("IsZero misbehaves")
 	}
 }
+
+// TestWarmSwitchForwardsWithoutAllocating: once the per-port queues and
+// the engine's event pool have reached their working size, carrying
+// unicast, flooded and broadcast frames, frames lost on a downed link and
+// frames thrown at a lossy one allocates nothing — a frame in flight is a
+// value in its port's queue, not a closure.
+func TestWarmSwitchForwardsWithoutAllocating(t *testing.T) {
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e)
+	var got [4]int
+	nics := make([]*NIC, 4)
+	for i := range nics {
+		i := i
+		nics[i] = NewNIC(e, "nic", mac(byte(i+1)))
+		nics[i].SetReceiver(func(Frame) { got[i]++ })
+		sw.Attach(nics[i], GigabitLink)
+	}
+	var pl Payload = testPayload{size: 100}
+	send := func(from int, dst MAC, k int) {
+		for ; k > 0; k-- {
+			if err := nics[from].Send(Frame{Src: mac(byte(from + 1)), Dst: dst, Type: TypeIPv4, Payload: pl}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run := func() {
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		send(0, mac(2), 4)    // learned unicast
+		send(1, mac(1), 4)    // learned unicast, other direction
+		send(2, mac(0x77), 2) // unknown: flooded
+		send(3, Broadcast, 2)
+		run()
+		sw.SetLinkDown(nics[2], true)
+		send(2, mac(1), 2) // lost at ingress
+		send(0, mac(3), 2) // lost at egress
+		run()
+		sw.SetLinkDown(nics[2], false)
+		sw.SetDropRate(nics[3], 0.5)
+		send(3, mac(1), 4)
+		send(0, mac(4), 4)
+		run()
+		sw.SetDropRate(nics[3], 0)
+	}
+	send(0, Broadcast, 1) // teach the switch every port
+	send(1, Broadcast, 1)
+	send(2, Broadcast, 1)
+	send(3, Broadcast, 1)
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	before := got
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Fatalf("a warm switch allocates %.1f times per cycle, want 0", avg)
+	}
+	if got[0] == before[0] || got[1] == before[1] {
+		t.Fatal("the measured cycles delivered nothing")
+	}
+	if nics[2].Stats.Dropped == 0 || nics[3].Stats.Dropped == 0 || sw.Stats.Flooded == 0 {
+		t.Fatalf("a path was not exercised: dropped %d/%d, flooded %d",
+			nics[2].Stats.Dropped, nics[3].Stats.Dropped, sw.Stats.Flooded)
+	}
+}
+
+// delivery is one frame accepted by a NIC: when, which NIC, which frame.
+type delivery struct {
+	at  sim.Time
+	nic int
+	tag string
+}
+
+// refFabric is the closure-per-hop fabric this package ran before frames
+// in flight moved into per-port queues — NIC.Send and Switch.transmit each
+// scheduled a closure capturing its frame — kept as the oracle the queues
+// must reproduce event for event.
+type refFabric struct {
+	engine *sim.Engine
+	nics   []*refPort // by NIC index, attached or not
+	ports  []*refPort // attached
+	table  map[MAC]*refPort
+	log    []delivery
+}
+
+type refPort struct {
+	f               *refFabric
+	id              int
+	mac             MAC
+	cfg             LinkConfig
+	nicFree, swFree sim.Time
+	down, detached  bool
+	dropRate        float64
+}
+
+func (p *refPort) send(fr Frame) {
+	if p.detached {
+		return // ErrDetached
+	}
+	e := p.f.engine
+	start := max(e.Now(), p.nicFree)
+	p.nicFree = start.Add(p.cfg.serialization(fr.WireSize()))
+	e.ScheduleAt(p.nicFree.Add(p.cfg.Latency), func() { p.f.forward(p, fr) })
+}
+
+func (f *refFabric) forward(in *refPort, fr Frame) {
+	if in.down || in.dropRate > 0 && f.engine.Rand().Float64() < in.dropRate {
+		return
+	}
+	if !fr.Src.IsBroadcast() && !fr.Src.IsZero() {
+		f.table[fr.Src] = in
+	}
+	if !fr.Dst.IsBroadcast() {
+		if out, ok := f.table[fr.Dst]; ok {
+			if out != in {
+				f.transmit(out, fr)
+			}
+			return
+		}
+	}
+	for _, out := range f.ports {
+		if out != in {
+			f.transmit(out, fr)
+		}
+	}
+}
+
+func (f *refFabric) transmit(out *refPort, fr Frame) {
+	if out.down || out.dropRate > 0 && f.engine.Rand().Float64() < out.dropRate {
+		return
+	}
+	start := max(f.engine.Now(), out.swFree)
+	out.swFree = start.Add(out.cfg.serialization(fr.WireSize()))
+	f.engine.ScheduleAt(out.swFree.Add(out.cfg.Latency), func() {
+		if fr.Dst.IsBroadcast() || fr.Dst == out.mac {
+			f.log = append(f.log, delivery{f.engine.Now(), out.id, fr.Payload.(testPayload).tag})
+		}
+	})
+}
+
+func (f *refFabric) detach(i int) {
+	p := f.nics[i]
+	p.detached = true
+	for i, q := range f.ports {
+		if q == p {
+			f.ports = append(f.ports[:i], f.ports[i+1:]...)
+			break
+		}
+	}
+	for m, q := range f.table {
+		if q == p {
+			delete(f.table, m)
+		}
+	}
+}
+
+// fabric is what the order test drives: the switch under test or the
+// closure oracle.
+type fabric interface {
+	send(from int, dst MAC, size int, tag string)
+	setDown(i int, down bool)
+	setDropRate(i int, rate float64)
+	forget(m MAC)
+	detach(i int)
+}
+
+type realFabric struct {
+	t    *testing.T
+	sw   *Switch
+	nics []*NIC
+}
+
+func (r *realFabric) send(from int, dst MAC, size int, tag string) {
+	err := r.nics[from].Send(Frame{Src: mac(byte(from + 1)), Dst: dst, Type: TypeIPv4, Payload: testPayload{size, tag}})
+	if err != nil && err != ErrDetached {
+		r.t.Fatal(err)
+	}
+}
+func (r *realFabric) setDown(i int, down bool)        { r.sw.SetLinkDown(r.nics[i], down) }
+func (r *realFabric) setDropRate(i int, rate float64) { r.sw.SetDropRate(r.nics[i], rate) }
+func (r *realFabric) forget(m MAC)                    { r.sw.ForgetMAC(m) }
+func (r *realFabric) detach(i int)                    { r.sw.Detach(r.nics[i]) }
+
+func (f *refFabric) send(from int, dst MAC, size int, tag string) {
+	f.nics[from].send(Frame{Src: mac(byte(from + 1)), Dst: dst, Type: TypeIPv4, Payload: testPayload{size, tag}})
+}
+func (f *refFabric) setDown(i int, down bool)        { f.nics[i].down = down }
+func (f *refFabric) setDropRate(i int, rate float64) { f.nics[i].dropRate = rate }
+func (f *refFabric) forget(m MAC)                    { delete(f.table, m) }
+
+// TestPortsDeliverInSendOrder: a scripted mix of bursts on gigabit, slow
+// and zero-bandwidth links (so many frames on one wire arrive at one
+// instant), flooding, learning, a downed link, a lossy link and two
+// detaches with frames still on the wire produces exactly the deliveries
+// of the closure-per-hop fabric — same frames, same NICs, same instants,
+// same order — and every sender's frames reach each NIC in send order.
+func TestPortsDeliverInSendOrder(t *testing.T) {
+	links := []LinkConfig{
+		GigabitLink,
+		{BandwidthBPS: 0, Latency: 3 * sim.Microsecond}, // zero bandwidth
+		{BandwidthBPS: 0, Latency: 0},                   // nor latency
+		{BandwidthBPS: 10_000_000, Latency: 50 * sim.Microsecond},
+		GigabitLink,
+	}
+	script := func(e *sim.Engine, f fabric) {
+		at := func(us int, fn func()) { e.ScheduleAt(sim.Time(sim.Duration(us)*sim.Microsecond), fn) }
+		burst := func(from int, dst MAC, k, size int, name string) {
+			for i := 0; i < k; i++ {
+				f.send(from, dst, size+37*i, name+string(rune('a'+i)))
+			}
+		}
+		at(0, func() {
+			burst(0, Broadcast, 3, 200, "b0")
+			burst(1, mac(1), 4, 60, "u1") // unlearned: flooded
+			burst(2, Broadcast, 5, 900, "z2")
+		})
+		at(10, func() {
+			burst(3, mac(5), 3, 1400, "s3")
+			burst(4, mac(4), 3, 100, "g4")
+			burst(2, mac(2), 4, 300, "z2u")
+		})
+		at(20, func() {
+			f.setDropRate(0, 0.4)
+			burst(0, mac(3), 20, 500, "lossy")
+			burst(1, mac(1), 6, 80, "intoLossy")
+		})
+		at(30, func() {
+			f.setDown(1, true)
+			burst(2, mac(2), 5, 64, "toDown")
+			burst(1, mac(3), 3, 64, "fromDown")
+		})
+		at(40, func() {
+			f.setDown(1, false)
+			f.setDropRate(0, 0)
+			f.forget(mac(1))
+			burst(4, mac(1), 3, 700, "refl")
+		})
+		at(50, func() {
+			burst(3, mac(1), 10, 1400, "slow") // ≈1.2 ms each on the wire
+			burst(4, mac(1), 5, 1400, "late")
+		})
+		at(56, func() { f.detach(0) })  // frames to it are on both wires
+		at(600, func() { f.detach(3) }) // its burst is still leaving
+		at(700, func() { burst(3, Broadcast, 2, 64, "gone") })
+	}
+
+	// The switch under test.
+	e := sim.NewEngine(5)
+	real := &realFabric{t: t, sw: NewSwitch(e)}
+	var got []delivery
+	for i, cfg := range links {
+		i := i
+		nic := NewNIC(e, "nic", mac(byte(i+1)))
+		nic.SetReceiver(func(fr Frame) { got = append(got, delivery{e.Now(), i, fr.Payload.(testPayload).tag}) })
+		real.sw.Attach(nic, cfg)
+		real.nics = append(real.nics, nic)
+	}
+	script(e, real)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The oracle, on a twin engine.
+	re := sim.NewEngine(5)
+	ref := &refFabric{engine: re, table: map[MAC]*refPort{}}
+	for i, cfg := range links {
+		ref.nics = append(ref.nics, &refPort{f: ref, id: i, mac: mac(byte(i + 1)), cfg: cfg})
+	}
+	ref.ports = append(ref.ports, ref.nics...)
+	script(re, ref)
+	if err := re.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(got) != len(ref.log) {
+		t.Fatalf("%d deliveries, the closure fabric made %d", len(got), len(ref.log))
+	}
+	for i := range got {
+		if got[i] != ref.log[i] {
+			t.Fatalf("delivery %d = %+v, the closure fabric's = %+v", i, got[i], ref.log[i])
+		}
+	}
+	// Each burst reaches each NIC in send order, and the script reaches
+	// the cases it is written for.
+	sameInstant, afterDetach := false, false
+	type stream struct {
+		burst string
+		nic   int
+	}
+	last := map[stream]byte{}
+	for i, d := range got {
+		if i > 0 && got[i-1].at == d.at && got[i-1].nic == d.nic {
+			sameInstant = true
+		}
+		if d.nic == 0 && d.at > sim.Time(56*sim.Microsecond) {
+			afterDetach = true
+		}
+		k, seq := stream{d.tag[:len(d.tag)-1], d.nic}, d.tag[len(d.tag)-1]
+		if prev, ok := last[k]; ok && prev >= seq {
+			t.Fatalf("nic %d got %s after %s%c", d.nic, d.tag, k.burst, prev)
+		}
+		last[k] = seq
+	}
+	if !sameInstant || !afterDetach || real.nics[0].Stats.Dropped == 0 || real.nics[1].Stats.Dropped == 0 {
+		t.Fatalf("script misses a case: frames at one instant on one port %v, delivered after a detach %v, dropped lossy %d, down %d",
+			sameInstant, afterDetach, real.nics[0].Stats.Dropped, real.nics[1].Stats.Dropped)
+	}
+}
+
+// BenchmarkSwitchForward measures one learned unicast frame end to end
+// through a warm switch: the NIC's serialisation, the hop to the switch,
+// the forwarding decision and the hop to the receiving NIC. The allocs/op
+// figure is TestWarmSwitchForwardsWithoutAllocating's floor.
+func BenchmarkSwitchForward(b *testing.B) {
+	e := sim.NewEngine(1)
+	sw := NewSwitch(e)
+	from, to := NewNIC(e, "from", mac(1)), NewNIC(e, "to", mac(2))
+	got := 0
+	to.SetReceiver(func(Frame) { got++ })
+	sw.Attach(from, GigabitLink)
+	sw.Attach(to, GigabitLink)
+	var pl Payload = testPayload{size: 1000}
+	send := func(n *NIC, src, dst MAC) {
+		if err := n.Send(Frame{Src: src, Dst: dst, Type: TypeIPv4, Payload: pl}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	send(to, mac(2), Broadcast) // teach the switch
+	const burst = 64            // frames in flight at once
+	for i := 0; i < burst; i++ {
+		send(from, mac(1), mac(2))
+	}
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send(from, mac(1), mac(2))
+		if i%burst == burst-1 {
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if got != b.N+burst {
+		b.Fatalf("%d frames delivered, want %d", got, b.N+burst)
+	}
+}

@@ -83,10 +83,8 @@ type Kernel struct {
 	nextPID int
 
 	busyCPUs int
-	// readyQ[readyHead:] are the runnable processes, oldest first; the
-	// slots before readyHead are spent and reclaimed by enqueue.
-	readyQ    []*Process
-	readyHead int
+	// readyQ holds the runnable processes, oldest first.
+	readyQ sim.Queue[*Process]
 	// dispatchFn is k.dispatch bound once: a method value allocates a
 	// closure each time it is taken, and enqueue schedules one per wakeup.
 	dispatchFn func()
@@ -183,6 +181,8 @@ func (k *Kernel) Spawn(name string, prog Program, parent int) *Process {
 		state:  StateReady,
 	}
 	p.ctx.proc = p
+	p.finishFn = func() { k.finishStep(p) }
+	p.wakeFn = func() { k.wake(p) }
 	// Each COW break during a program step is charged to the step's CPU
 	// cost in runStep; the hook only tallies.
 	p.mem.SetFaultHook(func(uint64) {
@@ -207,14 +207,7 @@ func (k *Kernel) enqueue(p *Process) {
 	}
 	p.state = StateReady
 	p.queued = true
-	if k.readyHead > 0 && len(k.readyQ) == cap(k.readyQ) {
-		// Full, with spent slots at the front: slide the backlog down
-		// instead of growing the array.
-		n := copy(k.readyQ, k.readyQ[k.readyHead:])
-		clear(k.readyQ[n:])
-		k.readyQ, k.readyHead = k.readyQ[:n], 0
-	}
-	k.readyQ = append(k.readyQ, p)
+	k.readyQ.Push(p)
 	// Dispatch from a fresh event so callers (e.g. notify callbacks deep
 	// in the TCP stack) never re-enter program code synchronously.
 	k.engine.Schedule(0, k.dispatchFn)
@@ -222,10 +215,8 @@ func (k *Kernel) enqueue(p *Process) {
 
 // dispatch assigns ready processes to free CPUs.
 func (k *Kernel) dispatch() {
-	for k.busyCPUs < k.params.NumCPUs && k.readyHead < len(k.readyQ) {
-		p := k.readyQ[k.readyHead]
-		k.readyQ[k.readyHead] = nil
-		k.readyHead++
+	for k.busyCPUs < k.params.NumCPUs && k.readyQ.Len() > 0 {
+		p := k.readyQ.Pop()
 		p.queued = false
 		if p.state != StateReady {
 			continue
@@ -262,11 +253,14 @@ func (k *Kernel) runStep(p *Process) {
 	k.Stats.ContextTime += cost
 	k.Stats.Syscalls += uint64(p.ctx.syscalls)
 
-	k.engine.Schedule(cost, func() { k.finishStep(p, res) })
+	p.stepRes = res
+	k.engine.Schedule(cost, p.finishFn)
 }
 
-// finishStep releases the CPU and applies the step's disposition.
-func (k *Kernel) finishStep(p *Process, res StepResult) {
+// finishStep releases the CPU and applies the disposition of the step
+// whose CPU time just elapsed.
+func (k *Kernel) finishStep(p *Process) {
+	res := p.stepRes
 	k.busyCPUs--
 	defer k.dispatch()
 
@@ -305,7 +299,7 @@ func (k *Kernel) applyWait(p *Process, res StepResult) {
 		if d < 0 {
 			d = 0
 		}
-		p.sleepEv = k.engine.Schedule(d, func() { k.wake(p) })
+		p.sleepEv = k.engine.Schedule(d, p.wakeFn)
 	case WaitFD:
 		// Re-check readiness before parking: the condition may have
 		// become true during the step's CPU time.

@@ -374,18 +374,27 @@ func TestUserSignalWakesBlockedProcess(t *testing.T) {
 	}
 }
 
-// TestStepCycleAllocatesOnlyItsCompletion: with more runnable processes
-// than CPUs the ready queue never drains, and every step passes through
-// enqueue and dispatch. A step's only allocation is the closure that
-// completes it — the dispatch event reuses one bound callback and the
-// queue reuses its array. (The steps cost no CPU time, so the clock
-// stands still and the engine's calendar never re-fits, which allocates.)
-func TestStepCycleAllocatesOnlyItsCompletion(t *testing.T) {
+// napProg sleeps for no time at every step, forever.
+type napProg struct{}
+
+func (napProg) Step(*ProcContext) StepResult { return Sleep(0, 0) }
+
+// TestStepCycleAllocatesNothing: with more runnable processes than CPUs
+// the ready queue never drains, and every step passes through enqueue,
+// dispatch and its completion event; one process sleeps at every step, so
+// the sleep-wake event runs too. None of it allocates: the dispatch,
+// completion and wake callbacks are bound once (per kernel, per process),
+// the step's result is parked on the process, and the ready queue reuses
+// its array. (The steps cost no CPU time and the naps last none, so the
+// clock stands still and the engine's calendar never re-fits, which
+// allocates.)
+func TestStepCycleAllocatesNothing(t *testing.T) {
 	r := newTestRig(t, 1)
 	k := r.kernels[0]
 	for i := 0; i < 2*k.params.NumCPUs+1; i++ {
 		k.Spawn("spin", &counterProg{Target: 1 << 30}, 0)
 	}
+	k.Spawn("nap", napProg{}, 0)
 	cycle := func() {
 		for i := 0; i < 1000; i++ {
 			r.engine.Step()
@@ -399,7 +408,28 @@ func TestStepCycleAllocatesOnlyItsCompletion(t *testing.T) {
 	if steps < 300 {
 		t.Fatalf("%.0f steps per run, want at least 300", steps)
 	}
-	if avg > steps {
-		t.Errorf("%.0f allocations over %.0f steps, want at most one per step", avg, steps)
+	if avg != 0 {
+		t.Errorf("%.0f allocations over %.0f steps, want none", avg, steps)
+	}
+}
+
+// BenchmarkStepCycle measures one program step through the scheduler —
+// enqueue, the dispatch event, the step, its completion event — with more
+// runnable processes than CPUs and one process napping at every step. The
+// allocs/op figure is TestStepCycleAllocatesNothing's floor.
+func BenchmarkStepCycle(b *testing.B) {
+	e := sim.NewEngine(7)
+	k := New(e, "node", DefaultParams(), nil)
+	for i := 0; i < 2*k.params.NumCPUs+1; i++ {
+		k.Spawn("spin", &counterProg{Target: 1 << 62}, 0)
+	}
+	k.Spawn("nap", napProg{}, 0)
+	for k.Stats.StepsRun < 1000 {
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for target := k.Stats.StepsRun + uint64(b.N); k.Stats.StepsRun < target; {
+		e.Step()
 	}
 }

@@ -202,11 +202,17 @@ type Process struct {
 	killed        bool
 	exitCode      int
 	resumeWait    StepResult
-	sleepEv       *sim.Event
-	waitFD        int
-	waitingChild  bool
-	zombies       []ChildExit
-	signals       []Signal
+	// stepRes is the disposition of the step in flight, parked here
+	// until finishFn runs when its CPU time has elapsed (a process runs
+	// at most one step at a time). finishFn and wakeFn, the completion
+	// and sleep-wake callbacks, are bound once at Spawn.
+	stepRes          StepResult
+	finishFn, wakeFn func()
+	sleepEv          *sim.Event
+	waitFD           int
+	waitingChild     bool
+	zombies          []ChildExit
+	signals          []Signal
 
 	cpuTime sim.Duration
 	// cowFaults accumulates copy-on-write breaks taken during the

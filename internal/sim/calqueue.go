@@ -91,6 +91,10 @@ const (
 	cqFitSample = 4096
 	// cqMaxShift keeps yearEnd arithmetic far from int64 overflow.
 	cqMaxShift = 40
+	// cqBucketCap is each bucket's initial capacity, carved from one slab
+	// per layout: twice the two residents per bucket that grow allows on
+	// average. Buckets that same-time bursts overfill grow on their own.
+	cqBucketCap = 4
 )
 
 func newCalQueue() *calQueue {
@@ -102,10 +106,16 @@ func newCalQueue() *calQueue {
 // setLayout (re)installs the calendar geometry; the buckets must be
 // logically empty (calSize 0). nbuckets must be a power of two and a
 // multiple of 64. The arrays are reused when the count is unchanged —
-// steady-state year rolls allocate nothing.
+// steady-state year rolls allocate nothing. A new bucket array takes
+// every bucket's first cqBucketCap slots from one slab, so filling a
+// fresh layout allocates only for the buckets that outgrow them.
 func (q *calQueue) setLayout(nbuckets int, shift uint, start int64) {
 	if nbuckets != len(q.buckets) {
 		q.buckets = make([][]*Event, nbuckets)
+		slab := make([]*Event, nbuckets*cqBucketCap)
+		for i := range q.buckets {
+			q.buckets[i] = slab[i*cqBucketCap : i*cqBucketCap : (i+1)*cqBucketCap]
+		}
 		q.words = make([]uint64, nbuckets/64)
 		q.mask = nbuckets - 1
 	}

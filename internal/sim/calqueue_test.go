@@ -261,3 +261,41 @@ func TestWarmYearRollAllocatesNothing(t *testing.T) {
 		t.Fatalf("a warm queue allocates %.1f times per cycle of %d year rolls, want 0", avg, rolls)
 	}
 }
+
+// TestCalendarGrowthAllocatesPerLayout grows a queue from 64 to 2^k
+// buckets by doubling and checks that it allocates a few times per
+// doubling, not once per bucket: each layout carves its buckets' first
+// slots from one slab. The events fire at bit-reversed multiples of one
+// step, so every prefix of the schedule is evenly spread and the buckets
+// fill evenly, as grow's two-per-bucket average assumes.
+func TestCalendarGrowthAllocatesPerLayout(t *testing.T) {
+	const k = 14
+	const n = 1 << (k + 1) // two residents per bucket of 2^k
+	const span = int64(1) << 30
+	evs := make([]*Event, n)
+	for i := range evs {
+		rev := int64(0)
+		for b := 0; b < k+1; b++ {
+			rev |= int64(i>>b&1) << (k - b)
+		}
+		evs[i] = &Event{at: Time(rev * (span / n)), seq: uint64(i)}
+	}
+	var q *calQueue
+	fill := func() {
+		q = newCalQueue()
+		// A year that already spans the schedule, as one roll leaves it.
+		q.setLayout(cqMinBuckets, shiftFor(span, cqMinBuckets), 0)
+		for _, ev := range evs {
+			q.push(ev, 0)
+		}
+	}
+	avg := testing.AllocsPerRun(3, fill)
+	if len(q.buckets) != 1<<k || len(q.bag) != 0 || q.len() != n {
+		t.Fatalf("%d buckets, %d in the bag, %d queued; want %d, 0, %d", len(q.buckets), len(q.bag), q.len(), 1<<k, n)
+	}
+	doublings := k - 6 // from cqMinBuckets = 2^6
+	t.Logf("%d doublings to %d buckets: %.0f allocations", doublings, 1<<k, avg)
+	if avg > float64(8*(doublings+1)) {
+		t.Fatalf("growing to %d buckets allocates %.0f times over %d doublings, want a few per doubling", 1<<k, avg, doublings)
+	}
+}

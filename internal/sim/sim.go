@@ -264,6 +264,7 @@ type Ticker struct {
 	engine  *Engine
 	period  Duration
 	fn      func()
+	tickFn  func() // tick bound once, so re-arming allocates nothing
 	ev      *Event
 	stopped bool
 }
@@ -274,21 +275,22 @@ func (e *Engine) NewTicker(period Duration, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
+	t.tickFn = t.tick
 	t.arm()
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.engine.Schedule(t.period, func() {
-		t.ev = nil // fired: the engine recycles it
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.ev = t.engine.Schedule(t.period, t.tickFn) }
+
+func (t *Ticker) tick() {
+	t.ev = nil // fired: the engine recycles it
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels future ticks.

@@ -16,21 +16,33 @@ type Packet struct {
 	Src, Dst Addr
 	Proto    uint8
 	TTL      uint8
-	// Body is the transport payload: *Segment for TCP, *Datagram for UDP.
-	Body interface{ WireSize() int }
+	// TCP is the transport payload when Proto is ProtoTCP. It is held
+	// inline, so a segment and its packet are one allocation.
+	TCP Segment
+	// UDP is the transport payload when Proto is ProtoUDP.
+	UDP *Datagram
 }
 
 // WireSize implements ether.Payload.
 func (p *Packet) WireSize() int {
-	n := ipHeaderBytes
-	if p.Body != nil {
-		n += p.Body.WireSize()
+	switch {
+	case p.Proto == ProtoTCP:
+		return ipHeaderBytes + p.TCP.WireSize()
+	case p.Proto == ProtoUDP && p.UDP != nil:
+		return ipHeaderBytes + p.UDP.WireSize()
 	}
-	return n
+	return ipHeaderBytes
 }
 
 func (p *Packet) String() string {
-	return fmt.Sprintf("IP %s->%s proto=%d %v", p.Src, p.Dst, p.Proto, p.Body)
+	var body any
+	switch p.Proto {
+	case ProtoTCP:
+		body = &p.TCP
+	case ProtoUDP:
+		body = p.UDP
+	}
+	return fmt.Sprintf("IP %s->%s proto=%d %v", p.Src, p.Dst, p.Proto, body)
 }
 
 // TCP segment flags.

@@ -70,6 +70,12 @@ type Stack struct {
 	// set of MSS-sized buffers instead of allocating one per segment.
 	segPool [][]byte
 
+	// loopback holds the packets looped back to this stack, oldest first.
+	// Each is one event running loopbackFn (rxLoopback, bound once); all
+	// wait the same LoopbackLatency, so they fire in push order.
+	loopback   sim.Queue[*Packet]
+	loopbackFn func()
+
 	// Stats counts stack-level events.
 	Stats StackStats
 }
@@ -137,6 +143,7 @@ func NewStack(engine *sim.Engine, name string) *Stack {
 	}
 	s.arp = newARPTable(s)
 	s.filter = &Filter{}
+	s.loopbackFn = s.rxLoopback
 	return s
 }
 
@@ -244,12 +251,10 @@ func (s *Stack) rxPacket(p *Packet) {
 	s.Stats.IPDelivered++
 	switch p.Proto {
 	case ProtoTCP:
-		if seg, ok := p.Body.(*Segment); ok {
-			s.rxTCP(p, seg)
-		}
+		s.rxTCP(p)
 	case ProtoUDP:
-		if d, ok := p.Body.(*Datagram); ok {
-			s.rxUDP(p, d)
+		if p.UDP != nil {
+			s.rxUDP(p, p.UDP)
 		}
 	}
 }
@@ -278,7 +283,8 @@ func (s *Stack) sendIP(p *Packet) error {
 		// packet back here, below the output hook and above the input hook
 		// — the same place a real kernel's loopback sits, which keeps a
 		// checkpoint's comm-disable rules effective for co-located pods.
-		s.engine.Schedule(LoopbackLatency, func() { s.rxPacket(p) })
+		s.loopback.Push(p)
+		s.engine.Schedule(LoopbackLatency, s.loopbackFn)
 		return nil
 	}
 	if mac, ok := s.arp.lookup(p.Dst); ok {
@@ -288,6 +294,9 @@ func (s *Stack) sendIP(p *Packet) error {
 	s.arp.resolve(p.Dst, p, iface)
 	return nil
 }
+
+// rxLoopback receives the oldest looped-back packet.
+func (s *Stack) rxLoopback() { s.rxPacket(s.loopback.Pop()) }
 
 // transmit emits a resolved packet on the wire.
 func (s *Stack) transmit(iface *Interface, p *Packet, dst ether.MAC) {

@@ -108,7 +108,8 @@ func (c *TCPConn) CaptureState() (*TCPSavedState, error) {
 		FinQueued: c.finQueued,
 		RcvClosed: c.rcvClosed,
 	}
-	for _, g := range c.segs {
+	for i := 0; i < c.segs.Len(); i++ {
+		g := c.segs.At(i)
 		data := make([]byte, len(g.data))
 		copy(data, g.data)
 		st.SendSegments = append(st.SendSegments, SavedSegment{Data: data, FIN: g.fin})
@@ -168,6 +169,7 @@ func (s *Stack) RestoreTCP(st *TCPSavedState) (*TCPConn, error) {
 		rto:               p.RTOMin,
 		lastWndAdvertised: uint32(p.RcvBufLimit),
 	}
+	c.onRTOFn = c.onRTO
 	c.altQueue = append([]byte(nil), st.RecvData...)
 	s.conns[st.Tuple] = c
 
@@ -176,8 +178,7 @@ func (s *Stack) RestoreTCP(st *TCPSavedState) (*TCPConn, error) {
 	savedNoDelay, savedCork := c.noDelay, c.cork
 	c.noDelay, c.cork = true, false
 	for _, sg := range st.SendSegments {
-		g := &inflightSeg{seq: c.sndNxt, data: append([]byte(nil), sg.Data...), fin: sg.FIN}
-		c.segs = append(c.segs, g)
+		g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: append([]byte(nil), sg.Data...), fin: sg.FIN})
 		c.sndNxt += g.seqLen()
 		if sg.FIN {
 			c.finSent = true
@@ -189,7 +190,7 @@ func (s *Stack) RestoreTCP(st *TCPSavedState) (*TCPConn, error) {
 		c.pending.Write(st.SendPending)
 		c.trySend()
 	}
-	if len(c.segs) > 0 {
+	if c.segs.Len() > 0 {
 		c.armRTO()
 	}
 	// A connection whose close was in progress but whose FIN was already

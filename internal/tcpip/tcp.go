@@ -140,7 +140,7 @@ type TCPConn struct {
 	sndUna    uint32
 	sndNxt    uint32
 	sndWnd    uint32
-	segs      []*inflightSeg
+	segs      sim.Queue[inflightSeg]
 	pending   Ring
 	finQueued bool
 	finSent   bool
@@ -167,7 +167,9 @@ type TCPConn struct {
 	noDelay bool
 	cork    bool
 
-	// Timers and RTT estimation (Jacobson/Karn).
+	// Timers and RTT estimation (Jacobson/Karn). onRTOFn is onRTO bound
+	// once: a method value allocates each time it is taken.
+	onRTOFn      func()
 	rtoTimer     *sim.Event
 	persistTimer *sim.Event
 	twTimer      *sim.Event
@@ -315,6 +317,7 @@ func (s *Stack) newConn(tuple FourTuple) *TCPConn {
 		rto:               p.RTOInit,
 		lastWndAdvertised: uint32(p.RcvBufLimit),
 	}
+	c.onRTOFn = c.onRTO
 	return c
 }
 
@@ -547,24 +550,30 @@ func (c *TCPConn) rcvWindow() uint32 {
 
 // sendControl emits a data-less segment with the given flags.
 func (c *TCPConn) sendControl(flags Flags, seq, ack uint32) {
-	seg := &Segment{
-		SrcPort: c.tuple.Local.Port,
-		DstPort: c.tuple.Remote.Port,
-		Seq:     seq,
-		Ack:     ack,
-		Flags:   flags,
-		Window:  uint16(c.rcvWindow()),
-	}
-	c.lastWndAdvertised = uint32(seg.Window)
-	c.Stats.SegsSent++
-	//cruzvet:allow errdrop segment transmit is best-effort; a no-route failure looks like loss and the RTO recovers it
-	c.stack.sendIP(&Packet{
+	c.sendSeg(flags, seq, ack, nil)
+}
+
+// sendSeg builds one segment from this end of the connection, advertising
+// the current receive window, and hands it to IP.
+func (c *TCPConn) sendSeg(flags Flags, seq, ack uint32, data []byte) {
+	p := &Packet{
 		Src:   c.tuple.Local.Addr,
 		Dst:   c.tuple.Remote.Addr,
 		Proto: ProtoTCP,
 		TTL:   64,
-		Body:  seg,
-	})
+		TCP: Segment{
+			SrcPort: c.tuple.Local.Port,
+			DstPort: c.tuple.Remote.Port,
+			Seq:     seq,
+			Ack:     ack,
+			Flags:   flags,
+			Window:  uint16(c.rcvWindow()),
+			Data:    data,
+		},
+	}
+	c.lastWndAdvertised = uint32(p.TCP.Window)
+	c.Stats.SegsSent++
+	c.stack.sendIP(p) //cruzvet:allow errdrop segment transmit is best-effort; a no-route failure looks like loss and the RTO recovers it
 }
 
 // transmitSeg puts an in-flight segment on the wire.
@@ -576,27 +585,9 @@ func (c *TCPConn) transmitSeg(g *inflightSeg) {
 	if len(g.data) > 0 {
 		flags |= FlagPSH
 	}
-	seg := &Segment{
-		SrcPort: c.tuple.Local.Port,
-		DstPort: c.tuple.Remote.Port,
-		Seq:     g.seq,
-		Ack:     c.rcvNxt,
-		Flags:   flags,
-		Window:  uint16(c.rcvWindow()),
-		Data:    g.data,
-	}
-	c.lastWndAdvertised = uint32(seg.Window)
 	g.sentAt = c.stack.engine.Now()
-	c.Stats.SegsSent++
 	c.Stats.BytesSent += uint64(len(g.data))
-	//cruzvet:allow errdrop segment transmit is best-effort; a no-route failure looks like loss and the RTO recovers it
-	c.stack.sendIP(&Packet{
-		Src:   c.tuple.Local.Addr,
-		Dst:   c.tuple.Remote.Addr,
-		Proto: ProtoTCP,
-		TTL:   64,
-		Body:  seg,
-	})
+	c.sendSeg(flags, g.seq, c.rcvNxt, g.data)
 	// Time one segment at a time for RTT (Karn's rule: never a
 	// retransmitted one).
 	if !c.sampleValid && g.retx == 0 {
@@ -647,19 +638,17 @@ func (c *TCPConn) trySend() {
 		}
 		data := c.stack.getSegBuf(n)
 		c.pending.Read(data)
-		g := &inflightSeg{seq: c.sndNxt, data: data}
-		c.segs = append(c.segs, g)
+		g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: data})
 		c.sndNxt += uint32(n)
 		c.transmitSeg(g)
 	}
 	if c.finQueued && !c.finSent && c.pending.Len() == 0 {
-		g := &inflightSeg{seq: c.sndNxt, fin: true}
-		c.segs = append(c.segs, g)
+		g := c.segs.Push(inflightSeg{seq: c.sndNxt, fin: true})
 		c.sndNxt++
 		c.finSent = true
 		c.transmitSeg(g)
 	}
-	if len(c.segs) > 0 {
+	if c.segs.Len() > 0 {
 		c.armRTO()
 	}
 }
@@ -671,13 +660,13 @@ func (c *TCPConn) armRTO() {
 	if c.rtoTimer != nil {
 		return
 	}
-	c.rtoTimer = c.stack.engine.Schedule(c.rto, c.onRTO)
+	c.rtoTimer = c.stack.engine.Schedule(c.rto, c.onRTOFn)
 }
 
 // resetRTO restarts the retransmission timer.
 func (c *TCPConn) resetRTO() {
 	c.stack.engine.Cancel(c.rtoTimer)
-	c.rtoTimer = c.stack.engine.Schedule(c.rto, c.onRTO)
+	c.rtoTimer = c.stack.engine.Schedule(c.rto, c.onRTOFn)
 }
 
 // onRTO fires when the oldest outstanding segment times out.
@@ -694,11 +683,11 @@ func (c *TCPConn) onRTO() {
 	case StateClosed, StateListen, StateTimeWait:
 		return
 	}
-	if len(c.segs) == 0 {
+	if c.segs.Len() == 0 {
 		return
 	}
 	c.Stats.RTOFirings++
-	g := c.segs[0]
+	g := c.segs.At(0)
 	if g.retx >= c.params.DataRetries {
 		c.teardown(ErrTimeout)
 		return
@@ -718,8 +707,8 @@ func (c *TCPConn) onRTO() {
 	c.cwnd = c.params.MSS
 	c.dupAcks = 0
 	c.sampleValid = false // Karn: no sample across retransmission
-	for _, other := range c.segs[1:] {
-		other.needsRetx = true
+	for i := 1; i < c.segs.Len(); i++ {
+		c.segs.At(i).needsRetx = true
 	}
 	g.needsRetx = false
 	c.transmitSeg(g)
@@ -754,10 +743,11 @@ func (c *TCPConn) retrySYN() bool {
 // exponential slow-start recovery of the outstanding flight.
 func (c *TCPConn) pumpRetransmits() {
 	budget := c.cwnd
-	for _, g := range c.segs {
+	for i := 0; i < c.segs.Len(); i++ {
 		if budget <= 0 {
 			return
 		}
+		g := c.segs.At(i)
 		if g.needsRetx {
 			g.needsRetx = false
 			g.retx++
@@ -780,9 +770,8 @@ func (c *TCPConn) armPersistIfNeeded() {
 		c.persistTimer = nil // fired: the engine recycles it
 		if c.sndWnd == 0 && c.pending.Len() > 0 && c.Established() {
 			// Probe with one byte of pending data.
-			g := &inflightSeg{seq: c.sndNxt, data: make([]byte, 1)}
+			g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: make([]byte, 1)})
 			c.pending.Read(g.data)
-			c.segs = append(c.segs, g)
 			c.sndNxt++
 			c.transmitSeg(g)
 			c.armRTO()
@@ -831,7 +820,8 @@ func maxInt(a, b int) int {
 }
 
 // rxTCP demultiplexes an inbound TCP segment to a connection or listener.
-func (s *Stack) rxTCP(p *Packet, seg *Segment) {
+func (s *Stack) rxTCP(p *Packet) {
+	seg := &p.TCP
 	tuple := FourTuple{
 		Local:  AddrPort{Addr: p.Dst, Port: seg.DstPort},
 		Remote: AddrPort{Addr: p.Src, Port: seg.SrcPort},
@@ -854,14 +844,14 @@ func (s *Stack) rxTCP(p *Packet, seg *Segment) {
 	// No socket: answer with RST (unless the segment itself is a RST).
 	if !seg.Flags.Has(FlagRST) {
 		s.Stats.NoSocketRSTs++
-		rst := &Segment{
+		rst := &Packet{Src: p.Dst, Dst: p.Src, Proto: ProtoTCP, TTL: 64, TCP: Segment{
 			SrcPort: seg.DstPort,
 			DstPort: seg.SrcPort,
 			Flags:   FlagRST | FlagACK,
 			Seq:     seg.Ack,
 			Ack:     seg.Seq + seg.seqLen(),
-		}
-		s.sendIP(&Packet{Src: p.Dst, Dst: p.Src, Proto: ProtoTCP, TTL: 64, Body: rst}) //cruzvet:allow errdrop RST is fire-and-forget per TCP semantics
+		}}
+		s.sendIP(rst) //cruzvet:allow errdrop RST is fire-and-forget per TCP semantics
 	}
 }
 
@@ -982,11 +972,10 @@ func (c *TCPConn) processACK(seg *Segment) {
 		// or dropped, so nothing can still reference the bytes. A
 		// retransmitted segment may have a duplicate frame in flight and
 		// its buffer is left to the GC.
-		for len(c.segs) > 0 && seqLE(c.segs[0].end(), ack) {
-			if g := c.segs[0]; g.retx == 0 && len(g.data) > 0 {
+		for c.segs.Len() > 0 && seqLE(c.segs.At(0).end(), ack) {
+			if g := c.segs.Pop(); g.retx == 0 && len(g.data) > 0 {
 				c.stack.putSegBuf(g.data)
 			}
-			c.segs = c.segs[1:]
 		}
 		// RTT sample (Karn-filtered at transmit time).
 		if c.sampleValid && seqLE(c.sampleSeq, ack) {
@@ -1006,7 +995,7 @@ func (c *TCPConn) processACK(seg *Segment) {
 		// returns to the estimator's value, as in Linux.
 		c.rto = c.computeRTO()
 		c.sndWnd = uint32(seg.Window)
-		if len(c.segs) == 0 {
+		if c.segs.Len() == 0 {
 			c.stack.engine.Cancel(c.rtoTimer)
 			c.rtoTimer = nil
 		} else {
@@ -1031,12 +1020,12 @@ func (c *TCPConn) processACK(seg *Segment) {
 	}
 	// Duplicate ACK.
 	c.sndWnd = uint32(seg.Window)
-	if ack == c.sndUna && len(c.segs) > 0 && len(seg.Data) == 0 {
+	if ack == c.sndUna && c.segs.Len() > 0 && len(seg.Data) == 0 {
 		c.dupAcks++
 		c.Stats.DupAcksReceived++
 		if c.dupAcks == 3 {
 			// Fast retransmit.
-			g := c.segs[0]
+			g := c.segs.At(0)
 			g.retx++
 			c.Stats.FastRetransmits++
 			c.Stats.Retransmits++

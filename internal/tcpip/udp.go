@@ -77,7 +77,7 @@ func (u *UDPConn) SendTo(remote AddrPort, data []byte) error {
 		Dst:   remote.Addr,
 		Proto: ProtoUDP,
 		TTL:   64,
-		Body:  &Datagram{SrcPort: u.local.Port, DstPort: remote.Port, Data: body},
+		UDP:   &Datagram{SrcPort: u.local.Port, DstPort: remote.Port, Data: body},
 	}
 	return u.stack.sendIP(pkt)
 }
