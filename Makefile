@@ -53,7 +53,7 @@ bench:
 # sets). No thresholds — host timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
-	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec' -benchtime=50x -benchmem ./internal/ckpt/
+	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestoreFromManifest' -benchtime=50x -benchmem ./internal/ckpt/
 	$(GO) test -run XXX -bench=BenchmarkControlCodec -benchtime=10000x -benchmem ./internal/core/
 	$(GO) test -run XXX -bench=BenchmarkDirtyTracking -benchtime=50x -benchmem ./internal/mem/
 	$(GO) test -run XXX -bench=BenchmarkEngineSchedule -benchtime=100000x -benchmem ./internal/sim/

@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"cruz/internal/ether"
@@ -48,8 +50,9 @@ func benchPod(b *testing.B, pages uint64) *zap.Pod {
 }
 
 // BenchmarkCapture measures repeated full captures of a warm pod — the
-// steady state of periodic checkpointing, where the pooled encode buffers
-// and the page-hash cache should keep per-capture allocations flat.
+// steady state of periodic checkpointing. Each capture allocates its
+// encoding, the page bytes once; the pooled encode buffers and the
+// page-hash cache keep everything else flat.
 func BenchmarkCapture(b *testing.B) {
 	pod := benchPod(b, 512)
 	img, err := Capture(pod, 1, Options{Hashes: true})
@@ -66,21 +69,98 @@ func BenchmarkCapture(b *testing.B) {
 	}
 }
 
-// BenchmarkEncode measures image serialization, the hot half of every
-// store write.
-func BenchmarkEncode(b *testing.B) {
-	pod := benchPod(b, 512)
-	img, err := Capture(pod, 1, Options{Hashes: true})
+// mergePair captures a full image of a warm pod of the given size and an
+// increment on top of it, the inputs of every merge.
+func mergePair(b *testing.B, pages uint64) (full, inc *Image) {
+	b.Helper()
+	pod := benchPod(b, pages)
+	full, err := Capture(pod, 1, Options{Hashes: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(img.MemoryBytes())
+	pod.Resume()
+	if err := pod.Kernel().Engine().RunFor(20 * sim.Millisecond); err != nil {
+		b.Fatal(err)
+	}
+	stopped := false
+	pod.Stop(func() { stopped = true })
+	if err := pod.Kernel().Engine().RunFor(50 * sim.Millisecond); err != nil || !stopped {
+		b.Fatalf("pod did not quiesce (%v)", err)
+	}
+	if inc, err = Capture(pod, 2, Options{Hashes: true, Incremental: true}); err != nil {
+		b.Fatal(err)
+	}
+	return full, inc
+}
+
+// BenchmarkEncode measures encoding a merged image: the one image whose
+// encoding is built by copying its pages, where a captured one is encoded
+// as it is captured and a decoded one is its blob. Each iteration encodes
+// an unencoded copy, since an image keeps its encoding (and points its
+// pages into it, hence the copied process list).
+func BenchmarkEncode(b *testing.B) {
+	merged, err := Merge(mergePair(b, 512))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(merged.MemoryBytes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		img := *merged
+		img.Processes = slices.Clone(merged.Processes)
 		if _, err := img.Encode(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMerge measures folding an increment into a full image — what
+// a restart of a blob chain and a migration's pre-merge do per link. It
+// moves page references, not pages: B/op grows by the merged page lists
+// (32 B a page) as the page count grows, and stays far below SetBytes.
+func BenchmarkMerge(b *testing.B) {
+	for _, pages := range []uint64{128, 512} {
+		b.Run(fmt.Sprint(pages), func(b *testing.B) {
+			full, inc := mergePair(b, pages)
+			b.SetBytes(full.MemoryBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Merge(full, inc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestoreFromManifest measures rebuilding an image from a
+// deduplicated checkpoint's manifest and the store's chunks — the last
+// step of every deduplicated load. The image references the chunks: B/op
+// grows by the page lists as the page count grows, not by the pages.
+func BenchmarkRestoreFromManifest(b *testing.B) {
+	for _, pages := range []uint64{128, 512} {
+		b.Run(fmt.Sprint(pages), func(b *testing.B) {
+			pod := benchPod(b, pages)
+			img, err := Capture(pod, 1, Options{Hashes: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := NewStore(pod.Kernel().Disk())
+			if _, err := s.PlanDedupSave(img); err != nil {
+				b.Fatal(err)
+			}
+			m := s.get("bench", 1).manifest
+			b.SetBytes(img.MemoryBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := imageFromManifest(m, s.chunkData); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -37,7 +37,8 @@ type Options struct {
 // Capture copies a stopped pod's complete state into an Image. The copy
 // is atomic in virtual time (the simulation's equivalent of holding the
 // network-stack locks for the duration of the socket-state save) and
-// non-destructive: the pod can be resumed immediately afterwards.
+// non-destructive: the pod can be resumed immediately afterwards. Each
+// page is copied once, straight into the image's encoding.
 //
 // Every capture clears the pod's dirty-page tracking, so a later
 // Incremental capture saves exactly the pages written since this one.
@@ -65,9 +66,6 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 		img.Processes = append(img.Processes, pi)
 		spaces = append(spaces, proc.Mem())
 	}
-	for _, as := range spaces {
-		as.ClearDirty()
-	}
 
 	for _, id := range pod.ShmIDs() {
 		s := kern.Shm(id)
@@ -82,6 +80,12 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 			continue
 		}
 		img.Sems = append(img.Sems, SemImage{ID: s.ID, Key: s.Key, Value: s.Value()})
+	}
+	if _, err := img.Encode(); err != nil {
+		return nil, err
+	}
+	for _, as := range spaces {
+		as.ClearDirty()
 	}
 	if tr := trace.FromEngine(kern.Engine()); tr.Enabled() {
 		tr.Instant(kern.Name(), "ckpt", "capture",
@@ -118,27 +122,28 @@ func newImage(pod *zap.Pod, seq int, opts Options) *Image {
 	return img
 }
 
-// captureMemory copies pages pns of space — a stopped process's address
-// space, or the snapshot of a running one — with their hashes if opts asks
-// for them; hashes that had to be computed count into img.FreshHashes.
-func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Image) MemImage {
-	m := MemImage{
-		Regions:  space.Regions(),
-		PageNums: pns,
-		PageData: make([]byte, 0, len(pns)*mem.PageSize),
-	}
-	for _, pn := range pns {
-		m.PageData = append(m.PageData, space.PageData(pn)...)
-	}
+// captureMemory references pages pns of space — a stopped process's
+// address space, or the snapshot of a running one — with their hashes if
+// opts asks for them; hashes that had to be computed count into
+// img.FreshHashes. The references last only until the capture encodes.
+func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Image) (MemImage, error) {
+	m := MemImage{Regions: space.Regions(), PageNums: pns, pages: make([]*[mem.PageSize]byte, len(pns))}
 	if opts.Hashes {
-		m.PageHashes = make([]mem.PageHash, 0, len(pns))
-		before := space.HashComputes()
-		for _, pn := range pns {
-			m.PageHashes = append(m.PageHashes, space.PageHash(pn))
-		}
-		img.FreshHashes += int(space.HashComputes() - before)
+		m.PageHashes = make([]mem.PageHash, len(pns))
 	}
-	return m
+	before := space.HashComputes()
+	for i, pn := range pns {
+		data := space.PageData(pn)
+		if data == nil {
+			return m, fmt.Errorf("page %d is listed but not materialised", pn)
+		}
+		m.pages[i] = (*[mem.PageSize]byte)(data)
+		if opts.Hashes {
+			m.PageHashes[i] = space.PageHash(pn)
+		}
+	}
+	img.FreshHashes += int(space.HashComputes() - before)
+	return m, nil
 }
 
 // captureProcess saves one process: program state, memory, descriptors,
@@ -153,15 +158,16 @@ func captureProcess(vpid int, proc *kernel.Process, opts Options, pipeIDs map[*k
 
 	// "CPU state": the program value, gob-encoded through a pooled
 	// buffer (captures repeat; keep the steady state allocation-free).
-	prog, err := encodeToBytes(&progHolder{P: proc.Program()})
-	if err != nil {
+	var err error
+	if pi.ProgData, err = encodeToBytes(&progHolder{P: proc.Program()}); err != nil {
 		return pi, fmt.Errorf("encode program (did you ckpt.RegisterProgram it?): %w", err)
 	}
-	pi.ProgData = prog
 
 	// Virtual memory: regions always, pages full or dirty-only.
 	as := proc.Mem()
-	pi.Memory = captureMemory(as, as.PageNumbers(opts.Incremental), opts, img)
+	if pi.Memory, err = captureMemory(as, as.PageNumbers(opts.Incremental), opts, img); err != nil {
+		return pi, err
+	}
 
 	// Descriptors, in fd order for determinism.
 	fds := proc.FDs()

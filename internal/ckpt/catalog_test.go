@@ -56,7 +56,7 @@ func modelImage(rng *rand.Rand, pool [][]byte, pod string, seq, base int) *Image
 	for pn := uint64(0); pn < 12; pn++ {
 		if rng.Intn(3) == 0 {
 			page := pool[rng.Intn(len(pool))]
-			mi.AddPage(pn, page)
+			mi.addPage(pn, page)
 			mi.PageHashes = append(mi.PageHashes, mem.HashBlock(page))
 		}
 	}
@@ -104,7 +104,7 @@ func TestCatalogInvariantsUnderRandomOps(t *testing.T) {
 					if e.empty() {
 						t.Fatalf("step %d (%s): store %d left %s/%d empty", step, op, i, pod, seq)
 					}
-					if e.blob != nil && e.manifest != nil {
+					if e.img != nil && e.manifest != nil {
 						t.Fatalf("step %d (%s): store %d holds %s/%d in both forms", step, op, i, pod, seq)
 					}
 					if e.stored() != m.stored[pod][seq] {
@@ -339,7 +339,7 @@ func TestSaveReplacesWhatTheKeyHeld(t *testing.T) {
 		t.Fatalf("blob save over a dedup save: cached %v, %d chunks, want the blob alone", ok, r.store.ChunkCount())
 	}
 	r.saveDeduped(r.store, second)
-	if e := r.store.get("p", 1); e.blob != nil || e.view != nil || !r.store.HasBase("p", 1, true) {
+	if e := r.store.get("p", 1); e.img != nil || !r.store.HasBase("p", 1, true) {
 		t.Fatalf("dedup save over a blob save left %+v", e)
 	}
 }

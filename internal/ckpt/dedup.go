@@ -57,12 +57,7 @@ func (s *Store) ChunkCount() int { return len(s.chunks) }
 // incremental chain exceeds n manifests (0 disables auto-compaction).
 func (s *Store) SetAutoCompact(n int) { s.autoCompact = n }
 
-func (s *Store) chunkData(h mem.PageHash) []byte {
-	if e, ok := s.chunks[h]; ok {
-		return e.data
-	}
-	return nil
-}
+func (s *Store) chunkData(h mem.PageHash) []byte { return s.chunks[h].data }
 
 // PlanDedupSave registers a hash-carrying image as a manifest plus
 // chunk-table references and returns the plan describing the disk bytes
@@ -82,20 +77,18 @@ func (s *Store) PlanDedupSave(img *Image) (*SavePlan, error) {
 	for i := range img.Processes {
 		p := &img.Processes[i]
 		for j, h := range p.Memory.PageHashes {
-			if e, ok := s.chunks[h]; ok {
-				e.refs++
+			if _, ok := s.chunks[h]; ok {
 				plan.Stats.DupChunks++
-				plan.Stats.DedupedBytes += mem.PageSize
 			} else {
-				s.chunks[h] = &chunkEntry{data: p.Memory.Page(j), refs: 1}
+				s.putChunk(h, p.Memory.Page(j))
 				plan.Stats.NewChunks++
-				plan.Stats.NewChunkBytes += mem.PageSize
 			}
+			s.ref(h, 1)
 		}
 	}
-	s.stats.NewChunks += int64(plan.Stats.NewChunks)
+	plan.Stats.NewChunkBytes = int64(plan.Stats.NewChunks) * mem.PageSize
+	plan.Stats.DedupedBytes = int64(plan.Stats.DupChunks) * mem.PageSize
 	s.stats.DupChunks += int64(plan.Stats.DupChunks)
-	s.stats.NewChunkBytes += plan.Stats.NewChunkBytes
 	s.stats.DedupedBytes += plan.Stats.DedupedBytes
 
 	s.putManifest(img.PodName, img.Seq, m, int64(len(mblob)))
@@ -108,28 +101,32 @@ func (s *Store) PlanDedupSave(img *Image) (*SavePlan, error) {
 	return plan, nil
 }
 
-// putChunk makes a block received from another store (or decoded from
-// parity) resident, if it is not already; whoever needs it to stay takes
-// the reference.
+// putChunk makes a block — a saved page, one received from another store,
+// or one decoded from parity — resident, if it is not already; whoever
+// needs it to stay takes the reference.
 func (s *Store) putChunk(h mem.PageHash, data []byte) {
 	if _, ok := s.chunks[h]; !ok {
-		s.chunks[h] = &chunkEntry{data: data}
+		s.chunks[h] = chunkEntry{data: data}
 		s.stats.NewChunks++
 		s.stats.NewChunkBytes += int64(len(data))
 	}
 }
 
-func (s *Store) releaseChunk(h mem.PageHash) {
+// ref moves chunk h's reference count by delta, freeing the chunk at zero.
+// h must be resident: the table holds values, so writing an absent one
+// back would silently invent the chunk a refcounting bug lost.
+func (s *Store) ref(h mem.PageHash, delta int) {
 	e, ok := s.chunks[h]
 	if !ok {
+		panic(fmt.Sprintf("ckpt: reference to chunk %v, which is not resident", h))
+	}
+	if e.refs += delta; e.refs != 0 {
+		s.chunks[h] = e
 		return
 	}
-	e.refs--
-	if e.refs == 0 {
-		delete(s.chunks, h)
-		s.stats.FreedChunks++
-		s.stats.FreedBytes += mem.PageSize
-	}
+	delete(s.chunks, h)
+	s.stats.FreedChunks++
+	s.stats.FreedBytes += mem.PageSize
 }
 
 // adoptManifest decodes a chain manifest received from another store,
@@ -142,11 +139,10 @@ func (s *Store) adoptManifest(pod string, seq int, mblob []byte) error {
 	}
 	for i := range m.Procs {
 		for _, ref := range m.Procs[i].Pages {
-			e, ok := s.chunks[ref.Hash]
-			if !ok {
+			if _, ok := s.chunks[ref.Hash]; !ok {
 				return fmt.Errorf("ckpt: adopt %s/%d: missing chunk %v", pod, seq, ref.Hash)
 			}
-			e.refs++
+			s.ref(ref.Hash, 1)
 			s.stats.DupChunks++
 		}
 	}
@@ -160,7 +156,7 @@ func (s *Store) adoptManifest(pod string, seq int, mblob []byte) error {
 func (s *Store) putManifest(pod string, seq int, m *Manifest, size int64) {
 	e := s.ensure(pod, seq)
 	s.dropManifest(e)
-	e.blob, e.view = nil, nil
+	e.img = nil
 	e.manifest, e.manifestBytes = m, size
 }
 
@@ -170,7 +166,7 @@ func (s *Store) dropManifest(e *entry) {
 	if e.manifest == nil {
 		return
 	}
-	e.manifest.eachRef(s.releaseChunk)
+	e.manifest.eachRef(func(h mem.PageHash) { s.ref(h, -1) })
 	e.manifest, e.manifestBytes = nil, 0
 }
 
@@ -229,7 +225,7 @@ func (s *Store) Compact(pod string, done func(int64, error)) {
 
 	// The synthetic manifest takes its own references before the old
 	// chain releases; shared chunks never hit refcount zero in between.
-	syn.eachRef(func(h mem.PageHash) { s.chunks[h].refs++ })
+	syn.eachRef(func(h mem.PageHash) { s.ref(h, 1) })
 	for i := len(chain) - 1; i >= 0; i-- {
 		s.dropManifest(s.pods[pod][chain[i]])
 		s.prune(pod, chain[i])

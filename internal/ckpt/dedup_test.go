@@ -246,14 +246,13 @@ func TestCompactFoldsChainAndFreesChunks(t *testing.T) {
 	}
 }
 
-// normalizeImage strips fields that legitimately differ between storage
-// routes (capture-time hash accounting) and passes the image through a
-// gob round trip so nil/empty representation differences wash out.
+// normalizeImage passes the image through a gob round trip so nil/empty
+// representation differences wash out, then strips what legitimately
+// differs between storage routes: capture-time hash accounting, and the
+// encoding the round trip leaves cached.
 func normalizeImage(t *testing.T, img *Image) *Image {
 	t.Helper()
-	c := *img
-	c.FreshHashes = 0
-	blob, err := c.Encode()
+	blob, err := img.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +260,7 @@ func normalizeImage(t *testing.T, img *Image) *Image {
 	if err != nil {
 		t.Fatal(err)
 	}
+	out.FreshHashes, out.blob = 0, nil
 	return out
 }
 

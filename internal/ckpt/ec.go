@@ -496,10 +496,10 @@ func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 				s.putChunk(h, blk)
 				plan.ParityBytes += mem.PageSize
 			}
-			s.chunks[h].refs++
+			s.ref(h, 1)
 		}
 		for _, h := range set.Stripes[i].Data {
-			s.chunks[h].refs++
+			s.ref(h, 1)
 		}
 	}
 
@@ -530,10 +530,10 @@ func (s *Store) dropSet(e *entry) {
 	for i := range e.set.Stripes {
 		st := &e.set.Stripes[i]
 		for _, h := range st.Data {
-			s.releaseChunk(h)
+			s.ref(h, -1)
 		}
 		for _, h := range st.Parity {
-			s.releaseChunk(h)
+			s.ref(h, -1)
 		}
 	}
 	e.set = nil
@@ -545,7 +545,7 @@ func (s *Store) dropHeld(e *entry) {
 		return
 	}
 	for _, h := range e.held.HolderHashes(e.holder) {
-		s.releaseChunk(h)
+		s.ref(h, -1)
 	}
 	e.held = nil
 }
@@ -567,7 +567,7 @@ func (s *Store) adoptShards(t *Transfer) error {
 		}
 	}
 	for _, h := range want {
-		s.chunks[h].refs++
+		s.ref(h, 1)
 	}
 	for seq, blob := range t.Manifests {
 		s.ensure(set.Pod, seq).raw = blob

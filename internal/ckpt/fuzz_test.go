@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cruz/internal/gobmemo/gobmemotest"
@@ -77,15 +78,32 @@ func hostileImages(t testing.TB) map[string][]byte {
 		"garbage-head":      reframe(bytes.Repeat([]byte{0xff}, 64), pages),
 		"pages-inside-head": nil, // filled below
 		"claims-2^31-pages": nil, // filled below
+		"pages-descending":  nil, // filled below
 	}
 
-	// A head that still carries page bytes: the plain gob encoding of the
-	// whole image.
-	whole, err := encodeToBytes(img)
+	// A head that carries page bytes in PageData, a field an encoder always
+	// leaves empty.
+	inside := sampleImage()
+	for i := range inside.Processes {
+		m := &inside.Processes[i].Memory
+		for j := 0; j < m.NumPages(); j++ {
+			m.PageData = append(m.PageData, m.Page(j)...)
+		}
+	}
+	whole, err := encodeToBytes(inside)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["pages-inside-head"] = reframe(whole, pages)
+
+	// A process listing its pages out of order, which a merge would fold
+	// wrongly: otherwise a well-formed blob.
+	swapped := sampleImage()
+	pns := swapped.Processes[0].Memory.PageNums
+	pns[0], pns[1] = pns[1], pns[0]
+	if out["pages-descending"], err = swapped.Encode(); err != nil {
+		t.Fatal(err)
+	}
 
 	// A head whose first process claims 2^31 pages. PageNums is a gob
 	// slice: a count, then the elements. Give the elements a findable
@@ -143,10 +161,40 @@ func TestDecodeImageRejectsHostileBlobs(t *testing.T) {
 	}
 }
 
+// TestDecodersRejectPagesOutOfOrder: Merge and mergeManifests fold two
+// page lists in one pass that relies on each ascending strictly, so both
+// decoders refuse a process whose pages descend or repeat — bytes off the
+// wire are the one producer that could hand them such a list.
+func TestDecodersRejectPagesOutOfOrder(t *testing.T) {
+	for name, pns := range map[string][]uint64{"descending": {17, 16}, "repeated": {16, 16}} {
+		img := sampleImage()
+		copy(img.Processes[0].Memory.PageNums, pns)
+		blob, err := img.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeImage(blob); err == nil {
+			t.Errorf("DecodeImage accepted %s pages", name)
+		}
+		m, err := manifestFromImage(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mblob, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeManifest(mblob); err == nil {
+			t.Errorf("DecodeManifest accepted %s pages", name)
+		}
+	}
+}
+
 // FuzzDecodeImage: arbitrary bytes produce an image or an error, never a
 // panic, and a decoded image is internally consistent — every process
-// owns exactly its pages, inside the blob. Whatever they were, a good
-// blob decodes after them as it always did: the head decoder is shared.
+// owns exactly its pages, in ascending order, inside the blob. Whatever
+// they were, a good blob decodes after them as it always did: the head
+// decoder is shared.
 func FuzzDecodeImage(f *testing.F) {
 	valid, err := sampleImage().Encode()
 	if err != nil {
@@ -160,7 +208,7 @@ func FuzzDecodeImage(f *testing.F) {
 	for _, blob := range hostileImages(f) {
 		f.Add(blob)
 	}
-	for _, in := range gobmemotest.Inputs(f, sampleHead()) {
+	for _, in := range gobmemotest.Inputs(f, sampleImage()) {
 		f.Add(reframe(in.Bytes, valid[len(valid)-3*mem.PageSize:]))
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -171,19 +219,17 @@ func FuzzDecodeImage(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if !pagesWithin(img, blob) {
+			t.Fatal("a decoded page lies outside the blob")
+		}
 		for i := range img.Processes {
-			m := &img.Processes[i].Memory
-			if len(m.PageData) != m.NumPages()*mem.PageSize {
-				t.Fatalf("process %d: %d page bytes for %d pages", i, len(m.PageData), m.NumPages())
-			}
-			for j := 0; j < m.NumPages(); j++ {
-				_ = m.Page(j)
-			}
-			if len(m.PageData) > 0 && !within(m.PageData, blob) {
-				t.Fatalf("process %d: pages outside the blob", i)
+			if pns := img.Processes[i].Memory.PageNums; !ascending(pns, pageNum) {
+				t.Fatalf("process %d: pages %v out of order", i, pns)
 			}
 		}
-		if _, err := img.Encode(); err != nil {
+		fresh := *img // encoded anew, not returned as the blob
+		fresh.blob, fresh.Processes = nil, slices.Clone(img.Processes)
+		if _, err := fresh.Encode(); err != nil {
 			t.Fatalf("decoded image does not re-encode: %v", err)
 		}
 	})

@@ -82,30 +82,23 @@ type progHolder struct {
 	P kernel.Program
 }
 
-// MemImage is a saved address space. Page contents are stored as one
-// contiguous blob (PageData[i*PageSize:(i+1)*PageSize] belongs to page
-// PageNums[i]) so serialization costs a bulk copy instead of per-page
-// reflection — checkpoint images are ~100 MB in the paper's workloads.
+// MemImage is a saved address space: its regions, and its pages by number,
+// referenced rather than held (see Image for who owns the bytes).
 type MemImage struct {
 	Regions  []mem.Region
 	PageNums []uint64
+	// PageData is always empty (DecodeImage rejects a filled one). It stays
+	// because gob writes every field name into the head it would resize.
 	PageData []byte
 	// PageHashes, when present (Options.Hashes), holds the content hash
 	// of each stored page, parallel to PageNums. It is what lets a store
 	// deduplicate pages without re-reading their contents.
 	PageHashes []mem.PageHash
-}
-
-// AddPage appends one page to the image.
-func (m *MemImage) AddPage(pn uint64, data []byte) {
-	m.PageNums = append(m.PageNums, pn)
-	m.PageData = append(m.PageData, data...)
+	pages      []*[mem.PageSize]byte // pages[i] holds page PageNums[i]
 }
 
 // Page returns the contents of the i-th stored page.
-func (m *MemImage) Page(i int) []byte {
-	return m.PageData[i*mem.PageSize : (i+1)*mem.PageSize]
-}
+func (m *MemImage) Page(i int) []byte { return m.pages[i][:] }
 
 // NumPages returns the stored page count.
 func (m *MemImage) NumPages() int { return len(m.PageNums) }
@@ -168,7 +161,10 @@ type NetImage struct {
 	SharedMAC bool
 }
 
-// Image is a complete pod checkpoint.
+// Image is a complete pod checkpoint, immutable once built: images share
+// page bytes freely, and Encode caches its result. The pages belong to its
+// encoding (captures encode before returning, so no live address space
+// stays referenced), to the images it was merged from, or to store chunks.
 type Image struct {
 	PodName string
 	Seq     int // checkpoint sequence number, monotonically increasing
@@ -189,71 +185,71 @@ type Image struct {
 	Shms      []ShmImage
 	Sems      []SemImage
 	Pipes     []PipeImage
+
+	blob []byte // the encoding, once built
 }
 
 // An encoded image is a small gob head followed by the raw page bytes:
 //
 //	magic(2) ‖ headLen(4, big-endian) ‖ head ‖ pages
 //
-// head is the gob encoding of the Image with every process's PageData
-// emptied; pages is the processes' PageData back to back, in process
+// head is the gob encoding of the Image, which holds no page bytes;
+// pages is every process's pages back to back, in process and page
 // order. The head's PageNums are the length table: process i owns the
 // next len(PageNums)·PageSize bytes, and the tail must hold exactly
-// their sum. Page bytes therefore cross Encode with one copy and
-// DecodeImage with none.
+// their sum. Page bytes cross a capture, with its encoding, once and
+// DecodeImage not at all.
 const (
 	imageMagic   = 0xC7A1
 	imageHdrSize = 2 + 4
 )
 
-// Encode serializes the image, returning the byte stream a store writes
-// to disk.
+// Encode returns the byte stream a store writes to disk. The first call
+// builds it — the head, then a copy of every page, to which the image's
+// pages are then pointed — and later ones return it: it is immutable.
 func (img *Image) Encode() ([]byte, error) {
-	blob, _, err := img.encode()
-	return blob, err
-}
-
-// encode returns the encoded image and the view of it a store keeps: a
-// shallow copy of img whose PageData point into the blob, so the stored
-// image costs its head and the blob is the only copy of the pages.
-func (img *Image) encode() ([]byte, *Image, error) {
-	view := *img
-	view.Processes = append([]ProcImage(nil), img.Processes...)
+	if img.blob != nil {
+		return img.blob, nil
+	}
 	pageBytes := 0
-	for i := range view.Processes {
-		m := &view.Processes[i].Memory
-		if len(m.PageData) != m.NumPages()*mem.PageSize {
-			return nil, nil, fmt.Errorf("ckpt: encode image %s/%d: vpid %d holds %d page bytes for %d pages",
-				img.PodName, img.Seq, view.Processes[i].VPID, len(m.PageData), m.NumPages())
+	for i := range img.Processes {
+		m := &img.Processes[i].Memory
+		if len(m.pages) != m.NumPages() || len(m.PageData) != 0 {
+			return nil, fmt.Errorf("ckpt: encode image %s/%d: vpid %d references %d pages for %d page numbers",
+				img.PodName, img.Seq, img.Processes[i].VPID, len(m.pages), m.NumPages())
 		}
-		pageBytes += len(m.PageData)
-		m.PageData = nil
+		pageBytes += m.NumPages() * mem.PageSize
 	}
 	var hdr [imageHdrSize]byte
-	blob, err := memoAppend(imageCodec, hdr[:], &view, pageBytes)
+	blob, err := memoAppend(imageCodec, hdr[:], img, pageBytes)
 	if err != nil {
-		return nil, nil, fmt.Errorf("ckpt: encode image: %w", err)
+		return nil, fmt.Errorf("ckpt: encode image: %w", err)
 	}
 	binary.BigEndian.PutUint16(blob, imageMagic)
 	binary.BigEndian.PutUint32(blob[2:], uint32(len(blob)-imageHdrSize))
 	for i := range img.Processes {
-		blob = append(blob, img.Processes[i].Memory.PageData...)
+		for _, p := range img.Processes[i].Memory.pages {
+			blob = append(blob, p[:]...)
+		}
 	}
-	view.aliasPages(blob[len(blob)-pageBytes:])
-	return blob, &view, nil
+	img.blob = blob
+	img.referencePages(blob[len(blob)-pageBytes:])
+	return blob, nil
 }
 
-// aliasPages points every process's PageData at its share of pages,
-// which must hold exactly the bytes the PageNums call for.
-func (img *Image) aliasPages(pages []byte) {
+// referencePages points every process's pages, in order, at pages, which
+// must hold exactly the bytes the PageNums call for.
+func (img *Image) referencePages(pages []byte) {
 	for i := range img.Processes {
 		m := &img.Processes[i].Memory
-		n := m.NumPages() * mem.PageSize
-		m.PageData, pages = pages[:n:n], pages[n:]
+		m.pages = make([]*[mem.PageSize]byte, m.NumPages())
+		for j := range m.pages {
+			m.pages[j], pages = (*[mem.PageSize]byte)(pages), pages[mem.PageSize:]
+		}
 	}
 }
 
-// DecodeImage parses an encoded image. The result's page bytes alias b,
+// DecodeImage parses an encoded image. Its pages and its encoding are b,
 // which the caller must leave unmodified for as long as the image lives.
 func DecodeImage(b []byte) (*Image, error) {
 	if len(b) < imageHdrSize || binary.BigEndian.Uint16(b) != imageMagic {
@@ -274,12 +270,16 @@ func DecodeImage(b []byte) (*Image, error) {
 		if len(m.PageData) != 0 {
 			return nil, errors.New("ckpt: decode image: page bytes inside the head")
 		}
+		if !ascending(m.PageNums, pageNum) {
+			return nil, fmt.Errorf("ckpt: decode image: vpid %d lists its pages out of order", img.Processes[i].VPID)
+		}
 		want += uint64(m.NumPages()) * mem.PageSize
 	}
 	if want != uint64(len(pages)) {
 		return nil, fmt.Errorf("ckpt: decode image: %d bytes follow a head that lists %d bytes of pages", len(pages), want)
 	}
-	img.aliasPages(pages)
+	img.referencePages(pages)
+	img.blob = b
 	return &img, nil
 }
 
@@ -287,8 +287,8 @@ func DecodeImage(b []byte) (*Image, error) {
 // component of checkpoint size and hence of checkpoint latency (§6).
 func (img *Image) MemoryBytes() int64 {
 	var n int64
-	for _, p := range img.Processes {
-		n += int64(len(p.Memory.PageData))
+	for i := range img.Processes {
+		n += int64(img.Processes[i].Memory.NumPages()) * mem.PageSize
 	}
 	for _, s := range img.Shms {
 		n += int64(len(s.Contents))
@@ -299,7 +299,7 @@ func (img *Image) MemoryBytes() int64 {
 // Merge applies an incremental image on top of a (merged) base, producing
 // a self-contained image equivalent to a full checkpoint at the
 // increment's time. Kernel state (sockets, fds, signals, IPC values)
-// comes wholly from the increment; only memory pages merge.
+// comes wholly from the increment; only memory pages merge, by reference.
 func Merge(base, inc *Image) (*Image, error) {
 	if !inc.Incremental {
 		return inc, nil
@@ -311,53 +311,66 @@ func Merge(base, inc *Image) (*Image, error) {
 	out := *inc
 	out.Incremental = false
 	out.BaseSeq = 0
+	out.blob = nil
 	out.Processes = make([]ProcImage, len(inc.Processes))
-	baseByVPID := make(map[int]*ProcImage)
-	for i := range base.Processes {
-		baseByVPID[base.Processes[i].VPID] = &base.Processes[i]
-	}
 	for i, p := range inc.Processes {
-		merged := p
-		if bp, ok := baseByVPID[p.VPID]; ok {
-			// Hashes survive a merge only when both sides carry them.
-			withHashes := len(bp.Memory.PageHashes) == bp.Memory.NumPages() &&
-				len(p.Memory.PageHashes) == p.Memory.NumPages()
-			type pageSrc struct {
-				data []byte
-				hash mem.PageHash
-			}
-			pages := make(map[uint64]pageSrc, bp.Memory.NumPages()+p.Memory.NumPages())
-			for j, pn := range bp.Memory.PageNums {
-				src := pageSrc{data: bp.Memory.Page(j)}
-				if withHashes {
-					src.hash = bp.Memory.PageHashes[j]
-				}
-				pages[pn] = src
-			}
-			for j, pn := range p.Memory.PageNums {
-				src := pageSrc{data: p.Memory.Page(j)}
-				if withHashes {
-					src.hash = p.Memory.PageHashes[j]
-				}
-				pages[pn] = src
-			}
-			// Deterministic page order.
-			pns := make([]uint64, 0, len(pages))
-			for pn := range pages {
-				pns = append(pns, pn)
-			}
-			slices.Sort(pns)
-			merged.Memory.PageNums = nil
-			merged.Memory.PageHashes = nil
-			merged.Memory.PageData = make([]byte, 0, len(pns)*mem.PageSize)
-			for _, pn := range pns {
-				merged.Memory.AddPage(pn, pages[pn].data)
-				if withHashes {
-					merged.Memory.PageHashes = append(merged.Memory.PageHashes, pages[pn].hash)
-				}
-			}
+		if j := slices.IndexFunc(base.Processes, func(b ProcImage) bool { return b.VPID == p.VPID }); j >= 0 {
+			p.Memory = mergeMemory(&base.Processes[j].Memory, &p.Memory)
 		}
-		out.Processes[i] = merged
+		out.Processes[i] = p
 	}
 	return &out, nil
 }
+
+// mergeMemory lays inc's pages over base's. Hashes survive only when both
+// sides carry them.
+func mergeMemory(base, inc *MemImage) MemImage {
+	withHashes := len(base.PageHashes) == base.NumPages() && len(inc.PageHashes) == inc.NumPages()
+	n := mergeAscending(base.PageNums, inc.PageNums, pageNum, func(int, int) {})
+	m := MemImage{Regions: inc.Regions, PageNums: make([]uint64, 0, n), pages: make([]*[mem.PageSize]byte, 0, n)}
+	if withHashes {
+		m.PageHashes = make([]mem.PageHash, 0, n)
+	}
+	srcs := [2]*MemImage{base, inc}
+	mergeAscending(base.PageNums, inc.PageNums, pageNum, func(from, i int) {
+		m.PageNums = append(m.PageNums, srcs[from].PageNums[i])
+		m.pages = append(m.pages, srcs[from].pages[i])
+		if withHashes {
+			m.PageHashes = append(m.PageHashes, srcs[from].PageHashes[i])
+		}
+	})
+	return m
+}
+
+// mergeAscending walks the union of two page lists, each strictly
+// ascending by page number, in ascending order, handing take each
+// element's list (0 for base, 1 for inc) and index; a page number both
+// lists hold is taken from inc. It returns the union's length.
+func mergeAscending[T any](base, inc []T, pn func(T) uint64, take func(from, i int)) (n int) {
+	for i, j := 0, 0; i < len(base) || j < len(inc); n++ {
+		if j == len(inc) || i < len(base) && pn(base[i]) < pn(inc[j]) {
+			take(0, i)
+			i++
+			continue
+		}
+		if i < len(base) && pn(base[i]) == pn(inc[j]) {
+			i++
+		}
+		take(1, j)
+		j++
+	}
+	return n
+}
+
+// ascending reports whether s is strictly ascending by page number: the
+// order every producer of a page list emits and mergeAscending relies on.
+func ascending[T any](s []T, pn func(T) uint64) bool {
+	for i := 1; i < len(s); i++ {
+		if pn(s[i]) <= pn(s[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+func pageNum(pn uint64) uint64 { return pn }

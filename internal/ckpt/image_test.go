@@ -2,8 +2,13 @@ package ckpt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"os"
+	"os/exec"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -11,6 +16,13 @@ import (
 	"cruz/internal/sim"
 	"cruz/internal/zap"
 )
+
+// addPage appends page pn to m, referencing data (one whole page) the way
+// every image references its pages.
+func (m *MemImage) addPage(pn uint64, data []byte) {
+	m.PageNums = append(m.PageNums, pn)
+	m.pages = append(m.pages, (*[mem.PageSize]byte)(data))
+}
 
 // sampleImage builds a small image by hand: two processes with different
 // page counts and one with none, so the page tail has several owners.
@@ -21,7 +33,7 @@ func sampleImage() *Image {
 		p := ProcImage{VPID: vpid + 1, Name: "w", ProgData: []byte{1, 2, 3}}
 		p.Memory.Regions = []mem.Region{{Start: 0x10000, Size: 8 * mem.PageSize, Name: "heap"}}
 		for i := 0; i < pages; i++ {
-			p.Memory.AddPage(uint64(16+i), bytes.Repeat([]byte{byte('a' + 4*vpid + i)}, mem.PageSize))
+			p.Memory.addPage(uint64(16+i), bytes.Repeat([]byte{byte('a' + 4*vpid + i)}, mem.PageSize))
 			p.Memory.PageHashes = append(p.Memory.PageHashes, mem.PageHash{Lo: uint64(i), Hi: uint64(vpid)})
 		}
 		img.Processes = append(img.Processes, p)
@@ -39,19 +51,31 @@ func within(b, outer []byte) bool {
 	return p >= lo && p+uintptr(len(b))-1 <= hi
 }
 
-// TestImageCodecRoundTripAliases: Encode leaves the image untouched and
-// puts its page bytes behind the head; DecodeImage returns an equal image
-// whose pages are the blob's own bytes, each process fenced off from the
-// next.
+// pagesWithin reports whether every page of img lies inside blob.
+func pagesWithin(img *Image, blob []byte) bool {
+	for i := range img.Processes {
+		m := &img.Processes[i].Memory
+		for j := 0; j < m.NumPages(); j++ {
+			if !within(m.Page(j), blob) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestImageCodecRoundTripAliases: Encode puts the image's page bytes
+// behind the head and keeps the result, so a second call is free;
+// DecodeImage returns an equal image whose pages are the blob's own
+// bytes, in order, and whose encoding is the blob itself.
 func TestImageCodecRoundTripAliases(t *testing.T) {
 	img := sampleImage()
-	before := sampleImage()
 	blob, err := img.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(img, before) {
-		t.Fatal("Encode modified the image")
+	if again, err := img.Encode(); err != nil || unsafe.SliceData(again) != unsafe.SliceData(blob) {
+		t.Fatalf("a second Encode built a new encoding (%v)", err)
 	}
 	if got := int(binary.BigEndian.Uint32(blob[2:])); len(blob) != imageHdrSize+got+int(img.MemoryBytes())-len(img.Shms[0].Contents) {
 		t.Fatalf("blob of %d bytes is not header + head (%d) + pages (%d)", len(blob), got, img.MemoryBytes()-3)
@@ -60,29 +84,66 @@ func TestImageCodecRoundTripAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A process with no pages decodes PageData as an empty, not nil,
-	// slice; compare contents, then the rest of the structure.
-	for i := range img.Processes {
-		got, want := &dec.Processes[i].Memory, &img.Processes[i].Memory
-		if !bytes.Equal(got.PageData, want.PageData) {
-			t.Fatalf("process %d page bytes differ", i)
+	next := len(blob) - 3*mem.PageSize
+	for i := range dec.Processes {
+		m := &dec.Processes[i].Memory
+		for j := 0; j < m.NumPages(); j++ {
+			if page := m.Page(j); unsafe.SliceData(page) != &blob[next] {
+				t.Fatalf("process %d page %d is not the blob's page at offset %d", i, j, next)
+			}
+			next += mem.PageSize
 		}
-		if len(got.PageData) > 0 && !within(got.PageData, blob) {
-			t.Fatalf("process %d pages were copied out of the blob", i)
-		}
-		if cap(got.PageData) != len(got.PageData) {
-			t.Fatalf("process %d pages have spare capacity %d into their neighbour", i, cap(got.PageData)-len(got.PageData))
-		}
-		got.PageData = want.PageData
+	}
+	if enc, err := dec.Encode(); err != nil || unsafe.SliceData(enc) != unsafe.SliceData(blob) {
+		t.Fatalf("a decoded image re-encodes to new bytes (%v)", err)
 	}
 	if !reflect.DeepEqual(dec, img) {
 		t.Fatalf("decoded image differs:\n got %+v\nwant %+v", dec, img)
 	}
 }
 
-// TestStoreKeepsOneFormPerImage: after a save, and after a replica adopts
-// the transfer, the store's decoded image is a view into its blob — the
-// pages exist once per store, not once per form.
+// TestEncodingsMatchGoldenDigests pins the encoded bytes of sampleImage
+// and its manifest, so the gob field set of Image, ProcImage, MemImage
+// and Manifest — every head written to a store or the wire — cannot
+// drift. The digests predate images referencing their pages. gob numbers
+// types in the order a process first meets them, which the tests run
+// before this one would change, so the test re-runs itself alone in a
+// fresh process and checks the bytes there.
+func TestEncodingsMatchGoldenDigests(t *testing.T) {
+	if os.Getenv("CKPT_GOLDEN_FRESH") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestEncodingsMatchGoldenDigests$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "CKPT_GOLDEN_FRESH=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("in a fresh process: %v\n%s", err, out)
+		}
+		return
+	}
+	blob, err := sampleImage().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mblob, err := sampleManifest(t).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		b    []byte
+		size int
+		want string
+	}{
+		"image":    {blob, 14054, "06bb97cacd60cd1ff471f4e4b9c0358a9b70ac096ba73c77a865fef521fd8577"},
+		"manifest": {mblob, 1712, "929b6c81c1bd89db559844a80b89d258758841da1dd09cac019a0c131bc2a92d"},
+	} {
+		if sum := sha256.Sum256(c.b); len(c.b) != c.size || hex.EncodeToString(sum[:]) != c.want {
+			t.Errorf("%s encodes to %d bytes, sha256 %x; want %d bytes, %s", name, len(c.b), sum, c.size, c.want)
+		}
+	}
+}
+
+// TestStoreKeepsOneFormPerImage: a saved image, its blob and the store's
+// cached view are one copy of the pages — the view is the image, and its
+// pages are the blob's. A replica adopting the transfer keeps the very
+// blob and a view decoded into it.
 func TestStoreKeepsOneFormPerImage(t *testing.T) {
 	r := newRig(t, 1)
 	pod, _ := zap.New(r.kernels[0], "one", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
@@ -92,28 +153,189 @@ func TestStoreKeepsOneFormPerImage(t *testing.T) {
 	if _, err := r.store.PlanSave(img); err != nil {
 		t.Fatal(err)
 	}
-	check := func(s *Store, who string) {
+	check := func(s *Store, who string) *Image {
 		t.Helper()
 		cached, ok := s.Cached("one", 1)
 		if !ok {
 			t.Fatalf("%s: no cached image", who)
 		}
-		pages := cached.Processes[0].Memory.PageData
-		if len(pages) == 0 || !bytes.Equal(pages, img.Processes[0].Memory.PageData) {
-			t.Fatalf("%s: cached pages differ from the captured ones", who)
+		blob := s.get("one", 1).img.blob
+		if cached.Processes[0].Memory.NumPages() == 0 || !pagesWithin(cached, blob) {
+			t.Fatalf("%s: cached image holds pages outside the stored blob", who)
 		}
-		if !within(pages, s.get("one", 1).blob) {
-			t.Fatalf("%s: cached image holds its own copy of the pages", who)
+		if enc, err := cached.Encode(); err != nil || unsafe.SliceData(enc) != unsafe.SliceData(blob) {
+			t.Fatalf("%s: the cached image encodes to bytes other than the stored blob (%v)", who, err)
 		}
-		if within(pages, img.Processes[0].Memory.PageData) {
-			t.Fatalf("%s: store still references the captured image's pages", who)
-		}
+		return cached
 	}
-	check(r.store, "primary")
+	if check(r.store, "primary") != img {
+		t.Fatal("primary: the store keeps a view of its own instead of the saved image")
+	}
 	replica := NewStore(r.kernels[0].Disk())
 	adopt(t, r, r.store, replica, "one", 1)
 	check(replica, "replica")
-	if !within(replica.get("one", 1).blob, r.store.get("one", 1).blob) {
+	if !within(replica.get("one", 1).img.blob, r.store.get("one", 1).img.blob) {
 		t.Fatal("an in-process transfer should hand the replica the very blob, uncopied")
+	}
+}
+
+// overwriteAll writes a byte pattern over every materialised page of
+// every process of pod.
+func overwriteAll(t *testing.T, pod *zap.Pod) {
+	t.Helper()
+	junk := bytes.Repeat([]byte{0xEE}, mem.PageSize)
+	for _, vpid := range pod.VPIDs() {
+		as := pod.Process(vpid).Mem()
+		for _, pn := range as.PageNumbers(false) {
+			if err := as.Write(pn*mem.PageSize, junk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// spacePages copies every materialised page of as.
+func spacePages(as *mem.AddressSpace) map[uint64][]byte {
+	out := make(map[uint64][]byte)
+	for _, pn := range as.PageNumbers(false) {
+		out[pn] = bytes.Clone(as.PageData(pn))
+	}
+	return out
+}
+
+// imagePages copies every page the image holds for vpid 1.
+func imagePages(img *Image) map[uint64][]byte {
+	m := &img.Processes[0].Memory
+	out := make(map[uint64][]byte)
+	for j, pn := range m.PageNums {
+		out[pn] = bytes.Clone(m.Page(j))
+	}
+	return out
+}
+
+// TestCapturedImageOutlivesThePod: once Capture (or CaptureLive, after
+// Release) returns, the image references nothing of the pod. Resuming
+// it, overwriting every page and destroying it leave the image's
+// encoding as it was, and what that encoding decodes — and, for a stopped
+// capture, restores — to is the pod as it stood at the capture. (A live
+// round carries memory alone and is not restorable by itself.)
+func TestCapturedImageOutlivesThePod(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		r := newRig(t, 2)
+		pod, _ := zap.New(r.kernels[0], "gone", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
+		pod.Spawn("w", &memWorker{HeapSize: 64 * mem.PageSize})
+		r.run(20 * sim.Millisecond)
+		var img *Image
+		var want map[uint64][]byte
+		if live {
+			want = spacePages(pod.Process(1).Mem())
+			lc, err := CaptureLive(pod, 1, Options{Hashes: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lc.Release()
+			img = lc.Image
+		} else {
+			img = r.stopAndCapture(pod, 1, Options{Hashes: true})
+			want = spacePages(pod.Process(1).Mem())
+			pod.Resume()
+		}
+		blob, err := img.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := bytes.Clone(blob)
+
+		r.run(20 * sim.Millisecond)
+		overwriteAll(t, pod)
+		pod.Destroy()
+
+		after, err := img.Encode()
+		if err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("live=%v: the image's encoding changed after its pod was overwritten and destroyed (%v)", live, err)
+		}
+		dec, err := DecodeImage(after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := imagePages(dec); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("live=%v: %d pages decoded differ from the %d captured", live, len(got), len(want))
+		}
+		if live {
+			continue
+		}
+		restored, err := Restore(r.kernels[1], dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spacePages(restored.Process(1).Mem()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d pages restored differ from the %d captured", len(got), len(want))
+		}
+	}
+}
+
+// raceBuild is set when the race detector instruments the test binary.
+var raceBuild bool
+
+// allocated returns the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPageBytesCrossOnce is the tier-1 twin of the benchmark's
+// ckpt.page_alloc_ratio: a capture, its encoding and a decode of it
+// allocate the page bytes once, and the two ways an image is assembled
+// from others — Merge and a deduplicated load — allocate page lists, not
+// pages.
+func TestPageBytesCrossOnce(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bounds are for builds without the race detector")
+	}
+	r := newRig(t, 1)
+	pod, _ := zap.New(r.kernels[0], "once", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
+	pod.Spawn("w", &memWorker{HeapSize: 512 * mem.PageSize})
+	r.run(600 * sim.Millisecond)
+	full := r.stopAndCapture(pod, 1, Options{Hashes: true})
+	pageBytes := float64(full.MemoryBytes())
+	if full.Processes[0].Memory.NumPages() < 256 {
+		t.Fatalf("worker materialised only %d pages", full.Processes[0].Memory.NumPages())
+	}
+	pod.Resume()
+	r.run(5 * sim.Millisecond)
+	inc := r.stopAndCapture(pod, 2, Options{Hashes: true, Incremental: true})
+
+	r.saveDeduped(r.store, full)
+	m := r.store.get("once", 1).manifest
+	for _, c := range []struct {
+		what string
+		max  float64
+		fn   func() error
+	}{
+		{"Capture + Encode + DecodeImage", 1.05, func() error {
+			img, err := Capture(pod, 3, Options{Hashes: true})
+			if err == nil {
+				var blob []byte
+				if blob, err = img.Encode(); err == nil {
+					_, err = DecodeImage(blob)
+				}
+			}
+			return err
+		}},
+		{"Merge", 0.01, func() error { _, err := Merge(full, inc); return err }},
+		{"imageFromManifest", 0.01, func() error { _, err := imageFromManifest(m, r.store.chunkData); return err }},
+	} {
+		var err error
+		var got float64
+		for rep := 0; rep < 3; rep++ { // the first round warms the codecs
+			got = float64(allocated(func() { err = c.fn() })) / pageBytes
+		}
+		t.Logf("%s: %.4f× the page bytes", c.what, got)
+		if err != nil || got > c.max {
+			t.Errorf("%s allocates %.4f× the page bytes (%v), want at most %g×", c.what, got, err, c.max)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"fmt"
+
 	"cruz/internal/mem"
 	"cruz/internal/trace"
 	"cruz/internal/zap"
@@ -22,9 +24,8 @@ import (
 //     the next capture would silently miss them.
 type LiveCapture struct {
 	Image  *Image
-	spaces []*mem.AddressSpace // live spaces, parallel to snaps
+	spaces []*mem.AddressSpace // live spaces, parallel to snaps and Image.Processes
 	snaps  []*mem.AddressSpace
-	pages  [][]uint64 // per-process captured page numbers
 }
 
 // CaptureLive captures a round image from a running pod. The copy is
@@ -39,26 +40,36 @@ type LiveCapture struct {
 // Capture with the pod stopped. A round image is therefore not
 // restorable by itself; it only exists as a link in a pre-copy chain.
 //
-// Each process's dirty tracking is cleared as it is captured, so the
-// next round saves exactly the pages written after this round's
-// snapshot instant.
+// Each page is copied from its snapshot once, into the image's encoding.
+// Dirty tracking is cleared once the whole pod is captured, so the next
+// round saves exactly the pages written after this round's snapshot.
 func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 	kern := pod.Kernel()
 	img := newImage(pod, seq, opts)
 	lc := &LiveCapture{Image: img}
+	var err error
 	for _, vpid := range pod.VPIDs() {
 		proc := pod.Process(vpid)
 		as := proc.Mem()
 		snap := as.Snapshot()
-		pns := as.PageNumbers(opts.Incremental)
-		as.ClearDirty()
-
-		// Which pages: the live space's dirty set. Their bytes: the snapshot's.
-		img.Processes = append(img.Processes, ProcImage{VPID: vpid, Name: proc.Name(),
-			Memory: captureMemory(snap, pns, opts, img)})
 		lc.spaces = append(lc.spaces, as)
 		lc.snaps = append(lc.snaps, snap)
-		lc.pages = append(lc.pages, pns)
+		// Which pages: the live space's dirty set. Their bytes: the snapshot's.
+		pi := ProcImage{VPID: vpid, Name: proc.Name()}
+		if pi.Memory, err = captureMemory(snap, as.PageNumbers(opts.Incremental), opts, img); err != nil {
+			break
+		}
+		img.Processes = append(img.Processes, pi)
+	}
+	if err == nil {
+		_, err = img.Encode()
+	}
+	if err != nil {
+		lc.Release()
+		return nil, fmt.Errorf("ckpt: live capture of pod %s: %w", pod.Name(), err)
+	}
+	for _, as := range lc.spaces {
+		as.ClearDirty()
 	}
 	if tr := trace.FromEngine(kern.Engine()); tr.Enabled() {
 		tr.Instant(kern.Name(), "ckpt", "capture-live",
@@ -70,18 +81,13 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 	return lc, nil
 }
 
-// Pages returns the total number of pages the round captured.
-func (lc *LiveCapture) Pages() int {
-	n := 0
-	for _, pns := range lc.pages {
-		n += len(pns)
-	}
-	return n
-}
+// Pages returns the total number of pages the round captured (a round
+// image holds nothing else).
+func (lc *LiveCapture) Pages() int { return int(lc.Image.MemoryBytes() / mem.PageSize) }
 
 // Release drops the COW sharing behind the capture. Live writes to the
 // captured pages stop taking faults; the capture's Image is unaffected
-// (its bytes were copied at snapshot time).
+// (its bytes were copied by CaptureLive).
 func (lc *LiveCapture) Release() {
 	for _, snap := range lc.snaps {
 		snap.Release()
@@ -95,7 +101,7 @@ func (lc *LiveCapture) Release() {
 // treat them as unsaved again.
 func (lc *LiveCapture) Redirty() {
 	for i, as := range lc.spaces {
-		for _, pn := range lc.pages[i] {
+		for _, pn := range lc.Image.Processes[i].Memory.PageNums {
 			as.MarkDirty(pn)
 		}
 	}

@@ -74,14 +74,22 @@ func (m *Manifest) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeManifest parses an encoded manifest.
+// DecodeManifest parses an encoded manifest, rejecting a process whose
+// pages do not strictly ascend (merges rely on the order).
 func DecodeManifest(b []byte) (*Manifest, error) {
 	var m Manifest
 	if _, err := manifestCodec.Decode(b, &m); err != nil {
 		return nil, fmt.Errorf("ckpt: decode manifest: %w", err)
 	}
+	for i := range m.Procs {
+		if !ascending(m.Procs[i].Pages, refPageNum) {
+			return nil, fmt.Errorf("ckpt: decode manifest: vpid %d lists its pages out of order", m.Procs[i].VPID)
+		}
+	}
 	return &m, nil
 }
+
+func refPageNum(r PageRef) uint64 { return r.PN }
 
 // manifestFromImage splits an image captured with Options.Hashes into
 // its manifest; the caller pairs it with the image's page bytes to
@@ -124,8 +132,8 @@ func manifestFromImage(img *Image) (*Manifest, error) {
 	return m, nil
 }
 
-// imageFromManifest rebuilds a self-contained image, resolving each page
-// reference through lookup (the store's chunk table).
+// imageFromManifest rebuilds a self-contained image whose pages are the
+// chunks each page reference resolves to through lookup (the chunk table).
 func imageFromManifest(m *Manifest, lookup func(mem.PageHash) []byte) (*Image, error) {
 	img := &Image{
 		PodName:     m.PodName,
@@ -153,16 +161,16 @@ func imageFromManifest(m *Manifest, lookup func(mem.PageHash) []byte) (*Image, e
 		pi.Memory.Regions = pm.Regions
 		pi.Memory.PageNums = make([]uint64, len(pm.Pages))
 		pi.Memory.PageHashes = make([]mem.PageHash, len(pm.Pages))
-		pi.Memory.PageData = make([]byte, 0, len(pm.Pages)*mem.PageSize)
+		pi.Memory.pages = make([]*[mem.PageSize]byte, len(pm.Pages))
 		for j, ref := range pm.Pages {
 			data := lookup(ref.Hash)
-			if data == nil {
+			if len(data) != mem.PageSize {
 				return nil, fmt.Errorf("ckpt: manifest %s/%d vpid %d page %d: missing chunk",
 					m.PodName, m.Seq, pm.VPID, ref.PN)
 			}
 			pi.Memory.PageNums[j] = ref.PN
 			pi.Memory.PageHashes[j] = ref.Hash
-			pi.Memory.PageData = append(pi.Memory.PageData, data...)
+			pi.Memory.pages[j] = (*[mem.PageSize]byte)(data)
 		}
 		img.Processes[i] = pi
 	}
@@ -184,31 +192,13 @@ func mergeManifests(base, inc *Manifest) (*Manifest, error) {
 	out.Incremental = false
 	out.BaseSeq = 0
 	out.Procs = make([]ProcManifest, len(inc.Procs))
-	baseByVPID := make(map[int]*ProcManifest)
-	for i := range base.Procs {
-		baseByVPID[base.Procs[i].VPID] = &base.Procs[i]
-	}
 	for i, p := range inc.Procs {
-		merged := p
-		if bp, ok := baseByVPID[p.VPID]; ok {
-			pages := make(map[uint64]mem.PageHash, len(bp.Pages)+len(p.Pages))
-			for _, ref := range bp.Pages {
-				pages[ref.PN] = ref.Hash
-			}
-			for _, ref := range p.Pages {
-				pages[ref.PN] = ref.Hash
-			}
-			pns := make([]uint64, 0, len(pages))
-			for pn := range pages {
-				pns = append(pns, pn)
-			}
-			slices.Sort(pns)
-			merged.Pages = make([]PageRef, len(pns))
-			for j, pn := range pns {
-				merged.Pages[j] = PageRef{PN: pn, Hash: pages[pn]}
-			}
+		if j := slices.IndexFunc(base.Procs, func(b ProcManifest) bool { return b.VPID == p.VPID }); j >= 0 {
+			srcs := [2][]PageRef{base.Procs[j].Pages, p.Pages}
+			p.Pages = make([]PageRef, 0, mergeAscending(srcs[0], srcs[1], refPageNum, func(int, int) {}))
+			mergeAscending(srcs[0], srcs[1], refPageNum, func(from, k int) { p.Pages = append(p.Pages, srcs[from][k]) })
 		}
-		out.Procs[i] = merged
+		out.Procs[i] = p
 	}
 	return &out, nil
 }

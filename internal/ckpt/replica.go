@@ -92,7 +92,7 @@ func (s *Store) ExportOffer(pod string, seq int) (*Offer, error) {
 func (s *Store) Missing(o *Offer) (needSeqs []int, needHashes []mem.PageHash) {
 	for _, cs := range o.Chain {
 		e := s.get(o.Pod, cs)
-		have := e.blob != nil
+		have := e.img != nil
 		if o.Dedup {
 			have = e.manifest != nil || o.Shard && e.raw != nil
 		}
@@ -125,14 +125,14 @@ func (s *Store) BuildTransfer(pod string, seq int, needSeqs []int, needHashes []
 			t.TotalBytes += int64(len(mblob))
 			continue
 		}
-		if e.blob == nil {
+		if e.img == nil {
 			return nil, noImage(pod, cs)
 		}
 		if t.Blobs == nil {
 			t.Blobs = make(map[int][]byte)
 		}
-		t.Blobs[cs] = e.blob
-		t.TotalBytes += int64(len(e.blob))
+		t.Blobs[cs] = e.img.blob
+		t.TotalBytes += int64(len(e.img.blob))
 	}
 	for _, h := range needHashes {
 		e, ok := s.chunks[h]
@@ -185,7 +185,7 @@ func (s *Store) adoptChain(t *Transfer) error {
 		if err != nil {
 			return err
 		}
-		s.putBlob(t.Pod, seq, t.Blobs[seq], img)
+		s.putBlob(t.Pod, seq, img)
 	}
 	for _, seq := range SortedSeqs(t.Manifests) {
 		if err := s.adoptManifest(t.Pod, seq, t.Manifests[seq]); err != nil {

@@ -26,25 +26,21 @@ var ErrNoImage = errors.New("ckpt: no such image")
 type Store struct {
 	disk        *kernel.Disk
 	pods        map[string]map[int]*entry
-	chunks      map[mem.PageHash]*chunkEntry
+	chunks      map[mem.PageHash]chunkEntry
 	autoCompact int
 	stats       StoreStats
 }
 
 // entry is everything stored under one (pod, seq). A checkpoint is kept in
-// exactly one form: the blob (PlanSave) with the view decoded from it, or
-// the manifest (PlanDedupSave) whose pages live in the chunk table. A save
-// or adoption under an occupied key replaces what was there. The erasure-
-// coded tier hangs off the same key: the shard manifest this node striped
-// as primary, the shard subset it holds for another node's checkpoint, and
-// a chain manifest a holder keeps as raw bytes because it cannot resolve
-// the chunks behind it.
+// exactly one form: the image (saved, or decoded from an adopted blob),
+// whose encoding is the blob, or the manifest, whose pages live in the
+// chunk table. A save or adoption under an occupied key replaces what was
+// there. The erasure-coded tier hangs off the same key: the shard manifest
+// this node striped as primary, the shard subset it holds for another
+// node's checkpoint, and a chain manifest a holder keeps as raw bytes
+// because it cannot resolve the chunks behind it.
 type entry struct {
-	// blob is the encoded image, immutable from the moment it is
-	// registered; view is its decoded head (chain metadata, Cached), whose
-	// page bytes point into the blob.
-	blob []byte
-	view *Image
+	img *Image // its pages are its encoding's, the stored blob
 
 	manifest      *Manifest
 	manifestBytes int64 // encoded size: what a load of it reads
@@ -60,7 +56,7 @@ type entry struct {
 }
 
 // stored reports whether the entry holds a checkpoint, in either form.
-func (e entry) stored() bool { return e.blob != nil || e.manifest != nil }
+func (e entry) stored() bool { return e.img != nil || e.manifest != nil }
 
 func (e entry) empty() bool { return !e.stored() && e.set == nil && e.held == nil && e.raw == nil }
 
@@ -74,7 +70,7 @@ func NewStore(disk *kernel.Disk) *Store {
 	return &Store{
 		disk:   disk,
 		pods:   make(map[string]map[int]*entry),
-		chunks: make(map[mem.PageHash]*chunkEntry),
+		chunks: make(map[mem.PageHash]chunkEntry),
 	}
 }
 
@@ -127,8 +123,8 @@ func (s *Store) chain(pod string, seq int) ([]int, error) {
 		switch {
 		case dedup && e.manifest != nil:
 			incremental, base = e.manifest.Incremental, e.manifest.BaseSeq
-		case !dedup && e.view != nil:
-			incremental, base = e.view.Incremental, e.view.BaseSeq
+		case !dedup && e.img != nil:
+			incremental, base = e.img.Incremental, e.img.BaseSeq
 		default:
 			return nil, fmt.Errorf("%w: %s/%d (chain from %d)", ErrNoImage, pod, cur, seq)
 		}
@@ -176,21 +172,19 @@ func (s *Store) LatestSeq(pod string) (latest int, ok bool) {
 // a plan whose TotalBytes the caller still owes the disk. Agents drive the
 // write themselves, in pipelined segments.
 func (s *Store) PlanSave(img *Image) (*SavePlan, error) {
-	blob, view, err := img.encode()
+	blob, err := img.Encode()
 	if err != nil {
 		return nil, err
 	}
-	s.putBlob(img.PodName, img.Seq, blob, view)
+	s.putBlob(img.PodName, img.Seq, img)
 	return &SavePlan{Pod: img.PodName, Seq: img.Seq, TotalBytes: int64(len(blob))}, nil
 }
 
-// putBlob registers an encoded image and the view decoded from it (or
-// encoded into it): from here on the blob is immutable, and the view's
-// page bytes are the blob's.
-func (s *Store) putBlob(pod string, seq int, blob []byte, view *Image) {
+// putBlob registers an encoded image, keeping the image and its encoding.
+func (s *Store) putBlob(pod string, seq int, img *Image) {
 	e := s.ensure(pod, seq)
 	s.dropManifest(e)
-	e.blob, e.view = blob, view
+	e.img = img
 }
 
 // Discard removes stored checkpoints that were registered but never
@@ -203,7 +197,7 @@ func (s *Store) putBlob(pod string, seq int, blob []byte, view *Image) {
 func (s *Store) Discard(pod string, seqs ...int) {
 	for _, seq := range seqs {
 		e := s.ensure(pod, seq) // pruned again below if it was never stored
-		e.blob, e.view = nil, nil
+		e.img = nil
 		s.dropManifest(e)
 		s.dropSet(e)
 		s.prune(pod, seq)
@@ -214,16 +208,16 @@ func (s *Store) Discard(pod string, seqs ...int) {
 // no disk traffic modeled. A migration's restore-on-arrival merge uses
 // it: the adopted bytes passed through this daemon's memory moments ago,
 // so folding them into the held image costs CPU, not a read-back of what
-// was just written. The image's page bytes are the stored blob's and
-// must not be written. Deduplicated (manifest-form) images keep no
+// was just written. The image is immutable, like every Image, and its
+// pages are the stored blob's. Deduplicated (manifest-form) images keep no
 // single decoded representation and report false.
 func (s *Store) Cached(pod string, seq int) (*Image, bool) {
-	view := s.get(pod, seq).view
-	return view, view != nil
+	img := s.get(pod, seq).img
+	return img, img != nil
 }
 
 // Load reads the checkpoint at (pod, seq) — seq 0 names the pod's newest —
-// through the disk and hands done the decoded image. With merged set, the
+// through the disk and hands done the image. With merged set, the
 // whole incremental chain is read and folded into one self-contained
 // image; otherwise the one image comes back as stored. The read covers the
 // chain's blobs, or its manifests plus every distinct chunk the resulting
@@ -251,11 +245,10 @@ func (s *Store) Load(pod string, seq int, merged bool, ctx trace.SpanContext, do
 		return
 	}
 	// Size the read. A manifest chain folds here — its distinct chunks are
-	// what the read covers — and a blob chain decodes and merges once the
-	// bytes are read.
+	// what the read covers — and a blob chain merges once the bytes are read.
 	var (
 		total int64
-		blobs [][]byte
+		imgs  []*Image
 		m     *Manifest
 	)
 	if s.get(pod, seq).manifest != nil {
@@ -267,8 +260,10 @@ func (s *Store) Load(pod string, seq int, merged bool, ctx trace.SpanContext, do
 	}
 	for i := len(seqs) - 1; i >= 0; i-- {
 		e := s.get(pod, seqs[i])
-		blobs = append(blobs, e.blob)
-		total += int64(len(e.blob)) + e.manifestBytes
+		if total += e.manifestBytes; e.img != nil {
+			imgs = append(imgs, e.img)
+			total += int64(len(e.img.blob))
+		}
 	}
 	var sp trace.Span
 	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
@@ -282,18 +277,12 @@ func (s *Store) Load(pod string, seq int, merged bool, ctx trace.SpanContext, do
 			done(imageFromManifest(m, s.chunkData))
 			return
 		}
-		var img *Image
-		for _, blob := range blobs {
-			inc, err := DecodeImage(blob)
-			if err == nil && img != nil {
-				inc, err = Merge(img, inc)
+		img := imgs[0]
+		for _, inc := range imgs[1:] {
+			if img, err = Merge(img, inc); err != nil {
+				break
 			}
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			img = inc
 		}
-		done(img, nil)
+		done(img, err)
 	})
 }
