@@ -17,9 +17,9 @@ vet:
 
 # cruzvet is the in-tree determinism-and-invariant lint suite
 # (internal/analysis, driven by cmd/cruzvet): no wall-clock/ambient
-# entropy in sim-side packages, no map-order leaking into sim-visible
-# state, spans ended on every path, no lock-order cycles, pool buffers
-# returned exactly once, ctl ops always completed, trace contexts
+# entropy or mutexes in sim-side packages, no map-order leaking into
+# sim-visible state, spans ended on every path, pool buffers returned
+# exactly once, ctl ops always completed, trace contexts
 # propagated, no dropped errors on sim-side paths. The build fails on
 # any unsuppressed finding and (-strict-allow) on any stale
 # //cruzvet:allow directive; see DESIGN.md "Determinism rules".
@@ -33,7 +33,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/ckpt/... ./internal/gobmemo/...
+	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/ckpt/... ./internal/gobmemo/... ./internal/flush/... ./internal/dhcp/...
 	$(GO) test -race -run TestParallelClustersTraceLikeASequentialRun .
 
 # Regenerate the machine-readable benchmark report and fail if the

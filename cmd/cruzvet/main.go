@@ -45,7 +45,6 @@ func main() {
 		analysis.NoDeterminism,
 		analysis.MapOrder,
 		analysis.SpanLeak,
-		analysis.LockOrder,
 		analysis.PoolLeak,
 		analysis.OpLifecycle,
 		analysis.CtxProp,

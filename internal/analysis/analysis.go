@@ -15,7 +15,7 @@
 // vendored here): an Analyzer owns a Run func invoked once per
 // type-checked package with a Pass carrying the syntax, type
 // information, and a Report sink. Analyzers that need whole-program
-// facts (lockorder) additionally export per-package facts and a Finish
+// facts (oplifecycle) additionally export per-package facts and a Finish
 // hook that runs after every package has been visited.
 //
 // Suppressions: a finding is silenced by the comment
@@ -203,11 +203,6 @@ func hasPathPrefix(path string, prefixes []string) bool {
 }
 
 func (s *Suite) report(d Diagnostic) { s.raw = append(s.raw, d) }
-
-// Fact returns the fact exported by analyzer for pkg, or nil.
-func (s *Suite) Fact(analyzer, pkg string) any {
-	return s.facts[factKey{analyzer, pkg}]
-}
 
 // Facts returns all facts exported by analyzer, keyed by package path.
 func (s *Suite) Facts(analyzer string) map[string]any {

@@ -93,50 +93,24 @@ func checkCtxParams(pass *Pass, effects map[string]*FuncEffects, fd *ast.FuncDec
 }
 
 // ctxParamPropagates reports whether some use of the parameter carries
-// the context onward. Uses inside function literals, stores, returns,
-// and composite literals get the benefit of the doubt (event-driven
-// propagation); field reads count as manual adoption; a Zero() check
-// alone does not.
+// the context onward, through the lifecycle engine's use walker with
+// "propagates" as its escape. Uses inside function literals, stores,
+// returns, and composite literals get the benefit of the doubt
+// (event-driven propagation); field reads count as manual adoption; a
+// Zero() check alone does not.
 func ctxParamPropagates(pass *Pass, effects map[string]*FuncEffects, body *ast.BlockStmt, obj types.Object) bool {
-	propagates := false
-	var stack []ast.Node
-	inLit := 0
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if n == nil || propagates {
-			return
+	_, propagates := collectUses(pass, body, obj, func(stack []ast.Node, id *ast.Ident) (useKind, string) {
+		if ctxUsePropagates(pass, effects, stack, id) {
+			return useEscape, ""
 		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			inLit++
-			defer func() { inLit-- }()
-		}
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			if inLit > 0 {
-				propagates = true // captured: handler decides later
-				return
-			}
-			if ctxUsePropagates(pass, effects, stack, id) {
-				propagates = true
-			}
-			return
-		}
-		stack = append(stack, n)
-		for _, c := range childNodes(n) {
-			walk(c)
-		}
-		stack = stack[:len(stack)-1]
-	}
-	walk(body)
+		return useNeutral, ""
+	})
 	return propagates
 }
 
 // ctxUsePropagates classifies one appearance of the context parameter.
 func ctxUsePropagates(pass *Pass, effects map[string]*FuncEffects, stack []ast.Node, id *ast.Ident) bool {
-	var parent ast.Node
-	if len(stack) > 0 {
-		parent = stack[len(stack)-1]
-	}
-	switch p := parent.(type) {
+	switch p := parentOf(stack).(type) {
 	case *ast.SelectorExpr:
 		// ctx.Op / ctx.Span field reads are manual adoption; the Zero()
 		// liveness check alone is not.

@@ -136,24 +136,18 @@ func TestSpanLeakFixture(t *testing.T) {
 	runFixture(t, "spanleakfix", Config{}, SpanLeak)
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	runFixture(t, "lockorderfix", Config{}, LockOrder)
-}
-
 // TestTreeLeaderFixture covers the group-leader shapes hierarchical
 // coordination added: a span leaked across a leader-promotion return
-// path, the per-member relay loop leak, and the two-tier agent/relay
-// lock ordering (inversion cycle, held-across-yield).
+// path and the per-member relay loop leak.
 func TestTreeLeaderFixture(t *testing.T) {
-	runFixture(t, "treeleader", Config{}, SpanLeak, LockOrder)
+	runFixture(t, "treeleader", Config{}, SpanLeak)
 }
 
 // TestMigrateFixture covers the code shapes live migration added: the
 // per-round phase span leaked across the round loop's abort and
-// convergence early returns, and the agent/stack (core↔tcpip) lock
-// ordering of the address-takeover path.
+// convergence early returns.
 func TestMigrateFixture(t *testing.T) {
-	runFixture(t, "migratefix", Config{}, SpanLeak, LockOrder)
+	runFixture(t, "migratefix", Config{}, SpanLeak)
 }
 
 func TestPoolLeakFixture(t *testing.T) {
@@ -292,7 +286,7 @@ func TestAllowBadFixture(t *testing.T) {
 // allAnalyzers returns the full default suite, in the same order
 // cmd/cruzvet registers them.
 func allAnalyzers() []*Analyzer {
-	return []*Analyzer{NoDeterminism, MapOrder, SpanLeak, LockOrder,
+	return []*Analyzer{NoDeterminism, MapOrder, SpanLeak,
 		PoolLeak, OpLifecycle, CtxProp, ErrDrop}
 }
 
@@ -313,7 +307,7 @@ func loadTree(t *testing.T) []*Package {
 }
 
 // TestCleanTree is the enforcement test: the whole module must be free
-// of unsuppressed findings under all eight analyzers. It is the same
+// of unsuppressed findings under all seven analyzers. It is the same
 // invocation `make check` gates on, so a regression fails both.
 func TestCleanTree(t *testing.T) {
 	if testing.Short() {
@@ -349,7 +343,7 @@ func formatResult(suite *Suite, res *Result) string {
 	return b.String()
 }
 
-// TestDeterministicOutput runs the full eight-analyzer suite twice
+// TestDeterministicOutput runs the full seven-analyzer suite twice
 // back-to-back over the same whole-tree load and requires byte-identical
 // output and identical per-analyzer stats: analyzer scheduling,
 // fact-merging Finish hooks, and diagnostic sorting must not leak map

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // NoDeterminism forbids ambient-state reads and raw concurrency in
@@ -20,7 +21,14 @@ import (
 // Time must come from sim.Engine.Now, randomness from
 // sim.Engine.Rand, and concurrency from Engine.Schedule /
 // Engine.NewTicker. The engine package itself (the scheduler shim) is
-// exempt from the concurrency rule.
+// exempt from the concurrency rules.
+//
+// The simulation is single-threaded by design, so a sync.Mutex or
+// RWMutex declared in a sim-side package — field, embedded, package or
+// local variable — is itself the finding: either it orders nothing the
+// engine does not already order, or a goroutine exists that should not.
+// A host-side cache shared by clusters in parallel goroutines says so
+// with a reasoned //cruzvet:allow.
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",
 	Doc:  "forbid wall-clock, ambient-entropy, and raw-concurrency use in sim-side packages",
@@ -88,6 +96,12 @@ func runNoDeterminism(pass *Pass) {
 				}
 			case *ast.CallExpr:
 				checkNoDeterminismCall(pass, n, shim)
+			case *ast.Ident:
+				if v, ok := pass.TypesInfo.Defs[n].(*types.Var); ok && !shim {
+					if lock := syncLock(v.Type()); lock != "" {
+						pass.Reportf(n.Pos(), "%s declared in sim-side package: the simulation is single-threaded, so a lock orders nothing the engine does not", lock)
+					}
+				}
 			}
 			return true
 		})
@@ -124,4 +138,14 @@ func checkNoDeterminismCall(pass *Pass, call *ast.CallExpr, shim bool) {
 			pass.Reportf(call.Pos(), "call to os.%s reads ambient process state; thread the value through configuration instead", fn.Name())
 		}
 	}
+}
+
+// syncLock returns "sync.Mutex" or "sync.RWMutex" when t is one, else "".
+func syncLock(t types.Type) string {
+	if named, ok := t.(*types.Named); ok && pkgPathOf(named.Obj()) == "sync" {
+		if name := named.Obj().Name(); name == "Mutex" || name == "RWMutex" {
+			return "sync." + name
+		}
+	}
+	return ""
 }

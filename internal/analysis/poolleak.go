@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -30,37 +31,46 @@ import (
 // buffer somebody still holds to the next sender: putting a callback's
 // payload back, directly or through a releasing helper, is reported.
 //
-// Like spanleak, the check is escape-aware: only buffers bound to a
-// local that never escapes (not stored, returned, aliased, or captured
-// by a closure) are path-checked — queued frames are legitimately put
-// by the writer-side drain long after the acquiring function returns.
-// Content operations do not count as escapes: slicing, indexing,
-// copy/len/cap/append-as-source, encoding/binary calls, and — via the
-// interprocedural summaries — passing the buffer to a helper that
-// releases it, which counts as the put itself.
+// The put-on-every-path check is the lifecycle engine (lifecycle.go):
+// only buffers bound to a local that never escapes (not stored,
+// returned, aliased, or captured by a closure) are path-checked — queued
+// frames are legitimately put by the writer-side drain long after the
+// acquiring function returns. Content operations do not count as
+// escapes: slicing, indexing, copy/len/cap/append-as-source,
+// encoding/binary calls, and — via the interprocedural summaries —
+// passing the buffer to a helper that releases it, which counts as the
+// put itself. Cross-pool puts, use-after-put and the receive-callback
+// rule are this analyzer's own.
 var PoolLeak = &Analyzer{
 	Name: "poolleak",
 	Doc:  "flag pooled buffers missing their put, put twice, or used after put",
 	Run:  runPoolLeak,
 }
 
+var poolRule = &resourceRule{
+	acquire: func(pass *Pass, call *ast.CallExpr) (string, bool) {
+		fn := calleeOf(pass.TypesInfo, call)
+		if fn == nil || callReceiver(fn, call) == nil {
+			return "", false
+		}
+		pool, ok := poolGetNames[fn.Name()]
+		return pool, ok
+	},
+	use: poolUse,
+	discarded: func(pass *Pass, a *acquisition) string {
+		return fmt.Sprintf("%s pool buffer discarded: the result of %s must be kept and put back", a.label, calleeName(pass, a.call))
+	},
+	leaked: func(pass *Pass, a *acquisition) string {
+		return fmt.Sprintf("buffer %s from %s is not returned to the %s pool on every return path",
+			a.obj.Name(), calleeName(pass, a.call), a.label)
+	},
+	after: checkPuts,
+}
+
 func runPoolLeak(pass *Pass) {
+	poolRule.run(pass)
 	effects := effectsFor(pass)
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkPoolLeakFunc(pass, effects, n.Body)
-					checkForeignPut(pass, effects, n.Type, n.Body)
-				}
-			case *ast.FuncLit:
-				checkPoolLeakFunc(pass, effects, n.Body)
-				checkForeignPut(pass, effects, n.Type, n.Body)
-			}
-			return true
-		})
-	}
+	eachFunc(pass, func(ft *ast.FuncType, body *ast.BlockStmt) { checkForeignPut(pass, effects, ft, body) })
 }
 
 // checkForeignPut reports a receive callback that returns its payload —
@@ -70,11 +80,13 @@ func checkForeignPut(pass *Pass, effects map[string]*FuncEffects, ft *ast.FuncTy
 	if payload == nil {
 		return
 	}
-	uses, _ := collectPoolUses(pass, effects, body, payload, nil)
+	uses, _ := collectUses(pass, body, payload, func(stack []ast.Node, id *ast.Ident) (useKind, string) {
+		return poolUse(pass, effects, stack, id)
+	})
 	for _, u := range uses {
-		if u.kind == poolUseRelease {
+		if u.kind == useRelease {
 			pass.Reportf(u.id.Pos(), "received frame %s belongs to the receiver and never came from the %s pool: it must not be returned there",
-				payload.Name(), u.pool)
+				payload.Name(), u.label)
 		}
 	}
 }
@@ -114,131 +126,23 @@ func frameCallbackPayload(pass *Pass, ft *ast.FuncType) *types.Var {
 	return v
 }
 
-// poolCall returns (call, pool) if expr is a call to a pool
-// acquisition method.
-func poolCall(pass *Pass, expr ast.Expr) (*ast.CallExpr, string) {
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		return nil, ""
-	}
-	fn := calleeOf(pass.TypesInfo, call)
-	if fn == nil {
-		return nil, ""
-	}
-	pool, ok := poolGetNames[fn.Name()]
-	if !ok || callReceiver(fn, call) == nil {
-		return nil, ""
-	}
-	return call, pool
-}
-
-// poolUseKind classifies one appearance of a tracked buffer variable.
-type poolUseKind int
-
-const (
-	poolUseNeutral poolUseKind = iota // content access, comparison, redefinition
-	poolUseEscape                     // stored, returned, aliased, captured
-	poolUseRelease                    // passed to a put (directly or via summary)
-)
-
-// poolUse is one classified appearance of the buffer.
-type poolUse struct {
-	kind poolUseKind
-	pool string   // for poolUseRelease: which pool it was returned to
-	stmt ast.Stmt // innermost enclosing statement
-	id   *ast.Ident
-}
-
-// checkPoolLeakFunc runs the three pool checks over one function body.
-func checkPoolLeakFunc(pass *Pass, effects map[string]*FuncEffects, body *ast.BlockStmt) {
-	type acquisition struct {
-		stmt ast.Stmt
-		call *ast.CallExpr
-		pool string
-		obj  *types.Var
-	}
-	var acqs []acquisition
-	walkShallow(body, func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if call, pool := poolCall(pass, s.X); call != nil {
-				pass.Reportf(call.Pos(), "%s pool buffer discarded: the result of %s must be kept and put back", pool, calleeName(pass, call))
-			}
-		case *ast.AssignStmt:
-			if len(s.Lhs) != len(s.Rhs) {
-				return
-			}
-			for i, rhs := range s.Rhs {
-				call, pool := poolCall(pass, rhs)
-				if call == nil {
-					continue
-				}
-				id, ok := s.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue // stored straight into a field/index: escapes
-				}
-				if id.Name == "_" {
-					pass.Reportf(call.Pos(), "%s pool buffer discarded: the result of %s must be kept and put back", pool, calleeName(pass, call))
-					continue
-				}
-				obj, _ := pass.TypesInfo.Defs[id].(*types.Var)
-				if obj == nil {
-					obj, _ = pass.TypesInfo.Uses[id].(*types.Var)
-				}
-				if obj != nil {
-					acqs = append(acqs, acquisition{stmt: s, call: call, pool: pool, obj: obj})
-				}
-			}
-		}
-	})
-	if len(acqs) == 0 {
-		return
-	}
-
-	var g *cfg
-	for _, acq := range acqs {
-		uses, escaped := collectPoolUses(pass, effects, body, acq.obj, acq.stmt)
-		if escaped {
+// checkPuts runs the pool-only checks on a tracked buffer: a put to the
+// wrong pool, and any use after a put — a second put included.
+func checkPuts(pass *Pass, g *cfg, a *acquisition, uses []resourceUse) {
+	puts := make(map[ast.Stmt]bool)
+	for _, u := range uses {
+		if u.kind != useRelease {
 			continue
 		}
-		releases := make(map[ast.Stmt]bool) // statements releasing to the matching pool
-		deferred := false                   // a deferred release covers every return path
-		var liveReleases []ast.Stmt         // non-deferred releases, for use-after-put
-		for _, u := range uses {
-			if u.kind != poolUseRelease {
-				continue
-			}
-			if u.pool != acq.pool {
-				pass.Reportf(u.id.Pos(), "buffer %s from the %s pool is returned to the %s pool", acq.obj.Name(), acq.pool, u.pool)
-				// Still a release for path purposes: the buffer is gone.
-			}
-			releases[u.stmt] = true
-			if _, isDefer := u.stmt.(*ast.DeferStmt); isDefer {
-				deferred = true
-			} else {
-				liveReleases = append(liveReleases, u.stmt)
-			}
+		if u.label != a.label {
+			// Still a release for path purposes: the buffer is gone.
+			pass.Reportf(u.id.Pos(), "buffer %s from the %s pool is returned to the %s pool", a.obj.Name(), a.label, u.label)
 		}
-
-		if g == nil {
-			g, _ = buildCFG(body)
-			if !g.ok {
-				return // unmodeled control flow (goto): stay silent
-			}
-		}
-		start := g.byStmt[acq.stmt]
-		if start == nil {
-			continue
-		}
-		if !deferred {
-			rel := func(n *cfgNode) bool { return releases[n.stmt] }
-			if g.pathMissing(start, rel) {
-				pass.Reportf(acq.call.Pos(), "buffer %s from %s is not returned to the %s pool on every return path",
-					acq.obj.Name(), calleeName(pass, acq.call), acq.pool)
-			}
-		}
-		for _, rel := range liveReleases {
-			checkUseAfterPut(pass, g, rel, acq.obj, acq.pool, releases)
+		puts[u.stmt] = true
+	}
+	for _, u := range uses {
+		if _, deferred := u.stmt.(*ast.DeferStmt); u.kind == useRelease && !deferred {
+			checkUseAfterPut(pass, g, u.stmt, a.obj, a.label, puts)
 		}
 	}
 }
@@ -246,7 +150,7 @@ func checkPoolLeakFunc(pass *Pass, effects map[string]*FuncEffects, body *ast.Bl
 // checkUseAfterPut walks forward from a release statement and reports
 // any use of the buffer before it is redefined (typically by the next
 // loop iteration's acquisition).
-func checkUseAfterPut(pass *Pass, g *cfg, rel ast.Stmt, obj *types.Var, pool string, releases map[ast.Stmt]bool) {
+func checkUseAfterPut(pass *Pass, g *cfg, rel ast.Stmt, obj *types.Var, pool string, puts map[ast.Stmt]bool) {
 	start := g.byStmt[rel]
 	if start == nil {
 		return
@@ -258,20 +162,17 @@ func checkUseAfterPut(pass *Pass, g *cfg, rel ast.Stmt, obj *types.Var, pool str
 			return
 		}
 		seen[n] = true
-		redef := stmtRedefines(pass, n.stmt, obj)
+		// A redefinition (b = ..., b := ...) reads the old value only on
+		// its right-hand side (b = append(b, ...)) — that read is the bug.
 		if use := stmtHeaderUse(pass, n.stmt, obj); use != nil {
-			// A redefining statement may still read the old value on its
-			// right-hand side (b = append(b, ...)) — that read is the bug.
-			if !redef || assignRHSUses(pass, n.stmt, obj) {
-				if releases[n.stmt] {
-					pass.Reportf(use.Pos(), "buffer %s returned to the %s pool twice", obj.Name(), pool)
-				} else {
-					pass.Reportf(use.Pos(), "buffer %s used after being returned to the %s pool", obj.Name(), pool)
-				}
-				return
+			if puts[n.stmt] {
+				pass.Reportf(use.Pos(), "buffer %s returned to the %s pool twice", obj.Name(), pool)
+			} else {
+				pass.Reportf(use.Pos(), "buffer %s used after being returned to the %s pool", obj.Name(), pool)
 			}
+			return
 		}
-		if redef {
+		if stmtRedefines(pass, n.stmt, obj) {
 			return
 		}
 		for _, s := range n.succs {
@@ -300,20 +201,6 @@ func stmtRedefines(pass *Pass, s ast.Stmt, obj *types.Var) bool {
 	return false
 }
 
-// assignRHSUses reports whether an assignment's right-hand side reads obj.
-func assignRHSUses(pass *Pass, s ast.Stmt, obj *types.Var) bool {
-	as, ok := s.(*ast.AssignStmt)
-	if !ok {
-		return false
-	}
-	for _, rhs := range as.Rhs {
-		if exprUses(pass, rhs, obj) != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // stmtHeaderUse returns an identifier reading obj within the parts of
 // the statement its CFG node represents: the full statement for simple
 // statements, only the header expressions for compound ones (their
@@ -321,7 +208,7 @@ func assignRHSUses(pass *Pass, s ast.Stmt, obj *types.Var) bool {
 // not uses.
 func stmtHeaderUse(pass *Pass, s ast.Stmt, obj *types.Var) *ast.Ident {
 	switch s := s.(type) {
-	case nil:
+	case nil, *ast.SelectStmt:
 		return nil
 	case *ast.IfStmt:
 		return firstUse(pass, obj, s.Init, s.Cond)
@@ -333,12 +220,10 @@ func stmtHeaderUse(pass *Pass, s ast.Stmt, obj *types.Var) *ast.Ident {
 		return firstUse(pass, obj, s.Init, s.Tag)
 	case *ast.TypeSwitchStmt:
 		return firstUse(pass, obj, s.Init, s.Assign)
-	case *ast.SelectStmt:
-		return nil
 	case *ast.AssignStmt:
 		// Only RHS reads count; LHS mention is a redefinition.
 		for _, rhs := range s.Rhs {
-			if id := exprUses(pass, rhs, obj); id != nil {
+			if id := firstUse(pass, obj, rhs); id != nil {
 				return id
 			}
 		}
@@ -348,83 +233,28 @@ func stmtHeaderUse(pass *Pass, s ast.Stmt, obj *types.Var) *ast.Ident {
 	}
 }
 
+// firstUse returns the first identifier reading obj in the given nodes,
+// skipping nil ones.
 func firstUse(pass *Pass, obj *types.Var, nodes ...ast.Node) *ast.Ident {
+	var found *ast.Ident
 	for _, n := range nodes {
-		if n == nil {
+		if n == nil || found != nil {
 			continue
 		}
-		if id := nodeUses(pass, n, obj); id != nil {
-			return id
-		}
+		ast.Inspect(n, func(c ast.Node) bool {
+			if id, ok := c.(*ast.Ident); ok && found == nil && pass.TypesInfo.Uses[id] == obj {
+				found = id
+			}
+			return found == nil
+		})
 	}
-	return nil
-}
-
-func exprUses(pass *Pass, e ast.Expr, obj *types.Var) *ast.Ident {
-	if e == nil {
-		return nil
-	}
-	return nodeUses(pass, e, obj)
-}
-
-func nodeUses(pass *Pass, n ast.Node, obj *types.Var) *ast.Ident {
-	var found *ast.Ident
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if id, ok := c.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			found = id
-		}
-		return true
-	})
 	return found
 }
 
-// collectPoolUses classifies every appearance of obj in the body,
-// skipping the defining statement. escaped is true as soon as any use
-// retains the buffer beyond this function's control.
-func collectPoolUses(pass *Pass, effects map[string]*FuncEffects, body *ast.BlockStmt, obj *types.Var, def ast.Stmt) (uses []poolUse, escaped bool) {
-	// stack holds the ancestor chain of the node being visited,
-	// innermost last.
-	var stack []ast.Node
-	inLit := 0
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if n == nil || escaped {
-			return
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			inLit++
-			defer func() { inLit-- }()
-		}
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			if inLit > 0 {
-				escaped = true // captured by a closure
-				return
-			}
-			u := classifyPoolUse(pass, effects, stack, id)
-			if u.kind == poolUseEscape {
-				escaped = true
-				return
-			}
-			uses = append(uses, u)
-		}
-		stack = append(stack, n)
-		for _, c := range childNodes(n) {
-			walk(c)
-		}
-		stack = stack[:len(stack)-1]
-	}
-	walk(body)
-	return uses, escaped
-}
-
-// classifyPoolUse decides what one appearance of the buffer does, by
-// ascending from the identifier through value-preserving wrappers
-// (parens, slicing) to the consuming construct.
-func classifyPoolUse(pass *Pass, effects map[string]*FuncEffects, stack []ast.Node, id *ast.Ident) poolUse {
-	u := poolUse{kind: poolUseNeutral, stmt: enclosingStmt(stack), id: id}
+// poolUse decides what one appearance of a buffer does, by ascending
+// from the identifier through value-preserving wrappers (parens,
+// slicing) to the consuming construct.
+func poolUse(pass *Pass, effects map[string]*FuncEffects, stack []ast.Node, id *ast.Ident) (useKind, string) {
 	var cur ast.Node = id
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch p := stack[i].(type) {
@@ -436,56 +266,47 @@ func classifyPoolUse(pass *Pass, effects map[string]*FuncEffects, stack []ast.No
 				cur = p // b[i:j] shares b's storage: keep ascending
 				continue
 			}
-			return u // index position: content arithmetic
+			return useNeutral, "" // index position: content arithmetic
 		case *ast.IndexExpr:
-			if p.X == cur {
-				// b[i]: a byte, not the array — unless its address is taken.
-				if i > 0 {
-					if un, ok := stack[i-1].(*ast.UnaryExpr); ok && un.Op == token.AND {
-						u.kind = poolUseEscape
-					}
-				}
-				return u
+			// b[i]: a byte, not the array — unless its address is taken.
+			if un, ok := parentOf(stack[:i]).(*ast.UnaryExpr); ok && p.X == cur && un.Op == token.AND {
+				return useEscape, ""
 			}
-			return u
+			return useNeutral, ""
 		case *ast.CallExpr:
 			if p.Fun == cur {
-				u.kind = poolUseEscape // calling the buffer: impossible, be safe
-				return u
+				return useEscape, "" // calling the buffer: impossible, be safe
 			}
-			return classifyPoolCallArg(pass, effects, p, cur, u)
+			return poolCallArg(pass, effects, p, cur)
 		case *ast.BinaryExpr:
-			return u // comparisons (b == nil), length arithmetic
+			return useNeutral, "" // comparisons (b == nil), length arithmetic
 		case *ast.AssignStmt:
 			for _, lhs := range p.Lhs {
 				if lhs == cur {
-					return u // plain redefinition target
+					return useNeutral, "" // plain redefinition target
 				}
 			}
-			u.kind = poolUseEscape // aliased or stored: x := b / f.b = b
-			return u
+			return useEscape, "" // aliased or stored: x := b / f.b = b
 		case *ast.RangeStmt:
 			if p.X == cur {
-				return u // iterating contents
+				return useNeutral, "" // iterating contents
 			}
-			u.kind = poolUseEscape
-			return u
+			return useEscape, ""
 		default:
 			// Composite literals, key/values, returns, address-of,
 			// channel sends, map index values...: the buffer outlives
 			// this function's view of it.
-			u.kind = poolUseEscape
-			return u
+			return useEscape, ""
 		}
 	}
-	return u
+	return useNeutral, ""
 }
 
-// classifyPoolCallArg decides what passing the buffer to a call does:
-// a release (matching put method or a summarized releasing helper), a
-// content operation (copy/len/cap, append-as-source, encoding/binary),
-// or an escape.
-func classifyPoolCallArg(pass *Pass, effects map[string]*FuncEffects, call *ast.CallExpr, arg ast.Node, u poolUse) poolUse {
+// poolCallArg decides what passing the buffer to a call does: a release
+// (matching put method or a summarized releasing helper, naming the
+// pool), a content operation (copy/len/cap, append-as-source,
+// encoding/binary), or an escape.
+func poolCallArg(pass *Pass, effects map[string]*FuncEffects, call *ast.CallExpr, arg ast.Node) (useKind, string) {
 	argIdx := -1
 	for i, a := range call.Args {
 		if a == arg {
@@ -496,8 +317,7 @@ func classifyPoolCallArg(pass *Pass, effects map[string]*FuncEffects, call *ast.
 	if argIdx < 0 {
 		// Receiver position (x.m() where x is the buffer): []byte has no
 		// methods in this tree; be safe.
-		u.kind = poolUseEscape
-		return u
+		return useEscape, ""
 	}
 	fn := calleeOf(pass.TypesInfo, call)
 	if fn == nil {
@@ -505,39 +325,25 @@ func classifyPoolCallArg(pass *Pass, effects map[string]*FuncEffects, call *ast.
 		if fid, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 			switch fid.Name {
 			case "copy", "len", "cap", "min", "max":
-				return u // content operations
+				return useNeutral, "" // content operations
 			case "append":
 				if argIdx > 0 {
-					return u // append(dst, b...): copies bytes out
+					return useNeutral, "" // append(dst, b...): copies bytes out
 				}
 			}
 		}
-		u.kind = poolUseEscape
-		return u
+		return useEscape, ""
 	}
 	if pool, ok := poolPutNames[fn.Name()]; ok && callReceiver(fn, call) != nil && argIdx == 0 {
-		u.kind, u.pool = poolUseRelease, pool
-		return u
+		return useRelease, pool
 	}
 	if eff := effects[funcKey(fn)]; eff != nil {
 		if pool, ok := eff.Releases[argIdx]; ok {
-			u.kind, u.pool = poolUseRelease, pool
-			return u
+			return useRelease, pool
 		}
 	}
 	if pkgPathOf(fn) == "encoding/binary" {
-		return u // PutUint32 and friends write into the buffer
+		return useNeutral, "" // PutUint32 and friends write into the buffer
 	}
-	u.kind = poolUseEscape
-	return u
-}
-
-// enclosingStmt returns the innermost statement on the ancestor stack.
-func enclosingStmt(stack []ast.Node) ast.Stmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if s, ok := stack[i].(ast.Stmt); ok {
-			return s
-		}
-	}
-	return nil
+	return useEscape, ""
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -14,25 +15,40 @@ import (
 // events that actually happened. This is the bug class PR 1 fixed by
 // hand in pod.Stop; the analyzer makes it structural.
 //
-// The check is deliberately conservative: it only tracks spans
-// assigned to a local variable that never escapes the function (not
+// It is the lifecycle engine (lifecycle.go) over one rule: a call whose
+// result is a trace.Span acquires, the span's own methods are its only
+// non-escaping uses, and End — called or deferred — releases it. Spans
 // stored in a field, passed to a call, returned, or captured by a
-// closure — event-driven code legitimately ends spans in a later
-// event, which path analysis cannot see). For tracked spans it
-// requires, on every control-flow path from the acquisition to a
-// return, either a sp.End(...) call or a `defer sp.End(...)`.
-// Discarding a span (`_ =` or a bare call statement) is always
-// reported.
+// closure are event-driven and exempt. Discarding a span (`_ =` or a
+// bare call statement) is always reported.
 var SpanLeak = &Analyzer{
 	Name: "spanleak",
 	Doc:  "flag span/op acquisitions lacking an End on some return path",
-	Run:  runSpanLeak,
+	Run:  spanRule.run,
 }
 
-// spanTypes identifies span-like named types by (package path, type
-// name). The End method name is fixed: End.
-var spanTypes = map[[2]string]bool{
-	{"cruz/internal/trace", "Span"}: true,
+var spanRule = &resourceRule{
+	acquire: func(pass *Pass, call *ast.CallExpr) (string, bool) {
+		tv, ok := pass.TypesInfo.Types[call]
+		return "", ok && isSpanType(tv.Type)
+	},
+	use: func(_ *Pass, _ map[string]*FuncEffects, stack []ast.Node, id *ast.Ident) (useKind, string) {
+		sel, ok := parentOf(stack).(*ast.SelectorExpr)
+		switch {
+		case !ok || sel.X != id:
+			return useEscape, ""
+		case sel.Sel.Name == "End" && calledAt(stack, sel) != nil:
+			return useRelease, ""
+		}
+		return useNeutral, ""
+	},
+	discarded: func(pass *Pass, a *acquisition) string {
+		return fmt.Sprintf("span discarded: the result of %s must be kept and ended", calleeName(pass, a.call))
+	},
+	leaked: func(pass *Pass, a *acquisition) string {
+		return fmt.Sprintf("span %s from %s is not ended on every return path (add %s.End(...) or defer it)",
+			a.obj.Name(), calleeName(pass, a.call), a.obj.Name())
+	},
 }
 
 func isSpanType(t types.Type) bool {
@@ -41,238 +57,5 @@ func isSpanType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return spanTypes[[2]string{pkgPathOf(obj), obj.Name()}]
-}
-
-func runSpanLeak(pass *Pass) {
-	for _, file := range pass.Files {
-		// Analyze every function body — declarations and literals —
-		// each against its own control-flow graph.
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkSpanLeakFunc(pass, n.Body)
-				}
-			case *ast.FuncLit:
-				checkSpanLeakFunc(pass, n.Body)
-			}
-			return true
-		})
-	}
-}
-
-// spanCall returns the call expression if expr is a call whose single
-// result is a span type.
-func spanCall(pass *Pass, expr ast.Expr) *ast.CallExpr {
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	tv, ok := pass.TypesInfo.Types[call]
-	if !ok || !isSpanType(tv.Type) {
-		return nil
-	}
-	return call
-}
-
-func checkSpanLeakFunc(pass *Pass, body *ast.BlockStmt) {
-	// Pass 1: find span acquisitions bound at this body's own nesting
-	// level (not inside nested function literals).
-	type acquisition struct {
-		stmt ast.Stmt
-		call *ast.CallExpr
-		obj  *types.Var // nil for discarded spans
-	}
-	var acqs []acquisition
-	walkShallow(body, func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if call := spanCall(pass, s.X); call != nil {
-				pass.Reportf(call.Pos(), "span discarded: the result of %s must be kept and ended", calleeName(pass, call))
-			}
-		case *ast.AssignStmt:
-			if len(s.Lhs) != len(s.Rhs) {
-				return
-			}
-			for i, rhs := range s.Rhs {
-				call := spanCall(pass, rhs)
-				if call == nil {
-					continue
-				}
-				id, ok := s.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue // sp stored straight into a field/index: escapes
-				}
-				if id.Name == "_" {
-					pass.Reportf(call.Pos(), "span discarded: the result of %s must be kept and ended", calleeName(pass, call))
-					continue
-				}
-				obj, _ := pass.TypesInfo.Defs[id].(*types.Var)
-				if obj == nil {
-					// Plain `=` to an existing variable; resolve the use.
-					obj, _ = pass.TypesInfo.Uses[id].(*types.Var)
-				}
-				if obj != nil {
-					acqs = append(acqs, acquisition{stmt: s, call: call, obj: obj})
-				}
-			}
-		case *ast.DeclStmt:
-			gd, ok := s.Decl.(*ast.GenDecl)
-			if !ok {
-				return
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) != len(vs.Names) {
-					continue
-				}
-				for i, v := range vs.Values {
-					if call := spanCall(pass, v); call != nil {
-						obj, _ := pass.TypesInfo.Defs[vs.Names[i]].(*types.Var)
-						if obj != nil {
-							acqs = append(acqs, acquisition{stmt: s, call: call, obj: obj})
-						}
-					}
-				}
-			}
-		}
-	})
-	if len(acqs) == 0 {
-		return
-	}
-
-	var g *cfg
-	for _, acq := range acqs {
-		if escapesSpan(pass, body, acq.obj, acq.stmt) {
-			continue
-		}
-		if hasDeferredEnd(pass, body, acq.obj) {
-			continue
-		}
-		if g == nil {
-			g, _ = buildCFG(body)
-			if !g.ok {
-				return // unmodeled control flow (goto): stay silent
-			}
-		}
-		start := g.byStmt[acq.stmt]
-		if start == nil {
-			continue
-		}
-		ends := func(n *cfgNode) bool { return stmtEndsSpan(pass, n.stmt, acq.obj) }
-		if g.pathMissing(start, ends) {
-			pass.Reportf(acq.call.Pos(), "span %s from %s is not ended on every return path (add %s.End(...) or defer it)",
-				acq.obj.Name(), calleeName(pass, acq.call), acq.obj.Name())
-		}
-	}
-}
-
-// walkShallow visits the statements of body without descending into
-// nested function literals.
-func walkShallow(body *ast.BlockStmt, fn func(ast.Stmt)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if s, ok := n.(ast.Stmt); ok {
-			fn(s)
-		}
-		return true
-	})
-}
-
-// escapesSpan reports whether the span variable is used in any way
-// other than sp.End(...)/sp.Active() calls or its defining assignment:
-// passed to a call, stored, returned, aliased, address-taken, or
-// captured by a function literal.
-func escapesSpan(pass *Pass, body *ast.BlockStmt, obj *types.Var, def ast.Stmt) bool {
-	escaped := false
-	var inLit int
-	var walk func(n ast.Node, parent ast.Node)
-	walk = func(n ast.Node, parent ast.Node) {
-		if escaped || n == nil {
-			return
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			inLit++
-			defer func() { inLit-- }()
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if pass.TypesInfo.Uses[id] == obj {
-				if inLit > 0 {
-					escaped = true // captured by a closure
-					return
-				}
-				// Allowed shape: the receiver of a method call,
-				// i.e. parent is SelectorExpr sp.End / sp.Active.
-				if sel, ok := parent.(*ast.SelectorExpr); !ok || sel.X != id {
-					escaped = true
-					return
-				}
-			}
-		}
-		for _, c := range childNodes(n) {
-			walk(c, n)
-		}
-	}
-	walk(body, nil)
-	return escaped
-}
-
-// childNodes returns the direct AST children of n, in source order.
-func childNodes(n ast.Node) []ast.Node {
-	var out []ast.Node
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			out = append(out, c)
-		}
-		return false
-	})
-	return out
-}
-
-// hasDeferredEnd reports whether body contains `defer sp.End(...)` at
-// any nesting level outside function literals.
-func hasDeferredEnd(pass *Pass, body *ast.BlockStmt, obj *types.Var) bool {
-	found := false
-	walkShallow(body, func(s ast.Stmt) {
-		d, ok := s.(*ast.DeferStmt)
-		if ok && isEndCallOn(pass, d.Call, obj) {
-			found = true
-		}
-	})
-	return found
-}
-
-// stmtEndsSpan reports whether the statement contains sp.End(...) at
-// its own level (not inside a nested block of a compound statement,
-// which has its own CFG node, and not inside a function literal).
-func stmtEndsSpan(pass *Pass, s ast.Stmt, obj *types.Var) bool {
-	if s == nil {
-		return false
-	}
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		return ok && isEndCallOn(pass, call, obj)
-	case *ast.DeferStmt:
-		return isEndCallOn(pass, s.Call, obj)
-	default:
-		return false
-	}
-}
-
-func isEndCallOn(pass *Pass, call *ast.CallExpr, obj *types.Var) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "End" {
-		return false
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && pass.TypesInfo.Uses[id] == obj
+	return pkgPathOf(obj) == "cruz/internal/trace" && obj.Name() == "Span"
 }

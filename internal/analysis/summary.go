@@ -19,14 +19,13 @@ import (
 // base operation itself, so the checks see through one-or-more helper
 // levels instead of going silent at the first wrapper.
 //
-// Resolution order mirrors lockorder's whole-program fixpoint, but can
-// be eager instead of deferred: Load returns packages in `go list
-// -deps` post-order (every dependency before its importers), and Go
+// Resolution is eager rather than a whole-program fixpoint in a Finish
+// hook: Load returns packages in `go list -deps` post-order (every dependency before its importers), and Go
 // forbids import cycles, so by the time a package is summarized every
 // cross-package callee already has its final summary. Within a package,
 // mutual recursion is possible and the computation iterates to a
 // fixpoint. Summaries are exported as per-package facts (analyzer key
-// "effects") so tests and Finish hooks can inspect them.
+// "effects").
 //
 // Function literals are deliberately excluded when collecting a
 // function's own effects: a closure handed to a callback or the

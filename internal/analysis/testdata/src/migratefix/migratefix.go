@@ -1,15 +1,11 @@
 // Package migratefix is a cruzvet fixture for the code shapes live
 // migration introduced: per-round phase spans that must survive the
-// round loop's abort/convergence early returns, and the agent/stack
-// lock ordering of the address-takeover path (core installs the drop
-// filter and rebinds the VIF against tcpip state). The bug shapes here
-// are the ones the analyzers must keep catching in internal/core's
-// migrate paths.
+// round loop's abort/convergence early returns. The bug shapes here are
+// the ones the analyzers must keep catching in internal/core's migrate
+// paths.
 package migratefix
 
 import (
-	"sync"
-
 	"cruz/internal/sim"
 	"cruz/internal/trace"
 )
@@ -18,18 +14,6 @@ import (
 type round struct {
 	pages   int
 	aborted bool
-}
-
-// agent models the per-node daemon: its own lock plus the network
-// stack's state (the tcpip tier the takeover path re-enters).
-type agent struct {
-	mu    sync.Mutex
-	stack netStack
-}
-
-type netStack struct {
-	mu      sync.Mutex
-	filters int
 }
 
 // roundLeak is the round-loop bug shape: the per-round span is begun
@@ -77,45 +61,4 @@ func roundOK(tr *trace.Tracer, r round) int {
 func okEscapesToAdoption(e *sim.Engine, tr *trace.Tracer) {
 	sp := tr.Begin("node", "phase", "migrate-stream")
 	e.Schedule(sim.Millisecond, func() { sp.End() })
-}
-
-// Lock ordering: the agent lock and the stack lock are two tiers; every
-// takeover path must take agent.mu before stack.mu.
-
-// takeoverFilter is the correct order: agent state first, then the
-// stack to install the drop filter and rebind the VIF.
-func takeoverFilter(a *agent) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.stack.mu.Lock()
-	a.stack.filters++
-	a.stack.mu.Unlock()
-}
-
-// stackNotify inverts the order — the classic takeover deadlock: a
-// stack-side notification (gratuitous-ARP learn, socket wakeup)
-// re-enters the agent while still holding stack state.
-func stackNotify(a *agent) {
-	a.stack.mu.Lock()
-	a.mu.Lock() // want `lock-order cycle`
-	a.mu.Unlock()
-	a.stack.mu.Unlock()
-}
-
-// freezeHold parks on the scheduler while holding the stack — the
-// residual freeze must never block the engine under tcpip state.
-func freezeHold(e *sim.Engine, a *agent) {
-	a.stack.mu.Lock()
-	_ = e.RunFor(sim.Millisecond) // want `held across blocking scheduler yield`
-	a.stack.mu.Unlock()
-}
-
-// sequentialTiers takes the tiers one after another (never nested in
-// the inverse order): fine.
-func sequentialTiers(a *agent) {
-	a.stack.mu.Lock()
-	a.stack.filters--
-	a.stack.mu.Unlock()
-	a.mu.Lock()
-	a.mu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 	crand "crypto/rand"
 	"math/rand"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -44,4 +45,26 @@ func allowed() {
 	_ = d
 	var at time.Time
 	_ = at.Add(d) // arithmetic on explicit values, no clock read
+}
+
+// The simulation is single-threaded: a lock declared anywhere in a
+// sim-side package is a finding, whatever holds it.
+var pkgMu sync.Mutex // want `sync\.Mutex declared in sim-side package`
+
+type guarded struct {
+	mu sync.Mutex // want `sync\.Mutex declared in sim-side package`
+	n  int
+}
+
+type embedded struct {
+	sync.RWMutex // want `sync\.RWMutex declared in sim-side package`
+}
+
+func localLock(g *guarded, e *embedded) {
+	var mu sync.Mutex // want `sync\.Mutex declared in sim-side package`
+	mu.Lock()
+	g.n++
+	mu.Unlock()
+	e.RLock()
+	e.RUnlock()
 }

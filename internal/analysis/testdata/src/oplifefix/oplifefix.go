@@ -49,6 +49,17 @@ func ExpectOrphan(tb *ctl.Table) {
 	op.ArmTimeout(sim.Duration(10), errTimeout)
 }
 
+// LeakDeferInOneBranch defers the Finish on one branch only.
+func LeakDeferInOneBranch(tb *ctl.Table, keep bool) {
+	op, err := tb.Begin("job", "k10", 1) // want `op op from Begin neither completes \(Fail/Finish\) nor arms a timeout`
+	if err != nil {
+		return
+	}
+	if keep {
+		defer op.Finish()
+	}
+}
+
 // OkBothBranches completes the op on every path after the guard.
 func OkBothBranches(tb *ctl.Table, cond bool) {
 	op, err := tb.Begin("job", "k5", 1)

@@ -91,6 +91,16 @@ func (c *conn) OkDeferred(x bool) {
 	b[0] = 1
 }
 
+// LeakDeferInOneBranch defers the put on one branch only: the other
+// path returns with the buffer still out.
+func (c *conn) LeakDeferInOneBranch(keep bool) {
+	b := c.getFrameBuf(16) // want `buffer b from .*getFrameBuf is not returned to the frame pool on every return path`
+	if keep {
+		defer c.putFrameBuf(b)
+	}
+	b[0] = 1
+}
+
 // frame mimics ctl's wframe: buffers queued for a later drain are the
 // writer side's responsibility, so the acquisition must stay silent.
 type frame struct{ buf []byte }

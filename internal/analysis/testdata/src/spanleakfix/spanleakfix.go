@@ -43,6 +43,15 @@ func discarded(tr *trace.Tracer) {
 	_ = tr.Begin("n", "c", "op") // want `span discarded`
 }
 
+// A defer registered in one branch ends the span on that branch's paths
+// only.
+func leakDeferInOneBranch(tr *trace.Tracer, keep bool) {
+	sp := tr.Begin("n", "c", "op") // want `not ended on every return path`
+	if keep {
+		defer sp.End()
+	}
+}
+
 func okDefer(tr *trace.Tracer, fail bool) {
 	sp := tr.Begin("n", "c", "op")
 	defer sp.End()

@@ -1,15 +1,13 @@
 // Package treeleader is a cruzvet fixture for the group-leader code
 // shapes hierarchical (two-level tree) coordination introduced: relay
-// spans that must survive leader-promotion error paths, and the
-// two-tier agent/relay lock ordering. The bug shapes here are the ones
-// the analyzers must keep catching in internal/core's leader paths.
+// spans that must survive leader-promotion error paths. The bug shapes
+// here are the ones the analyzers must keep catching in internal/core's
+// leader paths.
 package treeleader
 
 import (
 	"errors"
-	"sync"
 
-	"cruz/internal/sim"
 	"cruz/internal/trace"
 )
 
@@ -17,18 +15,6 @@ import (
 type member struct {
 	name string
 	live bool
-}
-
-// agent models the per-node daemon: its own lock plus a relay table
-// (the leader role's aggregation state) with a second lock tier.
-type agent struct {
-	mu    sync.Mutex
-	relay relayTable
-}
-
-type relayTable struct {
-	mu      sync.Mutex
-	pending int
 }
 
 var errDead = errors.New("member dead")
@@ -75,45 +61,4 @@ func relayLeak(tr *trace.Tracer, members []member) {
 // aggregateDiscard drops the aggregation span on the floor.
 func aggregateDiscard(tr *trace.Tracer) {
 	tr.Begin("node", "coord", "relay.aggregate") // want `span discarded`
-}
-
-// Lock ordering: the agent lock and the relay-table lock are two
-// tiers; every path must take agent.mu before relay.mu.
-
-// leaderBatch is the correct order: agent state first, then the relay
-// aggregation table.
-func leaderBatch(a *agent) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.relay.mu.Lock()
-	a.relay.pending++
-	a.relay.mu.Unlock()
-}
-
-// memberReply inverts the order — the classic promotion-time deadlock:
-// a member reply grabs the relay table, then re-enters the agent.
-func memberReply(a *agent) {
-	a.relay.mu.Lock()
-	a.mu.Lock() // want `lock-order cycle`
-	a.mu.Unlock()
-	a.relay.mu.Unlock()
-}
-
-// flushRelay holds the relay table across a blocking engine run — the
-// leader must never sleep on the scheduler while holding its
-// aggregation state.
-func flushRelay(e *sim.Engine, a *agent) {
-	a.relay.mu.Lock()
-	_ = e.RunFor(sim.Millisecond) // want `held across blocking scheduler yield`
-	a.relay.mu.Unlock()
-}
-
-// sequentialTiers takes the tiers one after another (never nested in
-// the inverse order): fine.
-func sequentialTiers(a *agent) {
-	a.relay.mu.Lock()
-	a.relay.pending--
-	a.relay.mu.Unlock()
-	a.mu.Lock()
-	a.mu.Unlock()
 }

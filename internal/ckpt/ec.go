@@ -303,6 +303,7 @@ func (m gfMatrix) invert() (gfMatrix, error) {
 // identity (data shards pass through unchanged; the bottom r rows are
 // the parity coefficients). Any m rows remain invertible.
 var (
+	//cruzvet:allow nodeterminism a process-wide memo of a pure function, shared by clusters run in parallel goroutines; no sim-visible value depends on which fills it
 	ecMatrixMu    sync.Mutex
 	ecMatrixCache = map[ECParams]gfMatrix{}
 )

@@ -265,9 +265,6 @@ func NewAgent(kern *kernel.Kernel, store *ckpt.Store, params AgentParams) (*Agen
 // Addr returns the agent's control endpoint.
 func (a *Agent) Addr() tcpip.AddrPort { return a.listener.LocalAddr() }
 
-// Store returns the agent's checkpoint store.
-func (a *Agent) Store() *ckpt.Store { return a.store }
-
 // Kernel returns the node the agent runs on.
 func (a *Agent) Kernel() *kernel.Kernel { return a.kern }
 

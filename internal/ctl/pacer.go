@@ -40,9 +40,6 @@ func NewPacer(engine *sim.Engine, rate, burst int64) *Pacer {
 	return &Pacer{engine: engine, rate: rate, burst: burst, tokens: burst, last: engine.Now()}
 }
 
-// Rate returns the configured background rate in bytes per second.
-func (p *Pacer) Rate() int64 { return p.rate }
-
 func (p *Pacer) refill() {
 	now := p.engine.Now()
 	if now <= p.last {

@@ -11,10 +11,10 @@ package dhcp
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"cruz/internal/ether"
+	"cruz/internal/gobmemo"
 	"cruz/internal/kernel"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
@@ -50,15 +50,22 @@ type Message struct {
 	XID       uint32
 }
 
-func encode(m *Message) []byte {
+// codec encodes every DHCP message: bytes identical to a fresh gob
+// encoder's, type descriptors built once per process.
+var codec = gobmemo.New[Message]()
+
+// send encodes m and sends it from the socket fd to the endpoint.
+func send(ctx *kernel.ProcContext, fd int, to tcpip.AddrPort, m *Message) error {
 	var buf bytes.Buffer
-	gob.NewEncoder(&buf).Encode(m)
-	return buf.Bytes()
+	if err := codec.Encode(&buf, m); err != nil {
+		return fmt.Errorf("dhcp: encode: %w", err)
+	}
+	return ctx.SendTo(fd, to, buf.Bytes())
 }
 
 func decode(b []byte) (*Message, error) {
 	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
+	if _, err := codec.Decode(b, &m); err != nil {
 		return nil, fmt.Errorf("dhcp: decode: %w", err)
 	}
 	return &m, nil
@@ -149,7 +156,7 @@ func (s *Server) Step(ctx *kernel.ProcContext) kernel.StepResult {
 		return kernel.Continue(sim.Microsecond)
 	}
 	// Answer to the client's source endpoint.
-	if err := ctx.SendTo(s.FD, msg.From, encode(reply)); err != nil {
+	if err := send(ctx, s.FD, msg.From, reply); err != nil {
 		s.Fault = "send: " + err.Error()
 		return kernel.Exit(0, 2)
 	}
@@ -204,7 +211,7 @@ func (c *Client) Step(ctx *kernel.ProcContext) kernel.StepResult {
 		c.MAC = mac
 		c.XID++
 		msg := &Message{Type: Discover, ClientMAC: c.MAC, XID: c.XID}
-		if err := ctx.SendTo(c.FD, tcpip.AddrPort{Addr: tcpip.AddrBroadcast, Port: ServerPort}, encode(msg)); err != nil {
+		if err := send(ctx, c.FD, tcpip.AddrPort{Addr: tcpip.AddrBroadcast, Port: ServerPort}, msg); err != nil {
 			return c.fail("discover: " + err.Error())
 		}
 		c.Phase = 1
@@ -216,7 +223,7 @@ func (c *Client) Step(ctx *kernel.ProcContext) kernel.StepResult {
 		}
 		c.ServerAddr = from
 		req := &Message{Type: Request, ClientMAC: c.MAC, YourIP: m.YourIP, XID: c.XID}
-		if err := ctx.SendTo(c.FD, from, encode(req)); err != nil {
+		if err := send(ctx, c.FD, from, req); err != nil {
 			return c.fail("request: " + err.Error())
 		}
 		c.Phase = 2
@@ -244,7 +251,7 @@ func (c *Client) Step(ctx *kernel.ProcContext) kernel.StepResult {
 		c.MAC = mac
 		c.XID++
 		req := &Message{Type: Request, ClientMAC: c.MAC, YourIP: c.Lease, XID: c.XID}
-		if err := ctx.SendTo(c.FD, c.ServerAddr, encode(req)); err != nil {
+		if err := send(ctx, c.FD, c.ServerAddr, req); err != nil {
 			return c.fail("renew: " + err.Error())
 		}
 		c.Phase = 2

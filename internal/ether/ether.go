@@ -143,9 +143,6 @@ func NewNIC(engine *sim.Engine, name string, primary MAC) *NIC {
 	}
 }
 
-// Name returns the NIC's name (e.g. "node3/eth0").
-func (n *NIC) Name() string { return n.name }
-
 // PrimaryMAC returns the NIC's burned-in address.
 func (n *NIC) PrimaryMAC() MAC { return n.primary }
 

@@ -18,12 +18,13 @@ package flush
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cruz/internal/ckpt"
 	"cruz/internal/ctl"
+	"cruz/internal/gobmemo"
 	"cruz/internal/kernel"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
@@ -88,6 +89,10 @@ type fWireMsg struct {
 	ImageBytes    int64
 }
 
+// fCodec encodes every flush message: bytes identical to a fresh gob
+// encoder's, type descriptors built once per process.
+var fCodec = gobmemo.New[fWireMsg]()
+
 type fConn struct {
 	*ctl.Conn
 	onMsg func(*fConn, *fWireMsg)
@@ -101,7 +106,7 @@ func newFConn(tc *tcpip.TCPConn, onMsg func(*fConn, *fWireMsg)) *fConn {
 
 func (c *fConn) send(m *fWireMsg) error {
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(m); err != nil {
+	if err := fCodec.Encode(&body, m); err != nil {
 		return fmt.Errorf("flush: encode: %w", err)
 	}
 	return c.Conn.Send(body.Bytes())
@@ -109,10 +114,17 @@ func (c *fConn) send(m *fWireMsg) error {
 
 func (c *fConn) frame(_ *ctl.Conn, payload []byte) {
 	var m fWireMsg
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+	if _, err := fCodec.Decode(payload, &m); err != nil {
 		return
 	}
 	c.onMsg(c, &m)
+}
+
+// reply answers the coordinator on the conn its request came in on. A
+// reply that cannot be sent means that conn died: the coordinator has
+// lost this agent already, and the agent's own state clears either way.
+func reply(c *fConn, m *fWireMsg) {
+	c.send(m) //cruzvet:allow errdrop a reply on a dead coordinator conn has no one to tell; the agent clears its op either way
 }
 
 // AgentParams models the flushing agent's costs.
@@ -211,9 +223,6 @@ func (a *Agent) Addr() tcpip.AddrPort { return a.listener.LocalAddr() }
 // Manage registers a pod.
 func (a *Agent) Manage(pod *zap.Pod) { a.pods[pod.Name()] = pod }
 
-// Pod returns a managed pod by name.
-func (a *Agent) Pod(name string) *zap.Pod { return a.pods[name] }
-
 // peerConn returns (dialing if needed) a connection to a peer agent.
 func (a *Agent) peerConn(addr tcpip.AddrPort) (*fConn, error) {
 	if c, ok := a.peers[addr]; ok {
@@ -248,14 +257,11 @@ func (a *Agent) onMsg(c *fConn, m *fWireMsg) {
 func (a *Agent) startCheckpoint(c *fConn, m *fWireMsg) {
 	pod, ok := a.pods[m.Pod]
 	if !ok || pod.Destroyed() {
-		// Error replies ride the coordinator's own conn: if that conn is
-		// dead the coordinator already lost this agent, and no op was
-		// created here to clean up.
-		c.send(&fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrUnknownPod.Error()}) //cruzvet:allow errdrop reply on the coordinator's conn; nothing to recover agent-side
+		reply(c, &fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrUnknownPod.Error()})
 		return
 	}
 	if a.op != nil {
-		c.send(&fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrBusy.Error()}) //cruzvet:allow errdrop reply on the coordinator's conn; nothing to recover agent-side
+		reply(c, &fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrBusy.Error()})
 		return
 	}
 	op := &agentOp{
@@ -408,8 +414,7 @@ func (a *Agent) saveLocal(op *agentOp) {
 		if err != nil {
 			phCapture.End(trace.Str("err", err.Error()))
 			op.span.End(trace.Str("err", err.Error()))
-			//cruzvet:allow errdrop failure reply on the coordinator's conn; local op state clears either way
-			op.conn.send(&fWireMsg{Type: fDone, Seq: op.seq, Pod: op.podName, Err: err.Error()})
+			reply(op.conn, &fWireMsg{Type: fDone, Seq: op.seq, Pod: op.podName, Err: err.Error()})
 			a.op = nil
 			return
 		}
@@ -439,7 +444,7 @@ func (a *Agent) saveLocal(op *agentOp) {
 				op.span.End(trace.Str("err", serr.Error()))
 			}
 			op.saved = true
-			op.conn.send(msg) //cruzvet:allow errdrop fDone reply on the coordinator's conn; the agent op is complete regardless
+			reply(op.conn, msg)
 		}
 		plan, err := a.store.PlanSave(img)
 		if err != nil {
@@ -460,8 +465,7 @@ func (a *Agent) handleContinue(m *fWireMsg) {
 	op.pod.Resume()
 	op.phCommit.End()
 	op.span.End()
-	//cruzvet:allow errdrop fContinueDone reply on the coordinator's conn; the pod resumed and the op cleared
-	op.conn.send(&fWireMsg{
+	reply(op.conn, &fWireMsg{
 		Type:          fContinueDone,
 		Seq:           m.Seq,
 		Pod:           op.podName,
@@ -499,28 +503,23 @@ type Result struct {
 	MarkerMessages      int
 }
 
-// Coordinator drives flushing checkpoints.
+// Coordinator drives flushing checkpoints: one ctl.Op per job in
+// flight, keyed by the job's name, waiting first on every member's done
+// and then on every member's continue-done.
 type Coordinator struct {
 	stack  *tcpip.Stack
 	params AgentParams // MsgCost reused
 	cpu    ctl.Serializer
 	tr     *trace.Tracer
 	conns  map[tcpip.AddrPort]*fConn
-	ops    map[string]*coordOp
+	ops    *ctl.Table
 	seq    map[string]int
 }
 
-type coordOp struct {
-	job      *Job
-	seq      int
-	t0       sim.Time
-	doneAt   sim.Time
-	pending  map[string]bool
-	contPend map[string]bool
-	res      *Result
-	done     func(*Result, error)
-	failed   bool
-	span     trace.Span
+// checkpointOp is one job's checkpoint in flight: its ctl.Op's Data.
+type checkpointOp struct {
+	job *Job
+	res Result
 }
 
 // NewCoordinator creates a flushing coordinator on the given stack.
@@ -531,7 +530,7 @@ func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 		cpu:    ctl.Serializer{Engine: stack.Engine()},
 		tr:     trace.FromEngine(stack.Engine()),
 		conns:  make(map[tcpip.AddrPort]*fConn),
-		ops:    make(map[string]*coordOp),
+		ops:    ctl.NewTable(stack.Engine()),
 		seq:    make(map[string]int),
 	}
 }
@@ -573,116 +572,101 @@ func (c *Coordinator) Connect(job *Job, done func(error)) {
 
 // Checkpoint runs one flushing coordinated checkpoint.
 func (c *Coordinator) Checkpoint(job *Job, done func(*Result, error)) {
-	if _, busy := c.ops[job.Name]; busy {
+	seq := c.seq[job.Name] + 1
+	op, err := c.ops.Begin("checkpoint", job.Name, seq)
+	if err != nil {
 		done(nil, ErrBusy)
 		return
 	}
-	c.seq[job.Name]++
-	seq := c.seq[job.Name]
-	members := make([]memberInfo, len(job.Members))
-	for i, m := range job.Members {
-		members[i] = memberInfo{Pod: m.Pod, PodIP: m.PodIP, Agent: m.Agent}
-	}
-	op := &coordOp{
-		job:      job,
-		seq:      seq,
-		t0:       c.stack.Engine().Now(),
-		pending:  make(map[string]bool),
-		contPend: make(map[string]bool),
-		res:      &Result{Seq: seq},
-		done:     done,
-	}
+	c.seq[job.Name] = seq
+	cp := &checkpointOp{job: job, res: Result{Seq: seq}}
+	op.Data = cp
+	var span trace.Span
 	if c.tr.Enabled() {
-		op.span = c.tr.Begin(c.stack.Name(), "flush", "checkpoint",
+		span = c.tr.Begin(c.stack.Name(), "flush", "checkpoint",
 			trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
 			trace.Int("members", int64(len(job.Members))))
 	}
-	c.ops[job.Name] = op
+	op.OnFinish(func(op *ctl.Op, err error) {
+		if err != nil {
+			span.End(trace.Str("err", err.Error()))
+			done(nil, err)
+			return
+		}
+		cp.res.CycleLatency = c.stack.Engine().Now().Sub(op.Started())
+		span.End(trace.Int("marker_msgs", int64(cp.res.MarkerMessages)))
+		done(&cp.res, nil)
+	})
+	members := make([]memberInfo, len(job.Members))
+	for i, m := range job.Members {
+		members[i] = memberInfo(m)
+		op.Expect("done", m.Pod)
+	}
 	for _, m := range job.Members {
-		op.pending[m.Pod] = true
-		op.contPend[m.Pod] = true
-		m := m
-		c.cpu.Do(c.params.MsgCost, func() {
-			fc, ok := c.conns[m.Agent]
-			if !ok {
-				c.fail(op, fmt.Errorf("%w: no connection to %s", ErrAgent, m.Agent))
-				return
-			}
-			op.res.CoordinatorMessages += 1
-			if err := fc.send(&fWireMsg{Type: fCheckpoint, Seq: seq, Pod: m.Pod, Members: members}); err != nil {
-				c.fail(op, fmt.Errorf("%w: send to %s: %v", ErrAgent, m.Agent, err))
-			}
-		})
+		c.send(op, m, &fWireMsg{Type: fCheckpoint, Seq: seq, Pod: m.Pod, Members: members})
 	}
 }
 
-func (c *Coordinator) fail(op *coordOp, err error) {
-	if op.failed {
-		return
-	}
-	op.failed = true
-	op.span.End(trace.Str("err", err.Error()))
-	delete(c.ops, op.job.Name)
-	op.done(nil, err)
+// send sends m to a member's agent in the next message slot; a missing
+// or dead conn fails the op.
+func (c *Coordinator) send(op *ctl.Op, mem Member, m *fWireMsg) {
+	c.cpu.Do(c.params.MsgCost, func() {
+		fc, ok := c.conns[mem.Agent]
+		if !ok {
+			op.Fail(fmt.Errorf("%w: no connection to %s", ErrAgent, mem.Agent))
+			return
+		}
+		op.Data.(*checkpointOp).res.CoordinatorMessages++
+		if err := fc.send(m); err != nil {
+			op.Fail(fmt.Errorf("%w: send to %s: %v", ErrAgent, mem.Agent, err))
+		}
+	})
 }
 
-// onMsg handles agent replies.
+// onMsg handles agent replies. Seqs count per job, so two jobs can be at
+// the same seq at once: a reply belongs to the checkpoint at its seq
+// whose job lists its pod.
 func (c *Coordinator) onMsg(_ *fConn, m *fWireMsg) {
 	c.cpu.Do(c.params.MsgCost, func() {
-		var op *coordOp
-		for _, o := range c.ops {
-			if o.seq == m.Seq {
+		var op *ctl.Op
+		sender := func(mem Member) bool { return mem.Pod == m.Pod }
+		c.ops.Each(func(o *ctl.Op) {
+			if o.Seq == m.Seq && slices.ContainsFunc(o.Data.(*checkpointOp).job.Members, sender) {
 				op = o
-				break
 			}
-		}
-		if op == nil || op.failed {
+		})
+		if op == nil {
 			return
 		}
 		if m.Err != "" {
-			c.fail(op, fmt.Errorf("%w: %s: %s", ErrAgent, m.Pod, m.Err))
+			op.Fail(fmt.Errorf("%w: %s: %s", ErrAgent, m.Pod, m.Err))
 			return
 		}
+		cp := op.Data.(*checkpointOp)
 		switch m.Type {
 		case fDone:
-			if !op.pending[m.Pod] {
+			if !op.Arrive("done", m.Pod) {
 				return
 			}
-			delete(op.pending, m.Pod)
-			op.res.CoordinatorMessages++
-			op.res.MarkerMessages += m.MarkerMsgs
-			if m.FlushDuration > op.res.MaxFlush {
-				op.res.MaxFlush = m.FlushDuration
-			}
-			if m.LocalDuration > op.res.MaxLocal {
-				op.res.MaxLocal = m.LocalDuration
-			}
-			if len(op.pending) == 0 {
-				op.doneAt = c.stack.Engine().Now()
-				op.res.Latency = op.doneAt.Sub(op.t0)
-				for _, mem := range op.job.Members {
-					mem := mem
-					c.cpu.Do(c.params.MsgCost, func() {
-						if fc, ok := c.conns[mem.Agent]; ok {
-							op.res.CoordinatorMessages++
-							if err := fc.send(&fWireMsg{Type: fContinue, Seq: op.seq, Pod: mem.Pod}); err != nil {
-								c.fail(op, fmt.Errorf("%w: continue to %s: %v", ErrAgent, mem.Agent, err))
-							}
-						}
-					})
+			cp.res.CoordinatorMessages++
+			cp.res.MarkerMessages += m.MarkerMsgs
+			cp.res.MaxFlush = max(cp.res.MaxFlush, m.FlushDuration)
+			cp.res.MaxLocal = max(cp.res.MaxLocal, m.LocalDuration)
+			if op.Cleared("done") {
+				cp.res.Latency = c.stack.Engine().Now().Sub(op.Started())
+				for _, mem := range cp.job.Members {
+					op.Expect("continue", mem.Pod)
+				}
+				for _, mem := range cp.job.Members {
+					c.send(op, mem, &fWireMsg{Type: fContinue, Seq: op.Seq, Pod: mem.Pod})
 				}
 			}
 		case fContinueDone:
-			if !op.contPend[m.Pod] {
-				return
-			}
-			delete(op.contPend, m.Pod)
-			op.res.CoordinatorMessages++
-			if len(op.contPend) == 0 && len(op.pending) == 0 {
-				op.res.CycleLatency = c.stack.Engine().Now().Sub(op.t0)
-				op.span.End(trace.Int("marker_msgs", int64(op.res.MarkerMessages)))
-				delete(c.ops, op.job.Name)
-				op.done(op.res, nil)
+			if op.Arrive("continue", m.Pod) {
+				cp.res.CoordinatorMessages++
+				if op.Cleared("continue") {
+					op.Finish()
+				}
 			}
 		}
 	})

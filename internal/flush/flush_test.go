@@ -174,22 +174,34 @@ func (r *rig) run(d sim.Duration) {
 
 func (r *rig) checkpoint() *Result {
 	r.t.Helper()
-	var res *Result
-	var cerr error
-	fired := false
-	r.coord.Checkpoint(r.job, func(got *Result, err error) {
-		res, cerr, fired = got, err, true
-	})
-	for i := 0; i < 500 && !fired; i++ {
+	return r.checkpointAll(r.job)[0]
+}
+
+// checkpointAll starts a checkpoint of every job in the same event and
+// waits for all of them to complete.
+func (r *rig) checkpointAll(jobs ...*Job) []*Result {
+	r.t.Helper()
+	results := make([]*Result, len(jobs))
+	errs := make([]error, len(jobs))
+	fired := 0
+	for i, job := range jobs {
+		r.coord.Checkpoint(job, func(got *Result, err error) {
+			results[i], errs[i] = got, err
+			fired++
+		})
+	}
+	for i := 0; i < 500 && fired < len(jobs); i++ {
 		r.run(20 * sim.Millisecond)
 	}
-	if !fired {
-		r.t.Fatal("flush checkpoint never completed")
+	for i, job := range jobs {
+		switch {
+		case errs[i] != nil:
+			r.t.Fatalf("flush checkpoint of %s: %v", job.Name, errs[i])
+		case results[i] == nil:
+			r.t.Fatalf("flush checkpoint of %s never completed", job.Name)
+		}
 	}
-	if cerr != nil {
-		r.t.Fatalf("flush checkpoint: %v", cerr)
-	}
-	return res
+	return results
 }
 
 func TestFlushCheckpointCorrectness(t *testing.T) {
@@ -255,6 +267,33 @@ func TestFlushDrainsInFlightData(t *testing.T) {
 		t.Fatalf("flush %v exceeds total %v", res.MaxFlush, res.Latency)
 	}
 	r.run(500 * sim.Millisecond)
+	for i, p := range r.progs {
+		if p.Fault != "" {
+			t.Fatalf("prog %d fault: %s", i, p.Fault)
+		}
+	}
+}
+
+// TestFlushJobsAtTheSameSeqCompleteIndependently: sequence numbers count
+// per job, so two jobs checkpointed in the same event are both at seq 1
+// and every reply must reach the checkpoint of its own pod's job. Matching
+// by seq alone handed one job's replies to the other, and the result
+// depended on map iteration order: one job, or neither, completed.
+func TestFlushJobsAtTheSameSeqCompleteIndependently(t *testing.T) {
+	r := newRig(t, 4)
+	r.run(300 * sim.Millisecond)
+	left := &Job{Name: "left", Members: r.job.Members[:2]}
+	right := &Job{Name: "right", Members: r.job.Members[2:]}
+	// A second round proves the first left neither job busy.
+	for seq := 1; seq <= 2; seq++ {
+		for i, res := range r.checkpointAll(left, right) {
+			if res.Seq != seq || res.MarkerMessages != 2 || res.CoordinatorMessages != 8 {
+				t.Errorf("job %d: seq %d, %d markers, %d coordinator messages; want seq %d, 2 and 8",
+					i, res.Seq, res.MarkerMessages, res.CoordinatorMessages, seq)
+			}
+		}
+		r.run(300 * sim.Millisecond)
+	}
 	for i, p := range r.progs {
 		if p.Fault != "" {
 			t.Fatalf("prog %d fault: %s", i, p.Fault)

@@ -27,6 +27,7 @@ import (
 // Codec is the memoised gob codec of T. It is safe for concurrent use, and
 // its output is a function of its input alone.
 type Codec[T any] struct {
+	//cruzvet:allow nodeterminism one codec per type serves every cluster in the process, and tests run clusters in parallel goroutines; its output is a function of its input alone
 	mu sync.Mutex
 
 	// prefix is P; valueHdr is the encoded type id every value message of

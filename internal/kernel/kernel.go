@@ -149,9 +149,6 @@ func (k *Kernel) Stack() *tcpip.Stack { return k.stack }
 // Disk returns the node's disk.
 func (k *Kernel) Disk() *Disk { return k.disk }
 
-// Params returns the node's configuration.
-func (k *Kernel) Params() Params { return k.params }
-
 // Process returns the process with the given (physical) pid, or nil.
 func (k *Kernel) Process(pid int) *Process { return k.procs[pid] }
 

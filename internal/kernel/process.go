@@ -360,17 +360,6 @@ func (c *ProcContext) PID() int {
 // loads and stores are not syscalls).
 func (c *ProcContext) Mem() *mem.AddressSpace { return c.proc.mem }
 
-// TakeSignal dequeues one pending (user) signal.
-func (c *ProcContext) TakeSignal() (Signal, bool) {
-	c.charge()
-	if len(c.proc.signals) == 0 {
-		return 0, false
-	}
-	s := c.proc.signals[0]
-	c.proc.signals = c.proc.signals[1:]
-	return s, true
-}
-
 // Kill sends a signal to another process on this node. For pod processes
 // the pid argument is a virtual pid, translated by the interposition
 // layer; signalling outside the pod is refused (pod isolation).
@@ -555,17 +544,6 @@ func (c *ProcContext) SetNoDelay(fd int, v bool) error {
 	return nil
 }
 
-// SetCork sets TCP_CORK on a connection fd.
-func (c *ProcContext) SetCork(fd int, v bool) error {
-	c.charge()
-	f, err := c.proc.lookupFD(fd, FDConn)
-	if err != nil {
-		return err
-	}
-	f.file.(*connFile).c.SetCork(v)
-	return nil
-}
-
 // LocalAddr returns the local endpoint of a socket fd.
 func (c *ProcContext) LocalAddr(fd int) (tcpip.AddrPort, error) {
 	c.charge()
@@ -580,16 +558,6 @@ func (c *ProcContext) LocalAddr(fd int) (tcpip.AddrPort, error) {
 		}
 	}
 	return tcpip.AddrPort{}, fmt.Errorf("%w: %d", ErrBadFD, fd)
-}
-
-// RemoteAddr returns the remote endpoint of a connection fd.
-func (c *ProcContext) RemoteAddr(fd int) (tcpip.AddrPort, error) {
-	c.charge()
-	f, err := c.proc.lookupFD(fd, FDConn)
-	if err != nil {
-		return tcpip.AddrPort{}, err
-	}
-	return f.file.(*connFile).c.RemoteAddr(), nil
 }
 
 // OpenUDP creates a UDP socket; the bind address is interposed for pods.

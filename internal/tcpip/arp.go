@@ -35,16 +35,10 @@ func (a *ARPPacket) String() string {
 	return fmt.Sprintf("ARP %s %s(%s)->%s(%s)", op, a.SenderIP, a.SenderMAC, a.TargetIP, a.TargetMAC)
 }
 
-// arpEntry is one resolution-table entry.
-type arpEntry struct {
-	mac    ether.MAC
-	static bool
-}
-
 // arpTable resolves IPv4 addresses to MACs, queueing packets that miss.
 type arpTable struct {
 	stack   *Stack
-	entries map[Addr]arpEntry
+	entries map[Addr]ether.MAC
 	// waiting holds packets queued for in-flight resolutions, keyed by
 	// the target address, together with the interface to send them from.
 	waiting map[Addr][]pendingPacket
@@ -58,23 +52,20 @@ type pendingPacket struct {
 func newARPTable(s *Stack) *arpTable {
 	return &arpTable{
 		stack:   s,
-		entries: make(map[Addr]arpEntry),
+		entries: make(map[Addr]ether.MAC),
 		waiting: make(map[Addr][]pendingPacket),
 	}
 }
 
 // lookup returns the MAC for ip if known.
 func (t *arpTable) lookup(ip Addr) (ether.MAC, bool) {
-	e, ok := t.entries[ip]
-	return e.mac, ok
+	mac, ok := t.entries[ip]
+	return mac, ok
 }
 
-// learn records or updates a dynamic mapping and flushes queued packets.
+// learn records or updates a mapping and flushes queued packets.
 func (t *arpTable) learn(ip Addr, mac ether.MAC) {
-	if e, ok := t.entries[ip]; ok && e.static {
-		return
-	}
-	t.entries[ip] = arpEntry{mac: mac}
+	t.entries[ip] = mac
 	if queued := t.waiting[ip]; len(queued) > 0 {
 		delete(t.waiting, ip)
 		for _, pp := range queued {
@@ -178,10 +169,4 @@ func (s *Stack) AnnounceGratuitousARP(iface *Interface) {
 		Type:    ether.TypeARP,
 		Payload: ann,
 	})
-}
-
-// AddStaticARP installs a permanent resolution entry (used by tests and by
-// the DHCP server for its own address).
-func (s *Stack) AddStaticARP(ip Addr, mac ether.MAC) {
-	s.arp.entries[ip] = arpEntry{mac: mac, static: true}
 }

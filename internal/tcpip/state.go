@@ -273,13 +273,3 @@ func (c *TCPConn) DrainToAlt() int {
 	c.maybeSendWindowUpdate(n)
 	return n
 }
-
-// SndUna exposes unack_nxt for invariant checks in tests and the
-// correctness harness (§5.1).
-func (c *TCPConn) SndUna() uint32 { return c.sndUna }
-
-// SndNxt exposes snd_nxt for invariant checks.
-func (c *TCPConn) SndNxt() uint32 { return c.sndNxt }
-
-// RcvNxt exposes rcv_nxt for invariant checks.
-func (c *TCPConn) RcvNxt() uint32 { return c.rcvNxt }

@@ -362,9 +362,6 @@ func (c *TCPConn) SetNotify(fn func()) { c.notify = fn }
 // boundaries survive (§4.1).
 func (c *TCPConn) SetNoDelay(v bool) { c.noDelay = v; c.trySend() }
 
-// NoDelay reports the Nagle setting.
-func (c *TCPConn) NoDelay() bool { return c.noDelay }
-
 // SetCork corks (true) or uncorks (false) the connection, like TCP_CORK.
 func (c *TCPConn) SetCork(v bool) {
 	c.cork = v

@@ -64,9 +64,6 @@ func (s *Span) Duration() sim.Duration {
 	return s.End.Sub(s.Begin)
 }
 
-// Ended reports whether the span's End event was observed.
-func (s *Span) Ended() bool { return s.ended }
-
 // Tree is one distributed operation's reassembled span tree.
 type Tree struct {
 	Op   trace.OpID
