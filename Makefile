@@ -36,11 +36,16 @@ race:
 	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/ckpt/... ./internal/gobmemo/... ./internal/flush/... ./internal/dhcp/...
 	$(GO) test -race -run TestParallelClustersTraceLikeASequentialRun .
 
-# Regenerate the machine-readable benchmark report and fail if the
-# output is not valid BENCH_cruz.json-shaped JSON.
+# The paper's evaluation as an exact gate: re-run every experiment at
+# scale 1 and fail on any cell of its record that differs from the
+# checked-in BENCH_cruz.json. Every cell is virtual time or a count,
+# exact per tree, so a difference is a moved number: the diff names the
+# cells, and bench.tmp.json, left behind, becomes the new BENCH_cruz.json
+# only with the cause named in CHANGES.md. The scale-1 run peaks near
+# 6.3 GB of RSS; GOMEMLIMIT keeps it there on an 8 GB machine.
 bench:
-	$(GO) run ./cmd/cruzbench -exp none -json -jsonfile bench.tmp.json
-	$(GO) run ./cmd/cruzbench -checkjson bench.tmp.json
+	GOMEMLIMIT=6GiB $(GO) run ./cmd/cruzbench -json bench.tmp.json
+	diff -u BENCH_cruz.json bench.tmp.json
 	rm -f bench.tmp.json
 
 # Wall-clock benchmarks, one per layer the page path crosses, the two gob

@@ -1,25 +1,29 @@
 // Command cruzbench regenerates every table and figure of the paper's
-// evaluation (§6) from the simulated cluster, printing them as text
-// tables and traces. EXPERIMENTS.md records a reference run.
+// evaluation (§6) from the simulated cluster and prints them as text
+// tables. Each experiment runs once, in one internal/exp function; with
+// -json FILE every number its tables print is also recorded in FILE, a
+// flat JSON object of "experiment/row/cell" keys and plain numbers.
+// BENCH_cruz.json is that record for the default run at scale 1, and
+// `make bench` re-runs it and fails on any changed digit: every cell is
+// virtual time, a byte count or a message count, all deterministic by
+// seed. EXPERIMENTS.md records the reference run.
 //
 // Usage:
 //
-//	cruzbench [-exp all|fig5|fig6|overhead|msgs|fig4|restart|incremental|dedup|precopy|migrate|recovery|ec|critpath|scale|phases|none]
-//	          [-scale 1.0] [-ckpts 3] [-maxnodes 8] [-trace] [-json]
-//	          [-checkjson FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	cruzbench [-exp all|fig5|fig6|overhead|msgs|fig4|restart|incremental|dedup|precopy|migrate|recovery|ec|critpath|scale|phases]
+//	          [-scale 1.0] [-ckpts 3] [-maxnodes 8] [-traceout FILE]
+//	          [-json FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
-// scale 1.0 reproduces the paper's ≈100 MB pod images (slowest); smaller
-// scales preserve every shape result and run faster.
+// scale 1.0 reproduces the paper's ≈100 MB pod images (slowest: the full
+// run needs GOMEMLIMIT=6GiB on an 8 GB machine); smaller scales preserve
+// every shape result and run faster.
 //
-// -trace runs the checkpoint-phase breakdown experiment (same as
-// -exp phases): a traced cluster decomposes coordinated checkpoint
-// latency into quiesce/drain/capture/write/commit. -traceout additionally
-// writes its Chrome trace JSON. -exp critpath runs the traced
+// -exp phases decomposes coordinated checkpoint latency into
+// quiesce/drain/capture/write/commit from a traced cluster; -traceout
+// additionally writes its Chrome trace JSON. -exp critpath runs the traced
 // kill-and-recover experiment and prints the cross-node span trees, the
 // critical-path decomposition of the recovery MTTR and of the replicated
-// checkpoint, and the lease-expiry flight-recorder dump. -json writes
-// every selected experiment's distribution statistics
-// (mean/stddev/percentiles) to BENCH_cruz.json. -cpuprofile and
+// checkpoint, and the lease-expiry flight-recorder dump. -cpuprofile and
 // -memprofile write pprof profiles of the whole run (CPU samples; every
 // allocation up to exit), as the flags of the same names do under bench/.
 package main
@@ -28,44 +32,60 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 
 	"cruz"
 	"cruz/internal/exp"
 	"cruz/internal/trace"
+	"cruz/internal/trace/critpath"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-// run is main returning its exit code, so that the deferred profile
-// writers run on every path.
-func run() (code int) {
+// experiments lists every experiment in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(*bench) error
+}{
+	{"fig5", (*bench).fig5},
+	{"fig6", (*bench).fig6},
+	{"overhead", (*bench).overhead},
+	{"msgs", (*bench).msgs},
+	{"fig4", (*bench).fig4},
+	{"restart", (*bench).restart},
+	{"incremental", (*bench).incremental},
+	{"dedup", (*bench).dedup},
+	{"precopy", (*bench).precopy},
+	{"migrate", (*bench).migrate},
+	{"recovery", (*bench).recovery},
+	{"ec", (*bench).ec},
+	{"critpath", (*bench).critpath},
+	{"scale", (*bench).scaling},
+	{"phases", (*bench).phases},
+}
+
+// run is main with its arguments and output passed in, returning the
+// exit code so that the deferred profile writers run on every path.
+func run(args []string, stdout io.Writer) (code int) {
+	fs := flag.NewFlagSet("cruzbench", flag.ContinueOnError)
 	var (
-		which     = flag.String("exp", "all", "experiment: all|fig5|fig6|overhead|msgs|fig4|restart|incremental|dedup|precopy|migrate|recovery|ec|critpath|scale|phases|none")
-		scale     = flag.Float64("scale", 1.0, "workload scale (1.0 = paper's ~100 MB pod images)")
-		ckpts     = flag.Int("ckpts", 3, "checkpoints per configuration (fig5)")
-		maxNodes  = flag.Int("maxnodes", 8, "largest node count for sweeps")
-		doTrace   = flag.Bool("trace", false, "run the checkpoint-phase breakdown (alias for -exp phases)")
-		traceOut  = flag.String("traceout", "", "write the phases experiment's Chrome trace JSON to this file")
-		jsonOut   = flag.Bool("json", false, "write distribution statistics to BENCH_cruz.json")
-		jsonFile  = flag.String("jsonfile", "BENCH_cruz.json", "output path for -json")
-		jsonCkpts = flag.Int("jsonckpts", 5, "checkpoints per configuration for -json distributions")
-		checkJSON = flag.String("checkjson", "", "validate an existing -json output file and exit")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile at exit to this file")
+		which    = fs.String("exp", "all", "experiment: all|fig5|fig6|overhead|msgs|fig4|restart|incremental|dedup|precopy|migrate|recovery|ec|critpath|scale|phases")
+		scale    = fs.Float64("scale", 1.0, "workload scale (1.0 = paper's ~100 MB pod images)")
+		ckpts    = fs.Int("ckpts", 3, "checkpoints per configuration (fig5, precopy, phases; migrations per variant)")
+		maxNodes = fs.Int("maxnodes", 8, "largest node count for sweeps")
+		traceOut = fs.String("traceout", "", "write the phases experiment's Chrome trace JSON to this file")
+		jsonOut  = fs.String("json", "", "also record every printed cell, key → number, in this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile at exit to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	fail := func(what string, err error) int {
 		fmt.Fprintf(os.Stderr, "cruzbench: %s: %v\n", what, err)
 		return 1
-	}
-
-	if *checkJSON != "" {
-		if err := validateJSON(*checkJSON); err != nil {
-			return fail("checkjson", err)
-		}
-		return 0
 	}
 
 	if *cpuProf != "" {
@@ -87,39 +107,28 @@ func run() (code int) {
 		}()
 	}
 
-	for _, e := range []struct {
-		name string
-		fn   func() error
-	}{
-		{"fig5", func() error { return fig5(*ckpts, *maxNodes, *scale) }},
-		{"fig6", fig6},
-		{"overhead", overhead},
-		{"msgs", func() error { return msgs(*maxNodes, *scale) }},
-		{"fig4", func() error { return fig4(*maxNodes, *scale) }},
-		{"restart", func() error { return restart(*maxNodes, *scale) }},
-		{"incremental", func() error { return incremental(*scale) }},
-		{"dedup", func() error { return dedup(*jsonCkpts, *scale) }},
-		{"precopy", func() error { return precopy(*ckpts, *scale) }},
-		{"migrate", func() error { return migrate(*ckpts, *scale) }},
-		{"recovery", func() error { return recovery(*scale) }},
-		{"ec", func() error { return ecRun(*scale) }},
-		{"critpath", func() error { return critpathRun(*scale) }},
-		{"scale", func() error { return scaling(*scale) }},
-	} {
+	b := &bench{
+		scale: *scale, ckpts: *ckpts, maxNodes: *maxNodes, traceOut: *traceOut,
+		w: stdout, cells: map[string]float64{},
+	}
+	b.put("run/scale", *scale)
+	b.put("run/ckpts", *ckpts)
+	b.put("run/maxnodes", *maxNodes)
+	ran := false
+	for _, e := range experiments {
 		if *which != "all" && *which != e.name {
 			continue
 		}
-		if err := e.fn(); err != nil {
+		ran = true
+		if err := e.run(b); err != nil {
 			return fail(e.name, err)
 		}
 	}
-	if *doTrace || *which == "phases" || *which == "all" {
-		if err := phases(*maxNodes, *ckpts, *scale, *traceOut); err != nil {
-			return fail("phases", err)
-		}
+	if !ran {
+		return fail("exp", fmt.Errorf("no experiment named %q", *which))
 	}
-	if *jsonOut {
-		if err := writeJSON(*jsonFile, *maxNodes, *jsonCkpts, *scale); err != nil {
+	if *jsonOut != "" {
+		if err := b.write(*jsonOut); err != nil {
 			return fail("json", err)
 		}
 	}
@@ -140,77 +149,58 @@ func writeAllocProfile(path string) error {
 	return f.Close()
 }
 
-// phases runs the traced checkpoint experiment and prints the per-phase
-// latency decomposition (E1: where does checkpoint latency go?).
-func phases(maxNodes, ckpts int, scale float64, traceOut string) error {
-	n := 4
-	if maxNodes < n {
-		n = maxNodes
-	}
-	if n < 2 {
-		n = 2
-	}
-	fmt.Println("== Checkpoint phase breakdown (traced) ==")
-	fmt.Printf("   (%d nodes, %d checkpoints, scale %.2f)\n\n", n, ckpts, scale)
-	res, err := exp.Phases(n, ckpts, scale)
-	if err != nil {
-		return err
-	}
-	if res.Dropped > 0 {
-		return fmt.Errorf("trace ring overflowed (%d events dropped): the phase report is truncated; raise the trace capacity", res.Dropped)
-	}
-	fmt.Print(res.Report.Format())
-	fmt.Println("\n-- with content-addressed pipeline (dedup+pipeline, incremental, auto-compact) --")
-	dres, err := exp.PhasesDedup(n, ckpts, scale)
-	if err != nil {
-		return err
-	}
-	if dres.Dropped > 0 {
-		return fmt.Errorf("trace ring overflowed (%d events dropped): the dedup phase report is truncated; raise the trace capacity", dres.Dropped)
-	}
-	fmt.Print(dres.Report.Format())
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteChromeTrace(f, res.Events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d trace events to %s\n", len(res.Events), traceOut)
-	}
-	fmt.Println()
-	return nil
+// bench is one cruzbench run: the experiments' parameters, where their
+// tables print, and the record of every cell they print.
+type bench struct {
+	scale    float64
+	ckpts    int
+	maxNodes int
+	traceOut string
+	w        io.Writer
+	cells    map[string]float64
 }
 
-// writeJSON collects distribution statistics for the headline
-// experiments and writes them as indented JSON.
-func writeJSON(path string, maxNodes, ckpts int, scale float64) error {
-	counts := []int{2}
-	if maxNodes >= 4 {
-		counts = append(counts, 4)
+func (b *bench) printf(format string, a ...any) { fmt.Fprintf(b.w, format, a...) }
+
+// row prints one table row and records its cells. cells alternates a
+// cell's name and its value; the values fill format in order, and each
+// one with a name is recorded under key/name. A label column (a node
+// count, a variant) has the empty name: key already says it.
+func (b *bench) row(key, format string, cells ...any) {
+	args := make([]any, 0, len(cells)/2)
+	for i := 0; i < len(cells); i += 2 {
+		args = append(args, cells[i+1])
+		if name := cells[i].(string); name != "" {
+			b.put(key+"/"+name, cells[i+1])
+		}
 	}
-	if maxNodes >= 8 {
-		counts = append(counts, 8)
+	b.printf(format, args...)
+}
+
+// put records one cell. A key recorded twice, or a value that is not a
+// number, is a bug in the experiment's table.
+func (b *bench) put(key string, v any) {
+	if _, dup := b.cells[key]; dup {
+		panic("cruzbench: cell recorded twice: " + key)
 	}
-	rep, err := exp.JSONBench(counts, ckpts, scale)
+	switch x := v.(type) {
+	case int:
+		b.cells[key] = float64(x)
+	case float64:
+		b.cells[key] = x
+	default:
+		panic(fmt.Sprintf("cruzbench: cell %s is a %T, not a number", key, v))
+	}
+}
+
+// write saves the record as indented JSON, one cell per line in key
+// order, so that two runs of the same tree compare byte for byte.
+func (b *bench) write(path string) error {
+	blob, err := json.MarshalIndent(b.cells, "", "  ")
 	if err != nil {
 		return err
 	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d experiment distributions to %s\n", len(rep.Experiments), path)
-	return nil
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
 func sweep(maxNodes int) []int {
@@ -221,193 +211,205 @@ func sweep(maxNodes int) []int {
 	return out
 }
 
-func fig5(ckpts, maxNodes int, scale float64) error {
-	fmt.Println("== Figure 5: coordinated checkpoint of slm ==")
-	fmt.Printf("   (%d checkpoints per config, 8s interval, scale %.2f)\n\n", ckpts, scale)
-	rows, err := exp.Fig5(sweep(maxNodes), ckpts, 8*cruz.Second, scale)
+func (b *bench) fig5() error {
+	b.printf("== Figure 5: coordinated checkpoint of slm ==\n")
+	b.printf("   (%d checkpoints per config, 8s interval, scale %.2f)\n\n", b.ckpts, b.scale)
+	rows, err := exp.Fig5(sweep(b.maxNodes), b.ckpts, 8*cruz.Second, b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("-- Fig 5(a): total checkpoint latency --")
-	fmt.Println("nodes   latency(ms)   stddev   local(ms)   image/pod(MB)")
+	b.printf("-- Fig 5(a): total checkpoint latency --\n")
+	b.printf("nodes   latency(ms)   stddev   local(ms)   image/pod(MB)\n")
 	for _, r := range rows {
-		fmt.Printf("%5d   %11.1f   %6.1f   %9.1f   %13.1f\n",
-			r.Nodes, r.LatencyMeanMs, r.LatencyStdMs, r.LocalMeanMs, r.PerPodImageMB)
+		b.row(fmt.Sprintf("fig5/n%d", r.Nodes), "%5d   %11.1f   %6.1f   %9.1f   %13.1f\n",
+			"", r.Nodes, "latency_ms", r.LatencyMeanMs, "latency_stddev_ms", r.LatencyStdMs,
+			"local_ms", r.LocalMeanMs, "image_per_pod_mb", r.PerPodImageMB)
 	}
-	fmt.Println("\n-- Fig 5(b): coordination overhead --")
-	fmt.Println("nodes   overhead(µs)   stddev")
+	b.printf("\n-- Fig 5(b): coordination overhead --\n")
+	b.printf("nodes   overhead(µs)   stddev\n")
 	for _, r := range rows {
-		fmt.Printf("%5d   %12.1f   %6.1f\n", r.Nodes, r.OverheadMeanUs, r.OverheadStdUs)
+		b.row(fmt.Sprintf("fig5/n%d", r.Nodes), "%5d   %12.1f   %6.1f\n",
+			"", r.Nodes, "overhead_us", r.OverheadMeanUs, "overhead_stddev_us", r.OverheadStdUs)
 	}
-	fmt.Println()
+	b.printf("\n")
 	return nil
 }
 
-func fig6() error {
-	fmt.Println("== Figure 6: TCP stream across a checkpoint ==")
+func (b *bench) fig6() error {
+	b.printf("== Figure 6: TCP stream across a checkpoint ==\n")
 	res, err := exp.Fig6()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("steady rate:          %7.0f Mb/s\n", res.SteadyMbps)
-	fmt.Printf("checkpoint latency:   %7.1f ms\n", res.CheckpointMs)
-	fmt.Printf("zero-rate span:       %7.1f ms\n", res.ZeroMs)
-	fmt.Printf("recovery (90%% rate): %7.1f ms after checkpoint start\n", res.RecoveryMs)
-	fmt.Printf("  (TCP retransmission gap after completion: %.1f ms)\n\n", res.RecoveryMs-res.CheckpointMs)
-	fmt.Println(res.Series.Format())
+	b.row("fig6", "steady rate:          %7.0f Mb/s\n", "steady_mbps", res.SteadyMbps)
+	b.row("fig6", "checkpoint latency:   %7.1f ms\n", "checkpoint_ms", res.CheckpointMs)
+	b.row("fig6", "zero-rate span:       %7.1f ms\n", "zero_ms", res.ZeroMs)
+	b.row("fig6", "recovery (90%% rate): %7.1f ms after checkpoint start\n", "recovery_ms", res.RecoveryMs)
+	b.row("fig6", "  (TCP retransmission gap after completion: %.1f ms)\n\n", "tcp_gap_ms", res.RecoveryMs-res.CheckpointMs)
+	b.printf("%s\n", res.Series.Format())
 	return nil
 }
 
-func overhead() error {
-	fmt.Println("== §6 runtime virtualization overhead ==")
+func (b *bench) overhead() error {
+	b.printf("== §6 runtime virtualization overhead ==\n")
 	res, err := exp.RuntimeOverhead()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("native run:  %10.1f ms\n", res.NativeMs)
-	fmt.Printf("in-pod run:  %10.1f ms\n", res.PodMs)
-	fmt.Printf("overhead:    %10.4f %%  (paper bound: <0.5%%)\n\n", res.OverheadPct)
+	b.row("overhead", "native run:  %10.1f ms\n", "native_ms", res.NativeMs)
+	b.row("overhead", "in-pod run:  %10.1f ms\n", "pod_ms", res.PodMs)
+	b.row("overhead", "overhead:    %10.4f %%  (paper bound: <0.5%%)\n\n", "overhead_pct", res.OverheadPct)
 	return nil
 }
 
-func msgs(maxNodes int, scale float64) error {
-	fmt.Println("== §5.2 message complexity: Cruz O(N) vs flushing O(N²) ==")
-	rows, err := exp.MessageComplexity(sweep(maxNodes), scale)
+func (b *bench) msgs() error {
+	b.printf("== §5.2 message complexity: Cruz O(N) vs flushing O(N²) ==\n")
+	rows, err := exp.MessageComplexity(sweep(b.maxNodes), b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("nodes   cruz msgs   flush coord   flush markers   cruz lat(ms)   flush lat(ms)   drain(ms)")
+	b.printf("nodes   cruz msgs   flush coord   flush markers   cruz lat(ms)   flush lat(ms)   drain(ms)\n")
 	for _, r := range rows {
-		fmt.Printf("%5d   %9d   %11d   %13d   %12.1f   %13.1f   %9.2f\n",
-			r.Nodes, r.CruzMsgs, r.FlushCoordMsgs, r.FlushMarkerMsgs,
-			r.CruzLatencyMs, r.FlushLatencyMs, r.FlushDrainMs)
+		b.row(fmt.Sprintf("msgs/n%d", r.Nodes), "%5d   %9d   %11d   %13d   %12.1f   %13.1f   %9.2f\n",
+			"", r.Nodes, "cruz_msgs", r.CruzMsgs, "flush_coord_msgs", r.FlushCoordMsgs, "flush_markers", r.FlushMarkerMsgs,
+			"cruz_latency_ms", r.CruzLatencyMs, "flush_latency_ms", r.FlushLatencyMs, "flush_drain_ms", r.FlushDrainMs)
 	}
-	fmt.Println()
+	b.printf("\n")
 	return nil
 }
 
-func fig4(maxNodes int, scale float64) error {
-	fmt.Println("== Fig 4 / §5.2 optimizations: application-visible freeze ==")
+func (b *bench) fig4() error {
+	b.printf("== Fig 4 / §5.2 optimizations: application-visible freeze ==\n")
 	nodes := []int{2, 4}
-	if maxNodes >= 8 {
+	if b.maxNodes >= 8 {
 		nodes = append(nodes, 8)
 	}
-	rows, err := exp.Fig4Compare(nodes, scale)
+	rows, err := exp.Fig4Compare(nodes, b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("   (one straggler pod with a 2x image; freeze = how long pods stay stopped)")
-	fmt.Println("nodes   variant           slowest-pod freeze(ms)   fastest-pod freeze(ms)   latency(ms)")
+	b.printf("   (one straggler pod with a 2x image; freeze = how long pods stay stopped)\n")
+	b.printf("nodes   variant           slowest-pod freeze(ms)   fastest-pod freeze(ms)   latency(ms)\n")
 	for _, r := range rows {
 		for _, v := range r.Variants {
-			fmt.Printf("%5d   %-16s  %22.1f   %22.1f   %11.1f\n",
-				r.Nodes, v.Name, v.MaxBlockedMs, v.MinBlockedMs, v.LatencyMs)
+			b.row(fmt.Sprintf("fig4/n%d/%s", r.Nodes, v.Name), "%5d   %-16s  %22.1f   %22.1f   %11.1f\n",
+				"", r.Nodes, "", v.Name, "slowest_freeze_ms", v.MaxBlockedMs, "fastest_freeze_ms", v.MinBlockedMs,
+				"latency_ms", v.LatencyMs)
 		}
 	}
-	fmt.Println()
+	b.printf("\n")
 	return nil
 }
 
-func restart(maxNodes int, scale float64) error {
-	fmt.Println("== Coordinated restart (paper: 'similar to Fig. 5') ==")
-	rows, err := exp.RestartLatency(sweep(maxNodes), 2, scale)
+func (b *bench) restart() error {
+	b.printf("== Coordinated restart (paper: 'similar to Fig. 5') ==\n")
+	rows, err := exp.RestartLatency(sweep(b.maxNodes), 2, b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("nodes   latency(ms)   stddev   overhead(µs)   local(ms)")
+	b.printf("nodes   latency(ms)   stddev   overhead(µs)   local(ms)\n")
 	for _, r := range rows {
-		fmt.Printf("%5d   %11.1f   %6.1f   %12.1f   %9.1f\n",
-			r.Nodes, r.LatencyMeanMs, r.LatencyStdMs, r.OverheadMeanUs, r.LocalMeanMs)
+		b.row(fmt.Sprintf("restart/n%d", r.Nodes), "%5d   %11.1f   %6.1f   %12.1f   %9.1f\n",
+			"", r.Nodes, "latency_ms", r.LatencyMeanMs, "latency_stddev_ms", r.LatencyStdMs,
+			"overhead_us", r.OverheadMeanUs, "local_ms", r.LocalMeanMs)
 	}
-	fmt.Println()
+	b.printf("\n")
 	return nil
 }
 
-func incremental(scale float64) error {
-	fmt.Println("== Ablation: incremental checkpointing ==")
-	rows, err := exp.IncrementalAblation(scale)
+func (b *bench) incremental() error {
+	b.printf("== Ablation: incremental checkpointing ==\n")
+	rows, err := exp.IncrementalAblation(b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("kind          image(MB)   latency(ms)")
+	b.printf("kind          image(MB)   latency(ms)\n")
 	for _, r := range rows {
-		fmt.Printf("%-12s  %9.1f   %11.1f\n", r.Kind, r.ImageMB, r.LatencyMs)
+		b.row("incremental/"+r.Kind, "%-12s  %9.1f   %11.1f\n",
+			"", r.Kind, "image_mb", r.ImageMB, "latency_ms", r.LatencyMs)
 	}
-	fmt.Println()
+	b.printf("\n")
 	return nil
 }
 
-func dedup(ckpts int, scale float64) error {
-	fmt.Println("== Ablation: content-addressed (dedup) checkpoint store ==")
-	fmt.Printf("   (4 nodes, %d checkpoints per variant, scale %.2f)\n\n", ckpts, scale)
-	rows, err := exp.DedupAblation(4, ckpts, scale)
+// dedupCkpts is the dedup ablation's checkpoints per variant: one cold
+// checkpoint and four steady-state ones.
+const dedupCkpts = 5
+
+func (b *bench) dedup() error {
+	b.printf("== Ablation: content-addressed (dedup) checkpoint store ==\n")
+	b.printf("   (4 nodes, %d checkpoints per variant, scale %.2f)\n\n", dedupCkpts, b.scale)
+	rows, err := exp.DedupAblation(4, dedupCkpts, b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("variant          first(ms)   steady(ms)   first(MB)   steady(MB)   restore(ms)")
+	b.printf("variant          first(ms)   steady(ms)   first(MB)   steady(MB)   restore(ms)\n")
 	for _, r := range rows {
-		fmt.Printf("%-15s  %9.1f   %10.1f   %9.1f   %10.2f   %11.1f\n",
-			r.Variant, r.FirstLatencyMs, r.SteadyLatencyMs, r.FirstMB, r.SteadyMB, r.RestoreMs)
+		b.row("dedup/"+r.Variant, "%-15s  %9.1f   %10.1f   %9.1f   %10.2f   %11.1f\n",
+			"", r.Variant, "first_ms", r.FirstLatencyMs, "steady_ms", r.SteadyLatencyMs,
+			"first_mb", r.FirstMB, "steady_mb", r.SteadyMB, "restore_ms", r.RestoreMs)
 	}
-	fmt.Println("\n-- chain compaction: restore after 1 full + 8 incremental dedup checkpoints --")
-	crows, err := exp.CompactionAblation(4, 8, scale)
+	b.printf("\n-- chain compaction: restore after 1 full + 8 incremental dedup checkpoints --\n")
+	crows, err := exp.CompactionAblation(4, 8, b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("scenario        ckpts   restore(ms)   store chunks   freed(MB)")
+	b.printf("scenario        ckpts   restore(ms)   store chunks   freed(MB)\n")
 	for _, r := range crows {
-		fmt.Printf("%-14s  %5d   %11.1f   %12d   %9.2f\n",
-			r.Scenario, r.Checkpoints, r.RestoreMs, r.StoreChunks, r.FreedMB)
+		b.row("compaction/"+r.Scenario, "%-14s  %5d   %11.1f   %12d   %9.2f\n",
+			"", r.Scenario, "ckpts", r.Checkpoints, "restore_ms", r.RestoreMs,
+			"store_chunks", r.StoreChunks, "freed_mb", r.FreedMB)
 	}
-	fmt.Println()
+	b.printf("\n")
 	return nil
 }
 
 // precopy runs ablation A7: checkpoint downtime versus application write
 // rate for stop-and-copy, the pipelined save, and pre-copy rounds.
-func precopy(ckpts int, scale float64) error {
-	fmt.Println("== Ablation A7: pre-copy rounds — downtime vs write rate ==")
-	fmt.Printf("   (4 nodes, %d checkpoints per cell, scale %.2f; downtime = slowest pod's freeze)\n\n", ckpts, scale)
-	rows, err := exp.PrecopyAblation(4, ckpts, scale, []float64{0.5, 1, 2, 4})
+func (b *bench) precopy() error {
+	b.printf("== Ablation A7: pre-copy rounds — downtime vs write rate ==\n")
+	b.printf("   (4 nodes, %d checkpoints per cell, scale %.2f; downtime = slowest pod's freeze)\n\n", b.ckpts, b.scale)
+	rows, err := exp.PrecopyAblation(4, b.ckpts, b.scale, []float64{0.5, 1, 2, 4})
 	if err != nil {
 		return err
 	}
-	fmt.Println("dirty pages/step   variant          downtime(ms)   latency(ms)   frozen-copy(MB)")
+	b.printf("dirty pages/step   variant          downtime(ms)   latency(ms)   frozen-copy(MB)\n")
 	for _, r := range rows {
-		fmt.Printf("%16d   %-14s   %12.1f   %11.1f   %15.2f\n",
-			r.DirtyPagesPerStep, r.Variant, r.DowntimeMs, r.LatencyMs, r.FrozenMB)
+		b.row(fmt.Sprintf("precopy/dirty%d/%s", r.DirtyPagesPerStep, r.Variant), "%16d   %-14s   %12.1f   %11.1f   %15.2f\n",
+			"", r.DirtyPagesPerStep, "", r.Variant, "downtime_ms", r.DowntimeMs, "latency_ms", r.LatencyMs,
+			"frozen_mb", r.FrozenMB)
 	}
-	fmt.Println()
+	b.printf("\n")
 	return nil
 }
 
 // migrate runs ablation A10: live pod migration (pre-copy streaming +
 // address takeover) against the stop-and-copy baseline.
-func migrate(migs int, scale float64) error {
-	fmt.Println("== Ablation A10: live migration — downtime vs stop-and-copy ==")
-	fmt.Printf("   (4-worker ring + 1 spare node, %d migrations per variant, scale %.2f)\n\n", migs, scale)
-	rows, err := exp.MigrateAblation(4, migs, scale)
+func (b *bench) migrate() error {
+	b.printf("== Ablation A10: live migration — downtime vs stop-and-copy ==\n")
+	b.printf("   (4-worker ring + 1 spare node, %d migrations per variant, scale %.2f)\n\n", b.ckpts, b.scale)
+	rows, err := exp.MigrateAblation(4, b.ckpts, b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("variant          migrations   downtime(ms)   latency(ms)   rounds   streamed(MB)")
+	b.printf("variant          migrations   downtime(ms)   latency(ms)   rounds   streamed(MB)\n")
 	for _, r := range rows {
-		fmt.Printf("%-15s  %10d   %12.1f   %11.1f   %6.1f   %12.2f\n",
-			r.Variant, r.Migrations, r.DowntimeMs, r.LatencyMs, r.Rounds, r.StreamedMB)
+		b.row("migrate/"+r.Variant, "%-15s  %10d   %12.1f   %11.1f   %6.1f   %12.2f\n",
+			"", r.Variant, "migrations", r.Migrations, "downtime_ms", r.DowntimeMs, "latency_ms", r.LatencyMs,
+			"rounds", r.Rounds, "streamed_mb", r.StreamedMB)
 	}
-	fmt.Println("\n(downtime is the application-visible gap: freeze to resumed-on-destination.")
-	fmt.Println(" Live migration streams pre-copy rounds while the pod runs; only the")
-	fmt.Println(" residual dirty set transfers under freeze.)")
-	fmt.Println()
+	b.printf("\n(downtime is the application-visible gap: freeze to resumed-on-destination.\n")
+	b.printf(" Live migration streams pre-copy rounds while the pod runs; only the\n")
+	b.printf(" residual dirty set transfers under freeze.)\n\n")
 	return nil
 }
 
 // recovery runs the automatic failure-recovery experiment: kill a node
 // of a replicated job and report the MTTR phase breakdown.
-func recovery(scale float64) error {
-	fmt.Println("== Automatic failure recovery (replicated checkpoints) ==")
-	fmt.Printf("   (4 nodes, kill one mid-run, scale %.2f)\n\n", scale)
-	rows, err := exp.Recovery(4, scale, []exp.RecoveryConfig{
+func (b *bench) recovery() error {
+	b.printf("== Automatic failure recovery (replicated checkpoints) ==\n")
+	b.printf("   (4 nodes, kill one mid-run, scale %.2f)\n\n", b.scale)
+	rows, err := exp.Recovery(4, b.scale, []exp.RecoveryConfig{
 		{Replicas: 1, Spares: 0},
 		{Replicas: 1, Spares: 1},
 		{Replicas: 3, Spares: 1},
@@ -415,128 +417,152 @@ func recovery(scale float64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("replicas   spares   detect(ms)   place(ms)   transfer(ms)   restart(ms)   MTTR(ms)   moved(MB)   target")
+	b.printf("replicas   spares   detect(ms)   place(ms)   transfer(ms)   restart(ms)   MTTR(ms)   moved(MB)   target\n")
 	for _, r := range rows {
-		fmt.Printf("%8d   %6d   %10.1f   %9.2f   %12.1f   %11.1f   %8.1f   %9.2f   %s\n",
-			r.Replicas, r.Spares, r.DetectMs, r.PlaceMs, r.TransferMs, r.RestartMs, r.MTTRMs, r.TransferMB, r.Target)
+		b.row(fmt.Sprintf("recovery/k%d_s%d", r.Replicas, r.Spares), "%8d   %6d   %10.1f   %9.2f   %12.1f   %11.1f   %8.1f   %9.2f   %s\n",
+			"", r.Replicas, "", r.Spares, "detect_ms", r.DetectMs, "place_ms", r.PlaceMs, "transfer_ms", r.TransferMs,
+			"restart_ms", r.RestartMs, "mttr_ms", r.MTTRMs, "moved_mb", r.TransferMB, "", r.Target)
 	}
-	fmt.Println()
+	b.printf("\n")
 	return nil
 }
 
-// ecRun prints the A11 erasure-coded storage-tier ablation: the same
+// ec prints the A11 erasure-coded storage-tier ablation: the same
 // workload under 3-way replication and under 4+2 striping, at paper
 // scale (8 nodes) and wide (64 nodes, light workload).
-func ecRun(scale float64) error {
-	fmt.Println("== Ablation A11: erasure-coded checkpoint storage — 4+2 vs 3-way replication ==")
-	fmt.Printf("   (slm ring, dedup checkpoints, kill one node mid-run, scale %.2f)\n\n", scale)
-	rows, err := exp.ECAblation([]int{8, 64}, scale)
+func (b *bench) ec() error {
+	b.printf("== Ablation A11: erasure-coded checkpoint storage — 4+2 vs 3-way replication ==\n")
+	b.printf("   (slm ring, dedup checkpoints, kill one node mid-run, scale %.2f)\n\n", b.scale)
+	rows, err := exp.ECAblation([]int{8, 64}, b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("nodes   scheme    image(MB)   wire(MB)   steady(MB)   overhead   detect(ms)   transfer(ms)   reconstruct(ms)   restart(ms)   MTTR(ms)")
+	b.printf("nodes   scheme    image(MB)   wire(MB)   steady(MB)   overhead   detect(ms)   transfer(ms)   reconstruct(ms)   restart(ms)   MTTR(ms)\n")
 	for _, r := range rows {
-		fmt.Printf("%5d   %-7s   %9.1f   %8.1f   %10.2f   %7.2fx   %10.1f   %12.1f   %15.1f   %11.1f   %8.1f\n",
-			r.Nodes, r.Scheme, r.ImageMB, r.WireMB, r.SteadyMB, r.Overhead,
-			r.DetectMs, r.TransferMs, r.ReconstructMs, r.RestartMs, r.MTTRMs)
+		b.row(fmt.Sprintf("ec/n%d/%s", r.Nodes, r.Scheme), "%5d   %-7s   %9.1f   %8.1f   %10.2f   %7.2fx   %10.1f   %12.1f   %15.1f   %11.1f   %8.1f\n",
+			"", r.Nodes, "", r.Scheme, "image_mb", r.ImageMB, "wire_mb", r.WireMB, "steady_mb", r.SteadyMB,
+			"overhead", r.Overhead, "detect_ms", r.DetectMs, "transfer_ms", r.TransferMs,
+			"reconstruct_ms", r.ReconstructMs, "restart_ms", r.RestartMs, "mttr_ms", r.MTTRMs)
 	}
-	fmt.Println("\n(wire == disk here: the delta protocol only ships chunks the holder is")
-	fmt.Println(" missing, so shipped bytes are exactly what lands in peer stores.")
-	fmt.Println(" Replication k=3 pays 3x the image per checkpoint; EC 4+2 pays 1.5x and")
-	fmt.Println(" still survives any two node losses — at the cost of the reconstruct")
-	fmt.Println(" window inside the recovery transfer phase.)")
-	fmt.Println()
+	b.printf("\n(wire == disk here: the delta protocol only ships chunks the holder is\n")
+	b.printf(" missing, so shipped bytes are exactly what lands in peer stores.\n")
+	b.printf(" Replication k=3 pays 3x the image per checkpoint; EC 4+2 pays 1.5x and\n")
+	b.printf(" still survives any two node losses — at the cost of the reconstruct\n")
+	b.printf(" window inside the recovery transfer phase.)\n\n")
 	return nil
 }
 
-// critpathRun prints the causal span trees, critical-path tables, and
+// critpath prints the causal span trees, critical-path tables, and
 // lease-expiry flight dump of the traced kill-and-recover run.
-func critpathRun(scale float64) error {
-	fmt.Println("== Critical-path analysis: traced kill-and-recover ==")
-	fmt.Printf("   (4 nodes + 1 spare, 1 replica, kill node 1, scale %.2f)\n\n", scale)
-	cp, err := exp.CritPath(scale)
+func (b *bench) critpath() error {
+	b.printf("== Critical-path analysis: traced kill-and-recover ==\n")
+	b.printf("   (4 nodes + 1 spare, 1 replica, kill node 1, scale %.2f)\n\n", b.scale)
+	cp, err := exp.CritPath(b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("-- recovery span tree (coordinator + agents) --")
-	fmt.Print(cp.RecoveryTree.Format())
-	fmt.Println("\n-- recovery critical path --")
-	fmt.Println(cp.Recovery.Summary())
-	fmt.Print(cp.Recovery.Format())
-	fmt.Printf("(recovery result MTTR %.3f ms; phase sum agrees within 1%%)\n", cp.MTTRMs)
-	fmt.Println("\n-- replicated checkpoint critical path --")
-	fmt.Println(cp.Checkpoint.Summary())
-	fmt.Print(cp.Checkpoint.Format())
-	fmt.Println("\n-- flight recorder --")
-	fmt.Printf("lease-expiry dump: @%v trigger=%s reason=%s window=%v events=%d\n\n",
-		cp.Dump.At, cp.Dump.Trigger, cp.Dump.Reason, cp.Dump.Window, len(cp.Dump.Events))
+	b.printf("-- recovery span tree (coordinator + agents) --\n")
+	b.printf("%s", cp.RecoveryTree.Format())
+	b.printf("\n-- recovery critical path --\n")
+	b.criticalPath("critpath/recovery", cp.Recovery)
+	b.row("critpath/recovery", "(recovery result MTTR %.3f ms; phase sum agrees within 1%%)\n", "mttr_ms", cp.MTTRMs)
+	b.printf("\n-- replicated checkpoint critical path --\n")
+	b.criticalPath("critpath/checkpoint", cp.Checkpoint)
+	b.printf("\n-- flight recorder --\n")
+	b.row("critpath/dump", "lease-expiry dump: @%v trigger=%s reason=%s window=%v events=%d\n\n",
+		"", cp.Dump.At, "", cp.Dump.Trigger, "", cp.Dump.Reason, "", cp.Dump.Window, "events", len(cp.Dump.Events))
 	return nil
+}
+
+// criticalPath prints one operation's latency decomposition and records
+// its total, lead, phases and path segments, each segment keyed by its
+// position and span name.
+func (b *bench) criticalPath(key string, r *critpath.Report) {
+	b.printf("%s\n", r.Summary())
+	b.printf("%s", r.Format())
+	b.put(key+"/total_ms", r.TotalMs)
+	b.put(key+"/lead_ms", r.LeadMs)
+	for i, s := range r.Phases {
+		b.put(fmt.Sprintf("%s/phase%02d_%s_ms", key, i, s.Name), s.Ms)
+	}
+	for i, s := range r.Path {
+		b.put(fmt.Sprintf("%s/path%02d_%s_ms", key, i, s.Name), s.Ms)
+	}
 }
 
 // scaling prints the A9 scaling ablation: flat vs hierarchical (tree)
-// coordination at 8, 64, and 256 pods — root message counts, commit
-// latency, and the engine's wall-clock event throughput.
-func scaling(scale float64) error {
-	fmt.Println("== Ablation A9: coordination scaling — flat vs two-level tree ==")
-	fmt.Printf("   (light slm ring, one checkpoint per cell, scale %.2f)\n\n", scale)
-	rows, err := exp.Scaling(exp.ScalingNodeCounts, scale)
+// coordination at 8, 64, and 256 pods — root message counts and commit
+// latency.
+func (b *bench) scaling() error {
+	b.printf("== Ablation A9: coordination scaling — flat vs two-level tree ==\n")
+	b.printf("   (light slm ring, one checkpoint per cell, scale %.2f)\n\n", b.scale)
+	rows, err := exp.Scaling(exp.ScalingNodeCounts, b.scale)
 	if err != nil {
 		return err
 	}
-	fmt.Println("nodes   mode   group   root msgs   latency(ms)   kevents/s   wall(ms)")
+	b.printf("nodes   mode   group   root msgs   latency(ms)\n")
 	for _, r := range rows {
 		mode := "flat"
 		if r.Tree() {
 			mode = "tree"
 		}
-		fmt.Printf("%5d   %-4s   %5d   %9d   %11.1f   %9.0f   %8.0f\n",
-			r.Nodes, mode, r.GroupSize, r.Messages, r.LatencyMs, r.EventsPerSec/1000, r.WallMs)
+		b.row(fmt.Sprintf("scale/n%d/%s", r.Nodes, mode), "%5d   %-4s   %5d   %9d   %11.1f\n",
+			"", r.Nodes, "", mode, "group", r.GroupSize, "root_msgs", r.Messages, "latency_ms", r.LatencyMs)
 	}
-	fmt.Println("\n(flat root messages grow O(N); tree grows O(N/⌈√N⌉) = O(√N).")
-	fmt.Println(" Commit/abort decisions are identical in both modes.)")
-	fmt.Println()
+	b.printf("\n(flat root messages grow O(N); tree grows O(N/⌈√N⌉) = O(√N).\n")
+	b.printf(" Commit/abort decisions are identical in both modes.)\n\n")
 	return nil
 }
 
-// validateJSON parses a -json output file and verifies it is a
-// well-formed benchmark report (make bench's gate), including the
-// critical-path keys the critpath experiment contributes.
-func validateJSON(path string) error {
-	blob, err := os.ReadFile(path)
+// phases runs the traced checkpoint experiment and prints the per-phase
+// latency decomposition (E1: where does checkpoint latency go?), for
+// classic checkpoints and for the content-addressed pipeline.
+func (b *bench) phases() error {
+	n := max(2, min(4, b.maxNodes))
+	b.printf("== Checkpoint phase breakdown (traced) ==\n")
+	b.printf("   (%d nodes, %d checkpoints, scale %.2f)\n\n", n, b.ckpts, b.scale)
+	classic, dedup, err := exp.Phases(n, b.ckpts, b.scale)
 	if err != nil {
 		return err
 	}
-	var rep exp.BenchReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("%s: invalid JSON: %w", path, err)
-	}
-	if len(rep.Experiments) == 0 {
-		return fmt.Errorf("%s: no experiment distributions", path)
-	}
-	for _, key := range []string{
-		"critpath_recovery_n4/total_ms",
-		"critpath_recovery_n4/detect_ms",
-		"critpath_recovery_n4/restart_ms",
-		"critpath_checkpoint_n4/total_ms",
-		"migrate_n4/downtime_ms",
-		"migrate_n4/rounds",
-		"migrate_n4/bytes_streamed",
-		"migrate_n4/stopcopy_downtime_ms",
-		"ec_n8_repl_k3/wire_mb",
-		"ec_n8_repl_k3/mttr_ms",
-		"ec_n8_ec_4p2/wire_mb",
-		"ec_n8_ec_4p2/steady_mb",
-		"ec_n8_ec_4p2/reconstruct_ms",
-		"ec_n8_ec_4p2/mttr_ms",
-		"scale_n256_flat/coord_messages",
-		"scale_n256_tree/coord_messages",
-		"engine_n256_tree/kevents_per_wall_sec",
-	} {
-		if _, ok := rep.Experiments[key]; !ok {
-			return fmt.Errorf("%s: missing required key %s", path, key)
+	for _, res := range []*exp.PhasesResult{classic, dedup} {
+		if res.Dropped > 0 {
+			return fmt.Errorf("trace ring overflowed (%d events dropped): the phase report is truncated; raise the trace capacity", res.Dropped)
 		}
 	}
-	fmt.Printf("%s: ok (%d experiment distributions, scale %.2f)\n",
-		path, len(rep.Experiments), rep.Scale)
+	b.phaseTable("phases/blocking", classic.Report)
+	b.printf("\n-- with content-addressed pipeline (dedup+pipeline, incremental, auto-compact) --\n")
+	b.phaseTable("phases/dedup", dedup.Report)
+	if b.traceOut != "" {
+		f, err := os.Create(b.traceOut)
+		if err != nil {
+			return err
+		}
+		if err := trace.WriteChromeTrace(f, classic.Events); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		b.printf("\nwrote %d trace events to %s\n", len(classic.Events), b.traceOut)
+	}
+	b.printf("\n")
 	return nil
+}
+
+// phaseTable prints a phase report and records its rows.
+func (b *bench) phaseTable(key string, rep *trace.PhaseReport) {
+	b.printf("%s", rep.Format())
+	for _, r := range rep.Rows {
+		p := key + "/" + r.Phase
+		b.put(p+"/count", r.Count)
+		b.put(p+"/mean_ms", r.MeanMs)
+		b.put(p+"/min_ms", r.MinMs)
+		b.put(p+"/max_ms", r.MaxMs)
+	}
+	if rep.OpCount > 0 {
+		b.put(key+"/end-to-end/count", rep.OpCount)
+		b.put(key+"/end-to-end/mean_ms", rep.OpMeanMs)
+	}
 }

@@ -35,7 +35,6 @@ var testOnly = map[string]string{
 	"cruz/internal/ether.(Switch).ForgetMAC":          "TestMultipleMACsPerNIC",
 	"cruz/internal/ether.(Switch).LearnedPortOf":      "TestLearningDirectsSubsequentFrames",
 	"cruz/internal/ether.(Switch).SetDropRate":        "TestSegPoolSurvivesRetransmit",
-	"cruz/internal/exp.(BenchReport).Keys":            "TestScalingMatchesCheckedInReport",
 	"cruz/internal/gobmemo/gobmemotest.Hammer":        "TestWireCodecConcurrent",
 	"cruz/internal/gobmemo/gobmemotest.Hostile":       "TestHostileFrameCannotPoisonTheCodec",
 	"cruz/internal/gobmemo/gobmemotest.Identity":      "TestWireCodecIsFreshGob",
@@ -62,7 +61,6 @@ var testOnly = map[string]string{
 	"cruz/internal/mem.(Bitset).Has":                  "TestBitsetSetHasCount",
 	"cruz/internal/metrics.(RateMeter).TotalBytes":    "TestRateMeterSteadyStream",
 	"cruz/internal/metrics.(Series).MinMax":           "TestEmptySeriesMinMax",
-	"cruz/internal/metrics.(Summary).Merge":           "TestMergeEquivalence",
 	"cruz/internal/sim.(Engine).Run":                  "TestNestedSpans",
 	"cruz/internal/sim.(Engine).Stop":                 "TestStop",
 	"cruz/internal/sim.(Event).At":                    "TestEventRecycling",

@@ -42,31 +42,27 @@ func MessageComplexity(nodeCounts []int, scale float64) ([]MsgRow, error) {
 		cfg := slmConfig(n, scale)
 		cfg.TotalComputePerStep = 20 * cruz.Millisecond
 		cfg.StepOverhead = 2 * cruz.Millisecond
-		cl, job, workers, err := slmClusterCfg(n, cfg, true, false, nil, 0)
+		r, err := slmRing(cruz.Config{Nodes: n, FlushBaseline: true}, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		var names []string
-		for _, m := range job.Members {
-			names = append(names, m.Pod)
-		}
-		fjob, err := cl.DefineFlushJob("slm-flush", names...)
+		fjob, err := r.cl.DefineFlushJob("slm-flush", r.names...)
 		if err != nil {
 			return nil, err
 		}
 		row := MsgRow{Nodes: n}
 		var cruzLat, flushLat, drain metrics.Summary
 		for k := 0; k < rounds; k++ {
-			cres, cerr := cl.Checkpoint(job, cruz.CheckpointOptions{})
+			cres, cerr := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
 			if cerr != nil {
 				return nil, fmt.Errorf("exp: msgs cruz n=%d: %w", n, cerr)
 			}
-			cl.Run(100 * cruz.Millisecond)
-			fres, ferr := cl.FlushCheckpoint(fjob)
+			r.cl.Run(100 * cruz.Millisecond)
+			fres, ferr := r.cl.FlushCheckpoint(fjob)
 			if ferr != nil {
 				return nil, fmt.Errorf("exp: msgs flush n=%d: %w", n, ferr)
 			}
-			cl.Run(100 * cruz.Millisecond)
+			r.cl.Run(100 * cruz.Millisecond)
 			row.CruzMsgs = cres.Messages
 			row.FlushCoordMsgs = fres.CoordinatorMessages
 			row.FlushMarkerMsgs = fres.MarkerMessages
@@ -74,7 +70,7 @@ func MessageComplexity(nodeCounts []int, scale float64) ([]MsgRow, error) {
 			flushLat.AddDuration(fres.Latency)
 			drain.AddDuration(fres.MaxFlush)
 		}
-		if err := checkWorkers(workers); err != nil {
+		if err := checkWorkers(r.workers); err != nil {
 			return nil, err
 		}
 		row.CruzLatencyMs = cruzLat.Mean()
@@ -115,7 +111,7 @@ func Fig4Compare(nodeCounts []int, scale float64) ([]Fig4Row, error) {
 			mult[i] = 1
 		}
 		mult[0] = 2 // the straggler
-		cl, job, workers, err := slmClusterSkewed(n, scale, false, mult)
+		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), mult)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +124,7 @@ func Fig4Compare(nodeCounts []int, scale float64) ([]Fig4Row, error) {
 			{"fig4-optimized", cruz.CheckpointOptions{Optimized: true}},
 			{"copy-on-write", cruz.CheckpointOptions{COW: true}},
 		} {
-			res, cerr := cl.Checkpoint(job, v.opts)
+			res, cerr := r.cl.Checkpoint(r.job, v.opts)
 			if cerr != nil {
 				return nil, fmt.Errorf("exp: fig4 n=%d %s: %w", n, v.name, cerr)
 			}
@@ -138,9 +134,9 @@ func Fig4Compare(nodeCounts []int, scale float64) ([]Fig4Row, error) {
 				MinBlockedMs: res.MinBlocked.Milliseconds(),
 				LatencyMs:    res.Latency.Milliseconds(),
 			})
-			cl.Run(200 * cruz.Millisecond)
+			r.cl.Run(200 * cruz.Millisecond)
 		}
-		if err := checkWorkers(workers); err != nil {
+		if err := checkWorkers(r.workers); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -163,27 +159,24 @@ type RestartRow struct {
 func RestartLatency(nodeCounts []int, repeats int, scale float64) ([]RestartRow, error) {
 	var rows []RestartRow
 	for _, n := range nodeCounts {
-		cl, job, _, err := slmCluster(n, scale, false)
+		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), nil)
 		if err != nil {
 			return nil, err
 		}
 		var lat, ovh, local metrics.Summary
 		for k := 0; k < repeats; k++ {
-			if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{}); err != nil {
+			if _, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{}); err != nil {
 				return nil, fmt.Errorf("exp: restart n=%d ckpt: %w", n, err)
 			}
-			cl.Run(100 * cruz.Millisecond)
-			for i := 0; i < n; i++ {
-				cl.Pod(fmt.Sprintf("slm-%d", i)).Destroy()
-			}
-			res, rerr := cl.Restart(job, 0)
+			r.cl.Run(100 * cruz.Millisecond)
+			res, rerr := r.restart()
 			if rerr != nil {
 				return nil, fmt.Errorf("exp: restart n=%d: %w", n, rerr)
 			}
 			lat.AddDuration(res.Latency)
 			ovh.Add(res.Overhead.Microseconds())
 			local.AddDuration(res.MaxLocalRestore)
-			cl.Run(200 * cruz.Millisecond)
+			r.cl.Run(200 * cruz.Millisecond)
 		}
 		rows = append(rows, RestartRow{
 			Nodes:          n,
@@ -207,20 +200,20 @@ type IncrementalRow struct {
 // and latency on the slm workload (§5.2 mentions incremental
 // checkpointing as a standard optimization Cruz composes with).
 func IncrementalAblation(scale float64) ([]IncrementalRow, error) {
-	cl, job, workers, err := slmCluster(2, scale, false)
+	r, err := slmRing(cruz.Config{Nodes: 2}, slmConfig(2, scale), nil)
 	if err != nil {
 		return nil, err
 	}
-	full, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+	full, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
 	if err != nil {
 		return nil, err
 	}
-	cl.Run(500 * cruz.Millisecond)
-	inc, err := cl.Checkpoint(job, cruz.CheckpointOptions{Incremental: true})
+	r.cl.Run(500 * cruz.Millisecond)
+	inc, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{Incremental: true})
 	if err != nil {
 		return nil, err
 	}
-	if err := checkWorkers(workers); err != nil {
+	if err := checkWorkers(r.workers); err != nil {
 		return nil, err
 	}
 	return []IncrementalRow{

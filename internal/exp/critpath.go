@@ -3,9 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
-	"strings"
 
-	"cruz"
 	"cruz/internal/trace"
 	"cruz/internal/trace/critpath"
 )
@@ -41,27 +39,23 @@ type CritPathResult struct {
 // reported MTTR within 1%, and the lease-expiry flight dump must exist.
 func CritPath(scale float64) (*CritPathResult, error) {
 	const n = 4
-	cl, err := recoveryCluster(n, scale, RecoveryConfig{Replicas: 1, Spares: 1}, true)
+	r, err := recoveryCluster(n, scale, RecoveryConfig{Replicas: 1, Spares: 1}, true)
 	if err != nil {
 		return nil, err
 	}
-	cl.FailNode(1)
-	if !cl.AwaitRecovery(1, 60*cruz.Second) {
-		return nil, fmt.Errorf("exp: critpath recovery never completed")
+	res, err := r.killAndRecover()
+	if err != nil {
+		return nil, err
 	}
-	if err := cl.RecoveryErr(); err != nil {
-		return nil, fmt.Errorf("exp: critpath recovery: %w", err)
-	}
-	res := cl.Recoveries()[0]
 
-	dropped, err := traceHealth(cl)
+	dropped, err := traceHealth(r.cl)
 	if err != nil {
 		return nil, err
 	}
 	if dropped > 0 {
 		return nil, fmt.Errorf("exp: critpath trace ring overflowed (%d events dropped); raise TraceCapacity", dropped)
 	}
-	trees := critpath.BuildTrees(cl.Trace().Events())
+	trees := critpath.BuildTrees(r.cl.Trace().Events())
 	out := &CritPathResult{
 		CheckpointTree: critpath.FindRoot(trees, "checkpoint"),
 		RecoveryTree:   critpath.FindRoot(trees, "recovery"),
@@ -93,7 +87,7 @@ func CritPath(scale float64) (*CritPathResult, error) {
 		return nil, fmt.Errorf("exp: critpath recovery phases sum %.3f ms vs MTTR %.3f ms (diff %.3f > 1%%)",
 			phaseSum, out.MTTRMs, diff)
 	}
-	for _, d := range cl.FlightRecorder().FlightDumps() {
+	for _, d := range r.cl.FlightRecorder().FlightDumps() {
 		if d.Trigger == "lease.expiry" {
 			out.Dump = d
 			break
@@ -103,18 +97,4 @@ func CritPath(scale float64) (*CritPathResult, error) {
 		return nil, fmt.Errorf("exp: critpath run produced no lease-expiry flight dump")
 	}
 	return out, nil
-}
-
-// pathKey reduces a critical-path segment to a stable aggregation key:
-// the last dot component of the span name ("agent.checkpoint" ->
-// "checkpoint"), with self-time segments folded under "self".
-func pathKey(s critpath.Segment) string {
-	if s.Kind == critpath.SegSelf {
-		return "self"
-	}
-	name := s.Name
-	if i := strings.LastIndex(name, "."); i >= 0 {
-		name = name[i+1:]
-	}
-	return name
 }

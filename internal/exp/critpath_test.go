@@ -18,7 +18,7 @@ func TestCritPathShape(t *testing.T) {
 	}
 	var names []string
 	for _, s := range cp.Recovery.Phases {
-		names = append(names, pathKey(s))
+		names = append(names, s.Name)
 	}
 	joined := strings.Join(names, ",")
 	for _, want := range []string{"detect", "place", "transfer", "restart"} {

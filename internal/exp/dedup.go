@@ -5,7 +5,6 @@ import (
 
 	"cruz"
 	"cruz/internal/metrics"
-	"cruz/internal/trace"
 )
 
 // DedupRow is one storage-strategy variant of the dedup ablation.
@@ -47,14 +46,14 @@ var dedupVariants = []struct {
 func DedupAblation(n, ckpts int, scale float64) ([]DedupRow, error) {
 	var rows []DedupRow
 	for _, v := range dedupVariants {
-		cl, job, workers, err := slmCluster(n, scale, false)
+		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), nil)
 		if err != nil {
 			return nil, err
 		}
 		var steadyLat, steadyMB metrics.Summary
 		row := DedupRow{Variant: v.name}
 		for k := 0; k < ckpts; k++ {
-			res, cerr := cl.Checkpoint(job, v.opts(k))
+			res, cerr := r.cl.Checkpoint(r.job, v.opts(k))
 			if cerr != nil {
 				return nil, fmt.Errorf("exp: dedup ablation %s ckpt %d: %w", v.name, k, cerr)
 			}
@@ -66,17 +65,14 @@ func DedupAblation(n, ckpts int, scale float64) ([]DedupRow, error) {
 				steadyLat.AddDuration(res.Latency)
 				steadyMB.Add(mb)
 			}
-			cl.Run(500 * cruz.Millisecond)
+			r.cl.Run(500 * cruz.Millisecond)
 		}
-		if err := checkWorkers(workers); err != nil {
+		if err := checkWorkers(r.workers); err != nil {
 			return nil, fmt.Errorf("exp: dedup ablation %s: %w", v.name, err)
 		}
 		row.SteadyLatencyMs = steadyLat.Mean()
 		row.SteadyMB = steadyMB.Mean()
-		for i := 0; i < n; i++ {
-			cl.Pod(fmt.Sprintf("slm-%d", i)).Destroy()
-		}
-		res, rerr := cl.Restart(job, 0)
+		res, rerr := r.restart()
 		if rerr != nil {
 			return nil, fmt.Errorf("exp: dedup ablation %s restart: %w", v.name, rerr)
 		}
@@ -117,28 +113,25 @@ func CompactionAblation(n, incs int, scale float64) ([]CompactionRow, error) {
 	}
 	var rows []CompactionRow
 	for _, sc := range scenarios {
-		cl, job, workers, err := slmClusterCfg(n, slmConfig(n, scale), false, false, nil, sc.autoCompact)
+		r, err := slmRing(cruz.Config{Nodes: n, AutoCompact: sc.autoCompact}, slmConfig(n, scale), nil)
 		if err != nil {
 			return nil, err
 		}
 		for k := 0; k < sc.ckpts; k++ {
 			opts := cruz.CheckpointOptions{Dedup: true, Incremental: k > 0}
-			if _, cerr := cl.Checkpoint(job, opts); cerr != nil {
+			if _, cerr := r.cl.Checkpoint(r.job, opts); cerr != nil {
 				return nil, fmt.Errorf("exp: compaction %s ckpt %d: %w", sc.name, k, cerr)
 			}
-			cl.Run(200 * cruz.Millisecond)
+			r.cl.Run(200 * cruz.Millisecond)
 		}
-		if err := checkWorkers(workers); err != nil {
+		if err := checkWorkers(r.workers); err != nil {
 			return nil, fmt.Errorf("exp: compaction %s: %w", sc.name, err)
 		}
-		for i := 0; i < n; i++ {
-			cl.Pod(fmt.Sprintf("slm-%d", i)).Destroy()
-		}
-		res, rerr := cl.Restart(job, 0)
+		res, rerr := r.restart()
 		if rerr != nil {
 			return nil, fmt.Errorf("exp: compaction %s restart: %w", sc.name, rerr)
 		}
-		st := cl.Nodes[0].Store
+		st := r.cl.Nodes[0].Store
 		rows = append(rows, CompactionRow{
 			Scenario:    sc.name,
 			Checkpoints: sc.ckpts,
@@ -148,41 +141,4 @@ func CompactionAblation(n, incs int, scale float64) ([]CompactionRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// PhasesDedup is the E1 phase decomposition for the content-addressed
-// pipeline: deduplicated incremental checkpoints with the pipelined
-// save path and auto-compaction, so the hash, dedup, and compact phases
-// appear alongside the classic lifecycle.
-func PhasesDedup(n, ckpts int, scale float64) (*PhasesResult, error) {
-	autoCompact := ckpts - 1
-	if autoCompact < 2 {
-		autoCompact = 2
-	}
-	cl, job, workers, err := slmClusterCfg(n, slmConfig(n, scale), false, true, nil, autoCompact)
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < ckpts; k++ {
-		opts := cruz.CheckpointOptions{Dedup: true, Pipeline: true, Incremental: k > 0}
-		if _, err := cl.Checkpoint(job, opts); err != nil {
-			return nil, fmt.Errorf("exp: phases-dedup n=%d ckpt %d: %w", n, k, err)
-		}
-		cl.Run(500 * cruz.Millisecond)
-	}
-	if err := checkWorkers(workers); err != nil {
-		return nil, err
-	}
-	dropped, err := traceHealth(cl)
-	if err != nil {
-		return nil, err
-	}
-	events := cl.Trace().Events()
-	return &PhasesResult{
-		Nodes:       n,
-		Checkpoints: ckpts,
-		Report:      trace.PhaseBreakdown(events),
-		Events:      events,
-		Dropped:     dropped,
-	}, nil
 }

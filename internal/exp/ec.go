@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cruz"
-	"cruz/internal/apps/slm"
 )
 
 // ECScheme names one durability configuration of the ablation.
@@ -43,15 +42,10 @@ type ECRow struct {
 	Overhead float64
 
 	DetectMs      float64
-	PlaceMs       float64
 	TransferMs    float64
 	ReconstructMs float64
 	RestartMs     float64
 	MTTRMs        float64
-	TransferMB    float64
-	// Reconstructed reports whether recovery had to decode shards (no
-	// surviving full copy) rather than fetch a replica.
-	Reconstructed bool
 }
 
 // durabilityBytes sums what every agent's durability protocol shipped so
@@ -82,10 +76,6 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	default:
 		return nil, fmt.Errorf("exp: unknown EC scheme %q", scheme)
 	}
-	cl, err := cruz.New(cfg)
-	if err != nil {
-		return nil, err
-	}
 	// Wide cells reuse the A9 light workload so n=64 stays tractable;
 	// paper-scale cells use the benchmark slm configuration.
 	wcfg := slmConfig(n, scale)
@@ -102,57 +92,27 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	// page set, so cross-pod dedup would ship replication almost for
 	// free and invert the byte comparison this ablation exists for.
 	wcfg.UniquePages = true
-	var names []string
-	var ips []cruz.Addr
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("ec-%d", i)
-		pod, perr := cl.NewPod(i, name)
-		if perr != nil {
-			return nil, perr
-		}
-		names = append(names, name)
-		ips = append(ips, pod.IP())
-	}
-	var workers []*slm.Worker
-	for i, name := range names {
-		w := slm.NewWorker(wcfg, i, ips[(i+1)%n])
-		if _, err := cl.Pod(name).Spawn("slm", w); err != nil {
-			return nil, err
-		}
-		workers = append(workers, w)
-	}
-	job, err := cl.DefineJob("ec", names...)
+	r, err := deployRing(cfg, "ec", "ec-%d", n, wcfg, nil)
 	if err != nil {
 		return nil, err
-	}
-	ok := cl.RunUntil(func() bool {
-		for _, w := range workers {
-			if w.StepsDone < 2 {
-				return false
-			}
-		}
-		return true
-	}, 10*60*cruz.Second)
-	if !ok {
-		return nil, fmt.Errorf("exp: ec ring never started (n=%d)", n)
 	}
 
 	// durable drives one deduplicated checkpoint and waits until the
 	// coordinator has registered its full durability placement.
 	durable := func() (*cruz.CheckpointResult, error) {
-		res, cerr := cl.Checkpoint(job, cruz.CheckpointOptions{Dedup: true})
+		res, cerr := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{Dedup: true})
 		if cerr != nil {
 			return nil, cerr
 		}
-		settled := cl.RunUntil(func() bool {
-			for _, name := range names {
+		settled := r.cl.RunUntil(func() bool {
+			for _, name := range r.names {
 				switch scheme {
 				case SchemeEC42:
-					if cl.Coordinator.KnownECShards(name, res.Seq) < ec.M+ec.R {
+					if r.cl.Coordinator.KnownECShards(name, res.Seq) < ec.M+ec.R {
 						return false
 					}
 				default:
-					if cl.Coordinator.KnownHolders(name, res.Seq) < cfg.Replicas+1 {
+					if r.cl.Coordinator.KnownHolders(name, res.Seq) < cfg.Replicas+1 {
 						return false
 					}
 				}
@@ -169,7 +129,7 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	wire := durabilityBytes(cl)
+	wire := durabilityBytes(r.cl)
 	row := &ECRow{
 		Nodes: n, Scheme: scheme,
 		ImageMB:  float64(first.TotalImageBytes) / (1 << 20),
@@ -180,61 +140,27 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	// Steady state: run on, checkpoint incrementally, measure the delta
 	// the durability tier ships (unchanged chunks — and for EC unchanged
 	// stripes' parity — dedupe away on re-offer).
-	cl.Run(200 * cruz.Millisecond)
+	r.cl.Run(200 * cruz.Millisecond)
 	if _, err := durable(); err != nil {
 		return nil, err
 	}
-	row.SteadyMB = float64(durabilityBytes(cl)-wire) / (1 << 20)
+	row.SteadyMB = float64(durabilityBytes(r.cl)-wire) / (1 << 20)
 
 	// Kill the pod host. Under replication the new home is usually a
 	// replica holder (free transfer); under EC nobody holds the full
 	// image, so the new home pulls M shard subsets and reconstructs.
-	cl.FailNode(1)
-	if !cl.AwaitRecovery(1, 60*cruz.Second) {
-		return nil, fmt.Errorf("exp: ec recovery never completed (n=%d %s)", n, scheme)
+	res, err := r.killAndRecover()
+	if err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, scheme)
 	}
-	if err := cl.RecoveryErr(); err != nil {
-		return nil, fmt.Errorf("exp: ec recovery n=%d %s: %w", n, scheme, err)
-	}
-	res := cl.Recoveries()[0]
 	row.DetectMs = res.Detect.Milliseconds()
-	row.PlaceMs = res.Place.Milliseconds()
 	row.TransferMs = res.Transfer.Milliseconds()
 	row.ReconstructMs = res.Reconstruct.Milliseconds()
 	row.RestartMs = res.Restart.Milliseconds()
 	row.MTTRMs = res.MTTR.Milliseconds()
-	row.TransferMB = float64(res.TransferBytes) / (1 << 20)
-	for _, rp := range res.Pods {
-		if rp.Reconstructed {
-			row.Reconstructed = true
-		}
-	}
 
-	// Prove the job actually resumed before reporting numbers.
-	resolve := func(i int) *slm.Worker {
-		return cl.Pod(names[i]).Process(1).Program().(*slm.Worker)
-	}
-	before := make([]int, n)
-	for i := range before {
-		before[i] = resolve(i).StepsDone
-	}
-	progressed := cl.RunUntil(func() bool {
-		for i := 0; i < n; i++ {
-			if resolve(i).StepsDone <= before[i] {
-				return false
-			}
-		}
-		return true
-	}, 60*cruz.Second)
-	if !progressed {
-		return nil, fmt.Errorf("exp: ec ring stuck after recovery (n=%d %s)", n, scheme)
-	}
-	live := make([]*slm.Worker, n)
-	for i := range live {
-		live[i] = resolve(i)
-	}
-	if err := checkWorkers(live); err != nil {
-		return nil, err
+	if err := r.resumed(); err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, scheme)
 	}
 	return row, nil
 }

@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: one function per table or
 // figure in the paper's evaluation (§6), each returning structured
-// results. cmd/cruzbench renders them as text; the repository-root
-// benchmarks report them as testing.B metrics; EXPERIMENTS.md records
-// paper-versus-measured values.
+// results. cmd/cruzbench prints them as text tables and records the same
+// cells in BENCH_cruz.json; EXPERIMENTS.md records paper-versus-measured
+// values.
 //
 // Scale notes: the paper's pods checkpoint ≈100 MB images. A scale
 // parameter (1.0 = paper scale) shrinks the slm grid proportionally so
@@ -54,71 +54,120 @@ func slmConfig(workers int, scale float64) slm.Config {
 	return cfg
 }
 
-// slmCluster builds an n-node cluster running the slm ring, one worker
-// pod per node, and returns it with the job and workers.
-func slmCluster(n int, scale float64, flushToo bool) (*cruz.Cluster, *cruz.Job, []*slm.Worker, error) {
-	return slmClusterCfg(n, slmConfig(n, scale), flushToo, false, nil, 0)
+// ring is an slm job deployed one worker pod per node.
+type ring struct {
+	cl      *cruz.Cluster
+	job     *cruz.Job
+	names   []string
+	workers []*slm.Worker
 }
 
-// slmClusterTraced is slmCluster with the tracing subsystem enabled.
-func slmClusterTraced(n int, scale float64) (*cruz.Cluster, *cruz.Job, []*slm.Worker, error) {
-	return slmClusterCfg(n, slmConfig(n, scale), false, true, nil, 0)
-}
-
-// slmClusterSkewed additionally scales worker i's grid by gridMult[i]
-// (nil = homogeneous), used to expose save-time skew in the Fig. 4
-// comparison.
-func slmClusterSkewed(n int, scale float64, flushToo bool, gridMult []float64) (*cruz.Cluster, *cruz.Job, []*slm.Worker, error) {
-	return slmClusterCfg(n, slmConfig(n, scale), flushToo, false, gridMult, 0)
-}
-
-// slmClusterCfg is the fully parameterized deployment. autoCompact > 0
-// enables store chain compaction (deduplicated checkpoints only).
-func slmClusterCfg(n int, cfg slm.Config, flushToo, traced bool, gridMult []float64, autoCompact int) (*cruz.Cluster, *cruz.Job, []*slm.Worker, error) {
-	cl, err := cruz.New(cruz.Config{Nodes: n, Seed: int64(n)*101 + 7, FlushBaseline: flushToo, Trace: traced, AutoCompact: autoCompact})
+// deployRing builds a cluster from cc and places n slm workers on its
+// nodes 0..n-1: pod i, named fmt.Sprintf(podFmt, i), runs cfg (its grid
+// scaled by gridMult[i] where that is given) and sends to pod i+1 mod n.
+// The pods form one job named job; deployRing returns once every worker
+// has taken two steps. Pod and job names ride in control frames, so each
+// experiment keeps the names its numbers were measured with.
+func deployRing(cc cruz.Config, job, podFmt string, n int, cfg slm.Config, gridMult []float64) (*ring, error) {
+	cl, err := cruz.New(cc)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	var names []string
+	r := &ring{cl: cl}
 	var ips []cruz.Addr
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("slm-%d", i)
+		name := fmt.Sprintf(podFmt, i)
 		pod, perr := cl.NewPod(i, name)
 		if perr != nil {
-			return nil, nil, nil, perr
+			return nil, perr
 		}
-		names = append(names, name)
+		r.names = append(r.names, name)
 		ips = append(ips, pod.IP())
 	}
-	var workers []*slm.Worker
-	for i, name := range names {
+	for i, name := range r.names {
 		wcfg := cfg
 		if i < len(gridMult) && gridMult[i] > 0 {
 			wcfg.GridBytes = uint64(float64(cfg.GridBytes) * gridMult[i])
 		}
 		w := slm.NewWorker(wcfg, i, ips[(i+1)%n])
 		if _, err := cl.Pod(name).Spawn("slm", w); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		workers = append(workers, w)
+		r.workers = append(r.workers, w)
 	}
-	job, err := cl.DefineJob("slm", names...)
-	if err != nil {
-		return nil, nil, nil, err
+	if r.job, err = cl.DefineJob(job, r.names...); err != nil {
+		return nil, err
 	}
-	// Warm up: let the ring form and take a few steps.
-	ok := cl.RunUntil(func() bool {
-		for _, w := range workers {
+	started := cl.RunUntil(func() bool {
+		for _, w := range r.workers {
 			if w.StepsDone < 2 {
 				return false
 			}
 		}
 		return true
 	}, 10*60*cruz.Second)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("exp: slm ring never started (n=%d)", n)
+	if !started {
+		return nil, fmt.Errorf("exp: %s ring never started (n=%d)", job, n)
 	}
-	return cl, job, workers, nil
+	return r, nil
+}
+
+// slmRing deploys the benchmark ring — pods slm-0 … slm-(n-1) of job
+// "slm" on the n = cc.Nodes nodes of a cluster seeded by n.
+func slmRing(cc cruz.Config, cfg slm.Config, gridMult []float64) (*ring, error) {
+	cc.Seed = int64(cc.Nodes)*101 + 7
+	return deployRing(cc, "slm", "slm-%d", cc.Nodes, cfg, gridMult)
+}
+
+// restart destroys every pod of the ring and restarts the job from its
+// newest checkpoint.
+func (r *ring) restart() (*cruz.RestartResult, error) {
+	for _, name := range r.names {
+		r.cl.Pod(name).Destroy()
+	}
+	return r.cl.Restart(r.job, 0)
+}
+
+// killAndRecover fails node 1 and returns the automatic recovery's
+// result.
+func (r *ring) killAndRecover() (*cruz.RecoveryResult, error) {
+	r.cl.FailNode(1)
+	if !r.cl.AwaitRecovery(1, 60*cruz.Second) {
+		return nil, fmt.Errorf("exp: %s recovery never completed (n=%d)", r.job.Name, len(r.names))
+	}
+	if err := r.cl.RecoveryErr(); err != nil {
+		return nil, fmt.Errorf("exp: %s recovery (n=%d): %w", r.job.Name, len(r.names), err)
+	}
+	return r.cl.Recoveries()[0], nil
+}
+
+// resumed proves the job runs again after a recovery: every pod steps
+// past where it stands now, and none reports a fault. Re-homed pods run
+// restored program instances, so each pod's program is looked up afresh.
+func (r *ring) resumed() error {
+	live := func(i int) *slm.Worker {
+		return r.cl.Pod(r.names[i]).Process(1).Program().(*slm.Worker)
+	}
+	before := make([]int, len(r.names))
+	for i := range before {
+		before[i] = live(i).StepsDone
+	}
+	progressed := r.cl.RunUntil(func() bool {
+		for i, steps := range before {
+			if live(i).StepsDone <= steps {
+				return false
+			}
+		}
+		return true
+	}, 60*cruz.Second)
+	if !progressed {
+		return fmt.Errorf("exp: %s ring stuck after recovery (n=%d)", r.job.Name, len(r.names))
+	}
+	ws := make([]*slm.Worker, len(r.names))
+	for i := range ws {
+		ws[i] = live(i)
+	}
+	return checkWorkers(ws)
 }
 
 // checkWorkers returns an error if any worker recorded a fault.
@@ -133,8 +182,7 @@ func checkWorkers(ws []*slm.Worker) error {
 
 // Fig5Row is one node-count configuration of Fig. 5.
 type Fig5Row struct {
-	Nodes       int
-	Checkpoints int
+	Nodes int
 	// Fig. 5(a): total checkpoint latency at the coordinator.
 	LatencyMeanMs, LatencyStdMs float64
 	// Fig. 5(b): coordination overhead.
@@ -151,14 +199,14 @@ type Fig5Row struct {
 func Fig5(nodeCounts []int, ckptsEach int, interval cruz.Duration, scale float64) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, n := range nodeCounts {
-		cl, job, workers, err := slmCluster(n, scale, false)
+		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), nil)
 		if err != nil {
 			return nil, err
 		}
 		var lat, ovh, local metrics.Summary
 		var imgBytes int64
 		for k := 0; k < ckptsEach; k++ {
-			res, cerr := cl.Checkpoint(job, cruz.CheckpointOptions{})
+			res, cerr := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
 			if cerr != nil {
 				return nil, fmt.Errorf("exp: fig5 n=%d ckpt %d: %w", n, k, cerr)
 			}
@@ -166,14 +214,13 @@ func Fig5(nodeCounts []int, ckptsEach int, interval cruz.Duration, scale float64
 			ovh.Add(res.Overhead.Microseconds())
 			local.AddDuration(res.MaxLocalCheckpoint)
 			imgBytes = res.TotalImageBytes / int64(n)
-			cl.Run(interval)
+			r.cl.Run(interval)
 		}
-		if err := checkWorkers(workers); err != nil {
+		if err := checkWorkers(r.workers); err != nil {
 			return nil, err
 		}
 		rows = append(rows, Fig5Row{
 			Nodes:          n,
-			Checkpoints:    ckptsEach,
 			LatencyMeanMs:  lat.Mean(),
 			LatencyStdMs:   lat.StdDev(),
 			OverheadMeanUs: ovh.Mean(),

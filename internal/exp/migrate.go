@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cruz"
-	"cruz/internal/apps/slm"
 	"cruz/internal/metrics"
 )
 
@@ -38,51 +37,6 @@ var migrateVariants = []struct {
 	{"stop-and-copy", false},
 }
 
-// migrateCluster deploys an n-worker slm ring on nodes 0..n-1 of an
-// (n+1)-node cluster; node n is the idle migration target.
-func migrateCluster(n int, scale float64) (*cruz.Cluster, *cruz.Job, []*slm.Worker, error) {
-	cfg := slmConfig(n, scale)
-	cl, err := cruz.New(cruz.Config{Nodes: n + 1, Seed: int64(n)*131 + 3})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var names []string
-	var ips []cruz.Addr
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("slm-%d", i)
-		pod, perr := cl.NewPod(i, name)
-		if perr != nil {
-			return nil, nil, nil, perr
-		}
-		names = append(names, name)
-		ips = append(ips, pod.IP())
-	}
-	var workers []*slm.Worker
-	for i, name := range names {
-		w := slm.NewWorker(cfg, i, ips[(i+1)%n])
-		if _, err := cl.Pod(name).Spawn("slm", w); err != nil {
-			return nil, nil, nil, err
-		}
-		workers = append(workers, w)
-	}
-	job, err := cl.DefineJob("slm", names...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ok := cl.RunUntil(func() bool {
-		for _, w := range workers {
-			if w.StepsDone < 2 {
-				return false
-			}
-		}
-		return true
-	}, 10*60*cruz.Second)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("exp: migrate ring never started (n=%d)", n)
-	}
-	return cl, job, workers, nil
-}
-
 // migrateOpts builds the pre-copy configuration for one live migration.
 // slm dirties in bursts (the whole write set at each step boundary), so
 // a sub-step threshold makes the rounds run until one lands inside a
@@ -102,37 +56,6 @@ func migrateOpts(live bool, dirtyPerStep int) cruz.MigrateOptions {
 	}}
 }
 
-// migrateSeries bounces pod slm-1 of a fresh n-worker ring between its
-// home node and the spare, migs hops, and returns the per-hop summaries.
-func migrateSeries(n, migs int, scale float64, live bool) (down, lat, rounds, streamed metrics.Summary, err error) {
-	cl, job, workers, cerr := migrateCluster(n, scale)
-	if cerr != nil {
-		err = cerr
-		return
-	}
-	dirty := slmConfig(n, scale).DirtyPagesPerStep
-	for k := 0; k < migs; k++ {
-		target := n // the spare
-		if k%2 == 1 {
-			target = 1 // back home
-		}
-		res, merr := cl.Migrate(job, "slm-1", target, migrateOpts(live, dirty))
-		if merr != nil {
-			err = fmt.Errorf("exp: migrate live=%v hop %d: %w", live, k, merr)
-			return
-		}
-		down.AddDuration(res.Downtime)
-		lat.AddDuration(res.Latency)
-		rounds.Add(float64(res.Rounds))
-		streamed.Add(float64(res.BytesStreamed))
-		cl.Run(300 * cruz.Millisecond)
-	}
-	if werr := checkWorkers(workers); werr != nil {
-		err = fmt.Errorf("exp: migrate live=%v: %w", live, werr)
-	}
-	return
-}
-
 // MigrateAblation measures live pod migration against the stop-and-copy
 // baseline (A10): an n-worker slm ring plus one spare node, pod slm-1
 // bounced spare-and-back migs times per variant. Live migration streams
@@ -140,11 +63,32 @@ func migrateSeries(n, migs int, scale float64, live bool) (down, lat, rounds, st
 // runs and freezes only for the residual dirty set; stop-and-copy
 // freezes for the whole image.
 func MigrateAblation(n, migs int, scale float64) ([]MigrateRow, error) {
+	cfg := slmConfig(n, scale)
 	var rows []MigrateRow
 	for _, v := range migrateVariants {
-		down, lat, rounds, streamed, err := migrateSeries(n, migs, scale, v.live)
+		// Node n is the idle migration target.
+		r, err := deployRing(cruz.Config{Nodes: n + 1, Seed: int64(n)*131 + 3}, "slm", "slm-%d", n, cfg, nil)
 		if err != nil {
 			return nil, err
+		}
+		var down, lat, rounds, streamed metrics.Summary
+		for k := 0; k < migs; k++ {
+			target := n // the spare
+			if k%2 == 1 {
+				target = 1 // back home
+			}
+			res, err := r.cl.Migrate(r.job, "slm-1", target, migrateOpts(v.live, cfg.DirtyPagesPerStep))
+			if err != nil {
+				return nil, fmt.Errorf("exp: migrate %s hop %d: %w", v.name, k, err)
+			}
+			down.AddDuration(res.Downtime)
+			lat.AddDuration(res.Latency)
+			rounds.Add(float64(res.Rounds))
+			streamed.Add(float64(res.BytesStreamed))
+			r.cl.Run(300 * cruz.Millisecond)
+		}
+		if err := checkWorkers(r.workers); err != nil {
+			return nil, fmt.Errorf("exp: migrate %s: %w", v.name, err)
 		}
 		rows = append(rows, MigrateRow{
 			Variant:    v.name,
@@ -156,32 +100,4 @@ func MigrateAblation(n, migs int, scale float64) ([]MigrateRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// migrateBench adds the live-migration distributions to the benchmark
-// report: migrate_n4/downtime_ms against migrate_n4/stopcopy_downtime_ms
-// is the headline pair.
-func migrateBench(rep *BenchReport, migs int, scale float64) error {
-	const n = 4
-	// Each migration moves the whole image volume; three per variant
-	// bound the report's runtime while still giving a distribution.
-	if migs > 3 {
-		migs = 3
-	}
-	down, lat, rounds, streamed, err := migrateSeries(n, migs, scale, true)
-	if err != nil {
-		return err
-	}
-	prefix := fmt.Sprintf("migrate_n%d", n)
-	rep.Experiments[prefix+"/downtime_ms"] = down.Dist()
-	rep.Experiments[prefix+"/latency_ms"] = lat.Dist()
-	rep.Experiments[prefix+"/rounds"] = rounds.Dist()
-	rep.Experiments[prefix+"/bytes_streamed"] = streamed.Dist()
-	sdown, slat, _, _, err := migrateSeries(n, migs, scale, false)
-	if err != nil {
-		return err
-	}
-	rep.Experiments[prefix+"/stopcopy_downtime_ms"] = sdown.Dist()
-	rep.Experiments[prefix+"/stopcopy_latency_ms"] = slat.Dist()
-	return nil
 }

@@ -2,10 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"cruz"
-	"cruz/internal/metrics"
 	"cruz/internal/trace"
 )
 
@@ -15,9 +13,7 @@ import (
 // where the latency of Fig. 5 actually goes (the paper: checkpoint
 // latency "is dominated by the time to write this state to disk").
 type PhasesResult struct {
-	Nodes       int
-	Checkpoints int
-	Report      *trace.PhaseReport
+	Report *trace.PhaseReport
 	// Events is the full trace, for optional Chrome-trace export.
 	Events []trace.Event
 	// Dropped counts events the trace ring overwrote. A nonzero value
@@ -41,310 +37,48 @@ func traceHealth(cl *cruz.Cluster) (uint64, error) {
 }
 
 // Phases runs ckpts coordinated checkpoints of the slm benchmark on n
-// nodes with tracing enabled and returns the per-phase latency report.
-func Phases(n, ckpts int, scale float64) (*PhasesResult, error) {
-	cl, job, workers, err := slmClusterTraced(n, scale)
+// traced nodes, twice, and returns the per-phase latency report of each
+// run: classic blocking checkpoints, then the content-addressed pipeline
+// — deduplicated incremental checkpoints with the pipelined save path
+// and auto-compaction, so the hash, dedup and compact phases appear
+// alongside the classic lifecycle.
+func Phases(n, ckpts int, scale float64) (classic, dedup *PhasesResult, err error) {
+	classic, err = tracedCheckpoints(cruz.Config{Nodes: n, Trace: true}, ckpts, scale,
+		func(int) cruz.CheckpointOptions { return cruz.CheckpointOptions{} })
+	if err != nil {
+		return nil, nil, err
+	}
+	dedup, err = tracedCheckpoints(cruz.Config{Nodes: n, Trace: true, AutoCompact: max(ckpts-1, 2)}, ckpts, scale,
+		func(k int) cruz.CheckpointOptions {
+			return cruz.CheckpointOptions{Dedup: true, Pipeline: true, Incremental: k > 0}
+		})
+	return classic, dedup, err
+}
+
+// tracedCheckpoints takes ckpts checkpoints, 500 ms apart, of the slm
+// ring on the traced cluster cc and decomposes their latency by phase.
+func tracedCheckpoints(cc cruz.Config, ckpts int, scale float64, opts func(k int) cruz.CheckpointOptions) (*PhasesResult, error) {
+	r, err := slmRing(cc, slmConfig(cc.Nodes, scale), nil)
 	if err != nil {
 		return nil, err
 	}
 	for k := 0; k < ckpts; k++ {
-		if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{}); err != nil {
-			return nil, fmt.Errorf("exp: phases n=%d ckpt %d: %w", n, k, err)
+		if _, err := r.cl.Checkpoint(r.job, opts(k)); err != nil {
+			return nil, fmt.Errorf("exp: phases n=%d ckpt %d: %w", cc.Nodes, k, err)
 		}
-		cl.Run(500 * cruz.Millisecond)
+		r.cl.Run(500 * cruz.Millisecond)
 	}
-	if err := checkWorkers(workers); err != nil {
+	if err := checkWorkers(r.workers); err != nil {
 		return nil, err
 	}
-	dropped, err := traceHealth(cl)
+	dropped, err := traceHealth(r.cl)
 	if err != nil {
 		return nil, err
 	}
-	events := cl.Trace().Events()
+	events := r.cl.Trace().Events()
 	return &PhasesResult{
-		Nodes:       n,
-		Checkpoints: ckpts,
-		Report:      trace.PhaseBreakdown(events),
-		Events:      events,
-		Dropped:     dropped,
+		Report:  trace.PhaseBreakdown(events),
+		Events:  events,
+		Dropped: dropped,
 	}, nil
-}
-
-// BenchReport is the machine-readable benchmark output written by
-// cruzbench -json to BENCH_cruz.json: one distribution per experiment
-// metric, keyed "experiment/metric".
-type BenchReport struct {
-	Scale       float64                 `json:"scale"`
-	Experiments map[string]metrics.Dist `json:"experiments"`
-}
-
-// Keys returns the experiment keys in sorted (stable) order.
-func (r *BenchReport) Keys() []string {
-	keys := make([]string, 0, len(r.Experiments))
-	for k := range r.Experiments {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// JSONBench collects the distributions behind the headline experiments:
-// coordinated checkpoint latency, coordination overhead, and slowest
-// local checkpoint for each node count, plus coordinated restart latency
-// at the largest count.
-func JSONBench(nodeCounts []int, ckpts int, scale float64) (*BenchReport, error) {
-	rep := &BenchReport{Scale: scale, Experiments: make(map[string]metrics.Dist)}
-	for _, n := range nodeCounts {
-		cl, job, workers, err := slmCluster(n, scale, false)
-		if err != nil {
-			return nil, err
-		}
-		var lat, ovh, local metrics.Summary
-		for k := 0; k < ckpts; k++ {
-			res, cerr := cl.Checkpoint(job, cruz.CheckpointOptions{})
-			if cerr != nil {
-				return nil, fmt.Errorf("exp: jsonbench n=%d ckpt %d: %w", n, k, cerr)
-			}
-			lat.AddDuration(res.Latency)
-			ovh.Add(res.Overhead.Microseconds())
-			local.AddDuration(res.MaxLocalCheckpoint)
-			cl.Run(500 * cruz.Millisecond)
-		}
-		if err := checkWorkers(workers); err != nil {
-			return nil, err
-		}
-		prefix := fmt.Sprintf("checkpoint_n%d", n)
-		rep.Experiments[prefix+"/latency_ms"] = lat.Dist()
-		rep.Experiments[prefix+"/coord_overhead_us"] = ovh.Dist()
-		rep.Experiments[prefix+"/max_local_ms"] = local.Dist()
-	}
-	if len(nodeCounts) > 0 {
-		n := nodeCounts[len(nodeCounts)-1]
-		cl, job, _, err := slmCluster(n, scale, false)
-		if err != nil {
-			return nil, err
-		}
-		var lat, ovh metrics.Summary
-		for k := 0; k < ckpts; k++ {
-			if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{}); err != nil {
-				return nil, fmt.Errorf("exp: jsonbench restart ckpt: %w", err)
-			}
-			cl.Run(100 * cruz.Millisecond)
-			for i := 0; i < n; i++ {
-				cl.Pod(fmt.Sprintf("slm-%d", i)).Destroy()
-			}
-			res, rerr := cl.Restart(job, 0)
-			if rerr != nil {
-				return nil, fmt.Errorf("exp: jsonbench restart: %w", rerr)
-			}
-			lat.AddDuration(res.Latency)
-			ovh.Add(res.Overhead.Microseconds())
-			cl.Run(200 * cruz.Millisecond)
-		}
-		prefix := fmt.Sprintf("restart_n%d", n)
-		rep.Experiments[prefix+"/latency_ms"] = lat.Dist()
-		rep.Experiments[prefix+"/coord_overhead_us"] = ovh.Dist()
-	}
-
-	// Dedup ablation: steady-state (second-and-later) deduplicated
-	// checkpoints at 4 nodes, with and without the pipelined save path.
-	// Compare against checkpoint_n4/latency_ms, the non-dedup full
-	// baseline above.
-	const dn = 4
-	for _, variant := range []struct {
-		key      string
-		pipeline bool
-	}{
-		{"checkpoint_n4_dedup", false},
-		{"checkpoint_n4_dedup_pipe", true},
-	} {
-		cl, job, workers, err := slmCluster(dn, scale, false)
-		if err != nil {
-			return nil, err
-		}
-		var first, steady metrics.Summary
-		for k := 0; k < ckpts; k++ {
-			res, cerr := cl.Checkpoint(job, cruz.CheckpointOptions{Dedup: true, Pipeline: variant.pipeline})
-			if cerr != nil {
-				return nil, fmt.Errorf("exp: jsonbench %s ckpt %d: %w", variant.key, k, cerr)
-			}
-			if k == 0 {
-				first.AddDuration(res.Latency)
-			} else {
-				steady.AddDuration(res.Latency)
-			}
-			cl.Run(500 * cruz.Millisecond)
-		}
-		if err := checkWorkers(workers); err != nil {
-			return nil, err
-		}
-		rep.Experiments[variant.key+"/latency_ms"] = steady.Dist()
-		rep.Experiments[variant.key+"/first_latency_ms"] = first.Dist()
-	}
-
-	// Pre-copy ablation: per-checkpoint downtime (slowest pod's freeze
-	// window) under each save strategy at 4 nodes. Compare
-	// precopy_n4_rounds against precopy_n4_stopcopy: the paper-level
-	// claim is O(image size) collapsing to O(residual dirty set).
-	for _, variant := range []struct {
-		key  string
-		opts cruz.CheckpointOptions
-	}{
-		{"precopy_n4_stopcopy", cruz.CheckpointOptions{}},
-		{"precopy_n4_pipelined", cruz.CheckpointOptions{Pipeline: true}},
-		{"precopy_n4_rounds", cruz.CheckpointOptions{
-			Precopy: cruz.PrecopyConfig{MaxRounds: 3, DirtyThresholdPages: 16, MinRoundGain: 0.2},
-		}},
-	} {
-		cl, job, workers, err := slmCluster(dn, scale, false)
-		if err != nil {
-			return nil, err
-		}
-		var down, lat metrics.Summary
-		for k := 0; k < ckpts; k++ {
-			res, cerr := cl.Checkpoint(job, variant.opts)
-			if cerr != nil {
-				return nil, fmt.Errorf("exp: jsonbench %s ckpt %d: %w", variant.key, k, cerr)
-			}
-			down.AddDuration(res.MaxBlocked)
-			lat.AddDuration(res.Latency)
-			cl.Run(500 * cruz.Millisecond)
-		}
-		if err := checkWorkers(workers); err != nil {
-			return nil, err
-		}
-		rep.Experiments[variant.key+"/downtime_ms"] = down.Dist()
-		rep.Experiments[variant.key+"/latency_ms"] = lat.Dist()
-	}
-
-	// Restore after an 8-incremental deduplicated chain with
-	// auto-compaction folding it en route; compare against
-	// restart_n{max}/latency_ms, the fresh full-image restore above.
-	{
-		cl, job, workers, err := slmClusterCfg(dn, slmConfig(dn, scale), false, false, nil, 4)
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < 9; k++ {
-			opts := cruz.CheckpointOptions{Dedup: true, Incremental: k > 0}
-			if _, cerr := cl.Checkpoint(job, opts); cerr != nil {
-				return nil, fmt.Errorf("exp: jsonbench compact chain ckpt %d: %w", k, cerr)
-			}
-			cl.Run(200 * cruz.Millisecond)
-		}
-		if err := checkWorkers(workers); err != nil {
-			return nil, err
-		}
-		for i := 0; i < dn; i++ {
-			cl.Pod(fmt.Sprintf("slm-%d", i)).Destroy()
-		}
-		var lat metrics.Summary
-		res, rerr := cl.Restart(job, 0)
-		if rerr != nil {
-			return nil, fmt.Errorf("exp: jsonbench compact restart: %w", rerr)
-		}
-		lat.AddDuration(res.Latency)
-		rep.Experiments["restart_n4_compact/latency_ms"] = lat.Dist()
-	}
-
-	// Automatic failure recovery: kill a node of a replicated 4-node job
-	// and report the MTTR phase split, without and with a spare standby
-	// node as the restart target.
-	for _, rc := range []RecoveryConfig{{Replicas: 1, Spares: 0}, {Replicas: 1, Spares: 1}} {
-		rows, err := Recovery(4, scale, []RecoveryConfig{rc})
-		if err != nil {
-			return nil, fmt.Errorf("exp: jsonbench recovery k=%d s=%d: %w", rc.Replicas, rc.Spares, err)
-		}
-		r := rows[0]
-		var mttr, detect, place, transfer, restart metrics.Summary
-		mttr.Add(r.MTTRMs)
-		detect.Add(r.DetectMs)
-		place.Add(r.PlaceMs)
-		transfer.Add(r.TransferMs)
-		restart.Add(r.RestartMs)
-		prefix := fmt.Sprintf("recovery_n4_k%d_s%d", rc.Replicas, rc.Spares)
-		rep.Experiments[prefix+"/mttr_ms"] = mttr.Dist()
-		rep.Experiments[prefix+"/detect_ms"] = detect.Dist()
-		rep.Experiments[prefix+"/place_ms"] = place.Dist()
-		rep.Experiments[prefix+"/transfer_ms"] = transfer.Dist()
-		rep.Experiments[prefix+"/restart_ms"] = restart.Dist()
-	}
-
-	// Critical-path decomposition of the traced kill-and-recover run:
-	// the recovery op's phase split (sequential, so phases are the
-	// decomposition) and the checkpoint op's critical-path segments
-	// aggregated by phase kind (parallel fan-out, so only the path sums
-	// to the total).
-	{
-		cp, err := CritPath(scale)
-		if err != nil {
-			return nil, err
-		}
-		add := func(key string, ms float64) {
-			var s metrics.Summary
-			s.Add(ms)
-			rep.Experiments[key] = s.Dist()
-		}
-		add("critpath_recovery_n4/total_ms", cp.Recovery.TotalMs)
-		for _, seg := range cp.Recovery.Phases {
-			add("critpath_recovery_n4/"+pathKey(seg)+"_ms", seg.Ms)
-		}
-		add("critpath_checkpoint_n4/total_ms", cp.Checkpoint.TotalMs)
-		agg := make(map[string]float64)
-		var order []string
-		for _, seg := range cp.Checkpoint.Path {
-			k := pathKey(seg)
-			if _, ok := agg[k]; !ok {
-				order = append(order, k)
-			}
-			agg[k] += seg.Ms
-		}
-		for _, k := range order {
-			add("critpath_checkpoint_n4/path_"+k+"_ms", agg[k])
-		}
-	}
-
-	// A11 erasure-coded storage tier: the same 8-node workload under
-	// 3-way replication and under 4+2 striping — durability bytes for the
-	// full and steady-state checkpoints, the storage-overhead factor, and
-	// the kill-and-recover MTTR with the EC reconstruct window broken out.
-	{
-		rows, err := ECAblation([]int{8}, scale)
-		if err != nil {
-			return nil, fmt.Errorf("exp: jsonbench ec: %w", err)
-		}
-		add := func(key string, v float64) {
-			var s metrics.Summary
-			s.Add(v)
-			rep.Experiments[key] = s.Dist()
-		}
-		for _, r := range rows {
-			prefix := fmt.Sprintf("ec_n%d_%s", r.Nodes, r.Scheme)
-			add(prefix+"/image_mb", r.ImageMB)
-			add(prefix+"/wire_mb", r.WireMB)
-			add(prefix+"/steady_mb", r.SteadyMB)
-			add(prefix+"/overhead", r.Overhead)
-			add(prefix+"/mttr_ms", r.MTTRMs)
-			add(prefix+"/detect_ms", r.DetectMs)
-			add(prefix+"/transfer_ms", r.TransferMs)
-			add(prefix+"/reconstruct_ms", r.ReconstructMs)
-			add(prefix+"/restart_ms", r.RestartMs)
-		}
-	}
-
-	// A10 live migration: pod slm-1 of a 4-worker ring bounced to a
-	// spare node and back, live (pre-copy + address takeover) and
-	// stop-and-copy; migrate_n4/downtime_ms against
-	// migrate_n4/stopcopy_downtime_ms is the headline pair.
-	if err := migrateBench(rep, ckpts, scale); err != nil {
-		return nil, err
-	}
-
-	// A9 scaling ablation: flat versus hierarchical coordination at 8,
-	// 64, and 256 pods, plus the engine's wall-clock throughput while
-	// each cell ran.
-	if err := scalingBench(rep, ScalingNodeCounts, scale); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }

@@ -55,22 +55,22 @@ func PrecopyAblation(n, ckpts int, scale float64, writeMults []float64) ([]Preco
 			if cfg.DirtyPagesPerStep < 1 {
 				cfg.DirtyPagesPerStep = 1
 			}
-			cl, job, workers, err := slmClusterCfg(n, cfg, false, false, nil, 0)
+			r, err := slmRing(cruz.Config{Nodes: n}, cfg, nil)
 			if err != nil {
 				return nil, err
 			}
 			var down, lat, mb metrics.Summary
 			for k := 0; k < ckpts; k++ {
-				res, cerr := cl.Checkpoint(job, v.opts)
+				res, cerr := r.cl.Checkpoint(r.job, v.opts)
 				if cerr != nil {
 					return nil, fmt.Errorf("exp: precopy %s x%.1f ckpt %d: %w", v.name, wm, k, cerr)
 				}
 				down.AddDuration(res.MaxBlocked)
 				lat.AddDuration(res.Latency)
 				mb.Add(float64(res.TotalImageBytes) / (1 << 20))
-				cl.Run(500 * cruz.Millisecond)
+				r.cl.Run(500 * cruz.Millisecond)
 			}
-			if err := checkWorkers(workers); err != nil {
+			if err := checkWorkers(r.workers); err != nil {
 				return nil, fmt.Errorf("exp: precopy %s x%.1f: %w", v.name, wm, err)
 			}
 			rows = append(rows, PrecopyRow{

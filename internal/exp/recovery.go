@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cruz"
-	"cruz/internal/apps/slm"
 )
 
 // RecoveryConfig is one automatic-recovery configuration to measure:
@@ -40,51 +39,15 @@ type RecoveryRow struct {
 // finished streaming its replicas so a node kill cannot outrun them.
 // With traced set, the full tracing subsystem is on (sized so a
 // kill-and-recover run cannot overflow the ring).
-func recoveryCluster(n int, scale float64, cfg RecoveryConfig, traced bool) (*cruz.Cluster, error) {
-	cl, err := cruz.New(cruz.Config{
-		Nodes: n, Seed: int64(n)*101 + 7,
-		Replicas: cfg.Replicas, AutoRecover: true, Spares: cfg.Spares,
+func recoveryCluster(n int, scale float64, cfg RecoveryConfig, traced bool) (*ring, error) {
+	r, err := slmRing(cruz.Config{
+		Nodes: n, Replicas: cfg.Replicas, AutoRecover: true, Spares: cfg.Spares,
 		Trace: traced, TraceCapacity: 1 << 17,
-	})
+	}, slmConfig(n, scale), nil)
 	if err != nil {
 		return nil, err
 	}
-	wcfg := slmConfig(n, scale)
-	var names []string
-	var ips []cruz.Addr
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("slm-%d", i)
-		pod, perr := cl.NewPod(i, name)
-		if perr != nil {
-			return nil, perr
-		}
-		names = append(names, name)
-		ips = append(ips, pod.IP())
-	}
-	var workers []*slm.Worker
-	for i, name := range names {
-		w := slm.NewWorker(wcfg, i, ips[(i+1)%n])
-		if _, err := cl.Pod(name).Spawn("slm", w); err != nil {
-			return nil, err
-		}
-		workers = append(workers, w)
-	}
-	job, err := cl.DefineJob("slm", names...)
-	if err != nil {
-		return nil, err
-	}
-	ok := cl.RunUntil(func() bool {
-		for _, w := range workers {
-			if w.StepsDone < 2 {
-				return false
-			}
-		}
-		return true
-	}, 10*60*cruz.Second)
-	if !ok {
-		return nil, fmt.Errorf("exp: recovery slm ring never started (n=%d)", n)
-	}
-	res, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+	res, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -92,18 +55,18 @@ func recoveryCluster(n int, scale float64, cfg RecoveryConfig, traced bool) (*cr
 	// an agent counts a replication in the event that enqueues its
 	// <replicated> report, one network flight before the coordinator can
 	// use the copy for placement — a node kill must not outrun that.
-	ok = cl.RunUntil(func() bool {
-		for _, name := range names {
-			if cl.Coordinator.KnownHolders(name, res.Seq) < cfg.Replicas+1 {
+	replicated := r.cl.RunUntil(func() bool {
+		for _, name := range r.names {
+			if r.cl.Coordinator.KnownHolders(name, res.Seq) < cfg.Replicas+1 {
 				return false
 			}
 		}
 		return true
 	}, 60*cruz.Second)
-	if !ok {
+	if !replicated {
 		return nil, fmt.Errorf("exp: recovery replication never completed (n=%d k=%d)", n, cfg.Replicas)
 	}
-	return cl, nil
+	return r, nil
 }
 
 // Recovery measures automatic failure recovery (§3): for each
@@ -115,43 +78,16 @@ func recoveryCluster(n int, scale float64, cfg RecoveryConfig, traced bool) (*cr
 func Recovery(n int, scale float64, cfgs []RecoveryConfig) ([]RecoveryRow, error) {
 	var rows []RecoveryRow
 	for _, cfg := range cfgs {
-		cl, err := recoveryCluster(n, scale, cfg, false)
+		r, err := recoveryCluster(n, scale, cfg, false)
 		if err != nil {
 			return nil, err
 		}
-		cl.FailNode(1)
-		if !cl.AwaitRecovery(1, 60*cruz.Second) {
-			return nil, fmt.Errorf("exp: recovery never completed (n=%d k=%d s=%d)", n, cfg.Replicas, cfg.Spares)
+		res, err := r.killAndRecover()
+		if err != nil {
+			return nil, fmt.Errorf("%w (k=%d s=%d)", err, cfg.Replicas, cfg.Spares)
 		}
-		if err := cl.RecoveryErr(); err != nil {
-			return nil, fmt.Errorf("exp: recovery n=%d k=%d s=%d: %w", n, cfg.Replicas, cfg.Spares, err)
-		}
-		res := cl.Recoveries()[0]
-		// Prove the job actually resumed before reporting numbers.
-		before := make([]int, n)
-		resolve := func(i int) *slm.Worker {
-			return cl.Pod(fmt.Sprintf("slm-%d", i)).Process(1).Program().(*slm.Worker)
-		}
-		for i := 0; i < n; i++ {
-			before[i] = resolve(i).StepsDone
-		}
-		progressed := cl.RunUntil(func() bool {
-			for i := 0; i < n; i++ {
-				if resolve(i).StepsDone <= before[i] {
-					return false
-				}
-			}
-			return true
-		}, 60*cruz.Second)
-		if !progressed {
-			return nil, fmt.Errorf("exp: ring stuck after recovery (n=%d k=%d s=%d)", n, cfg.Replicas, cfg.Spares)
-		}
-		live := make([]*slm.Worker, n)
-		for i := 0; i < n; i++ {
-			live[i] = resolve(i)
-		}
-		if err := checkWorkers(live); err != nil {
-			return nil, err
+		if err := r.resumed(); err != nil {
+			return nil, fmt.Errorf("%w (k=%d s=%d)", err, cfg.Replicas, cfg.Spares)
 		}
 		target := ""
 		if len(res.Pods) > 0 {

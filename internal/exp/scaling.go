@@ -2,19 +2,16 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"cruz"
 	"cruz/internal/apps/slm"
 	"cruz/internal/coord"
-	"cruz/internal/metrics"
 	"cruz/internal/sim"
 )
 
 // ScalingRow is one cell of the A9 scaling ablation: a coordinated
 // checkpoint of an n-pod job under flat or hierarchical (two-level
-// tree) coordination, with the engine's wall-clock throughput while it
-// ran.
+// tree) coordination.
 type ScalingRow struct {
 	Nodes int
 	// GroupSize is the tree's group size (0 = flat fan-out).
@@ -25,11 +22,6 @@ type ScalingRow struct {
 	Messages int
 	// LatencyMs is the coordinated commit latency at the root.
 	LatencyMs float64
-	// Engine throughput while the cell ran (deploy, warm-up,
-	// checkpoint): simulation events fired per wall-clock second.
-	EventsPerSec float64
-	// WallMs is the cell's total wall-clock time.
-	WallMs float64
 }
 
 // Tree reports whether the row used hierarchical coordination.
@@ -56,81 +48,27 @@ func wideSlmConfig(workers int, scale float64) slm.Config {
 	}
 }
 
-// wideCluster deploys one light slm worker pod per node and warms the
-// ring up. groupSize 0 keeps the flat fan-out.
-func wideCluster(n, groupSize int, scale float64) (*cruz.Cluster, *cruz.Job, []*slm.Worker, error) {
-	cl, err := cruz.New(cruz.Config{Nodes: n, Seed: int64(n)*131 + 3, GroupSize: groupSize})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cfg := wideSlmConfig(n, scale)
-	names := make([]string, n)
-	ips := make([]cruz.Addr, n)
-	for i := 0; i < n; i++ {
-		names[i] = fmt.Sprintf("w%03d", i)
-		pod, perr := cl.NewPod(i, names[i])
-		if perr != nil {
-			return nil, nil, nil, perr
-		}
-		ips[i] = pod.IP()
-	}
-	workers := make([]*slm.Worker, n)
-	for i, name := range names {
-		w := slm.NewWorker(cfg, i, ips[(i+1)%n])
-		if _, err := cl.Pod(name).Spawn("slm", w); err != nil {
-			return nil, nil, nil, err
-		}
-		workers[i] = w
-	}
-	job, err := cl.DefineJob("ring", names...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ok := cl.RunUntil(func() bool {
-		for _, w := range workers {
-			if w.StepsDone < 2 {
-				return false
-			}
-		}
-		return true
-	}, 10*60*cruz.Second)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("exp: wide ring never started (n=%d)", n)
-	}
-	return cl, job, workers, nil
-}
-
-// scalingCell runs one (n, groupSize) configuration: deploy, warm up,
-// checkpoint once, and report the root's message count, commit latency,
-// and the engine's events-per-wall-second over the whole cell.
+// scalingCell runs one (n, groupSize) configuration — groupSize 0 keeps
+// the flat fan-out: deploy the light ring, warm up, checkpoint once, and
+// report the root's message count and commit latency.
 func scalingCell(n, groupSize int, scale float64) (ScalingRow, error) {
-	//cruzvet:allow nodeterminism events-per-wall-second is deliberately a host-clock metric; it never feeds back into the simulation
-	wallStart := time.Now()
-	cl, job, workers, err := wideCluster(n, groupSize, scale)
+	r, err := deployRing(cruz.Config{Nodes: n, Seed: int64(n)*131 + 3, GroupSize: groupSize}, "ring", "w%03d", n, wideSlmConfig(n, scale), nil)
 	if err != nil {
 		return ScalingRow{}, err
 	}
-	res, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+	res, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
 	if err != nil {
 		return ScalingRow{}, fmt.Errorf("exp: scaling n=%d size=%d: %w", n, groupSize, err)
 	}
-	if err := checkWorkers(workers); err != nil {
+	if err := checkWorkers(r.workers); err != nil {
 		return ScalingRow{}, err
 	}
-	//cruzvet:allow nodeterminism wall-clock half of the engine-throughput metric; sim-visible results never depend on it
-	wall := time.Since(wallStart)
-	fired := cl.Engine.Fired()
-	row := ScalingRow{
+	return ScalingRow{
 		Nodes:     n,
 		GroupSize: groupSize,
 		Messages:  res.Messages,
 		LatencyMs: res.Latency.Milliseconds(),
-		WallMs:    float64(wall.Nanoseconds()) / 1e6,
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		row.EventsPerSec = float64(fired) / secs
-	}
-	return row, nil
+	}, nil
 }
 
 // Scaling runs the A9 scaling ablation: for each node count, a flat and
@@ -155,27 +93,3 @@ func Scaling(nodeCounts []int, scale float64) ([]ScalingRow, error) {
 // ScalingNodeCounts is the default sweep: the paper-scale cluster and
 // the two wide configurations the hierarchical coordinator targets.
 var ScalingNodeCounts = []int{8, 64, 256}
-
-// scalingBench folds the scaling ablation into a benchmark report as
-// scale_* (coordination) and engine_* (simulator throughput) keys.
-func scalingBench(rep *BenchReport, nodeCounts []int, scale float64) error {
-	rows, err := Scaling(nodeCounts, scale)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		mode := "flat"
-		if r.Tree() {
-			mode = "tree"
-		}
-		prefix := fmt.Sprintf("scale_n%d_%s", r.Nodes, mode)
-		var msgs, lat, eps metrics.Summary
-		msgs.Add(float64(r.Messages))
-		lat.Add(r.LatencyMs)
-		eps.Add(r.EventsPerSec / 1000)
-		rep.Experiments[prefix+"/coord_messages"] = msgs.Dist()
-		rep.Experiments[prefix+"/latency_ms"] = lat.Dist()
-		rep.Experiments[fmt.Sprintf("engine_n%d_%s/kevents_per_wall_sec", r.Nodes, mode)] = eps.Dist()
-	}
-	return nil
-}

@@ -23,6 +23,7 @@ import (
 	"slices"
 
 	"cruz/internal/ckpt"
+	"cruz/internal/core"
 	"cruz/internal/ctl"
 	"cruz/internal/gobmemo"
 	"cruz/internal/kernel"
@@ -402,14 +403,29 @@ func (a *Agent) drained(op *agentOp) bool {
 	return true
 }
 
-// saveLocal captures and writes the pod image, then reports done.
+// cruzRates are the Cruz agent's in-kernel copy and image-encode rates.
+// The flushing save pays them too, so that E5 compares the two protocols
+// rather than two cost models.
+var cruzRates = core.DefaultAgentParams()
+
+// rateCost is the CPU time n bytes take at bps bytes per second.
+func rateCost(n, bps int64) sim.Duration { return sim.Duration(n * int64(sim.Second) / bps) }
+
+// saveLocal captures, encodes and writes the pod image, then reports
+// done. Like the Cruz agent's stop-and-copy save, the capture window
+// grows with the resident bytes copied and the image is encoded before
+// it goes to disk.
 func (a *Agent) saveLocal(op *agentOp) {
 	var phCapture trace.Span
 	if a.tr.Enabled() {
 		phCapture = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "capture",
 			trace.Str("pod", op.podName))
 	}
-	a.cpu.Do(a.params.CaptureCost, func() {
+	var resident int64
+	for _, vpid := range op.pod.VPIDs() {
+		resident += int64(op.pod.Process(vpid).Mem().ResidentBytes())
+	}
+	a.cpu.Do(a.params.CaptureCost+rateCost(resident, cruzRates.CaptureBPS), func() {
 		img, err := ckpt.Capture(op.pod, op.seq, ckpt.Options{})
 		if err != nil {
 			phCapture.End(trace.Str("err", err.Error()))
@@ -451,7 +467,9 @@ func (a *Agent) saveLocal(op *agentOp) {
 			saved(0, err)
 			return
 		}
-		a.store.Disk().Write(plan.TotalBytes, func() { saved(plan.TotalBytes, nil) })
+		a.cpu.Do(rateCost(plan.TotalBytes, cruzRates.EncodeBPS), func() {
+			a.store.Disk().Write(plan.TotalBytes, func() { saved(plan.TotalBytes, nil) })
+		})
 	})
 }
 

@@ -1,12 +1,15 @@
 package flush
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"cruz/internal/ckpt"
+	"cruz/internal/core"
 	"cruz/internal/ether"
 	"cruz/internal/kernel"
+	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 	"cruz/internal/zap"
@@ -331,5 +334,43 @@ func TestFlushCheckpointFailsFastOnDeadAgentConn(t *testing.T) {
 	}
 	if !errors.Is(cerr, ErrAgent) {
 		t.Fatalf("checkpoint error = %v, want ErrAgent", cerr)
+	}
+}
+
+// TestFlushSaveChargesWhatCruzCharges: the flushing save pays what the
+// Cruz agent's stop-and-copy save pays for the same pod — the flat walk,
+// the in-kernel copy of every resident byte at core's CaptureBPS, and the
+// image's encode at core's EncodeBPS — before the disk write, so E5
+// compares the two protocols rather than two cost models. A one-pod job
+// has no channel to drain, so the save is the whole local checkpoint
+// after the (empty) flush.
+func TestFlushSaveChargesWhatCruzCharges(t *testing.T) {
+	r := newRig(t, 1)
+	pod := r.pods[0]
+	as := pod.Process(pod.VPIDs()[0]).Mem()
+	const ballast = 16 << 20
+	base, err := as.Alloc(ballast, "ballast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Repeat([]byte{0xa5}, mem.PageSize)
+	for off := uint64(0); off < ballast; off += mem.PageSize {
+		if err := as.Write(base+off, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.run(100 * sim.Millisecond)
+	res := r.checkpoint()
+
+	cruzAgent, kp := core.DefaultAgentParams(), kernel.DefaultParams()
+	resident := int64(pod.ResidentPages()) * mem.PageSize
+	image := int64(pod.Kernel().Disk().Stats.BytesWritten)
+	want := DefaultAgentParams().CaptureCost +
+		rateCost(resident, cruzAgent.CaptureBPS) +
+		rateCost(image, cruzAgent.EncodeBPS) +
+		kp.DiskLatency + rateCost(image, kp.DiskWriteBPS)
+	if got := res.MaxLocal - res.MaxFlush; got != want {
+		t.Fatalf("save took %v for %d resident bytes and a %d-byte image, want %v (capture %v, encode %v)",
+			got, resident, image, want, rateCost(resident, cruzAgent.CaptureBPS), rateCost(image, cruzAgent.EncodeBPS))
 	}
 }

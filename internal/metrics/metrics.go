@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"cruz/internal/sim"
@@ -127,35 +126,14 @@ func (s *Series) MinMax() (min, max float64) {
 // paper's "error bars represent the standard deviation of the
 // measurements".
 type Summary struct {
-	Name    string
 	samples []float64
-	// sorted memoizes the sorted copy Percentile needs; Add invalidates
-	// it so repeated percentile queries cost one sort, not one each.
-	sorted []float64
 }
 
 // Add appends a sample.
-func (s *Summary) Add(v float64) {
-	s.samples = append(s.samples, v)
-	s.sorted = nil
-}
+func (s *Summary) Add(v float64) { s.samples = append(s.samples, v) }
 
 // AddDuration appends a duration sample in milliseconds.
 func (s *Summary) AddDuration(d sim.Duration) { s.Add(d.Milliseconds()) }
-
-// Merge folds other's samples into s, as if each had been Added here in
-// other's insertion order. A nil or empty other is a no-op; other is not
-// modified. Keeps the receiver's Name.
-func (s *Summary) Merge(other *Summary) {
-	if other == nil || len(other.samples) == 0 {
-		return
-	}
-	s.samples = append(s.samples, other.samples...)
-	s.sorted = nil
-}
-
-// N returns the sample count.
-func (s *Summary) N() int { return len(s.samples) }
 
 // Mean returns the sample mean.
 func (s *Summary) Mean() float64 {
@@ -182,85 +160,4 @@ func (s *Summary) StdDev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n))
-}
-
-// Min returns the smallest sample.
-func (s *Summary) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	min := s.samples[0]
-	for _, v := range s.samples {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the largest sample.
-func (s *Summary) Max() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	max := s.samples[0]
-	for _, v := range s.samples {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Percentile returns the p-th percentile (0..100) by nearest-rank.
-func (s *Summary) Percentile(p float64) float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	if s.sorted == nil {
-		s.sorted = make([]float64, n)
-		copy(s.sorted, s.samples)
-		sort.Float64s(s.sorted)
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return s.sorted[rank-1]
-}
-
-// Dist is a serializable snapshot of a Summary's distribution, used by
-// cruzbench -json to record per-experiment statistics.
-type Dist struct {
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	StdDev float64 `json:"stddev"`
-	Min    float64 `json:"min"`
-	P50    float64 `json:"p50"`
-	P90    float64 `json:"p90"`
-	P99    float64 `json:"p99"`
-	Max    float64 `json:"max"`
-}
-
-// Dist returns the summary's distribution snapshot.
-func (s *Summary) Dist() Dist {
-	return Dist{
-		N:      s.N(),
-		Mean:   s.Mean(),
-		StdDev: s.StdDev(),
-		Min:    s.Min(),
-		P50:    s.Percentile(50),
-		P90:    s.Percentile(90),
-		P99:    s.Percentile(99),
-		Max:    s.Max(),
-	}
-}
-
-// String renders "name: mean ± stddev (n=N)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%s: %.3f ± %.3f (n=%d)", s.Name, s.Mean(), s.StdDev(), s.N())
 }

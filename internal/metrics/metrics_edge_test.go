@@ -6,62 +6,6 @@ import (
 	"cruz/internal/sim"
 )
 
-func TestPercentileNearestRank(t *testing.T) {
-	var s Summary
-	for v := 1; v <= 10; v++ {
-		s.Add(float64(v))
-	}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1},    // rank clamps to the smallest sample
-		{10, 1},   // ceil(0.1*10) = 1
-		{50, 5},   // ceil(0.5*10) = 5
-		{90, 9},   // ceil(0.9*10) = 9
-		{99, 10},  // ceil(0.99*10) = 10
-		{100, 10}, // rank clamps to the largest sample
-	}
-	for _, c := range cases {
-		if got := s.Percentile(c.p); got != c.want {
-			t.Errorf("p%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPercentileSingleSample(t *testing.T) {
-	var s Summary
-	s.Add(42)
-	for _, p := range []float64{0, 50, 99, 100} {
-		if got := s.Percentile(p); got != 42 {
-			t.Errorf("n=1 p%v = %v, want 42", p, got)
-		}
-	}
-}
-
-// Memoized sorting must be invalidated by Add: a percentile query between
-// Adds must not freeze the distribution.
-func TestPercentileMemoInvalidation(t *testing.T) {
-	var s Summary
-	s.Add(1)
-	s.Add(2)
-	if got := s.Percentile(100); got != 2 {
-		t.Fatalf("p100 = %v, want 2", got)
-	}
-	s.Add(10)
-	if got := s.Percentile(100); got != 10 {
-		t.Fatalf("p100 after Add = %v, want 10 (stale sort cache?)", got)
-	}
-	// Adds out of order: the cached sort must not leak into samples.
-	s.Add(0)
-	if got := s.Percentile(0); got != 0 {
-		t.Fatalf("p0 after Add = %v, want 0", got)
-	}
-	if got := s.Percentile(50); got != 1 {
-		t.Fatalf("p50 = %v, want 1 (nearest-rank of {0,1,2,10})", got)
-	}
-}
-
 func TestEmptySeriesMinMax(t *testing.T) {
 	var s Series
 	min, max := s.MinMax()
@@ -86,25 +30,5 @@ func TestRateMeterWindowBoundaryExact(t *testing.T) {
 	m.Record(now.Add(-w)+1, 1000) // one nanosecond inside
 	if rate := m.RateMbps(now); rate == 0 {
 		t.Fatal("event at now-window+1ns pruned")
-	}
-}
-
-func TestDistSnapshot(t *testing.T) {
-	var s Summary
-	for v := 1; v <= 100; v++ {
-		s.Add(float64(v))
-	}
-	d := s.Dist()
-	if d.N != 100 || d.Min != 1 || d.Max != 100 {
-		t.Fatalf("dist = %+v", d)
-	}
-	if d.Mean != 50.5 {
-		t.Fatalf("mean = %v", d.Mean)
-	}
-	if d.P50 != 50 || d.P90 != 90 || d.P99 != 99 {
-		t.Fatalf("percentiles = %v/%v/%v", d.P50, d.P90, d.P99)
-	}
-	if d.StdDev <= 0 {
-		t.Fatalf("stddev = %v", d.StdDev)
 	}
 }

@@ -67,7 +67,6 @@ func TestSeriesShiftAndFormat(t *testing.T) {
 
 func TestSummaryStats(t *testing.T) {
 	var s Summary
-	s.Name = "lat"
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
@@ -77,23 +76,11 @@ func TestSummaryStats(t *testing.T) {
 	if got := s.StdDev(); got != 2 {
 		t.Fatalf("stddev = %f", got)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %f/%f", s.Min(), s.Max())
-	}
-	if got := s.Percentile(50); got != 4 {
-		t.Fatalf("p50 = %f", got)
-	}
-	if got := s.Percentile(100); got != 9 {
-		t.Fatalf("p100 = %f", got)
-	}
-	if !strings.Contains(s.String(), "5.000 ± 2.000") {
-		t.Fatalf("String = %q", s.String())
-	}
 }
 
 func TestSummaryDegenerate(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
+	if s.Mean() != 0 || s.StdDev() != 0 {
 		t.Fatal("empty summary not all-zero")
 	}
 	s.Add(3)
@@ -101,8 +88,8 @@ func TestSummaryDegenerate(t *testing.T) {
 		t.Fatal("single-sample stddev not 0")
 	}
 	s.AddDuration(7 * sim.Millisecond)
-	if s.N() != 2 || s.Max() != 7 {
-		t.Fatalf("N=%d max=%f", s.N(), s.Max())
+	if s.Mean() != 5 || s.StdDev() != 2 {
+		t.Fatalf("mean=%f stddev=%f", s.Mean(), s.StdDev())
 	}
 }
 
