@@ -33,7 +33,7 @@ func main() {
 		strictAllow = flag.Bool("strict-allow", false, "exit 1 if any //cruzvet:allow directive suppresses nothing")
 		run         = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		list        = flag.Bool("list", false, "list available analyzers and exit")
-		simside     = flag.String("simside", "", "comma-separated import-path prefixes to treat as sim-side, in addition to the defaults")
+		simside     = flag.String("simside", "", "comma-separated import paths to treat as sim-side, in addition to the defaults (a trailing /... adds every package below one)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: cruzvet [-stats] [-strict-allow] [-run name,name] [packages]\n")
@@ -77,13 +77,13 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loadStart := time.Now() //cruzvet:allow nodeterminism analyzer wall-time profiling; the vet driver never runs inside the simulation
+	loadStart := time.Now()
 	pkgs, err := analysis.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cruzvet: %v\n", err)
 		os.Exit(2)
 	}
-	loadTime := time.Since(loadStart) //cruzvet:allow nodeterminism analyzer wall-time profiling; the vet driver never runs inside the simulation
+	loadTime := time.Since(loadStart)
 
 	cfg := analysis.Config{}
 	if *simside != "" {

@@ -90,17 +90,13 @@ const (
 	Second      = sim.Second
 )
 
-// DefaultBackgroundBPS is the token-bucket rate applied to background
-// durability traffic (replica streams, EC shard pushes) when Config.EC
-// is enabled and Agent.BackgroundBPS is unset: half a gigabit link, so
-// checkpoint distribution leaves headroom for foreground rounds.
-const DefaultBackgroundBPS int64 = 64 << 20
-
 // RegisterProgram must be called for every concrete Program type that
 // will be checkpointed (usually from an init function).
 func RegisterProgram(p Program) { ckpt.RegisterProgram(p) }
 
-// Config describes the cluster to build.
+// Config describes the cluster to build. The hardware, link and daemon
+// costs are not in it: they are the paper's testbed, pinned as constants
+// in the packages that charge them (DESIGN §5).
 type Config struct {
 	// Nodes is the number of application machines (a service machine for
 	// the coordinator is added automatically).
@@ -108,13 +104,8 @@ type Config struct {
 	// Seed drives all simulation randomness; runs are reproducible per
 	// seed. Zero means 1.
 	Seed int64
-	// Kernel overrides node hardware parameters (zero value = defaults:
-	// 2 CPUs, 110 MB/s disk).
-	Kernel kernel.Params
-	// Link overrides the Ethernet links (zero value = gigabit).
-	Link ether.LinkConfig
-	// Agent and Coordinator override daemon cost models.
-	Agent       core.AgentParams
+	// Coordinator tunes the coordinator daemon: Timeout aborts an op whose
+	// agents stay silent that long (0 = never).
 	Coordinator core.CoordinatorParams
 	// GroupSize enables hierarchical (two-level tree) coordination: the
 	// coordinator partitions each job into groups of this size and talks
@@ -122,7 +113,7 @@ type Config struct {
 	// and batches their replies — O(N/GroupSize) root messages per
 	// protocol phase instead of O(N). 0 or 1 keeps the flat fan-out. A
 	// good value is ⌈√N⌉ for N-pod jobs; commit/abort decisions are
-	// identical either way. Shorthand for Coordinator.GroupSize.
+	// identical either way.
 	GroupSize int
 	// AutoCompact, when > 0, makes every node's store fold a pod's
 	// incremental manifest chain into a synthetic full manifest (freeing
@@ -157,20 +148,16 @@ type Config struct {
 	// FlushBaseline also starts a CoCheck-style flushing agent on every
 	// node and a flushing coordinator, for comparison experiments.
 	FlushBaseline bool
-	// Trace enables the deterministic tracing subsystem (internal/trace):
-	// spans, instants, and counters from every layer, exportable as a
-	// timeline or Chrome trace JSON via Cluster.Trace(). Off by default.
-	// Off is not free: nothing is kept for export and the engine is not
-	// sampled, but trace points still run and their events go to the
-	// flight recorder's bounded per-node rings (see Flight).
+	// Trace keeps every event of the deterministic tracing subsystem
+	// (internal/trace) — spans, instants, and counters from every layer —
+	// for export as a timeline or Chrome trace JSON via Cluster.Trace().
+	// Off by default. Off is not free: every cluster has a tracer, its
+	// trace points run and their events go to the always-on flight
+	// recorder's bounded per-node rings (Cluster.FlightRecorder()); Trace
+	// adds the main ring and samples the engine.
 	Trace bool
-	// TraceCapacity bounds the tracer's event ring buffer (0 = default).
+	// TraceCapacity bounds the main event ring (0 = trace.DefaultCapacity).
 	TraceCapacity int
-	// Flight tunes the always-on flight recorder (zero value = defaults).
-	// The recorder runs whether or not Trace is set: a bounded per-node
-	// ring of recent events is kept and snapshotted on faults (op abort,
-	// lease expiry, recovery start) via Cluster.FlightRecorder().
-	Flight trace.FlightConfig
 }
 
 // Node is one simulated machine.
@@ -225,7 +212,6 @@ type Cluster struct {
 
 	cfg          Config
 	tracer       *trace.Tracer
-	flight       *trace.Tracer // flight-only recorder when Trace is off
 	pods         map[string]podRef
 	podCount     int
 	nodeByAddr   map[AddrPort]*Node
@@ -236,19 +222,19 @@ type Cluster struct {
 // Trace returns the cluster's tracer, or nil when Config.Trace was false.
 // The nil tracer is safe to pass around; use internal/trace exporters on
 // its Events() to render timelines or Chrome trace JSON.
-func (cl *Cluster) Trace() *trace.Tracer { return cl.tracer }
-
-// FlightRecorder returns the tracer holding the always-on flight
-// recorder: the full tracer when Config.Trace was set, otherwise the
-// flight-only recorder (never nil). Faults — op aborts, lease expiries,
-// recovery starts — snapshot the recent event window; read the dumps with
-// FlightDumps on the returned tracer.
-func (cl *Cluster) FlightRecorder() *trace.Tracer {
-	if cl.tracer != nil {
-		return cl.tracer
+func (cl *Cluster) Trace() *trace.Tracer {
+	if !cl.cfg.Trace {
+		return nil
 	}
-	return cl.flight
+	return cl.tracer
 }
+
+// FlightRecorder returns the cluster's tracer (never nil), which holds
+// the always-on flight recorder whether or not Config.Trace was set.
+// Faults — op aborts, lease expiries, recovery starts — snapshot the
+// recent event window; read the dumps with FlightDumps on the returned
+// tracer.
+func (cl *Cluster) FlightRecorder() *trace.Tracer { return cl.tracer }
 
 type podRef struct {
 	pod  *zap.Pod
@@ -267,30 +253,10 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Kernel.NumCPUs == 0 {
-		cfg.Kernel = kernel.DefaultParams()
-	}
-	if cfg.Link.BandwidthBPS == 0 {
-		cfg.Link = ether.GigabitLink
-	}
-	if cfg.Agent.MsgCost == 0 {
-		cfg.Agent = core.DefaultAgentParams()
-	}
-	if cfg.Coordinator.MsgCost == 0 {
-		cfg.Coordinator = core.DefaultCoordinatorParams()
-	}
 	if cfg.EC.Enabled() {
 		if err := cfg.EC.Validate(); err != nil {
 			return nil, err
 		}
-		if cfg.Agent.BackgroundBPS == 0 {
-			// EC distribution is background traffic; pace it by default so
-			// shard pushes cannot starve foreground protocol rounds.
-			cfg.Agent.BackgroundBPS = DefaultBackgroundBPS
-		}
-	}
-	if cfg.GroupSize != 0 {
-		cfg.Coordinator.GroupSize = cfg.GroupSize
 	}
 	cl := &Cluster{
 		Engine:     sim.NewEngine(cfg.Seed),
@@ -298,27 +264,28 @@ func New(cfg Config) (*Cluster, error) {
 		pods:       make(map[string]podRef),
 		nodeByAddr: make(map[AddrPort]*Node),
 	}
+	// Attach before any component is built: constructors snapshot the
+	// engine's trace sink. Untraced, the tracer keeps only the flight
+	// recorder's rings, so faults still yield a pre-trigger window.
+	ring := 0
 	if cfg.Trace {
-		// Attach before any component is built: constructors snapshot the
-		// engine's trace sink.
-		cl.tracer = trace.New(cl.Engine, trace.Config{Capacity: cfg.TraceCapacity, Flight: cfg.Flight})
-	} else {
-		// The flight recorder is always on: a flight-only tracer keeps the
-		// bounded per-node rings (no main event ring, no engine sampling)
-		// so faults still yield a pre-trigger window in untraced runs.
-		cl.flight = trace.New(cl.Engine, trace.Config{FlightOnly: true, SampleEvery: -1, Flight: cfg.Flight})
+		ring = cfg.TraceCapacity
+		if ring <= 0 {
+			ring = trace.DefaultCapacity
+		}
 	}
+	cl.tracer = trace.New(cl.Engine, ring)
 	cl.Switch = ether.NewSwitch(cl.Engine)
 
 	mkNode := func(i int) (*Node, error) {
 		mac := nodeMAC(i)
 		nic := ether.NewNIC(cl.Engine, fmt.Sprintf("node%d/eth0", i), mac)
-		cl.Switch.Attach(nic, cfg.Link)
+		cl.Switch.Attach(nic, ether.GigabitLink)
 		st := tcpip.NewStack(cl.Engine, fmt.Sprintf("node%d", i))
 		if _, err := st.AddInterface("eth0", nodeAddr(i), mac, nic, false); err != nil {
 			return nil, err
 		}
-		k := kernel.New(cl.Engine, fmt.Sprintf("node%d", i), cfg.Kernel, st)
+		k := kernel.New(cl.Engine, fmt.Sprintf("node%d", i), st)
 		store := ckpt.NewStore(k.Disk())
 		store.SetAutoCompact(cfg.AutoCompact)
 		return &Node{Index: i, Kernel: k, NIC: nic, Store: store}, nil
@@ -330,7 +297,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		n.Spare = i >= cfg.Nodes
-		agent, err := core.NewAgent(n.Kernel, n.Store, cfg.Agent)
+		agent, err := core.NewAgent(n.Kernel, n.Store)
 		if err != nil {
 			return nil, err
 		}
@@ -339,7 +306,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		n.Agent = agent
 		if cfg.FlushBaseline {
-			fa, ferr := flush.NewAgent(n.Kernel, n.Store, flush.DefaultAgentParams())
+			fa, ferr := flush.NewAgent(n.Kernel, n.Store)
 			if ferr != nil {
 				return nil, ferr
 			}
@@ -364,6 +331,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	cl.Service = svc
 	cl.Coordinator = core.NewCoordinator(svc.Kernel.Stack(), cfg.Coordinator)
+	cl.Coordinator.SetGroupSize(cfg.GroupSize)
 	for _, n := range cl.Nodes {
 		cl.Coordinator.RegisterNode(n.Kernel.Name(), n.Agent.Addr(), n.Spare)
 	}

@@ -107,37 +107,42 @@ type factKey struct {
 
 // Config tunes a Suite.
 type Config struct {
-	// SimSide lists import-path prefixes treated as "inside the
-	// simulation": packages whose behaviour must be a pure function of
-	// the seed. nodeterminism only fires there. Empty means
-	// DefaultSimSide.
+	// SimSide lists the packages treated as "inside the simulation":
+	// packages whose behaviour must be a pure function of the seed.
+	// nodeterminism only fires there. An entry names one import path, or
+	// — ending in "/..." — a path and every package below it, as go
+	// command patterns do. Empty means DefaultSimSide.
 	SimSide []string
 	// SchedulerShim lists packages allowed to own raw concurrency and
-	// ticker primitives (the discrete-event engine itself). Empty
-	// means DefaultSchedulerShim.
+	// ticker primitives (the discrete-event engine itself), in SimSide's
+	// notation. Empty means DefaultSchedulerShim.
 	SchedulerShim []string
 }
 
-// DefaultSimSide is the sim-side package set enforced in this tree.
+// DefaultSimSide is the sim-side package set enforced in this tree: the
+// root package and the internal packages that run inside engine events.
 // internal/trace and internal/metrics are deliberately included: their
-// output is exactly the artifact that must be seed-deterministic.
+// output is exactly the artifact that must be seed-deterministic. The
+// commands, the examples and the analysis itself run on the host.
 var DefaultSimSide = []string{
 	"cruz",
-	"cruz/internal/apps",
+	"cruz/internal/apps/...",
 	"cruz/internal/batch",
 	"cruz/internal/ckpt",
+	"cruz/internal/coord",
 	"cruz/internal/core",
 	"cruz/internal/ctl",
 	"cruz/internal/dhcp",
 	"cruz/internal/ether",
 	"cruz/internal/exp",
 	"cruz/internal/flush",
+	"cruz/internal/gobmemo",
 	"cruz/internal/kernel",
 	"cruz/internal/mem",
 	"cruz/internal/metrics",
 	"cruz/internal/sim",
 	"cruz/internal/tcpip",
-	"cruz/internal/trace",
+	"cruz/internal/trace/...",
 	"cruz/internal/zap",
 }
 
@@ -182,20 +187,23 @@ func NewSuite(cfg Config, analyzers ...*Analyzer) *Suite {
 }
 
 // SimSide reports whether the import path is inside the simulation
-// boundary (exact match or a child of a configured prefix).
+// boundary.
 func (s *Suite) SimSide(path string) bool {
-	return hasPathPrefix(path, s.Config.SimSide)
+	return inSet(path, s.Config.SimSide)
 }
 
 // SchedulerShim reports whether the package may own raw scheduling
 // primitives.
 func (s *Suite) SchedulerShim(path string) bool {
-	return hasPathPrefix(path, s.Config.SchedulerShim)
+	return inSet(path, s.Config.SchedulerShim)
 }
 
-func hasPathPrefix(path string, prefixes []string) bool {
-	for _, p := range prefixes {
-		if path == p || strings.HasPrefix(path, p+"/") {
+// inSet reports whether path is in a package set written in SimSide's
+// notation.
+func inSet(path string, set []string) bool {
+	for _, p := range set {
+		base, tree := strings.CutSuffix(p, "/...")
+		if path == base || tree && strings.HasPrefix(path, base+"/") {
 			return true
 		}
 	}
@@ -300,16 +308,16 @@ func (s *Suite) Run(pkgs []*Package) *Result {
 				TypesInfo: pkg.Info,
 				Suite:     s,
 			}
-			t0 := time.Now() //cruzvet:allow nodeterminism per-analyzer wall-time for -stats; analysis tooling runs on the host, not in the sim
+			t0 := time.Now()
 			a.Run(pass)
-			s.timings[a.Name] += time.Since(t0) //cruzvet:allow nodeterminism per-analyzer wall-time for -stats; analysis tooling runs on the host, not in the sim
+			s.timings[a.Name] += time.Since(t0)
 		}
 	}
 	for _, a := range s.Analyzers {
 		if a.Finish != nil {
-			t0 := time.Now() //cruzvet:allow nodeterminism per-analyzer wall-time for -stats; analysis tooling runs on the host, not in the sim
+			t0 := time.Now()
 			a.Finish(s)
-			s.timings[a.Name] += time.Since(t0) //cruzvet:allow nodeterminism per-analyzer wall-time for -stats; analysis tooling runs on the host, not in the sim
+			s.timings[a.Name] += time.Since(t0)
 		}
 	}
 

@@ -26,7 +26,7 @@ func benchPod(b *testing.B, pages uint64) *zap.Pod {
 	if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, 1}, mac, nic, false); err != nil {
 		b.Fatal(err)
 	}
-	k := kernel.New(engine, "node", kernel.DefaultParams(), st)
+	k := kernel.New(engine, "node", st)
 	pod, err := zap.New(k, "bench", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
 	if err != nil {
 		b.Fatal(err)

@@ -87,13 +87,11 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 	for _, as := range spaces {
 		as.ClearDirty()
 	}
-	if tr := trace.FromEngine(kern.Engine()); tr.Enabled() {
-		tr.Instant(kern.Name(), "ckpt", "capture",
-			trace.Str("pod", pod.Name()),
-			trace.Int("procs", int64(len(img.Processes))),
-			trace.Int("mem_bytes", img.MemoryBytes()),
-			trace.Int("shms", int64(len(img.Shms))))
-	}
+	trace.FromEngine(kern.Engine()).Instant(kern.Name(), "ckpt", "capture",
+		trace.Str("pod", pod.Name()),
+		trace.Int("procs", int64(len(img.Processes))),
+		trace.Int("mem_bytes", img.MemoryBytes()),
+		trace.Int("shms", int64(len(img.Shms))))
 	return img, nil
 }
 

@@ -42,7 +42,7 @@ func newRig(t *testing.T, nodes int) *rig {
 		if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, byte(i + 1)}, mac, nic, false); err != nil {
 			t.Fatal(err)
 		}
-		r.kernels = append(r.kernels, kernel.New(r.engine, "node", kernel.DefaultParams(), st))
+		r.kernels = append(r.kernels, kernel.New(r.engine, "node", st))
 		r.nics = append(r.nics, nic)
 	}
 	r.store = NewStore(r.kernels[0].Disk())

@@ -233,13 +233,10 @@ func (s *Store) Compact(pod string, done func(int64, error)) {
 	s.putManifest(pod, seq, &syn, int64(len(mblob)))
 	s.stats.Compactions++
 
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.Begin(s.disk.Name(), trace.PhaseCat, "compact",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
-			trace.Int("folded", int64(len(chain))),
-			trace.Int("bytes", int64(len(mblob))))
-	}
+	sp := trace.FromEngine(s.disk.Engine()).Begin(s.disk.Name(), trace.PhaseCat, "compact",
+		trace.Str("pod", pod), trace.Int("seq", int64(seq)),
+		trace.Int("folded", int64(len(chain))),
+		trace.Int("bytes", int64(len(mblob))))
 	s.disk.Write(int64(len(mblob)), func() {
 		sp.End()
 		finish(int64(len(mblob)), nil)

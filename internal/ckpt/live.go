@@ -71,13 +71,11 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 	for _, as := range lc.spaces {
 		as.ClearDirty()
 	}
-	if tr := trace.FromEngine(kern.Engine()); tr.Enabled() {
-		tr.Instant(kern.Name(), "ckpt", "capture-live",
-			trace.Str("pod", pod.Name()),
-			trace.Int("seq", int64(seq)),
-			trace.Int("procs", int64(len(img.Processes))),
-			trace.Int("mem_bytes", img.MemoryBytes()))
-	}
+	trace.FromEngine(kern.Engine()).Instant(kern.Name(), "ckpt", "capture-live",
+		trace.Str("pod", pod.Name()),
+		trace.Int("seq", int64(seq)),
+		trace.Int("procs", int64(len(img.Processes))),
+		trace.Int("mem_bytes", img.MemoryBytes()))
 	return lc, nil
 }
 

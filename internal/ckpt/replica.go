@@ -166,12 +166,9 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 		done(0, nil)
 		return
 	}
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.BeginChild(t.Ctx, s.disk.Name(), "ckpt", name,
-			trace.Str("pod", t.Pod), trace.Int("seq", int64(t.Seq)),
-			trace.Int("bytes", t.TotalBytes))
-	}
+	sp := trace.FromEngine(s.disk.Engine()).BeginChild(t.Ctx, s.disk.Name(), "ckpt", name,
+		trace.Str("pod", t.Pod), trace.Int("seq", int64(t.Seq)),
+		trace.Int("bytes", t.TotalBytes))
 	s.disk.Write(t.TotalBytes, func() {
 		sp.End()
 		done(t.TotalBytes, nil)

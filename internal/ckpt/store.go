@@ -265,12 +265,9 @@ func (s *Store) Load(pod string, seq int, merged bool, ctx trace.SpanContext, do
 			total += int64(len(e.img.blob))
 		}
 	}
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.BeginChild(ctx, s.disk.Name(), "ckpt", "store.load",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
-			trace.Int("bytes", total), trace.Int("chain", int64(len(seqs))))
-	}
+	sp := trace.FromEngine(s.disk.Engine()).BeginChild(ctx, s.disk.Name(), "ckpt", "store.load",
+		trace.Str("pod", pod), trace.Int("seq", int64(seq)),
+		trace.Int("bytes", total), trace.Int("chain", int64(len(seqs))))
 	s.disk.Read(total, func() {
 		sp.End()
 		if m != nil {

@@ -17,69 +17,49 @@ import (
 // DefaultControlPort is the agents' control port.
 const DefaultControlPort = 7077
 
-// AgentParams models the agent daemon's local costs.
-type AgentParams struct {
-	// Port is the TCP control port the agent listens on.
-	Port uint16
-	// MsgCost is the CPU cost of handling one control message
+// The agent daemon's local costs, calibrated to the paper's testbed
+// (DESIGN §5). The flushing baseline's agent pays the same ones.
+const (
+	// AgentMsgCost is the CPU cost of handling one control message
 	// (decode, dispatch, encode of the reply).
-	MsgCost sim.Duration
-	// FilterCost is the cost of installing or removing the packet-filter
+	AgentMsgCost = 60 * sim.Microsecond
+	// filterCost is the cost of installing or removing the packet-filter
 	// rule that disables the pod's communication.
-	FilterCost sim.Duration
+	filterCost = 5 * sim.Microsecond
 	// CaptureCost is the in-kernel cost of walking process and socket
-	// structures during the state copy (the short window the paper
-	// holds the network-stack locks for).
-	CaptureCost sim.Duration
-	// CaptureBPS scales the capture window with the bytes copied (the
-	// in-kernel memcpy rate). Zero leaves capture at the flat CaptureCost.
-	CaptureBPS int64
+	// structures during the state copy (the short window the paper holds
+	// the network-stack locks for).
+	CaptureCost = 150 * sim.Microsecond
+	// CaptureBPS scales the capture window with the bytes copied: the
+	// in-kernel, memory-bound memcpy rate.
+	CaptureBPS = 4 << 30
 	// EncodeBPS is the CPU rate at which image bytes are serialized into
-	// the write stream. Zero makes encoding free (pre-pipeline behavior).
-	EncodeBPS int64
-	// HashBPS is the page-content hashing rate charged for pages whose
-	// cached hash was stale at capture (Dedup checkpoints only).
-	HashBPS int64
-	// DedupPerChunk is the chunk-table lookup/refcount cost per captured
+	// the write stream; serialization touches every byte once.
+	EncodeBPS = 1 << 30
+	// hashBPS is the page-content hashing rate (an FNV-style streaming
+	// hash) charged for pages whose cached hash was stale at capture
+	// (Dedup checkpoints only).
+	hashBPS = 2 << 30
+	// dedupPerChunk is the chunk-table lookup/refcount cost per captured
 	// page (Dedup checkpoints only).
-	DedupPerChunk sim.Duration
-	// SegmentBytes is the pipelined save's segment size: with the
+	dedupPerChunk = 150 * sim.Nanosecond
+	// segmentBytes is the pipelined save's segment size: with the
 	// Pipeline option, segment k is encoded on the CPU while segment k-1
-	// is on the disk. Zero or no Pipeline = one segment (serial
+	// is on the disk. Without it the image is one segment (serial
 	// encode-then-write).
-	SegmentBytes int64
-	// ReplTimeout bounds one replication or fetch exchange; an offer is
-	// retried once before the operation fails. Zero disables.
-	ReplTimeout sim.Duration
-	// BackgroundBPS rate-limits the node's ctl.TierBackground traffic
-	// (durability replication and erasure-coded shard distribution)
-	// through a shared token bucket, so it never saturates a link a
-	// pre-copy stream or foreground pod traffic is using. Zero disables
-	// pacing (pre-EC behavior).
-	BackgroundBPS int64
-}
+	segmentBytes = 8 << 20
+	// replTimeout bounds one replication or fetch exchange; an offer is
+	// retried once before the operation fails.
+	replTimeout = 30 * sim.Second
+	// backgroundBPS rate-limits an erasure-coding node's ctl.TierBackground
+	// traffic (replication and shard distribution) through a shared token
+	// bucket: half a gigabit link, so durability traffic never saturates a
+	// link a pre-copy stream or foreground pod traffic is using.
+	backgroundBPS = 64 << 20
+)
 
-// DefaultAgentParams returns costs calibrated for the paper's testbed.
-func DefaultAgentParams() AgentParams {
-	return AgentParams{
-		Port:          DefaultControlPort,
-		MsgCost:       60 * sim.Microsecond,
-		FilterCost:    5 * sim.Microsecond,
-		CaptureCost:   150 * sim.Microsecond,
-		CaptureBPS:    4 << 30, // in-kernel copy, memory-bound
-		EncodeBPS:     1 << 30, // serialization touches every byte once
-		HashBPS:       2 << 30, // FNV-style streaming hash
-		DedupPerChunk: 150 * sim.Nanosecond,
-		SegmentBytes:  8 << 20,
-		ReplTimeout:   30 * sim.Second,
-	}
-}
-
-// bytesCost returns the CPU time to process n bytes at bps (0 = free).
+// bytesCost returns the CPU time to process n bytes at bps.
 func bytesCost(n int64, bps int64) sim.Duration {
-	if bps <= 0 || n <= 0 {
-		return 0
-	}
 	return sim.Duration(n * int64(sim.Second) / bps)
 }
 
@@ -94,11 +74,10 @@ var (
 // the paper's footnote 4) and executes the local steps of Fig. 2, plus
 // the replication and fetch exchanges of the recovery extension.
 type Agent struct {
-	kern   *kernel.Kernel
-	store  *ckpt.Store
-	params AgentParams
-	cpu    ctl.Serializer
-	tr     *trace.Tracer
+	kern  *kernel.Kernel
+	store *ckpt.Store
+	cpu   ctl.Serializer
+	tr    *trace.Tracer
 
 	pods     map[string]*zap.Pod
 	table    *ctl.Table
@@ -107,8 +86,8 @@ type Agent struct {
 	// ec, when enabled, stripes committed deduplicated checkpoints M+R
 	// across the first M+R ring peers instead of fully replicating them.
 	ec ckpt.ECParams
-	// pacer is the node's shared token bucket for TierBackground frames
-	// (nil = unpaced).
+	// pacer is the node's shared token bucket for TierBackground frames,
+	// created with ec (nil = unpaced).
 	pacer *ctl.Pacer
 
 	// peers is the replication ring: where committed checkpoints stream,
@@ -235,11 +214,10 @@ func (op *agentOp) endSpans(args ...trace.Arg) {
 // NewAgent starts an agent on the node, listening on its control port.
 // Images are written to and read from store (the node's local disk in the
 // cluster-file-system arrangement the paper assumes).
-func NewAgent(kern *kernel.Kernel, store *ckpt.Store, params AgentParams) (*Agent, error) {
+func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
 	a := &Agent{
 		kern:      kern,
 		store:     store,
-		params:    params,
 		cpu:       ctl.Serializer{Engine: kern.Engine()},
 		tr:        trace.FromEngine(kern.Engine()),
 		pods:      make(map[string]*zap.Pod),
@@ -250,10 +228,7 @@ func NewAgent(kern *kernel.Kernel, store *ckpt.Store, params AgentParams) (*Agen
 	if !ok {
 		return nil, tcpip.ErrNoRoute
 	}
-	if params.BackgroundBPS > 0 {
-		a.pacer = ctl.NewPacer(kern.Engine(), params.BackgroundBPS, 0)
-	}
-	l, err := kern.Stack().ListenTCP(tcpip.AddrPort{Addr: addr, Port: params.Port}, 16)
+	l, err := kern.Stack().ListenTCP(tcpip.AddrPort{Addr: addr, Port: DefaultControlPort}, 16)
 	if err != nil {
 		return nil, fmt.Errorf("core: agent listen: %w", err)
 	}
@@ -299,7 +274,7 @@ func (a *Agent) acceptLoop() {
 
 // onMsg dispatches a control message.
 func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
-	a.cpu.Do(a.params.MsgCost, func() {
+	a.cpu.Do(AgentMsgCost, func() {
 		if m.Job != "" {
 			a.onRelayMsg(c, m)
 			return
@@ -442,12 +417,10 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 		op.precopy, op.phases = true, precopyPhases
 	}
 	a.Stats.Checkpoints++
-	if a.tr.Enabled() {
-		// Adopt the coordinator's op: the local span tree becomes a branch
-		// of the distributed checkpoint.
-		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.checkpoint",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-	}
+	// Adopt the coordinator's op: the local span tree becomes a branch
+	// of the distributed checkpoint.
+	op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.checkpoint",
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 	if op.precopy {
 		a.runPrecopy(c, m, pod, op, 0, 0, 0)
 		return
@@ -492,11 +465,9 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 
 	// Rounds occupy the sequence block below the residual's m.Seq.
 	seqR := m.Seq - m.PrecopyRounds + round
-	if a.tr.Enabled() {
-		op.phRound = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.round,
-			trace.Str("pod", m.Pod), trace.Int("round", int64(round)),
-			trace.Int("pages", int64(candidate)))
-	}
+	op.phRound = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.round,
+		trace.Str("pod", m.Pod), trace.Int("round", int64(round)),
+		trace.Int("pages", int64(candidate)))
 	lc, err := ckpt.CaptureLive(pod, seqR, ckpt.Options{Incremental: !full, Hashes: m.Dedup, BaseSeq: baseSeq})
 	if err != nil {
 		a.failSave(c, m, op, err)
@@ -509,7 +480,7 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 	// The snapshot is instant; the copy out of it costs CPU while the
 	// pod runs (writes to not-yet-released pages take COW faults — the
 	// concurrency overhead of §5.2, charged by the kernel).
-	a.cpu.Do(a.params.CaptureCost+bytesCost(captureBytes, a.params.CaptureBPS), func() {
+	a.cpu.Do(CaptureCost+bytesCost(captureBytes, CaptureBPS), func() {
 		if op.Aborted() {
 			return
 		}
@@ -560,19 +531,15 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 			incremental, baseSeq = false, 0
 		}
 	}
-	if a.tr.Enabled() {
-		op.phQuiesce = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.quiesce, trace.Str("pod", m.Pod))
-	}
+	op.phQuiesce = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.quiesce, trace.Str("pod", m.Pod))
 
 	// Step 1: configure the filter to silently drop all pod traffic.
-	a.cpu.Do(a.params.FilterCost, func() {
+	a.cpu.Do(filterCost, func() {
 		if op.Aborted() {
 			return
 		}
 		op.filterID = a.kern.Stack().Filter().AddDropAddr(pod.IP())
-		if a.tr.Enabled() {
-			a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.install", trace.Str("pod", m.Pod))
-		}
+		a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.install", trace.Str("pod", m.Pod))
 		if op.optimized && !op.cow {
 			// Fig. 4: notify as soon as communication is disabled,
 			// without waiting for the local save.
@@ -589,7 +556,7 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 			// flushing it; the "drain" phase is the settle window between
 			// full quiesce and the start of the state copy (the serialized
 			// in-kernel walk of process and socket structures).
-			if a.tr.Enabled() && op.phases.drain != "" {
+			if op.phases.drain != "" {
 				op.phDrain = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.drain,
 					trace.Str("pod", m.Pod), trace.Str("mode", "drop"))
 			}
@@ -605,15 +572,13 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 				}
 			}
 			op.roundPages = append(op.roundPages, int(captureBytes/mem.PageSize))
-			a.cpu.Do(a.params.CaptureCost+bytesCost(captureBytes, a.params.CaptureBPS), func() {
+			a.cpu.Do(CaptureCost+bytesCost(captureBytes, CaptureBPS), func() {
 				if op.Aborted() {
 					return
 				}
 				op.phDrain.End()
-				if a.tr.Enabled() {
-					op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.capture,
-						trace.Str("pod", m.Pod))
-				}
+				op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.capture,
+					trace.Str("pod", m.Pod))
 				img, err := ckpt.Capture(pod, m.Seq, ckpt.Options{Incremental: incremental, Hashes: m.Dedup, BaseSeq: baseSeq})
 				if err != nil {
 					a.failSave(c, m, op, err)
@@ -641,10 +606,8 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 					// resume (once the coordinator confirms every node
 					// has captured) while the image write proceeds from
 					// the snapshot.
-					if a.tr.Enabled() {
-						op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
-							trace.Str("pod", m.Pod), trace.Str("mode", "cow"))
-					}
+					op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
+						trace.Str("pod", m.Pod), trace.Str("mode", "cow"))
 					c.send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
 					a.maybeFinishContinue(m.Pod, pod, op)
 				}
@@ -666,11 +629,9 @@ func (a *Agent) planImage(m *wireMsg, op *agentOp, img *ckpt.Image, finishPlan f
 	}
 	// Hash phase: only pages written since the last hashing capture had
 	// a stale cached hash; they alone cost CPU here.
-	if a.tr.Enabled() {
-		op.phHash = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "hash",
-			trace.Str("pod", m.Pod))
-	}
-	a.cpu.Do(bytesCost(int64(img.FreshHashes)*mem.PageSize, a.params.HashBPS), func() {
+	op.phHash = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "hash",
+		trace.Str("pod", m.Pod))
+	a.cpu.Do(bytesCost(int64(img.FreshHashes)*mem.PageSize, hashBPS), func() {
 		if op.Aborted() {
 			return
 		}
@@ -679,11 +640,9 @@ func (a *Agent) planImage(m *wireMsg, op *agentOp, img *ckpt.Image, finishPlan f
 		for i := range img.Processes {
 			pages += int64(img.Processes[i].Memory.NumPages())
 		}
-		if a.tr.Enabled() {
-			op.phDedup = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "dedup",
-				trace.Str("pod", m.Pod))
-		}
-		a.cpu.Do(sim.Duration(pages)*a.params.DedupPerChunk, func() {
+		op.phDedup = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "dedup",
+			trace.Str("pod", m.Pod))
+		a.cpu.Do(sim.Duration(pages)*dedupPerChunk, func() {
 			if op.Aborted() {
 				return
 			}
@@ -717,10 +676,8 @@ func (a *Agent) planAndWrite(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, i
 			// abortable epoch like the rounds before it.
 			op.roundSeqs = append(op.roundSeqs, m.Seq)
 		}
-		if a.tr.Enabled() {
-			op.phWrite = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.write,
-				trace.Str("pod", m.Pod))
-		}
+		op.phWrite = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.write,
+			trace.Str("pod", m.Pod))
 		a.streamPlan(m.Pipeline, op, plan.TotalBytes, func() {
 			a.streamRound(c, m, op, m.Seq, func() { a.imageSaved(c, m, pod, op, plan) })
 		})
@@ -736,8 +693,8 @@ func (a *Agent) planAndWrite(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, i
 func (a *Agent) streamPlan(pipeline bool, op *agentOp, total int64, complete func()) {
 	disk := a.store.Disk()
 	segSize := total
-	if pipeline && a.params.SegmentBytes > 0 && a.params.SegmentBytes < total {
-		segSize = a.params.SegmentBytes
+	if pipeline && segmentBytes < total {
+		segSize = segmentBytes
 	}
 	if total <= 0 {
 		complete()
@@ -754,7 +711,7 @@ func (a *Agent) streamPlan(pipeline bool, op *agentOp, total int64, complete fun
 			seg = total - issued
 		}
 		issued += seg
-		a.cpu.Do(bytesCost(seg, a.params.EncodeBPS), func() {
+		a.cpu.Do(bytesCost(seg, EncodeBPS), func() {
 			if op.Aborted() {
 				return
 			}
@@ -819,7 +776,7 @@ func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, pla
 		op.Finish()
 		return
 	}
-	if !op.phCommit.Active() && a.tr.Enabled() {
+	if !op.phCommit.Active() {
 		op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
 			trace.Str("pod", m.Pod))
 	}
@@ -851,13 +808,11 @@ func (a *Agent) maybeFinishContinue(name string, pod *zap.Pod, op *agentOp) {
 	}
 	op.resumed = true
 	t0 := a.kern.Engine().Now()
-	a.cpu.Do(a.params.FilterCost, func() {
+	a.cpu.Do(filterCost, func() {
 		pod.Resume()
 		a.kern.Stack().Filter().RemoveRule(op.filterID)
 		op.filterID = 0
-		if a.tr.Enabled() {
-			a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.remove", trace.Str("pod", name))
-		}
+		a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.remove", trace.Str("pod", name))
 		op.phCommit.End()
 		seq := op.Seq
 		if op.saveDone {
@@ -870,7 +825,7 @@ func (a *Agent) maybeFinishContinue(name string, pod *zap.Pod, op *agentOp) {
 			Type:            msgContinueDone,
 			Seq:             seq,
 			Pod:             name,
-			LocalDuration:   a.kern.Engine().Now().Sub(t0) + a.params.MsgCost,
+			LocalDuration:   a.kern.Engine().Now().Sub(t0) + AgentMsgCost,
 			BlockedDuration: a.kern.Engine().Now().Sub(op.stoppedAt),
 			ctx:             op.span.Context(),
 		})
@@ -892,14 +847,12 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 	}
 	op.saveDone = true
 	a.Stats.Restores++
-	if a.tr.Enabled() {
-		node := a.kern.Name()
-		op.span = a.tr.BeginChild(m.ctx, node, "core", "agent.restart",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-		// Reuse the quiesce/write slots for the restart phases so abort
-		// cleanup covers them.
-		op.phQuiesce = a.tr.BeginChild(op.span.Context(), node, trace.PhaseCat, "load", trace.Str("pod", m.Pod))
-	}
+	node := a.kern.Name()
+	op.span = a.tr.BeginChild(m.ctx, node, "core", "agent.restart",
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+	// Reuse the quiesce/write slots for the restart phases so abort
+	// cleanup covers them.
+	op.phQuiesce = a.tr.BeginChild(op.span.Context(), node, trace.PhaseCat, "load", trace.Str("pod", m.Pod))
 
 	a.store.Load(m.Pod, m.Seq, true, op.span.Context(), func(img *ckpt.Image, err error) {
 		if op.Aborted() {
@@ -911,12 +864,10 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			return
 		}
 		op.phQuiesce.End()
-		if a.tr.Enabled() {
-			op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "restore",
-				trace.Str("pod", m.Pod))
-		}
+		op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "restore",
+			trace.Str("pod", m.Pod))
 		// Disable communication for the pod's address first.
-		a.cpu.Do(a.params.FilterCost+a.params.CaptureCost, func() {
+		a.cpu.Do(filterCost+CaptureCost, func() {
 			if op.Aborted() {
 				return
 			}
@@ -926,10 +877,8 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 				return
 			}
 			op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
-			if a.tr.Enabled() {
-				op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
-					trace.Str("pod", m.Pod))
-			}
+			op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
+				trace.Str("pod", m.Pod))
 			c.send(&wireMsg{
 				Type:          msgRestartDone,
 				Seq:           m.Seq,

@@ -34,58 +34,29 @@ type Job struct {
 	Members []Member
 }
 
-// CoordinatorParams models the coordinator daemon's costs.
+// CoordinatorParams tunes the coordinator daemon.
 type CoordinatorParams struct {
-	// MsgCost is the CPU cost to build/send or receive/process one
-	// control message. The coordinator is single-threaded, so fan-out to
-	// N agents serializes — the origin of the per-node coordination
-	// overhead slope in Fig. 5(b).
-	MsgCost sim.Duration
 	// Timeout aborts an operation if agents stay silent this long
 	// (0 disables; the failure-handling extension of §5).
 	Timeout sim.Duration
-	// HeartbeatEvery is the membership ping period once a job is
-	// watched (0 = DefaultHeartbeatEvery).
-	HeartbeatEvery sim.Duration
-	// LeaseTimeout declares a node failed after this much pong silence
-	// (0 = DefaultLeaseTimeout).
-	LeaseTimeout sim.Duration
-	// GroupSize enables hierarchical (two-level tree) coordination when
-	// > 1: members partition into contiguous groups of this size, and the
-	// root exchanges aggregate messages with each group's deterministic
-	// leader instead of per-pod messages with every member. The 2PC
-	// decision logic is unchanged — the root still tracks every pod's
-	// vote, leaders only batch the transport — so commit/abort outcomes
-	// are identical to the flat fan-out. 0 or 1 keeps flat. A good value
-	// is coord.GroupSizeFor(N) ≈ √N.
-	GroupSize int
 }
 
-// Default membership timings: the lease spans several heartbeats so one
-// delayed pong never trips failure detection.
+// The coordinator daemon's costs and membership timings, calibrated to
+// the paper's testbed (DESIGN §5).
 const (
+	// CoordinatorMsgCost is the CPU cost to build/send or receive/process
+	// one control message. The coordinator is single-threaded, so fan-out
+	// to N agents serializes — the origin of the per-node coordination
+	// overhead slope in Fig. 5(b).
+	CoordinatorMsgCost = 20 * sim.Microsecond
+	// DefaultHeartbeatEvery is the membership ping period once a job is
+	// watched.
 	DefaultHeartbeatEvery = 100 * sim.Millisecond
-	DefaultLeaseTimeout   = 350 * sim.Millisecond
+	// DefaultLeaseTimeout declares a node failed after this much pong
+	// silence: several heartbeats, so one delayed pong never trips
+	// failure detection.
+	DefaultLeaseTimeout = 350 * sim.Millisecond
 )
-
-// DefaultCoordinatorParams returns testbed-calibrated costs.
-func DefaultCoordinatorParams() CoordinatorParams {
-	return CoordinatorParams{MsgCost: 20 * sim.Microsecond}
-}
-
-func (p CoordinatorParams) heartbeatEvery() sim.Duration {
-	if p.HeartbeatEvery > 0 {
-		return p.HeartbeatEvery
-	}
-	return DefaultHeartbeatEvery
-}
-
-func (p CoordinatorParams) leaseTimeout() sim.Duration {
-	if p.LeaseTimeout > 0 {
-		return p.LeaseTimeout
-	}
-	return DefaultLeaseTimeout
-}
 
 // PrecopyConfig tunes pre-copy checkpointing: the agent streams the
 // pod's memory in live rounds — round 0 the whole image, each later
@@ -198,6 +169,9 @@ type Coordinator struct {
 	params CoordinatorParams
 	cpu    ctl.Serializer
 	tr     *trace.Tracer
+	// groupSize, when > 1, makes the coordination a two-level tree
+	// (SetGroupSize).
+	groupSize int
 
 	conns map[tcpip.AddrPort]*ctlConn
 	// table holds one rootOp per job with an operation in flight, under
@@ -295,6 +269,16 @@ func NewCoordinator(stack *tcpip.Stack, params CoordinatorParams) *Coordinator {
 	}
 }
 
+// SetGroupSize enables hierarchical (two-level tree) coordination when
+// size > 1: members partition into contiguous groups of this size, and the
+// root exchanges aggregate messages with each group's deterministic
+// leader instead of per-pod messages with every member. The 2PC decision
+// logic is unchanged — the root still tracks every pod's vote, leaders
+// only batch the transport — so commit/abort outcomes are identical to the
+// flat fan-out. 0 or 1 keeps flat. A good value is coord.GroupSizeFor(N)
+// ≈ √N.
+func (c *Coordinator) SetGroupSize(size int) { c.groupSize = size }
+
 // CommittedSeq returns the last committed checkpoint sequence for a job.
 func (c *Coordinator) CommittedSeq(job string) (int, bool) {
 	seq, ok := c.committed[job]
@@ -385,7 +369,7 @@ func (c *Coordinator) sendTo(addr tcpip.AddrPort, m *wireMsg) error {
 // sendOrFail queues m for addr on the serialized daemon CPU. When its turn
 // comes the op must still be active, and fails if addr cannot be reached.
 func (c *Coordinator) sendOrFail(op *rootOp, addr tcpip.AddrPort, m *wireMsg) {
-	c.cpu.Do(c.params.MsgCost, func() {
+	c.cpu.Do(CoordinatorMsgCost, func() {
 		if !op.Active() {
 			return
 		}
@@ -483,20 +467,20 @@ func (c *Coordinator) memberAlive(m Member) bool {
 }
 
 // planDests decides who the root speaks to for one op — the only place
-// the flat fan-out and the tree differ: every member, or (GroupSize > 1)
+// the flat fan-out and the tree differ: every member, or (groupSize > 1)
 // the leader of each group. Group boundaries depend only on member order
-// and GroupSize; liveness picks each group's leader when the op begins,
+// and groupSize; liveness picks each group's leader when the op begins,
 // so a lease-expired leader is replaced by the next live member of its
 // group — deterministically, with no election traffic.
 func (c *Coordinator) planDests(job *Job) []dest {
-	if c.params.GroupSize <= 1 || len(job.Members) <= 1 {
+	if c.groupSize <= 1 || len(job.Members) <= 1 {
 		dests := make([]dest, len(job.Members))
 		for i, m := range job.Members {
 			dests[i].Member = m
 		}
 		return dests
 	}
-	groups := coord.Plan(len(job.Members), c.params.GroupSize, func(i int) bool {
+	groups := coord.Plan(len(job.Members), c.groupSize, func(i int) bool {
 		return c.memberAlive(job.Members[i])
 	})
 	dests := make([]dest, len(groups))
@@ -527,7 +511,7 @@ func (c *Coordinator) fanOut(op *rootOp, dests []dest, start bool, req wireMsg) 
 			}
 			continue
 		}
-		c.cpu.Do(c.params.MsgCost, func() {
+		c.cpu.Do(CoordinatorMsgCost, func() {
 			// Never open an op on a node the membership layer has declared
 			// dead: its downed link sent no reset, so the connection still
 			// reads established and the request would vanish unanswered.
@@ -572,13 +556,11 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 	}
 	seq := op.Seq
 	op.opts = opts
-	if c.tr.Enabled() {
-		// The op root: every agent span, phase, replication exchange, and
-		// coordinator instant of this checkpoint hangs off this context.
-		op.span = c.tr.BeginOp(c.stack.Name(), "core", "checkpoint",
-			trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
-			trace.Int("members", int64(len(job.Members))))
-	}
+	// The op root: every agent span, phase, replication exchange, and
+	// coordinator instant of this checkpoint hangs off this context.
+	op.span = c.tr.BeginOp(c.stack.Name(), "core", "checkpoint",
+		trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
+		trace.Int("members", int64(len(job.Members))))
 	op.OnFinish(func(_ *ctl.Op, err error) {
 		if err != nil {
 			op.span.End(trace.Str("err", err.Error()))
@@ -590,10 +572,8 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 		for _, m := range job.Members {
 			c.addHolder(m.Pod, seq, m.Agent)
 		}
-		if c.tr.Enabled() {
-			c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "commit",
-				trace.Str("job", job.Name), trace.Int("seq", int64(seq)))
-		}
+		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "commit",
+			trace.Str("job", job.Name), trace.Int("seq", int64(seq)))
 		op.span.End()
 		now := c.stack.Engine().Now()
 		res := &CheckpointResult{
@@ -638,7 +618,11 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 }
 
 // Restart runs a coordinated restart of the job from checkpoint seq
-// (0 = latest committed).
+// (0 = latest committed): a recovery with nothing dead. A member whose
+// home never held seq — its pod migrated since — first fetches the image
+// in place from a live holder, and the fan-out waits for every fetch. The
+// plan runs inside the call, so a restart that needs no fetch fans out at
+// once.
 func (c *Coordinator) Restart(job *Job, seq int, done func(*RestartResult, error)) {
 	if seq == 0 {
 		seq = c.committed[job.Name]
@@ -648,25 +632,43 @@ func (c *Coordinator) Restart(job *Job, seq int, done func(*RestartResult, error
 		done(nil, err)
 		return
 	}
-	c.runRestart(op, trace.SpanContext{}, done)
+	op.rec = &recovery{assign: make(map[string]tcpip.AddrPort)}
+	c.openRestart(op, trace.SpanContext{}, done)
+	var fetches []*wireMsg
+	for _, m := range job.Members {
+		if home := c.nodeByAddr[m.Agent]; home != nil && home.alive {
+			fetch, err := c.planHome(op, op.span.Context(), m.Pod, home, home)
+			if err != nil {
+				op.Fail(err)
+				return
+			}
+			if fetch != nil {
+				fetches = append(fetches, fetch)
+			}
+		}
+	}
+	if len(fetches) == 0 {
+		c.start(op, wireMsg{Type: msgRestart, Seq: seq})
+		return
+	}
+	c.sendFetches(op, fetches, op.span.Context())
 }
 
-// runRestart restarts op's job from op.Seq on the op itself: Restart's,
-// just begun, or a recovery's, once its plan has put every image in place
-// — parent then nests the restart inside the recovery's span tree instead
-// of opening a fresh root. The result's clock starts here, at the fan-out.
-func (c *Coordinator) runRestart(op *rootOp, parent trace.SpanContext, done func(*RestartResult, error)) {
+// openRestart opens the restart of op's job from op.Seq on the op itself —
+// Restart's, just begun, or a recovery's, once its plan has put every image
+// in place: parent then nests the restart inside the recovery's span tree
+// instead of opening a fresh root. The fan-out (c.start) follows once the
+// images are in place; the result's clock starts there.
+func (c *Coordinator) openRestart(op *rootOp, parent trace.SpanContext, done func(*RestartResult, error)) {
 	job, seq := op.job, op.Seq
-	if c.tr.Enabled() {
-		args := []trace.Arg{
-			trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
-			trace.Int("members", int64(len(job.Members))),
-		}
-		if parent.Zero() {
-			op.span = c.tr.BeginOp(c.stack.Name(), "core", "restart", args...)
-		} else {
-			op.span = c.tr.BeginChild(parent, c.stack.Name(), "core", "restart", args...)
-		}
+	args := []trace.Arg{
+		trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
+		trace.Int("members", int64(len(job.Members))),
+	}
+	if parent.Zero() {
+		op.span = c.tr.BeginOp(c.stack.Name(), "core", "restart", args...)
+	} else {
+		op.span = c.tr.BeginChild(parent, c.stack.Name(), "core", "restart", args...)
 	}
 	op.OnFinish(func(_ *ctl.Op, err error) {
 		if err != nil {
@@ -692,7 +694,6 @@ func (c *Coordinator) runRestart(op *rootOp, parent trace.SpanContext, done func
 		op.Expect("done", m.Pod)
 		op.Expect("cont", m.Pod)
 	}
-	c.start(op, wireMsg{Type: msgRestart, Seq: seq})
 }
 
 // opFor locates the operation a reply belongs to: the job's, when a leader
@@ -723,7 +724,7 @@ func (c *Coordinator) opFor(m *wireMsg) *rootOp {
 
 // onMsg handles agent replies.
 func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
-	c.cpu.Do(c.params.MsgCost, func() {
+	c.cpu.Do(CoordinatorMsgCost, func() {
 		switch m.Type {
 		case msgPong:
 			c.handlePong(cc, m)
@@ -752,10 +753,8 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 		if m.Job == "" {
 			batch = []GroupReport{m.report()}
 		}
-		if c.tr.Enabled() {
-			c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
-				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)), trace.Int("batch", int64(len(batch))))
-		}
+		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
+			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)), trace.Int("batch", int64(len(batch))))
 		if m.Err != "" {
 			op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
 			return

@@ -179,7 +179,7 @@ func newCluster(t *testing.T, n int, compute sim.Duration) *cluster {
 		if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, byte(i + 1)}, mac, nic, false); err != nil {
 			t.Fatal(err)
 		}
-		return kernel.New(cl.engine, "node", kernel.DefaultParams(), st)
+		return kernel.New(cl.engine, "node", st)
 	}
 	job := &Job{Name: "ring"}
 	for i := 0; i < n; i++ {
@@ -187,7 +187,7 @@ func newCluster(t *testing.T, n int, compute sim.Duration) *cluster {
 		cl.kernels = append(cl.kernels, k)
 		store := ckpt.NewStore(k.Disk())
 		cl.stores = append(cl.stores, store)
-		ag, err := NewAgent(k, store, DefaultAgentParams())
+		ag, err := NewAgent(k, store)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func newCluster(t *testing.T, n int, compute sim.Duration) *cluster {
 	// Coordinator on its own node.
 	ck := mkNode(n)
 	cl.kernels = append(cl.kernels, ck)
-	cl.coord = NewCoordinator(ck.Stack(), DefaultCoordinatorParams())
+	cl.coord = NewCoordinator(ck.Stack(), CoordinatorParams{})
 	cl.job = job
 
 	connected := false
@@ -489,9 +489,7 @@ func TestAbortOnAgentTimeout(t *testing.T) {
 	// Cut one agent's node off the network entirely after connect; its
 	// done can never arrive. (Its own pod will stay frozen — that node
 	// is "failed" — but the others must roll back.)
-	params := DefaultCoordinatorParams()
-	params.Timeout = 3 * sim.Second
-	coord2 := NewCoordinator(cl.kernels[len(cl.kernels)-1].Stack(), params)
+	coord2 := NewCoordinator(cl.kernels[len(cl.kernels)-1].Stack(), CoordinatorParams{Timeout: 3 * sim.Second})
 	connected := false
 	coord2.Connect(cl.job, func(err error) { connected = err == nil })
 	cl.run(100 * sim.Millisecond)

@@ -32,8 +32,13 @@ import (
 // SetEC configures erasure-coded durability: committed deduplicated
 // checkpoints are striped M+R across the first M+R ring peers instead of
 // being fully replicated. Checkpoints that cannot stripe (blob form, or
-// fewer than M+R peers) fall back to R-way replication.
-func (a *Agent) SetEC(p ckpt.ECParams) { a.ec = p }
+// fewer than M+R peers) fall back to R-way replication. Durability traffic
+// is background traffic from then on, paced at backgroundBPS so shard
+// pushes cannot starve foreground protocol rounds.
+func (a *Agent) SetEC(p ckpt.ECParams) {
+	a.ec = p
+	a.pacer = ctl.NewPacer(a.kern.Engine(), backgroundBPS, 0)
+}
 
 // ecEligible reports whether the committed checkpoint can be erasure
 // coded: EC configured, the image is deduplicated (stripes are chunk
@@ -75,15 +80,12 @@ func (a *Agent) startECDistribute(pod string, seq int, coord msgSink, ctx trace.
 		a.Stats.ECFailures++
 		return
 	}
-	var sp trace.Span
-	if a.tr.Enabled() {
-		sp = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.ec-encode",
-			trace.Str("pod", pod), trace.Int("seq", int64(seq)),
-			trace.Int("stripes", int64(plan.Stripes)),
-			trace.Int("parity_bytes", plan.ParityBytes))
-	}
+	sp := a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.ec-encode",
+		trace.Str("pod", pod), trace.Int("seq", int64(seq)),
+		trace.Int("stripes", int64(plan.Stripes)),
+		trace.Int("parity_bytes", plan.ParityBytes))
 	// Parity is a GF(256) pass over every striped byte.
-	a.cpu.Do(bytesCost(plan.DataBytes, a.params.EncodeBPS), func() {
+	a.cpu.Do(bytesCost(plan.DataBytes, EncodeBPS), func() {
 		a.store.Disk().Write(plan.ParityBytes, func() {
 			sp.End()
 			for h := 0; h < plan.Set.Shards(); h++ {
@@ -144,7 +146,7 @@ func (a *Agent) finishECReconstruct(op *fetchOp) {
 		return
 	}
 	start := a.kern.Engine().Now()
-	a.cpu.Do(bytesCost(op.set.DataBytes(), a.params.EncodeBPS), func() {
+	a.cpu.Do(bytesCost(op.set.DataBytes(), EncodeBPS), func() {
 		if !op.Active() {
 			return
 		}

@@ -124,12 +124,10 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 	seq, parties := op.Seq, []tcpip.AddrPort{src, target}
 	mig := &migration{pod: pod, src: src, dst: target}
 	op.mig = mig
-	if c.tr.Enabled() {
-		op.span = c.tr.BeginOp(c.stack.Name(), "core", "migrate",
-			trace.Str("job", job.Name), trace.Str("pod", pod),
-			trace.Int("seq", int64(seq)),
-			trace.Str("from", addrKey(src)), trace.Str("to", addrKey(target)))
-	}
+	op.span = c.tr.BeginOp(c.stack.Name(), "core", "migrate",
+		trace.Str("job", job.Name), trace.Str("pod", pod),
+		trace.Int("seq", int64(seq)),
+		trace.Str("from", addrKey(src)), trace.Str("to", addrKey(target)))
 	op.OnFinish(func(_ *ctl.Op, err error) {
 		if err != nil {
 			op.span.End(trace.Str("err", err.Error()))
@@ -206,10 +204,8 @@ func (c *Coordinator) handleMigrateReply(op *rootOp, m *wireMsg) {
 	if mig == nil {
 		return
 	}
-	if c.tr.Enabled() {
-		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-	}
+	c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 	if m.Err != "" {
 		op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
 		return
@@ -256,11 +252,9 @@ func (a *Agent) startMigrateOut(c msgSink, m *wireMsg) {
 	op.failType, op.phases, op.precopy = msgMigrateSrcDone, migratePhases, true
 	op.migrateTo = tcpip.AddrPort{Addr: m.Repl.PeerIP, Port: m.Repl.PeerPort}
 	a.Stats.MigrationsOut++
-	if a.tr.Enabled() {
-		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-out",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
-			trace.Str("to", addrKey(op.migrateTo)))
-	}
+	op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-out",
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
+		trace.Str("to", addrKey(op.migrateTo)))
 	// Round-0 base negotiation: a non-incremental migration would open
 	// with a full round, but if the destination already replicates this
 	// pod's newest stored checkpoint — background durability put it
@@ -308,10 +302,8 @@ func (a *Agent) handleMigrateBaseAck(m *wireMsg) {
 	baseSeq := 0
 	if m.Incremental {
 		baseSeq = m.Seq
-		if a.tr.Enabled() {
-			a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "migrate.base-reuse",
-				trace.Str("pod", m.Pod), trace.Int("base", int64(baseSeq)))
-		}
+		a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "migrate.base-reuse",
+			trace.Str("pod", m.Pod), trace.Int("base", int64(baseSeq)))
 	}
 	a.runPrecopy(op.conn, mq, pod, op, 0, 0, baseSeq)
 }
@@ -357,7 +349,7 @@ func (a *Agent) handleMigrateCommit(c msgSink, m *wireMsg) {
 		return
 	}
 	pod := a.pods[m.Pod]
-	a.cpu.Do(a.params.FilterCost, func() {
+	a.cpu.Do(filterCost, func() {
 		for _, lc := range op.rounds {
 			lc.Release()
 		}
@@ -436,10 +428,8 @@ func (a *Agent) startMigrateIn(c msgSink, m *wireMsg) {
 	}
 	op := &migrateInOp{Op: o, pod: m.Pod, conn: c}
 	o.Data = op
-	if a.tr.Enabled() {
-		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-in",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-	}
+	op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-in",
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 	o.OnFail(func(_ *ctl.Op, err error) {
 		a.Stats.Aborts++
 		if op.filterID != 0 {
@@ -484,10 +474,8 @@ func (a *Agent) migrateMerge(op *migrateInOp) {
 	seq := op.pending[0]
 	op.pending = op.pending[1:]
 	op.merging = true
-	if a.tr.Enabled() {
-		op.phMerge = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "migrate-merge",
-			trace.Str("pod", op.pod), trace.Int("seq", int64(seq)))
-	}
+	op.phMerge = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "migrate-merge",
+		trace.Str("pod", op.pod), trace.Int("seq", int64(seq)))
 	// Folding an increment into the held image is an in-memory page copy
 	// at the capture rate; the first round becomes the held image as is.
 	fold := func(inc *ckpt.Image, err error) {
@@ -495,7 +483,7 @@ func (a *Agent) migrateMerge(op *migrateInOp) {
 			a.mergeDone(op, inc, err)
 			return
 		}
-		a.cpu.Do(bytesCost(inc.MemoryBytes(), a.params.CaptureBPS), func() {
+		a.cpu.Do(bytesCost(inc.MemoryBytes(), CaptureBPS), func() {
 			if op.Aborted() {
 				return
 			}
@@ -569,11 +557,9 @@ func (a *Agent) finishMigrateRestore(op *migrateInOp) {
 		op.Fail(err)
 		return
 	}
-	if a.tr.Enabled() {
-		op.phRestore = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "takeover",
-			trace.Str("pod", op.pod))
-	}
-	a.cpu.Do(a.params.FilterCost+a.params.CaptureCost, func() {
+	op.phRestore = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "takeover",
+		trace.Str("pod", op.pod))
+	a.cpu.Do(filterCost+CaptureCost, func() {
 		if op.Aborted() {
 			return
 		}
@@ -585,7 +571,7 @@ func (a *Agent) finishMigrateRestore(op *migrateInOp) {
 			return
 		}
 		op.restored = pod
-		a.cpu.Do(a.params.FilterCost, func() {
+		a.cpu.Do(filterCost, func() {
 			if op.Aborted() {
 				return
 			}

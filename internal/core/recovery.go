@@ -157,19 +157,18 @@ func (c *Coordinator) Watch(job *Job, onRecovery func(*RecoveryResult, error)) {
 	}
 	c.connectAddrs(addrs, nil)
 	if c.ticker == nil {
-		c.ticker = c.stack.Engine().NewTicker(c.params.heartbeatEvery(), c.heartbeatTick)
+		c.ticker = c.stack.Engine().NewTicker(DefaultHeartbeatEvery, c.heartbeatTick)
 	}
 }
 
 // heartbeatTick expires leases, then pings every live node.
 func (c *Coordinator) heartbeatTick() {
 	now := c.stack.Engine().Now()
-	lease := c.params.leaseTimeout()
 	for _, n := range c.nodes {
 		if !n.alive {
 			continue
 		}
-		if now.Sub(n.lastPong) > lease {
+		if now.Sub(n.lastPong) > DefaultLeaseTimeout {
 			c.declareFailed(n)
 			continue
 		}
@@ -178,10 +177,8 @@ func (c *Coordinator) heartbeatTick() {
 			continue
 		}
 		conn := cc
-		if c.tr.Enabled() {
-			c.tr.Instant(c.stack.Name(), "core", "ping", trace.Str("node", n.name))
-		}
-		c.cpu.Do(c.params.MsgCost, func() { conn.send(&wireMsg{Type: msgPing}) })
+		c.tr.Instant(c.stack.Name(), "core", "ping", trace.Str("node", n.name))
+		c.cpu.Do(CoordinatorMsgCost, func() { conn.send(&wireMsg{Type: msgPing}) })
 	}
 }
 
@@ -202,9 +199,7 @@ func (c *Coordinator) handlePong(cc *ctlConn, m *wireMsg) {
 // by a plan that knows about both.
 func (c *Coordinator) declareFailed(n *nodeInfo) {
 	n.alive = false
-	if c.tr.Enabled() {
-		c.tr.Instant(c.stack.Name(), "core", "node.failed", trace.Str("node", n.name))
-	}
+	c.tr.Instant(c.stack.Name(), "core", "node.failed", trace.Str("node", n.name))
 	// Lease expiry is a flight-recorder trigger: the dump captures the
 	// heartbeat window that led to the declaration.
 	c.tr.DumpFlight("lease.expiry", "node "+n.name)
@@ -250,20 +245,18 @@ func (c *Coordinator) startRecovery(w *watch, failed *nodeInfo) {
 		detect: c.stack.Engine().Now().Sub(first.lastPong),
 	}
 	op.rec = rec
-	if c.tr.Enabled() {
-		// The recovery op root. The detect window (last proof of life to
-		// lease expiry) precedes this span, so it rides along as a lead
-		// argument that critical-path analysis turns into a lead segment.
-		rec.span = c.tr.BeginOp(c.stack.Name(), "core", "recovery",
-			trace.Str("job", w.job.Name), trace.Str("failed", failed.name),
-			trace.Int("lead.detect_us", int64(rec.detect/sim.Microsecond)))
-		rec.phPlace = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
-			"recovery.place", trace.Str("job", w.job.Name))
-	}
+	// The recovery op root. The detect window (last proof of life to
+	// lease expiry) precedes this span, so it rides along as a lead
+	// argument that critical-path analysis turns into a lead segment.
+	rec.span = c.tr.BeginOp(c.stack.Name(), "core", "recovery",
+		trace.Str("job", w.job.Name), trace.Str("failed", failed.name),
+		trace.Int("lead.detect_us", int64(rec.detect/sim.Microsecond)))
+	rec.phPlace = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
+		"recovery.place", trace.Str("job", w.job.Name))
 	c.tr.DumpFlight("recovery.start", w.job.Name)
 	// Until the restart installs its own finish hook only failure ends the op.
 	op.OnFinish(func(_ *ctl.Op, err error) { c.recoveryDone(op, nil, err) })
-	c.cpu.Do(c.params.MsgCost, func() { c.placeRecovery(op) })
+	c.cpu.Do(CoordinatorMsgCost, func() { c.placeRecovery(op) })
 }
 
 // KnownHolders returns how many agents the coordinator records as
@@ -313,21 +306,17 @@ func (c *Coordinator) handleReplicated(m *wireMsg) {
 	peer := tcpip.AddrPort{Addr: m.Repl.PeerIP, Port: m.Repl.PeerPort}
 	if m.Repl.ECM == 0 {
 		c.addHolder(m.Pod, m.Seq, peer)
-		if c.tr.Enabled() {
-			c.tr.Instant(c.stack.Name(), "core", "replicated",
-				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-		}
+		c.tr.Instant(c.stack.Name(), "core", "replicated",
+			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 		return
 	}
 	p := c.entry(m.Pod, m.Seq)
 	p.m = m.Repl.ECM
 	p.shards[m.Repl.Holder] = peer
 	c.placed[m.Pod][m.Seq] = p
-	if c.tr.Enabled() {
-		c.tr.Instant(c.stack.Name(), "core", "ec.holding",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
-			trace.Int("shard", int64(m.Repl.Holder)))
-	}
+	c.tr.Instant(c.stack.Name(), "core", "ec.holding",
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
+		trace.Int("shard", int64(m.Repl.Holder)))
 }
 
 // sources is the registry's one reader: where a node at target could get
@@ -433,12 +422,12 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 		if home == nil {
 			continue
 		}
-		whole, _, _ := c.sources(m.Pod, seqStar, tcpip.AddrPort{})
 		target := home
 		if !home.alive {
 			// Place the pod: spread across nodes hosting the fewest pods of
 			// this job, prefer a node already holding the image (free
 			// transfer), then the lightest load, then registration order.
+			whole, _, _ := c.sources(m.Pod, seqStar, tcpip.AddrPort{})
 			target = nil
 			var tScore [3]int
 			for _, n := range c.nodes {
@@ -461,69 +450,84 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 				return
 			}
 		}
-		holds := slices.Contains(whole, target)
-		if target == home && holds {
-			continue // a survivor that holds seq* restarts where it is
+		fetch, err := c.planHome(op, rec.span.Context(), m.Pod, home, target)
+		if err != nil {
+			op.Fail(err)
+			return
 		}
-		rec.assign[m.Pod] = target.addr
-		rp := RecoveredPod{Pod: m.Pod, To: target.name, Transferred: !holds}
-		from := &replPayload{}
-		if len(whole) > 0 {
-			// Source: the lightest-loaded surviving holder (registration
-			// order breaks ties); irrelevant when the target already holds.
-			src := whole[0]
-			for _, h := range whole[1:] {
-				if h.load < src.load {
-					src = h
-				}
-			}
-			rp.From = src.name
-			from.PeerIP, from.PeerPort = src.addr.Addr, src.addr.Port
-			if c.tr.Enabled() {
-				c.tr.InstantCtx(rec.span.Context(), c.stack.Name(), "core", "recovery.placed",
-					trace.Str("pod", m.Pod), trace.Str("to", target.name), trace.Str("from", src.name))
-			}
-		} else {
-			// No full replica survives: the new home reconstructs from the
-			// shard subsets of M live holders.
-			_, pull, ok := c.sources(m.Pod, seqStar, target.addr)
-			if !ok {
-				op.Fail(fmt.Errorf("%w: pod %s (ec shards)", ErrNoReplica, m.Pod))
-				return
-			}
-			rp.From, rp.Reconstructed = pull[0].name, true
-			for _, n := range pull {
-				from.Sources = append(from.Sources, GroupMember{IP: n.addr.Addr, Port: n.addr.Port})
-			}
-			if c.tr.Enabled() {
-				c.tr.InstantCtx(rec.span.Context(), c.stack.Name(), "core", "recovery.placed",
-					trace.Str("pod", m.Pod), trace.Str("to", target.name),
-					trace.Str("mode", "reconstruct"), trace.Int("sources", int64(len(pull))))
-			}
-		}
-		rec.pods = append(rec.pods, rp)
-		if rp.Transferred {
-			fetches = append(fetches, &wireMsg{Type: msgFetch, Seq: seqStar, Pod: m.Pod, Repl: from})
+		if fetch != nil {
+			fetches = append(fetches, fetch)
 		}
 	}
 	now := c.stack.Engine().Now()
 	rec.place = now.Sub(op.Started())
 	rec.phPlace.End()
 	rec.transferStart = now
-	if c.tr.Enabled() {
-		rec.phTransfer = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
-			"recovery.transfer", trace.Str("job", job.Name))
-	}
+	rec.phTransfer = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
+		"recovery.transfer", trace.Str("job", job.Name))
 
 	// Transfer phase: fetch images onto the homes that lack them.
 	if len(fetches) == 0 {
 		c.startRecoveryRestart(op)
 		return
 	}
+	c.sendFetches(op, fetches, rec.phTransfer.Context())
+}
+
+// planHome records in op's plan that pod restarts from op.Seq on target —
+// its home, or where a recovery placed it because home died — and returns
+// the <fetch> that brings the image there first, nil when no transfer is
+// needed. A survivor holding the image restarts where it is and is left
+// out of the plan. The source is the lightest-loaded live holder of the
+// whole chain (registration order breaks ties); with none left, target
+// reconstructs from the shard subsets of M live erasure-code holders.
+func (c *Coordinator) planHome(op *rootOp, ctx trace.SpanContext, pod string, home, target *nodeInfo) (*wireMsg, error) {
+	rec := op.rec
+	whole, pull, ok := c.sources(pod, op.Seq, target.addr)
+	holds := slices.Contains(whole, target)
+	if target == home && holds {
+		return nil, nil
+	}
+	rec.assign[pod] = target.addr
+	rp := RecoveredPod{Pod: pod, To: target.name, Transferred: !holds}
+	from := &replPayload{}
+	if len(whole) > 0 {
+		src := whole[0]
+		for _, h := range whole[1:] {
+			if h.load < src.load {
+				src = h
+			}
+		}
+		rp.From = src.name
+		from.PeerIP, from.PeerPort = src.addr.Addr, src.addr.Port
+		c.tr.InstantCtx(ctx, c.stack.Name(), "core", "recovery.placed",
+			trace.Str("pod", pod), trace.Str("to", target.name), trace.Str("from", src.name))
+	} else {
+		if !ok {
+			return nil, fmt.Errorf("%w: %s/%d", ErrNoReplica, pod, op.Seq)
+		}
+		rp.From, rp.Reconstructed = pull[0].name, true
+		for _, n := range pull {
+			from.Sources = append(from.Sources, GroupMember{IP: n.addr.Addr, Port: n.addr.Port})
+		}
+		c.tr.InstantCtx(ctx, c.stack.Name(), "core", "recovery.placed",
+			trace.Str("pod", pod), trace.Str("to", target.name),
+			trace.Str("mode", "reconstruct"), trace.Int("sources", int64(len(pull))))
+	}
+	rec.pods = append(rec.pods, rp)
+	if !rp.Transferred {
+		return nil, nil
+	}
+	return &wireMsg{Type: msgFetch, Seq: op.Seq, Pod: pod, Repl: from}, nil
+}
+
+// sendFetches sends each planned <fetch> to the home that lacks the image,
+// under ctx, and makes the op wait for every <fetch-done>.
+func (c *Coordinator) sendFetches(op *rootOp, fetches []*wireMsg, ctx trace.SpanContext) {
 	for _, fetch := range fetches {
 		op.Expect("fetch", fetch.Pod)
-		fetch.ctx = rec.phTransfer.Context()
-		c.sendOrFail(op, rec.assign[fetch.Pod], fetch)
+		fetch.ctx = ctx
+		c.sendOrFail(op, op.rec.assign[fetch.Pod], fetch)
 	}
 }
 
@@ -551,9 +555,14 @@ func (c *Coordinator) handleFetchDone(op *rootOp, from tcpip.AddrPort, m *wireMs
 	if m.LocalDuration > rec.reconstruct {
 		rec.reconstruct = m.LocalDuration
 	}
-	if op.Cleared("fetch") {
-		c.startRecoveryRestart(op)
+	if !op.Cleared("fetch") {
+		return
 	}
+	if op.Kind == "restart" {
+		c.start(op, wireMsg{Type: msgRestart, Seq: op.Seq})
+		return
+	}
+	c.startRecoveryRestart(op)
 }
 
 // startRecoveryRestart re-homes the plan's members and restarts the whole
@@ -564,10 +573,8 @@ func (c *Coordinator) startRecoveryRestart(op *rootOp) {
 	rec.transfer = now.Sub(rec.transferStart)
 	rec.phTransfer.End(trace.Int("bytes", rec.transferBytes))
 	rec.restartStart = now
-	if c.tr.Enabled() {
-		rec.phRestart = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
-			"recovery.restart", trace.Str("job", job.Name), trace.Int("seq", int64(op.Seq)))
-	}
+	rec.phRestart = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
+		"recovery.restart", trace.Str("job", job.Name), trace.Int("seq", int64(op.Seq)))
 	for i := range job.Members {
 		if addr, ok := rec.assign[job.Members[i].Pod]; ok {
 			job.Members[i].Agent = addr
@@ -582,7 +589,8 @@ func (c *Coordinator) startRecoveryRestart(op *rootOp) {
 		if err != nil {
 			op.Fail(err)
 		} else if op.Active() {
-			c.runRestart(op, rec.phRestart.Context(), func(res *RestartResult, err error) { c.recoveryDone(op, res, err) })
+			c.openRestart(op, rec.phRestart.Context(), func(res *RestartResult, err error) { c.recoveryDone(op, res, err) })
+			c.start(op, wireMsg{Type: msgRestart, Seq: op.Seq})
 		}
 	})
 }

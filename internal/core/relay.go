@@ -55,7 +55,7 @@ type localSink struct{ a *Agent }
 
 func (s localSink) send(m *wireMsg) error {
 	a := s.a
-	a.cpu.Do(a.params.MsgCost, func() { a.relayMemberMsg(m) })
+	a.cpu.Do(AgentMsgCost, func() { a.relayMemberMsg(m) })
 	return nil
 }
 
@@ -117,14 +117,12 @@ func (a *Agent) startRelay(c *ctlConn, m *wireMsg) {
 		batches: make(map[string][]GroupReport)}
 	o.Data = rop
 	a.rootConn = c
-	if a.tr.Enabled() {
-		// The relay span is the extra hop of the tree: it nests under the
-		// root op span and parents every member's agent span, so the
-		// critical path still tiles the root.
-		rop.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "relay."+m.Type.String(),
-			trace.Str("job", m.Job), trace.Int("seq", int64(m.Seq)),
-			trace.Int("members", int64(len(m.Group))))
-	}
+	// The relay span is the extra hop of the tree: it nests under the
+	// root op span and parents every member's agent span, so the
+	// critical path still tiles the root.
+	rop.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "relay."+m.Type.String(),
+		trace.Str("job", m.Job), trace.Int("seq", int64(m.Seq)),
+		trace.Int("members", int64(len(m.Group))))
 	// The span ends exactly once, on completion or failure; the op's
 	// removal from the table is what stops further member replies from
 	// touching it.
@@ -165,7 +163,7 @@ func (a *Agent) relayDown(rop *relayOp, m *wireMsg) {
 // receive cost is charged by its onMsg).
 func (a *Agent) relaySend(rop *relayOp, g GroupMember, mm *wireMsg) {
 	if g.addrPort() == a.Addr() {
-		a.cpu.Do(a.params.MsgCost, func() {
+		a.cpu.Do(AgentMsgCost, func() {
 			if rop.Aborted() {
 				return
 			}
@@ -180,7 +178,7 @@ func (a *Agent) relaySend(rop *relayOp, g GroupMember, mm *wireMsg) {
 		})
 		return
 	}
-	a.cpu.Do(a.params.MsgCost, func() {
+	a.cpu.Do(AgentMsgCost, func() {
 		if rop.Aborted() {
 			return
 		}
@@ -226,10 +224,8 @@ func (a *Agent) relayMemberMsg(m *wireMsg) {
 	if rop == nil {
 		return
 	}
-	if a.tr.Enabled() {
-		a.tr.InstantCtx(rop.span.Context(), a.kern.Name(), "core", "relay.recv."+m.Type.String(),
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-	}
+	a.tr.InstantCtx(rop.span.Context(), a.kern.Name(), "core", "relay.recv."+m.Type.String(),
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 	if m.Err != "" {
 		a.relayMemberFail(rop, m.Pod, fmt.Errorf("%s", m.Err))
 		return

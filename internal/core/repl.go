@@ -161,15 +161,13 @@ func (a *Agent) replicateOn(op *replOp, seq int, ctx trace.SpanContext) *ctl.Op 
 	}
 	op.Op = o
 	o.Data = op
-	if a.tr.Enabled() {
-		if op.set != nil {
-			op.span = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.ec-distribute",
-				trace.Str("pod", op.pod), trace.Int("seq", int64(seq)),
-				trace.Int("holder", int64(op.holder)))
-		} else {
-			op.span = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.replicate",
-				trace.Str("pod", op.pod), trace.Int("seq", int64(seq)))
-		}
+	if op.set != nil {
+		op.span = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.ec-distribute",
+			trace.Str("pod", op.pod), trace.Int("seq", int64(seq)),
+			trace.Int("holder", int64(op.holder)))
+	} else {
+		op.span = a.tr.BeginChild(ctx, a.kern.Name(), "core", "agent.replicate",
+			trace.Str("pod", op.pod), trace.Int("seq", int64(seq)))
 	}
 	o.OnFail(func(_ *ctl.Op, err error) {
 		a.replFailed(op)
@@ -193,7 +191,7 @@ func (a *Agent) replicateOn(op *replOp, seq int, ctx trace.SpanContext) *ctl.Op 
 	send := func() {
 		op.conn.send(&wireMsg{Type: msgReplOffer, Seq: seq, Pod: op.pod, ctx: op.span.Context(), Repl: offer})
 	}
-	o.ArmRetries(a.params.ReplTimeout, 1, func(*ctl.Op) { send() }, ErrReplTimeout)
+	o.ArmRetries(replTimeout, 1, func(*ctl.Op) { send() }, ErrReplTimeout)
 	send()
 	return o
 }
@@ -212,7 +210,7 @@ func (a *Agent) handleOffer(c *ctlConn, m *wireMsg) {
 		return
 	}
 	offer := &ckpt.Offer{Pod: m.Pod, Seq: m.Seq, Chain: p.Chain, Dedup: p.Dedup, Hashes: p.Hashes, Shard: p.ECM > 0}
-	a.cpu.Do(a.params.DedupPerChunk*sim.Duration(len(offer.Hashes)), func() {
+	a.cpu.Do(dedupPerChunk*sim.Duration(len(offer.Hashes)), func() {
 		want := &replPayload{Holder: p.Holder}
 		want.NeedSeqs, want.NeedHashes = a.store.Missing(offer)
 		c.send(&wireMsg{Type: msgReplWant, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: want})
@@ -233,8 +231,8 @@ func (a *Agent) handleWant(c *ctlConn, m *wireMsg) {
 	}
 	// The offer reached the peer; from here a plain timeout guards the
 	// bulk transfer (re-offering would duplicate adopted state).
-	op.ArmTimeout(a.params.ReplTimeout, ErrReplTimeout)
-	a.cpu.Do(bytesCost(tx.TotalBytes, a.params.EncodeBPS), func() {
+	op.ArmTimeout(replTimeout, ErrReplTimeout)
+	a.cpu.Do(bytesCost(tx.TotalBytes, EncodeBPS), func() {
 		if !op.Active() {
 			return
 		}
@@ -283,7 +281,7 @@ func (a *Agent) handleData(c *ctlConn, m *wireMsg) {
 			return
 		}
 	}
-	a.cpu.Do(bytesCost(p.Bytes, a.params.EncodeBPS), func() { a.store.Adopt(tx, adopted) })
+	a.cpu.Do(bytesCost(p.Bytes, EncodeBPS), func() { a.store.Adopt(tx, adopted) })
 }
 
 // handleDone is the initiator side: the peer holds the image (or its
@@ -349,17 +347,13 @@ func (a *Agent) handleFetch(c *ctlConn, m *wireMsg) {
 	op := &fetchOp{Op: o, pod: m.Pod, conn: c, sources: m.Repl.Sources, manifests: make(map[int][]byte)}
 	o.Data = op
 	if len(op.sources) > 0 {
-		if a.tr.Enabled() {
-			op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.ec-fetch",
-				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
-				trace.Int("sources", int64(len(op.sources))))
-		}
+		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.ec-fetch",
+			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
+			trace.Int("sources", int64(len(op.sources))))
 	} else {
 		op.sources = []GroupMember{{IP: m.Repl.PeerIP, Port: m.Repl.PeerPort}}
-		if a.tr.Enabled() {
-			op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.fetch",
-				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-		}
+		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.fetch",
+			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 	}
 	op.pending = len(op.sources)
 	o.OnFail(func(_ *ctl.Op, err error) {
@@ -368,7 +362,7 @@ func (a *Agent) handleFetch(c *ctlConn, m *wireMsg) {
 			a.fail(c, msgFetchDone, m, err)
 		}
 	})
-	o.ArmTimeout(a.params.ReplTimeout, ErrReplTimeout)
+	o.ArmTimeout(replTimeout, ErrReplTimeout)
 	// Pull one source at a time. The target's link is the bottleneck
 	// either way, so serial pulls cost no extra network time — but they
 	// stagger the arrivals, so each shard subset's disk adoption overlaps
@@ -413,7 +407,7 @@ func (a *Agent) handleFetchPull(c *ctlConn, m *wireMsg) {
 		a.fail(c, msgReplOffer, m, err)
 		return
 	}
-	a.cpu.Do(bytesCost(tx.TotalBytes, a.params.EncodeBPS), func() {
+	a.cpu.Do(bytesCost(tx.TotalBytes, EncodeBPS), func() {
 		c.send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, tier: ctl.TierStream, Repl: &replPayload{
 			ECSet: setBlob, Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
 		}})

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 )
 
@@ -196,7 +197,8 @@ func TestSourcesMatchesTheReadersItReplaced(t *testing.T) {
 		{name: "whole alive beside a shard set", whole: []int{7}, m: 2, shards: []int{1, 2, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &Coordinator{nodeByAddr: map[tcpip.AddrPort]*nodeInfo{}, placed: map[string]map[int]placement{}}
+			c := &Coordinator{stack: tcpip.NewStack(sim.NewEngine(1), "svc"),
+				nodeByAddr: map[tcpip.AddrPort]*nodeInfo{}, placed: map[string]map[int]placement{}}
 			for i := 0; i < nodes; i++ {
 				c.RegisterNode("node"+string(rune('0'+i)), addr(i), false)
 			}

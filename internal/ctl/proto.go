@@ -199,13 +199,11 @@ func (o *Op) Fail(err error) {
 		return
 	}
 	o.err = err
-	if tr := trace.FromEngine(o.table.engine); tr != nil {
-		reason := o.Kind + "/" + o.Key
-		if err != nil {
-			reason += ": " + err.Error()
-		}
-		tr.DumpFlight("op.fail", reason)
+	reason := o.Kind + "/" + o.Key
+	if err != nil {
+		reason += ": " + err.Error()
 	}
+	trace.FromEngine(o.table.engine).DumpFlight("op.fail", reason)
 	if o.onFail != nil {
 		o.onFail(o, err)
 	}

@@ -90,9 +90,17 @@ type LinkConfig struct {
 	Latency sim.Duration
 }
 
-// GigabitLink matches the paper's testbed: 1 Gb/s links through a
-// store-and-forward switch.
-var GigabitLink = LinkConfig{BandwidthBPS: 1_000_000_000, Latency: 5 * sim.Microsecond}
+// The paper's testbed links (DESIGN §5): gigabit Ethernet through a
+// store-and-forward switch. A frame between two nodes crosses two links,
+// NIC to switch and switch to NIC, so it pays linkLatency and its
+// serialization twice.
+const (
+	gigabitBPS  = 1_000_000_000       // bits per second
+	linkLatency = 5 * sim.Microsecond // one way, per link
+)
+
+// GigabitLink is the testbed's link.
+var GigabitLink = LinkConfig{BandwidthBPS: gigabitBPS, Latency: linkLatency}
 
 // serialization returns the time to clock size bytes onto the wire.
 func (c LinkConfig) serialization(size int) sim.Duration {

@@ -128,33 +128,16 @@ func reply(c *fConn, m *fWireMsg) {
 	c.send(m) //cruzvet:allow errdrop a reply on a dead coordinator conn has no one to tell; the agent clears its op either way
 }
 
-// AgentParams models the flushing agent's costs.
-type AgentParams struct {
-	Port        uint16
-	MsgCost     sim.Duration
-	CaptureCost sim.Duration
-	// DrainPoll is how often the agent re-checks channel drain progress.
-	DrainPoll sim.Duration
-}
-
-// DefaultAgentParams returns testbed-calibrated costs (message handling
-// matches the Cruz agents so the comparison isolates protocol structure).
-func DefaultAgentParams() AgentParams {
-	return AgentParams{
-		Port:        DefaultControlPort,
-		MsgCost:     20 * sim.Microsecond,
-		CaptureCost: 150 * sim.Microsecond,
-		DrainPoll:   200 * sim.Microsecond,
-	}
-}
+// drainPoll is how often a flushing agent re-checks channel drain
+// progress (DESIGN §5).
+const drainPoll = 200 * sim.Microsecond
 
 // Agent is the per-node daemon of the flushing baseline.
 type Agent struct {
-	kern   *kernel.Kernel
-	store  *ckpt.Store
-	params AgentParams
-	cpu    ctl.Serializer
-	tr     *trace.Tracer
+	kern  *kernel.Kernel
+	store *ckpt.Store
+	cpu   ctl.Serializer
+	tr    *trace.Tracer
 
 	pods     map[string]*zap.Pod
 	listener *tcpip.TCPListener
@@ -185,12 +168,13 @@ type agentOp struct {
 	phCommit  trace.Span
 }
 
-// NewAgent starts a flushing agent on the node.
-func NewAgent(kern *kernel.Kernel, store *ckpt.Store, params AgentParams) (*Agent, error) {
+// NewAgent starts a flushing agent on the node. It pays the Cruz agent's
+// costs (core.AgentMsgCost, core.CaptureCost, core.CaptureBPS,
+// core.EncodeBPS), so the comparison isolates protocol structure.
+func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
 	a := &Agent{
 		kern:         kern,
 		store:        store,
-		params:       params,
 		cpu:          ctl.Serializer{Engine: kern.Engine()},
 		tr:           trace.FromEngine(kern.Engine()),
 		pods:         make(map[string]*zap.Pod),
@@ -201,7 +185,7 @@ func NewAgent(kern *kernel.Kernel, store *ckpt.Store, params AgentParams) (*Agen
 	if !ok {
 		return nil, tcpip.ErrNoRoute
 	}
-	l, err := kern.Stack().ListenTCP(tcpip.AddrPort{Addr: addr, Port: params.Port}, 16)
+	l, err := kern.Stack().ListenTCP(tcpip.AddrPort{Addr: addr, Port: DefaultControlPort}, 16)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +225,7 @@ func (a *Agent) peerConn(addr tcpip.AddrPort) (*fConn, error) {
 // onMsg dispatches any protocol message (from the coordinator or a peer
 // agent).
 func (a *Agent) onMsg(c *fConn, m *fWireMsg) {
-	a.cpu.Do(a.params.MsgCost, func() {
+	a.cpu.Do(core.AgentMsgCost, func() {
 		switch m.Type {
 		case fCheckpoint:
 			a.startCheckpoint(c, m)
@@ -276,12 +260,10 @@ func (a *Agent) startCheckpoint(c *fConn, m *fWireMsg) {
 		need:    len(m.Members) - 1,
 	}
 	a.op = op
-	if a.tr.Enabled() {
-		node := a.kern.Name()
-		op.span = a.tr.Begin(node, "flush", "agent.checkpoint",
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-		op.phQuiesce = a.tr.Begin(node, trace.PhaseCat, "quiesce", trace.Str("pod", m.Pod))
-	}
+	node := a.kern.Name()
+	op.span = a.tr.Begin(node, "flush", "agent.checkpoint",
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+	op.phQuiesce = a.tr.Begin(node, trace.PhaseCat, "quiesce", trace.Str("pod", m.Pod))
 	// Adopt any markers that raced ahead of the request.
 	for _, em := range a.earlyMarkers[m.Seq] {
 		op.markers[em.FromPod] = em
@@ -290,10 +272,8 @@ func (a *Agent) startCheckpoint(c *fConn, m *fWireMsg) {
 
 	pod.Stop(func() {
 		op.phQuiesce.End()
-		if a.tr.Enabled() {
-			op.phDrain = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "drain",
-				trace.Str("pod", op.podName), trace.Str("mode", "flush"))
-		}
+		op.phDrain = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "drain",
+			trace.Str("pod", op.podName), trace.Str("mode", "flush"))
 		// Application stopped: emit this node's markers to every other
 		// node (the all-to-all exchange; O(N²) cluster-wide).
 		for _, mem := range op.members {
@@ -318,10 +298,8 @@ func (a *Agent) startCheckpoint(c *fConn, m *fWireMsg) {
 				continue
 			}
 			op.markerSent++
-			if a.tr.Enabled() {
-				a.tr.Instant(a.kern.Name(), "flush", "marker.send",
-					trace.Str("to", mem.Pod), trace.Int("channels", int64(len(positions))))
-			}
+			a.tr.Instant(a.kern.Name(), "flush", "marker.send",
+				trace.Str("to", mem.Pod), trace.Int("channels", int64(len(positions))))
 		}
 		a.pollDrain(op)
 	})
@@ -348,9 +326,7 @@ func (a *Agent) positionsToward(pod *zap.Pod, peerIP tcpip.Addr) []connPos {
 
 // handleMarker records a peer's marker (possibly before our own request).
 func (a *Agent) handleMarker(m *fWireMsg) {
-	if a.tr.Enabled() {
-		a.tr.Instant(a.kern.Name(), "flush", "marker.recv", trace.Str("from", m.FromPod))
-	}
+	a.tr.Instant(a.kern.Name(), "flush", "marker.recv", trace.Str("from", m.FromPod))
 	if a.op != nil && a.op.seq == m.Seq {
 		a.op.markers[m.FromPod] = m
 		return
@@ -377,7 +353,7 @@ func (a *Agent) pollDrain(op *agentOp) {
 			conn.DrainToAlt()
 		}
 	}
-	a.kern.Engine().Schedule(a.params.DrainPoll, func() { a.pollDrain(op) })
+	a.kern.Engine().Schedule(drainPoll, func() { a.pollDrain(op) })
 }
 
 // drained reports whether all marker positions have been received.
@@ -403,11 +379,6 @@ func (a *Agent) drained(op *agentOp) bool {
 	return true
 }
 
-// cruzRates are the Cruz agent's in-kernel copy and image-encode rates.
-// The flushing save pays them too, so that E5 compares the two protocols
-// rather than two cost models.
-var cruzRates = core.DefaultAgentParams()
-
 // rateCost is the CPU time n bytes take at bps bytes per second.
 func rateCost(n, bps int64) sim.Duration { return sim.Duration(n * int64(sim.Second) / bps) }
 
@@ -416,16 +387,13 @@ func rateCost(n, bps int64) sim.Duration { return sim.Duration(n * int64(sim.Sec
 // grows with the resident bytes copied and the image is encoded before
 // it goes to disk.
 func (a *Agent) saveLocal(op *agentOp) {
-	var phCapture trace.Span
-	if a.tr.Enabled() {
-		phCapture = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "capture",
-			trace.Str("pod", op.podName))
-	}
+	phCapture := a.tr.Begin(a.kern.Name(), trace.PhaseCat, "capture",
+		trace.Str("pod", op.podName))
 	var resident int64
 	for _, vpid := range op.pod.VPIDs() {
 		resident += int64(op.pod.Process(vpid).Mem().ResidentBytes())
 	}
-	a.cpu.Do(a.params.CaptureCost+rateCost(resident, cruzRates.CaptureBPS), func() {
+	a.cpu.Do(core.CaptureCost+rateCost(resident, core.CaptureBPS), func() {
 		img, err := ckpt.Capture(op.pod, op.seq, ckpt.Options{})
 		if err != nil {
 			phCapture.End(trace.Str("err", err.Error()))
@@ -435,14 +403,11 @@ func (a *Agent) saveLocal(op *agentOp) {
 			return
 		}
 		phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
-		var phWrite trace.Span
-		if a.tr.Enabled() {
-			phWrite = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "write",
-				trace.Str("pod", op.podName))
-		}
+		phWrite := a.tr.Begin(a.kern.Name(), trace.PhaseCat, "write",
+			trace.Str("pod", op.podName))
 		saved := func(size int64, serr error) {
 			phWrite.End(trace.Int("bytes", size))
-			if a.tr.Enabled() && serr == nil {
+			if serr == nil {
 				op.phCommit = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "commit",
 					trace.Str("pod", op.podName))
 			}
@@ -467,7 +432,7 @@ func (a *Agent) saveLocal(op *agentOp) {
 			saved(0, err)
 			return
 		}
-		a.cpu.Do(rateCost(plan.TotalBytes, cruzRates.EncodeBPS), func() {
+		a.cpu.Do(rateCost(plan.TotalBytes, core.EncodeBPS), func() {
 			a.store.Disk().Write(plan.TotalBytes, func() { saved(plan.TotalBytes, nil) })
 		})
 	})
@@ -487,7 +452,7 @@ func (a *Agent) handleContinue(m *fWireMsg) {
 		Type:          fContinueDone,
 		Seq:           m.Seq,
 		Pod:           op.podName,
-		LocalDuration: a.params.MsgCost,
+		LocalDuration: core.AgentMsgCost,
 	})
 }
 
@@ -525,13 +490,12 @@ type Result struct {
 // flight, keyed by the job's name, waiting first on every member's done
 // and then on every member's continue-done.
 type Coordinator struct {
-	stack  *tcpip.Stack
-	params AgentParams // MsgCost reused
-	cpu    ctl.Serializer
-	tr     *trace.Tracer
-	conns  map[tcpip.AddrPort]*fConn
-	ops    *ctl.Table
-	seq    map[string]int
+	stack *tcpip.Stack
+	cpu   ctl.Serializer
+	tr    *trace.Tracer
+	conns map[tcpip.AddrPort]*fConn
+	ops   *ctl.Table
+	seq   map[string]int
 }
 
 // checkpointOp is one job's checkpoint in flight: its ctl.Op's Data.
@@ -540,16 +504,16 @@ type checkpointOp struct {
 	res Result
 }
 
-// NewCoordinator creates a flushing coordinator on the given stack.
+// NewCoordinator creates a flushing coordinator on the given stack. It
+// pays the Cruz coordinator's per-message cost, core.CoordinatorMsgCost.
 func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 	return &Coordinator{
-		stack:  stack,
-		params: DefaultAgentParams(),
-		cpu:    ctl.Serializer{Engine: stack.Engine()},
-		tr:     trace.FromEngine(stack.Engine()),
-		conns:  make(map[tcpip.AddrPort]*fConn),
-		ops:    ctl.NewTable(stack.Engine()),
-		seq:    make(map[string]int),
+		stack: stack,
+		cpu:   ctl.Serializer{Engine: stack.Engine()},
+		tr:    trace.FromEngine(stack.Engine()),
+		conns: make(map[tcpip.AddrPort]*fConn),
+		ops:   ctl.NewTable(stack.Engine()),
+		seq:   make(map[string]int),
 	}
 }
 
@@ -599,12 +563,9 @@ func (c *Coordinator) Checkpoint(job *Job, done func(*Result, error)) {
 	c.seq[job.Name] = seq
 	cp := &checkpointOp{job: job, res: Result{Seq: seq}}
 	op.Data = cp
-	var span trace.Span
-	if c.tr.Enabled() {
-		span = c.tr.Begin(c.stack.Name(), "flush", "checkpoint",
-			trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
-			trace.Int("members", int64(len(job.Members))))
-	}
+	span := c.tr.Begin(c.stack.Name(), "flush", "checkpoint",
+		trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
+		trace.Int("members", int64(len(job.Members))))
 	op.OnFinish(func(op *ctl.Op, err error) {
 		if err != nil {
 			span.End(trace.Str("err", err.Error()))
@@ -628,7 +589,7 @@ func (c *Coordinator) Checkpoint(job *Job, done func(*Result, error)) {
 // send sends m to a member's agent in the next message slot; a missing
 // or dead conn fails the op.
 func (c *Coordinator) send(op *ctl.Op, mem Member, m *fWireMsg) {
-	c.cpu.Do(c.params.MsgCost, func() {
+	c.cpu.Do(core.CoordinatorMsgCost, func() {
 		fc, ok := c.conns[mem.Agent]
 		if !ok {
 			op.Fail(fmt.Errorf("%w: no connection to %s", ErrAgent, mem.Agent))
@@ -645,7 +606,7 @@ func (c *Coordinator) send(op *ctl.Op, mem Member, m *fWireMsg) {
 // the same seq at once: a reply belongs to the checkpoint at its seq
 // whose job lists its pod.
 func (c *Coordinator) onMsg(_ *fConn, m *fWireMsg) {
-	c.cpu.Do(c.params.MsgCost, func() {
+	c.cpu.Do(core.CoordinatorMsgCost, func() {
 		var op *ctl.Op
 		sender := func(mem Member) bool { return mem.Pod == m.Pod }
 		c.ops.Each(func(o *ctl.Op) {

@@ -110,6 +110,7 @@ type rig struct {
 	job    *Job
 	progs  []*chatterProg
 	pods   []*zap.Pod
+	agents []*Agent
 }
 
 func podIP(i int) tcpip.Addr { return tcpip.Addr{10, 0, 1, byte(i + 1)} }
@@ -126,12 +127,12 @@ func newRig(t *testing.T, n int) *rig {
 		if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, byte(i + 1)}, mac, nic, false); err != nil {
 			t.Fatal(err)
 		}
-		return kernel.New(r.engine, "node", kernel.DefaultParams(), st)
+		return kernel.New(r.engine, "node", st)
 	}
 	job := &Job{Name: "chat"}
 	for i := 0; i < n; i++ {
 		k := mkNode(i)
-		ag, err := NewAgent(k, ckpt.NewStore(k.Disk()), DefaultAgentParams())
+		ag, err := NewAgent(k, ckpt.NewStore(k.Disk()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,6 +150,7 @@ func newRig(t *testing.T, n int) *rig {
 		ag.Manage(pod)
 		r.progs = append(r.progs, p)
 		r.pods = append(r.pods, pod)
+		r.agents = append(r.agents, ag)
 		job.Members = append(job.Members, Member{Pod: pod.Name(), PodIP: podIP(i), Agent: ag.Addr()})
 	}
 	ck := mkNode(n)
@@ -362,15 +364,34 @@ func TestFlushSaveChargesWhatCruzCharges(t *testing.T) {
 	r.run(100 * sim.Millisecond)
 	res := r.checkpoint()
 
-	cruzAgent, kp := core.DefaultAgentParams(), kernel.DefaultParams()
 	resident := int64(pod.ResidentPages()) * mem.PageSize
 	image := int64(pod.Kernel().Disk().Stats.BytesWritten)
-	want := DefaultAgentParams().CaptureCost +
-		rateCost(resident, cruzAgent.CaptureBPS) +
-		rateCost(image, cruzAgent.EncodeBPS) +
-		kp.DiskLatency + rateCost(image, kp.DiskWriteBPS)
+	want := core.CaptureCost +
+		rateCost(resident, core.CaptureBPS) +
+		rateCost(image, core.EncodeBPS) +
+		kernel.DiskLatency + rateCost(image, kernel.DiskWriteBPS)
 	if got := res.MaxLocal - res.MaxFlush; got != want {
 		t.Fatalf("save took %v for %d resident bytes and a %d-byte image, want %v (capture %v, encode %v)",
-			got, resident, image, want, rateCost(resident, cruzAgent.CaptureBPS), rateCost(image, cruzAgent.EncodeBPS))
+			got, resident, image, want, rateCost(resident, core.CaptureBPS), rateCost(image, core.EncodeBPS))
+	}
+}
+
+// TestFlushAgentPaysCruzMessageCost: an idle flushing agent handles a
+// message after the Cruz agent's per-message cost, core.AgentMsgCost —
+// not the coordinator's 20 µs it charged until the two agents' costs
+// became one set of constants.
+func TestFlushAgentPaysCruzMessageCost(t *testing.T) {
+	r := newRig(t, 1)
+	a := r.agents[0]
+	const seq = 99
+	sent := r.engine.Now()
+	a.onMsg(nil, &fWireMsg{Type: fMarker, Seq: seq, FromPod: "peer"})
+	for len(a.earlyMarkers[seq]) == 0 {
+		if !r.engine.Step() {
+			t.Fatal("engine ran dry before the marker was handled")
+		}
+	}
+	if got := r.engine.Now().Sub(sent); got != core.AgentMsgCost {
+		t.Fatalf("marker handled %v after arrival, want core.AgentMsgCost = %v", got, core.AgentMsgCost)
 	}
 }

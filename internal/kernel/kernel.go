@@ -38,43 +38,31 @@ var (
 	ErrStopped    = errors.New("kernel: process is stopped")
 )
 
-// Params configures a simulated node's hardware and kernel costs.
-type Params struct {
-	// NumCPUs is the number of processors (the paper's testbed nodes
-	// have two 1 GHz Pentium IIIs).
-	NumCPUs int
-	// SyscallCost is the base CPU cost charged per syscall.
-	SyscallCost sim.Duration
-	// DiskWriteBPS and DiskReadBPS are the local disk's sequential
+// A node's hardware and kernel costs, calibrated to the paper's testbed
+// (DESIGN §5).
+const (
+	// numCPUs is the processor count: the testbed nodes have two 1 GHz
+	// Pentium IIIs.
+	numCPUs = 2
+	// syscallCost is the base CPU cost charged per syscall.
+	syscallCost = 1 * sim.Microsecond
+	// DiskWriteBPS and diskReadBPS are the local disk's sequential
 	// bandwidths in bytes per second.
-	DiskWriteBPS int64
-	DiskReadBPS  int64
+	DiskWriteBPS = 110 << 20
+	diskReadBPS  = 150 << 20
 	// DiskLatency is the per-operation positioning latency.
-	DiskLatency sim.Duration
-	// CowFaultCost is the CPU cost charged to a process for each
+	DiskLatency = 4 * sim.Millisecond
+	// cowFaultCost is the CPU cost charged to a process for each
 	// copy-on-write break it takes writing to a snapshotted page — the
 	// runtime overhead of checkpointing concurrently with execution
 	// (§5.2). It models a write-protection fault plus a page copy.
-	CowFaultCost sim.Duration
-}
-
-// DefaultParams matches the testbed calibration in DESIGN.md.
-func DefaultParams() Params {
-	return Params{
-		NumCPUs:      2,
-		SyscallCost:  1 * sim.Microsecond,
-		DiskWriteBPS: 110 << 20, // 110 MB/s
-		DiskReadBPS:  150 << 20,
-		DiskLatency:  4 * sim.Millisecond,
-		CowFaultCost: 2 * sim.Microsecond,
-	}
-}
+	cowFaultCost = 2 * sim.Microsecond
+)
 
 // Kernel is one node's operating system instance.
 type Kernel struct {
 	engine *sim.Engine
 	name   string
-	params Params
 	stack  *tcpip.Stack
 	disk   *Disk
 	tr     *trace.Tracer
@@ -111,14 +99,10 @@ type KernelStats struct {
 
 // New creates a kernel for a node. The stack may be nil for pure-compute
 // nodes (tests); socket syscalls then fail with ErrNoRoute.
-func New(engine *sim.Engine, name string, params Params, stack *tcpip.Stack) *Kernel {
-	if params.NumCPUs <= 0 {
-		params.NumCPUs = 1
-	}
+func New(engine *sim.Engine, name string, stack *tcpip.Stack) *Kernel {
 	k := &Kernel{
 		engine:  engine,
 		name:    name,
-		params:  params,
 		stack:   stack,
 		tr:      trace.FromEngine(engine),
 		procs:   make(map[int]*Process),
@@ -127,13 +111,7 @@ func New(engine *sim.Engine, name string, params Params, stack *tcpip.Stack) *Ke
 		sems:    make(map[int]*Semaphore),
 	}
 	k.dispatchFn = k.dispatch
-	k.disk = &Disk{
-		engine:   engine,
-		name:     name,
-		writeBPS: params.DiskWriteBPS,
-		readBPS:  params.DiskReadBPS,
-		latency:  params.DiskLatency,
-	}
+	k.disk = &Disk{engine: engine, name: name}
 	return k
 }
 
@@ -189,10 +167,8 @@ func (k *Kernel) Spawn(name string, prog Program, parent int) *Process {
 	k.nextPID++
 	k.procs[p.pid] = p
 	k.Stats.ProcsSpawned++
-	if k.tr.Enabled() {
-		k.tr.Instant(k.name, "kernel", "spawn",
-			trace.Str("proc", name), trace.Int("pid", int64(p.pid)), trace.Int("parent", int64(parent)))
-	}
+	k.tr.Instant(k.name, "kernel", "spawn",
+		trace.Str("proc", name), trace.Int("pid", int64(p.pid)), trace.Int("parent", int64(parent)))
 	k.enqueue(p)
 	return p
 }
@@ -212,7 +188,7 @@ func (k *Kernel) enqueue(p *Process) {
 
 // dispatch assigns ready processes to free CPUs.
 func (k *Kernel) dispatch() {
-	for k.busyCPUs < k.params.NumCPUs && k.readyQ.Len() > 0 {
+	for k.busyCPUs < numCPUs && k.readyQ.Len() > 0 {
 		p := k.readyQ.Pop()
 		p.queued = false
 		if p.state != StateReady {
@@ -237,13 +213,13 @@ func (k *Kernel) runStep(p *Process) {
 	if cost < 0 {
 		cost = 0
 	}
-	sysCost := sim.Duration(p.ctx.syscalls) * k.params.SyscallCost
+	sysCost := sim.Duration(p.ctx.syscalls) * syscallCost
 	if p.interposer != nil {
 		sysCost += sim.Duration(p.ctx.syscalls) * p.interposer.SyscallOverhead()
 	}
 	cost += sysCost
 	if p.cowFaults > 0 {
-		cost += sim.Duration(p.cowFaults) * k.params.CowFaultCost
+		cost += sim.Duration(p.cowFaults) * cowFaultCost
 		p.cowFaults = 0
 	}
 	p.cpuTime += cost
@@ -371,10 +347,8 @@ func (k *Kernel) exitProcess(p *Process, code int) {
 	}
 	delete(k.procs, p.pid)
 	k.Stats.ProcsExited++
-	if k.tr.Enabled() {
-		k.tr.Instant(k.name, "kernel", "exit",
-			trace.Str("proc", p.name), trace.Int("pid", int64(p.pid)), trace.Int("code", int64(code)))
-	}
+	k.tr.Instant(k.name, "kernel", "exit",
+		trace.Str("proc", p.name), trace.Int("pid", int64(p.pid)), trace.Int("code", int64(code)))
 	// Wake a parent blocked in WaitChild.
 	if parent, ok := k.procs[p.parent]; ok {
 		parent.zombies = append(parent.zombies, ChildExit{PID: p.pid, Code: code})
@@ -393,10 +367,8 @@ func (k *Kernel) Signal(pid int, sig Signal) error {
 	if !ok {
 		return fmt.Errorf("%w: pid %d", ErrNoProcess, pid)
 	}
-	if k.tr.Enabled() {
-		k.tr.Instant(k.name, "kernel", "signal",
-			trace.Str("sig", sig.String()), trace.Int("pid", int64(pid)))
-	}
+	k.tr.Instant(k.name, "kernel", "signal",
+		trace.Str("sig", sig.String()), trace.Int("pid", int64(pid)))
 	p.deliverSignal(sig)
 	return nil
 }
@@ -406,12 +378,9 @@ func (k *Kernel) Signal(pid int, sig Signal) error {
 // local checkpoint time scale with image size (Fig. 5a is dominated by
 // this).
 type Disk struct {
-	engine   *sim.Engine
-	name     string // owning node, for trace scoping
-	writeBPS int64
-	readBPS  int64
-	latency  sim.Duration
-	freeAt   sim.Time
+	engine *sim.Engine
+	name   string // owning node, for trace scoping
+	freeAt sim.Time
 
 	// Stats counts disk activity.
 	Stats DiskStats
@@ -432,9 +401,6 @@ type DiskStats struct {
 
 // xferTime returns how long size bytes take at bps.
 func xferTime(size int64, bps int64) sim.Duration {
-	if bps <= 0 {
-		return 0
-	}
 	return sim.Duration(size * int64(sim.Second) / bps)
 }
 
@@ -442,7 +408,7 @@ func xferTime(size int64, bps int64) sim.Duration {
 // it completes. Concurrent operations queue behind each other.
 func (d *Disk) Write(size int64, done func()) {
 	d.Stats.BytesWritten += uint64(size)
-	d.op(xferTime(size, d.writeBPS), done)
+	d.op(xferTime(size, DiskWriteBPS), done)
 }
 
 // WriteContig schedules a write that continues a sequential stream:
@@ -455,12 +421,12 @@ func (d *Disk) WriteContig(size int64, done func()) {
 	d.Stats.BytesWritten += uint64(size)
 	d.Stats.Ops++
 	start := d.engine.Now()
-	lat := d.latency
+	lat := DiskLatency
 	if d.freeAt > start {
 		start = d.freeAt
 		lat = 0
 	}
-	end := start.Add(lat + xferTime(size, d.writeBPS))
+	end := start.Add(lat + xferTime(size, DiskWriteBPS))
 	d.freeAt = end
 	d.engine.ScheduleAt(end, done)
 }
@@ -468,7 +434,7 @@ func (d *Disk) WriteContig(size int64, done func()) {
 // Read schedules an asynchronous read of size bytes.
 func (d *Disk) Read(size int64, done func()) {
 	d.Stats.BytesRead += uint64(size)
-	d.op(xferTime(size, d.readBPS), done)
+	d.op(xferTime(size, diskReadBPS), done)
 }
 
 func (d *Disk) op(xfer sim.Duration, done func()) {
@@ -477,7 +443,7 @@ func (d *Disk) op(xfer sim.Duration, done func()) {
 	if d.freeAt > start {
 		start = d.freeAt
 	}
-	end := start.Add(d.latency + xfer)
+	end := start.Add(DiskLatency + xfer)
 	d.freeAt = end
 	d.engine.ScheduleAt(end, done)
 }

@@ -30,7 +30,7 @@ func newTestRig(t *testing.T, nodes int) *testRig {
 		if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, byte(i + 1)}, mac, nic, false); err != nil {
 			t.Fatal(err)
 		}
-		r.kernels = append(r.kernels, New(r.engine, "node", DefaultParams(), st))
+		r.kernels = append(r.kernels, New(r.engine, "node", st))
 	}
 	return r
 }
@@ -391,7 +391,7 @@ func (napProg) Step(*ProcContext) StepResult { return Sleep(0, 0) }
 func TestStepCycleAllocatesNothing(t *testing.T) {
 	r := newTestRig(t, 1)
 	k := r.kernels[0]
-	for i := 0; i < 2*k.params.NumCPUs+1; i++ {
+	for i := 0; i < 2*numCPUs+1; i++ {
 		k.Spawn("spin", &counterProg{Target: 1 << 30}, 0)
 	}
 	k.Spawn("nap", napProg{}, 0)
@@ -419,8 +419,8 @@ func TestStepCycleAllocatesNothing(t *testing.T) {
 // allocs/op figure is TestStepCycleAllocatesNothing's floor.
 func BenchmarkStepCycle(b *testing.B) {
 	e := sim.NewEngine(7)
-	k := New(e, "node", DefaultParams(), nil)
-	for i := 0; i < 2*k.params.NumCPUs+1; i++ {
+	k := New(e, "node", nil)
+	for i := 0; i < 2*numCPUs+1; i++ {
 		k.Spawn("spin", &counterProg{Target: 1 << 62}, 0)
 	}
 	k.Spawn("nap", napProg{}, 0)

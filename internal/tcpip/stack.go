@@ -96,7 +96,7 @@ type StackStats struct {
 // Segment-pool sizing. Buffers are MSS-capacity; the pool is bounded so
 // a burst never pins more than a small working set.
 const (
-	segPoolBufCap = 1460 // DefaultTCPParams().MSS
+	segPoolBufCap = mss
 	segPoolMax    = 64
 )
 

@@ -148,10 +148,8 @@ func (s *Stack) RestoreTCP(st *TCPSavedState) (*TCPConn, error) {
 	if _, ok := s.conns[st.Tuple]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrConnExists, st.Tuple)
 	}
-	p := DefaultTCPParams()
 	c := &TCPConn{
 		stack:             s,
-		params:            p,
 		tuple:             st.Tuple,
 		state:             st.State,
 		iss:               st.ISS,
@@ -164,10 +162,10 @@ func (s *Stack) RestoreTCP(st *TCPSavedState) (*TCPConn, error) {
 		noDelay:           st.NoDelay,
 		cork:              st.Cork,
 		finQueued:         st.FinQueued,
-		cwnd:              p.InitialCwnd * p.MSS,
-		ssthresh:          p.RcvBufLimit,
-		rto:               p.RTOMin,
-		lastWndAdvertised: uint32(p.RcvBufLimit),
+		cwnd:              initialCwnd * mss,
+		ssthresh:          rcvBufLimit,
+		rto:               rtoMin,
+		lastWndAdvertised: rcvBufLimit,
 	}
 	c.onRTOFn = c.onRTO
 	c.altQueue = append([]byte(nil), st.RecvData...)
@@ -264,12 +262,10 @@ func (c *TCPConn) DrainToAlt() int {
 	}
 	c.altQueue = c.rcvQueue.AppendTo(c.altQueue)
 	c.rcvQueue.Discard(n)
-	if tr := c.stack.tr; tr.Enabled() {
-		tr.Instant(c.stack.name, "tcp", "drain",
-			trace.Str("conn", c.tuple.String()),
-			trace.Int("bytes", int64(n)),
-			trace.Int("alt_total", int64(len(c.altQueue))))
-	}
+	c.stack.tr.Instant(c.stack.name, "tcp", "drain",
+		trace.Str("conn", c.tuple.String()),
+		trace.Int("bytes", int64(n)),
+		trace.Int("alt_total", int64(len(c.altQueue))))
 	c.maybeSendWindowUpdate(n)
 	return n
 }

@@ -47,37 +47,20 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// TCPParams tunes the TCP implementation. DefaultTCPParams matches the
-// behaviour of the Linux 2.4 systems in the paper's testbed closely
-// enough for the reproduced experiments.
-type TCPParams struct {
-	MSS         int          // maximum segment payload
-	SndBufLimit int          // send buffer size in bytes
-	RcvBufLimit int          // receive buffer / max advertised window
-	RTOInit     sim.Duration // retransmission timeout before first RTT sample
-	RTOMin      sim.Duration // floor for the computed RTO
-	RTOMax      sim.Duration // cap under exponential backoff
-	MSL         sim.Duration // maximum segment lifetime (TIME_WAIT = 2*MSL)
-	SynRetries  int          // SYN retransmissions before giving up
-	DataRetries int          // data retransmissions before reset
-	InitialCwnd int          // initial congestion window, in segments
-}
-
-// DefaultTCPParams returns the standard parameter set.
-func DefaultTCPParams() TCPParams {
-	return TCPParams{
-		MSS:         1460,
-		SndBufLimit: 65536,
-		RcvBufLimit: 65535,
-		RTOInit:     1 * sim.Second,
-		RTOMin:      200 * sim.Millisecond,
-		RTOMax:      120 * sim.Second,
-		MSL:         2 * sim.Second,
-		SynRetries:  5,
-		DataRetries: 15,
-		InitialCwnd: 2,
-	}
-}
+// TCP's parameters: the behaviour of the Linux 2.4 systems in the paper's
+// testbed, closely enough for the reproduced experiments (DESIGN §5).
+const (
+	mss         = 1460                  // maximum segment payload
+	sndBufLimit = 65536                 // send buffer size in bytes
+	rcvBufLimit = 65535                 // receive buffer / max advertised window
+	rtoInit     = 1 * sim.Second        // retransmission timeout before first RTT sample
+	rtoMin      = 200 * sim.Millisecond // floor for the computed RTO
+	rtoMax      = 120 * sim.Second      // cap under exponential backoff
+	msl         = 2 * sim.Second        // maximum segment lifetime (TIME_WAIT = 2*msl)
+	synRetries  = 5                     // SYN retransmissions before giving up
+	dataRetries = 15                    // data retransmissions before reset
+	initialCwnd = 2                     // initial congestion window, in segments
+)
 
 // TCPConnStats counts per-connection activity.
 type TCPConnStats struct {
@@ -126,10 +109,9 @@ type oooSeg struct {
 // Send/Recv return ErrWouldBlock and the kernel layer sleeps the calling
 // process until the notify callback fires.
 type TCPConn struct {
-	stack  *Stack
-	params TCPParams
-	tuple  FourTuple
-	state  State
+	stack *Stack
+	tuple FourTuple
+	state State
 
 	// Send side. Sequence space: sndUna <= sndNxt; segs covers
 	// [sndUna, sndNxt) in packetized form; pending holds accepted bytes
@@ -302,20 +284,18 @@ func (s *Stack) DialTCP(local AddrPort, remote AddrPort) (*TCPConn, error) {
 
 // newConn builds a connection with fresh sequence state.
 func (s *Stack) newConn(tuple FourTuple) *TCPConn {
-	p := DefaultTCPParams()
 	iss := uint32(s.engine.Rand().Int63())
 	c := &TCPConn{
 		stack:             s,
-		params:            p,
 		tuple:             tuple,
 		iss:               iss,
 		sndUna:            iss,
 		sndNxt:            iss,
-		sndWnd:            uint32(p.MSS),
-		cwnd:              p.InitialCwnd * p.MSS,
-		ssthresh:          p.RcvBufLimit,
-		rto:               p.RTOInit,
-		lastWndAdvertised: uint32(p.RcvBufLimit),
+		sndWnd:            mss,
+		cwnd:              initialCwnd * mss,
+		ssthresh:          rcvBufLimit,
+		rto:               rtoInit,
+		lastWndAdvertised: rcvBufLimit,
 	}
 	c.onRTOFn = c.onRTO
 	return c
@@ -333,12 +313,10 @@ func (c *TCPConn) setState(next State) {
 	if c.state == next {
 		return
 	}
-	if tr := c.stack.tr; tr.Enabled() {
-		tr.Instant(c.stack.name, "tcp", "state",
-			trace.Str("conn", c.tuple.String()),
-			trace.Str("from", c.state.String()),
-			trace.Str("to", next.String()))
-	}
+	c.stack.tr.Instant(c.stack.name, "tcp", "state",
+		trace.Str("conn", c.tuple.String()),
+		trace.Str("from", c.state.String()),
+		trace.Str("to", next.String()))
 	c.state = next
 }
 
@@ -385,7 +363,7 @@ func (c *TCPConn) ReadableBytes() int { return len(c.altQueue) + c.rcvQueue.Len(
 // WritableSpace returns the free send-buffer space in bytes.
 func (c *TCPConn) WritableSpace() int {
 	used := int(c.sndNxt-c.sndUna) + c.pending.Len()
-	space := c.params.SndBufLimit - used
+	space := sndBufLimit - used
 	if space < 0 {
 		return 0
 	}
@@ -463,7 +441,7 @@ func (c *TCPConn) maybeSendWindowUpdate(consumed int) {
 		return
 	}
 	newWnd := c.rcvWindow()
-	if c.lastWndAdvertised == 0 || (newWnd >= uint32(c.params.MSS) && c.lastWndAdvertised < uint32(c.params.MSS)) {
+	if c.lastWndAdvertised == 0 || (newWnd >= mss && c.lastWndAdvertised < mss) {
 		c.sendControl(FlagACK, c.sndNxt, c.rcvNxt)
 	}
 }
@@ -535,7 +513,7 @@ func (c *TCPConn) wake() {
 
 // rcvWindow returns the advertised receive window.
 func (c *TCPConn) rcvWindow() uint32 {
-	w := c.params.RcvBufLimit - c.rcvQueue.Len()
+	w := rcvBufLimit - c.rcvQueue.Len()
 	if w < 0 {
 		w = 0
 	}
@@ -622,8 +600,8 @@ func (c *TCPConn) trySend() {
 			c.armPersistIfNeeded()
 			break
 		}
-		n := min(c.pending.Len(), c.params.MSS, usable)
-		if n < c.params.MSS && c.pending.Len() < c.params.MSS {
+		n := min(c.pending.Len(), mss, usable)
+		if n < mss && c.pending.Len() < mss {
 			// Sub-MSS segment: cork always holds it; Nagle holds it
 			// while anything is in flight.
 			if c.cork {
@@ -685,23 +663,21 @@ func (c *TCPConn) onRTO() {
 	}
 	c.Stats.RTOFirings++
 	g := c.segs.At(0)
-	if g.retx >= c.params.DataRetries {
+	if g.retx >= dataRetries {
 		c.teardown(ErrTimeout)
 		return
 	}
 	g.retx++
 	c.Stats.Retransmits++
-	if tr := c.stack.tr; tr.Enabled() {
-		tr.Instant(c.stack.name, "tcp", "rto",
-			trace.Str("conn", c.tuple.String()),
-			trace.Int("retx", int64(g.retx)),
-			trace.Num("rto_ms", c.rto.Milliseconds()))
-	}
+	c.stack.tr.Instant(c.stack.name, "tcp", "rto",
+		trace.Str("conn", c.tuple.String()),
+		trace.Int("retx", int64(g.retx)),
+		trace.Num("rto_ms", c.rto.Milliseconds()))
 	// Loss response: collapse to one segment and slow-start again. All
 	// other outstanding segments are presumed lost too and will be
 	// retransmitted as the window reopens (pumpRetransmits).
-	c.ssthresh = maxInt(c.inflightBytes()/2, 2*c.params.MSS)
-	c.cwnd = c.params.MSS
+	c.ssthresh = maxInt(c.inflightBytes()/2, 2*mss)
+	c.cwnd = mss
 	c.dupAcks = 0
 	c.sampleValid = false // Karn: no sample across retransmission
 	for i := 1; i < c.segs.Len(); i++ {
@@ -711,8 +687,8 @@ func (c *TCPConn) onRTO() {
 	c.transmitSeg(g)
 	// Exponential backoff.
 	c.rto *= 2
-	if c.rto > c.params.RTOMax {
-		c.rto = c.params.RTOMax
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 	c.resetRTO()
 }
@@ -720,15 +696,15 @@ func (c *TCPConn) onRTO() {
 // retrySYN retransmits the initial SYN with backoff; reports whether a
 // retry was scheduled.
 func (c *TCPConn) retrySYN() bool {
-	if c.synRetriesUsed >= c.params.SynRetries {
+	if c.synRetriesUsed >= synRetries {
 		return false
 	}
 	c.synRetriesUsed++
 	c.Stats.Retransmits++
 	c.sendControl(FlagSYN, c.iss, 0)
 	c.rto *= 2
-	if c.rto > c.params.RTOMax {
-		c.rto = c.params.RTOMax
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 	c.resetRTO()
 	return true
@@ -797,14 +773,14 @@ func (c *TCPConn) updateRTT(sample sim.Duration) {
 // configured bounds.
 func (c *TCPConn) computeRTO() sim.Duration {
 	if !c.hasRTT {
-		return c.params.RTOInit
+		return rtoInit
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.params.RTOMin {
-		rto = c.params.RTOMin
+	if rto < rtoMin {
+		rto = rtoMin
 	}
-	if rto > c.params.RTOMax {
-		rto = c.params.RTOMax
+	if rto > rtoMax {
+		rto = rtoMax
 	}
 	return rto
 }
@@ -887,7 +863,7 @@ func (c *TCPConn) handleSegment(seg *Segment) {
 			c.sndUna = seg.Ack
 			c.sndWnd = uint32(seg.Window)
 			c.setState(StateEstablished)
-			c.rto = c.params.RTOInit
+			c.rto = rtoInit
 			c.stack.engine.Cancel(c.rtoTimer)
 			c.rtoTimer = nil
 			c.sendControl(FlagACK, c.sndNxt, c.rcvNxt)
@@ -983,10 +959,10 @@ func (c *TCPConn) processACK(seg *Segment) {
 		if c.cwnd < c.ssthresh {
 			c.cwnd += int(acked) // slow start
 		} else {
-			c.cwnd += maxInt(c.params.MSS*c.params.MSS/maxInt(c.cwnd, 1), 1)
+			c.cwnd += maxInt(mss*mss/maxInt(c.cwnd, 1), 1)
 		}
-		if c.cwnd > c.params.SndBufLimit {
-			c.cwnd = c.params.SndBufLimit
+		if c.cwnd > sndBufLimit {
+			c.cwnd = sndBufLimit
 		}
 		// Forward progress clears any retransmission backoff: the RTO
 		// returns to the estimator's value, as in Linux.
@@ -1026,12 +1002,10 @@ func (c *TCPConn) processACK(seg *Segment) {
 			g.retx++
 			c.Stats.FastRetransmits++
 			c.Stats.Retransmits++
-			if tr := c.stack.tr; tr.Enabled() {
-				tr.Instant(c.stack.name, "tcp", "fast_retransmit",
-					trace.Str("conn", c.tuple.String()),
-					trace.Int("seq", int64(g.seq)))
-			}
-			c.ssthresh = maxInt(c.inflightBytes()/2, 2*c.params.MSS)
+			c.stack.tr.Instant(c.stack.name, "tcp", "fast_retransmit",
+				trace.Str("conn", c.tuple.String()),
+				trace.Int("seq", int64(g.seq)))
+			c.ssthresh = maxInt(c.inflightBytes()/2, 2*mss)
 			c.cwnd = c.ssthresh
 			c.sampleValid = false
 			c.transmitSeg(g)
@@ -1146,6 +1120,6 @@ func (c *TCPConn) enterTimeWait() {
 	c.setState(StateTimeWait)
 	c.stack.engine.Cancel(c.rtoTimer)
 	c.rtoTimer = nil
-	c.twTimer = c.stack.engine.Schedule(2*c.params.MSL, func() { c.teardown(nil) })
+	c.twTimer = c.stack.engine.Schedule(2*msl, func() { c.teardown(nil) })
 	c.wake()
 }

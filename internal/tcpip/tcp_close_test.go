@@ -140,7 +140,7 @@ func TestFlowControlZeroWindowRecovery(t *testing.T) {
 		if err == ErrWouldBlock {
 			tn.run(20 * sim.Millisecond)
 			// Stop once the receive buffer is pinned full.
-			if s.ReadableBytes() >= DefaultTCPParams().RcvBufLimit {
+			if s.ReadableBytes() >= rcvBufLimit {
 				break
 			}
 			continue
@@ -151,7 +151,7 @@ func TestFlowControlZeroWindowRecovery(t *testing.T) {
 		sent += n
 		tn.run(sim.Millisecond)
 	}
-	if s.ReadableBytes() < DefaultTCPParams().RcvBufLimit {
+	if s.ReadableBytes() < rcvBufLimit {
 		t.Fatalf("receive buffer only %d bytes; wanted it full", s.ReadableBytes())
 	}
 	// Now drain the receiver; the window reopens and the rest flows.
@@ -162,7 +162,7 @@ func TestFlowControlZeroWindowRecovery(t *testing.T) {
 func TestReceiverNeverExceedsBufferLimit(t *testing.T) {
 	tn := newTestNet(t, 2)
 	c, s := tn.connect(0, 1, 5000)
-	limit := DefaultTCPParams().RcvBufLimit
+	limit := rcvBufLimit
 	msg := pattern(4*limit, 13)
 	sent := 0
 	for i := 0; i < 500 && sent < len(msg); i++ {
@@ -171,7 +171,7 @@ func TestReceiverNeverExceedsBufferLimit(t *testing.T) {
 			sent += n
 		}
 		tn.run(5 * sim.Millisecond)
-		if s.ReadableBytes() > limit+DefaultTCPParams().MSS {
+		if s.ReadableBytes() > limit+mss {
 			t.Fatalf("receive queue %d exceeds limit %d", s.ReadableBytes(), limit)
 		}
 	}

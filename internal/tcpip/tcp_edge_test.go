@@ -103,7 +103,7 @@ func TestZeroWindowProbeRecovers(t *testing.T) {
 	tn := newTestNet(t, 2)
 	c, s := tn.connect(0, 1, 5000)
 	// Stuff the receiver full and keep data pending at the sender.
-	total := pattern(3*DefaultTCPParams().RcvBufLimit, 9)
+	total := pattern(3*rcvBufLimit, 9)
 	sent := 0
 	for i := 0; i < 100; i++ {
 		n, err := c.Send(total[sent:])

@@ -101,12 +101,12 @@ func TestOpenSpanNames(t *testing.T) {
 
 func TestFlightOnlyMode(t *testing.T) {
 	e := sim.NewEngine(1)
-	tr := New(e, Config{FlightOnly: true, SampleEvery: -1})
+	tr := New(e, 0)
 	for i := 0; i < 10; i++ {
 		tr.Instant("node0", "core", "tick")
 	}
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
-		t.Fatalf("flight-only tracer leaked a main ring: len=%d dropped=%d", tr.Len(), tr.Dropped())
+		t.Fatalf("ring-less tracer kept a main ring: len=%d dropped=%d", tr.Len(), tr.Dropped())
 	}
 	d := tr.DumpFlight("op.fail", "checkpoint/j")
 	if d == nil || len(d.Events) != 10 {
@@ -119,26 +119,25 @@ func TestFlightOnlyMode(t *testing.T) {
 
 func TestFlightWindowAndOrder(t *testing.T) {
 	e := sim.NewEngine(1)
-	tr := New(e, Config{Capacity: 64, SampleEvery: -1,
-		Flight: FlightConfig{Window: 100 * sim.Millisecond}})
+	tr := New(e, 64)
 	// Interleave emissions from two nodes across virtual time.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		e.Schedule(50*sim.Millisecond, func() {})
 		tr.Instant("node0", "core", "a")
 		tr.Instant("node1", "core", "b")
 		step(e)
 	}
-	// now = 300ms; window reaches back to 200ms: emissions at 200, 250,
-	// 300 ms qualify — wait: events emitted before each step land at the
-	// pre-step timestamp, so 0,50,...,250 ms; cutoff 200 keeps 200,250.
+	// Events emitted before each step land at the pre-step timestamp, so
+	// 0, 50, ..., 550 ms; now = 600 ms and the 500 ms window reaches back
+	// to 100 ms, keeping the ten pairs from 100 to 550 ms.
 	d := tr.DumpFlight("test", "window")
 	for _, ev := range d.Events {
 		if ev.At < d.At.Add(-d.Window) {
 			t.Fatalf("event at %v outside window (dump at %v)", ev.At, d.At)
 		}
 	}
-	if len(d.Events) != 4 {
-		t.Fatalf("window kept %d events, want 4", len(d.Events))
+	if len(d.Events) != 20 {
+		t.Fatalf("window kept %d events, want 20", len(d.Events))
 	}
 	// Merged across nodes in emission order: a,b,a,b.
 	for i, ev := range d.Events {
@@ -157,29 +156,28 @@ func TestFlightWindowAndOrder(t *testing.T) {
 
 func TestFlightPerNodeBound(t *testing.T) {
 	e := sim.NewEngine(1)
-	tr := New(e, Config{Capacity: 1024, SampleEvery: -1,
-		Flight: FlightConfig{PerNode: 4, Window: sim.Duration(1) * sim.Second}})
-	for i := 0; i < 20; i++ {
+	tr := New(e, 1024)
+	for i := 0; i < flightPerNode+16; i++ {
 		tr.Counter("node0", "core", "tick", float64(i))
 	}
 	d := tr.DumpFlight("test", "bound")
-	if len(d.Events) != 4 {
-		t.Fatalf("per-node ring kept %d, want 4", len(d.Events))
+	if len(d.Events) != flightPerNode {
+		t.Fatalf("per-node ring kept %d, want %d", len(d.Events), flightPerNode)
 	}
-	if d.Events[0].Value != 16 || d.Events[3].Value != 19 {
-		t.Fatalf("ring kept wrong tail: first=%v last=%v", d.Events[0].Value, d.Events[3].Value)
+	if first, last := d.Events[0].Value, d.Events[flightPerNode-1].Value; first != 16 || last != flightPerNode+15 {
+		t.Fatalf("ring kept wrong tail: first=%v last=%v", first, last)
 	}
 }
 
 func TestFlightDumpCap(t *testing.T) {
 	e := sim.NewEngine(1)
-	tr := New(e, Config{Capacity: 64, SampleEvery: -1, Flight: FlightConfig{MaxDumps: 2}})
+	tr := New(e, 64)
 	tr.Instant("node0", "core", "x")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < flightMaxDumps+3; i++ {
 		tr.DumpFlight("test", "n")
 	}
-	if got := len(tr.FlightDumps()); got != 2 {
-		t.Fatalf("dumps kept = %d, want 2", got)
+	if got := len(tr.FlightDumps()); got != flightMaxDumps {
+		t.Fatalf("dumps kept = %d, want %d", got, flightMaxDumps)
 	}
 	if got := tr.FlightDumpsDropped(); got != 3 {
 		t.Fatalf("dumps dropped = %d, want 3", got)

@@ -9,35 +9,27 @@ import (
 )
 
 // The flight recorder is the always-on half of the tracing plane: a small
-// bounded ring of recent events per node that exists even when the main
-// trace ring is off (Config.FlightOnly). When something goes wrong — an
-// op aborts, a lease expires, recovery starts — DumpFlight freezes the
-// window of events leading up to the trigger, turning a fault-injection
-// run into a self-explaining artifact instead of a bare error string.
+// bounded ring of recent events per node that every tracer keeps, whether
+// or not it keeps a main ring. When something goes wrong — an op aborts,
+// a lease expires, recovery starts — DumpFlight freezes the window of
+// events leading up to the trigger, turning a fault-injection run into a
+// self-explaining artifact instead of a bare error string.
 //
 // Determinism: rings are keyed per node but every recorded event also
 // gets a global monotonic sequence number, and dumps merge rings by that
 // sequence — so a dump's bytes are a pure function of the seed, like
 // every other export.
 
-// FlightConfig tunes the always-on flight recorder.
-type FlightConfig struct {
-	// PerNode bounds the events retained per node. 0 means
-	// DefaultFlightPerNode.
-	PerNode int
-	// Window is how far before the trigger a dump reaches. 0 means
-	// DefaultFlightWindow (chosen to cover a full lease timeout).
-	Window sim.Duration
-	// MaxDumps bounds the dumps retained per run; later triggers are
-	// counted but discarded. 0 means DefaultFlightMaxDumps.
-	MaxDumps int
-}
-
-// Defaults for FlightConfig.
+// The flight recorder's bounds (DESIGN §5).
 const (
-	DefaultFlightPerNode  = 256
-	DefaultFlightWindow   = 500 * sim.Millisecond
-	DefaultFlightMaxDumps = 8
+	// flightPerNode is how many events each node's ring retains.
+	flightPerNode = 256
+	// flightWindow is how far before the trigger a dump reaches: a full
+	// lease timeout and then some.
+	flightWindow = 500 * sim.Millisecond
+	// flightMaxDumps bounds the dumps kept per run; later triggers are
+	// counted but discarded.
+	flightMaxDumps = 8
 )
 
 type flightEntry struct {
@@ -51,7 +43,6 @@ type flightRing struct {
 }
 
 type flightRecorder struct {
-	cfg          FlightConfig
 	seq          uint64
 	rings        map[string]*flightRing
 	order        []string // node names in first-emission order
@@ -59,23 +50,10 @@ type flightRecorder struct {
 	dumpsDropped int
 }
 
-func newFlightRecorder(cfg FlightConfig) *flightRecorder {
-	if cfg.PerNode <= 0 {
-		cfg.PerNode = DefaultFlightPerNode
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultFlightWindow
-	}
-	if cfg.MaxDumps <= 0 {
-		cfg.MaxDumps = DefaultFlightMaxDumps
-	}
-	return &flightRecorder{cfg: cfg, rings: make(map[string]*flightRing)}
-}
-
 func (f *flightRecorder) record(ev *Event) {
 	r := f.rings[ev.Node]
 	if r == nil {
-		r = &flightRing{buf: make([]flightEntry, f.cfg.PerNode)}
+		r = &flightRing{buf: make([]flightEntry, flightPerNode)}
 		f.rings[ev.Node] = r
 		f.order = append(f.order, ev.Node)
 	}
@@ -94,16 +72,16 @@ type FlightDump struct {
 }
 
 // DumpFlight freezes the flight recorder: every retained event within
-// the configured window before now, merged across all nodes in emission
-// order. The dump is returned and — up to the MaxDumps bound — kept for
-// FlightDumps. Nil-safe.
+// flightWindow before now, merged across all nodes in emission order. The
+// dump is returned and — up to flightMaxDumps — kept for FlightDumps.
+// Nil-safe.
 func (t *Tracer) DumpFlight(trigger, reason string) *FlightDump {
-	if t == nil || t.flight == nil {
+	if t == nil {
 		return nil
 	}
 	f := t.flight
-	d := &FlightDump{At: t.now(), Trigger: trigger, Reason: reason, Window: f.cfg.Window}
-	cutoff := d.At.Add(-f.cfg.Window)
+	d := &FlightDump{At: t.now(), Trigger: trigger, Reason: reason, Window: flightWindow}
+	cutoff := d.At.Add(-flightWindow)
 	var entries []flightEntry
 	for _, node := range f.order {
 		r := f.rings[node]
@@ -124,7 +102,7 @@ func (t *Tracer) DumpFlight(trigger, reason string) *FlightDump {
 	for i, e := range entries {
 		d.Events[i] = e.ev
 	}
-	if len(f.dumps) < f.cfg.MaxDumps {
+	if len(f.dumps) < flightMaxDumps {
 		f.dumps = append(f.dumps, d)
 	} else {
 		f.dumpsDropped++
@@ -135,19 +113,19 @@ func (t *Tracer) DumpFlight(trigger, reason string) *FlightDump {
 	return d
 }
 
-// FlightDumps returns the dumps recorded so far, oldest first (bounded
-// by FlightConfig.MaxDumps).
+// FlightDumps returns the dumps recorded so far, oldest first (at most
+// flightMaxDumps).
 func (t *Tracer) FlightDumps() []*FlightDump {
-	if t == nil || t.flight == nil {
+	if t == nil {
 		return nil
 	}
 	return t.flight.dumps
 }
 
 // FlightDumpsDropped returns how many dumps were discarded because the
-// MaxDumps bound was already reached.
+// flightMaxDumps bound was already reached.
 func (t *Tracer) FlightDumpsDropped() int {
-	if t == nil || t.flight == nil {
+	if t == nil {
 		return 0
 	}
 	return t.flight.dumpsDropped

@@ -17,8 +17,8 @@
 // Every event carries a node (which simulated machine), a category
 // (which subsystem: sim, kernel, tcp, zap, core, flush, ckpt, phase),
 // and up to MaxArgs key/value arguments stored inline — no maps, no
-// interface boxing — so an enabled tracer stays allocation-light and a
-// nil *Tracer is a safe no-op everywhere.
+// interface boxing — so a tracer stays allocation-light and a nil
+// *Tracer is a safe no-op everywhere.
 //
 // Events land in a bounded ring buffer; exporters (export.go) render the
 // ring as a human-readable timeline or as Chrome trace-event JSON for
@@ -125,29 +125,13 @@ type Event struct {
 // ArgSlice returns the event's populated arguments.
 func (ev *Event) ArgSlice() []Arg { return ev.Args[:ev.NArgs] }
 
-// Config tunes a Tracer.
-type Config struct {
-	// Capacity bounds the event ring buffer; once full, the oldest events
-	// are overwritten. 0 means DefaultCapacity.
-	Capacity int
-	// SampleEvery emits engine dispatch counters every N events fired.
-	// 0 means DefaultSampleEvery; negative disables engine sampling.
-	SampleEvery int
-	// FlightOnly drops the main event ring entirely: events feed only the
-	// per-node flight recorder. This is the always-on mode a cluster runs
-	// in when full tracing is off — Len/Dropped/Events report an empty
-	// ring, but DumpFlight still yields the recent-event window.
-	FlightOnly bool
-	// Flight tunes the always-on flight recorder; zero values mean the
-	// DefaultFlight* constants.
-	Flight FlightConfig
-}
+// DefaultCapacity is the main ring's size when a cluster traces with no
+// capacity of its own.
+const DefaultCapacity = 1 << 16
 
-// Defaults for Config.
-const (
-	DefaultCapacity    = 1 << 16
-	DefaultSampleEvery = 4096
-)
+// sampleEvery is how many fired events apart a tracer with a main ring
+// samples the engine's dispatch counters.
+const sampleEvery = 4096
 
 type spanMeta struct {
 	node, cat, name string
@@ -156,11 +140,11 @@ type spanMeta struct {
 }
 
 // Tracer collects events into a bounded ring. A nil *Tracer is valid and
-// every method on it is a no-op, so call sites need no enablement checks
-// beyond guarding expensive argument construction with Enabled.
+// every method on it is a no-op, so components built without a cluster
+// (unit-test rigs) need no checks at all.
 type Tracer struct {
 	engine *sim.Engine
-	buf    []Event // nil in FlightOnly mode
+	buf    []Event // nil when the tracer keeps no main ring
 	total  uint64  // events ever emitted; buf index = total % len(buf)
 	nextID SpanID
 	nextOp OpID
@@ -168,29 +152,23 @@ type Tracer struct {
 	flight *flightRecorder
 }
 
-// New creates a tracer, attaches it to the engine as its trace sink (so
-// trace.FromEngine finds it from any component), and installs the
-// sampled dispatch-counter hook.
-func New(engine *sim.Engine, cfg Config) *Tracer {
+// New creates a tracer and attaches it to the engine as its trace sink,
+// so trace.FromEngine finds it from any component. Every event feeds the
+// flight recorder's per-node rings. A positive capacity also keeps a main
+// ring of that many events for export and samples the engine's dispatch
+// counters; zero keeps the flight recorder alone, and Len, Dropped and
+// Events then report an empty ring.
+func New(engine *sim.Engine, capacity int) *Tracer {
 	t := &Tracer{
 		engine: engine,
 		open:   make(map[SpanID]spanMeta),
-		flight: newFlightRecorder(cfg.Flight),
-	}
-	if !cfg.FlightOnly {
-		if cfg.Capacity <= 0 {
-			cfg.Capacity = DefaultCapacity
-		}
-		t.buf = make([]Event, cfg.Capacity)
+		flight: &flightRecorder{rings: make(map[string]*flightRing)},
 	}
 	engine.SetTraceSink(t)
-	if cfg.SampleEvery >= 0 {
-		every := uint64(cfg.SampleEvery)
-		if every == 0 {
-			every = DefaultSampleEvery
-		}
+	if capacity > 0 {
+		t.buf = make([]Event, capacity)
 		engine.SetStepHook(func() {
-			if fired := engine.Fired(); fired%every == 0 {
+			if fired := engine.Fired(); fired%sampleEvery == 0 {
 				t.Counter("sim", "sim", "events_fired", float64(fired))
 				t.Counter("sim", "sim", "queue_depth", float64(engine.Pending()))
 			}
@@ -199,8 +177,8 @@ func New(engine *sim.Engine, cfg Config) *Tracer {
 	return t
 }
 
-// FromEngine returns the tracer attached to an engine, or nil if tracing
-// is disabled. The nil result is safe to use directly.
+// FromEngine returns the tracer attached to an engine, or nil if none is.
+// The nil result is safe to use directly.
 func FromEngine(e *sim.Engine) *Tracer {
 	if e == nil {
 		return nil
@@ -208,14 +186,6 @@ func FromEngine(e *sim.Engine) *Tracer {
 	t, _ := e.TraceSink().(*Tracer)
 	return t
 }
-
-// Enabled reports whether events are being collected. Use it to guard
-// argument construction that would otherwise run on hot paths:
-//
-//	if tr.Enabled() {
-//		tr.Instant(node, "tcp", "rto", trace.Str("conn", c.tuple.String()))
-//	}
-func (t *Tracer) Enabled() bool { return t != nil }
 
 func (t *Tracer) now() sim.Time {
 	if t.engine != nil {

@@ -11,14 +11,11 @@ import (
 
 func newTestTracer(capacity int) (*sim.Engine, *Tracer) {
 	e := sim.NewEngine(1)
-	return e, New(e, Config{Capacity: capacity, SampleEvery: -1})
+	return e, New(e, capacity)
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	tr.Instant("n", "c", "x")
 	tr.Counter("n", "c", "x", 1)
 	sp := tr.Begin("n", "c", "x")
@@ -39,7 +36,7 @@ func TestFromEngine(t *testing.T) {
 	if tr := FromEngine(e); tr != nil {
 		t.Fatal("expected nil tracer from bare engine")
 	}
-	tr := New(e, Config{})
+	tr := New(e, 0)
 	if got := FromEngine(e); got != tr {
 		t.Fatalf("FromEngine = %p, want %p", got, tr)
 	}
@@ -77,7 +74,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestNestedSpans(t *testing.T) {
-	e, tr := newTestTracer(0)
+	e, tr := newTestTracer(DefaultCapacity)
 	outer := tr.Begin("node0", "test", "outer", Str("k", "v"))
 	var inner Span
 	e.Schedule(sim.Millisecond, func() {
@@ -149,7 +146,7 @@ type chromeTrace struct {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	e, tr := newTestTracer(0)
+	e, tr := newTestTracer(DefaultCapacity)
 	sp := tr.Begin("node0", "phase", "write", Int("bytes", 1024))
 	e.Schedule(5*sim.Millisecond, func() {
 		tr.Instant("node0", "tcp", "rto", Str("conn", "a->b"))
@@ -205,7 +202,7 @@ func TestChromeTraceExport(t *testing.T) {
 }
 
 func TestTimelineExport(t *testing.T) {
-	e, tr := newTestTracer(0)
+	e, tr := newTestTracer(DefaultCapacity)
 	sp := tr.Begin("node0", "phase", "capture")
 	e.Schedule(sim.Millisecond, func() { sp.End() })
 	if err := e.Run(); err != nil {
@@ -225,8 +222,8 @@ func TestTimelineExport(t *testing.T) {
 
 func TestStepHookCounters(t *testing.T) {
 	e := sim.NewEngine(1)
-	tr := New(e, Config{SampleEvery: 2})
-	for i := 0; i < 10; i++ {
+	tr := New(e, DefaultCapacity)
+	for i := 0; i < 2*sampleEvery; i++ {
 		e.Schedule(sim.Duration(i+1)*sim.Millisecond, func() {})
 	}
 	if err := e.Run(); err != nil {
@@ -250,7 +247,7 @@ func TestStepHookCounters(t *testing.T) {
 }
 
 func TestPhaseBreakdown(t *testing.T) {
-	e, tr := newTestTracer(0)
+	e, tr := newTestTracer(DefaultCapacity)
 	op := tr.Begin("node0", "core", "agent.checkpoint")
 	q := tr.Begin("node0", PhaseCat, "quiesce")
 	e.Schedule(2*sim.Millisecond, func() {

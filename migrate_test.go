@@ -540,3 +540,46 @@ func TestMigrationSkipsOtherFormBase(t *testing.T) {
 		})
 	}
 }
+
+// TestRestartAfterMigrate: Restart(job, 0) straight after a migration
+// restarts from the last checkpoint, which the migrated pod's new home never
+// held. Like a recovery with nothing dead, the restart fetches the image
+// onto that home from a live holder before its fan-out — and the job then
+// ends where a run that never checkpointed, migrated or restarted ends.
+func TestRestartAfterMigrate(t *testing.T) {
+	run := func(disturb bool) string {
+		cl, err := cruz.New(cruz.Config{Nodes: 4, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := migrateSlm(3)
+		cfg.Steps = 200
+		cfg.Linger = true
+		names, job := deployRingCfg(t, cl, cfg)
+		cl.Run(100 * cruz.Millisecond)
+		if disturb {
+			ck, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Migrate(job, "wb", 3, cruz.MigrateOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := cl.Restart(job, 0)
+			if err != nil {
+				t.Fatalf("restart straight after the migration: %v", err)
+			}
+			if res.Seq != ck.Seq {
+				t.Fatalf("restarted from seq %d, want the checkpoint's %d", res.Seq, ck.Seq)
+			}
+			if node := cl.PodNode("wb"); node == nil || node.Index != 3 {
+				t.Fatalf("the restart moved wb off its new home: %+v", node)
+			}
+			migrateOpenOps(t, cl, -1)
+		}
+		return finalRingState(t, cl, names)
+	}
+	if disturbed, control := run(true), run(false); disturbed != control {
+		t.Fatalf("restarted run state diverged from control:\nrestarted:\n%scontrol:\n%s", disturbed, control)
+	}
+}

@@ -159,7 +159,8 @@ func TestTracePrecopyDeterministicPhases(t *testing.T) {
 }
 
 // TestTraceDisabledZeroEvents checks the off-by-default contract: without
-// Config.Trace the cluster has no tracer and trace points are inert.
+// Config.Trace the cluster exports no trace (its tracer keeps only the
+// flight recorder's rings).
 func TestTraceDisabledZeroEvents(t *testing.T) {
 	cl, err := cruz.New(cruz.Config{Nodes: 2, Seed: 1})
 	if err != nil {

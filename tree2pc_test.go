@@ -221,11 +221,9 @@ func abortDecision(t *testing.T, groupSize, killNode int) (committed bool, err e
 	const n = 8
 	// A short op timeout bounds how long either coordinator waits on the
 	// silenced node; the decision (abort) must not depend on the topology.
-	params := core.DefaultCoordinatorParams()
-	params.Timeout = 2 * cruz.Second
 	cl, cerr := cruz.New(cruz.Config{
 		Nodes: n, Seed: 3, GroupSize: groupSize,
-		Coordinator: params,
+		Coordinator: core.CoordinatorParams{Timeout: 2 * cruz.Second},
 	})
 	if cerr != nil {
 		t.Fatal(cerr)
