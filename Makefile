@@ -51,11 +51,11 @@ bench:
 # Wall-clock benchmarks, one per layer the page path crosses, the two gob
 # codecs of the control path (frames, manifests), the per-frame and
 # per-step paths of the substrate (switch forwarding, the kernel's step
-# cycle), plus the tracer-overhead guard (trace=false must match the
-# pre-tracing baseline). Every one reports B/op and allocs/op, which
-# repeat exactly and are the numbers to compare across commits
-# (EXPERIMENTS.md appendices A12, A13 and A18 hold the last recorded
-# sets). No thresholds — host timings are informational.
+# cycle, one slm ring step), plus the tracer-overhead guard (trace=false
+# must match the pre-tracing baseline). Every one reports B/op and
+# allocs/op, which repeat exactly and are the numbers to compare across
+# commits (EXPERIMENTS.md appendices A12, A13, A18 and A23 hold the last
+# recorded sets). No thresholds — host timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
 	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestoreFromManifest' -benchtime=50x -benchmem ./internal/ckpt/
@@ -65,6 +65,7 @@ gobench:
 	$(GO) test -run XXX -bench=BenchmarkTCPBulkTransfer -benchtime=50x -benchmem ./internal/tcpip/
 	$(GO) test -run XXX -bench=BenchmarkSwitchForward -benchtime=100000x -benchmem ./internal/ether/
 	$(GO) test -run XXX -bench=BenchmarkStepCycle -benchtime=100000x -benchmem ./internal/kernel/
+	$(GO) test -run XXX -bench=BenchmarkHaloStep -benchtime=1000x -benchmem ./internal/apps/slm/
 	$(GO) test -run XXX -bench=BenchmarkMigrationStream -benchtime=10x -benchmem ./internal/ctl/
 
 # The benchmark under bench/ is a module of its own, so tier-1 neither

@@ -105,7 +105,9 @@ type Worker struct {
 
 	// Step progress.
 	StepsDone int
-	// Halo exchange bookkeeping.
+	// Halo exchange bookkeeping. RecvRight and RecvLeft are received into
+	// in place and emptied by reslicing, so one array each serves every
+	// step; gob writes only their length, as it would of exact copies.
 	SentRight, SentLeft int
 	RecvRight, RecvLeft []byte
 	// Fault records a detected inconsistency (lost/duplicated halo).
@@ -114,6 +116,10 @@ type Worker struct {
 	// StartedAt/FinishedAt bound the run for throughput accounting.
 	StartedAt  sim.Time
 	FinishedAt sim.Time
+
+	// band is the outgoing halo (see halo). Unexported, so no checkpoint
+	// carries it: a restored worker rebuilds it on its first send.
+	band []byte
 }
 
 // NewWorker builds rank r of an n-worker ring. Ring wiring: worker i
@@ -135,15 +141,41 @@ func (w *Worker) perStepCompute() sim.Duration {
 	return w.Cfg.TotalComputePerStep/sim.Duration(w.Cfg.Workers) + w.Cfg.StepOverhead
 }
 
-// halo builds the outgoing halo band for the current step: every byte
-// carries the step stamp so the receiver can detect corruption.
+// halo returns the outgoing halo band for the current step: every byte
+// carries the step stamp so the receiver can detect corruption. The band
+// is kept and refilled only when the stamp changes (Send copies what it
+// accepts, so nothing else ever holds it).
 func (w *Worker) halo() []byte {
-	b := make([]byte, w.Cfg.HaloBytes)
 	stamp := byte(w.StepsDone + 1)
-	for i := range b {
-		b[i] = stamp
+	if len(w.band) != w.Cfg.HaloBytes {
+		w.band = make([]byte, w.Cfg.HaloBytes)
+	} else if w.band[0] == stamp {
+		return w.band
 	}
-	return b
+	for i := range w.band {
+		w.band[i] = stamp
+	}
+	return w.band
+}
+
+// recvHalo receives the rest of one neighbour's halo from fd straight into
+// the spare capacity of *band, growing it to HaloBytes first if it is
+// short (a new or a restored worker).
+func (w *Worker) recvHalo(ctx *kernel.ProcContext, fd int, band *[]byte, side string) kernel.StepResult {
+	b := *band
+	if cap(b) < w.Cfg.HaloBytes {
+		b = append(make([]byte, 0, w.Cfg.HaloBytes), b...)
+		*band = b
+	}
+	n, err := ctx.Recv(fd, b[len(b):w.Cfg.HaloBytes], false)
+	if err == kernel.ErrWouldBlock {
+		return kernel.BlockOnRead(0, fd)
+	}
+	if err != nil {
+		return w.fail("recv " + side + ": " + err.Error())
+	}
+	*band = b[:len(b)+n]
+	return kernel.Continue(0)
 }
 
 // Step implements kernel.Program.
@@ -265,28 +297,10 @@ func (w *Worker) Step(ctx *kernel.ProcContext) kernel.StepResult {
 
 	case phaseRecvHalos:
 		if len(w.RecvLeft) < w.Cfg.HaloBytes {
-			buf := make([]byte, w.Cfg.HaloBytes-len(w.RecvLeft))
-			n, err := ctx.Recv(w.InFD, buf, false)
-			if err == kernel.ErrWouldBlock {
-				return kernel.BlockOnRead(0, w.InFD)
-			}
-			if err != nil {
-				return w.fail("recv left: " + err.Error())
-			}
-			w.RecvLeft = append(w.RecvLeft, buf[:n]...)
-			return kernel.Continue(0)
+			return w.recvHalo(ctx, w.InFD, &w.RecvLeft, "left")
 		}
 		if len(w.RecvRight) < w.Cfg.HaloBytes {
-			buf := make([]byte, w.Cfg.HaloBytes-len(w.RecvRight))
-			n, err := ctx.Recv(w.OutFD, buf, false)
-			if err == kernel.ErrWouldBlock {
-				return kernel.BlockOnRead(0, w.OutFD)
-			}
-			if err != nil {
-				return w.fail("recv right: " + err.Error())
-			}
-			w.RecvRight = append(w.RecvRight, buf[:n]...)
-			return kernel.Continue(0)
+			return w.recvHalo(ctx, w.OutFD, &w.RecvRight, "right")
 		}
 		// Both halos in: verify the step stamps.
 		stamp := byte(w.StepsDone + 1)
@@ -300,7 +314,7 @@ func (w *Worker) Step(ctx *kernel.ProcContext) kernel.StepResult {
 				return w.fail("right halo stamp mismatch")
 			}
 		}
-		w.RecvLeft, w.RecvRight = nil, nil
+		w.RecvLeft, w.RecvRight = w.RecvLeft[:0], w.RecvRight[:0]
 		w.SentRight, w.SentLeft = 0, 0
 		w.StepsDone++
 		w.Phase = phaseCompute

@@ -1,9 +1,14 @@
 package slm
 
 import (
+	"bytes"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cruz"
+	"cruz/internal/ckpt"
+	"cruz/internal/kernel"
 	"cruz/internal/sim"
 )
 
@@ -28,7 +33,14 @@ func smallConfig(workers int) Config {
 }
 
 // deploy builds a cluster with one slm worker pod per node.
-func deploy(t *testing.T, cfg Config) (*cruz.Cluster, *cruz.Job, []*Worker) {
+func deploy(t testing.TB, cfg Config) (*cruz.Cluster, *cruz.Job, []*Worker) {
+	t.Helper()
+	return deployWrapped(t, cfg, func(w *Worker) kernel.Program { return w })
+}
+
+// deployWrapped is deploy with wrap standing between each worker and the
+// kernel.
+func deployWrapped(t testing.TB, cfg Config, wrap func(*Worker) kernel.Program) (*cruz.Cluster, *cruz.Job, []*Worker) {
 	t.Helper()
 	cl, err := cruz.New(cruz.Config{Nodes: cfg.Workers})
 	if err != nil {
@@ -49,7 +61,7 @@ func deploy(t *testing.T, cfg Config) (*cruz.Cluster, *cruz.Job, []*Worker) {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := NewWorker(cfg, i, ips[(i+1)%cfg.Workers])
-		if _, err := cl.Pod(names[i]).Spawn("slm", w); err != nil {
+		if _, err := cl.Pod(names[i]).Spawn("slm", wrap(w)); err != nil {
 			t.Fatal(err)
 		}
 		workers = append(workers, w)
@@ -61,7 +73,7 @@ func deploy(t *testing.T, cfg Config) (*cruz.Cluster, *cruz.Job, []*Worker) {
 	return cl, job, workers
 }
 
-func checkWorkers(t *testing.T, ws []*Worker) {
+func checkWorkers(t testing.TB, ws []*Worker) {
 	t.Helper()
 	for i, w := range ws {
 		if w.Fault != "" {
@@ -155,4 +167,151 @@ func TestCrashRestartRollsBack(t *testing.T) {
 	if w0.StepsDone <= atCkpt || w1.StepsDone <= atCkpt {
 		t.Fatal("ring stuck after restart")
 	}
+}
+
+// metered runs a Worker with before and after called around each of its
+// steps, so a test sees what the steps themselves cost.
+type metered struct {
+	*Worker
+	before, after func()
+}
+
+func (m *metered) Step(ctx *kernel.ProcContext) kernel.StepResult {
+	m.before()
+	r := m.Worker.Step(ctx)
+	m.after()
+	return r
+}
+
+// stepUntil runs the cluster event by event until cond holds.
+func stepUntil(t testing.TB, cl *cruz.Cluster, cond func() bool) {
+	t.Helper()
+	for events := 0; !cond(); events++ {
+		if events > 10_000_000 || !cl.Engine.Step() {
+			t.Fatalf("condition not reached after %d events", events)
+		}
+	}
+}
+
+// TestWorkerStepAllocatesNothing: on a warmed two-rank ring a whole model
+// step — the compute, both halo sends, both receives and the stamp check,
+// with the syscalls and TCP segments they make — allocates nothing.
+func TestWorkerStepAllocatesNothing(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.Steps = 0
+	var (
+		ms             runtime.MemStats
+		counting       bool
+		start, mallocs uint64
+	)
+	before := func() {
+		runtime.ReadMemStats(&ms)
+		start = ms.Mallocs
+	}
+	after := func() {
+		runtime.ReadMemStats(&ms)
+		if counting {
+			mallocs += ms.Mallocs - start
+		}
+	}
+	cl, _, workers := deployWrapped(t, cfg, func(w *Worker) kernel.Program {
+		return &metered{Worker: w, before: before, after: after}
+	})
+	const warm, measured = 20, 40
+	stepUntil(t, cl, func() bool { return workers[0].StepsDone >= warm })
+	// A collection starting inside a step can start the runtime's own
+	// mark workers, whose goroutines count as allocations.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	counting = true
+	stepUntil(t, cl, func() bool { return workers[0].StepsDone >= warm+measured })
+	counting = false
+	checkWorkers(t, workers)
+	t.Logf("%d allocations over %d ring steps", mallocs, measured)
+	if mallocs != 0 {
+		t.Errorf("%d allocations over %d warmed ring steps, want 0", mallocs, measured)
+	}
+}
+
+// BenchmarkHaloStep times one model step of a warmed two-rank ring: both
+// workers' compute, halo sends and receives. The timer runs only inside
+// the workers' steps, so the cluster's daemons and the frames in flight
+// between steps are not counted. Expect 0 allocs/op.
+func BenchmarkHaloStep(b *testing.B) {
+	cfg := smallConfig(2)
+	cfg.Steps = 0
+	b.StopTimer()
+	cl, _, workers := deployWrapped(b, cfg, func(w *Worker) kernel.Program {
+		return &metered{Worker: w, before: b.StartTimer, after: b.StopTimer}
+	})
+	stepUntil(b, cl, func() bool { return workers[0].StepsDone >= 20 })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next := workers[0].StepsDone + 1
+		stepUntil(b, cl, func() bool { return workers[0].StepsDone >= next })
+	}
+	checkWorkers(b, workers)
+}
+
+// TestCheckpointMidReceive: a worker stopped with RecvLeft partly filled
+// inside its reused array checkpoints the same ProgData as the same state
+// held in exact-length slices, and its restore — whose slices are exact
+// and whose outgoing band is gone — finishes the step with no halo fault.
+func TestCheckpointMidReceive(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.Steps = 0
+	cfg.HaloBytes = 16 << 10 // several segments, so a receive stops midway
+	cl, _, workers := deploy(t, cfg)
+	w := workers[0]
+	midReceive := func() bool {
+		return w.StepsDone >= 3 && w.Phase == phaseRecvHalos &&
+			len(w.RecvLeft) > 0 && len(w.RecvLeft) < cfg.HaloBytes
+	}
+	stepUntil(t, cl, midReceive)
+
+	pod := cl.Pod("slm-a")
+	filter := pod.Kernel().Stack().Filter()
+	rule := filter.AddDropAddr(pod.IP())
+	stopped := false
+	pod.Stop(func() { stopped = true })
+	if !cl.RunUntil(func() bool { return stopped }, cruz.Second) {
+		t.Fatal("pod did not stop")
+	}
+	if !midReceive() || cap(w.RecvLeft) != cfg.HaloBytes {
+		t.Fatalf("stopped at phase %d with %d of %d left-halo bytes (cap %d): not mid-receive in a reused array",
+			w.Phase, len(w.RecvLeft), cfg.HaloBytes, cap(w.RecvLeft))
+	}
+	img, err := ckpt.Capture(pod, 1, ckpt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := len(w.RecvLeft)
+
+	w.RecvLeft = append([]byte(nil), w.RecvLeft...)
+	w.RecvRight = append([]byte(nil), w.RecvRight...)
+	w.band = nil
+	exact, err := ckpt.Capture(pod, 1, ckpt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Processes) != 1 || !bytes.Equal(img.Processes[0].ProgData, exact.Processes[0].ProgData) {
+		t.Fatal("ProgData of reused halo arrays differs from that of exact-length slices")
+	}
+
+	pod.Destroy()
+	filter.RemoveRule(rule)
+	restored, err := ckpt.Restore(pod.Kernel(), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Resume()
+	w2 := restored.Process(1).Program().(*Worker)
+	if len(w2.RecvLeft) != received || w2.Phase != phaseRecvHalos {
+		t.Fatalf("restored at phase %d with %d left-halo bytes, captured %d", w2.Phase, len(w2.RecvLeft), received)
+	}
+	peer, target := workers[1], w2.StepsDone+3
+	if !cl.RunUntil(func() bool { return w2.StepsDone >= target && peer.StepsDone >= target }, 5*cruz.Second) {
+		t.Fatalf("ring stuck after restore: steps %d and %d, want %d", w2.StepsDone, peer.StepsDone, target)
+	}
+	checkWorkers(t, []*Worker{w2, peer})
 }

@@ -57,6 +57,10 @@ type Frame struct {
 	Src, Dst MAC
 	Type     EtherType
 	Payload  Payload
+	// Flooded marks a copy the switch flooded (broadcast or unknown
+	// destination): its payload is shared with the other copies, so the
+	// receiver does not own it (DESIGN §4.11, "Packets").
+	Flooded bool
 }
 
 // Ethernet framing constants.
@@ -327,6 +331,7 @@ func (s *Switch) forward(in *port, f Frame) {
 	}
 	// Flood: broadcast or unknown unicast.
 	s.Stats.Flooded++
+	f.Flooded = true
 	for _, out := range s.ports {
 		if out != in {
 			s.transmit(out, f)

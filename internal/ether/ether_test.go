@@ -53,6 +53,9 @@ func TestUnknownUnicastFloods(t *testing.T) {
 	if r.sw.Stats.Flooded != 1 {
 		t.Fatalf("Flooded = %d, want 1", r.sw.Stats.Flooded)
 	}
+	if !r.rx[1][0].Flooded {
+		t.Fatal("a flooded copy arrived unmarked: its receiver would think it owns the payload")
+	}
 }
 
 func TestLearningDirectsSubsequentFrames(t *testing.T) {
@@ -75,6 +78,9 @@ func TestLearningDirectsSubsequentFrames(t *testing.T) {
 	if r.sw.Stats.Forwarded != 1 {
 		t.Fatalf("Forwarded = %d, want 1", r.sw.Stats.Forwarded)
 	}
+	if r.rx[1][0].Flooded {
+		t.Fatal("a forwarded unicast frame arrived marked as flooded")
+	}
 }
 
 func TestBroadcastReachesAll(t *testing.T) {
@@ -82,8 +88,8 @@ func TestBroadcastReachesAll(t *testing.T) {
 	r.nics[0].Send(Frame{Src: mac(1), Dst: Broadcast, Type: TypeARP, Payload: testPayload{size: 28}})
 	r.engine.Run()
 	for i := 1; i < 4; i++ {
-		if len(r.rx[i]) != 1 {
-			t.Fatalf("nic%d got %d broadcast frames, want 1", i, len(r.rx[i]))
+		if len(r.rx[i]) != 1 || !r.rx[i][0].Flooded {
+			t.Fatalf("nic%d got %d broadcast frames (%v), want 1, marked flooded", i, len(r.rx[i]), r.rx[i])
 		}
 	}
 	if len(r.rx[0]) != 0 {

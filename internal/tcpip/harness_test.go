@@ -15,6 +15,9 @@ type testNet struct {
 	sw     *ether.Switch
 	stacks []*Stack
 	nics   []*ether.NIC
+	// settle, if set, runs after every run, before the test drives the
+	// stacks directly again.
+	settle func()
 }
 
 func addrOf(i int) Addr { return Addr{10, 0, 0, byte(i + 1)} }
@@ -43,6 +46,9 @@ func (tn *testNet) run(d sim.Duration) {
 	tn.t.Helper()
 	if err := tn.engine.RunFor(d); err != nil {
 		tn.t.Fatalf("RunFor: %v", err)
+	}
+	if tn.settle != nil {
+		tn.settle()
 	}
 }
 

@@ -21,6 +21,26 @@ type Packet struct {
 	TCP Segment
 	// UDP is the transport payload when Proto is ProtoUDP.
 	UDP *Datagram
+
+	// owner is the stack that built the packet from its free list; the
+	// stack that receives it in a unicast frame or over loopback gives it
+	// back there (release). Nil for packets nobody recycles (UDP).
+	owner *Stack
+}
+
+// release returns a delivered packet to its builder's free list (DESIGN
+// §4.11, "Packets"). Only the packet's one receiver may call it, once
+// rxPacket has returned: nothing below keeps the packet, and a segment
+// parked out of order keeps its Data slice, not the packet.
+func (p *Packet) release() {
+	s := p.owner
+	if s == nil {
+		return
+	}
+	*p = Packet{}
+	if len(s.pktPool) < pktPoolMax {
+		s.pktPool = append(s.pktPool, p)
+	}
 }
 
 // WireSize implements ether.Payload.

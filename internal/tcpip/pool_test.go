@@ -128,13 +128,12 @@ func BenchmarkTCPBulkTransfer(b *testing.B) {
 }
 
 // TestBulkTransferAllocatesPerSegment pins the segment path's floor: on a
-// warmed connection pair, moving 1 MiB allocates one object per segment on
-// the wire — its Packet, which holds the segment inline — so two per data
-// segment with its ACK (a few window updates ride on top), and nothing
-// proportional to the bytes moved. Payload buffers come from the pool, the
-// send queue and the rings reuse their arrays, frames in flight sit in
-// per-port queues, events are recycled, and the RTO callback is bound once
-// per connection.
+// warmed connection pair, moving 1 MiB allocates nothing per segment on
+// the wire and nothing proportional to the bytes moved. Packets come back
+// to their builder's free list once delivered, payload buffers come from
+// the segment pool, the send queue and the rings reuse their arrays,
+// frames in flight sit in per-port queues, events are recycled, and the
+// RTO callback is bound once per connection.
 func TestBulkTransferAllocatesPerSegment(t *testing.T) {
 	tn := newTestNet(t, 2)
 	c, s := tn.connect(0, 1, 9003)
@@ -179,8 +178,8 @@ func TestBulkTransferAllocatesPerSegment(t *testing.T) {
 	wire := float64(c.Stats.SegsSent+s.Stats.SegsSent-wireBefore) / (runs + 1)
 	t.Logf("%.0f data segments, %.0f on the wire: %.2f allocations and %.0f bytes allocated per data segment",
 		segs, wire, allocs/segs, bytes/segs)
-	if allocs > wire {
-		t.Errorf("%.0f allocations for %.0f segments on the wire: more than one Packet per segment", allocs, wire)
+	if allocs > wire/100 {
+		t.Errorf("%.0f allocations for %.0f segments on the wire: more than 0.01 per segment", allocs, wire)
 	}
 	if bytes > float64(len(data))/2 {
 		t.Errorf("%.0f bytes allocated to move %d: allocation scales with the bytes, not the segments", bytes, len(data))

@@ -70,6 +70,12 @@ type Stack struct {
 	// set of MSS-sized buffers instead of allocating one per segment.
 	segPool [][]byte
 
+	// pktPool is the free list of TCP packets this stack builds (sendTCP).
+	// The one stack that receives a packet in a unicast frame, or this
+	// stack over loopback, hands it back here (Packet.release), so a
+	// sender is refilled by its own packets however few it receives.
+	pktPool []*Packet
+
 	// loopback holds the packets looped back to this stack, oldest first.
 	// Each is one event running loopbackFn (rxLoopback, bound once); all
 	// wait the same LoopbackLatency, so they fire in push order.
@@ -93,11 +99,15 @@ type StackStats struct {
 	SegPoolMisses uint64
 }
 
-// Segment-pool sizing. Buffers are MSS-capacity; the pool is bounded so
-// a burst never pins more than a small working set.
+// Segment- and packet-pool sizing. Buffers are MSS-capacity; both pools
+// are bounded so a burst never pins more than a small working set. A
+// packet is under a tenth of a buffer's size, and a stack fanning shards
+// out to several peers has that many windows of packets coming back at
+// once.
 const (
 	segPoolBufCap = mss
 	segPoolMax    = 64
+	pktPoolMax    = 256
 )
 
 // getSegBuf returns a length-n buffer for packetizing send data, reusing
@@ -128,6 +138,20 @@ func (s *Stack) putSegBuf(b []byte) {
 		return
 	}
 	s.segPool = append(s.segPool, b[:0])
+}
+
+// sendTCP builds a TCP packet, reusing one from the free list when it can,
+// and hands it to IP.
+func (s *Stack) sendTCP(src, dst Addr, seg Segment) {
+	var p *Packet
+	if last := len(s.pktPool) - 1; last >= 0 {
+		p = s.pktPool[last]
+		s.pktPool = s.pktPool[:last]
+	} else {
+		p = new(Packet)
+	}
+	*p = Packet{Src: src, Dst: dst, Proto: ProtoTCP, TTL: 64, TCP: seg, owner: s}
+	s.sendIP(p) //cruzvet:allow errdrop a segment transmit is best-effort: a no-route failure looks like loss, which the RTO (or, for a RST, the peer's retry) recovers
 }
 
 // NewStack returns a stack with no interfaces.
@@ -224,7 +248,9 @@ func (s *Stack) FirstAddr() (Addr, bool) {
 	return s.ifaces[0].IP, true
 }
 
-// rxFrame is the NIC receive handler: demultiplex ARP and IPv4.
+// rxFrame is the NIC receive handler: demultiplex ARP and IPv4. A packet
+// in a unicast frame is this stack's alone and goes back to its builder
+// once handled; a flooded one is shared with the flood's other receivers.
 func (s *Stack) rxFrame(f ether.Frame) {
 	switch f.Type {
 	case ether.TypeARP:
@@ -234,6 +260,9 @@ func (s *Stack) rxFrame(f ether.Frame) {
 	case ether.TypeIPv4:
 		if p, ok := f.Payload.(*Packet); ok {
 			s.rxPacket(p)
+			if !f.Flooded {
+				p.release()
+			}
 		}
 	}
 }
@@ -295,8 +324,12 @@ func (s *Stack) sendIP(p *Packet) error {
 	return nil
 }
 
-// rxLoopback receives the oldest looped-back packet.
-func (s *Stack) rxLoopback() { s.rxPacket(s.loopback.Pop()) }
+// rxLoopback receives the oldest looped-back packet, its one receiver.
+func (s *Stack) rxLoopback() {
+	p := s.loopback.Pop()
+	s.rxPacket(p)
+	p.release()
+}
 
 // transmit emits a resolved packet on the wire.
 func (s *Stack) transmit(iface *Interface, p *Packet, dst ether.MAC) {

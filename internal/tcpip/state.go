@@ -263,7 +263,7 @@ func (c *TCPConn) DrainToAlt() int {
 	c.altQueue = c.rcvQueue.AppendTo(c.altQueue)
 	c.rcvQueue.Discard(n)
 	c.stack.tr.Instant(c.stack.name, "tcp", "drain",
-		trace.Str("conn", c.tuple.String()),
+		trace.Str("conn", c.traceName()),
 		trace.Int("bytes", int64(n)),
 		trace.Int("alt_total", int64(len(c.altQueue))))
 	c.maybeSendWindowUpdate(n)

@@ -112,6 +112,8 @@ type TCPConn struct {
 	stack *Stack
 	tuple FourTuple
 	state State
+	// name is tuple.String(), formatted on the first traced event.
+	name string
 
 	// Send side. Sequence space: sndUna <= sndNxt; segs covers
 	// [sndUna, sndNxt) in packetized form; pending holds accepted bytes
@@ -314,10 +316,19 @@ func (c *TCPConn) setState(next State) {
 		return
 	}
 	c.stack.tr.Instant(c.stack.name, "tcp", "state",
-		trace.Str("conn", c.tuple.String()),
+		trace.Str("conn", c.traceName()),
 		trace.Str("from", c.state.String()),
 		trace.Str("to", next.String()))
 	c.state = next
+}
+
+// traceName returns the four-tuple as the tracer records it, formatting
+// it once per connection.
+func (c *TCPConn) traceName() string {
+	if c.name == "" {
+		c.name = c.tuple.String()
+	}
+	return c.name
 }
 
 // LocalAddr returns the local endpoint.
@@ -531,24 +542,18 @@ func (c *TCPConn) sendControl(flags Flags, seq, ack uint32) {
 // sendSeg builds one segment from this end of the connection, advertising
 // the current receive window, and hands it to IP.
 func (c *TCPConn) sendSeg(flags Flags, seq, ack uint32, data []byte) {
-	p := &Packet{
-		Src:   c.tuple.Local.Addr,
-		Dst:   c.tuple.Remote.Addr,
-		Proto: ProtoTCP,
-		TTL:   64,
-		TCP: Segment{
-			SrcPort: c.tuple.Local.Port,
-			DstPort: c.tuple.Remote.Port,
-			Seq:     seq,
-			Ack:     ack,
-			Flags:   flags,
-			Window:  uint16(c.rcvWindow()),
-			Data:    data,
-		},
-	}
-	c.lastWndAdvertised = uint32(p.TCP.Window)
+	wnd := uint16(c.rcvWindow())
+	c.lastWndAdvertised = uint32(wnd)
 	c.Stats.SegsSent++
-	c.stack.sendIP(p) //cruzvet:allow errdrop segment transmit is best-effort; a no-route failure looks like loss and the RTO recovers it
+	c.stack.sendTCP(c.tuple.Local.Addr, c.tuple.Remote.Addr, Segment{
+		SrcPort: c.tuple.Local.Port,
+		DstPort: c.tuple.Remote.Port,
+		Seq:     seq,
+		Ack:     ack,
+		Flags:   flags,
+		Window:  wnd,
+		Data:    data,
+	})
 }
 
 // transmitSeg puts an in-flight segment on the wire.
@@ -670,7 +675,7 @@ func (c *TCPConn) onRTO() {
 	g.retx++
 	c.Stats.Retransmits++
 	c.stack.tr.Instant(c.stack.name, "tcp", "rto",
-		trace.Str("conn", c.tuple.String()),
+		trace.Str("conn", c.traceName()),
 		trace.Int("retx", int64(g.retx)),
 		trace.Num("rto_ms", c.rto.Milliseconds()))
 	// Loss response: collapse to one segment and slow-start again. All
@@ -817,14 +822,13 @@ func (s *Stack) rxTCP(p *Packet) {
 	// No socket: answer with RST (unless the segment itself is a RST).
 	if !seg.Flags.Has(FlagRST) {
 		s.Stats.NoSocketRSTs++
-		rst := &Packet{Src: p.Dst, Dst: p.Src, Proto: ProtoTCP, TTL: 64, TCP: Segment{
+		s.sendTCP(p.Dst, p.Src, Segment{
 			SrcPort: seg.DstPort,
 			DstPort: seg.SrcPort,
 			Flags:   FlagRST | FlagACK,
 			Seq:     seg.Ack,
 			Ack:     seg.Seq + seg.seqLen(),
-		}}
-		s.sendIP(rst) //cruzvet:allow errdrop RST is fire-and-forget per TCP semantics
+		})
 	}
 }
 
@@ -1003,7 +1007,7 @@ func (c *TCPConn) processACK(seg *Segment) {
 			c.Stats.FastRetransmits++
 			c.Stats.Retransmits++
 			c.stack.tr.Instant(c.stack.name, "tcp", "fast_retransmit",
-				trace.Str("conn", c.tuple.String()),
+				trace.Str("conn", c.traceName()),
 				trace.Int("seq", int64(g.seq)))
 			c.ssthresh = maxInt(c.inflightBytes()/2, 2*mss)
 			c.cwnd = c.ssthresh
