@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame gobench scale-smoke migrate-smoke ec-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame gobench scale-smoke migrate-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -114,22 +114,13 @@ scale-smoke:
 	$(GO) run ./cmd/cruzbench -exp scale -scale 0.25
 
 # Migration smoke: the A10 live-vs-stop-and-copy ablation at reduced
-# workload scale plus the cruzsim scenario where an established TCP
-# connection must survive two live migrations. Exercises the pre-copy
-# round loop, the residual freeze, and the address takeover end to end.
+# workload scale. Exercises the pre-copy round loop, the residual freeze,
+# and the address takeover end to end. (The scenario rows where a TCP
+# connection survives migration, and the erasure-coded double loss, run
+# in `make test`: internal/scenario's TestTable runs every row.)
 migrate-smoke:
 	$(GO) run ./cmd/cruzbench -exp migrate -scale 0.25
-	$(GO) run ./cmd/cruzsim -scenario migrate
 
-# Erasure-coding smoke: the double-node-loss reconstruction test (4+2
-# striping, kill a shard holder and a primary, byte-identical restore)
-# plus the cruzsim scenario that narrates the same recovery. Exercises
-# the RS codec, shard placement/distribution, the background pacer, and
-# the reconstruct-restore path end to end.
-ec-smoke:
-	$(GO) test -run 'TestErasureCodedRecovery|TestECFallbackToReplication' -v .
-	$(GO) run ./cmd/cruzsim -scenario failover -ec 4+2
-
-# Worked example from README: quickstart scenario with a Chrome trace.
+# Worked example from README: the quickstart row with a Chrome trace.
 trace-demo:
 	$(GO) run ./cmd/cruzsim -scenario quickstart -nodes 3 -trace cruz-trace.json

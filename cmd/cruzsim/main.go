@@ -1,552 +1,108 @@
-// Command cruzsim runs interactive-scale scenarios on the simulated
-// cluster, printing an event timeline. It is the "kick the tires" tool;
-// cmd/cruzbench regenerates the paper's evaluation.
-//
-// Usage:
-//
-//	cruzsim -scenario quickstart|migrate|failover|periodic [-nodes 4] [-group 0] [-seed 1]
-//	        [-ec m+r] [-precopy] [-trace out.json] [-v]
-//
-// Scenarios:
-//
-//	quickstart  An slm job on every node takes one coordinated checkpoint
-//	            and one coordinated restart — the smallest end-to-end run,
-//	            and the reference input for -trace.
-//	migrate     A live kvstore server pod moves between machines while an
-//	            external client keeps issuing verified operations.
-//	failover    An slm job loses a machine; lease-expiry detection and
-//	            replicated checkpoints restart its pod automatically on a
-//	            spare node, printing the MTTR phase breakdown. With
-//	            -ec m+r (e.g. -ec 4+2) checkpoints are erasure-coded into
-//	            m+r shard subsets instead of replicated, and the scenario
-//	            kills TWO nodes — a shard holder and then a pod's host —
-//	            forcing the new home to reconstruct the image from the m
-//	            surviving shard subsets.
-//	periodic    An slm job checkpoints every 2s using the Fig. 4 optimized
-//	            protocol; prints per-checkpoint latencies and overheads.
-//
-// -precopy makes the periodic scenario stream each image over pre-copy
-// rounds while the pods keep running, freezing them only for the
-// residual dirty set — compare the "blocked" column against a run
-// without the flag.
-//
-// -trace out.json enables the deterministic tracer and writes a Chrome
-// trace-event file (load it in Perfetto / chrome://tracing); -v prints
-// the trace as a human-readable timeline. Either flag also prints the
-// checkpoint phase breakdown and a per-op critical-path summary when the
-// scenario checkpoints or recovers. The flight recorder is always on:
-// failure triggers (op aborts, lease expiry, recovery start) print their
-// pre-trigger window summary even when tracing is off.
+// Command cruzsim runs one row of the scenario table (internal/scenario),
+// a stamped line per step; -h lists the rows. -nodes and -group resize a
+// row whose slm ring spans the cluster. -trace writes the trace as Chrome
+// trace-event JSON (Perfetto), -v prints it as a timeline; either adds
+// the checkpoint phase breakdown and each op's critical path. Every
+// flight-recorder dump (op abort, lease expiry, recovery start) prints.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 
 	"cruz"
-	"cruz/internal/apps/kvstore"
-	"cruz/internal/apps/slm"
-	"cruz/internal/sim"
+	"cruz/internal/scenario"
 	"cruz/internal/trace"
 	"cruz/internal/trace/critpath"
 )
 
-func init() {
-	cruz.RegisterProgram(&slm.Worker{})
-	cruz.RegisterProgram(&kvstore.Server{})
-	cruz.RegisterProgram(&kvstore.Client{})
-}
-
-var (
-	traceOut string
-	verbose  bool
-)
-
 func main() {
-	var (
-		scenario = flag.String("scenario", "quickstart", "quickstart|migrate|failover|periodic")
-		nodes    = flag.Int("nodes", 4, "application nodes")
-		group    = flag.Int("group", 0, "coordination group size: 0 = flat fan-out, >1 = two-level tree (try ⌈√nodes⌉ for wide rings)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		ecStr    = flag.String("ec", "", "failover: erasure-code checkpoints m+r (e.g. 4+2) and kill two nodes")
-		dedup    = flag.Bool("dedup", false, "periodic: store checkpoints content-addressed with the pipelined save path")
-		precopy  = flag.Bool("precopy", false, "periodic: pre-copy rounds — stream live, freeze only the residual dirty set")
-	)
-	flag.StringVar(&traceOut, "trace", "", "write Chrome trace-event JSON to this file")
-	flag.BoolVar(&verbose, "v", false, "print the trace as a timeline on stdout")
-	flag.Parse()
-
-	var err error
-	switch *scenario {
-	case "quickstart":
-		err = quickstart(*nodes, *group, *seed)
-	case "migrate":
-		err = migrate(*seed)
-	case "failover":
-		if *ecStr != "" {
-			var ec cruz.ECParams
-			if ec, err = cruz.ParseECParams(*ecStr); err == nil {
-				err = failoverEC(*nodes, *seed, ec)
-			}
-		} else {
-			err = failover(*nodes, *seed)
-		}
-	case "periodic":
-		err = periodic(*nodes, *seed, *dedup, *precopy)
-	default:
-		err = fmt.Errorf("unknown scenario %q", *scenario)
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func stamp(cl *cruz.Cluster, format string, args ...any) {
-	fmt.Printf("[%10v] %s\n", cl.Engine.Now(), fmt.Sprintf(format, args...))
-}
-
-// tracing reports whether any trace output was requested; scenarios pass
-// it as Config.Trace.
-func tracing() bool { return traceOut != "" || verbose }
-
-// emitTrace renders the requested trace outputs for a finished scenario:
-// the -v timeline, the -trace Chrome JSON file, the per-op critical-path
-// summaries, and — whenever checkpoint phase spans were recorded — the
-// phase breakdown table. Flight-recorder dumps print even without -trace
-// or -v: the recorder is always on.
-func emitTrace(cl *cruz.Cluster) error {
-	tr := cl.Trace()
-	if tr == nil {
-		return flightReport(cl)
-	}
-	if n := tr.OpenSpans(); n != 0 {
-		return fmt.Errorf("trace integrity: %d span(s) still open at end of run: %v", n, tr.OpenSpanNames())
-	}
-	events := tr.Events()
-	if verbose {
-		if err := tr.WriteTimeline(os.Stdout); err != nil {
-			return err
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("cruzsim", flag.ExitOnError)
+	name := fs.String("scenario", "quickstart", "row of the scenario table")
+	var over cruz.Config
+	fs.IntVar(&over.Nodes, "nodes", 0, "application nodes (0 = the row's)")
+	fs.IntVar(&over.GroupSize, "group", 0, "coordination group size: >1 = two-level tree (try ⌈√nodes⌉)")
+	fs.Int64Var(&over.Seed, "seed", 0, "simulation seed (0 = the row's)")
+	file := fs.String("trace", "", "write Chrome trace-event JSON to this file")
+	verbose := fs.Bool("v", false, "print the trace as a timeline")
+	fs.Usage = func() {
+		for _, r := range scenario.Table {
+			fmt.Fprintf(fs.Output(), "-scenario %-23s %s\n", r.Name, r.Doc)
 		}
+		fs.PrintDefaults()
 	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d trace events to %s (%d dropped)\n", len(events), traceOut, tr.Dropped())
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if rep := trace.PhaseBreakdown(events); len(rep.Rows) > 0 {
-		fmt.Println()
-		fmt.Print(rep.Format())
+	i := slices.IndexFunc(scenario.Table, func(r scenario.Row) bool { return r.Name == *name })
+	if i < 0 {
+		return fmt.Errorf("no scenario %q: -h lists them", *name)
 	}
-	if trees := critpath.BuildTrees(events); len(trees) > 0 {
-		printed := false
-		for _, t := range trees {
-			rep := critpath.Analyze(t)
-			if rep == nil {
-				continue
+	over.Trace = *file != "" || *verbose
+	cl, err := scenario.Table[i].Run(over, out)
+	if err == nil && cl.Trace() != nil {
+		err = emitTrace(cl.Trace(), out, *file, *verbose)
+	}
+	if err != nil {
+		return err
+	}
+	if dumps := cl.FlightRecorder().FlightDumps(); len(dumps) > 0 {
+		fmt.Fprintf(out, "\nflight recorder: %d dump(s)", len(dumps))
+		if n := cl.FlightRecorder().FlightDumpsDropped(); n > 0 {
+			fmt.Fprintf(out, " (%d older dumps discarded)", n)
+		}
+		fmt.Fprintln(out)
+		for _, d := range dumps {
+			if *verbose {
+				fmt.Fprint(out, d.Format())
+			} else {
+				fmt.Fprintf(out, "  @%.3fms trigger=%s reason=%s window=%.0fms events=%d  (rerun with -v for the full window)\n",
+					d.At.Sub(0).Milliseconds(), d.Trigger, d.Reason, d.Window.Milliseconds(), len(d.Events))
 			}
-			if !printed {
-				fmt.Println()
-				printed = true
-			}
-			fmt.Println("critical path:", rep.Summary())
-		}
-	}
-	return flightReport(cl)
-}
-
-// flightReport prints any flight-recorder dumps the run produced. The
-// recorder runs even when tracing is off (FlightRecorder never returns
-// nil), so aborted ops and lease expiries always leave evidence.
-func flightReport(cl *cruz.Cluster) error {
-	fr := cl.FlightRecorder()
-	dumps := fr.FlightDumps()
-	if len(dumps) == 0 {
-		return nil
-	}
-	fmt.Println()
-	fmt.Printf("flight recorder: %d dump(s)", len(dumps))
-	if n := fr.FlightDumpsDropped(); n > 0 {
-		fmt.Printf(" (%d older dumps discarded)", n)
-	}
-	fmt.Println()
-	for _, d := range dumps {
-		if verbose {
-			fmt.Print(d.Format())
-		} else {
-			fmt.Printf("  @%.3fms trigger=%s reason=%s window=%.0fms events=%d  (rerun with -v for the full window)\n",
-				d.At.Sub(0).Milliseconds(), d.Trigger, d.Reason,
-				d.Window.Milliseconds(), len(d.Events))
 		}
 	}
 	return nil
 }
 
-// quickstart runs the smallest full checkpoint-restart cycle: an slm
-// ring with one worker pod per node, one coordinated checkpoint, a crash
-// of every pod, and a coordinated restart from the image.
-func quickstart(nodes, group int, seed int64) error {
-	if nodes < 2 {
-		nodes = 2
-	}
-	cl, err := cruz.New(cruz.Config{Nodes: nodes, Seed: seed, GroupSize: group, Trace: tracing()})
-	if err != nil {
-		return err
-	}
-	job, workers, err := slmJob(cl, nodes)
-	if err != nil {
-		return err
-	}
-	cl.Run(500 * cruz.Millisecond)
-	stamp(cl, "slm ring of %d running at step %d", nodes, workers[0].StepsDone)
-
-	res, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
-	if err != nil {
-		return err
-	}
-	stamp(cl, "checkpoint %d committed (latency %v, %d msgs, %.1f MB images)",
-		res.Seq, res.Latency, res.Messages, float64(res.TotalImageBytes)/(1<<20))
-	cl.Run(200 * cruz.Millisecond)
-
-	step := workers[0].StepsDone
-	for i := 0; i < nodes; i++ {
-		cl.Pod(fmt.Sprintf("slm-%d", i)).Destroy()
-	}
-	stamp(cl, "all pods destroyed (step was %d)", step)
-
-	rres, err := cl.Restart(job, res.Seq)
-	if err != nil {
-		return err
-	}
-	stamp(cl, "restarted from checkpoint %d (latency %v)", res.Seq, rres.Latency)
-	cl.Run(500 * cruz.Millisecond)
-	for i := 0; i < nodes; i++ {
-		w := cl.Pod(fmt.Sprintf("slm-%d", i)).Process(1).Program().(*slm.Worker)
-		if w.Fault != "" {
-			return fmt.Errorf("worker %d fault: %s", i, w.Fault)
+// emitTrace renders a traced run: the -v timeline, the -trace file, the
+// checkpoint phase breakdown and each op's critical path.
+func emitTrace(tr *trace.Tracer, out io.Writer, file string, verbose bool) error {
+	events := tr.Events()
+	if verbose {
+		if err := tr.WriteTimeline(out); err != nil {
+			return err
 		}
 	}
-	w := cl.Pod("slm-0").Process(1).Program().(*slm.Worker)
-	stamp(cl, "ring healthy at step %d after restart", w.StepsDone)
-	return emitTrace(cl)
-}
-
-func migrate(seed int64) error {
-	cl, err := cruz.New(cruz.Config{Nodes: 3, Seed: seed, Trace: tracing()})
-	if err != nil {
-		return err
-	}
-	pod, err := cl.NewPod(0, "db")
-	if err != nil {
-		return err
-	}
-	server := kvstore.NewServer(0)
-	pod.Spawn("kvd", server)
-	job, err := cl.DefineJob("db", "db")
-	if err != nil {
-		return err
-	}
-	client := kvstore.NewClient(cruz.AddrPort{Addr: pod.IP(), Port: kvstore.DefaultPort})
-	cl.Nodes[1].Kernel.Spawn("kvc", client, 0)
-
-	cl.Run(250 * cruz.Millisecond)
-	stamp(cl, "kvstore serving on node 0 (%v); client verified %d ops", pod.IP(), client.Done)
-
-	opts := cruz.MigrateOptions{Precopy: cruz.PrecopyConfig{
-		MaxRounds:           10,
-		DirtyThresholdPages: 16,
-	}}
-	for hop, target := range []int{2, 0} {
-		res, merr := cl.Migrate(job, "db", target, opts)
-		if merr != nil {
-			return merr
+	if file != "" {
+		f, err := os.Create(file)
+		if err == nil {
+			err = errors.Join(tr.WriteChromeTrace(f), f.Close())
 		}
-		before := client.Done
-		cl.Run(250 * cruz.Millisecond)
-		stamp(cl, "hop %d: live-migrated to node %d — downtime %v, total %v, %d rounds %v, %d KB streamed",
-			hop+1, target, res.Downtime, res.Latency, res.Rounds, res.RoundPages, res.BytesStreamed>>10)
-		stamp(cl, "hop %d: client verified %d more ops on the same connection (fault=%q)",
-			hop+1, client.Done-before, client.Fault)
-		if client.Fault != "" {
-			return fmt.Errorf("client disturbed: %s", client.Fault)
-		}
-		if client.Done == before {
-			return fmt.Errorf("client made no progress after hop %d", hop+1)
-		}
-	}
-	stamp(cl, "two live migrations; the client's TCP connection survived both")
-	return emitTrace(cl)
-}
-
-func slmJob(cl *cruz.Cluster, n int) (*cruz.Job, []*slm.Worker, error) {
-	cfg := slm.Config{
-		Workers:             n,
-		Steps:               0,
-		TotalComputePerStep: 80 * sim.Millisecond,
-		StepOverhead:        5 * sim.Millisecond,
-		HaloBytes:           32 << 10,
-		GridBytes:           8 << 20,
-		DirtyPagesPerStep:   64,
-		Port:                9200,
-	}
-	// Wide rings (-nodes 64 and beyond) shrink the per-worker grid so
-	// the job's total footprint stays near the 4-node default and the
-	// scenario finishes in seconds; the coordination behaviour under
-	// test is unaffected.
-	if n > 16 {
-		cfg.GridBytes = (8 << 20) * 16 / uint64(n)
-		if cfg.GridBytes < 256<<10 {
-			cfg.GridBytes = 256 << 10
-		}
-	}
-	var names []string
-	var ips []cruz.Addr
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("slm-%d", i)
-		pod, err := cl.NewPod(i%len(cl.Nodes), name)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		names = append(names, name)
-		ips = append(ips, pod.IP())
+		fmt.Fprintf(out, "wrote %d trace events to %s (%d dropped)\n", len(events), file, tr.Dropped())
 	}
-	var workers []*slm.Worker
-	for i, name := range names {
-		w := slm.NewWorker(cfg, i, ips[(i+1)%n])
-		if _, err := cl.Pod(name).Spawn("slm", w); err != nil {
-			return nil, nil, err
-		}
-		workers = append(workers, w)
+	if rep := trace.PhaseBreakdown(events); len(rep.Rows) > 0 {
+		fmt.Fprintf(out, "\n%s", rep.Format())
 	}
-	job, err := cl.DefineJob("slm", names...)
-	return job, workers, err
-}
-
-func failover(nodes int, seed int64) error {
-	if nodes < 3 {
-		nodes = 3
-	}
-	// Job on nodes 0..nodes-2; the last node is a standby spare. Every
-	// checkpoint replicates to one peer and the coordinator watches the
-	// job, so the node kill below needs no manual recovery steps at all.
-	ringSize := nodes - 1
-	cl, err := cruz.New(cruz.Config{
-		Nodes: ringSize, Spares: 1, Replicas: 1, AutoRecover: true,
-		Seed: seed, Trace: tracing(),
-	})
-	if err != nil {
-		return err
-	}
-	job, workers, err := slmJob(cl, ringSize)
-	if err != nil {
-		return err
-	}
-	cl.Run(500 * cruz.Millisecond)
-	stamp(cl, "slm ring of %d running at step %d; spare node %d standing by", ringSize, workers[0].StepsDone, nodes-1)
-
-	res, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
-	if err != nil {
-		return err
-	}
-	stamp(cl, "checkpoint %d committed (latency %v)", res.Seq, res.Latency)
-	ok := cl.RunUntil(func() bool {
-		for i := 0; i < ringSize; i++ {
-			if cl.Nodes[i].Agent.Stats.Replications < 1 {
-				return false
-			}
-		}
-		return true
-	}, 10*cruz.Second)
-	if !ok {
-		return fmt.Errorf("checkpoint replication never completed")
-	}
-	stamp(cl, "every pod image replicated to a peer node")
-	cl.Run(300 * cruz.Millisecond)
-
-	victim := ringSize - 1
-	victimPod := fmt.Sprintf("slm-%d", victim)
-	stamp(cl, "node %d fails (step was %d)", victim, workers[0].StepsDone)
-	cl.FailNode(victim)
-
-	if !cl.AwaitRecovery(1, 30*cruz.Second) {
-		return fmt.Errorf("automatic recovery never completed")
-	}
-	if err := cl.RecoveryErr(); err != nil {
-		return err
-	}
-	rec := cl.Recoveries()[0]
-	stamp(cl, "lease on %s expired; failure detected in %v", rec.FailedNode, rec.Detect)
-	for _, p := range rec.Pods {
-		how := "replica already local, no transfer"
-		if p.Transferred {
-			how = fmt.Sprintf("image fetched from %s", p.From)
-		}
-		stamp(cl, "pod %s re-homed to %s (%s)", p.Pod, p.To, how)
-	}
-	stamp(cl, "job restarted from checkpoint %d: MTTR %v = detect %v + place %v + transfer %v + restart %v",
-		rec.Seq, rec.MTTR, rec.Detect, rec.Place, rec.Transfer, rec.Restart)
-
-	cl.Run(500 * cruz.Millisecond)
-	for i := 0; i < ringSize; i++ {
-		ww := cl.Pod(fmt.Sprintf("slm-%d", i)).Process(1).Program().(*slm.Worker)
-		if ww.Fault != "" {
-			return fmt.Errorf("worker %d fault: %s", i, ww.Fault)
+	sep := "\n"
+	for _, t := range critpath.BuildTrees(events) {
+		if rep := critpath.Analyze(t); rep != nil {
+			fmt.Fprintf(out, "%scritical path: %s\n", sep, rep.Summary())
+			sep = ""
 		}
 	}
-	w := cl.Pod(victimPod).Process(1).Program().(*slm.Worker)
-	stamp(cl, "ring healthy at step %d after automatic failover", w.StepsDone)
-	return emitTrace(cl)
-}
-
-// failoverEC is the failover scenario under erasure-coded durability:
-// the ring's checkpoints stripe into m+r shard subsets instead of full
-// replicas, and the scenario kills two nodes — first a shard holder,
-// then a pod's own host — so no surviving node has a full image and the
-// new home must pull m shard subsets and reconstruct.
-func failoverEC(nodes int, seed int64, ec cruz.ECParams) error {
-	shards := ec.M + ec.R
-	// A 3-worker ring plus enough extra nodes that every pod has m+r
-	// ring peers to hold shards, with one to spare as a restart target
-	// after the double kill.
-	ringSize := 3
-	if nodes > ringSize+shards+1 {
-		ringSize = nodes - shards - 1
-	}
-	total := ringSize + shards + 1
-	cl, err := cruz.New(cruz.Config{
-		Nodes: total, EC: ec, AutoRecover: true,
-		Seed: seed, Trace: tracing(),
-	})
-	if err != nil {
-		return err
-	}
-	job, workers, err := slmJob(cl, ringSize)
-	if err != nil {
-		return err
-	}
-	cl.Run(500 * cruz.Millisecond)
-	stamp(cl, "slm ring of %d running at step %d on a %d-node cluster (EC %s)",
-		ringSize, workers[0].StepsDone, total, ec)
-
-	res, err := cl.Checkpoint(job, cruz.CheckpointOptions{Dedup: true})
-	if err != nil {
-		return err
-	}
-	stamp(cl, "checkpoint %d committed (latency %v, %.1f MB images)",
-		res.Seq, res.Latency, float64(res.TotalImageBytes)/(1<<20))
-	ok := cl.RunUntil(func() bool {
-		for i := 0; i < ringSize; i++ {
-			if cl.Coordinator.KnownECShards(fmt.Sprintf("slm-%d", i), res.Seq) < shards {
-				return false
-			}
-		}
-		return true
-	}, 30*cruz.Second)
-	if !ok {
-		return fmt.Errorf("shard distribution never completed")
-	}
-	var shardBytes int64
-	for i := range cl.Nodes {
-		shardBytes += cl.Nodes[i].Agent.Stats.ECShardBytes
-	}
-	stamp(cl, "every image striped %s across %d holders (%.1f MB shipped = %.2fx the images; k=%d replication would be %dx)",
-		ec, shards, float64(shardBytes)/(1<<20),
-		float64(shardBytes)/float64(res.TotalImageBytes), ec.R+1, ec.R+1)
-
-	// First loss: a shard-holding node with no pods. Wait out its lease
-	// so the coordinator has declared it dead before the second loss.
-	holder := ringSize + 1
-	stamp(cl, "node %d (a shard holder) fails — %d of %d shard positions left, still >= m=%d", holder, shards-1, shards, ec.M)
-	cl.FailNode(holder)
-	cl.Run(600 * cruz.Millisecond)
-
-	victim := 1
-	victimPod := fmt.Sprintf("slm-%d", victim)
-	stamp(cl, "node %d (hosting %s) fails too — no surviving node holds a full image", victim, victimPod)
-	cl.FailNode(victim)
-
-	if !cl.AwaitRecovery(1, 30*cruz.Second) {
-		return fmt.Errorf("automatic recovery never completed")
-	}
-	if err := cl.RecoveryErr(); err != nil {
-		return err
-	}
-	rec := cl.Recoveries()[0]
-	stamp(cl, "lease on %s expired; failure detected in %v", rec.FailedNode, rec.Detect)
-	for _, p := range rec.Pods {
-		how := "replica already local, no transfer"
-		if p.Reconstructed {
-			how = fmt.Sprintf("reconstructed from %d shard subsets (first: %s)", ec.M, p.From)
-		} else if p.Transferred {
-			how = fmt.Sprintf("image fetched from %s", p.From)
-		}
-		stamp(cl, "pod %s re-homed to %s (%s)", p.Pod, p.To, how)
-	}
-	stamp(cl, "job restarted from checkpoint %d: MTTR %v = detect %v + place %v + transfer %v (decode %v of it) + restart %v",
-		rec.Seq, rec.MTTR, rec.Detect, rec.Place, rec.Transfer, rec.Reconstruct, rec.Restart)
-
-	cl.Run(500 * cruz.Millisecond)
-	for i := 0; i < ringSize; i++ {
-		ww := cl.Pod(fmt.Sprintf("slm-%d", i)).Process(1).Program().(*slm.Worker)
-		if ww.Fault != "" {
-			return fmt.Errorf("worker %d fault: %s", i, ww.Fault)
-		}
-	}
-	w := cl.Pod(victimPod).Process(1).Program().(*slm.Worker)
-	stamp(cl, "ring healthy at step %d after losing two nodes under %s coding", w.StepsDone, ec)
-	return emitTrace(cl)
-}
-
-func periodic(nodes int, seed int64, dedup, precopy bool) error {
-	cl, err := cruz.New(cruz.Config{Nodes: nodes, Seed: seed, Trace: tracing(), AutoCompact: 4})
-	if err != nil {
-		return err
-	}
-	job, workers, err := slmJob(cl, nodes)
-	if err != nil {
-		return err
-	}
-	cl.Run(500 * cruz.Millisecond)
-	for k := 0; k < 5; k++ {
-		opts := cruz.CheckpointOptions{Optimized: true}
-		if dedup {
-			opts.Dedup = true
-			opts.Pipeline = true
-		}
-		if precopy {
-			opts.Precopy = cruz.PrecopyConfig{MaxRounds: 3, DirtyThresholdPages: 16, MinRoundGain: 0.2}
-		}
-		res, cerr := cl.Checkpoint(job, opts)
-		if cerr != nil {
-			return cerr
-		}
-		stamp(cl, "checkpoint %d: latency %v  overhead %v  blocked %v  %d msgs  %.2f MB written  step %d",
-			res.Seq, res.Latency, res.Overhead, res.MaxBlocked, res.Messages,
-			float64(res.TotalImageBytes)/(1<<20), workers[0].StepsDone)
-		cl.Run(2 * cruz.Second)
-	}
-	for i, w := range workers {
-		if w.Fault != "" {
-			return fmt.Errorf("worker %d fault: %s", i, w.Fault)
-		}
-	}
-	mode := "optimized"
-	if dedup {
-		mode = "optimized dedup+pipeline"
-	}
-	if precopy {
-		mode += " precopy"
-	}
-	stamp(cl, "5 %s checkpoints, application undisturbed", mode)
-	return emitTrace(cl)
+	return nil
 }

@@ -16,8 +16,9 @@
 //	job := cl.DefineJob("myjob", "db")
 //	res, _ := cl.Checkpoint(job, cruz.CheckpointOptions{})
 //
-// See examples/ for complete programs and DESIGN.md for the mapping from
-// the paper's systems and experiments to packages in this repository.
+// See internal/scenario for complete deployments (cmd/cruzsim runs them)
+// and DESIGN.md for the mapping from the paper's systems and experiments
+// to packages in this repository.
 package cruz
 
 import (
@@ -79,9 +80,6 @@ type (
 	// durability: M data + R parity shards per stripe (see Config.EC).
 	ECParams = ckpt.ECParams
 )
-
-// ParseECParams parses an "m+r" string (e.g. "4+2") into ECParams.
-func ParseECParams(s string) (ECParams, error) { return ckpt.ParseECParams(s) }
 
 // Common virtual durations, re-exported for callers of Run.
 const (

@@ -14,10 +14,7 @@ import (
 // registered with the coordinator.
 func ecCluster(t *testing.T, seed int64) (*cruz.Cluster, []string, *cruz.Job, int) {
 	t.Helper()
-	ec, err := cruz.ParseECParams("4+2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ec := cruz.ECParams{M: 4, R: 2}
 	cl, err := cruz.New(cruz.Config{
 		Nodes: 8, Seed: seed, EC: ec, AutoRecover: true,
 	})
@@ -195,10 +192,7 @@ func migrateUnderEC(t *testing.T, ec cruz.ECParams) *cruz.MigrationResult {
 // is in flight must cost at most 5% in downtime and round time over a
 // cluster with durability off entirely.
 func TestECPacingDoesNotSlowMigration(t *testing.T) {
-	ec, err := cruz.ParseECParams("4+2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ec := cruz.ECParams{M: 4, R: 2}
 	under := migrateUnderEC(t, ec)
 	plain := migrateUnderEC(t, cruz.ECParams{})
 	if under.Downtime > plain.Downtime+plain.Downtime/20 {
@@ -216,10 +210,7 @@ func TestECPacingDoesNotSlowMigration(t *testing.T) {
 // dedup) under an EC-configured cluster must fall back to R-way
 // replication, preserving the survive-R-losses guarantee.
 func TestECFallbackToReplication(t *testing.T) {
-	ec, err := cruz.ParseECParams("4+2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ec := cruz.ECParams{M: 4, R: 2}
 	cl, err := cruz.New(cruz.Config{Nodes: 8, Seed: 33, EC: ec, AutoRecover: true})
 	if err != nil {
 		t.Fatal(err)

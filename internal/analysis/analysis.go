@@ -122,8 +122,9 @@ type Config struct {
 // DefaultSimSide is the sim-side package set enforced in this tree: the
 // root package and the internal packages that run inside engine events.
 // internal/trace and internal/metrics are deliberately included: their
-// output is exactly the artifact that must be seed-deterministic. The
-// commands, the examples and the analysis itself run on the host.
+// output is exactly the artifact that must be seed-deterministic, as is
+// internal/scenario's, which drives the engine. The commands (and the
+// file I/O they do) and the analysis itself run on the host.
 var DefaultSimSide = []string{
 	"cruz",
 	"cruz/internal/apps/...",
@@ -140,6 +141,7 @@ var DefaultSimSide = []string{
 	"cruz/internal/kernel",
 	"cruz/internal/mem",
 	"cruz/internal/metrics",
+	"cruz/internal/scenario",
 	"cruz/internal/sim",
 	"cruz/internal/tcpip",
 	"cruz/internal/trace/...",

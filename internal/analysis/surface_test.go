@@ -22,10 +22,8 @@ var testOnly = map[string]string{
 	"cruz/internal/coord.Promote":                     "TestLeaderPromotion",
 	"cruz/internal/coord.RootMessagesPerPhase":        "TestRootMessagesPerPhase",
 	"cruz/internal/core.(Agent).Kernel":               "TestAbortOnAgentTimeout",
-	"cruz/internal/core.(Agent).OpenOps":              "TestSecondNodeFailureReplansRecovery",
 	"cruz/internal/core.(Coordinator).AbortMigration": "TestMigrationAbortRollsBack",
 	"cruz/internal/core.(Coordinator).CommittedSeq":   "TestCoordinatedCheckpointBlocking",
-	"cruz/internal/core.(Coordinator).OpenOps":        "TestSecondNodeFailureReplansRecovery",
 	"cruz/internal/ctl.(Conn).QueuedBytes":            "TestTierPriorityOvertake",
 	"cruz/internal/ctl.(Op).Err":                      "TestOpFailIsIdempotentAndOrdersHooks",
 	"cruz/internal/dhcp.NewClient":                    "TestLeaseAcquisition",

@@ -29,6 +29,12 @@ type Sender struct {
 	FD    int
 	Sent  uint64
 	Fault string
+
+	// pattern is the stream content, byte(i) at index i, one chunk plus
+	// 256 long so every window of ChunkBytes is a slice of it. Unexported,
+	// so no checkpoint carries it: a restored sender rebuilds it on its
+	// first send.
+	pattern []byte
 }
 
 // NewSender streams to target.
@@ -70,13 +76,18 @@ func (s *Sender) Step(ctx *kernel.ProcContext) kernel.StepResult {
 			ctx.CloseFD(s.FD) //cruzvet:allow errdrop close immediately before exit; the kernel reaps the fd table anyway
 			return kernel.Exit(0, 0)
 		}
-		chunk := make([]byte, s.ChunkBytes)
-		// Stream content: position-stamped bytes so the receiver can
-		// verify integrity across checkpoints.
-		for i := range chunk {
-			chunk[i] = byte(s.Sent + uint64(i))
+		// Stream content: position-stamped bytes, byte(pos) at stream
+		// position pos, so the receiver can verify integrity across
+		// checkpoints. Send copies what it accepts, so the pattern is
+		// never held beyond the call.
+		if len(s.pattern) != s.ChunkBytes+256 {
+			s.pattern = make([]byte, s.ChunkBytes+256)
+			for i := range s.pattern {
+				s.pattern[i] = byte(i)
+			}
 		}
-		n, err := ctx.Send(s.FD, chunk)
+		off := int(s.Sent % 256)
+		n, err := ctx.Send(s.FD, s.pattern[off:off+s.ChunkBytes])
 		if err == kernel.ErrWouldBlock {
 			return kernel.BlockOnWrite(0, s.FD)
 		}
@@ -118,6 +129,10 @@ type Receiver struct {
 	// the Fig. 6 rate trace.
 	Received uint64
 	Fault    string
+
+	// buf is the receive buffer, reused by every step. Unexported, so no
+	// checkpoint carries it: a restored receiver regrows it.
+	buf []byte
 }
 
 // NewReceiver listens on port (0 = DefaultPort).
@@ -159,8 +174,10 @@ func (r *Receiver) Step(ctx *kernel.ProcContext) kernel.StepResult {
 		r.Phase = 2
 		return kernel.Continue(0)
 	default:
-		buf := make([]byte, 64<<10)
-		n, err := ctx.Recv(r.FD, buf, false)
+		if r.buf == nil {
+			r.buf = make([]byte, 64<<10)
+		}
+		n, err := ctx.Recv(r.FD, r.buf, false)
 		if err == kernel.ErrWouldBlock {
 			return kernel.BlockOnRead(0, r.FD)
 		}
@@ -168,8 +185,8 @@ func (r *Receiver) Step(ctx *kernel.ProcContext) kernel.StepResult {
 			// EOF ends the benchmark cleanly.
 			return kernel.Exit(0, 0)
 		}
-		for i := 0; i < n; i++ {
-			if buf[i] != byte(r.Received+uint64(i)) {
+		for i, b := range r.buf[:n] {
+			if b != byte(r.Received+uint64(i)) {
 				return r.fail("stream corruption")
 			}
 		}

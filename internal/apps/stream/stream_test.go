@@ -1,9 +1,12 @@
 package stream
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cruz"
+	"cruz/internal/kernel"
 	"cruz/internal/metrics"
 )
 
@@ -131,5 +134,120 @@ func TestBoundedStreamCompletes(t *testing.T) {
 	}
 	if send.Fault != "" || recv.Fault != "" {
 		t.Fatalf("faults: %q %q", send.Fault, recv.Fault)
+	}
+}
+
+// TestStreamRestoredMidTransfer: a sender/receiver pair checkpointed,
+// destroyed and restarted mid-stream carries on from the checkpointed
+// position, and the restored receiver — whose buffers, like the
+// sender's pattern, no image carries — verifies every byte it gets.
+func TestStreamRestoredMidTransfer(t *testing.T) {
+	cl, job, osend, orecv := deploy(t)
+	cl.Run(200 * cruz.Millisecond)
+	if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(100 * cruz.Millisecond)
+	cl.Pod("recv").Destroy()
+	cl.Pod("send").Destroy()
+	if _, err := cl.Restart(job, 0); err != nil {
+		t.Fatal(err)
+	}
+	recv := cl.Pod("recv").Process(1).Program().(*Receiver)
+	send := cl.Pod("send").Process(1).Program().(*Sender)
+	if recv == orecv || send == osend {
+		t.Fatal("restart kept the original programs")
+	}
+	at := recv.Received
+	cl.Run(300 * cruz.Millisecond)
+	if send.Fault != "" || recv.Fault != "" {
+		t.Fatalf("faults after restore: %q %q", send.Fault, recv.Fault)
+	}
+	if recv.Received < at+10<<20 {
+		t.Fatalf("received %d bytes in 300 ms after the restore, want ≥ 10 MiB", recv.Received-at)
+	}
+}
+
+// metered runs a program with before and after called around each of its
+// steps, so a test sees what the steps themselves cost.
+type metered struct {
+	kernel.Program
+	before, after func()
+	steps         *int
+}
+
+func (m *metered) Step(ctx *kernel.ProcContext) kernel.StepResult {
+	*m.steps++
+	m.before()
+	r := m.Program.Step(ctx)
+	m.after()
+	return r
+}
+
+// TestStreamStepAllocatesNothing: once the stream is flowing, a sender
+// step and a receiver step — the send or receive, the byte stamps or
+// checks, and the TCP segments they make — allocate nothing, whether the
+// send is accepted or would block.
+func TestStreamStepAllocatesNothing(t *testing.T) {
+	var (
+		ms             runtime.MemStats
+		counting       bool
+		start, mallocs uint64
+		steps          int
+	)
+	before := func() {
+		if counting {
+			runtime.ReadMemStats(&ms)
+			start = ms.Mallocs
+		}
+	}
+	after := func() {
+		if counting {
+			runtime.ReadMemStats(&ms)
+			mallocs += ms.Mallocs - start
+		}
+	}
+	cl, err := cruz.New(cruz.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpod, err := cl.NewPod(0, "recv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spod, err := cl.NewPod(1, "send")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := NewReceiver(0)
+	send := NewSender(cruz.AddrPort{Addr: rpod.IP(), Port: DefaultPort})
+	if _, err := rpod.Spawn("receiver", &metered{recv, before, after, &steps}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spod.Spawn("sender", &metered{send, before, after, &steps}); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(300 * cruz.Millisecond)
+	// A collection starting or still running inside a step can start the
+	// runtime's own mark workers, whose goroutines count as allocations.
+	// So can a restart of the world (ReadMemStats stops it twice a step)
+	// that finds an idle P and starts an OS thread for it: with one P
+	// there is none.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	at, from := recv.Received, steps
+	counting = true
+	cl.Run(20 * cruz.Millisecond)
+	counting = false
+	if send.Fault != "" || recv.Fault != "" {
+		t.Fatalf("faults: %q %q", send.Fault, recv.Fault)
+	}
+	if recv.Received-at < 1<<20 {
+		t.Fatalf("only %d bytes streamed while measuring", recv.Received-at)
+	}
+	t.Logf("%d allocations over %d steps streaming %d bytes", mallocs, steps-from, recv.Received-at)
+	if mallocs != 0 {
+		t.Errorf("%d allocations over %d warmed sender and receiver steps, want 0", mallocs, steps-from)
 	}
 }

@@ -122,10 +122,15 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	}
 	j.Core = coreJob
 	s.jobs[spec.Name] = j
-	if spec.CheckpointEvery > 0 {
-		j.ticker = s.cluster.Engine.NewTicker(spec.CheckpointEvery, j.periodicCheckpoint)
-	}
+	j.arm()
 	return j, nil
+}
+
+// arm starts the periodic checkpoints, if the job has them.
+func (j *Job) arm() {
+	if j.Spec.CheckpointEvery > 0 {
+		j.ticker = j.sched.cluster.Engine.NewTicker(j.Spec.CheckpointEvery, j.periodicCheckpoint)
+	}
 }
 
 // periodicCheckpoint fires from the scheduler's timer inside the event
@@ -177,7 +182,8 @@ func (j *Job) Done() bool {
 
 // drainCheckpoint stops the periodic ticker and waits out any in-flight
 // coordinated checkpoint, so lifecycle operations never collide with the
-// coordinator's one-op-per-job rule.
+// coordinator's one-op-per-job rule. Whatever leaves the job running
+// afterwards re-arms the ticker.
 func (j *Job) drainCheckpoint() error {
 	if j.ticker != nil {
 		j.ticker.Stop()
@@ -202,6 +208,8 @@ func (j *Job) Suspend() error {
 	}
 	res, err := j.sched.cluster.Checkpoint(j.Core, cruz.CheckpointOptions{})
 	if err != nil {
+		// The coordinator aborted and resumed the pods: the job runs on.
+		j.arm()
 		return fmt.Errorf("batch: suspend checkpoint: %w", err)
 	}
 	j.Checkpoints++
@@ -224,9 +232,7 @@ func (j *Job) Resume() error {
 		return fmt.Errorf("batch: resume: %w", err)
 	}
 	j.state = StateRunning
-	if j.Spec.CheckpointEvery > 0 {
-		j.ticker = j.sched.cluster.Engine.NewTicker(j.Spec.CheckpointEvery, j.periodicCheckpoint)
-	}
+	j.arm()
 	return nil
 }
 
@@ -246,8 +252,6 @@ func (j *Job) RecoverFromCrash() error {
 		return fmt.Errorf("batch: recover: %w", err)
 	}
 	j.state = StateRunning
-	if j.Spec.CheckpointEvery > 0 {
-		j.ticker = j.sched.cluster.Engine.NewTicker(j.Spec.CheckpointEvery, j.periodicCheckpoint)
-	}
+	j.arm()
 	return nil
 }

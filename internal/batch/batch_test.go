@@ -169,3 +169,37 @@ func TestSuspendRequiresRunning(t *testing.T) {
 		t.Fatalf("suspend completed job = %v", err)
 	}
 }
+
+// TestFailedSuspendKeepsCheckpointing: a suspend whose checkpoint fails
+// leaves the job running, and its periodic checkpoints go on. Found by a
+// walk over the mixed scenario (seed 31, step 4): a job suspended while
+// its ring connects is resumed with a connection still to make, and a
+// second suspend finds it in SYN_SENT, which no checkpoint can capture.
+func TestFailedSuspendKeepsCheckpointing(t *testing.T) {
+	cl := newCluster(t, 2)
+	s := New(cl)
+	job, err := s.Submit(slmSpec("wx", 2, 0, 100*cruz.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(5 * cruz.Millisecond)
+	if err := job.Suspend(); err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Suspend(); err == nil {
+		t.Fatal("a suspend mid-handshake succeeded: the setup no longer reaches the failure")
+	}
+	if job.State() != StateRunning {
+		t.Fatalf("state after a failed suspend = %v", job.State())
+	}
+	// The ring's SYN was dropped while its neighbour restarted, so the
+	// periodic checkpoints fail too until its retransmission ≈ 1 s later.
+	before := job.Checkpoints
+	cl.Run(1500 * cruz.Millisecond)
+	if job.Checkpoints < before+3 {
+		t.Fatalf("%d periodic checkpoints in 1.5s after a failed suspend, want ≥ 3", job.Checkpoints-before)
+	}
+}

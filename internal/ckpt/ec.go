@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -51,22 +50,6 @@ func (p ECParams) Validate() error {
 
 // String renders the params in the conventional "m+r" form.
 func (p ECParams) String() string { return fmt.Sprintf("%d+%d", p.M, p.R) }
-
-// ParseECParams parses the "m+r" form ("4+2").
-func ParseECParams(s string) (ECParams, error) {
-	var p ECParams
-	i := strings.IndexByte(s, '+')
-	if i < 0 {
-		return p, fmt.Errorf("ckpt: EC spec %q: want \"m+r\" (e.g. 4+2)", s)
-	}
-	if _, err := fmt.Sscanf(s, "%d+%d", &p.M, &p.R); err != nil {
-		return p, fmt.Errorf("ckpt: EC spec %q: %v", s, err)
-	}
-	if err := p.Validate(); err != nil {
-		return p, err
-	}
-	return p, nil
-}
 
 // ECStripe is one stripe of the shard manifest: up to M data chunk
 // hashes (only the final stripe of a set may be shorter — the missing

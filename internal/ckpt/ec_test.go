@@ -129,14 +129,14 @@ func TestECCodecPaddedTail(t *testing.T) {
 	}
 }
 
-func TestParseECParams(t *testing.T) {
-	p, err := ParseECParams("4+2")
-	if err != nil || p.M != 4 || p.R != 2 {
-		t.Fatalf("ParseECParams(4+2) = %v, %v", p, err)
+func TestECParamsValidate(t *testing.T) {
+	p := ECParams{M: 4, R: 2}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate(4+2) = %v", err)
 	}
-	for _, bad := range []string{"", "4", "0+2", "4+0", "300+1", "x+y"} {
-		if _, err := ParseECParams(bad); err == nil {
-			t.Fatalf("ParseECParams(%q) succeeded", bad)
+	for _, bad := range []ECParams{{}, {M: 4}, {R: 2}, {M: 300, R: 1}} {
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("Validate(%v) succeeded", bad)
 		}
 	}
 	if p.String() != "4+2" {

@@ -64,15 +64,11 @@ func durabilityBytes(cl *cruz.Cluster) int64 {
 // recovery's MTTR split.
 func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	cfg := cruz.Config{Nodes: n, Seed: int64(n)*131 + 17, AutoRecover: true}
-	ec, err := cruz.ParseECParams("4+2")
-	if err != nil {
-		return nil, err
-	}
 	switch scheme {
 	case SchemeRepl3:
 		cfg.Replicas = 3
 	case SchemeEC42:
-		cfg.EC = ec
+		cfg.EC = cruz.ECParams{M: 4, R: 2}
 	default:
 		return nil, fmt.Errorf("exp: unknown EC scheme %q", scheme)
 	}
@@ -108,7 +104,7 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 			for _, name := range r.names {
 				switch scheme {
 				case SchemeEC42:
-					if r.cl.Coordinator.KnownECShards(name, res.Seq) < ec.M+ec.R {
+					if r.cl.Coordinator.KnownECShards(name, res.Seq) < cfg.EC.M+cfg.EC.R {
 						return false
 					}
 				default:
