@@ -54,8 +54,8 @@ bench:
 # cycle, one slm ring step), plus the tracer-overhead guard (trace=false
 # must match the pre-tracing baseline). Every one reports B/op and
 # allocs/op, which repeat exactly and are the numbers to compare across
-# commits (EXPERIMENTS.md appendices A12, A13, A18 and A23 hold the last
-# recorded sets). No thresholds — host timings are informational.
+# commits (EXPERIMENTS.md appendices A12, A13, A18, A23 and A24 hold the
+# last recorded sets). No thresholds — host timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
 	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestoreFromManifest' -benchtime=50x -benchmem ./internal/ckpt/
@@ -108,8 +108,9 @@ vsame:
 
 # Scaling smoke: the A9 flat-vs-tree ablation at reduced workload scale
 # (n = 8/64/256, light slm ring). Exercises the hierarchical
-# coordinator, the widened >255-node addressing, and the engine fast
-# path end to end in a few seconds.
+# coordinator, the widened >255-node addressing, and the engine's event
+# heap at its deepest (≈ 66k queued events at n = 256) end to end in a
+# few seconds.
 scale-smoke:
 	$(GO) run ./cmd/cruzbench -exp scale -scale 0.25
 

@@ -232,10 +232,13 @@ func TestStreamStepAllocatesNothing(t *testing.T) {
 	// runtime's own mark workers, whose goroutines count as allocations.
 	// So can a restart of the world (ReadMemStats stops it twice a step)
 	// that finds an idle P and starts an OS thread for it: with one P
-	// there is none.
+	// there is none. And the runtime's background scavenger, pacing the
+	// return of free pages to the OS, re-arms its sleep timer whenever it
+	// gets the P, which can grow the P's timer heap: returning every free
+	// page first leaves it nothing to pace, so it parks without a timer.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
+	debug.FreeOSMemory()
 	at, from := recv.Received, steps
 	counting = true
 	cl.Run(20 * cruz.Millisecond)

@@ -385,9 +385,7 @@ func (napProg) Step(*ProcContext) StepResult { return Sleep(0, 0) }
 // the sleep-wake event runs too. None of it allocates: the dispatch,
 // completion and wake callbacks are bound once (per kernel, per process),
 // the step's result is parked on the process, and the ready queue reuses
-// its array. (The steps cost no CPU time and the naps last none, so the
-// clock stands still and the engine's calendar never re-fits, which
-// allocates.)
+// its array.
 func TestStepCycleAllocatesNothing(t *testing.T) {
 	r := newTestRig(t, 1)
 	k := r.kernels[0]

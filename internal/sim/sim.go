@@ -62,9 +62,9 @@ func (d Duration) String() string {
 
 func (t Time) String() string { return Duration(t).String() }
 
-// Event is a scheduled callback. Events are ordered by firing time and,
-// for equal times, by scheduling order, which keeps the simulation
-// deterministic.
+// Event is a scheduled callback. Events fire in (at, seq) order: by
+// firing time and, for equal times, by scheduling order, which keeps the
+// simulation deterministic.
 //
 // Fired and canceled events are recycled through the engine's free list
 // (scheduling is on the hot path: every packet, disk transfer, and
@@ -78,8 +78,7 @@ type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
-	bucket   int // calendar bucket index while queued
-	slot     int // slot within the bucket; -1 once popped or canceled
+	slot     int // index in the engine's heap; -1 once popped or canceled
 	canceled bool
 }
 
@@ -98,7 +97,7 @@ var ErrStopped = errors.New("sim: engine stopped")
 // NewEngine.
 type Engine struct {
 	now     Time
-	queue   *calQueue
+	queue   eventQueue
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -118,7 +117,7 @@ type Engine struct {
 // NewEngine returns an engine whose clock reads zero and whose
 // deterministic random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{queue: newCalQueue(), rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -169,7 +168,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 	} else {
 		ev = &Event{at: at, seq: e.seq, fn: fn}
 	}
-	e.queue.push(ev, int64(e.now))
+	e.queue.push(ev)
 	return ev
 }
 
@@ -203,7 +202,7 @@ func (e *Engine) Cancel(ev *Event) bool {
 // Step executes the single next event, advancing the clock to its firing
 // time. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	ev := e.queue.pop(int64(e.now))
+	ev := e.queue.pop()
 	if ev == nil {
 		return false
 	}
@@ -238,7 +237,7 @@ func (e *Engine) Run() error {
 func (e *Engine) RunUntil(horizon Time) error {
 	e.stopped = false
 	for !e.stopped {
-		if ev := e.queue.peek(int64(e.now)); ev == nil || ev.at > horizon {
+		if ev := e.queue.peek(); ev == nil || ev.at > horizon {
 			if e.now < horizon {
 				e.now = horizon
 			}
@@ -256,7 +255,7 @@ func (e *Engine) RunFor(d Duration) error { return e.RunUntil(e.now.Add(d)) }
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return e.queue.len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Ticker invokes fn every period until canceled. It is a convenience for
 // periodic activities such as rate sampling.
