@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame gobench scale-smoke migrate-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame gobench fuzz-smoke scale-smoke migrate-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -49,16 +49,18 @@ bench:
 	rm -f bench.tmp.json
 
 # Wall-clock benchmarks, one per layer the page path crosses, the two gob
-# codecs of the control path (frames, manifests), the per-frame and
-# per-step paths of the substrate (switch forwarding, the kernel's step
-# cycle, one slm ring step), plus the tracer-overhead guard (trace=false
-# must match the pre-tracing baseline). Every one reports B/op and
-# allocs/op, which repeat exactly and are the numbers to compare across
-# commits (EXPERIMENTS.md appendices A12, A13, A18, A23 and A24 hold the
-# last recorded sets). No thresholds — host timings are informational.
+# codecs of the control path (frames, manifests), the erasure-coded tier's
+# two per-set steps (reading a shard manifest, planning a 4+2 set of 256
+# stripes), the per-frame and per-step paths of the substrate (switch
+# forwarding, the kernel's step cycle, one slm ring step), plus the
+# tracer-overhead guard (trace=false must match the pre-tracing baseline).
+# Every one reports B/op and allocs/op, which repeat exactly and are the
+# numbers to compare across commits (EXPERIMENTS.md appendices A12, A13,
+# A18, A23, A24 and A25 hold the last recorded sets). No thresholds — host
+# timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
-	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestoreFromManifest' -benchtime=50x -benchmem ./internal/ckpt/
+	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestoreFromManifest|BenchmarkDecodeECSet|BenchmarkPlanECSave' -benchtime=50x -benchmem ./internal/ckpt/
 	$(GO) test -run XXX -bench=BenchmarkControlCodec -benchtime=10000x -benchmem ./internal/core/
 	$(GO) test -run XXX -bench=BenchmarkDirtyTracking -benchtime=50x -benchmem ./internal/mem/
 	$(GO) test -run XXX -bench=BenchmarkEngineSchedule -benchtime=100000x -benchmem ./internal/sim/
@@ -67,6 +69,17 @@ gobench:
 	$(GO) test -run XXX -bench=BenchmarkStepCycle -benchtime=100000x -benchmem ./internal/kernel/
 	$(GO) test -run XXX -bench=BenchmarkHaloStep -benchtime=1000x -benchmem ./internal/apps/slm/
 	$(GO) test -run XXX -bench=BenchmarkMigrationStream -benchtime=10x -benchmem ./internal/ctl/
+
+# Fuzz smoke: every fuzz target for 10 s of generated inputs beyond its
+# checked-in corpus, one `go test -fuzz` call each (the flag takes one
+# target). Each decoder takes bytes off the wire, and DecodeECSet's is a
+# hand-written reader of gob's primitives, so this runs on every push. A
+# failing input is written under the package's testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeECSet$$' -fuzztime 10s ./internal/ckpt/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/ckpt/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime 10s ./internal/ckpt/
+	$(GO) test -run '^$$' -fuzz '^FuzzBulkFrame$$' -fuzztime 10s ./internal/core/
 
 # The benchmark under bench/ is a module of its own, so tier-1 neither
 # compiles nor tests it, yet its layer replay drives internals of this

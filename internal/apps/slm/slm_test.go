@@ -220,8 +220,16 @@ func TestWorkerStepAllocatesNothing(t *testing.T) {
 	const warm, measured = 20, 40
 	stepUntil(t, cl, func() bool { return workers[0].StepsDone >= warm })
 	// A collection starting inside a step can start the runtime's own
-	// mark workers, whose goroutines count as allocations.
+	// mark workers, whose goroutines count as allocations. So can a
+	// restart of the world (ReadMemStats stops it twice a step) that finds
+	// an idle P and starts an OS thread for it: with one P there is none.
+	// And the runtime's background scavenger, pacing the return of free
+	// pages to the OS, re-arms its sleep timer whenever it gets the P,
+	// which can grow the P's timer heap: returning every free page first
+	// leaves it nothing to pace, so it parks without a timer.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	debug.FreeOSMemory()
 	counting = true
 	stepUntil(t, cl, func() bool { return workers[0].StepsDone >= warm+measured })
 	counting = false

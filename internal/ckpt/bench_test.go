@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -182,6 +183,63 @@ func BenchmarkDecodeImage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeImage(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// stripedStore returns a store holding one deduplicated checkpoint, ec/1,
+// of stripes·p.M distinct pages: the chain PlanECSave stripes.
+func stripedStore(stripes int, p ECParams) *Store {
+	s := NewStore(nil)
+	pages := make([]PageRef, stripes*p.M)
+	for i := range pages {
+		data := make([]byte, mem.PageSize)
+		binary.LittleEndian.PutUint64(data, uint64(i+1))
+		pages[i] = PageRef{PN: uint64(i), Hash: mem.HashBlock(data)}
+		s.putChunk(pages[i].Hash, data)
+		s.ref(pages[i].Hash, 1)
+	}
+	s.ensure("ec", 1).manifest = &Manifest{PodName: "ec", Seq: 1, Procs: []ProcManifest{{Pages: pages}}}
+	return s
+}
+
+// BenchmarkDecodeECSet measures parsing the shard manifest of a 4+2 set of
+// 256 stripes — what every shard holder does once per distribution, and a
+// recovering node once per pull. Its allocations do not grow with the
+// stripe count.
+func BenchmarkDecodeECSet(b *testing.B) {
+	p := ECParams{M: 4, R: 2}
+	plan, err := stripedStore(256, p).PlanECSave("ec", 1, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := plan.Set.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeECSet(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanECSave measures striping a checkpoint of 1,024 chunks into
+// a 4+2 set of 256 stripes: the parity math, the stripe layout and the
+// chunk-table references. After the first plan every parity block is
+// resident, as in a steady run of unchanged checkpoints.
+func BenchmarkPlanECSave(b *testing.B) {
+	p := ECParams{M: 4, R: 2}
+	s := stripedStore(256, p)
+	b.SetBytes(256 * int64(p.M) * mem.PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.PlanECSave("ec", 1, p); err != nil {
 			b.Fatal(err)
 		}
 	}

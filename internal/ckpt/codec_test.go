@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -81,6 +83,151 @@ func codecContract[T any](t *testing.T, c *gobmemo.Codec[T], sample *T) {
 
 func TestManifestCodecIsFreshGob(t *testing.T) { codecContract(t, manifestCodec, sampleManifest(t)) }
 func TestECSetCodecIsFreshGob(t *testing.T)    { codecContract(t, ecSetCodec, sampleECSet()) }
+
+// TestECSetReaderMatchesGob holds DecodeECSet's reader to gob: on the
+// encoding of every generated set and of sampleECSet it builds what a
+// fresh gob.Decoder builds. It rejects every proper prefix of the encoding
+// — cut whole, or cut inside the value with the message length fixed to
+// match — and a byte after it, which gob's decoder left unread. Each of
+// gobmemotest's damaged and hostile variations it rejects, or decodes to
+// gob's value; encodings gob accepts but gob.Encoder never writes, it
+// rejects.
+func TestECSetReaderMatchesGob(t *testing.T) {
+	fresh := func(b []byte) (*ECSet, error) {
+		v := new(ECSet)
+		return v, gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+	}
+	for i, set := range append(generated[ECSet](t, 400), sampleECSet()) {
+		b, err := set.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh(b)
+		if err != nil {
+			t.Fatalf("set %d: gob rejects its encoding: %v", i, err)
+		}
+		if got, err := parseECSet(b); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d: the reader builds %+v (%v), gob %+v", i, got, err, want)
+		}
+		for n := 0; n < len(b); n++ {
+			if _, err := parseECSet(b[:n]); err == nil {
+				t.Fatalf("set %d: accepted its first %d of %d bytes", i, n, len(b))
+			}
+		}
+		fields, frame := valueFramer(t, b)
+		for k := 0; k < len(fields); k++ {
+			if got, err := parseECSet(frame(fields[:k])); err == nil {
+				t.Fatalf("set %d: accepted its value cut to %d of %d bytes: %+v", i, k, len(fields), got)
+			}
+		}
+		if _, err := parseECSet(append(b[:len(b):len(b)], 0)); err == nil {
+			t.Fatalf("set %d: accepted a byte after the value", i)
+		}
+	}
+	for _, in := range gobmemotest.Inputs(t, sampleECSet()) {
+		got, err := parseECSet(in.Bytes)
+		if err != nil {
+			continue
+		}
+		if want, gerr := fresh(in.Bytes); gerr != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the reader builds %+v, gob %+v (%v)", in.Name, got, want, gerr)
+		}
+	}
+	// gob's decoder also takes encodings gob.Encoder never writes. The
+	// reader does not, so what it accepts re-encodes to itself.
+	b, err := (&ECSet{Pod: "p"}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, frame := valueFramer(t, b)
+	if _, err := parseECSet(frame([]byte{1, 1, 'p', 0})); err != nil {
+		t.Fatalf("the reader rejects a re-framed good value: %v", err)
+	}
+	for name, fields := range map[string][]byte{
+		"count wider than needed": {1, 0xff, 1, 'p', 0},
+		"zero field sent":         {1, 1, 'p', 1, 0, 0},
+		"empty slice sent":        {1, 1, 'p', 4, 0, 0},
+		"byte after the struct":   {1, 1, 'p', 0, 0},
+	} {
+		in := frame(fields)
+		if _, err := fresh(in); err != nil {
+			t.Fatalf("%s: gob rejects it too: %v", name, err)
+		}
+		if got, err := parseECSet(in); err == nil {
+			t.Errorf("%s: the reader accepted it as %+v", name, got)
+		}
+	}
+}
+
+// valueFramer splits b, an encoded set, into its value's fields and a
+// function that frames other fields as that value: b's descriptors, then
+// a message length that fits them, the type id and the fields.
+func valueFramer(t *testing.T, b []byte) (fields []byte, frame func([]byte) []byte) {
+	t.Helper()
+	fields, err := ecSetCodec.Value(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := 0 // offset of the value, the stream's last message
+	for {
+		n, w := readGobUint(b[msg:])
+		if msg+w+int(n) == len(b) {
+			break
+		}
+		msg += w + int(n)
+	}
+	_, w := readGobUint(b[msg:])
+	id := b[msg+w : len(b)-len(fields)]
+	return fields, func(f []byte) []byte {
+		c := append(append([]byte(nil), b[:msg]...), gobUint(uint64(len(id)+len(f)))...)
+		return append(append(c, id...), f...)
+	}
+}
+
+// TestECSetCostsPerSetNotPerStripe: decoding a shard manifest allocates as
+// many objects at 1,024 stripes as at 4, and planning one allocates a
+// parity buffer per stripe plus a bounded rest.
+func TestECSetCostsPerSetNotPerStripe(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bounds are for builds without the race detector")
+	}
+	// The rest of a plan is the set, its hash array and stripe list, the
+	// list of parity buffers and the plan — and the offer, whose list of
+	// distinct hashes and the map that finds them grow by doubling: 18
+	// objects at 4 stripes, 70 at 1,024 (Go 1.24).
+	const planRest = 96
+	p := ECParams{M: 4, R: 2}
+	var decodes []float64
+	for _, stripes := range []int{4, 1024} {
+		s := stripedStore(stripes, p)
+		plan, err := s.PlanECSave("ec", 1, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := plan.Set.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned := testing.AllocsPerRun(3, func() {
+			if _, err := s.PlanECSave("ec", 1, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		decoded := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeECSet(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d stripes: plan %.0f allocations, decode %.0f", stripes, planned, decoded)
+		if planned > float64(stripes+planRest) {
+			t.Errorf("%d stripes: a plan allocates %.0f objects, want at most one per stripe and %d more", stripes, planned, planRest)
+		}
+		decodes = append(decodes, decoded)
+	}
+	if decodes[0] != decodes[1] || decodes[1] > 5 {
+		t.Errorf("a decode allocates %.0f objects at 4 stripes and %.0f at 1,024, want the same 5 at most", decodes[0], decodes[1])
+	}
+}
 
 // TestImageHeadCodecIsFreshGob: an image's head is its gob encoding, in
 // which sampleImage's pages, being unexported references, do not appear.

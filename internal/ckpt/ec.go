@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cruz/internal/gobmemo"
 	"cruz/internal/mem"
 )
 
@@ -86,11 +87,11 @@ func (set *ECSet) Encode() ([]byte, error) {
 // parameters or stripe shapes would index out of range later: the bytes
 // come off the wire.
 func DecodeECSet(b []byte) (*ECSet, error) {
-	var set ECSet
-	if _, err := ecSetCodec.Decode(b, &set); err != nil {
-		return nil, fmt.Errorf("ckpt: decode EC set: %w", err)
+	set, err := parseECSet(b)
+	if err == nil {
+		err = (ECParams{M: set.M, R: set.R}).Validate()
 	}
-	if err := (ECParams{M: set.M, R: set.R}).Validate(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: decode EC set: %w", err)
 	}
 	for i := range set.Stripes {
@@ -99,7 +100,114 @@ func DecodeECSet(b []byte) (*ECSet, error) {
 				i, len(st.Data), len(st.Parity), set.M, set.R)
 		}
 	}
-	return &set, nil
+	return set, nil
+}
+
+// parseECSet reads a set off the bytes Encode writes without gob's decoder,
+// in five allocations whatever its stripe count: the set, its pod name,
+// chain and stripe list, and one array every stripe's Data and Parity are
+// carved from. It takes P ‖ V only, and of V only what gob.Encoder writes,
+// which sends a struct field only when it is not zero: what it accepts is
+// what a fresh gob.Decoder makes of the bytes, and re-encodes to them. The
+// field numbers are ECSet's, ECStripe's and mem.PageHash's fields in
+// order, as P, which the bytes must start with, describes them.
+func parseECSet(b []byte) (*ECSet, error) {
+	v, err := ecSetCodec.Value(b)
+	if err != nil {
+		return nil, err
+	}
+	set := new(ECSet)
+	r := gobmemo.NewReader(v)
+	for f := r.Field(-1, 6); f >= 0; f = r.Field(f, 6) {
+		switch f {
+		case 0:
+			set.Pod = r.String()
+			r.Check(set.Pod != "", zeroSent)
+		case 1:
+			set.Seq = sentInt(&r)
+		case 2:
+			set.M = sentInt(&r)
+		case 3:
+			set.R = sentInt(&r)
+		case 4:
+			set.Chain = make([]int, sentCount(&r))
+			for i := range set.Chain {
+				set.Chain[i] = int(r.Int())
+			}
+		case 5:
+			n := sentCount(&r)
+			sizing := r // a first pass counts the hashes
+			hashes := readStripes(&sizing, n, nil, nil)
+			if err := sizing.Err(); err != nil {
+				return nil, err
+			}
+			set.Stripes = make([]ECStripe, n)
+			readStripes(&r, n, set.Stripes, make([]mem.PageHash, hashes))
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return set, nil
+}
+
+// readStripes reads n ECStripe values and returns how many hashes they
+// hold. Given stripes and an array of that many hashes, it fills the
+// stripes too, carving each Data and Parity from the array.
+func readStripes(r *gobmemo.Reader, n int, stripes []ECStripe, hashes []mem.PageHash) int {
+	k := 0
+	for i := 0; i < n; i++ {
+		for f := r.Field(-1, 2); f >= 0; f = r.Field(f, 2) {
+			c := sentCount(r)
+			var hs []mem.PageHash
+			if stripes != nil {
+				hs = hashes[k : k+c : k+c]
+				if f == 0 {
+					stripes[i].Data = hs
+				} else {
+					stripes[i].Parity = hs
+				}
+			}
+			for j := 0; j < c; j++ {
+				h := readHash(r)
+				if hs != nil {
+					hs[j] = h
+				}
+			}
+			k += c
+		}
+	}
+	return k
+}
+
+// readHash reads one mem.PageHash.
+func readHash(r *gobmemo.Reader) (h mem.PageHash) {
+	for f := r.Field(-1, 2); f >= 0; f = r.Field(f, 2) {
+		x := r.Uint()
+		r.Check(x != 0, zeroSent)
+		if f == 0 {
+			h.Lo = x
+		} else {
+			h.Hi = x
+		}
+	}
+	return h
+}
+
+// zeroSent rejects a struct field sent with its zero value, which
+// gob.Encoder leaves out.
+const zeroSent = "a zero field sent"
+
+func sentInt(r *gobmemo.Reader) int {
+	x := int(r.Int())
+	r.Check(x != 0, zeroSent)
+	return x
+}
+
+func sentCount(r *gobmemo.Reader) int {
+	n := r.Count()
+	r.Check(n != 0, zeroSent)
+	return n
 }
 
 // Shards returns the total shard count per stripe.
@@ -130,8 +238,8 @@ func (set *ECSet) shardHash(stripe, idx int) (mem.PageHash, bool) {
 // HolderHashes lists the distinct content hashes of every shard the
 // holder at ring position h must store, in deterministic stripe order.
 func (set *ECSet) HolderHashes(holder int) []mem.PageHash {
-	seen := make(map[mem.PageHash]bool)
-	var out []mem.PageHash
+	seen := make(map[mem.PageHash]bool, len(set.Stripes))
+	out := make([]mem.PageHash, 0, len(set.Stripes))
 	for s := range set.Stripes {
 		h, ok := set.shardHash(s, set.ShardIndex(s, holder))
 		if !ok || seen[h] {
@@ -313,26 +421,21 @@ func ecEncodeMatrix(p ECParams) gfMatrix {
 	return enc
 }
 
-// ecEncodeStripe computes the r parity blocks for one stripe. data holds
-// up to m chunk blocks (nil or missing tail entries are implicit zero
-// pages and contribute nothing).
-func ecEncodeStripe(enc gfMatrix, p ECParams, data [][]byte) [][]byte {
-	parity := make([][]byte, p.R)
-	buf := make([]byte, p.R*mem.PageSize)
-	for j := range parity {
-		parity[j] = buf[j*mem.PageSize : (j+1)*mem.PageSize]
-	}
-	for i, d := range data {
-		if d == nil {
-			continue
-		}
+// ecEncodeStripe computes the r parity blocks of the stripe whose data
+// chunks are hashes, up to m of them (missing tail positions are implicit
+// zero pages and contribute nothing), and returns them as one buffer of r
+// pages, block j at page j.
+func ecEncodeStripe(enc gfMatrix, p ECParams, hashes []mem.PageHash, chunks map[mem.PageHash]chunkEntry) []byte {
+	parity := make([]byte, p.R*mem.PageSize)
+	for i, h := range hashes {
+		d := chunks[h].data
 		for j := 0; j < p.R; j++ {
 			c := enc[p.M+j][i]
 			if c == 0 {
 				continue
 			}
 			mt := &gfMul[c]
-			out := parity[j]
+			out := parity[j*mem.PageSize : (j+1)*mem.PageSize]
 			for b, v := range d {
 				out[b] ^= mt[v]
 			}
@@ -446,32 +549,30 @@ func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 		return nil, fmt.Errorf("ckpt: EC save %s/%d: checkpoint is not deduplicated", pod, seq)
 	}
 	set := &ECSet{Pod: pod, Seq: seq, M: p.M, R: p.R, Chain: offer.Chain}
-	enc := ecEncodeMatrix(p)
 	nStripes := (len(offer.Hashes) + p.M - 1) / p.M
+	// One array holds every stripe's data hashes, then every stripe's
+	// parity hashes; each stripe's Data and Parity are carved from it.
+	hashes := make([]mem.PageHash, len(offer.Hashes)+nStripes*p.R)
+	data, parity := hashes[:len(offer.Hashes)], hashes[len(offer.Hashes):]
+	copy(data, offer.Hashes)
 	set.Stripes = make([]ECStripe, nStripes)
-	parities := make([][][]byte, nStripes)
-	ecParallel(nStripes, func(i int) {
-		lo := i * p.M
-		hi := lo + p.M
-		if hi > len(offer.Hashes) {
-			hi = len(offer.Hashes)
-		}
-		hashes := offer.Hashes[lo:hi]
-		data := make([][]byte, len(hashes))
-		for j, h := range hashes {
-			data[j] = s.chunks[h].data
-		}
-		parities[i] = ecEncodeStripe(enc, p, data)
-		set.Stripes[i].Data = append([]mem.PageHash(nil), hashes...)
-	})
+	for i := range set.Stripes {
+		hi := min((i+1)*p.M, len(data))
+		set.Stripes[i] = ECStripe{Data: data[i*p.M : hi : hi], Parity: parity[i*p.R : (i+1)*p.R : (i+1)*p.R]}
+	}
+	// A parity buffer per stripe, not per set: a parity block that later
+	// checkpoints dedup against pins only its own stripe's buffer.
+	enc := ecEncodeMatrix(p)
+	blocks := make([][]byte, nStripes)
+	ecParallel(nStripes, func(i int) { blocks[i] = ecEncodeStripe(enc, p, set.Stripes[i].Data, s.chunks) })
 	plan := &ECPlan{Pod: pod, Seq: seq, Set: set, Stripes: nStripes}
 	plan.DataBytes = int64(len(offer.Hashes)) * mem.PageSize
 
 	// Install parity blocks in the chunk table under their content hash
 	// and take the set's stripe references (data and parity alike).
 	for i := range set.Stripes {
-		set.Stripes[i].Parity = make([]mem.PageHash, p.R)
-		for j, blk := range parities[i] {
+		for j := range set.Stripes[i].Parity {
+			blk := blocks[i][j*mem.PageSize : (j+1)*mem.PageSize]
 			h := mem.HashBlock(blk)
 			set.Stripes[i].Parity[j] = h
 			if _, ok := s.chunks[h]; ok {

@@ -39,6 +39,23 @@ func ecTestBlocks(seed uint64, n int) [][]byte {
 	return out
 }
 
+// ecParity runs ecEncodeStripe over data blocks given as bytes and returns
+// its parity blocks.
+func ecParity(enc gfMatrix, p ECParams, data [][]byte) [][]byte {
+	chunks := make(map[mem.PageHash]chunkEntry)
+	hashes := make([]mem.PageHash, len(data))
+	for i, d := range data {
+		hashes[i] = mem.HashBlock(d)
+		chunks[hashes[i]] = chunkEntry{data: d}
+	}
+	buf := ecEncodeStripe(enc, p, hashes, chunks)
+	parity := make([][]byte, p.R)
+	for j := range parity {
+		parity[j] = buf[j*mem.PageSize : (j+1)*mem.PageSize]
+	}
+	return parity
+}
+
 func TestGFFieldSanity(t *testing.T) {
 	for a := 1; a < 256; a++ {
 		if gfMul[a][1] != byte(a) {
@@ -66,7 +83,7 @@ func TestECCodecAnyMLosses(t *testing.T) {
 	for _, p := range []ECParams{{M: 2, R: 1}, {M: 4, R: 2}, {M: 5, R: 3}} {
 		enc := ecEncodeMatrix(p)
 		data := ecTestBlocks(uint64(p.M*100+p.R), p.M)
-		parity := ecEncodeStripe(enc, p, data)
+		parity := ecParity(enc, p, data)
 		total := p.M + p.R
 		shard := func(i int) []byte {
 			if i < p.M {
@@ -111,8 +128,7 @@ func TestECCodecPaddedTail(t *testing.T) {
 	enc := ecEncodeMatrix(p)
 	// Short stripe: only 2 real blocks, positions 2..3 implicit zeros.
 	data := ecTestBlocks(7, 2)
-	full := [][]byte{data[0], data[1], nil, nil}
-	parity := ecEncodeStripe(enc, p, full)
+	parity := ecParity(enc, p, data)
 	// Lose both real data blocks; decode from padding + parity.
 	have := []int{2, 3, 4, 5}
 	blocks := [][]byte{nil, nil, parity[0], parity[1]}

@@ -9,7 +9,10 @@
 // already sent P emits V alone. A Codec therefore keeps one long-lived
 // gob.Encoder and gob.Decoder that have both seen P; Encode writes P
 // followed by what the encoder emits, and Decode strips P and feeds the
-// decoder only V. Nothing outside this package knows the split.
+// decoder only V. Nothing outside this package knows the split. For a
+// decoder written for T, a walk over T with a Reader of gob's primitives,
+// Value hands over the fields of V and rejects input that is not exactly
+// P ‖ V.
 //
 // gob's type ids are process-global and assigned on first use, so P is
 // derived at run time, on a Codec's first use, never stored.
