@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame gobench fuzz-smoke scale-smoke migrate-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame gobench fuzz-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -43,9 +43,19 @@ race:
 # cells, and bench.tmp.json, left behind, becomes the new BENCH_cruz.json
 # only with the cause named in CHANGES.md. The scale-1 run peaks near
 # 6.3 GB of RSS; GOMEMLIMIT keeps it there on an 8 GB machine.
+# `make bench EXP=migrate` runs one experiment in its own process and
+# diffs its cells against the record's under the key prefixes the run
+# printed (jq -S on both sides).
+BENCH_Q = ($$run[0] | keys | map(split("/")[0]) | unique) as $$p | with_entries(select(.key | split("/")[0] | IN($$p[])))
+bench: SHELL = bash
 bench:
+ifeq ($(EXP),)
 	GOMEMLIMIT=6GiB $(GO) run ./cmd/cruzbench -json bench.tmp.json
 	diff -u BENCH_cruz.json bench.tmp.json
+else
+	GOMEMLIMIT=6GiB $(GO) run ./cmd/cruzbench -exp $(EXP) -json bench.tmp.json
+	diff -u <(jq -S --slurpfile run bench.tmp.json '$(BENCH_Q)' BENCH_cruz.json) <(jq -S . bench.tmp.json)
+endif
 	rm -f bench.tmp.json
 
 # Wall-clock benchmarks, one per layer the page path crosses, the two gob
@@ -118,22 +128,6 @@ vsame:
 	bash "$$tmp/parent/bench/run.sh" -passes 2 -seed $(SEED) -out "$$tmp/parent.json" >/dev/null && \
 	bash bench/run.sh -passes 2 -seed $(SEED) -out "$$tmp/change.json" >/dev/null && \
 	$(MAKE) -s vdiff A="$$tmp/parent.json" B="$$tmp/change.json"
-
-# Scaling smoke: the A9 flat-vs-tree ablation at reduced workload scale
-# (n = 8/64/256, light slm ring). Exercises the hierarchical
-# coordinator, the widened >255-node addressing, and the engine's event
-# heap at its deepest (≈ 66k queued events at n = 256) end to end in a
-# few seconds.
-scale-smoke:
-	$(GO) run ./cmd/cruzbench -exp scale -scale 0.25
-
-# Migration smoke: the A10 live-vs-stop-and-copy ablation at reduced
-# workload scale. Exercises the pre-copy round loop, the residual freeze,
-# and the address takeover end to end. (The scenario rows where a TCP
-# connection survives migration, and the erasure-coded double loss, run
-# in `make test`: internal/scenario's TestTable runs every row.)
-migrate-smoke:
-	$(GO) run ./cmd/cruzbench -exp migrate -scale 0.25
 
 # Worked example from README: the quickstart row with a Chrome trace.
 trace-demo:

@@ -30,7 +30,7 @@ import (
 //     no op and need none. Ops that escape (stored in a wrapper struct,
 //     captured by a handler closure, returned) are event-driven and
 //     exempt; that is the dominant pattern in core (the coordinator's
-//     rootOp; the agents' agentOp, replOp, fetchOp, migrateInOp,
+//     rootOp; the agents' agentOp, replOp, fetchOp and
 //     relayOp). This check is the lifecycle engine (lifecycle.go).
 //
 //  3. Wait-set names passed to op.Expect must have a matching op.Arrive

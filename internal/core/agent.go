@@ -138,18 +138,19 @@ var (
 	migratePhases = savePhases{round: "migrate-round", quiesce: "migrate-freeze", capture: "residual-capture", write: "residual-stream"}
 )
 
-// agentOp tracks one in-progress checkpoint, migrate-out or restart for a
-// pod. The lifecycle (busy key, timeout, idempotent teardown) lives in the
-// embedded ctl.Op; only the domain state is here.
+// agentOp tracks one in-progress checkpoint, restart, or half of a
+// migration for a pod. The lifecycle (busy key, timeout, idempotent
+// teardown) lives in the embedded ctl.Op; only the domain state is here.
 //
 // A checkpoint and a migrate-out run the same save loop (runPrecopy ->
-// runStopAndCopy -> imageSaved). What a migration parameterises is data
-// set once when the op starts: the reply a failure is reported with, the
-// phase names, and migrateTo — where every saved image streams before the
-// loop moves on, and where the pod is handed over instead of resumed.
+// runStopAndCopy -> imageSaved), a restart and a migrate-in the same
+// takeOver, and all four the same continue path (maybeFinishContinue).
+// What a migration parameterises is data set once when the op starts: on
+// the source the phase names and migrateTo — where every saved image
+// streams before the loop moves on, and where the pod is handed over
+// instead of resumed — and on the destination its kind (migrate.go).
 type agentOp struct {
 	*ctl.Op
-	failType  msgType
 	phases    savePhases
 	optimized bool
 	cow       bool
@@ -178,12 +179,20 @@ type agentOp struct {
 	// roundPages is how many pages each round carried (residual last).
 	// The rest is migrate-out bookkeeping: where the rounds stream and the
 	// bytes the delta transfers actually moved. baseQuery holds the deferred
-	// <migrate> request while the round-0 base negotiation is in flight.
+	// request while the round-0 base negotiation is in flight.
 	migrateTo  tcpip.AddrPort
 	roundPages []int
 	streamed   int64
 	stream     *ctl.Op // in-flight round transfer, cancelled on abort
 	baseQuery  *wireMsg
+
+	// Migrate-in bookkeeping: held is the running merge of every round
+	// adopted so far (roundSeqs lists them, for discard on abort), pending
+	// the adopted rounds waiting to fold in, in arrival order. stoppedAt is
+	// the source's freeze, where the downtime starts.
+	held    *ckpt.Image
+	merging bool
+	pending []int
 
 	// Trace spans for the op and its lifecycle phases. Zero values are
 	// inert, so paths that never begin a phase may End it freely.
@@ -302,18 +311,15 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 			a.handleFetch(c, m)
 		case msgFetchPull:
 			a.handleFetchPull(c, m)
-		case msgMigrate:
-			a.startMigrateOut(c, m)
 		case msgMigrateBase:
-			a.handleMigrateBase(c, m)
+			// The destination's half of the round-0 base query: does this
+			// store hold the source's newest checkpoint chain?
+			c.send(&wireMsg{Type: msgMigrateBaseAck, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx,
+				Incremental: a.store.HasSeq(m.Pod, m.Seq)})
 		case msgMigrateBaseAck:
 			a.handleMigrateBaseAck(m)
 		case msgMigrateTarget:
 			a.startMigrateIn(c, m)
-		case msgMigrateRestore:
-			a.handleMigrateRestore(m)
-		case msgMigrateCommit:
-			a.handleMigrateCommit(c, m)
 		case msgCommDisabled, msgDone, msgRestartDone, msgContinueDone, msgReplicated:
 			// Protocol replies arriving at an agent are group members
 			// reporting to their leader (this node) — aggregate them.
@@ -339,11 +345,12 @@ func (a *Agent) fail(c msgSink, t msgType, m *wireMsg, err error) {
 	c.send(&wireMsg{Type: t, Seq: m.Seq, Pod: m.Pod, Err: err.Error(), ctx: m.ctx})
 }
 
-// failSave fails a checkpoint or migrate-out op and reports the error with
-// the reply its requester is waiting on.
-func (a *Agent) failSave(c msgSink, m *wireMsg, op *agentOp, err error) {
+// failOp fails a pod op and reports the error with the reply its
+// requester is waiting on: <done> for a checkpoint or migrate-out,
+// <restart-done> for a restart or migrate-in.
+func (a *Agent) failOp(op *agentOp, t msgType, m *wireMsg, err error) {
 	op.Fail(err)
-	a.fail(c, op.failType, m, err)
+	a.fail(op.conn, t, m, err)
 }
 
 // beginPodOp registers a checkpoint/restart op for the pod with the
@@ -388,9 +395,15 @@ func (a *Agent) beginPodOp(kind string, m *wireMsg, c msgSink) (*agentOp, error)
 			a.store.Discard(name, op.roundSeqs...)
 		}
 		// Resolve the pod at failure time: a restart may have replaced it
-		// since the op began.
+		// since the op began. A migration's destination destroys the pod
+		// it restored instead: the source still holds the authoritative
+		// copy and resumes it on its own abort path.
 		if p := a.pods[name]; p != nil && !p.Destroyed() && p.Stopped() {
-			p.Resume()
+			if op.migratingIn() {
+				p.Destroy()
+			} else {
+				p.Resume()
+			}
 		}
 		op.endSpans(trace.Str("outcome", "aborted"))
 	})
@@ -400,27 +413,45 @@ func (a *Agent) beginPodOp(kind string, m *wireMsg, c msgSink) (*agentOp, error)
 // startCheckpoint runs the Agent steps of Fig. 2 (or Fig. 4 when
 // optimized): disable communication, stop the pod, save its state, report
 // done. With PrecopyRounds the stop is preceded by live pre-copy rounds
-// that shrink the stopped work to the residual dirty set.
+// that shrink the stopped work to the residual dirty set. A checkpoint
+// whose Repl names a peer is a migration's source (migrate.go): a pre-copy
+// epoch, zero rounds included, whose every saved image streams there.
 func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 	pod, ok := a.pods[m.Pod]
 	if !ok || pod.Destroyed() {
 		a.fail(c, msgDone, m, ErrUnknownPod)
 		return
 	}
-	op, err := a.beginPodOp("checkpoint", m, c)
+	kind := "checkpoint"
+	if m.Repl != nil {
+		kind = "migrate-out"
+	}
+	op, err := a.beginPodOp(kind, m, c)
 	if err != nil {
 		a.fail(c, msgDone, m, err)
 		return
 	}
-	op.failType, op.phases = msgDone, stopAndCopyPhases
-	if m.PrecopyRounds > 0 {
-		op.precopy, op.phases = true, precopyPhases
-	}
-	a.Stats.Checkpoints++
 	// Adopt the coordinator's op: the local span tree becomes a branch
-	// of the distributed checkpoint.
-	op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.checkpoint",
-		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+	// of the distributed checkpoint or migration.
+	if m.Repl != nil {
+		op.precopy, op.phases = true, migratePhases
+		op.migrateTo = tcpip.AddrPort{Addr: m.Repl.PeerIP, Port: m.Repl.PeerPort}
+		a.Stats.MigrationsOut++
+		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-out",
+			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
+			trace.Str("to", addrKey(op.migrateTo)))
+		if a.queryBase(m, op) {
+			return
+		}
+	} else {
+		op.phases = stopAndCopyPhases
+		if m.PrecopyRounds > 0 {
+			op.precopy, op.phases = true, precopyPhases
+		}
+		a.Stats.Checkpoints++
+		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.checkpoint",
+			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+	}
 	if op.precopy {
 		a.runPrecopy(c, m, pod, op, 0, 0, 0)
 		return
@@ -470,7 +501,7 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 		trace.Int("pages", int64(candidate)))
 	lc, err := ckpt.CaptureLive(pod, seqR, ckpt.Options{Incremental: !full, Hashes: m.Dedup, BaseSeq: baseSeq})
 	if err != nil {
-		a.failSave(c, m, op, err)
+		a.failOp(op, msgDone, m, err)
 		return
 	}
 	op.rounds = append(op.rounds, lc)
@@ -489,7 +520,7 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 				return
 			}
 			if err != nil {
-				a.failSave(c, m, op, err)
+				a.failOp(op, msgDone, m, err)
 				return
 			}
 			op.roundSeqs = append(op.roundSeqs, seqR)
@@ -581,7 +612,7 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 					trace.Str("pod", m.Pod))
 				img, err := ckpt.Capture(pod, m.Seq, ckpt.Options{Incremental: incremental, Hashes: m.Dedup, BaseSeq: baseSeq})
 				if err != nil {
-					a.failSave(c, m, op, err)
+					a.failOp(op, msgDone, m, err)
 					return
 				}
 				op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
@@ -668,7 +699,7 @@ func (a *Agent) planAndWrite(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, i
 			return
 		}
 		if err != nil {
-			a.failSave(c, m, op, err)
+			a.failOp(op, msgDone, m, err)
 			return
 		}
 		if op.precopy {
@@ -738,17 +769,19 @@ func (a *Agent) streamPlan(pipeline bool, op *agentOp, total int64, complete fun
 func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, plan *ckpt.SavePlan) {
 	total := plan.TotalBytes
 	op.phWrite.End(trace.Int("bytes", total))
+	op.saveDone = true
 	if op.migrating() {
+		// The handover is the destination's continue, FrozeAt starting its
+		// downtime clock; this op's own continue is the commit.
 		cc, err := a.peerConn(op.migrateTo)
 		if err != nil {
-			a.failSave(c, m, op, err)
+			a.failOp(op, msgDone, m, err)
 			return
 		}
-		cc.send(&wireMsg{Type: msgMigrateRestore, Seq: m.Seq, Pod: m.Pod,
+		cc.send(&wireMsg{Type: msgContinue, Seq: m.Seq, Pod: m.Pod,
 			FrozeAt: op.stoppedAt, ctx: op.span.Context()})
 		return
 	}
-	op.saveDone = true
 	// Step 3: send <done>.
 	c.send(&wireMsg{
 		Type:          msgDone,
@@ -786,15 +819,25 @@ func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, pla
 // handleContinue implements Steps 5-7: resume the pod, re-enable its
 // communication, acknowledge. Under the Fig. 4 optimization the continue
 // may arrive before the local save completes; the pod then resumes the
-// moment its own save is done.
+// moment its own save is done. A migration's halves take the same path
+// (migrate.go): the source's continue is the commit, which destroys its
+// copy instead, and the destination's is the source's handover, which
+// restarts the pod here once the pre-merge drains.
 func (a *Agent) handleContinue(c msgSink, m *wireMsg) {
 	pod, ok := a.pods[m.Pod]
 	op := ctl.Find[agentOp](a.table, m.Pod)
-	if !ok || op == nil || op.Seq != m.Seq {
-		a.fail(c, msgContinueDone, m, ErrUnknownPod)
+	if op == nil || op.Seq != m.Seq || (!ok && !op.migratingIn()) {
+		if m.FrozeAt == 0 { // a handover whose migrate-in is gone gets no answer
+			a.fail(c, msgContinueDone, m, ErrUnknownPod)
+		}
 		return
 	}
 	op.contRecvd = true
+	if op.migratingIn() {
+		op.stoppedAt = m.FrozeAt
+		a.migrateMerge(op)
+		return
+	}
 	a.maybeFinishContinue(m.Pod, pod, op)
 }
 
@@ -809,6 +852,14 @@ func (a *Agent) maybeFinishContinue(name string, pod *zap.Pod, op *agentOp) {
 	op.resumed = true
 	t0 := a.kern.Engine().Now()
 	a.cpu.Do(filterCost, func() {
+		if op.migrating() {
+			a.handedOver(name, pod, op)
+			return
+		}
+		if op.migratingIn() {
+			a.tookOver(name, pod, op)
+			return
+		}
 		pod.Resume()
 		a.kern.Stack().Filter().RemoveRule(op.filterID)
 		op.filterID = 0
@@ -859,23 +910,13 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			return
 		}
 		if err != nil {
-			op.Fail(err)
-			a.fail(c, msgRestartDone, m, err)
+			a.failOp(op, msgRestartDone, m, err)
 			return
 		}
 		op.phQuiesce.End()
 		op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "restore",
 			trace.Str("pod", m.Pod))
-		// Disable communication for the pod's address first.
-		a.cpu.Do(filterCost+CaptureCost, func() {
-			if op.Aborted() {
-				return
-			}
-			if _, rerr := a.takeOver(m.Pod, img, &op.filterID); rerr != nil {
-				op.Fail(rerr)
-				a.fail(c, msgRestartDone, m, rerr)
-				return
-			}
+		a.takeOver(op, m, img, func(*zap.Pod) {
 			op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
 			op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
 				trace.Str("pod", m.Pod))
@@ -891,30 +932,39 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 	})
 }
 
-// takeOver makes this node the pod's home from a loaded image: install the
-// drop filter for the pod's address first (restored TCP state re-issues
-// its unacknowledged segments immediately, which must not escape before
-// the commit), retire any live instance of the pod here — the image is
-// loadable, so it is superseded — restore, and register the new pod. The
-// filter rule goes into the op's filterID slot before anything can fail, so
-// the op's rollback removes it.
-func (a *Agent) takeOver(name string, img *ckpt.Image, filterID *int) (*zap.Pod, error) {
-	*filterID = a.kern.Stack().Filter().AddDropAddr(img.Net.IP)
-	if old := a.pods[name]; old != nil && !old.Destroyed() {
-		old.Destroy()
-	}
-	pod, err := ckpt.Restore(a.kern, img)
-	if err == nil {
-		a.pods[name] = pod
-	}
-	return pod, err
+// takeOver makes this node the pod's home from a loaded image, in one CPU
+// step — the restart path's first; its second is the continue path's
+// resume. Install the drop filter for the pod's address first (restored
+// TCP state re-issues its unacknowledged segments immediately, which must
+// not escape before the commit), retire any live instance of the pod here
+// — the image is loadable, so it is superseded — restore, and register the
+// new pod, which next gets still stopped. The filter rule goes into the
+// op's filterID slot before anything can fail, so the op's rollback
+// removes it; a failure is reported with <restart-done>.
+func (a *Agent) takeOver(op *agentOp, m *wireMsg, img *ckpt.Image, next func(*zap.Pod)) {
+	a.cpu.Do(filterCost+CaptureCost, func() {
+		if op.Aborted() {
+			return
+		}
+		op.filterID = a.kern.Stack().Filter().AddDropAddr(img.Net.IP)
+		if old := a.pods[m.Pod]; old != nil && !old.Destroyed() {
+			old.Destroy()
+		}
+		pod, err := ckpt.Restore(a.kern, img)
+		if err != nil {
+			a.failOp(op, msgRestartDone, m, err)
+			return
+		}
+		a.pods[m.Pod] = pod
+		next(pod)
+	})
 }
 
 // handleAbort rolls back an in-progress operation: remove the filter,
 // resume the pod, forget the op. Any image already written stays in the
 // store but is never committed by the coordinator. The pod key covers
 // every pod-scoped op kind — checkpoint, restart, migrate-out and
-// migrate-in all register their rollback through OnFail.
+// migrate-in all register their rollback through beginPodOp.
 func (a *Agent) handleAbort(m *wireMsg) {
 	o := a.table.Get(m.Pod)
 	if o == nil {

@@ -55,13 +55,15 @@ func everyMsg() []*wireMsg {
 		{Type: msgFetchPull, Seq: seq, Pod: pod},
 		{Type: msgFetchDone, Seq: seq, Pod: pod, LocalDuration: 12 * sim.Millisecond, Repl: &replPayload{Bytes: 8 << 20}},
 		{Type: msgFetchDone, Seq: seq, Pod: pod, Err: ErrUnknownPod.Error()},
-		{Type: msgMigrate, Seq: seq, Pod: pod, Incremental: true, Dedup: true, Pipeline: true,
+		// A migration between its source and destination: the checkpoint
+		// naming the destination, the handover, the destination's report
+		// and the source's (the commit is the plain continue above).
+		{Type: msgCheckpoint, Seq: seq, Pod: pod, Incremental: true, Dedup: true, Pipeline: true,
 			PrecopyRounds: 4, PrecopyThresholdPages: 64, PrecopyMinGain: 0.25, Repl: &replPayload{PeerIP: peer, PeerPort: 7077}},
 		{Type: msgMigrateTarget, Seq: seq, Pod: pod},
-		{Type: msgMigrateRestore, Seq: seq, Pod: pod, FrozeAt: sim.Time(3 * sim.Second)},
-		{Type: msgMigrateDone, Seq: seq, Pod: pod, LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20},
-		{Type: msgMigrateCommit, Seq: seq, Pod: pod},
-		{Type: msgMigrateSrcDone, Seq: seq, Pod: pod, RoundPages: []int{2048, 310, 42}, ImageBytes: 9 << 20},
+		{Type: msgContinue, Seq: seq, Pod: pod, FrozeAt: sim.Time(3 * sim.Second)},
+		{Type: msgRestartDone, Seq: seq, Pod: pod, LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20},
+		{Type: msgContinueDone, Seq: seq, Pod: pod, RoundPages: []int{2048, 310, 42}, ImageBytes: 9 << 20},
 		// The same eight as a leader sees them: by job, with its relay list
 		// on the way down and the group's batch on the way up.
 		{Type: msgCheckpoint, Seq: seq, Job: job, Group: group, Incremental: true, Dedup: true, Replicas: 1},

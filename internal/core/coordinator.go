@@ -198,8 +198,8 @@ type Coordinator struct {
 // recovery or migration of a job, registered under the job's name, so a
 // job runs one operation at a time by construction. The lifecycle lives in
 // the embedded ctl.Op — wait-sets "done", "disabled" and "cont" for the
-// two-phase exchange, "fetch" in front of a recovery's, "restored" and
-// "cleared" for a migration — the measurements here.
+// two-phase exchange, a migration's included, and "fetch" in front of a
+// recovery's — the measurements here.
 type rootOp struct {
 	*ctl.Op
 	job  *Job
@@ -228,7 +228,9 @@ type rootOp struct {
 // involves reports whether the op depends on the node at addr: a member
 // lives there, a recovery is moving a pod onto it, or it is a migration's
 // destination. Any member's node counts for every kind, a migration
-// included: a job that lost a member is about to roll back as a whole.
+// included: a job that lost a member is about to roll back as a whole. A
+// migration's source stays a member until the op ends, so the op involves
+// it until its continue-done arrives.
 func (op *rootOp) involves(addr tcpip.AddrPort) bool {
 	for _, m := range op.job.Members {
 		if m.Agent == addr {
@@ -429,9 +431,12 @@ func (c *Coordinator) takeSeqs(kind string, job *Job, rounds int) (*rootOp, erro
 	return op, err
 }
 
-// abortDests is who must roll back when the op fails. A migration: its
-// source, which rolls the pre-copy epoch back and resumes the pod, and its
-// destination, which discards the adopted rounds. A two-phase exchange:
+// abortDests is who must roll back when the op fails. A migration before
+// its commit point (the destination's restart-done): its source, which
+// rolls the pre-copy epoch back and resumes the pod, and its destination,
+// which discards the adopted rounds. From the commit point on, nobody: the
+// pod runs on the destination, and the source's continue, already sent,
+// destroys its copy instead. A two-phase exchange:
 // every member, directly even under the hierarchical tree — abort is the
 // exceptional path, and sending it point-to-point preserves the flat
 // protocol's semantics when the failed party is a leader — plus each
@@ -439,6 +444,9 @@ func (c *Coordinator) takeSeqs(kind string, job *Job, rounds int) (*rootOp, erro
 // reached its restart has opened nothing an <abort> closes.
 func (op *rootOp) abortDests() []dest {
 	if mig := op.mig; mig != nil {
+		if op.Cleared("done") {
+			return nil
+		}
 		return []dest{{Member: Member{Pod: mig.pod, Agent: mig.src}}, {Member: Member{Pod: mig.pod, Agent: mig.dst}}}
 	}
 	if op.dests == nil {
@@ -737,12 +745,8 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 		if op == nil {
 			return
 		}
-		switch m.Type {
-		case msgFetchDone:
+		if m.Type == msgFetchDone {
 			c.handleFetchDone(op, cc.TCP().RemoteAddr(), m)
-			return
-		case msgMigrateDone, msgMigrateSrcDone:
-			c.handleMigrateReply(op, m)
 			return
 		}
 		// A member's own reply is a batch of one; a leader's batch replays
@@ -758,6 +762,10 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 		if m.Err != "" {
 			op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
 			return
+		}
+		if mig := op.mig; mig != nil && m.RoundPages != nil {
+			// A migration source's continue-done: its stream's record.
+			mig.roundPages, mig.streamed = m.RoundPages, m.ImageBytes
 		}
 		for _, r := range batch {
 			if !op.Active() {
@@ -785,7 +793,9 @@ func (c *Coordinator) arriveDisabled(op *rootOp, pod string) {
 	}
 }
 
-// arriveDone handles one pod's <done>/<restart-done> vote and report.
+// arriveDone handles one pod's <done>/<restart-done> vote and report. A
+// migration's destination reports the pod's frozen window here: it ends
+// at the takeover, not at a continue.
 func (c *Coordinator) arriveDone(op *rootOp, r GroupReport) {
 	if !op.Arrive("done", r.Pod) {
 		return
@@ -793,6 +803,7 @@ func (c *Coordinator) arriveDone(op *rootOp, r GroupReport) {
 	if r.LocalDuration > op.maxLocal {
 		op.maxLocal = r.LocalDuration
 	}
+	op.maxBlocked = max(op.maxBlocked, r.BlockedDuration)
 	op.reports = append(op.reports, PodReport{
 		Pod:           r.Pod,
 		LocalDuration: r.LocalDuration,

@@ -68,6 +68,14 @@ func TestControlFrameSizesPinned(t *testing.T) {
 			{Pod: "slm-1", LocalDuration: 91 * sim.Millisecond, ImageBytes: 8 << 20}}}, 1007},
 		{&wireMsg{Type: msgContinue, Seq: 3, Job: "ring"}, 965},
 		{&wireMsg{Type: msgAbort, Seq: 3, Job: "ring"}, 965},
+		// A migration's frames, at the sizes of the migration-only types
+		// they replaced (migrate, migrate-restore, migrate-done,
+		// migrate-src-done): the same fields under the two-phase type.
+		{&wireMsg{Type: msgCheckpoint, Seq: 3, Pod: "slm-0", Dedup: true, Pipeline: true, PrecopyRounds: 10, PrecopyThresholdPages: 32,
+			Repl: &replPayload{PeerIP: tcpip.Addr{10, 0, 0, 2}, PeerPort: 7077}}, 986},
+		{&wireMsg{Type: msgContinue, Seq: 3, Pod: "slm-0", FrozeAt: sim.Time(3 * sim.Second)}, 973},
+		{&wireMsg{Type: msgRestartDone, Seq: 3, Pod: "slm-0", LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20}, 984},
+		{&wireMsg{Type: msgContinueDone, Seq: 3, Pod: "slm-0", RoundPages: []int{2048, 476, 120, 44, 28}, ImageBytes: 9 << 20}, 984},
 	} {
 		payload, parts := payloadOf(t, tc.m)
 		if len(payload) != tc.size || parts != nil {
@@ -154,8 +162,8 @@ func TestEveryMsgTypeNamedAndDispatched(t *testing.T) {
 		}
 	}
 	n := len(consts) + 1
-	if n-1 > 26 || len(msgNames) != n-1 {
-		t.Fatalf("%d msgType constants (want at most 26), %d names", n-1, len(msgNames))
+	if n-1 > 21 || len(msgNames) != n-1 {
+		t.Fatalf("%d msgType constants (want at most 21), %d names", n-1, len(msgNames))
 	}
 	for v := msgType(1); int(v) < n; v++ {
 		if _, ok := msgNames[v]; !ok {
