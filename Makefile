@@ -113,21 +113,24 @@ vdiff: SHELL = bash
 vdiff:
 	@diff <(jq -r '$(VDIFF_Q)' $(A)) <(jq -r '$(VDIFF_Q)' $(B))
 
-# The whole recipe as one command: `make vsame PARENT=<rev> [SEED=n]`
-# clones this repository into a temporary directory, checks PARENT out
-# there, runs `bench/run.sh -passes 2 -seed $(SEED)` on that tree and on the
-# working tree (≈45 s each), and vdiffs the two reports: silence is the
-# pass, any virtual-clock difference a non-zero exit. The temporary
-# directory (under $$TMPDIR) is removed either way.
-SEED ?= 1
+# The whole recipe as one command: `make vsame PARENT=<rev> [SEEDS="1 7"]`
+# clones this repository into a temporary directory once, checks PARENT
+# out there and, per seed, runs `bench/run.sh -passes 2 -seed <seed>` on
+# that tree and on the working tree (≈45 s each) and vdiffs the two
+# reports: silence is the pass, the first seed with any virtual-clock
+# difference a non-zero exit. The temporary directory (under $$TMPDIR) is
+# removed either way.
+SEEDS ?= 1 7
 vsame: SHELL = bash
 vsame:
-	@test -n "$(PARENT)" || { echo "usage: make vsame PARENT=<rev> [SEED=n]" >&2; exit 2; }
+	@test -n "$(PARENT)" || { echo "usage: make vsame PARENT=<rev> [SEEDS=\"1 7\"]" >&2; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	git clone -q . "$$tmp/parent" && git -C "$$tmp/parent" checkout -q $(PARENT) && \
-	bash "$$tmp/parent/bench/run.sh" -passes 2 -seed $(SEED) -out "$$tmp/parent.json" >/dev/null && \
-	bash bench/run.sh -passes 2 -seed $(SEED) -out "$$tmp/change.json" >/dev/null && \
-	$(MAKE) -s vdiff A="$$tmp/parent.json" B="$$tmp/change.json"
+	for seed in $(SEEDS); do \
+		bash "$$tmp/parent/bench/run.sh" -passes 2 -seed $$seed -out "$$tmp/parent.json" >/dev/null && \
+		bash bench/run.sh -passes 2 -seed $$seed -out "$$tmp/change.json" >/dev/null && \
+		$(MAKE) -s vdiff A="$$tmp/parent.json" B="$$tmp/change.json" || { echo "vsame: stopped at seed $$seed" >&2; exit 1; }; \
+	done
 
 # Worked example from README: the quickstart row with a Chrome trace.
 trace-demo:

@@ -26,8 +26,9 @@ func tracedRecovery(t *testing.T, seed int64) (tree, report, dump string, mttrMs
 		t.Fatalf("recovery failed: %v", err)
 	}
 
+	check(t, cl)
 	tr := cl.Trace()
-	if n := tr.OpenSpans(); n != 0 {
+	if n := tr.OpenSpans(); n != 0 { // the failed node's too, which Check forgives
 		t.Fatalf("%d spans still open after recovery: %v", n, tr.OpenSpanNames())
 	}
 	if d := tr.Dropped(); d != 0 {

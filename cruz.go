@@ -24,6 +24,8 @@ package cruz
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 
 	"cruz/internal/ckpt"
 	"cruz/internal/core"
@@ -143,9 +145,6 @@ type Config struct {
 	// registered with the coordinator as recovery targets. They follow
 	// the application nodes in Cluster.Nodes.
 	Spares int
-	// FlushBaseline also starts a CoCheck-style flushing agent on every
-	// node and a flushing coordinator, for comparison experiments.
-	FlushBaseline bool
 	// Trace keeps every event of the deterministic tracing subsystem
 	// (internal/trace) — spans, instants, and counters from every layer —
 	// for export as a timeline or Chrome trace JSON via Cluster.Trace().
@@ -160,13 +159,15 @@ type Config struct {
 
 // Node is one simulated machine.
 type Node struct {
-	Index      int
-	Spare      bool // standby recovery target, hosts no pods initially
-	Kernel     *kernel.Kernel
-	NIC        *ether.NIC
-	Agent      *core.Agent
-	FlushAgent *flush.Agent
-	Store      *ckpt.Store
+	Index  int
+	Spare  bool // standby recovery target, hosts no pods initially
+	Kernel *kernel.Kernel
+	NIC    *ether.NIC
+	Agent  *core.Agent
+	Store  *ckpt.Store
+
+	flushAgent *flush.Agent // started by the first DefineFlushJob
+	failed     bool         // FailNode took it down
 }
 
 // Addr returns the node's physical IP address.
@@ -201,13 +202,13 @@ func podNet(id int) (Addr, ether.MAC) {
 
 // Cluster is a complete simulated deployment.
 type Cluster struct {
-	Engine           *sim.Engine
-	Switch           *ether.Switch
-	Nodes            []*Node
-	Service          *Node // hosts the coordinator (and any native daemons)
-	Coordinator      *core.Coordinator
-	FlushCoordinator *flush.Coordinator
+	Engine      *sim.Engine
+	Switch      *ether.Switch
+	Nodes       []*Node
+	Service     *Node // hosts the coordinator (and any native daemons)
+	Coordinator *core.Coordinator
 
+	flushCoord   *flush.Coordinator // started by the first DefineFlushJob
 	cfg          Config
 	tracer       *trace.Tracer
 	pods         map[string]podRef
@@ -303,13 +304,6 @@ func New(cfg Config) (*Cluster, error) {
 			agent.SetEC(cfg.EC)
 		}
 		n.Agent = agent
-		if cfg.FlushBaseline {
-			fa, ferr := flush.NewAgent(n.Kernel, n.Store)
-			if ferr != nil {
-				return nil, ferr
-			}
-			n.FlushAgent = fa
-		}
 		cl.Nodes = append(cl.Nodes, n)
 		cl.nodeByAddr[agent.Addr()] = n
 	}
@@ -332,9 +326,6 @@ func New(cfg Config) (*Cluster, error) {
 	cl.Coordinator.SetGroupSize(cfg.GroupSize)
 	for _, n := range cl.Nodes {
 		cl.Coordinator.RegisterNode(n.Kernel.Name(), n.Agent.Addr(), n.Spare)
-	}
-	if cfg.FlushBaseline {
-		cl.FlushCoordinator = flush.NewCoordinator(svc.Kernel.Stack())
 	}
 	return cl, nil
 }
@@ -360,7 +351,7 @@ func (cl *Cluster) RunUntil(cond func() bool, max Duration) bool {
 
 // NewPod creates a pod on node with an automatically assigned externally
 // routable IP (10.0.1.x) and VIF MAC, and registers it with the node's
-// agents.
+// agent.
 func (cl *Cluster) NewPod(node int, name string) (*Pod, error) {
 	if node < 0 || node >= len(cl.Nodes) {
 		return nil, fmt.Errorf("cruz: no node %d", node)
@@ -376,9 +367,6 @@ func (cl *Cluster) NewPod(node int, name string) (*Pod, error) {
 		return nil, err
 	}
 	n.Agent.Manage(pod)
-	if n.FlushAgent != nil {
-		n.FlushAgent.Manage(pod)
-	}
 	cl.pods[name] = podRef{pod: pod, node: n}
 	return pod, nil
 }
@@ -483,31 +471,17 @@ func (cl *Cluster) Checkpoint(job *Job, opts CheckpointOptions) (*CheckpointResu
 	if opts.Replicas == 0 {
 		opts.Replicas = cl.cfg.Replicas
 	}
-	var res *CheckpointResult
-	var cerr error
-	fired := false
-	cl.Coordinator.Checkpoint(job, opts, func(r *CheckpointResult, err error) {
-		res, cerr, fired = r, err, true
+	return await(cl, "checkpoint", func(done func(*CheckpointResult, error)) {
+		cl.Coordinator.Checkpoint(job, opts, done)
 	})
-	if !cl.RunUntil(func() bool { return fired }, 10*60*Second) {
-		return nil, errors.New("cruz: checkpoint timed out")
-	}
-	return res, cerr
 }
 
 // Restart runs a coordinated restart from checkpoint seq (0 = latest
 // committed) synchronously.
 func (cl *Cluster) Restart(job *Job, seq int) (*RestartResult, error) {
-	var res *RestartResult
-	var rerr error
-	fired := false
-	cl.Coordinator.Restart(job, seq, func(r *RestartResult, err error) {
-		res, rerr, fired = r, err, true
+	return await(cl, "restart", func(done func(*RestartResult, error)) {
+		cl.Coordinator.Restart(job, seq, done)
 	})
-	if !cl.RunUntil(func() bool { return fired }, 10*60*Second) {
-		return nil, errors.New("cruz: restart timed out")
-	}
-	return res, rerr
 }
 
 // Migrate moves one pod of the job to the target node live, driving the
@@ -524,28 +498,32 @@ func (cl *Cluster) Migrate(job *Job, podName string, targetNode int, opts Migrat
 	if _, ok := cl.pods[podName]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownPod, podName)
 	}
-	target := cl.Nodes[targetNode]
-	var res *MigrationResult
-	var merr error
-	fired := false
-	cl.Coordinator.Migrate(job, podName, target.Agent.Addr(), opts, func(r *MigrationResult, err error) {
-		res, merr, fired = r, err, true
+	to := cl.Nodes[targetNode].Agent.Addr()
+	res, err := await(cl, "migration", func(done func(*MigrationResult, error)) {
+		cl.Coordinator.Migrate(job, podName, to, opts, done)
 	})
-	if !cl.RunUntil(func() bool { return fired }, 10*60*Second) {
-		return nil, errors.New("cruz: migration timed out")
-	}
-	if merr != nil {
-		return nil, merr
+	if err != nil {
+		return nil, err
 	}
 	cl.rehome(job)
 	return res, nil
 }
 
-// DefineFlushJob builds the flushing-baseline version of a job (requires
-// Config.FlushBaseline).
+// DefineFlushJob builds the flushing-baseline version of a job, for
+// comparison experiments. Its first call starts a CoCheck-style flushing
+// agent on every node and the flushing coordinator on the service node;
+// each call registers the job's pods, as they are now, with their nodes'
+// flushing agents.
 func (cl *Cluster) DefineFlushJob(name string, podNames ...string) (*flush.Job, error) {
-	if cl.FlushCoordinator == nil {
-		return nil, errors.New("cruz: cluster built without FlushBaseline")
+	if cl.flushCoord == nil {
+		for _, n := range cl.Nodes {
+			fa, err := flush.NewAgent(n.Kernel, n.Store)
+			if err != nil {
+				return nil, err
+			}
+			n.flushAgent = fa
+		}
+		cl.flushCoord = flush.NewCoordinator(cl.Service.Kernel.Stack())
 	}
 	job := &flush.Job{Name: name}
 	for _, pn := range podNames {
@@ -553,14 +531,12 @@ func (cl *Cluster) DefineFlushJob(name string, podNames ...string) (*flush.Job, 
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownPod, pn)
 		}
-		job.Members = append(job.Members, flush.Member{
-			Pod:   pn,
-			PodIP: ref.pod.IP(),
-			Agent: ref.node.FlushAgent.Addr(),
-		})
+		pod := cl.Pod(pn)
+		ref.node.flushAgent.Manage(pod)
+		job.Members = append(job.Members, flush.Member{Pod: pn, PodIP: pod.IP(), Agent: ref.node.flushAgent.Addr()})
 	}
 	connected := false
-	cl.FlushCoordinator.Connect(job, func(err error) { connected = err == nil })
+	cl.flushCoord.Connect(job, func(err error) { connected = err == nil })
 	if !cl.RunUntil(func() bool { return connected }, 10*Second) {
 		return nil, errors.New("cruz: flush coordinator connect timed out")
 	}
@@ -569,16 +545,23 @@ func (cl *Cluster) DefineFlushJob(name string, podNames ...string) (*flush.Job, 
 
 // FlushCheckpoint runs one flushing-baseline checkpoint synchronously.
 func (cl *Cluster) FlushCheckpoint(job *flush.Job) (*flush.Result, error) {
-	var res *flush.Result
-	var cerr error
-	fired := false
-	cl.FlushCoordinator.Checkpoint(job, func(r *flush.Result, err error) {
-		res, cerr, fired = r, err, true
+	return await(cl, "flush checkpoint", func(done func(*flush.Result, error)) {
+		cl.flushCoord.Checkpoint(job, done)
 	})
+}
+
+// await starts an asynchronous op, handing it the callback to complete
+// with, and drives the event loop until that fires — or fails with
+// "cruz: <what> timed out" after ten virtual minutes.
+func await[R any](cl *Cluster, what string, start func(done func(R, error))) (R, error) {
+	var res R
+	var err error
+	fired := false
+	start(func(r R, e error) { res, err, fired = r, e, true })
 	if !cl.RunUntil(func() bool { return fired }, 10*60*Second) {
-		return nil, errors.New("cruz: flush checkpoint timed out")
+		return res, errors.New("cruz: " + what + " timed out")
 	}
-	return res, cerr
+	return res, err
 }
 
 // FailNode simulates a machine failure: its link goes down and every
@@ -587,8 +570,50 @@ func (cl *Cluster) FlushCheckpoint(job *flush.Job) (*flush.Result, error) {
 // surviving nodes automatically.
 func (cl *Cluster) FailNode(i int) {
 	n := cl.Nodes[i]
+	n.failed = true
 	cl.Switch.SetLinkDown(n.NIC, true)
 	for _, p := range n.Kernel.Processes() {
 		n.Kernel.Signal(p.PID(), kernel.SIGKILL)
 	}
+}
+
+// Check is the end-of-run oracle: it reports every way the cluster is not
+// settled and clean. That is an op open on the coordinator, or an op or
+// trace span open on any node but a failed one (whose agent died holding
+// them), or a Fault reported by a program of a pod the cluster created, in
+// its current incarnation, whether its process still runs or exited on its
+// own. It reads state only and never advances the engine; nil means
+// nothing is wrong.
+func (cl *Cluster) Check() error {
+	var errs []error
+	if k := cl.Coordinator.OpenOps(); k != 0 {
+		errs = append(errs, fmt.Errorf("coordinator has %d open ops", k))
+	}
+	var failed []string
+	for _, n := range cl.Nodes {
+		if n.failed {
+			failed = append(failed, n.Kernel.Name())
+		} else if k := n.Agent.OpenOps(); k != 0 {
+			errs = append(errs, fmt.Errorf("%s agent has %d open ops", n.Kernel.Name(), k))
+		}
+	}
+	if spans := cl.tracer.OpenSpanNames(failed...); len(spans) != 0 {
+		errs = append(errs, fmt.Errorf("%d trace spans still open %v", len(spans), spans))
+	}
+	names := make([]string, 0, len(cl.pods))
+	for name := range cl.pods {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		pod := cl.Pod(name)
+		for vpid := 1; vpid < pod.NextVPID(); vpid++ {
+			if prog := reflect.Indirect(reflect.ValueOf(pod.Program(vpid))); prog.Kind() == reflect.Struct {
+				if f := prog.FieldByName("Fault"); f.Kind() == reflect.String && f.String() != "" {
+					errs = append(errs, fmt.Errorf("pod %s/%d fault: %s", name, vpid, f.String()))
+				}
+			}
+		}
+	}
+	return errors.Join(errs...)
 }

@@ -2,10 +2,12 @@ package cruz_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"cruz"
 	"cruz/internal/apps/slm"
+	"cruz/internal/kernel"
 	"cruz/internal/sim"
 )
 
@@ -58,6 +60,65 @@ func deployRingCfg(t testing.TB, cl *cruz.Cluster, cfg slm.Config) ([]string, *c
 		t.Fatal(err)
 	}
 	return names, job
+}
+
+// check fails the test with every violation Cluster.Check reports.
+func check(t testing.TB, cl *cruz.Cluster) {
+	t.Helper()
+	if err := cl.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckReportsEachViolation holds the oracle to each condition it
+// owns: a settled cluster passes, and each row leaves one violation (or,
+// on failed nodes, one that must be ignored) for Check to name.
+func TestCheckReportsEachViolation(t *testing.T) {
+	// checkpointed leaves each pod's node replicating: an op and span open.
+	checkpointed := func(cl *cruz.Cluster, job *cruz.Job) {
+		if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		act  func(cl *cruz.Cluster, job *cruz.Job)
+		want string // "" = Check must pass
+	}{
+		{"clean", func(*cruz.Cluster, *cruz.Job) {}, ""},
+		{"coordinator op", func(cl *cruz.Cluster, job *cruz.Job) {
+			cl.Coordinator.Checkpoint(job, cruz.CheckpointOptions{}, func(*cruz.CheckpointResult, error) {})
+			cl.Run(2 * cruz.Millisecond)
+		}, "coordinator has 1 open ops"},
+		{"agent op", checkpointed, "node0 agent has 1 open ops"},
+		{"span", func(cl *cruz.Cluster, _ *cruz.Job) {
+			cl.FlightRecorder().Begin("node2", "test", "leak")
+		}, "node2/test/leak"},
+		// Killing wa closes its halo connections, so wb faults and exits.
+		{"fault", func(cl *cruz.Cluster, _ *cruz.Job) {
+			if err := cl.Pod("wa").Kill(1, kernel.SIGKILL); err != nil {
+				t.Fatal(err)
+			}
+			cl.Run(50 * cruz.Millisecond)
+		}, "pod wb/1 fault: "},
+		{"failed nodes", func(cl *cruz.Cluster, job *cruz.Job) {
+			checkpointed(cl, job)
+			cl.FailNode(0)
+			cl.FailNode(1)
+		}, ""},
+	} {
+		cl, err := cruz.New(cruz.Config{Nodes: 3, Replicas: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, job := deployRing(t, cl, 2)
+		cl.Run(100 * cruz.Millisecond)
+		tc.act(cl, job)
+		err = cl.Check()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: Check() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 func TestClusterBasics(t *testing.T) {
@@ -119,11 +180,11 @@ func TestCheckpointRestartViaFacade(t *testing.T) {
 	}
 	cl.Run(200 * cruz.Millisecond)
 	for _, n := range names {
-		w := cl.Pod(n).Process(1).Program().(*slm.Worker)
-		if w.Fault != "" || w.StepsDone == 0 {
-			t.Fatalf("pod %s after restart: steps=%d fault=%q", n, w.StepsDone, w.Fault)
+		if ringWorker(cl, n).StepsDone == 0 {
+			t.Fatalf("pod %s made no step after restart", n)
 		}
 	}
+	check(t, cl)
 }
 
 func TestNodeFailureRecoveryOnSpareNode(t *testing.T) {
@@ -157,14 +218,12 @@ func TestNodeFailureRecoveryOnSpareNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A restart is a rollback of the whole job to the checkpoint.
-	w0, w1 := worker(0), worker(1)
+	w1 := worker(1)
 	if w1.StepsDone > stepsAt+1 || w1.StepsDone+1 < stepsAt {
 		t.Fatalf("restarted steps %d, checkpointed %d", w1.StepsDone, stepsAt)
 	}
 	cl.Run(300 * cruz.Millisecond)
-	if w0.Fault != "" || w1.Fault != "" {
-		t.Fatalf("faults after spare-node recovery: %q %q", w0.Fault, w1.Fault)
-	}
+	check(t, cl)
 	if w1.StepsDone <= stepsAt {
 		t.Fatal("ring stuck after spare-node recovery")
 	}
@@ -175,7 +234,7 @@ func TestNodeFailureRecoveryOnSpareNode(t *testing.T) {
 }
 
 func TestFlushBaselineViaFacade(t *testing.T) {
-	cl, err := cruz.New(cruz.Config{Nodes: 2, FlushBaseline: true})
+	cl, err := cruz.New(cruz.Config{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,19 +252,7 @@ func TestFlushBaselineViaFacade(t *testing.T) {
 		t.Fatalf("markers = %d, want 2", res.MarkerMessages)
 	}
 	cl.Run(200 * cruz.Millisecond)
-	for _, n := range names {
-		w := cl.Pod(n).Process(1).Program().(*slm.Worker)
-		if w.Fault != "" {
-			t.Fatalf("fault after flush checkpoint: %q", w.Fault)
-		}
-	}
-}
-
-func TestFlushRequiresConfig(t *testing.T) {
-	cl, _ := cruz.New(cruz.Config{Nodes: 2})
-	if _, err := cl.DefineFlushJob("x"); err == nil {
-		t.Fatal("flush job without FlushBaseline accepted")
-	}
+	check(t, cl)
 }
 
 func TestDeterministicRuns(t *testing.T) {

@@ -114,25 +114,11 @@ func runECRecoveryScenario(t *testing.T, seed int64) string {
 	}
 	cl.Run(500 * cruz.Millisecond)
 	for _, name := range names {
-		w := cl.Pod(name).Process(1).Program().(*slm.Worker)
-		if w.Fault != "" {
-			t.Fatalf("pod %s fault after reconstruction: %q", name, w.Fault)
-		}
-		if w.StepsDone <= before[name] {
+		if ringWorker(cl, name).StepsDone <= before[name] {
 			t.Fatalf("pod %s stuck after reconstruction", name)
 		}
 	}
-	for i, node := range cl.Nodes {
-		if i == 1 || i == 4 {
-			continue // dead nodes' agents are unreachable, not cleaned
-		}
-		if n := node.Agent.OpenOps(); n != 0 {
-			t.Fatalf("agent %d leaked %d ops", i, n)
-		}
-	}
-	if n := cl.Coordinator.OpenOps(); n != 0 {
-		t.Fatalf("coordinator leaked %d ops", n)
-	}
+	check(t, cl)
 	return fmt.Sprintf("mttr=%v reconstruct=%v bytes=%d to=%s from=%s",
 		res.MTTR, res.Reconstruct, res.TransferBytes, rp.To, rp.From)
 }
@@ -178,11 +164,11 @@ func migrateUnderEC(t *testing.T, ec cruz.ECParams) *cruz.MigrationResult {
 	}
 	cl.Run(500 * cruz.Millisecond)
 	for _, n := range names {
-		w := ringWorker(cl, n)
-		if w.Fault != "" || w.StepsDone == 0 {
-			t.Fatalf("worker %s fault=%q steps=%d", n, w.Fault, w.StepsDone)
+		if ringWorker(cl, n).StepsDone == 0 {
+			t.Fatalf("worker %s made no step", n)
 		}
 	}
+	check(t, cl)
 	return res
 }
 

@@ -103,8 +103,8 @@ func deploy(t *testing.T) (*cruz.Cluster, *cruz.Job, *Server, *Client) {
 func TestClientServerWorkload(t *testing.T) {
 	cl, _, server, client := deploy(t)
 	cl.Run(500 * cruz.Millisecond)
-	if server.Fault != "" || client.Fault != "" {
-		t.Fatalf("faults: %q %q", server.Fault, client.Fault)
+	if err := cl.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if client.Done == 0 || server.Ops == 0 {
 		t.Fatalf("no progress: client=%d server=%d", client.Done, server.Ops)
@@ -130,8 +130,8 @@ func TestDatabaseSurvivesCrashRestart(t *testing.T) {
 		t.Fatal("restored database lost its table")
 	}
 	cl.Run(500 * cruz.Millisecond)
-	if server2.Fault != "" || client2.Fault != "" {
-		t.Fatalf("faults after restart: %q %q", server2.Fault, client2.Fault)
+	if err := cl.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if client2.Done <= opsAtRestart {
 		t.Fatal("client made no progress after restart")
@@ -168,10 +168,8 @@ func TestMultipleClients(t *testing.T) {
 	if !cl.RunUntil(done, 10*cruz.Second) {
 		t.Fatalf("clients stalled: %d %d %d", clients[0].Done, clients[1].Done, clients[2].Done)
 	}
-	for i, c := range clients {
-		if c.Fault != "" {
-			t.Fatalf("client %d fault: %s", i, c.Fault)
-		}
+	if err := cl.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if server.Ops != 3*50*2 {
 		t.Fatalf("server ops = %d, want 300", server.Ops)

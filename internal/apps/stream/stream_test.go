@@ -46,10 +46,10 @@ func deploy(t *testing.T) (*cruz.Cluster, *cruz.Job, *Sender, *Receiver) {
 }
 
 func TestStreamsNearLineRate(t *testing.T) {
-	cl, _, send, recv := deploy(t)
+	cl, _, _, recv := deploy(t)
 	cl.Run(500 * cruz.Millisecond)
-	if send.Fault != "" || recv.Fault != "" {
-		t.Fatalf("faults: %q %q", send.Fault, recv.Fault)
+	if err := cl.Check(); err != nil {
+		t.Fatal(err)
 	}
 	// 500 ms at gigabit ≈ 59 MB payload ceiling; demand > 80% of it.
 	gotMbps := float64(recv.Received) * 8 / 1e6 / 0.5
@@ -87,10 +87,8 @@ func TestStreamSurvivesCheckpointWithFig6Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Run(600 * cruz.Millisecond)
-	r := resolve()
-	s := cl.Pod("send").Process(1).Program().(*Sender)
-	if r.Fault != "" || s.Fault != "" {
-		t.Fatalf("faults after checkpoint: %q %q", r.Fault, s.Fault)
+	if err := cl.Check(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Fig. 6 shape: the rate hits zero during the checkpoint, then
@@ -132,8 +130,8 @@ func TestBoundedStreamCompletes(t *testing.T) {
 	if !cl.RunUntil(func() bool { return recv.Received >= 1<<20 }, 5*cruz.Second) {
 		t.Fatalf("received %d of %d", recv.Received, 1<<20)
 	}
-	if send.Fault != "" || recv.Fault != "" {
-		t.Fatalf("faults: %q %q", send.Fault, recv.Fault)
+	if err := cl.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -160,8 +158,8 @@ func TestStreamRestoredMidTransfer(t *testing.T) {
 	}
 	at := recv.Received
 	cl.Run(300 * cruz.Millisecond)
-	if send.Fault != "" || recv.Fault != "" {
-		t.Fatalf("faults after restore: %q %q", send.Fault, recv.Fault)
+	if err := cl.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if recv.Received < at+10<<20 {
 		t.Fatalf("received %d bytes in 300 ms after the restore, want ≥ 10 MiB", recv.Received-at)

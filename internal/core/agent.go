@@ -106,12 +106,10 @@ type Agent struct {
 // AgentStats counts agent activity.
 type AgentStats struct {
 	Checkpoints   uint64
-	Restores      uint64
 	Aborts        uint64
 	Replications  uint64
 	ReplBytes     int64
 	ReplFailures  uint64
-	Fetches       uint64
 	MigrationsOut uint64
 	MigrationsIn  uint64
 
@@ -897,7 +895,6 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 		return
 	}
 	op.saveDone = true
-	a.Stats.Restores++
 	node := a.kern.Name()
 	op.span = a.tr.BeginChild(m.ctx, node, "core", "agent.restart",
 		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))

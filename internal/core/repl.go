@@ -422,7 +422,6 @@ func (a *Agent) finishFetch(pod string, seq int, n int64) {
 	if op == nil || op.Seq != seq {
 		return
 	}
-	a.Stats.Fetches++
 	op.span.End(trace.Int("bytes", n))
 	op.conn.send(&wireMsg{Type: msgFetchDone, Seq: seq, Pod: pod, ctx: op.span.Context(), Repl: &replPayload{Bytes: n}})
 	op.Finish()

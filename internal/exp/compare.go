@@ -42,7 +42,7 @@ func MessageComplexity(nodeCounts []int, scale float64) ([]MsgRow, error) {
 		cfg := slmConfig(n, scale)
 		cfg.TotalComputePerStep = 20 * cruz.Millisecond
 		cfg.StepOverhead = 2 * cruz.Millisecond
-		r, err := slmRing(cruz.Config{Nodes: n, FlushBaseline: true}, cfg, nil)
+		r, err := slmRing(cruz.Config{Nodes: n}, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

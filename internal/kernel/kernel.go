@@ -87,11 +87,9 @@ type Kernel struct {
 
 // KernelStats counts kernel-level events.
 type KernelStats struct {
-	StepsRun     uint64
-	Syscalls     uint64
-	ContextTime  sim.Duration // total CPU time consumed by all processes
-	ProcsSpawned uint64
-	ProcsExited  uint64
+	StepsRun    uint64
+	Syscalls    uint64
+	ContextTime sim.Duration // total CPU time consumed by all processes
 	// CowFaults counts copy-on-write breaks taken by processes writing
 	// to pages shared with an in-progress checkpoint snapshot.
 	CowFaults uint64
@@ -166,7 +164,6 @@ func (k *Kernel) Spawn(name string, prog Program, parent int) *Process {
 	})
 	k.nextPID++
 	k.procs[p.pid] = p
-	k.Stats.ProcsSpawned++
 	k.tr.Instant(k.name, "kernel", "spawn",
 		trace.Str("proc", name), trace.Int("pid", int64(p.pid)), trace.Int("parent", int64(parent)))
 	k.enqueue(p)
@@ -346,7 +343,6 @@ func (k *Kernel) exitProcess(p *Process, code int) {
 		p.closeFD(fdn) //cruzvet:allow errdrop exit teardown over the proc's own fd table; EBADF cannot happen for keys of p.fds
 	}
 	delete(k.procs, p.pid)
-	k.Stats.ProcsExited++
 	k.tr.Instant(k.name, "kernel", "exit",
 		trace.Str("proc", p.name), trace.Int("pid", int64(p.pid)), trace.Int("code", int64(code)))
 	// Wake a parent blocked in WaitChild.

@@ -86,7 +86,6 @@ type world struct {
 	cfg   cruz.Config
 	jobs  []*job
 	slots []slot
-	dead  []bool
 }
 
 // Run deploys the row with the nonzero Nodes, GroupSize and Seed of over
@@ -106,7 +105,7 @@ func (r Row) Run(over cruz.Config, out io.Writer) (*cruz.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &world{cl: cl, cfg: cfg, dead: make([]bool, len(cl.Nodes))}
+	w := &world{cl: cl, cfg: cfg}
 	if err := w.deploy(r.Deploy); err != nil {
 		return cl, fmt.Errorf("%s: deploy: %w", r.Name, err)
 	}
@@ -193,7 +192,6 @@ func (w *world) step(s Step) (string, error) {
 func (w *world) fail(node int) (string, error) {
 	cl, what := w.cl, fmt.Sprintf("fail node %d", node)
 	hosted := slices.ContainsFunc(w.slots, func(s slot) bool { return s.job != nil && cl.PodNode(s.pod) == cl.Nodes[node] })
-	w.dead[node] = true
 	cl.FailNode(node)
 	if !hosted {
 		return what + ": no pod there", nil
@@ -248,25 +246,24 @@ func (w *world) progress() string {
 	return strings.Join(parts, ", ")
 }
 
-// check is the oracle every run ends with. Once work in flight is done, no
-// program (an exited one as it ended) may report a Fault, every process of
-// a live pod must run unless its batch job finished, periodic checkpoints
-// may fail only where restarts cut them, and no op of the coordinator or a
-// live agent, nor any traced span, may be left open.
+// check is the oracle every run ends with: once work in flight is done,
+// the cluster's own Check must pass, and on top of it, what the cluster
+// cannot see or forgives. No traced span may stay open, a failed node's
+// included; no native program may report a Fault; every process of a live
+// pod must run unless its batch job finished; and periodic checkpoints
+// may fail only where restarts cut them.
 func (w *world) check() error {
 	cl, tr := w.cl, w.cl.Trace()
-	openOps := func() (n int) {
-		for i, nd := range cl.Nodes {
-			if !w.dead[i] {
-				n += nd.Agent.OpenOps()
-			}
-		}
-		return n + cl.Coordinator.OpenOps()
+	cl.RunUntil(func() bool { return cl.Check() == nil && tr.OpenSpans() == 0 }, 2*cruz.Second)
+	if err := cl.Check(); err != nil {
+		return err
 	}
-	cl.RunUntil(func() bool { return openOps() == 0 && tr.OpenSpans() == 0 }, 2*cruz.Second)
+	if n := tr.OpenSpans(); n != 0 {
+		return fmt.Errorf("%d trace spans still open %v", n, tr.OpenSpanNames())
+	}
 	w.refresh()
 	for _, s := range w.slots {
-		if f := reflect.ValueOf(s.prog).Elem().FieldByName("Fault"); f.IsValid() && f.String() != "" {
+		if f := reflect.ValueOf(s.prog).Elem().FieldByName("Fault"); s.pod == "" && f.IsValid() && f.String() != "" {
 			return fmt.Errorf("%s/%d: %s", s.pod, s.vpid, f.String())
 		}
 		if s.pod != "" && !cl.Pod(s.pod).Destroyed() && cl.Pod(s.pod).Process(s.vpid) == nil &&
@@ -276,9 +273,6 @@ func (w *world) check() error {
 		if s.job != nil && s.job.batch != nil && s.job.batch.CheckpointErrs > s.job.crashes {
 			return fmt.Errorf("%s: %d periodic checkpoints failed, %d restarts", s.job.name, s.job.batch.CheckpointErrs, s.job.crashes)
 		}
-	}
-	if n := openOps(); n != 0 || tr.OpenSpans() != 0 {
-		return fmt.Errorf("%d ops and %d trace spans still open %v", n, tr.OpenSpans(), tr.OpenSpanNames())
 	}
 	return nil
 }

@@ -88,8 +88,6 @@ type Stack struct {
 
 // StackStats counts stack activity.
 type StackStats struct {
-	IPReceived   uint64
-	IPDelivered  uint64
 	IPSent       uint64
 	NoSocketRSTs uint64
 
@@ -269,7 +267,6 @@ func (s *Stack) rxFrame(f ether.Frame) {
 
 // rxPacket handles a received IP packet: filter, address check, demux.
 func (s *Stack) rxPacket(p *Packet) {
-	s.Stats.IPReceived++
 	if s.filter.verdict(HookInput, p) == VerdictDrop {
 		return
 	}
@@ -277,7 +274,6 @@ func (s *Stack) rxPacket(p *Packet) {
 		// Not ours (promiscuous reception or stale flood); ignore.
 		return
 	}
-	s.Stats.IPDelivered++
 	switch p.Proto {
 	case ProtoTCP:
 		s.rxTCP(p)

@@ -69,7 +69,6 @@ type TCPConnStats struct {
 	Retransmits              uint64
 	FastRetransmits          uint64
 	RTOFirings               uint64
-	DupAcksReceived          uint64
 }
 
 // inflightSeg is one packetized, possibly-unsent-yet-unacked segment in
@@ -999,7 +998,6 @@ func (c *TCPConn) processACK(seg *Segment) {
 	c.sndWnd = uint32(seg.Window)
 	if ack == c.sndUna && c.segs.Len() > 0 && len(seg.Data) == 0 {
 		c.dupAcks++
-		c.Stats.DupAcksReceived++
 		if c.dupAcks == 3 {
 			// Fast retransmit.
 			g := c.segs.At(0)

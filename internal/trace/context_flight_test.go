@@ -92,6 +92,9 @@ func TestOpenSpanNames(t *testing.T) {
 	if !strings.Contains(joined, "leaky") || !strings.Contains(joined, "hung") {
 		t.Fatalf("names = %v", names)
 	}
+	if n := tr.OpenSpanNames("node1"); len(n) != 1 || !strings.Contains(n[0], "node0/core/leaky") {
+		t.Fatalf("open except node1 = %v, want node0's alone", n)
+	}
 	a.End()
 	b.End()
 	if n := tr.OpenSpanNames(); n != nil {

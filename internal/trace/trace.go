@@ -28,6 +28,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cruz/internal/sim"
@@ -353,14 +354,17 @@ func (t *Tracer) OpenSpans() int {
 }
 
 // OpenSpanNames returns one "node/cat/name#id" label per open span,
-// ordered by span id — the payload for an end-of-run leak report.
-func (t *Tracer) OpenSpanNames() []string {
+// ordered by span id — the payload for an end-of-run leak report. Spans
+// begun on any of the except nodes are left out.
+func (t *Tracer) OpenSpanNames(except ...string) []string {
 	if t == nil || len(t.open) == 0 {
 		return nil
 	}
 	ids := make([]SpanID, 0, len(t.open))
-	for id := range t.open {
-		ids = append(ids, id)
+	for id, m := range t.open {
+		if !slices.Contains(except, m.node) {
+			ids = append(ids, id)
+		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]string, 0, len(ids))

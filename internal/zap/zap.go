@@ -70,6 +70,7 @@ type Pod struct {
 
 	procs    map[int]*kernel.Process // vpid -> process
 	vpids    map[int]int             // physical pid -> vpid
+	ended    map[int]kernel.Program  // vpid -> program that exited on its own
 	nextVPID int
 
 	stopped   bool
@@ -205,14 +206,31 @@ func (p *Pod) adoptAt(proc *kernel.Process, vpid int) {
 		p.nextVPID = vpid + 1
 	}
 	proc.SetInterposer(&p.interposer)
-	proc.SetOnExit(func(int) {
+	proc.SetOnExit(func(code int) {
 		delete(p.procs, vpid)
 		delete(p.vpids, proc.PID())
+		if code != 128+int(kernel.SIGKILL) { // not killed
+			if p.ended == nil {
+				p.ended = make(map[int]kernel.Program)
+			}
+			p.ended[vpid] = proc.Program()
+		}
 	})
 }
 
 // Process returns the pod process with the given virtual pid, or nil.
 func (p *Pod) Process(vpid int) *kernel.Process { return p.procs[vpid] }
+
+// Program returns the program of the process with the given virtual pid:
+// a live one's, or one's that exited on its own rather than being killed,
+// so a program that ended by reporting a failure can still be read. It is
+// nil for a vpid never used or whose process was killed.
+func (p *Pod) Program(vpid int) kernel.Program {
+	if proc := p.procs[vpid]; proc != nil {
+		return proc.Program()
+	}
+	return p.ended[vpid]
+}
 
 // VPIDs returns the pod's live virtual pids in ascending order.
 func (p *Pod) VPIDs() []int {

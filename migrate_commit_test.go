@@ -65,7 +65,7 @@ func TestMigrationRollsForwardAfterCommitPoint(t *testing.T) {
 	if p := dst.Agent.Pod("wb"); p == nil || p.Destroyed() || p.Stopped() {
 		t.Error("wb is not running on the destination")
 	}
-	migrateOpenOps(t, cl, -1)
+	check(t, cl)
 }
 
 // TestMigrationUnderTree: a migration's replies are the types a group
@@ -114,9 +114,9 @@ func TestMigrationUnderTree(t *testing.T) {
 	}
 	cl.Run(cruz.Second) // long enough for TCP to resend what the restart dropped
 	for _, name := range names {
-		if w := worker(name); w.Fault != "" || w.StepsDone <= steps[name] {
-			t.Errorf("pod %s after the restart: steps %d -> %d, fault %q", name, steps[name], w.StepsDone, w.Fault)
+		if w := worker(name); w.StepsDone <= steps[name] {
+			t.Errorf("pod %s after the restart: steps %d -> %d", name, steps[name], w.StepsDone)
 		}
 	}
-	migrateOpenOps(t, cl, -1)
+	check(t, cl)
 }

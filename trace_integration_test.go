@@ -38,9 +38,7 @@ func tracedCycle(t *testing.T, seed int64, opts cruz.CheckpointOptions) (chrome,
 	if tr == nil {
 		t.Fatal("Config.Trace did not attach a tracer")
 	}
-	if n := tr.OpenSpans(); n != 0 {
-		t.Fatalf("%d spans still open after a settled run", n)
-	}
+	check(t, cl)
 	var cb, tb bytes.Buffer
 	if err := trace.WriteChromeTrace(&cb, tr.Events()); err != nil {
 		t.Fatal(err)

@@ -92,13 +92,8 @@ func ckptCycle(t *testing.T, n, groupSize int, seed int64, opts cruz.CheckpointO
 		t.Fatal(err)
 	}
 	cl.Run(100 * cruz.Millisecond)
-	steps := cl.Pod(names[0]).Process(1).Program().(*slm.Worker).StepsDone
-	for _, name := range names {
-		if w := cl.Pod(name).Process(1).Program().(*slm.Worker); w.Fault != "" {
-			t.Fatalf("pod %s faulted after restart: %q", name, w.Fault)
-		}
-	}
-	return res, rres, steps
+	check(t, cl)
+	return res, rres, ringWorker(cl, names[0]).StepsDone
 }
 
 // TestTreeFlatEquivalence runs the identical seeded workload under the
@@ -178,10 +173,8 @@ func treeTracedCycle(t *testing.T, seed int64) (chrome, timeline []byte) {
 		t.Fatal(err)
 	}
 	cl.Run(30 * cruz.Millisecond)
+	check(t, cl)
 	tr := cl.Trace()
-	if n := tr.OpenSpans(); n != 0 {
-		t.Fatalf("%d spans still open after a settled tree run", n)
-	}
 	var cb, tb bytes.Buffer
 	if err := trace.WriteChromeTrace(&cb, tr.Events()); err != nil {
 		t.Fatal(err)
@@ -303,15 +296,10 @@ func TestTreeFlatMemberErrorEquivalence(t *testing.T) {
 				t.Fatalf("checkpoint error = %v, want ErrAgentFailed naming %s", err, names[tc.gone])
 			}
 			cl.Run(100 * cruz.Millisecond)
-			if got := cl.Coordinator.OpenOps(); got != 0 {
-				t.Errorf("coordinator leaked %d ops", got)
-			}
-			for i, node := range cl.Nodes {
-				if got := node.Agent.OpenOps(); got != 0 {
-					t.Errorf("agent %d leaked %d ops", i, got)
-				}
-				if i != tc.gone && cl.Pod(names[i]).Stopped() {
-					t.Errorf("pod %s still stopped after the abort", names[i])
+			check(t, cl)
+			for i, name := range names {
+				if i != tc.gone && cl.Pod(name).Stopped() {
+					t.Errorf("pod %s still stopped after the abort", name)
 				}
 			}
 			if seq, ok := cl.Coordinator.CommittedSeq(job.Name); ok {
