@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame gobench fuzz-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame vgate gobench fuzz-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -107,7 +107,7 @@ bench-smoke:
 # of the same -passes and -seed, and fails if there is one. The virtual
 # clock is exact per tree, so any line is an added, removed, resized or
 # reordered message, cpu.Do charge or disk operation.
-VDIFF_Q = .workloads | to_entries[] | .key as $$w | .value | (.end_to_end, .per_layer) | to_entries[] \
+VDIFF_Q = .workloads | to_entries[] | .key as $$w | .value | (.end_to_end, .per_layer // {}) | to_entries[] \
 	| select(.value.clock == "v") | "\($$w)/\(.key) \(.value.value)"
 vdiff: SHELL = bash
 vdiff:
@@ -120,17 +120,53 @@ vdiff:
 # reports: silence is the pass, the first seed with any virtual-clock
 # difference a non-zero exit. The temporary directory (under $$TMPDIR) is
 # removed either way.
-SEEDS ?= 1 7
 vsame: SHELL = bash
 vsame:
 	@test -n "$(PARENT)" || { echo "usage: make vsame PARENT=<rev> [SEEDS=\"1 7\"]" >&2; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	git clone -q . "$$tmp/parent" && git -C "$$tmp/parent" checkout -q $(PARENT) && \
-	for seed in $(SEEDS); do \
+	for seed in $(or $(SEEDS),1 7); do \
 		bash "$$tmp/parent/bench/run.sh" -passes 2 -seed $$seed -out "$$tmp/parent.json" >/dev/null && \
 		bash bench/run.sh -passes 2 -seed $$seed -out "$$tmp/change.json" >/dev/null && \
 		$(MAKE) -s vdiff A="$$tmp/parent.json" B="$$tmp/change.json" || { echo "vsame: stopped at seed $$seed" >&2; exit 1; }; \
 	done
+
+# The benchmark's acceptance rule, run locally: `make vgate PARENT=<rev>
+# [SEEDS="1 2"]` clones this repository once as vsame does and, per seed,
+# runs `bench/run.sh -passes 2 -trace 0` on the parent and on the working
+# tree. It prints every end-to-end metric that moved as `seed
+# workload/metric parent → change (±x %, bound y %)`, marked WORSE where
+# the move passes the metric's BENCHMARK.json bound in its worse
+# direction (host_s_per_pass and setup_s are printed, never marked), and
+# a `failed_ops` line per seed. It exits non-zero on any WORSE, including
+# a rise in failed operations. One run per tree is one pair: a host
+# metric near its bound wants alternating re-runs before it is believed.
+VGATE_Q = def r: . * 1e4 | round / 1e4; \
+	.workloads as $$pw | $$c[0].workloads as $$cw \
+	| ([$$pw[].failed] | add) as $$pf | ([$$cw[].failed] | add) as $$cf \
+	| "\($$seed) failed_ops \($$pf) → \($$cf)\(if $$cf > $$pf then "  WORSE" else "" end)", \
+	($$pw | keys[] as $$w | $$bm[0].end_to_end[] as $$d \
+	| $$pw[$$w].end_to_end[$$d.name].value as $$p | $$cw[$$w].end_to_end[$$d.name].value as $$v \
+	| select($$p != null and $$v != null and $$p != $$v) \
+	| (if $$p == 0 then null else ($$v - $$p) / $$p end) as $$x \
+	| (if $$x == null then 1 elif $$d.better == "lower" then $$x else -$$x end) as $$worse \
+	| (if $$x == null then "from 0" else "\(if $$x >= 0 then "+" else "-" end)\(100 * $$x | fabs | r) %" end) as $$pct \
+	| (if ($$d.name | IN("host_s_per_pass", "setup_s")) or $$worse <= $$d.bound then "" else "  WORSE" end) as $$mark \
+	| "\($$seed) \($$w)/\($$d.name) \($$p | r) → \($$v | r) (\($$pct), bound \(100 * $$d.bound | r) %)\($$mark)")
+vgate: SHELL = bash
+vgate:
+	@test -n "$(PARENT)" || { echo "usage: make vgate PARENT=<rev> [SEEDS=\"1 2\"]" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git clone -q . "$$tmp/parent" && git -C "$$tmp/parent" checkout -q $(PARENT) && bad=0 && \
+	for seed in $(or $(SEEDS),1 2); do \
+		rm -f "$$tmp/parent.json" "$$tmp/change.json"; \
+		bash "$$tmp/parent/bench/run.sh" -passes 2 -trace 0 -seed $$seed -out "$$tmp/parent.json" >/dev/null; \
+		bash bench/run.sh -passes 2 -trace 0 -seed $$seed -out "$$tmp/change.json" >/dev/null; \
+		test -s "$$tmp/parent.json" && test -s "$$tmp/change.json" || { echo "vgate: no report at seed $$seed" >&2; exit 1; }; \
+		out=$$(jq -r --arg seed $$seed --slurpfile c "$$tmp/change.json" --slurpfile bm BENCHMARK.json '$(VGATE_Q)' "$$tmp/parent.json") || exit 1; \
+		echo "$$out"; grep -q WORSE <<<"$$out" && bad=1; \
+	done; \
+	exit $$bad
 
 # Worked example from README: the quickstart row with a Chrome trace.
 trace-demo:

@@ -187,6 +187,42 @@ func TestCheckpointRestartViaFacade(t *testing.T) {
 	check(t, cl)
 }
 
+// TestContinueNeverWaitsForReplicaEncode is bench known gap 6 as a
+// regression test. Each agent's done sets off the 8 MiB replica encode
+// of the image it just saved; the continue that follows must not queue
+// behind it. On one agent lane the continue round took ≈ 8 ms
+// here, and whether that wait landed in MaxLocalContinue (and so left
+// Overhead) turned on which of two events fired first: Overhead was 0.4
+// or 8.7 ms under a 50 µs change of issue time. Every offset, and the
+// second checkpoint's commit while the first one's replicas still stream,
+// must stay on the fast side.
+func TestContinueNeverWaitsForReplicaEncode(t *testing.T) {
+	const bound = cruz.Millisecond
+	for _, us := range []int{-100, -50, 0, 50, 100} {
+		cl, err := cruz.New(cruz.Config{Nodes: 4, Replicas: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := smallSlm(4)
+		cfg.GridBytes = 8 << 20
+		_, job := deployRingCfg(t, cl, cfg)
+		cl.Run(200*cruz.Millisecond + cruz.Duration(us)*cruz.Microsecond)
+		for i := 0; i < 2; i++ {
+			res, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MaxLocalContinue > bound || res.CycleLatency-res.MaxLocalCheckpoint > bound || res.Overhead > bound {
+				t.Errorf("offset %+d µs, checkpoint %d: continue %v, cycle-checkpoint %v, overhead %v; want each under %v",
+					us, i+1, res.MaxLocalContinue, res.CycleLatency-res.MaxLocalCheckpoint, res.Overhead, bound)
+			}
+			cl.Run(50 * cruz.Millisecond)
+		}
+		cl.RunUntil(func() bool { return cl.Check() == nil }, 2*cruz.Second)
+		check(t, cl)
+	}
+}
+
 func TestNodeFailureRecoveryOnSpareNode(t *testing.T) {
 	// The fault-tolerance story end to end: checkpoint, lose a machine,
 	// and its pod restarts — with the whole job, from the replicated image

@@ -76,8 +76,13 @@ var (
 type Agent struct {
 	kern  *kernel.Kernel
 	store *ckpt.Store
-	cpu   ctl.Serializer
-	tr    *trace.Tracer
+	// cpu is the daemon lane: control messages and every charge but bulk's.
+	// bulk encodes an already-stored image for another node (replica
+	// data, a served shard subset, parity), so a continue never queues
+	// behind that encode (DESIGN §5).
+	cpu  ctl.Serializer
+	bulk ctl.Serializer
+	tr   *trace.Tracer
 
 	pods     map[string]*zap.Pod
 	table    *ctl.Table
@@ -226,6 +231,7 @@ func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
 		kern:      kern,
 		store:     store,
 		cpu:       ctl.Serializer{Engine: kern.Engine()},
+		bulk:      ctl.Serializer{Engine: kern.Engine()},
 		tr:        trace.FromEngine(kern.Engine()),
 		pods:      make(map[string]*zap.Pod),
 		table:     ctl.NewTable(kern.Engine()),

@@ -85,7 +85,7 @@ func (a *Agent) startECDistribute(pod string, seq int, coord msgSink, ctx trace.
 		trace.Int("stripes", int64(plan.Stripes)),
 		trace.Int("parity_bytes", plan.ParityBytes))
 	// Parity is a GF(256) pass over every striped byte.
-	a.cpu.Do(bytesCost(plan.DataBytes, EncodeBPS), func() {
+	a.bulk.Do(bytesCost(plan.DataBytes, EncodeBPS), func() {
 		a.store.Disk().Write(plan.ParityBytes, func() {
 			sp.End()
 			for h := 0; h < plan.Set.Shards(); h++ {

@@ -232,7 +232,7 @@ func (a *Agent) handleWant(c *ctlConn, m *wireMsg) {
 	// The offer reached the peer; from here a plain timeout guards the
 	// bulk transfer (re-offering would duplicate adopted state).
 	op.ArmTimeout(replTimeout, ErrReplTimeout)
-	a.cpu.Do(bytesCost(tx.TotalBytes, EncodeBPS), func() {
+	a.bulk.Do(bytesCost(tx.TotalBytes, EncodeBPS), func() {
 		if !op.Active() {
 			return
 		}
@@ -407,7 +407,7 @@ func (a *Agent) handleFetchPull(c *ctlConn, m *wireMsg) {
 		a.fail(c, msgReplOffer, m, err)
 		return
 	}
-	a.cpu.Do(bytesCost(tx.TotalBytes, EncodeBPS), func() {
+	a.bulk.Do(bytesCost(tx.TotalBytes, EncodeBPS), func() {
 		c.send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, tier: ctl.TierStream, Repl: &replPayload{
 			ECSet: setBlob, Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
 		}})

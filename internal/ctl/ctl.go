@@ -1,7 +1,7 @@
 // Package ctl provides the control-plane plumbing shared by the Cruz
 // coordinator/agents and the flushing baseline: length-prefixed message
-// framing over simulated TCP connections, a serializer modeling a
-// single-threaded daemon's CPU, and the op-lifecycle state machine
+// framing over simulated TCP connections, a serializer modeling one lane
+// of a daemon's CPU, and the op-lifecycle state machine
 // (Table/Op) every distributed operation runs on.
 package ctl
 
@@ -424,10 +424,11 @@ func (c *Conn) Pump() {
 // that defer work must capture it synchronously.
 func (c *Conn) FrameCtx() trace.SpanContext { return c.frameCtx }
 
-// Serializer models a single-threaded daemon's CPU: queued work items
-// execute in order, each occupying the daemon for its cost. Fan-out of N
+// Serializer models one lane of a daemon's CPU: queued work items
+// execute in order, each occupying the lane for its cost. Fan-out of N
 // messages therefore takes O(N) serial time — the origin of the per-node
-// coordination-overhead slope in the paper's Fig. 5(b).
+// coordination-overhead slope in the paper's Fig. 5(b). The Cruz agent
+// has two lanes, every other daemon one (DESIGN §5).
 type Serializer struct {
 	Engine *sim.Engine
 	freeAt sim.Time
