@@ -181,13 +181,11 @@ type agentOp struct {
 
 	// roundPages is how many pages each round carried (residual last).
 	// The rest is migrate-out bookkeeping: where the rounds stream and the
-	// bytes the delta transfers actually moved. baseQuery holds the deferred
-	// request while the round-0 base negotiation is in flight.
+	// bytes the delta transfers actually moved.
 	migrateTo  tcpip.AddrPort
 	roundPages []int
 	streamed   int64
 	stream     *ctl.Op // in-flight round transfer, cancelled on abort
-	baseQuery  *wireMsg
 
 	// Migrate-in bookkeeping: held is the running merge of every round
 	// adopted so far (roundSeqs lists them, for discard on abort), pending
@@ -315,15 +313,6 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 			a.handleFetch(c, m)
 		case msgFetchPull:
 			a.handleFetchPull(c, m)
-		case msgMigrateBase:
-			// The destination's half of the round-0 base query: does this
-			// store hold the source's newest checkpoint chain?
-			c.send(&wireMsg{Type: msgMigrateBaseAck, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx,
-				Incremental: a.store.HasSeq(m.Pod, m.Seq)})
-		case msgMigrateBaseAck:
-			a.handleMigrateBaseAck(m)
-		case msgMigrateTarget:
-			a.startMigrateIn(c, m)
 		case msgCommDisabled, msgDone, msgRestartDone, msgContinueDone, msgReplicated:
 			// Protocol replies arriving at an agent are group members
 			// reporting to their leader (this node) — aggregate them.
@@ -444,9 +433,6 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-out",
 			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
 			trace.Str("to", addrKey(op.migrateTo)))
-		if a.queryBase(m, op) {
-			return
-		}
 	} else {
 		op.phases = stopAndCopyPhases
 		if m.PrecopyRounds > 0 {
@@ -893,11 +879,22 @@ func (a *Agent) maybeFinishContinue(name string, pod *zap.Pod, op *agentOp) {
 // same name still running on this node (recovery restarts the whole job,
 // including survivors) is destroyed only after the image loads, so a
 // missing image leaves the application untouched. The restored pod
-// resumes on <continue>.
+// resumes on <continue>. A restart whose Repl names a peer is a
+// migration's destination (migrate.go): it only arms the migrate-in, whose
+// image arrives round by round from that source.
 func (a *Agent) startRestart(c msgSink, m *wireMsg) {
-	op, err := a.beginPodOp("restart", m, c)
+	kind := "restart"
+	if m.Repl != nil {
+		kind = "migrate-in"
+	}
+	op, err := a.beginPodOp(kind, m, c)
 	if err != nil {
 		a.fail(c, msgRestartDone, m, err)
+		return
+	}
+	if op.migratingIn() {
+		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-in",
+			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 		return
 	}
 	op.saveDone = true

@@ -56,11 +56,12 @@ func everyMsg() []*wireMsg {
 		{Type: msgFetchDone, Seq: seq, Pod: pod, LocalDuration: 12 * sim.Millisecond, Repl: &replPayload{Bytes: 8 << 20}},
 		{Type: msgFetchDone, Seq: seq, Pod: pod, Err: ErrUnknownPod.Error()},
 		// A migration between its source and destination: the checkpoint
-		// naming the destination, the handover, the destination's report
-		// and the source's (the commit is the plain continue above).
+		// naming the destination, the restart naming the source that arms
+		// the destination, the handover, the destination's report and the
+		// source's (the commit is the plain continue above).
 		{Type: msgCheckpoint, Seq: seq, Pod: pod, Incremental: true, Dedup: true, Pipeline: true,
 			PrecopyRounds: 4, PrecopyThresholdPages: 64, PrecopyMinGain: 0.25, Repl: &replPayload{PeerIP: peer, PeerPort: 7077}},
-		{Type: msgMigrateTarget, Seq: seq, Pod: pod},
+		{Type: msgRestart, Seq: seq, Pod: pod, Repl: &replPayload{PeerIP: peer, PeerPort: 7077}},
 		{Type: msgContinue, Seq: seq, Pod: pod, FrozeAt: sim.Time(3 * sim.Second)},
 		{Type: msgRestartDone, Seq: seq, Pod: pod, LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20},
 		{Type: msgContinueDone, Seq: seq, Pod: pod, RoundPages: []int{2048, 310, 42}, ImageBytes: 9 << 20},
@@ -75,8 +76,6 @@ func everyMsg() []*wireMsg {
 		{Type: msgDone, Seq: seq, Job: job, Pod: pod, Err: ErrUnknownPod.Error()},
 		{Type: msgRestartDone, Seq: seq, Job: job, Reports: reports(57*sim.Millisecond, 0, 8<<20)},
 		{Type: msgContinueDone, Seq: seq, Job: job, Reports: reports(300*sim.Microsecond, 95*sim.Millisecond, 0)},
-		{Type: msgMigrateBase, Seq: seq, Pod: pod},
-		{Type: msgMigrateBaseAck, Seq: seq, Pod: pod, Incremental: true},
 	}
 }
 

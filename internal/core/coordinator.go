@@ -190,7 +190,7 @@ type Coordinator struct {
 	ticker     *sim.Ticker
 	// placed records where every committed (pod, seq) image lives — fed by
 	// commits, <replicated> reports, completed fetches and migrations, and
-	// read through sources.
+	// read through sources and by Migrate, for round 0's base.
 	placed map[string]map[int]placement
 }
 

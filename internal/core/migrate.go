@@ -18,11 +18,14 @@ import (
 // is a restart elsewhere, in the two-phase vocabulary between the
 // coordinator C, the source agent S and the destination agent D:
 //
-//	C -> D  migrate-target  arm D: rounds adopted for the pod pre-merge
+//	C -> D  restart         Repl names S: arm D, rounds adopted for the
+//	                        pod pre-merge
 //	C -> S  checkpoint      Repl names D: a pre-copy epoch whose every
 //	                        saved image also streams into D's store,
 //	                        while the pod runs on S; then the freeze and
-//	                        the residual's save and stream
+//	                        the residual's save and stream. Incremental
+//	                        when C's registry lists D as a holder of the
+//	                        pod's newest image: round 0 is then a delta
 //	S -> D  continue        the handover; FrozeAt starts the downtime
 //	D:      merge residual, filter, restore (VIF + TCP state install,
 //	        gratuitous ARP last), resume — downtime ends here
@@ -41,10 +44,6 @@ var ErrNoMigration = errors.New("core: no migration in flight for job")
 
 // MigrateOptions tunes one live migration.
 type MigrateOptions struct {
-	// Incremental chains round 0 onto the source's newest stored
-	// checkpoint; the delta protocol then ships only what the
-	// destination's store is missing.
-	Incremental bool
 	// Dedup stores and streams the rounds content-addressed.
 	Dedup bool
 	// Pipeline segments the local round saves (encode ∥ write).
@@ -159,15 +158,30 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 			return
 		}
 		op.msgBase = c.msgCount(parties)
+		// Round 0 chains onto the pod's newest recorded image when the
+		// target already holds it whole: only the delta against that
+		// shared base streams. A stale record costs bytes, not
+		// correctness — the offer lists the chain and the target's want
+		// asks for any link it lacks.
+		base := 0
+		for s := range c.placed[pod] {
+			base = max(base, s)
+		}
+		reuse := c.placed[pod][base].whole[target]
+		if reuse {
+			c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "migrate.base-reuse",
+				trace.Str("pod", pod), trace.Int("base", int64(base)))
+		}
 		// Arm the destination first so its migrate-in op exists before
 		// the first round's delta transfer can land.
-		c.sendOrFail(op, target, &wireMsg{Type: msgMigrateTarget, Seq: seq, Pod: pod, ctx: op.span.Context()})
+		c.sendOrFail(op, target, &wireMsg{Type: msgRestart, Seq: seq, Pod: pod, ctx: op.span.Context(),
+			Repl: &replPayload{PeerIP: src.Addr, PeerPort: src.Port}})
 		c.sendOrFail(op, src, &wireMsg{
 			Type:                  msgCheckpoint,
 			Seq:                   seq,
 			Pod:                   pod,
 			ctx:                   op.span.Context(),
-			Incremental:           opts.Incremental,
+			Incremental:           reuse,
 			Dedup:                 opts.Dedup,
 			Pipeline:              opts.Pipeline,
 			PrecopyRounds:         opts.Precopy.MaxRounds,
@@ -196,54 +210,6 @@ func (c *Coordinator) AbortMigration(job string) error {
 
 // migrating reports whether the save op is a migrate-out.
 func (op *agentOp) migrating() bool { return op.migrateTo.Port != 0 }
-
-// queryBase opens the round-0 base negotiation, reporting whether it did.
-// A non-incremental migration would open with a full round, but if the
-// destination already replicates this pod's newest stored checkpoint, in
-// the form the rounds will take, round 0 can stream just the delta
-// against that shared base. One query/ack round trip, off the freeze path
-// (the pod is still live).
-func (a *Agent) queryBase(m *wireMsg, op *agentOp) bool {
-	if m.Incremental {
-		return false
-	}
-	base, ok := a.store.LatestSeq(m.Pod)
-	if !ok || !a.store.HasBase(m.Pod, base, m.Dedup) {
-		return false
-	}
-	cc, err := a.peerConn(op.migrateTo)
-	if err != nil {
-		return false
-	}
-	op.baseQuery = m
-	cc.send(&wireMsg{Type: msgMigrateBase, Seq: base, Pod: m.Pod, ctx: op.span.Context()})
-	return true
-}
-
-// handleMigrateBaseAck resumes the deferred migrate-out: if the
-// destination holds the queried base (Incremental carries its verdict),
-// round 0 streams incrementally against it; otherwise the full opening
-// round proceeds as before.
-func (a *Agent) handleMigrateBaseAck(m *wireMsg) {
-	op := ctl.Find[agentOp](a.table, m.Pod)
-	if op == nil || op.baseQuery == nil || op.Aborted() {
-		return
-	}
-	mq := op.baseQuery
-	op.baseQuery = nil
-	pod := a.pods[m.Pod]
-	if pod == nil || pod.Destroyed() {
-		a.failOp(op, msgDone, mq, ErrUnknownPod)
-		return
-	}
-	baseSeq := 0
-	if m.Incremental {
-		baseSeq = m.Seq
-		a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "migrate.base-reuse",
-			trace.Str("pod", m.Pod), trace.Int("base", int64(baseSeq)))
-	}
-	a.runPrecopy(op.conn, mq, pod, op, 0, 0, baseSeq)
-}
 
 // streamRound pushes the just-saved image into a migration's destination
 // store through the chunk exchange, invoking next once the destination has
@@ -304,20 +270,10 @@ func (a *Agent) handedOver(name string, pod *zap.Pod, op *agentOp) {
 }
 
 // ---------------------------------------------------------------------
-// Destination agent side: an agent op of kind "migrate-in" that pre-merges
-// the adopted rounds while the pod still runs on the source, and restarts
-// the pod from them on the source's handover, the continue it waits on.
-
-// startMigrateIn arms the destination.
-func (a *Agent) startMigrateIn(c msgSink, m *wireMsg) {
-	op, err := a.beginPodOp("migrate-in", m, c)
-	if err != nil {
-		a.fail(c, msgRestartDone, m, err)
-		return
-	}
-	op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-in",
-		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-}
+// Destination agent side: an agent op of kind "migrate-in", armed by a
+// restart whose Repl names the source (startRestart), that pre-merges the
+// adopted rounds while the pod still runs on the source, and restarts the
+// pod from them on the source's handover, the continue it waits on.
 
 // migratingIn reports whether the op is a migration's destination half.
 func (op *agentOp) migratingIn() bool { return op.Kind == "migrate-in" }

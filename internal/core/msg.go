@@ -36,7 +36,10 @@ type msgType int
 // on the receiving agent — a group leader, which passes the request on to
 // its group by pod and answers with the members' own reply type, their
 // replies batched in Reports, so the root sees O(N/size) messages per
-// protocol phase instead of O(N).
+// protocol phase instead of O(N). Live migration (§4.2 taken live,
+// migrate.go) has no type of its own: a restart whose Repl names the
+// source arms the destination, a checkpoint whose Repl names the
+// destination runs the source, and the rounds cross as chunk exchanges.
 const (
 	msgCheckpoint msgType = iota + 1
 	msgCommDisabled
@@ -70,21 +73,6 @@ const (
 	msgFetch
 	msgFetchPull
 	msgFetchDone
-
-	// Live migration (§4.2 taken live) speaks the two-phase set between
-	// its source and destination (migrate.go). Arming the destination is
-	// its own: after migrate-target, the rounds the source streams into
-	// the destination's store pre-merge toward the source's handover.
-	msgMigrateTarget
-
-	// Migration round-0 base negotiation: before an opening full round,
-	// the source asks the destination whether it already holds the pod's
-	// replicated checkpoint chain at the source's latest sequence
-	// (migrate-base); if so (migrate-base-ack), the first pre-copy round
-	// streams the delta against that held chain instead of the full
-	// image.
-	msgMigrateBase
-	msgMigrateBaseAck
 )
 
 var msgNames = map[msgType]string{
@@ -106,10 +94,6 @@ var msgNames = map[msgType]string{
 	msgFetch:        "fetch",
 	msgFetchPull:    "fetch-pull",
 	msgFetchDone:    "fetch-done",
-
-	msgMigrateTarget:  "migrate-target",
-	msgMigrateBase:    "migrate-base",
-	msgMigrateBaseAck: "migrate-base-ack",
 }
 
 func (t msgType) String() string {

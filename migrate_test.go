@@ -351,8 +351,11 @@ func TestStopCopyMigrationBaseline(t *testing.T) {
 
 // migrateAfterCheckpoint builds a 4-node ring cluster, checkpoints it
 // (waiting for any configured replication to land on the coordinator's
-// holder registry), runs on a little, and migrates wb to node 3.
-func migrateAfterCheckpoint(t *testing.T, replicas int) *cruz.MigrationResult {
+// holder registry), runs on a little, and migrates wb to node 3. With
+// stale set, node 3 then drops its replica of the checkpoint, so the
+// registry names a holder that no longer holds it; after the migration
+// the job restarts from that checkpoint.
+func migrateAfterCheckpoint(t *testing.T, replicas int, stale bool) *cruz.MigrationResult {
 	t.Helper()
 	cl, err := cruz.New(cruz.Config{Nodes: 4, Seed: 17, Replicas: replicas})
 	if err != nil {
@@ -372,6 +375,9 @@ func migrateAfterCheckpoint(t *testing.T, replicas int) *cruz.MigrationResult {
 			t.Fatal("replication never completed")
 		}
 	}
+	if stale {
+		cl.Nodes[3].Store.Discard("wb", ck.Seq)
+	}
 	cl.Run(200 * cruz.Millisecond)
 	res, err := cl.Migrate(job, "wb", 3, cruz.MigrateOptions{
 		Precopy: cruz.PrecopyConfig{MaxRounds: 6, DirtyThresholdPages: 32},
@@ -389,25 +395,39 @@ func migrateAfterCheckpoint(t *testing.T, replicas int) *cruz.MigrationResult {
 		t.Fatalf("pod did not re-home: %+v", node)
 	}
 	check(t, cl)
+	if stale {
+		if _, err := cl.Restart(job, 0); err != nil {
+			t.Fatalf("restart after a migration on a stale record: %v", err)
+		}
+		cl.Run(200 * cruz.Millisecond)
+		check(t, cl)
+	}
 	return res
 }
 
 // TestMigrationReusesReplicatedBase: when background durability already
 // placed the pod's newest checkpoint chain on the destination, the
-// round-0 base negotiation must stream only the delta against that
-// shared base instead of the full image — the identical scenario without
-// replication is the control.
+// coordinator's holder registry says so and round 0 must stream only the
+// delta against that shared base instead of the full image — the
+// identical scenario without replication is the control. When the record
+// is stale (the destination dropped its copy), the migration still lands
+// and the job restarts: the base crosses through the destination's want,
+// so more streams than when the base was reused.
 func TestMigrationReusesReplicatedBase(t *testing.T) {
 	// Replicas=2 puts wb's chain on nodes 2 and 3 (node 1's next ring
 	// peers) — node 3 is the migration destination.
-	reused := migrateAfterCheckpoint(t, 2)
-	control := migrateAfterCheckpoint(t, 0)
+	reused := migrateAfterCheckpoint(t, 2, false)
+	control := migrateAfterCheckpoint(t, 0, false)
 	if reused.BytesStreamed <= 0 || control.BytesStreamed <= 0 {
 		t.Fatalf("accounting: reused=%d control=%d", reused.BytesStreamed, control.BytesStreamed)
 	}
 	if reused.BytesStreamed*2 >= control.BytesStreamed {
 		t.Fatalf("base reuse saved too little: %d vs control %d bytes",
 			reused.BytesStreamed, control.BytesStreamed)
+	}
+	if stale := migrateAfterCheckpoint(t, 2, true); stale.BytesStreamed <= reused.BytesStreamed {
+		t.Fatalf("stale record streamed %d bytes, no more than the reused base's %d",
+			stale.BytesStreamed, reused.BytesStreamed)
 	}
 }
 
