@@ -70,7 +70,7 @@ endif
 # timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
-	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestoreFromManifest|BenchmarkDecodeECSet|BenchmarkPlanECSave' -benchtime=50x -benchmem ./internal/ckpt/
+	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestore|BenchmarkDecodeECSet|BenchmarkPlanECSave' -benchtime=50x -benchmem ./internal/ckpt/
 	$(GO) test -run XXX -bench=BenchmarkControlCodec -benchtime=10000x -benchmem ./internal/core/
 	$(GO) test -run XXX -bench=BenchmarkDirtyTracking -benchtime=50x -benchmem ./internal/mem/
 	$(GO) test -run XXX -bench=BenchmarkEngineSchedule -benchtime=100000x -benchmem ./internal/sim/
@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeECSet$$' -fuzztime 10s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime 10s ./internal/ckpt/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProgram$$' -fuzztime 10s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzBulkFrame$$' -fuzztime 10s ./internal/core/
 
 # The benchmark under bench/ is a module of its own, so tier-1 neither

@@ -91,7 +91,8 @@ const (
 )
 
 // RegisterProgram must be called for every concrete Program type that
-// will be checkpointed (usually from an init function).
+// will be checkpointed (usually from an init function). It panics if an
+// interface-typed field is reachable from the type's exported state.
 func RegisterProgram(p Program) { ckpt.RegisterProgram(p) }
 
 // Config describes the cluster to build. The hardware, link and daemon

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -14,10 +15,9 @@ import (
 	"cruz/internal/zap"
 )
 
-// benchPod builds a stopped pod whose worker has dirtied a sizeable heap,
-// ready for repeated captures.
-func benchPod(b *testing.B, pages uint64) *zap.Pod {
-	b.Helper()
+// benchKernel returns a node's kernel on a one-port switch.
+func benchKernel(tb testing.TB) *kernel.Kernel {
+	tb.Helper()
 	engine := sim.NewEngine(99)
 	sw := ether.NewSwitch(engine)
 	mac := ether.MAC{2, 0, 0, 0, 0, 1}
@@ -25,9 +25,17 @@ func benchPod(b *testing.B, pages uint64) *zap.Pod {
 	sw.Attach(nic, ether.GigabitLink)
 	st := tcpip.NewStack(engine, "node")
 	if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, 1}, mac, nic, false); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	k := kernel.New(engine, "node", st)
+	return kernel.New(engine, "node", st)
+}
+
+// benchPod builds a stopped pod whose worker has dirtied a sizeable heap,
+// ready for repeated captures.
+func benchPod(b *testing.B, pages uint64) *zap.Pod {
+	b.Helper()
+	k := benchKernel(b)
+	engine := k.Engine()
 	pod, err := zap.New(k, "bench", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
 	if err != nil {
 		b.Fatal(err)
@@ -160,6 +168,41 @@ func BenchmarkRestoreFromManifest(b *testing.B) {
 				if _, err := imageFromManifest(m, s.chunkData); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestore measures rebuilding a one-process pod from its image
+// — what every restart, recovery and migration does per pod — and
+// tearing it down again. Its allocations do not grow with the page
+// count: the process's pages come from one slab, and its program state
+// goes through a primed codec. A collection empties every sync.Pool
+// (gob's and fmt's among them), and the refills land on the restore
+// that follows it, so the collector runs only when the heap nears a
+// limit: a few times per hundred iterations, whatever the image size.
+// Between iterations, off the clock, the node runs the events a restore
+// leaves queued, which would otherwise keep every restored pod alive.
+func BenchmarkRestore(b *testing.B) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
+	for _, pages := range []int{128, 2048} {
+		b.Run(fmt.Sprint(pages), func(b *testing.B) {
+			k, img := benchKernel(b), restorableImage(b, pages)
+			b.SetBytes(img.MemoryBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pod, err := Restore(k, img)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pod.Destroy()
+				b.StopTimer()
+				if err := k.Engine().RunFor(sim.Millisecond); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 			}
 		})
 	}

@@ -154,10 +154,11 @@ func captureProcess(vpid int, proc *kernel.Process, opts Options, pipeIDs map[*k
 		CPUTime: proc.CPUTime(),
 	}
 
-	// "CPU state": the program value, gob-encoded through a pooled
-	// buffer (captures repeat; keep the steady state allocation-free).
+	// "CPU state": the program value, through its type's memoised codec,
+	// which writes a fresh gob encoder's bytes without compiling gob's
+	// engines anew: one allocation, the encoding.
 	var err error
-	if pi.ProgData, err = encodeToBytes(&progHolder{P: proc.Program()}); err != nil {
+	if pi.ProgData, err = encodeProgram(proc.Program()); err != nil {
 		return pi, fmt.Errorf("encode program (did you ckpt.RegisterProgram it?): %w", err)
 	}
 

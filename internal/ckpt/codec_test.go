@@ -31,9 +31,20 @@ func generated[T any](t *testing.T, n int) []*T {
 // and an element at a time, exported fields only: the unexported ones (an
 // image's pages, its cached encoding) are references gob never writes,
 // and testing/quick, which fills everything else, refuses a struct that
-// has them.
-func fill(t *testing.T, v reflect.Value, rng *rand.Rand) {
+// has them. A pointer points at a filled value, and a map holds one
+// entry: gob writes a map in iteration order, so only a map of at most
+// one entry gives a value one encoding.
+func fill(t testing.TB, v reflect.Value, rng *rand.Rand) {
 	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(t, v.Elem(), rng)
+	case reflect.Map:
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fill(t, k, rng)
+		fill(t, e, rng)
+		v.Set(reflect.MakeMapWithSize(v.Type(), 1))
+		v.SetMapIndex(k, e)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if v.Type().Field(i).IsExported() {
@@ -179,7 +190,7 @@ func valueFramer(t *testing.T, b []byte) (fields []byte, frame func([]byte) []by
 	_, w := readGobUint(b[msg:])
 	id := b[msg+w : len(b)-len(fields)]
 	return fields, func(f []byte) []byte {
-		c := append(append([]byte(nil), b[:msg]...), gobUint(uint64(len(id)+len(f)))...)
+		c := appendUint(append([]byte(nil), b[:msg]...), uint64(len(id)+len(f)))
 		return append(append(c, id...), f...)
 	}
 }

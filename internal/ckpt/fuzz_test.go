@@ -12,22 +12,8 @@ import (
 	"cruz/internal/mem"
 )
 
-// gobUint is encoding/gob's unsigned integer encoding: one byte below
-// 128, else the negated byte count followed by the big-endian bytes.
-func gobUint(v uint64) []byte {
-	if v < 128 {
-		return []byte{byte(v)}
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	i := 0
-	for b[i] == 0 {
-		i++
-	}
-	return append([]byte{byte(-(8 - i))}, b[i:]...)
-}
-
-// readGobUint decodes one gobUint, returning the value and its width.
+// readGobUint decodes one gob unsigned integer (appendUint), returning
+// the value and its width.
 func readGobUint(b []byte) (uint64, int) {
 	if b[0] < 128 {
 		return uint64(b[0]), 1
@@ -90,7 +76,7 @@ func hostileImages(t testing.TB) map[string][]byte {
 			m.PageData = append(m.PageData, m.Page(j)...)
 		}
 	}
-	whole, err := encodeToBytes(inside)
+	whole, err := memoAppend(imageCodec, nil, inside, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +104,7 @@ func hostileImages(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	mhead := mblob[imageHdrSize : imageHdrSize+int(binary.BigEndian.Uint32(mblob[2:]))]
-	elem := gobUint(0x1122334455667788)
+	elem := appendUint(nil, 0x1122334455667788)
 	at := bytes.Index(mhead, append([]byte{2}, elem...))
 	if at < 0 {
 		t.Fatal("PageNums not found in the gob head")
@@ -132,10 +118,10 @@ func hostileImages(t testing.TB) map[string][]byte {
 		msg += w + int(n)
 	}
 	n, w := readGobUint(mhead[msg:])
-	count := gobUint(1 << 31)
+	count := appendUint(nil, 1<<31)
 	var patched []byte
 	patched = append(patched, mhead[:msg]...)
-	patched = append(patched, gobUint(n+uint64(len(count)-1))...)
+	patched = appendUint(patched, n+uint64(len(count)-1))
 	patched = append(patched, mhead[msg+w:at]...)
 	patched = append(patched, count...)
 	patched = append(patched, mhead[at+1:]...)

@@ -14,7 +14,6 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -30,7 +29,7 @@ import (
 )
 
 // encBufPool recycles the staging buffers of the capture path's gob
-// encodes (program state, image heads, manifests, shard sets). Only small
+// encodes (image heads, manifests, shard sets). Only small
 // structured state goes through gob — page bytes never do — so the
 // buffers stay a few KB; checkpoints are taken repeatedly over a pod's
 // life, and reusing the grown buffer avoids re-paying the
@@ -61,25 +60,6 @@ var (
 // memoAppend is gobAppend of v's encoding by its memoised codec.
 func memoAppend[T any](c *gobmemo.Codec[T], dst []byte, v *T, reserve int) ([]byte, error) {
 	return gobAppend(dst, reserve, func(w io.Writer) error { return c.Encode(w, v) })
-}
-
-// encodeToBytes gob-encodes v, with a fresh encoder, into a buffer sized
-// for it. It serves progHolder, whose interface-typed field puts the
-// program's concrete type descriptors among the value's bytes, so that no
-// constant prefix exists to memoise.
-func encodeToBytes(v any) ([]byte, error) {
-	return gobAppend(nil, 0, func(w io.Writer) error { return gob.NewEncoder(w).Encode(v) })
-}
-
-// RegisterProgram must be called (once, at init time) for every concrete
-// Program type that will be checkpointed, so its state can travel through
-// gob. This mirrors the real-world requirement that checkpointable code
-// be compiled into the restoring binary.
-func RegisterProgram(p kernel.Program) { gob.Register(p) }
-
-// progHolder lets gob encode the Program interface value.
-type progHolder struct {
-	P kernel.Program
 }
 
 // MemImage is a saved address space: its regions, and its pages by number,
@@ -132,7 +112,7 @@ type PipeImage struct {
 type ProcImage struct {
 	VPID     int
 	Name     string
-	ProgData []byte // gob-encoded progHolder
+	ProgData []byte // gob-encoded progHolder (program.go)
 	Memory   MemImage
 	FDs      []FDImage
 	Signals  []kernel.Signal

@@ -1,8 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"cruz/internal/kernel"
@@ -79,11 +77,11 @@ func Restore(kern *kernel.Kernel, img *Image) (*zap.Pod, error) {
 
 // restoreProcess rebuilds one process from its image.
 func restoreProcess(kern *kernel.Kernel, pod *zap.Pod, pi ProcImage, pipes map[int]*kernel.Pipe) error {
-	var holder progHolder
-	if err := gob.NewDecoder(bytes.NewReader(pi.ProgData)).Decode(&holder); err != nil {
+	prog, err := decodeProgram(pi.ProgData)
+	if err != nil {
 		return fmt.Errorf("decode program (is its type RegisterProgram'ed in this binary?): %w", err)
 	}
-	proc, err := pod.SpawnAt(pi.Name, holder.P, pi.VPID)
+	proc, err := pod.SpawnAt(pi.Name, prog, pi.VPID)
 	if err != nil {
 		return err
 	}
@@ -96,10 +94,8 @@ func restoreProcess(kern *kernel.Kernel, pod *zap.Pod, pi ProcImage, pipes map[i
 			return fmt.Errorf("region %+v: %w", r, err)
 		}
 	}
-	for i, pn := range pi.Memory.PageNums {
-		if err := as.InstallPage(pn, pi.Memory.Page(i)); err != nil {
-			return fmt.Errorf("page %d: %w", pn, err)
-		}
+	if err := as.InstallPages(pi.Memory.PageNums, pi.Memory.Page); err != nil {
+		return err
 	}
 
 	stack := kern.Stack()

@@ -48,34 +48,39 @@ type Codec[T any] struct {
 // from T: gob describes an interface's concrete type in the middle of the
 // value, so such a type has no value-independent prefix to split off.
 func New[T any]() *Codec[T] {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	if path := findInterface(t, t.String(), map[reflect.Type]bool{}); path != "" {
+	if path := Reaches(reflect.TypeOf((*T)(nil)).Elem(), reflect.Interface); path != "" {
 		panic(fmt.Sprintf("gobmemo: %s is interface-typed; its gob descriptors depend on the value", path))
 	}
 	return &Codec[T]{}
 }
 
-// findInterface returns the path of the first interface type gob would
-// reach from t, or "".
-func findInterface(t reflect.Type, path string, seen map[reflect.Type]bool) string {
+// Reaches returns the path of the first type of kind k that gob would
+// reach from t — t itself, or an element or exported field at any depth —
+// or "" if there is none.
+func Reaches(t reflect.Type, k reflect.Kind) string {
+	return reaches(t, k, t.String(), map[reflect.Type]bool{})
+}
+
+func reaches(t reflect.Type, k reflect.Kind, path string, seen map[reflect.Type]bool) string {
 	if seen[t] {
 		return ""
 	}
 	seen[t] = true
-	switch t.Kind() {
-	case reflect.Interface:
+	if t.Kind() == k {
 		return path
+	}
+	switch t.Kind() {
 	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return findInterface(t.Elem(), path, seen)
+		return reaches(t.Elem(), k, path, seen)
 	case reflect.Map:
-		if p := findInterface(t.Key(), path+"[key]", seen); p != "" {
+		if p := reaches(t.Key(), k, path+"[key]", seen); p != "" {
 			return p
 		}
-		return findInterface(t.Elem(), path, seen)
+		return reaches(t.Elem(), k, path, seen)
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			if f := t.Field(i); f.IsExported() {
-				if p := findInterface(f.Type, path+"."+f.Name, seen); p != "" {
+				if p := reaches(f.Type, k, path+"."+f.Name, seen); p != "" {
 					return p
 				}
 			}

@@ -111,12 +111,19 @@ func (r *Reader) Count() int {
 }
 
 // String reads a string.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Bytes reads a count-prefixed byte string — a string, a []byte, or a
+// whole message of a gob stream — without copying it.
+func (r *Reader) Bytes() []byte {
 	n := r.Count()
-	s := string(r.b[r.off : r.off+n])
+	b := r.b[r.off : r.off+n]
 	r.off += n
-	return s
+	return b
 }
+
+// Len returns the number of bytes not yet read.
+func (r *Reader) Len() int { return len(r.b) - r.off }
 
 // Field reads the number of the next field of a struct of n fields whose
 // last field read was last (−1 before the first). gob sends each as the

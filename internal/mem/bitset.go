@@ -46,6 +46,24 @@ func (b *Bitset) Set(pn uint64) bool {
 	return true
 }
 
+// reserve widens the word array to cover page numbers lo through hi in
+// one allocation, so that setting any of them allocates nothing more.
+func (b *Bitset) reserve(lo, hi uint64) {
+	lw, hw := lo>>6, hi>>6
+	if b.words != nil {
+		end := b.base + uint64(len(b.words))
+		if lw >= b.base && hw < end {
+			return
+		}
+		lw, hw = min(lw, b.base), max(hw, end-1)
+	}
+	grown := make([]uint64, hw-lw+1)
+	if b.words != nil {
+		copy(grown[b.base-lw:], b.words)
+	}
+	b.base, b.words = lw, grown
+}
+
 // Has reports whether pn is set.
 func (b *Bitset) Has(pn uint64) bool {
 	w := pn >> 6

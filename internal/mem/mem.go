@@ -13,7 +13,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // PageSize is the size of a virtual-memory page in bytes, matching the
@@ -107,8 +106,8 @@ func (r Region) End() uint64 { return r.Start + r.Size }
 // an empty address space ready for use, but NewAddressSpace is preferred
 // because it sets a conventional allocation base.
 type AddressSpace struct {
-	pages   map[uint64]*Page // keyed by page number
-	dirty   Bitset           // pages written since last ClearDirty
+	pages   pageTable
+	dirty   Bitset // pages written since last ClearDirty
 	regions []Region
 	next    uint64 // next allocation address (bump allocator)
 
@@ -131,15 +130,11 @@ const allocBase = 0x0804_8000
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{
-		pages: make(map[uint64]*Page),
-		next:  allocBase,
-	}
+	return &AddressSpace{next: allocBase}
 }
 
 func (as *AddressSpace) init() {
-	if as.pages == nil {
-		as.pages = make(map[uint64]*Page)
+	if as.next == 0 {
 		as.next = allocBase
 	}
 }
@@ -201,18 +196,18 @@ func (as *AddressSpace) checkRange(addr uint64, n int) error {
 // writablePage returns the page containing page-number pn, materializing
 // it and breaking copy-on-write sharing as needed.
 func (as *AddressSpace) writablePage(pn uint64) *Page {
-	p := as.pages[pn]
+	p := as.pages.get(pn)
 	switch {
 	case p == nil:
 		p = &Page{refs: 1}
-		as.pages[pn] = p
+		as.pages.set(pn, p)
 	case p.refs > 1:
 		// Copy-on-write break: give this address space a private copy.
 		// The snapshot keeps the shared page (and its version) intact;
 		// only the live side's lineage advances.
 		p.refs--
 		np := &Page{Data: p.Data, refs: 1, version: p.version}
-		as.pages[pn] = np
+		as.pages.set(pn, np)
 		p = np
 		if as.faultHook != nil {
 			as.faultHook(pn)
@@ -253,7 +248,7 @@ func (as *AddressSpace) Read(addr uint64, b []byte) error {
 		pn := addr / PageSize
 		off := addr % PageSize
 		var n int
-		if p := as.pages[pn]; p != nil {
+		if p := as.pages.get(pn); p != nil {
 			n = copy(b, p.Data[off:])
 		} else {
 			n = len(b)
@@ -293,11 +288,11 @@ func (as *AddressSpace) ReadUint64(addr uint64) (uint64, error) {
 }
 
 // ResidentPages returns the number of materialized pages.
-func (as *AddressSpace) ResidentPages() int { return len(as.pages) }
+func (as *AddressSpace) ResidentPages() int { return as.pages.n }
 
 // ResidentBytes returns the materialized memory size in bytes. This is
 // what a full checkpoint must write to stable storage.
-func (as *AddressSpace) ResidentBytes() uint64 { return uint64(len(as.pages)) * PageSize }
+func (as *AddressSpace) ResidentBytes() uint64 { return uint64(as.pages.n) * PageSize }
 
 // DirtyPages returns the number of pages written since the last ClearDirty.
 func (as *AddressSpace) DirtyPages() int { return as.dirty.Count() }
@@ -324,17 +319,14 @@ func (as *AddressSpace) MarkDirty(pn uint64) {
 
 // PageNumbers returns the sorted page numbers of materialized pages. If
 // dirtyOnly is set, only pages dirtied since the last ClearDirty are
-// returned (the bitset iterates in ascending order, so no sort is
-// needed).
+// returned. Both the page table and the dirty bitset iterate in ascending
+// order, so no sort is needed.
 func (as *AddressSpace) PageNumbers(dirtyOnly bool) []uint64 {
 	if dirtyOnly {
 		return as.dirty.Pages()
 	}
-	out := make([]uint64, 0, len(as.pages))
-	for pn := range as.pages {
-		out = append(out, pn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]uint64, 0, as.pages.n)
+	as.pages.forEach(func(pn uint64, _ *Page) { out = append(out, pn) })
 	return out
 }
 
@@ -342,7 +334,7 @@ func (as *AddressSpace) PageNumbers(dirtyOnly bool) []uint64 {
 // live page and must not be modified; checkpoint code copies it into the
 // image.
 func (as *AddressSpace) PageData(pn uint64) []byte {
-	if p := as.pages[pn]; p != nil {
+	if p := as.pages.get(pn); p != nil {
 		return p.Data[:]
 	}
 	return nil
@@ -355,7 +347,7 @@ func (as *AddressSpace) PageData(pn uint64) []byte {
 // property that makes content-addressed checkpointing cheap at steady
 // state.
 func (as *AddressSpace) PageHash(pn uint64) PageHash {
-	p := as.pages[pn]
+	p := as.pages.get(pn)
 	if p == nil {
 		return zeroPageHash
 	}
@@ -371,19 +363,41 @@ func (as *AddressSpace) PageHash(pn uint64) PageHash {
 // computations performed through this address space.
 func (as *AddressSpace) HashComputes() uint64 { return as.hashComputes }
 
-// InstallPage writes a whole page at page-number pn, mapping a covering
-// region if necessary. It is used by restore, which replays pages from a
-// checkpoint image into a fresh address space.
-func (as *AddressSpace) InstallPage(pn uint64, data []byte) error {
+// InstallPages writes whole pages, page pns[i] from data(i), each of
+// which must lie in a mapped region. It is used by restore, which replays
+// a process's pages from a checkpoint image into a fresh address space:
+// the pages it materialises are carved from one slab, and the page table
+// and dirty set are sized for all of them at once, so a process costs the
+// same few allocations however many pages it has. A page written as
+// usual afterwards stays where it is; a copy-on-write break moves the
+// live side off it, as off any page.
+func (as *AddressSpace) InstallPages(pns []uint64, data func(i int) []byte) error {
 	as.init()
-	if len(data) != PageSize {
-		return fmt.Errorf("%w: page data must be %d bytes, got %d", ErrBadAlloc, PageSize, len(data))
+	if len(pns) == 0 {
+		return nil
 	}
-	addr := pn * PageSize
-	if as.regionFor(addr) == nil {
-		return fmt.Errorf("%w: page %#x not covered by a region", ErrOutOfRange, addr)
+	lo, hi := pns[0], pns[0]
+	for _, pn := range pns {
+		lo, hi = min(lo, pn), max(hi, pn)
 	}
-	copy(as.writablePage(pn).Data[:], data)
+	as.pages.reserve(lo, hi)
+	as.dirty.reserve(lo, hi)
+	slab := make([]Page, len(pns))
+	for i, pn := range pns {
+		d := data(i)
+		if len(d) != PageSize {
+			return fmt.Errorf("%w: page data must be %d bytes, got %d", ErrBadAlloc, PageSize, len(d))
+		}
+		addr := pn * PageSize
+		if as.regionFor(addr) == nil {
+			return fmt.Errorf("%w: page %#x not covered by a region", ErrOutOfRange, addr)
+		}
+		if as.pages.get(pn) == nil {
+			slab[i].refs = 1
+			as.pages.set(pn, &slab[i])
+		}
+		copy(as.writablePage(pn).Data[:], d)
+	}
 	return nil
 }
 
@@ -418,15 +432,12 @@ func (as *AddressSpace) InstallRegion(r Region) error {
 func (as *AddressSpace) Snapshot() *AddressSpace {
 	as.init()
 	clone := &AddressSpace{
-		pages:   make(map[uint64]*Page, len(as.pages)),
+		pages:   as.pages.clone(),
 		next:    as.next,
 		regions: make([]Region, len(as.regions)),
 	}
 	copy(clone.regions, as.regions)
-	for pn, p := range as.pages {
-		p.refs++
-		clone.pages[pn] = p
-	}
+	as.pages.forEach(func(_ uint64, p *Page) { p.refs++ })
 	return clone
 }
 
@@ -437,10 +448,8 @@ func (as *AddressSpace) Snapshot() *AddressSpace {
 // Release on a live space that snapshots were taken FROM — rather than
 // on the snapshot itself — would corrupt the sharing counts.
 func (as *AddressSpace) Release() {
-	for _, p := range as.pages {
-		p.refs--
-	}
-	as.pages = nil
+	as.pages.forEach(func(_ uint64, p *Page) { p.refs-- })
+	as.pages = pageTable{}
 	as.regions = nil
 }
 
@@ -449,7 +458,7 @@ func (as *AddressSpace) Release() {
 // consistency invariant concurrent capture relies on; the live space's
 // version advances on every write, including the one that breaks COW.
 func (as *AddressSpace) PageVersion(pn uint64) uint64 {
-	if p := as.pages[pn]; p != nil {
+	if p := as.pages.get(pn); p != nil {
 		return p.version
 	}
 	return 0
@@ -459,10 +468,10 @@ func (as *AddressSpace) PageVersion(pn uint64) uint64 {
 // with a snapshot (refs > 1). Useful in tests and ablation benchmarks.
 func (as *AddressSpace) SharedPages() int {
 	n := 0
-	for _, p := range as.pages {
+	as.pages.forEach(func(_ uint64, p *Page) {
 		if p.refs > 1 {
 			n++
 		}
-	}
+	})
 	return n
 }

@@ -3,8 +3,10 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocAndRoundTrip(t *testing.T) {
@@ -210,12 +212,9 @@ func TestInstallRegionAndPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, pn := range src.PageNumbers(false) {
-		data := make([]byte, PageSize)
-		copy(data, src.PageData(pn))
-		if err := dst.InstallPage(pn, data); err != nil {
-			t.Fatal(err)
-		}
+	pns := src.PageNumbers(false)
+	if err := dst.InstallPages(pns, func(i int) []byte { return bytes.Clone(src.PageData(pns[i])) }); err != nil {
+		t.Fatal(err)
 	}
 	got := make([]byte, 2*PageSize)
 	if err := dst.Read(base, got); err != nil {
@@ -234,6 +233,46 @@ func TestInstallRegionAndPage(t *testing.T) {
 	}
 }
 
+// TestInstallPagesFillOneSlab: restored pages are carved from one slab,
+// in order, and then behave as pages the process wrote itself: dirty, at
+// version 1, shared by a snapshot until a write breaks the live side
+// away, leaving the snapshot's copy as it was.
+func TestInstallPagesFillOneSlab(t *testing.T) {
+	src := NewAddressSpace()
+	base, _ := src.Alloc(4*PageSize, "heap")
+	for _, i := range []uint64{0, 2, 3} {
+		src.Write(base+i*PageSize, bytes.Repeat([]byte{byte('a' + i)}, PageSize))
+	}
+	pns := src.PageNumbers(false)
+	dst := NewAddressSpace()
+	for _, r := range src.Regions() {
+		if err := dst.InstallRegion(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.InstallPages(pns, func(i int) []byte { return src.PageData(pns[i]) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.PageNumbers(false); !reflect.DeepEqual(got, pns) || dst.DirtyPages() != len(pns) {
+		t.Fatalf("pages %v (%d dirty), want %v all dirty", got, dst.DirtyPages(), pns)
+	}
+	for i, pn := range pns {
+		if !bytes.Equal(dst.PageData(pn), src.PageData(pn)) || dst.PageVersion(pn) != 1 {
+			t.Fatalf("page %d: version %d, contents differ: %v", pn, dst.PageVersion(pn), !bytes.Equal(dst.PageData(pn), src.PageData(pn)))
+		}
+		if i > 0 && uintptr(unsafe.Pointer(dst.pages.get(pn)))-uintptr(unsafe.Pointer(dst.pages.get(pns[i-1]))) != unsafe.Sizeof(Page{}) {
+			t.Fatalf("page %d does not follow page %d in one slab", pn, pns[i-1])
+		}
+	}
+	snap := dst.Snapshot()
+	if err := dst.Write(base, []byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	if snap.PageData(pns[0])[0] != 'a' || dst.PageData(pns[0])[0] != 'l' || snap.PageVersion(pns[0]) != 1 || dst.PageVersion(pns[0]) != 2 {
+		t.Fatal("a write after the snapshot did not break the live side away from the slab page")
+	}
+}
+
 func TestInstallRegionOverlapRejected(t *testing.T) {
 	as := NewAddressSpace()
 	if err := as.InstallRegion(Region{Start: 0x10000, Size: 2 * PageSize}); err != nil {
@@ -247,10 +286,11 @@ func TestInstallRegionOverlapRejected(t *testing.T) {
 
 func TestInstallPageValidation(t *testing.T) {
 	as := NewAddressSpace()
-	if err := as.InstallPage(5, make([]byte, 10)); !errors.Is(err, ErrBadAlloc) {
+	page := func(n int) func(int) []byte { return func(int) []byte { return make([]byte, n) } }
+	if err := as.InstallPages([]uint64{5}, page(10)); !errors.Is(err, ErrBadAlloc) {
 		t.Fatalf("short page err = %v", err)
 	}
-	if err := as.InstallPage(5, make([]byte, PageSize)); !errors.Is(err, ErrOutOfRange) {
+	if err := as.InstallPages([]uint64{5}, page(PageSize)); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("uncovered page err = %v", err)
 	}
 }
