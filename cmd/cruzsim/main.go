@@ -3,7 +3,8 @@
 // row whose slm ring spans the cluster. -trace writes the trace as Chrome
 // trace-event JSON (Perfetto), -v prints it as a timeline; either adds
 // the checkpoint phase breakdown and each op's critical path. Every
-// flight-recorder dump (op abort, lease expiry, recovery start) prints.
+// flight-recorder dump (op abort, lease expiry, recovery start) prints,
+// and all of it prints for a row that fails too, before its error.
 package main
 
 import (
@@ -51,11 +52,11 @@ func run(args []string, out io.Writer) error {
 	}
 	over.Trace = *file != "" || *verbose
 	cl, err := scenario.Table[i].Run(over, out)
-	if err == nil && cl.Trace() != nil {
-		err = emitTrace(cl.Trace(), out, *file, *verbose)
-	}
-	if err != nil {
+	if cl == nil {
 		return err
+	}
+	if cl.Trace() != nil {
+		err = errors.Join(err, emitTrace(cl.Trace(), out, *file, *verbose))
 	}
 	if dumps := cl.FlightRecorder().FlightDumps(); len(dumps) > 0 {
 		fmt.Fprintf(out, "\nflight recorder: %d dump(s)", len(dumps))
@@ -72,7 +73,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	return nil
+	return err
 }
 
 // emitTrace renders a traced run: the -v timeline, the -trace file, the

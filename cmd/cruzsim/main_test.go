@@ -5,6 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cruz"
+	"cruz/internal/apps/slm"
+	"cruz/internal/scenario"
 )
 
 // TestREADMEExamples runs every cruzsim command README.md shows with its
@@ -55,5 +59,32 @@ func TestFlagsTheRowDoesNotUse(t *testing.T) {
 		if err := run(args, new(strings.Builder)); err == nil {
 			t.Errorf("cruzsim %v ran", args)
 		}
+	}
+}
+
+// TestFailedRowIsExplained: a row that fails still prints its flight
+// recorder and writes its trace, then returns the error. Here a node dies
+// before the ring was ever checkpointed, so its lease expires and there is
+// nothing to recover from.
+func TestFailedRowIsExplained(t *testing.T) {
+	defer func(table []scenario.Row) { scenario.Table = table }(scenario.Table)
+	scenario.Table = append(scenario.Table, scenario.Row{Name: "unrecoverable",
+		Deploy: scenario.Deployment{Config: cruz.Config{Nodes: 3, AutoRecover: true}, Ring: &scenario.Ring{Name: "slm", SLM: slm.Config{
+			TotalComputePerStep: 80 * cruz.Millisecond, StepOverhead: 5 * cruz.Millisecond, HaloBytes: 32 << 10, GridBytes: 1 << 20, DirtyPagesPerStep: 8, Port: 9200}}},
+		Steps: []scenario.Step{{Op: scenario.Run, For: 300 * cruz.Millisecond}, {Op: scenario.Fail, Node: -1}},
+	})
+	file := filepath.Join(t.TempDir(), "out.json")
+	var out strings.Builder
+	err := run([]string{"-scenario", "unrecoverable", "-trace", file}, &out)
+	if err == nil {
+		t.Fatalf("the row passed:\n%s", out.String())
+	}
+	for _, want := range []string{"trigger=lease.expiry", "wrote ", "flight recorder: "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q before the error %v:\n%s", want, err, out.String())
+		}
+	}
+	if _, err := os.Stat(file); err != nil {
+		t.Error(err)
 	}
 }

@@ -42,27 +42,27 @@ func MessageComplexity(nodeCounts []int, scale float64) ([]MsgRow, error) {
 		cfg := slmConfig(n, scale)
 		cfg.TotalComputePerStep = 20 * cruz.Millisecond
 		cfg.StepOverhead = 2 * cruz.Millisecond
-		r, err := slmRing(cruz.Config{Nodes: n}, cfg, nil)
+		r, err := slmRing(cruz.Config{Nodes: n}, cfg)
 		if err != nil {
 			return nil, err
 		}
-		fjob, err := r.cl.DefineFlushJob("slm-flush", r.names...)
+		fjob, err := r.Cluster.DefineFlushJob("slm-flush", r.names...)
 		if err != nil {
 			return nil, err
 		}
 		row := MsgRow{Nodes: n}
 		var cruzLat, flushLat, drain metrics.Summary
 		for k := 0; k < rounds; k++ {
-			cres, cerr := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
+			cres, cerr := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{})
 			if cerr != nil {
 				return nil, fmt.Errorf("exp: msgs cruz n=%d: %w", n, cerr)
 			}
-			r.cl.Run(100 * cruz.Millisecond)
-			fres, ferr := r.cl.FlushCheckpoint(fjob)
+			r.Cluster.Run(100 * cruz.Millisecond)
+			fres, ferr := r.Cluster.FlushCheckpoint(fjob)
 			if ferr != nil {
 				return nil, fmt.Errorf("exp: msgs flush n=%d: %w", n, ferr)
 			}
-			r.cl.Run(100 * cruz.Millisecond)
+			r.Cluster.Run(100 * cruz.Millisecond)
 			row.CruzMsgs = cres.Messages
 			row.FlushCoordMsgs = fres.CoordinatorMessages
 			row.FlushMarkerMsgs = fres.MarkerMessages
@@ -70,13 +70,13 @@ func MessageComplexity(nodeCounts []int, scale float64) ([]MsgRow, error) {
 			flushLat.AddDuration(fres.Latency)
 			drain.AddDuration(fres.MaxFlush)
 		}
-		if err := checkWorkers(r.workers); err != nil {
-			return nil, err
-		}
 		row.CruzLatencyMs = cruzLat.Mean()
 		row.FlushLatencyMs = flushLat.Mean()
 		row.FlushDrainMs = drain.Mean()
 		rows = append(rows, row)
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("exp: msgs n=%d: %w", n, err)
+		}
 	}
 	return rows, nil
 }
@@ -106,12 +106,7 @@ type Fig4Row struct {
 func Fig4Compare(nodeCounts []int, scale float64) ([]Fig4Row, error) {
 	var rows []Fig4Row
 	for _, n := range nodeCounts {
-		mult := make([]float64, n)
-		for i := range mult {
-			mult[i] = 1
-		}
-		mult[0] = 2 // the straggler
-		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), mult)
+		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), 2) // rank 0 is the straggler
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +119,7 @@ func Fig4Compare(nodeCounts []int, scale float64) ([]Fig4Row, error) {
 			{"fig4-optimized", cruz.CheckpointOptions{Optimized: true}},
 			{"copy-on-write", cruz.CheckpointOptions{COW: true}},
 		} {
-			res, cerr := r.cl.Checkpoint(r.job, v.opts)
+			res, cerr := r.Cluster.Checkpoint(r.job, v.opts)
 			if cerr != nil {
 				return nil, fmt.Errorf("exp: fig4 n=%d %s: %w", n, v.name, cerr)
 			}
@@ -134,12 +129,12 @@ func Fig4Compare(nodeCounts []int, scale float64) ([]Fig4Row, error) {
 				MinBlockedMs: res.MinBlocked.Milliseconds(),
 				LatencyMs:    res.Latency.Milliseconds(),
 			})
-			r.cl.Run(200 * cruz.Millisecond)
-		}
-		if err := checkWorkers(r.workers); err != nil {
-			return nil, err
+			r.Cluster.Run(200 * cruz.Millisecond)
 		}
 		rows = append(rows, row)
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("exp: fig4 n=%d: %w", n, err)
+		}
 	}
 	return rows, nil
 }
@@ -159,24 +154,24 @@ type RestartRow struct {
 func RestartLatency(nodeCounts []int, repeats int, scale float64) ([]RestartRow, error) {
 	var rows []RestartRow
 	for _, n := range nodeCounts {
-		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), nil)
+		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale))
 		if err != nil {
 			return nil, err
 		}
 		var lat, ovh, local metrics.Summary
 		for k := 0; k < repeats; k++ {
-			if _, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{}); err != nil {
+			if _, err := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{}); err != nil {
 				return nil, fmt.Errorf("exp: restart n=%d ckpt: %w", n, err)
 			}
-			r.cl.Run(100 * cruz.Millisecond)
-			res, rerr := r.restart()
+			r.Cluster.Run(100 * cruz.Millisecond)
+			res, rerr := r.Restart(r.job.Name)
 			if rerr != nil {
 				return nil, fmt.Errorf("exp: restart n=%d: %w", n, rerr)
 			}
 			lat.AddDuration(res.Latency)
 			ovh.Add(res.Overhead.Microseconds())
 			local.AddDuration(res.MaxLocalRestore)
-			r.cl.Run(200 * cruz.Millisecond)
+			r.Cluster.Run(200 * cruz.Millisecond)
 		}
 		rows = append(rows, RestartRow{
 			Nodes:          n,
@@ -185,6 +180,9 @@ func RestartLatency(nodeCounts []int, repeats int, scale float64) ([]RestartRow,
 			OverheadMeanUs: ovh.Mean(),
 			LocalMeanMs:    local.Mean(),
 		})
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("exp: restart n=%d: %w", n, err)
+		}
 	}
 	return rows, nil
 }
@@ -200,24 +198,25 @@ type IncrementalRow struct {
 // and latency on the slm workload (§5.2 mentions incremental
 // checkpointing as a standard optimization Cruz composes with).
 func IncrementalAblation(scale float64) ([]IncrementalRow, error) {
-	r, err := slmRing(cruz.Config{Nodes: 2}, slmConfig(2, scale), nil)
+	r, err := slmRing(cruz.Config{Nodes: 2}, slmConfig(2, scale))
 	if err != nil {
 		return nil, err
 	}
-	full, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
+	full, err := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{})
 	if err != nil {
 		return nil, err
 	}
-	r.cl.Run(500 * cruz.Millisecond)
-	inc, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{Incremental: true})
+	r.Cluster.Run(500 * cruz.Millisecond)
+	inc, err := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{Incremental: true})
 	if err != nil {
 		return nil, err
 	}
-	if err := checkWorkers(r.workers); err != nil {
-		return nil, err
-	}
-	return []IncrementalRow{
+	rows := []IncrementalRow{
 		{Kind: "full", ImageMB: float64(full.TotalImageBytes) / (1 << 20), LatencyMs: full.Latency.Milliseconds()},
 		{Kind: "incremental", ImageMB: float64(inc.TotalImageBytes) / (1 << 20), LatencyMs: inc.Latency.Milliseconds()},
-	}, nil
+	}
+	if err := r.Check(); err != nil {
+		return nil, fmt.Errorf("exp: incremental: %w", err)
+	}
+	return rows, nil
 }

@@ -26,8 +26,6 @@ type CritPathResult struct {
 	// Dump is the flight-recorder snapshot taken at lease expiry: the
 	// event window that led up to the failure declaration.
 	Dump *trace.FlightDump
-	// Dropped counts trace-ring overwrites (0 in a healthy run).
-	Dropped uint64
 }
 
 // CritPath runs the traced kill-and-recover experiment: a replicated
@@ -43,24 +41,19 @@ func CritPath(scale float64) (*CritPathResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.killAndRecover()
+	res, err := r.Fail(1)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: critpath recovery: %w", err)
 	}
 
-	dropped, err := traceHealth(r.cl)
-	if err != nil {
-		return nil, err
+	if n := r.Cluster.Trace().Dropped(); n > 0 {
+		return nil, fmt.Errorf("exp: critpath trace ring overflowed (%d events dropped); raise TraceCapacity", n)
 	}
-	if dropped > 0 {
-		return nil, fmt.Errorf("exp: critpath trace ring overflowed (%d events dropped); raise TraceCapacity", dropped)
-	}
-	trees := critpath.BuildTrees(r.cl.Trace().Events())
+	trees := critpath.BuildTrees(r.Cluster.Trace().Events())
 	out := &CritPathResult{
 		CheckpointTree: critpath.FindRoot(trees, "checkpoint"),
 		RecoveryTree:   critpath.FindRoot(trees, "recovery"),
 		MTTRMs:         res.MTTR.Milliseconds(),
-		Dropped:        dropped,
 	}
 	if out.CheckpointTree == nil || out.RecoveryTree == nil {
 		return nil, fmt.Errorf("exp: critpath trees missing (checkpoint=%v recovery=%v)",
@@ -87,7 +80,7 @@ func CritPath(scale float64) (*CritPathResult, error) {
 		return nil, fmt.Errorf("exp: critpath recovery phases sum %.3f ms vs MTTR %.3f ms (diff %.3f > 1%%)",
 			phaseSum, out.MTTRMs, diff)
 	}
-	for _, d := range r.cl.FlightRecorder().FlightDumps() {
+	for _, d := range r.Cluster.FlightRecorder().FlightDumps() {
 		if d.Trigger == "lease.expiry" {
 			out.Dump = d
 			break
@@ -95,6 +88,9 @@ func CritPath(scale float64) (*CritPathResult, error) {
 	}
 	if out.Dump == nil {
 		return nil, fmt.Errorf("exp: critpath run produced no lease-expiry flight dump")
+	}
+	if err := r.Check(); err != nil {
+		return nil, fmt.Errorf("exp: critpath: %w", err)
 	}
 	return out, nil
 }

@@ -46,14 +46,14 @@ var dedupVariants = []struct {
 func DedupAblation(n, ckpts int, scale float64) ([]DedupRow, error) {
 	var rows []DedupRow
 	for _, v := range dedupVariants {
-		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), nil)
+		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale))
 		if err != nil {
 			return nil, err
 		}
 		var steadyLat, steadyMB metrics.Summary
 		row := DedupRow{Variant: v.name}
 		for k := 0; k < ckpts; k++ {
-			res, cerr := r.cl.Checkpoint(r.job, v.opts(k))
+			res, cerr := r.Cluster.Checkpoint(r.job, v.opts(k))
 			if cerr != nil {
 				return nil, fmt.Errorf("exp: dedup ablation %s ckpt %d: %w", v.name, k, cerr)
 			}
@@ -65,19 +65,19 @@ func DedupAblation(n, ckpts int, scale float64) ([]DedupRow, error) {
 				steadyLat.AddDuration(res.Latency)
 				steadyMB.Add(mb)
 			}
-			r.cl.Run(500 * cruz.Millisecond)
-		}
-		if err := checkWorkers(r.workers); err != nil {
-			return nil, fmt.Errorf("exp: dedup ablation %s: %w", v.name, err)
+			r.Cluster.Run(500 * cruz.Millisecond)
 		}
 		row.SteadyLatencyMs = steadyLat.Mean()
 		row.SteadyMB = steadyMB.Mean()
-		res, rerr := r.restart()
+		res, rerr := r.Restart(r.job.Name)
 		if rerr != nil {
 			return nil, fmt.Errorf("exp: dedup ablation %s restart: %w", v.name, rerr)
 		}
 		row.RestoreMs = res.Latency.Milliseconds()
 		rows = append(rows, row)
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("exp: dedup ablation %s: %w", v.name, err)
+		}
 	}
 	return rows, nil
 }
@@ -113,25 +113,22 @@ func CompactionAblation(n, incs int, scale float64) ([]CompactionRow, error) {
 	}
 	var rows []CompactionRow
 	for _, sc := range scenarios {
-		r, err := slmRing(cruz.Config{Nodes: n, AutoCompact: sc.autoCompact}, slmConfig(n, scale), nil)
+		r, err := slmRing(cruz.Config{Nodes: n, AutoCompact: sc.autoCompact}, slmConfig(n, scale))
 		if err != nil {
 			return nil, err
 		}
 		for k := 0; k < sc.ckpts; k++ {
 			opts := cruz.CheckpointOptions{Dedup: true, Incremental: k > 0}
-			if _, cerr := r.cl.Checkpoint(r.job, opts); cerr != nil {
+			if _, cerr := r.Cluster.Checkpoint(r.job, opts); cerr != nil {
 				return nil, fmt.Errorf("exp: compaction %s ckpt %d: %w", sc.name, k, cerr)
 			}
-			r.cl.Run(200 * cruz.Millisecond)
+			r.Cluster.Run(200 * cruz.Millisecond)
 		}
-		if err := checkWorkers(r.workers); err != nil {
-			return nil, fmt.Errorf("exp: compaction %s: %w", sc.name, err)
-		}
-		res, rerr := r.restart()
+		res, rerr := r.Restart(r.job.Name)
 		if rerr != nil {
 			return nil, fmt.Errorf("exp: compaction %s restart: %w", sc.name, rerr)
 		}
-		st := r.cl.Nodes[0].Store
+		st := r.Cluster.Nodes[0].Store
 		rows = append(rows, CompactionRow{
 			Scenario:    sc.name,
 			Checkpoints: sc.ckpts,
@@ -139,6 +136,9 @@ func CompactionAblation(n, incs int, scale float64) ([]CompactionRow, error) {
 			StoreChunks: st.ChunkCount(),
 			FreedMB:     float64(st.Stats().FreedBytes) / (1 << 20),
 		})
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("exp: compaction %s: %w", sc.name, err)
+		}
 	}
 	return rows, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cruz"
+	"cruz/internal/scenario"
 )
 
 // ECScheme names one durability configuration of the ablation.
@@ -88,7 +89,7 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	// page set, so cross-pod dedup would ship replication almost for
 	// free and invert the byte comparison this ablation exists for.
 	wcfg.UniquePages = true
-	r, err := deployRing(cfg, "ec", "ec-%d", n, wcfg, nil)
+	r, err := warmRing(cfg, scenario.Ring{Name: "ec", SLM: wcfg})
 	if err != nil {
 		return nil, err
 	}
@@ -96,36 +97,18 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	// durable drives one deduplicated checkpoint and waits until the
 	// coordinator has registered its full durability placement.
 	durable := func() (*cruz.CheckpointResult, error) {
-		res, cerr := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{Dedup: true})
-		if cerr != nil {
-			return nil, cerr
+		res, err := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{Dedup: true})
+		if err == nil && !r.Durable(r.job.Name, res.Seq, 5*60*cruz.Second) {
+			err = fmt.Errorf("exp: ec durability never settled (n=%d %s seq=%d)", n, scheme, res.Seq)
 		}
-		settled := r.cl.RunUntil(func() bool {
-			for _, name := range r.names {
-				switch scheme {
-				case SchemeEC42:
-					if r.cl.Coordinator.KnownECShards(name, res.Seq) < cfg.EC.M+cfg.EC.R {
-						return false
-					}
-				default:
-					if r.cl.Coordinator.KnownHolders(name, res.Seq) < cfg.Replicas+1 {
-						return false
-					}
-				}
-			}
-			return true
-		}, 5*60*cruz.Second)
-		if !settled {
-			return nil, fmt.Errorf("exp: ec durability never settled (n=%d %s seq=%d)", n, scheme, res.Seq)
-		}
-		return res, nil
+		return res, err
 	}
 
 	first, err := durable()
 	if err != nil {
 		return nil, err
 	}
-	wire := durabilityBytes(r.cl)
+	wire := durabilityBytes(r.Cluster)
 	row := &ECRow{
 		Nodes: n, Scheme: scheme,
 		ImageMB:  float64(first.TotalImageBytes) / (1 << 20),
@@ -136,18 +119,18 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	// Steady state: run on, checkpoint incrementally, measure the delta
 	// the durability tier ships (unchanged chunks — and for EC unchanged
 	// stripes' parity — dedupe away on re-offer).
-	r.cl.Run(200 * cruz.Millisecond)
+	r.Cluster.Run(200 * cruz.Millisecond)
 	if _, err := durable(); err != nil {
 		return nil, err
 	}
-	row.SteadyMB = float64(durabilityBytes(r.cl)-wire) / (1 << 20)
+	row.SteadyMB = float64(durabilityBytes(r.Cluster)-wire) / (1 << 20)
 
 	// Kill the pod host. Under replication the new home is usually a
 	// replica holder (free transfer); under EC nobody holds the full
 	// image, so the new home pulls M shard subsets and reconstructs.
-	res, err := r.killAndRecover()
+	res, err := r.Fail(1)
 	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, scheme)
+		return nil, fmt.Errorf("exp: ec n=%d %s recovery: %w", n, scheme, err)
 	}
 	row.DetectMs = res.Detect.Milliseconds()
 	row.TransferMs = res.Transfer.Milliseconds()
@@ -155,8 +138,12 @@ func ecAblationRun(n int, scale float64, scheme ECScheme) (*ECRow, error) {
 	row.RestartMs = res.Restart.Milliseconds()
 	row.MTTRMs = res.MTTR.Milliseconds()
 
-	if err := r.resumed(); err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, scheme)
+	// The job must run again: every pod steps past where it stands now.
+	if !r.advance(1, 60*cruz.Second) {
+		return nil, fmt.Errorf("exp: ec n=%d %s: ring stuck after recovery", n, scheme)
+	}
+	if err := r.Check(); err != nil {
+		return nil, fmt.Errorf("exp: ec n=%d %s: %w", n, scheme, err)
 	}
 	return row, nil
 }

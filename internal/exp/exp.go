@@ -18,14 +18,9 @@ import (
 	"cruz/internal/apps/slm"
 	"cruz/internal/apps/stream"
 	"cruz/internal/metrics"
+	"cruz/internal/scenario"
 	"cruz/internal/sim"
 )
-
-func init() {
-	cruz.RegisterProgram(&slm.Worker{})
-	cruz.RegisterProgram(&stream.Sender{})
-	cruz.RegisterProgram(&stream.Receiver{})
-}
 
 // slmConfig returns the benchmark slm configuration at the given scale.
 func slmConfig(workers int, scale float64) slm.Config {
@@ -54,130 +49,60 @@ func slmConfig(workers int, scale float64) slm.Config {
 	return cfg
 }
 
-// ring is an slm job deployed one worker pod per node.
+// ring is an slm job deployed through scenario, worker i on node i.
 type ring struct {
-	cl      *cruz.Cluster
-	job     *cruz.Job
-	names   []string
-	workers []*slm.Worker
+	*scenario.World
+	job   *cruz.Job
+	names []string
 }
 
-// deployRing builds a cluster from cc and places n slm workers on its
-// nodes 0..n-1: pod i, named fmt.Sprintf(podFmt, i), runs cfg (its grid
-// scaled by gridMult[i] where that is given) and sends to pod i+1 mod n.
-// The pods form one job named job; deployRing returns once every worker
-// has taken two steps. Pod and job names ride in control frames, so each
-// experiment keeps the names its numbers were measured with.
-func deployRing(cc cruz.Config, job, podFmt string, n int, cfg slm.Config, gridMult []float64) (*ring, error) {
-	cl, err := cruz.New(cc)
+// warmRing deploys rg on a cluster built from cc and returns once every
+// worker has taken two steps. Pod and job names ride in control frames,
+// so each experiment keeps the names its numbers were measured with.
+func warmRing(cc cruz.Config, rg scenario.Ring) (*ring, error) {
+	w, err := scenario.Deploy(scenario.Deployment{Config: cc, Ring: &rg})
 	if err != nil {
 		return nil, err
 	}
-	r := &ring{cl: cl}
-	var ips []cruz.Addr
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf(podFmt, i)
-		pod, perr := cl.NewPod(i, name)
-		if perr != nil {
-			return nil, perr
-		}
-		r.names = append(r.names, name)
-		ips = append(ips, pod.IP())
+	r := &ring{World: w, job: w.Job(rg.Name)}
+	for _, m := range r.job.Members {
+		r.names = append(r.names, m.Pod)
 	}
-	for i, name := range r.names {
-		wcfg := cfg
-		if i < len(gridMult) && gridMult[i] > 0 {
-			wcfg.GridBytes = uint64(float64(cfg.GridBytes) * gridMult[i])
-		}
-		w := slm.NewWorker(wcfg, i, ips[(i+1)%n])
-		if _, err := cl.Pod(name).Spawn("slm", w); err != nil {
-			return nil, err
-		}
-		r.workers = append(r.workers, w)
-	}
-	if r.job, err = cl.DefineJob(job, r.names...); err != nil {
-		return nil, err
-	}
-	started := cl.RunUntil(func() bool {
-		for _, w := range r.workers {
-			if w.StepsDone < 2 {
-				return false
-			}
-		}
-		return true
-	}, 10*60*cruz.Second)
-	if !started {
-		return nil, fmt.Errorf("exp: %s ring never started (n=%d)", job, n)
+	if !r.advance(2, 10*60*cruz.Second) {
+		return nil, fmt.Errorf("exp: %s ring never started (n=%d)", rg.Name, len(r.names))
 	}
 	return r, nil
 }
 
 // slmRing deploys the benchmark ring — pods slm-0 … slm-(n-1) of job
-// "slm" on the n = cc.Nodes nodes of a cluster seeded by n.
-func slmRing(cc cruz.Config, cfg slm.Config, gridMult []float64) (*ring, error) {
+// "slm" on the n = cc.Nodes nodes of a cluster seeded by n — rank i's
+// grid grid[i] times cfg's where that is given.
+func slmRing(cc cruz.Config, cfg slm.Config, grid ...uint64) (*ring, error) {
 	cc.Seed = int64(cc.Nodes)*101 + 7
-	return deployRing(cc, "slm", "slm-%d", cc.Nodes, cfg, gridMult)
+	return warmRing(cc, scenario.Ring{Name: "slm", SLM: cfg, Grid: grid})
 }
 
-// restart destroys every pod of the ring and restarts the job from its
-// newest checkpoint.
-func (r *ring) restart() (*cruz.RestartResult, error) {
-	for _, name := range r.names {
-		r.cl.Pod(name).Destroy()
-	}
-	return r.cl.Restart(r.job, 0)
-}
-
-// killAndRecover fails node 1 and returns the automatic recovery's
-// result.
-func (r *ring) killAndRecover() (*cruz.RecoveryResult, error) {
-	r.cl.FailNode(1)
-	if !r.cl.AwaitRecovery(1, 60*cruz.Second) {
-		return nil, fmt.Errorf("exp: %s recovery never completed (n=%d)", r.job.Name, len(r.names))
-	}
-	if err := r.cl.RecoveryErr(); err != nil {
-		return nil, fmt.Errorf("exp: %s recovery (n=%d): %w", r.job.Name, len(r.names), err)
-	}
-	return r.cl.Recoveries()[0], nil
-}
-
-// resumed proves the job runs again after a recovery: every pod steps
-// past where it stands now, and none reports a fault. Re-homed pods run
-// restored program instances, so each pod's program is looked up afresh.
-func (r *ring) resumed() error {
-	live := func(i int) *slm.Worker {
-		return r.cl.Pod(r.names[i]).Process(1).Program().(*slm.Worker)
-	}
-	before := make([]int, len(r.names))
-	for i := range before {
-		before[i] = live(i).StepsDone
-	}
-	progressed := r.cl.RunUntil(func() bool {
-		for i, steps := range before {
-			if live(i).StepsDone <= steps {
+// advance runs until every worker has taken k more steps. Each pod's
+// program is looked up afresh: a restored pod runs a new instance.
+func (r *ring) advance(k int, limit cruz.Duration) bool {
+	from := r.steps()
+	return r.Cluster.RunUntil(func() bool {
+		for i, n := range r.steps() {
+			if n < from[i]+k {
 				return false
 			}
 		}
 		return true
-	}, 60*cruz.Second)
-	if !progressed {
-		return fmt.Errorf("exp: %s ring stuck after recovery (n=%d)", r.job.Name, len(r.names))
-	}
-	ws := make([]*slm.Worker, len(r.names))
-	for i := range ws {
-		ws[i] = live(i)
-	}
-	return checkWorkers(ws)
+	}, limit)
 }
 
-// checkWorkers returns an error if any worker recorded a fault.
-func checkWorkers(ws []*slm.Worker) error {
-	for i, w := range ws {
-		if w.Fault != "" {
-			return fmt.Errorf("exp: worker %d fault: %s", i, w.Fault)
-		}
+// steps returns how many steps each worker has taken so far.
+func (r *ring) steps() []int {
+	out := make([]int, len(r.names))
+	for i, name := range r.names {
+		out[i] = r.Cluster.Pod(name).Process(1).Program().(*slm.Worker).StepsDone
 	}
-	return nil
+	return out
 }
 
 // Fig5Row is one node-count configuration of Fig. 5.
@@ -199,14 +124,14 @@ type Fig5Row struct {
 func Fig5(nodeCounts []int, ckptsEach int, interval cruz.Duration, scale float64) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, n := range nodeCounts {
-		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale), nil)
+		r, err := slmRing(cruz.Config{Nodes: n}, slmConfig(n, scale))
 		if err != nil {
 			return nil, err
 		}
 		var lat, ovh, local metrics.Summary
 		var imgBytes int64
 		for k := 0; k < ckptsEach; k++ {
-			res, cerr := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
+			res, cerr := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{})
 			if cerr != nil {
 				return nil, fmt.Errorf("exp: fig5 n=%d ckpt %d: %w", n, k, cerr)
 			}
@@ -214,10 +139,7 @@ func Fig5(nodeCounts []int, ckptsEach int, interval cruz.Duration, scale float64
 			ovh.Add(res.Overhead.Microseconds())
 			local.AddDuration(res.MaxLocalCheckpoint)
 			imgBytes = res.TotalImageBytes / int64(n)
-			r.cl.Run(interval)
-		}
-		if err := checkWorkers(r.workers); err != nil {
-			return nil, err
+			r.Cluster.Run(interval)
 		}
 		rows = append(rows, Fig5Row{
 			Nodes:          n,
@@ -228,6 +150,9 @@ func Fig5(nodeCounts []int, ckptsEach int, interval cruz.Duration, scale float64
 			LocalMeanMs:    local.Mean(),
 			PerPodImageMB:  float64(imgBytes) / (1 << 20),
 		})
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("exp: fig5 n=%d: %w", n, err)
+		}
 	}
 	return rows, nil
 }
@@ -251,10 +176,11 @@ type Fig6Result struct {
 // Fig6 reproduces Figure 6: the effect of a coordinated checkpoint's
 // dropped packets on a maximum-rate TCP stream between two nodes.
 func Fig6() (*Fig6Result, error) {
-	cl, err := cruz.New(cruz.Config{Nodes: 2})
+	w, err := scenario.Deploy(scenario.Deployment{Config: cruz.Config{Nodes: 2}})
 	if err != nil {
 		return nil, err
 	}
+	cl := w.Cluster
 	rpod, err := cl.NewPod(0, "recv")
 	if err != nil {
 		return nil, err
@@ -308,9 +234,6 @@ func Fig6() (*Fig6Result, error) {
 		return nil, err
 	}
 	cl.Run(700 * cruz.Millisecond)
-	if r := resolve(); r.Fault != "" {
-		return nil, fmt.Errorf("exp: fig6 receiver fault: %s", r.Fault)
-	}
 
 	out := &Fig6Result{
 		Series:       series.Shifted(t0),
@@ -338,6 +261,9 @@ func Fig6() (*Fig6Result, error) {
 		prev = p.T
 	}
 	out.ZeroMs = zeroSpan.Milliseconds()
+	if err := w.Check(); err != nil {
+		return nil, fmt.Errorf("exp: fig6: %w", err)
+	}
 	return out, nil
 }
 
@@ -376,7 +302,11 @@ func RuntimeOverhead() (*OverheadResult, error) {
 				return 0, err
 			}
 		}
-		return waitSlm(cl, workers)
+		d, err := waitSlm(cl, workers)
+		if err == nil {
+			err = cl.Check()
+		}
+		return d, err
 	}
 	runNative := func() (sim.Duration, error) {
 		cl, err := cruz.New(cruz.Config{Nodes: n})
@@ -390,7 +320,13 @@ func RuntimeOverhead() (*OverheadResult, error) {
 			workers = append(workers, w)
 			cl.Nodes[i].Kernel.Spawn("slm", w, 0)
 		}
-		return waitSlm(cl, workers)
+		d, err := waitSlm(cl, workers)
+		for i := 0; i < n && err == nil; i++ {
+			if f := workers[i].Fault; f != "" {
+				err = fmt.Errorf("exp: native worker %d fault: %s", i, f)
+			}
+		}
+		return d, err
 	}
 
 	podT, err := runPods()
@@ -421,9 +357,6 @@ func waitSlm(cl *cruz.Cluster, workers []*slm.Worker) (sim.Duration, error) {
 	}
 	if !cl.RunUntil(done, 60*60*cruz.Second) {
 		return 0, fmt.Errorf("exp: slm run never finished (steps %d)", workers[0].StepsDone)
-	}
-	if err := checkWorkers(workers); err != nil {
-		return 0, err
 	}
 	var max sim.Duration
 	for _, w := range workers {

@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 
 	"cruz"
+	"cruz/internal/apps/slm"
+	"cruz/internal/scenario"
 )
 
 // The experiment tests run at reduced scale (0.05 = 5 MB pod images) and
@@ -254,5 +257,118 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 	if a[0] != b[0] {
 		t.Fatalf("identical runs diverged:\n%+v\n%+v", a[0], b[0])
+	}
+}
+
+func TestDedupAblationShape(t *testing.T) {
+	rows, err := DedupAblation(2, 2, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := map[string]DedupRow{}
+	for _, r := range rows {
+		by[r.Variant] = r
+	}
+	// A content-addressed checkpoint of a running ring writes only the
+	// chunks it changed; a full one writes the whole image again.
+	if d, f := by["dedup"], by["full"]; d.SteadyMB*10 > f.SteadyMB || d.RestoreMs <= 0 {
+		t.Fatalf("dedup steady write %.2f MB not a tenth of full %.2f MB: %+v", d.SteadyMB, f.SteadyMB, rows)
+	}
+}
+
+func TestCompactionAblationShape(t *testing.T) {
+	rows, err := CompactionAblation(2, 4, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, compact := rows[1], rows[2]
+	// Auto-compaction folds the chain en route: it frees chunks that the
+	// uncompacted chain keeps resident.
+	if chain.FreedMB != 0 || compact.FreedMB <= 0 || compact.StoreChunks >= chain.StoreChunks {
+		t.Fatalf("compaction freed nothing: %+v", rows)
+	}
+}
+
+func TestMigrateAblationShape(t *testing.T) {
+	rows, err := MigrateAblation(2, 2, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, stop := rows[0], rows[1]
+	// Live migration freezes for the residual dirty set, stop-and-copy for
+	// the whole image.
+	if live.Rounds == 0 || live.DowntimeMs*5 > stop.DowntimeMs {
+		t.Fatalf("live downtime %.1f ms not 5x below stop-and-copy %.1f ms: %+v", live.DowntimeMs, stop.DowntimeMs, rows)
+	}
+}
+
+func TestECAblationShape(t *testing.T) {
+	rows, err := ECAblation([]int{8}, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, ec := rows[0], rows[1]
+	// 3-way replication ships the image three times, 4+2 coding 1.5 times
+	// plus stripe padding, and pays for it in a reconstruct window.
+	if repl.Overhead < 2.9 || ec.Overhead > 1.7 || ec.ReconstructMs <= 0 || repl.ReconstructMs != 0 {
+		t.Fatalf("durability bytes or reconstruct out of shape: %+v", rows)
+	}
+}
+
+func TestPhasesShape(t *testing.T) {
+	classic, dedup, err := Phases(2, 2, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := func(r *PhasesResult) string {
+		var names []string
+		for _, row := range r.Report.Rows {
+			names = append(names, row.Phase)
+		}
+		return strings.Join(names, ",")
+	}
+	if got := phases(classic); got != "quiesce,drain,capture,write,commit" {
+		t.Errorf("classic phases %s", got)
+	}
+	if got := phases(dedup); got != "quiesce,drain,capture,hash,dedup,write,commit" {
+		t.Errorf("dedup phases %s", got)
+	}
+}
+
+// TestOracleJudgesTheProgramsRunningNow: after a migration, and after a
+// restart, a pod runs a program restored from an image, not the worker
+// first spawned. A fault there must fail the end-of-run judgment.
+func TestOracleJudgesTheProgramsRunningNow(t *testing.T) {
+	for _, op := range []struct {
+		name string
+		do   func(r *ring) error
+	}{
+		{"migrate", func(r *ring) error {
+			_, err := r.Cluster.Migrate(r.job, "slm-1", 2, cruz.MigrateOptions{})
+			return err
+		}},
+		{"restart", func(r *ring) error {
+			if _, err := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{}); err != nil {
+				return err
+			}
+			_, err := r.Restart(r.job.Name)
+			return err
+		}},
+	} {
+		r, err := warmRing(cruz.Config{Nodes: 3}, scenario.Ring{Name: "slm", Size: 2, SLM: slmConfig(2, 0.05)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.do(r); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		r.Cluster.Run(100 * cruz.Millisecond)
+		if err := r.Check(); err != nil {
+			t.Fatalf("%s: a clean run failed the oracle: %v", op.name, err)
+		}
+		r.Cluster.Pod("slm-1").Process(1).Program().(*slm.Worker).Fault = "injected"
+		if err := r.Check(); err == nil || !strings.Contains(err.Error(), "injected") {
+			t.Errorf("%s: the oracle passed a fault in the running program: %v", op.name, err)
+		}
 	}
 }

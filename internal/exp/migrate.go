@@ -5,6 +5,7 @@ import (
 
 	"cruz"
 	"cruz/internal/metrics"
+	"cruz/internal/scenario"
 )
 
 // MigrateRow is one variant of the live-migration ablation (A10): the
@@ -67,7 +68,7 @@ func MigrateAblation(n, migs int, scale float64) ([]MigrateRow, error) {
 	var rows []MigrateRow
 	for _, v := range migrateVariants {
 		// Node n is the idle migration target.
-		r, err := deployRing(cruz.Config{Nodes: n + 1, Seed: int64(n)*131 + 3}, "slm", "slm-%d", n, cfg, nil)
+		r, err := warmRing(cruz.Config{Nodes: n + 1, Seed: int64(n)*131 + 3}, scenario.Ring{Name: "slm", Size: n, SLM: cfg})
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +78,7 @@ func MigrateAblation(n, migs int, scale float64) ([]MigrateRow, error) {
 			if k%2 == 1 {
 				target = 1 // back home
 			}
-			res, err := r.cl.Migrate(r.job, "slm-1", target, migrateOpts(v.live, cfg.DirtyPagesPerStep))
+			res, err := r.Cluster.Migrate(r.job, "slm-1", target, migrateOpts(v.live, cfg.DirtyPagesPerStep))
 			if err != nil {
 				return nil, fmt.Errorf("exp: migrate %s hop %d: %w", v.name, k, err)
 			}
@@ -85,10 +86,7 @@ func MigrateAblation(n, migs int, scale float64) ([]MigrateRow, error) {
 			lat.AddDuration(res.Latency)
 			rounds.Add(float64(res.Rounds))
 			streamed.Add(float64(res.BytesStreamed))
-			r.cl.Run(300 * cruz.Millisecond)
-		}
-		if err := checkWorkers(r.workers); err != nil {
-			return nil, fmt.Errorf("exp: migrate %s: %w", v.name, err)
+			r.Cluster.Run(300 * cruz.Millisecond)
 		}
 		rows = append(rows, MigrateRow{
 			Variant:    v.name,
@@ -98,6 +96,9 @@ func MigrateAblation(n, migs int, scale float64) ([]MigrateRow, error) {
 			Rounds:     rounds.Mean(),
 			StreamedMB: streamed.Mean() / (1 << 20),
 		})
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("exp: migrate %s: %w", v.name, err)
+		}
 	}
 	return rows, nil
 }

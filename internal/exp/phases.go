@@ -16,24 +16,6 @@ type PhasesResult struct {
 	Report *trace.PhaseReport
 	// Events is the full trace, for optional Chrome-trace export.
 	Events []trace.Event
-	// Dropped counts events the trace ring overwrote. A nonzero value
-	// means the phase report saw a truncated run; consumers that need the
-	// full window (exports, critical paths) should fail loudly on it.
-	Dropped uint64
-}
-
-// traceHealth is the end-of-run trace check shared by the traced
-// experiments: every span must be closed (a leak means a protocol path
-// lost an End) and the ring-drop count is surfaced to the caller.
-func traceHealth(cl *cruz.Cluster) (uint64, error) {
-	tr := cl.Trace()
-	if tr == nil {
-		return 0, nil
-	}
-	if n := tr.OpenSpans(); n != 0 {
-		return tr.Dropped(), fmt.Errorf("exp: %d trace spans left open: %v", n, tr.OpenSpanNames())
-	}
-	return tr.Dropped(), nil
 }
 
 // Phases runs ckpts coordinated checkpoints of the slm benchmark on n
@@ -58,27 +40,24 @@ func Phases(n, ckpts int, scale float64) (classic, dedup *PhasesResult, err erro
 // tracedCheckpoints takes ckpts checkpoints, 500 ms apart, of the slm
 // ring on the traced cluster cc and decomposes their latency by phase.
 func tracedCheckpoints(cc cruz.Config, ckpts int, scale float64, opts func(k int) cruz.CheckpointOptions) (*PhasesResult, error) {
-	r, err := slmRing(cc, slmConfig(cc.Nodes, scale), nil)
+	r, err := slmRing(cc, slmConfig(cc.Nodes, scale))
 	if err != nil {
 		return nil, err
 	}
 	for k := 0; k < ckpts; k++ {
-		if _, err := r.cl.Checkpoint(r.job, opts(k)); err != nil {
+		if _, err := r.Cluster.Checkpoint(r.job, opts(k)); err != nil {
 			return nil, fmt.Errorf("exp: phases n=%d ckpt %d: %w", cc.Nodes, k, err)
 		}
-		r.cl.Run(500 * cruz.Millisecond)
+		r.Cluster.Run(500 * cruz.Millisecond)
 	}
-	if err := checkWorkers(r.workers); err != nil {
-		return nil, err
+	tr := r.Cluster.Trace()
+	if n := tr.Dropped(); n > 0 {
+		return nil, fmt.Errorf("exp: phases trace ring overflowed (%d events dropped): the phase report is truncated; raise TraceCapacity", n)
 	}
-	dropped, err := traceHealth(r.cl)
-	if err != nil {
-		return nil, err
+	events := tr.Events()
+	res := &PhasesResult{Report: trace.PhaseBreakdown(events), Events: events}
+	if err := r.Check(); err != nil {
+		return nil, fmt.Errorf("exp: phases n=%d: %w", cc.Nodes, err)
 	}
-	events := r.cl.Trace().Events()
-	return &PhasesResult{
-		Report:  trace.PhaseBreakdown(events),
-		Events:  events,
-		Dropped: dropped,
-	}, nil
+	return res, nil
 }

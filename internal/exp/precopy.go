@@ -55,23 +55,20 @@ func PrecopyAblation(n, ckpts int, scale float64, writeMults []float64) ([]Preco
 			if cfg.DirtyPagesPerStep < 1 {
 				cfg.DirtyPagesPerStep = 1
 			}
-			r, err := slmRing(cruz.Config{Nodes: n}, cfg, nil)
+			r, err := slmRing(cruz.Config{Nodes: n}, cfg)
 			if err != nil {
 				return nil, err
 			}
 			var down, lat, mb metrics.Summary
 			for k := 0; k < ckpts; k++ {
-				res, cerr := r.cl.Checkpoint(r.job, v.opts)
+				res, cerr := r.Cluster.Checkpoint(r.job, v.opts)
 				if cerr != nil {
 					return nil, fmt.Errorf("exp: precopy %s x%.1f ckpt %d: %w", v.name, wm, k, cerr)
 				}
 				down.AddDuration(res.MaxBlocked)
 				lat.AddDuration(res.Latency)
 				mb.Add(float64(res.TotalImageBytes) / (1 << 20))
-				r.cl.Run(500 * cruz.Millisecond)
-			}
-			if err := checkWorkers(r.workers); err != nil {
-				return nil, fmt.Errorf("exp: precopy %s x%.1f: %w", v.name, wm, err)
+				r.Cluster.Run(500 * cruz.Millisecond)
 			}
 			rows = append(rows, PrecopyRow{
 				Variant:           v.name,
@@ -80,6 +77,9 @@ func PrecopyAblation(n, ckpts int, scale float64, writeMults []float64) ([]Preco
 				LatencyMs:         lat.Mean(),
 				FrozenMB:          mb.Mean(),
 			})
+			if err := r.Check(); err != nil {
+				return nil, fmt.Errorf("exp: precopy %s x%.1f: %w", v.name, wm, err)
+			}
 		}
 	}
 	return rows, nil

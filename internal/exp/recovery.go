@@ -43,11 +43,11 @@ func recoveryCluster(n int, scale float64, cfg RecoveryConfig, traced bool) (*ri
 	r, err := slmRing(cruz.Config{
 		Nodes: n, Replicas: cfg.Replicas, AutoRecover: true, Spares: cfg.Spares,
 		Trace: traced, TraceCapacity: 1 << 17,
-	}, slmConfig(n, scale), nil)
+	}, slmConfig(n, scale))
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
+	res, err := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -55,15 +55,7 @@ func recoveryCluster(n int, scale float64, cfg RecoveryConfig, traced bool) (*ri
 	// an agent counts a replication in the event that enqueues its
 	// <replicated> report, one network flight before the coordinator can
 	// use the copy for placement — a node kill must not outrun that.
-	replicated := r.cl.RunUntil(func() bool {
-		for _, name := range r.names {
-			if r.cl.Coordinator.KnownHolders(name, res.Seq) < cfg.Replicas+1 {
-				return false
-			}
-		}
-		return true
-	}, 60*cruz.Second)
-	if !replicated {
+	if !r.Durable(r.job.Name, res.Seq, 60*cruz.Second) {
 		return nil, fmt.Errorf("exp: recovery replication never completed (n=%d k=%d)", n, cfg.Replicas)
 	}
 	return r, nil
@@ -82,12 +74,12 @@ func Recovery(n int, scale float64, cfgs []RecoveryConfig) ([]RecoveryRow, error
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.killAndRecover()
+		res, err := r.Fail(1)
 		if err != nil {
-			return nil, fmt.Errorf("%w (k=%d s=%d)", err, cfg.Replicas, cfg.Spares)
+			return nil, fmt.Errorf("exp: recovery k=%d s=%d: %w", cfg.Replicas, cfg.Spares, err)
 		}
-		if err := r.resumed(); err != nil {
-			return nil, fmt.Errorf("%w (k=%d s=%d)", err, cfg.Replicas, cfg.Spares)
+		if !r.advance(1, 60*cruz.Second) {
+			return nil, fmt.Errorf("exp: recovery k=%d s=%d: ring stuck after recovery", cfg.Replicas, cfg.Spares)
 		}
 		target := ""
 		if len(res.Pods) > 0 {
@@ -105,6 +97,9 @@ func Recovery(n int, scale float64, cfgs []RecoveryConfig) ([]RecoveryRow, error
 			TransferMB: float64(res.TransferBytes) / (1 << 20),
 			Target:     target,
 		})
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("exp: recovery k=%d s=%d: %w", cfg.Replicas, cfg.Spares, err)
+		}
 	}
 	return rows, nil
 }

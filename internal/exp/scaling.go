@@ -6,6 +6,7 @@ import (
 	"cruz"
 	"cruz/internal/apps/slm"
 	"cruz/internal/coord"
+	"cruz/internal/scenario"
 	"cruz/internal/sim"
 )
 
@@ -52,23 +53,25 @@ func wideSlmConfig(workers int, scale float64) slm.Config {
 // the flat fan-out: deploy the light ring, warm up, checkpoint once, and
 // report the root's message count and commit latency.
 func scalingCell(n, groupSize int, scale float64) (ScalingRow, error) {
-	r, err := deployRing(cruz.Config{Nodes: n, Seed: int64(n)*131 + 3, GroupSize: groupSize}, "ring", "w%03d", n, wideSlmConfig(n, scale), nil)
+	r, err := warmRing(cruz.Config{Nodes: n, Seed: int64(n)*131 + 3, GroupSize: groupSize},
+		scenario.Ring{Name: "ring", Pods: "w%03d", SLM: wideSlmConfig(n, scale)})
 	if err != nil {
 		return ScalingRow{}, err
 	}
-	res, err := r.cl.Checkpoint(r.job, cruz.CheckpointOptions{})
+	res, err := r.Cluster.Checkpoint(r.job, cruz.CheckpointOptions{})
 	if err != nil {
 		return ScalingRow{}, fmt.Errorf("exp: scaling n=%d size=%d: %w", n, groupSize, err)
 	}
-	if err := checkWorkers(r.workers); err != nil {
-		return ScalingRow{}, err
-	}
-	return ScalingRow{
+	row := ScalingRow{
 		Nodes:     n,
 		GroupSize: groupSize,
 		Messages:  res.Messages,
 		LatencyMs: res.Latency.Milliseconds(),
-	}, nil
+	}
+	if err := r.Check(); err != nil {
+		return ScalingRow{}, fmt.Errorf("exp: scaling n=%d size=%d: %w", n, groupSize, err)
+	}
+	return row, nil
 }
 
 // Scaling runs the A9 scaling ablation: for each node count, a flat and

@@ -3,6 +3,7 @@ package scenario
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"cruz"
 	"cruz/internal/apps/kvstore"
@@ -20,8 +21,9 @@ func init() {
 	}
 }
 
-// Deployment is a row's cluster and what runs on it, placed in field
-// order. Ring is an slm job, worker i in pod Name-i on node i; Every > 0
+// Deployment is a cluster and what runs on it, placed in field order.
+// Ring is an slm job, worker i in pod Name-i (or Pods formatted with i) on
+// node i, its grid Grid[i] times SLM's where that is nonzero; Every > 0
 // has the batch scheduler checkpoint it that often (Fig. 4), and Size 0,
 // a worker per application node, lets Run resize the row. KV is a kvstore
 // server (and 8 MiB hot cache if Cache) in pod and job "db" on node 0, its
@@ -43,6 +45,8 @@ type (
 		Size  int
 		SLM   slm.Config
 		Every cruz.Duration
+		Pods  string
+		Grid  []uint64
 	}
 	KV struct {
 		Cache  bool
@@ -55,9 +59,35 @@ type proc struct {
 	prog cruz.Program
 }
 
+// World is a deployment running on its cluster.
+type World struct {
+	Cluster *cruz.Cluster
+	cfg     cruz.Config
+	jobs    []*job
+	slots   []slot
+}
+
+// Deploy creates d's cluster and deploys d on it. The world comes back
+// with any cluster that was created, deployed or not.
+func Deploy(d Deployment) (*World, error) {
+	cl, err := cruz.New(d.Config)
+	if err != nil {
+		return nil, err
+	}
+	w := &World{Cluster: cl, cfg: d.Config}
+	return w, w.deploy(d)
+}
+
+// Job returns the deployed job named name.
+func (w *World) Job(name string) *cruz.Job { return w.find(name).core }
+
+func (w *World) find(name string) *job {
+	return w.jobs[slices.IndexFunc(w.jobs, func(j *job) bool { return j.name == name })]
+}
+
 // pod creates a pod on node and spawns procs in it, as part of j if any.
-func (w *world) pod(j *job, node int, name string, procs ...proc) (*cruz.Pod, error) {
-	pod, err := w.cl.NewPod(node, name)
+func (w *World) pod(j *job, node int, name string, procs ...proc) (*cruz.Pod, error) {
+	pod, err := w.Cluster.NewPod(node, name)
 	for i := 0; i < len(procs) && err == nil; i++ {
 		_, err = pod.Spawn(procs[i].name, procs[i].prog)
 		w.slots = append(w.slots, slot{pod: name, vpid: i + 1, job: j})
@@ -66,15 +96,15 @@ func (w *world) pod(j *job, node int, name string, procs ...proc) (*cruz.Pod, er
 }
 
 // define makes j's pods a job, unless a scheduler already has.
-func (w *world) define(j *job) (err error) {
+func (w *World) define(j *job) (err error) {
 	w.jobs = append(w.jobs, j)
 	if j.core == nil {
-		j.core, err = w.cl.DefineJob(j.name, j.pods...)
+		j.core, err = w.Cluster.DefineJob(j.name, j.pods...)
 	}
 	return err
 }
 
-func (w *world) deploy(d Deployment) error {
+func (w *World) deploy(d Deployment) error {
 	if d.Ring != nil {
 		if err := w.ring(*d.Ring); err != nil {
 			return err
@@ -92,9 +122,9 @@ func (w *world) deploy(d Deployment) error {
 		if err != nil {
 			return err
 		}
-		host, client := w.cl.Service, kvstore.NewClient(cruz.AddrPort{Addr: db.IP(), Port: kvstore.DefaultPort})
+		host, client := w.Cluster.Service, kvstore.NewClient(cruz.AddrPort{Addr: db.IP(), Port: kvstore.DefaultPort})
 		if kv.Client >= 0 {
-			host = w.cl.Nodes[kv.Client]
+			host = w.Cluster.Nodes[kv.Client]
 		}
 		host.Kernel.Spawn("kvc", client, 0)
 		w.slots = append(w.slots, slot{prog: client})
@@ -119,25 +149,26 @@ func (w *world) deploy(d Deployment) error {
 }
 
 // ring deploys an slm ring: worker i dials worker i+1.
-func (w *world) ring(r Ring) error {
+func (w *World) ring(r Ring) error {
 	n := cmp.Or(r.Size, w.cfg.Nodes)
 	if n < 2 {
 		return fmt.Errorf("an slm ring needs 2 workers, not %d", n)
 	}
-	cfg := r.SLM
-	cfg.Workers = n
-	// Wide rings keep the 16-node footprint, so a run takes seconds.
-	if n > 16 {
-		cfg.GridBytes = max(cfg.GridBytes*16/uint64(n), 256<<10)
+	worker := func(rank, n int, ips []cruz.Addr) cruz.Program {
+		cfg := r.SLM
+		cfg.Workers = n
+		if rank < len(r.Grid) && r.Grid[rank] != 0 {
+			cfg.GridBytes *= r.Grid[rank]
+		}
+		return slm.NewWorker(cfg, rank, ips[(rank+1)%n])
 	}
-	worker := func(rank, n int, ips []cruz.Addr) cruz.Program { return slm.NewWorker(cfg, rank, ips[(rank+1)%n]) }
 	j, ips := &job{name: r.Name}, []cruz.Addr(nil)
 	for i := 0; i < n; i++ {
-		j.pods = append(j.pods, fmt.Sprintf("%s-%d", r.Name, i))
+		j.pods = append(j.pods, fmt.Sprintf(cmp.Or(r.Pods, r.Name+"-%d"), i))
 		w.slots = append(w.slots, slot{pod: j.pods[i], vpid: 1, job: j})
 	}
 	if r.Every > 0 {
-		b, err := batch.New(w.cl).Submit(batch.JobSpec{Name: r.Name, Tasks: n, CheckpointEvery: r.Every, Optimized: true, Make: worker})
+		b, err := batch.New(w.Cluster).Submit(batch.JobSpec{Name: r.Name, Tasks: n, CheckpointEvery: r.Every, Optimized: true, Make: worker})
 		if err != nil {
 			return err
 		}
@@ -145,14 +176,14 @@ func (w *world) ring(r Ring) error {
 		return w.define(j)
 	}
 	for i, name := range j.pods {
-		pod, err := w.cl.NewPod(i%len(w.cl.Nodes), name)
+		pod, err := w.Cluster.NewPod(i%len(w.Cluster.Nodes), name)
 		if err != nil {
 			return err
 		}
 		ips = append(ips, pod.IP())
 	}
 	for i, name := range j.pods {
-		if _, err := w.cl.Pod(name).Spawn("slm", worker(i, n, ips)); err != nil {
+		if _, err := w.Cluster.Pod(name).Spawn("slm", worker(i, n, ips)); err != nil {
 			return err
 		}
 	}

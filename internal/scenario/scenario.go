@@ -81,32 +81,31 @@ type slot struct {
 	prog cruz.Program
 }
 
-type world struct {
-	cl    *cruz.Cluster
-	cfg   cruz.Config
-	jobs  []*job
-	slots []slot
-}
-
 // Run deploys the row with the nonzero Nodes, GroupSize and Seed of over
 // in place of its own, and over's Trace; runs its steps, printing a
 // stamped line for each; and applies the oracle. The cluster comes back,
 // run or not, for its trace and flight recorder.
 func (r Row) Run(over cruz.Config, out io.Writer) (*cruz.Cluster, error) {
-	cfg := r.Deploy.Config
+	d := r.Deploy
+	cfg := &d.Config
 	if over.Nodes != 0 || over.GroupSize != 0 {
-		if r.Deploy.Ring == nil || r.Deploy.Ring.Size != 0 {
+		if d.Ring == nil || d.Ring.Size != 0 {
 			return nil, fmt.Errorf("%s does not scale: it takes no nodes or group", r.Name)
 		}
 		cfg.Nodes, cfg.GroupSize = cmp.Or(over.Nodes, cfg.Nodes), over.GroupSize
+		// Wide rings keep the 16-node footprint, so a run takes seconds.
+		if ring := *d.Ring; cfg.Nodes > 16 {
+			ring.SLM.GridBytes = max(ring.SLM.GridBytes*16/uint64(cfg.Nodes), 256<<10)
+			d.Ring = &ring
+		}
 	}
 	cfg.Seed, cfg.Trace = cmp.Or(over.Seed, cfg.Seed), over.Trace
-	cl, err := cruz.New(cfg)
-	if err != nil {
+	w, err := Deploy(d)
+	if w == nil {
 		return nil, err
 	}
-	w := &world{cl: cl, cfg: cfg}
-	if err := w.deploy(r.Deploy); err != nil {
+	cl := w.Cluster
+	if err != nil {
 		return cl, fmt.Errorf("%s: deploy: %w", r.Name, err)
 	}
 	for i, s := range r.Steps {
@@ -118,14 +117,14 @@ func (r Row) Run(over cruz.Config, out io.Writer) (*cruz.Cluster, error) {
 		w.refresh()
 		fmt.Fprintf(out, "[%10v] %s | %s\n", cl.Engine.Now(), what, w.progress())
 	}
-	if err := w.check(); err != nil {
+	if err := w.Check(); err != nil {
 		return cl, fmt.Errorf("%s: after step %d: %w", r.Name, len(r.Steps), err)
 	}
 	return cl, nil
 }
 
-func (w *world) step(s Step) (string, error) {
-	cl := w.cl
+func (w *World) step(s Step) (string, error) {
+	cl := w.Cluster
 	if s.Node < 0 {
 		s.Node += w.cfg.Nodes
 	}
@@ -156,29 +155,17 @@ func (w *world) step(s Step) (string, error) {
 		}
 		what := fmt.Sprintf("%v %d: latency %v, overhead %v, blocked %v, %d msgs, %.2f MB", s, res.Seq,
 			res.Latency, res.Overhead, res.MaxBlocked, res.Messages, float64(res.TotalImageBytes)/(1<<20))
-		if ec := w.cfg.EC; w.cfg.Replicas > 0 || ec.Enabled() {
-			if !cl.RunUntil(func() bool {
-				return !slices.ContainsFunc(j.pods, func(pod string) bool {
-					return ec.Enabled() && cl.Coordinator.KnownECShards(pod, res.Seq) < ec.M+ec.R ||
-						!ec.Enabled() && cl.Coordinator.KnownHolders(pod, res.Seq) < w.cfg.Replicas+1
-				})
-			}, 30*cruz.Second) {
+		if w.cfg.Replicas > 0 || w.cfg.EC.Enabled() {
+			if !w.Durable(j.name, res.Seq, 30*cruz.Second) {
 				return "", fmt.Errorf("images not durable in 30s")
 			}
 			what += "; images on every holder"
 		}
 		return what, nil
 	case Restart:
-		for _, name := range j.pods {
-			cl.Pod(name).Destroy()
-		}
-		if j.batch != nil {
-			j.crashes++
-			return s.String(), j.batch.RecoverFromCrash()
-		}
-		res, err := cl.Restart(j.core, 0)
-		if err != nil {
-			return "", err
+		res, err := w.Restart(j.name)
+		if err != nil || res == nil {
+			return s.String(), err
 		}
 		return fmt.Sprintf("%v from checkpoint %d: latency %v", s, res.Seq, res.Latency), nil
 	case Suspend:
@@ -189,18 +176,57 @@ func (w *world) step(s Step) (string, error) {
 	return s.String(), nil
 }
 
-func (w *world) fail(node int) (string, error) {
-	cl, what := w.cl, fmt.Sprintf("fail node %d", node)
+// Durable runs until checkpoint seq of job is on every holder of each
+// of its pods — Replicas+1 whole copies, or M+R erasure-coded shards — and
+// reports whether it got there within limit.
+func (w *World) Durable(job string, seq int, limit cruz.Duration) bool {
+	cl, ec := w.Cluster, w.cfg.EC
+	return cl.RunUntil(func() bool {
+		return !slices.ContainsFunc(w.find(job).pods, func(pod string) bool {
+			return ec.Enabled() && cl.Coordinator.KnownECShards(pod, seq) < ec.M+ec.R ||
+				!ec.Enabled() && cl.Coordinator.KnownHolders(pod, seq) < w.cfg.Replicas+1
+		})
+	}, limit)
+}
+
+// Restart destroys every pod of job and restarts it from its newest
+// checkpoint. A batch job recovers through its scheduler, with no result.
+func (w *World) Restart(job string) (*cruz.RestartResult, error) {
+	j := w.find(job)
+	for _, name := range j.pods {
+		w.Cluster.Pod(name).Destroy()
+	}
+	if j.batch != nil {
+		j.crashes++
+		return nil, j.batch.RecoverFromCrash()
+	}
+	return w.Cluster.Restart(j.core, 0)
+}
+
+// Fail fails node and, if a pod of a job lived there, awaits and returns
+// the recovery that re-homes it; else the result is nil.
+func (w *World) Fail(node int) (*cruz.RecoveryResult, error) {
+	cl := w.Cluster
 	hosted := slices.ContainsFunc(w.slots, func(s slot) bool { return s.job != nil && cl.PodNode(s.pod) == cl.Nodes[node] })
 	cl.FailNode(node)
 	if !hosted {
-		return what + ": no pod there", nil
+		return nil, nil
 	}
 	n := len(cl.Recoveries()) + 1
 	if !cl.AwaitRecovery(n, 30*cruz.Second) || cl.RecoveryErr() != nil {
-		return "", cmp.Or(cl.RecoveryErr(), fmt.Errorf("no recovery in 30s"))
+		return nil, cmp.Or(cl.RecoveryErr(), fmt.Errorf("no recovery in 30s"))
 	}
-	rec := cl.Recoveries()[n-1]
+	return cl.Recoveries()[n-1], nil
+}
+
+func (w *World) fail(node int) (string, error) {
+	what := fmt.Sprintf("fail node %d", node)
+	rec, err := w.Fail(node)
+	if err != nil {
+		return "", err
+	} else if rec == nil {
+		return what + ": no pod there", nil
+	}
 	what += fmt.Sprintf(": %s recovered from checkpoint %d, MTTR %v = detect %v + place %v + transfer %v (decode %v) + restart %v",
 		rec.Job, rec.Seq, rec.MTTR, rec.Detect, rec.Place, rec.Transfer, rec.Reconstruct, rec.Restart)
 	for _, p := range rec.Pods {
@@ -216,16 +242,16 @@ func (w *world) fail(node int) (string, error) {
 }
 
 // refresh records the program each live slot runs now.
-func (w *world) refresh() {
+func (w *World) refresh() {
 	for i, s := range w.slots {
-		if pod := w.cl.Pod(s.pod); s.pod != "" && pod.Process(s.vpid) != nil {
+		if pod := w.Cluster.Pod(s.pod); s.pod != "" && pod.Process(s.vpid) != nil {
 			w.slots[i].prog = pod.Process(s.vpid).Program()
 		}
 	}
 }
 
 // progress says how far each application has got.
-func (w *world) progress() string {
+func (w *World) progress() string {
 	var parts []string
 	for _, s := range w.slots {
 		switch p := s.prog.(type) {
@@ -246,14 +272,14 @@ func (w *world) progress() string {
 	return strings.Join(parts, ", ")
 }
 
-// check is the oracle every run ends with: once work in flight is done,
+// Check is the oracle every run ends with: once work in flight is done,
 // the cluster's own Check must pass, and on top of it, what the cluster
 // cannot see or forgives. No traced span may stay open, a failed node's
 // included; no native program may report a Fault; every process of a live
 // pod must run unless its batch job finished; and periodic checkpoints
 // may fail only where restarts cut them.
-func (w *world) check() error {
-	cl, tr := w.cl, w.cl.Trace()
+func (w *World) Check() error {
+	cl, tr := w.Cluster, w.Cluster.Trace()
 	cl.RunUntil(func() bool { return cl.Check() == nil && tr.OpenSpans() == 0 }, 2*cruz.Second)
 	if err := cl.Check(); err != nil {
 		return err
