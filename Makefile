@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet bench bench-smoke vdiff vsame vgate gobench fuzz-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet cover bench bench-smoke vdiff vsame vgate gobench fuzz-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -31,6 +31,20 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Untested-code census: re-run the tier-1 suite with coverage over every
+# package and print each non-test function no test executes, outside
+# internal/analysis, cmd/ and gobmemotest (`go tool cover -func` lines at
+# 0.0 %). A simplification starts from this list: such a function is dead,
+# or its behaviour is unchecked. It re-runs the whole suite (≈ 45 s on 2
+# vCPUs), so check does not include it. The profile goes under $$TMPDIR and
+# is removed either way.
+COVER_SKIP = ^cruz/(internal/analysis|cmd|internal/gobmemo/gobmemotest)/
+cover: SHELL = bash
+cover:
+	@prof=$$(mktemp "$${TMPDIR:-/tmp}/cover.XXXXXX") && trap 'rm -f "$$prof"' EXIT && \
+	$(GO) test -coverpkg=./... -coverprofile="$$prof" ./... >/dev/null && \
+	$(GO) tool cover -func="$$prof" | awk '$$NF == "0.0%" && $$1 !~ "$(COVER_SKIP)"'
 
 race:
 	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/ckpt/... ./internal/gobmemo/... ./internal/flush/... ./internal/dhcp/...

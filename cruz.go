@@ -105,9 +105,6 @@ type Config struct {
 	// Seed drives all simulation randomness; runs are reproducible per
 	// seed. Zero means 1.
 	Seed int64
-	// Coordinator tunes the coordinator daemon: Timeout aborts an op whose
-	// agents stay silent that long (0 = never).
-	Coordinator core.CoordinatorParams
 	// GroupSize enables hierarchical (two-level tree) coordination: the
 	// coordinator partitions each job into groups of this size and talks
 	// to one deterministic leader per group, which relays to its members
@@ -323,7 +320,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	cl.Service = svc
-	cl.Coordinator = core.NewCoordinator(svc.Kernel.Stack(), cfg.Coordinator)
+	cl.Coordinator = core.NewCoordinator(svc.Kernel.Stack())
 	cl.Coordinator.SetGroupSize(cfg.GroupSize)
 	for _, n := range cl.Nodes {
 		cl.Coordinator.RegisterNode(n.Kernel.Name(), n.Agent.Addr(), n.Spare)

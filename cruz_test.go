@@ -7,6 +7,7 @@ import (
 
 	"cruz"
 	"cruz/internal/apps/slm"
+	"cruz/internal/core"
 	"cruz/internal/kernel"
 	"cruz/internal/sim"
 )
@@ -61,6 +62,13 @@ func deployRingCfg(t testing.TB, cl *cruz.Cluster, cfg slm.Config) ([]string, *c
 	}
 	return names, job
 }
+
+// leaseVerdict is the latest the heartbeat lease may fail an op after a
+// fault silences one of its nodes: a lease of silence, a heartbeat period
+// to notice it, and a millisecond for the coordinator's queued message
+// costs — it stamps a pong when its serialized CPU reaches it, so one that
+// arrived before the fault can be stamped after it.
+const leaseVerdict = core.DefaultLeaseTimeout + core.DefaultHeartbeatEvery + cruz.Millisecond
 
 // check fails the test with every violation Cluster.Check reports.
 func check(t testing.TB, cl *cruz.Cluster) {

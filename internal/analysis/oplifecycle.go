@@ -10,10 +10,9 @@ import (
 
 // OpLifecycle enforces the ctl op protocol from PR 3: every op created
 // via (Table).Begin must be driven to completion — Fail or Finish on
-// every path, or an armed timeout/retry policy that guarantees eventual
-// termination — and every Expect wait-set must have an Arrive handler
-// somewhere in the program, or the op stalls forever on a set that can
-// never clear.
+// every path, or an armed timeout that guarantees eventual termination —
+// and every Expect wait-set must have an Arrive handler somewhere in the
+// program, or the op stalls forever on a set that can never clear.
 //
 // Three checks:
 //
@@ -24,14 +23,14 @@ import (
 //     caller does.
 //
 //  2. A non-escaping op must reach a terminator on every path from
-//     Begin to return: op.Fail, op.Finish, op.ArmTimeout, op.ArmRetries,
-//     or — via the interprocedural summaries — a helper that terminates
-//     it. Paths through the `if err != nil` guard right after Begin hold
-//     no op and need none. Ops that escape (stored in a wrapper struct,
-//     captured by a handler closure, returned) are event-driven and
-//     exempt; that is the dominant pattern in core (the coordinator's
-//     rootOp; the agents' agentOp, replOp, fetchOp and
-//     relayOp). This check is the lifecycle engine (lifecycle.go).
+//     Begin to return: op.Fail, op.Finish, op.ArmTimeout, or — via the
+//     interprocedural summaries — a helper that terminates it. Paths
+//     through the `if err != nil` guard right after Begin hold no op and
+//     need none. Ops that escape (stored in a wrapper struct, captured by
+//     a handler closure, returned) are event-driven and exempt; that is
+//     the dominant pattern in core (the coordinator's rootOp; the agents'
+//     agentOp, replOp, fetchOp and relayOp). This check is the lifecycle
+//     engine (lifecycle.go).
 //
 //  3. Wait-set names passed to op.Expect must have a matching op.Arrive
 //     somewhere in the analyzed tree (whole-program, via package facts

@@ -44,8 +44,8 @@ type FuncEffects struct {
 	// function returns it to on some path.
 	Releases map[int]string
 	// Terminates marks *ctl.Op parameters whose eventual completion the
-	// function guarantees: it calls Fail, Finish, ArmTimeout, or
-	// ArmRetries on them (directly or transitively).
+	// function guarantees: it calls Fail, Finish or ArmTimeout on them
+	// (directly or transitively).
 	Terminates map[int]bool
 	// Propagates marks trace.SpanContext parameters the function carries
 	// onward: into SendCtx, BeginChild, InstantCtx, or a callee that
@@ -84,7 +84,6 @@ var opTerminators = map[string]bool{
 	"cruz/internal/ctl.(Op).Fail":       true,
 	"cruz/internal/ctl.(Op).Finish":     true,
 	"cruz/internal/ctl.(Op).ArmTimeout": true,
-	"cruz/internal/ctl.(Op).ArmRetries": true,
 }
 
 // ctxSinkParams maps the base trace-context sinks to the parameter
@@ -230,7 +229,7 @@ func summarizeOne(pass *Pass, d *effectDecl, merged map[string]*FuncEffects) boo
 					setRelease(i, pool)
 				}
 			}
-			// Base op terminators: op.Fail / Finish / ArmTimeout / ArmRetries.
+			// Base op terminators: op.Fail / Finish / ArmTimeout.
 			if opTerminators[key] && recvX != nil {
 				if i, ok := paramOf(recvX); ok {
 					setTerm(i)

@@ -48,8 +48,8 @@ const (
 	// is on the disk. Without it the image is one segment (serial
 	// encode-then-write).
 	segmentBytes = 8 << 20
-	// replTimeout bounds one replication or fetch exchange; an offer is
-	// retried once before the operation fails.
+	// replTimeout bounds a fetch, or a replication's transfer once its
+	// offer is answered; the unanswered offer itself gets twice this.
 	replTimeout = 30 * sim.Second
 	// backgroundBPS rate-limits an erasure-coding node's ctl.TierBackground
 	// traffic (replication and shard distribution) through a shared token

@@ -34,13 +34,6 @@ type Job struct {
 	Members []Member
 }
 
-// CoordinatorParams tunes the coordinator daemon.
-type CoordinatorParams struct {
-	// Timeout aborts an operation if agents stay silent this long
-	// (0 disables; the failure-handling extension of §5).
-	Timeout sim.Duration
-}
-
 // The coordinator daemon's costs and membership timings, calibrated to
 // the paper's testbed (DESIGN §5).
 const (
@@ -165,10 +158,9 @@ type RestartResult struct {
 // as a daemon on its own node (distinct from the application nodes, as
 // in the paper's experiments).
 type Coordinator struct {
-	stack  *tcpip.Stack
-	params CoordinatorParams
-	cpu    ctl.Serializer
-	tr     *trace.Tracer
+	stack *tcpip.Stack
+	cpu   ctl.Serializer
+	tr    *trace.Tracer
 	// groupSize, when > 1, makes the coordination a two-level tree
 	// (SetGroupSize).
 	groupSize int
@@ -256,10 +248,9 @@ type dest struct {
 }
 
 // NewCoordinator creates a coordinator on the given node's stack.
-func NewCoordinator(stack *tcpip.Stack, params CoordinatorParams) *Coordinator {
+func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 	return &Coordinator{
 		stack:      stack,
-		params:     params,
 		cpu:        ctl.Serializer{Engine: stack.Engine()},
 		tr:         trace.FromEngine(stack.Engine()),
 		conns:      make(map[tcpip.AddrPort]*ctlConn),
@@ -304,9 +295,25 @@ func (j *Job) agents() []tcpip.AddrPort {
 }
 
 // Connect establishes control connections to every agent of the job,
-// invoking done when all are up (or with the first dial error).
+// invoking done when all are up (or with the first dial error). It refuses
+// a job with a member on a node RegisterNode never named: the heartbeat
+// lease is the one judge of whether a member's node is alive.
 func (c *Coordinator) Connect(job *Job, done func(error)) {
+	for _, m := range job.Members {
+		if err := c.registered(m.Agent); err != nil {
+			done(fmt.Errorf("pod %s: %w", m.Pod, err))
+			return
+		}
+	}
 	c.connectAddrs(job.agents(), done)
+}
+
+// registered fails unless addr is a node the membership layer knows.
+func (c *Coordinator) registered(addr tcpip.AddrPort) error {
+	if c.nodeByAddr[addr] == nil {
+		return fmt.Errorf("%w: %s is not a registered node", ErrNotConnected, addrKey(addr))
+	}
+	return nil
 }
 
 // connectAddrs dials any not-yet-connected addresses, invoking done when
@@ -393,14 +400,6 @@ func (c *Coordinator) msgCount(addrs []tcpip.AddrPort) int {
 	return n
 }
 
-// armTimeout aborts the op if it is still open after the configured
-// silence.
-func (c *Coordinator) armTimeout(op *rootOp) {
-	if c.params.Timeout > 0 {
-		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
-	}
-}
-
 // begin registers the job's one operation, rejecting overlap with any
 // other on it. Whatever the kind, failure tells every agent the op opened
 // something on to roll back, before the finish hook reports the error.
@@ -464,16 +463,6 @@ func (op *rootOp) abortDests() []dest {
 	return to
 }
 
-// memberAlive reports whether a member's node is currently believed
-// alive. Nodes the membership layer has never registered are presumed
-// alive (tests and small clusters run without heartbeats).
-func (c *Coordinator) memberAlive(m Member) bool {
-	if ni, ok := c.nodeByAddr[m.Agent]; ok {
-		return ni.alive
-	}
-	return true
-}
-
 // planDests decides who the root speaks to for one op — the only place
 // the flat fan-out and the tree differ: every member, or (groupSize > 1)
 // the leader of each group. Group boundaries depend only on member order
@@ -489,7 +478,7 @@ func (c *Coordinator) planDests(job *Job) []dest {
 		return dests
 	}
 	groups := coord.Plan(len(job.Members), c.groupSize, func(i int) bool {
-		return c.memberAlive(job.Members[i])
+		return c.nodeByAddr[job.Members[i].Agent].alive
 	})
 	dests := make([]dest, len(groups))
 	for i, g := range groups {
@@ -523,7 +512,7 @@ func (c *Coordinator) fanOut(op *rootOp, dests []dest, start bool, req wireMsg) 
 			// Never open an op on a node the membership layer has declared
 			// dead: its downed link sent no reset, so the connection still
 			// reads established and the request would vanish unanswered.
-			if n := c.nodeByAddr[d.Agent]; start && n != nil && !n.alive {
+			if n := c.nodeByAddr[d.Agent]; start && !n.alive {
 				op.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
 				return
 			}
@@ -544,14 +533,13 @@ func (c *Coordinator) fanOut(op *rootOp, dests []dest, start bool, req wireMsg) 
 	}
 }
 
-// start begins the op's two-phase exchange: it plans the destinations,
-// fans the opening request out to them and arms the silence timeout.
+// start begins the op's two-phase exchange: it plans the destinations and
+// fans the opening request out to them.
 func (c *Coordinator) start(op *rootOp, req wireMsg) {
 	op.t0 = c.stack.Engine().Now()
 	op.msgBase = c.msgCount(op.job.agents())
 	op.dests = c.planDests(op.job)
 	c.fanOut(op, op.dests, true, req)
-	c.armTimeout(op)
 }
 
 // Checkpoint runs one coordinated checkpoint of the job, invoking done
@@ -644,7 +632,7 @@ func (c *Coordinator) Restart(job *Job, seq int, done func(*RestartResult, error
 	c.openRestart(op, trace.SpanContext{}, done)
 	var fetches []*wireMsg
 	for _, m := range job.Members {
-		if home := c.nodeByAddr[m.Agent]; home != nil && home.alive {
+		if home := c.nodeByAddr[m.Agent]; home.alive {
 			fetch, err := c.planHome(op, op.span.Context(), m.Pod, home, home)
 			if err != nil {
 				op.Fail(err)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"cruz/internal/ckpt"
@@ -211,7 +213,10 @@ func newCluster(t *testing.T, n int, compute sim.Duration) *cluster {
 	// Coordinator on its own node.
 	ck := mkNode(n)
 	cl.kernels = append(cl.kernels, ck)
-	cl.coord = NewCoordinator(ck.Stack(), CoordinatorParams{})
+	cl.coord = NewCoordinator(ck.Stack())
+	for i, ag := range cl.agents {
+		cl.coord.RegisterNode(cl.kernels[i].Name(), ag.Addr(), false)
+	}
 	cl.job = job
 
 	connected := false
@@ -483,38 +488,134 @@ func TestAbortOnAgentFailure(t *testing.T) {
 	}
 }
 
+// TestAbortOnAgentTimeout: an agent that goes silent mid-checkpoint is
+// judged by the heartbeat lease. Its node is declared failed within one
+// lease plus one heartbeat period of the fault, the checkpoint fails with
+// ErrNodeFailed, and the pods the coordinator can still reach roll back.
 func TestAbortOnAgentTimeout(t *testing.T) {
 	cl := newCluster(t, 3, 200*sim.Microsecond)
+	cl.coord.Watch(cl.job, func(*RecoveryResult, error) {})
 	cl.run(sim.Second)
-	// Cut one agent's node off the network entirely after connect; its
-	// done can never arrive. (Its own pod will stay frozen — that node
-	// is "failed" — but the others must roll back.)
-	coord2 := NewCoordinator(cl.kernels[len(cl.kernels)-1].Stack(), CoordinatorParams{Timeout: 3 * sim.Second})
-	connected := false
-	coord2.Connect(cl.job, func(err error) { connected = err == nil })
-	cl.run(100 * sim.Millisecond)
-	if !connected {
-		t.Fatal("second coordinator failed to connect")
-	}
+	// Cut one agent's node off the network entirely; its done can never
+	// arrive. (Its own pod will stay frozen — that node is "failed" — but
+	// the others must roll back.)
 	deadNIC := cl.agents[2].Kernel().Stack().Interfaces()[0].NIC()
 	cl.sw.SetLinkDown(deadNIC, true)
+	fault := cl.engine.Now()
 
+	var ended sim.Time
 	fired := false
-	coord2.Checkpoint(cl.job, CheckpointOptions{}, func(r *CheckpointResult, err error) {
-		fired = true
-		if !errors.Is(err, ErrAborted) {
-			t.Errorf("err = %v, want ErrAborted", err)
+	cl.coord.Checkpoint(cl.job, CheckpointOptions{}, func(r *CheckpointResult, err error) {
+		fired, ended = true, cl.engine.Now()
+		if !errors.Is(err, ErrNodeFailed) {
+			t.Errorf("err = %v, want ErrNodeFailed", err)
 		}
 	})
 	cl.run(20 * sim.Second)
 	if !fired {
-		t.Fatal("timeout abort never fired")
+		t.Fatal("the lease never failed the checkpoint")
+	}
+	if bound := DefaultLeaseTimeout + DefaultHeartbeatEvery + leaseSlack; ended.Sub(fault) > bound {
+		t.Errorf("checkpoint failed %v after the fault, want within %v", ended.Sub(fault), bound)
 	}
 	// The reachable pods must have been rolled back to running.
 	for i := 0; i < 2; i++ {
 		if cl.pods[i].Stopped() {
-			t.Fatalf("pod %d left stopped after timeout abort", i)
+			t.Fatalf("pod %d left stopped after the abort", i)
 		}
+	}
+}
+
+// TestConnectRefusesUnregisteredAgent: membership is total. A job with a
+// member on a node RegisterNode never named is refused before anything is
+// dialled, and so is a migration to such a node — whose member would
+// otherwise be one the lease cannot judge.
+func TestConnectRefusesUnregisteredAgent(t *testing.T) {
+	cl := newCluster(t, 2, 200*sim.Microsecond)
+	stranger := tcpip.AddrPort{Addr: tcpip.Addr{10, 0, 0, 9}, Port: cl.agents[0].Addr().Port}
+	job := &Job{Name: "stray", Members: []Member{cl.job.Members[0], {Pod: "ghost", Agent: stranger}}}
+	conns := len(cl.coord.conns)
+	var cerr error
+	cl.coord.Connect(job, func(err error) { cerr = err })
+	if !errors.Is(cerr, ErrNotConnected) || !strings.Contains(cerr.Error(), "pod ghost") {
+		t.Fatalf("Connect error = %v, want ErrNotConnected naming pod ghost", cerr)
+	}
+	if n := len(cl.coord.conns); n != conns {
+		t.Fatalf("a refused Connect dialled: %d connections, was %d", n, conns)
+	}
+	var merr error
+	cl.coord.Migrate(cl.job, podName(0), stranger, MigrateOptions{}, func(_ *MigrationResult, err error) { merr = err })
+	if !errors.Is(merr, ErrNotConnected) || cl.coord.OpenOps() != 0 {
+		t.Fatalf("Migrate to an unregistered node: error %v, %d ops open; want ErrNotConnected and none", merr, cl.coord.OpenOps())
+	}
+	cl.checkpoint(CheckpointOptions{}) // the job it refused to change still runs
+}
+
+// TestUndecodableFrameDropsConnection: a frame the coordinator cannot
+// decode drops that agent's connection, and the next op on the agent fails
+// with ErrNotConnected instead of waiting on a reply that cannot come.
+func TestUndecodableFrameDropsConnection(t *testing.T) {
+	cl := newCluster(t, 2, 200*sim.Microsecond)
+	addr := cl.agents[1].Addr()
+	coordEnd := cl.coord.conns[addr].TCP().LocalAddr()
+	var agentEnd *tcpip.TCPConn
+	for _, tc := range cl.kernels[1].Stack().Conns() {
+		if tc.RemoteAddr() == coordEnd {
+			agentEnd = tc
+		}
+	}
+	if agentEnd == nil {
+		t.Fatal("agent 1 holds no connection from the coordinator")
+	}
+	// One frame: a 4-byte length, a zero trace context, and 4 bytes that
+	// are no message.
+	frame := binary.BigEndian.AppendUint32(nil, 4)
+	frame = append(append(frame, make([]byte, 16)...), "junk"...)
+	if _, err := agentEnd.Send(frame); err != nil {
+		t.Fatal(err)
+	}
+	cl.run(50 * sim.Millisecond)
+	if _, ok := cl.coord.conns[addr]; ok {
+		t.Fatal("the coordinator kept a connection that sent an undecodable frame")
+	}
+	var cerr error
+	fired := false
+	cl.coord.Checkpoint(cl.job, CheckpointOptions{}, func(_ *CheckpointResult, err error) { cerr, fired = err, true })
+	cl.run(10 * sim.Millisecond)
+	if !fired || !errors.Is(cerr, ErrNotConnected) {
+		t.Fatalf("checkpoint after the drop: fired %v, err %v; want ErrNotConnected at once", fired, cerr)
+	}
+	cl.run(sim.Second)
+	if cl.pods[0].Stopped() || cl.agents[0].OpenOps() != 0 {
+		t.Fatal("the reachable agent did not roll back")
+	}
+}
+
+// TestFetchFromANodeHoldingNothing: a fetch whose source holds neither the
+// chain nor shards of the image is refused with an Err offer, and the
+// fetching agent reports that error in its fetch-done, which fails the op.
+func TestFetchFromANodeHoldingNothing(t *testing.T) {
+	cl := newCluster(t, 2, 200*sim.Microsecond)
+	// The registry names agent 1 as a holder of an image nobody saved, so
+	// a restart from it makes agent 0 pull from agent 1.
+	solo := &Job{Name: "solo", Members: cl.job.Members[:1]}
+	cl.coord.addHolder(podName(0), 9, cl.agents[1].Addr())
+	var rerr error
+	fired := false
+	cl.coord.Restart(solo, 9, func(_ *RestartResult, err error) { rerr, fired = err, true })
+	if !cl.runUntil(func() bool { return fired }, sim.Second) {
+		t.Fatal("the refused fetch never ended the restart")
+	}
+	if !errors.Is(rerr, ErrNodeFailed) || !strings.Contains(rerr.Error(), "fetch "+podName(0)+": "+ckpt.ErrNoImage.Error()) {
+		t.Fatalf("restart error = %v, want the source's refusal in the fetch-done", rerr)
+	}
+	for i, ag := range cl.agents {
+		if n := ag.OpenOps(); n != 0 {
+			t.Errorf("agent %d has %d open ops", i, n)
+		}
+	}
+	if cl.pods[0].Stopped() {
+		t.Error("the pod stopped for a restart that never reached it")
 	}
 }
 
@@ -692,3 +793,9 @@ func TestCOWResumesBeforeWriteCompletes(t *testing.T) {
 	cl.run(500 * sim.Millisecond)
 	cl.checkHealthy(cl.currentWorkers())
 }
+
+// leaseSlack bounds what a lease verdict may take beyond DefaultLeaseTimeout
+// + DefaultHeartbeatEvery after a fault: the coordinator stamps a pong when
+// its serialized CPU reaches it, so one that arrived before the fault can
+// be stamped after it, behind the message costs queued in front.
+const leaseSlack = sim.Millisecond

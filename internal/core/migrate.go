@@ -107,6 +107,10 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 		done(nil, fmt.Errorf("core: pod %s already lives on %s", pod, addrKey(target)))
 		return
 	}
+	if err := c.registered(target); err != nil {
+		done(nil, err)
+		return
+	}
 	// Like a pre-copy checkpoint, the migration consumes a block of
 	// sequence numbers; only the residual at seq survives commit.
 	op, err := c.takeSeqs("migrate", job, opts.Precopy.MaxRounds)
@@ -190,7 +194,6 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 			Repl:                  &replPayload{PeerIP: target.Addr, PeerPort: target.Port},
 		})
 	})
-	c.armTimeout(op)
 }
 
 // AbortMigration aborts the job's in-flight migration, if any: before the

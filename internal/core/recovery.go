@@ -228,7 +228,7 @@ func (c *Coordinator) declareFailed(n *nodeInfo) {
 func (c *Coordinator) startRecovery(w *watch, failed *nodeInfo) {
 	var first *nodeInfo
 	for _, m := range w.job.Members {
-		if n := c.nodeByAddr[m.Agent]; n != nil && !n.alive && (first == nil || n.lastPong < first.lastPong) {
+		if n := c.nodeByAddr[m.Agent]; !n.alive && (first == nil || n.lastPong < first.lastPong) {
 			first = n
 		}
 	}
@@ -374,14 +374,10 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 	// seq*: the newest committed checkpoint every member can restart from —
 	// its live home holds it or a living holder can supply it: a full
 	// replica, or enough live erasure-code shard holders to decode the
-	// chain. A member on a node the membership layer never registered is
-	// presumed alive and holding what it committed, as memberAlive presumes.
+	// chain.
 	reachable := func(seq int) bool {
 		for _, m := range job.Members {
 			home := c.nodeByAddr[m.Agent]
-			if home == nil {
-				continue
-			}
 			var target tcpip.AddrPort
 			if home.alive {
 				target = home.addr
@@ -419,9 +415,6 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 	var fetches []*wireMsg
 	for _, m := range job.Members {
 		home := c.nodeByAddr[m.Agent]
-		if home == nil {
-			continue
-		}
 		target := home
 		if !home.alive {
 			// Place the pod: spread across nodes hosting the fewest pods of

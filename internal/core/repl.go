@@ -188,11 +188,10 @@ func (a *Agent) replicateOn(op *replOp, seq int, ctx trace.SpanContext) *ctl.Op 
 		}
 		offer = &replPayload{Chain: exp.Chain, Dedup: exp.Dedup, Hashes: exp.Hashes}
 	}
-	send := func() {
-		op.conn.send(&wireMsg{Type: msgReplOffer, Seq: seq, Pod: op.pod, ctx: op.span.Context(), Repl: offer})
-	}
-	o.ArmRetries(replTimeout, 1, func(*ctl.Op) { send() }, ErrReplTimeout)
-	send()
+	// One offer: TCP carries it across a partition that heals in time, and
+	// a second copy would be answered — and the image adopted — twice.
+	o.ArmTimeout(2*replTimeout, ErrReplTimeout)
+	op.conn.send(&wireMsg{Type: msgReplOffer, Seq: seq, Pod: op.pod, ctx: op.span.Context(), Repl: offer})
 	return o
 }
 
@@ -229,8 +228,8 @@ func (a *Agent) handleWant(c *ctlConn, m *wireMsg) {
 		op.Fail(err)
 		return
 	}
-	// The offer reached the peer; from here a plain timeout guards the
-	// bulk transfer (re-offering would duplicate adopted state).
+	// The offer reached the peer; from here replTimeout guards the bulk
+	// transfer.
 	op.ArmTimeout(replTimeout, ErrReplTimeout)
 	a.bulk.Do(bytesCost(tx.TotalBytes, EncodeBPS), func() {
 		if !op.Active() {

@@ -14,11 +14,11 @@ var ErrOpExists = errors.New("ctl: an operation is already in progress for this 
 // Table is the shared op-lifecycle state machine used by the coordinator
 // and the agents. Every distributed operation — checkpoint, restart,
 // replication, recovery — is one Op in a Table: created with Begin,
-// tracked under a unique key, guarded by an optional timeout (with
-// retries), advanced by named wait-sets, and torn down exactly once
-// through Fail or Finish. Keeping this machinery in one place means the
-// daemons carry only their domain logic (what to send, what to roll
-// back), not their own per-op maps and abort plumbing.
+// tracked under a unique key, guarded by an optional timeout, advanced
+// by named wait-sets, and torn down exactly once through Fail or Finish.
+// Keeping this machinery in one place means the daemons carry only their
+// domain logic (what to send, what to roll back), not their own per-op
+// maps and abort plumbing.
 type Table struct {
 	engine *sim.Engine
 	ops    map[string]*Op
@@ -90,18 +90,14 @@ type Op struct {
 	// domain state). The table never inspects it.
 	Data any
 
-	table      *Table
-	t0         sim.Time
-	timeout    *sim.Event
-	timeoutDur sim.Duration
-	timeoutErr error
-	retries    int
-	onRetry    func(*Op)
-	err        error
-	done       bool
-	waits      map[string]map[string]bool
-	onFail     func(*Op, error)
-	onFinish   func(*Op, error)
+	table    *Table
+	t0       sim.Time
+	timeout  *sim.Event
+	err      error
+	done     bool
+	waits    map[string]map[string]bool
+	onFail   func(*Op, error)
+	onFinish func(*Op, error)
 }
 
 // Started returns when the op was begun.
@@ -127,34 +123,14 @@ func (o *Op) OnFinish(fn func(*Op, error)) { o.onFinish = fn }
 
 // ArmTimeout fails the op with err if it is still active after d
 // (d <= 0 disables). Re-arming replaces the previous timer.
-func (o *Op) ArmTimeout(d sim.Duration, err error) { o.ArmRetries(d, 0, nil, err) }
-
-// ArmRetries is ArmTimeout with retries: each expiry first invokes retry
-// and re-arms, up to retries times, before the final expiry fails the op.
-func (o *Op) ArmRetries(d sim.Duration, retries int, retry func(*Op), err error) {
+func (o *Op) ArmTimeout(d sim.Duration, err error) {
 	o.cancelTimeout()
 	if d <= 0 || o.done {
 		return
 	}
-	o.timeoutDur, o.retries, o.onRetry, o.timeoutErr = d, retries, retry, err
-	o.armTimer()
-}
-
-func (o *Op) armTimer() {
-	o.timeout = o.table.engine.Schedule(o.timeoutDur, func() {
+	o.timeout = o.table.engine.Schedule(d, func() {
 		o.timeout = nil // fired: the engine recycles it
-		if o.done {
-			return
-		}
-		if o.retries > 0 && o.onRetry != nil {
-			o.retries--
-			o.onRetry(o)
-			if !o.done {
-				o.armTimer()
-			}
-			return
-		}
-		o.Fail(o.timeoutErr)
+		o.Fail(err)
 	})
 }
 

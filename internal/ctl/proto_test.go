@@ -103,34 +103,6 @@ func TestOpTimeoutFiresAndFinishCancels(t *testing.T) {
 	}
 }
 
-func TestOpRetriesBeforeFailing(t *testing.T) {
-	e := sim.NewEngine(1)
-	tb := NewTable(e)
-	op, _ := tb.Begin("replicate", "r", 1)
-	retries := 0
-	var failed error
-	op.OnFinish(func(_ *Op, err error) { failed = err })
-	op.ArmRetries(10*sim.Millisecond, 2, func(*Op) { retries++ }, errBoom)
-	e.RunFor(25 * sim.Millisecond)
-	if retries != 2 || failed != nil {
-		t.Fatalf("after retry window: retries=%d failed=%v", retries, failed)
-	}
-	e.RunFor(10 * sim.Millisecond)
-	if !errors.Is(failed, errBoom) {
-		t.Fatalf("op did not fail after retries exhausted: %v", failed)
-	}
-
-	// A retry succeeding (op finished by a reply) stops the timer.
-	op2, _ := tb.Begin("replicate", "r2", 1)
-	op2.ArmRetries(10*sim.Millisecond, 1, func(o *Op) { o.Finish() }, errBoom)
-	var err2 error
-	op2.OnFinish(func(_ *Op, err error) { err2 = err })
-	e.RunFor(50 * sim.Millisecond)
-	if err2 != nil {
-		t.Fatalf("retry-then-finish failed: %v", err2)
-	}
-}
-
 func TestEachVisitsSortedAndSeesLiveState(t *testing.T) {
 	tb := NewTable(sim.NewEngine(1))
 	for _, k := range []string{"zeta", "alpha", "mid"} {

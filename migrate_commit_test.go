@@ -12,15 +12,15 @@ import (
 // TestMigrationRollsForwardAfterCommitPoint: once the coordinator holds the
 // destination's report, the pod runs there, so a migration that fails
 // afterwards must roll forward, not back. The source's link goes down the
-// moment the destination reports, the coordinator's op timeout fails the
-// migration while the source cannot hear, and then the link comes back.
+// moment the destination reports, the heartbeat lease declares the source's
+// node failed — which fails the migration while the source cannot hear —
+// and then the link comes back.
 // The member must be re-homed to the destination and the destination
 // recorded as holder of the migrated image; the source must never roll
 // back (its rollback resumes the frozen copy: two pods on one address),
 // and its copy must go once its continue gets through.
 func TestMigrationRollsForwardAfterCommitPoint(t *testing.T) {
-	cl, err := cruz.New(cruz.Config{Nodes: 4, Seed: 11,
-		Coordinator: core.CoordinatorParams{Timeout: 2 * cruz.Second}})
+	cl, err := cruz.New(cruz.Config{Nodes: 4, Seed: 11, AutoRecover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +29,11 @@ func TestMigrationRollsForwardAfterCommitPoint(t *testing.T) {
 	src, dst := cl.Nodes[1], cl.Nodes[3]
 
 	var merr error
+	var ended cruz.Time
 	fired := false
 	cl.Coordinator.Migrate(job, "wb", dst.Agent.Addr(), core.MigrateOptions{
 		Precopy: core.PrecopyConfig{MaxRounds: 6, DirtyThresholdPages: 32},
-	}, func(_ *core.MigrationResult, err error) { merr, fired = err, true })
+	}, func(_ *core.MigrationResult, err error) { merr, fired, ended = err, true, cl.Engine.Now() })
 	// The destination resumes the pod and sends its report in one event.
 	for dst.Agent.Stats.MigrationsIn == 0 {
 		if !cl.Engine.Step() {
@@ -40,11 +41,15 @@ func TestMigrationRollsForwardAfterCommitPoint(t *testing.T) {
 		}
 	}
 	cl.Switch.SetLinkDown(src.NIC, true)
+	fault := cl.Engine.Now()
 	if !cl.RunUntil(func() bool { return fired }, 10*cruz.Second) {
-		t.Fatal("the op timeout never ended the migration")
+		t.Fatal("the lease never ended the migration")
 	}
-	if !errors.Is(merr, core.ErrAborted) {
-		t.Fatalf("migration error = %v, want the op timeout", merr)
+	if d := ended.Sub(fault); d > leaseVerdict {
+		t.Errorf("migration ended %v after the fault, want within %v", d, leaseVerdict)
+	}
+	if !errors.Is(merr, core.ErrNodeFailed) {
+		t.Fatalf("migration error = %v, want the source's lease expiry", merr)
 	}
 	cl.Switch.SetLinkDown(src.NIC, false)
 	cl.Run(10 * cruz.Second) // TCP's backed-off retransmission reaches the source

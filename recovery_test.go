@@ -185,8 +185,8 @@ func TestFailNodeMidCheckpointAborts(t *testing.T) {
 	if res.Seq <= 1 {
 		t.Fatalf("post-recovery checkpoint seq = %d", res.Seq)
 	}
-	// node0's replication to the dead node1 is still retrying here, so
-	// only the pods are checked.
+	// node0's offer to the dead node1 is still waiting out its timeout
+	// here, so only the pods are checked.
 	cl.Run(200 * cruz.Millisecond)
 	for _, name := range names {
 		if w := ringWorker(cl, name); w.Fault != "" {
@@ -303,4 +303,38 @@ func TestCheckpointNeverChainsOntoOtherForm(t *testing.T) {
 			check(t, cl)
 		})
 	}
+}
+
+// TestHealedPartitionReplicatesOnce: a replica partitioned from its source
+// during a checkpoint receives the image once the link heals. The offer
+// waits in TCP across the partition, so the spare answers one offer and
+// writes the image once — a re-sent offer would be answered too, and the
+// image written twice.
+func TestHealedPartitionReplicatesOnce(t *testing.T) {
+	cl, err := cruz.New(cruz.Config{Nodes: 3, Spares: 1, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, job := deployRing(t, cl, 3)
+	cl.Run(200 * cruz.Millisecond)
+	spare := cl.Nodes[3] // node2's first ring peer: it holds names[2]'s replica
+	cl.Switch.SetLinkDown(spare.NIC, true)
+	ck, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Heal inside the offer's deadline but after a re-send would have gone.
+	cl.Run(20 * cruz.Second)
+	cl.Switch.SetLinkDown(spare.NIC, false)
+	cl.Run(80 * cruz.Second)
+	var image int64
+	for _, r := range ck.PerPod {
+		if r.Pod == names[2] {
+			image = r.ImageBytes
+		}
+	}
+	if got := spare.Kernel.Disk().Stats.BytesWritten; got != uint64(image) {
+		t.Errorf("the spare wrote %d B for one %d B image", got, image)
+	}
+	check(t, cl)
 }
