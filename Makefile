@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet cover bench bench-smoke vdiff vsame vgate gobench fuzz-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet cover traffic bench bench-smoke vdiff vsame vgate gobench fuzz-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -45,6 +45,31 @@ cover:
 	@prof=$$(mktemp "$${TMPDIR:-/tmp}/cover.XXXXXX") && trap 'rm -f "$$prof"' EXIT && \
 	$(GO) test -coverpkg=./... -coverprofile="$$prof" ./... >/dev/null && \
 	$(GO) tool cover -func="$$prof" | awk '$$NF == "0.0%" && $$1 !~ "$(COVER_SKIP)"'
+
+# Producer census, cover's twin: what the producers reach instead of what
+# the tests reach. It builds cmd/cruzbench, cmd/cruzsim and the bench/
+# module with coverage over every package of this module, runs every
+# scenario row, the paper evaluation at scale 0.05 and one benchmark pass
+# (from bench/, whose only input is BENCHMARK.json), merges the profiles
+# and prints each non-test function none of them executes, outside
+# internal/analysis, cmd/, gobmemotest and bench/. Such a function is dead
+# or test-only, or it is a path no recorded number crosses. ≈ 80 s on 2
+# vCPUs, so check does not include it. Binaries and profiles go under
+# $$TMPDIR and are removed either way.
+TRAFFIC_SKIP = ^cruz/(internal/analysis|cmd|internal/gobmemo/gobmemotest|bench)/
+traffic: SHELL = bash
+traffic:
+	@tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/traffic.XXXXXX") && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/cov" && \
+	$(GO) build -cover -coverpkg=cruz/... -o "$$tmp/cruzbench" ./cmd/cruzbench && \
+	$(GO) build -cover -coverpkg=cruz/... -o "$$tmp/cruzsim" ./cmd/cruzsim && \
+	$(GO) -C bench build -cover -coverpkg=cruz/... -o "$$tmp/bench" . && \
+	export GOCOVERDIR="$$tmp/cov" && \
+	rows=$$("$$tmp/cruzsim" -h 2>&1 | awk '$$1 == "-scenario" && NF > 2 { print $$2 }') && \
+	for row in $$rows; do "$$tmp/cruzsim" -scenario $$row >/dev/null || exit 1; done && \
+	"$$tmp/cruzbench" -scale 0.05 >/dev/null && \
+	(cd bench && "$$tmp/bench" -passes 1 -seed 1 >/dev/null) && \
+	$(GO) tool covdata func -i "$$tmp/cov" | awk '$$NF == "0.0%" && $$1 !~ "$(TRAFFIC_SKIP)"'
 
 race:
 	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/ckpt/... ./internal/gobmemo/... ./internal/flush/... ./internal/dhcp/...

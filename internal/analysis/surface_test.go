@@ -19,8 +19,6 @@ import (
 var testOnly = map[string]string{
 	"cruz/internal/apps/slm.(Config).ExpectedRuntime": "TestRunsToCompletion",
 	"cruz/internal/batch.(Scheduler).Job":             "TestSubmitValidation",
-	"cruz/internal/coord.Promote":                     "TestLeaderPromotion",
-	"cruz/internal/coord.RootMessagesPerPhase":        "TestRootMessagesPerPhase",
 	"cruz/internal/core.(Agent).Kernel":               "TestAbortOnAgentTimeout",
 	"cruz/internal/core.(Coordinator).AbortMigration": "TestMigrationAbortRollsBack",
 	"cruz/internal/core.(Coordinator).CommittedSeq":   "TestCoordinatedCheckpointBlocking",

@@ -8,13 +8,11 @@ import (
 )
 
 // SaveStats breaks down one deduplicated save: how many page chunks were
-// new to the store versus already resident, and the bytes each accounts
-// for. TotalBytes (manifest + new chunks) is what the disk actually
-// writes.
+// new to the store versus already resident, and the bytes the save writes.
+// TotalBytes (manifest + new chunks) is what the disk actually writes.
 type SaveStats struct {
 	ManifestBytes int64
 	NewChunkBytes int64
-	DedupedBytes  int64
 	NewChunks     int
 	DupChunks     int
 }
@@ -42,7 +40,6 @@ type StoreStats struct {
 	DupChunks     int64
 	FreedChunks   int64
 	NewChunkBytes int64
-	DedupedBytes  int64
 	FreedBytes    int64
 	Compactions   int64
 }
@@ -87,9 +84,7 @@ func (s *Store) PlanDedupSave(img *Image) (*SavePlan, error) {
 		}
 	}
 	plan.Stats.NewChunkBytes = int64(plan.Stats.NewChunks) * mem.PageSize
-	plan.Stats.DedupedBytes = int64(plan.Stats.DupChunks) * mem.PageSize
 	s.stats.DupChunks += int64(plan.Stats.DupChunks)
-	s.stats.DedupedBytes += plan.Stats.DedupedBytes
 
 	s.putManifest(img.PodName, img.Seq, m, int64(len(mblob)))
 	plan.TotalBytes = plan.Stats.TotalBytes()

@@ -72,21 +72,3 @@ func Plan(n, size int, alive func(int) bool) []Group {
 	}
 	return groups
 }
-
-// Promote returns the group's leader after failed members are excluded:
-// the first member in group order for which alive returns true, or -1
-// if none. It is Plan's leader rule applied to one group, exposed so a
-// caller holding an existing plan can recompute a single leadership.
-func Promote(g Group, alive func(int) bool) int {
-	for _, i := range g.Members {
-		if alive == nil || alive(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// RootMessagesPerPhase returns how many messages the root exchanges in
-// one protocol phase under the plan: one per group (versus n for the
-// flat fan-out). Used by the scaling experiment's analytic check.
-func RootMessagesPerPhase(groups []Group) int { return len(groups) }

@@ -69,19 +69,25 @@ func TestLeaderPromotion(t *testing.T) {
 	if base[0].Leader != 0 {
 		t.Fatalf("all-alive group 0 leader %d, want 0", base[0].Leader)
 	}
-	// Promote matches Plan's rule, including the whole-group-dead case.
+	// The rule holds down a group, including the whole-group-dead case.
 	dead[1] = true
-	if got := Promote(base[0], alive); got != 2 {
-		t.Fatalf("Promote after two deaths = %d, want 2", got)
+	if got := Plan(9, 3, alive)[0].Leader; got != 2 {
+		t.Fatalf("group 0 leader after two deaths = %d, want 2", got)
 	}
 	dead[2] = true
-	if got := Promote(base[0], alive); got != -1 {
-		t.Fatalf("Promote of a fully dead group = %d, want -1", got)
+	if got := Plan(9, 3, alive)[0].Leader; got != -1 {
+		t.Fatalf("leader of a fully dead group = %d, want -1", got)
 	}
 }
 
+// TestRootMessagesPerPhase: the root exchanges one message per group in
+// each protocol phase (versus n for the flat fan-out), and the last group
+// takes the remainder.
 func TestRootMessagesPerPhase(t *testing.T) {
-	if got := RootMessagesPerPhase(Plan(256, 16, nil)); got != 16 {
+	if got := len(Plan(256, 16, nil)); got != 16 {
 		t.Fatalf("256/16 plan root fan-out = %d, want 16", got)
+	}
+	if got := len(Plan(257, 16, nil)); got != 17 {
+		t.Fatalf("257/16 plan root fan-out = %d, want 17", got)
 	}
 }

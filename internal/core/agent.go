@@ -110,7 +110,6 @@ type Agent struct {
 
 // AgentStats counts agent activity.
 type AgentStats struct {
-	Checkpoints   uint64
 	Aborts        uint64
 	Replications  uint64
 	ReplBytes     int64
@@ -141,29 +140,30 @@ var (
 	migratePhases = savePhases{round: "migrate-round", quiesce: "migrate-freeze", capture: "residual-capture", write: "residual-stream"}
 )
 
-// agentOp tracks one in-progress checkpoint, restart, or half of a
-// migration for a pod. The lifecycle (busy key, timeout, idempotent
-// teardown) lives in the embedded ctl.Op; only the domain state is here.
+// agentOp is the one record of a pod op: a checkpoint, a restart, or half
+// of a migration. The lifecycle (busy key, timeout, idempotent teardown)
+// lives in the embedded ctl.Op; the request, the pod and the domain state
+// are here, so every step of the op takes the op alone.
 //
 // A checkpoint and a migrate-out run the same save loop (runPrecopy ->
 // runStopAndCopy -> imageSaved), a restart and a migrate-in the same
 // takeOver, and all four the same continue path (maybeFinishContinue).
+// All four answer the first phase with <done>, success or failure.
 // What a migration parameterises is data set once when the op starts: on
 // the source the phase names and migrateTo — where every saved image
 // streams before the loop moves on, and where the pod is handed over
 // instead of resumed — and on the destination its kind (migrate.go).
 type agentOp struct {
 	*ctl.Op
-	phases    savePhases
-	optimized bool
-	cow       bool
+	req    *wireMsg // the request that opened the op
+	conn   msgSink  // where the op's replies go
+	pod    *zap.Pod // the pod it saves, or from takeOver on the one it restored
+	phases savePhases
 	// precopy marks an abortable epoch: live rounds may precede the
 	// freeze, the residual chains on the last of them, and nothing the
 	// epoch saved survives an abort. Every migration is one.
 	precopy   bool
 	stoppedAt sim.Time
-	conn      msgSink
-	replicas  int
 	captured  bool
 	saveDone  bool
 	contRecvd bool
@@ -313,7 +313,7 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 			a.handleFetch(c, m)
 		case msgFetchPull:
 			a.handleFetchPull(c, m)
-		case msgCommDisabled, msgDone, msgRestartDone, msgContinueDone, msgReplicated:
+		case msgCommDisabled, msgDone, msgContinueDone, msgReplicated:
 			// Protocol replies arriving at an agent are group members
 			// reporting to their leader (this node) — aggregate them.
 			a.relayMemberMsg(m)
@@ -338,12 +338,11 @@ func (a *Agent) fail(c msgSink, t msgType, m *wireMsg, err error) {
 	c.send(&wireMsg{Type: t, Seq: m.Seq, Pod: m.Pod, Err: err.Error(), ctx: m.ctx})
 }
 
-// failOp fails a pod op and reports the error with the reply its
-// requester is waiting on: <done> for a checkpoint or migrate-out,
-// <restart-done> for a restart or migrate-in.
-func (a *Agent) failOp(op *agentOp, t msgType, m *wireMsg, err error) {
+// failOp fails a pod op and reports the error with <done>, the reply its
+// requester is waiting on whatever the op's kind.
+func (a *Agent) failOp(op *agentOp, err error) {
 	op.Fail(err)
-	a.fail(op.conn, t, m, err)
+	op.conn.send(&wireMsg{Type: msgDone, Seq: op.Seq, Pod: op.Key, Err: err.Error(), ctx: op.span.Context()})
 }
 
 // beginPodOp registers a checkpoint/restart op for the pod with the
@@ -355,9 +354,8 @@ func (a *Agent) beginPodOp(kind string, m *wireMsg, c msgSink) (*agentOp, error)
 	if err != nil {
 		return nil, ErrBusy
 	}
-	op := &agentOp{Op: o, optimized: m.Optimized, cow: m.COW, conn: c, replicas: m.Replicas}
+	op := &agentOp{Op: o, req: m, conn: c}
 	o.Data = op
-	name := m.Pod
 	o.OnFail(func(_ *ctl.Op, err error) {
 		a.Stats.Aborts++
 		if op.filterID != 0 {
@@ -385,13 +383,13 @@ func (a *Agent) beginPodOp(kind string, m *wireMsg, c msgSink) (*agentOp, error)
 			fn()
 		}
 		if len(op.roundSeqs) > 0 {
-			a.store.Discard(name, op.roundSeqs...)
+			a.store.Discard(op.Key, op.roundSeqs...)
 		}
 		// Resolve the pod at failure time: a restart may have replaced it
 		// since the op began. A migration's destination destroys the pod
 		// it restored instead: the source still holds the authoritative
 		// copy and resumes it on its own abort path.
-		if p := a.pods[name]; p != nil && !p.Destroyed() && p.Stopped() {
+		if p := a.pods[op.Key]; p != nil && !p.Destroyed() && p.Stopped() {
 			if op.migratingIn() {
 				p.Destroy()
 			} else {
@@ -424,6 +422,7 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 		a.fail(c, msgDone, m, err)
 		return
 	}
+	op.pod = pod
 	// Adopt the coordinator's op: the local span tree becomes a branch
 	// of the distributed checkpoint or migration.
 	if m.Repl != nil {
@@ -438,15 +437,14 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 		if m.PrecopyRounds > 0 {
 			op.precopy, op.phases = true, precopyPhases
 		}
-		a.Stats.Checkpoints++
 		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.checkpoint",
 			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 	}
 	if op.precopy {
-		a.runPrecopy(c, m, pod, op, 0, 0, 0)
+		a.runPrecopy(op, 0, 0, 0)
 		return
 	}
-	a.runStopAndCopy(c, m, pod, op, 0)
+	a.runStopAndCopy(op, 0)
 }
 
 // runPrecopy drives one live pre-copy round (round-numbered from 0) and
@@ -458,10 +456,11 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 // base of a fresh chain). A migration then streams the round to the
 // destination, and the next round starts only once it is adopted there —
 // the stream is the pacing, exactly like pre-copy against a slow disk.
-func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, round, prevPages, baseSeq int) {
+func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
 	if op.Aborted() {
 		return
 	}
+	m, pod := op.req, op.pod
 	if round == 0 && m.Incremental {
 		// Chain round 0 onto the newest stored checkpoint, if it is one
 		// this epoch's form can chain onto: the dirty bits are relative to
@@ -480,7 +479,7 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 		(m.PrecopyMinGain > 0 && round > 0 &&
 			float64(candidate) > (1-m.PrecopyMinGain)*float64(prevPages))
 	if converged {
-		a.runStopAndCopy(c, m, pod, op, baseSeq)
+		a.runStopAndCopy(op, baseSeq)
 		return
 	}
 
@@ -491,7 +490,7 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 		trace.Int("pages", int64(candidate)))
 	lc, err := ckpt.CaptureLive(pod, seqR, ckpt.Options{Incremental: !full, Hashes: m.Dedup, BaseSeq: baseSeq})
 	if err != nil {
-		a.failOp(op, msgDone, m, err)
+		a.failOp(op, err)
 		return
 	}
 	op.rounds = append(op.rounds, lc)
@@ -505,20 +504,20 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 		if op.Aborted() {
 			return
 		}
-		a.planImage(m, op, lc.Image, func(plan *ckpt.SavePlan, err error) {
+		a.planImage(op, lc.Image, func(plan *ckpt.SavePlan, err error) {
 			if op.Aborted() {
 				return
 			}
 			if err != nil {
-				a.failOp(op, msgDone, m, err)
+				a.failOp(op, err)
 				return
 			}
 			op.roundSeqs = append(op.roundSeqs, seqR)
-			a.streamPlan(m.Pipeline, op, plan.TotalBytes, func() {
-				a.streamRound(c, m, op, seqR, func() {
+			a.streamPlan(op, plan.TotalBytes, func() {
+				a.streamRound(op, seqR, func() {
 					lc.Release()
 					op.phRound.End(trace.Int("bytes", plan.TotalBytes))
-					a.runPrecopy(c, m, pod, op, round+1, candidate, seqR)
+					a.runPrecopy(op, round+1, candidate, seqR)
 				})
 			})
 		})
@@ -530,7 +529,8 @@ func (a *Agent) runPrecopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, rou
 // epoch it saves only the residual dirty set, chained on the last round
 // at baseSeq. The freeze window (a migration's downtime clock) starts at
 // quiescence, op.stoppedAt.
-func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, baseSeq int) {
+func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
+	m, pod := op.req, op.pod
 	incremental := m.Incremental
 	if op.precopy {
 		// The residual is incremental on the last round (or on the
@@ -561,10 +561,10 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 		}
 		op.filterID = a.kern.Stack().Filter().AddDropAddr(pod.IP())
 		a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.install", trace.Str("pod", m.Pod))
-		if op.optimized && !op.cow {
+		if m.Optimized && !m.COW {
 			// Fig. 4: notify as soon as communication is disabled,
 			// without waiting for the local save.
-			c.send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
+			op.conn.send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
 		}
 		// Step 2: stop the pod's processes and take the local checkpoint.
 		pod.Stop(func() {
@@ -602,7 +602,7 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 					trace.Str("pod", m.Pod))
 				img, err := ckpt.Capture(pod, m.Seq, ckpt.Options{Incremental: incremental, Hashes: m.Dedup, BaseSeq: baseSeq})
 				if err != nil {
-					a.failOp(op, msgDone, m, err)
+					a.failOp(op, err)
 					return
 				}
 				op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
@@ -621,7 +621,7 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 						}
 					})
 				}
-				if op.cow {
+				if m.COW {
 					// §5.2 copy-on-write optimization: the captured copy
 					// is consistent the moment it exists; the pod may
 					// resume (once the coordinator confirms every node
@@ -629,10 +629,10 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 					// the snapshot.
 					op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
 						trace.Str("pod", m.Pod), trace.Str("mode", "cow"))
-					c.send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
-					a.maybeFinishContinue(m.Pod, pod, op)
+					op.conn.send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
+					a.maybeFinishContinue(op)
 				}
-				a.planAndWrite(c, m, pod, op, img)
+				a.planAndWrite(op, img)
 			})
 		})
 	})
@@ -642,8 +642,8 @@ func (a *Agent) runStopAndCopy(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp,
 // or (Dedup) hash + chunk-table dedup charged as their own phases — and
 // hands the plan to finishPlan. Shared by the residual stop-and-copy and
 // every pre-copy round.
-func (a *Agent) planImage(m *wireMsg, op *agentOp, img *ckpt.Image, finishPlan func(*ckpt.SavePlan, error)) {
-	if !m.Dedup {
+func (a *Agent) planImage(op *agentOp, img *ckpt.Image, finishPlan func(*ckpt.SavePlan, error)) {
+	if !op.req.Dedup {
 		plan, err := a.store.PlanSave(img)
 		finishPlan(plan, err)
 		return
@@ -651,7 +651,7 @@ func (a *Agent) planImage(m *wireMsg, op *agentOp, img *ckpt.Image, finishPlan f
 	// Hash phase: only pages written since the last hashing capture had
 	// a stale cached hash; they alone cost CPU here.
 	op.phHash = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "hash",
-		trace.Str("pod", m.Pod))
+		trace.Str("pod", op.Key))
 	a.cpu.Do(bytesCost(int64(img.FreshHashes)*mem.PageSize, hashBPS), func() {
 		if op.Aborted() {
 			return
@@ -662,7 +662,7 @@ func (a *Agent) planImage(m *wireMsg, op *agentOp, img *ckpt.Image, finishPlan f
 			pages += int64(img.Processes[i].Memory.NumPages())
 		}
 		op.phDedup = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "dedup",
-			trace.Str("pod", m.Pod))
+			trace.Str("pod", op.Key))
 		a.cpu.Do(sim.Duration(pages)*dedupPerChunk, func() {
 			if op.Aborted() {
 				return
@@ -683,38 +683,38 @@ func (a *Agent) planImage(m *wireMsg, op *agentOp, img *ckpt.Image, finishPlan f
 // planAndWrite plans the residual image, drives the remaining disk bytes
 // through streamPlan (then to the destination, for a migration) and
 // completes in imageSaved.
-func (a *Agent) planAndWrite(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, img *ckpt.Image) {
-	a.planImage(m, op, img, func(plan *ckpt.SavePlan, err error) {
+func (a *Agent) planAndWrite(op *agentOp, img *ckpt.Image) {
+	a.planImage(op, img, func(plan *ckpt.SavePlan, err error) {
 		if op.Aborted() {
 			return
 		}
 		if err != nil {
-			a.failOp(op, msgDone, m, err)
+			a.failOp(op, err)
 			return
 		}
 		if op.precopy {
 			// Until the coordinator commits, the residual is part of the
 			// abortable epoch like the rounds before it.
-			op.roundSeqs = append(op.roundSeqs, m.Seq)
+			op.roundSeqs = append(op.roundSeqs, op.Seq)
 		}
 		op.phWrite = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.write,
-			trace.Str("pod", m.Pod))
-		a.streamPlan(m.Pipeline, op, plan.TotalBytes, func() {
-			a.streamRound(c, m, op, m.Seq, func() { a.imageSaved(c, m, pod, op, plan) })
+			trace.Str("pod", op.Key))
+		a.streamPlan(op, plan.TotalBytes, func() {
+			a.streamRound(op, op.Seq, func() { a.imageSaved(op, plan) })
 		})
 	})
 }
 
 // streamPlan drives total bytes through the store's disk, invoking
-// complete once the last segment lands. Without pipeline the bytes go as
-// one segment (serial encode, then write); with it, SegmentBytes-sized
-// segments stream so segment k is encoded on the daemon CPU while
-// segment k-1 is on the disk, and contiguous segments pay the
+// complete once the last segment lands. Without the request's Pipeline the
+// bytes go as one segment (serial encode, then write); with it,
+// SegmentBytes-sized segments stream so segment k is encoded on the daemon
+// CPU while segment k-1 is on the disk, and contiguous segments pay the
 // positioning latency once.
-func (a *Agent) streamPlan(pipeline bool, op *agentOp, total int64, complete func()) {
+func (a *Agent) streamPlan(op *agentOp, total int64, complete func()) {
 	disk := a.store.Disk()
 	segSize := total
-	if pipeline && segmentBytes < total {
+	if op.req.Pipeline && segmentBytes < total {
 		segSize = segmentBytes
 	}
 	if total <= 0 {
@@ -756,8 +756,8 @@ func (a *Agent) streamPlan(pipeline bool, op *agentOp, total int64, complete fun
 // one agent-to-agent hop keeps the freeze path short. A checkpoint reports
 // <done>, kicks compaction/replication, and finishes or hands over to the
 // continue path.
-func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, plan *ckpt.SavePlan) {
-	total := plan.TotalBytes
+func (a *Agent) imageSaved(op *agentOp, plan *ckpt.SavePlan) {
+	m, total := op.req, plan.TotalBytes
 	op.phWrite.End(trace.Int("bytes", total))
 	op.saveDone = true
 	if op.migrating() {
@@ -765,7 +765,7 @@ func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, pla
 		// downtime clock; this op's own continue is the commit.
 		cc, err := a.peerConn(op.migrateTo)
 		if err != nil {
-			a.failOp(op, msgDone, m, err)
+			a.failOp(op, err)
 			return
 		}
 		cc.send(&wireMsg{Type: msgContinue, Seq: m.Seq, Pod: m.Pod,
@@ -773,7 +773,7 @@ func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, pla
 		return
 	}
 	// Step 3: send <done>.
-	c.send(&wireMsg{
+	op.conn.send(&wireMsg{
 		Type:          msgDone,
 		Seq:           m.Seq,
 		Pod:           m.Pod,
@@ -786,11 +786,11 @@ func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, pla
 		// the checkpoint is reported.
 		a.store.Compact(m.Pod, nil)
 	}
-	if op.replicas > 0 || a.ec.Enabled() {
+	if m.Replicas > 0 || a.ec.Enabled() {
 		// Stream the committed image's durability copies — erasure-
 		// coded shards or full replicas — off the critical path of
 		// the coordinated cycle but inside the checkpoint's span tree.
-		a.startDurability(m.Pod, m.Seq, op.replicas, m.Dedup, c, op.span.Context())
+		a.startDurability(m.Pod, m.Seq, m.Replicas, m.Dedup, op.conn, op.span.Context())
 	}
 	if op.resumed {
 		// COW: the pod resumed before the write finished; the
@@ -803,7 +803,7 @@ func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, pla
 		op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
 			trace.Str("pod", m.Pod))
 	}
-	a.maybeFinishContinue(m.Pod, pod, op)
+	a.maybeFinishContinue(op)
 }
 
 // handleContinue implements Steps 5-7: resume the pod, re-enable its
@@ -814,9 +814,8 @@ func (a *Agent) imageSaved(c msgSink, m *wireMsg, pod *zap.Pod, op *agentOp, pla
 // copy instead, and the destination's is the source's handover, which
 // restarts the pod here once the pre-merge drains.
 func (a *Agent) handleContinue(c msgSink, m *wireMsg) {
-	pod, ok := a.pods[m.Pod]
 	op := ctl.Find[agentOp](a.table, m.Pod)
-	if op == nil || op.Seq != m.Seq || (!ok && !op.migratingIn()) {
+	if op == nil || op.Seq != m.Seq || (a.pods[m.Pod] == nil && !op.migratingIn()) {
 		if m.FrozeAt == 0 { // a handover whose migrate-in is gone gets no answer
 			a.fail(c, msgContinueDone, m, ErrUnknownPod)
 		}
@@ -828,14 +827,14 @@ func (a *Agent) handleContinue(c msgSink, m *wireMsg) {
 		a.migrateMerge(op)
 		return
 	}
-	a.maybeFinishContinue(m.Pod, pod, op)
+	a.maybeFinishContinue(op)
 }
 
 // maybeFinishContinue resumes once the coordinator's permission is in
 // and the local state is safe: fully saved, or — under copy-on-write —
 // merely captured (the write continues from the snapshot).
-func (a *Agent) maybeFinishContinue(name string, pod *zap.Pod, op *agentOp) {
-	localSafe := op.saveDone || (op.cow && op.captured)
+func (a *Agent) maybeFinishContinue(op *agentOp) {
+	localSafe := op.saveDone || (op.req.COW && op.captured)
 	if !localSafe || !op.contRecvd || op.resumed || op.Aborted() {
 		return
 	}
@@ -843,17 +842,17 @@ func (a *Agent) maybeFinishContinue(name string, pod *zap.Pod, op *agentOp) {
 	t0 := a.kern.Engine().Now()
 	a.cpu.Do(filterCost, func() {
 		if op.migrating() {
-			a.handedOver(name, pod, op)
+			a.handedOver(op)
 			return
 		}
 		if op.migratingIn() {
-			a.tookOver(name, pod, op)
+			a.tookOver(op)
 			return
 		}
-		pod.Resume()
+		op.pod.Resume()
 		a.kern.Stack().Filter().RemoveRule(op.filterID)
 		op.filterID = 0
-		a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.remove", trace.Str("pod", name))
+		a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.remove", trace.Str("pod", op.Key))
 		op.phCommit.End()
 		seq := op.Seq
 		if op.saveDone {
@@ -865,7 +864,7 @@ func (a *Agent) maybeFinishContinue(name string, pod *zap.Pod, op *agentOp) {
 		op.conn.send(&wireMsg{
 			Type:            msgContinueDone,
 			Seq:             seq,
-			Pod:             name,
+			Pod:             op.Key,
 			LocalDuration:   a.kern.Engine().Now().Sub(t0) + AgentMsgCost,
 			BlockedDuration: a.kern.Engine().Now().Sub(op.stoppedAt),
 			ctx:             op.span.Context(),
@@ -889,7 +888,7 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 	}
 	op, err := a.beginPodOp(kind, m, c)
 	if err != nil {
-		a.fail(c, msgRestartDone, m, err)
+		a.fail(c, msgDone, m, err)
 		return
 	}
 	if op.migratingIn() {
@@ -897,7 +896,6 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 		return
 	}
-	op.saveDone = true
 	node := a.kern.Name()
 	op.span = a.tr.BeginChild(m.ctx, node, "core", "agent.restart",
 		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
@@ -910,18 +908,18 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			return
 		}
 		if err != nil {
-			a.failOp(op, msgRestartDone, m, err)
+			a.failOp(op, err)
 			return
 		}
 		op.phQuiesce.End()
 		op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "restore",
 			trace.Str("pod", m.Pod))
-		a.takeOver(op, m, img, func(*zap.Pod) {
+		a.takeOver(op, img, func() {
 			op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
 			op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
 				trace.Str("pod", m.Pod))
 			c.send(&wireMsg{
-				Type:          msgRestartDone,
+				Type:          msgDone,
 				Seq:           m.Seq,
 				Pod:           m.Pod,
 				LocalDuration: a.kern.Engine().Now().Sub(op.Started()),
@@ -938,25 +936,26 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 // TCP state re-issues its unacknowledged segments immediately, which must
 // not escape before the commit), retire any live instance of the pod here
 // — the image is loadable, so it is superseded — restore, and register the
-// new pod, which next gets still stopped. The filter rule goes into the
-// op's filterID slot before anything can fail, so the op's rollback
-// removes it; a failure is reported with <restart-done>.
-func (a *Agent) takeOver(op *agentOp, m *wireMsg, img *ckpt.Image, next func(*zap.Pod)) {
+// new pod as the op's, still stopped, before next runs: the local state is
+// now safe, so the continue path may resume it. The filter rule goes into
+// the op's filterID slot before anything can fail, so the op's rollback
+// removes it.
+func (a *Agent) takeOver(op *agentOp, img *ckpt.Image, next func()) {
 	a.cpu.Do(filterCost+CaptureCost, func() {
 		if op.Aborted() {
 			return
 		}
 		op.filterID = a.kern.Stack().Filter().AddDropAddr(img.Net.IP)
-		if old := a.pods[m.Pod]; old != nil && !old.Destroyed() {
+		if old := a.pods[op.Key]; old != nil && !old.Destroyed() {
 			old.Destroy()
 		}
 		pod, err := ckpt.Restore(a.kern, img)
 		if err != nil {
-			a.failOp(op, msgRestartDone, m, err)
+			a.failOp(op, err)
 			return
 		}
-		a.pods[m.Pod] = pod
-		next(pod)
+		a.pods[op.Key], op.pod, op.saveDone = pod, pod, true
+		next()
 	})
 }
 

@@ -36,7 +36,7 @@ func everyMsg() []*wireMsg {
 		{Type: msgContinue, Seq: seq, Pod: pod},
 		{Type: msgContinueDone, Seq: seq, Pod: pod, LocalDuration: 300 * sim.Microsecond, BlockedDuration: 95 * sim.Millisecond},
 		{Type: msgRestart, Seq: seq, Pod: pod},
-		{Type: msgRestartDone, Seq: seq, Pod: pod, LocalDuration: 57 * sim.Millisecond, ImageBytes: 8 << 20},
+		{Type: msgDone, Seq: seq, Pod: pod, LocalDuration: 57 * sim.Millisecond, ImageBytes: 8 << 20},
 		{Type: msgAbort, Seq: seq, Pod: pod},
 		{Type: msgPing},
 		{Type: msgPong, Load: 2},
@@ -63,7 +63,7 @@ func everyMsg() []*wireMsg {
 			PrecopyRounds: 4, PrecopyThresholdPages: 64, PrecopyMinGain: 0.25, Repl: &replPayload{PeerIP: peer, PeerPort: 7077}},
 		{Type: msgRestart, Seq: seq, Pod: pod, Repl: &replPayload{PeerIP: peer, PeerPort: 7077}},
 		{Type: msgContinue, Seq: seq, Pod: pod, FrozeAt: sim.Time(3 * sim.Second)},
-		{Type: msgRestartDone, Seq: seq, Pod: pod, LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20},
+		{Type: msgDone, Seq: seq, Pod: pod, LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20},
 		{Type: msgContinueDone, Seq: seq, Pod: pod, RoundPages: []int{2048, 310, 42}, ImageBytes: 9 << 20},
 		// The same eight as a leader sees them: by job, with its relay list
 		// on the way down and the group's batch on the way up.
@@ -74,7 +74,7 @@ func everyMsg() []*wireMsg {
 		{Type: msgCommDisabled, Seq: seq, Job: job, Reports: reports(0, 0, 0)},
 		{Type: msgDone, Seq: seq, Job: job, Reports: reports(91*sim.Millisecond, 0, 8<<20)},
 		{Type: msgDone, Seq: seq, Job: job, Pod: pod, Err: ErrUnknownPod.Error()},
-		{Type: msgRestartDone, Seq: seq, Job: job, Reports: reports(57*sim.Millisecond, 0, 8<<20)},
+		{Type: msgDone, Seq: seq, Job: job, Reports: reports(57*sim.Millisecond, 0, 8<<20)},
 		{Type: msgContinueDone, Seq: seq, Job: job, Reports: reports(300*sim.Microsecond, 95*sim.Millisecond, 0)},
 	}
 }

@@ -431,7 +431,7 @@ func (c *Coordinator) takeSeqs(kind string, job *Job, rounds int) (*rootOp, erro
 }
 
 // abortDests is who must roll back when the op fails. A migration before
-// its commit point (the destination's restart-done): its source, which
+// its commit point (the destination's done): its source, which
 // rolls the pre-copy epoch back and resumes the pod, and its destination,
 // which discards the adopted rounds. From the commit point on, nobody: the
 // pod runs on the destination, and the source's continue, already sent,
@@ -592,11 +592,14 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 
 	// Step 1: send <checkpoint> to all agents (serialized daemon CPU).
 	// The root's wait-sets always track every pod — under the tree the
-	// leaders batch the transport, never the decision.
+	// leaders batch the transport, never the decision. Only Fig. 4 and
+	// copy-on-write agents report <comm-disabled>.
 	for _, m := range job.Members {
 		op.Expect("done", m.Pod)
-		op.Expect("disabled", m.Pod)
 		op.Expect("cont", m.Pod)
+		if opts.Optimized || opts.COW {
+			op.Expect("disabled", m.Pod)
+		}
 	}
 	c.start(op, wireMsg{
 		Type:                  msgCheckpoint,
@@ -762,7 +765,7 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 			switch m.Type {
 			case msgCommDisabled:
 				c.arriveDisabled(op, r.Pod)
-			case msgDone, msgRestartDone:
+			case msgDone:
 				c.arriveDone(op, r)
 			case msgContinueDone:
 				c.arriveCont(op, r)
@@ -771,17 +774,16 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 	})
 }
 
-// arriveDisabled handles one pod's <comm-disabled> vote.
+// arriveDisabled handles one pod's <comm-disabled> vote, which only an
+// optimized or copy-on-write checkpoint expects.
 // Fig. 4: all communication disabled -> early continue.
 func (c *Coordinator) arriveDisabled(op *rootOp, pod string) {
-	if op.Arrive("disabled", pod) {
-		if (op.opts.Optimized || op.opts.COW) && op.Cleared("disabled") {
-			c.sendContinue(op)
-		}
+	if op.Arrive("disabled", pod) && op.Cleared("disabled") {
+		c.sendContinue(op)
 	}
 }
 
-// arriveDone handles one pod's <done>/<restart-done> vote and report. A
+// arriveDone handles one pod's <done> vote and report. A
 // migration's destination reports the pod's frozen window here: it ends
 // at the takeover, not at a continue.
 func (c *Coordinator) arriveDone(op *rootOp, r GroupReport) {

@@ -10,7 +10,6 @@ import (
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 	"cruz/internal/trace"
-	"cruz/internal/zap"
 )
 
 // Live migration (the paper's §4.2 VIF/IP/MAC move, composed with the
@@ -29,11 +28,11 @@ import (
 //	S -> D  continue        the handover; FrozeAt starts the downtime
 //	D:      merge residual, filter, restore (VIF + TCP state install,
 //	        gratuitous ARP last), resume — downtime ends here
-//	D -> C  restart-done    downtime report; the commit point
+//	D -> C  done            downtime report; the commit point
 //	C -> S  continue        roll forward: destroy the source copy
 //	S -> C  continue-done   rounds/bytes report; op complete
 //
-// S reports a failure as done + Err, D as restart-done + Err. Before the
+// Either agent reports a failure as done + Err. Before the
 // commit point an abort rolls back like an aborted pre-copy checkpoint: S
 // drops the rounds, re-marks their pages dirty and resumes the pod; D
 // discards what it adopted. From it on the migration only rolls forward:
@@ -81,7 +80,7 @@ type MigrationResult struct {
 }
 
 // migration is what a rootOp of kind "migrate" carries: the two parties
-// and the source's stream report. D's restart-done clears wait-set "done"
+// and the source's stream report. D's done clears wait-set "done"
 // (the downtime is the op's maxBlocked), S's continue-done "cont".
 type migration struct {
 	pod      string
@@ -217,7 +216,7 @@ func (op *agentOp) migrating() bool { return op.migrateTo.Port != 0 }
 // streamRound pushes the just-saved image into a migration's destination
 // store through the chunk exchange, invoking next once the destination has
 // adopted it. A checkpoint has nowhere to stream: next runs at once.
-func (a *Agent) streamRound(c msgSink, m *wireMsg, op *agentOp, seq int, next func()) {
+func (a *Agent) streamRound(op *agentOp, seq int, next func()) {
 	if !op.migrating() {
 		next()
 		return
@@ -225,13 +224,13 @@ func (a *Agent) streamRound(c msgSink, m *wireMsg, op *agentOp, seq int, next fu
 	if op.Aborted() {
 		return
 	}
-	ro := a.replicateOn(&replOp{pod: m.Pod, peer: op.migrateTo, tier: ctl.TierStream, onDone: func(n int64, rerr error) {
+	ro := a.replicateOn(&replOp{pod: op.Key, peer: op.migrateTo, tier: ctl.TierStream, onDone: func(n int64, rerr error) {
 		op.stream = nil
 		if op.Aborted() {
 			return
 		}
 		if rerr != nil {
-			a.failOp(op, msgDone, m, rerr)
+			a.failOp(op, rerr)
 			return
 		}
 		op.streamed += n
@@ -247,19 +246,19 @@ func (a *Agent) streamRound(c msgSink, m *wireMsg, op *agentOp, seq int, next fu
 // images go away where a checkpoint would resume. The round chain now
 // lives (only) in the destination's store, which is exactly where a later
 // restart of the pod will run.
-func (a *Agent) handedOver(name string, pod *zap.Pod, op *agentOp) {
+func (a *Agent) handedOver(op *agentOp) {
 	for _, lc := range op.rounds {
 		lc.Release()
 	}
-	if pod != nil && !pod.Destroyed() {
-		pod.Destroy()
+	if !op.pod.Destroyed() {
+		op.pod.Destroy()
 	}
 	if op.filterID != 0 {
 		a.kern.Stack().Filter().RemoveRule(op.filterID)
 		op.filterID = 0
 	}
 	if len(op.roundSeqs) > 0 {
-		a.store.Discard(name, op.roundSeqs...)
+		a.store.Discard(op.Key, op.roundSeqs...)
 		op.roundSeqs = nil
 	}
 	// Clear the rollback state before Finish: the op completes cleanly,
@@ -268,7 +267,7 @@ func (a *Agent) handedOver(name string, pod *zap.Pod, op *agentOp) {
 	op.redirty = nil
 	op.endSpans(trace.Str("outcome", "migrated"))
 	op.Finish()
-	op.conn.send(&wireMsg{Type: msgContinueDone, Seq: op.Seq, Pod: name,
+	op.conn.send(&wireMsg{Type: msgContinueDone, Seq: op.Seq, Pod: op.Key,
 		RoundPages: op.roundPages, ImageBytes: op.streamed, ctx: op.span.Context()})
 }
 
@@ -346,7 +345,7 @@ func (a *Agent) mergeDone(op *agentOp, img *ckpt.Image, err error) {
 	}
 	if err != nil {
 		op.phRound.End(trace.Str("err", err.Error()))
-		a.failOp(op, msgRestartDone, &wireMsg{Seq: op.Seq, Pod: op.Key, ctx: op.span.Context()}, err)
+		a.failOp(op, err)
 		return
 	}
 	op.held = img
@@ -363,25 +362,22 @@ func (a *Agent) mergeDone(op *agentOp, img *ckpt.Image, err error) {
 // very next segment finds a socket ready to accept it; then the continue
 // path resumes it (tookOver). Downtime is freeze to that resume.
 func (a *Agent) migrateTakeOver(op *agentOp) {
-	m := &wireMsg{Seq: op.Seq, Pod: op.Key, ctx: op.span.Context()}
 	if op.held == nil {
-		a.failOp(op, msgRestartDone, m, errors.New("core: handover before any round arrived"))
+		a.failOp(op, errors.New("core: handover before any round arrived"))
 		return
 	}
 	op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "takeover",
 		trace.Str("pod", op.Key))
-	a.takeOver(op, m, op.held, func(pod *zap.Pod) {
-		op.saveDone = true
-		a.maybeFinishContinue(op.Key, pod, op)
-	})
+	a.takeOver(op, op.held, func() { a.maybeFinishContinue(op) })
 }
 
 // tookOver is the destination's step of the continue path: resume the
 // restored pod and report the downtime — the commit point.
-func (a *Agent) tookOver(name string, pod *zap.Pod, op *agentOp) {
+func (a *Agent) tookOver(op *agentOp) {
 	if op.Aborted() {
 		return
 	}
+	pod := op.pod
 	pod.Resume()
 	a.kern.Stack().Filter().RemoveRule(op.filterID)
 	op.filterID = 0
@@ -397,9 +393,9 @@ func (a *Agent) tookOver(name string, pod *zap.Pod, op *agentOp) {
 	op.endSpans()
 	op.Finish()
 	op.conn.send(&wireMsg{
-		Type:            msgRestartDone,
+		Type:            msgDone,
 		Seq:             op.Seq,
-		Pod:             name,
+		Pod:             op.Key,
 		LocalDuration:   now.Sub(op.Started()),
 		BlockedDuration: downtime,
 		ImageBytes:      op.held.MemoryBytes(),

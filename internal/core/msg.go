@@ -30,8 +30,9 @@ import (
 // msgType discriminates control messages.
 type msgType int
 
-// Control message types. Names follow Fig. 2. The first eight are the
-// whole two-phase protocol, flat or hierarchical: a request that names a
+// Control message types. Names follow Fig. 2. The first seven are the
+// whole two-phase protocol, flat or hierarchical, and a checkpoint and a
+// restart both answer its first phase with done. A request that names a
 // Pod addresses that pod, one that names a Job addresses the job's relay
 // on the receiving agent — a group leader, which passes the request on to
 // its group by pod and answers with the members' own reply type, their
@@ -47,7 +48,6 @@ const (
 	msgContinue
 	msgContinueDone
 	msgRestart
-	msgRestartDone
 	msgAbort
 
 	// Membership: coordinator-driven heartbeats.
@@ -82,7 +82,6 @@ var msgNames = map[msgType]string{
 	msgContinue:     "continue",
 	msgContinueDone: "continue-done",
 	msgRestart:      "restart",
-	msgRestartDone:  "restart-done",
 	msgAbort:        "abort",
 	msgPing:         "ping",
 	msgPong:         "pong",
@@ -110,10 +109,10 @@ type wireMsg struct {
 	Pod  string
 	Err  string
 
-	// Reporting fields carried on done/continue-done/restart-done.
+	// Reporting fields carried on done/continue-done.
 	LocalDuration sim.Duration // local checkpoint or restore duration
 	// BlockedDuration (on continue-done, and on a migration destination's
-	// restart-done) is how long the pod was actually frozen: SIGSTOP
+	// done) is how long the pod was actually frozen: SIGSTOP
 	// quiescence to resume.
 	BlockedDuration sim.Duration
 	ImageBytes      int64
@@ -157,7 +156,7 @@ type wireMsg struct {
 	// request to the job's relay on a group leader and marks a reply as
 	// that relay's batch. Group is the leader's relay list on checkpoint/
 	// restart; Reports carries the batched member replies (comm-disabled
-	// carries pods only, done/restart-done add save timings, continue-done
+	// carries pods only, done adds save or restore timings, continue-done
 	// adds blocked windows). Flat frames set none of the three, and gob
 	// does not transmit a zero field.
 	Job     string

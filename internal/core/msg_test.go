@@ -74,7 +74,7 @@ func TestControlFrameSizesPinned(t *testing.T) {
 		{&wireMsg{Type: msgCheckpoint, Seq: 3, Pod: "slm-0", Dedup: true, Pipeline: true, PrecopyRounds: 10, PrecopyThresholdPages: 32,
 			Repl: &replPayload{PeerIP: tcpip.Addr{10, 0, 0, 2}, PeerPort: 7077}}, 986},
 		{&wireMsg{Type: msgContinue, Seq: 3, Pod: "slm-0", FrozeAt: sim.Time(3 * sim.Second)}, 973},
-		{&wireMsg{Type: msgRestartDone, Seq: 3, Pod: "slm-0", LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20}, 984},
+		{&wireMsg{Type: msgDone, Seq: 3, Pod: "slm-0", LocalDuration: 40 * sim.Millisecond, BlockedDuration: 13 * sim.Millisecond, ImageBytes: 8 << 20}, 984},
 		{&wireMsg{Type: msgContinueDone, Seq: 3, Pod: "slm-0", RoundPages: []int{2048, 476, 120, 44, 28}, ImageBytes: 9 << 20}, 984},
 		// The restart naming the source that arms a migration's
 		// destination: 12 bytes more than the <migrate-target> it replaced
@@ -166,8 +166,8 @@ func TestEveryMsgTypeNamedAndDispatched(t *testing.T) {
 		}
 	}
 	n := len(consts) + 1
-	if n-1 > 18 || len(msgNames) != n-1 {
-		t.Fatalf("%d msgType constants (want at most 18), %d names", n-1, len(msgNames))
+	if n-1 > 17 || len(msgNames) != n-1 {
+		t.Fatalf("%d msgType constants (want at most 17), %d names", n-1, len(msgNames))
 	}
 	for v := msgType(1); int(v) < n; v++ {
 		if _, ok := msgNames[v]; !ok {

@@ -396,7 +396,7 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 		op.Fail(fmt.Errorf("%w: job %s", ErrNoReplica, job.Name))
 		return
 	}
-	// From here <fetch-done> and <restart-done> find the op by seq*.
+	// From here <fetch-done> and <done> find the op by seq*.
 	op.Seq = seqStar
 
 	jobPodsOn := func(addr tcpip.AddrPort) int {

@@ -29,7 +29,6 @@ func relayKey(job string) string { return "grelay/" + job }
 var relaySets = map[msgType]string{
 	msgCommDisabled: "disabled",
 	msgDone:         "done",
-	msgRestartDone:  "done",
 	msgContinueDone: "cont",
 }
 
@@ -41,10 +40,8 @@ type relayOp struct {
 	job     string
 	up      msgSink // toward the root
 	members []GroupMember
-	// failType is the reply that reports a member failure upward.
-	failType msgType
-	batches  map[string][]GroupReport
-	span     trace.Span
+	batches map[string][]GroupReport
+	span    trace.Span
 }
 
 // localSink routes a leader-local member's replies into the relay
@@ -103,18 +100,12 @@ func (a *Agent) onRelayMsg(c *ctlConn, m *wireMsg) {
 // startRelay begins the relay op, opens its span under the root's
 // context, and fans the request down to every member.
 func (a *Agent) startRelay(c *ctlConn, m *wireMsg) {
-	restart := m.Type == msgRestart
-	failType := msgDone
-	if restart {
-		failType = msgRestartDone
-	}
 	o, err := a.table.Begin("grelay", relayKey(m.Job), m.Seq)
 	if err != nil {
-		c.send(&wireMsg{Type: failType, Job: m.Job, Seq: m.Seq, Err: ErrBusy.Error(), ctx: m.ctx})
+		c.send(&wireMsg{Type: msgDone, Job: m.Job, Seq: m.Seq, Err: ErrBusy.Error(), ctx: m.ctx})
 		return
 	}
-	rop := &relayOp{Op: o, job: m.Job, up: c, members: m.Group, failType: failType,
-		batches: make(map[string][]GroupReport)}
+	rop := &relayOp{Op: o, job: m.Job, up: c, members: m.Group, batches: make(map[string][]GroupReport)}
 	o.Data = rop
 	a.rootConn = c
 	// The relay span is the extra hop of the tree: it nests under the
@@ -137,7 +128,7 @@ func (a *Agent) startRelay(c *ctlConn, m *wireMsg) {
 	for _, g := range m.Group {
 		rop.Expect("done", g.Pod)
 		rop.Expect("cont", g.Pod)
-		if !restart {
+		if m.Optimized || m.COW {
 			rop.Expect("disabled", g.Pod)
 		}
 	}
@@ -199,7 +190,7 @@ func (a *Agent) relayMemberFail(rop *relayOp, pod string, err error) {
 		return
 	}
 	rop.up.send(&wireMsg{
-		Type: rop.failType, Job: rop.job, Seq: rop.Seq, Pod: pod,
+		Type: msgDone, Job: rop.job, Seq: rop.Seq, Pod: pod,
 		Err: err.Error(), ctx: rop.span.Context(),
 	})
 	rop.Fail(fmt.Errorf("%w: pod %s: %v", ErrAgentFailed, pod, err))

@@ -85,8 +85,3 @@ type FourTuple struct {
 func (ft FourTuple) String() string {
 	return fmt.Sprintf("%s->%s", ft.Local, ft.Remote)
 }
-
-// reversed returns the tuple from the peer's point of view.
-func (ft FourTuple) reversed() FourTuple {
-	return FourTuple{Local: ft.Remote, Remote: ft.Local}
-}

@@ -74,10 +74,6 @@ func (t *arpTable) learn(ip Addr, mac ether.MAC) {
 	}
 }
 
-// forget removes a mapping (used when a pod migrates away and its old
-// mapping must not linger in tests).
-func (t *arpTable) forget(ip Addr) { delete(t.entries, ip) }
-
 // resolve queues pkt for transmission from iface once ip resolves,
 // broadcasting an ARP request if a resolution is not already in flight.
 func (t *arpTable) resolve(ip Addr, pkt *Packet, iface *Interface) {

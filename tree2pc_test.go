@@ -272,7 +272,9 @@ func TestTreeFlatAbortEquivalence(t *testing.T) {
 // naming that pod — the same error whether its <done> went straight to the
 // root, through a remote leader, or never left the leader's own node. The
 // abort that follows closes every op on the root, the leaders and the
-// members.
+// members. The restart rows fail the same way one phase later: after a
+// committed checkpoint, one member's image is dropped from its node's
+// store, so its restart fails where it loads.
 func TestTreeFlatMemberErrorEquivalence(t *testing.T) {
 	const n = 8
 	size := coord.GroupSizeFor(n) // 3 → leaders 0, 3, 6
@@ -306,6 +308,33 @@ func TestTreeFlatMemberErrorEquivalence(t *testing.T) {
 			}
 			if seq, ok := cl.Coordinator.CommittedSeq(job.Name); ok {
 				t.Errorf("aborted checkpoint committed seq %d", seq)
+			}
+		})
+		t.Run("restart/"+tc.name, func(t *testing.T) {
+			cl, err := cruz.New(cruz.Config{Nodes: n, Seed: 3, GroupSize: tc.groupSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, job := deployWideRing(t, cl, n)
+			cl.Run(50 * cruz.Millisecond)
+			res, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gone := names[tc.gone]
+			cl.PodNode(gone).Store.Discard(gone, res.Seq)
+			_, err = cl.Restart(job, 0)
+			if !errors.Is(err, core.ErrAgentFailed) || !strings.Contains(err.Error(), "pod "+gone+":") {
+				t.Fatalf("restart error = %v, want ErrAgentFailed naming %s", err, gone)
+			}
+			cl.Run(100 * cruz.Millisecond)
+			if k := cl.Coordinator.OpenOps(); k != 0 {
+				t.Errorf("coordinator has %d open ops after the failed restart", k)
+			}
+			for _, node := range cl.Nodes {
+				if k := node.Agent.OpenOps(); k != 0 {
+					t.Errorf("%s agent has %d open ops after the failed restart", node.Kernel.Name(), k)
+				}
 			}
 		})
 	}
