@@ -97,16 +97,18 @@ else
 endif
 	rm -f bench.tmp.json
 
-# Wall-clock benchmarks, one per layer the page path crosses, the two gob
-# codecs of the control path (frames, manifests), the erasure-coded tier's
-# two per-set steps (reading a shard manifest, planning a 4+2 set of 256
-# stripes), the per-frame and per-step paths of the substrate (switch
+# Wall-clock benchmarks, one per layer the page path crosses (a capture
+# with no store and one deduplicating against the store's chunks), the two
+# gob codecs of the control path (frames, manifests), the erasure-coded
+# tier's two per-set steps (reading a shard manifest; planning a 4+2 set of
+# 256 stripes in full and, reusing the prior set's parity, in steady
+# state), the per-frame and per-step paths of the substrate (switch
 # forwarding, the kernel's step cycle, one slm ring step), plus the
 # tracer-overhead guard (trace=false must match the pre-tracing baseline).
 # Every one reports B/op and allocs/op, which repeat exactly and are the
 # numbers to compare across commits (EXPERIMENTS.md appendices A12, A13,
-# A18, A23, A24 and A25 hold the last recorded sets). No thresholds — host
-# timings are informational.
+# A18, A23, A24, A25 and A33 hold the last recorded sets). No thresholds
+# — host timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
 	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestore|BenchmarkDecodeECSet|BenchmarkPlanECSave' -benchtime=50x -benchmem ./internal/ckpt/

@@ -59,22 +59,37 @@ func benchPod(b *testing.B, pages uint64) *zap.Pod {
 }
 
 // BenchmarkCapture measures repeated full captures of a warm pod — the
-// steady state of periodic checkpointing. Each capture allocates its
-// encoding, the page bytes once; the pooled encode buffers and the
-// page-hash cache keep everything else flat.
+// steady state of periodic checkpointing. A hashed capture with no store
+// allocates its slab, the page bytes once; one against a store holding
+// the previous checkpoint ("dedup") references that checkpoint's chunks
+// and copies no page of a pod that wrote none. The pooled encode buffers
+// and the page-hash cache keep everything else flat.
 func BenchmarkCapture(b *testing.B) {
 	pod := benchPod(b, 512)
 	img, err := Capture(pod, 1, Options{Hashes: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(img.MemoryBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Capture(pod, i+2, Options{Hashes: true}); err != nil {
-			b.Fatal(err)
-		}
+	store := NewStore(nil)
+	if _, err := store.PlanDedupSave(img); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"hashed", Options{Hashes: true}},
+		{"dedup", Options{Hashes: true, Store: store}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(img.MemoryBytes())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Capture(pod, i+2, c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -102,11 +117,11 @@ func mergePair(b *testing.B, pages uint64) (full, inc *Image) {
 	return full, inc
 }
 
-// BenchmarkEncode measures encoding a merged image: the one image whose
-// encoding is built by copying its pages, where a captured one is encoded
-// as it is captured and a decoded one is its blob. Each iteration encodes
-// an unencoded copy, since an image keeps its encoding (and points its
-// pages into it, hence the copied process list).
+// BenchmarkEncode measures encoding a merged image, whose encoding is
+// built by copying its pages, as a hashed capture's is: an unhashed
+// capture is encoded as it is captured, and a decoded image is its blob.
+// Each iteration encodes an unencoded copy, since an image keeps its
+// encoding (and points its pages into it, hence the copied process list).
 func BenchmarkEncode(b *testing.B) {
 	merged, err := Merge(mergePair(b, 512))
 	if err != nil {
@@ -235,16 +250,30 @@ func BenchmarkDecodeImage(b *testing.B) {
 // of stripes·p.M distinct pages: the chain PlanECSave stripes.
 func stripedStore(stripes int, p ECParams) *Store {
 	s := NewStore(nil)
-	pages := make([]PageRef, stripes*p.M)
-	for i := range pages {
-		data := make([]byte, mem.PageSize)
-		binary.LittleEndian.PutUint64(data, uint64(i+1))
-		pages[i] = PageRef{PN: uint64(i), Hash: mem.HashBlock(data)}
-		s.putChunk(pages[i].Hash, data)
-		s.ref(pages[i].Hash, 1)
-	}
-	s.ensure("ec", 1).manifest = &Manifest{PodName: "ec", Seq: 1, Procs: []ProcManifest{{Pages: pages}}}
+	putPages(s, 1, numberedPages(stripes*p.M))
 	return s
+}
+
+// numberedPages returns n distinct pages, page i starting with i+1.
+func numberedPages(n int) [][]byte {
+	pages := make([][]byte, n)
+	for i := range pages {
+		pages[i] = make([]byte, mem.PageSize)
+		binary.LittleEndian.PutUint64(pages[i], uint64(i+1))
+	}
+	return pages
+}
+
+// putPages registers a full deduplicated checkpoint ec/seq whose page i is
+// pages[i], making each page resident and taking its reference.
+func putPages(s *Store, seq int, pages [][]byte) {
+	refs := make([]PageRef, len(pages))
+	for i, data := range pages {
+		refs[i] = PageRef{PN: uint64(i), Hash: mem.HashBlock(data)}
+		s.putChunk(refs[i].Hash, data)
+		s.ref(refs[i].Hash, 1)
+	}
+	s.putManifest("ec", seq, &Manifest{PodName: "ec", Seq: seq, Procs: []ProcManifest{{Pages: refs}}}, 0)
 }
 
 // BenchmarkDecodeECSet measures parsing the shard manifest of a 4+2 set of
@@ -273,19 +302,56 @@ func BenchmarkDecodeECSet(b *testing.B) {
 
 // BenchmarkPlanECSave measures striping a checkpoint of 1,024 chunks into
 // a 4+2 set of 256 stripes: the parity math, the stripe layout and the
-// chunk-table references. After the first plan every parity block is
-// resident, as in a steady run of unchanged checkpoints.
+// chunk-table references. "full" plans on a store with no prior set, so
+// every stripe is encoded. "steady" plans a chain that differs from the
+// one the prior set striped in one stripe in four, as periodic
+// checkpoints of a pod that writes a quarter of its stripes do: the
+// other stripes keep the prior set's parity.
 func BenchmarkPlanECSave(b *testing.B) {
 	p := ECParams{M: 4, R: 2}
-	s := stripedStore(256, p)
-	b.SetBytes(256 * int64(p.M) * mem.PageSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("full", func(b *testing.B) {
+		s := stripedStore(256, p)
+		b.SetBytes(256 * int64(p.M) * mem.PageSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.PlanECSave("ec", 1, p); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			s.dropSet(s.pods["ec"][1])
+			b.StartTimer()
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		chains := [2][][]byte{numberedPages(256 * p.M)}
+		chains[1] = slices.Clone(chains[0])
+		for i := 0; i < 256; i += 4 {
+			page := make([]byte, mem.PageSize)
+			binary.LittleEndian.PutUint64(page, uint64(1<<32+i))
+			chains[1][i*p.M] = page
+		}
+		s := NewStore(nil)
+		putPages(s, 1, chains[0])
 		if _, err := s.PlanECSave("ec", 1, p); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.SetBytes(256 * int64(p.M) * mem.PageSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			seq := i + 2
+			b.StopTimer()
+			putPages(s, seq, chains[(i+1)%2])
+			b.StartTimer()
+			if _, err := s.PlanECSave("ec", seq, p); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			s.Discard("ec", seq-1)
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkManifestCodec measures a manifest's encode+decode round trip —

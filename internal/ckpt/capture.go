@@ -32,13 +32,17 @@ type Options struct {
 	// residual onto the last round, so a chain stays well-formed even
 	// when sequence numbers are strided or an epoch was aborted.
 	BaseSeq int
+	// Store, for a Hashes capture, is the store its deduplicated save will
+	// plan into: a page whose hash the store already holds references that
+	// chunk's bytes instead of being copied. Without Hashes it is unused.
+	Store *Store
 }
 
 // Capture copies a stopped pod's complete state into an Image. The copy
 // is atomic in virtual time (the simulation's equivalent of holding the
 // network-stack locks for the duration of the socket-state save) and
 // non-destructive: the pod can be resumed immediately afterwards. Each
-// page is copied once, straight into the image's encoding.
+// page is copied at most once (see detach).
 //
 // Every capture clears the pod's dirty-page tracking, so a later
 // Incremental capture saves exactly the pages written since this one.
@@ -81,7 +85,7 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 		}
 		img.Sems = append(img.Sems, SemImage{ID: s.ID, Key: s.Key, Value: s.Value()})
 	}
-	if _, err := img.Encode(); err != nil {
+	if err := detach(img, opts); err != nil {
 		return nil, err
 	}
 	for _, as := range spaces {
@@ -123,7 +127,7 @@ func newImage(pod *zap.Pod, seq int, opts Options) *Image {
 // captureMemory references pages pns of space — a stopped process's
 // address space, or the snapshot of a running one — with their hashes if
 // opts asks for them; hashes that had to be computed count into
-// img.FreshHashes. The references last only until the capture encodes.
+// img.FreshHashes. The references last only until the capture detaches.
 func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Image) (MemImage, error) {
 	m := MemImage{Regions: space.Regions(), PageNums: pns, pages: make([]*[mem.PageSize]byte, len(pns))}
 	if opts.Hashes {
@@ -142,6 +146,45 @@ func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Ima
 	}
 	img.FreshHashes += int(space.HashComputes() - before)
 	return m, nil
+}
+
+// detach ends a capture's references to the address spaces its pages
+// were read from, copying each page at most once. An unhashed capture
+// encodes, copying every page into the blob PlanSave will register. A
+// hashed one points each page whose hash opts.Store already holds at that
+// chunk and copies every other page into one slab, so the page bytes a
+// deduplicated save will find resident are not copied at all; Encode
+// builds the same blob on demand.
+func detach(img *Image, opts Options) error {
+	if !opts.Hashes {
+		_, err := img.Encode()
+		return err
+	}
+	held := func(mem.PageHash) []byte { return nil }
+	if opts.Store != nil {
+		held = opts.Store.chunkData
+	}
+	missing := 0
+	for i := range img.Processes {
+		for _, h := range img.Processes[i].Memory.PageHashes {
+			if len(held(h)) != mem.PageSize {
+				missing++
+			}
+		}
+	}
+	slab := make([]byte, missing*mem.PageSize)
+	for i := range img.Processes {
+		m := &img.Processes[i].Memory
+		for j, h := range m.PageHashes {
+			if d := held(h); len(d) == mem.PageSize {
+				m.pages[j] = (*[mem.PageSize]byte)(d)
+				continue
+			}
+			copy(slab, m.pages[j][:])
+			m.pages[j], slab = (*[mem.PageSize]byte)(slab), slab[mem.PageSize:]
+		}
+	}
+	return nil
 }
 
 // captureProcess saves one process: program state, memory, descriptors,

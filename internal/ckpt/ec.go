@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -531,11 +532,12 @@ type ECPlan struct {
 
 // PlanECSave packs the distinct chunks of the manifest chain ending at
 // (pod, seq) into stripes of p.M chunks, computes p.R parity blocks per
-// stripe across a worker pool, and registers the shard manifest. The set
-// takes a chunk-table reference on every data and parity block it covers
-// — stripe-granularity refcounts, so Compact and Discard can never free
-// a chunk whose stripe parity is still live (reconstructing any chunk of
-// a stripe needs all of it). An older EC set for the same pod is
+// stripe across a worker pool (a stripe the superseded set striped from
+// the same chunks reuses that set's), and registers the shard manifest.
+// The set takes a chunk-table reference on every data and parity block it
+// covers — stripe-granularity refcounts, so Compact and Discard can never
+// free a chunk whose stripe parity is still live (reconstructing any chunk
+// of a stripe needs all of it). An older EC set for the same pod is
 // superseded and its references released.
 func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 	if err := p.Validate(); err != nil {
@@ -560,21 +562,37 @@ func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 		hi := min((i+1)*p.M, len(data))
 		set.Stripes[i] = ECStripe{Data: data[i*p.M : hi : hi], Parity: parity[i*p.R : (i+1)*p.R : (i+1)*p.R]}
 	}
-	// A parity buffer per stripe, not per set: a parity block that later
-	// checkpoints dedup against pins only its own stripe's buffer.
+	// A stripe the set this one supersedes striped from the same chunks
+	// keeps that set's parity, which the same matrix would compute again;
+	// the pool encodes the rest. A parity buffer per stripe, not per set: a
+	// parity block that later checkpoints dedup against pins only its own
+	// stripe's buffer.
+	old := s.priorSet(pod, seq, p)
+	encode := make([]int, 0, nStripes)
+	for i := range set.Stripes {
+		if !s.reuseParity(old, i, &set.Stripes[i]) {
+			encode = append(encode, i)
+		}
+	}
 	enc := ecEncodeMatrix(p)
 	blocks := make([][]byte, nStripes)
-	ecParallel(nStripes, func(i int) { blocks[i] = ecEncodeStripe(enc, p, set.Stripes[i].Data, s.chunks) })
+	ecParallel(len(encode), func(k int) {
+		i := encode[k]
+		blocks[i] = ecEncodeStripe(enc, p, set.Stripes[i].Data, s.chunks)
+	})
 	plan := &ECPlan{Pod: pod, Seq: seq, Set: set, Stripes: nStripes}
 	plan.DataBytes = int64(len(offer.Hashes)) * mem.PageSize
 
-	// Install parity blocks in the chunk table under their content hash
-	// and take the set's stripe references (data and parity alike).
+	// Install encoded parity blocks in the chunk table under their content
+	// hash and take the set's stripe references (data and parity alike).
 	for i := range set.Stripes {
 		for j := range set.Stripes[i].Parity {
-			blk := blocks[i][j*mem.PageSize : (j+1)*mem.PageSize]
-			h := mem.HashBlock(blk)
-			set.Stripes[i].Parity[j] = h
+			var blk []byte
+			if blocks[i] != nil {
+				blk = blocks[i][j*mem.PageSize : (j+1)*mem.PageSize]
+				set.Stripes[i].Parity[j] = mem.HashBlock(blk)
+			}
+			h := set.Stripes[i].Parity[j]
 			if _, ok := s.chunks[h]; ok {
 				s.stats.DupChunks++
 			} else {
@@ -591,6 +609,36 @@ func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 	s.supersede(pod, seq, s.dropSet)
 	s.ensure(pod, seq).set = set
 	return plan, nil
+}
+
+// priorSet returns the pod's newest shard set at or below seq striped
+// with p, if any: the set PlanECSave's supersede is about to drop.
+func (s *Store) priorSet(pod string, seq int, p ECParams) *ECSet {
+	var old *ECSet
+	for oseq, e := range s.pods[pod] {
+		if set := e.set; set != nil && oseq <= seq && set.M == p.M && set.R == p.R &&
+			(old == nil || oseq > old.Seq) {
+			old = set
+		}
+	}
+	return old
+}
+
+// reuseParity gives stripe i of a new set old's parity hashes, and reports
+// it did, when old's stripe i holds the same data chunks and its parity
+// blocks are resident: for a reused block the install has no bytes, only a
+// reference to take on the resident one.
+func (s *Store) reuseParity(old *ECSet, i int, st *ECStripe) bool {
+	if old == nil || i >= len(old.Stripes) || !slices.Equal(old.Stripes[i].Data, st.Data) {
+		return false
+	}
+	for _, h := range old.Stripes[i].Parity {
+		if _, ok := s.chunks[h]; !ok {
+			return false
+		}
+	}
+	copy(st.Parity, old.Stripes[i].Parity)
+	return true
 }
 
 // supersede applies drop to every entry of pod up to seq, before a shard

@@ -1,8 +1,10 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cruz/internal/mem"
@@ -388,5 +390,103 @@ func TestHostileShardSetsAreRejected(t *testing.T) {
 		if got == nil || len(r.store.pods["p"]) != 0 {
 			t.Errorf("%s: Adopt reported %v and left %d entries", tc.name, got, len(r.store.pods["p"]))
 		}
+	}
+}
+
+// TestPlanECSaveReusesUnchangedStripes: a stripe whose data chunks are
+// those the superseded set striped keeps that set's parity instead of
+// being encoded again, and nothing the plan reports or references moves:
+// the set encodes byte for byte as a fresh store's plan of the same chain,
+// ParityBytes counts only the changed stripe's new blocks, and every
+// reused block is counted a duplicate and referenced once, as an encoded
+// one found resident is.
+func TestPlanECSaveReusesUnchangedStripes(t *testing.T) {
+	p := ECParams{M: 4, R: 2}
+	buffer := uint64(p.R * mem.PageSize) // one stripe's parity
+	pages := ecTestBlocks(7, 8*p.M)
+	changed := slices.Clone(pages)
+	changed[2*p.M+1] = ecTestBlocks(8, 1)[0] // stripe 2 only
+	s := NewStore(nil)
+	putPages(s, 1, pages)
+	old, err := s.PlanECSave("ec", 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldParity := slices.Clone(old.Set.Stripes[2].Parity)
+
+	fresh := NewStore(nil)
+	putPages(fresh, 2, changed)
+	want, err := fresh.PlanECSave("ec", 2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBlob, err := want.Set.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(what string, maxAlloc uint64) *ECPlan {
+		t.Helper()
+		var got *ECPlan
+		dups := s.Stats().DupChunks
+		alloc := allocated(func() { got, err = s.PlanECSave("ec", 2, p) })
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if blob, err := got.Set.Encode(); err != nil || !bytes.Equal(blob, wantBlob) {
+			t.Fatalf("%s: the set encodes unlike a fresh store's plan of the chain (%v)", what, err)
+		}
+		if !raceBuild && alloc > maxAlloc {
+			t.Errorf("%s allocated %d bytes, want at most %d", what, alloc, maxAlloc)
+		}
+		for i, st := range got.Set.Stripes {
+			for _, h := range st.Parity {
+				if e, ok := s.chunks[h]; !ok || e.refs != 1 {
+					t.Fatalf("%s: stripe %d parity block %v resident %v with %d references, want 1", what, i, h, ok, e.refs)
+				}
+			}
+		}
+		if newBlocks := int64(got.ParityBytes / mem.PageSize); s.Stats().DupChunks-dups != int64(len(got.Set.Stripes)*p.R)-newBlocks {
+			t.Errorf("%s counted %d duplicate parity blocks beside %d new ones", what, s.Stats().DupChunks-dups, newBlocks)
+		}
+		return got
+	}
+
+	putPages(s, 2, changed)
+	if got := plan("a plan with stripe 2 changed", 2*buffer); got.ParityBytes != int64(buffer) {
+		t.Errorf("a plan with stripe 2 changed wrote %d parity bytes, want %d", got.ParityBytes, buffer)
+	}
+	for _, h := range oldParity {
+		if _, ok := s.chunks[h]; ok {
+			t.Errorf("stripe 2's superseded parity block %v is still resident", h)
+		}
+	}
+	if got := plan("a re-plan of an unchanged chain", buffer-1); got.ParityBytes != 0 {
+		t.Errorf("a re-plan of an unchanged chain wrote %d parity bytes", got.ParityBytes)
+	}
+
+	// Lose stripe 5's parity blocks, references and all: the re-plan must
+	// encode that stripe again. The superseded set still lists them, so
+	// its drop releases the references the re-encoded blocks took; give
+	// them back to leave the store as consistent as before.
+	lost := s.get("ec", 2).set.Stripes[5].Parity
+	blocks := make([][]byte, len(lost))
+	for j, h := range lost {
+		blocks[j] = s.chunkData(h)
+		delete(s.chunks, h)
+	}
+	var got *ECPlan
+	alloc := allocated(func() { got, err = s.PlanECSave("ec", 2, p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob, err := got.Set.Encode(); err != nil || !bytes.Equal(blob, wantBlob) {
+		t.Fatalf("a re-plan with one stripe's parity lost encodes unlike a fresh store's plan (%v)", err)
+	}
+	if !raceBuild && (alloc < buffer || alloc >= 2*buffer) {
+		t.Errorf("a re-plan with one stripe's parity lost allocated %d bytes, want one parity buffer (%d)", alloc, buffer)
+	}
+	for j, h := range lost {
+		s.putChunk(h, blocks[j])
+		s.ref(h, 1)
 	}
 }

@@ -143,8 +143,9 @@ type NetImage struct {
 
 // Image is a complete pod checkpoint, immutable once built: images share
 // page bytes freely, and Encode caches its result. The pages belong to its
-// encoding (captures encode before returning, so no live address space
-// stays referenced), to the images it was merged from, or to store chunks.
+// encoding, to a hashed capture's slab, to the images it was merged from,
+// or to store chunks; none is a live address space's once a capture
+// returns.
 type Image struct {
 	PodName string
 	Seq     int // checkpoint sequence number, monotonically increasing

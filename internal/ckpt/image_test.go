@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -214,64 +215,106 @@ func imagePages(img *Image) map[uint64][]byte {
 }
 
 // TestCapturedImageOutlivesThePod: once Capture (or CaptureLive, after
-// Release) returns, the image references nothing of the pod. Resuming
-// it, overwriting every page and destroying it leave the image's
-// encoding as it was, and what that encoding decodes — and, for a stopped
-// capture, restores — to is the pod as it stood at the capture. (A live
-// round carries memory alone and is not restorable by itself.)
+// Release) returns, the image references nothing of the pod. After the
+// pod resumes, overwrites every page and is destroyed, the image's pages
+// — and, for a stopped capture, what it restores to — are still the pod
+// as it stood at the capture, and its encoding is what it was then. A
+// hashed capture against a store holding an earlier checkpoint of the pod
+// references the chunks of its unchanged pages and copies the rest; its
+// image outlives those chunks too, once the store has freed them. An
+// unhashed capture is its encoding, a hashed one without a store its own
+// copy. (A live round carries memory alone and is not restorable by
+// itself.)
 func TestCapturedImageOutlivesThePod(t *testing.T) {
 	for _, live := range []bool{false, true} {
-		r := newRig(t, 2)
-		pod, _ := zap.New(r.kernels[0], "gone", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
-		pod.Spawn("w", &memWorker{HeapSize: 64 * mem.PageSize})
-		r.run(20 * sim.Millisecond)
-		var img *Image
-		var want map[uint64][]byte
-		if live {
-			want = spacePages(pod.Process(1).Mem())
-			lc, err := CaptureLive(pod, 1, Options{Hashes: true})
+		for _, form := range []string{"blob", "hashed", "dedup"} {
+			r := newRig(t, 2)
+			pod, _ := zap.New(r.kernels[0], "gone", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
+			pod.Spawn("w", &memWorker{HeapSize: 64 * mem.PageSize})
+			r.run(20 * sim.Millisecond)
+			opts := Options{Hashes: form != "blob"}
+			dedup := form == "dedup"
+			if dedup {
+				r.saveDeduped(r.store, r.stopAndCapture(pod, 1, opts))
+				pod.Resume()
+				r.run(5 * sim.Millisecond)
+				opts.Store = r.store
+			}
+			var img *Image
+			var want map[uint64][]byte
+			if live {
+				want = spacePages(pod.Process(1).Mem())
+				lc, err := CaptureLive(pod, 2, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lc.Release()
+				img = lc.Image
+			} else {
+				img = r.stopAndCapture(pod, 2, opts)
+				want = spacePages(pod.Process(1).Mem())
+				pod.Resume()
+			}
+			if held := chunkPages(img, r.store); dedup && (held == 0 || held == len(want)) {
+				t.Fatalf("live=%v: %d of %d pages reference the store's chunks, want some and not all", live, held, len(want))
+			}
+			// Encode a copy: an encoding points its image's pages into it.
+			cp := *img
+			cp.Processes = slices.Clone(img.Processes)
+			before, err := cp.Encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			lc.Release()
-			img = lc.Image
-		} else {
-			img = r.stopAndCapture(pod, 1, Options{Hashes: true})
-			want = spacePages(pod.Process(1).Mem())
-			pod.Resume()
-		}
-		blob, err := img.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := bytes.Clone(blob)
+			before = bytes.Clone(before)
 
-		r.run(20 * sim.Millisecond)
-		overwriteAll(t, pod)
-		pod.Destroy()
+			r.run(20 * sim.Millisecond)
+			overwriteAll(t, pod)
+			pod.Destroy()
+			r.store.Discard("gone", 1)
+			if n := r.store.ChunkCount(); n != 0 {
+				t.Fatalf("the store still holds %d chunks", n)
+			}
+			runtime.GC()
 
-		after, err := img.Encode()
-		if err != nil || !bytes.Equal(after, before) {
-			t.Fatalf("live=%v: the image's encoding changed after its pod was overwritten and destroyed (%v)", live, err)
-		}
-		dec, err := DecodeImage(after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := imagePages(dec); len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("live=%v: %d pages decoded differ from the %d captured", live, len(got), len(want))
-		}
-		if live {
-			continue
-		}
-		restored, err := Restore(r.kernels[1], dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := spacePages(restored.Process(1).Mem()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d pages restored differ from the %d captured", len(got), len(want))
+			if got := imagePages(img); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("live=%v %s: %d pages of the image differ from the %d captured", live, form, len(got), len(want))
+			}
+			if !live {
+				restored, err := Restore(r.kernels[1], img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := spacePages(restored.Process(1).Mem()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %d pages restored differ from the %d captured", form, len(got), len(want))
+				}
+			}
+			after, err := img.Encode()
+			if err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("live=%v %s: the image's encoding changed after its pod was overwritten and destroyed (%v)", live, form, err)
+			}
+			dec, err := DecodeImage(after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := imagePages(dec); !reflect.DeepEqual(got, want) {
+				t.Fatalf("live=%v %s: %d pages decoded differ from the %d captured", live, form, len(got), len(want))
+			}
 		}
 	}
+}
+
+// chunkPages counts the pages of img that are the bytes of a chunk s holds.
+func chunkPages(img *Image, s *Store) int {
+	n := 0
+	for i := range img.Processes {
+		m := &img.Processes[i].Memory
+		for j, h := range m.PageHashes {
+			if d := s.chunkData(h); d != nil && &d[0] == &m.Page(j)[0] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // raceBuild is set when the race detector instruments the test binary.
@@ -288,9 +331,10 @@ func allocated(fn func()) uint64 {
 
 // TestPageBytesCrossOnce is the tier-1 twin of the benchmark's
 // ckpt.page_alloc_ratio: a capture, its encoding and a decode of it
-// allocate the page bytes once, and the two ways an image is assembled
-// from others — Merge and a deduplicated load — allocate page lists, not
-// pages.
+// allocate the page bytes once; a hashed capture against a store holding
+// the previous checkpoint allocates only the pages written since; and
+// the two ways an image is assembled from others — Merge and a
+// deduplicated load — allocate page lists, not pages.
 func TestPageBytesCrossOnce(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation bounds are for builds without the race detector")
@@ -307,6 +351,11 @@ func TestPageBytesCrossOnce(t *testing.T) {
 	pod.Resume()
 	r.run(5 * sim.Millisecond)
 	inc := r.stopAndCapture(pod, 2, Options{Hashes: true, Incremental: true})
+	written := float64(inc.MemoryBytes()) / pageBytes
+	t.Logf("%.4f× the page bytes written between the captures", written)
+	if written == 0 || written > 0.25 {
+		t.Fatalf("the worker wrote %.2f× the page bytes between the captures, want some and at most a quarter", written)
+	}
 
 	r.saveDeduped(r.store, full)
 	m := r.store.get("once", 1).manifest
@@ -316,13 +365,17 @@ func TestPageBytesCrossOnce(t *testing.T) {
 		fn   func() error
 	}{
 		{"Capture + Encode + DecodeImage", 1.05, func() error {
-			img, err := Capture(pod, 3, Options{Hashes: true})
+			img, err := Capture(pod, 3, Options{})
 			if err == nil {
 				var blob []byte
 				if blob, err = img.Encode(); err == nil {
 					_, err = DecodeImage(blob)
 				}
 			}
+			return err
+		}},
+		{"Capture against the store", written + 0.02, func() error {
+			_, err := Capture(pod, 3, Options{Hashes: true, Store: r.store})
 			return err
 		}},
 		{"Merge", 0.01, func() error { _, err := Merge(full, inc); return err }},
@@ -335,7 +388,7 @@ func TestPageBytesCrossOnce(t *testing.T) {
 		}
 		t.Logf("%s: %.4f× the page bytes", c.what, got)
 		if err != nil || got > c.max {
-			t.Errorf("%s allocates %.4f× the page bytes (%v), want at most %g×", c.what, got, err, c.max)
+			t.Errorf("%s allocates %.4f× the page bytes (%v), want at most %.4f×", c.what, got, err, c.max)
 		}
 	}
 }

@@ -40,7 +40,7 @@ type LiveCapture struct {
 // Capture with the pod stopped. A round image is therefore not
 // restorable by itself; it only exists as a link in a pre-copy chain.
 //
-// Each page is copied from its snapshot once, into the image's encoding.
+// Each page is copied from its snapshot at most once, as Capture copies.
 // Dirty tracking is cleared once the whole pod is captured, so the next
 // round saves exactly the pages written after this round's snapshot.
 func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
@@ -62,7 +62,7 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 		img.Processes = append(img.Processes, pi)
 	}
 	if err == nil {
-		_, err = img.Encode()
+		err = detach(img, opts)
 	}
 	if err != nil {
 		lc.Release()
@@ -85,7 +85,7 @@ func (lc *LiveCapture) Pages() int { return int(lc.Image.MemoryBytes() / mem.Pag
 
 // Release drops the COW sharing behind the capture. Live writes to the
 // captured pages stop taking faults; the capture's Image is unaffected
-// (its bytes were copied by CaptureLive).
+// (CaptureLive copied or found elsewhere every page it holds).
 func (lc *LiveCapture) Release() {
 	for _, snap := range lc.snaps {
 		snap.Release()

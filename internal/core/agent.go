@@ -488,7 +488,7 @@ func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
 	op.phRound = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.round,
 		trace.Str("pod", m.Pod), trace.Int("round", int64(round)),
 		trace.Int("pages", int64(candidate)))
-	lc, err := ckpt.CaptureLive(pod, seqR, ckpt.Options{Incremental: !full, Hashes: m.Dedup, BaseSeq: baseSeq})
+	lc, err := ckpt.CaptureLive(pod, seqR, ckpt.Options{Incremental: !full, Hashes: m.Dedup, BaseSeq: baseSeq, Store: a.store})
 	if err != nil {
 		a.failOp(op, err)
 		return
@@ -600,7 +600,7 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 				op.phDrain.End()
 				op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.capture,
 					trace.Str("pod", m.Pod))
-				img, err := ckpt.Capture(pod, m.Seq, ckpt.Options{Incremental: incremental, Hashes: m.Dedup, BaseSeq: baseSeq})
+				img, err := ckpt.Capture(pod, m.Seq, ckpt.Options{Incremental: incremental, Hashes: m.Dedup, BaseSeq: baseSeq, Store: a.store})
 				if err != nil {
 					a.failOp(op, err)
 					return
