@@ -72,7 +72,7 @@ traffic:
 	$(GO) tool covdata func -i "$$tmp/cov" | awk '$$NF == "0.0%" && $$1 !~ "$(TRAFFIC_SKIP)"'
 
 race:
-	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/ckpt/... ./internal/gobmemo/... ./internal/flush/... ./internal/dhcp/...
+	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/mem/... ./internal/ckpt/... ./internal/gobmemo/... ./internal/flush/... ./internal/dhcp/...
 	$(GO) test -race -run TestParallelClustersTraceLikeASequentialRun .
 
 # The paper's evaluation as an exact gate: re-run every experiment at
@@ -98,7 +98,8 @@ endif
 	rm -f bench.tmp.json
 
 # Wall-clock benchmarks, one per layer the page path crosses (a capture
-# with no store and one deduplicating against the store's chunks), the two
+# with no store and one deduplicating against the store's chunks; a
+# capture's stale page hashes, per page and batched), the two
 # gob codecs of the control path (frames, manifests), the erasure-coded
 # tier's two per-set steps (reading a shard manifest; planning a 4+2 set of
 # 256 stripes in full and, reusing the prior set's parity, in steady
@@ -107,13 +108,13 @@ endif
 # tracer-overhead guard (trace=false must match the pre-tracing baseline).
 # Every one reports B/op and allocs/op, which repeat exactly and are the
 # numbers to compare across commits (EXPERIMENTS.md appendices A12, A13,
-# A18, A23, A24, A25 and A33 hold the last recorded sets). No thresholds
-# — host timings are informational.
+# A18, A23, A24, A25, A33 and A34 hold the last recorded sets). No
+# thresholds — host timings are informational.
 gobench:
 	$(GO) test -run XXX -bench='BenchmarkCheckpoint$$|BenchmarkReplicateImage' -benchtime=10x -benchmem .
 	$(GO) test -run XXX -bench='BenchmarkCapture|BenchmarkEncode|BenchmarkDecodeImage|BenchmarkManifestCodec|BenchmarkMerge|BenchmarkRestore|BenchmarkDecodeECSet|BenchmarkPlanECSave' -benchtime=50x -benchmem ./internal/ckpt/
 	$(GO) test -run XXX -bench=BenchmarkControlCodec -benchtime=10000x -benchmem ./internal/core/
-	$(GO) test -run XXX -bench=BenchmarkDirtyTracking -benchtime=50x -benchmem ./internal/mem/
+	$(GO) test -run XXX -bench='BenchmarkDirtyTracking|BenchmarkPageHashes' -benchtime=50x -benchmem ./internal/mem/
 	$(GO) test -run XXX -bench=BenchmarkEngineSchedule -benchtime=100000x -benchmem ./internal/sim/
 	$(GO) test -run XXX -bench=BenchmarkTCPBulkTransfer -benchtime=50x -benchmem ./internal/tcpip/
 	$(GO) test -run XXX -bench=BenchmarkSwitchForward -benchtime=100000x -benchmem ./internal/ether/

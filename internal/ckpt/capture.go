@@ -130,21 +130,19 @@ func newImage(pod *zap.Pod, seq int, opts Options) *Image {
 // img.FreshHashes. The references last only until the capture detaches.
 func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Image) (MemImage, error) {
 	m := MemImage{Regions: space.Regions(), PageNums: pns, pages: make([]*[mem.PageSize]byte, len(pns))}
-	if opts.Hashes {
-		m.PageHashes = make([]mem.PageHash, len(pns))
-	}
-	before := space.HashComputes()
 	for i, pn := range pns {
 		data := space.PageData(pn)
 		if data == nil {
 			return m, fmt.Errorf("page %d is listed but not materialised", pn)
 		}
 		m.pages[i] = (*[mem.PageSize]byte)(data)
-		if opts.Hashes {
-			m.PageHashes[i] = space.PageHash(pn)
-		}
 	}
-	img.FreshHashes += int(space.HashComputes() - before)
+	if opts.Hashes {
+		m.PageHashes = make([]mem.PageHash, len(pns))
+		before := space.HashComputes()
+		space.PageHashes(pns, m.PageHashes)
+		img.FreshHashes += int(space.HashComputes() - before)
+	}
 	return m, nil
 }
 
@@ -152,9 +150,10 @@ func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Ima
 // were read from, copying each page at most once. An unhashed capture
 // encodes, copying every page into the blob PlanSave will register. A
 // hashed one points each page whose hash opts.Store already holds at that
-// chunk and copies every other page into one slab, so the page bytes a
-// deduplicated save will find resident are not copied at all; Encode
-// builds the same blob on demand.
+// chunk and copies every other page into one slab, joined in one
+// allocation that is not zero-filled, so the page bytes a deduplicated
+// save will find resident are not copied at all; Encode builds the same
+// blob on demand.
 func detach(img *Image, opts Options) error {
 	if !opts.Hashes {
 		_, err := img.Encode()
@@ -164,15 +163,21 @@ func detach(img *Image, opts Options) error {
 	if opts.Store != nil {
 		held = opts.Store.chunkData
 	}
-	missing := 0
+	pages := 0
 	for i := range img.Processes {
-		for _, h := range img.Processes[i].Memory.PageHashes {
+		pages += img.Processes[i].Memory.NumPages()
+	}
+	st := stage(pages)
+	defer encStages.Put(st)
+	for i := range img.Processes {
+		m := &img.Processes[i].Memory
+		for j, h := range m.PageHashes {
 			if len(held(h)) != mem.PageSize {
-				missing++
+				st.parts = append(st.parts, m.pages[j][:])
 			}
 		}
 	}
-	slab := make([]byte, missing*mem.PageSize)
+	slab := st.join()
 	for i := range img.Processes {
 		m := &img.Processes[i].Memory
 		for j, h := range m.PageHashes {
@@ -180,7 +185,6 @@ func detach(img *Image, opts Options) error {
 				m.pages[j] = (*[mem.PageSize]byte)(d)
 				continue
 			}
-			copy(slab, m.pages[j][:])
 			m.pages[j], slab = (*[mem.PageSize]byte)(slab), slab[mem.PageSize:]
 		}
 	}

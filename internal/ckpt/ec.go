@@ -1,12 +1,11 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"cruz/internal/gobmemo"
 	"cruz/internal/mem"
@@ -77,7 +76,7 @@ type ECSet struct {
 
 // Encode serializes the shard manifest for the wire.
 func (set *ECSet) Encode() ([]byte, error) {
-	b, err := memoAppend(ecSetCodec, nil, set, 0)
+	b, err := memoEncode(ecSetCodec, set)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode EC set: %w", err)
 	}
@@ -422,32 +421,60 @@ func ecEncodeMatrix(p ECParams) gfMatrix {
 	return enc
 }
 
-// ecEncodeStripe computes the r parity blocks of the stripe whose data
-// chunks are hashes, up to m of them (missing tail positions are implicit
-// zero pages and contribute nothing), and returns them as one buffer of r
-// pages, block j at page j.
-func ecEncodeStripe(enc gfMatrix, p ECParams, hashes []mem.PageHash, chunks map[mem.PageHash]chunkEntry) []byte {
-	parity := make([]byte, p.R*mem.PageSize)
-	for i, h := range hashes {
-		d := chunks[h].data
-		for j := 0; j < p.R; j++ {
-			c := enc[p.M+j][i]
-			if c == 0 {
-				continue
-			}
-			mt := &gfMul[c]
-			out := parity[j*mem.PageSize : (j+1)*mem.PageSize]
-			for b, v := range d {
-				out[b] ^= mt[v]
-			}
+// gfRow is one output row of gfMulAdd: the page it accumulates into and
+// the multiplication table of its coefficient.
+type gfRow struct {
+	out *[mem.PageSize]byte
+	mul *[256]byte
+}
+
+// gfMulAdd adds src times each row's coefficient into the row's page in
+// one pass over src, eight bytes at a time: the fused multiply-accumulate
+// of both encode and decode. GF(256) addition is XOR, so the order in
+// which sources and rows are added leaves every output bit where it is.
+func gfMulAdd(rows []gfRow, src *[mem.PageSize]byte) {
+	for b := 0; b < mem.PageSize; b += 8 {
+		s := binary.LittleEndian.Uint64((*[8]byte)(src[b:])[:])
+		s0, s1, s2, s3 := byte(s), byte(s>>8), byte(s>>16), byte(s>>24)
+		s4, s5, s6, s7 := byte(s>>32), byte(s>>40), byte(s>>48), byte(s>>56)
+		for _, r := range rows {
+			t := r.mul
+			x := uint64(t[s0]) | uint64(t[s1])<<8 | uint64(t[s2])<<16 | uint64(t[s3])<<24 |
+				uint64(t[s4])<<32 | uint64(t[s5])<<40 | uint64(t[s6])<<48 | uint64(t[s7])<<56
+			o := (*[8]byte)(r.out[b:])[:]
+			binary.LittleEndian.PutUint64(o, binary.LittleEndian.Uint64(o)^x)
 		}
 	}
-	return parity
+}
+
+// page returns page i of a buffer of whole pages.
+func page(buf []byte, i int) *[mem.PageSize]byte {
+	return (*[mem.PageSize]byte)(buf[i*mem.PageSize:])
+}
+
+// ecEncodeStripe computes the r parity blocks of the stripe whose data
+// chunks are hashes, up to m of them (missing tail positions are implicit
+// zero pages and contribute nothing), as one buffer of r pages, block j at
+// page j, and sets parity[j] to block j's content hash.
+func ecEncodeStripe(enc gfMatrix, p ECParams, hashes []mem.PageHash, chunks map[mem.PageHash]chunkEntry, parity []mem.PageHash) []byte {
+	blocks := make([]byte, p.R*mem.PageSize)
+	var buf [255]gfRow // a stripe has fewer than 255 shards (ECParams.Validate)
+	for i, h := range hashes {
+		rows := buf[:0]
+		for j := 0; j < p.R; j++ {
+			if c := enc[p.M+j][i]; c != 0 {
+				rows = append(rows, gfRow{page(blocks, j), &gfMul[c]})
+			}
+		}
+		gfMulAdd(rows, (*[mem.PageSize]byte)(chunks[h].data))
+	}
+	mem.HashBlocks(blocks, parity)
+	return blocks
 }
 
 // ecDecodeStripe reconstructs all m data blocks of a stripe from any m
 // available shards. have lists the shard indexes present, blocks the
-// matching shard bytes (nil = implicit zero block for a padding index).
+// matching shard pages (nil = implicit zero block for a padding index).
 func ecDecodeStripe(enc gfMatrix, p ECParams, have []int, blocks [][]byte) ([][]byte, error) {
 	if len(have) < p.M {
 		return nil, ErrECShards
@@ -461,57 +488,24 @@ func ecDecodeStripe(enc gfMatrix, p ECParams, have []int, blocks [][]byte) ([][]
 		return nil, err
 	}
 	data := make([][]byte, p.M)
-	buf := make([]byte, p.M*mem.PageSize)
+	out := make([]byte, p.M*mem.PageSize)
 	for i := range data {
-		data[i] = buf[i*mem.PageSize : (i+1)*mem.PageSize]
+		data[i] = page(out, i)[:]
 	}
-	for i := 0; i < p.M; i++ {
-		for k := 0; k < p.M; k++ {
-			c := inv[i][k]
-			if c == 0 || blocks[k] == nil {
-				continue
-			}
-			mt := &gfMul[c]
-			out := data[i]
-			for b, v := range blocks[k] {
-				out[b] ^= mt[v]
+	var buf [255]gfRow
+	for k := 0; k < p.M; k++ {
+		if blocks[k] == nil {
+			continue
+		}
+		rows := buf[:0]
+		for i := 0; i < p.M; i++ {
+			if c := inv[i][k]; c != 0 {
+				rows = append(rows, gfRow{page(out, i), &gfMul[c]})
 			}
 		}
+		gfMulAdd(rows, (*[mem.PageSize]byte)(blocks[k]))
 	}
 	return data, nil
-}
-
-// ecParallel fans fn(i) for i in [0, n) over a worker pool — the same
-// encode-parallelism shape as the pipelined save path, but for CPU-bound
-// stripe math. Each index writes only its own output slot, so the result
-// is deterministic regardless of scheduling.
-func ecParallel(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() { //cruzvet:allow nodeterminism host-CPU parity math inside one event; wg.Wait blocks before the event returns and each index writes only its own slot
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ---------------------------------------------------------------------
@@ -576,9 +570,10 @@ func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 	}
 	enc := ecEncodeMatrix(p)
 	blocks := make([][]byte, nStripes)
-	ecParallel(len(encode), func(k int) {
+	mem.Parallel(len(encode), func(k int) {
 		i := encode[k]
-		blocks[i] = ecEncodeStripe(enc, p, set.Stripes[i].Data, s.chunks)
+		st := &set.Stripes[i]
+		blocks[i] = ecEncodeStripe(enc, p, st.Data, s.chunks, st.Parity)
 	})
 	plan := &ECPlan{Pod: pod, Seq: seq, Set: set, Stripes: nStripes}
 	plan.DataBytes = int64(len(offer.Hashes)) * mem.PageSize
@@ -589,8 +584,7 @@ func (s *Store) PlanECSave(pod string, seq int, p ECParams) (*ECPlan, error) {
 		for j := range set.Stripes[i].Parity {
 			var blk []byte
 			if blocks[i] != nil {
-				blk = blocks[i][j*mem.PageSize : (j+1)*mem.PageSize]
-				set.Stripes[i].Parity[j] = mem.HashBlock(blk)
+				blk = page(blocks[i], j)[:]
 			}
 			h := set.Stripes[i].Parity[j]
 			if _, ok := s.chunks[h]; ok {
@@ -790,7 +784,7 @@ func (s *Store) ReconstructEC(set *ECSet, manifests map[int][]byte, blocks []Chu
 		err     error
 	}
 	outs := make([]stripeOut, len(set.Stripes))
-	ecParallel(len(set.Stripes), func(i int) {
+	mem.Parallel(len(set.Stripes), func(i int) {
 		st := &set.Stripes[i]
 		missing := false
 		for _, h := range st.Data {
@@ -813,7 +807,7 @@ func (s *Store) ReconstructEC(set *ECSet, manifests map[int][]byte, blocks []Chu
 				shards = append(shards, nil) // zero padding block
 				continue
 			}
-			if d := lookup(h); d != nil {
+			if d := lookup(h); len(d) == mem.PageSize { // a block of any other size is no shard
 				have = append(have, idx)
 				shards = append(shards, d)
 			}

@@ -50,12 +50,117 @@ func ecParity(enc gfMatrix, p ECParams, data [][]byte) [][]byte {
 		hashes[i] = mem.HashBlock(d)
 		chunks[hashes[i]] = chunkEntry{data: d}
 	}
-	buf := ecEncodeStripe(enc, p, hashes, chunks)
+	buf := ecEncodeStripe(enc, p, hashes, chunks, make([]mem.PageHash, p.R))
 	parity := make([][]byte, p.R)
 	for j := range parity {
 		parity[j] = buf[j*mem.PageSize : (j+1)*mem.PageSize]
 	}
 	return parity
+}
+
+// ecEncodeReference is the per-row codec the fused kernel replaced: each
+// parity row takes its own pass over every source page.
+func ecEncodeReference(enc gfMatrix, p ECParams, data [][]byte) [][]byte {
+	parity := make([][]byte, p.R)
+	for j := range parity {
+		parity[j] = make([]byte, mem.PageSize)
+		for i, d := range data {
+			mt := &gfMul[enc[p.M+j][i]]
+			for b, v := range d {
+				parity[j][b] ^= mt[v]
+			}
+		}
+	}
+	return parity
+}
+
+// ecDecodeReference is ecDecodeStripe's per-row counterpart.
+func ecDecodeReference(enc gfMatrix, p ECParams, have []int, blocks [][]byte) [][]byte {
+	sub := newGFMatrix(p.M, p.M)
+	for k := range sub {
+		copy(sub[k], enc[have[k]])
+	}
+	inv, err := sub.invert()
+	if err != nil {
+		panic(err)
+	}
+	data := make([][]byte, p.M)
+	for i := range data {
+		data[i] = make([]byte, mem.PageSize)
+		for k, blk := range blocks {
+			mt := &gfMul[inv[i][k]]
+			for b, v := range blk {
+				data[i][b] ^= mt[v]
+			}
+		}
+	}
+	return data
+}
+
+// TestFusedCodecMatchesPerRowReference holds the fused encode and decode,
+// and the parity hashes the encode writes, to the per-row reference on
+// random stripes: full and short, one to three parity rows, with the lost
+// shards drawn from data and parity positions alike.
+func TestFusedCodecMatchesPerRowReference(t *testing.T) {
+	r := ecRand(40)
+	for trial := 0; trial < 60; trial++ {
+		p := ECParams{M: 1 + int(r.next()%6), R: 1 + trial%3}
+		enc := ecEncodeMatrix(p)
+		data := ecTestBlocks(r.next(), 1+int(r.next()%uint64(p.M)))
+		chunks := make(map[mem.PageHash]chunkEntry)
+		hashes := make([]mem.PageHash, len(data))
+		for i, d := range data {
+			hashes[i] = mem.HashBlock(d)
+			chunks[hashes[i]] = chunkEntry{data: d}
+		}
+		parityHashes := make([]mem.PageHash, p.R)
+		buf := ecEncodeStripe(enc, p, hashes, chunks, parityHashes)
+		want := ecEncodeReference(enc, p, data)
+		for j := range want {
+			got := buf[j*mem.PageSize : (j+1)*mem.PageSize]
+			if !bytes.Equal(got, want[j]) {
+				t.Fatalf("trial %d %v, %d data blocks: parity %d differs from the per-row reference", trial, p, len(data), j)
+			}
+			if parityHashes[j] != mem.HashBlock(want[j]) {
+				t.Fatalf("trial %d %v: parity %d hash is not its block's", trial, p, j)
+			}
+		}
+		shard := func(idx int) []byte {
+			switch {
+			case idx >= p.M:
+				return want[idx-p.M]
+			case idx < len(data):
+				return data[idx]
+			}
+			return nil // zero padding
+		}
+		// Lose up to R shards at random positions, data or parity, and
+		// decode from the first M that remain.
+		lost := map[int]bool{}
+		for len(lost) < 1+int(r.next()%uint64(p.R)) {
+			lost[int(r.next()%uint64(p.M+p.R))] = true
+		}
+		var have []int
+		var blocks [][]byte
+		for idx := 0; idx < p.M+p.R && len(have) < p.M; idx++ {
+			if !lost[idx] {
+				have, blocks = append(have, idx), append(blocks, shard(idx))
+			}
+		}
+		got, err := ecDecodeStripe(enc, p, have, blocks)
+		if err != nil {
+			t.Fatalf("trial %d %v: decode from %v: %v", trial, p, have, err)
+		}
+		ref := ecDecodeReference(enc, p, have, blocks)
+		for i := range ref {
+			if !bytes.Equal(got[i], ref[i]) {
+				t.Fatalf("trial %d %v: decode from %v: block %d differs from the per-row reference", trial, p, have, i)
+			}
+			if w := shard(i); w != nil && !bytes.Equal(got[i], w) || w == nil && !bytes.Equal(got[i], make([]byte, mem.PageSize)) {
+				t.Fatalf("trial %d %v: decode from %v: block %d is not the data", trial, p, have, i)
+			}
+		}
+	}
 }
 
 func TestGFFieldSanity(t *testing.T) {

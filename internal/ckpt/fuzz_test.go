@@ -76,7 +76,7 @@ func hostileImages(t testing.TB) map[string][]byte {
 			m.PageData = append(m.PageData, m.Page(j)...)
 		}
 	}
-	whole, err := memoAppend(imageCodec, nil, inside, 0)
+	whole, err := memoEncode(imageCodec, inside)
 	if err != nil {
 		t.Fatal(err)
 	}

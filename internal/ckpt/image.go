@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 
@@ -28,24 +27,37 @@ import (
 	"cruz/internal/tcpip"
 )
 
-// encBufPool recycles the staging buffers of the capture path's gob
-// encodes (image heads, manifests, shard sets). Only small
-// structured state goes through gob — page bytes never do — so the
-// buffers stay a few KB; checkpoints are taken repeatedly over a pod's
-// life, and reusing the grown buffer avoids re-paying the
-// append-doubling allocations on every capture.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// encStage is the pooled staging of the capture path's encodings: gob
+// writes a head into buf (image heads, manifests, shard sets), and parts
+// lists the pieces a blob or slab is joined from. Only small structured
+// state goes through gob — page bytes never do — so the buffers stay a
+// few KB; checkpoints are taken repeatedly over a pod's life, and reusing
+// the grown buffer and list avoids re-paying their growth on every capture.
+type encStage struct {
+	buf   bytes.Buffer
+	parts [][]byte
+}
 
-// gobAppend runs encode against a pooled buffer and appends what it wrote
-// to dst, grown once to hold it and reserve bytes more.
-func gobAppend(dst []byte, reserve int, encode func(io.Writer) error) ([]byte, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
-	buf.Reset()
-	if err := encode(buf); err != nil {
-		return nil, err
-	}
-	return append(slices.Grow(dst, buf.Len()+reserve), buf.Bytes()...), nil
+var encStages = sync.Pool{New: func() any { return new(encStage) }}
+
+// stage returns an empty pooled stage whose part list has room for parts
+// pieces; the caller puts it back.
+func stage(parts int) *encStage {
+	st := encStages.Get().(*encStage)
+	st.buf.Reset()
+	st.parts = slices.Grow(st.parts, parts)
+	return st
+}
+
+// join returns the stage's parts back to back, in one allocation that is
+// not zero-filled: bytes.Join allocates through internal/bytealg.MakeNoZero
+// because it writes every byte it allocates. It empties the part list, so
+// the pool pins no page.
+func (st *encStage) join() []byte {
+	b := bytes.Join(st.parts, nil)
+	clear(st.parts)
+	st.parts = st.parts[:0]
+	return b
 }
 
 // The statically typed encodings — image heads, manifests, shard sets —
@@ -57,9 +69,16 @@ var (
 	ecSetCodec    = gobmemo.New[ECSet]()
 )
 
-// memoAppend is gobAppend of v's encoding by its memoised codec.
-func memoAppend[T any](c *gobmemo.Codec[T], dst []byte, v *T, reserve int) ([]byte, error) {
-	return gobAppend(dst, reserve, func(w io.Writer) error { return c.Encode(w, v) })
+// memoEncode returns v's encoding by its memoised codec, staged in a
+// pooled buffer and copied out once, into an allocation that append does
+// not zero-fill.
+func memoEncode[T any](c *gobmemo.Codec[T], v *T) ([]byte, error) {
+	st := stage(0)
+	defer encStages.Put(st)
+	if err := c.Encode(&st.buf, v); err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), st.buf.Bytes()...), nil
 }
 
 // MemImage is a saved address space: its regions, and its pages by number,
@@ -186,8 +205,9 @@ const (
 )
 
 // Encode returns the byte stream a store writes to disk. The first call
-// builds it — the head, then a copy of every page, to which the image's
-// pages are then pointed — and later ones return it: it is immutable.
+// builds it — the head, then a copy of every page, joined in one
+// allocation that is not zero-filled, to which the image's pages are then
+// pointed — and later ones return it: it is immutable.
 func (img *Image) Encode() ([]byte, error) {
 	if img.blob != nil {
 		return img.blob, nil
@@ -201,18 +221,23 @@ func (img *Image) Encode() ([]byte, error) {
 		}
 		pageBytes += m.NumPages() * mem.PageSize
 	}
+	st := stage(1 + pageBytes/mem.PageSize)
+	defer encStages.Put(st)
 	var hdr [imageHdrSize]byte
-	blob, err := memoAppend(imageCodec, hdr[:], img, pageBytes)
-	if err != nil {
+	st.buf.Write(hdr[:])
+	if err := imageCodec.Encode(&st.buf, img); err != nil {
 		return nil, fmt.Errorf("ckpt: encode image: %w", err)
 	}
-	binary.BigEndian.PutUint16(blob, imageMagic)
-	binary.BigEndian.PutUint32(blob[2:], uint32(len(blob)-imageHdrSize))
+	head := st.buf.Bytes()
+	binary.BigEndian.PutUint16(head, imageMagic)
+	binary.BigEndian.PutUint32(head[2:], uint32(len(head)-imageHdrSize))
+	st.parts = append(st.parts, head)
 	for i := range img.Processes {
 		for _, p := range img.Processes[i].Memory.pages {
-			blob = append(blob, p[:]...)
+			st.parts = append(st.parts, p[:])
 		}
 	}
+	blob := st.join()
 	img.blob = blob
 	img.referencePages(blob[len(blob)-pageBytes:])
 	return blob, nil

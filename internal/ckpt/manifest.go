@@ -67,7 +67,7 @@ func (m *Manifest) eachRef(fn func(mem.PageHash)) {
 // Encode serializes the manifest (the only part of a deduplicated save
 // that is always written in full).
 func (m *Manifest) Encode() ([]byte, error) {
-	b, err := memoAppend(manifestCodec, nil, m, 0)
+	b, err := memoEncode(manifestCodec, m)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode manifest: %w", err)
 	}

@@ -72,7 +72,17 @@ func (s *Store) ExportOffer(pod string, seq int) (*Offer, error) {
 	if !o.Dedup {
 		return o, nil
 	}
-	seen := make(map[mem.PageHash]bool)
+	// The chain's page count bounds its distinct hashes: the set and the
+	// list are sized once, not grown.
+	refs := 0
+	for _, cs := range chain {
+		m := s.get(pod, cs).manifest
+		for i := range m.Procs {
+			refs += len(m.Procs[i].Pages)
+		}
+	}
+	seen := make(map[mem.PageHash]bool, refs)
+	o.Hashes = make([]mem.PageHash, 0, refs)
 	for _, cs := range chain {
 		s.get(pod, cs).manifest.eachRef(func(h mem.PageHash) {
 			if !seen[h] {

@@ -39,52 +39,6 @@ type Page struct {
 	hashed bool
 }
 
-// PageHash is a 128-bit content hash of one page: two independent FNV-1a
-// streams computed in a single pass. It keys the content-addressed
-// checkpoint chunk store; 128 bits makes accidental collisions across any
-// plausible simulation negligible.
-type PageHash struct {
-	Lo, Hi uint64
-}
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-	// Second stream: same prime, different offset basis (the first
-	// stream's basis mixed with an arbitrary odd constant) so the two
-	// words are decorrelated.
-	fnvOffsetAlt = fnvOffset64 ^ 0x9e3779b97f4a7c15
-)
-
-// hashPage computes the content hash of one page.
-func hashPage(data *[PageSize]byte) PageHash {
-	lo := uint64(fnvOffset64)
-	hi := uint64(fnvOffsetAlt)
-	for _, b := range data {
-		lo = (lo ^ uint64(b)) * fnvPrime64
-		hi = (hi ^ uint64(b<<1|b>>7)) * fnvPrime64
-	}
-	return PageHash{Lo: lo, Hi: hi}
-}
-
-// HashBlock computes the content hash of an arbitrary page-sized block
-// (an erasure-coding parity block, say) with the same algorithm as page
-// hashing, so equal bytes share one identity in content-addressed
-// tables regardless of which path produced them.
-func HashBlock(data []byte) PageHash {
-	lo := uint64(fnvOffset64)
-	hi := uint64(fnvOffsetAlt)
-	for _, b := range data {
-		lo = (lo ^ uint64(b)) * fnvPrime64
-		hi = (hi ^ uint64(b<<1|b>>7)) * fnvPrime64
-	}
-	return PageHash{Lo: lo, Hi: hi}
-}
-
-// zeroPageHash is the hash of an all-zero (never-written) page, computed
-// once on demand.
-var zeroPageHash = hashPage(&[PageSize]byte{})
-
 // Errors returned by address-space operations.
 var (
 	ErrOutOfRange = errors.New("mem: address out of mapped range")
@@ -339,29 +293,6 @@ func (as *AddressSpace) PageData(pn uint64) []byte {
 	}
 	return nil
 }
-
-// PageHash returns the content hash of page pn, computing and caching it
-// if the cached value is stale. Never-written pages hash as the zero page.
-// Because the cache is invalidated only by the write path, a page that
-// stayed clean between two checkpoints is hashed at most once — the
-// property that makes content-addressed checkpointing cheap at steady
-// state.
-func (as *AddressSpace) PageHash(pn uint64) PageHash {
-	p := as.pages.get(pn)
-	if p == nil {
-		return zeroPageHash
-	}
-	if !p.hashed {
-		p.hash = hashPage(&p.Data)
-		p.hashed = true
-		as.hashComputes++
-	}
-	return p.hash
-}
-
-// HashComputes returns the number of fresh (cache-miss) page-hash
-// computations performed through this address space.
-func (as *AddressSpace) HashComputes() uint64 { return as.hashComputes }
 
 // InstallPages writes whole pages, page pns[i] from data(i), each of
 // which must lie in a mapped region. It is used by restore, which replays
