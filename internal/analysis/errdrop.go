@@ -36,8 +36,8 @@ var errDropExempt = map[string]bool{
 	// A failed control-plane send means the conn died; that surfaces
 	// through the connection's onErr callback and lease expiry, never
 	// through the per-send error. All fan-out senders drop it.
-	"cruz/internal/core.(ctlConn).send": true,
-	"cruz/internal/core.(msgSink).send": true,
+	"cruz/internal/ctl.(Link).Send":     true,
+	"cruz/internal/core.(msgSink).Send": true,
 	// The link layer is lossy by contract: a frame that cannot be
 	// transmitted is indistinguishable from one dropped by the switch,
 	// and ARP retry / TCP retransmission recover either way.

@@ -19,13 +19,12 @@ import (
 //
 //   - Release once the round's image is durably written (or on abort),
 //     returning pages to sole ownership so writes stop faulting.
-//   - Redirty on abort, after Release: the round cleared dirty tracking
-//     when it captured, so the pages it held must be re-marked dirty or
-//     the next capture would silently miss them.
+//   - Redirty(pod, Image) on abort, after Release: the round cleared
+//     dirty tracking when it captured, so the pages it held must be
+//     re-marked dirty or the next capture would silently miss them.
 type LiveCapture struct {
-	Image  *Image
-	spaces []*mem.AddressSpace // live spaces, parallel to snaps and Image.Processes
-	snaps  []*mem.AddressSpace
+	Image *Image
+	snaps []*mem.AddressSpace
 }
 
 // CaptureLive captures a round image from a running pod. The copy is
@@ -52,7 +51,6 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 		proc := pod.Process(vpid)
 		as := proc.Mem()
 		snap := as.Snapshot()
-		lc.spaces = append(lc.spaces, as)
 		lc.snaps = append(lc.snaps, snap)
 		// Which pages: the live space's dirty set. Their bytes: the snapshot's.
 		pi := ProcImage{VPID: vpid, Name: proc.Name()}
@@ -68,8 +66,8 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 		lc.Release()
 		return nil, fmt.Errorf("ckpt: live capture of pod %s: %w", pod.Name(), err)
 	}
-	for _, as := range lc.spaces {
-		as.ClearDirty()
+	for _, pi := range img.Processes {
+		pod.Process(pi.VPID).Mem().ClearDirty()
 	}
 	trace.FromEngine(kern.Engine()).Instant(kern.Name(), "ckpt", "capture-live",
 		trace.Str("pod", pod.Name()),
@@ -93,14 +91,19 @@ func (lc *LiveCapture) Release() {
 	lc.snaps = nil
 }
 
-// Redirty re-marks every captured page dirty in its live address space.
-// The abort path calls it when the round's image is being discarded:
-// those pages' only saved copy is going away, so the next capture must
-// treat them as unsaved again.
-func (lc *LiveCapture) Redirty() {
-	for i, as := range lc.spaces {
-		for _, pn := range lc.Image.Processes[i].Memory.PageNums {
-			as.MarkDirty(pn)
+// Redirty re-marks every page img captured dirty in the live address
+// space of pod's process it came from. An aborted epoch calls it for each
+// image it discards, a pre-copy round's or a residual's: the capture
+// cleared those pages' dirty bits and their only saved copy is going
+// away, so the next capture must treat them as unsaved again. A process
+// that has exited since has nothing to re-mark.
+func Redirty(pod *zap.Pod, img *Image) {
+	for i := range img.Processes {
+		pi := &img.Processes[i]
+		if proc := pod.Process(pi.VPID); proc != nil {
+			for _, pn := range pi.Memory.PageNums {
+				proc.Mem().MarkDirty(pn)
+			}
 		}
 	}
 }

@@ -84,22 +84,18 @@ type Agent struct {
 	bulk ctl.Serializer
 	tr   *trace.Tracer
 
-	pods     map[string]*zap.Pod
-	table    *ctl.Table
-	listener *tcpip.TCPListener
+	pods  map[string]*zap.Pod
+	table *ctl.Table
+	// ep accepts the coordinator's and peers' connections and dials peers.
+	ep *ctl.Endpoint[*wireMsg]
 
 	// ec, when enabled, stripes committed deduplicated checkpoints M+R
 	// across the first M+R ring peers instead of fully replicating them.
 	ec ckpt.ECParams
-	// pacer is the node's shared token bucket for TierBackground frames,
-	// created with ec (nil = unpaced).
-	pacer *ctl.Pacer
 
 	// peers is the replication ring: where committed checkpoints stream,
-	// in preference order. peerConns are lazily dialed agent-to-agent
-	// control connections.
-	peers     []tcpip.AddrPort
-	peerConns map[tcpip.AddrPort]*ctlConn
+	// in preference order.
+	peers []tcpip.AddrPort
 	// rootConn, on a group leader, is the connection the latest group op
 	// arrived on: the way up for its members' placement reports.
 	rootConn msgSink
@@ -171,12 +167,13 @@ type agentOp struct {
 	filterID  int
 
 	// Pre-copy bookkeeping. The live rounds are abortable background
-	// work: if the epoch fails mid-round, rounds' snapshots release,
-	// redirty re-marks every page whose only saved copy lived in the
-	// discarded epoch, and roundSeqs are struck from the store — as if
-	// the epoch never happened.
+	// work: if the epoch fails mid-round, rounds' snapshots release, the
+	// pages of every image the epoch captured — the rounds' and the
+	// residual's — are re-marked dirty, their only saved copy being
+	// discarded, and roundSeqs are struck from the store — as if the
+	// epoch never happened.
 	rounds    []*ckpt.LiveCapture
-	redirty   []func()
+	residual  *ckpt.Image
 	roundSeqs []int
 
 	// roundPages is how many pages each round carried (residual last).
@@ -226,30 +223,23 @@ func (op *agentOp) endSpans(args ...trace.Arg) {
 // cluster-file-system arrangement the paper assumes).
 func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
 	a := &Agent{
-		kern:      kern,
-		store:     store,
-		cpu:       ctl.Serializer{Engine: kern.Engine()},
-		bulk:      ctl.Serializer{Engine: kern.Engine()},
-		tr:        trace.FromEngine(kern.Engine()),
-		pods:      make(map[string]*zap.Pod),
-		table:     ctl.NewTable(kern.Engine()),
-		peerConns: make(map[tcpip.AddrPort]*ctlConn),
+		kern:  kern,
+		store: store,
+		cpu:   ctl.Serializer{Engine: kern.Engine()},
+		bulk:  ctl.Serializer{Engine: kern.Engine()},
+		tr:    trace.FromEngine(kern.Engine()),
+		pods:  make(map[string]*zap.Pod),
+		table: ctl.NewTable(kern.Engine()),
 	}
-	addr, ok := kern.Stack().FirstAddr()
-	if !ok {
-		return nil, tcpip.ErrNoRoute
-	}
-	l, err := kern.Stack().ListenTCP(tcpip.AddrPort{Addr: addr, Port: DefaultControlPort}, 16)
-	if err != nil {
+	a.ep = ctl.NewEndpoint(kern.Stack(), msgCodec, a.onMsg)
+	if err := a.ep.Listen(DefaultControlPort); err != nil {
 		return nil, fmt.Errorf("core: agent listen: %w", err)
 	}
-	a.listener = l
-	l.SetNotify(a.acceptLoop)
 	return a, nil
 }
 
 // Addr returns the agent's control endpoint.
-func (a *Agent) Addr() tcpip.AddrPort { return a.listener.LocalAddr() }
+func (a *Agent) Addr() tcpip.AddrPort { return a.ep.Addr() }
 
 // Kernel returns the node the agent runs on.
 func (a *Agent) Kernel() *kernel.Kernel { return a.kern }
@@ -269,22 +259,8 @@ func (a *Agent) SetPeers(peers []tcpip.AddrPort) { a.peers = peers }
 // recovery tests rely on.
 func (a *Agent) OpenOps() int { return a.table.Len() }
 
-// acceptLoop accepts coordinator and peer-agent connections.
-func (a *Agent) acceptLoop() {
-	for {
-		tc, err := a.listener.Accept()
-		if err != nil {
-			return
-		}
-		cc := newCtlConn(tc, a.onMsg, nil)
-		if a.pacer != nil {
-			cc.SetPacer(a.pacer)
-		}
-	}
-}
-
 // onMsg dispatches a control message.
-func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
+func (a *Agent) onMsg(c *ctl.Link[*wireMsg], m *wireMsg) {
 	a.cpu.Do(AgentMsgCost, func() {
 		if m.Job != "" {
 			a.onRelayMsg(c, m)
@@ -300,7 +276,7 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 		case msgAbort:
 			a.handleAbort(m)
 		case msgPing:
-			c.send(&wireMsg{Type: msgPong, Seq: m.Seq, Load: a.liveLoad()})
+			c.Send(&wireMsg{Type: msgPong, Seq: m.Seq, Load: a.liveLoad()})
 		case msgReplOffer:
 			a.handleOffer(c, m)
 		case msgReplWant:
@@ -335,14 +311,14 @@ func (a *Agent) liveLoad() int {
 // fail reports an operation failure for a pod, echoing the request's
 // trace context so the error lands in the right span tree.
 func (a *Agent) fail(c msgSink, t msgType, m *wireMsg, err error) {
-	c.send(&wireMsg{Type: t, Seq: m.Seq, Pod: m.Pod, Err: err.Error(), ctx: m.ctx})
+	c.Send(&wireMsg{Type: t, Seq: m.Seq, Pod: m.Pod, Err: err.Error(), ctx: m.ctx})
 }
 
 // failOp fails a pod op and reports the error with <done>, the reply its
 // requester is waiting on whatever the op's kind.
 func (a *Agent) failOp(op *agentOp, err error) {
 	op.Fail(err)
-	op.conn.send(&wireMsg{Type: msgDone, Seq: op.Seq, Pod: op.Key, Err: err.Error(), ctx: op.span.Context()})
+	op.conn.Send(&wireMsg{Type: msgDone, Seq: op.Seq, Pod: op.Key, Err: err.Error(), ctx: op.span.Context()})
 }
 
 // beginPodOp registers a checkpoint/restart op for the pod with the
@@ -379,8 +355,11 @@ func (a *Agent) beginPodOp(kind string, m *wireMsg, c msgSink) (*agentOp, error)
 		for _, lc := range op.rounds {
 			lc.Release()
 		}
-		for _, fn := range op.redirty {
-			fn()
+		for _, lc := range op.rounds {
+			ckpt.Redirty(op.pod, lc.Image)
+		}
+		if op.residual != nil {
+			ckpt.Redirty(op.pod, op.residual)
 		}
 		if len(op.roundSeqs) > 0 {
 			a.store.Discard(op.Key, op.roundSeqs...)
@@ -494,7 +473,6 @@ func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
 		return
 	}
 	op.rounds = append(op.rounds, lc)
-	op.redirty = append(op.redirty, lc.Redirty)
 	op.roundPages = append(op.roundPages, candidate)
 	captureBytes := int64(lc.Pages()) * mem.PageSize
 	// The snapshot is instant; the copy out of it costs CPU while the
@@ -564,7 +542,7 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 		if m.Optimized && !m.COW {
 			// Fig. 4: notify as soon as communication is disabled,
 			// without waiting for the local save.
-			op.conn.send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
+			op.conn.Send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
 		}
 		// Step 2: stop the pod's processes and take the local checkpoint.
 		pod.Stop(func() {
@@ -610,16 +588,7 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 				if op.precopy {
 					// The residual's capture cleared dirty bits for pages
 					// whose image would vanish if the epoch aborts.
-					op.redirty = append(op.redirty, func() {
-						for i := range img.Processes {
-							pi := &img.Processes[i]
-							if proc := pod.Process(pi.VPID); proc != nil {
-								for _, pn := range pi.Memory.PageNums {
-									proc.Mem().MarkDirty(pn)
-								}
-							}
-						}
-					})
+					op.residual = img
 				}
 				if m.COW {
 					// §5.2 copy-on-write optimization: the captured copy
@@ -629,7 +598,7 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 					// the snapshot.
 					op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
 						trace.Str("pod", m.Pod), trace.Str("mode", "cow"))
-					op.conn.send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
+					op.conn.Send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
 					a.maybeFinishContinue(op)
 				}
 				a.planAndWrite(op, img)
@@ -763,17 +732,17 @@ func (a *Agent) imageSaved(op *agentOp, plan *ckpt.SavePlan) {
 	if op.migrating() {
 		// The handover is the destination's continue, FrozeAt starting its
 		// downtime clock; this op's own continue is the commit.
-		cc, err := a.peerConn(op.migrateTo)
+		cc, err := a.ep.Dial(op.migrateTo)
 		if err != nil {
 			a.failOp(op, err)
 			return
 		}
-		cc.send(&wireMsg{Type: msgContinue, Seq: m.Seq, Pod: m.Pod,
+		cc.Send(&wireMsg{Type: msgContinue, Seq: m.Seq, Pod: m.Pod,
 			FrozeAt: op.stoppedAt, ctx: op.span.Context()})
 		return
 	}
 	// Step 3: send <done>.
-	op.conn.send(&wireMsg{
+	op.conn.Send(&wireMsg{
 		Type:          msgDone,
 		Seq:           m.Seq,
 		Pod:           m.Pod,
@@ -861,7 +830,7 @@ func (a *Agent) maybeFinishContinue(op *agentOp) {
 		}
 		// op.span.Context() stays valid after endSpans: the reply is the
 		// span's last causal act.
-		op.conn.send(&wireMsg{
+		op.conn.Send(&wireMsg{
 			Type:            msgContinueDone,
 			Seq:             seq,
 			Pod:             op.Key,
@@ -918,7 +887,7 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
 			op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
 				trace.Str("pod", m.Pod))
-			c.send(&wireMsg{
+			c.Send(&wireMsg{
 				Type:          msgDone,
 				Seq:           m.Seq,
 				Pod:           m.Pod,

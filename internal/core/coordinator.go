@@ -165,7 +165,8 @@ type Coordinator struct {
 	// (SetGroupSize).
 	groupSize int
 
-	conns map[tcpip.AddrPort]*ctlConn
+	// ep holds the control connections to the agents, one per agent.
+	ep *ctl.Endpoint[*wireMsg]
 	// table holds one rootOp per job with an operation in flight, under
 	// the job's name.
 	table *ctl.Table
@@ -249,17 +250,18 @@ type dest struct {
 
 // NewCoordinator creates a coordinator on the given node's stack.
 func NewCoordinator(stack *tcpip.Stack) *Coordinator {
-	return &Coordinator{
+	c := &Coordinator{
 		stack:      stack,
 		cpu:        ctl.Serializer{Engine: stack.Engine()},
 		tr:         trace.FromEngine(stack.Engine()),
-		conns:      make(map[tcpip.AddrPort]*ctlConn),
 		table:      ctl.NewTable(stack.Engine()),
 		committed:  make(map[string]int),
 		nextSeq:    make(map[string]int),
 		nodeByAddr: make(map[tcpip.AddrPort]*nodeInfo),
 		placed:     make(map[string]map[int]placement),
 	}
+	c.ep = ctl.NewEndpoint(stack, msgCodec, c.onMsg)
+	return c
 }
 
 // SetGroupSize enables hierarchical (two-level tree) coordination when
@@ -305,7 +307,7 @@ func (c *Coordinator) Connect(job *Job, done func(error)) {
 			return
 		}
 	}
-	c.connectAddrs(job.agents(), done)
+	c.ep.Connect(job.agents(), done)
 }
 
 // registered fails unless addr is a node the membership layer knows.
@@ -316,65 +318,6 @@ func (c *Coordinator) registered(addr tcpip.AddrPort) error {
 	return nil
 }
 
-// connectAddrs dials any not-yet-connected addresses, invoking done when
-// every one is established.
-func (c *Coordinator) connectAddrs(addrs []tcpip.AddrPort, done func(error)) {
-	remaining := 0
-	var failed error
-	check := func() {
-		if remaining == 0 && done != nil {
-			done(failed)
-			done = nil
-		}
-	}
-	for _, addr := range addrs {
-		addr := addr
-		if _, ok := c.conns[addr]; ok {
-			continue
-		}
-		tc, err := c.stack.DialTCP(tcpip.AddrPort{}, addr)
-		if err != nil {
-			if done != nil {
-				done(err)
-				done = nil
-			}
-			return
-		}
-		remaining++
-		cc := newCtlConn(tc, c.onMsg, func(_ *ctlConn, err error) { c.onConnError(addr, err) })
-		c.conns[addr] = cc
-		established := false
-		tc.SetNotify(func() {
-			cc.Pump()
-			if !established && tc.Established() {
-				established = true
-				remaining--
-				check()
-			}
-			if err := tc.Err(); err != nil && failed == nil {
-				failed = err
-				remaining = 0
-				check()
-			}
-		})
-	}
-	check()
-}
-
-// onConnError tears down a broken agent connection.
-func (c *Coordinator) onConnError(addr tcpip.AddrPort, _ error) {
-	delete(c.conns, addr)
-}
-
-// sendTo sends m on the established control connection to addr.
-func (c *Coordinator) sendTo(addr tcpip.AddrPort, m *wireMsg) error {
-	cc, ok := c.conns[addr]
-	if !ok || !cc.TCP().Established() {
-		return fmt.Errorf("%w: %s", ErrNotConnected, addr)
-	}
-	return cc.send(m)
-}
-
 // sendOrFail queues m for addr on the serialized daemon CPU. When its turn
 // comes the op must still be active, and fails if addr cannot be reached.
 func (c *Coordinator) sendOrFail(op *rootOp, addr tcpip.AddrPort, m *wireMsg) {
@@ -382,7 +325,10 @@ func (c *Coordinator) sendOrFail(op *rootOp, addr tcpip.AddrPort, m *wireMsg) {
 		if !op.Active() {
 			return
 		}
-		if err := c.sendTo(addr, m); err != nil {
+		cc, ok := c.ep.Link(addr)
+		if !ok {
+			op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, addr))
+		} else if err := cc.Send(m); err != nil {
 			op.Fail(err)
 		}
 	})
@@ -393,7 +339,7 @@ func (c *Coordinator) sendOrFail(op *rootOp, addr tcpip.AddrPort, m *wireMsg) {
 func (c *Coordinator) msgCount(addrs []tcpip.AddrPort) int {
 	n := 0
 	for _, addr := range addrs {
-		if cc, ok := c.conns[addr]; ok {
+		if cc, ok := c.ep.Link(addr); ok {
 			n += cc.Sent + cc.Received
 		}
 	}
@@ -526,7 +472,12 @@ func (c *Coordinator) fanOut(op *rootOp, dests []dest, start bool, req wireMsg) 
 					m.Group = d.relay
 				}
 			}
-			if err := c.sendTo(d.Agent, &m); err != nil && start {
+			cc, ok := c.ep.Link(d.Agent)
+			if !ok {
+				if start {
+					op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, d.Agent))
+				}
+			} else if err := cc.Send(&m); err != nil && start {
 				op.Fail(err)
 			}
 		})
@@ -722,7 +673,7 @@ func (c *Coordinator) opFor(m *wireMsg) *rootOp {
 }
 
 // onMsg handles agent replies.
-func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
+func (c *Coordinator) onMsg(cc *ctl.Link[*wireMsg], m *wireMsg) {
 	c.cpu.Do(CoordinatorMsgCost, func() {
 		switch m.Type {
 		case msgPong:

@@ -534,13 +534,13 @@ func TestConnectRefusesUnregisteredAgent(t *testing.T) {
 	cl := newCluster(t, 2, 200*sim.Microsecond)
 	stranger := tcpip.AddrPort{Addr: tcpip.Addr{10, 0, 0, 9}, Port: cl.agents[0].Addr().Port}
 	job := &Job{Name: "stray", Members: []Member{cl.job.Members[0], {Pod: "ghost", Agent: stranger}}}
-	conns := len(cl.coord.conns)
+	conns := len(cl.coord.stack.Conns())
 	var cerr error
 	cl.coord.Connect(job, func(err error) { cerr = err })
 	if !errors.Is(cerr, ErrNotConnected) || !strings.Contains(cerr.Error(), "pod ghost") {
 		t.Fatalf("Connect error = %v, want ErrNotConnected naming pod ghost", cerr)
 	}
-	if n := len(cl.coord.conns); n != conns {
+	if n := len(cl.coord.stack.Conns()); n != conns {
 		t.Fatalf("a refused Connect dialled: %d connections, was %d", n, conns)
 	}
 	var merr error
@@ -557,7 +557,8 @@ func TestConnectRefusesUnregisteredAgent(t *testing.T) {
 func TestUndecodableFrameDropsConnection(t *testing.T) {
 	cl := newCluster(t, 2, 200*sim.Microsecond)
 	addr := cl.agents[1].Addr()
-	coordEnd := cl.coord.conns[addr].TCP().LocalAddr()
+	cc, _ := cl.coord.ep.Link(addr)
+	coordEnd := cc.TCP().LocalAddr()
 	var agentEnd *tcpip.TCPConn
 	for _, tc := range cl.kernels[1].Stack().Conns() {
 		if tc.RemoteAddr() == coordEnd {
@@ -575,7 +576,7 @@ func TestUndecodableFrameDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.run(50 * sim.Millisecond)
-	if _, ok := cl.coord.conns[addr]; ok {
+	if _, ok := cl.coord.ep.Link(addr); ok {
 		t.Fatal("the coordinator kept a connection that sent an undecodable frame")
 	}
 	var cerr error

@@ -37,7 +37,7 @@ import (
 // pushes cannot starve foreground protocol rounds.
 func (a *Agent) SetEC(p ckpt.ECParams) {
 	a.ec = p
-	a.pacer = ctl.NewPacer(a.kern.Engine(), backgroundBPS, 0)
+	a.ep.SetPacer(ctl.NewPacer(a.kern.Engine(), backgroundBPS, 0))
 }
 
 // ecEligible reports whether the committed checkpoint can be erasure
@@ -166,7 +166,7 @@ func (a *Agent) finishECReconstruct(op *fetchOp) {
 				trace.Int("decoded_stripes", int64(rec.DecodedStripes)),
 				trace.Int("decoded_chunks", int64(rec.DecodedChunks)),
 				trace.Int("bytes", op.wireBytes))
-			op.conn.send(&wireMsg{
+			op.conn.Send(&wireMsg{
 				Type:          msgFetchDone,
 				Seq:           op.Seq,
 				Pod:           op.pod,

@@ -152,7 +152,7 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 	})
 	op.Expect("done", pod)
 	op.Expect("cont", pod)
-	c.connectAddrs(parties, func(cerr error) {
+	c.ep.Connect(parties, func(cerr error) {
 		if cerr != nil {
 			op.Fail(cerr)
 			return
@@ -264,10 +264,10 @@ func (a *Agent) handedOver(op *agentOp) {
 	// Clear the rollback state before Finish: the op completes cleanly,
 	// nothing must re-mark pages of a destroyed pod.
 	op.rounds = nil
-	op.redirty = nil
+	op.residual = nil
 	op.endSpans(trace.Str("outcome", "migrated"))
 	op.Finish()
-	op.conn.send(&wireMsg{Type: msgContinueDone, Seq: op.Seq, Pod: op.Key,
+	op.conn.Send(&wireMsg{Type: msgContinueDone, Seq: op.Seq, Pod: op.Key,
 		RoundPages: op.roundPages, ImageBytes: op.streamed, ctx: op.span.Context()})
 }
 
@@ -392,7 +392,7 @@ func (a *Agent) tookOver(op *agentOp) {
 	op.phCapture.End(trace.Int("downtime_us", int64(downtime/sim.Microsecond)))
 	op.endSpans()
 	op.Finish()
-	op.conn.send(&wireMsg{
+	op.conn.Send(&wireMsg{
 		Type:            msgDone,
 		Seq:             op.Seq,
 		Pod:             op.Key,

@@ -168,7 +168,7 @@ type wireMsg struct {
 
 	// ctx is the distributed trace context. It is deliberately unexported:
 	// gob skips it, because the context travels in the ctl frame header —
-	// not the gob body — and is re-attached by frame() on receipt. Senders
+	// not the gob body — and is re-attached by msgCodec on receipt. Senders
 	// set it in the message literal; handlers read it to parent their
 	// spans (zero when the message belongs to no traced operation).
 	ctx trace.SpanContext
@@ -249,7 +249,7 @@ type replPayload struct {
 // relay aggregator, which absorbs replies from the leader's own pods
 // without a network hop (the leader is a member of its own group).
 type msgSink interface {
-	send(m *wireMsg) error
+	Send(m *wireMsg) error
 }
 
 // bulk lists the payload's byte slices in their wire order: ECSet, the
@@ -331,6 +331,23 @@ func emptied(m map[int][]byte) map[int][]byte {
 // the decoder state they compile to, once.
 var wireCodec = gobmemo.New[wireMsg]()
 
+// msgCodec frames messages on a ctl.Endpoint: the head and raw tail
+// above, with the message's trace context and tier. A received message
+// takes its frame's context here, before handlers defer behind CPU cost.
+var msgCodec = ctl.Codec[*wireMsg]{
+	Encode: func(buf *bytes.Buffer, m *wireMsg) ([][]byte, trace.SpanContext, ctl.Tier, error) {
+		parts, err := encodeMsg(buf, m)
+		return parts, m.ctx, m.tier, err
+	},
+	Decode: func(payload []byte, ctx trace.SpanContext) (*wireMsg, error) {
+		m, err := decodeMsg(payload)
+		if err == nil {
+			m.ctx = ctx
+		}
+		return m, err
+	},
+}
+
 // encodeMsg writes m's payload head into buf — everything up to the raw
 // bytes — and returns the parts that follow it on the wire (nil for a
 // bulk-free message).
@@ -390,61 +407,4 @@ func decodeMsg(payload []byte) (*wireMsg, error) {
 	}
 	m.Repl.setBulk(parts)
 	return &m, nil
-}
-
-// ctlConn is a gob-typed control connection.
-type ctlConn struct {
-	*ctl.Conn
-	onMsg func(*ctlConn, *wireMsg)
-	onErr func(*ctlConn, error)
-
-	// encBuf is the reusable staging buffer for payload heads: ctl
-	// copies the head into its frame, so the buffer is dead as soon as
-	// send returns and one per connection suffices. Bulk never enters
-	// it, so it stays a few KB.
-	encBuf bytes.Buffer
-}
-
-func newCtlConn(tc *tcpip.TCPConn, onMsg func(*ctlConn, *wireMsg), onErr func(*ctlConn, error)) *ctlConn {
-	c := &ctlConn{onMsg: onMsg, onErr: onErr}
-	c.Conn = ctl.NewConn(tc, c.frame, func(_ *ctl.Conn, err error) {
-		if c.onErr != nil {
-			c.onErr(c, err)
-		}
-	})
-	return c
-}
-
-// send encodes and transmits one message. Bulk slices go to ctl as
-// parts, uncopied: they are store blobs and chunks, immutable once
-// planned, which is what SendParts asks of them.
-func (c *ctlConn) send(m *wireMsg) error {
-	c.encBuf.Reset()
-	parts, err := encodeMsg(&c.encBuf, m)
-	if err != nil {
-		return err
-	}
-	if err := c.Conn.SendParts(c.encBuf.Bytes(), parts, m.ctx, m.tier); err != nil {
-		return fmt.Errorf("core: send %v: %w", m.Type, err)
-	}
-	return nil
-}
-
-// frame decodes a received payload and dispatches it. The payload buffer
-// is this connection's to keep (ctl allocates one per frame), and a bulk
-// message does keep it: its slices point into the buffer and end up as
-// the adopting store's blobs and chunks. The frame header's trace
-// context is captured onto the message here, synchronously, because
-// handlers defer the actual processing behind daemon-CPU cost and the
-// conn's FrameCtx is only valid during this callback.
-func (c *ctlConn) frame(conn *ctl.Conn, payload []byte) {
-	m, err := decodeMsg(payload)
-	if err != nil {
-		if c.onErr != nil {
-			c.onErr(c, err)
-		}
-		return
-	}
-	m.ctx = conn.FrameCtx()
-	c.onMsg(c, m)
 }

@@ -344,32 +344,27 @@ func FuzzBulkFrame(f *testing.F) {
 // TestBulkCrossesConnWithOneReceiveCopy sends a data message over a real
 // connection pair and checks the ownership chain end to end: the blob the
 // receiving handler gets is a sub-slice of one frame-sized allocation,
-// and the sender staged nothing but the head.
+// and the codec stages nothing but the head.
 func TestBulkCrossesConnWithOneReceiveCopy(t *testing.T) {
 	cl := newCluster(t, 2, 200*sim.Microsecond)
-	l, err := cl.agents[1].kern.Stack().ListenTCP(tcpip.AddrPort{Addr: cl.agents[1].Addr().Addr, Port: 7799}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got *wireMsg
-	l.SetNotify(func() {
-		if tc, err := l.Accept(); err == nil {
-			newCtlConn(tc, func(_ *ctlConn, m *wireMsg) { got = m }, nil)
-		}
-	})
-	tc, err := cl.agents[0].kern.Stack().DialTCP(tcpip.AddrPort{}, l.LocalAddr())
+	srv := ctl.NewEndpoint(cl.agents[1].kern.Stack(), msgCodec, func(_ *ctl.Link[*wireMsg], m *wireMsg) { got = m })
+	if err := srv.Listen(7799); err != nil {
+		t.Fatal(err)
+	}
+	cc, err := ctl.NewEndpoint(cl.agents[0].kern.Stack(), msgCodec, func(*ctl.Link[*wireMsg], *wireMsg) {}).Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := newCtlConn(tc, func(*ctlConn, *wireMsg) {}, nil)
 	blob := bytes.Repeat([]byte{0x5a}, 1<<20)
 	m := &wireMsg{Type: msgReplData, Seq: 1, Pod: "p", tier: ctl.TierStream,
 		Repl: &replPayload{Blobs: map[int][]byte{1: blob}, Bytes: int64(len(blob))}}
-	if err := cc.send(m); err != nil {
-		t.Fatal(err)
+	var head bytes.Buffer
+	if _, _, _, err := msgCodec.Encode(&head, m); err != nil || head.Len() > 4096 {
+		t.Fatalf("codec staged %d bytes (err %v): bulk went through the head buffer", head.Len(), err)
 	}
-	if cc.encBuf.Len() > 4096 {
-		t.Fatalf("sender staged %d bytes: bulk went through the encode buffer", cc.encBuf.Len())
+	if err := cc.Send(m); err != nil {
+		t.Fatal(err)
 	}
 	if !cl.runUntil(func() bool { return got != nil }, 5*sim.Second) {
 		t.Fatal("data message never arrived")

@@ -155,7 +155,7 @@ func (c *Coordinator) Watch(job *Job, onRecovery func(*RecoveryResult, error)) {
 		n.lastPong = now
 		addrs = append(addrs, n.addr)
 	}
-	c.connectAddrs(addrs, nil)
+	c.ep.Connect(addrs, nil)
 	if c.ticker == nil {
 		c.ticker = c.stack.Engine().NewTicker(DefaultHeartbeatEvery, c.heartbeatTick)
 	}
@@ -172,18 +172,17 @@ func (c *Coordinator) heartbeatTick() {
 			c.declareFailed(n)
 			continue
 		}
-		cc, ok := c.conns[n.addr]
-		if !ok || !cc.TCP().Established() {
+		cc, ok := c.ep.Link(n.addr)
+		if !ok {
 			continue
 		}
-		conn := cc
 		c.tr.Instant(c.stack.Name(), "core", "ping", trace.Str("node", n.name))
-		c.cpu.Do(CoordinatorMsgCost, func() { conn.send(&wireMsg{Type: msgPing}) })
+		c.cpu.Do(CoordinatorMsgCost, func() { cc.Send(&wireMsg{Type: msgPing}) })
 	}
 }
 
 // handlePong refreshes a node's lease and load.
-func (c *Coordinator) handlePong(cc *ctlConn, m *wireMsg) {
+func (c *Coordinator) handlePong(cc *ctl.Link[*wireMsg], m *wireMsg) {
 	n := c.nodeByAddr[cc.TCP().RemoteAddr()]
 	if n == nil || !n.alive {
 		return

@@ -50,7 +50,7 @@ type relayOp struct {
 // share a node, so the reply is local IPC.
 type localSink struct{ a *Agent }
 
-func (s localSink) send(m *wireMsg) error {
+func (s localSink) Send(m *wireMsg) error {
 	a := s.a
 	a.cpu.Do(AgentMsgCost, func() { a.relayMemberMsg(m) })
 	return nil
@@ -80,7 +80,7 @@ func (a *Agent) relayFor(pod string, seq int) *relayOp {
 
 // onRelayMsg handles a request that names a job: it addresses this
 // agent as the leader of one of the job's groups.
-func (a *Agent) onRelayMsg(c *ctlConn, m *wireMsg) {
+func (a *Agent) onRelayMsg(c *ctl.Link[*wireMsg], m *wireMsg) {
 	switch m.Type {
 	case msgCheckpoint, msgRestart:
 		a.startRelay(c, m)
@@ -99,10 +99,10 @@ func (a *Agent) onRelayMsg(c *ctlConn, m *wireMsg) {
 
 // startRelay begins the relay op, opens its span under the root's
 // context, and fans the request down to every member.
-func (a *Agent) startRelay(c *ctlConn, m *wireMsg) {
+func (a *Agent) startRelay(c *ctl.Link[*wireMsg], m *wireMsg) {
 	o, err := a.table.Begin("grelay", relayKey(m.Job), m.Seq)
 	if err != nil {
-		c.send(&wireMsg{Type: msgDone, Job: m.Job, Seq: m.Seq, Err: ErrBusy.Error(), ctx: m.ctx})
+		c.Send(&wireMsg{Type: msgDone, Job: m.Job, Seq: m.Seq, Err: ErrBusy.Error(), ctx: m.ctx})
 		return
 	}
 	rop := &relayOp{Op: o, job: m.Job, up: c, members: m.Group, batches: make(map[string][]GroupReport)}
@@ -173,12 +173,12 @@ func (a *Agent) relaySend(rop *relayOp, g GroupMember, mm *wireMsg) {
 		if rop.Aborted() {
 			return
 		}
-		cc, err := a.peerConn(g.addrPort())
+		cc, err := a.ep.Dial(g.addrPort())
 		if err != nil {
 			a.relayMemberFail(rop, g.Pod, err)
 			return
 		}
-		cc.send(mm)
+		cc.Send(mm)
 	})
 }
 
@@ -189,7 +189,7 @@ func (a *Agent) relayMemberFail(rop *relayOp, pod string, err error) {
 	if !rop.Active() {
 		return
 	}
-	rop.up.send(&wireMsg{
+	rop.up.Send(&wireMsg{
 		Type: msgDone, Job: rop.job, Seq: rop.Seq, Pod: pod,
 		Err: err.Error(), ctx: rop.span.Context(),
 	})
@@ -207,7 +207,7 @@ func (a *Agent) relayMemberMsg(m *wireMsg) {
 		// Replication runs off the cycle and usually finishes after the
 		// relay op has, so this must not depend on one being open.
 		if a.rootConn != nil {
-			a.rootConn.send(m)
+			a.rootConn.Send(m)
 		}
 		return
 	}
@@ -230,7 +230,7 @@ func (a *Agent) relayMemberMsg(m *wireMsg) {
 	}
 	rop.batches[set] = append(rop.batches[set], m.report())
 	if rop.Cleared(set) {
-		rop.up.send(&wireMsg{
+		rop.up.Send(&wireMsg{
 			Type: m.Type, Job: rop.job, Seq: rop.Seq,
 			Reports: rop.batches[set], ctx: rop.span.Context(),
 		})

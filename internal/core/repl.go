@@ -37,7 +37,7 @@ type replOp struct {
 	pod  string
 	peer tcpip.AddrPort // peer's listener endpoint (zero when serving a fetch pull)
 	// conn is the connection the exchange runs on; nil = dial peer.
-	conn *ctlConn
+	conn *ctl.Link[*wireMsg]
 	// coord, when set, receives the <replicated> placement report the
 	// coordinator's holder registry feeds on.
 	coord msgSink
@@ -92,29 +92,6 @@ func replKey(pod string, seq int, remote tcpip.AddrPort) string {
 	return "repl/" + pod + "/" + strconv.Itoa(seq) + "/" + addrKey(remote)
 }
 
-// peerConn returns a live agent-to-agent connection to addr, dialing one
-// if needed. Frames queue until the handshake completes, so callers may
-// send immediately.
-func (a *Agent) peerConn(addr tcpip.AddrPort) (*ctlConn, error) {
-	if cc, ok := a.peerConns[addr]; ok && cc.TCP().Err() == nil {
-		return cc, nil
-	}
-	tc, err := a.kern.Stack().DialTCP(tcpip.AddrPort{}, addr)
-	if err != nil {
-		return nil, err
-	}
-	cc := newCtlConn(tc, a.onMsg, func(c *ctlConn, _ error) {
-		if a.peerConns[addr] == c {
-			delete(a.peerConns, addr)
-		}
-	})
-	if a.pacer != nil {
-		cc.SetPacer(a.pacer)
-	}
-	a.peerConns[addr] = cc
-	return cc, nil
-}
-
 // startReplication pushes the committed checkpoint to the first k ring
 // peers. Runs off the coordinated cycle's critical path; ctx parents the
 // exchanges under the checkpoint that produced the image.
@@ -142,7 +119,7 @@ func (a *Agent) replFailed(op *replOp) {
 // that pace on the transfer — migration rounds — can cancel it on abort.
 func (a *Agent) replicateOn(op *replOp, seq int, ctx trace.SpanContext) *ctl.Op {
 	if op.conn == nil {
-		cc, err := a.peerConn(op.peer)
+		cc, err := a.ep.Dial(op.peer)
 		if err != nil {
 			a.replFailed(op)
 			if op.onDone != nil {
@@ -191,7 +168,7 @@ func (a *Agent) replicateOn(op *replOp, seq int, ctx trace.SpanContext) *ctl.Op 
 	// One offer: TCP carries it across a partition that heals in time, and
 	// a second copy would be answered — and the image adopted — twice.
 	o.ArmTimeout(2*replTimeout, ErrReplTimeout)
-	op.conn.send(&wireMsg{Type: msgReplOffer, Seq: seq, Pod: op.pod, ctx: op.span.Context(), Repl: offer})
+	op.conn.Send(&wireMsg{Type: msgReplOffer, Seq: seq, Pod: op.pod, ctx: op.span.Context(), Repl: offer})
 	return o
 }
 
@@ -199,7 +176,7 @@ func (a *Agent) replicateOn(op *replOp, seq int, ctx trace.SpanContext) *ctl.Op 
 // a shard offer (ECM set), the chain manifests and shard blocks this
 // store lacks. The chunk-set comparison costs DedupPerChunk per offered
 // hash. An offer carrying an error is a source refusing a fetch pull.
-func (a *Agent) handleOffer(c *ctlConn, m *wireMsg) {
+func (a *Agent) handleOffer(c *ctl.Link[*wireMsg], m *wireMsg) {
 	if m.Err != "" {
 		a.failFetch(m.Pod, m.Seq, fmt.Errorf("%s", m.Err))
 		return
@@ -212,13 +189,13 @@ func (a *Agent) handleOffer(c *ctlConn, m *wireMsg) {
 	a.cpu.Do(dedupPerChunk*sim.Duration(len(offer.Hashes)), func() {
 		want := &replPayload{Holder: p.Holder}
 		want.NeedSeqs, want.NeedHashes = a.store.Missing(offer)
-		c.send(&wireMsg{Type: msgReplWant, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: want})
+		c.Send(&wireMsg{Type: msgReplWant, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: want})
 	})
 }
 
 // handleWant is the initiator side: build and ship the delta (plus the
 // set manifest, on a shard exchange).
-func (a *Agent) handleWant(c *ctlConn, m *wireMsg) {
+func (a *Agent) handleWant(c *ctl.Link[*wireMsg], m *wireMsg) {
 	op := ctl.Find[replOp](a.table, replKey(m.Pod, m.Seq, c.TCP().RemoteAddr()))
 	if op == nil || m.Repl == nil {
 		return
@@ -235,7 +212,7 @@ func (a *Agent) handleWant(c *ctlConn, m *wireMsg) {
 		if !op.Active() {
 			return
 		}
-		op.conn.send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), tier: op.tier, Repl: &replPayload{
+		op.conn.Send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), tier: op.tier, Repl: &replPayload{
 			Blobs: tx.Blobs, Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
 			ECSet: op.setBlob, Holder: op.holder,
 		}})
@@ -247,7 +224,7 @@ func (a *Agent) handleWant(c *ctlConn, m *wireMsg) {
 // or migration waiting on it. Data carrying a shard manifest is a shard
 // subset: this node's own, to hold — or, while a fetch for (pod, seq) is
 // open here, a pulled holder's contribution to the reconstruction.
-func (a *Agent) handleData(c *ctlConn, m *wireMsg) {
+func (a *Agent) handleData(c *ctl.Link[*wireMsg], m *wireMsg) {
 	p := m.Repl
 	if p == nil {
 		return
@@ -263,7 +240,7 @@ func (a *Agent) handleData(c *ctlConn, m *wireMsg) {
 			a.failFetch(m.Pod, m.Seq, err)
 			return
 		}
-		c.send(&wireMsg{Type: msgReplDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: p.Bytes, Holder: p.Holder}})
+		c.Send(&wireMsg{Type: msgReplDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: p.Bytes, Holder: p.Holder}})
 		if tx.Set == nil {
 			a.finishFetch(m.Pod, m.Seq, p.Bytes)
 			a.migrateRoundArrived(m.Pod, m.Seq)
@@ -285,7 +262,7 @@ func (a *Agent) handleData(c *ctlConn, m *wireMsg) {
 
 // handleDone is the initiator side: the peer holds the image (or its
 // shard subset). Report the placement to the coordinator's registry.
-func (a *Agent) handleDone(c *ctlConn, m *wireMsg) {
+func (a *Agent) handleDone(c *ctl.Link[*wireMsg], m *wireMsg) {
 	op := ctl.Find[replOp](a.table, replKey(m.Pod, m.Seq, c.TCP().RemoteAddr()))
 	if op == nil {
 		return
@@ -309,7 +286,7 @@ func (a *Agent) handleDone(c *ctlConn, m *wireMsg) {
 	}
 	op.span.End(trace.Int("bytes", n))
 	if op.coord != nil && op.peer.Port != 0 {
-		op.coord.send(&wireMsg{Type: msgReplicated, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), Repl: report})
+		op.coord.Send(&wireMsg{Type: msgReplicated, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), Repl: report})
 	}
 	op.Finish()
 	if op.onDone != nil {
@@ -321,7 +298,7 @@ func (a *Agent) handleDone(c *ctlConn, m *wireMsg) {
 // this agent to fetch (pod, seq) before the restart lands here — from one
 // surviving replica, or, when no node holds the image whole, from the
 // shard subsets of the given surviving holders.
-func (a *Agent) handleFetch(c *ctlConn, m *wireMsg) {
+func (a *Agent) handleFetch(c *ctl.Link[*wireMsg], m *wireMsg) {
 	// A second <fetch> for the pod comes from the plan that overtook the
 	// first one's, and replaces it: the open fetch may be waiting out
 	// ReplTimeout on a source that is now dead.
@@ -331,7 +308,7 @@ func (a *Agent) handleFetch(c *ctlConn, m *wireMsg) {
 	}
 	if a.store.HasSeq(m.Pod, m.Seq) {
 		// Already a replica — transfer cost is zero.
-		c.send(&wireMsg{Type: msgFetchDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: 0}})
+		c.Send(&wireMsg{Type: msgFetchDone, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, Repl: &replPayload{Bytes: 0}})
 		return
 	}
 	if m.Repl == nil {
@@ -376,12 +353,12 @@ func (a *Agent) pullNext(op *fetchOp) {
 	}
 	s := op.sources[op.next]
 	op.next++
-	cc, cerr := a.peerConn(s.addrPort())
+	cc, cerr := a.ep.Dial(s.addrPort())
 	if cerr != nil {
 		op.Fail(cerr)
 		return
 	}
-	cc.send(&wireMsg{Type: msgFetchPull, Seq: op.Seq, Pod: op.pod, ctx: op.span.Context()})
+	cc.Send(&wireMsg{Type: msgFetchPull, Seq: op.Seq, Pod: op.pod, ctx: op.span.Context()})
 }
 
 // handleFetchPull is the recovery pull, source side: a peer needs one of
@@ -391,7 +368,7 @@ func (a *Agent) pullNext(op *fetchOp) {
 // message. Either way the reply streams at TierStream — recovery is
 // latency-sensitive, unlike the background distribution that put the
 // bytes here.
-func (a *Agent) handleFetchPull(c *ctlConn, m *wireMsg) {
+func (a *Agent) handleFetchPull(c *ctl.Link[*wireMsg], m *wireMsg) {
 	if a.store.HasSeq(m.Pod, m.Seq) {
 		a.replicateOn(&replOp{pod: m.Pod, conn: c, tier: ctl.TierStream}, m.Seq, m.ctx)
 		return
@@ -407,7 +384,7 @@ func (a *Agent) handleFetchPull(c *ctlConn, m *wireMsg) {
 		return
 	}
 	a.bulk.Do(bytesCost(tx.TotalBytes, EncodeBPS), func() {
-		c.send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, tier: ctl.TierStream, Repl: &replPayload{
+		c.Send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: m.ctx, tier: ctl.TierStream, Repl: &replPayload{
 			ECSet: setBlob, Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
 		}})
 	})
@@ -422,7 +399,7 @@ func (a *Agent) finishFetch(pod string, seq int, n int64) {
 		return
 	}
 	op.span.End(trace.Int("bytes", n))
-	op.conn.send(&wireMsg{Type: msgFetchDone, Seq: seq, Pod: pod, ctx: op.span.Context(), Repl: &replPayload{Bytes: n}})
+	op.conn.Send(&wireMsg{Type: msgFetchDone, Seq: seq, Pod: pod, ctx: op.span.Context(), Repl: &replPayload{Bytes: n}})
 	op.Finish()
 }
 

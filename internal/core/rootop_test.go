@@ -40,12 +40,15 @@ func TestCoordinatorRunsOneOpModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
-		"table.Begin":  {"begin"},                                   // was one helper and two inline registrations
-		"table.Each":   {"declareFailed", "opFor"},                  // was three reply lookups and the failure scan
-		".Established": {"connectAddrs", "heartbeatTick", "sendTo"}, // was one helper and six inline checks before a send
+		"table.Begin":  {"begin"},                  // was one helper and two inline registrations
+		"table.Each":   {"declareFailed", "opFor"}, // was three reply lookups and the failure scan
+		".Established": {},                         // was one helper and six inline checks before a send; ctl.Endpoint.Link checks now
 		".Data =":      {"begin"},
 	}
 	got := map[string][]string{}
+	for what := range want {
+		got[what] = []string{}
+	}
 	note := func(what, fn string) {
 		if !slices.Contains(got[what], fn) {
 			got[what] = append(got[what], fn)
@@ -104,6 +107,43 @@ func TestCoordinatorRunsOneOpModel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("call sites in (*Coordinator) methods:\n got %v\nwant %v\na new one must be added to this list with what it replaces — or go through the existing one", got, want)
+	}
+}
+
+// TestOnlyCtlDialsAcceptsOrFrames pins the control plane to one endpoint:
+// no non-test file of this package or of the flushing baseline dials,
+// listens or frames a connection itself. ctl.Endpoint does all three for
+// both protocols, so their reuse and failure rules cannot drift apart.
+func TestOnlyCtlDialsAcceptsOrFrames(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{".", "../flush"} {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkgs) == 0 {
+			t.Fatalf("%s: no package parsed", dir)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					path := selectorPath(call.Fun)
+					for _, banned := range []string{".DialTCP", ".ListenTCP"} {
+						if strings.HasSuffix(path, banned) {
+							t.Errorf("%s calls %s: dial and listen through ctl.Endpoint", fset.Position(call.Pos()), path)
+						}
+					}
+					if path == "ctl.NewConn" {
+						t.Errorf("%s calls ctl.NewConn: frame through ctl.Endpoint", fset.Position(call.Pos()))
+					}
+					return true
+				})
+			}
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package ctl provides the control-plane plumbing shared by the Cruz
-// coordinator/agents and the flushing baseline: length-prefixed message
-// framing over simulated TCP connections, a serializer modeling one lane
-// of a daemon's CPU, and the op-lifecycle state machine
-// (Table/Op) every distributed operation runs on.
+// coordinator/agents and the flushing baseline: the Endpoint each daemon
+// dials, accepts and frames messages through, length-prefixed framing over
+// simulated TCP connections, a serializer modeling one lane of a daemon's
+// CPU, and the op-lifecycle state machine (Table/Op) every operation runs on.
 package ctl
 
 import (

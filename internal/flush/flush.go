@@ -94,38 +94,17 @@ type fWireMsg struct {
 // encoder's, type descriptors built once per process.
 var fCodec = gobmemo.New[fWireMsg]()
 
-type fConn struct {
-	*ctl.Conn
-	onMsg func(*fConn, *fWireMsg)
-}
-
-func newFConn(tc *tcpip.TCPConn, onMsg func(*fConn, *fWireMsg)) *fConn {
-	c := &fConn{onMsg: onMsg}
-	c.Conn = ctl.NewConn(tc, c.frame, nil)
-	return c
-}
-
-func (c *fConn) send(m *fWireMsg) error {
-	var body bytes.Buffer
-	if err := fCodec.Encode(&body, m); err != nil {
-		return fmt.Errorf("flush: encode: %w", err)
-	}
-	return c.Conn.Send(body.Bytes())
-}
-
-func (c *fConn) frame(_ *ctl.Conn, payload []byte) {
-	var m fWireMsg
-	if _, err := fCodec.Decode(payload, &m); err != nil {
-		return
-	}
-	c.onMsg(c, &m)
-}
-
-// reply answers the coordinator on the conn its request came in on. A
-// reply that cannot be sent means that conn died: the coordinator has
-// lost this agent already, and the agent's own state clears either way.
-func reply(c *fConn, m *fWireMsg) {
-	c.send(m) //cruzvet:allow errdrop a reply on a dead coordinator conn has no one to tell; the agent clears its op either way
+// fMsgCodec frames flush messages on a ctl.Endpoint: the gob encoding
+// alone, with no trace context, on the foreground tier.
+var fMsgCodec = ctl.Codec[*fWireMsg]{
+	Encode: func(buf *bytes.Buffer, m *fWireMsg) ([][]byte, trace.SpanContext, ctl.Tier, error) {
+		return nil, trace.SpanContext{}, ctl.TierForeground, fCodec.Encode(buf, m)
+	},
+	Decode: func(payload []byte, _ trace.SpanContext) (*fWireMsg, error) {
+		var m fWireMsg
+		_, err := fCodec.Decode(payload, &m)
+		return &m, err
+	},
 }
 
 // drainPoll is how often a flushing agent re-checks channel drain
@@ -139,9 +118,9 @@ type Agent struct {
 	cpu   ctl.Serializer
 	tr    *trace.Tracer
 
-	pods     map[string]*zap.Pod
-	listener *tcpip.TCPListener
-	peers    map[tcpip.AddrPort]*fConn
+	pods map[string]*zap.Pod
+	// ep accepts the coordinator's and peers' connections and dials peers.
+	ep *ctl.Endpoint[*fWireMsg]
 
 	op *agentOp
 	// earlyMarkers buffers markers that arrive before our own
@@ -153,7 +132,7 @@ type agentOp struct {
 	seq        int
 	pod        *zap.Pod
 	podName    string
-	conn       *fConn
+	conn       *ctl.Link[*fWireMsg]
 	members    []memberInfo
 	t0         sim.Time
 	flushEnd   sim.Time
@@ -178,53 +157,24 @@ func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
 		cpu:          ctl.Serializer{Engine: kern.Engine()},
 		tr:           trace.FromEngine(kern.Engine()),
 		pods:         make(map[string]*zap.Pod),
-		peers:        make(map[tcpip.AddrPort]*fConn),
 		earlyMarkers: make(map[int][]*fWireMsg),
 	}
-	addr, ok := kern.Stack().FirstAddr()
-	if !ok {
-		return nil, tcpip.ErrNoRoute
-	}
-	l, err := kern.Stack().ListenTCP(tcpip.AddrPort{Addr: addr, Port: DefaultControlPort}, 16)
-	if err != nil {
+	a.ep = ctl.NewEndpoint(kern.Stack(), fMsgCodec, a.onMsg)
+	if err := a.ep.Listen(DefaultControlPort); err != nil {
 		return nil, err
 	}
-	a.listener = l
-	l.SetNotify(func() {
-		for {
-			tc, aerr := l.Accept()
-			if aerr != nil {
-				return
-			}
-			newFConn(tc, a.onMsg)
-		}
-	})
 	return a, nil
 }
 
 // Addr returns the agent's control endpoint.
-func (a *Agent) Addr() tcpip.AddrPort { return a.listener.LocalAddr() }
+func (a *Agent) Addr() tcpip.AddrPort { return a.ep.Addr() }
 
 // Manage registers a pod.
 func (a *Agent) Manage(pod *zap.Pod) { a.pods[pod.Name()] = pod }
 
-// peerConn returns (dialing if needed) a connection to a peer agent.
-func (a *Agent) peerConn(addr tcpip.AddrPort) (*fConn, error) {
-	if c, ok := a.peers[addr]; ok {
-		return c, nil
-	}
-	tc, err := a.kern.Stack().DialTCP(tcpip.AddrPort{}, addr)
-	if err != nil {
-		return nil, err
-	}
-	c := newFConn(tc, a.onMsg)
-	a.peers[addr] = c
-	return c, nil
-}
-
 // onMsg dispatches any protocol message (from the coordinator or a peer
 // agent).
-func (a *Agent) onMsg(c *fConn, m *fWireMsg) {
+func (a *Agent) onMsg(c *ctl.Link[*fWireMsg], m *fWireMsg) {
 	a.cpu.Do(core.AgentMsgCost, func() {
 		switch m.Type {
 		case fCheckpoint:
@@ -239,14 +189,14 @@ func (a *Agent) onMsg(c *fConn, m *fWireMsg) {
 
 // startCheckpoint is the flushing agent's local sequence: stop the
 // application, exchange markers all-to-all, drain channels, then save.
-func (a *Agent) startCheckpoint(c *fConn, m *fWireMsg) {
+func (a *Agent) startCheckpoint(c *ctl.Link[*fWireMsg], m *fWireMsg) {
 	pod, ok := a.pods[m.Pod]
 	if !ok || pod.Destroyed() {
-		reply(c, &fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrUnknownPod.Error()})
+		c.Send(&fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrUnknownPod.Error()})
 		return
 	}
 	if a.op != nil {
-		reply(c, &fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrBusy.Error()})
+		c.Send(&fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrBusy.Error()})
 		return
 	}
 	op := &agentOp{
@@ -281,14 +231,14 @@ func (a *Agent) startCheckpoint(c *fConn, m *fWireMsg) {
 				continue
 			}
 			positions := a.positionsToward(pod, mem.PodIP)
-			pc, err := a.peerConn(mem.Agent)
+			pc, err := a.ep.Dial(mem.Agent)
 			if err != nil {
 				continue
 			}
 			// A failed marker send is the same situation as a missing peer
 			// conn above: the peer stalls in drain and the coordinator's
 			// job-level failure handling takes over.
-			if err := pc.send(&fWireMsg{
+			if err := pc.Send(&fWireMsg{
 				Type:      fMarker,
 				Seq:       op.seq,
 				Pod:       mem.Pod,
@@ -398,7 +348,7 @@ func (a *Agent) saveLocal(op *agentOp) {
 		if err != nil {
 			phCapture.End(trace.Str("err", err.Error()))
 			op.span.End(trace.Str("err", err.Error()))
-			reply(op.conn, &fWireMsg{Type: fDone, Seq: op.seq, Pod: op.podName, Err: err.Error()})
+			op.conn.Send(&fWireMsg{Type: fDone, Seq: op.seq, Pod: op.podName, Err: err.Error()})
 			a.op = nil
 			return
 		}
@@ -425,7 +375,7 @@ func (a *Agent) saveLocal(op *agentOp) {
 				op.span.End(trace.Str("err", serr.Error()))
 			}
 			op.saved = true
-			reply(op.conn, msg)
+			op.conn.Send(msg)
 		}
 		plan, err := a.store.PlanSave(img)
 		if err != nil {
@@ -448,7 +398,7 @@ func (a *Agent) handleContinue(m *fWireMsg) {
 	op.pod.Resume()
 	op.phCommit.End()
 	op.span.End()
-	reply(op.conn, &fWireMsg{
+	op.conn.Send(&fWireMsg{
 		Type:          fContinueDone,
 		Seq:           m.Seq,
 		Pod:           op.podName,
@@ -493,7 +443,7 @@ type Coordinator struct {
 	stack *tcpip.Stack
 	cpu   ctl.Serializer
 	tr    *trace.Tracer
-	conns map[tcpip.AddrPort]*fConn
+	ep    *ctl.Endpoint[*fWireMsg] // the connections to the agents
 	ops   *ctl.Table
 	seq   map[string]int
 }
@@ -507,49 +457,25 @@ type checkpointOp struct {
 // NewCoordinator creates a flushing coordinator on the given stack. It
 // pays the Cruz coordinator's per-message cost, core.CoordinatorMsgCost.
 func NewCoordinator(stack *tcpip.Stack) *Coordinator {
-	return &Coordinator{
+	c := &Coordinator{
 		stack: stack,
 		cpu:   ctl.Serializer{Engine: stack.Engine()},
 		tr:    trace.FromEngine(stack.Engine()),
-		conns: make(map[tcpip.AddrPort]*fConn),
 		ops:   ctl.NewTable(stack.Engine()),
 		seq:   make(map[string]int),
 	}
+	c.ep = ctl.NewEndpoint(stack, fMsgCodec, c.onMsg)
+	return c
 }
 
-// Connect dials all agents of the job.
+// Connect dials all agents of the job, invoking done when all are up (or
+// with the first error).
 func (c *Coordinator) Connect(job *Job, done func(error)) {
-	remaining := 0
-	check := func() {
-		if remaining == 0 && done != nil {
-			done(nil)
-			done = nil
-		}
+	addrs := make([]tcpip.AddrPort, len(job.Members))
+	for i, m := range job.Members {
+		addrs[i] = m.Agent
 	}
-	for _, m := range job.Members {
-		addr := m.Agent
-		if _, ok := c.conns[addr]; ok {
-			continue
-		}
-		tc, err := c.stack.DialTCP(tcpip.AddrPort{}, addr)
-		if err != nil {
-			done(err)
-			return
-		}
-		remaining++
-		fc := newFConn(tc, c.onMsg)
-		c.conns[addr] = fc
-		established := false
-		tc.SetNotify(func() {
-			fc.Pump()
-			if !established && tc.Established() {
-				established = true
-				remaining--
-				check()
-			}
-		})
-	}
-	check()
+	c.ep.Connect(addrs, done)
 }
 
 // Checkpoint runs one flushing coordinated checkpoint.
@@ -590,13 +516,13 @@ func (c *Coordinator) Checkpoint(job *Job, done func(*Result, error)) {
 // or dead conn fails the op.
 func (c *Coordinator) send(op *ctl.Op, mem Member, m *fWireMsg) {
 	c.cpu.Do(core.CoordinatorMsgCost, func() {
-		fc, ok := c.conns[mem.Agent]
+		fc, ok := c.ep.Link(mem.Agent)
 		if !ok {
 			op.Fail(fmt.Errorf("%w: no connection to %s", ErrAgent, mem.Agent))
 			return
 		}
 		op.Data.(*checkpointOp).res.CoordinatorMessages++
-		if err := fc.send(m); err != nil {
+		if err := fc.Send(m); err != nil {
 			op.Fail(fmt.Errorf("%w: send to %s: %v", ErrAgent, mem.Agent, err))
 		}
 	})
@@ -605,7 +531,7 @@ func (c *Coordinator) send(op *ctl.Op, mem Member, m *fWireMsg) {
 // onMsg handles agent replies. Seqs count per job, so two jobs can be at
 // the same seq at once: a reply belongs to the checkpoint at its seq
 // whose job lists its pod.
-func (c *Coordinator) onMsg(_ *fConn, m *fWireMsg) {
+func (c *Coordinator) onMsg(_ *ctl.Link[*fWireMsg], m *fWireMsg) {
 	c.cpu.Do(core.CoordinatorMsgCost, func() {
 		var op *ctl.Op
 		sender := func(mem Member) bool { return mem.Pod == m.Pod }

@@ -2,7 +2,9 @@ package flush
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"cruz/internal/ckpt"
@@ -316,10 +318,8 @@ func TestFlushCheckpointFailsFastOnDeadAgentConn(t *testing.T) {
 	r := newRig(t, 2)
 	r.run(100 * sim.Millisecond)
 	// Kill one established control conn out from under the coordinator.
-	for _, fc := range r.coord.conns {
-		fc.TCP().Destroy()
-		break
-	}
+	fc, _ := r.coord.ep.Link(r.job.Members[0].Agent)
+	fc.TCP().Destroy()
 	var cerr error
 	fired := false
 	r.coord.Checkpoint(r.job, func(res *Result, err error) {
@@ -393,5 +393,90 @@ func TestFlushAgentPaysCruzMessageCost(t *testing.T) {
 	}
 	if got := r.engine.Now().Sub(sent); got != core.AgentMsgCost {
 		t.Fatalf("marker handled %v after arrival, want core.AgentMsgCost = %v", got, core.AgentMsgCost)
+	}
+}
+
+// TestFlushRedialsADeadPeerConn: an agent whose cached connection to a
+// peer died dials the peer afresh for its next marker. Reusing the dead
+// connection lost the marker, so the peer drained forever, the checkpoint
+// never completed, and both pods stayed stopped.
+func TestFlushRedialsADeadPeerConn(t *testing.T) {
+	r := newRig(t, 2)
+	r.run(300 * sim.Millisecond)
+	r.checkpoint()
+	r.run(100 * sim.Millisecond)
+	var dialed *tcpip.TCPConn
+	for _, tc := range r.agents[0].kern.Stack().Conns() {
+		if tc.RemoteAddr() == r.agents[1].Addr() {
+			dialed = tc
+		}
+	}
+	if dialed == nil {
+		t.Fatal("agent 0 holds no connection to agent 1's control port")
+	}
+	dialed.Destroy()
+	var cerr error
+	fired := false
+	r.coord.Checkpoint(r.job, func(_ *Result, err error) { cerr, fired = err, true })
+	r.run(2 * sim.Second)
+	if !fired || cerr != nil {
+		t.Fatalf("checkpoint after the peer connection died: fired %v, err %v; want success", fired, cerr)
+	}
+	for i, pod := range r.pods {
+		if pod.Stopped() {
+			t.Errorf("pod %d still stopped", i)
+		}
+	}
+}
+
+// TestFlushConnectReportsARefusedAgent: Connect to a member whose agent
+// port has no listener calls done exactly once, with the reset error.
+func TestFlushConnectReportsARefusedAgent(t *testing.T) {
+	r := newRig(t, 2)
+	refused := tcpip.AddrPort{Addr: r.agents[1].Addr().Addr, Port: DefaultControlPort + 1}
+	job := &Job{Name: "refused", Members: []Member{r.job.Members[0], {Pod: "chat-x", PodIP: podIP(1), Agent: refused}}}
+	var errs []error
+	r.coord.Connect(job, func(err error) { errs = append(errs, err) })
+	r.run(100 * sim.Millisecond)
+	if len(errs) != 1 || !errors.Is(errs[0], tcpip.ErrReset) {
+		t.Fatalf("Connect to a port with no listener reported %v, want one ErrReset", errs)
+	}
+}
+
+// TestFlushUndecodableFrameDropsConnection: a frame the coordinator
+// cannot decode drops that agent's connection, and the next checkpoint
+// fails with ErrAgent at once instead of running over it.
+func TestFlushUndecodableFrameDropsConnection(t *testing.T) {
+	r := newRig(t, 2)
+	addr := r.agents[1].Addr()
+	var coordEnd tcpip.AddrPort
+	for _, tc := range r.coord.stack.Conns() {
+		if tc.RemoteAddr() == addr {
+			coordEnd = tc.LocalAddr()
+		}
+	}
+	var agentEnd *tcpip.TCPConn
+	for _, tc := range r.agents[1].kern.Stack().Conns() {
+		if tc.RemoteAddr() == coordEnd {
+			agentEnd = tc
+		}
+	}
+	if agentEnd == nil {
+		t.Fatal("agent 1 holds no connection from the coordinator")
+	}
+	// One frame: a 4-byte length, a zero trace context, and 4 bytes that
+	// are no message.
+	frame := binary.BigEndian.AppendUint32(nil, 4)
+	frame = append(append(frame, make([]byte, 16)...), "junk"...)
+	if _, err := agentEnd.Send(frame); err != nil {
+		t.Fatal(err)
+	}
+	r.run(50 * sim.Millisecond)
+	var cerr error
+	fired := false
+	r.coord.Checkpoint(r.job, func(_ *Result, err error) { cerr, fired = err, true })
+	r.run(10 * sim.Millisecond)
+	if !fired || !errors.Is(cerr, ErrAgent) || !strings.Contains(cerr.Error(), "no connection to "+addr.String()) {
+		t.Fatalf("checkpoint after the drop: fired %v, err %v; want ErrAgent naming no connection at once", fired, cerr)
 	}
 }

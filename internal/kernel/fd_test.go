@@ -290,3 +290,73 @@ func TestSchedulerSkipsStoppedInQueue(t *testing.T) {
 		t.Fatal("process never resumed")
 	}
 }
+
+// TestWrongEndAndWrongKindDescriptors: I/O on a descriptor that cannot
+// carry it — a listener read or written, a UDP socket written (SendTo is
+// its write), a pipe's read end written or its write end read — fails
+// with ErrBadFD, and blocking on a pipe end parks the process only until
+// that end is ready for the direction it waits in.
+func TestWrongEndAndWrongKindDescriptors(t *testing.T) {
+	listener := func(ctx *ProcContext) int { fd, _ := ctx.Listen(tcpip.AddrPort{Port: 90}, 4); return fd }
+	udp := func(ctx *ProcContext) int { fd, _ := ctx.OpenUDP(tcpip.AddrPort{Port: 91}, false); return fd }
+	readEnd := func(ctx *ProcContext) int { r, _, _ := ctx.Pipe(); return r }
+	writeEnd := func(ctx *ProcContext) int { _, w, _ := ctx.Pipe(); return w }
+	fullReadEnd := func(ctx *ProcContext) int {
+		r, w, _ := ctx.Pipe()
+		ctx.Send(w, []byte("x"))
+		return r
+	}
+	recv := func(ctx *ProcContext, fd int) error { _, err := ctx.Recv(fd, make([]byte, 4), false); return err }
+	send := func(ctx *ProcContext, fd int) error { _, err := ctx.Send(fd, []byte("x")); return err }
+	for _, tc := range []struct {
+		name string
+		open func(*ProcContext) int
+		io   func(*ProcContext, int) error // wants ErrBadFD; nil for a blocking row
+		// A blocking row parks on the descriptor in the write direction or
+		// not, and wants the process runnable again at once, or parked.
+		write, ready bool
+	}{
+		{name: "listener read", open: listener, io: recv},
+		{name: "listener written", open: listener, io: send},
+		{name: "udp written", open: udp, io: send},
+		{name: "pipe read end written", open: readEnd, io: send},
+		{name: "pipe write end read", open: writeEnd, io: recv},
+		{name: "pipe read end with data", open: fullReadEnd, ready: true},
+		{name: "empty pipe read end", open: readEnd, ready: false},
+		{name: "pipe read end waited on for writing", open: fullReadEnd, write: true, ready: false},
+		{name: "pipe write end with room", open: writeEnd, write: true, ready: true},
+		{name: "pipe write end waited on for reading", open: writeEnd, ready: false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTestRig(t, 1)
+			var ioErr error
+			resumed := false
+			phase := 0
+			proc := r.kernels[0].Spawn("fds", &scriptProg{fn: func(ctx *ProcContext) StepResult {
+				if phase > 0 {
+					resumed = true
+					return Exit(0, 0)
+				}
+				phase++
+				fd := tc.open(ctx)
+				if tc.io != nil {
+					ioErr = tc.io(ctx, fd)
+					return Exit(0, 0)
+				}
+				if tc.write {
+					return BlockOnWrite(0, fd)
+				}
+				return BlockOnRead(0, fd)
+			}}, 0)
+			r.run(10 * sim.Millisecond)
+			switch {
+			case tc.io != nil:
+				if !errors.Is(ioErr, ErrBadFD) {
+					t.Fatalf("error %v, want ErrBadFD", ioErr)
+				}
+			case resumed != tc.ready:
+				t.Fatalf("resumed %v (state %v), want %v", resumed, proc.State(), tc.ready)
+			}
+		})
+	}
+}

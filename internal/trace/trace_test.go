@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -217,6 +218,40 @@ func TestTimelineExport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestTracerTimelineReportsOverflow: a tracer renders the events its ring
+// still holds, oldest first, and ends with a footer counting the older
+// events the ring overflowed past — and with no footer when none were.
+func TestTracerTimelineReportsOverflow(t *testing.T) {
+	_, tr := newTestTracer(4)
+	for i := 0; i < 6; i++ {
+		tr.Instant("node0", "core", "ev"+strconv.Itoa(i), Int("i", int64(i)))
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteTimeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	want := []string{"ev2 i=2", "ev3 i=3", "ev4 i=4", "ev5 i=5", "# dropped 2 older events (ring overflow)"}
+	if len(lines) != len(want) {
+		t.Fatalf("timeline has %d lines, want %d:\n%s", len(lines), len(want), buf.String())
+	}
+	for i, w := range want {
+		if !strings.HasSuffix(lines[i], w) {
+			t.Errorf("line %d = %q, want it to end in %q", i, lines[i], w)
+		}
+	}
+
+	_, tr = newTestTracer(4)
+	tr.Instant("node0", "core", "only")
+	buf.Reset()
+	if err := tr.WriteTimeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Count(out, "\n") != 1 || strings.Contains(out, "dropped") {
+		t.Fatalf("timeline of a ring that never overflowed:\n%s", out)
 	}
 }
 
