@@ -407,14 +407,8 @@ func (cl *Cluster) DefineJob(name string, podNames ...string) (*Job, error) {
 		}
 		job.Members = append(job.Members, Member{Pod: pn, Agent: ref.node.Agent.Addr()})
 	}
-	var connectErr error
-	connected := false
-	cl.Coordinator.Connect(job, func(err error) { connectErr, connected = err, true })
-	if !cl.RunUntil(func() bool { return connected }, 10*Second) {
-		return nil, errors.New("cruz: coordinator connect timed out")
-	}
-	if connectErr != nil {
-		return nil, connectErr
+	if err := cl.connect("coordinator", func(done func(error)) { cl.Coordinator.Connect(job, done) }); err != nil {
+		return nil, err
 	}
 	if cl.cfg.AutoRecover {
 		cl.Coordinator.Watch(job, func(res *RecoveryResult, err error) {
@@ -429,6 +423,20 @@ func (cl *Cluster) DefineJob(name string, podNames ...string) (*Job, error) {
 		})
 	}
 	return job, nil
+}
+
+// connect starts a coordinator's connect, handing it the callback to
+// report with, and drives the event loop until that fires: it returns
+// the error reported, or "cruz: <who> connect timed out" after ten
+// virtual seconds.
+func (cl *Cluster) connect(who string, start func(done func(error))) error {
+	var err error
+	connected := false
+	start(func(e error) { err, connected = e, true })
+	if !cl.RunUntil(func() bool { return connected }, 10*Second) {
+		return errors.New("cruz: " + who + " connect timed out")
+	}
+	return err
 }
 
 // rehome points the facade's pod bookkeeping at the node the job's
@@ -533,10 +541,8 @@ func (cl *Cluster) DefineFlushJob(name string, podNames ...string) (*flush.Job, 
 		ref.node.flushAgent.Manage(pod)
 		job.Members = append(job.Members, flush.Member{Pod: pn, PodIP: pod.IP(), Agent: ref.node.flushAgent.Addr()})
 	}
-	connected := false
-	cl.flushCoord.Connect(job, func(err error) { connected = err == nil })
-	if !cl.RunUntil(func() bool { return connected }, 10*Second) {
-		return nil, errors.New("cruz: flush coordinator connect timed out")
+	if err := cl.connect("flush coordinator", func(done func(error)) { cl.flushCoord.Connect(job, done) }); err != nil {
+		return nil, err
 	}
 	return job, nil
 }
@@ -578,21 +584,34 @@ func (cl *Cluster) FailNode(i int) {
 // Check is the end-of-run oracle: it reports every way the cluster is not
 // settled and clean. That is an op open on the coordinator, or an op or
 // trace span open on any node but a failed one (whose agent died holding
-// them), or a Fault reported by a program of a pod the cluster created, in
-// its current incarnation, whether its process still runs or exited on its
-// own. It reads state only and never advances the engine; nil means
-// nothing is wrong.
+// them) — the flushing baseline's daemons included, once DefineFlushJob
+// has started them — or a Fault reported by a program of a pod the
+// cluster created, in its current incarnation, whether its process still
+// runs or exited on its own. It reads state only and never advances the
+// engine; nil means nothing is wrong.
 func (cl *Cluster) Check() error {
 	var errs []error
 	if k := cl.Coordinator.OpenOps(); k != 0 {
 		errs = append(errs, fmt.Errorf("coordinator has %d open ops", k))
 	}
+	if cl.flushCoord != nil {
+		if k := cl.flushCoord.OpenOps(); k != 0 {
+			errs = append(errs, fmt.Errorf("flush coordinator has %d open ops", k))
+		}
+	}
 	var failed []string
 	for _, n := range cl.Nodes {
 		if n.failed {
 			failed = append(failed, n.Kernel.Name())
-		} else if k := n.Agent.OpenOps(); k != 0 {
+			continue
+		}
+		if k := n.Agent.OpenOps(); k != 0 {
 			errs = append(errs, fmt.Errorf("%s agent has %d open ops", n.Kernel.Name(), k))
+		}
+		if n.flushAgent != nil {
+			if k := n.flushAgent.OpenOps(); k != 0 {
+				errs = append(errs, fmt.Errorf("%s flush agent has %d open ops", n.Kernel.Name(), k))
+			}
 		}
 	}
 	if spans := cl.tracer.OpenSpanNames(failed...); len(spans) != 0 {

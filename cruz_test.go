@@ -299,6 +299,35 @@ func TestFlushBaselineViaFacade(t *testing.T) {
 	check(t, cl)
 }
 
+// TestCheckJudgesTheFlushingDaemons: once DefineFlushJob has started the
+// flushing baseline's daemons, Check counts their open ops too. A probe
+// in the middle of a flush checkpoint names the flush coordinator's op
+// and each member agent's, and the settled cluster passes.
+func TestCheckJudgesTheFlushingDaemons(t *testing.T) {
+	cl, err := cruz.New(cruz.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, _ := deployRing(t, cl, 2)
+	cl.Run(200 * cruz.Millisecond)
+	fjob, err := cl.DefineFlushJob("fring", names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mid error
+	cl.Engine.Schedule(cruz.Millisecond, func() { mid = cl.Check() })
+	if _, err := cl.FlushCheckpoint(fjob); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"flush coordinator has 1 open ops", "node0 flush agent has 1 open ops", "node1 flush agent has 1 open ops"} {
+		if mid == nil || !strings.Contains(mid.Error(), want) {
+			t.Errorf("Check() mid-checkpoint = %v, want %q", mid, want)
+		}
+	}
+	cl.Run(200 * cruz.Millisecond)
+	check(t, cl)
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (cruz.Duration, int) {
 		cl, err := cruz.New(cruz.Config{Nodes: 2, Seed: 99})

@@ -37,6 +37,9 @@ type Link[M any] struct {
 	*Conn
 	ep   *Endpoint[M]
 	head bytes.Buffer // stages payload heads, which Conn copies; never bulk
+	// up holds the reports of the Connects waiting on a dialed link's
+	// handshake, told once: nil when it is established, or its error.
+	up []func(error)
 }
 
 // NewEndpoint creates an endpoint on stack.
@@ -93,11 +96,27 @@ func (e *Endpoint[M]) Dial(addr tcpip.AddrPort) (*Link[M], error) {
 	return l, nil
 }
 
+// notify pumps a link Connect waits on, then tells the Connects waiting
+// on it once its handshake is over.
+func (l *Link[M]) notify() {
+	l.Pump()
+	err := l.TCP().Err()
+	if len(l.up) == 0 || err == nil && !l.TCP().Established() {
+		return
+	}
+	up := l.up
+	l.up = nil
+	for _, report := range up {
+		report(err)
+	}
+}
+
 // Connect dials every address in addrs with no live link and calls done
-// once: with nil when each link it dialed is established (at once if it
-// dialed none), or with the first error a dial or those links meet.
+// once: with nil when every link to addrs is established (at once if all
+// were), or with the first error a dial or a handshake meets. A link
+// still in its handshake, dialed now or before, is waited for.
 func (e *Endpoint[M]) Connect(addrs []tcpip.AddrPort, done func(error)) {
-	pending := 1 // each link dialed, and the loop below until it ends
+	pending := 1 // each handshake waited for, and the loop below until it ends
 	report := func(err error) {
 		if pending--; done != nil && (err != nil || pending == 0) {
 			d := done
@@ -106,26 +125,16 @@ func (e *Endpoint[M]) Connect(addrs []tcpip.AddrPort, done func(error)) {
 		}
 	}
 	for _, addr := range addrs {
-		if e.links[addr] != nil {
-			continue
-		}
 		l, err := e.Dial(addr)
 		if err != nil {
 			report(err)
 			return
 		}
-		pending++
-		tc, up := l.TCP(), false
-		tc.SetNotify(func() {
-			l.Pump()
-			if !up && tc.Established() {
-				up = true
-				report(nil)
-			}
-			if err := tc.Err(); err != nil {
-				report(err)
-			}
-		})
+		if !l.TCP().Established() {
+			pending++
+			l.up = append(l.up, report)
+			l.TCP().SetNotify(l.notify)
+		}
 	}
 	report(nil)
 }

@@ -196,3 +196,33 @@ func TestEndpointConnectReportsOnce(t *testing.T) {
 		t.Fatal("the refused link is still handed out")
 	}
 }
+
+// TestEndpointConnectWaitsForAHandshakeInFlight: Connect to an address
+// whose link was dialed but is not yet established waits for that
+// handshake, and reports how it ended. It used to skip every link it
+// knew and report nil at once, so a send right after found no
+// established link.
+func TestEndpointConnectWaitsForAHandshakeInFlight(t *testing.T) {
+	r := newEpRig(t)
+	addr := r.srv.Addr()
+	refused := tcpip.AddrPort{Addr: addr.Addr, Port: 98}
+	for _, to := range []tcpip.AddrPort{addr, refused} {
+		if _, err := r.cli.Dial(to); err != nil {
+			t.Fatal(err)
+		}
+		var errs []error
+		r.cli.Connect([]tcpip.AddrPort{to}, func(err error) {
+			errs = append(errs, err)
+			if _, up := r.cli.Link(to); up != (err == nil) {
+				t.Errorf("Connect to %v reported %v with the link established %v", to, err, up)
+			}
+		})
+		if len(errs) != 0 {
+			t.Fatalf("Connect to %v reported %v during the handshake", to, errs)
+		}
+		r.run(50 * sim.Millisecond)
+		if want := to == refused; len(errs) != 1 || errors.Is(errs[0], tcpip.ErrReset) != want {
+			t.Fatalf("Connect to %v reported %v, want one report, ErrReset %v", to, errs, want)
+		}
+	}
+}

@@ -43,6 +43,9 @@ var (
 	ErrUnknownPod = errors.New("flush: agent does not manage that pod")
 	ErrBusy       = errors.New("flush: operation already in progress")
 	ErrAgent      = errors.New("flush: agent reported failure")
+	// errAborted fails an agent's op on a continue that comes before the
+	// pod's save is done: the coordinator's op failed.
+	errAborted = errors.New("flush: coordinator aborted the checkpoint")
 )
 
 // fMsgType discriminates protocol messages.
@@ -75,7 +78,7 @@ type connPos struct {
 type fWireMsg struct {
 	Type    fMsgType
 	Seq     int
-	Pod     string // destination pod (checkpoint/continue) or sender pod (marker)
+	Pod     string // the pod a request or marker is for, or a reply is from
 	Err     string
 	Members []memberInfo
 
@@ -111,7 +114,8 @@ var fMsgCodec = ctl.Codec[*fWireMsg]{
 // progress (DESIGN §5).
 const drainPoll = 200 * sim.Microsecond
 
-// Agent is the per-node daemon of the flushing baseline.
+// Agent is the per-node daemon of the flushing baseline. Each pod's
+// checkpoint in flight is one ctl.Op keyed by the pod's name.
 type Agent struct {
 	kern  *kernel.Kernel
 	store *ckpt.Store
@@ -120,31 +124,30 @@ type Agent struct {
 
 	pods map[string]*zap.Pod
 	// ep accepts the coordinator's and peers' connections and dials peers.
-	ep *ctl.Endpoint[*fWireMsg]
-
-	op *agentOp
-	// earlyMarkers buffers markers that arrive before our own
-	// checkpoint request (a faster peer stopped first).
-	earlyMarkers map[int][]*fWireMsg
+	ep  *ctl.Endpoint[*fWireMsg]
+	ops *ctl.Table
+	// markers holds the peer markers received for each pod's checkpoint,
+	// whether or not that pod's request has come yet.
+	markers map[podSeq][]*fWireMsg
 }
 
+// podSeq names one pod's checkpoint.
+type podSeq struct {
+	pod string
+	seq int
+}
+
+// agentOp is one pod's checkpoint in flight: its ctl.Op's Data.
 type agentOp struct {
-	seq        int
+	*ctl.Op
 	pod        *zap.Pod
-	podName    string
 	conn       *ctl.Link[*fWireMsg]
 	members    []memberInfo
-	t0         sim.Time
 	flushEnd   sim.Time
-	markers    map[string]*fWireMsg // sender pod -> marker
-	need       int
 	markerSent int
-	saved      bool
 
-	span      trace.Span // agent.checkpoint (cat "flush")
-	phQuiesce trace.Span
-	phDrain   trace.Span
-	phCommit  trace.Span
+	span  trace.Span // agent.checkpoint (cat "flush")
+	phase trace.Span // the one in progress: quiesce, drain, capture, write, commit
 }
 
 // NewAgent starts a flushing agent on the node. It pays the Cruz agent's
@@ -152,12 +155,13 @@ type agentOp struct {
 // core.EncodeBPS), so the comparison isolates protocol structure.
 func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
 	a := &Agent{
-		kern:         kern,
-		store:        store,
-		cpu:          ctl.Serializer{Engine: kern.Engine()},
-		tr:           trace.FromEngine(kern.Engine()),
-		pods:         make(map[string]*zap.Pod),
-		earlyMarkers: make(map[int][]*fWireMsg),
+		kern:    kern,
+		store:   store,
+		cpu:     ctl.Serializer{Engine: kern.Engine()},
+		tr:      trace.FromEngine(kern.Engine()),
+		pods:    make(map[string]*zap.Pod),
+		ops:     ctl.NewTable(kern.Engine()),
+		markers: make(map[podSeq][]*fWireMsg),
 	}
 	a.ep = ctl.NewEndpoint(kern.Stack(), fMsgCodec, a.onMsg)
 	if err := a.ep.Listen(DefaultControlPort); err != nil {
@@ -172,6 +176,9 @@ func (a *Agent) Addr() tcpip.AddrPort { return a.ep.Addr() }
 // Manage registers a pod.
 func (a *Agent) Manage(pod *zap.Pod) { a.pods[pod.Name()] = pod }
 
+// OpenOps returns the number of pod checkpoints in flight.
+func (a *Agent) OpenOps() int { return a.ops.Len() }
+
 // onMsg dispatches any protocol message (from the coordinator or a peer
 // agent).
 func (a *Agent) onMsg(c *ctl.Link[*fWireMsg], m *fWireMsg) {
@@ -180,7 +187,9 @@ func (a *Agent) onMsg(c *ctl.Link[*fWireMsg], m *fWireMsg) {
 		case fCheckpoint:
 			a.startCheckpoint(c, m)
 		case fMarker:
-			a.handleMarker(m)
+			a.tr.Instant(a.kern.Name(), "flush", "marker.recv", trace.Str("from", m.FromPod))
+			k := podSeq{m.Pod, m.Seq}
+			a.markers[k] = append(a.markers[k], m)
 		case fContinue:
 			a.handleContinue(m)
 		}
@@ -189,62 +198,50 @@ func (a *Agent) onMsg(c *ctl.Link[*fWireMsg], m *fWireMsg) {
 
 // startCheckpoint is the flushing agent's local sequence: stop the
 // application, exchange markers all-to-all, drain channels, then save.
+// Every failure, the coordinator's abort included, rolls back in OnFail.
 func (a *Agent) startCheckpoint(c *ctl.Link[*fWireMsg], m *fWireMsg) {
 	pod, ok := a.pods[m.Pod]
 	if !ok || pod.Destroyed() {
 		c.Send(&fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrUnknownPod.Error()})
 		return
 	}
-	if a.op != nil {
+	o, err := a.ops.Begin("checkpoint", m.Pod, m.Seq)
+	if err != nil {
 		c.Send(&fWireMsg{Type: fDone, Seq: m.Seq, Pod: m.Pod, Err: ErrBusy.Error()})
 		return
 	}
-	op := &agentOp{
-		seq:     m.Seq,
-		pod:     pod,
-		podName: m.Pod,
-		conn:    c,
-		members: m.Members,
-		t0:      a.kern.Engine().Now(),
-		markers: make(map[string]*fWireMsg),
-		need:    len(m.Members) - 1,
-	}
-	a.op = op
-	node := a.kern.Name()
-	op.span = a.tr.Begin(node, "flush", "agent.checkpoint",
+	op := &agentOp{Op: o, pod: pod, conn: c, members: m.Members}
+	o.Data = op
+	o.Expect("save", m.Pod)
+	o.OnFail(func(*ctl.Op, error) {
+		if !pod.Destroyed() {
+			pod.Resume()
+		}
+		op.phase.End(trace.Str("outcome", "aborted"))
+		op.span.End(trace.Str("outcome", "aborted"))
+	})
+	o.OnFinish(func(*ctl.Op, error) { a.dropMarkers(m.Pod, m.Seq) })
+	op.span = a.tr.Begin(a.kern.Name(), "flush", "agent.checkpoint",
 		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-	op.phQuiesce = a.tr.Begin(node, trace.PhaseCat, "quiesce", trace.Str("pod", m.Pod))
-	// Adopt any markers that raced ahead of the request.
-	for _, em := range a.earlyMarkers[m.Seq] {
-		op.markers[em.FromPod] = em
-	}
-	delete(a.earlyMarkers, m.Seq)
+	op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "quiesce", trace.Str("pod", m.Pod))
 
 	pod.Stop(func() {
-		op.phQuiesce.End()
-		op.phDrain = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "drain",
-			trace.Str("pod", op.podName), trace.Str("mode", "flush"))
+		if op.Aborted() {
+			return
+		}
+		op.phase.End()
+		op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "drain",
+			trace.Str("pod", op.Key), trace.Str("mode", "flush"))
 		// Application stopped: emit this node's markers to every other
 		// node (the all-to-all exchange; O(N²) cluster-wide).
 		for _, mem := range op.members {
-			if mem.Pod == op.podName {
+			if mem.Pod == op.Key {
 				continue
 			}
+			// A peer this marker does not reach waits in drain for it.
 			positions := a.positionsToward(pod, mem.PodIP)
-			pc, err := a.ep.Dial(mem.Agent)
-			if err != nil {
-				continue
-			}
-			// A failed marker send is the same situation as a missing peer
-			// conn above: the peer stalls in drain and the coordinator's
-			// job-level failure handling takes over.
-			if err := pc.Send(&fWireMsg{
-				Type:      fMarker,
-				Seq:       op.seq,
-				Pod:       mem.Pod,
-				FromPod:   op.podName,
-				Positions: positions,
-			}); err != nil {
+			marker := &fWireMsg{Type: fMarker, Seq: op.Seq, Pod: mem.Pod, FromPod: op.Key, Positions: positions}
+			if pc, err := a.ep.Dial(mem.Agent); err != nil || pc.Send(marker) != nil {
 				continue
 			}
 			op.markerSent++
@@ -274,25 +271,26 @@ func (a *Agent) positionsToward(pod *zap.Pod, peerIP tcpip.Addr) []connPos {
 	return out
 }
 
-// handleMarker records a peer's marker (possibly before our own request).
-func (a *Agent) handleMarker(m *fWireMsg) {
-	a.tr.Instant(a.kern.Name(), "flush", "marker.recv", trace.Str("from", m.FromPod))
-	if a.op != nil && a.op.seq == m.Seq {
-		a.op.markers[m.FromPod] = m
-		return
+// dropMarkers forgets the pod's markers up to seq: its checkpoint at seq
+// is over, and none before it can begin.
+func (a *Agent) dropMarkers(pod string, seq int) {
+	for k := range a.markers {
+		if k.pod == pod && k.seq <= seq {
+			delete(a.markers, k)
+		}
 	}
-	a.earlyMarkers[m.Seq] = append(a.earlyMarkers[m.Seq], m)
 }
 
 // pollDrain re-checks flush progress until every channel has delivered
 // everything its sender emitted before stopping, then saves local state.
 func (a *Agent) pollDrain(op *agentOp) {
-	if a.op != op {
+	if op.Aborted() {
 		return
 	}
-	if len(op.markers) >= op.need && a.drained(op) {
+	markers := a.markers[podSeq{op.Key, op.Seq}]
+	if len(markers) >= len(op.members)-1 && a.drained(markers) {
 		op.flushEnd = a.kern.Engine().Now()
-		op.phDrain.End(trace.Int("markers", int64(len(op.markers))))
+		op.phase.End(trace.Int("markers", int64(len(markers))))
 		a.saveLocal(op)
 		return
 	}
@@ -307,21 +305,15 @@ func (a *Agent) pollDrain(op *agentOp) {
 }
 
 // drained reports whether all marker positions have been received.
-func (a *Agent) drained(op *agentOp) bool {
+func (a *Agent) drained(markers []*fWireMsg) bool {
 	conns := a.kern.Stack().Conns()
-	for _, m := range op.markers {
+	for _, m := range markers {
 		for _, pos := range m.Positions {
-			satisfied := false
-			for _, conn := range conns {
-				if conn.Tuple() == pos.Tuple {
-					_, rcvd := conn.StreamProgress()
-					if rcvd >= pos.Sent {
-						satisfied = true
-					}
-					break
-				}
+			i := slices.IndexFunc(conns, func(c *tcpip.TCPConn) bool { return c.Tuple() == pos.Tuple })
+			if i < 0 {
+				return false
 			}
-			if !satisfied {
+			if _, rcvd := conns[i].StreamProgress(); rcvd < pos.Sent {
 				return false
 			}
 		}
@@ -335,75 +327,69 @@ func rateCost(n, bps int64) sim.Duration { return sim.Duration(n * int64(sim.Sec
 // saveLocal captures, encodes and writes the pod image, then reports
 // done. Like the Cruz agent's stop-and-copy save, the capture window
 // grows with the resident bytes copied and the image is encoded before
-// it goes to disk.
+// it goes to disk. A local failure fails the op and reports it with done.
 func (a *Agent) saveLocal(op *agentOp) {
-	phCapture := a.tr.Begin(a.kern.Name(), trace.PhaseCat, "capture",
-		trace.Str("pod", op.podName))
+	fail := func(err error) {
+		op.Fail(err)
+		op.conn.Send(&fWireMsg{Type: fDone, Seq: op.Seq, Pod: op.Key, Err: err.Error()})
+	}
+	op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "capture",
+		trace.Str("pod", op.Key))
 	var resident int64
 	for _, vpid := range op.pod.VPIDs() {
 		resident += int64(op.pod.Process(vpid).Mem().ResidentBytes())
 	}
 	a.cpu.Do(core.CaptureCost+rateCost(resident, core.CaptureBPS), func() {
-		img, err := ckpt.Capture(op.pod, op.seq, ckpt.Options{})
-		if err != nil {
-			phCapture.End(trace.Str("err", err.Error()))
-			op.span.End(trace.Str("err", err.Error()))
-			op.conn.Send(&fWireMsg{Type: fDone, Seq: op.seq, Pod: op.podName, Err: err.Error()})
-			a.op = nil
+		if op.Aborted() {
 			return
 		}
-		phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
-		phWrite := a.tr.Begin(a.kern.Name(), trace.PhaseCat, "write",
-			trace.Str("pod", op.podName))
-		saved := func(size int64, serr error) {
-			phWrite.End(trace.Int("bytes", size))
-			if serr == nil {
-				op.phCommit = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "commit",
-					trace.Str("pod", op.podName))
-			}
-			msg := &fWireMsg{
-				Type:          fDone,
-				Seq:           op.seq,
-				Pod:           op.podName,
-				LocalDuration: a.kern.Engine().Now().Sub(op.t0),
-				FlushDuration: op.flushEnd.Sub(op.t0),
-				MarkerMsgs:    op.markerSent,
-				ImageBytes:    size,
-			}
-			if serr != nil {
-				msg.Err = serr.Error()
-				op.span.End(trace.Str("err", serr.Error()))
-			}
-			op.saved = true
-			op.conn.Send(msg)
+		img, err := ckpt.Capture(op.pod, op.Seq, ckpt.Options{})
+		if err != nil {
+			fail(err)
+			return
 		}
+		op.phase.End(trace.Int("mem_bytes", img.MemoryBytes()))
+		op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "write",
+			trace.Str("pod", op.Key))
 		plan, err := a.store.PlanSave(img)
 		if err != nil {
-			saved(0, err)
+			fail(err)
 			return
 		}
 		a.cpu.Do(rateCost(plan.TotalBytes, core.EncodeBPS), func() {
-			a.store.Disk().Write(plan.TotalBytes, func() { saved(plan.TotalBytes, nil) })
+			a.store.Disk().Write(plan.TotalBytes, func() {
+				if op.Aborted() {
+					return
+				}
+				op.phase.End(trace.Int("bytes", plan.TotalBytes))
+				op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "commit",
+					trace.Str("pod", op.Key))
+				op.Arrive("save", op.Key)
+				op.conn.Send(&fWireMsg{Type: fDone, Seq: op.Seq, Pod: op.Key,
+					LocalDuration: a.kern.Engine().Now().Sub(op.Started()), FlushDuration: op.flushEnd.Sub(op.Started()),
+					MarkerMsgs: op.markerSent, ImageBytes: plan.TotalBytes})
+			})
 		})
 	})
 }
 
-// handleContinue resumes the application.
+// handleContinue resumes the pod. A continue before the pod's save is
+// done is the coordinator's abort, and rolls the op back; one for a pod
+// with no op at its seq only closes that checkpoint's markers.
 func (a *Agent) handleContinue(m *fWireMsg) {
-	op := a.op
-	if op == nil || op.seq != m.Seq {
-		return
+	op := ctl.Find[agentOp](a.ops, m.Pod)
+	switch {
+	case op == nil || op.Seq != m.Seq:
+		a.dropMarkers(m.Pod, m.Seq)
+	case !op.Cleared("save"):
+		op.Fail(errAborted)
+	default:
+		op.pod.Resume()
+		op.phase.End()
+		op.span.End()
+		op.Finish()
+		op.conn.Send(&fWireMsg{Type: fContinueDone, Seq: m.Seq, Pod: op.Key, LocalDuration: core.AgentMsgCost})
 	}
-	a.op = nil
-	op.pod.Resume()
-	op.phCommit.End()
-	op.span.End()
-	op.conn.Send(&fWireMsg{
-		Type:          fContinueDone,
-		Seq:           m.Seq,
-		Pod:           op.podName,
-		LocalDuration: core.AgentMsgCost,
-	})
 }
 
 // Member describes one job member for the flushing coordinator.
@@ -438,7 +424,8 @@ type Result struct {
 
 // Coordinator drives flushing checkpoints: one ctl.Op per job in
 // flight, keyed by the job's name, waiting first on every member's done
-// and then on every member's continue-done.
+// and then on every member's continue-done. An op that fails sends every
+// member the continue that resumes its pod.
 type Coordinator struct {
 	stack *tcpip.Stack
 	cpu   ctl.Serializer
@@ -468,6 +455,9 @@ func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 	return c
 }
 
+// OpenOps returns the number of checkpoints in flight.
+func (c *Coordinator) OpenOps() int { return c.ops.Len() }
+
 // Connect dials all agents of the job, invoking done when all are up (or
 // with the first error).
 func (c *Coordinator) Connect(job *Job, done func(error)) {
@@ -492,6 +482,7 @@ func (c *Coordinator) Checkpoint(job *Job, done func(*Result, error)) {
 	span := c.tr.Begin(c.stack.Name(), "flush", "checkpoint",
 		trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
 		trace.Int("members", int64(len(job.Members))))
+	op.OnFail(func(op *ctl.Op, _ error) { c.continueAll(op) })
 	op.OnFinish(func(op *ctl.Op, err error) {
 		if err != nil {
 			span.End(trace.Str("err", err.Error()))
@@ -512,10 +503,21 @@ func (c *Coordinator) Checkpoint(job *Job, done func(*Result, error)) {
 	}
 }
 
+// continueAll sends every member the continue that ends its pod's op:
+// the commit once all are done, or the abort if the op failed first.
+func (c *Coordinator) continueAll(op *ctl.Op) {
+	for _, mem := range op.Data.(*checkpointOp).job.Members {
+		c.send(op, mem, &fWireMsg{Type: fContinue, Seq: op.Seq, Pod: mem.Pod})
+	}
+}
+
 // send sends m to a member's agent in the next message slot; a missing
-// or dead conn fails the op.
+// or dead conn fails the op. A failed op sends only its continues.
 func (c *Coordinator) send(op *ctl.Op, mem Member, m *fWireMsg) {
 	c.cpu.Do(core.CoordinatorMsgCost, func() {
+		if op.Aborted() && m.Type != fContinue {
+			return
+		}
 		fc, ok := c.ep.Link(mem.Agent)
 		if !ok {
 			op.Fail(fmt.Errorf("%w: no connection to %s", ErrAgent, mem.Agent))
@@ -562,9 +564,7 @@ func (c *Coordinator) onMsg(_ *ctl.Link[*fWireMsg], m *fWireMsg) {
 				for _, mem := range cp.job.Members {
 					op.Expect("continue", mem.Pod)
 				}
-				for _, mem := range cp.job.Members {
-					c.send(op, mem, &fWireMsg{Type: fContinue, Seq: op.Seq, Pod: mem.Pod})
-				}
+				c.continueAll(op)
 			}
 		case fContinueDone:
 			if op.Arrive("continue", m.Pod) {

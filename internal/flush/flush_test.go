@@ -14,6 +14,7 @@ import (
 	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
+	"cruz/internal/trace"
 	"cruz/internal/zap"
 )
 
@@ -108,37 +109,40 @@ func (w *chatterProg) Step(ctx *kernel.ProcContext) kernel.StepResult {
 type rig struct {
 	t      *testing.T
 	engine *sim.Engine
+	sw     *ether.Switch
 	coord  *Coordinator
 	job    *Job
 	progs  []*chatterProg
 	pods   []*zap.Pod
-	agents []*Agent
+	agents []*Agent // one per node
 }
 
 func podIP(i int) tcpip.Addr { return tcpip.Addr{10, 0, 1, byte(i + 1)} }
 
-func newRig(t *testing.T, n int) *rig {
+func newRig(t *testing.T, n int) *rig { return newPodRig(t, n, 1) }
+
+// newPodRig builds nodes nodes of perNode chatter pods each, ringed in
+// the order they are made, a flushing agent on every node, and a
+// coordinator on a node of its own connected to them all. It traces, so
+// open spans show.
+func newPodRig(t *testing.T, nodes, perNode int) *rig {
 	t.Helper()
 	r := &rig{t: t, engine: sim.NewEngine(41)}
-	sw := ether.NewSwitch(r.engine)
-	mkNode := func(i int) *kernel.Kernel {
-		mac := ether.MAC{2, 0, 0, 0, 0, byte(i + 1)}
-		nic := ether.NewNIC(r.engine, "eth0", mac)
-		sw.Attach(nic, ether.GigabitLink)
-		st := tcpip.NewStack(r.engine, "node")
-		if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, byte(i + 1)}, mac, nic, false); err != nil {
-			t.Fatal(err)
-		}
-		return kernel.New(r.engine, "node", st)
-	}
+	trace.New(r.engine, 0)
+	r.sw = ether.NewSwitch(r.engine)
 	job := &Job{Name: "chat"}
+	n := nodes * perNode
 	for i := 0; i < n; i++ {
-		k := mkNode(i)
-		ag, err := NewAgent(k, ckpt.NewStore(k.Disk()))
-		if err != nil {
-			t.Fatal(err)
+		if i%perNode == 0 {
+			k := r.node(i / perNode)
+			ag, err := NewAgent(k, ckpt.NewStore(k.Disk()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.agents = append(r.agents, ag)
 		}
-		pod, err := zap.New(k, "chat-"+string(rune('a'+i)), zap.NetConfig{
+		ag := r.agents[len(r.agents)-1]
+		pod, err := zap.New(ag.kern, "chat-"+string(rune('a'+i)), zap.NetConfig{
 			IP:  podIP(i),
 			MAC: ether.MAC{2, 0, 0, 1, 0, byte(i + 1)},
 		})
@@ -152,24 +156,64 @@ func newRig(t *testing.T, n int) *rig {
 		ag.Manage(pod)
 		r.progs = append(r.progs, p)
 		r.pods = append(r.pods, pod)
-		r.agents = append(r.agents, ag)
 		job.Members = append(job.Members, Member{Pod: pod.Name(), PodIP: podIP(i), Agent: ag.Addr()})
 	}
-	ck := mkNode(n)
-	r.coord = NewCoordinator(ck.Stack())
 	r.job = job
+	r.coord = r.coordinator(nodes, job)
+	return r
+}
+
+// node attaches node i, at 10.0.0.(i+1), to the rig's switch.
+func (r *rig) node(i int) *kernel.Kernel {
+	mac := ether.MAC{2, 0, 0, 0, 0, byte(i + 1)}
+	nic := ether.NewNIC(r.engine, "eth0", mac)
+	r.sw.Attach(nic, ether.GigabitLink)
+	st := tcpip.NewStack(r.engine, "node")
+	if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, byte(i + 1)}, mac, nic, false); err != nil {
+		r.t.Fatal(err)
+	}
+	return kernel.New(r.engine, "node", st)
+}
+
+// coordinator starts a coordinator on node i and connects it to job's
+// agents.
+func (r *rig) coordinator(i int, job *Job) *Coordinator {
+	r.t.Helper()
+	c := NewCoordinator(r.node(i).Stack())
 	connected := false
-	r.coord.Connect(job, func(err error) {
+	c.Connect(job, func(err error) {
 		if err != nil {
-			t.Fatalf("connect: %v", err)
+			r.t.Fatalf("connect: %v", err)
 		}
 		connected = true
 	})
 	r.run(100 * sim.Millisecond)
 	if !connected {
-		t.Fatal("never connected")
+		r.t.Fatal("never connected")
 	}
-	return r
+	return c
+}
+
+// settled fails the test if a pod is stopped or its program faulted, or
+// an op or a trace span is still open.
+func (r *rig) settled() {
+	r.t.Helper()
+	for i, pod := range r.pods {
+		if pod.Stopped() || r.progs[i].Fault != "" {
+			r.t.Errorf("pod %d: stopped %v, fault %q", i, pod.Stopped(), r.progs[i].Fault)
+		}
+	}
+	if k := r.coord.OpenOps(); k != 0 {
+		r.t.Errorf("coordinator has %d open ops", k)
+	}
+	for i, a := range r.agents {
+		if k := a.OpenOps(); k != 0 {
+			r.t.Errorf("agent %d has %d open ops", i, k)
+		}
+	}
+	if spans := trace.FromEngine(r.engine).OpenSpanNames(); len(spans) != 0 {
+		r.t.Errorf("spans still open: %v", spans)
+	}
 }
 
 func (r *rig) run(d sim.Duration) {
@@ -385,8 +429,9 @@ func TestFlushAgentPaysCruzMessageCost(t *testing.T) {
 	a := r.agents[0]
 	const seq = 99
 	sent := r.engine.Now()
-	a.onMsg(nil, &fWireMsg{Type: fMarker, Seq: seq, FromPod: "peer"})
-	for len(a.earlyMarkers[seq]) == 0 {
+	pod := r.pods[0].Name()
+	a.onMsg(nil, &fWireMsg{Type: fMarker, Seq: seq, Pod: pod, FromPod: "peer"})
+	for len(a.markers[podSeq{pod, seq}]) == 0 {
 		if !r.engine.Step() {
 			t.Fatal("engine ran dry before the marker was handled")
 		}
@@ -479,4 +524,110 @@ func TestFlushUndecodableFrameDropsConnection(t *testing.T) {
 	if !fired || !errors.Is(cerr, ErrAgent) || !strings.Contains(cerr.Error(), "no connection to "+addr.String()) {
 		t.Fatalf("checkpoint after the drop: fired %v, err %v; want ErrAgent naming no connection at once", fired, cerr)
 	}
+}
+
+// TestFlushCheckpointsTwoPodsPerNode: a job of two pods on each of two
+// nodes checkpoints like any other: 4 × 3 markers, every stream intact,
+// nothing left stopped or open. An agent with one op per node answered
+// its second pod "operation already in progress" and left the first
+// stopped.
+func TestFlushCheckpointsTwoPodsPerNode(t *testing.T) {
+	r := newPodRig(t, 2, 2)
+	r.run(300 * sim.Millisecond)
+	res := r.checkpoint()
+	if res.MarkerMessages != 12 || res.CoordinatorMessages != 16 {
+		t.Fatalf("%d markers, %d coordinator messages; want 12 and 16", res.MarkerMessages, res.CoordinatorMessages)
+	}
+	sent := make([]uint64, len(r.progs))
+	for i, p := range r.progs {
+		sent[i] = p.SentB
+	}
+	r.run(500 * sim.Millisecond)
+	for i, p := range r.progs {
+		if p.SentB <= sent[i] || p.RecvB == 0 {
+			t.Errorf("pod %d did not progress after the checkpoint", i)
+		}
+	}
+	r.settled()
+}
+
+// TestFlushFailedCheckpointResumesItsMembers: a checkpoint that fails at
+// the coordinator after member 0 stopped — its control link to member 1
+// is gone — resumes member 0 through the continue it sends every member.
+// Nothing stays stopped or open, and no agent keeps polling its drain.
+// Member 0 used to stay stopped with its op open, re-polling every
+// drainPoll for good.
+func TestFlushFailedCheckpointResumesItsMembers(t *testing.T) {
+	r := newRig(t, 2)
+	r.run(300 * sim.Millisecond)
+	fc, _ := r.coord.ep.Link(r.job.Members[1].Agent)
+	fc.TCP().Destroy()
+	var cerr error
+	r.coord.Checkpoint(r.job, func(_ *Result, err error) { cerr = err })
+	r.run(100 * sim.Millisecond)
+	if !errors.Is(cerr, ErrAgent) {
+		t.Fatalf("checkpoint over a dead link to member 1: %v, want ErrAgent", cerr)
+	}
+	r.settled()
+	// With every pod stopped, only the daemons could keep the engine busy.
+	for _, pod := range r.pods {
+		pod.Stop(nil)
+	}
+	r.run(100 * sim.Millisecond)
+	fired := r.engine.Fired()
+	r.run(sim.Second)
+	if n := r.engine.Fired() - fired; n > 100 {
+		t.Fatalf("%d engine events in a virtual second with every pod stopped, want none to speak of", n)
+	}
+}
+
+// TestFlushEarlyMarkerIsKeptForItsPod: a marker that reaches a node
+// before its pod's request is kept for that pod alone. Pods a and b share
+// node 0 and both checkpoint at seq 1, each in a job of its own under a
+// coordinator of its own: a with e on node 2, b with d on node 1. b's
+// request is held up on the wire until d's marker for b is in, then a's
+// job checkpoints. The agent used to hand d's marker to a's op, the one
+// at seq 1, so b's op never got it and b's job stalled.
+func TestFlushEarlyMarkerIsKeptForItsPod(t *testing.T) {
+	r := newPodRig(t, 3, 2)
+	a, b, d, e := r.job.Members[0], r.job.Members[1], r.job.Members[3], r.job.Members[4]
+	left := &Job{Name: "left", Members: []Member{a, e}}
+	right := &Job{Name: "right", Members: []Member{b, d}}
+	leftCoord := r.coordinator(4, left)
+	r.run(200 * sim.Millisecond)
+
+	node0 := r.agents[0]
+	filter := node0.kern.Stack().Filter()
+	coordAddr, _ := r.coord.stack.FirstAddr()
+	held := filter.AddDropAddr(coordAddr)
+	var rightRes, leftRes *Result
+	var rightErr, leftErr error
+	r.coord.Checkpoint(right, func(res *Result, err error) { rightRes, rightErr = res, err })
+	early := podSeq{b.Pod, 1}
+	for i := 0; i < 100 && len(node0.markers[early]) == 0; i++ {
+		r.run(sim.Millisecond)
+	}
+	if len(node0.markers[early]) != 1 || node0.OpenOps() != 0 {
+		t.Fatalf("node 0 holds %d markers for b and %d ops; want d's marker and no op yet",
+			len(node0.markers[early]), node0.OpenOps())
+	}
+	leftCoord.Checkpoint(left, func(res *Result, err error) { leftRes, leftErr = res, err })
+	for i := 0; i < 100 && leftRes == nil && leftErr == nil; i++ {
+		r.run(10 * sim.Millisecond)
+	}
+	if leftErr != nil || leftRes == nil {
+		t.Fatalf("a's job: %v, err %v; want it done", leftRes, leftErr)
+	}
+	if n := len(node0.markers[early]); n != 1 {
+		t.Errorf("node 0 holds %d markers for b after a's job, want d's", n)
+	}
+	filter.RemoveRule(held)
+	r.run(2 * sim.Second)
+	if rightErr != nil || rightRes == nil || rightRes.MarkerMessages != 2 {
+		t.Fatalf("b's job after its request got through: %+v, err %v; want done with 2 markers", rightRes, rightErr)
+	}
+	if leftRes.MarkerMessages != 2 || leftRes.Seq != 1 || rightRes.Seq != 1 {
+		t.Fatalf("a's job: %+v; want seq 1 with 2 markers, as b's", leftRes)
+	}
+	r.settled()
 }
