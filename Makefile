@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test fmt vet race cruzvet cover traffic bench bench-smoke vdiff vsame vgate gobench fuzz-smoke trace-demo
+.PHONY: check build test fmt vet race cruzvet cover traffic bench bench-smoke vdiff vsame vgate tsame gobench fuzz-smoke trace-demo
 
 check: fmt vet cruzvet build test race bench-smoke
 
@@ -210,6 +210,33 @@ vgate:
 		echo "$$out"; grep -q WORSE <<<"$$out" && bad=1; \
 	done; \
 	exit $$bad
+
+# The scenario rows' "moves no number" check: `make tsame PARENT=<rev>`
+# clones this repository into a temporary directory once, as vsame does,
+# checks PARENT out there, builds cmd/cruzsim from that tree and from the
+# working tree, runs every row `cruzsim -h` lists on both with -trace, each
+# tree in a directory of its own under the same relative file names, and
+# cmps the printed text and the trace file. Silence is the pass; the first
+# row that differs or fails is a non-zero exit. The temporary directory
+# (under $$TMPDIR) is removed either way. It needs a parent, so check does
+# not include it.
+tsame: SHELL = bash
+tsame:
+	@test -n "$(PARENT)" || { echo "usage: make tsame PARENT=<rev>" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git clone -q . "$$tmp/parent" && git -C "$$tmp/parent" checkout -q $(PARENT) && \
+	mkdir "$$tmp/parent.out" "$$tmp/change.out" && \
+	$(GO) -C "$$tmp/parent" build -o "$$tmp/parent.out/cruzsim" ./cmd/cruzsim && \
+	$(GO) build -o "$$tmp/change.out/cruzsim" ./cmd/cruzsim && \
+	rows=$$("$$tmp/change.out/cruzsim" -h 2>&1 | awk '$$1 == "-scenario" && NF > 2 { print $$2 }') && \
+	for row in $$rows; do \
+		for tree in parent change; do \
+			(cd "$$tmp/$$tree.out" && ./cruzsim -scenario $$row -trace $$row.json >$$row.txt 2>&1) || \
+				{ echo "tsame: row $$row failed on the $$tree tree" >&2; exit 1; }; \
+		done; \
+		cmp "$$tmp/parent.out/$$row.txt" "$$tmp/change.out/$$row.txt" && \
+		cmp "$$tmp/parent.out/$$row.json" "$$tmp/change.out/$$row.json" || exit 1; \
+	done
 
 # Worked example from README: the quickstart row with a Chrome trace.
 trace-demo:

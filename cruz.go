@@ -523,7 +523,7 @@ func (cl *Cluster) Migrate(job *Job, podName string, targetNode int, opts Migrat
 func (cl *Cluster) DefineFlushJob(name string, podNames ...string) (*flush.Job, error) {
 	if cl.flushCoord == nil {
 		for _, n := range cl.Nodes {
-			fa, err := flush.NewAgent(n.Kernel, n.Store)
+			fa, err := flush.NewAgent(n.Kernel)
 			if err != nil {
 				return nil, err
 			}

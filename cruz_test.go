@@ -328,6 +328,51 @@ func TestCheckJudgesTheFlushingDaemons(t *testing.T) {
 	check(t, cl)
 }
 
+// TestFlushCheckpointKeepsCruzCheckpoint: the two protocols count
+// sequence numbers apart, so the flushing baseline's checkpoint of a pod
+// at the seq of a Cruz checkpoint must leave that one where it is — in
+// the store and as what a restart restores.
+func TestFlushCheckpointKeepsCruzCheckpoint(t *testing.T) {
+	cl, err := cruz.New(cruz.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, job := deployRing(t, cl, 2)
+	cl.Run(200 * cruz.Millisecond)
+	res, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+	if err != nil || res.Seq != 1 {
+		t.Fatalf("Cruz checkpoint: %+v, %v", res, err)
+	}
+	img, ok := cl.Nodes[0].Store.Cached("wa", 1)
+	if !ok {
+		t.Fatal("no Cruz image of wa at seq 1")
+	}
+	cruzAt := img.TakenAt
+	cl.Run(500 * cruz.Millisecond)
+	fjob, err := cl.DefineFlushJob("fring", names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepsAtFlush := ringWorker(cl, "wa").StepsDone
+	if fres, err := cl.FlushCheckpoint(fjob); err != nil || fres.Seq != 1 {
+		t.Fatalf("flush checkpoint: %+v, %v", fres, err)
+	}
+	if img, ok := cl.Nodes[0].Store.Cached("wa", 1); !ok {
+		t.Fatal("the flush checkpoint took the Cruz image of wa at seq 1 out of the store")
+	} else if img.TakenAt != cruzAt {
+		t.Fatalf("store holds wa/1 taken at %v, want the Cruz checkpoint's %v", img.TakenAt, cruzAt)
+	}
+	cl.Run(50 * cruz.Millisecond)
+	if _, err := cl.Restart(job, 1); err != nil {
+		t.Fatal(err)
+	}
+	if steps := ringWorker(cl, "wa").StepsDone; steps >= stepsAtFlush {
+		t.Fatalf("restart restored wa at step %d, past the %d it had reached before the flush checkpoint", steps, stepsAtFlush)
+	}
+	cl.Run(100 * cruz.Millisecond)
+	check(t, cl)
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (cruz.Duration, int) {
 		cl, err := cruz.New(cruz.Config{Nodes: 2, Seed: 99})

@@ -192,30 +192,35 @@ type agentOp struct {
 	merging bool
 	pending []int
 
-	// Trace spans for the op and its lifecycle phases. Zero values are
-	// inert, so paths that never begin a phase may End it freely.
-	span      trace.Span
-	phRound   trace.Span
-	phQuiesce trace.Span
-	phDrain   trace.Span
-	phCapture trace.Span
-	phHash    trace.Span
-	phDedup   trace.Span
-	phWrite   trace.Span
-	phCommit  trace.Span
+	// Trace spans: the op's own and, under it, the phase in progress.
+	// Only two spans run beside a phase: round, a pre-copy or migrate
+	// round that encloses the hash and dedup of the pages it carries, and
+	// commit, which under copy-on-write opens at capture and runs beside
+	// the released image's hash, dedup and write. Zero values are inert,
+	// so paths that never begin a span may End it freely.
+	span   trace.Span
+	round  trace.Span
+	phase  trace.Span
+	commit trace.Span
 }
 
 // endSpans closes everything still open on the op (abort/failure paths).
 func (op *agentOp) endSpans(args ...trace.Arg) {
-	op.phRound.End(args...)
-	op.phQuiesce.End(args...)
-	op.phDrain.End(args...)
-	op.phCapture.End(args...)
-	op.phHash.End(args...)
-	op.phDedup.End(args...)
-	op.phWrite.End(args...)
-	op.phCommit.End(args...)
+	op.round.End(args...)
+	op.phase.End(args...)
+	op.commit.End(args...)
 	op.span.End(args...)
+}
+
+// openPhase ends what slot — the op's round, phase or commit — still
+// holds open and opens name there, under the op's span and naming its
+// pod ahead of args.
+func (a *Agent) openPhase(op *agentOp, slot *trace.Span, name string, args ...trace.Arg) {
+	slot.End()
+	var all [trace.MaxArgs]trace.Arg
+	all[0] = trace.Str("pod", op.Key)
+	n := 1 + copy(all[1:], args)
+	*slot = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, name, all[:n]...)
 }
 
 // NewAgent starts an agent on the node, listening on its control port.
@@ -464,9 +469,8 @@ func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
 
 	// Rounds occupy the sequence block below the residual's m.Seq.
 	seqR := m.Seq - m.PrecopyRounds + round
-	op.phRound = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.round,
-		trace.Str("pod", m.Pod), trace.Int("round", int64(round)),
-		trace.Int("pages", int64(candidate)))
+	a.openPhase(op, &op.round, op.phases.round,
+		trace.Int("round", int64(round)), trace.Int("pages", int64(candidate)))
 	lc, err := ckpt.CaptureLive(pod, seqR, ckpt.Options{Incremental: !full, Hashes: m.Dedup, BaseSeq: baseSeq, Store: a.store})
 	if err != nil {
 		a.failOp(op, err)
@@ -494,7 +498,7 @@ func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
 			a.streamPlan(op, plan.TotalBytes, func() {
 				a.streamRound(op, seqR, func() {
 					lc.Release()
-					op.phRound.End(trace.Int("bytes", plan.TotalBytes))
+					op.round.End(trace.Int("bytes", plan.TotalBytes))
 					a.runPrecopy(op, round+1, candidate, seqR)
 				})
 			})
@@ -530,7 +534,7 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 			incremental, baseSeq = false, 0
 		}
 	}
-	op.phQuiesce = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.quiesce, trace.Str("pod", m.Pod))
+	a.openPhase(op, &op.phase, op.phases.quiesce)
 
 	// Step 1: configure the filter to silently drop all pod traffic.
 	a.cpu.Do(filterCost, func() {
@@ -550,14 +554,13 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 				return
 			}
 			op.stoppedAt = a.kern.Engine().Now()
-			op.phQuiesce.End()
+			op.phase.End()
 			// In Cruz the filter drops in-flight pod traffic rather than
 			// flushing it; the "drain" phase is the settle window between
 			// full quiesce and the start of the state copy (the serialized
 			// in-kernel walk of process and socket structures).
 			if op.phases.drain != "" {
-				op.phDrain = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.drain,
-					trace.Str("pod", m.Pod), trace.Str("mode", "drop"))
+				a.openPhase(op, &op.phase, op.phases.drain, trace.Str("mode", "drop"))
 			}
 			// The capture window scales with the bytes copied (full:
 			// resident pages; incremental: dirty pages only).
@@ -575,15 +578,13 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 				if op.Aborted() {
 					return
 				}
-				op.phDrain.End()
-				op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.capture,
-					trace.Str("pod", m.Pod))
+				a.openPhase(op, &op.phase, op.phases.capture)
 				img, err := ckpt.Capture(pod, m.Seq, ckpt.Options{Incremental: incremental, Hashes: m.Dedup, BaseSeq: baseSeq, Store: a.store})
 				if err != nil {
 					a.failOp(op, err)
 					return
 				}
-				op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
+				op.phase.End(trace.Int("mem_bytes", img.MemoryBytes()))
 				op.captured = true
 				if op.precopy {
 					// The residual's capture cleared dirty bits for pages
@@ -596,8 +597,7 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 					// resume (once the coordinator confirms every node
 					// has captured) while the image write proceeds from
 					// the snapshot.
-					op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
-						trace.Str("pod", m.Pod), trace.Str("mode", "cow"))
+					a.openPhase(op, &op.commit, "commit", trace.Str("mode", "cow"))
 					op.conn.Send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
 					a.maybeFinishContinue(op)
 				}
@@ -619,30 +619,28 @@ func (a *Agent) planImage(op *agentOp, img *ckpt.Image, finishPlan func(*ckpt.Sa
 	}
 	// Hash phase: only pages written since the last hashing capture had
 	// a stale cached hash; they alone cost CPU here.
-	op.phHash = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "hash",
-		trace.Str("pod", op.Key))
+	a.openPhase(op, &op.phase, "hash")
 	a.cpu.Do(bytesCost(int64(img.FreshHashes)*mem.PageSize, hashBPS), func() {
 		if op.Aborted() {
 			return
 		}
-		op.phHash.End(trace.Int("fresh_pages", int64(img.FreshHashes)))
+		op.phase.End(trace.Int("fresh_pages", int64(img.FreshHashes)))
 		var pages int64
 		for i := range img.Processes {
 			pages += int64(img.Processes[i].Memory.NumPages())
 		}
-		op.phDedup = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "dedup",
-			trace.Str("pod", op.Key))
+		a.openPhase(op, &op.phase, "dedup")
 		a.cpu.Do(sim.Duration(pages)*dedupPerChunk, func() {
 			if op.Aborted() {
 				return
 			}
 			plan, err := a.store.PlanDedupSave(img)
 			if err == nil {
-				op.phDedup.End(
+				op.phase.End(
 					trace.Int("new_chunks", int64(plan.Stats.NewChunks)),
 					trace.Int("dup_chunks", int64(plan.Stats.DupChunks)))
 			} else {
-				op.phDedup.End(trace.Str("err", err.Error()))
+				op.phase.End(trace.Str("err", err.Error()))
 			}
 			finishPlan(plan, err)
 		})
@@ -666,8 +664,7 @@ func (a *Agent) planAndWrite(op *agentOp, img *ckpt.Image) {
 			// abortable epoch like the rounds before it.
 			op.roundSeqs = append(op.roundSeqs, op.Seq)
 		}
-		op.phWrite = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, op.phases.write,
-			trace.Str("pod", op.Key))
+		a.openPhase(op, &op.phase, op.phases.write)
 		a.streamPlan(op, plan.TotalBytes, func() {
 			a.streamRound(op, op.Seq, func() { a.imageSaved(op, plan) })
 		})
@@ -727,7 +724,7 @@ func (a *Agent) streamPlan(op *agentOp, total int64, complete func()) {
 // continue path.
 func (a *Agent) imageSaved(op *agentOp, plan *ckpt.SavePlan) {
 	m, total := op.req, plan.TotalBytes
-	op.phWrite.End(trace.Int("bytes", total))
+	op.phase.End(trace.Int("bytes", total))
 	op.saveDone = true
 	if op.migrating() {
 		// The handover is the destination's continue, FrozeAt starting its
@@ -768,9 +765,8 @@ func (a *Agent) imageSaved(op *agentOp, plan *ckpt.SavePlan) {
 		op.Finish()
 		return
 	}
-	if !op.phCommit.Active() {
-		op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
-			trace.Str("pod", m.Pod))
+	if !op.commit.Active() {
+		a.openPhase(op, &op.commit, "commit")
 	}
 	a.maybeFinishContinue(op)
 }
@@ -822,7 +818,7 @@ func (a *Agent) maybeFinishContinue(op *agentOp) {
 		a.kern.Stack().Filter().RemoveRule(op.filterID)
 		op.filterID = 0
 		a.tr.InstantCtx(op.span.Context(), a.kern.Name(), "core", "filter.remove", trace.Str("pod", op.Key))
-		op.phCommit.End()
+		op.commit.End()
 		seq := op.Seq
 		if op.saveDone {
 			op.endSpans()
@@ -865,12 +861,9 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
 		return
 	}
-	node := a.kern.Name()
-	op.span = a.tr.BeginChild(m.ctx, node, "core", "agent.restart",
+	op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.restart",
 		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
-	// Reuse the quiesce/write slots for the restart phases so abort
-	// cleanup covers them.
-	op.phQuiesce = a.tr.BeginChild(op.span.Context(), node, trace.PhaseCat, "load", trace.Str("pod", m.Pod))
+	a.openPhase(op, &op.phase, "load")
 
 	a.store.Load(m.Pod, m.Seq, true, op.span.Context(), func(img *ckpt.Image, err error) {
 		if op.Aborted() {
@@ -880,13 +873,10 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 			a.failOp(op, err)
 			return
 		}
-		op.phQuiesce.End()
-		op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "restore",
-			trace.Str("pod", m.Pod))
+		a.openPhase(op, &op.phase, "restore")
 		a.takeOver(op, img, func() {
-			op.phCapture.End(trace.Int("mem_bytes", img.MemoryBytes()))
-			op.phCommit = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "commit",
-				trace.Str("pod", m.Pod))
+			op.phase.End(trace.Int("mem_bytes", img.MemoryBytes()))
+			a.openPhase(op, &op.commit, "commit")
 			c.Send(&wireMsg{
 				Type:          msgDone,
 				Seq:           m.Seq,

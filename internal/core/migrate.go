@@ -310,8 +310,7 @@ func (a *Agent) migrateMerge(op *agentOp) {
 	seq := op.pending[0]
 	op.pending = op.pending[1:]
 	op.merging = true
-	op.phRound = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "migrate-merge",
-		trace.Str("pod", op.Key), trace.Int("seq", int64(seq)))
+	a.openPhase(op, &op.phase, "migrate-merge", trace.Int("seq", int64(seq)))
 	// Folding an increment into the held image is an in-memory page copy
 	// at the capture rate; the first round becomes the held image as is.
 	fold := func(inc *ckpt.Image, err error) {
@@ -344,12 +343,12 @@ func (a *Agent) mergeDone(op *agentOp, img *ckpt.Image, err error) {
 		return
 	}
 	if err != nil {
-		op.phRound.End(trace.Str("err", err.Error()))
+		op.phase.End(trace.Str("err", err.Error()))
 		a.failOp(op, err)
 		return
 	}
 	op.held = img
-	op.phRound.End(trace.Int("mem_bytes", img.MemoryBytes()))
+	op.phase.End(trace.Int("mem_bytes", img.MemoryBytes()))
 	a.migrateMerge(op)
 }
 
@@ -366,8 +365,7 @@ func (a *Agent) migrateTakeOver(op *agentOp) {
 		a.failOp(op, errors.New("core: handover before any round arrived"))
 		return
 	}
-	op.phCapture = a.tr.BeginChild(op.span.Context(), a.kern.Name(), trace.PhaseCat, "takeover",
-		trace.Str("pod", op.Key))
+	a.openPhase(op, &op.phase, "takeover")
 	a.takeOver(op, op.held, func() { a.maybeFinishContinue(op) })
 }
 
@@ -389,7 +387,7 @@ func (a *Agent) tookOver(op *agentOp) {
 	a.Stats.MigrationsIn++
 	now := a.kern.Engine().Now()
 	downtime := now.Sub(op.stoppedAt)
-	op.phCapture.End(trace.Int("downtime_us", int64(downtime/sim.Microsecond)))
+	op.phase.End(trace.Int("downtime_us", int64(downtime/sim.Microsecond)))
 	op.endSpans()
 	op.Finish()
 	op.conn.Send(&wireMsg{

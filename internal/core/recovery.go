@@ -111,16 +111,12 @@ type recovery struct {
 	transferBytes int64
 	reconstruct   sim.Duration // max per-pod decode window
 
-	span       trace.Span
-	phPlace    trace.Span
-	phTransfer trace.Span
-	phRestart  trace.Span
+	span  trace.Span
+	phase trace.Span // the one in progress: place, transfer or restart
 }
 
 func (rec *recovery) endSpans(args ...trace.Arg) {
-	rec.phPlace.End(args...)
-	rec.phTransfer.End(args...)
-	rec.phRestart.End(args...)
+	rec.phase.End(args...)
 	rec.span.End(args...)
 }
 
@@ -250,7 +246,7 @@ func (c *Coordinator) startRecovery(w *watch, failed *nodeInfo) {
 	rec.span = c.tr.BeginOp(c.stack.Name(), "core", "recovery",
 		trace.Str("job", w.job.Name), trace.Str("failed", failed.name),
 		trace.Int("lead.detect_us", int64(rec.detect/sim.Microsecond)))
-	rec.phPlace = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
+	rec.phase = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
 		"recovery.place", trace.Str("job", w.job.Name))
 	c.tr.DumpFlight("recovery.start", w.job.Name)
 	// Until the restart installs its own finish hook only failure ends the op.
@@ -453,9 +449,9 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 	}
 	now := c.stack.Engine().Now()
 	rec.place = now.Sub(op.Started())
-	rec.phPlace.End()
+	rec.phase.End()
 	rec.transferStart = now
-	rec.phTransfer = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
+	rec.phase = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
 		"recovery.transfer", trace.Str("job", job.Name))
 
 	// Transfer phase: fetch images onto the homes that lack them.
@@ -463,7 +459,7 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 		c.startRecoveryRestart(op)
 		return
 	}
-	c.sendFetches(op, fetches, rec.phTransfer.Context())
+	c.sendFetches(op, fetches, rec.phase.Context())
 }
 
 // planHome records in op's plan that pod restarts from op.Seq on target —
@@ -563,9 +559,9 @@ func (c *Coordinator) startRecoveryRestart(op *rootOp) {
 	rec, job := op.rec, op.job
 	now := c.stack.Engine().Now()
 	rec.transfer = now.Sub(rec.transferStart)
-	rec.phTransfer.End(trace.Int("bytes", rec.transferBytes))
+	rec.phase.End(trace.Int("bytes", rec.transferBytes))
 	rec.restartStart = now
-	rec.phRestart = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
+	rec.phase = c.tr.BeginChild(rec.span.Context(), c.stack.Name(), trace.PhaseCat,
 		"recovery.restart", trace.Str("job", job.Name), trace.Int("seq", int64(op.Seq)))
 	for i := range job.Members {
 		if addr, ok := rec.assign[job.Members[i].Pod]; ok {
@@ -581,7 +577,7 @@ func (c *Coordinator) startRecoveryRestart(op *rootOp) {
 		if err != nil {
 			op.Fail(err)
 		} else if op.Active() {
-			c.openRestart(op, rec.phRestart.Context(), func(res *RestartResult, err error) { c.recoveryDone(op, res, err) })
+			c.openRestart(op, rec.phase.Context(), func(res *RestartResult, err error) { c.recoveryDone(op, res, err) })
 			c.start(op, wireMsg{Type: msgRestart, Seq: op.Seq})
 		}
 	})
@@ -613,7 +609,7 @@ func (c *Coordinator) recoveryDone(op *rootOp, res *RestartResult, err error) {
 		TransferBytes: rec.transferBytes,
 		RestartResult: res,
 	}
-	rec.phRestart.End()
+	rec.phase.End()
 	rec.span.End(trace.Int("mttr_us", int64(result.MTTR/sim.Microsecond)))
 	if rec.w.onRecovery != nil {
 		rec.w.onRecovery(result, nil)

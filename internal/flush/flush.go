@@ -117,10 +117,9 @@ const drainPoll = 200 * sim.Microsecond
 // Agent is the per-node daemon of the flushing baseline. Each pod's
 // checkpoint in flight is one ctl.Op keyed by the pod's name.
 type Agent struct {
-	kern  *kernel.Kernel
-	store *ckpt.Store
-	cpu   ctl.Serializer
-	tr    *trace.Tracer
+	kern *kernel.Kernel
+	cpu  ctl.Serializer
+	tr   *trace.Tracer
 
 	pods map[string]*zap.Pod
 	// ep accepts the coordinator's and peers' connections and dials peers.
@@ -152,11 +151,12 @@ type agentOp struct {
 
 // NewAgent starts a flushing agent on the node. It pays the Cruz agent's
 // costs (core.AgentMsgCost, core.CaptureCost, core.CaptureBPS,
-// core.EncodeBPS), so the comparison isolates protocol structure.
-func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
+// core.EncodeBPS), so the comparison isolates protocol structure. Its
+// images go to the node's disk and nowhere else: nothing restarts from
+// them, and the node's checkpoint store belongs to Cruz.
+func NewAgent(kern *kernel.Kernel) (*Agent, error) {
 	a := &Agent{
 		kern:    kern,
-		store:   store,
 		cpu:     ctl.Serializer{Engine: kern.Engine()},
 		tr:      trace.FromEngine(kern.Engine()),
 		pods:    make(map[string]*zap.Pod),
@@ -351,23 +351,24 @@ func (a *Agent) saveLocal(op *agentOp) {
 		op.phase.End(trace.Int("mem_bytes", img.MemoryBytes()))
 		op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "write",
 			trace.Str("pod", op.Key))
-		plan, err := a.store.PlanSave(img)
+		blob, err := img.Encode()
 		if err != nil {
 			fail(err)
 			return
 		}
-		a.cpu.Do(rateCost(plan.TotalBytes, core.EncodeBPS), func() {
-			a.store.Disk().Write(plan.TotalBytes, func() {
+		n := int64(len(blob))
+		a.cpu.Do(rateCost(n, core.EncodeBPS), func() {
+			a.kern.Disk().Write(n, func() {
 				if op.Aborted() {
 					return
 				}
-				op.phase.End(trace.Int("bytes", plan.TotalBytes))
+				op.phase.End(trace.Int("bytes", n))
 				op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "commit",
 					trace.Str("pod", op.Key))
 				op.Arrive("save", op.Key)
 				op.conn.Send(&fWireMsg{Type: fDone, Seq: op.Seq, Pod: op.Key,
 					LocalDuration: a.kern.Engine().Now().Sub(op.Started()), FlushDuration: op.flushEnd.Sub(op.Started()),
-					MarkerMsgs: op.markerSent, ImageBytes: plan.TotalBytes})
+					MarkerMsgs: op.markerSent, ImageBytes: n})
 			})
 		})
 	})

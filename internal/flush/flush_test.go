@@ -135,7 +135,7 @@ func newPodRig(t *testing.T, nodes, perNode int) *rig {
 	for i := 0; i < n; i++ {
 		if i%perNode == 0 {
 			k := r.node(i / perNode)
-			ag, err := NewAgent(k, ckpt.NewStore(k.Disk()))
+			ag, err := NewAgent(k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,6 +21,7 @@ package zap
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cruz/internal/ether"
 	"cruz/internal/kernel"
@@ -352,16 +353,13 @@ func (p *Pod) ShmIDs() []int { return sortedKeys(p.shmIDs) }
 // SemIDs returns the pod's semaphore ids in ascending order.
 func (p *Pod) SemIDs() []int { return sortedKeys(p.semIDs) }
 
-func sortedKeys(m map[int]bool) []int {
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
 	out := make([]int, 0, len(m))
 	for id := range m {
 		out = append(out, id)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -381,16 +379,7 @@ func (p *Pod) Destroy() {
 		// from a pod that must disappear silently. fd order, like vpid
 		// order above, is fixed so the trace is reproducible.
 		fds := proc.FDs()
-		nums := make([]int, 0, len(fds))
-		for n := range fds {
-			nums = append(nums, n)
-		}
-		for i := 1; i < len(nums); i++ {
-			for j := i; j > 0 && nums[j] < nums[j-1]; j-- {
-				nums[j], nums[j-1] = nums[j-1], nums[j]
-			}
-		}
-		for _, n := range nums {
+		for _, n := range sortedKeys(fds) {
 			fd := fds[n]
 			switch fd.Kind() {
 			case kernel.FDConn:
