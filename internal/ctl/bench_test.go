@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cruz/internal/sim"
+	"cruz/internal/trace"
 )
 
 // BenchmarkMigrationStream models a migration's bulk control-plane
@@ -50,5 +51,49 @@ func BenchmarkMigrationStream(b *testing.B) {
 		if ca.Pool.Hits == 0 {
 			b.Fatal("frame pool never hit on a repetitive bulk stream")
 		}
+	}
+}
+
+// BenchmarkBulkFrame delivers one 8 MiB frame over a warmed connection:
+// sent as one copied payload (Send), or as a small head and the 8 MiB
+// as a part (SendParts), the path every store transfer takes. MB/s is
+// the host's rate through ctl and tcpip, sender to receiver callback.
+func BenchmarkBulkFrame(b *testing.B) {
+	for _, parts := range []bool{false, true} {
+		name := "copied"
+		if parts {
+			name = "parts"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := newRig(b)
+			frames := 0
+			NewConn(r.b, func(*Conn, []byte) { frames++ }, nil)
+			ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+			head := make([]byte, 600)
+			blob := make([]byte, 8<<20)
+			deliver := func() {
+				var err error
+				if parts {
+					err = ca.SendParts(head, [][]byte{blob}, trace.SpanContext{}, TierForeground)
+				} else {
+					err = ca.Send(blob)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				for want := frames + 1; frames < want; {
+					if !r.engine.Step() {
+						b.Fatal("engine ran dry before the frame arrived")
+					}
+				}
+			}
+			deliver()
+			b.SetBytes(int64(len(blob)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				deliver()
+			}
+		})
 	}
 }

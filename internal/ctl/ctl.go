@@ -6,6 +6,7 @@
 package ctl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,8 +24,8 @@ import (
 const frameHeader = 4 + 16
 
 // MaxFrame bounds the payload length a frame header may claim. Pump
-// allocates a frame's buffer as soon as its header is in, so the bound
-// is what keeps a corrupt or hostile length from allocating gigabytes.
+// keeps a frame's bytes until the frame is whole, so the bound is what
+// keeps a corrupt or hostile length from pinning gigabytes.
 const MaxFrame = 1 << 30
 
 // ErrFrameTooLarge is reported through the error callback when a frame
@@ -46,25 +47,30 @@ type Conn struct {
 	onErr    func(*Conn, error)
 	frameCtx trace.SpanContext
 
-	// Receive state. The TCP receive ring is the only staging: Pump
-	// reads the fixed header into hdr, allocates the payload buffer at
-	// its exact size, and receives straight into it.
+	// Receive state. The TCP receive buffer is the only staging: Pump
+	// reads the fixed header into hdr, then takes the payload from TCP
+	// as pieces (RecvRef) and joins them into the frame's own buffer —
+	// one copy, and no zero-fill before it. Only when TCP will hold no
+	// more of the frame's copied bytes does Pump allocate the frame
+	// (zeroed), copy the pieces in and receive the rest straight into
+	// it.
 	hdr    [frameHeader]byte
-	hdrN   int    // header bytes received so far
-	frame  []byte // payload buffer of the frame in progress; nil between frames
-	frameN int    // payload bytes received so far
+	hdrN   int      // header bytes received so far; frameHeader while the payload arrives
+	pieces [][]byte // the payload received so far, as RecvRef handed it out
+	frame  []byte   // the payload buffer once TCP stopped holding; nil before
+	need   int      // payload bytes still to come
 
 	// fpool recycles small frame buffers: SendParts draws from it and
 	// drain returns a buffer once its frame is fully inside the TCP send
-	// buffer (which copies). Copied payloads above framePoolBufCap draw
-	// from the large tier lpool instead.
+	// buffer (whose Send copies). Copied payloads above framePoolBufCap
+	// draw from the large tier lpool instead.
 	fpool [][]byte
 	// lpool is the bulk tier: a handful of recycled large buffers,
 	// best-fit matched, with capacities rounded to powers of two so a
 	// stream of similar-size copied bulk frames reuses one buffer
 	// instead of allocating megabytes per frame. Bulk that is immutable
 	// at the sender (store blobs and chunks) bypasses it: SendParts
-	// writes such parts from where they lie.
+	// hands such parts to TCP by reference.
 	lpool [][]byte
 
 	// Sent and Received count frames, for message-complexity accounting.
@@ -78,7 +84,7 @@ type Conn struct {
 
 // wframe is one queued output frame: a pooled buffer holding the frame
 // header and the copied head of the payload, then the caller's parts,
-// which go to the wire from where they lie. idx and pos say how far the
+// which TCP queues by reference. idx and pos say how far the
 // frame has entered the TCP send buffer: piece idx (0 is buf, i is
 // parts[i-1]) from byte pos. Keeping the position separate (rather than
 // re-slicing) preserves the original buffer for recycling.
@@ -226,11 +232,11 @@ func (c *Conn) SendTierCtx(payload []byte, ctx trace.SpanContext, tier Tier) err
 
 // SendParts transmits one frame whose payload is head followed by every
 // part, in order. head is copied like SendTierCtx's payload. The parts
-// are not: they enter the TCP send buffer straight from the caller's
-// slices as window space opens, so they must not change until the frame
-// has drained — the contract store blobs and chunks, immutable once
-// planned, meet for free. Bulk sent this way crosses the connection
-// with one copy, into the TCP send ring.
+// are not: TCP queues, packetizes and delivers them as slices of the
+// caller's (SendRef), and the receiver may reference them until its
+// frame is whole, so they must never change — the contract store blobs,
+// chunks and manifests, immutable once planned, meet for free. A part
+// byte crosses the connection with one copy, into the receiver's frame.
 func (c *Conn) SendParts(head []byte, parts [][]byte, ctx trace.SpanContext, tier Tier) error {
 	if err := c.tc.Err(); err != nil {
 		return fmt.Errorf("ctl: send on dead conn: %w", err)
@@ -306,9 +312,9 @@ func (c *Conn) nextTier() (Tier, bool) {
 }
 
 // drain pushes queued frames into the TCP send buffer until it fills.
-// The remainder goes out from Pump as acknowledgments free space. TCP's
-// Send copies accepted bytes, so a fully-sent frame buffer is dead and
-// returns to the pool.
+// The remainder goes out from Pump as acknowledgments free space. A
+// frame's buffer went in through TCP's copying Send, so once the whole
+// frame is in, the buffer is dead and returns to the pool.
 func (c *Conn) drain() {
 	for {
 		t, ok := c.nextTier()
@@ -325,11 +331,12 @@ func (c *Conn) drain() {
 	}
 }
 
-// sendFrame moves as much of f as fits into the TCP send buffer and
-// reports whether the whole frame is in. A frame of several pieces is
-// sent corked, so TCP packetizes the pieces exactly as it would the one
-// contiguous buffer they stand for: full segments flow as they form and
-// the sub-MSS tail waits for the uncork at the end.
+// sendFrame moves as much of f as fits into the TCP send buffer — the
+// pooled buffer by copy, the parts by reference — and reports whether
+// the whole frame is in. A frame of several pieces is sent corked, so
+// TCP packetizes the pieces exactly as it would the one contiguous
+// buffer they stand for: full segments flow as they form and the
+// sub-MSS tail waits for the uncork at the end.
 func (c *Conn) sendFrame(f *wframe) bool {
 	if len(f.parts) > 0 {
 		defer c.tc.SetCork(c.tc.Cork())
@@ -341,7 +348,13 @@ func (c *Conn) sendFrame(f *wframe) bool {
 			f.idx, f.pos = f.idx+1, 0
 			continue
 		}
-		n, err := c.tc.Send(p)
+		var n int
+		var err error
+		if f.idx == 0 {
+			n, err = c.tc.Send(p)
+		} else {
+			n, err = c.tc.SendRef(p)
+		}
 		if err == tcpip.ErrWouldBlock {
 			c.Blocked++
 			return false
@@ -366,6 +379,7 @@ func (c *Conn) sendFrame(f *wframe) bool {
 // directly.
 func (c *Conn) Pump() {
 	if err := c.tc.Err(); err != nil {
+		c.dropFrame()
 		if c.onErr != nil {
 			c.onErr(c, err)
 		}
@@ -374,11 +388,14 @@ func (c *Conn) Pump() {
 	if c.tc.Established() && c.queued() {
 		c.drain()
 	}
-	// Recv reports ErrWouldBlock once the receive ring is empty (and EOF
-	// or the terminal error at end of stream); any of them ends the loop
-	// with the frame in progress kept for the next call.
+	// Recv and RecvRef report ErrWouldBlock once the receive buffer is
+	// empty, which ends the loop with the frame in progress kept for the
+	// next call, and EOF or the terminal error at end of stream, which
+	// ends it for good. The header's Recv also ends TCP's hold on the
+	// copied bytes the previous frame's pieces aliased: they are joined
+	// by then.
 	for {
-		if c.frame == nil {
+		if c.hdrN < frameHeader {
 			n, err := c.tc.Recv(c.hdr[c.hdrN:], false)
 			if err != nil {
 				return
@@ -397,18 +414,34 @@ func (c *Conn) Pump() {
 				}
 				return
 			}
-			c.frame, c.frameN = make([]byte, size), 0
+			c.need = int(size)
 		}
-		if c.frameN < len(c.frame) {
-			n, err := c.tc.Recv(c.frame[c.frameN:], false)
+		for c.need > 0 {
+			var n int
+			var err error
+			if c.frame == nil {
+				c.pieces, n, err = c.tc.RecvRef(c.pieces, c.need)
+				if err == nil && n == 0 {
+					c.frame = c.spill()
+					continue
+				}
+			} else {
+				n, err = c.tc.Recv(c.frame[len(c.frame)-c.need:], false)
+			}
 			if err != nil {
+				if err != tcpip.ErrWouldBlock {
+					c.dropFrame()
+				}
 				return
 			}
-			if c.frameN += n; c.frameN < len(c.frame) {
-				continue
-			}
+			c.need -= n
 		}
 		payload := c.frame
+		if payload == nil {
+			payload = bytes.Join(c.pieces, nil)
+			clear(c.pieces)
+			c.pieces = c.pieces[:0]
+		}
 		c.frame, c.hdrN = nil, 0
 		c.frameCtx = trace.SpanContext{
 			Op:   trace.OpID(binary.BigEndian.Uint64(c.hdr[4:])),
@@ -417,6 +450,26 @@ func (c *Conn) Pump() {
 		c.Received++
 		c.onFrame(c, payload)
 	}
+}
+
+// dropFrame lets go of a frame the stream ended under: its pieces alias
+// the peer's bytes and a dead connection's receive ring.
+func (c *Conn) dropFrame() {
+	clear(c.pieces)
+	c.pieces, c.frame = nil, nil
+}
+
+// spill moves the frame in progress out of its pieces into a payload
+// buffer of its own, for the rest of the frame to be received into.
+func (c *Conn) spill() []byte {
+	frame := make([]byte, binary.BigEndian.Uint32(c.hdr[:]))
+	n := 0
+	for _, p := range c.pieces {
+		n += copy(frame[n:], p)
+	}
+	clear(c.pieces)
+	c.pieces = c.pieces[:0]
+	return frame
 }
 
 // FrameCtx returns the trace context of the most recently dispatched

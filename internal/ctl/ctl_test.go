@@ -14,6 +14,7 @@ type rig struct {
 	t      testing.TB
 	engine *sim.Engine
 	a, b   *tcpip.TCPConn
+	sa, sb *tcpip.Stack
 }
 
 func newRig(t testing.TB) *rig {
@@ -31,6 +32,7 @@ func newRig(t testing.TB) *rig {
 		return st
 	}
 	sa, sb := mk(0), mk(1)
+	r.sa, r.sb = sa, sb
 	l, err := sb.ListenTCP(tcpip.AddrPort{Addr: tcpip.Addr{10, 0, 0, 2}, Port: 99}, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -159,3 +159,151 @@ func TestOversizeFrameHeaderAborts(t *testing.T) {
 		t.Fatalf("allocated %d bytes on a hostile header", grew)
 	}
 }
+
+// TestSendPartsPartIsNotCopied: an 8 MiB part sent with SendParts
+// arrives intact, and its bytes never pass through a pooled segment
+// buffer. Only the segments that carry the frame header and head draw
+// one, the last of them because it straddles into the part: every other
+// segment is a slice of the part itself.
+func TestSendPartsPartIsNotCopied(t *testing.T) {
+	r := newRig(t)
+	var got [][]byte
+	NewConn(r.b, func(_ *Conn, payload []byte) { got = append(got, payload) }, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+	head := bytes.Repeat([]byte{9}, 3000)
+	part := make([]byte, 8<<20)
+	for i := range part {
+		part[i] = byte(i * 31)
+	}
+	draws := func() uint64 { return r.sa.Stats.SegPoolHits + r.sa.Stats.SegPoolMisses }
+	before := draws()
+	if err := ca.SendParts(head, [][]byte{part}, trace.SpanContext{}, TierForeground); err != nil {
+		t.Fatal(err)
+	}
+	r.engine.RunFor(2 * sim.Second)
+	if len(got) != 1 || !bytes.Equal(got[0], append(head, part...)) {
+		t.Fatalf("the frame did not arrive intact (%d frames)", len(got))
+	}
+	const mss = 1460
+	headSegs := uint64((frameHeader + len(head) + mss - 1) / mss)
+	if d := draws() - before; d > headSegs {
+		t.Errorf("the frame drew %d pooled segment buffers; its header and head fill %d segments", d, headSegs)
+	}
+}
+
+// TestSendPartsHeadIsCopied: SendParts copies the head, so a caller may
+// overwrite it the moment the call returns — whether the frame went
+// straight into TCP or queued behind a full send buffer.
+func TestSendPartsHeadIsCopied(t *testing.T) {
+	r := newRig(t)
+	var got [][]byte
+	NewConn(r.b, func(_ *Conn, payload []byte) { got = append(got, payload) }, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+	part := bytes.Repeat([]byte{5}, 200<<10)
+	var want [][]byte
+	head := make([]byte, 2500)
+	for i := 0; i < 3; i++ { // the second and third queue behind the first
+		for j := range head {
+			head[j] = byte(i + 1)
+		}
+		want = append(want, append(append([]byte(nil), head...), part...))
+		if err := ca.SendParts(head, [][]byte{part}, trace.SpanContext{}, TierForeground); err != nil {
+			t.Fatal(err)
+		}
+		for j := range head {
+			head[j] = 0xEE
+		}
+	}
+	r.engine.RunFor(2 * sim.Second)
+	if len(got) != len(want) {
+		t.Fatalf("received %d frames, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("frame %d carries the head as overwritten after SendParts, not as sent", i)
+		}
+	}
+}
+
+// TestChunkFrameArrivesWhole: a frame of many page-sized parts — chunks,
+// whose every boundary cuts a segment in two — arrives as sent, though
+// its copied straddle segments outgrow what TCP holds for a frame.
+func TestChunkFrameArrivesWhole(t *testing.T) {
+	r := newRig(t)
+	var got [][]byte
+	NewConn(r.b, func(_ *Conn, payload []byte) { got = append(got, payload) }, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+	head := []byte("head")
+	want := append([]byte(nil), head...)
+	var parts [][]byte
+	for i := 0; i < 300; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 4096)
+		parts = append(parts, p[:4096:4096])
+		want = append(want, p...)
+	}
+	if err := ca.SendParts(head, parts, trace.SpanContext{}, TierForeground); err != nil {
+		t.Fatal(err)
+	}
+	if err := ca.Send([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	r.engine.RunFor(2 * sim.Second)
+	if len(got) != 2 || !bytes.Equal(got[0], want) || string(got[1]) != "after" {
+		t.Fatalf("the chunk frame or the one behind it did not arrive intact (%d frames)", len(got))
+	}
+}
+
+// TestBulkPartsFrameAllocation is TestBulkFrameAllocation for a frame
+// sent as head plus an 8 MiB part: delivered over a warmed connection,
+// it allocates the receiver's frame and next to nothing besides — no
+// send-ring copy, no segment buffers, no zero-filled frame waiting for
+// its bytes.
+func TestBulkPartsFrameAllocation(t *testing.T) {
+	r := newRig(t)
+	frames := 0
+	NewConn(r.b, func(*Conn, []byte) { frames++ }, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+	head := make([]byte, 600)
+	part := make([]byte, 8<<20)
+	deliver := func() {
+		if err := ca.SendParts(head, [][]byte{part}, trace.SpanContext{}, TierForeground); err != nil {
+			t.Fatal(err)
+		}
+		for want := frames + 1; frames < want; {
+			if !r.engine.Step() {
+				t.Fatal("engine ran dry before the frame arrived")
+			}
+		}
+	}
+	deliver() // warm-up: queues, pools and the piece list reach their working size
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	deliver()
+	runtime.ReadMemStats(&after)
+	size := len(head) + len(part)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(size)
+	t.Logf("allocated %.3fx the frame", ratio)
+	if ratio > 1.1 {
+		t.Errorf("delivering a %d-byte frame of parts allocated %.2fx its size, want <= 1.1x", size, ratio)
+	}
+}
+
+// TestDeadConnDropsFrameInProgress: when the connection dies under a
+// frame, Pump lets go of the pieces it held, which alias the sender's
+// part.
+func TestDeadConnDropsFrameInProgress(t *testing.T) {
+	r := newRig(t)
+	cb := NewConn(r.b, func(*Conn, []byte) { t.Error("a frame arrived whole") }, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+	if err := ca.SendParts([]byte("head"), [][]byte{make([]byte, 8<<20)}, trace.SpanContext{}, TierForeground); err != nil {
+		t.Fatal(err)
+	}
+	r.engine.RunFor(5 * sim.Millisecond)
+	if len(cb.pieces) == 0 {
+		t.Fatal("no frame in progress to drop")
+	}
+	r.b.Abort()
+	if cb.pieces != nil || cb.frame != nil {
+		t.Fatalf("Pump holds %d pieces of a frame on a dead connection", len(cb.pieces))
+	}
+}

@@ -106,6 +106,11 @@ type Segment struct {
 	Flags            Flags
 	Window           uint16
 	Data             []byte
+	// ref marks Data as bytes nobody writes again, so the receiver may
+	// queue them by reference instead of copying. It exists only in the
+	// simulator: a real segment carries its bytes, and WireSize ignores
+	// the mark.
+	ref bool
 }
 
 // WireSize returns the segment's encoded size.

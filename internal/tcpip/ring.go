@@ -1,31 +1,34 @@
 package tcpip
 
 // Ring is a FIFO byte queue over one circular buffer. Write copies bytes
-// in at the tail; Read, Peek and Discard work at the head. The buffer
+// in at the tail; Peek, Discard and take work at the head. The buffer
 // grows (by doubling, never shrinks) only when a Write does not fit, so
 // a queue that fills and drains repeatedly — a TCP send or receive
 // buffer — settles at its high-water capacity and allocates nothing
 // afterwards. The zero value is an empty ring.
+//
+// Bytes consumed by take stay where they are, held, until release: a
+// Write never overwrites them, and a growth leaves them in the old
+// buffer. That is what lets a receiver keep slices of the ring across
+// events instead of copying them out.
 type Ring struct {
 	buf  []byte // len(buf) is the capacity, always zero or a power of two
-	head int    // index of the oldest byte
-	n    int    // bytes queued
+	head int    // index of the oldest unread byte
+	n    int    // unread bytes
+	held int    // consumed bytes just behind head that must not be overwritten
 }
 
 // ringMinCap is the first allocation; most control connections never
 // queue more than one small frame.
 const ringMinCap = 512
 
-// Len returns the number of queued bytes.
-func (r *Ring) Len() int { return r.n }
-
 // Write appends p to the queue, growing the buffer if needed.
 func (r *Ring) Write(p []byte) {
 	if len(p) == 0 {
 		return
 	}
-	if r.n+len(p) > len(r.buf) {
-		r.grow(r.n + len(p))
+	if r.held+r.n+len(p) > len(r.buf) {
+		r.grow(r.held + r.n + len(p))
 	}
 	tail := (r.head + r.n) & (len(r.buf) - 1)
 	k := copy(r.buf[tail:], p)
@@ -34,7 +37,8 @@ func (r *Ring) Write(p []byte) {
 }
 
 // grow reallocates to the next power of two holding need bytes,
-// linearising the queued bytes at the front of the new buffer.
+// linearising the unread bytes at the front of the new buffer. Held
+// bytes stay behind in the old one, which nobody writes again.
 func (r *Ring) grow(need int) {
 	c := len(r.buf)
 	if c == 0 {
@@ -45,38 +49,44 @@ func (r *Ring) grow(need int) {
 	}
 	nb := make([]byte, c)
 	r.Peek(nb)
-	r.buf, r.head = nb, 0
+	r.buf, r.head, r.held = nb, 0, 0
+}
+
+// span returns the n unread bytes from offset off as at most two
+// slices of the buffer, the second non-empty only when they wrap.
+func (r *Ring) span(off, n int) (a, b []byte) {
+	if n == 0 {
+		return nil, nil
+	}
+	start := (r.head + off) & (len(r.buf) - 1)
+	if end := start + n; end <= len(r.buf) {
+		return r.buf[start:end], nil
+	}
+	return r.buf[start:], r.buf[:start+n-len(r.buf)]
 }
 
 // Peek copies up to len(p) bytes from the head into p without consuming
 // them and returns the count.
 func (r *Ring) Peek(p []byte) int {
 	n := min(len(p), r.n)
-	if n == 0 {
-		return 0
-	}
-	k := copy(p[:n], r.buf[r.head:])
-	copy(p[k:n], r.buf)
-	return n
-}
-
-// Read copies up to len(p) bytes from the head into p, consumes them,
-// and returns the count.
-func (r *Ring) Read(p []byte) int {
-	n := r.Peek(p)
-	r.Discard(n)
+	a, b := r.span(0, n)
+	copy(p[copy(p, a):], b)
 	return n
 }
 
 // Discard drops up to n bytes from the head and returns how many it
-// dropped.
+// dropped. While bytes are held, the dropped ones join them: the held
+// region stays one run just behind head.
 func (r *Ring) Discard(n int) int {
 	n = min(n, r.n)
 	if n == 0 {
 		return 0
 	}
 	r.n -= n
-	if r.n == 0 {
+	if r.held > 0 {
+		r.held += n
+	}
+	if r.n == 0 && r.held == 0 {
 		r.head = 0 // empty: start the next burst unwrapped
 	} else {
 		r.head = (r.head + n) & (len(r.buf) - 1)
@@ -84,16 +94,20 @@ func (r *Ring) Discard(n int) int {
 	return n
 }
 
-// AppendTo appends the queued bytes, oldest first, to dst without
-// consuming them — the linear form a checkpoint image carries.
-func (r *Ring) AppendTo(dst []byte) []byte {
+// take consumes up to n bytes from the head and returns them in place,
+// as the longest run that does not wrap. They stay valid until release.
+func (r *Ring) take(n int) []byte {
+	a, _ := r.span(0, min(n, r.n))
+	r.n -= len(a)
+	r.held += len(a)
+	r.head = (r.head + len(a)) & (len(r.buf) - 1)
+	return a
+}
+
+// release lets Write reuse the bytes take handed out.
+func (r *Ring) release() {
+	r.held = 0
 	if r.n == 0 {
-		return dst
+		r.head = 0
 	}
-	end := r.head + r.n
-	if end <= len(r.buf) {
-		return append(dst, r.buf[r.head:end]...)
-	}
-	dst = append(dst, r.buf[r.head:]...)
-	return append(dst, r.buf[:end-len(r.buf)]...)
 }

@@ -10,9 +10,17 @@ import (
 // buffer.
 func (r *Ring) wrapped() bool { return r.head+r.n > len(r.buf) }
 
+// linear returns the unread bytes, oldest first.
+func (r *Ring) linear() []byte {
+	a, b := r.span(0, r.n)
+	return append(append([]byte{}, a...), b...)
+}
+
 // TestRingMatchesSliceModel drives a Ring and a plain slice through the
 // same random operations and requires identical observable behaviour,
-// including across wrap-around and growth while wrapped.
+// including across wrap-around and growth while wrapped. Bytes handed
+// out by take must stay intact until release, whatever is written
+// meanwhile.
 func TestRingMatchesSliceModel(t *testing.T) {
 	wraps, growsWrapped := 0, 0
 	// Many short lives: a ring does its growing early, so fresh rings are
@@ -22,12 +30,13 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		var r Ring
 		var model []byte
 		var next byte
+		var taken, takenWant [][]byte // held slices and what they held
 		for op := 0; op < 500; op++ {
 			size := rng.Intn(3000)
 			if rng.Intn(8) == 0 {
 				size = rng.Intn(40000) // occasionally force growth
 			}
-			kind := rng.Intn(5)
+			kind := rng.Intn(7)
 			if len(model) > 1<<16 && kind < 2 {
 				kind = 2 // keep the queue (and the test's copying) bounded
 			}
@@ -46,7 +55,8 @@ func TestRingMatchesSliceModel(t *testing.T) {
 				}
 			case 2: // read
 				got := make([]byte, size)
-				n := r.Read(got)
+				n := r.Peek(got)
+				r.Discard(n)
 				want := min(size, len(model))
 				if n != want || !bytes.Equal(got[:n], model[:want]) {
 					t.Fatalf("seed %d op %d: Read(%d) = %d bytes, model %d, or contents differ", seed, op, size, n, want)
@@ -65,12 +75,28 @@ func TestRingMatchesSliceModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: Discard(%d) = %d, model %d", seed, op, size, n, want)
 				}
 				model = model[want:]
+			case 5: // take, held until a release
+				b := r.take(size)
+				if want := model[:len(b)]; !bytes.Equal(b, want) || (len(b) == 0 && size > 0 && len(model) > 0) {
+					t.Fatalf("seed %d op %d: take(%d) = %d bytes, or contents differ from the model", seed, op, size, len(b))
+				}
+				taken = append(taken, b)
+				takenWant = append(takenWant, append([]byte(nil), b...))
+				model = model[len(b):]
+			case 6: // release
+				r.release()
+				taken, takenWant = taken[:0], takenWant[:0]
 			}
-			if r.Len() != len(model) {
-				t.Fatalf("seed %d op %d: Len %d, model %d", seed, op, r.Len(), len(model))
+			for i := range taken {
+				if !bytes.Equal(taken[i], takenWant[i]) {
+					t.Fatalf("seed %d op %d: a held slice was overwritten before release", seed, op)
+				}
 			}
-			if lin := r.AppendTo(nil); !bytes.Equal(lin, model) {
-				t.Fatalf("seed %d op %d: AppendTo differs from the model (%d bytes)", seed, op, len(model))
+			if r.n != len(model) {
+				t.Fatalf("seed %d op %d: Len %d, model %d", seed, op, r.n, len(model))
+			}
+			if lin := r.linear(); !bytes.Equal(lin, model) {
+				t.Fatalf("seed %d op %d: the unread bytes differ from the model (%d bytes)", seed, op, len(model))
 			}
 			if r.wrapped() {
 				wraps++
@@ -91,11 +117,11 @@ func TestRingSettlesAtHighWater(t *testing.T) {
 	chunk := make([]byte, 1460)
 	sink := make([]byte, 4096)
 	cycle := func() {
-		for r.Len()+len(chunk) <= 65536 {
+		for r.n+len(chunk) <= 65536 {
 			r.Write(chunk)
 		}
-		for r.Len() > 100 { // never quite empty, so the head keeps moving
-			r.Read(sink)
+		for r.n > 100 { // never quite empty, so the head keeps moving
+			r.Discard(r.Peek(sink))
 		}
 	}
 	cycle()

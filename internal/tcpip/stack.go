@@ -108,34 +108,29 @@ const (
 	pktPoolMax    = 256
 )
 
-// getSegBuf returns a length-n buffer for packetizing send data, reusing
-// a pooled buffer when one fits.
+// getSegBuf returns a length-n buffer (n <= mss) for packetizing send
+// data, reusing a pooled buffer when there is one.
 func (s *Stack) getSegBuf(n int) []byte {
-	if n <= segPoolBufCap {
-		if last := len(s.segPool) - 1; last >= 0 {
-			b := s.segPool[last]
-			s.segPool = s.segPool[:last]
-			s.Stats.SegPoolHits++
-			return b[:n]
-		}
-		s.Stats.SegPoolMisses++
-		return make([]byte, n, segPoolBufCap)
+	if last := len(s.segPool) - 1; last >= 0 {
+		b := s.segPool[last]
+		s.segPool = s.segPool[:last]
+		s.Stats.SegPoolHits++
+		return b[:n]
 	}
 	s.Stats.SegPoolMisses++
-	return make([]byte, n)
+	return make([]byte, n, segPoolBufCap)
 }
 
-// putSegBuf returns a segment buffer to the free list. Callers may only
-// recycle buffers of segments that were transmitted exactly once and are
-// now cumulatively acknowledged: the unique frame carrying the buffer
-// has been consumed (its bytes copied into the receiver's queue) or
-// dropped, so no in-flight or reassembly reference can remain. Buffers
-// of other shapes (persist probes, oversize) are left to the GC.
+// putSegBuf returns a getSegBuf buffer to the free list. Callers may
+// only recycle buffers of segments that were transmitted exactly once
+// and are now cumulatively acknowledged: the unique frame carrying the
+// buffer has been consumed (its unflagged bytes copied into the
+// receiver's queue) or dropped, so no in-flight or reassembly reference
+// can remain.
 func (s *Stack) putSegBuf(b []byte) {
-	if cap(b) != segPoolBufCap || len(s.segPool) >= segPoolMax {
-		return
+	if len(s.segPool) < segPoolMax {
+		s.segPool = append(s.segPool, b[:0])
 	}
-	s.segPool = append(s.segPool, b[:0])
 }
 
 // sendTCP builds a TCP packet, reusing one from the free list when it can,

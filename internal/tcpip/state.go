@@ -114,14 +114,15 @@ func (c *TCPConn) CaptureState() (*TCPSavedState, error) {
 		copy(data, g.data)
 		st.SendSegments = append(st.SendSegments, SavedSegment{Data: data, FIN: g.fin})
 	}
-	// The rings linearise into the image: saved buffers carry no trace
-	// of where in its ring a queue happened to sit.
-	st.SendPending = c.pending.AppendTo(nil)
+	// The queues linearise into the image: saved buffers carry no trace
+	// of where in its ring a queue happened to sit, nor of which runs
+	// were copied and which referenced.
+	st.SendPending = c.pending.appendTo(nil)
 	// MSG_PEEK semantics: read without consuming. Alternate buffer (from
 	// an earlier restore) concatenates with the live queue.
 	st.RecvData = make([]byte, 0, len(c.altQueue)+c.rcvQueue.Len())
 	st.RecvData = append(st.RecvData, c.altQueue...)
-	st.RecvData = c.rcvQueue.AppendTo(st.RecvData)
+	st.RecvData = c.rcvQueue.appendTo(st.RecvData)
 	return st, nil
 }
 
@@ -185,7 +186,7 @@ func (s *Stack) RestoreTCP(st *TCPSavedState) (*TCPConn, error) {
 	}
 	c.noDelay, c.cork = savedNoDelay, savedCork
 	if len(st.SendPending) > 0 {
-		c.pending.Write(st.SendPending)
+		c.pending.write(st.SendPending)
 		c.trySend()
 	}
 	if c.segs.Len() > 0 {
@@ -260,8 +261,8 @@ func (c *TCPConn) DrainToAlt() int {
 	if n == 0 {
 		return 0
 	}
-	c.altQueue = c.rcvQueue.AppendTo(c.altQueue)
-	c.rcvQueue.Discard(n)
+	c.altQueue = c.rcvQueue.appendTo(c.altQueue)
+	c.rcvQueue.discard(n)
 	c.stack.tr.Instant(c.stack.name, "tcp", "drain",
 		trace.Str("conn", c.traceName()),
 		trace.Int("bytes", int64(n)),

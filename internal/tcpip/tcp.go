@@ -81,6 +81,12 @@ type inflightSeg struct {
 	fin    bool
 	sentAt sim.Time
 	retx   int
+	// pooled marks data drawn from the stack's segPool, which takes it
+	// back on the ack. Any other data — sliced from a referenced run, a
+	// restored copy, a persist probe's byte — is never written again,
+	// so the segment is sent flagged and the receiver queues it by
+	// reference.
+	pooled bool
 	// needsRetx marks a segment presumed lost after an RTO; recovery
 	// retransmits marked segments under congestion-window clocking
 	// (go-back-N with slow start, as classic TCP does after a timeout).
@@ -102,6 +108,7 @@ type oooSeg struct {
 	seq  uint32
 	data []byte
 	fin  bool
+	ref  bool // Segment.ref: data may be queued by reference
 }
 
 // TCPConn is a TCP connection endpoint. All operations are non-blocking:
@@ -116,15 +123,17 @@ type TCPConn struct {
 
 	// Send side. Sequence space: sndUna <= sndNxt; segs covers
 	// [sndUna, sndNxt) in packetized form; pending holds accepted bytes
-	// not yet packetized. pending and rcvQueue are rings: Send and ingest
-	// copy bytes in, trySend and Recv copy them out, and neither
-	// allocates once the ring has reached the buffer limit.
+	// not yet packetized. pending and rcvQueue are byteQueues: Send and
+	// unflagged ingest copy bytes in, SendRef and flagged ingest queue
+	// them by reference, and neither allocates once the queue has
+	// reached the buffer limit. trySend slices a segment straight out of
+	// a referenced run and copies only one that straddles two runs.
 	iss       uint32
 	sndUna    uint32
 	sndNxt    uint32
 	sndWnd    uint32
 	segs      sim.Queue[inflightSeg]
-	pending   Ring
+	pending   byteQueue
 	finQueued bool
 	finSent   bool
 
@@ -136,7 +145,7 @@ type TCPConn struct {
 	// Receive side.
 	irs               uint32
 	rcvNxt            uint32
-	rcvQueue          Ring
+	rcvQueue          byteQueue
 	rcvClosed         bool // in-order FIN consumed
 	ooo               []oooSeg
 	lastWndAdvertised uint32
@@ -389,10 +398,20 @@ func (c *TCPConn) Established() bool {
 	return false
 }
 
-// Send queues bytes for transmission, returning how many were accepted.
-// It returns ErrWouldBlock when the send buffer is full, and the terminal
-// error if the connection failed or is closing.
-func (c *TCPConn) Send(b []byte) (int, error) {
+// Send copies bytes into the send buffer, returning how many were
+// accepted; the caller may reuse b as soon as it returns. It returns
+// ErrWouldBlock when the send buffer is full, and the terminal error if
+// the connection failed or is closing.
+func (c *TCPConn) Send(b []byte) (int, error) { return c.send(b, false) }
+
+// SendRef is Send without the copy: the accepted bytes are queued,
+// packetized, retransmitted and received as slices of b. The caller
+// must never write to b again — a receiver may keep referencing it
+// after the ack — which store blobs, chunks and manifests, immutable
+// once planned, satisfy for free.
+func (c *TCPConn) SendRef(b []byte) (int, error) { return c.send(b, true) }
+
+func (c *TCPConn) send(b []byte, ref bool) (int, error) {
 	if c.err != nil {
 		return 0, c.err
 	}
@@ -411,7 +430,11 @@ func (c *TCPConn) Send(b []byte) (int, error) {
 	if n > space {
 		n = space
 	}
-	c.pending.Write(b[:n])
+	if ref {
+		c.pending.writeRef(b[:n])
+	} else {
+		c.pending.write(b[:n])
+	}
 	c.trySend()
 	return n, nil
 }
@@ -419,29 +442,77 @@ func (c *TCPConn) Send(b []byte) (int, error) {
 // Recv copies buffered data into b. With peek set, the data is not
 // consumed (MSG_PEEK; the paper's checkpoint uses this to read receive
 // buffers non-destructively). At end of stream it returns (0, io.EOF).
+// It ends the validity of the copied bytes RecvRef handed out.
 func (c *TCPConn) Recv(b []byte, peek bool) (int, error) {
-	if len(c.altQueue) == 0 && c.rcvQueue.Len() == 0 {
-		if c.err != nil {
-			return 0, c.err
-		}
-		if c.rcvClosed {
-			return 0, io.EOF
-		}
-		if !c.Established() && c.state != StateTimeWait {
-			return 0, ErrNotConnected
-		}
-		return 0, ErrWouldBlock
+	c.rcvQueue.release()
+	if err := c.recvEmpty(); err != nil {
+		return 0, err
 	}
 	// Alternate (restored) buffer drains first, transparently.
 	fromAlt := copy(b, c.altQueue)
-	fromLive := c.rcvQueue.Peek(b[fromAlt:])
+	fromLive := c.rcvQueue.peek(b[fromAlt:])
 	if peek {
 		return fromAlt + fromLive, nil
 	}
 	c.altQueue = c.altQueue[fromAlt:]
-	c.rcvQueue.Discard(fromLive)
+	c.rcvQueue.discard(fromLive)
 	c.maybeSendWindowUpdate(fromLive)
 	return fromAlt + fromLive, nil
+}
+
+// rcvHoldMax bounds the copied bytes RecvRef hands out before a Recv
+// ends the hold: a small frame's worth. Held bytes keep their place in
+// the receive ring, so the bound is what keeps a frame whose segments
+// straddle many parts from growing every connection's ring; such a
+// frame is read into a buffer of its own instead. It shapes host memory
+// only, never what crosses the wire.
+const rcvHoldMax = 4096
+
+// RecvRef consumes up to max buffered bytes like Recv, but appends them
+// to dst as slices instead of copying them, extending dst's last slice
+// where the bytes continue it, and returns dst and the count. The caller
+// must not write to the slices, nor append to them: their capacity runs
+// on into bytes that are not theirs. Those of bytes the
+// peer sent by reference alias its immutable bytes and stay valid for
+// good; those of bytes that arrived by copy alias the receive buffer,
+// which keeps them intact until the connection's next Recv. The buffer
+// holds at most rcvHoldMax such bytes: when taking the next max would
+// hold more, RecvRef consumes nothing and returns a zero count, and the
+// caller reads them with Recv instead.
+func (c *TCPConn) RecvRef(dst [][]byte, max int) ([][]byte, int, error) {
+	if err := c.recvEmpty(); err != nil {
+		return dst, 0, err
+	}
+	fromAlt := min(max, len(c.altQueue))
+	fromLive := min(max-fromAlt, c.rcvQueue.Len())
+	if c.rcvQueue.held(fromLive) > rcvHoldMax {
+		return dst, 0, nil
+	}
+	if fromAlt > 0 {
+		dst = append(dst, c.altQueue[:fromAlt:fromAlt])
+		c.altQueue = c.altQueue[fromAlt:]
+	}
+	dst = c.rcvQueue.take(dst, fromLive)
+	c.maybeSendWindowUpdate(fromLive)
+	return dst, fromAlt + fromLive, nil
+}
+
+// recvEmpty returns the error a receive reports when nothing is
+// buffered, and nil when something is.
+func (c *TCPConn) recvEmpty() error {
+	if len(c.altQueue) > 0 || c.rcvQueue.Len() > 0 {
+		return nil
+	}
+	if c.err != nil {
+		return c.err
+	}
+	if c.rcvClosed {
+		return io.EOF
+	}
+	if !c.Established() && c.state != StateTimeWait {
+		return ErrNotConnected
+	}
+	return ErrWouldBlock
 }
 
 // maybeSendWindowUpdate sends a pure ACK when the app's read reopens a
@@ -511,6 +582,13 @@ func (c *TCPConn) teardown(err error) {
 	c.persistTimer = nil
 	c.stack.engine.Cancel(c.twTimer)
 	c.twTimer = nil
+	// Nothing is sent or reassembled any more, but the application may
+	// still read what arrived and ask how much it sent, so the queues keep
+	// their bytes — as copies, for a dead connection to pin no peer's or
+	// caller's arrays.
+	c.segs, c.ooo = sim.Queue[inflightSeg]{}, nil
+	c.pending.own()
+	c.rcvQueue.own()
 	delete(c.stack.conns, c.tuple)
 	c.wake()
 }
@@ -535,12 +613,13 @@ func (c *TCPConn) rcvWindow() uint32 {
 
 // sendControl emits a data-less segment with the given flags.
 func (c *TCPConn) sendControl(flags Flags, seq, ack uint32) {
-	c.sendSeg(flags, seq, ack, nil)
+	c.sendSeg(flags, seq, ack, nil, false)
 }
 
 // sendSeg builds one segment from this end of the connection, advertising
-// the current receive window, and hands it to IP.
-func (c *TCPConn) sendSeg(flags Flags, seq, ack uint32, data []byte) {
+// the current receive window, and hands it to IP. ref flags data the
+// receiver may queue by reference.
+func (c *TCPConn) sendSeg(flags Flags, seq, ack uint32, data []byte, ref bool) {
 	wnd := uint16(c.rcvWindow())
 	c.lastWndAdvertised = uint32(wnd)
 	c.Stats.SegsSent++
@@ -552,6 +631,7 @@ func (c *TCPConn) sendSeg(flags Flags, seq, ack uint32, data []byte) {
 		Flags:   flags,
 		Window:  wnd,
 		Data:    data,
+		ref:     ref,
 	})
 }
 
@@ -566,7 +646,7 @@ func (c *TCPConn) transmitSeg(g *inflightSeg) {
 	}
 	g.sentAt = c.stack.engine.Now()
 	c.Stats.BytesSent += uint64(len(g.data))
-	c.sendSeg(flags, g.seq, c.rcvNxt, g.data)
+	c.sendSeg(flags, g.seq, c.rcvNxt, g.data, !g.pooled)
 	// Time one segment at a time for RTT (Karn's rule: never a
 	// retransmitted one).
 	if !c.sampleValid && g.retx == 0 {
@@ -615,9 +695,12 @@ func (c *TCPConn) trySend() {
 				break
 			}
 		}
-		data := c.stack.getSegBuf(n)
-		c.pending.Read(data)
-		g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: data})
+		data, pooled := c.pending.headRef(n), false
+		if data == nil {
+			data, pooled = c.stack.getSegBuf(n), true
+			c.pending.read(data)
+		}
+		g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: data, pooled: pooled})
 		c.sndNxt += uint32(n)
 		c.transmitSeg(g)
 	}
@@ -748,7 +831,7 @@ func (c *TCPConn) armPersistIfNeeded() {
 		if c.sndWnd == 0 && c.pending.Len() > 0 && c.Established() {
 			// Probe with one byte of pending data.
 			g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: make([]byte, 1)})
-			c.pending.Read(g.data)
+			c.pending.read(g.data)
 			c.sndNxt++
 			c.transmitSeg(g)
 			c.armRTO()
@@ -943,13 +1026,13 @@ func (c *TCPConn) processACK(seg *Segment) {
 		acked := ack - c.sndUna
 		c.sndUna = ack
 		c.dupAcks = 0
-		// Drop fully acknowledged segments, recycling the buffers of
-		// those sent exactly once: their single frame has been consumed
-		// or dropped, so nothing can still reference the bytes. A
-		// retransmitted segment may have a duplicate frame in flight and
-		// its buffer is left to the GC.
+		// Drop fully acknowledged segments, recycling the pooled
+		// buffers of those sent exactly once: their single frame has
+		// been consumed or dropped, so nothing can still reference the
+		// bytes. A retransmitted segment may have a duplicate frame in
+		// flight and its buffer is left to the GC.
 		for c.segs.Len() > 0 && seqLE(c.segs.At(0).end(), ack) {
-			if g := c.segs.Pop(); g.retx == 0 && len(g.data) > 0 {
+			if g := c.segs.Pop(); g.retx == 0 && g.pooled {
 				c.stack.putSegBuf(g.data)
 			}
 		}
@@ -1044,21 +1127,28 @@ func (c *TCPConn) processData(seg *Segment) {
 	}
 
 	if seq == c.rcvNxt {
-		c.ingest(data, fin)
+		c.ingest(data, seg.ref, fin)
 		c.drainOOO()
 	} else {
 		// Out of order: queue and send a duplicate ACK.
-		c.insertOOO(oooSeg{seq: seq, data: data, fin: fin})
+		c.insertOOO(oooSeg{seq: seq, data: data, fin: fin, ref: seg.ref})
 	}
 	c.sendControl(FlagACK, c.sndNxt, c.rcvNxt)
 	c.wake()
 }
 
-// ingest appends in-order data (and FIN) at rcvNxt.
-func (c *TCPConn) ingest(data []byte, fin bool) {
+// ingest appends in-order data (and FIN) at rcvNxt: by reference when
+// the segment was flagged, else copied, because unflagged data lives in
+// the sender's pooled segment buffer, which the ack hands back to its
+// pool before the application reads it.
+func (c *TCPConn) ingest(data []byte, ref, fin bool) {
 	if len(data) > 0 {
 		c.Stats.BytesReceived += uint64(len(data))
-		c.rcvQueue.Write(data)
+		if ref {
+			c.rcvQueue.writeRef(data)
+		} else {
+			c.rcvQueue.write(data)
+		}
 		c.rcvNxt += uint32(len(data))
 	}
 	if fin && !c.rcvClosed {
@@ -1100,6 +1190,9 @@ func (c *TCPConn) drainOOO() {
 		if seqGT(s.seq, c.rcvNxt) {
 			return
 		}
+		// Clear the slot: a flagged segment's data is a slice of the
+		// sender's store bytes, which the array would otherwise pin.
+		c.ooo[0] = oooSeg{}
 		c.ooo = c.ooo[1:]
 		data := s.data
 		if seqLT(s.seq, c.rcvNxt) {
@@ -1113,7 +1206,7 @@ func (c *TCPConn) drainOOO() {
 				data = data[skip:]
 			}
 		}
-		c.ingest(data, s.fin)
+		c.ingest(data, s.ref, s.fin)
 	}
 }
 
