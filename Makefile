@@ -120,7 +120,7 @@ gobench:
 	$(GO) test -run XXX -bench=BenchmarkSwitchForward -benchtime=100000x -benchmem ./internal/ether/
 	$(GO) test -run XXX -bench=BenchmarkStepCycle -benchtime=100000x -benchmem ./internal/kernel/
 	$(GO) test -run XXX -bench=BenchmarkHaloStep -benchtime=1000x -benchmem ./internal/apps/slm/
-	$(GO) test -run XXX -bench='BenchmarkMigrationStream|BenchmarkBulkFrame' -benchtime=10x -benchmem ./internal/ctl/
+	$(GO) test -run XXX -bench='BenchmarkMigrationStream|BenchmarkBulkFrame|BenchmarkChunkFrame' -benchtime=10x -benchmem ./internal/ctl/
 
 # Fuzz smoke: every fuzz target for 10 s of generated inputs beyond its
 # checked-in corpus, one `go test -fuzz` call each (the flag takes one

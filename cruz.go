@@ -587,8 +587,9 @@ func (cl *Cluster) FailNode(i int) {
 // them) — the flushing baseline's daemons included, once DefineFlushJob
 // has started them — or a Fault reported by a program of a pod the
 // cluster created, in its current incarnation, whether its process still
-// runs or exited on its own. It reads state only and never advances the
-// engine; nil means nothing is wrong.
+// runs or exited on its own, or a chunk in a live node's store whose
+// bytes no longer hash to its key. It reads state only and never
+// advances the engine; nil means nothing is wrong.
 func (cl *Cluster) Check() error {
 	var errs []error
 	if k := cl.Coordinator.OpenOps(); k != 0 {
@@ -612,6 +613,9 @@ func (cl *Cluster) Check() error {
 			if k := n.flushAgent.OpenOps(); k != 0 {
 				errs = append(errs, fmt.Errorf("%s flush agent has %d open ops", n.Kernel.Name(), k))
 			}
+		}
+		if err := ckpt.CheckChunks(n.Store); err != nil {
+			errs = append(errs, fmt.Errorf("%s store: %w", n.Kernel.Name(), err))
 		}
 	}
 	if spans := cl.tracer.OpenSpanNames(failed...); len(spans) != 0 {

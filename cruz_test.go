@@ -7,9 +7,11 @@ import (
 
 	"cruz"
 	"cruz/internal/apps/slm"
+	"cruz/internal/ckpt"
 	"cruz/internal/core"
 	"cruz/internal/kernel"
 	"cruz/internal/sim"
+	"cruz/internal/trace"
 )
 
 func init() {
@@ -109,6 +111,21 @@ func TestCheckReportsEachViolation(t *testing.T) {
 			}
 			cl.Run(50 * cruz.Millisecond)
 		}, "pod wb/1 fault: "},
+		// A byte written into a page the store holds as a chunk.
+		{"chunk", func(cl *cruz.Cluster, job *cruz.Job) {
+			if _, err := cl.Checkpoint(job, cruz.CheckpointOptions{Dedup: true}); err != nil {
+				t.Fatal(err)
+			}
+			cl.RunUntil(func() bool { return cl.Check() == nil }, 2*cruz.Second)
+			var img *ckpt.Image
+			for _, n := range cl.Nodes {
+				if _, ok := n.Store.LatestSeq("wa"); ok && img == nil {
+					n.Store.Load("wa", 0, true, trace.SpanContext{}, func(i *ckpt.Image, err error) { img = i })
+					cl.RunUntil(func() bool { return img != nil }, cruz.Second)
+				}
+			}
+			img.Processes[0].Memory.Page(0)[0] ^= 0xff
+		}, "store: ckpt: 1 of"},
 		{"failed nodes", func(cl *cruz.Cluster, job *cruz.Job) {
 			checkpointed(cl, job)
 			cl.FailNode(0)

@@ -107,6 +107,29 @@ func (s *Store) putChunk(h mem.PageHash, data []byte) {
 	}
 }
 
+// CheckChunks reports the resident chunks of s whose bytes no longer
+// hash to the key they are filed under. No store slice is ever written
+// once planned (DESIGN §4.11), and a chunk adopted from a transfer is
+// the sender's own slice, so one such write corrupts every store that
+// shares it; this is the oracle that would see it. It hashes every
+// chunk, so it belongs to end-of-run checks, not to a hot path.
+func CheckChunks(s *Store) error {
+	bad := 0
+	var first mem.PageHash
+	for h, e := range s.chunks {
+		if len(e.data) == mem.PageSize && mem.HashBlock(e.data) == h {
+			continue
+		}
+		if bad++; bad == 1 || h.Hi < first.Hi || h.Hi == first.Hi && h.Lo < first.Lo {
+			first = h
+		}
+	}
+	if bad > 0 {
+		return fmt.Errorf("ckpt: %d of %d resident chunks no longer hash to their keys (lowest %v)", bad, len(s.chunks), first)
+	}
+	return nil
+}
+
 // ref moves chunk h's reference count by delta, freeing the chunk at zero.
 // h must be resident: the table holds values, so writing an absent one
 // back would silently invent the chunk a refcounting bug lost.

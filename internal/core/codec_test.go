@@ -131,7 +131,7 @@ func TestHostileFrameCannotPoisonTheCodec(t *testing.T) {
 	gobmemotest.Hostile(t, wireCodec, offer)
 	payload, _ := payloadOf(t, bulkMsg())
 	for _, in := range gobmemotest.Inputs(t, offer) {
-		if _, err := decodeMsg(in.Bytes); (err == nil) != in.Valid {
+		if _, err := decodeMsg([][]byte{in.Bytes}); (err == nil) != in.Valid {
 			t.Errorf("%s: decodeMsg returns %v", in.Name, err)
 		}
 		checkGoodFrameDecodes(t, payload)
@@ -142,7 +142,7 @@ func TestHostileFrameCannotPoisonTheCodec(t *testing.T) {
 // with its source.
 func checkGoodFrameDecodes(t testing.TB, payload []byte) {
 	t.Helper()
-	got, err := decodeMsg(payload)
+	got, err := decodeMsg([][]byte{payload})
 	if err != nil {
 		t.Fatalf("a good frame no longer decodes: %v", err)
 	}
@@ -170,7 +170,7 @@ func roundTrip(tb testing.TB, buf *bytes.Buffer, m *wireMsg) *wireMsg {
 	if _, err := encodeMsg(buf, m); err != nil {
 		tb.Fatal(err)
 	}
-	got, err := decodeMsg(buf.Bytes())
+	got, err := decodeMsg([][]byte{buf.Bytes()})
 	if err != nil {
 		tb.Fatal(err)
 	}

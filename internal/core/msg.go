@@ -257,32 +257,31 @@ type msgSink interface {
 // Every slice has an entry, empty or not, so sender and receiver derive
 // the same list from the same maps and chunk count.
 func (p *replPayload) bulk() [][]byte {
-	parts := make([][]byte, 0, 1+len(p.Blobs)+len(p.Manifests)+len(p.Chunks))
-	parts = append(parts, p.ECSet)
-	for _, seq := range ckpt.SortedSeqs(p.Blobs) {
-		parts = append(parts, p.Blobs[seq])
-	}
-	for _, seq := range ckpt.SortedSeqs(p.Manifests) {
-		parts = append(parts, p.Manifests[seq])
-	}
-	for i := range p.Chunks {
-		parts = append(parts, p.Chunks[i].Data)
-	}
+	parts := make([][]byte, 0, p.bulkLen())
+	p.eachBulk(func(b []byte) []byte {
+		parts = append(parts, b)
+		return b
+	})
 	return parts
 }
 
-// setBulk is bulk's inverse: it installs parts, in bulk's order, as the
-// payload's byte slices.
-func (p *replPayload) setBulk(parts [][]byte) {
-	p.ECSet, parts = parts[0], parts[1:]
+// bulkLen returns the number of entries bulk lists.
+func (p *replPayload) bulkLen() int {
+	return 1 + len(p.Blobs) + len(p.Manifests) + len(p.Chunks)
+}
+
+// eachBulk replaces each of the payload's byte slices, in bulk's order,
+// with what fn returns for it.
+func (p *replPayload) eachBulk(fn func([]byte) []byte) {
+	p.ECSet = fn(p.ECSet)
 	for _, seq := range ckpt.SortedSeqs(p.Blobs) {
-		p.Blobs[seq], parts = parts[0], parts[1:]
+		p.Blobs[seq] = fn(p.Blobs[seq])
 	}
 	for _, seq := range ckpt.SortedSeqs(p.Manifests) {
-		p.Manifests[seq], parts = parts[0], parts[1:]
+		p.Manifests[seq] = fn(p.Manifests[seq])
 	}
 	for i := range p.Chunks {
-		p.Chunks[i].Data = parts[i]
+		p.Chunks[i].Data = fn(p.Chunks[i].Data)
 	}
 }
 
@@ -321,8 +320,9 @@ func emptied(m map[int][]byte) map[int][]byte {
 // implies. gob keeps what it is good at — the small structured fields,
 // and a bulk-free control frame is byte for byte the plain gob encoding
 // of its message — while page bytes cross the codec untouched: the sender
-// hands them to ctl as parts, and the receiver re-attaches them as
-// sub-slices of the frame buffer it now owns.
+// hands them to ctl as parts, and the receiver re-attaches each one as a
+// sub-slice of the piece it arrived in, which for a part is the sender's
+// own immutable slice.
 
 // wireCodec produces and parses the gob part. Every frame is
 // self-contained — it opens with wireMsg's type descriptors, because the
@@ -339,8 +339,8 @@ var msgCodec = ctl.Codec[*wireMsg]{
 		parts, err := encodeMsg(buf, m)
 		return parts, m.ctx, m.tier, err
 	},
-	Decode: func(payload []byte, ctx trace.SpanContext) (*wireMsg, error) {
-		m, err := decodeMsg(payload)
+	Decode: func(pieces [][]byte, ctx trace.SpanContext) (*wireMsg, error) {
+		m, err := decodeMsg(pieces)
 		if err == nil {
 			m.ctx = ctx
 		}
@@ -373,38 +373,111 @@ func encodeMsg(buf *bytes.Buffer, m *wireMsg) ([][]byte, error) {
 	return parts, nil
 }
 
-// decodeMsg parses one frame payload. Bulk slices of the result alias
-// payload, which belongs to the message from here on.
-func decodeMsg(payload []byte) (*wireMsg, error) {
+// decodeMsg parses one frame payload, given as the pieces it arrived in
+// (see ctl.Codec). Each bulk slice of the result is a capped sub-slice of
+// the piece that holds it whole — for a part sent uncopied, the sender's
+// own slice — and only a slice split across pieces is copied. The gob
+// head is decoded from the first piece; a head split across pieces, which
+// a live connection never delivers, is decoded from their join.
+func decodeMsg(pieces [][]byte) (*wireMsg, error) {
 	var m wireMsg
-	used, err := wireCodec.Decode(payload, &m)
+	var first []byte
+	if len(pieces) > 0 {
+		first = pieces[0]
+	}
+	used, err := wireCodec.Decode(first, &m)
+	if err != nil && len(pieces) > 1 {
+		m = wireMsg{}
+		used, err = wireCodec.Decode(bytes.Join(pieces, nil), &m)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: decode frame: %w", err)
 	}
 	// What the gob value did not occupy is exactly the raw tail.
-	tail := payload[used:]
-	if len(tail) == 0 {
+	r := newPieceReader(pieces)
+	r.skip(used)
+	tail := r.left
+	if tail == 0 {
 		return &m, nil
 	}
 	if m.Repl == nil {
-		return nil, fmt.Errorf("core: decode frame: %v carries %d raw bytes but no payload to hold them", m.Type, len(tail))
+		return nil, fmt.Errorf("core: decode frame: %v carries %d raw bytes but no payload to hold them", m.Type, tail)
 	}
-	n := 1 + len(m.Repl.Blobs) + len(m.Repl.Manifests) + len(m.Repl.Chunks)
-	if len(tail) < 4*n {
+	n := m.Repl.bulkLen()
+	if tail < 4*n {
 		return nil, fmt.Errorf("core: decode frame: %v length table of %d entries overruns the frame", m.Type, n)
 	}
-	table, raw := tail[:4*n], tail[4*n:]
-	parts := make([][]byte, n)
-	for i := range parts {
+	table := r.next(4 * n)
+	i := 0
+	m.Repl.eachBulk(func([]byte) []byte {
 		size := uint64(binary.BigEndian.Uint32(table[4*i:]))
-		if size > uint64(len(raw)) {
-			return nil, fmt.Errorf("core: decode frame: %v bulk slice %d of %d bytes overruns the frame", m.Type, i, size)
+		if i++; err != nil || size > uint64(r.left) {
+			if err == nil {
+				err = fmt.Errorf("core: decode frame: %v bulk slice %d of %d bytes overruns the frame", m.Type, i-1, size)
+			}
+			return nil
 		}
-		parts[i], raw = raw[:size:size], raw[size:]
+		return r.next(int(size))
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(raw) != 0 {
-		return nil, fmt.Errorf("core: decode frame: %v has %d bytes beyond its length table", m.Type, len(raw))
+	if r.left != 0 {
+		return nil, fmt.Errorf("core: decode frame: %v has %d bytes beyond its length table", m.Type, r.left)
 	}
-	m.Repl.setBulk(parts)
 	return &m, nil
+}
+
+// pieceReader reads a payload that arrived as pieces, front to back,
+// without writing to them.
+type pieceReader struct {
+	pieces [][]byte
+	off    int // into pieces[0]
+	left   int // bytes not read yet
+}
+
+func newPieceReader(pieces [][]byte) pieceReader {
+	r := pieceReader{pieces: pieces}
+	for _, p := range pieces {
+		r.left += len(p)
+	}
+	return r
+}
+
+// skip passes over n bytes (n <= left).
+func (r *pieceReader) skip(n int) {
+	r.left -= n
+	for n > 0 {
+		k := min(n, len(r.pieces[0])-r.off)
+		n -= k
+		if r.off += k; r.off == len(r.pieces[0]) {
+			r.pieces, r.off = r.pieces[1:], 0
+		}
+	}
+}
+
+// next reads n bytes (n <= left): a capped sub-slice of the piece that
+// holds them all, or a copy when they span pieces.
+func (r *pieceReader) next(n int) []byte {
+	r.left -= n
+	for len(r.pieces) > 0 && r.off == len(r.pieces[0]) {
+		r.pieces, r.off = r.pieces[1:], 0
+	}
+	if len(r.pieces) == 0 {
+		return []byte{}
+	}
+	if end := r.off + n; end <= len(r.pieces[0]) {
+		b := r.pieces[0][r.off:end:end]
+		r.off = end
+		return b
+	}
+	b := make([]byte, n)
+	for k := 0; k < n; {
+		c := copy(b[k:], r.pieces[0][r.off:])
+		k += c
+		if r.off += c; r.off == len(r.pieces[0]) {
+			r.pieces, r.off = r.pieces[1:], 0
+		}
+	}
+	return b
 }

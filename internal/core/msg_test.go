@@ -208,6 +208,15 @@ func bulkMsg() *wireMsg {
 	}}
 }
 
+// setBulk installs parts, in bulk's order, as the payload's byte slices.
+func (p *replPayload) setBulk(parts [][]byte) {
+	p.eachBulk(func([]byte) []byte {
+		b := parts[0]
+		parts = parts[1:]
+		return b
+	})
+}
+
 // TestBulkFrameRoundTripAliases: bulk travels raw behind the gob head and
 // comes back as sub-slices of the received payload — equal contents, no
 // copy — each fenced off from its neighbour.
@@ -227,7 +236,7 @@ func TestBulkFrameRoundTripAliases(t *testing.T) {
 	if head := len(payload) - bulk; head > 2048 {
 		t.Fatalf("head is %d bytes: bulk leaked into gob", head)
 	}
-	got, err := decodeMsg(payload)
+	got, err := decodeMsg([][]byte{payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +302,7 @@ func TestDecodeMsgRejectsHostileFrames(t *testing.T) {
 	for name, payload := range hostileFrames(t) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, err := decodeMsg(payload)
+		m, err := decodeMsg([][]byte{payload})
 		runtime.ReadMemStats(&after)
 		if name == "head-only-no-tail-bytes" {
 			if err != nil || len(m.Repl.Chunks) != 3 || m.Repl.Chunks[0].Data != nil {
@@ -310,42 +319,88 @@ func TestDecodeMsgRejectsHostileFrames(t *testing.T) {
 	}
 }
 
-// FuzzBulkFrame: arbitrary payload bytes decode to a message or an error,
-// never a panic, and every bulk slice of a decoded message lies inside
-// the payload. Whatever they were, a good frame decodes after them as it
-// always did: the decoder state they passed through is shared.
+// FuzzBulkFrame: arbitrary payload bytes, split into pieces anywhere,
+// decode to a message or an error, never a panic, and the split changes
+// nothing: the pieces decode exactly as the joined payload does, every
+// bulk slice lies inside the payload, and a bulk slice is the sub-slice
+// of its piece, capped, exactly when it lies whole in one. cuts says
+// where the pieces end: each byte is the length of the next piece,
+// modulo what is left, so empty pieces occur too. Whatever the input
+// was, a good frame decodes after it as it always did: the decoder state
+// it passed through is shared.
 func FuzzBulkFrame(f *testing.F) {
 	valid, _ := payloadOf(f, bulkMsg())
-	f.Add(valid)
-	for _, in := range gobmemotest.Inputs(f, firstOf(msgReplOffer)) {
-		f.Add(in.Bytes)
+	cuts := func(i int) []byte { return []byte{byte(37*i + 5), byte(11*i + 200), 0, byte(i)} }
+	f.Add(valid, cuts(0))
+	for i, in := range gobmemotest.Inputs(f, firstOf(msgReplOffer)) {
+		f.Add(in.Bytes, cuts(i+1))
 	}
 	small, _ := payloadOf(f, &wireMsg{Type: msgReplDone, Seq: 1, Pod: "p", Repl: &replPayload{Bytes: 7}})
-	f.Add(small)
+	f.Add(small, []byte{})
 	for _, payload := range hostileFrames(f) {
-		f.Add(payload)
+		f.Add(payload, cuts(len(payload)))
 	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeMsg(payload)
+	f.Fuzz(func(t *testing.T, payload, cuts []byte) {
+		var pieces [][]byte
+		rest := payload
+		for _, c := range cuts {
+			k := int(c) % (len(rest) + 1)
+			pieces, rest = append(pieces, rest[:k]), rest[k:]
+		}
+		pieces = append(pieces, rest)
+		whole, errWhole := decodeMsg([][]byte{payload})
+		split, errSplit := decodeMsg(pieces)
 		checkGoodFrameDecodes(t, valid)
-		if err != nil || m.Repl == nil {
+		if (errWhole == nil) != (errSplit == nil) {
+			t.Fatalf("the joined payload decodes with %v, its %d pieces with %v", errWhole, len(pieces), errSplit)
+		}
+		if errWhole != nil {
 			return
 		}
-		total := 0
-		for _, p := range m.Repl.bulk() {
-			total += len(p)
+		if !reflect.DeepEqual(whole, split) {
+			t.Fatalf("%d pieces decode to\n%+v, the joined payload to\n%+v", len(pieces), split, whole)
 		}
-		if total > len(payload) {
-			t.Fatalf("decoded %d bulk bytes from a %d-byte payload", total, len(payload))
+		if whole.Repl == nil {
+			return
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
+		at := func(b []byte) (int, bool) {
+			p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+			return int(p - lo), p >= lo && p < lo+uintptr(len(payload))
+		}
+		parts := split.Repl.bulk()
+		for i, w := range whole.Repl.bulk() {
+			if len(w) == 0 {
+				continue
+			}
+			off, in := at(w)
+			if !in || off+len(w) > len(payload) {
+				t.Fatalf("bulk slice %d of %d bytes lies outside the %d-byte payload", i, len(w), len(payload))
+			}
+			start, inOne := 0, false
+			for _, p := range pieces {
+				if off >= start && off < start+len(p) {
+					inOne = off+len(w) <= start+len(p)
+					break
+				}
+				start += len(p)
+			}
+			got, aliases := at(parts[i])
+			if aliases = aliases && got == off; aliases != inOne {
+				t.Fatalf("bulk slice %d (%d bytes at %d) lies whole in one piece: %v; aliases it: %v", i, len(w), off, inOne, aliases)
+			}
+			if cap(parts[i]) != len(parts[i]) {
+				t.Fatalf("bulk slice %d can grow %d bytes into its neighbour", i, cap(parts[i])-len(parts[i]))
+			}
 		}
 	})
 }
 
-// TestBulkCrossesConnWithOneReceiveCopy sends a data message over a real
+// TestBulkCrossesConnUncopied sends a data message over a real
 // connection pair and checks the ownership chain end to end: the blob the
-// receiving handler gets is a sub-slice of one frame-sized allocation,
-// and the codec stages nothing but the head.
-func TestBulkCrossesConnWithOneReceiveCopy(t *testing.T) {
+// receiving handler gets is the sender's own slice, capped — no copy on
+// either side of the wire — and the codec stages nothing but the head.
+func TestBulkCrossesConnUncopied(t *testing.T) {
 	cl := newCluster(t, 2, 200*sim.Microsecond)
 	var got *wireMsg
 	srv := ctl.NewEndpoint(cl.agents[1].kern.Stack(), msgCodec, func(_ *ctl.Link[*wireMsg], m *wireMsg) { got = m })
@@ -371,6 +426,9 @@ func TestBulkCrossesConnWithOneReceiveCopy(t *testing.T) {
 	}
 	if !bytes.Equal(got.Repl.Blobs[1], blob) {
 		t.Fatal("blob corrupted in transit")
+	}
+	if b := got.Repl.Blobs[1]; unsafe.SliceData(b) != unsafe.SliceData(blob) || cap(b) != len(b) {
+		t.Fatal("the handler's blob is a copy, or can grow into bytes not its own: want the sender's slice, capped")
 	}
 	if unsafe.SliceData(m.Repl.Blobs[1]) != unsafe.SliceData(blob) {
 		t.Fatal("send modified the caller's message")

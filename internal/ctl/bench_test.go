@@ -56,8 +56,9 @@ func BenchmarkMigrationStream(b *testing.B) {
 
 // BenchmarkBulkFrame delivers one 8 MiB frame over a warmed connection:
 // sent as one copied payload (Send), or as a small head and the 8 MiB
-// as a part (SendParts), the path every store transfer takes. MB/s is
-// the host's rate through ctl and tcpip, sender to receiver callback.
+// as a part (SendParts), the path every store transfer takes. The
+// receiver takes it as pieces, as an endpoint does. MB/s is the host's
+// rate through ctl and tcpip, sender to receiver callback.
 func BenchmarkBulkFrame(b *testing.B) {
 	for _, parts := range []bool{false, true} {
 		name := "copied"
@@ -67,7 +68,7 @@ func BenchmarkBulkFrame(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			r := newRig(b)
 			frames := 0
-			NewConn(r.b, func(*Conn, []byte) { frames++ }, nil)
+			newConn(r.b, func(*Conn, [][]byte) { frames++ }, nil)
 			ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
 			head := make([]byte, 600)
 			blob := make([]byte, 8<<20)
@@ -95,5 +96,42 @@ func BenchmarkBulkFrame(b *testing.B) {
 				deliver()
 			}
 		})
+	}
+}
+
+// BenchmarkChunkFrame delivers one frame the shape of a deduplicated or
+// erasure-coded transfer over a warmed connection: a small head and 300
+// page-sized parts, each in an array of its own, so every part boundary
+// falls inside a segment. The receiver takes it as pieces, as an
+// endpoint does. B/op and allocs/op are what crossing ctl and tcpip
+// costs the host per frame; the parts themselves arrive uncopied.
+func BenchmarkChunkFrame(b *testing.B) {
+	r := newRig(b)
+	frames := 0
+	newConn(r.b, func(*Conn, [][]byte) { frames++ }, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+	head := make([]byte, 600)
+	parts := make([][]byte, 300)
+	size := len(head)
+	for i := range parts {
+		parts[i] = make([]byte, 4096)
+		size += len(parts[i])
+	}
+	deliver := func() {
+		if err := ca.SendParts(head, parts, trace.SpanContext{}, TierForeground); err != nil {
+			b.Fatal(err)
+		}
+		for want := frames + 1; frames < want; {
+			if !r.engine.Step() {
+				b.Fatal("engine ran dry before the frame arrived")
+			}
+		}
+	}
+	deliver()
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deliver()
 	}
 }

@@ -33,32 +33,36 @@ const MaxFrame = 1 << 30
 var ErrFrameTooLarge = errors.New("ctl: frame length exceeds MaxFrame")
 
 // Conn frames byte payloads over a TCP connection: the fixed header
-// above followed by the payload. Incoming frames are delivered to the
-// OnFrame callback, each in a buffer of its own that belongs to the
-// callback from then on. Writes are backpressure-aware: frames that do
-// not fit in the send buffer (bulk data such as checkpoint replication)
-// are queued and drained as TCP acknowledgments open window space, so a
-// full buffer slows the sender down instead of failing the protocol.
+// above followed by the payload. Incoming frames are delivered whole to
+// the frame callback, as the pieces they arrived in (see Pump). Writes
+// are backpressure-aware: frames that do not fit in the send buffer
+// (bulk data such as checkpoint replication) are queued and drained as
+// TCP acknowledgments open window space, so a full buffer slows the
+// sender down instead of failing the protocol.
 type Conn struct {
 	tc       *tcpip.TCPConn
 	wqueue   [numTiers][]wframe // per-tier output queues; a head may be partially written
 	pacer    *Pacer             // paces TierBackground frames; nil = unpaced
-	onFrame  func(*Conn, []byte)
+	onFrame  func(*Conn, [][]byte)
 	onErr    func(*Conn, error)
 	frameCtx trace.SpanContext
 
-	// Receive state. The TCP receive buffer is the only staging: Pump
-	// reads the fixed header into hdr, then takes the payload from TCP
-	// as pieces (RecvRef) and joins them into the frame's own buffer —
-	// one copy, and no zero-fill before it. Only when TCP will hold no
-	// more of the frame's copied bytes does Pump allocate the frame
-	// (zeroed), copy the pieces in and receive the rest straight into
-	// it.
+	// Receive state. Pump reads the fixed header into hdr, then takes
+	// the payload from TCP as pieces (RecvRef): the sender's own bytes
+	// for what it sent by reference, and for what arrived by copy,
+	// slices of copied — stage, reused from frame to frame, unless a
+	// frame's copied bytes outgrow stageMax, and then a buffer of the
+	// frame's own.
 	hdr    [frameHeader]byte
 	hdrN   int      // header bytes received so far; frameHeader while the payload arrives
-	pieces [][]byte // the payload received so far, as RecvRef handed it out
-	frame  []byte   // the payload buffer once TCP stopped holding; nil before
-	need   int      // payload bytes still to come
+	pieces [][]byte // the payload received so far, in order
+	copied []byte   // the frame's copied bytes so far
+	owned  bool     // copied is the frame's own buffer, not stage
+	stage  []byte
+	need   int // payload bytes still to come
+	// own is the dispatched frame's copied bytes, in a buffer of its
+	// own, during the frame callback.
+	own []byte
 
 	// fpool recycles small frame buffers: SendParts draws from it and
 	// drain returns a buffer once its frame is fully inside the TCP send
@@ -199,7 +203,25 @@ func (c *Conn) putFrameBuf(b []byte) {
 }
 
 // NewConn wraps tc. It takes over the connection's notify callback.
+// onFrame gets each payload whole, in a buffer of its own that belongs
+// to it from then on: the frame's copied bytes when that is all it is,
+// and otherwise the join of its pieces.
 func NewConn(tc *tcpip.TCPConn, onFrame func(*Conn, []byte), onErr func(*Conn, error)) *Conn {
+	return newConn(tc, func(c *Conn, pieces [][]byte) {
+		if len(pieces) == 1 && len(pieces[0]) == len(c.own) {
+			onFrame(c, c.own)
+		} else {
+			onFrame(c, bytes.Join(pieces, nil))
+		}
+	}, onErr)
+}
+
+// newConn wraps tc, delivering each payload to onFrame as its pieces:
+// slices of the sender's bytes for what it sent by reference (SendParts'
+// parts), which nobody may write, and slices of a buffer of the frame's
+// own for what arrived by copy. The byte slices are onFrame's to keep;
+// the list itself is valid only during the call.
+func newConn(tc *tcpip.TCPConn, onFrame func(*Conn, [][]byte), onErr func(*Conn, error)) *Conn {
 	c := &Conn{tc: tc, onFrame: onFrame, onErr: onErr}
 	tc.SetNotify(c.Pump)
 	return c
@@ -233,10 +255,11 @@ func (c *Conn) SendTierCtx(payload []byte, ctx trace.SpanContext, tier Tier) err
 // SendParts transmits one frame whose payload is head followed by every
 // part, in order. head is copied like SendTierCtx's payload. The parts
 // are not: TCP queues, packetizes and delivers them as slices of the
-// caller's (SendRef), and the receiver may reference them until its
-// frame is whole, so they must never change — the contract store blobs,
-// chunks and manifests, immutable once planned, meet for free. A part
-// byte crosses the connection with one copy, into the receiver's frame.
+// caller's (SendRef), and the receiver may keep referencing them for
+// good, so they must never change — the contract store blobs, chunks and
+// manifests, immutable once planned, meet for free. A part byte crosses
+// the connection uncopied: an endpoint's codec gets it as a slice of the
+// sender's part.
 func (c *Conn) SendParts(head []byte, parts [][]byte, ctx trace.SpanContext, tier Tier) error {
 	if err := c.tc.Err(); err != nil {
 		return fmt.Errorf("ctl: send on dead conn: %w", err)
@@ -391,9 +414,7 @@ func (c *Conn) Pump() {
 	// Recv and RecvRef report ErrWouldBlock once the receive buffer is
 	// empty, which ends the loop with the frame in progress kept for the
 	// next call, and EOF or the terminal error at end of stream, which
-	// ends it for good. The header's Recv also ends TCP's hold on the
-	// copied bytes the previous frame's pieces aliased: they are joined
-	// by then.
+	// ends it for good.
 	for {
 		if c.hdrN < frameHeader {
 			n, err := c.tc.Recv(c.hdr[c.hdrN:], false)
@@ -415,61 +436,110 @@ func (c *Conn) Pump() {
 				return
 			}
 			c.need = int(size)
+			c.copied = c.stage[:0]
+			if c.pieces == nil {
+				c.pieces = make([][]byte, 0, piecesMin)
+			}
 		}
 		for c.need > 0 {
 			var n int
 			var err error
-			if c.frame == nil {
-				c.pieces, n, err = c.tc.RecvRef(c.pieces, c.need)
-				if err == nil && n == 0 {
-					c.frame = c.spill()
-					continue
-				}
-			} else {
-				n, err = c.tc.Recv(c.frame[len(c.frame)-c.need:], false)
-			}
+			c.pieces, c.copied, n, err = c.tc.RecvRef(c.pieces, c.copied, c.need)
 			if err != nil {
 				if err != tcpip.ErrWouldBlock {
 					c.dropFrame()
 				}
 				return
 			}
+			if n == 0 {
+				c.grow()
+			}
 			c.need -= n
 		}
-		payload := c.frame
-		if payload == nil {
-			payload = bytes.Join(c.pieces, nil)
-			clear(c.pieces)
-			c.pieces = c.pieces[:0]
+		c.dispatch()
+	}
+}
+
+// piecesMin is the first capacity of a connection's piece list. A frame
+// of chunks comes in one piece per chunk, so the list settles at the
+// largest such frame.
+const piecesMin = 16
+
+// Stage sizing. Copied bytes are heads — gob fields, hash lists, length
+// tables — and small control frames, so a connection's stage settles at
+// its largest head. It starts at what the frame could copy, between
+// stageMin and stageFirst bytes, and doubles from there as a frame's
+// copied bytes need, up to stageMax; a frame that copies more gets a
+// buffer of its own.
+const (
+	stageMin   = 4 << 10
+	stageFirst = 64 << 10
+	stageMax   = 1 << 20
+)
+
+// grow makes room for more of the frame's copied bytes than copied can
+// hold, moving the pieces that alias it. Below stageMax the stage grows;
+// past it the frame gets a buffer of its own, sized for every byte still
+// to come, so it grows no more.
+func (c *Conn) grow() {
+	used := len(c.copied)
+	var nb []byte
+	if cap(c.copied) < stageMax {
+		size := max(2*cap(c.copied), stageMin, min(used+c.need, stageFirst))
+		c.stage = make([]byte, used, min(size, stageMax))
+		nb = c.stage
+	} else {
+		nb, c.owned = make([]byte, used, used+c.need), true
+	}
+	copy(nb, c.copied)
+	repoint(c.pieces, c.copied, nb)
+	c.copied = nb
+}
+
+// repoint moves the pieces that are slices of from — the copied ones,
+// back to back from its start — to the same offsets of to.
+func repoint(pieces [][]byte, from, to []byte) {
+	off := 0
+	for i, p := range pieces {
+		if len(p) > 0 && off < len(from) && &p[0] == &from[off] {
+			pieces[i] = to[off : off+len(p)]
+			off += len(p)
 		}
-		c.frame, c.hdrN = nil, 0
-		c.frameCtx = trace.SpanContext{
-			Op:   trace.OpID(binary.BigEndian.Uint64(c.hdr[4:])),
-			Span: trace.SpanID(binary.BigEndian.Uint64(c.hdr[12:])),
-		}
-		c.Received++
-		c.onFrame(c, payload)
+	}
+}
+
+// dispatch hands the whole frame to the frame callback. Copied bytes in
+// the stage move to a buffer of the frame's own first, at its exact size
+// and without a zero-fill; the stage stays for the next frame.
+func (c *Conn) dispatch() {
+	if !c.owned && len(c.copied) > 0 {
+		own := append([]byte(nil), c.copied...)
+		repoint(c.pieces, c.copied, own)
+		c.copied = own
+	}
+	c.frameCtx = trace.SpanContext{
+		Op:   trace.OpID(binary.BigEndian.Uint64(c.hdr[4:])),
+		Span: trace.SpanID(binary.BigEndian.Uint64(c.hdr[12:])),
+	}
+	c.Received++
+	// The callback may re-enter Pump (a handler that aborts the
+	// connection), so the frame leaves the receive state before it runs.
+	pieces := c.pieces
+	c.own = c.copied
+	c.pieces, c.copied, c.owned, c.hdrN = nil, nil, false, 0
+	c.onFrame(c, pieces)
+	c.own = nil
+	clear(pieces)
+	if c.pieces == nil {
+		c.pieces = pieces[:0]
 	}
 }
 
 // dropFrame lets go of a frame the stream ended under: its pieces alias
-// the peer's bytes and a dead connection's receive ring.
+// the peer's bytes.
 func (c *Conn) dropFrame() {
 	clear(c.pieces)
-	c.pieces, c.frame = nil, nil
-}
-
-// spill moves the frame in progress out of its pieces into a payload
-// buffer of its own, for the rest of the frame to be received into.
-func (c *Conn) spill() []byte {
-	frame := make([]byte, binary.BigEndian.Uint32(c.hdr[:]))
-	n := 0
-	for _, p := range c.pieces {
-		n += copy(frame[n:], p)
-	}
-	clear(c.pieces)
-	c.pieces = c.pieces[:0]
-	return frame
+	c.pieces, c.copied, c.owned, c.stage = nil, nil, false, nil
 }
 
 // FrameCtx returns the trace context of the most recently dispatched

@@ -10,10 +10,15 @@ import (
 // Codec is all an Endpoint knows of its daemon's message type M. Encode
 // writes m's payload head into buf and returns the parts that follow it,
 // which go out uncopied, with the trace context and tier of m's frame.
-// Decode parses a payload, the result's to keep, from a frame with ctx.
+// Decode parses a payload from a frame with ctx. The payload comes as
+// the pieces it arrived in: each part the sender passed uncopied, as a
+// slice of the sender's own bytes where it lies whole in one piece, and
+// the copied bytes in a buffer of the frame's own. The result may keep
+// the pieces' bytes but never write them, nor append to them; the list
+// itself is valid only during the call.
 type Codec[M any] struct {
 	Encode func(buf *bytes.Buffer, m M) (parts [][]byte, ctx trace.SpanContext, tier Tier, err error)
-	Decode func(payload []byte, ctx trace.SpanContext) (M, error)
+	Decode func(pieces [][]byte, ctx trace.SpanContext) (M, error)
 }
 
 // Endpoint is one daemon's end of the control plane: it accepts the
@@ -74,7 +79,7 @@ func (e *Endpoint[M]) SetPacer(p *Pacer) { e.pacer = p }
 
 func (e *Endpoint[M]) link(tc *tcpip.TCPConn) *Link[M] {
 	l := &Link[M]{ep: e}
-	l.Conn = NewConn(tc, l.frame, l.fail)
+	l.Conn = newConn(tc, l.frame, l.fail)
 	if e.pacer != nil {
 		l.SetPacer(e.pacer)
 	}
@@ -161,8 +166,8 @@ func (l *Link[M]) Send(m M) error {
 
 // frame hands a received payload to onMsg. One that does not decode is
 // a connection error.
-func (l *Link[M]) frame(c *Conn, payload []byte) {
-	if m, err := l.ep.codec.Decode(payload, c.FrameCtx()); err != nil {
+func (l *Link[M]) frame(c *Conn, pieces [][]byte) {
+	if m, err := l.ep.codec.Decode(pieces, c.FrameCtx()); err != nil {
 		l.fail(c, err)
 	} else {
 		l.ep.onMsg(l, m)

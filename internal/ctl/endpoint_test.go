@@ -32,7 +32,8 @@ var tcodec = Codec[*tmsg]{
 		}
 		return parts, m.ctx, m.tier, nil
 	},
-	Decode: func(payload []byte, ctx trace.SpanContext) (*tmsg, error) {
+	Decode: func(pieces [][]byte, ctx trace.SpanContext) (*tmsg, error) {
+		payload := bytes.Join(pieces, nil)
 		if len(payload) == 0 || payload[0] != 'm' {
 			return nil, errors.New("not a tmsg")
 		}

@@ -103,7 +103,14 @@ var fMsgCodec = ctl.Codec[*fWireMsg]{
 	Encode: func(buf *bytes.Buffer, m *fWireMsg) ([][]byte, trace.SpanContext, ctl.Tier, error) {
 		return nil, trace.SpanContext{}, ctl.TierForeground, fCodec.Encode(buf, m)
 	},
-	Decode: func(payload []byte, _ trace.SpanContext) (*fWireMsg, error) {
+	Decode: func(pieces [][]byte, _ trace.SpanContext) (*fWireMsg, error) {
+		// A flush frame is copied bytes alone, so it arrives as one piece.
+		var payload []byte
+		if len(pieces) == 1 {
+			payload = pieces[0]
+		} else {
+			payload = bytes.Join(pieces, nil)
+		}
 		var m fWireMsg
 		_, err := fCodec.Decode(payload, &m)
 		return &m, err

@@ -105,26 +105,65 @@ type Segment struct {
 	Seq, Ack         uint32
 	Flags            Flags
 	Window           uint16
-	Data             []byte
+	payload
+}
+
+// payload is a segment's bytes. Data is all of them, unless the
+// segment spans several runs of its sender's queue: Data is then the
+// first run, next the second and more the rest, each marked like ref.
+// Everything but Data exists only in the simulator: a real segment
+// carries its bytes as one payload, and WireSize counts the runs' bytes
+// and ignores the marks.
+type payload struct {
+	Data []byte
 	// ref marks Data as bytes nobody writes again, so the receiver may
-	// queue them by reference instead of copying. It exists only in the
-	// simulator: a real segment carries its bytes, and WireSize ignores
-	// the mark.
+	// queue them by reference instead of copying.
+	ref  bool
+	next span
+	more []span // from a slab of the sender's stack (spanSlots)
+}
+
+// span is one run of a segment that spans several: a slice of bytes
+// nobody writes again (ref), or copied bytes in the sender's pooled
+// segment buffer, which the ack hands back to its pool.
+type span struct {
+	b   []byte
 	ref bool
 }
 
+// len returns the number of payload bytes.
+func (p *payload) len() int {
+	n := len(p.Data) + len(p.next.b)
+	for _, r := range p.more {
+		n += len(r.b)
+	}
+	return n
+}
+
+// each calls fn on every run of the payload, in order: Data alone, or
+// each run of a segment that spans several.
+func (p *payload) each(fn func(span)) {
+	fn(span{b: p.Data, ref: p.ref})
+	if p.next.b != nil {
+		fn(p.next)
+	}
+	for _, r := range p.more {
+		fn(r)
+	}
+}
+
 // WireSize returns the segment's encoded size.
-func (s *Segment) WireSize() int { return tcpHeaderBytes + len(s.Data) }
+func (s *Segment) WireSize() int { return tcpHeaderBytes + s.len() }
 
 func (s *Segment) String() string {
 	return fmt.Sprintf("TCP %d->%d [%s] seq=%d ack=%d win=%d len=%d",
-		s.SrcPort, s.DstPort, s.Flags, s.Seq, s.Ack, s.Window, len(s.Data))
+		s.SrcPort, s.DstPort, s.Flags, s.Seq, s.Ack, s.Window, s.len())
 }
 
 // seqLen returns the sequence-space length of the segment (data plus one
 // for each of SYN and FIN).
 func (s *Segment) seqLen() uint32 {
-	n := uint32(len(s.Data))
+	n := uint32(s.len())
 	if s.Flags.Has(FlagSYN) {
 		n++
 	}

@@ -154,63 +154,71 @@ func (q *byteQueue) read(p []byte) int {
 	return n
 }
 
-// headRef consumes and returns the first n bytes when one referenced run
-// holds them all, and returns nil otherwise.
-func (q *byteQueue) headRef(n int) []byte {
-	if q.runs.Len() == 0 {
-		return nil
+// shape returns how many runs the first n queued bytes (n <= Len)
+// span, and how many of those bytes were copied in.
+func (q *byteQueue) shape(n int) (runs, copied int) {
+	for i := 0; n > 0; i++ {
+		r := q.runs.At(i)
+		k := min(n, r.n)
+		if r.ref == nil {
+			copied += k
+		}
+		runs++
+		n -= k
 	}
-	r := q.runs.At(0)
-	if r.ref == nil || r.n < n {
-		return nil
-	}
-	b := r.ref[:n]
-	q.discard(n)
-	return b
+	return runs, copied
 }
 
-// take consumes the first n bytes (n <= Len) and appends them to dst in
-// place: referenced runs as sub-slices of their bytes, copied ones as
-// slices of the ring, held there until release. A slice that continues
-// dst's last one extends it instead, so the segments of one part come
-// out as one piece.
-func (q *byteQueue) take(dst [][]byte, n int) [][]byte {
-	q.n -= n
-	for left := n; left > 0; {
+// cut consumes the first n queued bytes into spans, one per run they
+// span (shape's count): a referenced run's as a slice of its bytes,
+// which keeps the capacity of its array, and a copied run's copied into
+// buf, back to back, and sliced from there. buf holds exactly the copied
+// bytes.
+func (q *byteQueue) cut(n int, spans []span, buf []byte) {
+	for i := range spans {
 		r := q.runs.At(0)
+		k := min(n, r.n)
+		if r.ref != nil {
+			spans[i] = span{b: r.ref[:k], ref: true}
+			q.discard(k)
+		} else {
+			spans[i] = span{b: buf[:q.read(buf[:k]):k]}
+			buf = buf[k:]
+		}
+		n -= k
+	}
+}
+
+// take consumes up to n queued bytes and appends them to dst in order:
+// a referenced run's as sub-slices of its bytes, a copied run's copied
+// into buf's spare capacity and sliced from there. It stops short at
+// copied bytes buf has no room for, and returns dst, buf and the count.
+// A slice that continues dst's last one extends it instead, so the
+// segments of one part come out as one piece, and so do copied bytes
+// taken back to back.
+func (q *byteQueue) take(dst [][]byte, buf []byte, n int) ([][]byte, []byte, int) {
+	took := 0
+	for took < n && q.runs.Len() > 0 {
+		r := q.runs.At(0)
+		k := min(n-took, r.n)
 		var b []byte
 		if r.ref != nil {
-			k := min(left, r.n)
-			b, r.ref = r.ref[:k], r.ref[k:]
+			b = r.ref[:k]
+			q.discard(k)
 		} else {
-			b = q.ring.take(min(left, r.n))
+			if k = min(k, cap(buf)-len(buf)); k == 0 {
+				break
+			}
+			off := len(buf)
+			buf = buf[:off+k]
+			b = buf[off : off+q.read(buf[off:])]
 		}
 		if last := len(dst) - 1; last >= 0 && continues(dst[last], b) {
 			dst[last] = dst[last][:len(dst[last])+len(b)]
 		} else {
 			dst = append(dst, b)
 		}
-		if r.n -= len(b); r.n == 0 {
-			q.runs.Pop()
-		}
-		left -= len(b)
+		took += k
 	}
-	return dst
+	return dst, buf, took
 }
-
-// held returns how many ring bytes would be held after take(n).
-func (q *byteQueue) held(n int) int {
-	held := q.ring.held
-	for i := 0; n > 0; i++ {
-		r := q.runs.At(i)
-		k := min(n, r.n)
-		if r.ref == nil {
-			held += k
-		}
-		n -= k
-	}
-	return held
-}
-
-// release ends the hold on the ring bytes take handed out.
-func (q *byteQueue) release() { q.ring.release() }

@@ -14,10 +14,12 @@ func (q *byteQueue) wrapped() bool { return q.ring.wrapped() }
 // through the same random mix of copied and referenced writes — the
 // referenced ones often window-sized pieces of one array, as SendParts
 // hands a part over — and requires the same bytes from every read path.
-// Slices handed out by take must hold their bytes until release, and
-// referenced bytes must come back as slices of the caller's array.
+// Slices handed out by take must hold their bytes for good, though the
+// queue goes on copying bytes in; a take stops short only at copied bytes
+// its buffer has no room for; and a cut segment's copied runs must lie in
+// the buffer it was given.
 func TestByteQueueMatchesSliceModel(t *testing.T) {
-	merged, refHeads := 0, 0
+	merged, refHeads, spanning := 0, 0, 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q byteQueue
@@ -35,7 +37,7 @@ func TestByteQueueMatchesSliceModel(t *testing.T) {
 		var taken, takenWant [][]byte
 		for op := 0; op < 400; op++ {
 			size := rng.Intn(3000) + 1
-			switch rng.Intn(9) {
+			switch rng.Intn(8) {
 			case 0: // copied write
 				p := fill(size)
 				q.write(p)
@@ -60,33 +62,44 @@ func TestByteQueueMatchesSliceModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: read(%d) = %d bytes, model %d, or contents differ", seed, op, size, n, want)
 				}
 				model = model[n:]
-			case 4: // headRef: a segment sliced out of a referenced run
-				if b := q.headRef(min(size, mss)); b != nil {
-					if !bytes.Equal(b, model[:len(b)]) {
-						t.Fatalf("seed %d op %d: headRef returned the wrong bytes", seed, op)
+			case 4: // cut: a segment, as the runs it spans
+				n := min(size, mss, len(model))
+				runs, copied := q.shape(n)
+				spans := make([]span, runs)
+				buf := make([]byte, copied)
+				q.cut(n, spans, buf)
+				var got []byte
+				for _, r := range spans {
+					got = append(got, r.b...)
+					if r.ref {
+						refHeads++
 					}
-					refHeads++
-					model = model[len(b):]
 				}
-			case 5: // take
-				n := min(size, len(model))
-				wantHeld := q.held(n)
-				pieces := q.take(nil, n)
-				if !bytes.Equal(bytes.Join(pieces, nil), model[:n]) {
+				if !bytes.Equal(got, model[:n]) || n > 0 && copied > 0 && &buf[0] != &firstCopied(spans)[0] {
+					t.Fatalf("seed %d op %d: cut(%d) differs from the model, or its copied runs are not in buf", seed, op, n)
+				}
+				if runs > 1 {
+					spanning++
+				}
+				model = model[n:]
+			case 5: // take into a buffer that may fill up
+				buf := make([]byte, 0, rng.Intn(4000))
+				pieces, buf, n := q.take(nil, buf, size)
+				if n > min(size, len(model)) || !bytes.Equal(bytes.Join(pieces, nil), model[:n]) {
 					t.Fatalf("seed %d op %d: take(%d) differs from the model", seed, op, n)
 				}
-				if q.ring.held != wantHeld {
-					t.Fatalf("seed %d op %d: take(%d) holds %d ring bytes, held() said %d", seed, op, n, q.ring.held, wantHeld)
+				if n < min(size, len(model)) && (len(buf) != cap(buf) || q.runs.At(0).ref != nil) {
+					t.Fatalf("seed %d op %d: take(%d) stopped at %d with room in its buffer", seed, op, size, n)
+				}
+				if len(taken) > 64 { // check the most recent ones only
+					taken, takenWant = taken[:0], takenWant[:0]
 				}
 				for _, p := range pieces {
 					taken = append(taken, p)
 					takenWant = append(takenWant, append([]byte(nil), p...))
 				}
 				model = model[n:]
-			case 6: // release
-				q.release()
-				taken, takenWant = taken[:0], takenWant[:0]
-			case 8: // own, now and then: the bytes stay, the references go
+			case 6: // own, now and then: the bytes stay, the references go
 				if rng.Intn(10) > 0 {
 					break
 				}
@@ -103,7 +116,7 @@ func TestByteQueueMatchesSliceModel(t *testing.T) {
 			}
 			for i := range taken {
 				if !bytes.Equal(taken[i], takenWant[i]) {
-					t.Fatalf("seed %d op %d: a taken slice was overwritten before release", seed, op)
+					t.Fatalf("seed %d op %d: a taken slice was overwritten", seed, op)
 				}
 			}
 			if q.Len() != len(model) || !bytes.Equal(q.appendTo(nil), model) {
@@ -111,10 +124,21 @@ func TestByteQueueMatchesSliceModel(t *testing.T) {
 			}
 		}
 	}
-	if merged < 1000 || refHeads < 500 {
-		t.Fatalf("%d merged referenced writes, %d segments sliced by reference: the run barely exercised them", merged, refHeads)
+	if merged < 1000 || refHeads < 500 || spanning < 200 {
+		t.Fatalf("%d merged referenced writes, %d runs sliced by reference, %d segments spanning runs: the run barely exercised them",
+			merged, refHeads, spanning)
 	}
-	t.Logf("%d merged referenced writes, %d segments sliced by reference", merged, refHeads)
+	t.Logf("%d merged referenced writes, %d runs sliced by reference, %d segments spanning runs", merged, refHeads, spanning)
+}
+
+// firstCopied returns the first copied run's bytes among spans.
+func firstCopied(spans []span) []byte {
+	for _, r := range spans {
+		if !r.ref {
+			return r.b
+		}
+	}
+	return nil
 }
 
 // TestByteQueueMergesOnlyContinuations: a referenced write joins the

@@ -33,7 +33,7 @@ func TestSendRefCrossesUncopied(t *testing.T) {
 		tn.run(sim.Millisecond)
 		var n int
 		var err error
-		pieces, n, err = s.RecvRef(pieces, len(blob)-rcvd)
+		pieces, _, n, err = s.RecvRef(pieces, nil, len(blob)-rcvd)
 		if err != nil && err != ErrWouldBlock {
 			t.Fatal(err)
 		}
@@ -91,14 +91,14 @@ func TestReceiverKeepsNoPooledSegBuf(t *testing.T) {
 	if n, err := s.Recv(head, false); err != nil || n != len(head) {
 		t.Fatalf("Recv = %d, %v", n, err)
 	}
-	if _, n, err := s.RecvRef(nil, len(data)); err != nil || n != 0 {
-		t.Fatalf("RecvRef of %d copied bytes = %d, %v; want a refusal: more than rcvHoldMax", len(data)-len(head), n, err)
+	if _, _, n, err := s.RecvRef(nil, nil, len(data)); err != nil || n != 0 {
+		t.Fatalf("RecvRef of copied bytes into no buffer = %d, %v; want 0, nil: it has nowhere to copy them", n, err)
 	}
-	mid, n, err := s.RecvRef(nil, rcvHoldMax)
-	if err != nil || n != rcvHoldMax {
-		t.Fatalf("RecvRef = %d, %v", n, err)
+	mid, buf, n, err := s.RecvRef(nil, make([]byte, 0, 4096), len(data))
+	if err != nil || n != 4096 || len(mid) != 1 || &mid[0][0] != &buf[0] {
+		t.Fatalf("RecvRef into a 4 KiB buffer = %d bytes in %d pieces, %v; want them copied into the buffer", n, len(mid), err)
 	}
-	got := append(head, bytes.Join(mid, nil)...)
+	got := append(head, mid[0]...)
 	tail := make([]byte, len(data)-len(got))
 	if n, err := s.Recv(tail, false); err != nil || n != len(tail) {
 		t.Fatalf("Recv = %d, %v", n, err)
@@ -114,9 +114,16 @@ func TestReceiverKeepsNoPooledSegBuf(t *testing.T) {
 // queue, and every saved image — pending bytes, segments and their
 // boundaries, receive data — must equal the copying run's, and the
 // restored stream must arrive whole.
+//
+// A second pair of runs sends each chunk as parts of 0–3 MSS, each in
+// an array of its own, as SendParts hands a frame's parts over, so
+// segments span several runs; they also stall the reader until the
+// window closes and the persist timer probes it. There a segment's
+// pooled buffer holds only the bytes that were copied in, and a run of
+// referenced bytes alone draws no pooled buffer at all.
 func TestPropertyCheckpointWithReferencedBytes(t *testing.T) {
-	type census struct{ pending, segs, ooo, rcv int }
-	run := func(seed int64, ref bool) ([]*TCPSavedState, census) {
+	type census struct{ pending, segs, ooo, rcv, spanning, maxRuns, probes int }
+	run := func(seed int64, ref, parts bool) ([]*TCPSavedState, census) {
 		tn := newTestNet(t, 2)
 		c, s := tn.connect(0, 1, 5000)
 		tn.sw.SetDropRate(tn.nics[1], 0.02)
@@ -136,25 +143,55 @@ func TestPropertyCheckpointWithReferencedBytes(t *testing.T) {
 			}
 			return c.Send(chunk)
 		}
+		sendAll := func(chunk []byte) {
+			for rem := chunk; len(rem) > 0; {
+				n, err := send(rem)
+				if err == ErrWouldBlock {
+					tn.run(5 * sim.Millisecond)
+					drainSome(20000)
+					continue
+				}
+				if err != nil {
+					t.Fatalf("send: %v", err)
+				}
+				rem = rem[n:]
+			}
+		}
+		sendChunk := func(chunk []byte) {
+			want = append(want, chunk...)
+			if !parts {
+				sendAll(chunk)
+				return
+			}
+			for len(chunk) > 0 {
+				k := min(len(chunk), rng.Intn(3*mss+1))
+				sendAll(append([]byte(nil), chunk[:k]...))
+				chunk = chunk[k:]
+			}
+		}
 		for round := 0; round < 5; round++ {
 			for i := 0; i < 30; i++ {
-				chunk := pattern(rng.Intn(9000)+1, byte(rng.Intn(256)))
-				want = append(want, chunk...)
-				for rem := chunk; len(rem) > 0; {
-					n, err := send(rem)
-					if err == ErrWouldBlock {
-						tn.run(5 * sim.Millisecond)
-						drainSome(20000)
-						continue
-					}
-					if err != nil {
-						t.Fatalf("send: %v", err)
-					}
-					rem = rem[n:]
-				}
+				sendChunk(pattern(rng.Intn(9000)+1, byte(rng.Intn(256))))
 				tn.run(sim.Duration(rng.Intn(int(2 * sim.Millisecond))))
 				if rng.Intn(3) > 0 {
 					drainSome(rng.Intn(8000) + 1)
+				}
+			}
+			if parts && round == 2 {
+				// The reader stalls until the window closes, then past
+				// several RTOs: only the persist timer's probes go out.
+				for i := 0; s.rcvWindow() > 0 && i < 400; i++ {
+					chunk := pattern(2000, byte(i))
+					if n, err := send(chunk); err == nil {
+						want = append(want, chunk[:n]...)
+					}
+					tn.run(5 * sim.Millisecond)
+				}
+				tn.run(50 * sim.Millisecond)
+				sent := c.Stats.SegsSent
+				tn.run(3 * sim.Second)
+				if s.rcvWindow() == 0 && c.pending.Len() > 0 {
+					seen.probes += int(c.Stats.SegsSent - sent)
 				}
 			}
 			thaw := freeze(tn, 0, 1)
@@ -165,15 +202,35 @@ func TestPropertyCheckpointWithReferencedBytes(t *testing.T) {
 				}
 			}
 			tn.run(sim.Duration(rng.Intn(int(3 * sim.Millisecond))))
+			if draws := tn.stacks[0].Stats.SegPoolHits + tn.stacks[0].Stats.SegPoolMisses; ref && round == 0 && draws != 0 {
+				t.Fatalf("seed %d: referenced bytes alone drew %d pooled segment buffers", seed, draws)
+			}
 			seen.pending += refRuns(&c.pending)
 			seen.rcv += refRuns(&s.rcvQueue)
 			for i := 0; i < c.segs.Len(); i++ {
-				if g := c.segs.At(i); !g.pooled && len(g.data) > 0 {
+				g := c.segs.At(i)
+				copied, referenced, runs := 0, false, 0
+				g.each(func(r span) {
+					if r.ref {
+						referenced = referenced || len(r.b) > 0
+					} else {
+						copied += len(r.b)
+					}
+					runs++
+				})
+				if len(g.pool) != copied {
+					t.Fatalf("seed %d: a segment's pooled buffer holds %d bytes for %d copied ones", seed, len(g.pool), copied)
+				}
+				if referenced {
 					seen.segs++
+				}
+				if runs > 1 {
+					seen.spanning++
+					seen.maxRuns = max(seen.maxRuns, runs)
 				}
 			}
 			for _, o := range s.ooo {
-				if o.ref {
+				if o.ref || o.next.b != nil {
 					seen.ooo++
 				}
 			}
@@ -206,26 +263,34 @@ func TestPropertyCheckpointWithReferencedBytes(t *testing.T) {
 			drainSome(len(buf))
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("seed %d ref %v: stream corrupted across the checkpoints (%d bytes, want %d)", seed, ref, len(got), len(want))
+			t.Fatalf("seed %d ref %v parts %v: stream corrupted across the checkpoints (%d bytes, want %d)", seed, ref, parts, len(got), len(want))
 		}
 		return saved, seen
 	}
-	var total census
-	for seed := int64(1); seed <= 6; seed++ {
-		copied, _ := run(seed, false)
-		referenced, seen := run(seed, true)
-		if !reflect.DeepEqual(copied, referenced) {
-			t.Fatalf("seed %d: the by-reference run saved different connection images than the copying one", seed)
+	for _, parts := range []bool{false, true} {
+		var total census
+		for seed := int64(1); seed <= 6; seed++ {
+			copied, _ := run(seed, false, parts)
+			referenced, seen := run(seed, true, parts)
+			if !reflect.DeepEqual(copied, referenced) {
+				t.Fatalf("seed %d parts %v: the by-reference run saved different connection images than the copying one", seed, parts)
+			}
+			total.pending += seen.pending
+			total.segs += seen.segs
+			total.ooo += seen.ooo
+			total.rcv += seen.rcv
+			total.spanning += seen.spanning
+			total.maxRuns = max(total.maxRuns, seen.maxRuns)
+			total.probes += seen.probes
 		}
-		total.pending += seen.pending
-		total.segs += seen.segs
-		total.ooo += seen.ooo
-		total.rcv += seen.rcv
-	}
-	t.Logf("referenced bytes at capture: %d pending runs, %d segments, %d out-of-order segments, %d receive runs",
-		total.pending, total.segs, total.ooo, total.rcv)
-	if total.pending == 0 || total.segs == 0 || total.ooo == 0 || total.rcv == 0 {
-		t.Fatalf("a capture never found referenced bytes somewhere: %+v", total)
+		t.Logf("parts %v: referenced bytes at capture: %d pending runs, %d segments, %d out-of-order segments, %d receive runs; %d segments spanning up to %d runs; %d persist probes",
+			parts, total.pending, total.segs, total.ooo, total.rcv, total.spanning, total.maxRuns, total.probes)
+		if total.pending == 0 || total.segs == 0 || total.ooo == 0 || total.rcv == 0 {
+			t.Fatalf("parts %v: a capture never found referenced bytes somewhere: %+v", parts, total)
+		}
+		if parts && (total.spanning == 0 || total.maxRuns < 3 || total.probes == 0) {
+			t.Fatalf("parts: no capture found segments spanning three runs, or the window never closed on a probe: %+v", total)
+		}
 	}
 }
 

@@ -1,21 +1,16 @@
 package tcpip
 
 // Ring is a FIFO byte queue over one circular buffer. Write copies bytes
-// in at the tail; Peek, Discard and take work at the head. The buffer
-// grows (by doubling, never shrinks) only when a Write does not fit, so
-// a queue that fills and drains repeatedly — a TCP send or receive
-// buffer — settles at its high-water capacity and allocates nothing
-// afterwards. The zero value is an empty ring.
-//
-// Bytes consumed by take stay where they are, held, until release: a
-// Write never overwrites them, and a growth leaves them in the old
-// buffer. That is what lets a receiver keep slices of the ring across
-// events instead of copying them out.
+// in at the tail; Peek and Discard work at the head. The buffer grows
+// (by doubling, never shrinks) only when a Write does not fit, so a
+// queue that fills and drains repeatedly — a TCP send or receive buffer
+// — settles at its high-water capacity and allocates nothing
+// afterwards. Nothing outside the ring ever references its buffer: a
+// reader gets copies. The zero value is an empty ring.
 type Ring struct {
 	buf  []byte // len(buf) is the capacity, always zero or a power of two
 	head int    // index of the oldest unread byte
 	n    int    // unread bytes
-	held int    // consumed bytes just behind head that must not be overwritten
 }
 
 // ringMinCap is the first allocation; most control connections never
@@ -27,8 +22,8 @@ func (r *Ring) Write(p []byte) {
 	if len(p) == 0 {
 		return
 	}
-	if r.held+r.n+len(p) > len(r.buf) {
-		r.grow(r.held + r.n + len(p))
+	if r.n+len(p) > len(r.buf) {
+		r.grow(r.n + len(p))
 	}
 	tail := (r.head + r.n) & (len(r.buf) - 1)
 	k := copy(r.buf[tail:], p)
@@ -37,8 +32,7 @@ func (r *Ring) Write(p []byte) {
 }
 
 // grow reallocates to the next power of two holding need bytes,
-// linearising the unread bytes at the front of the new buffer. Held
-// bytes stay behind in the old one, which nobody writes again.
+// linearising the unread bytes at the front of the new buffer.
 func (r *Ring) grow(need int) {
 	c := len(r.buf)
 	if c == 0 {
@@ -49,7 +43,7 @@ func (r *Ring) grow(need int) {
 	}
 	nb := make([]byte, c)
 	r.Peek(nb)
-	r.buf, r.head, r.held = nb, 0, 0
+	r.buf, r.head = nb, 0
 }
 
 // span returns the n unread bytes from offset off as at most two
@@ -75,39 +69,17 @@ func (r *Ring) Peek(p []byte) int {
 }
 
 // Discard drops up to n bytes from the head and returns how many it
-// dropped. While bytes are held, the dropped ones join them: the held
-// region stays one run just behind head.
+// dropped.
 func (r *Ring) Discard(n int) int {
 	n = min(n, r.n)
 	if n == 0 {
 		return 0
 	}
 	r.n -= n
-	if r.held > 0 {
-		r.held += n
-	}
-	if r.n == 0 && r.held == 0 {
+	if r.n == 0 {
 		r.head = 0 // empty: start the next burst unwrapped
 	} else {
 		r.head = (r.head + n) & (len(r.buf) - 1)
 	}
 	return n
-}
-
-// take consumes up to n bytes from the head and returns them in place,
-// as the longest run that does not wrap. They stay valid until release.
-func (r *Ring) take(n int) []byte {
-	a, _ := r.span(0, min(n, r.n))
-	r.n -= len(a)
-	r.held += len(a)
-	r.head = (r.head + len(a)) & (len(r.buf) - 1)
-	return a
-}
-
-// release lets Write reuse the bytes take handed out.
-func (r *Ring) release() {
-	r.held = 0
-	if r.n == 0 {
-		r.head = 0
-	}
 }

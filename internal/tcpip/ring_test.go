@@ -18,9 +18,7 @@ func (r *Ring) linear() []byte {
 
 // TestRingMatchesSliceModel drives a Ring and a plain slice through the
 // same random operations and requires identical observable behaviour,
-// including across wrap-around and growth while wrapped. Bytes handed
-// out by take must stay intact until release, whatever is written
-// meanwhile.
+// including across wrap-around and growth while wrapped.
 func TestRingMatchesSliceModel(t *testing.T) {
 	wraps, growsWrapped := 0, 0
 	// Many short lives: a ring does its growing early, so fresh rings are
@@ -30,7 +28,6 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		var r Ring
 		var model []byte
 		var next byte
-		var taken, takenWant [][]byte // held slices and what they held
 		for op := 0; op < 500; op++ {
 			size := rng.Intn(3000)
 			if rng.Intn(8) == 0 {
@@ -53,7 +50,7 @@ func TestRingMatchesSliceModel(t *testing.T) {
 				if wasWrapped && len(r.buf) > capBefore {
 					growsWrapped++
 				}
-			case 2: // read
+			case 2, 5: // read
 				got := make([]byte, size)
 				n := r.Peek(got)
 				r.Discard(n)
@@ -69,28 +66,12 @@ func TestRingMatchesSliceModel(t *testing.T) {
 				if n != want || !bytes.Equal(got[:n], model[:want]) {
 					t.Fatalf("seed %d op %d: Peek(%d) = %d bytes, model %d, or contents differ", seed, op, size, n, want)
 				}
-			case 4: // discard
+			case 4, 6: // discard
 				want := min(size, len(model))
 				if n := r.Discard(size); n != want {
 					t.Fatalf("seed %d op %d: Discard(%d) = %d, model %d", seed, op, size, n, want)
 				}
 				model = model[want:]
-			case 5: // take, held until a release
-				b := r.take(size)
-				if want := model[:len(b)]; !bytes.Equal(b, want) || (len(b) == 0 && size > 0 && len(model) > 0) {
-					t.Fatalf("seed %d op %d: take(%d) = %d bytes, or contents differ from the model", seed, op, size, len(b))
-				}
-				taken = append(taken, b)
-				takenWant = append(takenWant, append([]byte(nil), b...))
-				model = model[len(b):]
-			case 6: // release
-				r.release()
-				taken, takenWant = taken[:0], takenWant[:0]
-			}
-			for i := range taken {
-				if !bytes.Equal(taken[i], takenWant[i]) {
-					t.Fatalf("seed %d op %d: a held slice was overwritten before release", seed, op)
-				}
 			}
 			if r.n != len(model) {
 				t.Fatalf("seed %d op %d: Len %d, model %d", seed, op, r.n, len(model))

@@ -70,6 +70,10 @@ type Stack struct {
 	// set of MSS-sized buffers instead of allocating one per segment.
 	segPool [][]byte
 
+	// slab holds the run slots of segments that span several runs
+	// (spanSlots).
+	slab []span
+
 	// pktPool is the free list of TCP packets this stack builds (sendTCP).
 	// The one stack that receives a packet in a unicast frame, or this
 	// stack over loopback, hands it back here (Packet.release), so a

@@ -110,13 +110,14 @@ func (c *TCPConn) CaptureState() (*TCPSavedState, error) {
 	}
 	for i := 0; i < c.segs.Len(); i++ {
 		g := c.segs.At(i)
-		data := make([]byte, len(g.data))
-		copy(data, g.data)
+		data := make([]byte, 0, g.len())
+		g.each(func(r span) { data = append(data, r.b...) })
 		st.SendSegments = append(st.SendSegments, SavedSegment{Data: data, FIN: g.fin})
 	}
-	// The queues linearise into the image: saved buffers carry no trace
-	// of where in its ring a queue happened to sit, nor of which runs
-	// were copied and which referenced.
+	// The queues and segments linearise into the image: saved buffers
+	// carry no trace of where in its ring a queue happened to sit, nor of
+	// which runs were copied and which referenced, nor of the runs a
+	// segment spans.
 	st.SendPending = c.pending.appendTo(nil)
 	// MSG_PEEK semantics: read without consuming. Alternate buffer (from
 	// an earlier restore) concatenates with the live queue.
@@ -177,7 +178,7 @@ func (s *Stack) RestoreTCP(st *TCPSavedState) (*TCPConn, error) {
 	savedNoDelay, savedCork := c.noDelay, c.cork
 	c.noDelay, c.cork = true, false
 	for _, sg := range st.SendSegments {
-		g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: append([]byte(nil), sg.Data...), fin: sg.FIN})
+		g := c.segs.Push(inflightSeg{seq: c.sndNxt, payload: payload{Data: append([]byte(nil), sg.Data...), ref: true}, fin: sg.FIN})
 		c.sndNxt += g.seqLen()
 		if sg.FIN {
 			c.finSent = true

@@ -76,17 +76,18 @@ type TCPConnStats struct {
 // "read and save the application-level data found in the send buffer and
 // record the packet boundaries".
 type inflightSeg struct {
-	seq    uint32
-	data   []byte
+	seq uint32
+	payload
 	fin    bool
 	sentAt sim.Time
 	retx   int
-	// pooled marks data drawn from the stack's segPool, which takes it
-	// back on the ack. Any other data — sliced from a referenced run, a
-	// restored copy, a persist probe's byte — is never written again,
-	// so the segment is sent flagged and the receiver queues it by
-	// reference.
-	pooled bool
+	// pool is the buffer drawn from the stack's segPool, which takes it
+	// back on the ack: Data itself when the segment is copied bytes, the
+	// copied runs' bytes when it spans several, nil when nothing was
+	// copied. Every other byte — sliced from a referenced run, a restored
+	// copy, a persist probe's byte — is never written again, so it goes
+	// out flagged and the receiver queues it by reference.
+	pool []byte
 	// needsRetx marks a segment presumed lost after an RTO; recovery
 	// retransmits marked segments under congestion-window clocking
 	// (go-back-N with slow start, as classic TCP does after a timeout).
@@ -94,7 +95,7 @@ type inflightSeg struct {
 }
 
 func (g *inflightSeg) seqLen() uint32 {
-	n := uint32(len(g.data))
+	n := uint32(g.len())
 	if g.fin {
 		n++
 	}
@@ -105,10 +106,9 @@ func (g *inflightSeg) end() uint32 { return g.seq + g.seqLen() }
 
 // oooSeg is an out-of-order received segment awaiting reassembly.
 type oooSeg struct {
-	seq  uint32
-	data []byte
-	fin  bool
-	ref  bool // Segment.ref: data may be queued by reference
+	seq uint32
+	payload
+	fin bool
 }
 
 // TCPConn is a TCP connection endpoint. All operations are non-blocking:
@@ -126,8 +126,8 @@ type TCPConn struct {
 	// not yet packetized. pending and rcvQueue are byteQueues: Send and
 	// unflagged ingest copy bytes in, SendRef and flagged ingest queue
 	// them by reference, and neither allocates once the queue has
-	// reached the buffer limit. trySend slices a segment straight out of
-	// a referenced run and copies only one that straddles two runs.
+	// reached the buffer limit. packetize slices a segment straight out
+	// of referenced runs and copies only copied bytes.
 	iss       uint32
 	sndUna    uint32
 	sndNxt    uint32
@@ -442,9 +442,7 @@ func (c *TCPConn) send(b []byte, ref bool) (int, error) {
 // Recv copies buffered data into b. With peek set, the data is not
 // consumed (MSG_PEEK; the paper's checkpoint uses this to read receive
 // buffers non-destructively). At end of stream it returns (0, io.EOF).
-// It ends the validity of the copied bytes RecvRef handed out.
 func (c *TCPConn) Recv(b []byte, peek bool) (int, error) {
-	c.rcvQueue.release()
 	if err := c.recvEmpty(); err != nil {
 		return 0, err
 	}
@@ -460,41 +458,29 @@ func (c *TCPConn) Recv(b []byte, peek bool) (int, error) {
 	return fromAlt + fromLive, nil
 }
 
-// rcvHoldMax bounds the copied bytes RecvRef hands out before a Recv
-// ends the hold: a small frame's worth. Held bytes keep their place in
-// the receive ring, so the bound is what keeps a frame whose segments
-// straddle many parts from growing every connection's ring; such a
-// frame is read into a buffer of its own instead. It shapes host memory
-// only, never what crosses the wire.
-const rcvHoldMax = 4096
-
 // RecvRef consumes up to max buffered bytes like Recv, but appends them
-// to dst as slices instead of copying them, extending dst's last slice
-// where the bytes continue it, and returns dst and the count. The caller
-// must not write to the slices, nor append to them: their capacity runs
-// on into bytes that are not theirs. Those of bytes the
-// peer sent by reference alias its immutable bytes and stay valid for
-// good; those of bytes that arrived by copy alias the receive buffer,
-// which keeps them intact until the connection's next Recv. The buffer
-// holds at most rcvHoldMax such bytes: when taking the next max would
-// hold more, RecvRef consumes nothing and returns a zero count, and the
-// caller reads them with Recv instead.
-func (c *TCPConn) RecvRef(dst [][]byte, max int) ([][]byte, int, error) {
+// to dst as slices, extending dst's last slice where the bytes continue
+// it, and returns dst, buf and the count. Bytes the peer sent by
+// reference come as slices of its immutable bytes and stay valid for
+// good; so do restored bytes, which the connection never writes again.
+// Bytes that arrived by copy are copied out at once, to the end of buf
+// within its capacity, and come as slices of buf: the connection keeps
+// nothing of them. Where buf has no room for the next copied byte,
+// RecvRef stops; a zero count with a nil error means buf is full. The
+// caller must not write to the slices, nor append to them: their
+// capacity runs on into bytes that are not theirs.
+func (c *TCPConn) RecvRef(dst [][]byte, buf []byte, max int) ([][]byte, []byte, int, error) {
 	if err := c.recvEmpty(); err != nil {
-		return dst, 0, err
+		return dst, buf, 0, err
 	}
 	fromAlt := min(max, len(c.altQueue))
-	fromLive := min(max-fromAlt, c.rcvQueue.Len())
-	if c.rcvQueue.held(fromLive) > rcvHoldMax {
-		return dst, 0, nil
-	}
 	if fromAlt > 0 {
 		dst = append(dst, c.altQueue[:fromAlt:fromAlt])
 		c.altQueue = c.altQueue[fromAlt:]
 	}
-	dst = c.rcvQueue.take(dst, fromLive)
+	dst, buf, fromLive := c.rcvQueue.take(dst, buf, min(max-fromAlt, c.rcvQueue.Len()))
 	c.maybeSendWindowUpdate(fromLive)
-	return dst, fromAlt + fromLive, nil
+	return dst, buf, fromAlt + fromLive, nil
 }
 
 // recvEmpty returns the error a receive reports when nothing is
@@ -613,13 +599,12 @@ func (c *TCPConn) rcvWindow() uint32 {
 
 // sendControl emits a data-less segment with the given flags.
 func (c *TCPConn) sendControl(flags Flags, seq, ack uint32) {
-	c.sendSeg(flags, seq, ack, nil, false)
+	c.sendSeg(flags, seq, ack, payload{})
 }
 
 // sendSeg builds one segment from this end of the connection, advertising
-// the current receive window, and hands it to IP. ref flags data the
-// receiver may queue by reference.
-func (c *TCPConn) sendSeg(flags Flags, seq, ack uint32, data []byte, ref bool) {
+// the current receive window, and hands it to IP.
+func (c *TCPConn) sendSeg(flags Flags, seq, ack uint32, p payload) {
 	wnd := uint16(c.rcvWindow())
 	c.lastWndAdvertised = uint32(wnd)
 	c.Stats.SegsSent++
@@ -630,8 +615,7 @@ func (c *TCPConn) sendSeg(flags Flags, seq, ack uint32, data []byte, ref bool) {
 		Ack:     ack,
 		Flags:   flags,
 		Window:  wnd,
-		Data:    data,
-		ref:     ref,
+		payload: p,
 	})
 }
 
@@ -641,12 +625,13 @@ func (c *TCPConn) transmitSeg(g *inflightSeg) {
 	if g.fin {
 		flags |= FlagFIN
 	}
-	if len(g.data) > 0 {
+	n := g.len()
+	if n > 0 {
 		flags |= FlagPSH
 	}
 	g.sentAt = c.stack.engine.Now()
-	c.Stats.BytesSent += uint64(len(g.data))
-	c.sendSeg(flags, g.seq, c.rcvNxt, g.data, !g.pooled)
+	c.Stats.BytesSent += uint64(n)
+	c.sendSeg(flags, g.seq, c.rcvNxt, g.payload)
 	// Time one segment at a time for RTT (Karn's rule: never a
 	// retransmitted one).
 	if !c.sampleValid && g.retx == 0 {
@@ -695,12 +680,8 @@ func (c *TCPConn) trySend() {
 				break
 			}
 		}
-		data, pooled := c.pending.headRef(n), false
-		if data == nil {
-			data, pooled = c.stack.getSegBuf(n), true
-			c.pending.read(data)
-		}
-		g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: data, pooled: pooled})
+		g := c.segs.Push(inflightSeg{seq: c.sndNxt})
+		c.packetize(g, n)
 		c.sndNxt += uint32(n)
 		c.transmitSeg(g)
 	}
@@ -713,6 +694,48 @@ func (c *TCPConn) trySend() {
 	if c.segs.Len() > 0 {
 		c.armRTO()
 	}
+}
+
+// packetize moves the next n pending bytes into g. Only copied bytes
+// are copied, into one pooled segment buffer; referenced ones stay
+// slices of their array. A segment that spans several runs — a frame's
+// head and the part after it, or the boundary between two parts —
+// carries them as such, so a part crosses uncopied however its segments
+// fall.
+func (c *TCPConn) packetize(g *inflightSeg, n int) {
+	runs, copied := c.pending.shape(n)
+	if copied > 0 {
+		g.pool = c.stack.getSegBuf(copied)
+	}
+	if runs <= 2 {
+		var two [2]span
+		c.pending.cut(n, two[:runs], g.pool)
+		g.Data, g.ref, g.next = two[0].b, two[0].ref, two[1]
+		return
+	}
+	spans := c.stack.spanSlots(runs)
+	c.pending.cut(n, spans, g.pool)
+	g.Data, g.ref, g.next, g.more = spans[0].b, spans[0].ref, spans[1], spans[2:]
+}
+
+// spanSlabCap is the number of run slots in one slab (spanSlots).
+const spanSlabCap = 1024
+
+// spanSlots returns k fresh run slots for a segment that spans k > 2
+// runs; one of two runs keeps them inline. A slot is never reused — a
+// retransmitted segment's duplicate may still be in flight, or parked
+// out of order at the peer, after its ack — so the slots come from a
+// slab of the stack's that is only appended to: a full slab is left to
+// the garbage collector and a new one takes over. A segment thus
+// allocates nothing of its own, and the slab keeps the arrays of at most
+// its spanSlabCap runs alive past their segments.
+func (s *Stack) spanSlots(k int) []span {
+	if cap(s.slab)-len(s.slab) < k {
+		s.slab = make([]span, 0, max(k, spanSlabCap))
+	}
+	n := len(s.slab)
+	s.slab = s.slab[:n+k]
+	return s.slab[n : n+k : n+k]
 }
 
 // armRTO starts the retransmission timer if it is not already running.
@@ -814,7 +837,7 @@ func (c *TCPConn) pumpRetransmits() {
 			c.Stats.Retransmits++
 			c.transmitSeg(g)
 		}
-		budget -= maxInt(len(g.data), 1)
+		budget -= maxInt(g.len(), 1)
 	}
 }
 
@@ -830,8 +853,8 @@ func (c *TCPConn) armPersistIfNeeded() {
 		c.persistTimer = nil // fired: the engine recycles it
 		if c.sndWnd == 0 && c.pending.Len() > 0 && c.Established() {
 			// Probe with one byte of pending data.
-			g := c.segs.Push(inflightSeg{seq: c.sndNxt, data: make([]byte, 1)})
-			c.pending.read(g.data)
+			g := c.segs.Push(inflightSeg{seq: c.sndNxt, payload: payload{Data: make([]byte, 1), ref: true}})
+			c.pending.read(g.Data)
 			c.sndNxt++
 			c.transmitSeg(g)
 			c.armRTO()
@@ -990,7 +1013,7 @@ func (c *TCPConn) handleSegment(seg *Segment) {
 			return
 		}
 	}
-	if len(seg.Data) > 0 || seg.Flags.Has(FlagFIN) {
+	if seg.len() > 0 || seg.Flags.Has(FlagFIN) {
 		c.processData(seg)
 	}
 }
@@ -1032,8 +1055,8 @@ func (c *TCPConn) processACK(seg *Segment) {
 		// bytes. A retransmitted segment may have a duplicate frame in
 		// flight and its buffer is left to the GC.
 		for c.segs.Len() > 0 && seqLE(c.segs.At(0).end(), ack) {
-			if g := c.segs.Pop(); g.retx == 0 && g.pooled {
-				c.stack.putSegBuf(g.data)
+			if g := c.segs.Pop(); g.retx == 0 && g.pool != nil {
+				c.stack.putSegBuf(g.pool)
 			}
 		}
 		// RTT sample (Karn-filtered at transmit time).
@@ -1079,7 +1102,7 @@ func (c *TCPConn) processACK(seg *Segment) {
 	}
 	// Duplicate ACK.
 	c.sndWnd = uint32(seg.Window)
-	if ack == c.sndUna && c.segs.Len() > 0 && len(seg.Data) == 0 {
+	if ack == c.sndUna && c.segs.Len() > 0 && seg.len() == 0 {
 		c.dupAcks++
 		if c.dupAcks == 3 {
 			// Fast retransmit.
@@ -1106,51 +1129,59 @@ func (c *TCPConn) processACK(seg *Segment) {
 // reassembly and cumulative ACK generation.
 func (c *TCPConn) processData(seg *Segment) {
 	seq := seg.Seq
-	data := seg.Data
+	n := seg.len()
 	fin := seg.Flags.Has(FlagFIN)
 
 	// Trim data the receiver already has.
+	skip := 0
 	if seqLT(seq, c.rcvNxt) {
-		skip := c.rcvNxt - seq
-		if skip >= uint32(len(data)) {
-			if !(fin && seq+uint32(len(data)) == c.rcvNxt) {
+		old := c.rcvNxt - seq
+		if old >= uint32(n) {
+			if !(fin && seq+uint32(n) == c.rcvNxt) {
 				// Entirely old: re-ACK and stop (keeps dup-data loops
 				// from growing the queue after restore replays).
 				c.sendControl(FlagACK, c.sndNxt, c.rcvNxt)
 				return
 			}
-			data = nil
+			skip = n
 		} else {
-			data = data[skip:]
+			skip = int(old)
 		}
 		seq = c.rcvNxt
 	}
 
 	if seq == c.rcvNxt {
-		c.ingest(data, seg.ref, fin)
+		c.ingest(&seg.payload, skip, fin)
 		c.drainOOO()
 	} else {
 		// Out of order: queue and send a duplicate ACK.
-		c.insertOOO(oooSeg{seq: seq, data: data, fin: fin, ref: seg.ref})
+		c.insertOOO(oooSeg{seq: seq, payload: seg.payload, fin: fin})
 	}
 	c.sendControl(FlagACK, c.sndNxt, c.rcvNxt)
 	c.wake()
 }
 
-// ingest appends in-order data (and FIN) at rcvNxt: by reference when
-// the segment was flagged, else copied, because unflagged data lives in
-// the sender's pooled segment buffer, which the ack hands back to its
-// pool before the application reads it.
-func (c *TCPConn) ingest(data []byte, ref, fin bool) {
-	if len(data) > 0 {
-		c.Stats.BytesReceived += uint64(len(data))
-		if ref {
-			c.rcvQueue.writeRef(data)
-		} else {
-			c.rcvQueue.write(data)
+// ingest appends in-order data (and FIN) at rcvNxt, past its first skip
+// bytes. Flagged runs are queued by reference; the rest are copied,
+// because unflagged bytes live in the sender's pooled segment buffer,
+// which the ack hands back to its pool before the application reads
+// them.
+func (c *TCPConn) ingest(p *payload, skip int, fin bool) {
+	p.each(func(r span) {
+		b := r.b
+		if skip >= len(b) {
+			skip -= len(b)
+			return
 		}
-		c.rcvNxt += uint32(len(data))
-	}
+		b, skip = b[skip:], 0
+		c.Stats.BytesReceived += uint64(len(b))
+		if r.ref {
+			c.rcvQueue.writeRef(b)
+		} else {
+			c.rcvQueue.write(b)
+		}
+		c.rcvNxt += uint32(len(b))
+	})
 	if fin && !c.rcvClosed {
 		c.rcvNxt++
 		c.rcvClosed = true
@@ -1194,19 +1225,17 @@ func (c *TCPConn) drainOOO() {
 		// sender's store bytes, which the array would otherwise pin.
 		c.ooo[0] = oooSeg{}
 		c.ooo = c.ooo[1:]
-		data := s.data
+		skip := 0
 		if seqLT(s.seq, c.rcvNxt) {
-			skip := c.rcvNxt - s.seq
-			if skip >= uint32(len(data)) {
+			n := s.len()
+			if skip = int(c.rcvNxt - s.seq); skip >= n {
 				if !s.fin {
 					continue
 				}
-				data = nil
-			} else {
-				data = data[skip:]
+				skip = n
 			}
 		}
-		c.ingest(data, s.ref, s.fin)
+		c.ingest(&s.payload, skip, s.fin)
 	}
 }
 
