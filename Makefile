@@ -1,6 +1,8 @@
 # Developer entry points. `make check` is the extended tier-1 gate
-# (see ROADMAP.md): gofmt + vet + build + full tests, plus race-detector runs of
-# the packages with concurrency-sensitive bookkeeping.
+# (see ROADMAP.md): gofmt (fmt), go vet (vet), the cruzvet lint suite
+# (cruzvet), build, the full tests (test), race-detector runs of the
+# packages with concurrency-sensitive bookkeeping (race), and the bench/
+# module's vet and smoke test (bench-smoke).
 
 GO ?= go
 
@@ -49,8 +51,10 @@ cover:
 # Producer census, cover's twin: what the producers reach instead of what
 # the tests reach. It builds cmd/cruzbench, cmd/cruzsim and the bench/
 # module with coverage over every package of this module, runs every
-# scenario row, the paper evaluation at scale 0.05 and one benchmark pass
-# (from bench/, whose only input is BENCHMARK.json), merges the profiles
+# scenario row, the failover row once more with -v -trace (the timeline,
+# the Chrome trace and the flight dumps it prints are producers' output
+# too), the paper evaluation at scale 0.05 and one benchmark pass (from
+# bench/, whose only input is BENCHMARK.json), merges the profiles
 # and prints each non-test function none of them executes, outside
 # internal/analysis, cmd/, gobmemotest and bench/. Such a function is dead
 # or test-only, or it is a path no recorded number crosses. ≈ 80 s on 2
@@ -67,6 +71,7 @@ traffic:
 	export GOCOVERDIR="$$tmp/cov" && \
 	rows=$$("$$tmp/cruzsim" -h 2>&1 | awk '$$1 == "-scenario" && NF > 2 { print $$2 }') && \
 	for row in $$rows; do "$$tmp/cruzsim" -scenario $$row >/dev/null || exit 1; done && \
+	"$$tmp/cruzsim" -scenario failover -v -trace "$$tmp/failover.json" >/dev/null && \
 	"$$tmp/cruzbench" -scale 0.05 >/dev/null && \
 	(cd bench && "$$tmp/bench" -passes 1 -seed 1 >/dev/null) && \
 	$(GO) tool covdata func -i "$$tmp/cov" | awk '$$NF == "0.0%" && $$1 !~ "$(TRAFFIC_SKIP)"'

@@ -137,7 +137,10 @@ type Config struct {
 	// coordinator's heartbeat/lease failure detector: a detected node
 	// failure automatically restarts affected jobs from the newest
 	// checkpoint with surviving replicas. Results arrive via
-	// Recoveries / AwaitRecovery.
+	// Recoveries / AwaitRecovery. It puts every job defined with
+	// DefineFlushJob under the flushing coordinator's own lease too: a
+	// detected death fails the job's checkpoint with core.ErrNodeFailed
+	// and resumes the survivors.
 	AutoRecover bool
 	// Spares adds this many standby nodes that host no pods but are
 	// registered with the coordinator as recovery targets. They follow
@@ -323,7 +326,7 @@ func New(cfg Config) (*Cluster, error) {
 	cl.Coordinator = core.NewCoordinator(svc.Kernel.Stack())
 	cl.Coordinator.SetGroupSize(cfg.GroupSize)
 	for _, n := range cl.Nodes {
-		cl.Coordinator.RegisterNode(n.Kernel.Name(), n.Agent.Addr(), n.Spare)
+		cl.Coordinator.RegisterNode(n.Kernel.Name(), n.Agent.Addr())
 	}
 	return cl, nil
 }
@@ -519,7 +522,8 @@ func (cl *Cluster) Migrate(job *Job, podName string, targetNode int, opts Migrat
 // comparison experiments. Its first call starts a CoCheck-style flushing
 // agent on every node and the flushing coordinator on the service node;
 // each call registers the job's pods, as they are now, with their nodes'
-// flushing agents.
+// flushing agents and, under Config.AutoRecover, puts those agents under
+// the flushing coordinator's lease.
 func (cl *Cluster) DefineFlushJob(name string, podNames ...string) (*flush.Job, error) {
 	if cl.flushCoord == nil {
 		for _, n := range cl.Nodes {
@@ -543,6 +547,9 @@ func (cl *Cluster) DefineFlushJob(name string, podNames ...string) (*flush.Job, 
 	}
 	if err := cl.connect("flush coordinator", func(done func(error)) { cl.flushCoord.Connect(job, done) }); err != nil {
 		return nil, err
+	}
+	if cl.cfg.AutoRecover {
+		cl.flushCoord.Watch(job)
 	}
 	return job, nil
 }

@@ -41,6 +41,18 @@ func deployRing(t testing.TB, cl *cruz.Cluster, n int) ([]string, *cruz.Job) {
 // counts, different grids); cfg.Workers pods land on nodes 0..Workers-1.
 func deployRingCfg(t testing.TB, cl *cruz.Cluster, cfg slm.Config) ([]string, *cruz.Job) {
 	t.Helper()
+	names := spawnRing(t, cl, cfg)
+	job, err := cl.DefineJob("ring", names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names, job
+}
+
+// spawnRing places the ring's pods as deployRingCfg does and defines no
+// job over them.
+func spawnRing(t testing.TB, cl *cruz.Cluster, cfg slm.Config) []string {
+	t.Helper()
 	n := cfg.Workers
 	var names []string
 	var ips []cruz.Addr
@@ -58,11 +70,7 @@ func deployRingCfg(t testing.TB, cl *cruz.Cluster, cfg slm.Config) ([]string, *c
 			t.Fatal(err)
 		}
 	}
-	job, err := cl.DefineJob("ring", names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return names, job
+	return names
 }
 
 // leaseVerdict is the latest the heartbeat lease may fail an op after a

@@ -180,7 +180,7 @@ type Coordinator struct {
 	nodes      []*nodeInfo
 	nodeByAddr map[tcpip.AddrPort]*nodeInfo
 	watches    []*watch
-	ticker     *sim.Ticker
+	lease      *ctl.Lease
 	// placed records where every committed (pod, seq) image lives — fed by
 	// commits, <replicated> reports, completed fetches and migrations, and
 	// read through sources and by Migrate, for round 0's base.
@@ -261,6 +261,7 @@ func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 		placed:     make(map[string]map[int]placement),
 	}
 	c.ep = ctl.NewEndpoint(stack, msgCodec, c.onMsg)
+	c.lease = ctl.NewLease(stack.Engine(), DefaultHeartbeatEvery, DefaultLeaseTimeout, c.ping, c.declareFailed)
 	return c
 }
 
@@ -424,7 +425,7 @@ func (c *Coordinator) planDests(job *Job) []dest {
 		return dests
 	}
 	groups := coord.Plan(len(job.Members), c.groupSize, func(i int) bool {
-		return c.nodeByAddr[job.Members[i].Agent].alive
+		return !c.lease.Dead(job.Members[i].Agent)
 	})
 	dests := make([]dest, len(groups))
 	for i, g := range groups {
@@ -458,7 +459,7 @@ func (c *Coordinator) fanOut(op *rootOp, dests []dest, start bool, req wireMsg) 
 			// Never open an op on a node the membership layer has declared
 			// dead: its downed link sent no reset, so the connection still
 			// reads established and the request would vanish unanswered.
-			if n := c.nodeByAddr[d.Agent]; start && !n.alive {
+			if n := c.nodeByAddr[d.Agent]; start && c.lease.Dead(n.addr) {
 				op.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
 				return
 			}
@@ -586,7 +587,7 @@ func (c *Coordinator) Restart(job *Job, seq int, done func(*RestartResult, error
 	c.openRestart(op, trace.SpanContext{}, done)
 	var fetches []*wireMsg
 	for _, m := range job.Members {
-		if home := c.nodeByAddr[m.Agent]; home.alive {
+		if home := c.nodeByAddr[m.Agent]; !c.lease.Dead(home.addr) {
 			fetch, err := c.planHome(op, op.span.Context(), m.Pod, home, home)
 			if err != nil {
 				op.Fail(err)
@@ -676,8 +677,10 @@ func (c *Coordinator) opFor(m *wireMsg) *rootOp {
 func (c *Coordinator) onMsg(cc *ctl.Link[*wireMsg], m *wireMsg) {
 	c.cpu.Do(CoordinatorMsgCost, func() {
 		switch m.Type {
-		case msgPong:
-			c.handlePong(cc, m)
+		case msgPong: // a proof of life, and the node's load
+			if addr := cc.TCP().RemoteAddr(); c.lease.Pong(addr) {
+				c.nodeByAddr[addr].load = m.Load
+			}
 			return
 		case msgReplicated:
 			c.handleReplicated(m)

@@ -215,7 +215,7 @@ func newCluster(t *testing.T, n int, compute sim.Duration) *cluster {
 	cl.kernels = append(cl.kernels, ck)
 	cl.coord = NewCoordinator(ck.Stack())
 	for i, ag := range cl.agents {
-		cl.coord.RegisterNode(cl.kernels[i].Name(), ag.Addr(), false)
+		cl.coord.RegisterNode(cl.kernels[i].Name(), ag.Addr())
 	}
 	cl.job = job
 

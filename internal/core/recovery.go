@@ -12,13 +12,13 @@ import (
 )
 
 // Membership and automatic recovery (the coordinator side of the
-// failure-handling extension of §5, taken to completion). The
-// coordinator pings every registered node on a virtual-time ticker;
-// lease expiry declares the node failed, aborts anything in flight that
-// touches it, and — for watched jobs — drives recovery end to end:
-// place the failed pods on surviving or spare nodes, fetch any image the
-// new home does not already replicate, and restart the whole job from
-// the newest checkpoint every failed pod still has a living holder for.
+// failure-handling extension of §5, taken to completion). Once a job is
+// watched the coordinator holds a ctl.Lease on every registered node;
+// expiry declares the node failed, aborts anything in flight that touches
+// it, and — for watched jobs — drives recovery end to end: place the
+// failed pods on surviving or spare nodes, fetch any image the new home
+// does not already replicate, and restart the whole job from the newest
+// checkpoint every failed pod still has a living holder for.
 
 // Errors surfaced by recovery.
 var (
@@ -27,15 +27,11 @@ var (
 	ErrNoTarget   = errors.New("core: no surviving node can host the pod")
 )
 
-// nodeInfo is one registered agent node.
+// nodeInfo is one registered agent node, in c.nodes in registration order.
 type nodeInfo struct {
-	name     string
-	addr     tcpip.AddrPort
-	spare    bool
-	index    int // registration order: the deterministic tiebreak
-	alive    bool
-	lastPong sim.Time
-	load     int // live pods reported by the latest pong
+	name string
+	addr tcpip.AddrPort
+	load int // live pods reported by the latest pong
 }
 
 // watch is one job under automatic recovery.
@@ -129,87 +125,57 @@ type placement struct {
 	shards map[int]tcpip.AddrPort
 }
 
-// RegisterNode makes a node's agent known to the membership layer. Spare
-// nodes host no pods initially and exist to absorb recovered ones.
-func (c *Coordinator) RegisterNode(name string, addr tcpip.AddrPort, spare bool) {
+// RegisterNode makes a node's agent known to the membership layer. A node
+// hosting no pods (a spare) absorbs recovered ones like any other.
+func (c *Coordinator) RegisterNode(name string, addr tcpip.AddrPort) {
 	if c.nodeByAddr[addr] != nil {
 		return
 	}
-	n := &nodeInfo{name: name, addr: addr, spare: spare, index: len(c.nodes), alive: true}
+	n := &nodeInfo{name: name, addr: addr}
 	c.nodes = append(c.nodes, n)
 	c.nodeByAddr[addr] = n
 }
 
-// Watch puts a job under automatic recovery: heartbeats start (if not
-// already running), and a detected failure of any member's node triggers
-// recovery, reported through onRecovery.
+// Watch puts a job under automatic recovery: each registered node's lease
+// starts, unless it has one, and a detected failure of any member's node
+// triggers recovery, reported through onRecovery.
 func (c *Coordinator) Watch(job *Job, onRecovery func(*RecoveryResult, error)) {
 	c.watches = append(c.watches, &watch{job: job, onRecovery: onRecovery})
-	now := c.stack.Engine().Now()
 	addrs := make([]tcpip.AddrPort, 0, len(c.nodes))
 	for _, n := range c.nodes {
-		n.lastPong = now
 		addrs = append(addrs, n.addr)
 	}
 	c.ep.Connect(addrs, nil)
-	if c.ticker == nil {
-		c.ticker = c.stack.Engine().NewTicker(DefaultHeartbeatEvery, c.heartbeatTick)
-	}
+	c.lease.Register(addrs...)
 }
 
-// heartbeatTick expires leases, then pings every live node.
-func (c *Coordinator) heartbeatTick() {
-	now := c.stack.Engine().Now()
-	for _, n := range c.nodes {
-		if !n.alive {
-			continue
-		}
-		if now.Sub(n.lastPong) > DefaultLeaseTimeout {
-			c.declareFailed(n)
-			continue
-		}
-		cc, ok := c.ep.Link(n.addr)
-		if !ok {
-			continue
-		}
-		c.tr.Instant(c.stack.Name(), "core", "ping", trace.Str("node", n.name))
+// ping is the lease's ping hook: a <ping> to a live node, if its link is up.
+func (c *Coordinator) ping(addr tcpip.AddrPort) {
+	if cc, ok := c.ep.Link(addr); ok {
+		c.tr.Instant(c.stack.Name(), "core", "ping", trace.Str("node", c.nodeByAddr[addr].name))
 		c.cpu.Do(CoordinatorMsgCost, func() { cc.Send(&wireMsg{Type: msgPing}) })
 	}
 }
 
-// handlePong refreshes a node's lease and load.
-func (c *Coordinator) handlePong(cc *ctl.Link[*wireMsg], m *wireMsg) {
-	n := c.nodeByAddr[cc.TCP().RemoteAddr()]
-	if n == nil || !n.alive {
-		return
-	}
-	n.lastPong = c.stack.Engine().Now()
-	n.load = m.Load
-}
-
-// declareFailed marks the node dead, fails every in-flight operation
-// that depends on it (the agents roll back via <abort> fan-out), and
-// starts recovery for each watched job with a member on a dead node —
-// this one or an earlier one: a recovery the failure overtook is replaced
-// by a plan that knows about both.
-func (c *Coordinator) declareFailed(n *nodeInfo) {
-	n.alive = false
+// declareFailed is the lease's verdict on the node at addr: it fails
+// every in-flight operation that depends on the node (the agents roll
+// back via <abort> fan-out), and starts recovery for each watched job with
+// a member on a dead node — this one or an earlier one: a recovery the
+// failure overtook is replaced by a plan that knows about both.
+func (c *Coordinator) declareFailed(addr tcpip.AddrPort) {
+	n := c.nodeByAddr[addr]
 	c.tr.Instant(c.stack.Name(), "core", "node.failed", trace.Str("node", n.name))
 	// Lease expiry is a flight-recorder trigger: the dump captures the
 	// heartbeat window that led to the declaration.
 	c.tr.DumpFlight("lease.expiry", "node "+n.name)
-	var victims []*rootOp
 	c.table.Each(func(o *ctl.Op) {
-		if op := o.Data.(*rootOp); op.involves(n.addr) {
-			victims = append(victims, op)
+		if op := o.Data.(*rootOp); op.involves(addr) {
+			if op.rec != nil {
+				op.rec.superseded = true
+			}
+			op.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
 		}
 	})
-	for _, op := range victims {
-		if op.rec != nil {
-			op.rec.superseded = true
-		}
-		op.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
-	}
 	for _, w := range c.watches {
 		c.startRecovery(w, n)
 	}
@@ -223,7 +189,8 @@ func (c *Coordinator) declareFailed(n *nodeInfo) {
 func (c *Coordinator) startRecovery(w *watch, failed *nodeInfo) {
 	var first *nodeInfo
 	for _, m := range w.job.Members {
-		if n := c.nodeByAddr[m.Agent]; !n.alive && (first == nil || n.lastPong < first.lastPong) {
+		n := c.nodeByAddr[m.Agent]
+		if c.lease.Dead(n.addr) && (first == nil || c.lease.LastPong(n.addr) < c.lease.LastPong(first.addr)) {
 			first = n
 		}
 	}
@@ -237,7 +204,7 @@ func (c *Coordinator) startRecovery(w *watch, failed *nodeInfo) {
 	rec := &recovery{
 		w: w, failedNode: failed,
 		assign: make(map[string]tcpip.AddrPort),
-		detect: c.stack.Engine().Now().Sub(first.lastPong),
+		detect: c.stack.Engine().Now().Sub(c.lease.LastPong(first.addr)),
 	}
 	op.rec = rec
 	// The recovery op root. The detect window (last proof of life to
@@ -328,7 +295,7 @@ func (c *Coordinator) handleReplicated(m *wireMsg) {
 func (c *Coordinator) sources(pod string, seq int, target tcpip.AddrPort) (whole, pull []*nodeInfo, ok bool) {
 	p := c.placed[pod][seq]
 	for _, n := range c.nodes {
-		if n.alive && p.whole[n.addr] {
+		if !c.lease.Dead(n.addr) && p.whole[n.addr] {
 			whole = append(whole, n)
 		}
 	}
@@ -343,7 +310,7 @@ func (c *Coordinator) sources(pod string, seq int, target tcpip.AddrPort) (whole
 	need := p.m
 	for _, pos := range positions {
 		n := c.nodeByAddr[p.shards[pos]]
-		if n == nil || !n.alive {
+		if n == nil || c.lease.Dead(n.addr) {
 			continue
 		}
 		if n.addr == target {
@@ -374,7 +341,7 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 		for _, m := range job.Members {
 			home := c.nodeByAddr[m.Agent]
 			var target tcpip.AddrPort
-			if home.alive {
+			if !c.lease.Dead(home.addr) {
 				target = home.addr
 			}
 			if _, _, ok := c.sources(m.Pod, seq, target); !ok {
@@ -411,7 +378,7 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 	for _, m := range job.Members {
 		home := c.nodeByAddr[m.Agent]
 		target := home
-		if !home.alive {
+		if c.lease.Dead(home.addr) {
 			// Place the pod: spread across nodes hosting the fewest pods of
 			// this job, prefer a node already holding the image (free
 			// transfer), then the lightest load, then registration order.
@@ -419,7 +386,7 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 			target = nil
 			var tScore [3]int
 			for _, n := range c.nodes {
-				if !n.alive {
+				if c.lease.Dead(n.addr) {
 					continue
 				}
 				holds := 0
@@ -427,9 +394,7 @@ func (c *Coordinator) placeRecovery(op *rootOp) {
 					holds = 1 // needs a transfer
 				}
 				score := [3]int{jobPodsOn(n.addr), holds, n.load}
-				if target == nil || score[0] < tScore[0] ||
-					(score[0] == tScore[0] && (score[1] < tScore[1] ||
-						(score[1] == tScore[1] && score[2] < tScore[2]))) {
+				if target == nil || slices.Compare(score[:], tScore[:]) < 0 {
 					target, tScore = n, score
 				}
 			}

@@ -61,11 +61,8 @@ func (s localSink) Send(m *wireMsg) error {
 func (a *Agent) relayFor(pod string, seq int) *relayOp {
 	var found *relayOp
 	a.table.Each(func(o *ctl.Op) {
-		if found != nil || o.Seq != seq {
-			return
-		}
 		rop, ok := o.Data.(*relayOp)
-		if !ok {
+		if found != nil || o.Seq != seq || !ok {
 			return
 		}
 		for _, g := range rop.members {
@@ -153,32 +150,26 @@ func (a *Agent) relayDown(rop *relayOp, m *wireMsg) {
 // members go over a peer connection (one send cost; the member's own
 // receive cost is charged by its onMsg).
 func (a *Agent) relaySend(rop *relayOp, g GroupMember, mm *wireMsg) {
-	if g.addrPort() == a.Addr() {
-		a.cpu.Do(AgentMsgCost, func() {
-			if rop.Aborted() {
-				return
-			}
-			switch mm.Type {
-			case msgCheckpoint:
-				a.startCheckpoint(localSink{a}, mm)
-			case msgRestart:
-				a.startRestart(localSink{a}, mm)
-			case msgContinue:
-				a.handleContinue(localSink{a}, mm)
-			}
-		})
-		return
-	}
 	a.cpu.Do(AgentMsgCost, func() {
 		if rop.Aborted() {
 			return
 		}
-		cc, err := a.ep.Dial(g.addrPort())
-		if err != nil {
-			a.relayMemberFail(rop, g.Pod, err)
+		if g.addrPort() != a.Addr() {
+			if cc, err := a.ep.Dial(g.addrPort()); err != nil {
+				a.relayMemberFail(rop, g.Pod, err)
+			} else {
+				cc.Send(mm)
+			}
 			return
 		}
-		cc.Send(mm)
+		switch mm.Type {
+		case msgCheckpoint:
+			a.startCheckpoint(localSink{a}, mm)
+		case msgRestart:
+			a.startRestart(localSink{a}, mm)
+		case msgContinue:
+			a.handleContinue(localSink{a}, mm)
+		}
 	})
 }
 

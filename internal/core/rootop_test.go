@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"cruz/internal/ctl"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 )
@@ -158,7 +159,7 @@ func refHolderNodes(c *Coordinator, pod string, seq int) []*nodeInfo {
 	}
 	var out []*nodeInfo
 	for _, n := range c.nodes {
-		if n.alive && set[n.addr] {
+		if !c.lease.Dead(n.addr) && set[n.addr] {
 			out = append(out, n)
 		}
 	}
@@ -182,7 +183,7 @@ func refECLiveHolders(c *Coordinator, pod string, seq int) ([]tcpip.AddrPort, in
 		if !ok {
 			continue
 		}
-		if n := c.nodeByAddr[addr]; n != nil && n.alive {
+		if n := c.nodeByAddr[addr]; n != nil && !c.lease.Dead(addr) {
 			out = append(out, addr)
 		}
 	}
@@ -237,10 +238,13 @@ func TestSourcesMatchesTheReadersItReplaced(t *testing.T) {
 		{name: "whole alive beside a shard set", whole: []int{7}, m: 2, shards: []int{1, 2, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &Coordinator{stack: tcpip.NewStack(sim.NewEngine(1), "svc"),
-				nodeByAddr: map[tcpip.AddrPort]*nodeInfo{}, placed: map[string]map[int]placement{}}
+			engine := sim.NewEngine(1)
+			ignore := func(tcpip.AddrPort) {}
+			c := &Coordinator{stack: tcpip.NewStack(engine, "svc"),
+				nodeByAddr: map[tcpip.AddrPort]*nodeInfo{}, placed: map[string]map[int]placement{},
+				lease: ctl.NewLease(engine, DefaultHeartbeatEvery, DefaultLeaseTimeout, ignore, ignore)}
 			for i := 0; i < nodes; i++ {
-				c.RegisterNode("node"+string(rune('0'+i)), addr(i), false)
+				c.RegisterNode("node"+string(rune('0'+i)), addr(i))
 			}
 			for _, i := range tc.whole {
 				c.addHolder("p", 3, addr(i))
@@ -251,8 +255,19 @@ func TestSourcesMatchesTheReadersItReplaced(t *testing.T) {
 						Repl: &replPayload{PeerIP: addr(i).Addr, PeerPort: addr(i).Port, Holder: pos, ECM: tc.m}})
 				}
 			}
+			// The dead nodes' leases start first and run out unanswered;
+			// the rest start after.
 			for _, i := range tc.dead {
-				c.nodes[i].alive = false
+				c.lease.Register(addr(i))
+			}
+			if err := engine.RunFor(DefaultLeaseTimeout + 2*DefaultHeartbeatEvery); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < nodes; i++ {
+				c.lease.Register(addr(i))
+				if c.lease.Dead(addr(i)) != slices.Contains(tc.dead, i) {
+					t.Fatalf("node %d: dead %v, want %v", i, c.lease.Dead(addr(i)), slices.Contains(tc.dead, i))
+				}
 			}
 			holders := refHolderNodes(c, "p", 3)
 			live, m := refECLiveHolders(c, "p", 3)

@@ -57,6 +57,8 @@ const (
 	fDone
 	fContinue
 	fContinueDone
+	fPing
+	fPong
 )
 
 // memberInfo travels in the checkpoint request so agents can find each
@@ -199,6 +201,8 @@ func (a *Agent) onMsg(c *ctl.Link[*fWireMsg], m *fWireMsg) {
 			a.markers[k] = append(a.markers[k], m)
 		case fContinue:
 			a.handleContinue(m)
+		case fPing:
+			c.Send(&fWireMsg{Type: fPong})
 		}
 	})
 }
@@ -433,13 +437,14 @@ type Result struct {
 // Coordinator drives flushing checkpoints: one ctl.Op per job in
 // flight, keyed by the job's name, waiting first on every member's done
 // and then on every member's continue-done. An op that fails sends every
-// member the continue that resumes its pod.
+// member the continue that resumes its pod. Watch leases a job's agents.
 type Coordinator struct {
 	stack *tcpip.Stack
 	cpu   ctl.Serializer
 	tr    *trace.Tracer
 	ep    *ctl.Endpoint[*fWireMsg] // the connections to the agents
 	ops   *ctl.Table
+	lease *ctl.Lease
 	seq   map[string]int
 }
 
@@ -450,7 +455,7 @@ type checkpointOp struct {
 }
 
 // NewCoordinator creates a flushing coordinator on the given stack. It
-// pays the Cruz coordinator's per-message cost, core.CoordinatorMsgCost.
+// pays core.CoordinatorMsgCost per message and leases on core's timings.
 func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 	c := &Coordinator{
 		stack: stack,
@@ -460,6 +465,7 @@ func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 		seq:   make(map[string]int),
 	}
 	c.ep = ctl.NewEndpoint(stack, fMsgCodec, c.onMsg)
+	c.lease = ctl.NewLease(stack.Engine(), core.DefaultHeartbeatEvery, core.DefaultLeaseTimeout, c.ping, c.agentDied)
 	return c
 }
 
@@ -476,8 +482,38 @@ func (c *Coordinator) Connect(job *Job, done func(error)) {
 	c.ep.Connect(addrs, done)
 }
 
-// Checkpoint runs one flushing coordinated checkpoint.
+// Watch puts the job's member agents under the coordinator's lease.
+func (c *Coordinator) Watch(job *Job) {
+	for _, m := range job.Members {
+		c.lease.Register(m.Agent)
+	}
+}
+
+// ping is the lease's ping hook: a ping to a live agent, if its link is up.
+func (c *Coordinator) ping(addr tcpip.AddrPort) {
+	if fc, ok := c.ep.Link(addr); ok {
+		c.cpu.Do(core.CoordinatorMsgCost, func() { fc.Send(&fWireMsg{Type: fPing}) })
+	}
+}
+
+// agentDied is the lease's verdict on a silent agent: every checkpoint
+// with a member on it fails, and its OnFail resumes the other members.
+func (c *Coordinator) agentDied(addr tcpip.AddrPort) {
+	onIt := func(m Member) bool { return m.Agent == addr }
+	c.ops.Each(func(op *ctl.Op) {
+		if slices.ContainsFunc(op.Data.(*checkpointOp).job.Members, onIt) {
+			op.Fail(fmt.Errorf("%w: agent %s", core.ErrNodeFailed, addr))
+		}
+	})
+}
+
+// Checkpoint runs one flushing coordinated checkpoint. One of a job with a
+// member on a dead agent fails at once.
 func (c *Coordinator) Checkpoint(job *Job, done func(*Result, error)) {
+	if i := slices.IndexFunc(job.Members, func(m Member) bool { return c.lease.Dead(m.Agent) }); i >= 0 {
+		done(nil, fmt.Errorf("%w: agent %s", core.ErrNodeFailed, job.Members[i].Agent))
+		return
+	}
 	seq := c.seq[job.Name] + 1
 	op, err := c.ops.Begin("checkpoint", job.Name, seq)
 	if err != nil {
@@ -541,8 +577,12 @@ func (c *Coordinator) send(op *ctl.Op, mem Member, m *fWireMsg) {
 // onMsg handles agent replies. Seqs count per job, so two jobs can be at
 // the same seq at once: a reply belongs to the checkpoint at its seq
 // whose job lists its pod.
-func (c *Coordinator) onMsg(_ *ctl.Link[*fWireMsg], m *fWireMsg) {
+func (c *Coordinator) onMsg(fc *ctl.Link[*fWireMsg], m *fWireMsg) {
 	c.cpu.Do(core.CoordinatorMsgCost, func() {
+		if m.Type == fPong {
+			c.lease.Pong(fc.TCP().RemoteAddr())
+			return
+		}
 		var op *ctl.Op
 		sender := func(mem Member) bool { return mem.Pod == m.Pod }
 		c.ops.Each(func(o *ctl.Op) {

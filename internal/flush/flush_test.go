@@ -114,7 +114,8 @@ type rig struct {
 	job    *Job
 	progs  []*chatterProg
 	pods   []*zap.Pod
-	agents []*Agent // one per node
+	agents []*Agent     // one per node
+	nics   []*ether.NIC // node i's at i
 }
 
 func podIP(i int) tcpip.Addr { return tcpip.Addr{10, 0, 1, byte(i + 1)} }
@@ -168,6 +169,7 @@ func (r *rig) node(i int) *kernel.Kernel {
 	mac := ether.MAC{2, 0, 0, 0, 0, byte(i + 1)}
 	nic := ether.NewNIC(r.engine, "eth0", mac)
 	r.sw.Attach(nic, ether.GigabitLink)
+	r.nics = append(r.nics, nic)
 	st := tcpip.NewStack(r.engine, "node")
 	if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 0, byte(i + 1)}, mac, nic, false); err != nil {
 		r.t.Fatal(err)
@@ -629,5 +631,36 @@ func TestFlushEarlyMarkerIsKeptForItsPod(t *testing.T) {
 	if leftRes.MarkerMessages != 2 || leftRes.Seq != 1 || rightRes.Seq != 1 {
 		t.Fatalf("a's job: %+v; want seq 1 with 2 markers, as b's", leftRes)
 	}
+	r.settled()
+}
+
+// TestFlushLeaseFailsOnlyTheDeadMembersCheckpoint: two jobs on disjoint
+// nodes under the coordinator's lease, checkpointed together just after
+// node 1 goes silent. Its lease fails the checkpoint of the job with a
+// member there, with core.ErrNodeFailed, and resumes that job's other
+// member; the other job's checkpoint completes, as does its next one,
+// and nothing is left stopped or open.
+func TestFlushLeaseFailsOnlyTheDeadMembersCheckpoint(t *testing.T) {
+	r := newRig(t, 4)
+	left := &Job{Name: "left", Members: r.job.Members[:2]}
+	right := &Job{Name: "right", Members: r.job.Members[2:]}
+	r.coord.Watch(left)
+	r.coord.Watch(right)
+	r.run(300 * sim.Millisecond)
+	r.sw.SetLinkDown(r.nics[1], true)
+	var leftErr error
+	leftDone := false
+	r.coord.Checkpoint(left, func(_ *Result, err error) { leftErr, leftDone = err, true })
+	r.checkpointAll(right)
+	for i := 0; i < 50 && !leftDone; i++ {
+		r.run(20 * sim.Millisecond)
+	}
+	if !errors.Is(leftErr, core.ErrNodeFailed) {
+		t.Fatalf("checkpoint of the job on the silent node: done %v, err %v; want core.ErrNodeFailed", leftDone, leftErr)
+	}
+	if res := r.checkpointAll(right)[0]; res.Seq != 2 {
+		t.Fatalf("the other job's next checkpoint is seq %d, want 2", res.Seq)
+	}
+	r.run(100 * sim.Millisecond)
 	r.settled()
 }

@@ -195,6 +195,90 @@ func TestFailNodeMidCheckpointAborts(t *testing.T) {
 	}
 }
 
+// TestFlushCheckpointFailsOnLeaseExpiry: under AutoRecover the flushing
+// coordinator leases its job's agents as the Cruz coordinator leases its
+// nodes. A node that dies 1 ms into a flushing checkpoint fails it with
+// core.ErrNodeFailed within a lease and two heartbeats, the survivors'
+// pods resume, nothing is left open, and the next flushing checkpoint of
+// the job fails at once. With no judge of silence the checkpoint ran for
+// ten virtual minutes before the facade gave up, and left the survivors
+// stopped with every op open.
+func TestFlushCheckpointFailsOnLeaseExpiry(t *testing.T) {
+	cl, err := cruz.New(cruz.Config{Nodes: 3, AutoRecover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := spawnRing(t, cl, smallSlm(3))
+	fjob, err := cl.DefineFlushJob("fring", names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(200 * cruz.Millisecond)
+	var failedAt cruz.Time
+	cl.Engine.Schedule(cruz.Millisecond, func() {
+		failedAt = cl.Engine.Now()
+		cl.FailNode(1)
+	})
+	_, err = cl.FlushCheckpoint(fjob)
+	if !errors.Is(err, core.ErrNodeFailed) {
+		t.Fatalf("flushing checkpoint across the failure of node1: %v, want core.ErrNodeFailed", err)
+	}
+	if d, bound := cl.Engine.Now().Sub(failedAt), core.DefaultLeaseTimeout+2*core.DefaultHeartbeatEvery; d > bound {
+		t.Errorf("the checkpoint failed %v after node1 did, want within %v", d, bound)
+	}
+	cl.Run(100 * cruz.Millisecond)
+	for _, name := range []string{names[0], names[2]} {
+		if cl.Pod(name).Stopped() {
+			t.Errorf("surviving pod %s is still stopped", name)
+		}
+	}
+	check(t, cl)
+	before := cl.Engine.Now()
+	if _, err := cl.FlushCheckpoint(fjob); !errors.Is(err, core.ErrNodeFailed) || cl.Engine.Now() != before {
+		t.Fatalf("next flushing checkpoint: %v after %v, want core.ErrNodeFailed at once", err, cl.Engine.Now().Sub(before))
+	}
+}
+
+// TestWatchingAnotherJobKeepsASilentNodesLease: defining and so watching a
+// second job while node1 is silent does not extend node1's lease. It is
+// declared failed at the same virtual time, and the recovery reports the
+// same Detect, with or without the second job. Watch used to stamp every
+// node's last pong, so the second job put off the verdict by the 250 ms
+// since the failure and Detect under-reported that much silence.
+func TestWatchingAnotherJobKeepsASilentNodesLease(t *testing.T) {
+	run := func(second bool) (declared cruz.Time, detect cruz.Duration) {
+		cl, _, _ := replicatedCluster(t, cruz.Config{Nodes: 4, Replicas: 1, AutoRecover: true}, 3)
+		if _, err := cl.NewPod(3, "solo"); err != nil {
+			t.Fatal(err)
+		}
+		cl.FailNode(1)
+		if second {
+			cl.Run(250 * cruz.Millisecond)
+			if _, err := cl.DefineJob("solo", "solo"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !cl.AwaitRecovery(1, 10*cruz.Second) {
+			t.Fatal("recovery never completed")
+		}
+		if err := cl.RecoveryErr(); err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+		for _, d := range cl.FlightRecorder().FlightDumps() {
+			if d.Trigger == "lease.expiry" {
+				declared = d.At
+			}
+		}
+		return declared, cl.Recoveries()[0].Detect
+	}
+	alone, aloneDetect := run(false)
+	with, withDetect := run(true)
+	if alone == 0 || with != alone || withDetect != aloneDetect {
+		t.Fatalf("node1 declared at %v with Detect %v alone, at %v with Detect %v with a second job watched; want the same",
+			alone, aloneDetect, with, withDetect)
+	}
+}
+
 // TestRecoveryDeterministicTrace: two identical recovery runs produce
 // identical virtual-time traces, event for event.
 func TestRecoveryDeterministicTrace(t *testing.T) {
