@@ -60,10 +60,10 @@ func benchPod(b *testing.B, pages uint64) *zap.Pod {
 
 // BenchmarkCapture measures repeated full captures of a warm pod — the
 // steady state of periodic checkpointing. A hashed capture with no store
-// allocates its slab, the page bytes once; one against a store holding
-// the previous checkpoint ("dedup") references that checkpoint's chunks
-// and copies no page of a pod that wrote none. The pooled encode buffers
-// and the page-hash cache keep everything else flat.
+// freezes the pod's pages instead of copying them; one against a store
+// holding the previous checkpoint ("dedup") references that checkpoint's
+// chunks. Neither copies a page. The pooled encode buffers and the
+// page-hash cache keep everything else flat.
 func BenchmarkCapture(b *testing.B) {
 	pod := benchPod(b, 512)
 	img, err := Capture(pod, 1, Options{Hashes: true})
@@ -86,6 +86,35 @@ func BenchmarkCapture(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Capture(pod, i+2, c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCaptureThenWrite measures the cycle a hashed checkpoint puts
+// a running pod through: a capture of its 2,048 pages, k page writes, and
+// the next capture. A capture freezes the pages it keeps and a write
+// copies a frozen page first, so B/op grows with k, by about a page per
+// write, and not with the pod's 2,048 pages.
+func BenchmarkCaptureThenWrite(b *testing.B) {
+	pod := benchPod(b, 2048)
+	as := pod.Process(1).Mem()
+	pns := as.PageNumbers(false)
+	for _, k := range []int{0, 16, 512} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Capture(pod, 2*i+1, Options{Hashes: true}); err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < k; j++ {
+					if err := as.Write(pns[j*len(pns)/k]*mem.PageSize, []byte{byte(i)}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := Capture(pod, 2*i+2, Options{Hashes: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -191,8 +220,8 @@ func BenchmarkRestoreFromManifest(b *testing.B) {
 // BenchmarkRestore measures rebuilding a one-process pod from its image
 // — what every restart, recovery and migration does per pod — and
 // tearing it down again. Its allocations do not grow with the page
-// count: the process's pages come from one slab, and its program state
-// goes through a primed codec. A collection empties every sync.Pool
+// count: the process's pages are the image's arrays under headers from
+// one slab, and its program state goes through a primed codec. A collection empties every sync.Pool
 // (gob's and fmt's among them), and the refills land on the restore
 // that follows it, so the collector runs only when the heap nears a
 // limit: a few times per hundred iterations, whatever the image size.

@@ -34,15 +34,17 @@ type Options struct {
 	BaseSeq int
 	// Store, for a Hashes capture, is the store its deduplicated save will
 	// plan into: a page whose hash the store already holds references that
-	// chunk's bytes instead of being copied. Without Hashes it is unused.
+	// chunk's bytes instead of the address space's array. Without Hashes
+	// it is unused.
 	Store *Store
 }
 
 // Capture copies a stopped pod's complete state into an Image. The copy
 // is atomic in virtual time (the simulation's equivalent of holding the
 // network-stack locks for the duration of the socket-state save) and
-// non-destructive: the pod can be resumed immediately afterwards. Each
-// page is copied at most once (see detach).
+// non-destructive: the pod can be resumed immediately afterwards. An
+// unhashed capture copies each page once, into its encoding (see detach);
+// a hashed one copies none (see captureMemory).
 //
 // Every capture clears the pod's dirty-page tracking, so a later
 // Incremental capture saves exactly the pages written since this one.
@@ -127,7 +129,10 @@ func newImage(pod *zap.Pod, seq int, opts Options) *Image {
 // captureMemory references pages pns of space — a stopped process's
 // address space, or the snapshot of a running one — with their hashes if
 // opts asks for them; hashes that had to be computed count into
-// img.FreshHashes. The references last only until the capture detaches.
+// img.FreshHashes. An unhashed capture's references last only until it
+// detaches. A hashed one keeps them: a page whose hash opts.Store holds
+// is that chunk's bytes, and every other page is space's own array,
+// frozen there, so that the space copies it before its next write.
 func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Image) (MemImage, error) {
 	m := MemImage{Regions: space.Regions(), PageNums: pns, pages: make([]*[mem.PageSize]byte, len(pns))}
 	for i, pn := range pns {
@@ -137,58 +142,35 @@ func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Ima
 		}
 		m.pages[i] = (*[mem.PageSize]byte)(data)
 	}
-	if opts.Hashes {
-		m.PageHashes = make([]mem.PageHash, len(pns))
-		before := space.HashComputes()
-		space.PageHashes(pns, m.PageHashes)
-		img.FreshHashes += int(space.HashComputes() - before)
+	if !opts.Hashes {
+		return m, nil
+	}
+	m.PageHashes = make([]mem.PageHash, len(pns))
+	before := space.HashComputes()
+	space.PageHashes(pns, m.PageHashes)
+	img.FreshHashes += int(space.HashComputes() - before)
+	for i, h := range m.PageHashes {
+		if opts.Store != nil {
+			if d := opts.Store.chunkData(h); len(d) == mem.PageSize {
+				m.pages[i] = (*[mem.PageSize]byte)(d)
+				continue
+			}
+		}
+		space.FreezePage(pns[i])
 	}
 	return m, nil
 }
 
-// detach ends a capture's references to the address spaces its pages
-// were read from, copying each page at most once. An unhashed capture
-// encodes, copying every page into the blob PlanSave will register. A
-// hashed one points each page whose hash opts.Store already holds at that
-// chunk and copies every other page into one slab, joined in one
-// allocation that is not zero-filled, so the page bytes a deduplicated
-// save will find resident are not copied at all; Encode builds the same
-// blob on demand.
+// detach ends an unhashed capture's references to the address spaces its
+// pages were read from: it encodes the image, copying each page once into
+// the blob PlanSave will register. A hashed capture has none to end; the
+// arrays it keeps are frozen in their spaces (captureMemory).
 func detach(img *Image, opts Options) error {
-	if !opts.Hashes {
-		_, err := img.Encode()
-		return err
+	if opts.Hashes {
+		return nil
 	}
-	held := func(mem.PageHash) []byte { return nil }
-	if opts.Store != nil {
-		held = opts.Store.chunkData
-	}
-	pages := 0
-	for i := range img.Processes {
-		pages += img.Processes[i].Memory.NumPages()
-	}
-	st := stage(pages)
-	defer encStages.Put(st)
-	for i := range img.Processes {
-		m := &img.Processes[i].Memory
-		for j, h := range m.PageHashes {
-			if len(held(h)) != mem.PageSize {
-				st.parts = append(st.parts, m.pages[j][:])
-			}
-		}
-	}
-	slab := st.join()
-	for i := range img.Processes {
-		m := &img.Processes[i].Memory
-		for j, h := range m.PageHashes {
-			if d := held(h); len(d) == mem.PageSize {
-				m.pages[j] = (*[mem.PageSize]byte)(d)
-				continue
-			}
-			m.pages[j], slab = (*[mem.PageSize]byte)(slab), slab[mem.PageSize:]
-		}
-	}
-	return nil
+	_, err := img.Encode()
+	return err
 }
 
 // captureProcess saves one process: program state, memory, descriptors,

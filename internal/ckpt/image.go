@@ -29,7 +29,7 @@ import (
 
 // encStage is the pooled staging of the capture path's encodings: gob
 // writes a head into buf (image heads, manifests, shard sets), and parts
-// lists the pieces a blob or slab is joined from. Only small structured
+// lists the pieces a blob is joined from. Only small structured
 // state goes through gob — page bytes never do — so the buffers stay a
 // few KB; checkpoints are taken repeatedly over a pod's life, and reusing
 // the grown buffer and list avoids re-paying their growth on every capture.
@@ -162,9 +162,10 @@ type NetImage struct {
 
 // Image is a complete pod checkpoint, immutable once built: images share
 // page bytes freely, and Encode caches its result. The pages belong to its
-// encoding, to a hashed capture's slab, to the images it was merged from,
-// or to store chunks; none is a live address space's once a capture
-// returns.
+// encoding, to the images it was merged from, to store chunks, or, after a
+// hashed capture or a restore, to an address space that holds the same
+// array frozen. Nobody writes a page an image holds: a space copies a
+// frozen array before its next write to that page.
 type Image struct {
 	PodName string
 	Seq     int // checkpoint sequence number, monotonically increasing

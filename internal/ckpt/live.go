@@ -39,7 +39,8 @@ type LiveCapture struct {
 // Capture with the pod stopped. A round image is therefore not
 // restorable by itself; it only exists as a link in a pre-copy chain.
 //
-// Each page is copied from its snapshot at most once, as Capture copies.
+// Its pages are held as Capture holds them: an unhashed round copies each
+// page once from its snapshot, a hashed one freezes the snapshot's arrays.
 // Dirty tracking is cleared once the whole pod is captured, so the next
 // round saves exactly the pages written after this round's snapshot.
 func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
@@ -82,8 +83,10 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 func (lc *LiveCapture) Pages() int { return int(lc.Image.MemoryBytes() / mem.PageSize) }
 
 // Release drops the COW sharing behind the capture. Live writes to the
-// captured pages stop taking faults; the capture's Image is unaffected
-// (CaptureLive copied or found elsewhere every page it holds).
+// captured pages stop taking faults; the capture's Image is unaffected.
+// Its pages are copies, store chunks, or arrays frozen in the snapshot,
+// whose page headers the live space shares: those stay frozen there, and
+// the live space copies each before writing it.
 func (lc *LiveCapture) Release() {
 	for _, snap := range lc.snaps {
 		snap.Release()

@@ -89,7 +89,7 @@ func (as *AddressSpace) PageHash(pn uint64) PageHash {
 		return zeroPageHash
 	}
 	if !p.hashed {
-		p.hash = hashPage(&p.Data)
+		p.hash = hashPage(p.data)
 		p.hashed = true
 		as.hashComputes++
 	}
@@ -151,13 +151,13 @@ func (as *AddressSpace) hashStale(pns []uint64, out []PageHash) {
 			held, at = p, i
 			continue
 		}
-		held.hash, p.hash = hashPair(&held.Data, &p.Data)
+		held.hash, p.hash = hashPair(held.data, p.data)
 		held.hashed, p.hashed = true, true
 		out[at], out[i] = held.hash, p.hash
 		held = nil
 	}
 	if held != nil {
-		held.hash, held.hashed = hashPage(&held.Data), true
+		held.hash, held.hashed = hashPage(held.data), true
 		out[at] = held.hash
 	}
 }

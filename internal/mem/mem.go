@@ -19,11 +19,12 @@ import (
 // i386 Linux systems of the paper's testbed.
 const PageSize = 4096
 
-// Page is one page of memory. Pages are only materialized when written, so
-// untouched regions cost nothing in either RAM or checkpoint images.
+// Page is one page of memory: a header over its 4 KiB array. Pages are
+// only materialized when written, so untouched regions cost nothing in
+// either RAM or checkpoint images.
 type Page struct {
-	Data [PageSize]byte
-	// refs counts address spaces sharing this page under copy-on-write.
+	data *[PageSize]byte
+	// refs counts address spaces sharing this header under copy-on-write.
 	refs int
 	// version counts writes to this page's content lineage. A COW break
 	// carries the version over to the private copy and then increments
@@ -37,6 +38,9 @@ type Page struct {
 	// checkpoints inspect them.
 	hash   PageHash
 	hashed bool
+	// frozen says an image or a store holds data, which is then never
+	// written again: the next write to the page copies it first.
+	frozen bool
 }
 
 // Errors returned by address-space operations.
@@ -76,6 +80,11 @@ type AddressSpace struct {
 	// across a capture to charge simulated hashing cost for exactly the
 	// pages that were re-hashed.
 	hashComputes uint64
+
+	// arrays and heads are what is left of the slabs this space carves
+	// page arrays and headers from (newArray, newPage).
+	arrays [][PageSize]byte
+	heads  []Page
 }
 
 // allocBase mimics the customary base of the heap in a Linux process;
@@ -147,25 +156,67 @@ func (as *AddressSpace) checkRange(addr uint64, n int) error {
 	return nil
 }
 
+// maxSlabPages caps the arrays, or the headers, of one slab: 512 KiB of
+// arrays. A slab lives while any of its arrays does, in the space, an
+// image or a store, so a smaller one pins less garbage.
+const maxSlabPages = 128
+
+// slabLen is how many arrays or headers the space's next slab holds: half
+// its resident pages, at least one and at most maxSlabPages. A process
+// materialising 2,048 pages then pays a few dozen allocations, not one
+// per page, and a restored one copying all n of its pages back pays
+// two, or one per maxSlabPages once n passes 256.
+func (as *AddressSpace) slabLen() int { return min(maxSlabPages, max(1, as.pages.n/2)) }
+
+// newArray carves a zeroed page array from the space's slab.
+func (as *AddressSpace) newArray() *[PageSize]byte {
+	if len(as.arrays) == 0 {
+		as.arrays = make([][PageSize]byte, as.slabLen())
+	}
+	a := &as.arrays[0]
+	as.arrays = as.arrays[1:]
+	return a
+}
+
+// newPage carves a fresh page, held by this space alone, from the
+// space's slabs.
+func (as *AddressSpace) newPage() *Page {
+	if len(as.heads) == 0 {
+		as.heads = make([]Page, as.slabLen())
+	}
+	p := &as.heads[0]
+	as.heads = as.heads[1:]
+	p.data, p.refs = as.newArray(), 1
+	return p
+}
+
 // writablePage returns the page containing page-number pn, materializing
-// it and breaking copy-on-write sharing as needed.
+// it, breaking copy-on-write sharing and copying a frozen array as needed.
 func (as *AddressSpace) writablePage(pn uint64) *Page {
 	p := as.pages.get(pn)
 	switch {
 	case p == nil:
-		p = &Page{refs: 1}
+		p = as.newPage()
 		as.pages.set(pn, p)
 	case p.refs > 1:
 		// Copy-on-write break: give this address space a private copy.
 		// The snapshot keeps the shared page (and its version) intact;
 		// only the live side's lineage advances.
 		p.refs--
-		np := &Page{Data: p.Data, refs: 1, version: p.version}
+		np := as.newPage()
+		*np.data, np.version = *p.data, p.version
 		as.pages.set(pn, np)
 		p = np
 		if as.faultHook != nil {
 			as.faultHook(pn)
 		}
+	case p.frozen:
+		// An image holds the array: write a private copy instead. No
+		// snapshot shares the page, so this is no fault, only the copy
+		// the capture did not make.
+		a := as.newArray()
+		*a = *p.data
+		p.data, p.frozen = a, false
 	}
 	as.dirty.Set(pn)
 	p.version++
@@ -184,7 +235,7 @@ func (as *AddressSpace) Write(addr uint64, b []byte) error {
 	for len(b) > 0 {
 		pn := addr / PageSize
 		off := addr % PageSize
-		n := copy(as.writablePage(pn).Data[off:], b)
+		n := copy(as.writablePage(pn).data[off:], b)
 		b = b[n:]
 		addr += uint64(n)
 	}
@@ -203,7 +254,7 @@ func (as *AddressSpace) Read(addr uint64, b []byte) error {
 		off := addr % PageSize
 		var n int
 		if p := as.pages.get(pn); p != nil {
-			n = copy(b, p.Data[off:])
+			n = copy(b, p.data[off:])
 		} else {
 			n = len(b)
 			if max := PageSize - int(off); n > max {
@@ -285,23 +336,35 @@ func (as *AddressSpace) PageNumbers(dirtyOnly bool) []uint64 {
 }
 
 // PageData returns the contents of page pn. The returned slice aliases the
-// live page and must not be modified; checkpoint code copies it into the
-// image.
+// live page and must not be modified. It changes with the page's next
+// write unless the caller keeping it freezes the page (FreezePage).
 func (as *AddressSpace) PageData(pn uint64) []byte {
 	if p := as.pages.get(pn); p != nil {
-		return p.Data[:]
+		return p.data[:]
 	}
 	return nil
 }
 
-// InstallPages writes whole pages, page pns[i] from data(i), each of
+// FreezePage hands page pn's current array to a checkpoint image, which
+// keeps it unchanged for as long as it lives: the space's next write to
+// the page copies the array first, and fires no fault hook. A snapshot
+// shares its pages' headers with the space it was taken from, so a page
+// frozen in a snapshot stays frozen in the live space, through a Release
+// too, until a write copies it.
+func (as *AddressSpace) FreezePage(pn uint64) {
+	if p := as.pages.get(pn); p != nil {
+		p.frozen = true
+	}
+}
+
+// InstallPages materialises whole pages, page pns[i] as data(i), each of
 // which must lie in a mapped region. It is used by restore, which replays
-// a process's pages from a checkpoint image into a fresh address space:
-// the pages it materialises are carved from one slab, and the page table
+// a process's pages from a checkpoint image into a fresh address space.
+// Each page it materialises holds data(i) itself, frozen: data(i) must
+// never be written, as no image page is, and the page's first write
+// copies it. Their headers are carved from one slab, and the page table
 // and dirty set are sized for all of them at once, so a process costs the
-// same few allocations however many pages it has. A page written as
-// usual afterwards stays where it is; a copy-on-write break moves the
-// live side off it, as off any page.
+// same few allocations however many pages it has.
 func (as *AddressSpace) InstallPages(pns []uint64, data func(i int) []byte) error {
 	as.init()
 	if len(pns) == 0 {
@@ -313,7 +376,7 @@ func (as *AddressSpace) InstallPages(pns []uint64, data func(i int) []byte) erro
 	}
 	as.pages.reserve(lo, hi)
 	as.dirty.reserve(lo, hi)
-	slab := make([]Page, len(pns))
+	heads := make([]Page, len(pns))
 	for i, pn := range pns {
 		d := data(i)
 		if len(d) != PageSize {
@@ -323,11 +386,9 @@ func (as *AddressSpace) InstallPages(pns []uint64, data func(i int) []byte) erro
 		if as.regionFor(addr) == nil {
 			return fmt.Errorf("%w: page %#x not covered by a region", ErrOutOfRange, addr)
 		}
-		if as.pages.get(pn) == nil {
-			slab[i].refs = 1
-			as.pages.set(pn, &slab[i])
-		}
-		copy(as.writablePage(pn).Data[:], d)
+		heads[i] = Page{data: (*[PageSize]byte)(d), refs: 1, version: 1, frozen: true}
+		as.pages.set(pn, &heads[i])
+		as.dirty.Set(pn)
 	}
 	return nil
 }

@@ -233,10 +233,11 @@ func TestInstallRegionAndPage(t *testing.T) {
 	}
 }
 
-// TestInstallPagesFillOneSlab: restored pages are carved from one slab,
-// in order, and then behave as pages the process wrote itself: dirty, at
-// version 1, shared by a snapshot until a write breaks the live side
-// away, leaving the snapshot's copy as it was.
+// TestInstallPagesFillOneSlab: restored pages hold the image's arrays
+// themselves, under headers carved from one slab, in order, and then
+// behave as pages the process wrote itself: dirty, at version 1, shared
+// by a snapshot until a write breaks the live side away, leaving the
+// snapshot's copy and the image's array as they were.
 func TestInstallPagesFillOneSlab(t *testing.T) {
 	src := NewAddressSpace()
 	base, _ := src.Alloc(4*PageSize, "heap")
@@ -244,32 +245,124 @@ func TestInstallPagesFillOneSlab(t *testing.T) {
 		src.Write(base+i*PageSize, bytes.Repeat([]byte{byte('a' + i)}, PageSize))
 	}
 	pns := src.PageNumbers(false)
+	img := make([][]byte, len(pns))
+	for i, pn := range pns {
+		img[i] = bytes.Clone(src.PageData(pn))
+	}
 	dst := NewAddressSpace()
 	for _, r := range src.Regions() {
 		if err := dst.InstallRegion(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := dst.InstallPages(pns, func(i int) []byte { return src.PageData(pns[i]) }); err != nil {
+	if err := dst.InstallPages(pns, func(i int) []byte { return img[i] }); err != nil {
 		t.Fatal(err)
 	}
 	if got := dst.PageNumbers(false); !reflect.DeepEqual(got, pns) || dst.DirtyPages() != len(pns) {
 		t.Fatalf("pages %v (%d dirty), want %v all dirty", got, dst.DirtyPages(), pns)
 	}
 	for i, pn := range pns {
-		if !bytes.Equal(dst.PageData(pn), src.PageData(pn)) || dst.PageVersion(pn) != 1 {
-			t.Fatalf("page %d: version %d, contents differ: %v", pn, dst.PageVersion(pn), !bytes.Equal(dst.PageData(pn), src.PageData(pn)))
+		if &dst.PageData(pn)[0] != &img[i][0] || dst.PageVersion(pn) != 1 {
+			t.Fatalf("page %d: version %d, holds the image's array: %v", pn, dst.PageVersion(pn), &dst.PageData(pn)[0] == &img[i][0])
 		}
 		if i > 0 && uintptr(unsafe.Pointer(dst.pages.get(pn)))-uintptr(unsafe.Pointer(dst.pages.get(pns[i-1]))) != unsafe.Sizeof(Page{}) {
-			t.Fatalf("page %d does not follow page %d in one slab", pn, pns[i-1])
+			t.Fatalf("page %d's header does not follow page %d's in one slab", pn, pns[i-1])
 		}
 	}
 	snap := dst.Snapshot()
 	if err := dst.Write(base, []byte("live")); err != nil {
 		t.Fatal(err)
 	}
-	if snap.PageData(pns[0])[0] != 'a' || dst.PageData(pns[0])[0] != 'l' || snap.PageVersion(pns[0]) != 1 || dst.PageVersion(pns[0]) != 2 {
-		t.Fatal("a write after the snapshot did not break the live side away from the slab page")
+	if snap.PageData(pns[0])[0] != 'a' || dst.PageData(pns[0])[0] != 'l' || img[0][0] != 'a' || snap.PageVersion(pns[0]) != 1 || dst.PageVersion(pns[0]) != 2 {
+		t.Fatal("a write after the snapshot did not break the live side away from the image's page")
+	}
+}
+
+// TestWriteCopiesFrozenPage: a write to a page whose array an image holds
+// — frozen in the space, in a snapshot of it before or after the
+// snapshot's Release, or installed from the image — writes a private
+// copy, made once, and leaves the image's array as it was. It is a
+// write like any other: the version advances by one, the page turns
+// dirty and its cached hash goes. Only a page a snapshot still shares
+// takes a copy-on-write fault; a frozen array alone is no fault.
+func TestWriteCopiesFrozenPage(t *testing.T) {
+	old := bytes.Repeat([]byte{'o'}, PageSize)
+	// written returns a space holding old at page pn, and its region.
+	written := func() (as *AddressSpace, pn uint64) {
+		as = NewAddressSpace()
+		base, _ := as.Alloc(PageSize, "heap")
+		as.Write(base, old)
+		return as, base / PageSize
+	}
+	for _, c := range []struct {
+		name   string
+		freeze func(t *testing.T) (as *AddressSpace, pn uint64, img []byte)
+		faults int
+	}{
+		{"frozen", func(t *testing.T) (*AddressSpace, uint64, []byte) {
+			as, pn := written()
+			as.FreezePage(pn)
+			return as, pn, as.PageData(pn)
+		}, 0},
+		{"frozen in a snapshot", func(t *testing.T) (*AddressSpace, uint64, []byte) {
+			as, pn := written()
+			snap := as.Snapshot()
+			snap.FreezePage(pn)
+			return as, pn, snap.PageData(pn)
+		}, 1},
+		{"frozen in a released snapshot", func(t *testing.T) (*AddressSpace, uint64, []byte) {
+			as, pn := written()
+			snap := as.Snapshot()
+			snap.FreezePage(pn)
+			defer snap.Release()
+			return as, pn, snap.PageData(pn)
+		}, 0},
+		{"installed", func(t *testing.T) (*AddressSpace, uint64, []byte) {
+			src, pn := written()
+			img := bytes.Clone(old)
+			as := NewAddressSpace()
+			if err := as.InstallRegion(src.Regions()[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := as.InstallPages([]uint64{pn}, func(int) []byte { return img }); err != nil {
+				t.Fatal(err)
+			}
+			return as, pn, img
+		}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			as, pn, img := c.freeze(t)
+			base := pn * PageSize
+			faults := 0
+			as.SetFaultHook(func(uint64) { faults++ })
+			as.PageHash(pn)
+			as.ClearDirty()
+			version, hashes := as.PageVersion(pn), as.HashComputes()
+
+			if err := as.Write(base, []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img, old) {
+				t.Fatalf("the write reached the image's array: %q…", img[:4])
+			}
+			got := make([]byte, 4)
+			if err := as.Read(base, got); err != nil || string(got) != "newo" {
+				t.Fatalf("the space reads %q (%v), want %q", got, err, "newo")
+			}
+			if v := as.PageVersion(pn); v != version+1 || as.DirtyPages() != 1 || faults != c.faults {
+				t.Fatalf("version %d → %d, %d dirty, %d faults; want one more, 1 dirty, %d faults", version, v, as.DirtyPages(), faults, c.faults)
+			}
+			if as.PageHash(pn); as.HashComputes() != hashes+1 {
+				t.Fatal("the write kept the page's cached hash")
+			}
+			copied := &as.PageData(pn)[0]
+			if err := as.Write(base+3, []byte("er")); err != nil {
+				t.Fatal(err)
+			}
+			if &as.PageData(pn)[0] != copied || faults != c.faults || !bytes.Equal(img, old) {
+				t.Fatal("a second write copied the page again")
+			}
+		})
 	}
 }
 
