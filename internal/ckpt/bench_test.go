@@ -32,7 +32,7 @@ func benchKernel(tb testing.TB) *kernel.Kernel {
 
 // benchPod builds a stopped pod whose worker has dirtied a sizeable heap,
 // ready for repeated captures.
-func benchPod(b *testing.B, pages uint64) *zap.Pod {
+func benchPod(b testing.TB, pages uint64) *zap.Pod {
 	b.Helper()
 	k := benchKernel(b)
 	engine := k.Engine()
@@ -117,6 +117,34 @@ func BenchmarkCaptureThenWrite(b *testing.B) {
 				if _, err := Capture(pod, 2*i+2, Options{Hashes: true}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkCaptureLive measures a hashed pre-copy round of a running
+// 2,048-page pod: the live capture, k page writes while it protects the
+// pod's address space, and its Release. The capture freezes the pages it
+// keeps and a write copies a frozen page first, so B/op grows with k, by
+// about a page per write, and not with the pod's 2,048 pages.
+func BenchmarkCaptureLive(b *testing.B) {
+	pod := benchPod(b, 2048)
+	as := pod.Process(1).Mem()
+	pns := as.PageNumbers(false)
+	for _, k := range []int{0, 16, 512} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lc, err := CaptureLive(pod, i+1, Options{Hashes: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < k; j++ {
+					if err := as.Write(pns[j*len(pns)/k]*mem.PageSize, []byte{byte(i)}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				lc.Release()
 			}
 		})
 	}

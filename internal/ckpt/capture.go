@@ -127,9 +127,9 @@ func newImage(pod *zap.Pod, seq int, opts Options) *Image {
 }
 
 // captureMemory references pages pns of space — a stopped process's
-// address space, or the snapshot of a running one — with their hashes if
-// opts asks for them; hashes that had to be computed count into
-// img.FreshHashes. An unhashed capture's references last only until it
+// address space, or a running one's under a live capture's protection —
+// with their hashes if opts asks for them; hashes that had to be computed
+// count into img.FreshHashes. An unhashed capture's references last only until it
 // detaches. A hashed one keeps them: a page whose hash opts.Store holds
 // is that chunk's bytes, and every other page is space's own array,
 // frozen there, so that the space copies it before its next write.

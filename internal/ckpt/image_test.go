@@ -221,8 +221,7 @@ func imagePages(img *Image) map[uint64][]byte {
 // it stood at the capture, and its encoding is what it was then. A
 // hashed capture against a store holding an earlier checkpoint of the pod
 // references the chunks of its unchanged pages and keeps the rest frozen
-// in the pod's address space (in its snapshot, for a live round), which
-// copies a page before writing it; its image outlives those chunks too,
+// in the pod's address space, which copies a page before writing it; its image outlives those chunks too,
 // once the store has freed them. An unhashed capture is its encoding, a
 // hashed one without a store the pod's frozen arrays. (A live round
 // carries memory alone and is not restorable by itself.)

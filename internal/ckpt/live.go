@@ -10,25 +10,26 @@ import (
 
 // LiveCapture is one pre-copy round's worth of memory, captured from a
 // RUNNING pod (§5.2's copy-on-write checkpointing). The image holds the
-// page contents as of the snapshot instant; the snapshots behind it stay
-// armed until Release, so every application write to a captured page in
-// the meantime takes a COW break — the kernel's fault hook charges that
-// as the runtime cost of checkpointing concurrently with execution.
+// page contents as of the capture instant, as Capture holds them; the
+// capture write-protects each process's address space until Release, so
+// the first application write to each page in the meantime takes a
+// fault — the kernel's fault hook charges that as the runtime cost of
+// checkpointing concurrently with execution.
 //
 // The caller owns the capture's lifecycle:
 //
 //   - Release once the round's image is durably written (or on abort),
-//     returning pages to sole ownership so writes stop faulting.
+//     so writes stop faulting.
 //   - Redirty(pod, Image) on abort, after Release: the round cleared
 //     dirty tracking when it captured, so the pages it held must be
 //     re-marked dirty or the next capture would silently miss them.
 type LiveCapture struct {
-	Image *Image
-	snaps []*mem.AddressSpace
+	Image  *Image
+	spaces []*mem.AddressSpace // protected until Release
 }
 
 // CaptureLive captures a round image from a running pod. The copy is
-// atomic in virtual time (snapshotting write-protects every page in one
+// atomic in virtual time (the capture and the write protection are one
 // event; no application write can interleave), and — unlike Capture —
 // does not require the pod to be stopped.
 //
@@ -39,10 +40,9 @@ type LiveCapture struct {
 // Capture with the pod stopped. A round image is therefore not
 // restorable by itself; it only exists as a link in a pre-copy chain.
 //
-// Its pages are held as Capture holds them: an unhashed round copies each
-// page once from its snapshot, a hashed one freezes the snapshot's arrays.
+// Its pages are held as Capture holds them (captureMemory, detach).
 // Dirty tracking is cleared once the whole pod is captured, so the next
-// round saves exactly the pages written after this round's snapshot.
+// round saves exactly the pages written after this one.
 func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 	kern := pod.Kernel()
 	img := newImage(pod, seq, opts)
@@ -51,11 +51,10 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 	for _, vpid := range pod.VPIDs() {
 		proc := pod.Process(vpid)
 		as := proc.Mem()
-		snap := as.Snapshot()
-		lc.snaps = append(lc.snaps, snap)
-		// Which pages: the live space's dirty set. Their bytes: the snapshot's.
+		as.Protect()
+		lc.spaces = append(lc.spaces, as)
 		pi := ProcImage{VPID: vpid, Name: proc.Name()}
-		if pi.Memory, err = captureMemory(snap, as.PageNumbers(opts.Incremental), opts, img); err != nil {
+		if pi.Memory, err = captureMemory(as, as.PageNumbers(opts.Incremental), opts, img); err != nil {
 			break
 		}
 		img.Processes = append(img.Processes, pi)
@@ -67,8 +66,8 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 		lc.Release()
 		return nil, fmt.Errorf("ckpt: live capture of pod %s: %w", pod.Name(), err)
 	}
-	for _, pi := range img.Processes {
-		pod.Process(pi.VPID).Mem().ClearDirty()
+	for _, as := range lc.spaces {
+		as.ClearDirty()
 	}
 	trace.FromEngine(kern.Engine()).Instant(kern.Name(), "ckpt", "capture-live",
 		trace.Str("pod", pod.Name()),
@@ -82,16 +81,14 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 // image holds nothing else).
 func (lc *LiveCapture) Pages() int { return int(lc.Image.MemoryBytes() / mem.PageSize) }
 
-// Release drops the COW sharing behind the capture. Live writes to the
-// captured pages stop taking faults; the capture's Image is unaffected.
-// Its pages are copies, store chunks, or arrays frozen in the snapshot,
-// whose page headers the live space shares: those stay frozen there, and
-// the live space copies each before writing it.
+// Release unprotects the address spaces the capture protected, so live
+// writes stop faulting; a second call does nothing. The Image is
+// unaffected: the arrays it froze stay frozen until a write copies them.
 func (lc *LiveCapture) Release() {
-	for _, snap := range lc.snaps {
-		snap.Release()
+	for _, as := range lc.spaces {
+		as.Unprotect()
 	}
-	lc.snaps = nil
+	lc.spaces = nil
 }
 
 // Redirty re-marks every page img captured dirty in the live address

@@ -167,7 +167,7 @@ type agentOp struct {
 	filterID  int
 
 	// Pre-copy bookkeeping. The live rounds are abortable background
-	// work: if the epoch fails mid-round, rounds' snapshots release, the
+	// work: if the epoch fails mid-round, rounds' protections release, the
 	// pages of every image the epoch captured — the rounds' and the
 	// residual's — are re-marked dirty, their only saved copy being
 	// discarded, and roundSeqs are struck from the store — as if the
@@ -353,10 +353,11 @@ func (a *Agent) beginPodOp(kind string, m *wireMsg, c msgSink) (*agentOp, error)
 				s.Fail(err)
 			}
 		}
-		// Discard the partial pre-copy epoch: release the rounds' COW
-		// snapshots (writes stop faulting), re-mark the pages whose only
-		// saved copy is being thrown away, and strike the uncommitted
-		// round images from the store.
+		// Discard the partial pre-copy epoch: release the rounds' write
+		// protections (writes stop faulting; a round that landed was
+		// released already, and a second Release is a no-op), re-mark the
+		// pages whose only saved copy is being thrown away, and strike the
+		// uncommitted round images from the store.
 		for _, lc := range op.rounds {
 			lc.Release()
 		}
@@ -434,10 +435,10 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 // runPrecopy drives one live pre-copy round (round-numbered from 0) and
 // recurses, or hands off to the residual stop-and-copy once the policy
 // says another round is not worth taking. The pod runs — and keeps
-// communicating — throughout; each round captures a COW snapshot of the
-// pages dirtied since the previous round and streams it to the store as
-// an incremental image chained on baseSeq (0 = this round is the full
-// base of a fresh chain). A migration then streams the round to the
+// communicating — throughout; each round captures the pages dirtied since
+// the previous round, write-protecting the pod's memory until it lands,
+// and streams it to the store as an incremental image chained on baseSeq
+// (0 = this round is the full base of a fresh chain). A migration then streams the round to the
 // destination, and the next round starts only once it is adopted there —
 // the stream is the pacing, exactly like pre-copy against a slow disk.
 func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
@@ -479,8 +480,8 @@ func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
 	op.rounds = append(op.rounds, lc)
 	op.roundPages = append(op.roundPages, candidate)
 	captureBytes := int64(lc.Pages()) * mem.PageSize
-	// The snapshot is instant; the copy out of it costs CPU while the
-	// pod runs (writes to not-yet-released pages take COW faults — the
+	// The capture is instant; its copy costs CPU while the pod runs
+	// (writes to pages of a not-yet-released round take faults — the
 	// concurrency overhead of §5.2, charged by the kernel).
 	a.cpu.Do(CaptureCost+bytesCost(captureBytes, CaptureBPS), func() {
 		if op.Aborted() {
@@ -596,7 +597,7 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 					// is consistent the moment it exists; the pod may
 					// resume (once the coordinator confirms every node
 					// has captured) while the image write proceeds from
-					// the snapshot.
+					// the captured image.
 					a.openPhase(op, &op.commit, "commit", trace.Str("mode", "cow"))
 					op.conn.Send(&wireMsg{Type: msgCommDisabled, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context()})
 					a.maybeFinishContinue(op)
@@ -797,7 +798,7 @@ func (a *Agent) handleContinue(c msgSink, m *wireMsg) {
 
 // maybeFinishContinue resumes once the coordinator's permission is in
 // and the local state is safe: fully saved, or — under copy-on-write —
-// merely captured (the write continues from the snapshot).
+// merely captured (the write continues from the captured image).
 func (a *Agent) maybeFinishContinue(op *agentOp) {
 	localSafe := op.saveDone || (op.req.COW && op.captured)
 	if !localSafe || !op.contRecvd || op.resumed || op.Aborted() {

@@ -53,9 +53,9 @@ const (
 	// DiskLatency is the per-operation positioning latency.
 	DiskLatency = 4 * sim.Millisecond
 	// cowFaultCost is the CPU cost charged to a process for each
-	// copy-on-write break it takes writing to a snapshotted page — the
-	// runtime overhead of checkpointing concurrently with execution
-	// (§5.2). It models a write-protection fault plus a page copy.
+	// write-protection fault it takes writing to a page a live capture
+	// protects — the runtime overhead of checkpointing concurrently with
+	// execution (§5.2). It models the fault plus a page copy.
 	cowFaultCost = 2 * sim.Microsecond
 )
 
@@ -90,8 +90,8 @@ type KernelStats struct {
 	StepsRun    uint64
 	Syscalls    uint64
 	ContextTime sim.Duration // total CPU time consumed by all processes
-	// CowFaults counts copy-on-write breaks taken by processes writing
-	// to pages shared with an in-progress checkpoint snapshot.
+	// CowFaults counts write-protection faults taken by processes
+	// writing to pages an in-progress live capture protects.
 	CowFaults uint64
 }
 
@@ -156,8 +156,8 @@ func (k *Kernel) Spawn(name string, prog Program, parent int) *Process {
 	p.ctx.proc = p
 	p.finishFn = func() { k.finishStep(p) }
 	p.wakeFn = func() { k.wake(p) }
-	// Each COW break during a program step is charged to the step's CPU
-	// cost in runStep; the hook only tallies.
+	// Each write-protection fault during a program step is charged to the
+	// step's CPU cost in runStep; the hook only tallies.
 	p.mem.SetFaultHook(func(uint64) {
 		p.cowFaults++
 		k.Stats.CowFaults++

@@ -215,7 +215,7 @@ type Process struct {
 	signals          []Signal
 
 	cpuTime sim.Duration
-	// cowFaults accumulates copy-on-write breaks taken during the
+	// cowFaults accumulates write-protection faults taken during the
 	// current program step; runStep folds them into the step's CPU cost
 	// and resets the counter.
 	cowFaults int

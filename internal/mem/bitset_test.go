@@ -63,25 +63,32 @@ func TestBitsetPagesSortedAndReset(t *testing.T) {
 	}
 }
 
+// TestPageVersionAdvancesOnWrite: with no protection held, writes land
+// in place, turn their page dirty and fault nothing.
 func TestPageVersionAdvancesOnWrite(t *testing.T) {
 	as := NewAddressSpace()
 	base, err := as.Alloc(4*PageSize, "heap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pn := base / PageSize
-	if v := as.PageVersion(pn); v != 0 {
-		t.Fatalf("unwritten page version = %d, want 0", v)
-	}
+	faults := 0
+	as.SetFaultHook(func(uint64) { faults++ })
 	as.Write(base, []byte{1})
-	v1 := as.PageVersion(pn)
+	first := &as.PageData(base / PageSize)[0]
+	as.ClearDirty()
 	as.Write(base, []byte{2})
-	v2 := as.PageVersion(pn)
-	if v1 == 0 || v2 <= v1 {
-		t.Fatalf("versions did not advance: %d then %d", v1, v2)
+	if *first != 2 || &as.PageData(base / PageSize)[0] != first {
+		t.Fatal("the second write did not land in the page's array")
+	}
+	if pns := as.PageNumbers(true); len(pns) != 1 || pns[0] != base/PageSize || faults != 0 {
+		t.Fatalf("dirty %v, %d faults; want page %#x alone and none", pns, faults, base/PageSize)
 	}
 }
 
+// TestSnapshotFreezesVersionsAndFiresFaultHook: a snapshot keeps the
+// bytes of its instant, and the live side's first write to a page the
+// snapshot holds faults once; a second write, or a write materialising a
+// page, does not.
 func TestSnapshotFreezesVersionsAndFiresFaultHook(t *testing.T) {
 	as := NewAddressSpace()
 	base, err := as.Alloc(4*PageSize, "heap")
@@ -90,29 +97,30 @@ func TestSnapshotFreezesVersionsAndFiresFaultHook(t *testing.T) {
 	}
 	pn := base / PageSize
 	as.Write(base, []byte{1})
-	vAt := as.PageVersion(pn)
 
 	var faults []uint64
 	as.SetFaultHook(func(pn uint64) { faults = append(faults, pn) })
 	snap := as.Snapshot()
+	as.ClearDirty()
 
 	as.Write(base, []byte{2})
-	as.Write(base, []byte{3}) // second write: COW already broken, no fault
+	as.Write(base, []byte{3}) // second write: already faulted
 	as.Write(base+PageSize, []byte{9})
 
-	if snap.PageVersion(pn) != vAt {
-		t.Fatalf("snapshot version moved: %d, want %d", snap.PageVersion(pn), vAt)
-	}
 	var got [1]byte
 	snap.Read(base, got[:])
 	if got[0] != 1 {
 		t.Fatalf("snapshot sees post-snapshot write: %d", got[0])
 	}
-	if as.PageVersion(pn) <= vAt {
-		t.Fatal("live version did not advance past snapshot")
+	as.Read(base, got[:])
+	if got[0] != 3 {
+		t.Fatalf("live space reads %d, want 3", got[0])
 	}
 	if len(faults) != 1 || faults[0] != pn {
 		t.Fatalf("fault hook fired %v, want exactly one fault on %#x", faults, pn)
+	}
+	if as.DirtyPages() != 2 || snap.DirtyPages() != 0 {
+		t.Fatalf("%d live and %d snapshot pages dirty, want 2 and 0", as.DirtyPages(), snap.DirtyPages())
 	}
 }
 

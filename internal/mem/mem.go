@@ -1,18 +1,19 @@
 // Package mem implements the virtual-memory substrate of the simulated
 // kernel: sparse, page-based address spaces with dirty-page tracking and
-// copy-on-write snapshots.
+// write protection.
 //
 // The contents of address spaces dominate checkpoint image size, exactly as
 // the paper observes ("most of the state consists of the non-zero contents
 // of the virtual memory of all processes running in the pod"). Dirty
-// tracking supports the incremental-checkpoint optimization and COW
-// snapshots support the concurrent-checkpoint optimization discussed in
-// §5.2 of the paper.
+// tracking supports the incremental-checkpoint optimization and write
+// protection the concurrent-checkpoint optimization discussed in §5.2 of
+// the paper.
 package mem
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the size of a virtual-memory page in bytes, matching the
@@ -24,14 +25,6 @@ const PageSize = 4096
 // either RAM or checkpoint images.
 type Page struct {
 	data *[PageSize]byte
-	// refs counts address spaces sharing this header under copy-on-write.
-	refs int
-	// version counts writes to this page's content lineage. A COW break
-	// carries the version over to the private copy and then increments
-	// it, so a snapshot's page keeps the version it had when the
-	// snapshot was taken — capture code can assert it read a consistent
-	// image even though the owning pod kept running.
-	version uint64
 	// hash caches the page's content hash; hashed says whether it is
 	// current. The write path (writablePage) invalidates it, so clean
 	// pages are hashed at most once between writes no matter how many
@@ -41,6 +34,9 @@ type Page struct {
 	// frozen says an image or a store holds data, which is then never
 	// written again: the next write to the page copies it first.
 	frozen bool
+	// stamp is the space's protection epoch when the page was
+	// materialised or last faulted (writablePage).
+	stamp uint64
 }
 
 // Errors returned by address-space operations.
@@ -69,11 +65,15 @@ type AddressSpace struct {
 	regions []Region
 	next    uint64 // next allocation address (bump allocator)
 
-	// faultHook, when set, observes every copy-on-write break (a write
-	// to a page shared with a snapshot). The kernel wires it to charge
-	// the write fault's cost to the running process — the runtime price
-	// of checkpointing concurrently with execution.
+	// faultHook, when set, observes every write-protection fault (the
+	// first write to a page under the newest protection). The kernel
+	// wires it to charge the fault's cost to the running process — the
+	// runtime price of checkpointing concurrently with execution.
 	faultHook func(pn uint64)
+	// epoch counts the protections ever taken, protections those held.
+	epoch       uint64
+	protections int
+	origin      *AddressSpace // a snapshot's, which it protects
 
 	// hashComputes counts fresh page-hash computations performed through
 	// this address space (cache misses); checkpoint code uses the delta
@@ -102,11 +102,28 @@ func (as *AddressSpace) init() {
 	}
 }
 
-// SetFaultHook installs fn to run on every copy-on-write break in this
-// address space (nil removes it). The hook fires before the write
-// proceeds, once per page per snapshot generation — exactly when a real
-// kernel would take a write-protection fault on a snapshotted page.
+// SetFaultHook installs fn to run on every write-protection fault in
+// this address space (nil removes it). The hook fires before the write
+// proceeds, once per page per protection — exactly when a real kernel
+// would take a fault on a write-protected page.
 func (as *AddressSpace) SetFaultHook(fn func(pn uint64)) { as.faultHook = fn }
+
+// Protect write-protects every page the space holds, in constant time:
+// until the matching Unprotect, the first write to each of them fires
+// the fault hook. A page materialised under the protection does not
+// fault. Protections may nest, and are released oldest first.
+func (as *AddressSpace) Protect() {
+	as.epoch++
+	as.protections++
+}
+
+// Unprotect releases the oldest protection held; it panics if none is.
+func (as *AddressSpace) Unprotect() {
+	if as.protections == 0 {
+		panic("mem: Unprotect of an unprotected address space")
+	}
+	as.protections--
+}
 
 // Alloc maps a new region of the given size (rounded up to whole pages)
 // and returns its base address. Alloc never reuses addresses, which keeps
@@ -186,40 +203,32 @@ func (as *AddressSpace) newPage() *Page {
 	}
 	p := &as.heads[0]
 	as.heads = as.heads[1:]
-	p.data, p.refs = as.newArray(), 1
+	p.data, p.stamp = as.newArray(), as.epoch
 	return p
 }
 
 // writablePage returns the page containing page-number pn, materializing
-// it, breaking copy-on-write sharing and copying a frozen array as needed.
+// it or copying a frozen array as needed, and takes the fault of its
+// first write under the newest protection.
 func (as *AddressSpace) writablePage(pn uint64) *Page {
 	p := as.pages.get(pn)
-	switch {
-	case p == nil:
+	if p == nil {
 		p = as.newPage()
 		as.pages.set(pn, p)
-	case p.refs > 1:
-		// Copy-on-write break: give this address space a private copy.
-		// The snapshot keeps the shared page (and its version) intact;
-		// only the live side's lineage advances.
-		p.refs--
-		np := as.newPage()
-		*np.data, np.version = *p.data, p.version
-		as.pages.set(pn, np)
-		p = np
-		if as.faultHook != nil {
-			as.faultHook(pn)
-		}
-	case p.frozen:
-		// An image holds the array: write a private copy instead. No
-		// snapshot shares the page, so this is no fault, only the copy
-		// the capture did not make.
+	} else if p.frozen {
+		// An image holds the array: write a private copy instead. The
+		// copy alone is no fault.
 		a := as.newArray()
 		*a = *p.data
 		p.data, p.frozen = a, false
 	}
+	if as.protections > 0 && p.stamp < as.epoch {
+		p.stamp = as.epoch
+		if as.faultHook != nil {
+			as.faultHook(pn)
+		}
+	}
 	as.dirty.Set(pn)
-	p.version++
 	// The caller is about to write: whatever hash was cached no longer
 	// describes the contents.
 	p.hashed = false
@@ -347,10 +356,7 @@ func (as *AddressSpace) PageData(pn uint64) []byte {
 
 // FreezePage hands page pn's current array to a checkpoint image, which
 // keeps it unchanged for as long as it lives: the space's next write to
-// the page copies the array first, and fires no fault hook. A snapshot
-// shares its pages' headers with the space it was taken from, so a page
-// frozen in a snapshot stays frozen in the live space, through a Release
-// too, until a write copies it.
+// the page copies the array first. The copy alone fires no fault hook.
 func (as *AddressSpace) FreezePage(pn uint64) {
 	if p := as.pages.get(pn); p != nil {
 		p.frozen = true
@@ -386,7 +392,7 @@ func (as *AddressSpace) InstallPages(pns []uint64, data func(i int) []byte) erro
 		if as.regionFor(addr) == nil {
 			return fmt.Errorf("%w: page %#x not covered by a region", ErrOutOfRange, addr)
 		}
-		heads[i] = Page{data: (*[PageSize]byte)(d), refs: 1, version: 1, frozen: true}
+		heads[i] = Page{data: (*[PageSize]byte)(d), frozen: true, stamp: as.epoch}
 		as.pages.set(pn, &heads[i])
 		as.dirty.Set(pn)
 	}
@@ -413,57 +419,35 @@ func (as *AddressSpace) InstallRegion(r Region) error {
 	return nil
 }
 
-// Snapshot returns a copy-on-write clone of the address space: both the
-// original and the clone see the current contents, pages are shared until
-// either side writes. Snapshot is O(resident pages) in map work but copies
-// no page data, which is what lets a checkpoint proceed concurrently with
-// application execution: the snapshot "write-protects" every shared page,
-// and the live side's write path lazily duplicates a page on its first
-// post-snapshot write (firing the fault hook), leaving the snapshot's
-// copy — and its version counter — frozen at the snapshot instant.
+// Snapshot returns a clone of the address space, whose later writes
+// neither side sees. It protects and freezes the original, and gives the
+// clone its own frozen headers over the same arrays, with their cached
+// hashes: each side copies a page before writing it, and the original
+// faults as under Protect until the clone's Release.
 func (as *AddressSpace) Snapshot() *AddressSpace {
 	as.init()
-	clone := &AddressSpace{
-		pages:   as.pages.clone(),
-		next:    as.next,
-		regions: make([]Region, len(as.regions)),
+	as.Protect()
+	pages := as.pages
+	pages.slots = slices.Clone(pages.slots)
+	heads := make([]Page, 0, pages.n)
+	for i, p := range pages.slots {
+		if p != nil {
+			p.frozen = true
+			heads = append(heads, *p)
+			pages.slots[i] = &heads[len(heads)-1]
+		}
 	}
-	copy(clone.regions, as.regions)
-	as.pages.forEach(func(_ uint64, p *Page) { p.refs++ })
-	return clone
+	return &AddressSpace{pages: pages, next: as.next, regions: slices.Clone(as.regions), origin: as}
 }
 
-// Release drops a snapshot's copy-on-write sharing: every page the
-// snapshot still shares with its origin returns to sole ownership, so
-// later writes in the live space stop paying COW breaks (and stop firing
-// the fault hook). The snapshot must not be used after Release. Calling
-// Release on a live space that snapshots were taken FROM — rather than
-// on the snapshot itself — would corrupt the sharing counts.
+// Release ends a snapshot: the space it was taken from is unprotected,
+// so its writes stop faulting, and the snapshot must not be used again.
+// Releasing it twice releases nothing more.
 func (as *AddressSpace) Release() {
-	as.pages.forEach(func(_ uint64, p *Page) { p.refs-- })
+	if as.origin != nil {
+		as.origin.Unprotect()
+		as.origin = nil
+	}
 	as.pages = pageTable{}
 	as.regions = nil
-}
-
-// PageVersion returns page pn's write-version counter (0 for a page that
-// was never written). A snapshot's versions never change, which is the
-// consistency invariant concurrent capture relies on; the live space's
-// version advances on every write, including the one that breaks COW.
-func (as *AddressSpace) PageVersion(pn uint64) uint64 {
-	if p := as.pages.get(pn); p != nil {
-		return p.version
-	}
-	return 0
-}
-
-// SharedPages reports how many of the space's pages are currently shared
-// with a snapshot (refs > 1). Useful in tests and ablation benchmarks.
-func (as *AddressSpace) SharedPages() int {
-	n := 0
-	as.pages.forEach(func(_ uint64, p *Page) {
-		if p.refs > 1 {
-			n++
-		}
-	})
-	return n
 }

@@ -170,20 +170,34 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestSnapshotSharesUntilWrite: a snapshot holds the live space's
+// arrays, copying none, until a write copies exactly the page it writes.
 func TestSnapshotSharesUntilWrite(t *testing.T) {
 	as := NewAddressSpace()
 	base, _ := as.Alloc(8*PageSize, "cow")
 	as.Write(base, make([]byte, 8*PageSize))
+	faults := 0
+	as.SetFaultHook(func(uint64) { faults++ })
 	snap := as.Snapshot()
-	if as.SharedPages() != 8 {
-		t.Fatalf("SharedPages = %d, want 8", as.SharedPages())
+	as.ClearDirty()
+	shared := func() int {
+		n := 0
+		for _, pn := range as.PageNumbers(false) {
+			if &as.PageData(pn)[0] == &snap.PageData(pn)[0] {
+				n++
+			}
+		}
+		return n
 	}
-	as.Write(base, []byte{1}) // breaks exactly one page
-	if as.SharedPages() != 7 {
-		t.Fatalf("SharedPages after write = %d, want 7", as.SharedPages())
+	if shared() != 8 {
+		t.Fatalf("%d pages shared, want 8", shared())
 	}
-	if snap.ResidentPages() != 8 {
-		t.Fatalf("snapshot ResidentPages = %d", snap.ResidentPages())
+	as.Write(base, []byte{1}) // copies exactly one page
+	if shared() != 7 || faults != 1 || as.DirtyPages() != 1 {
+		t.Fatalf("after a write: %d pages shared, %d faults, %d dirty; want 7, 1, 1", shared(), faults, as.DirtyPages())
+	}
+	if snap.ResidentPages() != 8 || snap.PageData(base / PageSize)[0] != 0 {
+		t.Fatalf("snapshot holds %d pages, first byte %d", snap.ResidentPages(), snap.PageData(base / PageSize)[0])
 	}
 }
 
@@ -235,9 +249,9 @@ func TestInstallRegionAndPage(t *testing.T) {
 
 // TestInstallPagesFillOneSlab: restored pages hold the image's arrays
 // themselves, under headers carved from one slab, in order, and then
-// behave as pages the process wrote itself: dirty, at version 1, shared
-// by a snapshot until a write breaks the live side away, leaving the
-// snapshot's copy and the image's array as they were.
+// behave as pages the process wrote itself: dirty, and held by a
+// snapshot until a write copies the live side's page, faulting once and
+// leaving the snapshot's bytes and the image's array as they were.
 func TestInstallPagesFillOneSlab(t *testing.T) {
 	src := NewAddressSpace()
 	base, _ := src.Alloc(4*PageSize, "heap")
@@ -262,19 +276,21 @@ func TestInstallPagesFillOneSlab(t *testing.T) {
 		t.Fatalf("pages %v (%d dirty), want %v all dirty", got, dst.DirtyPages(), pns)
 	}
 	for i, pn := range pns {
-		if &dst.PageData(pn)[0] != &img[i][0] || dst.PageVersion(pn) != 1 {
-			t.Fatalf("page %d: version %d, holds the image's array: %v", pn, dst.PageVersion(pn), &dst.PageData(pn)[0] == &img[i][0])
+		if &dst.PageData(pn)[0] != &img[i][0] {
+			t.Fatalf("page %d does not hold the image's array", pn)
 		}
 		if i > 0 && uintptr(unsafe.Pointer(dst.pages.get(pn)))-uintptr(unsafe.Pointer(dst.pages.get(pns[i-1]))) != unsafe.Sizeof(Page{}) {
 			t.Fatalf("page %d's header does not follow page %d's in one slab", pn, pns[i-1])
 		}
 	}
+	faults := 0
+	dst.SetFaultHook(func(uint64) { faults++ })
 	snap := dst.Snapshot()
 	if err := dst.Write(base, []byte("live")); err != nil {
 		t.Fatal(err)
 	}
-	if snap.PageData(pns[0])[0] != 'a' || dst.PageData(pns[0])[0] != 'l' || img[0][0] != 'a' || snap.PageVersion(pns[0]) != 1 || dst.PageVersion(pns[0]) != 2 {
-		t.Fatal("a write after the snapshot did not break the live side away from the image's page")
+	if snap.PageData(pns[0])[0] != 'a' || dst.PageData(pns[0])[0] != 'l' || img[0][0] != 'a' || faults != 1 {
+		t.Fatalf("a write after the snapshot did not copy the live side's page away from the image's (%d faults)", faults)
 	}
 }
 
@@ -282,9 +298,9 @@ func TestInstallPagesFillOneSlab(t *testing.T) {
 // — frozen in the space, in a snapshot of it before or after the
 // snapshot's Release, or installed from the image — writes a private
 // copy, made once, and leaves the image's array as it was. It is a
-// write like any other: the version advances by one, the page turns
-// dirty and its cached hash goes. Only a page a snapshot still shares
-// takes a copy-on-write fault; a frozen array alone is no fault.
+// write like any other: the page turns dirty and its cached hash goes.
+// Only a page of a space a snapshot still protects takes a fault; a
+// frozen array alone is no fault.
 func TestWriteCopiesFrozenPage(t *testing.T) {
 	old := bytes.Repeat([]byte{'o'}, PageSize)
 	// written returns a space holding old at page pn, and its region.
@@ -337,7 +353,7 @@ func TestWriteCopiesFrozenPage(t *testing.T) {
 			as.SetFaultHook(func(uint64) { faults++ })
 			as.PageHash(pn)
 			as.ClearDirty()
-			version, hashes := as.PageVersion(pn), as.HashComputes()
+			hashes := as.HashComputes()
 
 			if err := as.Write(base, []byte("new")); err != nil {
 				t.Fatal(err)
@@ -349,8 +365,8 @@ func TestWriteCopiesFrozenPage(t *testing.T) {
 			if err := as.Read(base, got); err != nil || string(got) != "newo" {
 				t.Fatalf("the space reads %q (%v), want %q", got, err, "newo")
 			}
-			if v := as.PageVersion(pn); v != version+1 || as.DirtyPages() != 1 || faults != c.faults {
-				t.Fatalf("version %d → %d, %d dirty, %d faults; want one more, 1 dirty, %d faults", version, v, as.DirtyPages(), faults, c.faults)
+			if as.DirtyPages() != 1 || faults != c.faults {
+				t.Fatalf("%d dirty, %d faults; want 1 dirty, %d faults", as.DirtyPages(), faults, c.faults)
 			}
 			if as.PageHash(pn); as.HashComputes() != hashes+1 {
 				t.Fatal("the write kept the page's cached hash")
@@ -544,15 +560,15 @@ func TestPageHashSurvivesSnapshotSharing(t *testing.T) {
 	orig := as.PageHash(pn)
 
 	snap := as.Snapshot()
-	// Snapshot shares the page object, so its cached hash is free.
+	// The snapshot's header carries the cached hash, so it is free.
 	if snap.PageHash(pn) != orig {
 		t.Fatal("snapshot hash differs from original")
 	}
 	if snap.HashComputes() != 0 {
 		t.Fatal("snapshot recomputed a cached hash")
 	}
-	// COW break: the writer's copy is invalidated, the snapshot keeps the
-	// old contents and the old (still valid) hash.
+	// The writer's copy is invalidated, the snapshot keeps the old
+	// contents and the old (still valid) hash.
 	as.Write(base, []byte{43})
 	if snap.PageHash(pn) != orig {
 		t.Fatal("snapshot hash changed after writer's COW break")

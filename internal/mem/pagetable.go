@@ -5,8 +5,8 @@ package mem
 // page ever set: an address space's regions are bump-allocated from one
 // base, so the window is about as wide as what the process mapped, and a
 // lookup is an index instead of a hash probe. Sizing the window for a
-// restore or cloning it for a snapshot is one allocation however many
-// pages it holds; a Go map of n pages allocates two objects per 1,024.
+// restore is one allocation however many pages it holds; a Go map of n
+// pages allocates two objects per 1,024.
 type pageTable struct {
 	base  uint64  // page number of slots[0]
 	slots []*Page // nil where no page is materialised
@@ -57,11 +57,4 @@ func (t *pageTable) forEach(fn func(pn uint64, p *Page)) {
 			fn(t.base+uint64(i), p)
 		}
 	}
-}
-
-// clone returns a table holding the same pages.
-func (t *pageTable) clone() pageTable {
-	c := *t
-	c.slots = append([]*Page(nil), t.slots...)
-	return c
 }
