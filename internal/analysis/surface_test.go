@@ -51,7 +51,6 @@ var testOnly = map[string]string{
 	"cruz/internal/kernel.(Process).Parent":           "TestPipeBetweenProcesses",
 	"cruz/internal/kernel.BlockOnSem":                 "TestSemaphorePingPong",
 	"cruz/internal/kernel.WaitForChild":               "TestWaitChildReapsInOrder",
-	"cruz/internal/mem.(AddressSpace).ReadUint64":     "TestCheckpointRestartSameNode",
 	"cruz/internal/mem.(Bitset).Has":                  "TestBitsetSetHasCount",
 	"cruz/internal/metrics.(RateMeter).TotalBytes":    "TestRateMeterSteadyStream",
 	"cruz/internal/metrics.(Series).MinMax":           "TestEmptySeriesMinMax",

@@ -59,11 +59,11 @@ func benchPod(b testing.TB, pages uint64) *zap.Pod {
 }
 
 // BenchmarkCapture measures repeated full captures of a warm pod — the
-// steady state of periodic checkpointing. A hashed capture with no store
-// freezes the pod's pages instead of copying them; one against a store
-// holding the previous checkpoint ("dedup") references that checkpoint's
-// chunks. Neither copies a page. The pooled encode buffers and the
-// page-hash cache keep everything else flat.
+// steady state of periodic checkpointing. A blob-form capture, and a
+// hashed one with no store, freeze the pod's pages instead of copying
+// them; one against a store holding the previous checkpoint ("dedup")
+// references that checkpoint's chunks. None copies a page. The pooled
+// encode buffers and the page-hash cache keep everything else flat.
 func BenchmarkCapture(b *testing.B) {
 	pod := benchPod(b, 512)
 	img, err := Capture(pod, 1, Options{Hashes: true})
@@ -78,6 +78,7 @@ func BenchmarkCapture(b *testing.B) {
 		name string
 		opts Options
 	}{
+		{"blob", Options{}},
 		{"hashed", Options{Hashes: true}},
 		{"dedup", Options{Hashes: true, Store: store}},
 	} {

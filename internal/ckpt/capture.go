@@ -42,9 +42,8 @@ type Options struct {
 // Capture copies a stopped pod's complete state into an Image. The copy
 // is atomic in virtual time (the simulation's equivalent of holding the
 // network-stack locks for the duration of the socket-state save) and
-// non-destructive: the pod can be resumed immediately afterwards. An
-// unhashed capture copies each page once, into its encoding (see detach);
-// a hashed one copies none (see captureMemory).
+// non-destructive: the pod can be resumed immediately afterwards. It
+// copies no page (see captureMemory).
 //
 // Every capture clears the pod's dirty-page tracking, so a later
 // Incremental capture saves exactly the pages written since this one.
@@ -87,9 +86,6 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 		}
 		img.Sems = append(img.Sems, SemImage{ID: s.ID, Key: s.Key, Value: s.Value()})
 	}
-	if err := detach(img, opts); err != nil {
-		return nil, err
-	}
 	for _, as := range spaces {
 		as.ClearDirty()
 	}
@@ -129,10 +125,10 @@ func newImage(pod *zap.Pod, seq int, opts Options) *Image {
 // captureMemory references pages pns of space — a stopped process's
 // address space, or a running one's under a live capture's protection —
 // with their hashes if opts asks for them; hashes that had to be computed
-// count into img.FreshHashes. An unhashed capture's references last only until it
-// detaches. A hashed one keeps them: a page whose hash opts.Store holds
-// is that chunk's bytes, and every other page is space's own array,
-// frozen there, so that the space copies it before its next write.
+// count into img.FreshHashes. It copies no page: a page whose hash
+// opts.Store holds is that chunk's bytes, and every other page is space's
+// own array, frozen there, so that the space copies it before its next
+// write.
 func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Image) (MemImage, error) {
 	m := MemImage{Regions: space.Regions(), PageNums: pns, pages: make([]*[mem.PageSize]byte, len(pns))}
 	for i, pn := range pns {
@@ -142,35 +138,22 @@ func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Ima
 		}
 		m.pages[i] = (*[mem.PageSize]byte)(data)
 	}
-	if !opts.Hashes {
-		return m, nil
+	if opts.Hashes {
+		m.PageHashes = make([]mem.PageHash, len(pns))
+		before := space.HashComputes()
+		space.PageHashes(pns, m.PageHashes)
+		img.FreshHashes += int(space.HashComputes() - before)
 	}
-	m.PageHashes = make([]mem.PageHash, len(pns))
-	before := space.HashComputes()
-	space.PageHashes(pns, m.PageHashes)
-	img.FreshHashes += int(space.HashComputes() - before)
-	for i, h := range m.PageHashes {
-		if opts.Store != nil {
-			if d := opts.Store.chunkData(h); len(d) == mem.PageSize {
+	for i, pn := range pns {
+		if opts.Hashes && opts.Store != nil {
+			if d := opts.Store.chunkData(m.PageHashes[i]); len(d) == mem.PageSize {
 				m.pages[i] = (*[mem.PageSize]byte)(d)
 				continue
 			}
 		}
-		space.FreezePage(pns[i])
+		space.FreezePage(pn)
 	}
 	return m, nil
-}
-
-// detach ends an unhashed capture's references to the address spaces its
-// pages were read from: it encodes the image, copying each page once into
-// the blob PlanSave will register. A hashed capture has none to end; the
-// arrays it keeps are frozen in their spaces (captureMemory).
-func detach(img *Image, opts Options) error {
-	if opts.Hashes {
-		return nil
-	}
-	_, err := img.Encode()
-	return err
 }
 
 // captureProcess saves one process: program state, memory, descriptors,

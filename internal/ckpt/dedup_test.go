@@ -260,7 +260,7 @@ func normalizeImage(t *testing.T, img *Image) *Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.FreshHashes, out.blob = 0, nil
+	out.FreshHashes, out.head = 0, nil
 	return out
 }
 

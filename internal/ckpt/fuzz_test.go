@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cruz/internal/gobmemo/gobmemotest"
 	"cruz/internal/mem"
@@ -176,11 +177,26 @@ func TestDecodersRejectPagesOutOfOrder(t *testing.T) {
 	}
 }
 
-// FuzzDecodeImage: arbitrary bytes produce an image or an error, never a
-// panic, and a decoded image is internally consistent — every process
-// owns exactly its pages, in ascending order, inside the blob. Whatever
-// they were, a good blob decodes after them as it always did: the head
-// decoder is shared.
+// cutPieces splits b into pieces: each byte of cuts is the length of the
+// next piece, modulo what is left, so empty pieces occur too, and the
+// rest is the last piece.
+func cutPieces(b, cuts []byte) [][]byte {
+	var pieces [][]byte
+	for _, c := range cuts {
+		k := int(c) % (len(b) + 1)
+		pieces, b = append(pieces, b[:k]), b[k:]
+	}
+	return append(pieces, b)
+}
+
+// FuzzDecodeImage: arbitrary bytes, split into pieces anywhere, produce
+// an image or an error, never a panic, and the split changes nothing:
+// ReadImage over the pieces decodes exactly as DecodeImage does over the
+// whole, and a page is the capped sub-slice of its piece exactly when it
+// lies whole in one. A decoded image is internally consistent — every
+// process owns exactly its pages, in ascending order, inside the blob —
+// and re-encodes. Whatever they were, a good blob decodes after them as
+// it always did: the head decoder is shared.
 func FuzzDecodeImage(f *testing.F) {
 	valid, err := sampleImage().Encode()
 	if err != nil {
@@ -190,23 +206,48 @@ func FuzzDecodeImage(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)
-	for _, blob := range hostileImages(f) {
-		f.Add(blob)
+	cuts := func(i int) []byte { return []byte{byte(37*i + 5), byte(11*i + 200), 0, byte(i)} }
+	f.Add(valid, cuts(0))
+	f.Add(valid, []byte{})
+	for name, blob := range hostileImages(f) {
+		f.Add(blob, cuts(len(name)))
 	}
-	for _, in := range gobmemotest.Inputs(f, sampleImage()) {
-		f.Add(reframe(in.Bytes, valid[len(valid)-3*mem.PageSize:]))
+	for i, in := range gobmemotest.Inputs(f, sampleImage()) {
+		f.Add(reframe(in.Bytes, valid[len(valid)-3*mem.PageSize:]), cuts(i+1))
 	}
-	f.Fuzz(func(t *testing.T, blob []byte) {
+	f.Fuzz(func(t *testing.T, blob, cuts []byte) {
+		pieces := cutPieces(blob, cuts)
 		img, err := DecodeImage(blob)
+		split, errSplit := readParts(pieces)
 		if good, gerr := DecodeImage(valid); gerr != nil || !reflect.DeepEqual(good, want) {
 			t.Fatalf("a good blob decodes to %+v, %v", good, gerr)
+		}
+		if (err == nil) != (errSplit == nil) {
+			t.Fatalf("the whole blob decodes with %v, its %d pieces with %v", err, len(pieces), errSplit)
 		}
 		if err != nil {
 			return
 		}
+		if !reflect.DeepEqual(img, split) {
+			t.Fatalf("%d pieces decode to\n%+v, the whole blob to\n%+v", len(pieces), split, img)
+		}
 		if !pagesWithin(img, blob) {
 			t.Fatal("a decoded page lies outside the blob")
+		}
+		wholePages, splitPages := imageArrays(img), imageArrays(split)
+		for i, a := range wholePages {
+			off := int(uintptr(unsafe.Pointer(&a[0])) - uintptr(unsafe.Pointer(&blob[0])))
+			start, inOne := 0, false
+			for _, p := range pieces {
+				if off >= start && off < start+len(p) {
+					inOne = off+mem.PageSize <= start+len(p)
+					break
+				}
+				start += len(p)
+			}
+			if aliases := splitPages[i] == a; aliases != inOne {
+				t.Fatalf("page %d (at %d) lies whole in one piece: %v; aliases it: %v", i, off, inOne, aliases)
+			}
 		}
 		for i := range img.Processes {
 			if pns := img.Processes[i].Memory.PageNums; !ascending(pns, pageNum) {
@@ -214,7 +255,7 @@ func FuzzDecodeImage(f *testing.F) {
 			}
 		}
 		fresh := *img // encoded anew, not returned as the blob
-		fresh.blob, fresh.Processes = nil, slices.Clone(img.Processes)
+		fresh.head, fresh.Processes = nil, slices.Clone(img.Processes)
 		if _, err := fresh.Encode(); err != nil {
 			t.Fatalf("decoded image does not re-encode: %v", err)
 		}

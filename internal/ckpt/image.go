@@ -19,6 +19,7 @@ import (
 	"slices"
 	"sync"
 
+	"cruz/internal/ctl"
 	"cruz/internal/ether"
 	"cruz/internal/gobmemo"
 	"cruz/internal/kernel"
@@ -28,36 +29,21 @@ import (
 )
 
 // encStage is the pooled staging of the capture path's encodings: gob
-// writes a head into buf (image heads, manifests, shard sets), and parts
-// lists the pieces a blob is joined from. Only small structured
-// state goes through gob — page bytes never do — so the buffers stay a
-// few KB; checkpoints are taken repeatedly over a pod's life, and reusing
-// the grown buffer and list avoids re-paying their growth on every capture.
+// writes a head into buf (image heads, manifests, shard sets). Only small
+// structured state goes through gob — page bytes never do — so the buffer
+// stays a few KB; checkpoints are taken repeatedly over a pod's life, and
+// reusing the grown buffer avoids re-paying its growth on every capture.
 type encStage struct {
-	buf   bytes.Buffer
-	parts [][]byte
+	buf bytes.Buffer
 }
 
 var encStages = sync.Pool{New: func() any { return new(encStage) }}
 
-// stage returns an empty pooled stage whose part list has room for parts
-// pieces; the caller puts it back.
-func stage(parts int) *encStage {
+// stage returns an empty pooled stage; the caller puts it back.
+func stage() *encStage {
 	st := encStages.Get().(*encStage)
 	st.buf.Reset()
-	st.parts = slices.Grow(st.parts, parts)
 	return st
-}
-
-// join returns the stage's parts back to back, in one allocation that is
-// not zero-filled: bytes.Join allocates through internal/bytealg.MakeNoZero
-// because it writes every byte it allocates. It empties the part list, so
-// the pool pins no page.
-func (st *encStage) join() []byte {
-	b := bytes.Join(st.parts, nil)
-	clear(st.parts)
-	st.parts = st.parts[:0]
-	return b
 }
 
 // The statically typed encodings — image heads, manifests, shard sets —
@@ -73,7 +59,7 @@ var (
 // pooled buffer and copied out once, into an allocation that append does
 // not zero-fill.
 func memoEncode[T any](c *gobmemo.Codec[T], v *T) ([]byte, error) {
-	st := stage(0)
+	st := stage()
 	defer encStages.Put(st)
 	if err := c.Encode(&st.buf, v); err != nil {
 		return nil, err
@@ -161,11 +147,12 @@ type NetImage struct {
 }
 
 // Image is a complete pod checkpoint, immutable once built: images share
-// page bytes freely, and Encode caches its result. The pages belong to its
-// encoding, to the images it was merged from, to store chunks, or, after a
-// hashed capture or a restore, to an address space that holds the same
-// array frozen. Nobody writes a page an image holds: a space copies a
-// frozen array before its next write to that page.
+// page bytes freely, and the head of its encoding is built once and kept.
+// The pages belong to the images it was merged from, to store chunks, to
+// the pieces a received encoding arrived in, or, after a capture or a
+// restore, to an address space that holds the same array frozen. Nobody
+// writes a page an image holds: a space copies a frozen array before its
+// next write to that page.
 type Image struct {
 	PodName string
 	Seq     int // checkpoint sequence number, monotonically increasing
@@ -187,7 +174,7 @@ type Image struct {
 	Sems      []SemImage
 	Pipes     []PipeImage
 
-	blob []byte // the encoding, once built
+	head []byte // magic ‖ headLen ‖ gob head, once built
 }
 
 // An encoded image is a small gob head followed by the raw page bytes:
@@ -198,77 +185,110 @@ type Image struct {
 // pages is every process's pages back to back, in process and page
 // order. The head's PageNums are the length table: process i owns the
 // next len(PageNums)·PageSize bytes, and the tail must hold exactly
-// their sum. Page bytes cross a capture, with its encoding, once and
-// DecodeImage not at all.
+// their sum. An image holds its encoding as the pieces it is made of —
+// the head, then each page's array — so no page is copied to encode one:
+// a store keeps the image, and the wire carries its parts by reference.
 const (
 	imageMagic   = 0xC7A1
 	imageHdrSize = 2 + 4
 )
 
-// Encode returns the byte stream a store writes to disk. The first call
-// builds it — the head, then a copy of every page, joined in one
-// allocation that is not zero-filled, to which the image's pages are then
-// pointed — and later ones return it: it is immutable.
-func (img *Image) Encode() ([]byte, error) {
-	if img.blob != nil {
-		return img.blob, nil
+// buildHead encodes the image's head, the first time it is asked for.
+func (img *Image) buildHead() error {
+	if img.head != nil {
+		return nil
 	}
-	pageBytes := 0
 	for i := range img.Processes {
 		m := &img.Processes[i].Memory
 		if len(m.pages) != m.NumPages() || len(m.PageData) != 0 {
-			return nil, fmt.Errorf("ckpt: encode image %s/%d: vpid %d references %d pages for %d page numbers",
+			return fmt.Errorf("ckpt: encode image %s/%d: vpid %d references %d pages for %d page numbers",
 				img.PodName, img.Seq, img.Processes[i].VPID, len(m.pages), m.NumPages())
 		}
-		pageBytes += m.NumPages() * mem.PageSize
 	}
-	st := stage(1 + pageBytes/mem.PageSize)
+	st := stage()
 	defer encStages.Put(st)
 	var hdr [imageHdrSize]byte
 	st.buf.Write(hdr[:])
 	if err := imageCodec.Encode(&st.buf, img); err != nil {
-		return nil, fmt.Errorf("ckpt: encode image: %w", err)
+		return fmt.Errorf("ckpt: encode image: %w", err)
 	}
-	head := st.buf.Bytes()
+	head := append([]byte(nil), st.buf.Bytes()...)
 	binary.BigEndian.PutUint16(head, imageMagic)
 	binary.BigEndian.PutUint32(head[2:], uint32(len(head)-imageHdrSize))
-	st.parts = append(st.parts, head)
+	img.head = head
+	return nil
+}
+
+// Size returns the length of the image's encoding: what a store writes
+// to disk and reads back, and what the wire carries.
+func (img *Image) Size() (int64, error) {
+	if err := img.buildHead(); err != nil {
+		return 0, err
+	}
+	n := int64(len(img.head))
+	for i := range img.Processes {
+		n += int64(img.Processes[i].Memory.NumPages()) * mem.PageSize
+	}
+	return n, nil
+}
+
+// AppendParts appends the image's encoding to parts as the pieces it is
+// held in — the head, then every page's array — and returns the list.
+// The pieces are the image's own and never change, so a sender may hand
+// them to the wire by reference.
+func (img *Image) AppendParts(parts [][]byte) ([][]byte, error) {
+	if err := img.buildHead(); err != nil {
+		return parts, err
+	}
+	parts = append(parts, img.head)
 	for i := range img.Processes {
 		for _, p := range img.Processes[i].Memory.pages {
-			st.parts = append(st.parts, p[:])
+			parts = append(parts, p[:])
 		}
 	}
-	blob := st.join()
-	img.blob = blob
-	img.referencePages(blob[len(blob)-pageBytes:])
-	return blob, nil
+	return parts, nil
 }
 
-// referencePages points every process's pages, in order, at pages, which
-// must hold exactly the bytes the PageNums call for.
-func (img *Image) referencePages(pages []byte) {
-	for i := range img.Processes {
-		m := &img.Processes[i].Memory
-		m.pages = make([]*[mem.PageSize]byte, m.NumPages())
-		for j := range m.pages {
-			m.pages[j], pages = (*[mem.PageSize]byte)(pages), pages[mem.PageSize:]
-		}
+// Encode returns the image's encoding as one contiguous copy, its parts
+// joined in a fresh allocation that is not zero-filled (bytes.Join
+// allocates through internal/bytealg.MakeNoZero). Nothing on the
+// checkpoint path needs one; it is for callers that want the bytes whole.
+func (img *Image) Encode() ([]byte, error) {
+	parts, err := img.AppendParts(nil)
+	if err != nil {
+		return nil, err
 	}
+	return bytes.Join(parts, nil), nil
 }
 
-// DecodeImage parses an encoded image. Its pages and its encoding are b,
-// which the caller must leave unmodified for as long as the image lives.
+// DecodeImage parses an encoded image held in one piece, b, which the
+// caller must leave unmodified for as long as the image lives: the
+// image's head and pages are b's bytes.
 func DecodeImage(b []byte) (*Image, error) {
-	if len(b) < imageHdrSize || binary.BigEndian.Uint16(b) != imageMagic {
+	r := ctl.NewPieceReader([][]byte{b})
+	return ReadImage(&r, len(b))
+}
+
+// ReadImage parses the encoded image that is the next n bytes of r
+// (n <= r.Len()), reading exactly them. Its head, and each page that lies
+// whole in one of r's pieces, is a sub-slice of that piece, which the
+// caller must leave unmodified for as long as the image lives; only what
+// spans pieces is copied. A received image thus holds the sender's arrays.
+func ReadImage(r *ctl.PieceReader, n int) (*Image, error) {
+	var hdr []byte
+	if n >= imageHdrSize {
+		hdr = r.Peek(imageHdrSize)
+	}
+	if len(hdr) < imageHdrSize || binary.BigEndian.Uint16(hdr) != imageMagic {
 		return nil, errors.New("ckpt: decode image: not an encoded image")
 	}
-	headLen := uint64(binary.BigEndian.Uint32(b[2:]))
-	if headLen == 0 || headLen > uint64(len(b)-imageHdrSize) {
-		return nil, fmt.Errorf("ckpt: decode image: head of %d bytes in a %d-byte blob", headLen, len(b))
+	headLen := uint64(binary.BigEndian.Uint32(hdr[2:]))
+	if headLen == 0 || headLen > uint64(n-imageHdrSize) {
+		return nil, fmt.Errorf("ckpt: decode image: head of %d bytes in a %d-byte blob", headLen, n)
 	}
-	head, pages := b[imageHdrSize:imageHdrSize+headLen], b[imageHdrSize+headLen:]
+	head := r.Next(imageHdrSize + int(headLen))
 	var img Image
-	if _, err := imageCodec.Decode(head, &img); err != nil {
+	if _, err := imageCodec.Decode(head[imageHdrSize:], &img); err != nil {
 		return nil, fmt.Errorf("ckpt: decode image: %w", err)
 	}
 	var want uint64
@@ -282,11 +302,19 @@ func DecodeImage(b []byte) (*Image, error) {
 		}
 		want += uint64(m.NumPages()) * mem.PageSize
 	}
-	if want != uint64(len(pages)) {
-		return nil, fmt.Errorf("ckpt: decode image: %d bytes follow a head that lists %d bytes of pages", len(pages), want)
+	if pages := uint64(n - len(head)); want != pages {
+		return nil, fmt.Errorf("ckpt: decode image: %d bytes follow a head that lists %d bytes of pages", pages, want)
 	}
-	img.referencePages(pages)
-	img.blob = b
+	for i := range img.Processes {
+		m := &img.Processes[i].Memory
+		if m.NumPages() > 0 {
+			m.pages = make([]*[mem.PageSize]byte, m.NumPages())
+		}
+		for j := range m.pages {
+			m.pages[j] = (*[mem.PageSize]byte)(r.Next(mem.PageSize))
+		}
+	}
+	img.head = head
 	return &img, nil
 }
 
@@ -318,7 +346,7 @@ func Merge(base, inc *Image) (*Image, error) {
 	out := *inc
 	out.Incremental = false
 	out.BaseSeq = 0
-	out.blob = nil
+	out.head = nil
 	out.Processes = make([]ProcImage, len(inc.Processes))
 	for i, p := range inc.Processes {
 		if j := slices.IndexFunc(base.Processes, func(b ProcImage) bool { return b.VPID == p.VPID }); j >= 0 {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"cruz/internal/ctl"
 	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/zap"
@@ -65,41 +66,85 @@ func pagesWithin(img *Image, blob []byte) bool {
 	return true
 }
 
-// TestImageCodecRoundTripAliases: Encode puts the image's page bytes
-// behind the head and keeps the result, so a second call is free;
-// DecodeImage returns an equal image whose pages are the blob's own
-// bytes, in order, and whose encoding is the blob itself.
+// imageArrays lists the arrays img's pages are, in encoding order.
+func imageArrays(img *Image) []*[mem.PageSize]byte {
+	var out []*[mem.PageSize]byte
+	for i := range img.Processes {
+		out = append(out, img.Processes[i].Memory.pages...)
+	}
+	return out
+}
+
+// readParts reads an image from parts, as a receiver does from the
+// pieces a frame arrived in.
+func readParts(parts [][]byte) (*Image, error) {
+	r := ctl.NewPieceReader(parts)
+	return ReadImage(&r, r.Len())
+}
+
+// TestImageCodecRoundTripAliases: an image's encoding is its head, built
+// once, then its own page arrays, uncopied; Encode joins them afresh.
+// DecodeImage returns an equal image whose head and pages are the blob's
+// own bytes, in order, and ReadImage over the parts returns one whose
+// pages are the very arrays sent.
 func TestImageCodecRoundTripAliases(t *testing.T) {
 	img := sampleImage()
+	parts, err := img.AppendParts(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrays := imageArrays(img)
+	if len(parts) != 1+len(arrays) {
+		t.Fatalf("%d parts, want the head and %d pages", len(parts), len(arrays))
+	}
+	for i, a := range arrays {
+		if unsafe.SliceData(parts[1+i]) != &a[0] {
+			t.Fatalf("part %d is not the image's page array", 1+i)
+		}
+	}
+	if again, err := img.AppendParts(nil); err != nil || unsafe.SliceData(again[0]) != unsafe.SliceData(parts[0]) {
+		t.Fatalf("a second AppendParts built a new head (%v)", err)
+	}
 	blob, err := img.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := img.Encode(); err != nil || unsafe.SliceData(again) != unsafe.SliceData(blob) {
-		t.Fatalf("a second Encode built a new encoding (%v)", err)
+	size, err := img.Size()
+	if err != nil || size != int64(len(blob)) || !bytes.Equal(blob, bytes.Join(parts, nil)) {
+		t.Fatalf("Size %d (%v) and Encode's %d bytes are not the parts joined", size, err, len(blob))
 	}
 	if got := int(binary.BigEndian.Uint32(blob[2:])); len(blob) != imageHdrSize+got+int(img.MemoryBytes())-len(img.Shms[0].Contents) {
 		t.Fatalf("blob of %d bytes is not header + head (%d) + pages (%d)", len(blob), got, img.MemoryBytes()-3)
+	}
+	if again, err := img.Encode(); err != nil || unsafe.SliceData(again) == unsafe.SliceData(blob) {
+		t.Fatalf("a second Encode returned the first one's bytes (%v), want a fresh join", err)
 	}
 	dec, err := DecodeImage(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := len(blob) - 3*mem.PageSize
-	for i := range dec.Processes {
-		m := &dec.Processes[i].Memory
-		for j := 0; j < m.NumPages(); j++ {
-			if page := m.Page(j); unsafe.SliceData(page) != &blob[next] {
-				t.Fatalf("process %d page %d is not the blob's page at offset %d", i, j, next)
-			}
-			next += mem.PageSize
+	for i, a := range imageArrays(dec) {
+		if &a[0] != &blob[next] {
+			t.Fatalf("page %d is not the blob's page at offset %d", i, next)
 		}
+		next += mem.PageSize
 	}
-	if enc, err := dec.Encode(); err != nil || unsafe.SliceData(enc) != unsafe.SliceData(blob) {
-		t.Fatalf("a decoded image re-encodes to new bytes (%v)", err)
+	if head, err := dec.AppendParts(nil); err != nil || unsafe.SliceData(head[0]) != &blob[0] || cap(head[0]) != len(head[0]) {
+		t.Fatalf("a decoded image's head is not the blob's own, capped (%v)", err)
 	}
 	if !reflect.DeepEqual(dec, img) {
 		t.Fatalf("decoded image differs:\n got %+v\nwant %+v", dec, img)
+	}
+	got, err := readParts(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(imageArrays(got), arrays) {
+		t.Fatal("an image read from the parts does not hold the arrays sent")
+	}
+	if !reflect.DeepEqual(got, img) {
+		t.Fatalf("image read from parts differs:\n got %+v\nwant %+v", got, img)
 	}
 }
 
@@ -141,16 +186,24 @@ func TestEncodingsMatchGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestStoreKeepsOneFormPerImage: a saved image, its blob and the store's
-// cached view are one copy of the pages — the view is the image, and its
-// pages are the blob's. A replica adopting the transfer keeps the very
-// blob and a view decoded into it.
+// TestStoreKeepsOneFormPerImage: a saved blob-form image is the captured
+// one, and its pages are the pod's arrays, frozen where they stood. A
+// replica adopting it — in process, or through its parts read back as a
+// receiver reads a frame's pieces — holds the very same arrays.
 func TestStoreKeepsOneFormPerImage(t *testing.T) {
 	r := newRig(t, 1)
 	pod, _ := zap.New(r.kernels[0], "one", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
 	pod.Spawn("w", &memWorker{HeapSize: 64 * mem.PageSize})
 	r.run(20 * sim.Millisecond)
 	img := r.stopAndCapture(pod, 1, Options{})
+	as := pod.Process(1).Mem()
+	var captured []*[mem.PageSize]byte
+	for _, pn := range as.PageNumbers(false) {
+		captured = append(captured, (*[mem.PageSize]byte)(as.PageData(pn)))
+	}
+	if len(captured) == 0 || !slices.Equal(imageArrays(img), captured) {
+		t.Fatal("the capture does not hold the pod's own page arrays")
+	}
 	if _, err := r.store.PlanSave(img); err != nil {
 		t.Fatal(err)
 	}
@@ -160,23 +213,38 @@ func TestStoreKeepsOneFormPerImage(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no cached image", who)
 		}
-		blob := s.get("one", 1).img.blob
-		if cached.Processes[0].Memory.NumPages() == 0 || !pagesWithin(cached, blob) {
-			t.Fatalf("%s: cached image holds pages outside the stored blob", who)
-		}
-		if enc, err := cached.Encode(); err != nil || unsafe.SliceData(enc) != unsafe.SliceData(blob) {
-			t.Fatalf("%s: the cached image encodes to bytes other than the stored blob (%v)", who, err)
+		if !slices.Equal(imageArrays(cached), captured) {
+			t.Fatalf("%s: the stored image does not hold the captured arrays", who)
 		}
 		return cached
 	}
 	if check(r.store, "primary") != img {
-		t.Fatal("primary: the store keeps a view of its own instead of the saved image")
+		t.Fatal("primary: the store keeps an image of its own instead of the saved one")
 	}
 	replica := NewStore(r.kernels[0].Disk())
 	adopt(t, r, r.store, replica, "one", 1)
 	check(replica, "replica")
-	if !within(replica.get("one", 1).img.blob, r.store.get("one", 1).img.blob) {
-		t.Fatal("an in-process transfer should hand the replica the very blob, uncopied")
+
+	tx, err := r.store.BuildTransfer("one", 1, []int{1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := tx.Images[0].AppendParts(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tx.Images[0], err = readParts(parts); err != nil {
+		t.Fatal(err)
+	}
+	wire := NewStore(r.kernels[0].Disk())
+	wire.Adopt(tx, func(_ int64, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	r.run(sim.Second)
+	if check(wire, "replica over the wire") == img {
+		t.Fatal("replica over the wire: the test adopted the sender's image, not one read from its parts")
 	}
 }
 
@@ -214,17 +282,32 @@ func imagePages(img *Image) map[uint64][]byte {
 	return out
 }
 
+// partsDigest hashes img's encoding, read from its parts.
+func partsDigest(t *testing.T, img *Image) [sha256.Size]byte {
+	t.Helper()
+	parts, err := img.AppendParts(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
 // TestCapturedImageOutlivesThePod: once Capture (or CaptureLive, after
 // Release) returns, no write of the pod reaches the image. After the pod
 // resumes, overwrites every page and is destroyed, the image's pages —
 // and, for a stopped capture, what it restores to — are still the pod as
-// it stood at the capture, and its encoding is what it was then. A
-// hashed capture against a store holding an earlier checkpoint of the pod
-// references the chunks of its unchanged pages and keeps the rest frozen
-// in the pod's address space, which copies a page before writing it; its image outlives those chunks too,
-// once the store has freed them. An unhashed capture is its encoding, a
-// hashed one without a store the pod's frozen arrays. (A live round
-// carries memory alone and is not restorable by itself.)
+// it stood at the capture, and its encoding, read from its parts, hashes
+// to what it did then. Every capture holds the pod's own arrays, frozen
+// there, so that the pod copies a page before writing it: a blob-form one,
+// checked as the store holds it after PlanSave, and a hashed one without
+// a store. A hashed capture against a store holding an earlier checkpoint
+// of the pod references the chunks of its unchanged pages instead; its
+// image outlives those chunks too, once the store has freed them. (A live
+// round carries memory alone and is not restorable by itself.)
 func TestCapturedImageOutlivesThePod(t *testing.T) {
 	for _, live := range []bool{false, true} {
 		for _, form := range []string{"blob", "hashed", "dedup"} {
@@ -258,14 +341,13 @@ func TestCapturedImageOutlivesThePod(t *testing.T) {
 			if held := chunkPages(img, r.store); dedup && (held == 0 || held == len(want)) {
 				t.Fatalf("live=%v: %d of %d pages reference the store's chunks, want some and not all", live, held, len(want))
 			}
-			// Encode a copy: an encoding points its image's pages into it.
-			cp := *img
-			cp.Processes = slices.Clone(img.Processes)
-			before, err := cp.Encode()
-			if err != nil {
-				t.Fatal(err)
+			if form == "blob" {
+				if _, err := r.store.PlanSave(img); err != nil {
+					t.Fatal(err)
+				}
+				img, _ = r.store.Cached("gone", 2)
 			}
-			before = bytes.Clone(before)
+			before := partsDigest(t, img)
 
 			r.run(20 * sim.Millisecond)
 			overwriteAll(t, pod)
@@ -279,6 +361,9 @@ func TestCapturedImageOutlivesThePod(t *testing.T) {
 			if got := imagePages(img); len(want) == 0 || !reflect.DeepEqual(got, want) {
 				t.Fatalf("live=%v %s: %d pages of the image differ from the %d captured", live, form, len(got), len(want))
 			}
+			if partsDigest(t, img) != before {
+				t.Fatalf("live=%v %s: the image's encoding changed after its pod was overwritten and destroyed", live, form)
+			}
 			if !live {
 				restored, err := Restore(r.kernels[1], img)
 				if err != nil {
@@ -288,11 +373,11 @@ func TestCapturedImageOutlivesThePod(t *testing.T) {
 					t.Fatalf("%s: %d pages restored differ from the %d captured", form, len(got), len(want))
 				}
 			}
-			after, err := img.Encode()
-			if err != nil || !bytes.Equal(after, before) {
-				t.Fatalf("live=%v %s: the image's encoding changed after its pod was overwritten and destroyed (%v)", live, form, err)
+			blob, err := img.Encode()
+			if err != nil {
+				t.Fatal(err)
 			}
-			dec, err := DecodeImage(after)
+			dec, err := DecodeImage(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,13 +414,14 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestPageBytesCrossOnce is the tier-1 twin of the benchmark's
-// ckpt.page_alloc_ratio: a capture, its encoding and a decode of it
-// allocate the page bytes once; a hashed capture, with or without a
-// store holding the previous checkpoint, freezes the pages it keeps
+// TestPageBytesCrossOnce: no capture copies a page. A blob-form capture,
+// its save and a read of it from its parts, as a replica receives it,
+// allocate lists and heads, not pages; a hashed capture, with or without
+// a store holding the previous checkpoint, freezes the pages it keeps
 // instead of copying them; and the two ways an image is assembled from
 // others — Merge and a deduplicated load — allocate page lists, not
-// pages.
+// pages. (The benchmark's ckpt.page_alloc_ratio times Encode, a fresh
+// join, and reads about 1.)
 func TestPageBytesCrossOnce(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation bounds are for builds without the race detector")
@@ -360,18 +446,26 @@ func TestPageBytesCrossOnce(t *testing.T) {
 
 	r.saveDeduped(r.store, full)
 	m := r.store.get("once", 1).manifest
+	// The list of parts is the wire frame's, 24 B a page wherever it is
+	// built; the rounds reuse one, as they reuse the codecs.
+	blobs, parts := NewStore(nil), [][]byte(nil)
 	for _, c := range []struct {
 		what string
 		max  float64
 		fn   func() error
 	}{
-		{"Capture + Encode + DecodeImage", 1.05, func() error {
+		{"Capture + PlanSave", 0.01, func() error {
 			img, err := Capture(pod, 3, Options{})
 			if err == nil {
-				var blob []byte
-				if blob, err = img.Encode(); err == nil {
-					_, err = DecodeImage(blob)
-				}
+				_, err = blobs.PlanSave(img)
+			}
+			return err
+		}},
+		{"ReadImage from its parts", 0.01, func() error {
+			img, _ := blobs.Cached("once", 3)
+			var err error
+			if parts, err = img.AppendParts(parts[:0]); err == nil {
+				_, err = readParts(parts)
 			}
 			return err
 		}},

@@ -40,7 +40,7 @@ type LiveCapture struct {
 // Capture with the pod stopped. A round image is therefore not
 // restorable by itself; it only exists as a link in a pre-copy chain.
 //
-// Its pages are held as Capture holds them (captureMemory, detach).
+// Its pages are held as Capture holds them (captureMemory).
 // Dirty tracking is cleared once the whole pod is captured, so the next
 // round saves exactly the pages written after this one.
 func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
@@ -58,9 +58,6 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 			break
 		}
 		img.Processes = append(img.Processes, pi)
-	}
-	if err == nil {
-		err = detach(img, opts)
 	}
 	if err != nil {
 		lc.Release()

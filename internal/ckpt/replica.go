@@ -38,15 +38,19 @@ type ChunkData struct {
 	Data []byte
 }
 
-// Transfer is the delta a replica asked for: encoded images (blob form)
-// or encoded manifests plus missing chunks (dedup form). Its byte slices
-// are the sending store's own on the way out and sub-slices of the
-// received frame on the way in; either way they are immutable, and
-// Adopt keeps them as the replica's blobs and chunks without copying.
+// Transfer is the delta a replica asked for: images (blob form) or
+// encoded manifests plus missing chunks (dedup form). Its images are the
+// sending store's own on the way out, and on the way in images read from
+// the received frame (ReadImage), which hold the sender's page arrays;
+// its byte slices are the sending store's own on the way out and
+// sub-slices of the received frame on the way in. Either way they are
+// immutable, and Adopt keeps them as the replica's without copying.
 type Transfer struct {
-	Pod       string
-	Seq       int
-	Blobs     map[int][]byte
+	Pod string
+	Seq int
+	// Images are the blob-form checkpoints, ascending by Seq, at most one
+	// per sequence.
+	Images    []*Image
 	Manifests map[int][]byte
 	Chunks    []ChunkData
 	// Set, when non-nil, makes this a shard subset: Chunks are blocks ring
@@ -138,12 +142,17 @@ func (s *Store) BuildTransfer(pod string, seq int, needSeqs []int, needHashes []
 		if e.img == nil {
 			return nil, noImage(pod, cs)
 		}
-		if t.Blobs == nil {
-			t.Blobs = make(map[int][]byte)
+		if slices.Contains(t.Images, e.img) {
+			continue
 		}
-		t.Blobs[cs] = e.img.blob
-		t.TotalBytes += int64(len(e.img.blob))
+		size, err := e.img.Size()
+		if err != nil {
+			return nil, err
+		}
+		t.Images = append(t.Images, e.img)
+		t.TotalBytes += size
 	}
+	slices.SortFunc(t.Images, func(a, b *Image) int { return a.Seq - b.Seq })
 	for _, h := range needHashes {
 		e, ok := s.chunks[h]
 		if !ok {
@@ -187,12 +196,8 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 
 // adoptChain registers a transfer's images and manifests, oldest first.
 func (s *Store) adoptChain(t *Transfer) error {
-	for _, seq := range SortedSeqs(t.Blobs) {
-		img, err := DecodeImage(t.Blobs[seq])
-		if err != nil {
-			return err
-		}
-		s.putBlob(t.Pod, seq, img)
+	for _, img := range t.Images {
+		s.putBlob(t.Pod, img.Seq, img)
 	}
 	for _, seq := range SortedSeqs(t.Manifests) {
 		if err := s.adoptManifest(t.Pod, seq, t.Manifests[seq]); err != nil {
@@ -202,9 +207,9 @@ func (s *Store) adoptChain(t *Transfer) error {
 	return nil
 }
 
-// SortedSeqs returns the sequence numbers keying a Transfer's Blobs or
-// Manifests in ascending order: the order Adopt installs them in and the
-// order the wire lists their bytes in.
+// SortedSeqs returns the sequence numbers keying a Transfer's Manifests
+// (or the wire's list of its images) in ascending order: the order Adopt
+// installs them in and the order the wire lists their bytes in.
 func SortedSeqs(m map[int][]byte) []int {
 	seqs := make([]int, 0, len(m))
 	for seq := range m {

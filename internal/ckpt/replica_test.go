@@ -60,8 +60,8 @@ func TestReplicaAdoptBlobChain(t *testing.T) {
 	if !peer.HasSeq("p", 2) || !peer.HasSeq("p", 1) {
 		t.Fatal("peer does not hold the chain after adoption")
 	}
-	if len(tx.Blobs) != 2 {
-		t.Fatalf("first transfer shipped %d blobs, want full chain of 2", len(tx.Blobs))
+	if len(tx.Images) != 2 {
+		t.Fatalf("first transfer shipped %d images, want full chain of 2", len(tx.Images))
 	}
 
 	// An incremental on top only ships the delta: the peer already holds
@@ -69,8 +69,8 @@ func TestReplicaAdoptBlobChain(t *testing.T) {
 	r.run(20 * sim.Millisecond)
 	save(3, Options{Incremental: true})
 	tx2 := adopt(t, r, r.store, peer, "p", 3)
-	if len(tx2.Blobs) != 1 {
-		t.Fatalf("incremental transfer shipped %d blobs, want 1", len(tx2.Blobs))
+	if len(tx2.Images) != 1 {
+		t.Fatalf("incremental transfer shipped %d images, want 1", len(tx2.Images))
 	}
 	if tx2.TotalBytes >= tx.TotalBytes {
 		t.Fatalf("delta transfer (%d B) not smaller than full (%d B)", tx2.TotalBytes, tx.TotalBytes)

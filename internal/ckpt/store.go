@@ -32,15 +32,15 @@ type Store struct {
 }
 
 // entry is everything stored under one (pod, seq). A checkpoint is kept in
-// exactly one form: the image (saved, or decoded from an adopted blob),
-// whose encoding is the blob, or the manifest, whose pages live in the
-// chunk table. A save or adoption under an occupied key replaces what was
+// exactly one form: the image (saved, or adopted), which holds its
+// encoding as its head and page arrays, or the manifest, whose pages live
+// in the chunk table. A save or adoption under an occupied key replaces what was
 // there. The erasure-coded tier hangs off the same key: the shard manifest
 // this node striped as primary, the shard subset it holds for another
 // node's checkpoint, and a chain manifest a holder keeps as raw bytes
 // because it cannot resolve the chunks behind it.
 type entry struct {
-	img *Image // its pages are its encoding's, the stored blob
+	img *Image // blob form: its encoding is the stored blob
 
 	manifest      *Manifest
 	manifestBytes int64 // encoded size: what a load of it reads
@@ -169,18 +169,18 @@ func (s *Store) LatestSeq(pod string) (latest int, ok bool) {
 }
 
 // PlanSave encodes and registers the image without writing it, returning
-// a plan whose TotalBytes the caller still owes the disk. Agents drive the
-// write themselves, in pipelined segments.
+// a plan whose TotalBytes — the encoding's size — the caller still owes
+// the disk. Agents drive the write themselves, in pipelined segments.
 func (s *Store) PlanSave(img *Image) (*SavePlan, error) {
-	blob, err := img.Encode()
+	size, err := img.Size()
 	if err != nil {
 		return nil, err
 	}
 	s.putBlob(img.PodName, img.Seq, img)
-	return &SavePlan{Pod: img.PodName, Seq: img.Seq, TotalBytes: int64(len(blob))}, nil
+	return &SavePlan{Pod: img.PodName, Seq: img.Seq, TotalBytes: size}, nil
 }
 
-// putBlob registers an encoded image, keeping the image and its encoding.
+// putBlob registers a blob-form image, which holds its own encoding.
 func (s *Store) putBlob(pod string, seq int, img *Image) {
 	e := s.ensure(pod, seq)
 	s.dropManifest(e)
@@ -208,8 +208,8 @@ func (s *Store) Discard(pod string, seqs ...int) {
 // no disk traffic modeled. A migration's restore-on-arrival merge uses
 // it: the adopted bytes passed through this daemon's memory moments ago,
 // so folding them into the held image costs CPU, not a read-back of what
-// was just written. The image is immutable, like every Image, and its
-// pages are the stored blob's. Deduplicated (manifest-form) images keep no
+// was just written. The image is immutable, like every Image, and it is
+// the stored one. Deduplicated (manifest-form) images keep no
 // single decoded representation and report false.
 func (s *Store) Cached(pod string, seq int) (*Image, bool) {
 	img := s.get(pod, seq).img
@@ -261,8 +261,13 @@ func (s *Store) Load(pod string, seq int, merged bool, ctx trace.SpanContext, do
 	for i := len(seqs) - 1; i >= 0; i-- {
 		e := s.get(pod, seqs[i])
 		if total += e.manifestBytes; e.img != nil {
+			size, err := e.img.Size()
+			if err != nil {
+				done(nil, err)
+				return
+			}
 			imgs = append(imgs, e.img)
-			total += int64(len(e.img.blob))
+			total += size
 		}
 	}
 	sp := trace.FromEngine(s.disk.Engine()).BeginChild(ctx, s.disk.Name(), "ckpt", "store.load",

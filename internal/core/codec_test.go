@@ -43,10 +43,10 @@ func everyMsg() []*wireMsg {
 		{Type: msgReplOffer, Seq: seq, Pod: pod, Repl: &replPayload{Chain: []int{3, 2}, Dedup: true, Hashes: hashes}},
 		{Type: msgReplOffer, Seq: seq, Pod: pod, Repl: &replPayload{Chain: []int{3, 2}, Dedup: true, Hashes: hashes, Holder: 2, ECM: 4}},
 		{Type: msgReplWant, Seq: seq, Pod: pod, Repl: &replPayload{Holder: 2, NeedSeqs: []int{3}, NeedHashes: hashes[:1]}},
-		{Type: msgReplData, Seq: seq, Pod: pod, Repl: &replPayload{
-			Blobs: map[int][]byte{3: page}, Manifests: map[int][]byte{3: []byte("manifest")},
-			Chunks: []ckpt.ChunkData{{Hash: hashes[0], Data: page}, {Hash: hashes[1]}},
-			Bytes:  2 * mem.PageSize, ECSet: []byte("shard manifest"), Holder: 2,
+		{Type: msgReplData, Seq: seq, Pod: pod, tx: &ckpt.Transfer{Images: []*ckpt.Image{{PodName: pod, Seq: seq}}}, Repl: &replPayload{
+			Manifests: map[int][]byte{3: []byte("manifest")},
+			Chunks:    []ckpt.ChunkData{{Hash: hashes[0], Data: page}, {Hash: hashes[1]}},
+			Bytes:     2 * mem.PageSize, ECSet: []byte("shard manifest"), Holder: 2,
 		}},
 		{Type: msgReplDone, Seq: seq, Pod: pod, Repl: &replPayload{Bytes: 2 * mem.PageSize, Holder: 2}},
 		{Type: msgReplicated, Seq: seq, Pod: pod, Repl: &replPayload{Bytes: 8 << 20, PeerIP: peer, PeerPort: 7077, Holder: 2, ECM: 4}},
@@ -97,7 +97,7 @@ func heads(msgs []*wireMsg) []*wireMsg {
 		out[i] = m
 		if m.Repl != nil {
 			head := *m
-			head.Repl = m.Repl.stripped()
+			head.Repl = m.Repl.stripped(m.images())
 			out[i] = &head
 		}
 	}
@@ -129,30 +129,31 @@ func TestWireCodecIsFreshGob(t *testing.T) {
 func TestHostileFrameCannotPoisonTheCodec(t *testing.T) {
 	offer := firstOf(msgReplOffer)
 	gobmemotest.Hostile(t, wireCodec, offer)
-	payload, _ := payloadOf(t, bulkMsg())
+	want := bulkMsg(t)
+	payload, _ := payloadOf(t, want)
 	for _, in := range gobmemotest.Inputs(t, offer) {
 		if _, err := decodeMsg([][]byte{in.Bytes}); (err == nil) != in.Valid {
 			t.Errorf("%s: decodeMsg returns %v", in.Name, err)
 		}
-		checkGoodFrameDecodes(t, payload)
+		checkGoodFrameDecodes(t, payload, want)
 	}
 }
 
-// checkGoodFrameDecodes decodes bulkMsg's payload and compares the result
-// with its source.
-func checkGoodFrameDecodes(t testing.TB, payload []byte) {
+// checkGoodFrameDecodes decodes the payload of want, a bulkMsg, and
+// compares the result with it.
+func checkGoodFrameDecodes(t testing.TB, payload []byte, want *wireMsg) {
 	t.Helper()
 	got, err := decodeMsg([][]byte{payload})
 	if err != nil {
 		t.Fatalf("a good frame no longer decodes: %v", err)
 	}
-	want := bulkMsg()
-	for i, p := range want.Repl.bulk() {
-		if !bytes.Equal(got.Repl.bulk()[i], p) {
+	gotSlices := slicesOf(t, got)
+	for i, p := range slicesOf(t, want) {
+		if !bytes.Equal(gotSlices[i], p) {
 			t.Fatalf("a good frame's bulk slice %d comes back changed", i)
 		}
 	}
-	got.Repl.setBulk(want.Repl.bulk()) // a decoded empty slice is not nil
+	got.Repl.takeSlices(want.Repl) // a decoded empty slice is not nil
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("a good frame decodes to\n%+v %+v, want\n%+v %+v", got, got.Repl, want, want.Repl)
 	}

@@ -178,6 +178,23 @@ type wireMsg struct {
 	// durability data messages set TierBackground so they yield to
 	// control traffic and migration rounds and pass the node's pacer.
 	tier ctl.Tier
+
+	// tx, on a data message, holds its blob-form images (Transfer.Images):
+	// on the way out the sending store's transfer, on the way in one that
+	// decodeMsg made for the images it read from the frame, which the
+	// handler completes from Repl and adopts. The images travel as their
+	// encodings behind the head, listed by sequence in Repl.Blobs. They
+	// are kept here, not in Repl, because a slice there would push every
+	// replPayload into the next size class; wireMsg has the room.
+	tx *ckpt.Transfer
+}
+
+// images returns the blob-form images m carries.
+func (m *wireMsg) images() []*ckpt.Image {
+	if m.tx == nil {
+		return nil
+	}
+	return m.tx.Images
 }
 
 // GroupMember is one entry of a leader's relay list: the pod and the
@@ -209,9 +226,9 @@ func (m *wireMsg) report() GroupReport {
 }
 
 // replPayload is the bulk half of replication and fetch messages. Only
-// the fields the message type needs are populated. Its byte slices
-// (ECSet, Blobs, Manifests, Chunks' Data) never pass through gob: they
-// travel raw behind the gob head — see encodeMsg.
+// the fields the message type needs are populated. Its byte slices (ECSet,
+// Manifests, Chunks' Data), and the images of the message's tx, never
+// pass through gob: they travel raw behind the gob head — see encodeMsg.
 type replPayload struct {
 	// Offer: the chain and (dedup) chunk hashes available.
 	Chain  []int
@@ -220,7 +237,10 @@ type replPayload struct {
 	// Want: the delta the replica is missing.
 	NeedSeqs   []int
 	NeedHashes []mem.PageHash
-	// Data: the delta itself (encoded images / manifests / chunks).
+	// Data: the delta itself (images / encoded manifests / chunks). Blobs
+	// is the wire's list of the sequences of the message's images, each
+	// value empty: it is filled only in the head encodeMsg writes, and
+	// decodeMsg reads the images it lists into the message's tx.
 	Blobs     map[int][]byte
 	Manifests map[int][]byte
 	Chunks    []ckpt.ChunkData
@@ -252,47 +272,24 @@ type msgSink interface {
 	Send(m *wireMsg) error
 }
 
-// bulk lists the payload's byte slices in their wire order: ECSet, the
-// Blobs and the Manifests by ascending sequence, then each chunk's Data.
-// Every slice has an entry, empty or not, so sender and receiver derive
-// the same list from the same maps and chunk count.
-func (p *replPayload) bulk() [][]byte {
-	parts := make([][]byte, 0, p.bulkLen())
-	p.eachBulk(func(b []byte) []byte {
-		parts = append(parts, b)
-		return b
-	})
-	return parts
-}
-
-// bulkLen returns the number of entries bulk lists.
-func (p *replPayload) bulkLen() int {
-	return 1 + len(p.Blobs) + len(p.Manifests) + len(p.Chunks)
-}
-
-// eachBulk replaces each of the payload's byte slices, in bulk's order,
-// with what fn returns for it.
-func (p *replPayload) eachBulk(fn func([]byte) []byte) {
-	p.ECSet = fn(p.ECSet)
-	for _, seq := range ckpt.SortedSeqs(p.Blobs) {
-		p.Blobs[seq] = fn(p.Blobs[seq])
-	}
-	for _, seq := range ckpt.SortedSeqs(p.Manifests) {
-		p.Manifests[seq] = fn(p.Manifests[seq])
-	}
-	for i := range p.Chunks {
-		p.Chunks[i].Data = fn(p.Chunks[i].Data)
-	}
-}
-
-// stripped returns a copy of the payload with every bulk slice emptied
-// but still counted: map keys and chunk hashes stay, so the head tells
-// the receiver what the raw tail holds.
-func (p *replPayload) stripped() *replPayload {
+// stripped returns a copy of the payload for the head: every bulk slice
+// emptied but still counted, and images listed by sequence in Blobs, so
+// the head tells the receiver what the raw tail holds.
+func (p *replPayload) stripped(images []*ckpt.Image) *replPayload {
 	cp := *p
-	cp.ECSet = nil
-	cp.Blobs = emptied(p.Blobs)
-	cp.Manifests = emptied(p.Manifests)
+	cp.ECSet, cp.Blobs = nil, nil
+	if len(images) > 0 {
+		cp.Blobs = make(map[int][]byte, len(images))
+		for _, img := range images {
+			cp.Blobs[img.Seq] = nil
+		}
+	}
+	if p.Manifests != nil {
+		cp.Manifests = make(map[int][]byte, len(p.Manifests))
+		for seq := range p.Manifests {
+			cp.Manifests[seq] = nil
+		}
+	}
 	cp.Chunks = make([]ckpt.ChunkData, len(p.Chunks))
 	for i := range p.Chunks {
 		cp.Chunks[i].Hash = p.Chunks[i].Hash
@@ -300,29 +297,20 @@ func (p *replPayload) stripped() *replPayload {
 	return &cp
 }
 
-func emptied(m map[int][]byte) map[int][]byte {
-	if m == nil {
-		return nil
-	}
-	out := make(map[int][]byte, len(m))
-	for seq := range m {
-		out[seq] = nil
-	}
-	return out
-}
-
 // A frame payload is the gob encoding of one wireMsg and, only when the
 // message carries bulk, a raw tail:
 //
 //	gob(wireMsg, bulk slices emptied) ‖ len[0..n) (4 bytes each, big-endian) ‖ bytes[0] ‖ … ‖ bytes[n-1]
 //
-// in replPayload.bulk's order, n being the count the decoded head
-// implies. gob keeps what it is good at — the small structured fields,
-// and a bulk-free control frame is byte for byte the plain gob encoding
-// of its message — while page bytes cross the codec untouched: the sender
-// hands them to ctl as parts, and the receiver re-attaches each one as a
-// sub-slice of the piece it arrived in, which for a part is the sender's
-// own immutable slice.
+// in this order: ECSet, each image's encoding by ascending sequence, the
+// Manifests by ascending sequence, then each chunk's Data — n being the
+// count the decoded head implies, one entry per image. gob keeps what it
+// is good at — the small structured fields, and a bulk-free control frame
+// is byte for byte the plain gob encoding of its message — while page
+// bytes cross the codec untouched: the sender hands them to ctl as parts,
+// an image as its head and page arrays, and the receiver re-attaches each
+// slice, and each page of an image, as a sub-slice of the piece it arrived
+// in, which for a part is the sender's own immutable bytes.
 
 // wireCodec produces and parses the gob part. Every frame is
 // self-contained — it opens with wireMsg's type descriptors, because the
@@ -352,33 +340,69 @@ var msgCodec = ctl.Codec[*wireMsg]{
 // bytes — and returns the parts that follow it on the wire (nil for a
 // bulk-free message).
 func encodeMsg(buf *bytes.Buffer, m *wireMsg) ([][]byte, error) {
-	var parts [][]byte
-	if m.Repl != nil {
-		bulk, n := m.Repl.bulk(), 0
-		for _, p := range bulk {
-			n += len(p)
+	p, images := m.Repl, m.images()
+	if p == nil || !p.carriesBulk(images) {
+		if err := wireCodec.Encode(buf, m); err != nil {
+			return nil, fmt.Errorf("core: encode %v: %w", m.Type, err)
 		}
-		if n > 0 {
-			head := *m
-			head.Repl = m.Repl.stripped()
-			m, parts = &head, bulk
-		}
+		return nil, nil
 	}
-	if err := wireCodec.Encode(buf, m); err != nil {
+	n := 1 + len(p.Manifests) + len(p.Chunks) // parts, an image counting its head and pages
+	for _, img := range images {
+		n += 1 + int(img.MemoryBytes()/mem.PageSize)
+	}
+	head := *m
+	head.Repl = p.stripped(images)
+	if err := wireCodec.Encode(buf, &head); err != nil {
 		return nil, fmt.Errorf("core: encode %v: %w", m.Type, err)
 	}
-	for _, p := range parts {
-		buf.Write(binary.BigEndian.AppendUint32(buf.AvailableBuffer(), uint32(len(p))))
+	parts := make([][]byte, 0, n)
+	entry := func(size int) {
+		buf.Write(binary.BigEndian.AppendUint32(buf.AvailableBuffer(), uint32(size)))
+	}
+	entry(len(p.ECSet))
+	parts = append(parts, p.ECSet)
+	for _, img := range images {
+		size, err := img.Size()
+		if err == nil {
+			parts, err = img.AppendParts(parts)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: encode %v: %w", m.Type, err)
+		}
+		entry(int(size))
+	}
+	for _, seq := range ckpt.SortedSeqs(p.Manifests) {
+		entry(len(p.Manifests[seq]))
+		parts = append(parts, p.Manifests[seq])
+	}
+	for _, c := range p.Chunks {
+		entry(len(c.Data))
+		parts = append(parts, c.Data)
 	}
 	return parts, nil
 }
 
+// carriesBulk reports whether the payload, with images, has a raw tail:
+// an image, or a byte slice that is not empty.
+func (p *replPayload) carriesBulk(images []*ckpt.Image) bool {
+	n := len(images) + len(p.ECSet)
+	for _, b := range p.Manifests {
+		n += len(b)
+	}
+	for _, c := range p.Chunks {
+		n += len(c.Data)
+	}
+	return n > 0
+}
+
 // decodeMsg parses one frame payload, given as the pieces it arrived in
-// (see ctl.Codec). Each bulk slice of the result is a capped sub-slice of
-// the piece that holds it whole — for a part sent uncopied, the sender's
-// own slice — and only a slice split across pieces is copied. The gob
-// head is decoded from the first piece; a head split across pieces, which
-// a live connection never delivers, is decoded from their join.
+// (see ctl.Codec). Each bulk slice of the result, and each page of an
+// image, is a capped sub-slice of the piece that holds it whole — for a
+// part sent uncopied, the sender's own bytes — and only what is split
+// across pieces is copied. The gob head is decoded from the first piece;
+// a head split across pieces, which a live connection never delivers, is
+// decoded from their join.
 func decodeMsg(pieces [][]byte) (*wireMsg, error) {
 	var m wireMsg
 	var first []byte
@@ -394,90 +418,69 @@ func decodeMsg(pieces [][]byte) (*wireMsg, error) {
 		return nil, fmt.Errorf("core: decode frame: %w", err)
 	}
 	// What the gob value did not occupy is exactly the raw tail.
-	r := newPieceReader(pieces)
-	r.skip(used)
-	tail := r.left
-	if tail == 0 {
+	r := ctl.NewPieceReader(pieces)
+	r.Skip(used)
+	if r.Len() == 0 {
 		return &m, nil
 	}
-	if m.Repl == nil {
-		return nil, fmt.Errorf("core: decode frame: %v carries %d raw bytes but no payload to hold them", m.Type, tail)
+	p := m.Repl
+	if p == nil {
+		return nil, fmt.Errorf("core: decode frame: %v carries %d raw bytes but no payload to hold them", m.Type, r.Len())
 	}
-	n := m.Repl.bulkLen()
-	if tail < 4*n {
+	blobs, manifests := ckpt.SortedSeqs(p.Blobs), ckpt.SortedSeqs(p.Manifests)
+	n := 1 + len(blobs) + len(manifests) + len(p.Chunks)
+	if r.Len() < 4*n {
 		return nil, fmt.Errorf("core: decode frame: %v length table of %d entries overruns the frame", m.Type, n)
 	}
-	table := r.next(4 * n)
-	i := 0
-	m.Repl.eachBulk(func([]byte) []byte {
-		size := uint64(binary.BigEndian.Uint32(table[4*i:]))
-		if i++; err != nil || size > uint64(r.left) {
-			if err == nil {
-				err = fmt.Errorf("core: decode frame: %v bulk slice %d of %d bytes overruns the frame", m.Type, i-1, size)
-			}
-			return nil
+	table, entry := r.Next(4*n), 0
+	// next returns the size of the next entry's bytes.
+	next := func() (int, error) {
+		size := uint64(binary.BigEndian.Uint32(table[4*entry:]))
+		if entry++; size > uint64(r.Len()) {
+			return 0, fmt.Errorf("core: decode frame: %v bulk slice %d of %d bytes overruns the frame", m.Type, entry-1, size)
 		}
-		return r.next(int(size))
-	})
-	if err != nil {
+		return int(size), nil
+	}
+	slice := func() ([]byte, error) {
+		size, err := next()
+		if err != nil {
+			return nil, err
+		}
+		return r.Next(size), nil
+	}
+	if p.ECSet, err = slice(); err != nil {
 		return nil, err
 	}
-	if r.left != 0 {
-		return nil, fmt.Errorf("core: decode frame: %v has %d bytes beyond its length table", m.Type, r.left)
+	if len(blobs) > 0 {
+		m.tx = &ckpt.Transfer{Images: make([]*ckpt.Image, len(blobs))}
+	}
+	for i, seq := range blobs {
+		size, err := next()
+		if err != nil {
+			return nil, err
+		}
+		img, err := ckpt.ReadImage(&r, size)
+		if err == nil && img.Seq != seq {
+			err = fmt.Errorf("image %d listed as %d", img.Seq, seq)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: decode frame: %v: %w", m.Type, err)
+		}
+		m.tx.Images[i] = img
+	}
+	p.Blobs = nil
+	for _, seq := range manifests {
+		if p.Manifests[seq], err = slice(); err != nil {
+			return nil, err
+		}
+	}
+	for i := range p.Chunks {
+		if p.Chunks[i].Data, err = slice(); err != nil {
+			return nil, err
+		}
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("core: decode frame: %v has %d bytes beyond its length table", m.Type, r.Len())
 	}
 	return &m, nil
-}
-
-// pieceReader reads a payload that arrived as pieces, front to back,
-// without writing to them.
-type pieceReader struct {
-	pieces [][]byte
-	off    int // into pieces[0]
-	left   int // bytes not read yet
-}
-
-func newPieceReader(pieces [][]byte) pieceReader {
-	r := pieceReader{pieces: pieces}
-	for _, p := range pieces {
-		r.left += len(p)
-	}
-	return r
-}
-
-// skip passes over n bytes (n <= left).
-func (r *pieceReader) skip(n int) {
-	r.left -= n
-	for n > 0 {
-		k := min(n, len(r.pieces[0])-r.off)
-		n -= k
-		if r.off += k; r.off == len(r.pieces[0]) {
-			r.pieces, r.off = r.pieces[1:], 0
-		}
-	}
-}
-
-// next reads n bytes (n <= left): a capped sub-slice of the piece that
-// holds them all, or a copy when they span pieces.
-func (r *pieceReader) next(n int) []byte {
-	r.left -= n
-	for len(r.pieces) > 0 && r.off == len(r.pieces[0]) {
-		r.pieces, r.off = r.pieces[1:], 0
-	}
-	if len(r.pieces) == 0 {
-		return []byte{}
-	}
-	if end := r.off + n; end <= len(r.pieces[0]) {
-		b := r.pieces[0][r.off:end:end]
-		r.off = end
-		return b
-	}
-	b := make([]byte, n)
-	for k := 0; k < n; {
-		c := copy(b[k:], r.pieces[0][r.off:])
-		k += c
-		if r.off += c; r.off == len(r.pieces[0]) {
-			r.pieces, r.off = r.pieces[1:], 0
-		}
-	}
-	return b
 }

@@ -16,6 +16,7 @@ import (
 
 	"cruz/internal/ckpt"
 	"cruz/internal/ctl"
+	"cruz/internal/ether"
 	"cruz/internal/gobmemo/gobmemotest"
 	"cruz/internal/mem"
 	"cruz/internal/sim"
@@ -191,57 +192,130 @@ func TestEveryMsgTypeNamedAndDispatched(t *testing.T) {
 	}
 }
 
-// bulkMsg is a data message using every bulk field at once.
-func bulkMsg() *wireMsg {
-	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, mem.PageSize) }
-	return &wireMsg{Type: msgReplData, Seq: 9, Pod: "slm-1", Repl: &replPayload{
-		Bytes:     12345,
-		Holder:    2,
-		ECSet:     []byte("shard manifest"),
-		Blobs:     map[int][]byte{9: page('b'), 4: []byte("older blob")},
-		Manifests: map[int][]byte{9: []byte("manifest nine"), 8: nil, 7: []byte("seven")},
-		Chunks: []ckpt.ChunkData{
-			{Hash: mem.PageHash{Lo: 1, Hi: 2}, Data: page('x')},
-			{Hash: mem.PageHash{Lo: 3, Hi: 4}},
-			{Hash: mem.PageHash{Lo: 5, Hi: 6}, Data: page('z')},
-		},
-	}}
-}
-
-// setBulk installs parts, in bulk's order, as the payload's byte slices.
-func (p *replPayload) setBulk(parts [][]byte) {
-	p.eachBulk(func([]byte) []byte {
-		b := parts[0]
-		parts = parts[1:]
-		return b
-	})
-}
-
-// TestBulkFrameRoundTripAliases: bulk travels raw behind the gob head and
-// comes back as sub-slices of the received payload — equal contents, no
-// copy — each fenced off from its neighbour.
-func TestBulkFrameRoundTripAliases(t *testing.T) {
-	m := bulkMsg()
-	payload, parts := payloadOf(t, m)
-	if len(parts) != 1+2+3+3 {
-		t.Fatalf("%d parts, want one per bulk slice (9)", len(parts))
+// testImage returns image seq of pod slm-1 holding pages pages, page i
+// filled with fill+i, decoded from an encoding built the way ckpt builds
+// one — magic, head length, gob head, pages — so that it holds pages
+// without a pod behind it. Its pages lie back to back in one array, but
+// each is a part of its own on the wire, as a captured image's are.
+func testImage(tb testing.TB, seq, pages int, fill byte) *ckpt.Image {
+	tb.Helper()
+	img := ckpt.Image{PodName: "slm-1", Seq: seq, Processes: []ckpt.ProcImage{{VPID: 1, Name: "w"}}}
+	for i := 0; i < pages; i++ {
+		img.Processes[0].Memory.PageNums = append(img.Processes[0].Memory.PageNums, uint64(16+i))
 	}
-	if unsafe.SliceData(parts[1]) != unsafe.SliceData(m.Repl.Blobs[4]) {
-		t.Fatal("parts must be the sender's own slices (ascending sequence), not copies")
+	var head bytes.Buffer
+	if err := gob.NewEncoder(&head).Encode(&img); err != nil {
+		tb.Fatal(err)
+	}
+	empty, err := (&ckpt.Image{}).Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blob := binary.BigEndian.AppendUint32(empty[:2:2], uint32(head.Len()))
+	blob = append(blob, head.Bytes()...)
+	for i := 0; i < pages; i++ {
+		blob = append(blob, bytes.Repeat([]byte{fill + byte(i)}, mem.PageSize)...)
+	}
+	dec, err := ckpt.DecodeImage(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dec
+}
+
+// bulkMsg is a data message using every bulk field at once, with two
+// blob-form images of several pages each.
+func bulkMsg(tb testing.TB) *wireMsg {
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, mem.PageSize) }
+	return &wireMsg{Type: msgReplData, Seq: 9, Pod: "slm-1",
+		tx: &ckpt.Transfer{Images: []*ckpt.Image{testImage(tb, 4, 2, 'b'), testImage(tb, 9, 3, 'g')}}, Repl: &replPayload{
+			Bytes:     12345,
+			Holder:    2,
+			ECSet:     []byte("shard manifest"),
+			Manifests: map[int][]byte{9: []byte("manifest nine"), 8: nil, 7: []byte("seven")},
+			Chunks: []ckpt.ChunkData{
+				{Hash: mem.PageHash{Lo: 1, Hi: 2}, Data: page('x')},
+				{Hash: mem.PageHash{Lo: 3, Hi: 4}},
+				{Hash: mem.PageHash{Lo: 5, Hi: 6}, Data: page('z')},
+			},
+		}}
+}
+
+// bulkEntries is bulkMsg's length-table size: one entry for the ECSet,
+// each image, each manifest and each chunk.
+const bulkEntries = 1 + 2 + 3 + 3
+
+// slicesOf lists m's bulk bytes in wire order, each image as its parts:
+// the ECSet, each image's head and pages, the Manifests by ascending
+// sequence, then each chunk's Data.
+func slicesOf(tb testing.TB, m *wireMsg) [][]byte {
+	p := m.Repl
+	out := [][]byte{p.ECSet}
+	for _, img := range m.images() {
+		var err error
+		if out, err = img.AppendParts(out); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, seq := range ckpt.SortedSeqs(p.Manifests) {
+		out = append(out, p.Manifests[seq])
+	}
+	for _, c := range p.Chunks {
+		out = append(out, c.Data)
+	}
+	return out
+}
+
+// takeSlices installs from's byte slices — not its images — in p, so that
+// a decoded payload, whose empty slices are not nil, compares equal to
+// its source.
+func (p *replPayload) takeSlices(from *replPayload) {
+	p.ECSet = from.ECSet
+	for seq := range p.Manifests {
+		p.Manifests[seq] = from.Manifests[seq]
+	}
+	for i := range p.Chunks {
+		p.Chunks[i].Data = from.Chunks[i].Data
+	}
+}
+
+// TestBulkFrameRoundTripAliases: bulk travels raw behind the gob head,
+// an image as its head and page arrays, uncopied, behind one length entry
+// of its own, and comes back as sub-slices of the received payload —
+// equal contents, no copy — each fenced off from its neighbour.
+func TestBulkFrameRoundTripAliases(t *testing.T) {
+	m := bulkMsg(t)
+	payload, parts := payloadOf(t, m)
+	sent := slicesOf(t, m)
+	if len(parts) != len(sent) {
+		t.Fatalf("%d parts, want one per bulk slice, image head and page (%d)", len(parts), len(sent))
+	}
+	for i := range sent {
+		if unsafe.SliceData(parts[i]) != unsafe.SliceData(sent[i]) {
+			t.Fatalf("part %d must be the sender's own bytes, in wire order, not a copy", i)
+		}
 	}
 	var bulk int
 	for _, p := range parts {
 		bulk += len(p)
 	}
-	if head := len(payload) - bulk; head > 2048 {
+	head := len(payload) - bulk
+	table := payload[head-4*bulkEntries : head]
+	if head > 2048 {
 		t.Fatalf("head is %d bytes: bulk leaked into gob", head)
+	}
+	for i, img := range m.images() {
+		size, err := img.Size()
+		if got := binary.BigEndian.Uint32(table[4*(1+i):]); err != nil || int64(got) != size {
+			t.Fatalf("image %d's length entry reads %d, want its size %d (%v)", i, got, size, err)
+		}
 	}
 	got, err := decodeMsg([][]byte{payload})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
-	for i, p := range got.Repl.bulk() {
+	for i, p := range slicesOf(t, got) {
 		if !bytes.Equal(p, parts[i]) {
 			t.Fatalf("bulk slice %d differs after the round trip", i)
 		}
@@ -257,8 +331,8 @@ func TestBulkFrameRoundTripAliases(t *testing.T) {
 	}
 	// Everything else — including which sequences and hashes the empty
 	// slices belong to — survives in the head.
-	want := bulkMsg()
-	got.Repl.setBulk(want.Repl.bulk())
+	want := bulkMsg(t)
+	got.Repl.takeSlices(want.Repl)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded message differs:\n got %+v %+v\nwant %+v %+v", got, got.Repl, want, want.Repl)
 	}
@@ -267,17 +341,23 @@ func TestBulkFrameRoundTripAliases(t *testing.T) {
 // hostileFrames returns bulk frame payloads damaged in the ways the tail
 // decoder must reject, keyed by what is wrong with each.
 func hostileFrames(t testing.TB) map[string][]byte {
-	payload, parts := payloadOf(t, bulkMsg())
+	payload, parts := payloadOf(t, bulkMsg(t))
 	bulk := 0
 	for _, p := range parts {
 		bulk += len(p)
 	}
-	table := len(payload) - bulk - 4*len(parts) // offset of the length table
+	table := len(payload) - bulk - 4*bulkEntries // offset of the length table
 	patch := func(entry int, v uint32) []byte {
 		b := append([]byte(nil), payload...)
 		binary.BigEndian.PutUint32(b[table+4*entry:], v)
 		return b
 	}
+	// An image listed under a sequence its head does not carry.
+	renamed := bulkMsg(t)
+	img := *renamed.tx.Images[0]
+	img.Seq = 5
+	renamed.tx.Images[0] = &img
+	misfiled, _ := payloadOf(t, renamed)
 	ping, _ := payloadOf(t, &wireMsg{Type: msgPing})
 	return map[string][]byte{
 		"empty":                   {},
@@ -287,9 +367,11 @@ func hostileFrames(t testing.TB) map[string][]byte {
 		"trailing-bytes":          append(append([]byte(nil), payload...), 1, 2, 3),
 		"length-overruns-frame":   patch(1, uint32(len(payload))),
 		"length-is-max-u32":       patch(0, 1<<32-1),
-		"lengths-sum-short":       patch(len(parts)-1, 0),
+		"lengths-sum-short":       patch(bulkEntries-1, 0),
+		"image-cut-short":         patch(1, binary.BigEndian.Uint32(payload[table+4:])-1),
+		"image-under-other-seq":   misfiled,
 		"tail-without-repl":       append(append([]byte(nil), ping...), 0, 0, 0, 1, 'x'),
-		"table-overruns-frame":    payload[:table+4*len(parts)-1],
+		"table-overruns-frame":    payload[:table+4*bulkEntries-1],
 		"head-only-no-tail-bytes": payload[:table],
 	}
 }
@@ -322,16 +404,20 @@ func TestDecodeMsgRejectsHostileFrames(t *testing.T) {
 // FuzzBulkFrame: arbitrary payload bytes, split into pieces anywhere,
 // decode to a message or an error, never a panic, and the split changes
 // nothing: the pieces decode exactly as the joined payload does, every
-// bulk slice lies inside the payload, and a bulk slice is the sub-slice
-// of its piece, capped, exactly when it lies whole in one. cuts says
-// where the pieces end: each byte is the length of the next piece,
-// modulo what is left, so empty pieces occur too. Whatever the input
-// was, a good frame decodes after it as it always did: the decoder state
-// it passed through is shared.
+// bulk slice — and every image's head and page — lies inside the
+// payload, and is the sub-slice of its piece, capped, exactly when it lies
+// whole in one. cuts says where the pieces end: each byte is the length
+// of the next piece, modulo what is left, so empty pieces occur too.
+// Whatever the input was, a good frame decodes after it as it always did:
+// the decoder state it passed through is shared.
 func FuzzBulkFrame(f *testing.F) {
-	valid, _ := payloadOf(f, bulkMsg())
+	good := bulkMsg(f)
+	valid, _ := payloadOf(f, good)
 	cuts := func(i int) []byte { return []byte{byte(37*i + 5), byte(11*i + 200), 0, byte(i)} }
 	f.Add(valid, cuts(0))
+	images, _ := payloadOf(f, &wireMsg{Type: msgReplData, Seq: 9, Pod: "slm-1", Repl: &replPayload{},
+		tx: &ckpt.Transfer{Images: []*ckpt.Image{testImage(f, 3, 4, 'a'), testImage(f, 9, 5, 'k')}}})
+	f.Add(images, []byte{200, 17, 0, 255, 96, 4})
 	for i, in := range gobmemotest.Inputs(f, firstOf(msgReplOffer)) {
 		f.Add(in.Bytes, cuts(i+1))
 	}
@@ -350,7 +436,7 @@ func FuzzBulkFrame(f *testing.F) {
 		pieces = append(pieces, rest)
 		whole, errWhole := decodeMsg([][]byte{payload})
 		split, errSplit := decodeMsg(pieces)
-		checkGoodFrameDecodes(t, valid)
+		checkGoodFrameDecodes(t, valid, good)
 		if (errWhole == nil) != (errSplit == nil) {
 			t.Fatalf("the joined payload decodes with %v, its %d pieces with %v", errWhole, len(pieces), errSplit)
 		}
@@ -368,8 +454,8 @@ func FuzzBulkFrame(f *testing.F) {
 			p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 			return int(p - lo), p >= lo && p < lo+uintptr(len(payload))
 		}
-		parts := split.Repl.bulk()
-		for i, w := range whole.Repl.bulk() {
+		parts := slicesOf(t, split)
+		for i, w := range slicesOf(t, whole) {
 			if len(w) == 0 {
 				continue
 			}
@@ -396,41 +482,115 @@ func FuzzBulkFrame(f *testing.F) {
 	})
 }
 
-// TestBulkCrossesConnUncopied sends a data message over a real
-// connection pair and checks the ownership chain end to end: the blob the
-// receiving handler gets is the sender's own slice, capped — no copy on
-// either side of the wire — and the codec stages nothing but the head.
-func TestBulkCrossesConnUncopied(t *testing.T) {
-	cl := newCluster(t, 2, 200*sim.Microsecond)
-	var got *wireMsg
-	srv := ctl.NewEndpoint(cl.agents[1].kern.Stack(), msgCodec, func(_ *ctl.Link[*wireMsg], m *wireMsg) { got = m })
+// connPair returns the two ends of one ctl connection between two bare
+// stacks on a switch, each end delivering what it receives to onMsg.
+func connPair(t *testing.T, onMsg func(*wireMsg)) (*sim.Engine, *ctl.Link[*wireMsg]) {
+	t.Helper()
+	engine := sim.NewEngine(5)
+	sw := ether.NewSwitch(engine)
+	var stacks []*tcpip.Stack
+	for i := byte(1); i <= 2; i++ {
+		mac := ether.MAC{2, 0, 0, 0, 9, i}
+		nic := ether.NewNIC(engine, "eth0", mac)
+		sw.Attach(nic, ether.GigabitLink)
+		st := tcpip.NewStack(engine, "node")
+		if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 9, i}, mac, nic, false); err != nil {
+			t.Fatal(err)
+		}
+		stacks = append(stacks, st)
+	}
+	srv := ctl.NewEndpoint(stacks[1], msgCodec, func(_ *ctl.Link[*wireMsg], m *wireMsg) { onMsg(m) })
 	if err := srv.Listen(7799); err != nil {
 		t.Fatal(err)
 	}
-	cc, err := ctl.NewEndpoint(cl.agents[0].kern.Stack(), msgCodec, func(*ctl.Link[*wireMsg], *wireMsg) {}).Dial(srv.Addr())
+	cc, err := ctl.NewEndpoint(stacks[0], msgCodec, func(*ctl.Link[*wireMsg], *wireMsg) {}).Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := bytes.Repeat([]byte{0x5a}, 1<<20)
+	return engine, cc
+}
+
+// deliver sends m over cc and runs engine until the far end has it.
+func deliver(t *testing.T, engine *sim.Engine, cc *ctl.Link[*wireMsg], m *wireMsg, got **wireMsg) {
+	t.Helper()
+	*got = nil
+	if err := cc.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := engine.Now().Add(5 * sim.Second); *got == nil && engine.Now() < deadline; {
+		if err := engine.RunFor(sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *got == nil {
+		t.Fatal("data message never arrived")
+	}
+}
+
+// TestBulkCrossesConnUncopied sends a data message over a real
+// connection pair and checks the ownership chain end to end: the image
+// the receiving handler gets holds the sender's own page arrays and
+// head — no copy on either side of the wire — and the codec stages
+// nothing but the frame's head.
+func TestBulkCrossesConnUncopied(t *testing.T) {
+	var got *wireMsg
+	engine, cc := connPair(t, func(m *wireMsg) { got = m })
+	img := testImage(t, 1, 256, 0x5a)
+	size, _ := img.Size()
 	m := &wireMsg{Type: msgReplData, Seq: 1, Pod: "p", tier: ctl.TierStream,
-		Repl: &replPayload{Blobs: map[int][]byte{1: blob}, Bytes: int64(len(blob))}}
+		tx: &ckpt.Transfer{Images: []*ckpt.Image{img}}, Repl: &replPayload{Bytes: size}}
 	var head bytes.Buffer
 	if _, _, _, err := msgCodec.Encode(&head, m); err != nil || head.Len() > 4096 {
 		t.Fatalf("codec staged %d bytes (err %v): bulk went through the head buffer", head.Len(), err)
 	}
-	if err := cc.Send(m); err != nil {
-		t.Fatal(err)
+	deliver(t, engine, cc, m, &got)
+	if len(got.images()) != 1 || got.images()[0] == img {
+		t.Fatalf("the handler got %d images, want one read off the wire", len(got.images()))
 	}
-	if !cl.runUntil(func() bool { return got != nil }, 5*sim.Second) {
-		t.Fatal("data message never arrived")
+	sent, recv := slicesOf(t, m), slicesOf(t, got)
+	if len(recv) != len(sent) {
+		t.Fatalf("%d slices arrived for the %d sent", len(recv), len(sent))
 	}
-	if !bytes.Equal(got.Repl.Blobs[1], blob) {
-		t.Fatal("blob corrupted in transit")
+	for i := 1; i < len(sent); i++ {
+		if unsafe.SliceData(recv[i]) != unsafe.SliceData(sent[i]) || cap(recv[i]) != len(recv[i]) {
+			t.Fatalf("slice %d of the received image is a copy, or can grow into bytes not its own: want the sender's, capped", i)
+		}
 	}
-	if b := got.Repl.Blobs[1]; unsafe.SliceData(b) != unsafe.SliceData(blob) || cap(b) != len(b) {
-		t.Fatal("the handler's blob is a copy, or can grow into bytes not its own: want the sender's slice, capped")
-	}
-	if unsafe.SliceData(m.Repl.Blobs[1]) != unsafe.SliceData(blob) {
+	if len(m.images()) != 1 || m.images()[0] != img || m.Repl.Blobs != nil {
 		t.Fatal("send modified the caller's message")
+	}
+}
+
+// raceBuild is set when the race detector instruments the test binary.
+var raceBuild bool
+
+// imageFrameAllocs bounds TestImageFrameAllocsFlat's second frame: it
+// costs 35, and a piece list doubled up to the frame's 2,050 pieces again
+// would add 8.
+const imageFrameAllocs = 40
+
+// TestImageFrameAllocsFlat sends a 2,048-page image frame twice over one
+// connection pair. The second costs a handful of allocations on both
+// ends together — the head, the parts list, the decoded image — however
+// many pages it carries: the receiver's piece list was sized once, for
+// the first, and is not grown page by page again.
+func TestImageFrameAllocsFlat(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bounds are for builds without the race detector")
+	}
+	var got *wireMsg
+	engine, cc := connPair(t, func(m *wireMsg) { got = m })
+	img := testImage(t, 1, 2048, 1)
+	size, _ := img.Size()
+	m := &wireMsg{Type: msgReplData, Seq: 1, Pod: "p", tx: &ckpt.Transfer{Images: []*ckpt.Image{img}}, Repl: &replPayload{Bytes: size}}
+	deliver(t, engine, cc, m, &got)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	deliver(t, engine, cc, m, &got)
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("the second frame allocates %d times", allocs)
+	if allocs > imageFrameAllocs {
+		t.Fatalf("the second 2,048-page frame allocates %d times, want at most %d", allocs, imageFrameAllocs)
 	}
 }

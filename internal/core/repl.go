@@ -212,8 +212,8 @@ func (a *Agent) handleWant(c *ctl.Link[*wireMsg], m *wireMsg) {
 		if !op.Active() {
 			return
 		}
-		op.conn.Send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), tier: op.tier, Repl: &replPayload{
-			Blobs: tx.Blobs, Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
+		op.conn.Send(&wireMsg{Type: msgReplData, Seq: m.Seq, Pod: m.Pod, ctx: op.span.Context(), tier: op.tier, tx: tx, Repl: &replPayload{
+			Manifests: tx.Manifests, Chunks: tx.Chunks, Bytes: tx.TotalBytes,
 			ECSet: op.setBlob, Holder: op.holder,
 		}})
 	})
@@ -229,11 +229,12 @@ func (a *Agent) handleData(c *ctl.Link[*wireMsg], m *wireMsg) {
 	if p == nil {
 		return
 	}
-	tx := &ckpt.Transfer{
-		Pod: m.Pod, Seq: m.Seq,
-		Blobs: p.Blobs, Manifests: p.Manifests, Chunks: p.Chunks, Holder: p.Holder,
-		TotalBytes: p.Bytes, Ctx: m.ctx,
+	tx := m.tx // the images the frame carried, if any
+	if tx == nil {
+		tx = new(ckpt.Transfer)
 	}
+	tx.Pod, tx.Seq, tx.Ctx = m.Pod, m.Seq, m.ctx
+	tx.Manifests, tx.Chunks, tx.Holder, tx.TotalBytes = p.Manifests, p.Chunks, p.Holder, p.Bytes
 	adopted := func(_ int64, err error) {
 		if err != nil {
 			a.fail(c, msgReplDone, m, err)

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
@@ -442,6 +443,9 @@ func (c *Conn) Pump() {
 			}
 		}
 		for c.need > 0 {
+			if len(c.pieces) == cap(c.pieces) {
+				c.pieces = slices.Grow(c.pieces, 2+c.need/pieceBytes)
+			}
 			var n int
 			var err error
 			c.pieces, c.copied, n, err = c.tc.RecvRef(c.pieces, c.copied, c.need)
@@ -460,10 +464,16 @@ func (c *Conn) Pump() {
 	}
 }
 
-// piecesMin is the first capacity of a connection's piece list. A frame
-// of chunks comes in one piece per chunk, so the list settles at the
-// largest such frame.
-const piecesMin = 16
+// Piece-list sizing. A connection's list starts at piecesMin and is kept
+// from frame to frame. A frame of pages or chunks comes in one piece per
+// 4 KiB array, so a list that such a frame fills grows once for the rest
+// of it — a piece per pieceBytes still to come, and two for a split — not
+// by doubling up to it; a frame that arrived by copy is a piece or two,
+// and never fills it.
+const (
+	piecesMin  = 16
+	pieceBytes = 4 << 10
+)
 
 // Stage sizing. Copied bytes are heads — gob fields, hash lists, length
 // tables — and small control frames, so a connection's stage settles at

@@ -362,12 +362,11 @@ func (a *Agent) saveLocal(op *agentOp) {
 		op.phase.End(trace.Int("mem_bytes", img.MemoryBytes()))
 		op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "write",
 			trace.Str("pod", op.Key))
-		blob, err := img.Encode()
+		n, err := img.Size()
 		if err != nil {
 			fail(err)
 			return
 		}
-		n := int64(len(blob))
 		a.cpu.Do(rateCost(n, core.EncodeBPS), func() {
 			a.kern.Disk().Write(n, func() {
 				if op.Aborted() {

@@ -191,7 +191,10 @@ func (w *World) ring(r Ring) error {
 }
 
 // counter increments a value in memory forever: ordinary code, unaware
-// of checkpoints, whose state is all exported, as a program's must be.
+// of checkpoints, whose state is all exported, as a program's must be. It
+// keeps the count in its registers too and exits with status 1 when the
+// two disagree: a restore whose memory is not from the moment of its
+// program state — a page the pod wrote after the capture — stops it.
 type counter struct {
 	Heap  uint64
 	Count uint64
@@ -201,6 +204,8 @@ func (c *counter) Step(ctx *kernel.ProcContext) kernel.StepResult {
 	var err error
 	if c.Heap == 0 {
 		c.Heap, err = ctx.Mem().Alloc(4096, "heap")
+	} else if v, rerr := ctx.Mem().ReadUint64(c.Heap); rerr != nil || v != c.Count {
+		return kernel.Exit(0, 1)
 	}
 	c.Count++
 	if err != nil || ctx.Mem().WriteUint64(c.Heap, c.Count) != nil {
