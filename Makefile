@@ -85,8 +85,9 @@ race:
 # checked-in BENCH_cruz.json. Every cell is virtual time or a count,
 # exact per tree, so a difference is a moved number: the diff names the
 # cells, and bench.tmp.json, left behind, becomes the new BENCH_cruz.json
-# only with the cause named in CHANGES.md. The scale-1 run peaks near
-# 6.3 GB of RSS; GOMEMLIMIT keeps it there on an 8 GB machine.
+# only with the cause named in CHANGES.md. One scale-1 run with no memory
+# limit peaked at a VmHWM of 3.16 GB (EXPERIMENTS' header); the
+# GOMEMLIMIT below is kept until ROADMAP item 15(c) drops it.
 # `make bench EXP=migrate` runs one experiment in its own process and
 # diffs its cells against the record's under the key prefixes the run
 # printed (jq -S on both sides).

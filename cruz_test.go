@@ -1,6 +1,7 @@
 package cruz_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -393,6 +394,72 @@ func TestFlushCheckpointKeepsCruzCheckpoint(t *testing.T) {
 	}
 	if steps := ringWorker(cl, "wa").StepsDone; steps >= stepsAtFlush {
 		t.Fatalf("restart restored wa at step %d, past the %d it had reached before the flush checkpoint", steps, stepsAtFlush)
+	}
+	cl.Run(100 * cruz.Millisecond)
+	check(t, cl)
+}
+
+// TestFlushCheckpointKeepsCruzDirtyPages: the flushing baseline's capture
+// is never Cruz's checkpoint, so it leaves Cruz's dirty tracking alone.
+// The next incremental Cruz checkpoint, chained on the last Cruz one,
+// must carry every page written since that one: its merged chain reads
+// as the pod's memory at the capture.
+func TestFlushCheckpointKeepsCruzDirtyPages(t *testing.T) {
+	cl, err := cruz.New(cruz.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, job := deployRing(t, cl, 2)
+	cl.Run(200 * cruz.Millisecond)
+	if res, err := cl.Checkpoint(job, cruz.CheckpointOptions{}); err != nil || res.Seq != 1 {
+		t.Fatalf("Cruz checkpoint: %+v, %v", res, err)
+	}
+	cl.Run(500 * cruz.Millisecond)
+	fjob, err := cl.DefineFlushJob("fring", names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.FlushCheckpoint(fjob); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stop wa and record its memory: the checkpoint captures it as is.
+	pod, stopped := cl.Pod("wa"), false
+	pod.Stop(func() { stopped = true })
+	if !cl.RunUntil(func() bool { return stopped }, cruz.Second) {
+		t.Fatal("wa never stopped")
+	}
+	as := pod.Process(1).Mem()
+	want := map[uint64][]byte{}
+	for _, pn := range as.PageNumbers(false) {
+		want[pn] = append([]byte(nil), as.PageData(pn)...)
+	}
+	res, err := cl.Checkpoint(job, cruz.CheckpointOptions{Incremental: true})
+	if err != nil || res.Seq != 2 {
+		t.Fatalf("incremental checkpoint: %+v, %v", res, err)
+	}
+	var img *ckpt.Image
+	cl.Nodes[0].Store.Load("wa", 2, true, trace.SpanContext{}, func(i *ckpt.Image, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		img = i
+	})
+	if !cl.RunUntil(func() bool { return img != nil }, cruz.Second) {
+		t.Fatal("the merged chain of wa/2 never loaded")
+	}
+	m := &img.Processes[0].Memory
+	if m.NumPages() != len(want) {
+		t.Fatalf("merged chain holds %d pages, wa had %d", m.NumPages(), len(want))
+	}
+	differ := 0
+	for i, pn := range m.PageNums {
+		if !bytes.Equal(m.Page(i), want[pn]) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d pages of the merged chain differ from wa's memory at the capture", differ, len(want))
 	}
 	cl.Run(100 * cruz.Millisecond)
 	check(t, cl)

@@ -51,7 +51,6 @@ var testOnly = map[string]string{
 	"cruz/internal/kernel.(Process).Parent":           "TestPipeBetweenProcesses",
 	"cruz/internal/kernel.BlockOnSem":                 "TestSemaphorePingPong",
 	"cruz/internal/kernel.WaitForChild":               "TestWaitChildReapsInOrder",
-	"cruz/internal/mem.(Bitset).Has":                  "TestBitsetSetHasCount",
 	"cruz/internal/metrics.(RateMeter).TotalBytes":    "TestRateMeterSteadyStream",
 	"cruz/internal/metrics.(Series).MinMax":           "TestEmptySeriesMinMax",
 	"cruz/internal/sim.(Engine).Run":                  "TestNestedSpans",

@@ -18,8 +18,8 @@ var (
 
 // Options controls a capture.
 type Options struct {
-	// Incremental saves only memory pages dirtied since the previous
-	// capture (kernel state is always saved in full — it is tiny).
+	// Incremental saves only memory pages dirtied since the capture last
+	// kept (Keep; kernel state is always saved in full — it is tiny).
 	Incremental bool
 	// Hashes records each captured page's content hash in the image,
 	// enabling content-addressed (deduplicating) storage. Hashes are
@@ -45,8 +45,8 @@ type Options struct {
 // non-destructive: the pod can be resumed immediately afterwards. It
 // copies no page (see captureMemory).
 //
-// Every capture clears the pod's dirty-page tracking, so a later
-// Incremental capture saves exactly the pages written since this one.
+// A capture moves no dirty base: a later Incremental capture saves only
+// the pages written since this one once the image is kept (Keep).
 func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 	if !pod.Stopped() {
 		return nil, ErrPodNotStopped
@@ -57,19 +57,12 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 	// Pipes are shared objects; assign stable ids as we encounter them.
 	pipeIDs := make(map[*kernel.Pipe]int)
 
-	// Dirty tracking is cleared only after the whole pod captures
-	// successfully: clearing per process inside the loop would, on a
-	// later process's failure, lose the earlier processes' dirty sets
-	// and silently corrupt the next incremental capture.
-	spaces := make([]*mem.AddressSpace, 0, len(pod.VPIDs()))
 	for _, vpid := range pod.VPIDs() {
-		proc := pod.Process(vpid)
-		pi, err := captureProcess(vpid, proc, opts, pipeIDs, img)
+		pi, err := captureProcess(vpid, pod.Process(vpid), opts, pipeIDs, img)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: pod %s vpid %d: %w", pod.Name(), vpid, err)
 		}
 		img.Processes = append(img.Processes, pi)
-		spaces = append(spaces, proc.Mem())
 	}
 
 	for _, id := range pod.ShmIDs() {
@@ -85,9 +78,6 @@ func Capture(pod *zap.Pod, seq int, opts Options) (*Image, error) {
 			continue
 		}
 		img.Sems = append(img.Sems, SemImage{ID: s.ID, Key: s.Key, Value: s.Value()})
-	}
-	for _, as := range spaces {
-		as.ClearDirty()
 	}
 	trace.FromEngine(kern.Engine()).Instant(kern.Name(), "ckpt", "capture",
 		trace.Str("pod", pod.Name()),
@@ -128,9 +118,10 @@ func newImage(pod *zap.Pod, seq int, opts Options) *Image {
 // count into img.FreshHashes. It copies no page: a page whose hash
 // opts.Store holds is that chunk's bytes, and every other page is space's
 // own array, frozen there, so that the space copies it before its next
-// write.
+// write. It cuts space's generation, for Keep and Rewind.
 func captureMemory(space *mem.AddressSpace, pns []uint64, opts Options, img *Image) (MemImage, error) {
-	m := MemImage{Regions: space.Regions(), PageNums: pns, pages: make([]*[mem.PageSize]byte, len(pns))}
+	m := MemImage{Regions: space.Regions(), PageNums: pns, pages: make([]*[mem.PageSize]byte, len(pns)),
+		kept: space.Kept(), gen: space.Cut()}
 	for i, pn := range pns {
 		data := space.PageData(pn)
 		if data == nil {

@@ -105,7 +105,8 @@ func (r *rig) saveEC(s *Store, pod string, seq int, p ECParams) *ECPlan {
 func podIP(i int) tcpip.Addr { return tcpip.Addr{10, 0, 1, byte(i + 1)} }
 func podMAC(i int) ether.MAC { return ether.MAC{2, 0, 0, 1, 0, byte(i + 1)} }
 
-// stopAndCapture freezes pod traffic, stops the pod, and captures it.
+// stopAndCapture freezes pod traffic, stops the pod, captures it and
+// keeps the image, as an agent does once its store registers it.
 func (r *rig) stopAndCapture(pod *zap.Pod, seq int, opts Options) *Image {
 	r.t.Helper()
 	f := pod.Kernel().Stack().Filter()
@@ -120,6 +121,7 @@ func (r *rig) stopAndCapture(pod *zap.Pod, seq int, opts Options) *Image {
 	if err != nil {
 		r.t.Fatalf("Capture: %v", err)
 	}
+	Keep(pod, img)
 	f.RemoveRule(rule)
 	return img
 }

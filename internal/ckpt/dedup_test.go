@@ -66,8 +66,8 @@ func (u *unregisteredProg) Step(ctx *kernel.ProcContext) kernel.StepResult {
 func TestFailedCaptureKeepsDirtyTracking(t *testing.T) {
 	// Regression: Capture used to clear each process's dirty bits as it
 	// went, so a failure on a later process silently corrupted the next
-	// incremental checkpoint of the earlier ones. Dirty tracking must be
-	// untouched unless the whole pod captures.
+	// incremental checkpoint of the earlier ones. A capture moves no
+	// dirty base, failed or not: only keeping its image does.
 	r := newRig(t, 1)
 	pod, err := zap.New(r.kernels[0], "mixed", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
 	if err != nil {
@@ -89,15 +89,15 @@ func TestFailedCaptureKeepsDirtyTracking(t *testing.T) {
 	}
 
 	as := pod.Process(1).Mem()
-	before := as.DirtyBytes()
+	before := as.DirtyPages()
 	if before == 0 {
 		t.Fatal("worker dirtied no pages; test is vacuous")
 	}
 	if _, err := Capture(pod, 1, Options{}); err == nil {
 		t.Fatal("capture of unregistered program type succeeded")
 	}
-	if got := as.DirtyBytes(); got != before {
-		t.Fatalf("failed capture changed dirty tracking: %d B dirty, want %d", got, before)
+	if got := as.DirtyPages(); got != before {
+		t.Fatalf("failed capture changed dirty tracking: %d pages dirty, want %d", got, before)
 	}
 }
 
@@ -342,6 +342,7 @@ func TestRestorePathsEquivalent(t *testing.T) {
 		// the next round or the residual).
 		pump(2)
 		r.saveDeduped(pre, lc.Image)
+		Keep(pod, lc.Image)
 		lc.Release()
 		baseSeq = 4 + round
 	}

@@ -80,6 +80,9 @@ type MemImage struct {
 	// deduplicate pages without re-reading their contents.
 	PageHashes []mem.PageHash
 	pages      []*[mem.PageSize]byte // pages[i] holds page PageNums[i]
+	// gen is the generation the capture cut in the live space, kept the
+	// dirty base it found there (Keep, Rewind); a decoded image has none.
+	gen, kept uint64
 }
 
 // Page returns the contents of the i-th stored page.

@@ -18,11 +18,12 @@ import (
 //
 // The caller owns the capture's lifecycle:
 //
+//   - Keep(pod, Image) once its store registers the round, so the next
+//     round saves only the pages written since this one.
 //   - Release once the round's image is durably written (or on abort),
 //     so writes stop faulting.
-//   - Redirty(pod, Image) on abort, after Release: the round cleared
-//     dirty tracking when it captured, so the pages it held must be
-//     re-marked dirty or the next capture would silently miss them.
+//   - Rewind(pod, Image) on abort, if it is the epoch's first kept image,
+//     so the pages the discarded rounds held are dirty again.
 type LiveCapture struct {
 	Image  *Image
 	spaces []*mem.AddressSpace // protected until Release
@@ -40,9 +41,8 @@ type LiveCapture struct {
 // Capture with the pod stopped. A round image is therefore not
 // restorable by itself; it only exists as a link in a pre-copy chain.
 //
-// Its pages are held as Capture holds them (captureMemory).
-// Dirty tracking is cleared once the whole pod is captured, so the next
-// round saves exactly the pages written after this one.
+// Its pages are held as Capture holds them (captureMemory), and like
+// Capture it moves no dirty base.
 func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 	kern := pod.Kernel()
 	img := newImage(pod, seq, opts)
@@ -63,9 +63,6 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 		lc.Release()
 		return nil, fmt.Errorf("ckpt: live capture of pod %s: %w", pod.Name(), err)
 	}
-	for _, as := range lc.spaces {
-		as.ClearDirty()
-	}
 	trace.FromEngine(kern.Engine()).Instant(kern.Name(), "ckpt", "capture-live",
 		trace.Str("pod", pod.Name()),
 		trace.Int("seq", int64(seq)),
@@ -73,10 +70,6 @@ func CaptureLive(pod *zap.Pod, seq int, opts Options) (*LiveCapture, error) {
 		trace.Int("mem_bytes", img.MemoryBytes()))
 	return lc, nil
 }
-
-// Pages returns the total number of pages the round captured (a round
-// image holds nothing else).
-func (lc *LiveCapture) Pages() int { return int(lc.Image.MemoryBytes() / mem.PageSize) }
 
 // Release unprotects the address spaces the capture protected, so live
 // writes stop faulting; a second call does nothing. The Image is
@@ -88,19 +81,26 @@ func (lc *LiveCapture) Release() {
 	lc.spaces = nil
 }
 
-// Redirty re-marks every page img captured dirty in the live address
-// space of pod's process it came from. An aborted epoch calls it for each
-// image it discards, a pre-copy round's or a residual's: the capture
-// cleared those pages' dirty bits and their only saved copy is going
-// away, so the next capture must treat them as unsaved again. A process
-// that has exited since has nothing to re-mark.
-func Redirty(pod *zap.Pod, img *Image) {
-	for i := range img.Processes {
-		pi := &img.Processes[i]
+// Keep records that pod's store registered img: each process img saved
+// then counts dirty only what it wrote since the capture. A capture never
+// kept — a failed op's, the flushing baseline's — moves nothing.
+func Keep(pod *zap.Pod, img *Image) {
+	for _, pi := range img.Processes {
 		if proc := pod.Process(pi.VPID); proc != nil {
-			for _, pn := range pi.Memory.PageNums {
-				proc.Mem().MarkDirty(pn)
-			}
+			proc.Mem().Keep(pi.Memory.gen)
 		}
+	}
+}
+
+// Rewind discards an aborted epoch whose first kept image is img: each of
+// pod's processes gets back the dirty base it had at img's capture, and
+// one born since then none, so all the epoch saved is dirty again.
+func Rewind(pod *zap.Pod, img *Image) {
+	kept := make(map[int]uint64, len(img.Processes))
+	for _, pi := range img.Processes {
+		kept[pi.VPID] = pi.Memory.kept
+	}
+	for _, vpid := range pod.VPIDs() {
+		pod.Process(vpid).Mem().Keep(kept[vpid])
 	}
 }

@@ -29,6 +29,7 @@ func TestLiveCaptureFaultsUntilRelease(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			Keep(pod, lc.Image)
 			return lc
 		}
 
@@ -54,4 +55,71 @@ func TestLiveCaptureFaultsUntilRelease(t *testing.T) {
 		}
 		next.Release()
 	}
+}
+
+// TestKeepAndRewindMoveTheDirtyBase: a capture leaves the pod's dirty
+// pages as they were; keeping its image cleans exactly what it saved, and
+// rewinding to an aborted epoch's first kept image dirties again every
+// page written since the base that image found — all of a process born
+// after it.
+func TestKeepAndRewindMoveTheDirtyBase(t *testing.T) {
+	pod := benchPod(t, 64)
+	as := pod.Process(1).Mem()
+	pns := as.PageNumbers(false)
+	write := func(as *mem.AddressSpace, pns ...uint64) {
+		for _, pn := range pns {
+			if err := as.Write(pn*mem.PageSize, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dirty := func(as *mem.AddressSpace, want int) {
+		t.Helper()
+		if got := as.DirtyPages(); got != want {
+			t.Fatalf("%d pages dirty, want %d", got, want)
+		}
+	}
+	full, err := Capture(pod, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty(as, len(pns))
+	Keep(pod, full)
+	dirty(as, 0)
+
+	write(as, pns[1], pns[2])
+	round, err := CaptureLive(pod, 2, Options{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(as, pns[3])
+	dirty(as, 3)
+	Keep(pod, round.Image)
+	round.Release()
+	dirty(as, 1)
+	if got := round.Image.Processes[0].Memory.PageNums; len(got) != 2 || got[0] != pns[1] || got[1] != pns[2] {
+		t.Fatalf("the round saved pages %v, want %v", got, pns[1:3])
+	}
+
+	proc, err := pod.SpawnAt("late", &memWorker{HeapSize: 4 * mem.PageSize}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := proc.Mem()
+	heap, err := late.Alloc(4*mem.PageSize, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(late, heap/mem.PageSize, heap/mem.PageSize+1)
+	resid, err := Capture(pod, 3, Options{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Keep(pod, resid)
+	dirty(as, 0)
+	dirty(late, 0)
+
+	Rewind(pod, round.Image)
+	dirty(as, 3)
+	dirty(late, 2)
 }

@@ -168,12 +168,11 @@ type agentOp struct {
 
 	// Pre-copy bookkeeping. The live rounds are abortable background
 	// work: if the epoch fails mid-round, rounds' protections release, the
-	// pages of every image the epoch captured — the rounds' and the
-	// residual's — are re-marked dirty, their only saved copy being
-	// discarded, and roundSeqs are struck from the store — as if the
-	// epoch never happened.
+	// pod's dirty base rewinds to where it stood at the capture of kept,
+	// the first image the op kept, and roundSeqs are struck from the
+	// store — as if the epoch never happened.
 	rounds    []*ckpt.LiveCapture
-	residual  *ckpt.Image
+	kept      *ckpt.Image
 	roundSeqs []int
 
 	// roundPages is how many pages each round carried (residual last).
@@ -202,6 +201,18 @@ type agentOp struct {
 	round  trace.Span
 	phase  trace.Span
 	commit trace.Span
+}
+
+// keep keeps img once the store has registered it (err nil), moving the
+// pod's dirty base to its capture; the first image kept is the one an
+// abort rewinds to.
+func (op *agentOp) keep(img *ckpt.Image, err error) {
+	if err == nil {
+		ckpt.Keep(op.pod, img)
+		if op.kept == nil {
+			op.kept = img
+		}
+	}
 }
 
 // endSpans closes everything still open on the op (abort/failure paths).
@@ -355,17 +366,14 @@ func (a *Agent) beginPodOp(kind string, m *wireMsg, c msgSink) (*agentOp, error)
 		}
 		// Discard the partial pre-copy epoch: release the rounds' write
 		// protections (writes stop faulting; a round that landed was
-		// released already, and a second Release is a no-op), re-mark the
-		// pages whose only saved copy is being thrown away, and strike the
+		// released already, and a second Release is a no-op), rewind the
+		// dirty base past the images being thrown away, and strike the
 		// uncommitted round images from the store.
 		for _, lc := range op.rounds {
 			lc.Release()
 		}
-		for _, lc := range op.rounds {
-			ckpt.Redirty(op.pod, lc.Image)
-		}
-		if op.residual != nil {
-			ckpt.Redirty(op.pod, op.residual)
+		if op.precopy && op.kept != nil {
+			ckpt.Rewind(op.pod, op.kept)
 		}
 		if len(op.roundSeqs) > 0 {
 			a.store.Discard(op.Key, op.roundSeqs...)
@@ -448,8 +456,8 @@ func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
 	m, pod := op.req, op.pod
 	if round == 0 && m.Incremental {
 		// Chain round 0 onto the newest stored checkpoint, if it is one
-		// this epoch's form can chain onto: the dirty bits are relative to
-		// the last capture, which is exactly what the store last registered.
+		// this epoch's form can chain onto: the dirty base is the last
+		// kept capture, which is exactly what the store last registered.
 		if s, ok := a.store.LatestSeq(m.Pod); ok && a.store.HasBase(m.Pod, s, m.Dedup) {
 			baseSeq = s
 		}
@@ -479,7 +487,7 @@ func (a *Agent) runPrecopy(op *agentOp, round, prevPages, baseSeq int) {
 	}
 	op.rounds = append(op.rounds, lc)
 	op.roundPages = append(op.roundPages, candidate)
-	captureBytes := int64(lc.Pages()) * mem.PageSize
+	captureBytes := lc.Image.MemoryBytes()
 	// The capture is instant; its copy costs CPU while the pod runs
 	// (writes to pages of a not-yet-released round take faults — the
 	// concurrency overhead of §5.2, charged by the kernel).
@@ -565,16 +573,12 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 			}
 			// The capture window scales with the bytes copied (full:
 			// resident pages; incremental: dirty pages only).
-			var captureBytes int64
-			for _, vpid := range pod.VPIDs() {
-				as := pod.Process(vpid).Mem()
-				if incremental {
-					captureBytes += int64(as.DirtyBytes())
-				} else {
-					captureBytes += int64(as.ResidentBytes())
-				}
+			pages := pod.ResidentPages()
+			if incremental {
+				pages = pod.DirtyPages()
 			}
-			op.roundPages = append(op.roundPages, int(captureBytes/mem.PageSize))
+			op.roundPages = append(op.roundPages, pages)
+			captureBytes := int64(pages) * mem.PageSize
 			a.cpu.Do(CaptureCost+bytesCost(captureBytes, CaptureBPS), func() {
 				if op.Aborted() {
 					return
@@ -587,11 +591,6 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 				}
 				op.phase.End(trace.Int("mem_bytes", img.MemoryBytes()))
 				op.captured = true
-				if op.precopy {
-					// The residual's capture cleared dirty bits for pages
-					// whose image would vanish if the epoch aborts.
-					op.residual = img
-				}
 				if m.COW {
 					// §5.2 copy-on-write optimization: the captured copy
 					// is consistent the moment it exists; the pod may
@@ -611,10 +610,11 @@ func (a *Agent) runStopAndCopy(op *agentOp, baseSeq int) {
 // planImage turns a captured image into a store plan — monolithic blob,
 // or (Dedup) hash + chunk-table dedup charged as their own phases — and
 // hands the plan to finishPlan. Shared by the residual stop-and-copy and
-// every pre-copy round.
+// every pre-copy round. The store registers the image as it plans it.
 func (a *Agent) planImage(op *agentOp, img *ckpt.Image, finishPlan func(*ckpt.SavePlan, error)) {
 	if !op.req.Dedup {
 		plan, err := a.store.PlanSave(img)
+		op.keep(img, err)
 		finishPlan(plan, err)
 		return
 	}
@@ -636,6 +636,7 @@ func (a *Agent) planImage(op *agentOp, img *ckpt.Image, finishPlan func(*ckpt.Sa
 				return
 			}
 			plan, err := a.store.PlanDedupSave(img)
+			op.keep(img, err)
 			if err == nil {
 				op.phase.End(
 					trace.Int("new_chunks", int64(plan.Stats.NewChunks)),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cruz/internal/ckpt"
+	"cruz/internal/ctl"
 	"cruz/internal/ether"
 	"cruz/internal/kernel"
 	"cruz/internal/sim"
@@ -252,6 +253,32 @@ func (cl *cluster) checkHealthy(workers []*ringWorker) {
 	}
 }
 
+// checkHeap asserts that each worker's heap is as recent as its round
+// counter: round r stamps page r % HeapPages with r, so every page i
+// written yet must hold a v with v % HeapPages == i from the last lap
+// (v + HeapPages + 1 >= Rounds). A restore that took a page from an older
+// lap than the program state beside it fails here.
+func (cl *cluster) checkHeap(workers []*ringWorker) {
+	cl.t.Helper()
+	for i, w := range workers {
+		as := cl.agents[i].Pod(podName(i)).Process(1).Mem()
+		stale := 0
+		for pg := uint64(0); pg < min(w.Rounds, w.HeapPages); pg++ {
+			v, err := as.ReadUint64(w.Heap + pg*4096)
+			if err != nil {
+				cl.t.Fatalf("worker %d heap page %d: %v", i, pg, err)
+			}
+			if v%w.HeapPages != pg || v+w.HeapPages+1 < w.Rounds {
+				stale++
+			}
+		}
+		if stale > 0 {
+			cl.t.Fatalf("worker %d at round %d: %d of %d heap pages hold another lap's stamp",
+				i, w.Rounds, stale, w.HeapPages)
+		}
+	}
+}
+
 // currentWorkers re-resolves worker programs after a restart.
 func (cl *cluster) currentWorkers() []*ringWorker {
 	cl.t.Helper()
@@ -450,6 +477,7 @@ func TestIncrementalCoordinatedCheckpoint(t *testing.T) {
 	if workers[0].Rounds > roundsAt+2 || workers[0].Rounds == 0 {
 		t.Fatalf("restored rounds = %d, ckpt at ~%d", workers[0].Rounds, roundsAt)
 	}
+	cl.checkHeap(workers)
 	cl.run(sim.Second)
 	cl.checkHealthy(workers)
 }
@@ -705,6 +733,7 @@ func TestPrecopyShrinksFreezeAndRestores(t *testing.T) {
 				i, w.Rounds, roundsAt[i])
 		}
 	}
+	cl.checkHeap(workers)
 	cl.run(sim.Second)
 	cl.checkHealthy(workers)
 	for i, w := range workers {
@@ -763,6 +792,70 @@ func TestPrecopyAbortRollsBackRounds(t *testing.T) {
 	if workers[0].Rounds == 0 || workers[0].Rounds > roundsAt {
 		t.Fatalf("restored rounds = %d, ckpt before %d", workers[0].Rounds, roundsAt)
 	}
+	cl.checkHeap(workers)
+	cl.run(sim.Second)
+	cl.checkHealthy(workers)
+}
+
+// TestAbortBetweenCaptureAndSaveKeepsDirtyPages: a stop-and-copy capture
+// whose op dies before the store registers the image keeps nothing, so
+// the next incremental epoch — chained on the last committed checkpoint —
+// must still save every page written since that checkpoint. Agent 0's op
+// is failed in that window; the coordinator's abort reaches agent 1's
+// there too.
+func TestAbortBetweenCaptureAndSaveKeepsDirtyPages(t *testing.T) {
+	abortThenRestoreIncremental(t, CheckpointOptions{Dedup: true}, func(op *agentOp, store *ckpt.Store) bool {
+		return op.captured && !store.HasSeq(op.Key, op.Seq)
+	})
+}
+
+// TestAbortAfterAKeptRoundRewindsDirtyBase: a pre-copy epoch that dies
+// after its store registered a round — moving the dirty base — must put
+// the base back when it discards the round, or the next epoch, chained on
+// the last committed checkpoint, misses what the round held.
+func TestAbortAfterAKeptRoundRewindsDirtyBase(t *testing.T) {
+	abortThenRestoreIncremental(t, CheckpointOptions{Dedup: true, Precopy: PrecopyConfig{MaxRounds: 3}},
+		func(op *agentOp, _ *ckpt.Store) bool { return len(op.roundSeqs) > 0 })
+}
+
+// abortThenRestoreIncremental commits a deduplicated checkpoint of a 2-node
+// ring, starts one with opts and fails agent 0's op the moment when holds,
+// takes an incremental pre-copy checkpoint and restarts the ring from it:
+// every heap page must come back from the lap its program state is in.
+func abortThenRestoreIncremental(t *testing.T, opts CheckpointOptions, when func(*agentOp, *ckpt.Store) bool) {
+	cl := newCluster(t, 2, 200*sim.Microsecond)
+	cl.run(sim.Second)
+	cl.checkpoint(CheckpointOptions{Dedup: true})
+	cl.run(400 * sim.Millisecond)
+
+	fired := false
+	cl.coord.Checkpoint(cl.job, opts, func(_ *CheckpointResult, err error) {
+		fired = true
+		if err == nil {
+			t.Error("the checkpoint whose op failed committed")
+		}
+	})
+	ag := cl.agents[0]
+	for horizon := cl.engine.Now().Add(sim.Second); ; {
+		if op := ctl.Find[agentOp](ag.table, podName(0)); op != nil && when(op, cl.stores[0]) {
+			ag.failOp(op, errors.New("injected failure"))
+			break
+		}
+		if !cl.engine.Step() || cl.engine.Now() > horizon {
+			t.Fatal("agent 0's op never reached the failure point")
+		}
+	}
+	if !cl.runUntil(func() bool { return fired }, 10*sim.Second) {
+		t.Fatal("the failed checkpoint never reported")
+	}
+	cl.run(20 * sim.Millisecond)
+	cl.checkpoint(CheckpointOptions{Dedup: true, Incremental: true, Precopy: PrecopyConfig{MaxRounds: 2}})
+	for i, ag := range cl.agents {
+		ag.Pod(podName(i)).Destroy()
+	}
+	cl.restart(0)
+	workers := cl.currentWorkers()
+	cl.checkHeap(workers)
 	cl.run(sim.Second)
 	cl.checkHealthy(workers)
 }
@@ -791,6 +884,7 @@ func TestCOWResumesBeforeWriteCompletes(t *testing.T) {
 		ag.Pod(podName(i)).Destroy()
 	}
 	cl.restart(0)
+	cl.checkHeap(cl.currentWorkers())
 	cl.run(500 * sim.Millisecond)
 	cl.checkHealthy(cl.currentWorkers())
 }

@@ -34,7 +34,7 @@ import (
 //
 // Either agent reports a failure as done + Err. Before the
 // commit point an abort rolls back like an aborted pre-copy checkpoint: S
-// drops the rounds, re-marks their pages dirty and resumes the pod; D
+// drops the rounds, rewinds the dirty base past them and resumes the pod; D
 // discards what it adopted. From it on the migration only rolls forward:
 // whatever fails, the member is re-homed to D and S is never resumed.
 
@@ -261,10 +261,6 @@ func (a *Agent) handedOver(op *agentOp) {
 		a.store.Discard(op.Key, op.roundSeqs...)
 		op.roundSeqs = nil
 	}
-	// Clear the rollback state before Finish: the op completes cleanly,
-	// nothing must re-mark pages of a destroyed pod.
-	op.rounds = nil
-	op.residual = nil
 	op.endSpans(trace.Str("outcome", "migrated"))
 	op.Finish()
 	op.conn.Send(&wireMsg{Type: msgContinueDone, Seq: op.Seq, Pod: op.Key,

@@ -27,6 +27,7 @@ import (
 	"cruz/internal/ctl"
 	"cruz/internal/gobmemo"
 	"cruz/internal/kernel"
+	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 	"cruz/internal/trace"
@@ -346,10 +347,7 @@ func (a *Agent) saveLocal(op *agentOp) {
 	}
 	op.phase = a.tr.Begin(a.kern.Name(), trace.PhaseCat, "capture",
 		trace.Str("pod", op.Key))
-	var resident int64
-	for _, vpid := range op.pod.VPIDs() {
-		resident += int64(op.pod.Process(vpid).Mem().ResidentBytes())
-	}
+	resident := int64(op.pod.ResidentPages()) * mem.PageSize
 	a.cpu.Do(core.CaptureCost+rateCost(resident, core.CaptureBPS), func() {
 		if op.Aborted() {
 			return

@@ -1,13 +1,14 @@
 // Package mem implements the virtual-memory substrate of the simulated
-// kernel: sparse, page-based address spaces with dirty-page tracking and
-// write protection.
+// kernel: sparse, page-based address spaces whose pages carry one write
+// stamp each.
 //
 // The contents of address spaces dominate checkpoint image size, exactly as
 // the paper observes ("most of the state consists of the non-zero contents
-// of the virtual memory of all processes running in the pod"). Dirty
-// tracking supports the incremental-checkpoint optimization and write
-// protection the concurrent-checkpoint optimization discussed in §5.2 of
-// the paper.
+// of the virtual memory of all processes running in the pod"). The stamp
+// serves both optimizations of §5.2 of the paper, as page-table bits do in
+// a kernel: a page is dirty — due in the next incremental checkpoint —
+// unless its stamp predates the last capture whose image was kept (Cut,
+// Keep), and write-protected while it predates the newest Protect.
 package mem
 
 import (
@@ -34,8 +35,8 @@ type Page struct {
 	// frozen says an image or a store holds data, which is then never
 	// written again: the next write to the page copies it first.
 	frozen bool
-	// stamp is the space's protection epoch when the page was
-	// materialised or last faulted (writablePage).
+	// stamp is the space's generation when the page was last written or
+	// materialised (writablePage, InstallPages).
 	stamp uint64
 }
 
@@ -61,7 +62,6 @@ func (r Region) End() uint64 { return r.Start + r.Size }
 // because it sets a conventional allocation base.
 type AddressSpace struct {
 	pages   pageTable
-	dirty   Bitset // pages written since last ClearDirty
 	regions []Region
 	next    uint64 // next allocation address (bump allocator)
 
@@ -70,10 +70,14 @@ type AddressSpace struct {
 	// wires it to charge the fault's cost to the running process — the
 	// runtime price of checkpointing concurrently with execution.
 	faultHook func(pn uint64)
-	// epoch counts the protections ever taken, protections those held.
-	epoch       uint64
-	protections int
-	origin      *AddressSpace // a snapshot's, which it protects
+	// gen is the generation every write stamps its page with; a
+	// protection and a capture (Cut) each start a new one. protected is
+	// the generation the newest protection started, protections how many
+	// are held. base is the one the last kept capture started: a page
+	// stamped in it or later is dirty.
+	gen, protected, base uint64
+	protections          int
+	origin               *AddressSpace // a snapshot's, which it protects
 
 	// hashComputes counts fresh page-hash computations performed through
 	// this address space (cache misses); checkpoint code uses the delta
@@ -109,11 +113,13 @@ func (as *AddressSpace) init() {
 func (as *AddressSpace) SetFaultHook(fn func(pn uint64)) { as.faultHook = fn }
 
 // Protect write-protects every page the space holds, in constant time:
-// until the matching Unprotect, the first write to each of them fires
-// the fault hook. A page materialised under the protection does not
-// fault. Protections may nest, and are released oldest first.
+// it starts a generation, and until the matching Unprotect the first
+// write to each page stamped before it fires the fault hook. A page
+// materialised under the protection does not fault. Protections may
+// nest, and are released oldest first.
 func (as *AddressSpace) Protect() {
-	as.epoch++
+	as.gen++
+	as.protected = as.gen
 	as.protections++
 }
 
@@ -203,13 +209,14 @@ func (as *AddressSpace) newPage() *Page {
 	}
 	p := &as.heads[0]
 	as.heads = as.heads[1:]
-	p.data, p.stamp = as.newArray(), as.epoch
+	p.data, p.stamp = as.newArray(), as.gen
 	return p
 }
 
 // writablePage returns the page containing page-number pn, materializing
-// it or copying a frozen array as needed, and takes the fault of its
-// first write under the newest protection.
+// it or copying a frozen array as needed, takes the fault of its first
+// write under the newest protection, and stamps it with the current
+// generation.
 func (as *AddressSpace) writablePage(pn uint64) *Page {
 	p := as.pages.get(pn)
 	if p == nil {
@@ -222,13 +229,10 @@ func (as *AddressSpace) writablePage(pn uint64) *Page {
 		*a = *p.data
 		p.data, p.frozen = a, false
 	}
-	if as.protections > 0 && p.stamp < as.epoch {
-		p.stamp = as.epoch
-		if as.faultHook != nil {
-			as.faultHook(pn)
-		}
+	if as.protections > 0 && p.stamp < as.protected && as.faultHook != nil {
+		as.faultHook(pn)
 	}
-	as.dirty.Set(pn)
+	p.stamp = as.gen
 	// The caller is about to write: whatever hash was cached no longer
 	// describes the contents.
 	p.hashed = false
@@ -304,43 +308,48 @@ func (as *AddressSpace) ReadUint64(addr uint64) (uint64, error) {
 // ResidentPages returns the number of materialized pages.
 func (as *AddressSpace) ResidentPages() int { return as.pages.n }
 
-// ResidentBytes returns the materialized memory size in bytes. This is
-// what a full checkpoint must write to stable storage.
-func (as *AddressSpace) ResidentBytes() uint64 { return uint64(as.pages.n) * PageSize }
-
-// DirtyPages returns the number of pages written since the last ClearDirty.
-func (as *AddressSpace) DirtyPages() int { return as.dirty.Count() }
-
-// DirtyBytes returns DirtyPages in bytes; an incremental checkpoint writes
-// only this much.
-func (as *AddressSpace) DirtyBytes() uint64 { return uint64(as.dirty.Count()) * PageSize }
-
-// ClearDirty resets dirty-page tracking, typically right after a
-// checkpoint captures the space. The bitset's storage is kept, so the
-// per-round clear of a pre-copy loop allocates nothing.
-func (as *AddressSpace) ClearDirty() {
-	as.dirty.Reset()
+// DirtyPages returns the number of dirty pages, those written or
+// materialised since the capture last kept (Keep): what an incremental
+// checkpoint saves.
+func (as *AddressSpace) DirtyPages() int {
+	n := 0
+	as.pages.forEach(func(_ uint64, p *Page) {
+		if p.stamp >= as.base {
+			n++
+		}
+	})
+	return n
 }
 
-// MarkDirty re-marks a page dirty without writing it. The checkpoint
-// abort path uses it to undo a round's ClearDirty: pages whose only
-// up-to-date copy lived in a discarded pre-copy round must be saved
-// again by the next capture.
-func (as *AddressSpace) MarkDirty(pn uint64) {
-	as.init()
-	as.dirty.Set(pn)
+// Cut starts a generation and returns it: every page written so far is
+// stamped before it, every later write in it or after. A capture cuts the
+// space it saves, recording the generation for Keep.
+func (as *AddressSpace) Cut() uint64 {
+	as.gen++
+	return as.gen
 }
 
-// PageNumbers returns the sorted page numbers of materialized pages. If
-// dirtyOnly is set, only pages dirtied since the last ClearDirty are
-// returned. Both the page table and the dirty bitset iterate in ascending
-// order, so no sort is needed.
+// Keep moves the dirty base to gen: pages stamped before it are clean.
+// The base moves when a capture's image is kept, to the generation its
+// Cut returned; a discarded one puts back the base Kept reported then.
+func (as *AddressSpace) Keep(gen uint64) { as.base = gen }
+
+// Kept returns the dirty base Keep last set.
+func (as *AddressSpace) Kept() uint64 { return as.base }
+
+// PageNumbers returns the page numbers of materialized pages, ascending
+// as the page table is, or of the dirty ones alone if dirtyOnly is set.
 func (as *AddressSpace) PageNumbers(dirtyOnly bool) []uint64 {
+	n := as.pages.n
 	if dirtyOnly {
-		return as.dirty.Pages()
+		n = as.DirtyPages()
 	}
-	out := make([]uint64, 0, as.pages.n)
-	as.pages.forEach(func(pn uint64, _ *Page) { out = append(out, pn) })
+	out := make([]uint64, 0, n)
+	as.pages.forEach(func(pn uint64, p *Page) {
+		if !dirtyOnly || p.stamp >= as.base {
+			out = append(out, pn)
+		}
+	})
 	return out
 }
 
@@ -368,9 +377,10 @@ func (as *AddressSpace) FreezePage(pn uint64) {
 // a process's pages from a checkpoint image into a fresh address space.
 // Each page it materialises holds data(i) itself, frozen: data(i) must
 // never be written, as no image page is, and the page's first write
-// copies it. Their headers are carved from one slab, and the page table
-// and dirty set are sized for all of them at once, so a process costs the
-// same few allocations however many pages it has.
+// copies it; it is stamped as a write would stamp it. Their headers are
+// carved from one slab, and the page table is sized for all of them at
+// once, so a process costs the same few allocations however many pages
+// it has.
 func (as *AddressSpace) InstallPages(pns []uint64, data func(i int) []byte) error {
 	as.init()
 	if len(pns) == 0 {
@@ -381,7 +391,6 @@ func (as *AddressSpace) InstallPages(pns []uint64, data func(i int) []byte) erro
 		lo, hi = min(lo, pn), max(hi, pn)
 	}
 	as.pages.reserve(lo, hi)
-	as.dirty.reserve(lo, hi)
 	heads := make([]Page, len(pns))
 	for i, pn := range pns {
 		d := data(i)
@@ -392,9 +401,8 @@ func (as *AddressSpace) InstallPages(pns []uint64, data func(i int) []byte) erro
 		if as.regionFor(addr) == nil {
 			return fmt.Errorf("%w: page %#x not covered by a region", ErrOutOfRange, addr)
 		}
-		heads[i] = Page{data: (*[PageSize]byte)(d), frozen: true, stamp: as.epoch}
+		heads[i] = Page{data: (*[PageSize]byte)(d), frozen: true, stamp: as.gen}
 		as.pages.set(pn, &heads[i])
-		as.dirty.Set(pn)
 	}
 	return nil
 }
@@ -423,7 +431,8 @@ func (as *AddressSpace) InstallRegion(r Region) error {
 // neither side sees. It protects and freezes the original, and gives the
 // clone its own frozen headers over the same arrays, with their cached
 // hashes: each side copies a page before writing it, and the original
-// faults as under Protect until the clone's Release.
+// faults as under Protect until the clone's Release. The clone starts
+// with no page dirty.
 func (as *AddressSpace) Snapshot() *AddressSpace {
 	as.init()
 	as.Protect()
@@ -437,7 +446,8 @@ func (as *AddressSpace) Snapshot() *AddressSpace {
 			pages.slots[i] = &heads[len(heads)-1]
 		}
 	}
-	return &AddressSpace{pages: pages, next: as.next, regions: slices.Clone(as.regions), origin: as}
+	return &AddressSpace{pages: pages, next: as.next, regions: slices.Clone(as.regions), origin: as,
+		gen: as.gen + 1, base: as.gen + 1}
 }
 
 // Release ends a snapshot: the space it was taken from is unprotected,

@@ -1,12 +1,13 @@
 package mem
 
-// pageTable maps page numbers to materialised pages. Like Bitset it is a
-// window of slots over the page numbers between the lowest and highest
-// page ever set: an address space's regions are bump-allocated from one
-// base, so the window is about as wide as what the process mapped, and a
-// lookup is an index instead of a hash probe. Sizing the window for a
-// restore is one allocation however many pages it holds; a Go map of n
-// pages allocates two objects per 1,024.
+// pageTable maps page numbers to materialised pages. It is a window of
+// slots over the page numbers between the lowest and highest page ever
+// set: an address space's regions are bump-allocated from one base, so
+// the window is about as wide as what the process mapped, and a lookup is
+// an index instead of a hash probe. Sizing the window for a restore is
+// one allocation however many pages it holds; a Go map of n pages
+// allocates two objects per 1,024. The dirty set is a scan of it, in
+// ascending order, reading each page's write stamp.
 type pageTable struct {
 	base  uint64  // page number of slots[0]
 	slots []*Page // nil where no page is materialised
