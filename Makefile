@@ -130,8 +130,9 @@ gobench:
 
 # Fuzz smoke: every fuzz target for 10 s of generated inputs beyond its
 # checked-in corpus, one `go test -fuzz` call each (the flag takes one
-# target). Each decoder takes bytes off the wire, and DecodeECSet's is a
-# hand-written reader of gob's primitives, so this runs on every push. A
+# target). Each decoder takes bytes off the wire, and DecodeECSet's and
+# the control frames' heads are hand-written readers of gob's primitives,
+# so this runs on every push. A
 # failing input is written under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeECSet$$' -fuzztime 10s ./internal/ckpt/
@@ -139,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime 10s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProgram$$' -fuzztime 10s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzBulkFrame$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzControlHead$$' -fuzztime 10s ./internal/core/
 
 # The benchmark under bench/ is a module of its own, so tier-1 neither
 # compiles nor tests it, yet its layer replay drives internals of this

@@ -175,7 +175,7 @@ func TestECSetReaderMatchesGob(t *testing.T) {
 // a message length that fits them, the type id and the fields.
 func valueFramer(t *testing.T, b []byte) (fields []byte, frame func([]byte) []byte) {
 	t.Helper()
-	fields, err := ecSetCodec.Value(b)
+	fields, _, err := ecSetCodec.Value(b)
 	if err != nil {
 		t.Fatal(err)
 	}

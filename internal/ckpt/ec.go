@@ -112,7 +112,10 @@ func DecodeECSet(b []byte) (*ECSet, error) {
 // field numbers are ECSet's, ECStripe's and mem.PageHash's fields in
 // order, as P, which the bytes must start with, describes them.
 func parseECSet(b []byte) (*ECSet, error) {
-	v, err := ecSetCodec.Value(b)
+	v, rest, err := ecSetCodec.Value(b)
+	if err == nil && len(rest) > 0 {
+		err = errors.New("bytes after the value message")
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -121,21 +124,20 @@ func parseECSet(b []byte) (*ECSet, error) {
 	for f := r.Field(-1, 6); f >= 0; f = r.Field(f, 6) {
 		switch f {
 		case 0:
-			set.Pod = r.String()
-			r.Check(set.Pod != "", zeroSent)
+			set.Pod = r.SentString()
 		case 1:
-			set.Seq = sentInt(&r)
+			set.Seq = int(r.SentInt())
 		case 2:
-			set.M = sentInt(&r)
+			set.M = int(r.SentInt())
 		case 3:
-			set.R = sentInt(&r)
+			set.R = int(r.SentInt())
 		case 4:
-			set.Chain = make([]int, sentCount(&r))
+			set.Chain = make([]int, r.SentCount())
 			for i := range set.Chain {
 				set.Chain[i] = int(r.Int())
 			}
 		case 5:
-			n := sentCount(&r)
+			n := r.SentCount()
 			sizing := r // a first pass counts the hashes
 			hashes := readStripes(&sizing, n, nil, nil)
 			if err := sizing.Err(); err != nil {
@@ -158,7 +160,7 @@ func readStripes(r *gobmemo.Reader, n int, stripes []ECStripe, hashes []mem.Page
 	k := 0
 	for i := 0; i < n; i++ {
 		for f := r.Field(-1, 2); f >= 0; f = r.Field(f, 2) {
-			c := sentCount(r)
+			c := r.SentCount()
 			var hs []mem.PageHash
 			if stripes != nil {
 				hs = hashes[k : k+c : k+c]
@@ -169,7 +171,7 @@ func readStripes(r *gobmemo.Reader, n int, stripes []ECStripe, hashes []mem.Page
 				}
 			}
 			for j := 0; j < c; j++ {
-				h := readHash(r)
+				h := ReadHash(r)
 				if hs != nil {
 					hs[j] = h
 				}
@@ -180,11 +182,11 @@ func readStripes(r *gobmemo.Reader, n int, stripes []ECStripe, hashes []mem.Page
 	return k
 }
 
-// readHash reads one mem.PageHash.
-func readHash(r *gobmemo.Reader) (h mem.PageHash) {
+// ReadHash reads one mem.PageHash off a gob value: the walks of an ECSet
+// and of a control frame's head share it.
+func ReadHash(r *gobmemo.Reader) (h mem.PageHash) {
 	for f := r.Field(-1, 2); f >= 0; f = r.Field(f, 2) {
-		x := r.Uint()
-		r.Check(x != 0, zeroSent)
+		x := r.SentUint()
 		if f == 0 {
 			h.Lo = x
 		} else {
@@ -192,22 +194,6 @@ func readHash(r *gobmemo.Reader) (h mem.PageHash) {
 		}
 	}
 	return h
-}
-
-// zeroSent rejects a struct field sent with its zero value, which
-// gob.Encoder leaves out.
-const zeroSent = "a zero field sent"
-
-func sentInt(r *gobmemo.Reader) int {
-	x := int(r.Int())
-	r.Check(x != 0, zeroSent)
-	return x
-}
-
-func sentCount(r *gobmemo.Reader) int {
-	n := r.Count()
-	r.Check(n != 0, zeroSent)
-	return n
 }
 
 // Shards returns the total shard count per stripe.

@@ -83,6 +83,11 @@ type Agent struct {
 	cpu  ctl.Serializer
 	bulk ctl.Serializer
 	tr   *trace.Tracer
+	// A group leader's local and relays defer on cpu, behind
+	// AgentMsgCost, the replies of its own member pods and the requests it
+	// relays (relay.go), as its endpoint defers each message it receives.
+	local  *ctl.Inbox[*wireMsg]
+	relays *ctl.Inbox[relayed]
 
 	pods  map[string]*zap.Pod
 	table *ctl.Table
@@ -247,7 +252,9 @@ func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
 		pods:  make(map[string]*zap.Pod),
 		table: ctl.NewTable(kern.Engine()),
 	}
-	a.ep = ctl.NewEndpoint(kern.Stack(), msgCodec, a.onMsg)
+	a.local = ctl.NewInbox(&a.cpu, a.relayMemberMsg)
+	a.relays = ctl.NewInbox(&a.cpu, a.relayTo)
+	a.ep = ctl.NewEndpoint(kern.Stack(), msgCodec, ctl.Deliver(&a.cpu, AgentMsgCost, a.onMsg))
 	if err := a.ep.Listen(DefaultControlPort); err != nil {
 		return nil, fmt.Errorf("core: agent listen: %w", err)
 	}
@@ -275,42 +282,41 @@ func (a *Agent) SetPeers(peers []tcpip.AddrPort) { a.peers = peers }
 // recovery tests rely on.
 func (a *Agent) OpenOps() int { return a.table.Len() }
 
-// onMsg dispatches a control message.
+// onMsg dispatches a control message once the lane has charged its
+// receive cost, AgentMsgCost.
 func (a *Agent) onMsg(c *ctl.Link[*wireMsg], m *wireMsg) {
-	a.cpu.Do(AgentMsgCost, func() {
-		if m.Job != "" {
-			a.onRelayMsg(c, m)
-			return
-		}
-		switch m.Type {
-		case msgCheckpoint:
-			a.startCheckpoint(c, m)
-		case msgContinue:
-			a.handleContinue(c, m)
-		case msgRestart:
-			a.startRestart(c, m)
-		case msgAbort:
-			a.handleAbort(m)
-		case msgPing:
-			c.Send(&wireMsg{Type: msgPong, Seq: m.Seq, Load: a.liveLoad()})
-		case msgReplOffer:
-			a.handleOffer(c, m)
-		case msgReplWant:
-			a.handleWant(c, m)
-		case msgReplData:
-			a.handleData(c, m)
-		case msgReplDone:
-			a.handleDone(c, m)
-		case msgFetch:
-			a.handleFetch(c, m)
-		case msgFetchPull:
-			a.handleFetchPull(c, m)
-		case msgCommDisabled, msgDone, msgContinueDone, msgReplicated:
-			// Protocol replies arriving at an agent are group members
-			// reporting to their leader (this node) — aggregate them.
-			a.relayMemberMsg(m)
-		}
-	})
+	if m.Job != "" {
+		a.onRelayMsg(c, m)
+		return
+	}
+	switch m.Type {
+	case msgCheckpoint:
+		a.startCheckpoint(c, m)
+	case msgContinue:
+		a.handleContinue(c, m)
+	case msgRestart:
+		a.startRestart(c, m)
+	case msgAbort:
+		a.handleAbort(m)
+	case msgPing:
+		c.Send(&wireMsg{Type: msgPong, Seq: m.Seq, Load: a.liveLoad()})
+	case msgReplOffer:
+		a.handleOffer(c, m)
+	case msgReplWant:
+		a.handleWant(c, m)
+	case msgReplData:
+		a.handleData(c, m)
+	case msgReplDone:
+		a.handleDone(c, m)
+	case msgFetch:
+		a.handleFetch(c, m)
+	case msgFetchPull:
+		a.handleFetchPull(c, m)
+	case msgCommDisabled, msgDone, msgContinueDone, msgReplicated:
+		// Protocol replies arriving at an agent are group members
+		// reporting to their leader (this node) — aggregate them.
+		a.relayMemberMsg(m)
+	}
 }
 
 // liveLoad counts live managed pods — the agent's placement load signal.

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"cruz/internal/ckpt"
+	"cruz/internal/ether"
 	"cruz/internal/gobmemo/gobmemotest"
+	"cruz/internal/kernel"
 	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
@@ -121,22 +125,167 @@ func TestWireCodecIsFreshGob(t *testing.T) {
 	gobmemotest.Identity(t, wireCodec, heads(msgs)...)
 }
 
-// TestHostileFrameCannotPoisonTheCodec: the decoder state is shared by
-// every connection of every node in the process, so no frame may leave a
-// trace in it — each damaged or hostile gob head is rejected (or accepted)
-// exactly as a throwaway decoder would, and a known-good frame decoded
-// straight afterwards still comes back as it was sent.
+// TestHostileFrameCannotPoisonTheCodec: the codec's decoder state is
+// shared by every connection of every node in the process, so no frame may
+// leave a trace in it — each damaged or hostile gob head is rejected (or
+// accepted) exactly as a throwaway decoder would. decodeMsg reads heads
+// itself (readHead) and takes only what wireCodec writes: of these inputs
+// the good encoding alone, not another type's value nor type definitions
+// added behind wireMsg's, which a fresh gob.Decoder takes. A known-good
+// frame decoded straight after each still comes back as it was sent.
 func TestHostileFrameCannotPoisonTheCodec(t *testing.T) {
 	offer := firstOf(msgReplOffer)
 	gobmemotest.Hostile(t, wireCodec, offer)
 	want := bulkMsg(t)
 	payload, _ := payloadOf(t, want)
 	for _, in := range gobmemotest.Inputs(t, offer) {
-		if _, err := decodeMsg([][]byte{in.Bytes}); (err == nil) != in.Valid {
+		got, err := decodeMsg([][]byte{in.Bytes})
+		if (err == nil) != (in.Name == "valid") {
 			t.Errorf("%s: decodeMsg returns %v", in.Name, err)
+		} else if err == nil && !reflect.DeepEqual(got, offer) {
+			t.Errorf("%s: decodeMsg returns %+v, want %+v", in.Name, got, offer)
 		}
 		checkGoodFrameDecodes(t, payload, want)
 	}
+}
+
+// filled returns a wireMsg with every exported field reachable from it set
+// to a value that is not zero — a pointer to a filled value, two elements
+// per slice, two entries per map — with the numbers counting up from one,
+// or (big) down from their type's widest, negative for a signed one. The
+// bulk byte slices stay empty, as encodeMsg leaves them in a head: a
+// map's values, ECSet and a chunk's Data.
+func filled(t *testing.T, big bool) *wireMsg {
+	k := 0
+	next := func() int { k++; return k }
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					fill(v.Field(i))
+				}
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Slice:
+			if v.Type().Elem().Kind() != reflect.Uint8 {
+				v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+				fill(v.Index(0))
+				fill(v.Index(1))
+			}
+		case reflect.Map:
+			v.Set(reflect.MakeMap(v.Type()))
+			for range 2 {
+				key := reflect.New(v.Type().Key()).Elem()
+				fill(key)
+				v.SetMapIndex(key, reflect.Zero(v.Type().Elem()))
+			}
+		case reflect.Int, reflect.Int64:
+			if x := int64(next()); big {
+				v.SetInt(-x << 40)
+			} else {
+				v.SetInt(x)
+			}
+		case reflect.Uint8, reflect.Uint16, reflect.Uint64:
+			if x := uint64(next()); big {
+				v.SetUint(1<<(8*v.Type().Size()) - 1 - x)
+			} else {
+				v.SetUint(x)
+			}
+		case reflect.Float64:
+			v.SetFloat(float64(next()) / 8)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString(fmt.Sprint("s", next()))
+		default:
+			t.Fatalf("no filler for %v", v.Type())
+		}
+	}
+	m := new(wireMsg)
+	fill(reflect.ValueOf(m).Elem())
+	return m
+}
+
+// TestHeadReaderMatchesGob: readHead reads what wireCodec writes as gob's
+// own decoder does, for messages with every field set — so a field added
+// without a case in readHead fails here — and for a Repl whose fields are
+// all zero, and rejects every truncation of each.
+func TestHeadReaderMatchesGob(t *testing.T) {
+	msgs := []*wireMsg{filled(t, false), filled(t, true), {Type: msgPing, Repl: &replPayload{}}}
+	msgs = append(msgs, heads(everyMsg())...)
+	for i, m := range msgs {
+		var b bytes.Buffer
+		if err := wireCodec.Encode(&b, m); err != nil {
+			t.Fatal(err)
+		}
+		var want wireMsg
+		if err := gob.NewDecoder(bytes.NewReader(b.Bytes())).Decode(&want); err != nil {
+			t.Fatal(err)
+		}
+		if i < 3 && !reflect.DeepEqual(&want, m) {
+			t.Fatalf("message %d: gob does not carry every field the filler set:\n%+v %+v, sent\n%+v %+v", i, want, want.Repl, m, m.Repl)
+		}
+		got, n, err := readHead(b.Bytes())
+		if err != nil || n != b.Len() {
+			t.Fatalf("message %d: readHead takes %d of its %d bytes: %v", i, n, b.Len(), err)
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("message %d: readHead reads\n%+v %+v, gob\n%+v %+v", i, got, got.Repl, want, want.Repl)
+		}
+		for k := 0; k < b.Len(); k++ {
+			if _, _, err := readHead(b.Bytes()[:k]); err == nil {
+				t.Fatalf("message %d: accepted its first %d of %d bytes", i, k, b.Len())
+			}
+		}
+	}
+}
+
+// checkHead holds readHead to what gob.Encoder writes: a head it accepts
+// at the front of b is one gob's decoder accepts too, with the same
+// result, and re-encodes to its own bytes — up to the order of a map's
+// entries, which gob.Encoder does not fix (FuzzDecodeECSet's rule).
+func checkHead(t *testing.T, b []byte) {
+	m, n, err := readHead(b)
+	if err != nil {
+		return
+	}
+	head := b[:n]
+	var ref wireMsg
+	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&ref); err != nil {
+		t.Fatalf("readHead accepts a head gob rejects (%v): %+v", err, m)
+	}
+	if !reflect.DeepEqual(m, &ref) {
+		t.Fatalf("readHead reads\n%+v %+v, gob\n%+v %+v", m, m.Repl, ref, ref.Repl)
+	}
+	var re bytes.Buffer
+	if err := wireCodec.Encode(&re, m); err != nil {
+		t.Fatal(err)
+	}
+	reordered := m.Repl != nil && (len(m.Repl.Blobs) > 1 || len(m.Repl.Manifests) > 1)
+	if !bytes.Equal(re.Bytes(), head) && !(reordered && re.Len() == len(head)) {
+		t.Fatalf("an accepted head of %d bytes re-encodes to %d other bytes", len(head), re.Len())
+	}
+}
+
+// FuzzControlHead: arbitrary bytes never panic readHead, and what it
+// accepts is held to checkHead.
+func FuzzControlHead(f *testing.F) {
+	for _, m := range heads(everyMsg()) {
+		var b bytes.Buffer
+		if err := wireCodec.Encode(&b, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Fuzz(checkHead)
 }
 
 // checkGoodFrameDecodes decodes the payload of want, a bulkMsg, and
@@ -178,14 +327,22 @@ func roundTrip(tb testing.TB, buf *bytes.Buffer, m *wireMsg) *wireMsg {
 	return got
 }
 
-// TestControlCodecAllocs is the allocation budget of a heartbeat: the
-// message, gob's copy of its bytes and little else. Rebuilding gob's type
-// machinery per frame cost 515.
+// TestControlCodecAllocs is the allocation budget of an encode+decode
+// round trip of the three frames the control plane sends most: the
+// decoded message and, of what it carries, each string, slice and Repl —
+// a done's pod name; an offer's pod name, Repl, chain and hash list, and
+// one allocation of gob's encoder. Rebuilding gob's type machinery per
+// frame cost 515 for a ping, and gob's decoder 2, 3 and 12.
 func TestControlCodecAllocs(t *testing.T) {
-	var buf bytes.Buffer
-	ping := &wireMsg{Type: msgPing}
-	if avg := testing.AllocsPerRun(100, func() { roundTrip(t, &buf, ping) }); avg > 8 {
-		t.Errorf("ping encode+decode allocates %.0f times, want at most 8", avg)
+	for _, tc := range []struct {
+		typ    msgType
+		allocs float64
+	}{{msgPing, 1}, {msgDone, 2}, {msgReplOffer, 6}} {
+		var buf bytes.Buffer
+		m := firstOf(tc.typ)
+		if avg := testing.AllocsPerRun(100, func() { roundTrip(t, &buf, m) }); avg > tc.allocs {
+			t.Errorf("%v encode+decode allocates %.0f times, want at most %.0f", tc.typ, avg, tc.allocs)
+		}
 	}
 }
 
@@ -206,3 +363,58 @@ func BenchmarkControlCodec(b *testing.B) {
 		})
 	}
 }
+
+// TestHeartbeatAllocs bounds one ping → pong round trip between a
+// coordinator and an agent on one engine, both ends and the wire between
+// them: each frame's buffer of its own at the receiver (ctl.NewConn),
+// each decoded message and the agent's pong. Deferring a message on a
+// daemon's lane, queueing a frame for TCP and sending the ping allocate
+// nothing.
+func TestHeartbeatAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bounds are for builds without the race detector")
+	}
+	engine := sim.NewEngine(7)
+	sw := ether.NewSwitch(engine)
+	var kerns []*kernel.Kernel
+	for i := byte(1); i <= 2; i++ {
+		mac := ether.MAC{2, 0, 0, 0, 8, i}
+		nic := ether.NewNIC(engine, "eth0", mac)
+		sw.Attach(nic, ether.GigabitLink)
+		st := tcpip.NewStack(engine, "node")
+		if _, err := st.AddInterface("eth0", tcpip.Addr{10, 0, 8, i}, mac, nic, false); err != nil {
+			t.Fatal(err)
+		}
+		kerns = append(kerns, kernel.New(engine, "node", st))
+	}
+	agent, err := NewAgent(kerns[0], ckpt.NewStore(kerns[0].Disk()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(kerns[1].Stack())
+	c.RegisterNode("node", agent.Addr())
+	c.ep.Connect([]tcpip.AddrPort{agent.Addr()}, nil)
+	if err := engine.RunFor(10 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	link, ok := c.ep.Link(agent.Addr())
+	if !ok {
+		t.Fatal("the coordinator never connected")
+	}
+	roundTrip := func() {
+		pongs := link.Received
+		c.ping(agent.Addr())
+		if err := engine.RunFor(5 * sim.Millisecond); err != nil || link.Received != pongs+1 {
+			t.Fatalf("no pong (%v)", err)
+		}
+	}
+	roundTrip() // warm-up: pools, rings and queues reach their working size
+	if avg := testing.AllocsPerRun(20, roundTrip); avg > heartbeatAllocs {
+		t.Errorf("a ping → pong round trip allocates %.0f times, want at most %d", avg, heartbeatAllocs)
+	}
+}
+
+// heartbeatAllocs is TestHeartbeatAllocs' bound: two frame buffers, two
+// decoded messages and the pong. With a closure per lane hop, per ping
+// and per queued frame, and gob's decoder, it cost 13.
+const heartbeatAllocs = 5

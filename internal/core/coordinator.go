@@ -161,6 +161,13 @@ type Coordinator struct {
 	stack *tcpip.Stack
 	cpu   ctl.Serializer
 	tr    *trace.Tracer
+	// The lane's work besides the messages received, each kind charged
+	// CoordinatorMsgCost: the fan-outs' requests, the sends of sendOrFail
+	// and the pings, which all send pingMsg.
+	fans    *ctl.Inbox[fanned]
+	sends   *ctl.Inbox[outbound]
+	pings   *ctl.Inbox[*ctl.Link[*wireMsg]]
+	pingMsg wireMsg
 	// groupSize, when > 1, makes the coordination a two-level tree
 	// (SetGroupSize).
 	groupSize int
@@ -259,8 +266,12 @@ func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 		nextSeq:    make(map[string]int),
 		nodeByAddr: make(map[tcpip.AddrPort]*nodeInfo),
 		placed:     make(map[string]map[int]placement),
+		pingMsg:    wireMsg{Type: msgPing},
 	}
-	c.ep = ctl.NewEndpoint(stack, msgCodec, c.onMsg)
+	c.fans = ctl.NewInbox(&c.cpu, c.fanTo)
+	c.sends = ctl.NewInbox(&c.cpu, c.sendNow)
+	c.pings = ctl.NewInbox(&c.cpu, func(cc *ctl.Link[*wireMsg]) { cc.Send(&c.pingMsg) })
+	c.ep = ctl.NewEndpoint(stack, msgCodec, ctl.Deliver(&c.cpu, CoordinatorMsgCost, c.onMsg))
 	c.lease = ctl.NewLease(stack.Engine(), DefaultHeartbeatEvery, DefaultLeaseTimeout, c.ping, c.declareFailed)
 	return c
 }
@@ -322,17 +333,27 @@ func (c *Coordinator) registered(addr tcpip.AddrPort) error {
 // sendOrFail queues m for addr on the serialized daemon CPU. When its turn
 // comes the op must still be active, and fails if addr cannot be reached.
 func (c *Coordinator) sendOrFail(op *rootOp, addr tcpip.AddrPort, m *wireMsg) {
-	c.cpu.Do(CoordinatorMsgCost, func() {
-		if !op.Active() {
-			return
-		}
-		cc, ok := c.ep.Link(addr)
-		if !ok {
-			op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, addr))
-		} else if err := cc.Send(m); err != nil {
-			op.Fail(err)
-		}
-	})
+	c.sends.Do(CoordinatorMsgCost, outbound{op, addr, m})
+}
+
+// outbound is one message sendOrFail queued.
+type outbound struct {
+	op   *rootOp
+	addr tcpip.AddrPort
+	m    *wireMsg
+}
+
+// sendNow sends a queued message whose turn has come.
+func (c *Coordinator) sendNow(o outbound) {
+	if !o.op.Active() {
+		return
+	}
+	cc, ok := c.ep.Link(o.addr)
+	if !ok {
+		o.op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, o.addr))
+	} else if err := cc.Send(o.m); err != nil {
+		o.op.Fail(err)
+	}
 }
 
 // msgCount sums the message counters of the connections to addrs (which
@@ -455,33 +476,46 @@ func (c *Coordinator) fanOut(op *rootOp, dests []dest, start bool, req wireMsg) 
 			}
 			continue
 		}
-		c.cpu.Do(CoordinatorMsgCost, func() {
-			// Never open an op on a node the membership layer has declared
-			// dead: its downed link sent no reset, so the connection still
-			// reads established and the request would vanish unanswered.
-			if n := c.nodeByAddr[d.Agent]; start && c.lease.Dead(n.addr) {
-				op.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
-				return
-			}
-			m := req
-			m.ctx = op.span.Context()
-			if d.relay == nil {
-				m.Pod = d.Pod
-			} else {
-				m.Job = op.job.Name
-				if start {
-					m.Group = d.relay
-				}
-			}
-			cc, ok := c.ep.Link(d.Agent)
-			if !ok {
-				if start {
-					op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, d.Agent))
-				}
-			} else if err := cc.Send(&m); err != nil && start {
-				op.Fail(err)
-			}
-		})
+		c.fans.Do(CoordinatorMsgCost, fanned{op, d, start, &req})
+	}
+}
+
+// fanned is one destination of a fan-out waiting for its turn on the
+// lane, with the request the whole fan-out shares.
+type fanned struct {
+	op    *rootOp
+	d     dest
+	start bool
+	req   *wireMsg
+}
+
+// fanTo sends a fan-out's request to one destination.
+func (c *Coordinator) fanTo(f fanned) {
+	op, d, start := f.op, f.d, f.start
+	// Never open an op on a node the membership layer has declared
+	// dead: its downed link sent no reset, so the connection still
+	// reads established and the request would vanish unanswered.
+	if n := c.nodeByAddr[d.Agent]; start && c.lease.Dead(n.addr) {
+		op.Fail(fmt.Errorf("%w: %s", ErrNodeFailed, n.name))
+		return
+	}
+	m := *f.req
+	m.ctx = op.span.Context()
+	if d.relay == nil {
+		m.Pod = d.Pod
+	} else {
+		m.Job = op.job.Name
+		if start {
+			m.Group = d.relay
+		}
+	}
+	cc, ok := c.ep.Link(d.Agent)
+	if !ok {
+		if start {
+			op.Fail(fmt.Errorf("%w: %s", ErrNotConnected, d.Agent))
+		}
+	} else if err := cc.Send(&m); err != nil && start {
+		op.Fail(err)
 	}
 }
 
@@ -673,59 +707,58 @@ func (c *Coordinator) opFor(m *wireMsg) *rootOp {
 	return found
 }
 
-// onMsg handles agent replies.
+// onMsg handles an agent's reply once the lane has charged its receive
+// cost, CoordinatorMsgCost.
 func (c *Coordinator) onMsg(cc *ctl.Link[*wireMsg], m *wireMsg) {
-	c.cpu.Do(CoordinatorMsgCost, func() {
+	switch m.Type {
+	case msgPong: // a proof of life, and the node's load
+		if addr := cc.TCP().RemoteAddr(); c.lease.Pong(addr) {
+			c.nodeByAddr[addr].load = m.Load
+		}
+		return
+	case msgReplicated:
+		c.handleReplicated(m)
+		return
+	}
+	op := c.opFor(m)
+	if op == nil {
+		return
+	}
+	if m.Type == msgFetchDone {
+		c.handleFetchDone(op, cc.TCP().RemoteAddr(), m)
+		return
+	}
+	// A member's own reply is a batch of one; a leader's batch replays
+	// through the identical per-pod arrival logic in the leader's
+	// (deterministic) arrival order. Commit/abort decisions therefore
+	// cannot differ between the two transports.
+	batch := m.Reports
+	if m.Job == "" {
+		batch = []GroupReport{m.report()}
+	}
+	c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
+		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)), trace.Int("batch", int64(len(batch))))
+	if m.Err != "" {
+		op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
+		return
+	}
+	if mig := op.mig; mig != nil && m.RoundPages != nil {
+		// A migration source's continue-done: its stream's record.
+		mig.roundPages, mig.streamed = m.RoundPages, m.ImageBytes
+	}
+	for _, r := range batch {
+		if !op.Active() {
+			return
+		}
 		switch m.Type {
-		case msgPong: // a proof of life, and the node's load
-			if addr := cc.TCP().RemoteAddr(); c.lease.Pong(addr) {
-				c.nodeByAddr[addr].load = m.Load
-			}
-			return
-		case msgReplicated:
-			c.handleReplicated(m)
-			return
+		case msgCommDisabled:
+			c.arriveDisabled(op, r.Pod)
+		case msgDone:
+			c.arriveDone(op, r)
+		case msgContinueDone:
+			c.arriveCont(op, r)
 		}
-		op := c.opFor(m)
-		if op == nil {
-			return
-		}
-		if m.Type == msgFetchDone {
-			c.handleFetchDone(op, cc.TCP().RemoteAddr(), m)
-			return
-		}
-		// A member's own reply is a batch of one; a leader's batch replays
-		// through the identical per-pod arrival logic in the leader's
-		// (deterministic) arrival order. Commit/abort decisions therefore
-		// cannot differ between the two transports.
-		batch := m.Reports
-		if m.Job == "" {
-			batch = []GroupReport{m.report()}
-		}
-		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
-			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)), trace.Int("batch", int64(len(batch))))
-		if m.Err != "" {
-			op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
-			return
-		}
-		if mig := op.mig; mig != nil && m.RoundPages != nil {
-			// A migration source's continue-done: its stream's record.
-			mig.roundPages, mig.streamed = m.RoundPages, m.ImageBytes
-		}
-		for _, r := range batch {
-			if !op.Active() {
-				return
-			}
-			switch m.Type {
-			case msgCommDisabled:
-				c.arriveDisabled(op, r.Pod)
-			case msgDone:
-				c.arriveDone(op, r)
-			case msgContinueDone:
-				c.arriveCont(op, r)
-			}
-		}
-	})
+	}
 }
 
 // arriveDisabled handles one pod's <comm-disabled> vote, which only an

@@ -312,11 +312,11 @@ func (p *replPayload) stripped(images []*ckpt.Image) *replPayload {
 // slice, and each page of an image, as a sub-slice of the piece it arrived
 // in, which for a part is the sender's own immutable bytes.
 
-// wireCodec produces and parses the gob part. Every frame is
-// self-contained — it opens with wireMsg's type descriptors, because the
-// receiver decodes each one independently — but the descriptors are the
-// same bytes in every frame of a process, so the codec builds them, and
-// the decoder state they compile to, once.
+// wireCodec produces the gob part, and hands readHead its value. Every
+// frame is self-contained — it opens with wireMsg's type descriptors,
+// because the receiver reads each one independently — but the
+// descriptors are the same bytes in every frame of a process, so the
+// codec builds them once.
 var wireCodec = gobmemo.New[wireMsg]()
 
 // msgCodec frames messages on a ctl.Endpoint: the head and raw tail
@@ -400,19 +400,17 @@ func (p *replPayload) carriesBulk(images []*ckpt.Image) bool {
 // (see ctl.Codec). Each bulk slice of the result, and each page of an
 // image, is a capped sub-slice of the piece that holds it whole — for a
 // part sent uncopied, the sender's own bytes — and only what is split
-// across pieces is copied. The gob head is decoded from the first piece;
-// a head split across pieces, which a live connection never delivers, is
-// decoded from their join.
+// across pieces is copied. The gob head is read from the first piece
+// (readHead); a head split across pieces, which a live connection never
+// delivers, is read from their join.
 func decodeMsg(pieces [][]byte) (*wireMsg, error) {
-	var m wireMsg
 	var first []byte
 	if len(pieces) > 0 {
 		first = pieces[0]
 	}
-	used, err := wireCodec.Decode(first, &m)
+	m, used, err := readHead(first)
 	if err != nil && len(pieces) > 1 {
-		m = wireMsg{}
-		used, err = wireCodec.Decode(bytes.Join(pieces, nil), &m)
+		m, used, err = readHead(bytes.Join(pieces, nil))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: decode frame: %w", err)
@@ -421,7 +419,7 @@ func decodeMsg(pieces [][]byte) (*wireMsg, error) {
 	r := ctl.NewPieceReader(pieces)
 	r.Skip(used)
 	if r.Len() == 0 {
-		return &m, nil
+		return m, nil
 	}
 	p := m.Repl
 	if p == nil {
@@ -482,5 +480,5 @@ func decodeMsg(pieces [][]byte) (*wireMsg, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("core: decode frame: %v has %d bytes beyond its length table", m.Type, r.Len())
 	}
-	return &m, nil
+	return m, nil
 }

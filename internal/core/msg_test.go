@@ -408,8 +408,8 @@ func TestDecodeMsgRejectsHostileFrames(t *testing.T) {
 // payload, and is the sub-slice of its piece, capped, exactly when it lies
 // whole in one. cuts says where the pieces end: each byte is the length
 // of the next piece, modulo what is left, so empty pieces occur too.
-// Whatever the input was, a good frame decodes after it as it always did:
-// the decoder state it passed through is shared.
+// Whatever the input was, a good frame decodes after it as it always did,
+// and a head readHead accepts is held to checkHead.
 func FuzzBulkFrame(f *testing.F) {
 	good := bulkMsg(f)
 	valid, _ := payloadOf(f, good)
@@ -437,6 +437,7 @@ func FuzzBulkFrame(f *testing.F) {
 		whole, errWhole := decodeMsg([][]byte{payload})
 		split, errSplit := decodeMsg(pieces)
 		checkGoodFrameDecodes(t, valid, good)
+		checkHead(t, payload)
 		if (errWhole == nil) != (errSplit == nil) {
 			t.Fatalf("the joined payload decodes with %v, its %d pieces with %v", errWhole, len(pieces), errSplit)
 		}

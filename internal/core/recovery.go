@@ -153,7 +153,7 @@ func (c *Coordinator) Watch(job *Job, onRecovery func(*RecoveryResult, error)) {
 func (c *Coordinator) ping(addr tcpip.AddrPort) {
 	if cc, ok := c.ep.Link(addr); ok {
 		c.tr.Instant(c.stack.Name(), "core", "ping", trace.Str("node", c.nodeByAddr[addr].name))
-		c.cpu.Do(CoordinatorMsgCost, func() { cc.Send(&wireMsg{Type: msgPing}) })
+		c.pings.Do(CoordinatorMsgCost, cc)
 	}
 }
 

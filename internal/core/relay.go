@@ -51,8 +51,7 @@ type relayOp struct {
 type localSink struct{ a *Agent }
 
 func (s localSink) Send(m *wireMsg) error {
-	a := s.a
-	a.cpu.Do(AgentMsgCost, func() { a.relayMemberMsg(m) })
+	s.a.local.Do(AgentMsgCost, m)
 	return nil
 }
 
@@ -141,36 +140,42 @@ func (a *Agent) relayDown(rop *relayOp, m *wireMsg) {
 		mm := *m
 		mm.Pod, mm.Job, mm.Group = g.Pod, "", nil
 		mm.ctx = rop.span.Context()
-		a.relaySend(rop, g, &mm)
+		a.relays.Do(AgentMsgCost, relayed{rop, g, &mm})
 	}
 }
 
-// relaySend delivers one relayed message to a member: leader-local pods
+// relayed is one request a leader relays to a member, waiting for its
+// turn on the lane.
+type relayed struct {
+	rop *relayOp
+	g   GroupMember
+	m   *wireMsg
+}
+
+// relayTo delivers one relayed message to a member: leader-local pods
 // dispatch on this agent directly (one message cost, no wire), remote
 // members go over a peer connection (one send cost; the member's own
 // receive cost is charged by its onMsg).
-func (a *Agent) relaySend(rop *relayOp, g GroupMember, mm *wireMsg) {
-	a.cpu.Do(AgentMsgCost, func() {
-		if rop.Aborted() {
-			return
+func (a *Agent) relayTo(r relayed) {
+	if r.rop.Aborted() {
+		return
+	}
+	if r.g.addrPort() != a.Addr() {
+		if cc, err := a.ep.Dial(r.g.addrPort()); err != nil {
+			a.relayMemberFail(r.rop, r.g.Pod, err)
+		} else {
+			cc.Send(r.m)
 		}
-		if g.addrPort() != a.Addr() {
-			if cc, err := a.ep.Dial(g.addrPort()); err != nil {
-				a.relayMemberFail(rop, g.Pod, err)
-			} else {
-				cc.Send(mm)
-			}
-			return
-		}
-		switch mm.Type {
-		case msgCheckpoint:
-			a.startCheckpoint(localSink{a}, mm)
-		case msgRestart:
-			a.startRestart(localSink{a}, mm)
-		case msgContinue:
-			a.handleContinue(localSink{a}, mm)
-		}
-	})
+		return
+	}
+	switch r.m.Type {
+	case msgCheckpoint:
+		a.startCheckpoint(localSink{a}, r.m)
+	case msgRestart:
+		a.startRestart(localSink{a}, r.m)
+	case msgContinue:
+		a.handleContinue(localSink{a}, r.m)
+	}
 }
 
 // relayMemberFail forwards a member failure to the root and closes the

@@ -42,8 +42,8 @@ var ErrFrameTooLarge = errors.New("ctl: frame length exceeds MaxFrame")
 // sender down instead of failing the protocol.
 type Conn struct {
 	tc       *tcpip.TCPConn
-	wqueue   [numTiers][]wframe // per-tier output queues; a head may be partially written
-	pacer    *Pacer             // paces TierBackground frames; nil = unpaced
+	wqueue   [numTiers]sim.Queue[wframe] // per-tier output queues; a head may be partially written
+	pacer    *Pacer                      // paces TierBackground frames; nil = unpaced
 	onFrame  func(*Conn, [][]byte)
 	onErr    func(*Conn, error)
 	frameCtx trace.SpanContext
@@ -278,7 +278,7 @@ func (c *Conn) SendParts(head []byte, parts [][]byte, ctx trace.SpanContext, tie
 	binary.BigEndian.PutUint64(buf[12:], uint64(ctx.Span))
 	copy(buf[frameHeader:], head)
 	c.Sent++
-	c.wqueue[tier] = append(c.wqueue[tier], wframe{buf: buf, parts: parts, size: frameHeader + size})
+	c.wqueue[tier].Push(wframe{buf: buf, parts: parts, size: frameHeader + size})
 	if c.tc.Established() {
 		c.drain()
 	}
@@ -293,7 +293,8 @@ func (c *Conn) SetPacer(p *Pacer) { c.pacer = p }
 func (c *Conn) QueuedBytes() int {
 	n := 0
 	for t := range c.wqueue {
-		for _, f := range c.wqueue[t] {
+		for i := 0; i < c.wqueue[t].Len(); i++ {
+			f := c.wqueue[t].At(i)
 			n += f.size - f.sent
 		}
 	}
@@ -302,7 +303,7 @@ func (c *Conn) QueuedBytes() int {
 
 func (c *Conn) queued() bool {
 	for t := range c.wqueue {
-		if len(c.wqueue[t]) > 0 {
+		if c.wqueue[t].Len() > 0 {
 			return true
 		}
 	}
@@ -315,15 +316,15 @@ func (c *Conn) queued() bool {
 // pacer tokens to start.
 func (c *Conn) nextTier() (Tier, bool) {
 	for t := Tier(0); t < numTiers; t++ {
-		if len(c.wqueue[t]) > 0 && c.wqueue[t][0].sent > 0 {
+		if c.wqueue[t].Len() > 0 && c.wqueue[t].At(0).sent > 0 {
 			return t, true
 		}
 	}
 	for t := Tier(0); t < numTiers; t++ {
-		if len(c.wqueue[t]) == 0 {
+		if c.wqueue[t].Len() == 0 {
 			continue
 		}
-		f := &c.wqueue[t][0]
+		f := c.wqueue[t].At(0)
 		if t == TierBackground && c.pacer != nil && !f.admitted {
 			if !c.pacer.admit(c, int64(f.size)) {
 				return 0, false
@@ -345,13 +346,12 @@ func (c *Conn) drain() {
 		if !ok {
 			return
 		}
-		f := &c.wqueue[t][0]
+		f := c.wqueue[t].At(0)
 		if !c.sendFrame(f) {
 			return
 		}
 		c.putFrameBuf(f.buf)
-		c.wqueue[t][0] = wframe{} // drop the part references with the frame
-		c.wqueue[t] = c.wqueue[t][1:]
+		c.wqueue[t].Pop() // drops the part references with the frame
 	}
 }
 
@@ -575,4 +575,29 @@ func (s *Serializer) Do(cost sim.Duration, fn func()) {
 	}
 	s.freeAt = start.Add(cost)
 	s.Engine.ScheduleAt(s.freeAt, fn)
+}
+
+// Inbox is a lane's queue of one kind of deferred work — messages to
+// handle, or to send — that schedules no closure per item: Do pushes the
+// item and schedules the one callback bound at construction, which pops
+// the oldest item and hands it to the handler. This is exact because a
+// Serializer's work fires in the order it was scheduled (see sim.Queue),
+// so the k-th callback to fire pops the k-th item pushed.
+type Inbox[T any] struct {
+	lane *Serializer
+	q    sim.Queue[T]
+	next func()
+}
+
+// NewInbox returns an inbox on lane whose items go to handle.
+func NewInbox[T any](lane *Serializer, handle func(T)) *Inbox[T] {
+	b := &Inbox[T]{lane: lane}
+	b.next = func() { handle(b.q.Pop()) }
+	return b
+}
+
+// Do hands v to the handler after cost of serialized lane time.
+func (b *Inbox[T]) Do(cost sim.Duration, v T) {
+	b.q.Push(v)
+	b.lane.Do(cost, b.next)
 }

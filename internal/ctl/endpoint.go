@@ -3,6 +3,7 @@ package ctl
 import (
 	"bytes"
 
+	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 	"cruz/internal/trace"
 )
@@ -45,6 +46,20 @@ type Link[M any] struct {
 	// up holds the reports of the Connects waiting on a dialed link's
 	// handshake, told once: nil when it is established, or its error.
 	up []func(error)
+}
+
+// Deliver returns an endpoint's onMsg that hands each message, with its
+// link, to handle once lane has charged cost for it, in the order they
+// arrived: how a daemon pays on its CPU lane for every message it gets.
+func Deliver[M any](lane *Serializer, cost sim.Duration, handle func(*Link[M], M)) func(*Link[M], M) {
+	in := NewInbox(lane, func(r received[M]) { handle(r.link, r.m) })
+	return func(l *Link[M], m M) { in.Do(cost, received[M]{l, m}) }
+}
+
+// received is a message waiting on a lane, with the link it came on.
+type received[M any] struct {
+	link *Link[M]
+	m    M
 }
 
 // NewEndpoint creates an endpoint on stack.

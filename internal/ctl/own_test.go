@@ -316,3 +316,33 @@ func TestDeadConnDropsFrameInProgress(t *testing.T) {
 		t.Fatalf("Pump holds %d pieces of a frame on a dead connection", len(cb.pieces))
 	}
 }
+
+// TestWriteQueueAllocatesNothing sends bursts of small frames — control
+// messages — through a warmed connection pair. The one allocation per
+// frame is the receiver's buffer of its own (NewConn): queueing a frame on
+// the send side, and popping it once TCP has taken it, allocate nothing.
+func TestWriteQueueAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	frames := 0
+	NewConn(r.b, func(*Conn, []byte) { frames++ }, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+	payload := bytes.Repeat([]byte{'c'}, 200)
+	const burst = 64
+	cycle := func() {
+		want := frames + burst
+		for i := 0; i < burst; i++ {
+			if err := ca.Send(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for frames < want {
+			if !r.engine.Step() {
+				t.Fatal("engine ran dry before the burst arrived")
+			}
+		}
+	}
+	cycle() // warm-up: queues, pools and rings reach their working size
+	if got := testing.AllocsPerRun(20, cycle) / burst; got > 1 {
+		t.Errorf("a small frame costs %.2f allocations, want 1: the receiver's buffer", got)
+	}
+}

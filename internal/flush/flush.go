@@ -130,6 +130,9 @@ type Agent struct {
 	kern *kernel.Kernel
 	cpu  ctl.Serializer
 	tr   *trace.Tracer
+	// onMsg takes any protocol message (from the coordinator or a peer
+	// agent) and hands it to handle behind its receive cost.
+	onMsg func(*ctl.Link[*fWireMsg], *fWireMsg)
 
 	pods map[string]*zap.Pod
 	// ep accepts the coordinator's and peers' connections and dials peers.
@@ -173,6 +176,7 @@ func NewAgent(kern *kernel.Kernel) (*Agent, error) {
 		ops:     ctl.NewTable(kern.Engine()),
 		markers: make(map[podSeq][]*fWireMsg),
 	}
+	a.onMsg = ctl.Deliver(&a.cpu, core.AgentMsgCost, a.handle)
 	a.ep = ctl.NewEndpoint(kern.Stack(), fMsgCodec, a.onMsg)
 	if err := a.ep.Listen(DefaultControlPort); err != nil {
 		return nil, err
@@ -189,23 +193,20 @@ func (a *Agent) Manage(pod *zap.Pod) { a.pods[pod.Name()] = pod }
 // OpenOps returns the number of pod checkpoints in flight.
 func (a *Agent) OpenOps() int { return a.ops.Len() }
 
-// onMsg dispatches any protocol message (from the coordinator or a peer
-// agent).
-func (a *Agent) onMsg(c *ctl.Link[*fWireMsg], m *fWireMsg) {
-	a.cpu.Do(core.AgentMsgCost, func() {
-		switch m.Type {
-		case fCheckpoint:
-			a.startCheckpoint(c, m)
-		case fMarker:
-			a.tr.Instant(a.kern.Name(), "flush", "marker.recv", trace.Str("from", m.FromPod))
-			k := podSeq{m.Pod, m.Seq}
-			a.markers[k] = append(a.markers[k], m)
-		case fContinue:
-			a.handleContinue(m)
-		case fPing:
-			c.Send(&fWireMsg{Type: fPong})
-		}
-	})
+// handle dispatches a received message whose turn has come.
+func (a *Agent) handle(c *ctl.Link[*fWireMsg], m *fWireMsg) {
+	switch m.Type {
+	case fCheckpoint:
+		a.startCheckpoint(c, m)
+	case fMarker:
+		a.tr.Instant(a.kern.Name(), "flush", "marker.recv", trace.Str("from", m.FromPod))
+		k := podSeq{m.Pod, m.Seq}
+		a.markers[k] = append(a.markers[k], m)
+	case fContinue:
+		a.handleContinue(m)
+	case fPing:
+		c.Send(&fWireMsg{Type: fPong})
+	}
 }
 
 // startCheckpoint is the flushing agent's local sequence: stop the
@@ -443,6 +444,13 @@ type Coordinator struct {
 	ops   *ctl.Table
 	lease *ctl.Lease
 	seq   map[string]int
+
+	// The lane's work besides the messages received, each kind charged
+	// core.CoordinatorMsgCost: the sends, and the pings, which all send
+	// pingMsg.
+	sends   *ctl.Inbox[outbound]
+	pings   *ctl.Inbox[*ctl.Link[*fWireMsg]]
+	pingMsg fWireMsg
 }
 
 // checkpointOp is one job's checkpoint in flight: its ctl.Op's Data.
@@ -460,8 +468,12 @@ func NewCoordinator(stack *tcpip.Stack) *Coordinator {
 		tr:    trace.FromEngine(stack.Engine()),
 		ops:   ctl.NewTable(stack.Engine()),
 		seq:   make(map[string]int),
+
+		pingMsg: fWireMsg{Type: fPing},
 	}
-	c.ep = ctl.NewEndpoint(stack, fMsgCodec, c.onMsg)
+	c.sends = ctl.NewInbox(&c.cpu, c.sendNow)
+	c.pings = ctl.NewInbox(&c.cpu, func(fc *ctl.Link[*fWireMsg]) { fc.Send(&c.pingMsg) })
+	c.ep = ctl.NewEndpoint(stack, fMsgCodec, ctl.Deliver(&c.cpu, core.CoordinatorMsgCost, c.onMsg))
 	c.lease = ctl.NewLease(stack.Engine(), core.DefaultHeartbeatEvery, core.DefaultLeaseTimeout, c.ping, c.agentDied)
 	return c
 }
@@ -489,7 +501,7 @@ func (c *Coordinator) Watch(job *Job) {
 // ping is the lease's ping hook: a ping to a live agent, if its link is up.
 func (c *Coordinator) ping(addr tcpip.AddrPort) {
 	if fc, ok := c.ep.Link(addr); ok {
-		c.cpu.Do(core.CoordinatorMsgCost, func() { fc.Send(&fWireMsg{Type: fPing}) })
+		c.pings.Do(core.CoordinatorMsgCost, fc)
 	}
 }
 
@@ -555,69 +567,77 @@ func (c *Coordinator) continueAll(op *ctl.Op) {
 // send sends m to a member's agent in the next message slot; a missing
 // or dead conn fails the op. A failed op sends only its continues.
 func (c *Coordinator) send(op *ctl.Op, mem Member, m *fWireMsg) {
-	c.cpu.Do(core.CoordinatorMsgCost, func() {
-		if op.Aborted() && m.Type != fContinue {
-			return
-		}
-		fc, ok := c.ep.Link(mem.Agent)
-		if !ok {
-			op.Fail(fmt.Errorf("%w: no connection to %s", ErrAgent, mem.Agent))
-			return
-		}
-		op.Data.(*checkpointOp).res.CoordinatorMessages++
-		if err := fc.Send(m); err != nil {
-			op.Fail(fmt.Errorf("%w: send to %s: %v", ErrAgent, mem.Agent, err))
-		}
-	})
+	c.sends.Do(core.CoordinatorMsgCost, outbound{op, mem, m})
 }
 
-// onMsg handles agent replies. Seqs count per job, so two jobs can be at
-// the same seq at once: a reply belongs to the checkpoint at its seq
-// whose job lists its pod.
+// outbound is one message send queued.
+type outbound struct {
+	op  *ctl.Op
+	mem Member
+	m   *fWireMsg
+}
+
+// sendNow sends a queued message whose turn has come.
+func (c *Coordinator) sendNow(o outbound) {
+	if o.op.Aborted() && o.m.Type != fContinue {
+		return
+	}
+	fc, ok := c.ep.Link(o.mem.Agent)
+	if !ok {
+		o.op.Fail(fmt.Errorf("%w: no connection to %s", ErrAgent, o.mem.Agent))
+		return
+	}
+	o.op.Data.(*checkpointOp).res.CoordinatorMessages++
+	if err := fc.Send(o.m); err != nil {
+		o.op.Fail(fmt.Errorf("%w: send to %s: %v", ErrAgent, o.mem.Agent, err))
+	}
+}
+
+// onMsg handles an agent's reply once the lane has charged its receive
+// cost. Seqs count per job, so two jobs can be at the same seq at once: a
+// reply belongs to the checkpoint at its seq whose job lists its pod.
 func (c *Coordinator) onMsg(fc *ctl.Link[*fWireMsg], m *fWireMsg) {
-	c.cpu.Do(core.CoordinatorMsgCost, func() {
-		if m.Type == fPong {
-			c.lease.Pong(fc.TCP().RemoteAddr())
-			return
-		}
-		var op *ctl.Op
-		sender := func(mem Member) bool { return mem.Pod == m.Pod }
-		c.ops.Each(func(o *ctl.Op) {
-			if o.Seq == m.Seq && slices.ContainsFunc(o.Data.(*checkpointOp).job.Members, sender) {
-				op = o
-			}
-		})
-		if op == nil {
-			return
-		}
-		if m.Err != "" {
-			op.Fail(fmt.Errorf("%w: %s: %s", ErrAgent, m.Pod, m.Err))
-			return
-		}
-		cp := op.Data.(*checkpointOp)
-		switch m.Type {
-		case fDone:
-			if !op.Arrive("done", m.Pod) {
-				return
-			}
-			cp.res.CoordinatorMessages++
-			cp.res.MarkerMessages += m.MarkerMsgs
-			cp.res.MaxFlush = max(cp.res.MaxFlush, m.FlushDuration)
-			cp.res.MaxLocal = max(cp.res.MaxLocal, m.LocalDuration)
-			if op.Cleared("done") {
-				cp.res.Latency = c.stack.Engine().Now().Sub(op.Started())
-				for _, mem := range cp.job.Members {
-					op.Expect("continue", mem.Pod)
-				}
-				c.continueAll(op)
-			}
-		case fContinueDone:
-			if op.Arrive("continue", m.Pod) {
-				cp.res.CoordinatorMessages++
-				if op.Cleared("continue") {
-					op.Finish()
-				}
-			}
+	if m.Type == fPong {
+		c.lease.Pong(fc.TCP().RemoteAddr())
+		return
+	}
+	var op *ctl.Op
+	sender := func(mem Member) bool { return mem.Pod == m.Pod }
+	c.ops.Each(func(o *ctl.Op) {
+		if o.Seq == m.Seq && slices.ContainsFunc(o.Data.(*checkpointOp).job.Members, sender) {
+			op = o
 		}
 	})
+	if op == nil {
+		return
+	}
+	if m.Err != "" {
+		op.Fail(fmt.Errorf("%w: %s: %s", ErrAgent, m.Pod, m.Err))
+		return
+	}
+	cp := op.Data.(*checkpointOp)
+	switch m.Type {
+	case fDone:
+		if !op.Arrive("done", m.Pod) {
+			return
+		}
+		cp.res.CoordinatorMessages++
+		cp.res.MarkerMessages += m.MarkerMsgs
+		cp.res.MaxFlush = max(cp.res.MaxFlush, m.FlushDuration)
+		cp.res.MaxLocal = max(cp.res.MaxLocal, m.LocalDuration)
+		if op.Cleared("done") {
+			cp.res.Latency = c.stack.Engine().Now().Sub(op.Started())
+			for _, mem := range cp.job.Members {
+				op.Expect("continue", mem.Pod)
+			}
+			c.continueAll(op)
+		}
+	case fContinueDone:
+		if op.Arrive("continue", m.Pod) {
+			cp.res.CoordinatorMessages++
+			if op.Cleared("continue") {
+				op.Finish()
+			}
+		}
+	}
 }

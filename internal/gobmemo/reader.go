@@ -3,26 +3,31 @@ package gobmemo
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
-// Value returns b's value message past its length and type id — for a
-// struct T, its fields — if b is exactly P followed by one value message
-// of T and nothing after it, what Encode writes. It serves a decoder that
-// walks T with a Reader instead of gob's; any other input is an error.
-func (c *Codec[T]) Value(b []byte) ([]byte, error) {
+// Value returns the value message of T that b opens with, past its length
+// and type id — for a struct T, its fields — and the bytes of b after it,
+// if b starts with P followed by one value message of T, what Encode
+// writes. It serves a decoder that walks T with a Reader instead of gob's;
+// any other input is an error.
+func (c *Codec[T]) Value(b []byte) (v, rest []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.prefix == nil {
 		c.primeEncoder()
 	}
 	if !c.plain(b) {
-		return nil, errors.New("gobmemo: not the descriptors and one value message")
+		return nil, nil, errors.New("gobmemo: not the descriptors and a value message")
 	}
 	r := NewReader(b[len(c.prefix):])
-	if n := r.Uint(); r.err != nil || n != uint64(len(r.b)-r.off) {
-		return nil, errors.New("gobmemo: value message length does not match the bytes after it")
+	n := r.Uint()
+	if r.err != nil || n > uint64(r.Len()) || n < uint64(len(c.valueHdr)) {
+		return nil, nil, errors.New("gobmemo: value message length overruns the bytes after it")
 	}
-	return r.b[r.off+len(c.valueHdr):], nil
+	end := r.off + int(n)
+	return r.b[r.off+len(c.valueHdr) : end], r.b[end:], nil
 }
 
 // Reader reads the primitives of a gob value message: unsigned and signed
@@ -88,6 +93,10 @@ func (r *Reader) Uint() uint64 {
 	return v
 }
 
+// Float reads a floating-point number: an unsigned integer holding its
+// IEEE 754 bits with the byte order reversed.
+func (r *Reader) Float() float64 { return math.Float64frombits(bits.ReverseBytes64(r.Uint())) }
+
 // Int reads a signed integer: an unsigned one whose low bit is the sign
 // and whose other bits are the value, complemented when negative.
 func (r *Reader) Int() int64 {
@@ -124,6 +133,48 @@ func (r *Reader) Bytes() []byte {
 
 // Len returns the number of bytes not yet read.
 func (r *Reader) Len() int { return len(r.b) - r.off }
+
+// gob.Encoder sends a struct field only when it is not zero — a number
+// other than 0, a bool that is true, a string or slice that is not empty —
+// so the Sent reads of a field's value reject a zero. (A map that is not
+// nil, an array and a struct are sent however they read.)
+const zeroSent = "a zero field sent"
+
+// SentUint reads a struct field's unsigned integer.
+func (r *Reader) SentUint() uint64 {
+	x := r.Uint()
+	r.Check(x != 0, zeroSent)
+	return x
+}
+
+// SentInt reads a struct field's signed integer.
+func (r *Reader) SentInt() int64 {
+	x := r.Int()
+	r.Check(x != 0, zeroSent)
+	return x
+}
+
+// SentBool reads a struct field's bool, which is sent as 1 and only when
+// true.
+func (r *Reader) SentBool() bool {
+	r.Check(r.Uint() == 1, "a bool field not sent as 1")
+	return true
+}
+
+// SentCount reads a struct field's slice or string length.
+func (r *Reader) SentCount() int {
+	n := r.Count()
+	r.Check(n != 0, zeroSent)
+	return n
+}
+
+// SentString reads a struct field's string.
+func (r *Reader) SentString() string {
+	n := r.SentCount()
+	s := string(r.b[r.off : r.off+n])
+	r.off += n
+	return s
+}
 
 // Field reads the number of the next field of a struct of n fields whose
 // last field read was last (−1 before the first). gob sends each as the
