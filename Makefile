@@ -38,9 +38,10 @@ test:
 # package and print each non-test function no test executes, outside
 # internal/analysis, cmd/ and gobmemotest (`go tool cover -func` lines at
 # 0.0 %). A simplification starts from this list: such a function is dead,
-# or its behaviour is unchecked. It re-runs the whole suite (≈ 45 s on 2
-# vCPUs), so check does not include it. The profile goes under $$TMPDIR and
-# is removed either way.
+# or its behaviour is unchecked. It only prints; its twin over the
+# producers, traffic below, is the gate (traffic.allow). It re-runs the
+# whole suite (≈ 45 s on 2 vCPUs), so check does not include it. The
+# profile goes under $$TMPDIR and is removed either way.
 COVER_SKIP = ^cruz/(internal/analysis|cmd|internal/gobmemo/gobmemotest)/
 cover: SHELL = bash
 cover:
@@ -48,19 +49,54 @@ cover:
 	$(GO) test -coverpkg=./... -coverprofile="$$prof" ./... >/dev/null && \
 	$(GO) tool cover -func="$$prof" | awk '$$NF == "0.0%" && $$1 !~ "$(COVER_SKIP)"'
 
-# Producer census, cover's twin: what the producers reach instead of what
-# the tests reach. It builds cmd/cruzbench, cmd/cruzsim and the bench/
-# module with coverage over every package of this module, runs every
-# scenario row, the failover row once more with -v -trace (the timeline,
-# the Chrome trace and the flight dumps it prints are producers' output
-# too), the paper evaluation at scale 0.05 and one benchmark pass (from
-# bench/, whose only input is BENCHMARK.json), merges the profiles
-# and prints each non-test function none of them executes, outside
-# internal/analysis, cmd/, gobmemotest and bench/. Such a function is dead
-# or test-only, or it is a path no recorded number crosses. ≈ 80 s on 2
-# vCPUs, so check does not include it. Binaries and profiles go under
-# $$TMPDIR and are removed either way.
+# Producer census, cover's twin, and a gate: what the producers reach
+# instead of what the tests reach. It builds cmd/cruzbench, cmd/cruzsim
+# and the bench/ module with coverage over every package of this module,
+# runs every scenario row, the failover row once more with -v -trace (the
+# timeline, the Chrome trace and the flight dumps it prints are producers'
+# output too), the paper evaluation at scale 0.05 (writing the phases
+# experiment's Chrome trace) and one benchmark pass (from bench/, whose
+# only input is BENCHMARK.json), merges the profiles and finds each
+# non-test function none of them executes, outside internal/analysis,
+# cmd/, gobmemotest and bench/. Such a function is dead or test-only, or a
+# path no recorded number crosses, so it must be deleted, reached, or
+# listed in traffic.allow by file and name with one reason tag (the file's
+# header defines the six). It fails on a function found and not listed,
+# on a line whose function is gone or now runs, on a missing or unknown
+# tag, on a `rare` line whose test does not exist and on an `oracle` line
+# testOnly does not list; it passes with one line of counts per tag.
+# ≈ 75 s on 2 vCPUs, so check does not include it (CI runs it). Binaries
+# and profiles go under $$TMPDIR and are removed either way.
 TRAFFIC_SKIP = ^cruz/(internal/analysis|cmd|internal/gobmemo/gobmemotest|bench)/
+TRAFFIC_TAGS = item17 item20 oracle fault rare iface
+TRAFFIC_Q = function oracle(file, fn, dot) { \
+		sub(/\/[^\/]*$$/, "", file); sub(/^\*/, "", fn); dot = index(fn, "."); \
+		return "\"cruz/" file "." (dot ? "(" substr(fn, 1, dot - 1) ")" substr(fn, dot) : fn) "\":" \
+	} \
+	BEGIN { \
+		n = split(tags, t, " "); for (i = 1; i <= n; i++) count[t[i]] = 0; \
+		while ((getline l < "internal/analysis/surface_test.go") > 0) surface = surface l "\n" \
+	} \
+	FILENAME != "traffic.allow" { found[++nf] = $$1 " " $$2; census[$$1 " " $$2] = 1; next } \
+	/^\#/ || NF == 0 { next } \
+	{ k = $$1 " " $$2; at = "traffic.allow:" FNR ": " k ": " } \
+	k in listed { print at "listed twice"; bad = 1 } \
+	{ listed[k] = 1 } \
+	!($$3 in count) || NF != 3 + ($$3 == "rare") { print at "want one tag of: " tags " (rare names its test)"; bad = 1; next } \
+	$$3 == "rare" && system("grep -rqs --include=\047*_test.go\047 --exclude-dir=.bench_build \"^func " $$4 "(\" .") \
+		{ print at "no test " $$4; bad = 1 } \
+	$$3 == "oracle" && !index(surface, oracle($$1, $$2)) { print at "tagged oracle, but testOnly does not list it"; bad = 1 } \
+	!(k in census) { print at "stale: a producer runs it now, or it is gone"; bad = 1; next } \
+	{ count[$$3]++ } \
+	END { \
+		for (i = 1; i <= nf; i++) if (!(found[i] in listed)) { \
+			print found[i] ": no producer runs it: reach it, delete it, or list it in traffic.allow with a reason"; bad = 1 \
+		} \
+		if (bad) exit 1; \
+		printf "traffic: %d functions no producer runs, each listed in traffic.allow:", nf; \
+		for (i = 1; i <= n; i++) printf " %s %d", t[i], count[t[i]]; \
+		print "" \
+	}
 traffic: SHELL = bash
 traffic:
 	@tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/traffic.XXXXXX") && trap 'rm -rf "$$tmp"' EXIT && \
@@ -72,9 +108,12 @@ traffic:
 	rows=$$("$$tmp/cruzsim" -h 2>&1 | awk '$$1 == "-scenario" && NF > 2 { print $$2 }') && \
 	for row in $$rows; do "$$tmp/cruzsim" -scenario $$row >/dev/null || exit 1; done && \
 	"$$tmp/cruzsim" -scenario failover -v -trace "$$tmp/failover.json" >/dev/null && \
-	"$$tmp/cruzbench" -scale 0.05 >/dev/null && \
+	"$$tmp/cruzbench" -scale 0.05 -traceout "$$tmp/phases.json" >/dev/null && \
 	(cd bench && "$$tmp/bench" -passes 1 -seed 1 >/dev/null) && \
-	$(GO) tool covdata func -i "$$tmp/cov" | awk '$$NF == "0.0%" && $$1 !~ "$(TRAFFIC_SKIP)"'
+	$(GO) tool covdata func -i "$$tmp/cov" >"$$tmp/func" && \
+	awk '$$NF == "0.0%" && $$1 !~ "$(TRAFFIC_SKIP)" { sub(/^cruz\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' \
+		"$$tmp/func" >"$$tmp/census" && \
+	awk -v tags="$(TRAFFIC_TAGS)" '$(TRAFFIC_Q)' "$$tmp/census" traffic.allow
 
 race:
 	$(GO) test -race ./internal/trace/... ./internal/metrics/... ./internal/ctl/... ./internal/core/... ./internal/coord/... ./internal/tcpip/... ./internal/mem/... ./internal/ckpt/... ./internal/gobmemo/... ./internal/flush/... ./internal/dhcp/...
@@ -85,9 +124,8 @@ race:
 # checked-in BENCH_cruz.json. Every cell is virtual time or a count,
 # exact per tree, so a difference is a moved number: the diff names the
 # cells, and bench.tmp.json, left behind, becomes the new BENCH_cruz.json
-# only with the cause named in CHANGES.md. One scale-1 run with no memory
-# limit peaked at a VmHWM of 3.16 GB (EXPERIMENTS' header); the
-# GOMEMLIMIT below is kept until ROADMAP item 15(c) drops it.
+# only with the cause named in CHANGES.md. It runs with no memory limit:
+# the whole record peaks at a VmHWM of about 3 GB (EXPERIMENTS' header).
 # `make bench EXP=migrate` runs one experiment in its own process and
 # diffs its cells against the record's under the key prefixes the run
 # printed (jq -S on both sides).
@@ -95,10 +133,10 @@ BENCH_Q = ($$run[0] | keys | map(split("/")[0]) | unique) as $$p | with_entries(
 bench: SHELL = bash
 bench:
 ifeq ($(EXP),)
-	GOMEMLIMIT=6GiB $(GO) run ./cmd/cruzbench -json bench.tmp.json
+	$(GO) run ./cmd/cruzbench -json bench.tmp.json
 	diff -u BENCH_cruz.json bench.tmp.json
 else
-	GOMEMLIMIT=6GiB $(GO) run ./cmd/cruzbench -exp $(EXP) -json bench.tmp.json
+	$(GO) run ./cmd/cruzbench -exp $(EXP) -json bench.tmp.json
 	diff -u <(jq -S --slurpfile run bench.tmp.json '$(BENCH_Q)' BENCH_cruz.json) <(jq -S . bench.tmp.json)
 endif
 	rm -f bench.tmp.json

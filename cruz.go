@@ -391,14 +391,6 @@ func (cl *Cluster) PodNode(name string) *Node {
 	return nil
 }
 
-// PodIP returns a pod's externally routable address.
-func (cl *Cluster) PodIP(name string) (Addr, error) {
-	if ref, ok := cl.pods[name]; ok {
-		return ref.pod.IP(), nil
-	}
-	return Addr{}, fmt.Errorf("%w: %s", ErrUnknownPod, name)
-}
-
 // DefineJob builds a Job from pod names and connects the coordinator to
 // the agents involved.
 func (cl *Cluster) DefineJob(name string, podNames ...string) (*Job, error) {

@@ -176,12 +176,11 @@ func TestClusterBasics(t *testing.T) {
 	if _, err := cl.NewPod(99, "b"); err == nil {
 		t.Fatal("bad node accepted")
 	}
-	ip, err := cl.PodIP("a")
-	if err != nil || ip != pod.IP() {
-		t.Fatalf("PodIP = %v/%v", ip, err)
+	if got := cl.Pod("a"); got != pod || got.IP() != pod.IP() {
+		t.Fatalf("Pod(a) = %v", got)
 	}
-	if _, err := cl.PodIP("ghost"); !errors.Is(err, cruz.ErrUnknownPod) {
-		t.Fatalf("PodIP ghost = %v", err)
+	if cl.Pod("ghost") != nil {
+		t.Fatal("Pod(ghost) found a pod")
 	}
 	if _, err := cl.DefineJob("j", "ghost"); !errors.Is(err, cruz.ErrUnknownPod) {
 		t.Fatalf("DefineJob ghost = %v", err)

@@ -19,15 +19,12 @@ import (
 var testOnly = map[string]string{
 	"cruz/internal/apps/slm.(Config).ExpectedRuntime": "TestRunsToCompletion",
 	"cruz/internal/batch.(Scheduler).Job":             "TestSubmitValidation",
-	"cruz/internal/core.(Agent).Kernel":               "TestAbortOnAgentTimeout",
 	"cruz/internal/core.(Coordinator).AbortMigration": "TestMigrationAbortRollsBack",
 	"cruz/internal/core.(Coordinator).CommittedSeq":   "TestCoordinatedCheckpointBlocking",
 	"cruz/internal/ctl.(Conn).QueuedBytes":            "TestTierPriorityOvertake",
 	"cruz/internal/ctl.(Op).Err":                      "TestOpFailIsIdempotentAndOrdersHooks",
 	"cruz/internal/dhcp.NewClient":                    "TestLeaseAcquisition",
 	"cruz/internal/dhcp.NewServer":                    "TestLeaseAcquisition",
-	"cruz/internal/ether.(NIC).SetPromiscuous":        "TestPromiscuousReceivesForeignFrames",
-	"cruz/internal/ether.(Switch).Detach":             "TestDetachStopsDelivery",
 	"cruz/internal/ether.(Switch).ForgetMAC":          "TestMultipleMACsPerNIC",
 	"cruz/internal/ether.(Switch).LearnedPortOf":      "TestLearningDirectsSubsequentFrames",
 	"cruz/internal/ether.(Switch).SetDropRate":        "TestSegPoolSurvivesRetransmit",
@@ -51,7 +48,6 @@ var testOnly = map[string]string{
 	"cruz/internal/kernel.(Process).Parent":           "TestPipeBetweenProcesses",
 	"cruz/internal/kernel.BlockOnSem":                 "TestSemaphorePingPong",
 	"cruz/internal/kernel.WaitForChild":               "TestWaitChildReapsInOrder",
-	"cruz/internal/metrics.(RateMeter).TotalBytes":    "TestRateMeterSteadyStream",
 	"cruz/internal/metrics.(Series).MinMax":           "TestEmptySeriesMinMax",
 	"cruz/internal/sim.(Engine).Run":                  "TestNestedSpans",
 	"cruz/internal/sim.(Engine).Stop":                 "TestStop",
@@ -60,7 +56,6 @@ var testOnly = map[string]string{
 	"cruz/internal/tcpip.(Filter).RuleCount":          "TestFilterDropsBothDirections",
 	"cruz/internal/tcpip.(TCPConn).ReadableBytes":     "TestCorkHoldsPartialSegments",
 	"cruz/internal/tcpip.(TCPConn).State":             "TestMigrateNetworkedPod",
-	"cruz/internal/tcpip.MustParseAddr":               "TestParseAddr",
 	"cruz/internal/zap.(Pod).Kill":                    "TestPodKillByVPID",
 	"cruz/internal/zap.(Pod).VIF":                     "TestHWAddrInterposedToFakeMAC",
 }

@@ -118,8 +118,10 @@ func OkExpectMatched(tb *ctl.Table, peer string) {
 	op.ArmTimeout(sim.Duration(10), errTimeout)
 }
 
+type ackOp struct{ *ctl.Op }
+
 func HandleAck(tb *ctl.Table, key, peer string) {
-	if op := tb.Get(key); op != nil {
+	if op := ctl.Find[ackOp](tb, key); op != nil {
 		op.Arrive("acks", peer)
 	}
 }

@@ -49,9 +49,6 @@ func (p ECParams) Validate() error {
 	return nil
 }
 
-// String renders the params in the conventional "m+r" form.
-func (p ECParams) String() string { return fmt.Sprintf("%d+%d", p.M, p.R) }
-
 // ECStripe is one stripe of the shard manifest: up to M data chunk
 // hashes (only the final stripe of a set may be shorter — the missing
 // tail positions are implicit all-zero padding blocks) plus the R parity

@@ -262,9 +262,6 @@ func TestECParamsValidate(t *testing.T) {
 			t.Fatalf("Validate(%v) succeeded", bad)
 		}
 	}
-	if p.String() != "4+2" {
-		t.Fatalf("String() = %q", p.String())
-	}
 }
 
 // ecCaptureChain checkpoints a memWorker pod twice (full + incremental)

@@ -264,9 +264,6 @@ func NewAgent(kern *kernel.Kernel, store *ckpt.Store) (*Agent, error) {
 // Addr returns the agent's control endpoint.
 func (a *Agent) Addr() tcpip.AddrPort { return a.ep.Addr() }
 
-// Kernel returns the node the agent runs on.
-func (a *Agent) Kernel() *kernel.Kernel { return a.kern }
-
 // Manage registers a pod with the agent so coordinated operations can
 // address it by name.
 func (a *Agent) Manage(pod *zap.Pod) { a.pods[pod.Name()] = pod }
@@ -430,7 +427,7 @@ func (a *Agent) startCheckpoint(c msgSink, m *wireMsg) {
 		a.Stats.MigrationsOut++
 		op.span = a.tr.BeginChild(m.ctx, a.kern.Name(), "core", "agent.migrate-out",
 			trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)),
-			trace.Str("to", addrKey(op.migrateTo)))
+			trace.Str("to", op.migrateTo.String()))
 	} else {
 		op.phases = stopAndCopyPhases
 		if m.PrecopyRounds > 0 {
@@ -932,9 +929,7 @@ func (a *Agent) takeOver(op *agentOp, img *ckpt.Image, next func()) {
 // every pod-scoped op kind — checkpoint, restart, migrate-out and
 // migrate-in all register their rollback through beginPodOp.
 func (a *Agent) handleAbort(m *wireMsg) {
-	o := a.table.Get(m.Pod)
-	if o == nil {
-		return
+	if op := ctl.Find[agentOp](a.table, m.Pod); op != nil {
+		op.Fail(ErrAborted)
 	}
-	o.Fail(ErrAborted)
 }

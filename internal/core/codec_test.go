@@ -418,3 +418,40 @@ func TestHeartbeatAllocs(t *testing.T) {
 // decoded messages and the pong. With a closure per lane hop, per ping
 // and per queued frame, and gob's decoder, it cost 13.
 const heartbeatAllocs = 5
+
+// TestFlatDoneAllocs bounds what the coordinator allocates to count one
+// member's own <done> — a reply with no batch — in an open checkpoint
+// that waits on another member still: the lookup of its op, the trace
+// instant, the arrival and the report it keeps.
+func TestFlatDoneAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bounds are for builds without the race detector")
+	}
+	engine := sim.NewEngine(7)
+	c := NewCoordinator(tcpip.NewStack(engine, "coord"))
+	job := &Job{Name: "ring", Members: []Member{{Pod: "slm-0"}, {Pod: "slm-1"}}}
+	op, err := c.begin("checkpoint", job, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op.Expect("done", "slm-1")
+	op.reports = make([]PodReport, 0, 1)
+	m := &wireMsg{Type: msgDone, Seq: 1, Pod: "slm-0", LocalDuration: sim.Millisecond}
+	arrive := func() {
+		op.Expect("done", "slm-0")
+		op.reports = op.reports[:0]
+		c.onMsg(nil, m)
+		if op.Arrive("done", "slm-0") || len(op.reports) != 1 || !op.Active() {
+			t.Fatal("the done was not counted")
+		}
+	}
+	arrive()
+	if avg := testing.AllocsPerRun(20, arrive); avg > flatDoneAllocs {
+		t.Errorf("a flat done allocates %.0f times at the coordinator, want at most %d", avg, flatDoneAllocs)
+	}
+}
+
+// flatDoneAllocs is TestFlatDoneAllocs' bound: the sorted key list of
+// the op lookup's walk of the table (ctl.Table.Each). With the batch of
+// one and the instant's name built per reply, it cost 2.
+const flatDoneAllocs = 1

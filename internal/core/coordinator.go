@@ -325,7 +325,7 @@ func (c *Coordinator) Connect(job *Job, done func(error)) {
 // registered fails unless addr is a node the membership layer knows.
 func (c *Coordinator) registered(addr tcpip.AddrPort) error {
 	if c.nodeByAddr[addr] == nil {
-		return fmt.Errorf("%w: %s is not a registered node", ErrNotConnected, addrKey(addr))
+		return fmt.Errorf("%w: %s is not a registered node", ErrNotConnected, addr.String())
 	}
 	return nil
 }
@@ -732,11 +732,13 @@ func (c *Coordinator) onMsg(cc *ctl.Link[*wireMsg], m *wireMsg) {
 	// through the identical per-pod arrival logic in the leader's
 	// (deterministic) arrival order. Commit/abort decisions therefore
 	// cannot differ between the two transports.
+	var one [1]GroupReport
 	batch := m.Reports
 	if m.Job == "" {
-		batch = []GroupReport{m.report()}
+		one[0] = m.report()
+		batch = one[:]
 	}
-	c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
+	c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", recvNames[m.Type],
 		trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)), trace.Int("batch", int64(len(batch))))
 	if m.Err != "" {
 		op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))

@@ -527,7 +527,7 @@ func TestAbortOnAgentTimeout(t *testing.T) {
 	// Cut one agent's node off the network entirely; its done can never
 	// arrive. (Its own pod will stay frozen — that node is "failed" — but
 	// the others must roll back.)
-	deadNIC := cl.agents[2].Kernel().Stack().Interfaces()[0].NIC()
+	deadNIC := cl.kernels[2].Stack().Interfaces()[0].NIC()
 	cl.sw.SetLinkDown(deadNIC, true)
 	fault := cl.engine.Now()
 

@@ -103,7 +103,7 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 	}
 	src := job.Members[idx].Agent
 	if src == target {
-		done(nil, fmt.Errorf("core: pod %s already lives on %s", pod, addrKey(target)))
+		done(nil, fmt.Errorf("core: pod %s already lives on %s", pod, target.String()))
 		return
 	}
 	if err := c.registered(target); err != nil {
@@ -123,7 +123,7 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 	op.span = c.tr.BeginOp(c.stack.Name(), "core", "migrate",
 		trace.Str("job", job.Name), trace.Str("pod", pod),
 		trace.Int("seq", int64(seq)),
-		trace.Str("from", addrKey(src)), trace.Str("to", addrKey(target)))
+		trace.Str("from", src.String()), trace.Str("to", target.String()))
 	op.OnFinish(func(_ *ctl.Op, err error) {
 		if op.Cleared("done") {
 			// Past the commit point the pod lives on the target, whatever

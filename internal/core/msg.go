@@ -95,6 +95,16 @@ var msgNames = map[msgType]string{
 	msgFetchDone:    "fetch-done",
 }
 
+// recvNames holds each type's "recv.<type>" trace instant, so that a
+// reply names its instant without building the string.
+var recvNames = func() map[msgType]string {
+	names := make(map[msgType]string, len(msgNames))
+	for t := msgCheckpoint; t <= msgFetchDone; t++ {
+		names[t] = "recv." + t.String()
+	}
+	return names
+}()
+
 func (t msgType) String() string {
 	if n, ok := msgNames[t]; ok {
 		return n

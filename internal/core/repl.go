@@ -84,12 +84,8 @@ type fetchOp struct {
 	wireBytes int64
 }
 
-func addrKey(ap tcpip.AddrPort) string {
-	return fmt.Sprintf("%d.%d.%d.%d:%d", ap.Addr[0], ap.Addr[1], ap.Addr[2], ap.Addr[3], ap.Port)
-}
-
 func replKey(pod string, seq int, remote tcpip.AddrPort) string {
-	return "repl/" + pod + "/" + strconv.Itoa(seq) + "/" + addrKey(remote)
+	return "repl/" + pod + "/" + strconv.Itoa(seq) + "/" + remote.String()
 }
 
 // startReplication pushes the committed checkpoint to the first k ring

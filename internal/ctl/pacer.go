@@ -25,10 +25,6 @@ type Pacer struct {
 
 	waiting []*Conn
 	armed   bool
-
-	// Paced counts frames that cleared the bucket; Waits counts the
-	// times a frame had to sit out a refill.
-	Paced, Waits uint64
 }
 
 // NewPacer creates a token bucket refilling at rate bytes/sec with the
@@ -66,12 +62,10 @@ func (p *Pacer) admit(c *Conn, n int64) bool {
 		return false
 	}
 	p.tokens -= n
-	p.Paced++
 	return true
 }
 
 func (p *Pacer) wait(c *Conn) {
-	p.Waits++
 	for _, w := range p.waiting {
 		if w == c {
 			c = nil

@@ -47,9 +47,6 @@ func (t *Table) Begin(kind, key string, seq int) (*Op, error) {
 	return op, nil
 }
 
-// Get returns the active op under key, or nil.
-func (t *Table) Get(key string) *Op { return t.ops[key] }
-
 // Find returns the owner's record for the active op under key — what its
 // Data holds — or nil when the key is free or held by another kind of op.
 func Find[T any](t *Table, key string) *T {

@@ -18,11 +18,14 @@ func TestTableBeginBusyAndRelease(t *testing.T) {
 	if _, err := tb.Begin("restart", "job", 2); !errors.Is(err, ErrOpExists) {
 		t.Fatalf("duplicate begin: %v", err)
 	}
-	if tb.Len() != 1 || tb.Get("job") != op {
+	type record struct{ *Op }
+	rec := &record{op}
+	op.Data = rec
+	if tb.Len() != 1 || Find[record](tb, "job") != rec {
 		t.Fatal("table bookkeeping wrong")
 	}
 	op.Finish()
-	if tb.Len() != 0 || tb.Get("job") != nil {
+	if tb.Len() != 0 || Find[record](tb, "job") != nil {
 		t.Fatal("finish did not release the key")
 	}
 	if _, err := tb.Begin("restart", "job", 2); err != nil {

@@ -6,8 +6,8 @@
 // results (Fig. 5b) are in the hundreds of microseconds, so frame
 // serialization and switch latency must be modeled, not hand-waved.
 // Network-address migration (§4.2) additionally requires MAC learning,
-// gratuitous ARP visibility, multiple unicast MACs per NIC, and
-// promiscuous mode — all implemented here.
+// gratuitous ARP visibility and multiple unicast MACs per NIC — all
+// implemented here.
 package ether
 
 import (
@@ -118,14 +118,13 @@ func (c LinkConfig) serialization(size int) sim.Duration {
 var ErrDetached = errors.New("ether: nic not attached to a switch")
 
 // NIC is a simulated network interface card. A NIC can carry several
-// unicast MAC addresses (the paper relies on hardware multi-MAC support or
-// promiscuous mode for per-pod VIF MACs).
+// unicast MAC addresses (the paper relies on hardware multi-MAC support
+// for per-pod VIF MACs).
 type NIC struct {
 	engine  *sim.Engine
 	name    string
 	macs    map[MAC]bool
 	primary MAC
-	promisc bool
 	port    *port
 	recv    func(Frame)
 
@@ -172,9 +171,6 @@ func (n *NIC) RemoveMAC(m MAC) {
 // HasMAC reports whether the NIC currently accepts unicast frames to m.
 func (n *NIC) HasMAC(m MAC) bool { return n.macs[m] }
 
-// SetPromiscuous toggles promiscuous mode (accept all frames).
-func (n *NIC) SetPromiscuous(v bool) { n.promisc = v }
-
 // SetReceiver installs the upper-layer frame handler. Frames that pass MAC
 // filtering are delivered to it.
 func (n *NIC) SetReceiver(fn func(Frame)) { n.recv = fn }
@@ -203,7 +199,7 @@ func (n *NIC) Send(f Frame) error {
 
 // deliver is invoked by the switch when a frame arrives at this NIC.
 func (n *NIC) deliver(f Frame) {
-	accept := n.promisc || f.Dst.IsBroadcast() || n.macs[f.Dst]
+	accept := f.Dst.IsBroadcast() || n.macs[f.Dst]
 	if !accept {
 		n.Stats.RxFiltered++
 		return
@@ -272,22 +268,6 @@ func (s *Switch) Attach(n *NIC, cfg LinkConfig) {
 	p.arriveFn, p.deliverFn = p.arrive, p.deliverHead
 	s.ports = append(s.ports, p)
 	n.port = p
-}
-
-// Detach disconnects a NIC from the switch, simulating a pulled cable.
-func (s *Switch) Detach(n *NIC) {
-	for i, p := range s.ports {
-		if p.nic == n {
-			s.ports = append(s.ports[:i], s.ports[i+1:]...)
-			n.port = nil
-			for m, tp := range s.table {
-				if tp == p {
-					delete(s.table, m)
-				}
-			}
-			return
-		}
-	}
 }
 
 // SetLinkDown marks the NIC's link up or down; frames in either direction

@@ -97,16 +97,6 @@ func TestBroadcastReachesAll(t *testing.T) {
 	}
 }
 
-func TestPromiscuousReceivesForeignFrames(t *testing.T) {
-	r := newRig(t, 3, GigabitLink)
-	r.nics[2].SetPromiscuous(true)
-	r.nics[0].Send(Frame{Src: mac(1), Dst: mac(2), Type: TypeIPv4, Payload: testPayload{size: 64}})
-	r.engine.Run()
-	if len(r.rx[2]) != 1 {
-		t.Fatalf("promiscuous nic got %d frames, want 1", len(r.rx[2]))
-	}
-}
-
 func TestMultipleMACsPerNIC(t *testing.T) {
 	r := newRig(t, 2, GigabitLink)
 	vifMAC := mac(0x77)
@@ -185,16 +175,6 @@ func TestSendDetached(t *testing.T) {
 	nic := NewNIC(e, "lonely", mac(9))
 	if err := nic.Send(Frame{}); err != ErrDetached {
 		t.Fatalf("err = %v, want ErrDetached", err)
-	}
-}
-
-func TestDetachStopsDelivery(t *testing.T) {
-	r := newRig(t, 2, GigabitLink)
-	r.sw.Detach(r.nics[1])
-	r.nics[0].Send(Frame{Src: mac(1), Dst: Broadcast, Payload: testPayload{size: 64}})
-	r.engine.Run()
-	if len(r.rx[1]) != 0 {
-		t.Fatal("frame delivered to detached NIC")
 	}
 }
 
@@ -319,8 +299,7 @@ type delivery struct {
 // must reproduce event for event.
 type refFabric struct {
 	engine *sim.Engine
-	nics   []*refPort // by NIC index, attached or not
-	ports  []*refPort // attached
+	ports  []*refPort // by NIC index
 	table  map[MAC]*refPort
 	log    []delivery
 }
@@ -331,14 +310,11 @@ type refPort struct {
 	mac             MAC
 	cfg             LinkConfig
 	nicFree, swFree sim.Time
-	down, detached  bool
+	down            bool
 	dropRate        float64
 }
 
 func (p *refPort) send(fr Frame) {
-	if p.detached {
-		return // ErrDetached
-	}
 	e := p.f.engine
 	start := max(e.Now(), p.nicFree)
 	p.nicFree = start.Add(p.cfg.serialization(fr.WireSize()))
@@ -380,22 +356,6 @@ func (f *refFabric) transmit(out *refPort, fr Frame) {
 	})
 }
 
-func (f *refFabric) detach(i int) {
-	p := f.nics[i]
-	p.detached = true
-	for i, q := range f.ports {
-		if q == p {
-			f.ports = append(f.ports[:i], f.ports[i+1:]...)
-			break
-		}
-	}
-	for m, q := range f.table {
-		if q == p {
-			delete(f.table, m)
-		}
-	}
-}
-
 // fabric is what the order test drives: the switch under test or the
 // closure oracle.
 type fabric interface {
@@ -403,7 +363,6 @@ type fabric interface {
 	setDown(i int, down bool)
 	setDropRate(i int, rate float64)
 	forget(m MAC)
-	detach(i int)
 }
 
 type realFabric struct {
@@ -413,27 +372,25 @@ type realFabric struct {
 }
 
 func (r *realFabric) send(from int, dst MAC, size int, tag string) {
-	err := r.nics[from].Send(Frame{Src: mac(byte(from + 1)), Dst: dst, Type: TypeIPv4, Payload: testPayload{size, tag}})
-	if err != nil && err != ErrDetached {
+	if err := r.nics[from].Send(Frame{Src: mac(byte(from + 1)), Dst: dst, Type: TypeIPv4, Payload: testPayload{size, tag}}); err != nil {
 		r.t.Fatal(err)
 	}
 }
 func (r *realFabric) setDown(i int, down bool)        { r.sw.SetLinkDown(r.nics[i], down) }
 func (r *realFabric) setDropRate(i int, rate float64) { r.sw.SetDropRate(r.nics[i], rate) }
 func (r *realFabric) forget(m MAC)                    { r.sw.ForgetMAC(m) }
-func (r *realFabric) detach(i int)                    { r.sw.Detach(r.nics[i]) }
 
 func (f *refFabric) send(from int, dst MAC, size int, tag string) {
-	f.nics[from].send(Frame{Src: mac(byte(from + 1)), Dst: dst, Type: TypeIPv4, Payload: testPayload{size, tag}})
+	f.ports[from].send(Frame{Src: mac(byte(from + 1)), Dst: dst, Type: TypeIPv4, Payload: testPayload{size, tag}})
 }
-func (f *refFabric) setDown(i int, down bool)        { f.nics[i].down = down }
-func (f *refFabric) setDropRate(i int, rate float64) { f.nics[i].dropRate = rate }
+func (f *refFabric) setDown(i int, down bool)        { f.ports[i].down = down }
+func (f *refFabric) setDropRate(i int, rate float64) { f.ports[i].dropRate = rate }
 func (f *refFabric) forget(m MAC)                    { delete(f.table, m) }
 
 // TestPortsDeliverInSendOrder: a scripted mix of bursts on gigabit, slow
 // and zero-bandwidth links (so many frames on one wire arrive at one
-// instant), flooding, learning, a downed link, a lossy link and two
-// detaches with frames still on the wire produces exactly the deliveries
+// instant), flooding, learning, a lossy link and three links taken down,
+// two with frames still on the wire, produces exactly the deliveries
 // of the closure-per-hop fabric — same frames, same NICs, same instants,
 // same order — and every sender's frames reach each NIC in send order.
 func TestPortsDeliverInSendOrder(t *testing.T) {
@@ -481,8 +438,8 @@ func TestPortsDeliverInSendOrder(t *testing.T) {
 			burst(3, mac(1), 10, 1400, "slow") // ≈1.2 ms each on the wire
 			burst(4, mac(1), 5, 1400, "late")
 		})
-		at(56, func() { f.detach(0) })  // frames to it are on both wires
-		at(600, func() { f.detach(3) }) // its burst is still leaving
+		at(56, func() { f.setDown(0, true) })  // frames to it are on both wires
+		at(600, func() { f.setDown(3, true) }) // its burst is still leaving
 		at(700, func() { burst(3, Broadcast, 2, 64, "gone") })
 	}
 
@@ -506,9 +463,8 @@ func TestPortsDeliverInSendOrder(t *testing.T) {
 	re := sim.NewEngine(5)
 	ref := &refFabric{engine: re, table: map[MAC]*refPort{}}
 	for i, cfg := range links {
-		ref.nics = append(ref.nics, &refPort{f: ref, id: i, mac: mac(byte(i + 1)), cfg: cfg})
+		ref.ports = append(ref.ports, &refPort{f: ref, id: i, mac: mac(byte(i + 1)), cfg: cfg})
 	}
-	ref.ports = append(ref.ports, ref.nics...)
 	script(re, ref)
 	if err := re.Run(); err != nil {
 		t.Fatal(err)
@@ -524,7 +480,7 @@ func TestPortsDeliverInSendOrder(t *testing.T) {
 	}
 	// Each burst reaches each NIC in send order, and the script reaches
 	// the cases it is written for.
-	sameInstant, afterDetach := false, false
+	sameInstant, afterDown := false, false
 	type stream struct {
 		burst string
 		nic   int
@@ -535,7 +491,7 @@ func TestPortsDeliverInSendOrder(t *testing.T) {
 			sameInstant = true
 		}
 		if d.nic == 0 && d.at > sim.Time(56*sim.Microsecond) {
-			afterDetach = true
+			afterDown = true
 		}
 		k, seq := stream{d.tag[:len(d.tag)-1], d.nic}, d.tag[len(d.tag)-1]
 		if prev, ok := last[k]; ok && prev >= seq {
@@ -543,9 +499,9 @@ func TestPortsDeliverInSendOrder(t *testing.T) {
 		}
 		last[k] = seq
 	}
-	if !sameInstant || !afterDetach || real.nics[0].Stats.Dropped == 0 || real.nics[1].Stats.Dropped == 0 {
-		t.Fatalf("script misses a case: frames at one instant on one port %v, delivered after a detach %v, dropped lossy %d, down %d",
-			sameInstant, afterDetach, real.nics[0].Stats.Dropped, real.nics[1].Stats.Dropped)
+	if !sameInstant || !afterDown || real.nics[0].Stats.Dropped == 0 || real.nics[1].Stats.Dropped == 0 {
+		t.Fatalf("script misses a case: frames at one instant on one port %v, delivered after the link went down %v, dropped lossy %d, down %d",
+			sameInstant, afterDown, real.nics[0].Stats.Dropped, real.nics[1].Stats.Dropped)
 	}
 }
 

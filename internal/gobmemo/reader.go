@@ -119,9 +119,6 @@ func (r *Reader) Count() int {
 	return int(n)
 }
 
-// String reads a string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
 // Bytes reads a count-prefixed byte string — a string, a []byte, or a
 // whole message of a gob stream — without copying it.
 func (r *Reader) Bytes() []byte {

@@ -22,22 +22,6 @@ const (
 	StateExited
 )
 
-var procStateNames = map[ProcState]string{
-	StateReady:    "READY",
-	StateRunning:  "RUNNING",
-	StateBlocked:  "BLOCKED",
-	StateSleeping: "SLEEPING",
-	StateStopped:  "STOPPED",
-	StateExited:   "EXITED",
-}
-
-func (s ProcState) String() string {
-	if n, ok := procStateNames[s]; ok {
-		return n
-	}
-	return fmt.Sprintf("ProcState(%d)", int(s))
-}
-
 // Signal is a POSIX-style signal number.
 type Signal int
 

@@ -17,7 +17,6 @@ import (
 type RateMeter struct {
 	window sim.Duration
 	events []rateEvent
-	total  uint64
 }
 
 type rateEvent struct {
@@ -37,7 +36,6 @@ func NewRateMeter(window sim.Duration) *RateMeter {
 // nondecreasing time order.
 func (m *RateMeter) Record(t sim.Time, n int) {
 	m.events = append(m.events, rateEvent{at: t, bytes: n})
-	m.total += uint64(n)
 	m.prune(t)
 }
 
@@ -62,9 +60,6 @@ func (m *RateMeter) RateMbps(now sim.Time) float64 {
 	}
 	return float64(bytes) * 8 / 1e6 / m.window.Seconds()
 }
-
-// TotalBytes returns all bytes ever recorded.
-func (m *RateMeter) TotalBytes() uint64 { return m.total }
 
 // Point is one sample of a time series.
 type Point struct {

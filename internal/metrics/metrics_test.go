@@ -20,9 +20,6 @@ func TestRateMeterSteadyStream(t *testing.T) {
 	if math.Abs(rate-1000) > 10 {
 		t.Fatalf("rate = %.1f Mb/s, want ~1000", rate)
 	}
-	if m.TotalBytes() != 2000*1250 {
-		t.Fatalf("TotalBytes = %d", m.TotalBytes())
-	}
 }
 
 func TestRateMeterDropsToZero(t *testing.T) {
@@ -94,7 +91,7 @@ func TestSummaryDegenerate(t *testing.T) {
 }
 
 // Property: the meter's windowed rate times the window never exceeds
-// total recorded bytes, and total matches the sum of records.
+// the bytes recorded in all.
 func TestPropertyRateMeterConservation(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		m := NewRateMeter(10 * sim.Millisecond)
@@ -104,9 +101,6 @@ func TestPropertyRateMeterConservation(t *testing.T) {
 			now = sim.Time(i) * sim.Time(sim.Millisecond)
 			m.Record(now, int(sz))
 			total += uint64(sz)
-		}
-		if m.TotalBytes() != total {
-			return false
 		}
 		windowBits := m.RateMbps(now) * 1e6 * 0.01
 		return windowBits <= float64(total)*8+1e-6

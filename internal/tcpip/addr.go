@@ -12,11 +12,7 @@
 // exponential backoff.
 package tcpip
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Addr is an IPv4 address.
 type Addr [4]byte
@@ -30,8 +26,16 @@ var (
 )
 
 // String renders the address in dotted-quad form.
-func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+func (a Addr) String() string { return string(a.appendTo(make([]byte, 0, 15))) }
+
+func (a Addr) appendTo(b []byte) []byte {
+	for i, octet := range a {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	return b
 }
 
 // IsAny reports whether a is the unspecified address.
@@ -40,41 +44,18 @@ func (a Addr) IsAny() bool { return a == AddrAny }
 // IsBroadcast reports whether a is the limited broadcast address.
 func (a Addr) IsBroadcast() bool { return a == AddrBroadcast }
 
-// ParseAddr parses a dotted-quad IPv4 address.
-func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return Addr{}, fmt.Errorf("tcpip: invalid address %q", s)
-	}
-	var a Addr
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
-			return Addr{}, fmt.Errorf("tcpip: invalid address %q", s)
-		}
-		a[i] = byte(v)
-	}
-	return a, nil
-}
-
-// MustParseAddr is ParseAddr that panics on error, for constants in tests
-// and examples.
-func MustParseAddr(s string) Addr {
-	a, err := ParseAddr(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // AddrPort is an address-port pair identifying one endpoint.
 type AddrPort struct {
 	Addr Addr
 	Port uint16
 }
 
-func (ap AddrPort) String() string {
-	return fmt.Sprintf("%s:%d", ap.Addr, ap.Port)
+// String renders the endpoint as address:port.
+func (ap AddrPort) String() string { return string(ap.appendTo(make([]byte, 0, 21))) }
+
+func (ap AddrPort) appendTo(b []byte) []byte {
+	b = append(ap.Addr.appendTo(b), ':')
+	return strconv.AppendUint(b, uint64(ap.Port), 10)
 }
 
 // FourTuple identifies a TCP connection.
@@ -82,6 +63,8 @@ type FourTuple struct {
 	Local, Remote AddrPort
 }
 
+// String renders the connection as local->remote.
 func (ft FourTuple) String() string {
-	return fmt.Sprintf("%s->%s", ft.Local, ft.Remote)
+	b := append(ft.Local.appendTo(make([]byte, 0, 44)), "->"...)
+	return string(ft.Remote.appendTo(b))
 }

@@ -1,8 +1,6 @@
 package tcpip
 
 import (
-	"fmt"
-
 	"cruz/internal/ether"
 	"cruz/internal/sim"
 )
@@ -26,14 +24,6 @@ type ARPPacket struct {
 
 // WireSize implements ether.Payload.
 func (a *ARPPacket) WireSize() int { return 28 }
-
-func (a *ARPPacket) String() string {
-	op := "request"
-	if a.Op == arpReply {
-		op = "reply"
-	}
-	return fmt.Sprintf("ARP %s %s(%s)->%s(%s)", op, a.SenderIP, a.SenderMAC, a.TargetIP, a.TargetMAC)
-}
 
 // arpTable resolves IPv4 addresses to MACs, queueing packets that miss.
 type arpTable struct {

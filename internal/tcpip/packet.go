@@ -1,7 +1,5 @@
 package tcpip
 
-import "fmt"
-
 // IP protocol numbers used by the simulation.
 const (
 	ProtoTCP uint8 = 6
@@ -54,17 +52,6 @@ func (p *Packet) WireSize() int {
 	return ipHeaderBytes
 }
 
-func (p *Packet) String() string {
-	var body any
-	switch p.Proto {
-	case ProtoTCP:
-		body = &p.TCP
-	case ProtoUDP:
-		body = p.UDP
-	}
-	return fmt.Sprintf("IP %s->%s proto=%d %v", p.Src, p.Dst, p.Proto, body)
-}
-
 // TCP segment flags.
 type Flags uint8
 
@@ -78,24 +65,6 @@ const (
 )
 
 func (f Flags) Has(bit Flags) bool { return f&bit != 0 }
-
-func (f Flags) String() string {
-	var s []byte
-	add := func(bit Flags, c byte) {
-		if f.Has(bit) {
-			s = append(s, c)
-		}
-	}
-	add(FlagSYN, 'S')
-	add(FlagACK, 'A')
-	add(FlagFIN, 'F')
-	add(FlagRST, 'R')
-	add(FlagPSH, 'P')
-	if len(s) == 0 {
-		return "-"
-	}
-	return string(s)
-}
 
 const tcpHeaderBytes = 20
 
@@ -155,11 +124,6 @@ func (p *payload) each(fn func(span)) {
 // WireSize returns the segment's encoded size.
 func (s *Segment) WireSize() int { return tcpHeaderBytes + s.len() }
 
-func (s *Segment) String() string {
-	return fmt.Sprintf("TCP %d->%d [%s] seq=%d ack=%d win=%d len=%d",
-		s.SrcPort, s.DstPort, s.Flags, s.Seq, s.Ack, s.Window, s.len())
-}
-
 // seqLen returns the sequence-space length of the segment (data plus one
 // for each of SYN and FIN).
 func (s *Segment) seqLen() uint32 {
@@ -184,10 +148,6 @@ type Datagram struct {
 // WireSize returns the datagram's encoded size.
 func (d *Datagram) WireSize() int { return udpHeaderBytes + len(d.Data) }
 
-func (d *Datagram) String() string {
-	return fmt.Sprintf("UDP %d->%d len=%d", d.SrcPort, d.DstPort, len(d.Data))
-}
-
 // Sequence-number arithmetic (mod 2^32), following RFC 793 conventions.
 
 // seqLT reports a < b in sequence space.
@@ -198,11 +158,3 @@ func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
 
 // seqGT reports a > b in sequence space.
 func seqGT(a, b uint32) bool { return int32(a-b) > 0 }
-
-// seqMax returns the later of a and b in sequence space.
-func seqMax(a, b uint32) uint32 {
-	if seqGT(a, b) {
-		return a
-	}
-	return b
-}

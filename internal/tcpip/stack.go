@@ -270,7 +270,7 @@ func (s *Stack) rxPacket(p *Packet) {
 		return
 	}
 	if !p.Dst.IsBroadcast() && s.ifaceByIP(p.Dst) == nil {
-		// Not ours (promiscuous reception or stale flood); ignore.
+		// Not ours (a stale flood); ignore.
 		return
 	}
 	switch p.Proto {

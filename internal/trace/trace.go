@@ -45,20 +45,6 @@ const (
 	KindCounter
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindInstant:
-		return "instant"
-	case KindBegin:
-		return "begin"
-	case KindEnd:
-		return "end"
-	case KindCounter:
-		return "counter"
-	}
-	return "unknown"
-}
-
 // MaxArgs is the number of key/value arguments an event can carry inline.
 const MaxArgs = 4
 
