@@ -3,8 +3,10 @@ package ckpt
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,7 +127,7 @@ func TestECSetReaderMatchesGob(t *testing.T) {
 				t.Fatalf("set %d: accepted its first %d of %d bytes", i, n, len(b))
 			}
 		}
-		fields, frame := valueFramer(t, b)
+		fields, frame := valueFramer(t, ecSetCodec.Value, b)
 		for k := 0; k < len(fields); k++ {
 			if got, err := parseECSet(frame(fields[:k])); err == nil {
 				t.Fatalf("set %d: accepted its value cut to %d of %d bytes: %+v", i, k, len(fields), got)
@@ -150,7 +152,7 @@ func TestECSetReaderMatchesGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, frame := valueFramer(t, b)
+	_, frame := valueFramer(t, ecSetCodec.Value, b)
 	if _, err := parseECSet(frame([]byte{1, 1, 'p', 0})); err != nil {
 		t.Fatalf("the reader rejects a re-framed good value: %v", err)
 	}
@@ -170,12 +172,13 @@ func TestECSetReaderMatchesGob(t *testing.T) {
 	}
 }
 
-// valueFramer splits b, an encoded set, into its value's fields and a
-// function that frames other fields as that value: b's descriptors, then
-// a message length that fits them, the type id and the fields.
-func valueFramer(t *testing.T, b []byte) (fields []byte, frame func([]byte) []byte) {
+// valueFramer splits b, an encoding by the codec whose Value is value,
+// into its value's fields and a function that frames other fields as that
+// value: b's descriptors, then a message length that fits them, the type
+// id and the fields.
+func valueFramer(t *testing.T, value func([]byte) ([]byte, []byte, error), b []byte) (fields []byte, frame func([]byte) []byte) {
 	t.Helper()
-	fields, _, err := ecSetCodec.Value(b)
+	fields, _, err := value(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +195,214 @@ func valueFramer(t *testing.T, b []byte) (fields []byte, frame func([]byte) []by
 	return fields, func(f []byte) []byte {
 		c := appendUint(append([]byte(nil), b[:msg]...), uint64(len(id)+len(f)))
 		return append(append(c, id...), f...)
+	}
+}
+
+// filled returns a T whose every exported field, at every depth, is set:
+// each number distinct and not zero (a negative or several bytes long
+// where its type allows), each bool true, each string, slice and pointer
+// filled. gob then sends every field, so a walk that misses one or
+// misnumbers one reads something else.
+func filled[T any](t *testing.T) *T {
+	t.Helper()
+	next := 0
+	var set func(v reflect.Value)
+	set = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+			set(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					set(v.Field(i))
+				}
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+			fallthrough
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				set(v.Index(i))
+			}
+		case reflect.String:
+			next++
+			v.SetString(fmt.Sprint("s", next))
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			next++
+			v.SetInt(int64(next) << 32 * int64(1-2*(next%2)))
+		case reflect.Uint8:
+			next++
+			v.SetUint(uint64(next%255 + 1))
+		case reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			next++
+			v.SetUint(uint64(next) << (8*v.Type().Size() - 16))
+		default:
+			t.Fatalf("filled: no value for a %v", v.Type())
+		}
+	}
+	out := new(T)
+	set(reflect.ValueOf(out).Elem())
+	return out
+}
+
+// TestManifestReaderMatchesGob holds DecodeManifest's reader to gob, as
+// TestECSetReaderMatchesGob holds the shard set's: on the encoding of a
+// manifest with every field set (filled), of one whose descriptors each
+// hold one kind of socket, as a capture fills them, of sampleManifest and
+// of every generated manifest it builds what a fresh gob.Decoder builds, keeps
+// none of the bytes it read, and rejects a byte after them. It rejects
+// every proper prefix of five encodings — both filled, the sample, the
+// zero manifest and one generated — cut whole, or cut inside the value
+// with the message length fixed to match (the check is quadratic in the
+// length, and generated manifests average 7 KB). Each of
+// gobmemotest's damaged and hostile variations it rejects, or decodes to
+// gob's value; encodings gob accepts but gob.Encoder never writes, it
+// rejects.
+func TestManifestReaderMatchesGob(t *testing.T) {
+	fresh := func(b []byte) (*Manifest, error) {
+		v := new(Manifest)
+		return v, gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+	}
+	all, sockets := filled[Manifest](t), filled[Manifest](t)
+	for i := range sockets.Procs {
+		for j := range sockets.Procs[i].FDs {
+			fd := &sockets.Procs[i].FDs[j]
+			switch 2*i + j {
+			case 0:
+				fd.Listener, fd.UDP = nil, nil
+			case 1:
+				fd.Conn, fd.UDP = nil, nil
+			case 2:
+				fd.Conn, fd.Listener = nil, nil
+			default:
+				fd.Conn, fd.Listener, fd.UDP = nil, nil, nil
+			}
+		}
+	}
+	for i, m := range append([]*Manifest{all, sockets, sampleManifest(t)}, generated[Manifest](t, 100)...) {
+		b, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh(b)
+		if err != nil {
+			t.Fatalf("manifest %d: gob rejects its encoding: %v", i, err)
+		}
+		if m == all && !reflect.DeepEqual(want, m) {
+			t.Fatalf("gob does not carry every field the filler set:\n%+v, sent\n%+v", want, m)
+		}
+		got, err := readManifest(b)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("manifest %d: the reader builds %+v (%v), gob %+v", i, got, err, want)
+		}
+		for k := range b {
+			b[k] = ^b[k]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("manifest %d: the reader's manifest changed with the bytes it was read from", i)
+		}
+		for k := range b {
+			b[k] = ^b[k]
+		}
+		if _, err := readManifest(append(b[:len(b):len(b)], 0)); err == nil {
+			t.Fatalf("manifest %d: accepted a byte after the value", i)
+		}
+		if i >= 5 {
+			continue
+		}
+		for n := 0; n < len(b); n++ {
+			if _, err := readManifest(b[:n]); err == nil {
+				t.Fatalf("manifest %d: accepted its first %d of %d bytes", i, n, len(b))
+			}
+		}
+		fields, frame := valueFramer(t, manifestCodec.Value, b)
+		for k := 0; k < len(fields); k++ {
+			if got, err := readManifest(frame(fields[:k])); err == nil {
+				t.Fatalf("manifest %d: accepted its value cut to %d of %d bytes: %+v", i, k, len(fields), got)
+			}
+		}
+	}
+	for _, in := range gobmemotest.Inputs(t, sampleManifest(t)) {
+		got, err := readManifest(in.Bytes)
+		if err != nil {
+			continue
+		}
+		if want, gerr := fresh(in.Bytes); gerr != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the reader builds %+v, gob %+v (%v)", in.Name, got, want, gerr)
+		}
+	}
+	// gob's decoder also takes encodings gob.Encoder never writes. The
+	// reader does not, so what it accepts re-encodes to itself. The good
+	// value is PodName "p", then Net, which is sent though it is zero.
+	b, err := (&Manifest{PodName: "p"}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, frame := valueFramer(t, manifestCodec.Value, b)
+	if _, err := readManifest(frame(good)); err != nil {
+		t.Fatalf("the reader rejects a re-framed good value: %v", err)
+	}
+	net := good[4 : len(good)-1] // Net's fields and end, after its delta 6
+	for name, fields := range map[string][]byte{
+		"count wider than needed": slices.Concat([]byte{1, 0xff, 1, 'p', 6}, net, []byte{0}),
+		"zero field sent":         slices.Concat([]byte{1, 1, 'p', 1, 0, 5}, net, []byte{0}),
+		"struct field not sent":   {1, 1, 'p', 0},
+		"empty slice sent":        slices.Concat([]byte{1, 1, 'p', 6}, net, []byte{2, 0, 0}),
+		"byte after the struct":   slices.Concat(good, []byte{0}),
+	} {
+		in := frame(fields)
+		if _, err := fresh(in); err != nil {
+			t.Fatalf("%s: gob rejects it too: %v", name, err)
+		}
+		if got, err := readManifest(in); err == nil {
+			t.Errorf("%s: the reader accepted it as %+v", name, got)
+		}
+	}
+}
+
+// TestManifestDecodeAllocatesWhatItKeeps: DecodeManifest allocates the
+// manifest and, of what it carries, each string, slice and pointed-to
+// state once — none of gob's decoding machinery.
+func TestManifestDecodeAllocatesWhatItKeeps(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation bounds are for builds without the race detector")
+	}
+	m := filled[Manifest](t)
+	b, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var carried func(v reflect.Value) int
+	carried = func(v reflect.Value) (n int) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			return 1 + carried(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					n += carried(v.Field(i))
+				}
+			}
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				n += carried(v.Index(i))
+			}
+			return n + 1
+		case reflect.String:
+			return 1
+		}
+		return n
+	}
+	want := float64(carried(reflect.ValueOf(m)))
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeManifest(b); err != nil {
+			t.Fatal(err)
+		}
+	}); got != want {
+		t.Errorf("decoding a manifest allocates %.0f times, want %.0f: itself and what it carries", got, want)
 	}
 }
 

@@ -1,12 +1,16 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
+	"cruz/internal/gobmemo"
 	"cruz/internal/kernel"
 	"cruz/internal/mem"
 	"cruz/internal/sim"
+	"cruz/internal/tcpip"
 )
 
 // PageRef names one page of a process by its content hash. The page's
@@ -75,10 +79,11 @@ func (m *Manifest) Encode() ([]byte, error) {
 }
 
 // DecodeManifest parses an encoded manifest, rejecting a process whose
-// pages do not strictly ascend (merges rely on the order).
+// pages do not strictly ascend (merges rely on the order). The manifest
+// keeps no byte of b.
 func DecodeManifest(b []byte) (*Manifest, error) {
-	var m Manifest
-	if _, err := manifestCodec.Decode(b, &m); err != nil {
+	m, err := readManifest(b)
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: decode manifest: %w", err)
 	}
 	for i := range m.Procs {
@@ -86,7 +91,174 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("ckpt: decode manifest: vpid %d lists its pages out of order", m.Procs[i].VPID)
 		}
 	}
-	return &m, nil
+	return m, nil
+}
+
+// readManifest reads a manifest off the bytes Encode writes without gob's
+// decoder, as parseECSet reads a shard set: it allocates the manifest and
+// what it carries — its strings and slices, a copy of each byte slice,
+// and the state a descriptor points at — and keeps no byte of b. It takes
+// P ‖ V only, and of V only what gob.Encoder writes — a struct field when
+// it is not zero, an array or nested struct always — so what it accepts is
+// what a fresh gob.Decoder makes of the bytes, and re-encodes to them.
+// Each struct is read by readFields with one entry per exported field, so
+// a field added to Manifest or a type it carries needs an entry, or
+// TestManifestReaderMatchesGob fails.
+func readManifest(b []byte) (*Manifest, error) {
+	v, rest, err := manifestCodec.Value(b)
+	if err == nil && len(rest) > 0 {
+		err = errors.New("bytes after the value message")
+	}
+	if err != nil {
+		return nil, err
+	}
+	m, r := new(Manifest), gobmemo.NewReader(v)
+	readFields(&r, &m.PodName, &m.Seq, &m.BaseSeq, &m.Incremental, &m.Synthetic, (*int64)(&m.TakenAt),
+		func() { m.Net = readNet(&r) }, &m.NextVPID,
+		func(n int) { each(&m.Procs, n, func(p *ProcManifest) { readProc(&r, p) }) },
+		func(n int) {
+			each(&m.Shms, n, func(s *ShmImage) { readFields(&r, &s.ID, &s.Key, &s.Size, &s.Contents) })
+		},
+		func(n int) { each(&m.Sems, n, func(s *SemImage) { readFields(&r, &s.ID, &s.Key, &s.Value) }) },
+		func(n int) { each(&m.Pipes, n, func(p *PipeImage) { readFields(&r, &p.ID, &p.Buffer) }) })
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// readFields reads a struct whose exported fields are, in order, at: each
+// a pointer to where a field of a plain kind goes, read when it is sent —
+// an int, int64, uint64, uint32 or uint16, a string, a bool, a byte
+// slice, copied — or a func that reads it: a func(n int), handed its
+// count, for a slice of anything else, an ifSent for a pointer, and a
+// func() for an array or a struct, which gob sends whatever it holds, so
+// it must have been.
+func readFields(r *gobmemo.Reader, at ...any) {
+	var sent uint
+	for f := r.Field(-1, len(at)); f >= 0; f = r.Field(f, len(at)) {
+		sent |= 1 << f
+		switch p := at[f].(type) {
+		case *int:
+			*p = int(r.SentInt())
+		case *int64:
+			*p = r.SentInt()
+		case *uint64:
+			*p = r.SentUint()
+		case *uint32:
+			x := r.SentUint()
+			r.Check(x <= math.MaxUint32, "a uint32 out of range")
+			*p = uint32(x)
+		case *uint16:
+			*p = ReadPort(r)
+		case *string:
+			*p = r.SentString()
+		case *bool:
+			*p = r.SentBool()
+		case *[]byte:
+			b := r.Bytes()
+			r.Check(len(b) > 0, "a zero field sent")
+			*p = append([]byte(nil), b...)
+		case func(int):
+			p(r.SentCount())
+		case func():
+			p()
+		case ifSent:
+			p()
+		default:
+			panic("ckpt: readFields has no reader for a field of this kind")
+		}
+	}
+	for f, p := range at {
+		_, always := p.(func())
+		r.Check(!always || sent&(1<<f) != 0, "an array or struct field not sent")
+	}
+}
+
+// each makes *s n long and has read fill each element.
+func each[T any](s *[]T, n int, read func(*T)) {
+	*s = make([]T, n)
+	for i := range *s {
+		read(&(*s)[i])
+	}
+}
+
+// ifSent reads a pointer field, which gob sends when it is not nil.
+type ifSent func()
+
+// ReadAddr reads a tcpip.Addr, an array, off a gob value, and ReadPort a
+// port field: the walks of a manifest and of a control frame's head share
+// them, as they share ReadHash.
+func ReadAddr(r *gobmemo.Reader) (a tcpip.Addr) {
+	readArray(r, a[:])
+	return a
+}
+
+func ReadPort(r *gobmemo.Reader) uint16 {
+	x := r.SentUint()
+	r.Check(x <= math.MaxUint16, "a port out of range")
+	return uint16(x)
+}
+
+// readArray fills a with a byte array, sent as its length and each byte.
+func readArray(r *gobmemo.Reader, a []byte) {
+	r.Check(r.Uint() == uint64(len(a)), "an array of the wrong length")
+	for i := range a {
+		x := r.Uint()
+		r.Check(x <= math.MaxUint8, "an array byte out of range")
+		a[i] = byte(x)
+	}
+}
+
+func readNet(r *gobmemo.Reader) (n NetImage) {
+	readFields(r, func() { n.IP = ReadAddr(r) }, func() { readArray(r, n.MAC[:]) },
+		func() { readArray(r, n.FakeMAC[:]) }, &n.SharedMAC)
+	return n
+}
+
+func readProc(r *gobmemo.Reader, p *ProcManifest) {
+	readFields(r, &p.VPID, &p.Name, &p.ProgData,
+		func(n int) { each(&p.Regions, n, func(g *mem.Region) { readFields(r, &g.Start, &g.Size, &g.Name) }) },
+		func(n int) {
+			each(&p.Pages, n, func(ref *PageRef) { readFields(r, &ref.PN, func() { ref.Hash = ReadHash(r) }) })
+		},
+		func(n int) { each(&p.FDs, n, func(fd *FDImage) { readFD(r, fd) }) },
+		func(n int) { each(&p.Signals, n, func(s *kernel.Signal) { *s = kernel.Signal(r.Int()) }) },
+		(*int64)(&p.CPUTime))
+}
+
+func readFD(r *gobmemo.Reader, fd *FDImage) {
+	readFields(r, &fd.Num, (*int)(&fd.Kind),
+		ifSent(func() { fd.Conn = readConn(r) }),
+		ifSent(func() {
+			l := new(tcpip.TCPListenerState)
+			readFields(r, func() { readAddrPort(r, &l.Local) }, &l.Backlog)
+			fd.Listener = l
+		}),
+		ifSent(func() {
+			u := new(UDPImage)
+			readFields(r, func() { readAddrPort(r, &u.Local) }, &u.Broadcast,
+				func(n int) {
+					each(&u.Queue, n, func(m *tcpip.UDPMessage) { readFields(r, func() { readAddrPort(r, &m.From) }, &m.Data) })
+				})
+			fd.UDP = u
+		}), &fd.PipeID)
+}
+
+func readConn(r *gobmemo.Reader) *tcpip.TCPSavedState {
+	c := new(tcpip.TCPSavedState)
+	tuple := func() {
+		readFields(r, func() { readAddrPort(r, &c.Tuple.Local) }, func() { readAddrPort(r, &c.Tuple.Remote) })
+	}
+	readFields(r, tuple, (*int)(&c.State), &c.ISS, &c.IRS, &c.SndUna, &c.RcvNxt, &c.SndWnd,
+		func(n int) { each(&c.SendSegments, n, func(s *tcpip.SavedSegment) { readFields(r, &s.Data, &s.FIN) }) },
+		&c.SendPending, &c.RecvData, &c.NoDelay, &c.Cork, &c.FinQueued, &c.RcvClosed)
+	return c
+}
+
+// readAddrPort reads a tcpip.AddrPort, a struct, into ap.
+func readAddrPort(r *gobmemo.Reader, ap *tcpip.AddrPort) {
+	readFields(r, func() { ap.Addr = ReadAddr(r) }, &ap.Port)
 }
 
 func refPageNum(r PageRef) uint64 { return r.PN }

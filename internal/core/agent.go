@@ -104,6 +104,9 @@ type Agent struct {
 	// rootConn, on a group leader, is the connection the latest group op
 	// arrived on: the way up for its members' placement reports.
 	rootConn msgSink
+	// pong is every heartbeat's answer, refilled per ping: Link.Send
+	// encodes a message before it returns, so one serves them all.
+	pong wireMsg
 
 	// Stats counts agent activity.
 	Stats AgentStats
@@ -296,7 +299,8 @@ func (a *Agent) onMsg(c *ctl.Link[*wireMsg], m *wireMsg) {
 	case msgAbort:
 		a.handleAbort(m)
 	case msgPing:
-		c.Send(&wireMsg{Type: msgPong, Seq: m.Seq, Load: a.liveLoad()})
+		a.pong = wireMsg{Type: msgPong, Seq: m.Seq, Load: a.liveLoad()}
+		c.Send(&a.pong)
 	case msgReplOffer:
 		a.handleOffer(c, m)
 	case msgReplWant:

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cruz/internal/ckpt"
+	"cruz/internal/ctl"
 	"cruz/internal/ether"
 	"cruz/internal/gobmemo/gobmemotest"
 	"cruz/internal/kernel"
@@ -139,7 +140,7 @@ func TestHostileFrameCannotPoisonTheCodec(t *testing.T) {
 	want := bulkMsg(t)
 	payload, _ := payloadOf(t, want)
 	for _, in := range gobmemotest.Inputs(t, offer) {
-		got, err := decodeMsg([][]byte{in.Bytes})
+		got, err := decodeMsg(ctl.NewPieceReader([][]byte{in.Bytes}))
 		if (err == nil) != (in.Name == "valid") {
 			t.Errorf("%s: decodeMsg returns %v", in.Name, err)
 		} else if err == nil && !reflect.DeepEqual(got, offer) {
@@ -292,7 +293,7 @@ func FuzzControlHead(f *testing.F) {
 // compares the result with it.
 func checkGoodFrameDecodes(t testing.TB, payload []byte, want *wireMsg) {
 	t.Helper()
-	got, err := decodeMsg([][]byte{payload})
+	got, err := decodeMsg(ctl.NewPieceReader([][]byte{payload}))
 	if err != nil {
 		t.Fatalf("a good frame no longer decodes: %v", err)
 	}
@@ -320,7 +321,7 @@ func roundTrip(tb testing.TB, buf *bytes.Buffer, m *wireMsg) *wireMsg {
 	if _, err := encodeMsg(buf, m); err != nil {
 		tb.Fatal(err)
 	}
-	got, err := decodeMsg([][]byte{buf.Bytes()})
+	got, err := decodeMsg(ctl.NewPieceReader([][]byte{buf.Bytes()}))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -366,10 +367,10 @@ func BenchmarkControlCodec(b *testing.B) {
 
 // TestHeartbeatAllocs bounds one ping → pong round trip between a
 // coordinator and an agent on one engine, both ends and the wire between
-// them: each frame's buffer of its own at the receiver (ctl.NewConn),
-// each decoded message and the agent's pong. Deferring a message on a
-// daemon's lane, queueing a frame for TCP and sending the ping allocate
-// nothing.
+// them: each decoded message. Receiving a frame (the decoder borrows the
+// connection's stage and copies what it keeps), deferring a message on a
+// daemon's lane, queueing a frame for TCP and sending the ping or the
+// agent's pong allocate nothing.
 func TestHeartbeatAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation bounds are for builds without the race detector")
@@ -414,10 +415,11 @@ func TestHeartbeatAllocs(t *testing.T) {
 	}
 }
 
-// heartbeatAllocs is TestHeartbeatAllocs' bound: two frame buffers, two
-// decoded messages and the pong. With a closure per lane hop, per ping
-// and per queued frame, and gob's decoder, it cost 13.
-const heartbeatAllocs = 5
+// heartbeatAllocs is TestHeartbeatAllocs' bound: the two decoded
+// messages. With a closure per lane hop, per ping and per queued frame,
+// and gob's decoder, it cost 13; with a buffer of its own per received
+// frame and a fresh pong, 5.
+const heartbeatAllocs = 2
 
 // TestFlatDoneAllocs bounds what the coordinator allocates to count one
 // member's own <done> — a reply with no batch — in an open checkpoint
@@ -451,7 +453,7 @@ func TestFlatDoneAllocs(t *testing.T) {
 	}
 }
 
-// flatDoneAllocs is TestFlatDoneAllocs' bound: the sorted key list of
-// the op lookup's walk of the table (ctl.Table.Each). With the batch of
-// one and the instant's name built per reply, it cost 2.
-const flatDoneAllocs = 1
+// flatDoneAllocs is TestFlatDoneAllocs' bound. With the batch of one and
+// the instant's name built per reply, it cost 2; with a sorted key list
+// per walk of the table (ctl.Table.Each), 1.
+const flatDoneAllocs = 0

@@ -4,7 +4,6 @@ import (
 	"cruz/internal/ckpt"
 	"cruz/internal/gobmemo"
 	"cruz/internal/mem"
-	"cruz/internal/tcpip"
 )
 
 // readHead reads the gob head b opens with, and returns how many bytes it
@@ -83,9 +82,9 @@ func readRepl(r *gobmemo.Reader) *replPayload {
 		case 8:
 			p.Bytes = r.SentInt()
 		case 9:
-			p.PeerIP, peer = readAddr(r), true
+			p.PeerIP, peer = ckpt.ReadAddr(r), true
 		case 10:
-			p.PeerPort = readPort(r)
+			p.PeerPort = ckpt.ReadPort(r)
 		case 11: // ECSet
 			r.Check(false, bulkInHead)
 		case 12, 13:
@@ -140,9 +139,9 @@ func readMembers(r *gobmemo.Reader) []GroupMember {
 			case 0:
 				g.Pod = r.SentString()
 			case 1:
-				g.IP, ip = readAddr(r), true
+				g.IP, ip = ckpt.ReadAddr(r), true
 			case 2:
-				g.Port = readPort(r)
+				g.Port = ckpt.ReadPort(r)
 			}
 		}
 		r.Check(ip, notSent)
@@ -180,21 +179,4 @@ func readSeqs(r *gobmemo.Reader) map[int][]byte {
 		m[seq] = nil
 	}
 	return m
-}
-
-// readAddr reads a tcpip.Addr: an array, sent as its length and each byte.
-func readAddr(r *gobmemo.Reader) (a tcpip.Addr) {
-	r.Check(r.Uint() == uint64(len(a)), "an address of the wrong length")
-	for i := range a {
-		x := r.Uint()
-		r.Check(x <= 0xff, "an address byte out of range")
-		a[i] = byte(x)
-	}
-	return a
-}
-
-func readPort(r *gobmemo.Reader) uint16 {
-	x := r.SentUint()
-	r.Check(x <= 0xffff, "a port out of range")
-	return uint16(x)
 }

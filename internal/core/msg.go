@@ -337,8 +337,8 @@ var msgCodec = ctl.Codec[*wireMsg]{
 		parts, err := encodeMsg(buf, m)
 		return parts, m.ctx, m.tier, err
 	},
-	Decode: func(pieces [][]byte, ctx trace.SpanContext) (*wireMsg, error) {
-		m, err := decodeMsg(pieces)
+	Decode: func(r ctl.PieceReader, ctx trace.SpanContext) (*wireMsg, error) {
+		m, err := decodeMsg(r)
 		if err == nil {
 			m.ctx = ctx
 		}
@@ -406,27 +406,25 @@ func (p *replPayload) carriesBulk(images []*ckpt.Image) bool {
 	return n > 0
 }
 
-// decodeMsg parses one frame payload, given as the pieces it arrived in
+// decodeMsg parses one frame payload, read from the pieces it arrived in
 // (see ctl.Codec). Each bulk slice of the result, and each page of an
-// image, is a capped sub-slice of the piece that holds it whole — for a
-// part sent uncopied, the sender's own bytes — and only what is split
-// across pieces is copied. The gob head is read from the first piece
-// (readHead); a head split across pieces, which a live connection never
-// delivers, is read from their join.
-func decodeMsg(pieces [][]byte) (*wireMsg, error) {
-	var first []byte
-	if len(pieces) > 0 {
-		first = pieces[0]
-	}
+// image, is what r.Next hands out: a capped sub-slice of the piece that
+// holds it whole — for a part sent uncopied, the sender's own bytes — and
+// a copy of what is split across pieces. The gob head is read from the
+// first piece (readHead), which copies what it keeps, and the length
+// table is only looked at, so a head-only frame keeps no byte of its
+// connection's stage. A head split across pieces, which a live connection
+// never delivers, is read from their join.
+func decodeMsg(r ctl.PieceReader) (*wireMsg, error) {
+	first := r.Piece()
 	m, used, err := readHead(first)
-	if err != nil && len(pieces) > 1 {
-		m, used, err = readHead(bytes.Join(pieces, nil))
+	if err != nil && r.Len() > len(first) {
+		m, used, err = readHead(r.Peek(r.Len()))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: decode frame: %w", err)
 	}
 	// What the gob value did not occupy is exactly the raw tail.
-	r := ctl.NewPieceReader(pieces)
 	r.Skip(used)
 	if r.Len() == 0 {
 		return m, nil
@@ -440,7 +438,8 @@ func decodeMsg(pieces [][]byte) (*wireMsg, error) {
 	if r.Len() < 4*n {
 		return nil, fmt.Errorf("core: decode frame: %v length table of %d entries overruns the frame", m.Type, n)
 	}
-	table, entry := r.Next(4*n), 0
+	table, entry := r.Peek(4*n), 0
+	r.Skip(4 * n)
 	// next returns the size of the next entry's bytes.
 	next := func() (int, error) {
 		size := uint64(binary.BigEndian.Uint32(table[4*entry:]))

@@ -310,7 +310,7 @@ func TestBulkFrameRoundTripAliases(t *testing.T) {
 			t.Fatalf("image %d's length entry reads %d, want its size %d (%v)", i, got, size, err)
 		}
 	}
-	got, err := decodeMsg([][]byte{payload})
+	got, err := decodeMsg(ctl.NewPieceReader([][]byte{payload}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestDecodeMsgRejectsHostileFrames(t *testing.T) {
 	for name, payload := range hostileFrames(t) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, err := decodeMsg([][]byte{payload})
+		m, err := decodeMsg(ctl.NewPieceReader([][]byte{payload}))
 		runtime.ReadMemStats(&after)
 		if name == "head-only-no-tail-bytes" {
 			if err != nil || len(m.Repl.Chunks) != 3 || m.Repl.Chunks[0].Data != nil {
@@ -434,8 +434,8 @@ func FuzzBulkFrame(f *testing.F) {
 			pieces, rest = append(pieces, rest[:k]), rest[k:]
 		}
 		pieces = append(pieces, rest)
-		whole, errWhole := decodeMsg([][]byte{payload})
-		split, errSplit := decodeMsg(pieces)
+		whole, errWhole := decodeMsg(ctl.NewPieceReader([][]byte{payload}))
+		split, errSplit := decodeMsg(ctl.NewPieceReader(pieces))
 		checkGoodFrameDecodes(t, valid, good)
 		checkHead(t, payload)
 		if (errWhole == nil) != (errSplit == nil) {

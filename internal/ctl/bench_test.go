@@ -68,7 +68,7 @@ func BenchmarkBulkFrame(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			r := newRig(b)
 			frames := 0
-			newConn(r.b, func(*Conn, [][]byte) { frames++ }, nil)
+			newConn(r.b, func(*Conn, PieceReader) { frames++ }, nil)
 			ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
 			head := make([]byte, 600)
 			blob := make([]byte, 8<<20)
@@ -108,7 +108,7 @@ func BenchmarkBulkFrame(b *testing.B) {
 func BenchmarkChunkFrame(b *testing.B) {
 	r := newRig(b)
 	frames := 0
-	newConn(r.b, func(*Conn, [][]byte) { frames++ }, nil)
+	newConn(r.b, func(*Conn, PieceReader) { frames++ }, nil)
 	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
 	head := make([]byte, 600)
 	parts := make([][]byte, 300)

@@ -6,7 +6,6 @@
 package ctl
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,7 +34,8 @@ var ErrFrameTooLarge = errors.New("ctl: frame length exceeds MaxFrame")
 
 // Conn frames byte payloads over a TCP connection: the fixed header
 // above followed by the payload. Incoming frames are delivered whole to
-// the frame callback, as the pieces they arrived in (see Pump). Writes
+// the frame callback, as a reader of the pieces they arrived in (see Pump
+// and dispatch). Writes
 // are backpressure-aware: frames that do not fit in the send buffer
 // (bulk data such as checkpoint replication) are queued and drained as
 // TCP acknowledgments open window space, so a full buffer slows the
@@ -44,7 +44,7 @@ type Conn struct {
 	tc       *tcpip.TCPConn
 	wqueue   [numTiers]sim.Queue[wframe] // per-tier output queues; a head may be partially written
 	pacer    *Pacer                      // paces TierBackground frames; nil = unpaced
-	onFrame  func(*Conn, [][]byte)
+	onFrame  func(*Conn, PieceReader)
 	onErr    func(*Conn, error)
 	frameCtx trace.SpanContext
 
@@ -61,9 +61,12 @@ type Conn struct {
 	owned  bool     // copied is the frame's own buffer, not stage
 	stage  []byte
 	need   int // payload bytes still to come
-	// own is the dispatched frame's copied bytes, in a buffer of its
-	// own, during the frame callback.
-	own []byte
+	// During the frame callback, loaned is the dispatched frame's piece
+	// list and lent its copied bytes, while they lie in the stage; both
+	// are nil once a reader keeps a slice of them (keep), and when the
+	// frame copied nothing or into a buffer of its own.
+	loaned [][]byte
+	lent   []byte
 
 	// fpool recycles small frame buffers: SendParts draws from it and
 	// drain returns a buffer once its frame is fully inside the TCP send
@@ -204,25 +207,18 @@ func (c *Conn) putFrameBuf(b []byte) {
 }
 
 // NewConn wraps tc. It takes over the connection's notify callback.
-// onFrame gets each payload whole, in a buffer of its own that belongs
-// to it from then on: the frame's copied bytes when that is all it is,
-// and otherwise the join of its pieces.
+// onFrame gets each payload whole, to keep but never write: the frame's
+// one piece, its copied bytes moved out of the stage when they are that
+// piece, and otherwise the join of its pieces.
 func NewConn(tc *tcpip.TCPConn, onFrame func(*Conn, []byte), onErr func(*Conn, error)) *Conn {
-	return newConn(tc, func(c *Conn, pieces [][]byte) {
-		if len(pieces) == 1 && len(pieces[0]) == len(c.own) {
-			onFrame(c, c.own)
-		} else {
-			onFrame(c, bytes.Join(pieces, nil))
-		}
-	}, onErr)
+	return newConn(tc, func(c *Conn, r PieceReader) { onFrame(c, r.Next(r.Len())) }, onErr)
 }
 
-// newConn wraps tc, delivering each payload to onFrame as its pieces:
-// slices of the sender's bytes for what it sent by reference (SendParts'
-// parts), which nobody may write, and slices of a buffer of the frame's
-// own for what arrived by copy. The byte slices are onFrame's to keep;
-// the list itself is valid only during the call.
-func newConn(tc *tcpip.TCPConn, onFrame func(*Conn, [][]byte), onErr func(*Conn, error)) *Conn {
+// newConn wraps tc, delivering each payload to onFrame as a reader of its
+// pieces: slices of the sender's bytes for what it sent by reference
+// (SendParts' parts), which nobody may write, and for what arrived by
+// copy, slices of the stage, lent for the length of the call (dispatch).
+func newConn(tc *tcpip.TCPConn, onFrame func(*Conn, PieceReader), onErr func(*Conn, error)) *Conn {
 	c := &Conn{tc: tc, onFrame: onFrame, onErr: onErr}
 	tc.SetNotify(c.Pump)
 	return c
@@ -518,15 +514,13 @@ func repoint(pieces [][]byte, from, to []byte) {
 	}
 }
 
-// dispatch hands the whole frame to the frame callback. Copied bytes in
-// the stage move to a buffer of the frame's own first, at its exact size
-// and without a zero-fill; the stage stays for the next frame.
+// dispatch hands the whole frame to the frame callback, as a reader of
+// its pieces. Copied bytes in the stage are lent to the callback, not
+// copied: a frame whose reader keeps nothing of them — every head-only
+// control message, whose decoder copies what it keeps — costs no buffer,
+// and the first slice of them the reader keeps moves them all to a buffer
+// of their own (keep), out of the next frame's way.
 func (c *Conn) dispatch() {
-	if !c.owned && len(c.copied) > 0 {
-		own := append([]byte(nil), c.copied...)
-		repoint(c.pieces, c.copied, own)
-		c.copied = own
-	}
 	c.frameCtx = trace.SpanContext{
 		Op:   trace.OpID(binary.BigEndian.Uint64(c.hdr[4:])),
 		Span: trace.SpanID(binary.BigEndian.Uint64(c.hdr[12:])),
@@ -535,14 +529,35 @@ func (c *Conn) dispatch() {
 	// The callback may re-enter Pump (a handler that aborts the
 	// connection), so the frame leaves the receive state before it runs.
 	pieces := c.pieces
-	c.own = c.copied
+	if !c.owned && len(c.copied) > 0 {
+		c.loaned, c.lent = pieces, c.copied
+	}
 	c.pieces, c.copied, c.owned, c.hdrN = nil, nil, false, 0
-	c.onFrame(c, pieces)
-	c.own = nil
+	r := NewPieceReader(pieces)
+	r.lender = c
+	c.onFrame(c, r)
+	c.loaned, c.lent = nil, nil
 	clear(pieces)
 	if c.pieces == nil {
 		c.pieces = pieces[:0]
 	}
+}
+
+// lends reports whether p lies in the stage the dispatched frame's copied
+// bytes are lent from: a piece there ends its capacity where the stage
+// does, for Pump, grow and repoint never cap one.
+func (c *Conn) lends(p []byte) bool {
+	return c != nil && c.lent != nil && cap(p) > 0 &&
+		&p[:cap(p)][cap(p)-1] == &c.lent[:cap(c.lent)][cap(c.lent)-1]
+}
+
+// keep ends the loan: the frame's copied bytes move out of the stage to a
+// buffer of their own, at their exact size and without a zero-fill, and
+// its pieces, which the callback's reader walks, follow them.
+func (c *Conn) keep() {
+	own := append([]byte(nil), c.lent...)
+	repoint(c.loaned, c.lent, own)
+	c.loaned, c.lent = nil, nil
 }
 
 // dropFrame lets go of a frame the stream ended under: its pieces alias

@@ -11,15 +11,16 @@ import (
 // Codec is all an Endpoint knows of its daemon's message type M. Encode
 // writes m's payload head into buf and returns the parts that follow it,
 // which go out uncopied, with the trace context and tier of m's frame.
-// Decode parses a payload from a frame with ctx. The payload comes as
-// the pieces it arrived in: each part the sender passed uncopied, as a
-// slice of the sender's own bytes where it lies whole in one piece, and
-// the copied bytes in a buffer of the frame's own. The result may keep
-// the pieces' bytes but never write them, nor append to them; the list
-// itself is valid only during the call.
+// Decode parses a payload from a frame with ctx. The payload comes as a
+// reader of the pieces it arrived in: each part the sender passed
+// uncopied, as a slice of the sender's own bytes where it lies whole in
+// one piece, and the copied bytes in the connection's stage, lent for the
+// length of the call. The result may keep what the reader's Next hands
+// out, but never write it, nor append to it; of what Peek and Piece hand
+// out it keeps nothing.
 type Codec[M any] struct {
 	Encode func(buf *bytes.Buffer, m M) (parts [][]byte, ctx trace.SpanContext, tier Tier, err error)
-	Decode func(pieces [][]byte, ctx trace.SpanContext) (M, error)
+	Decode func(r PieceReader, ctx trace.SpanContext) (M, error)
 }
 
 // Endpoint is one daemon's end of the control plane: it accepts the
@@ -181,8 +182,8 @@ func (l *Link[M]) Send(m M) error {
 
 // frame hands a received payload to onMsg. One that does not decode is
 // a connection error.
-func (l *Link[M]) frame(c *Conn, pieces [][]byte) {
-	if m, err := l.ep.codec.Decode(pieces, c.FrameCtx()); err != nil {
+func (l *Link[M]) frame(c *Conn, r PieceReader) {
+	if m, err := l.ep.codec.Decode(r, c.FrameCtx()); err != nil {
 		l.fail(c, err)
 	} else {
 		l.ep.onMsg(l, m)

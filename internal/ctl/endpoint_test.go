@@ -32,8 +32,8 @@ var tcodec = Codec[*tmsg]{
 		}
 		return parts, m.ctx, m.tier, nil
 	},
-	Decode: func(pieces [][]byte, ctx trace.SpanContext) (*tmsg, error) {
-		payload := bytes.Join(pieces, nil)
+	Decode: func(r PieceReader, ctx trace.SpanContext) (*tmsg, error) {
+		payload := r.Peek(r.Len())
 		if len(payload) == 0 || payload[0] != 'm' {
 			return nil, errors.New("not a tmsg")
 		}

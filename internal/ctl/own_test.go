@@ -227,20 +227,25 @@ func TestSendPartsHeadIsCopied(t *testing.T) {
 
 // TestChunkFrameArrivesWhole: a frame of many page-sized parts — chunks,
 // whose every boundary cuts a segment in two — arrives as sent, each
-// chunk a slice of the sender's own, and so does the frame behind it.
+// chunk read as a slice of the sender's own, and so does the frame
+// behind it.
 func TestChunkFrameArrivesWhole(t *testing.T) {
 	r := newRig(t)
-	var got [][][]byte
-	newConn(r.b, func(_ *Conn, pieces [][]byte) { got = append(got, append([][]byte(nil), pieces...)) }, nil)
-	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
 	head := []byte("head")
-	want := append([]byte(nil), head...)
 	var parts [][]byte
 	for i := 0; i < 300; i++ {
 		p := bytes.Repeat([]byte{byte(i)}, 4096)
 		parts = append(parts, p[:4096:4096])
-		want = append(want, p...)
 	}
+	var got [][][]byte // each frame as read: a head's worth, then chunks
+	newConn(r.b, func(_ *Conn, pr PieceReader) {
+		var frame [][]byte
+		for n := min(len(head), pr.Len()); n > 0; n = min(4096, pr.Len()) {
+			frame = append(frame, pr.Next(n))
+		}
+		got = append(got, frame)
+	}, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
 	if err := ca.SendParts(head, parts, trace.SpanContext{}, TierForeground); err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +253,8 @@ func TestChunkFrameArrivesWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.engine.RunFor(2 * sim.Second)
-	if len(got) != 2 || !bytes.Equal(bytes.Join(got[0], nil), want) || string(bytes.Join(got[1], nil)) != "after" {
+	if len(got) != 2 || len(got[0]) != 1+len(parts) || string(got[0][0]) != "head" || string(bytes.Join(got[1], nil)) != "after" {
 		t.Fatalf("the chunk frame or the one behind it did not arrive intact (%d frames)", len(got))
-	}
-	if pieces := got[0]; len(pieces) != 1+len(parts) || string(pieces[0]) != "head" {
-		t.Fatalf("the chunk frame arrived as %d pieces, want the head and one per chunk", len(pieces))
 	}
 	for i, p := range parts {
 		if q := got[0][1+i]; &q[0] != &p[0] || len(q) != len(p) {
@@ -270,7 +272,7 @@ func TestChunkFrameArrivesWhole(t *testing.T) {
 func TestBulkPartsFrameAllocation(t *testing.T) {
 	r := newRig(t)
 	frames := 0
-	newConn(r.b, func(*Conn, [][]byte) { frames++ }, nil)
+	newConn(r.b, func(*Conn, PieceReader) { frames++ }, nil)
 	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
 	head := make([]byte, 600)
 	part := make([]byte, 8<<20)
@@ -344,5 +346,65 @@ func TestWriteQueueAllocatesNothing(t *testing.T) {
 	cycle() // warm-up: queues, pools and rings reach their working size
 	if got := testing.AllocsPerRun(20, cycle) / burst; got > 1 {
 		t.Errorf("a small frame costs %.2f allocations, want 1: the receiver's buffer", got)
+	}
+}
+
+// TestKeptSliceOutlivesTheStage: a frame's copied bytes are lent to the
+// frame callback in the connection's stage, which the next frame reuses.
+// What the callback keeps of them through Next is its own: a tail kept
+// from one frame stays byte-identical while a second frame of other bytes
+// comes through the same stage. A frame whose callback only borrows —
+// Peek and Piece, as a control head's decoder does — costs no buffer:
+// sending and receiving one allocates nothing.
+func TestKeptSliceOutlivesTheStage(t *testing.T) {
+	r := newRig(t)
+	const headLen = 64
+	var kept [][]byte
+	keep, frames := true, 0
+	newConn(r.b, func(_ *Conn, pr PieceReader) {
+		frames++
+		if head := pr.Peek(headLen); len(pr.Piece()) < pr.Len() || head[0] != 'h' {
+			t.Errorf("a copied frame arrived as more than one piece, or without its head")
+		}
+		if keep {
+			pr.Skip(headLen)
+			kept = append(kept, pr.Next(pr.Len()))
+		}
+	}, nil)
+	ca := NewConn(r.a, func(*Conn, []byte) {}, nil)
+	frame := func(tail byte) []byte {
+		return append(bytes.Repeat([]byte{'h'}, headLen), bytes.Repeat([]byte{tail}, 3000)...)
+	}
+	for _, tail := range []byte{1, 2} {
+		if err := ca.Send(frame(tail)); err != nil {
+			t.Fatal(err)
+		}
+		r.engine.RunFor(5 * sim.Millisecond)
+	}
+	if len(kept) != 2 {
+		t.Fatalf("received %d frames, want 2", len(kept))
+	}
+	for i, tail := range []byte{1, 2} {
+		if !bytes.Equal(kept[i], frame(tail)[headLen:]) {
+			t.Fatalf("the tail kept from frame %d changed as the stage took the next frame", i)
+		}
+	}
+
+	keep = false
+	payload := frame(3)[:200]
+	cycle := func() {
+		want := frames + 1
+		if err := ca.Send(payload); err != nil {
+			t.Fatal(err)
+		}
+		for frames < want {
+			if !r.engine.Step() {
+				t.Fatal("engine ran dry before the frame arrived")
+			}
+		}
+	}
+	cycle() // warm-up
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("a head-only frame costs %.2f allocations, want 0", n)
 	}
 }

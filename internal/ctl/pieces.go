@@ -1,16 +1,21 @@
 package ctl
 
 // PieceReader reads a payload that arrived as pieces (see Codec), front
-// to back, without writing to them. What it hands out is a capped
-// sub-slice of the piece that holds it whole — for a part sent uncopied,
-// the sender's own bytes — and a copy only when it spans pieces.
+// to back, without writing to them. What Next hands out is the reader's
+// to keep: a capped sub-slice of the piece that holds it whole — for a
+// part sent uncopied, the sender's own bytes — and a copy only when it
+// spans pieces. What Peek and Piece hand out is lent: a received frame's
+// copied bytes lie in its connection's stage until something of them is
+// kept, so a borrowed slice is valid only during the frame callback.
 type PieceReader struct {
 	pieces [][]byte
-	off    int // into pieces[0]
-	left   int // bytes not read yet
+	off    int   // into pieces[0]
+	left   int   // bytes not read yet
+	lender *Conn // lends the stage some pieces lie in; nil when every piece is the reader's
 }
 
-// NewPieceReader returns a reader at the start of pieces.
+// NewPieceReader returns a reader at the start of pieces, which are the
+// caller's: nothing it hands out is lent.
 func NewPieceReader(pieces [][]byte) PieceReader {
 	r := PieceReader{pieces: pieces}
 	for _, p := range pieces {
@@ -34,17 +39,42 @@ func (r *PieceReader) Skip(n int) {
 	}
 }
 
-// Next reads n bytes (n <= Len): a capped sub-slice of the piece that
-// holds them all, or a copy when they span pieces.
+// Next reads n bytes (n <= Len) to keep: a capped sub-slice of the piece
+// that holds them all, or a copy when they span pieces. A slice of a
+// lent piece first has the connection give the frame's copied bytes a
+// buffer of their own (Conn.keep).
 func (r *PieceReader) Next(n int) []byte {
-	r.left -= n
-	for len(r.pieces) > 0 && r.off == len(r.pieces[0]) {
-		r.pieces, r.off = r.pieces[1:], 0
-	}
+	return r.next(n, true)
+}
+
+// Peek returns what Next(n) would, without reading it, and lent: the
+// bytes may lie in the connection's stage.
+func (r *PieceReader) Peek(n int) []byte {
+	ahead := *r
+	return ahead.next(n, false)
+}
+
+// Piece returns the unread rest of the piece the reader is at, without
+// reading it, lent like Peek's.
+func (r *PieceReader) Piece() []byte {
 	if len(r.pieces) == 0 {
+		return nil
+	}
+	return r.pieces[0][r.off:]
+}
+
+func (r *PieceReader) next(n int, keep bool) []byte {
+	if n == 0 {
 		return []byte{}
 	}
+	r.left -= n
+	for r.off == len(r.pieces[0]) {
+		r.pieces, r.off = r.pieces[1:], 0
+	}
 	if end := r.off + n; end <= len(r.pieces[0]) {
+		if keep && r.lender.lends(r.pieces[0]) {
+			r.lender.keep() // repoints r.pieces, which share the frame's list
+		}
 		b := r.pieces[0][r.off:end:end]
 		r.off = end
 		return b
@@ -58,10 +88,4 @@ func (r *PieceReader) Next(n int) []byte {
 		}
 	}
 	return b
-}
-
-// Peek returns what Next(n) would, without reading it.
-func (r *PieceReader) Peek(n int) []byte {
-	ahead := *r
-	return ahead.Next(n)
 }

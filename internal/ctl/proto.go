@@ -2,7 +2,8 @@ package ctl
 
 import (
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 
 	"cruz/internal/sim"
 	"cruz/internal/trace"
@@ -21,37 +22,48 @@ var ErrOpExists = errors.New("ctl: an operation is already in progress for this 
 // maps and abort plumbing.
 type Table struct {
 	engine *sim.Engine
-	ops    map[string]*Op
+	// ops holds the active ops sorted by key, kept so as ops begin and
+	// end: a lookup is a binary search, and Each walks it as it is.
+	ops   []*Op
+	begun uint64 // ops begun so far
 }
 
 // NewTable creates an empty op table on the given engine.
 func NewTable(engine *sim.Engine) *Table {
-	return &Table{engine: engine, ops: make(map[string]*Op)}
+	return &Table{engine: engine}
+}
+
+// search returns where key's op is in ops, or would be, and whether it is.
+func (t *Table) search(key string) (int, bool) {
+	return slices.BinarySearchFunc(t.ops, key, func(o *Op, key string) int { return strings.Compare(o.Key, key) })
 }
 
 // Begin registers a new op under key, or fails with ErrOpExists if the
 // key is busy. Kind is a label ("checkpoint", "replicate", ...) carried
 // for dispatch and diagnostics.
 func (t *Table) Begin(kind, key string, seq int) (*Op, error) {
-	if _, busy := t.ops[key]; busy {
+	i, busy := t.search(key)
+	if busy {
 		return nil, ErrOpExists
 	}
+	t.begun++
 	op := &Op{
 		Kind:  kind,
 		Key:   key,
 		Seq:   seq,
 		table: t,
 		t0:    t.engine.Now(),
+		num:   t.begun,
 	}
-	t.ops[key] = op
+	t.ops = slices.Insert(t.ops, i, op)
 	return op, nil
 }
 
 // Find returns the owner's record for the active op under key — what its
 // Data holds — or nil when the key is free or held by another kind of op.
 func Find[T any](t *Table, key string) *T {
-	if o := t.ops[key]; o != nil {
-		if d, ok := o.Data.(*T); ok {
+	if i, ok := t.search(key); ok {
+		if d, ok := t.ops[i].Data.(*T); ok {
 			return d
 		}
 	}
@@ -61,17 +73,25 @@ func Find[T any](t *Table, key string) *T {
 // Len returns the number of active ops (the leak check for abort paths).
 func (t *Table) Len() int { return len(t.ops) }
 
-// Each visits active ops in sorted key order — deterministic regardless
-// of map iteration order, which matters because visitors send messages.
+// Each visits the ops active when it is called in sorted key order —
+// deterministic, which matters because visitors send messages — skipping
+// one that ended before its turn. A visitor may begin and end ops: an op
+// begun during the walk is not visited, and the walk resumes after the
+// key it visited last, wherever that now sits.
 func (t *Table) Each(fn func(*Op)) {
-	keys := make([]string, 0, len(t.ops))
-	for k := range t.ops {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if op, ok := t.ops[k]; ok {
+	last := t.begun
+	for i := 0; i < len(t.ops); {
+		op := t.ops[i]
+		if op.num <= last {
 			fn(op)
+		}
+		if i < len(t.ops) && t.ops[i] == op {
+			i++
+			continue
+		}
+		var at bool
+		if i, at = t.search(op.Key); at {
+			i++
 		}
 	}
 }
@@ -88,6 +108,7 @@ type Op struct {
 	Data any
 
 	table    *Table
+	num      uint64 // the op's place in its table's count of ops begun
 	t0       sim.Time
 	timeout  *sim.Event
 	err      error
@@ -192,7 +213,9 @@ func (o *Op) complete(err error) {
 	}
 	o.done = true
 	o.cancelTimeout()
-	delete(o.table.ops, o.Key)
+	if i, ok := o.table.search(o.Key); ok {
+		o.table.ops = slices.Delete(o.table.ops, i, i+1)
+	}
 	if o.onFinish != nil {
 		o.onFinish(o, err)
 	}

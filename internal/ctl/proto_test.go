@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"cruz/internal/sim"
@@ -120,5 +121,49 @@ func TestEachVisitsSortedAndSeesLiveState(t *testing.T) {
 		if keys[i] != want[i] {
 			t.Fatalf("Each order = %v, want %v", keys, want)
 		}
+	}
+}
+
+// TestEachWalksTheOpsActiveAtItsCall: a visitor that ends ops and begins
+// others moves the walk neither back nor past an op still due. The walk
+// visits, in key order, the ops active when it began that are still
+// active at their turn — not one begun during it, even under a key still
+// ahead — and allocates nothing.
+func TestEachWalksTheOpsActiveAtItsCall(t *testing.T) {
+	tb := NewTable(sim.NewEngine(1))
+	ops := map[string]*Op{}
+	begin := func(k string) {
+		o, err := tb.Begin("op", k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[k] = o
+	}
+	for _, k := range []string{"b", "d", "f", "h"} {
+		begin(k)
+	}
+	var keys []string
+	tb.Each(func(o *Op) {
+		keys = append(keys, o.Key)
+		switch o.Key {
+		case "b": // ends itself and the op after it, begins one before and one after
+			o.Fail(errBoom)
+			ops["d"].Fail(errBoom)
+			begin("a")
+			begin("c")
+		case "f": // ends itself and begins one under its own key
+			o.Finish()
+			begin("f")
+			begin("g")
+		}
+	})
+	if want := []string{"b", "f", "h"}; !slices.Equal(keys, want) {
+		t.Fatalf("Each visited %v, want %v", keys, want)
+	}
+	if got := tb.Len(); got != 5 {
+		t.Fatalf("%d ops left, want a, c, f, g and h", got)
+	}
+	if n := testing.AllocsPerRun(20, func() { tb.Each(func(*Op) {}) }); n != 0 {
+		t.Errorf("a walk of %d ops allocates %.0f times", tb.Len(), n)
 	}
 }

@@ -3,6 +3,7 @@ package flush
 import (
 	"testing"
 
+	"cruz/internal/ctl"
 	"cruz/internal/gobmemo/gobmemotest"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
@@ -48,7 +49,7 @@ func TestHostileFlushFrameIsDropped(t *testing.T) {
 	good := everyMsg()[1]
 	gobmemotest.Hostile(t, fCodec, good)
 	for _, in := range gobmemotest.Inputs(t, good) {
-		if _, err := fMsgCodec.Decode([][]byte{in.Bytes}, trace.SpanContext{}); (err == nil) != in.Valid {
+		if _, err := fMsgCodec.Decode(ctl.NewPieceReader([][]byte{in.Bytes}), trace.SpanContext{}); (err == nil) != in.Valid {
 			t.Errorf("%s: decode error %v, valid %v", in.Name, err, in.Valid)
 		}
 	}

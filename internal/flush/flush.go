@@ -106,16 +106,11 @@ var fMsgCodec = ctl.Codec[*fWireMsg]{
 	Encode: func(buf *bytes.Buffer, m *fWireMsg) ([][]byte, trace.SpanContext, ctl.Tier, error) {
 		return nil, trace.SpanContext{}, ctl.TierForeground, fCodec.Encode(buf, m)
 	},
-	Decode: func(pieces [][]byte, _ trace.SpanContext) (*fWireMsg, error) {
-		// A flush frame is copied bytes alone, so it arrives as one piece.
-		var payload []byte
-		if len(pieces) == 1 {
-			payload = pieces[0]
-		} else {
-			payload = bytes.Join(pieces, nil)
-		}
+	Decode: func(r ctl.PieceReader, _ trace.SpanContext) (*fWireMsg, error) {
+		// A flush frame is copied bytes alone, so it arrives as one piece,
+		// which gob's decoder copies what it keeps of.
 		var m fWireMsg
-		_, err := fCodec.Decode(payload, &m)
+		_, err := fCodec.Decode(r.Peek(r.Len()), &m)
 		return &m, err
 	},
 }

@@ -36,9 +36,7 @@ func (p *Packet) release() {
 		return
 	}
 	*p = Packet{}
-	if len(s.pktPool) < pktPoolMax {
-		s.pktPool = append(s.pktPool, p)
-	}
+	s.pktPool = append(s.pktPool, p)
 }
 
 // WireSize implements ether.Payload.

@@ -77,7 +77,9 @@ type Stack struct {
 	// pktPool is the free list of TCP packets this stack builds (sendTCP).
 	// The one stack that receives a packet in a unicast frame, or this
 	// stack over loopback, hands it back here (Packet.release), so a
-	// sender is refilled by its own packets however few it receives.
+	// sender is refilled by its own packets however few it receives. It
+	// keeps every one that comes back: it never holds more than the most
+	// this stack had in flight at once.
 	pktPool []*Packet
 
 	// loopback holds the packets looped back to this stack, oldest first.
@@ -101,15 +103,11 @@ type StackStats struct {
 	SegPoolMisses uint64
 }
 
-// Segment- and packet-pool sizing. Buffers are MSS-capacity; both pools
-// are bounded so a burst never pins more than a small working set. A
-// packet is under a tenth of a buffer's size, and a stack fanning shards
-// out to several peers has that many windows of packets coming back at
-// once.
+// Segment-pool sizing. Buffers are MSS-capacity, and the pool is bounded
+// so a burst never pins more than a small working set of them.
 const (
 	segPoolBufCap = mss
 	segPoolMax    = 64
-	pktPoolMax    = 256
 )
 
 // getSegBuf returns a length-n buffer (n <= mss) for packetizing send
