@@ -168,10 +168,10 @@ gobench:
 
 # Fuzz smoke: every fuzz target for 10 s of generated inputs beyond its
 # checked-in corpus, one `go test -fuzz` call each (the flag takes one
-# target). Each decoder takes bytes off the wire, and DecodeECSet's and
-# the control frames' heads are hand-written readers of gob's primitives,
-# so this runs on every push. A
-# failing input is written under the package's testdata/fuzz.
+# target). Each decoder takes bytes off the wire, and reads gob's bytes
+# without gob's decoder — a shard set by hand, every other value by
+# gobmemo's walk over its type — so this runs on every push. A failing
+# input is written under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeECSet$$' -fuzztime 10s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/ckpt/
@@ -179,6 +179,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProgram$$' -fuzztime 10s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzBulkFrame$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzControlHead$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzFlushFrame$$' -fuzztime 10s ./internal/flush/
 
 # The benchmark under bench/ is a module of its own, so tier-1 neither
 # compiles nor tests it, yet its layer replay drives internals of this

@@ -31,6 +31,7 @@ var testOnly = map[string]string{
 	"cruz/internal/gobmemo/gobmemotest.Hammer":        "TestWireCodecConcurrent",
 	"cruz/internal/gobmemo/gobmemotest.Hostile":       "TestHostileFrameCannotPoisonTheCodec",
 	"cruz/internal/gobmemo/gobmemotest.Identity":      "TestWireCodecIsFreshGob",
+	"cruz/internal/gobmemo/gobmemotest.Reads":         "TestHeadReaderMatchesGob",
 	"cruz/internal/kernel.(Kernel).Process":           "TestPipeBetweenProcesses",
 	"cruz/internal/kernel.(ProcContext).Kill":         "TestInPodKillUsesVirtualPIDsAndIsolates",
 	"cruz/internal/kernel.(ProcContext).LocalAddr":    "TestBindInterposedToPodVIF",

@@ -248,24 +248,12 @@ func filled[T any](t *testing.T) *T {
 	return out
 }
 
-// TestManifestReaderMatchesGob holds DecodeManifest's reader to gob, as
-// TestECSetReaderMatchesGob holds the shard set's: on the encoding of a
-// manifest with every field set (filled), of one whose descriptors each
-// hold one kind of socket, as a capture fills them, of sampleManifest and
-// of every generated manifest it builds what a fresh gob.Decoder builds, keeps
-// none of the bytes it read, and rejects a byte after them. It rejects
-// every proper prefix of five encodings — both filled, the sample, the
-// zero manifest and one generated — cut whole, or cut inside the value
-// with the message length fixed to match (the check is quadratic in the
-// length, and generated manifests average 7 KB). Each of
-// gobmemotest's damaged and hostile variations it rejects, or decodes to
-// gob's value; encodings gob accepts but gob.Encoder never writes, it
-// rejects.
+// TestManifestReaderMatchesGob holds DecodeManifest to gob
+// (gobmemotest.Reads) on a manifest with every field set (filled), one
+// whose descriptors each hold one kind of socket, as a capture fills them,
+// sampleManifest and the zero manifest. Encodings gob
+// accepts but gob.Encoder never writes, it rejects.
 func TestManifestReaderMatchesGob(t *testing.T) {
-	fresh := func(b []byte) (*Manifest, error) {
-		v := new(Manifest)
-		return v, gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-	}
 	all, sockets := filled[Manifest](t), filled[Manifest](t)
 	for i := range sockets.Procs {
 		for j := range sockets.Procs[i].FDs {
@@ -282,67 +270,20 @@ func TestManifestReaderMatchesGob(t *testing.T) {
 			}
 		}
 	}
-	for i, m := range append([]*Manifest{all, sockets, sampleManifest(t)}, generated[Manifest](t, 100)...) {
-		b, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh(b)
-		if err != nil {
-			t.Fatalf("manifest %d: gob rejects its encoding: %v", i, err)
-		}
-		if m == all && !reflect.DeepEqual(want, m) {
-			t.Fatalf("gob does not carry every field the filler set:\n%+v, sent\n%+v", want, m)
-		}
-		got, err := readManifest(b)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("manifest %d: the reader builds %+v (%v), gob %+v", i, got, err, want)
-		}
-		for k := range b {
-			b[k] = ^b[k]
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("manifest %d: the reader's manifest changed with the bytes it was read from", i)
-		}
-		for k := range b {
-			b[k] = ^b[k]
-		}
-		if _, err := readManifest(append(b[:len(b):len(b)], 0)); err == nil {
-			t.Fatalf("manifest %d: accepted a byte after the value", i)
-		}
-		if i >= 5 {
-			continue
-		}
-		for n := 0; n < len(b); n++ {
-			if _, err := readManifest(b[:n]); err == nil {
-				t.Fatalf("manifest %d: accepted its first %d of %d bytes", i, n, len(b))
-			}
-		}
-		fields, frame := valueFramer(t, manifestCodec.Value, b)
-		for k := 0; k < len(fields); k++ {
-			if got, err := readManifest(frame(fields[:k])); err == nil {
-				t.Fatalf("manifest %d: accepted its value cut to %d of %d bytes: %+v", i, k, len(fields), got)
-			}
-		}
-	}
-	for _, in := range gobmemotest.Inputs(t, sampleManifest(t)) {
-		got, err := readManifest(in.Bytes)
-		if err != nil {
-			continue
-		}
-		if want, gerr := fresh(in.Bytes); gerr != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: the reader builds %+v, gob %+v (%v)", in.Name, got, want, gerr)
-		}
-	}
+	gobmemotest.Reads(t, (*Manifest).Encode, DecodeManifest, all, sockets, sampleManifest(t), new(Manifest))
 	// gob's decoder also takes encodings gob.Encoder never writes. The
 	// reader does not, so what it accepts re-encodes to itself. The good
 	// value is PodName "p", then Net, which is sent though it is zero.
+	fresh := func(b []byte) (*Manifest, error) {
+		v := new(Manifest)
+		return v, gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+	}
 	b, err := (&Manifest{PodName: "p"}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	good, frame := valueFramer(t, manifestCodec.Value, b)
-	if _, err := readManifest(frame(good)); err != nil {
+	if _, err := DecodeManifest(frame(good)); err != nil {
 		t.Fatalf("the reader rejects a re-framed good value: %v", err)
 	}
 	net := good[4 : len(good)-1] // Net's fields and end, after its delta 6
@@ -357,7 +298,7 @@ func TestManifestReaderMatchesGob(t *testing.T) {
 		if _, err := fresh(in); err != nil {
 			t.Fatalf("%s: gob rejects it too: %v", name, err)
 		}
-		if got, err := readManifest(in); err == nil {
+		if got, err := DecodeManifest(in); err == nil {
 			t.Errorf("%s: the reader accepted it as %+v", name, got)
 		}
 	}
@@ -454,3 +395,18 @@ func TestECSetCostsPerSetNotPerStripe(t *testing.T) {
 // TestImageHeadCodecIsFreshGob: an image's head is its gob encoding, in
 // which sampleImage's pages, being unexported references, do not appear.
 func TestImageHeadCodecIsFreshGob(t *testing.T) { codecContract(t, imageCodec, sampleImage()) }
+
+// TestImageHeadReaderMatchesGob holds ReadImage's reader of the head to
+// gob (gobmemotest.Reads) on a head with every field set, sampleImage's
+// and the zero one.
+func TestImageHeadReaderMatchesGob(t *testing.T) {
+	encode := func(img *Image) ([]byte, error) { return memoEncode(imageCodec, img) }
+	read := func(b []byte) (*Image, error) {
+		img, n, err := imageCodec.Read(b)
+		if err == nil && n != len(b) {
+			return nil, fmt.Errorf("%d bytes after the head", len(b)-n)
+		}
+		return img, err
+	}
+	gobmemotest.Reads(t, encode, read, filled[Image](t), sampleImage(), new(Image))
+}

@@ -168,7 +168,7 @@ func readStripes(r *gobmemo.Reader, n int, stripes []ECStripe, hashes []mem.Page
 				}
 			}
 			for j := 0; j < c; j++ {
-				h := ReadHash(r)
+				h := readHash(r)
 				if hs != nil {
 					hs[j] = h
 				}
@@ -179,9 +179,8 @@ func readStripes(r *gobmemo.Reader, n int, stripes []ECStripe, hashes []mem.Page
 	return k
 }
 
-// ReadHash reads one mem.PageHash off a gob value: the walks of an ECSet
-// and of a control frame's head share it.
-func ReadHash(r *gobmemo.Reader) (h mem.PageHash) {
+// readHash reads one mem.PageHash off a gob value.
+func readHash(r *gobmemo.Reader) (h mem.PageHash) {
 	for f := r.Field(-1, 2); f >= 0; f = r.Field(f, 2) {
 		x := r.SentUint()
 		if f == 0 {

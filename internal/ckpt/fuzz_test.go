@@ -63,6 +63,7 @@ func hostileImages(t testing.TB) map[string][]byte {
 		"head-overruns":     withHeadLen(uint32(len(blob))),
 		"head-is-max-u32":   withHeadLen(1<<32 - 1),
 		"garbage-head":      reframe(bytes.Repeat([]byte{0xff}, 64), pages),
+		"head-padded":       reframe(append(bytes.Clone(blob[imageHdrSize:imageHdrSize+headLen]), 0), pages),
 		"pages-inside-head": nil, // filled below
 		"claims-2^31-pages": nil, // filled below
 		"pages-descending":  nil, // filled below

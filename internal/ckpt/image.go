@@ -290,8 +290,11 @@ func ReadImage(r *ctl.PieceReader, n int) (*Image, error) {
 		return nil, fmt.Errorf("ckpt: decode image: head of %d bytes in a %d-byte blob", headLen, n)
 	}
 	head := r.Next(imageHdrSize + int(headLen))
-	var img Image
-	if _, err := imageCodec.Decode(head[imageHdrSize:], &img); err != nil {
+	img, used, err := imageCodec.Read(head[imageHdrSize:])
+	if err == nil && used != int(headLen) {
+		err = fmt.Errorf("%d bytes after the head's value", int(headLen)-used)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: decode image: %w", err)
 	}
 	var want uint64
@@ -318,7 +321,7 @@ func ReadImage(r *ctl.PieceReader, n int) (*Image, error) {
 		}
 	}
 	img.head = head
-	return &img, nil
+	return img, nil
 }
 
 // MemoryBytes returns the total page payload in the image — the dominant

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 
 	"cruz/internal/gobmemo"
@@ -24,20 +25,24 @@ import (
 // and those of the types T reaches. gob folds M_T — progHolder's type id,
 // the field delta of P and T's registered name, the part of the value it
 // had begun when T's definitions fell due — into the first of T's
-// definition messages. W is the rest of the value: T's type id, T's value
-// message and the end of progHolder. With no interface reachable from T,
-// P_T depends on T alone, and an encoder that has already sent it writes
-// a value as
+// definition messages. W is the rest of the value,
+//
+//	T's type id ‖ uint(len V) ‖ V ‖ 0
+//
+// where V is T's value message and the 0 ends progHolder. With no
+// interface reachable from T, P_T depends on T alone, and an encoder that
+// has already sent it writes a value as
 //
 //	uint(len M_T + len W) ‖ M_T ‖ W
 //
 // So each registered type has one progCodec holding a long-lived encoder
-// and decoder that have seen P_T: encoding is emitting P_T and re-framing
-// what the encoder writes; decoding is checking P_T and the length,
-// re-framing, and feeding the decoder. gob's type ids are process-global
-// and assigned on first use, so P_T is derived on a codec's first use,
-// never at registration: deriving it earlier would number the types in
-// another order and change the bytes of every image head.
+// that has seen P_T: encoding is emitting P_T and re-framing what the
+// encoder writes. Decoding is checking P_T, the lengths and the type id,
+// and walking V (gobmemo.Walker), which takes only what an encoder
+// writes. gob's type ids are process-global and assigned on first use, so
+// P_T is derived on a codec's first use, never at registration: deriving
+// it earlier would number the types in another order and change the bytes
+// of every image head.
 
 // progHolder lets gob encode the Program interface value.
 type progHolder struct {
@@ -48,27 +53,18 @@ type progHolder struct {
 type progCodec struct {
 	typ  reflect.Type
 	name string // the name gob registered typ under, which M_T carries
-	// hasMap says a map is reachable from typ. gob writes a map's entries
-	// in Go's random iteration order, so the same value has more than one
-	// encoding.
-	hasMap bool
 
 	//cruzvet:allow nodeterminism one codec per program type serves every cluster in the process, and tests run clusters in parallel goroutines; its output is a function of its input alone
 	mu sync.Mutex
 
-	fresh   []byte // a fresh encoder's bytes for the zero value: P_T ‖ uint(len W₀) ‖ W₀
-	prefix  []byte // P_T, a prefix of fresh
+	prefix  []byte // P_T
 	msgHdr  []byte // M_T
 	valueID []byte // typ's type id, which W opens with
 
-	enc *gob.Encoder // has sent P_T; nil until first use and after an error
-	out bytes.Buffer // what enc writes
-	dec *gob.Decoder // has received P_T; nil until first use and after an error
-	// in is what dec reads. As an io.ByteReader it is read directly, not
-	// through a bufio.Reader that would keep bytes of one call for the next.
-	in   bytes.Reader
-	msg  []byte     // the message in re-frames for dec
-	hold progHolder // the value enc and dec work on, so none escapes per call
+	enc  *gob.Encoder // has sent P_T; nil until first use and after an error
+	out  bytes.Buffer // what enc writes
+	hold progHolder   // the value enc works on, so none escapes per call
+	walk *gobmemo.Walker
 }
 
 // programs holds a codec per registered program type, in registration
@@ -78,18 +74,17 @@ var programs []*progCodec
 // RegisterProgram must be called (once, at init time) for every concrete
 // Program type that will be checkpointed, so its state can travel through
 // gob. This mirrors the real-world requirement that checkpointable code
-// be compiled into the restoring binary. It panics if an interface-typed
-// field is reachable from the type: gob would describe that field's
-// concrete type in the middle of the value, so the state would have no
-// encoding prefix of its own type alone.
+// be compiled into the restoring binary. It panics on a type gobmemo
+// cannot walk (gobmemo.NewWalker): one an interface-typed field is
+// reachable from, for gob would describe that field's concrete type in
+// the middle of the value, so the state would have no encoding prefix of
+// its own type alone.
 func RegisterProgram(p kernel.Program) {
 	t := reflect.TypeOf(p)
-	if path := gobmemo.Reaches(t, reflect.Interface); path != "" {
-		panic(fmt.Sprintf("ckpt: program %s is interface-typed; register programs of concrete state only", path))
-	}
+	w := gobmemo.NewWalker(t)
 	gob.Register(p)
 	if programFor(t) == nil {
-		programs = append(programs, &progCodec{typ: t, name: gobName(t), hasMap: gobmemo.Reaches(t, reflect.Map) != ""})
+		programs = append(programs, &progCodec{typ: t, name: gobName(t), walk: w})
 	}
 }
 
@@ -139,14 +134,14 @@ func decodeProgram(b []byte) (kernel.Program, error) {
 	m.Int()
 	m.Uint()
 	name := m.Bytes()
-	for _, c := range programs {
-		if c.name == string(name) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return c.decode(b)
-		}
+	i := slices.IndexFunc(programs, func(c *progCodec) bool { return c.name == string(name) })
+	if i < 0 {
+		return nil, fmt.Errorf("state of no registered program type (named %.40q)", name)
 	}
-	return nil, fmt.Errorf("state of no registered program type (named %.40q)", name)
+	c := programs[i]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.decode(b)
 }
 
 // prime makes c.enc an encoder that has sent P_T, deriving P_T, M_T and
@@ -186,7 +181,7 @@ func (c *progCodec) prime() error {
 	}
 	c.enc = enc
 	if c.prefix == nil {
-		c.fresh, c.prefix, c.msgHdr = fresh, fresh[:at], bytes.Clone(msgHdr)
+		c.prefix, c.msgHdr = fresh[:at], bytes.Clone(msgHdr)
 		c.valueID = w0[:len(w0)-id.Len()]
 	}
 	return nil
@@ -217,7 +212,7 @@ func (c *progCodec) value(p kernel.Program) ([]byte, error) {
 }
 
 // decode parses b, which must be P_T ‖ uint(len W) ‖ W with nothing
-// after it, and must be what value writes for the program it decodes to.
+// after it.
 func (c *progCodec) decode(b []byte) (kernel.Program, error) {
 	if c.enc == nil {
 		if err := c.prime(); err != nil {
@@ -226,55 +221,18 @@ func (c *progCodec) decode(b []byte) (kernel.Program, error) {
 	}
 	rest, ok := bytes.CutPrefix(b, c.prefix)
 	r := gobmemo.NewReader(rest)
-	w := r.Bytes()
-	if !ok || r.Done() != nil || !bytes.HasPrefix(w, c.valueID) {
+	w, isT := bytes.CutPrefix(r.Bytes(), c.valueID)
+	wr := gobmemo.NewReader(w)
+	v := wr.Bytes()
+	wr.Check(wr.Uint() == 0, "progHolder not ended")
+	if !ok || r.Done() != nil || !isT || wr.Done() != nil {
 		return nil, fmt.Errorf("not the state of a %v", c.typ)
 	}
-	if c.dec == nil {
-		// A new decoder reads P_T with the zero value, and is primed by it.
-		c.in.Reset(c.fresh)
-		c.dec = gob.NewDecoder(&c.in)
-		if err := c.dec.Decode(&c.hold); err != nil {
-			c.dec = nil
-			return nil, err
-		}
-	}
-	c.msg = append(appendUint(c.msg[:0], uint64(len(c.msgHdr)+len(w))), c.msgHdr...)
-	c.msg = append(c.msg, w...)
-	c.in.Reset(c.msg)
-	c.hold.P = nil
-	err := c.dec.Decode(&c.hold)
-	p := c.hold.P
-	c.hold.P = nil
-	if err != nil {
-		// A failed Decode can leave the decoder holding part of a message.
-		c.dec = nil
-		return nil, err
-	}
-	// gob's decoder also takes a wider integer than needed, a zero field
-	// sent, any non-zero byte for true: accept only the one encoding.
-	again, err := c.value(p)
+	p, err := c.walk.Read(v)
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.Equal(again, w) && !(c.hasMap && permutes(again, w)) {
-		return nil, fmt.Errorf("%v state not as an encoder writes it", c.typ)
-	}
-	return p, nil
-}
-
-// permutes reports whether a and b hold the same bytes in some order, as
-// two encodings of a value with a map of more than one entry do.
-func permutes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var n [256]int
-	for i := range a {
-		n[a[i]]++
-		n[b[i]]--
-	}
-	return n == [256]int{}
+	return p.Interface().(kernel.Program), nil
 }
 
 // appendUint appends gob's encoding of v: one byte below 128, else the

@@ -153,12 +153,15 @@ func (s *Store) BuildTransfer(pod string, seq int, needSeqs []int, needHashes []
 		t.TotalBytes += size
 	}
 	slices.SortFunc(t.Images, func(a, b *Image) int { return a.Seq - b.Seq })
-	for _, h := range needHashes {
+	if len(needHashes) > 0 {
+		t.Chunks = make([]ChunkData, len(needHashes))
+	}
+	for i, h := range needHashes {
 		e, ok := s.chunks[h]
 		if !ok {
 			return nil, fmt.Errorf("ckpt: transfer missing chunk %v", h)
 		}
-		t.Chunks = append(t.Chunks, ChunkData{Hash: h, Data: e.data})
+		t.Chunks[i] = ChunkData{Hash: h, Data: e.data}
 		t.TotalBytes += int64(len(e.data))
 	}
 	return t, nil

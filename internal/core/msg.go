@@ -16,6 +16,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"cruz/internal/ckpt"
@@ -322,7 +323,7 @@ func (p *replPayload) stripped(images []*ckpt.Image) *replPayload {
 // slice, and each page of an image, as a sub-slice of the piece it arrived
 // in, which for a part is the sender's own immutable bytes.
 
-// wireCodec produces the gob part, and hands readHead its value. Every
+// wireCodec produces the gob part, and reads it back (readHead). Every
 // frame is self-contained — it opens with wireMsg's type descriptors,
 // because the receiver reads each one independently — but the
 // descriptors are the same bytes in every frame of a process, so the
@@ -397,6 +398,9 @@ func encodeMsg(buf *bytes.Buffer, m *wireMsg) ([][]byte, error) {
 // an image, or a byte slice that is not empty.
 func (p *replPayload) carriesBulk(images []*ckpt.Image) bool {
 	n := len(images) + len(p.ECSet)
+	for _, b := range p.Blobs {
+		n += len(b)
+	}
 	for _, b := range p.Manifests {
 		n += len(b)
 	}
@@ -404,6 +408,16 @@ func (p *replPayload) carriesBulk(images []*ckpt.Image) bool {
 		n += len(c.Data)
 	}
 	return n > 0
+}
+
+// readHead reads the gob head b opens with, and returns how many bytes it
+// took. The head carries no bulk bytes, which travel behind it.
+func readHead(b []byte) (*wireMsg, int, error) {
+	m, n, err := wireCodec.Read(b)
+	if err == nil && m.Repl != nil && m.Repl.carriesBulk(nil) {
+		return nil, 0, errors.New("bulk bytes in the head")
+	}
+	return m, n, err
 }
 
 // decodeMsg parses one frame payload, read from the pieces it arrived in

@@ -1,6 +1,7 @@
 package dhcp
 
 import (
+	"bytes"
 	"testing"
 
 	"cruz/internal/ether"
@@ -29,9 +30,9 @@ func TestCodecIsFreshGob(t *testing.T) {
 	gobmemotest.Identity(t, codec, everyMsg()...)
 }
 
-// TestHostileDatagramCannotPoisonTheCodec: servers and clients share one
-// decoder per process, so a damaged or hostile datagram is accepted or
-// rejected exactly as a throwaway decoder would, and leaves no trace.
+// TestHostileDatagramCannotPoisonTheCodec: servers and clients read
+// datagrams through one codec, so a damaged or hostile datagram is
+// dropped, and leaves no trace; so is a good message with a byte after it.
 func TestHostileDatagramCannotPoisonTheCodec(t *testing.T) {
 	good := everyMsg()[3]
 	gobmemotest.Hostile(t, codec, good)
@@ -40,6 +41,25 @@ func TestHostileDatagramCannotPoisonTheCodec(t *testing.T) {
 			t.Errorf("%s: decode returns %v", in.Name, err)
 		}
 	}
+	b, err := encode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := decode(append(b, 0)); err == nil {
+		t.Errorf("a datagram with a byte after its message decodes to %+v", m)
+	}
+}
+
+// TestReaderMatchesGob holds decode to gob (gobmemotest.Reads) on every
+// message.
+func TestReaderMatchesGob(t *testing.T) {
+	gobmemotest.Reads(t, encode, decode, everyMsg()...)
+}
+
+func encode(m *Message) ([]byte, error) {
+	var b bytes.Buffer
+	err := codec.Encode(&b, m)
+	return b.Bytes(), err
 }
 
 // TestCodecConcurrent hammers the shared codec from several goroutines,

@@ -63,12 +63,16 @@ func send(ctx *kernel.ProcContext, fd int, to tcpip.AddrPort, m *Message) error 
 	return ctx.SendTo(fd, to, buf.Bytes())
 }
 
+// decode parses a datagram, which must hold exactly one message.
 func decode(b []byte) (*Message, error) {
-	var m Message
-	if _, err := codec.Decode(b, &m); err != nil {
+	m, n, err := codec.Read(b)
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("%d bytes after the message", len(b)-n)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("dhcp: decode: %w", err)
 	}
-	return &m, nil
+	return m, nil
 }
 
 // Server is the DHCP daemon, run as a native (non-pod) process.

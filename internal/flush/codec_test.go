@@ -1,6 +1,9 @@
 package flush
 
 import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
 	"testing"
 
 	"cruz/internal/ctl"
@@ -32,7 +35,20 @@ func everyMsg() []*fWireMsg {
 		{Type: fDone, Seq: 3, Pod: "chat-a", Err: ErrBusy.Error()},
 		{Type: fContinue, Seq: 3, Pod: "chat-a"},
 		{Type: fContinueDone, Seq: 3, Pod: "chat-a", LocalDuration: 20 * sim.Microsecond},
+		{Type: fPing},
+		{Type: fPong},
 	}
+}
+
+func encode(m *fWireMsg) ([]byte, error) {
+	var b bytes.Buffer
+	err := fCodec.Encode(&b, m)
+	return b.Bytes(), err
+}
+
+// read reads a frame as an endpoint hands it to fMsgCodec.
+func read(b []byte) (*fWireMsg, error) {
+	return fMsgCodec.Decode(ctl.NewPieceReader([][]byte{b}), trace.SpanContext{})
 }
 
 // TestFlushCodecIsFreshGob: E5 counts the baseline's messages and times
@@ -43,16 +59,49 @@ func TestFlushCodecIsFreshGob(t *testing.T) {
 }
 
 // TestHostileFlushFrameIsDropped: every agent and coordinator in the
-// process shares one decoder, so a damaged or hostile frame is accepted
-// or dropped exactly as a throwaway decoder would, and leaves no trace.
+// process reads frames through one codec, so a damaged or hostile frame is
+// dropped, and leaves no trace; so is a good message with a byte after it.
 func TestHostileFlushFrameIsDropped(t *testing.T) {
 	good := everyMsg()[1]
 	gobmemotest.Hostile(t, fCodec, good)
 	for _, in := range gobmemotest.Inputs(t, good) {
-		if _, err := fMsgCodec.Decode(ctl.NewPieceReader([][]byte{in.Bytes}), trace.SpanContext{}); (err == nil) != in.Valid {
+		if _, err := read(in.Bytes); (err == nil) != in.Valid {
 			t.Errorf("%s: decode error %v, valid %v", in.Name, err, in.Valid)
 		}
 	}
+	b, err := encode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := read(append(b, 0)); err == nil {
+		t.Errorf("a frame with a byte after its message reads as %+v", m)
+	}
+}
+
+// TestFlushReaderMatchesGob holds the frame reader to gob
+// (gobmemotest.Reads) on every message.
+func TestFlushReaderMatchesGob(t *testing.T) {
+	gobmemotest.Reads(t, encode, decodeFrame, everyMsg()...)
+}
+
+// FuzzFlushFrame: arbitrary bytes read as a flush message or an error,
+// never a panic, and what is read is what a fresh gob decoder makes of the
+// bytes, and re-encodes to them. The seeds, one message of every fMsgType,
+// are checked in under testdata/fuzz.
+func FuzzFlushFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := read(b)
+		if err != nil {
+			return
+		}
+		var ref fWireMsg
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ref); err != nil || !reflect.DeepEqual(&ref, m) {
+			t.Fatalf("read %+v, a fresh gob decoder %+v (%v)", m, ref, err)
+		}
+		if again, err := encode(m); err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("read %+v, which re-encodes to %d other bytes than its %d (%v)", m, len(again), len(b), err)
+		}
+	})
 }
 
 // TestFlushCodecConcurrent hammers the shared codec from several

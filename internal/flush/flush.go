@@ -107,12 +107,19 @@ var fMsgCodec = ctl.Codec[*fWireMsg]{
 		return nil, trace.SpanContext{}, ctl.TierForeground, fCodec.Encode(buf, m)
 	},
 	Decode: func(r ctl.PieceReader, _ trace.SpanContext) (*fWireMsg, error) {
-		// A flush frame is copied bytes alone, so it arrives as one piece,
-		// which gob's decoder copies what it keeps of.
-		var m fWireMsg
-		_, err := fCodec.Decode(r.Peek(r.Len()), &m)
-		return &m, err
+		// A flush frame is copied bytes alone, so it arrives as one piece.
+		return decodeFrame(r.Peek(r.Len()))
 	},
+}
+
+// decodeFrame reads a frame, which must hold exactly one message; the
+// message keeps no byte of b.
+func decodeFrame(b []byte) (*fWireMsg, error) {
+	m, n, err := fCodec.Read(b)
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("flush: %d bytes after the message", len(b)-n)
+	}
+	return m, err
 }
 
 // drainPoll is how often a flushing agent re-checks channel drain

@@ -1,6 +1,8 @@
 package gobmemo_test
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -13,7 +15,8 @@ import (
 )
 
 // record reaches every kind of type gob describes: nested and recursive
-// structs, pointers, slices, arrays, maps, and a skipped unexported field.
+// structs and maps, pointers, slices, arrays, and a skipped unexported
+// field.
 type record struct {
 	Name   string
 	N      int
@@ -28,6 +31,7 @@ type sub struct {
 	ID   uint32
 	Next *sub
 	Bits map[int][]byte
+	Kids map[int]sub // a map read inside a map of its own type
 }
 
 // leaf is map-free, so that generated values have one encoding: gob writes
@@ -49,7 +53,7 @@ func sample() *record {
 	return &record{
 		Name: "r", N: -7,
 		Leaves: []leaf{{S: "l", F: 2.5, Raw: []byte{1, 2, 3}, Tags: []string{"a", ""}, Point: [2]int16{-1, 9}}, {}},
-		Sub:    &sub{ID: 1, Next: &sub{ID: 2}, Bits: map[int][]byte{3: {4}}},
+		Sub:    &sub{ID: 1, Next: &sub{ID: 2}, Bits: map[int][]byte{3: {4}}, Kids: map[int]sub{7: {Kids: map[int]sub{8: {ID: 9}}}}},
 		Subs:   []sub{{ID: 5}, {}},
 		ByName: map[string]sub{"k": {ID: 6}},
 	}
@@ -66,6 +70,24 @@ func TestIdentityWithFreshGob(t *testing.T) {
 		values = append(values, &record{Name: "q", N: i, Leaves: v.Interface().([]leaf)})
 	}
 	gobmemotest.Identity(t, recordCodec, values...)
+}
+
+// TestReadMatchesGob holds the walk to gob on values that reach every
+// kind record reaches, the recursive sub.Next followed two deep.
+func TestReadMatchesGob(t *testing.T) {
+	encode := func(v *record) ([]byte, error) {
+		var b bytes.Buffer
+		err := recordCodec.Encode(&b, v)
+		return b.Bytes(), err
+	}
+	read := func(b []byte) (*record, error) {
+		v, n, err := recordCodec.Read(b)
+		if err == nil && n != len(b) {
+			return nil, fmt.Errorf("%d bytes after the value", len(b)-n)
+		}
+		return v, err
+	}
+	gobmemotest.Reads(t, encode, read, &record{}, sample(), &record{Sub: &sub{Next: &sub{Next: &sub{ID: 3}}}})
 }
 
 func TestHostileInputLeavesNoTrace(t *testing.T) {

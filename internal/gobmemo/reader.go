@@ -1,8 +1,8 @@
 package gobmemo
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -10,24 +10,28 @@ import (
 // Value returns the value message of T that b opens with, past its length
 // and type id — for a struct T, its fields — and the bytes of b after it,
 // if b starts with P followed by one value message of T, what Encode
-// writes. It serves a decoder that walks T with a Reader instead of gob's;
-// any other input is an error.
+// writes. It serves a decoder that walks T with a Reader by hand; any
+// other input is an error.
 func (c *Codec[T]) Value(b []byte) (v, rest []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.value(b)
+}
+
+func (c *Codec[T]) value(b []byte) (v, rest []byte, err error) {
 	if c.prefix == nil {
 		c.primeEncoder()
 	}
-	if !c.plain(b) {
+	// Anything else than P ‖ V — bytes from another process or type, or a
+	// type definition placed after P — is not a value of T.
+	m, ok := bytes.CutPrefix(b, c.prefix)
+	r := NewReader(m)
+	n := r.Uint()
+	if !ok || r.err != nil || n > uint64(r.Len()) || !bytes.HasPrefix(m[r.off:r.off+int(n)], c.valueHdr) {
 		return nil, nil, errors.New("gobmemo: not the descriptors and a value message")
 	}
-	r := NewReader(b[len(c.prefix):])
-	n := r.Uint()
-	if r.err != nil || n > uint64(r.Len()) || n < uint64(len(c.valueHdr)) {
-		return nil, nil, errors.New("gobmemo: value message length overruns the bytes after it")
-	}
 	end := r.off + int(n)
-	return r.b[r.off+len(c.valueHdr) : end], r.b[end:], nil
+	return m[r.off+len(c.valueHdr) : end], m[end:], nil
 }
 
 // Reader reads the primitives of a gob value message: unsigned and signed
@@ -53,8 +57,7 @@ func (r *Reader) Err() error { return r.err }
 // field only when it is not zero.
 func (r *Reader) Check(ok bool, what string) {
 	if !ok && r.err == nil {
-		r.err = fmt.Errorf("gobmemo: %s", what)
-		r.off = len(r.b)
+		r.err, r.off = errors.New("gobmemo: "+what), len(r.b)
 	}
 }
 
@@ -149,13 +152,6 @@ func (r *Reader) SentInt() int64 {
 	x := r.Int()
 	r.Check(x != 0, zeroSent)
 	return x
-}
-
-// SentBool reads a struct field's bool, which is sent as 1 and only when
-// true.
-func (r *Reader) SentBool() bool {
-	r.Check(r.Uint() == 1, "a bool field not sent as 1")
-	return true
 }
 
 // SentCount reads a struct field's slice or string length.
